@@ -17,17 +17,25 @@
 //! neighbors' drive pattern (the serial-vs-service determinism tests in
 //! `impress-workflow` rest on it).
 //!
-//! Each lease additionally carries:
+//! Every lease is opened in an **account** ([`SharedCluster::open_account`])
+//! — the unit a fair-share layer bills and ranks, typically one per tenant.
+//! An account carries:
 //!
-//! * a **priority boost** added to every task submitted through it — the
-//!   hook a fair-share layer uses to map tenant deficits onto the
-//!   scheduler's priority buckets (higher schedules first);
-//! * a **usage meter** (core/GPU-seconds of delivered occupancy), booked
-//!   at pump time against the *owning* lease, which quota enforcement
-//!   reads without trusting tenants to self-report;
-//! * a **retired** flag: retiring a lease drops its queued inbox and any
-//!   late completions, so a canceled campaign cannot leak memory or
-//!   deliver into a dead coordinator.
+//! * a **priority boost** added to every task submitted through any of its
+//!   leases, read at submit time — the hook a fair-share layer uses to map
+//!   tenant deficits onto the scheduler's priority buckets (higher
+//!   schedules first);
+//! * a **usage meter** (core/GPU-seconds of delivered occupancy). Every
+//!   completion is booked at pump time to the *owning* lease's meter and to
+//!   its account's in the same place, so an account's total is the sum of
+//!   its leases' meters by construction — retired leases and completions
+//!   nobody will ever pop included — and quota enforcement reads it in
+//!   O(1) without trusting tenants to self-report.
+//!
+//! Each lease additionally carries its own usage meter and a **retired**
+//! flag: retiring a lease drops its queued inbox and any late completions,
+//! so a canceled campaign cannot leak memory or deliver into a dead
+//! coordinator (its late occupancy is still metered).
 //!
 //! A lease deliberately does *not* expose cluster-global mutation — or
 //! even cluster-global *names*. Task ids on a lease are lease-local (dense
@@ -48,10 +56,16 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-/// Occupancy delivered to one lease so far: the sum over its completed
-/// attempts of `(finished - started) × slots`. Booked when the completion
-/// is *pumped* out of the shared backend (not when the owner pops it), so
-/// quota checks see usage as soon as the cluster knows about it.
+/// Occupancy delivered to one lease — or to one account, across all of its
+/// leases — so far: the sum over completed attempts of
+/// `(finished - started) × slots`. Booked when the completion is *pumped*
+/// out of the shared backend (not when the owner pops it), so quota checks
+/// see usage as soon as the cluster knows about it.
+///
+/// The cluster meters whole core-/GPU-microseconds (virtual time is whole
+/// microseconds) and converts to seconds on read, so a reading does not
+/// depend on the order completions were pumped in and an account's reading
+/// is exactly that of its leases' meters summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LeaseUsage {
     /// Core-seconds of delivered slot occupancy.
@@ -62,17 +76,56 @@ pub struct LeaseUsage {
     pub completions: u64,
 }
 
+/// Names one account of a [`SharedCluster`]; see
+/// [`SharedCluster::open_account`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AccountId(u32);
+
+/// Delivered occupancy in whole core-/GPU-microseconds.
+#[derive(Clone, Copy, Default)]
+struct Meter {
+    core_us: u64,
+    gpu_us: u64,
+    completions: u64,
+}
+
+impl Meter {
+    fn book(&mut self, span_us: u64, cores: u32, gpus: u32) {
+        self.core_us += span_us * u64::from(cores);
+        self.gpu_us += span_us * u64::from(gpus);
+        self.completions += 1;
+    }
+
+    fn read(&self) -> LeaseUsage {
+        LeaseUsage {
+            core_seconds: self.core_us as f64 / 1e6,
+            gpu_seconds: self.gpu_us as f64 / 1e6,
+            completions: self.completions,
+        }
+    }
+}
+
+/// Per-account bookkeeping: what fair share bills and steers.
+#[derive(Default)]
+struct AccountState {
+    /// Priority added to every submission through the account's leases
+    /// (higher schedules first).
+    boost: i32,
+    /// Delivered occupancy of every lease ever opened in the account.
+    meter: Meter,
+}
+
 /// Per-lease bookkeeping inside the cluster core.
 struct LeaseState {
+    /// Index of the account the lease was opened in.
+    account: usize,
     /// Completions pumped by *other* leases, waiting for this one to pop.
     inbox: VecDeque<Completion>,
     /// Tasks submitted through this lease and not yet *delivered* to it
     /// (an inboxed completion still counts — it has not been observed).
     in_flight: usize,
-    /// Priority added to every submission (higher schedules first).
-    boost: i32,
     /// Delivered occupancy, for quota/fairness accounting.
-    usage: LeaseUsage,
+    meter: Meter,
     /// Retired leases take no new submissions and drop late completions.
     retired: bool,
     /// Lease-local task ids, dense from 0: `to_global[local]` is the
@@ -98,13 +151,15 @@ struct ClusterCore<B: ExecutionBackend> {
     routes: HashMap<u64, TaskRoute>,
     leases: HashMap<u32, LeaseState>,
     next_lease: u32,
+    /// Indexed by [`AccountId`]; accounts are never closed.
+    accounts: Vec<AccountState>,
 }
 
 impl<B: ExecutionBackend> ClusterCore<B> {
     /// Pump one completion out of the shared backend, booking usage to its
-    /// owner. Returns the completion together with its owning lease id, or
-    /// `None` when the backend has nothing left to deliver (idle, or a
-    /// graceful deadline drain).
+    /// owning lease and that lease's account. Returns the completion
+    /// together with its owning lease id, or `None` when the backend has
+    /// nothing left to deliver (idle, or a graceful deadline drain).
     fn pump(&mut self) -> Option<(u32, Completion)> {
         loop {
             let mut c = self.backend.next_completion()?;
@@ -114,14 +169,15 @@ impl<B: ExecutionBackend> ClusterCore<B> {
                 // leases must only ever see their own traffic.
                 continue;
             };
-            let span = (c.finished - c.started).as_secs_f64();
+            let span_us = (c.finished - c.started).as_micros();
             let lease = self
                 .leases
                 .get_mut(&route.owner)
                 .expect("every route points at a lease record");
-            lease.usage.core_seconds += span * f64::from(route.cores);
-            lease.usage.gpu_seconds += span * f64::from(route.gpus);
-            lease.usage.completions += 1;
+            lease.meter.book(span_us, route.cores, route.gpus);
+            self.accounts[lease.account]
+                .meter
+                .book(span_us, route.cores, route.gpus);
             if lease.retired {
                 // The owner is gone; its in-flight counter died with it.
                 continue;
@@ -130,6 +186,16 @@ impl<B: ExecutionBackend> ClusterCore<B> {
             c.task = TaskId(route.local);
             return Some((route.owner, c));
         }
+    }
+
+    /// Resolve a lease-local id to the shared backend's id, provided the
+    /// task is still routed (unfinished) and really belongs to `lease`.
+    fn routed(&self, lease: u32, local: TaskId) -> Option<TaskId> {
+        let global = *self.leases.get(&lease)?.to_global.get(local.0 as usize)?;
+        self.routes
+            .get(&global.0)
+            .is_some_and(|r| r.owner == lease)
+            .then_some(global)
     }
 }
 
@@ -164,23 +230,35 @@ impl<B: ExecutionBackend> SharedCluster<B> {
                 routes: HashMap::new(),
                 leases: HashMap::new(),
                 next_lease: 0,
+                accounts: Vec::new(),
             })),
             telemetry,
         }
     }
 
-    /// Open a new lease with priority boost 0.
-    pub fn lease(&self) -> ClusterLease<B> {
+    /// Open a new account: priority boost 0, nothing delivered.
+    pub fn open_account(&self) -> AccountId {
         let mut core = self.core.borrow_mut();
+        let id = AccountId(u32::try_from(core.accounts.len()).expect("under 2^32 accounts"));
+        core.accounts.push(AccountState::default());
+        id
+    }
+
+    /// Open a new lease in `account`: its submissions carry the account's
+    /// boost, its delivered occupancy is billed to the account.
+    pub fn lease(&self, account: AccountId) -> ClusterLease<B> {
+        let mut core = self.core.borrow_mut();
+        let account = account.0 as usize;
+        assert!(account < core.accounts.len(), "account of another cluster");
         let id = core.next_lease;
         core.next_lease += 1;
         core.leases.insert(
             id,
             LeaseState {
+                account,
                 inbox: VecDeque::new(),
                 in_flight: 0,
-                boost: 0,
-                usage: LeaseUsage::default(),
+                meter: Meter::default(),
                 retired: false,
                 to_global: Vec::new(),
             },
@@ -193,10 +271,27 @@ impl<B: ExecutionBackend> SharedCluster<B> {
     }
 
     /// Delivered occupancy of one lease (`None` for unknown ids). Retired
-    /// leases keep their meter: a tenant's spent budget survives campaign
-    /// completion.
+    /// leases keep their meter, and keep metering completions that arrive
+    /// after the retirement.
     pub fn usage_of(&self, lease: u32) -> Option<LeaseUsage> {
-        self.core.borrow().leases.get(&lease).map(|l| l.usage)
+        self.core
+            .borrow()
+            .leases
+            .get(&lease)
+            .map(|l| l.meter.read())
+    }
+
+    /// Delivered occupancy of every lease ever opened in `account`, retired
+    /// ones included: one read, whatever the number of leases.
+    pub fn account_usage(&self, account: AccountId) -> LeaseUsage {
+        self.core.borrow().accounts[account.0 as usize].meter.read()
+    }
+
+    /// Set an account's priority boost. Applies to *future* submissions
+    /// through any of its leases; work already queued keeps the priority it
+    /// was enqueued with.
+    pub fn set_account_boost(&self, account: AccountId, boost: i32) {
+        self.core.borrow_mut().accounts[account.0 as usize].boost = boost;
     }
 
     /// Pump exactly one completion out of the shared backend — advancing
@@ -235,30 +330,15 @@ impl<B: ExecutionBackend> SharedCluster<B> {
             .is_some_and(|l| !l.inbox.is_empty() || l.in_flight == 0)
     }
 
-    /// Set a lease's priority boost. Applies to *future* submissions; work
-    /// already queued keeps the priority it was enqueued with.
-    pub fn set_boost(&self, lease: u32, boost: i32) {
-        if let Some(l) = self.core.borrow_mut().leases.get_mut(&lease) {
-            l.boost = boost;
-        }
-    }
-
     /// Preempt a running task of `lease` (named by its lease-local id) —
     /// the service-layer hook behind priority preemption, which may target
     /// any lease it administers. Returns `false` for unknown ids, tasks
     /// that are not running, or backends without preemption support.
     pub fn preempt(&self, lease: u32, task: TaskId) -> bool {
         let mut core = self.core.borrow_mut();
-        let Some(&global) = core
-            .leases
-            .get(&lease)
-            .and_then(|l| l.to_global.get(task.0 as usize))
-        else {
+        let Some(global) = core.routed(lease, task) else {
             return false;
         };
-        if !core.routes.get(&global.0).is_some_and(|r| r.owner == lease) {
-            return false;
-        }
         core.backend.preempt(global)
     }
 
@@ -266,17 +346,22 @@ impl<B: ExecutionBackend> SharedCluster<B> {
     /// submission order — the victim list a preemption sweep walks (and the
     /// ids a cancel sweep feeds back through the lease). Queued and running
     /// tasks are not distinguished here; [`SharedCluster::preempt`] simply
-    /// returns `false` for the queued ones.
+    /// returns `false` for the queued ones. Costs one route lookup per task
+    /// the lease ever submitted, independent of the rest of the cluster.
     pub fn tasks_of(&self, lease: u32) -> Vec<TaskId> {
         let core = self.core.borrow();
-        let mut out: Vec<TaskId> = core
-            .routes
-            .values()
-            .filter(|r| r.owner == lease)
-            .map(|r| TaskId(r.local))
-            .collect();
-        out.sort_unstable_by_key(|t| t.0);
-        out
+        let Some(state) = core.leases.get(&lease) else {
+            return Vec::new();
+        };
+        // `to_global` holds only this lease's own submissions, so a route
+        // that still exists is necessarily its own.
+        state
+            .to_global
+            .iter()
+            .enumerate()
+            .filter(|(_, global)| core.routes.contains_key(&global.0))
+            .map(|(local, _)| TaskId(local as u64))
+            .collect()
     }
 
     /// Current backend time.
@@ -312,15 +397,15 @@ pub struct ClusterLease<B: ExecutionBackend> {
 }
 
 impl<B: ExecutionBackend> ClusterLease<B> {
-    /// This lease's id, the key for [`SharedCluster::usage_of`] /
-    /// [`SharedCluster::set_boost`].
+    /// This lease's id, the key for [`SharedCluster::usage_of`],
+    /// [`SharedCluster::tasks_of`] and [`SharedCluster::preempt`].
     pub fn id(&self) -> u32 {
         self.id
     }
 
     /// Delivered occupancy so far.
     pub fn usage(&self) -> LeaseUsage {
-        self.core.borrow().leases[&self.id].usage
+        self.core.borrow().leases[&self.id].meter.read()
     }
 
     /// Retire the lease: drop its queued inbox, drop any late completions,
@@ -334,17 +419,6 @@ impl<B: ExecutionBackend> ClusterLease<B> {
         lease.inbox.clear();
         lease.in_flight = 0;
     }
-
-    /// Resolve a lease-local id to the shared backend's id, provided the
-    /// task is still routed (unfinished) and really belongs to this lease.
-    fn resolve(&self, local: TaskId) -> Option<TaskId> {
-        let core = self.core.borrow();
-        let global = *core.leases[&self.id].to_global.get(local.0 as usize)?;
-        core.routes
-            .get(&global.0)
-            .is_some_and(|r| r.owner == self.id)
-            .then_some(global)
-    }
 }
 
 impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
@@ -356,7 +430,7 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
         let core = &mut *core;
         let lease = core.leases.get_mut(&self.id).expect("lease exists");
         assert!(!lease.retired, "submit on a retired lease");
-        let boost = lease.boost;
+        let boost = core.accounts[lease.account].boost;
         lease.in_flight += 1;
         let local = TaskId(lease.to_global.len() as u64);
         let (cores, gpus) = (desc.request.cores, desc.request.gpus);
@@ -436,17 +510,19 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
     }
 
     fn cancel(&mut self, id: TaskId) -> bool {
-        let Some(global) = self.resolve(id) else {
+        let mut core = self.core.borrow_mut();
+        let Some(global) = core.routed(self.id, id) else {
             return false;
         };
-        self.core.borrow_mut().backend.cancel(global)
+        core.backend.cancel(global)
     }
 
     fn preempt(&mut self, id: TaskId) -> bool {
-        let Some(global) = self.resolve(id) else {
+        let mut core = self.core.borrow_mut();
+        let Some(global) = core.routed(self.id, id) else {
             return false;
         };
-        self.core.borrow_mut().backend.preempt(global)
+        core.backend.preempt(global)
     }
 
     fn held_tasks(&self) -> usize {
@@ -507,8 +583,8 @@ mod tests {
     #[test]
     fn leases_only_see_their_own_completions() {
         let cluster = SharedCluster::new(backend(4));
-        let mut a = cluster.lease();
-        let mut b = cluster.lease();
+        let mut a = cluster.lease(cluster.open_account());
+        let mut b = cluster.lease(cluster.open_account());
         let a1 = a.submit(task("a1", 5));
         let b1 = b.submit(task("b1", 1));
         let a2 = a.submit(task("a2", 3));
@@ -528,8 +604,8 @@ mod tests {
     #[test]
     fn usage_is_booked_to_the_owning_lease() {
         let cluster = SharedCluster::new(backend(4));
-        let mut a = cluster.lease();
-        let mut b = cluster.lease();
+        let mut a = cluster.lease(cluster.open_account());
+        let mut b = cluster.lease(cluster.open_account());
         a.submit(task("a", 10));
         b.submit(task("b", 2));
         while a.next_completion().is_some() {}
@@ -548,9 +624,12 @@ mod tests {
         // One core: whoever holds higher priority jumps the queue once the
         // first occupant finishes.
         let cluster = SharedCluster::new(backend(1));
-        let mut low = cluster.lease();
-        let mut high = cluster.lease();
-        cluster.set_boost(high.id(), 10);
+        let mut low = cluster.lease(cluster.open_account());
+        let favored = cluster.open_account();
+        cluster.set_account_boost(favored, 10);
+        // The boost is the account's: a lease opened after it was set
+        // enqueues at it from its first submission.
+        let mut high = cluster.lease(favored);
         let _head = low.submit(task("head", 1));
         let l = low.submit(task("low", 1));
         let h = high.submit(task("high", 1));
@@ -574,8 +653,8 @@ mod tests {
     #[test]
     fn retired_leases_drop_their_completions() {
         let cluster = SharedCluster::new(backend(4));
-        let mut a = cluster.lease();
-        let mut b = cluster.lease();
+        let mut a = cluster.lease(cluster.open_account());
+        let mut b = cluster.lease(cluster.open_account());
         a.submit(task("a", 5));
         b.submit(task("b", 1));
         b.retire();
@@ -588,10 +667,33 @@ mod tests {
     }
 
     #[test]
+    fn account_usage_is_the_sum_of_its_leases_retired_ones_included() {
+        let cluster = SharedCluster::new(backend(4));
+        let shared = cluster.open_account();
+        let other = cluster.open_account();
+        let mut a = cluster.lease(shared);
+        let mut b = cluster.lease(shared);
+        let mut c = cluster.lease(other);
+        a.submit(task("a", 10));
+        b.submit(task("b", 2));
+        c.submit(task("c", 7));
+        // b's completion arrives after its retirement: dropped, but billed.
+        b.retire();
+        while a.next_completion().is_some() {}
+        while c.next_completion().is_some() {}
+        let (ua, ub) = (a.usage(), cluster.usage_of(b.id()).unwrap());
+        let account = cluster.account_usage(shared);
+        assert_eq!(account.core_seconds, ua.core_seconds + ub.core_seconds);
+        assert_eq!(account.core_seconds, 12.0);
+        assert_eq!(account.completions, 2);
+        assert_eq!(cluster.account_usage(other).core_seconds, 7.0);
+    }
+
+    #[test]
     fn lease_ids_are_local_and_cannot_name_foreign_tasks() {
         let cluster = SharedCluster::new(backend(1));
-        let mut a = cluster.lease();
-        let mut b = cluster.lease();
+        let mut a = cluster.lease(cluster.open_account());
+        let mut b = cluster.lease(cluster.open_account());
         let at = a.submit(task("a", 5));
         let bt = b.submit(task("b", 5));
         // Ids are namespaced per lease: both leases see a dense space
@@ -617,8 +719,8 @@ mod tests {
     #[test]
     fn service_side_preempt_speaks_lease_local_ids() {
         let cluster = SharedCluster::new(backend(1));
-        let mut a = cluster.lease();
-        let mut b = cluster.lease();
+        let mut a = cluster.lease(cluster.open_account());
+        let mut b = cluster.lease(cluster.open_account());
         let _at = a.submit(task("a", 50));
         let bt = b.submit(task("b", 5));
         // b's task is queued (a holds the core): preempt refuses it.
@@ -627,8 +729,20 @@ mod tests {
         assert!(!cluster.preempt(99, bt));
         assert!(!cluster.preempt(b.id(), TaskId(7)));
         assert_eq!(cluster.tasks_of(b.id()), vec![bt]);
+        assert!(cluster.tasks_of(99).is_empty(), "unknown lease: no tasks");
+        // More work on b, then drain a: b's tasks run behind it. Finished
+        // tasks drop out of the list as soon as they are pumped (popped or
+        // not); what remains keeps its lease-local ids in submission order.
+        let bt2 = b.submit(task("b2", 5));
+        let bt3 = b.submit(task("b3", 5));
+        assert_eq!(cluster.tasks_of(b.id()), vec![bt, bt2, bt3]);
         while a.next_completion().is_some() {}
+        assert_eq!(b.next_completion().expect("b's first task").task, bt);
+        assert_eq!(cluster.tasks_of(b.id()), vec![bt2, bt3]);
+        assert!(cluster.preempt(b.id(), bt2), "bt2 holds the core now");
+        assert!(!cluster.preempt(b.id(), bt), "finished: resolves to nothing");
         while b.next_completion().is_some() {}
+        assert!(cluster.tasks_of(b.id()).is_empty());
     }
 
     #[test]
@@ -637,8 +751,8 @@ mod tests {
         // Lease A must observe its completions in the same order either way.
         let run = |b_pumps_first: bool| -> Vec<u64> {
             let cluster = SharedCluster::new(backend(2));
-            let mut a = cluster.lease();
-            let mut b = cluster.lease();
+            let mut a = cluster.lease(cluster.open_account());
+            let mut b = cluster.lease(cluster.open_account());
             for i in 0..4 {
                 a.submit(task(&format!("a{i}"), 3 + i));
                 b.submit(task(&format!("b{i}"), 2 + i));

@@ -39,9 +39,10 @@
 //! * [`session`] — the user-facing API tying the above together.
 //! * [`cluster`] — one backend shared between many consumers:
 //!   [`SharedCluster`] hands out [`ClusterLease`]s (each an
-//!   [`ExecutionBackend`] scoped to its own tasks, with a priority boost
-//!   and a usage meter), the substrate under the multi-tenant campaign
-//!   service in `impress-workflow`.
+//!   [`ExecutionBackend`] scoped to its own tasks, with a usage meter),
+//!   opened in accounts that carry a tenant's priority boost and total
+//!   usage — the substrate under the multi-tenant campaign service in
+//!   `impress-workflow`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -62,7 +63,7 @@ pub mod task;
 pub mod timeline;
 
 pub use backend::{Completion, ExecutionBackend, TaskError};
-pub use cluster::{ClusterLease, LeaseUsage, SharedCluster};
+pub use cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
 pub use control::{ControlPlane, ControlStats, Deliveries};
 pub use fault::{
     AttemptFault, FaultConfig, FaultPlan, HedgePolicy, LinkFaults, QuarantinePolicy, RetryPolicy,

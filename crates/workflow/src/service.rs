@@ -41,12 +41,16 @@
 //! `QUANTUM / weight` per step it receives, lowest clock steps next),
 //! which divides *coordinator attention* fairly under simultaneous
 //! demand. Sustained slot contention inside the shared scheduler is
-//! steered by per-lease priority boosts: tenants are ranked by delivered
-//! usage per unit weight, and a tenant's boost is the number of tenants
-//! strictly ahead of it — under-served tenants enqueue future tasks at
-//! higher priority. With a single tenant the boost is exactly 0, so a
-//! one-campaign service is behaviorally identical to a bare coordinator
-//! on the same backend.
+//! steered by per-tenant priority boosts. Each tenant owns one cluster
+//! *account* (`impress_pilot::cluster`): every campaign's lease is opened
+//! in it, the cluster bills every completion to it as it is pumped, and
+//! its boost is added to whatever any of its leases submits. Tenants are
+//! ranked by delivered usage per unit weight, and a tenant's boost is the
+//! number of tenants strictly ahead of it — under-served tenants enqueue
+//! future tasks at higher priority, including the first tasks of a
+//! campaign admitted between two rebalances. With a single tenant the
+//! boost is exactly 0, so a one-campaign service is behaviorally identical
+//! to a bare coordinator on the same backend.
 //!
 //! **Priority preemption**: campaigns carry a priority class; admitting a
 //! campaign of a higher class sweeps the running tasks of every
@@ -76,11 +80,11 @@ use crate::decision::DecisionEngine;
 use crate::journal::{Journal, ReplayPlan};
 use crate::pipeline::{BoxedPipeline, PipelineId};
 use impress_json::{FromJson, ToJson};
-use impress_pilot::cluster::{ClusterLease, LeaseUsage, SharedCluster};
+use impress_pilot::cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
 use impress_pilot::{ExecutionBackend, UtilizationReport};
 use impress_sim::SimTime;
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
 /// A tenant's identity. Cheap to clone; compared by value.
@@ -286,7 +290,10 @@ pub struct CampaignResult<O> {
     pub outcomes: Vec<(PipelineId, O)>,
     /// Aborted pipelines and their reasons.
     pub aborts: Vec<(PipelineId, String)>,
-    /// Occupancy the campaign was delivered.
+    /// Occupancy the campaign's lease had been delivered at the terminal
+    /// transition. Tasks of a canceled campaign that were still running
+    /// finish later: that occupancy is billed to the tenant
+    /// ([`CampaignService::tenant_usage`]) but not shown here.
     pub usage: LeaseUsage,
     /// Backend time at submission.
     pub submitted_at: SimTime,
@@ -298,13 +305,14 @@ pub struct CampaignResult<O> {
 struct TenantState {
     id: TenantId,
     quota: TenantQuota,
-    /// Campaign indices currently running.
-    active: Vec<usize>,
+    /// The cluster account every campaign of this tenant leases from: it
+    /// meters the tenant's delivered usage and carries its boost.
+    account: AccountId,
+    /// Campaigns currently running.
+    running: usize,
     /// Campaigns that can make progress without waiting, in FIFO order
     /// (round-robin within the tenant emerges from re-marking).
     ready: VecDeque<usize>,
-    /// Usage accumulated by finished/canceled campaigns.
-    spent: LeaseUsage,
     /// Deficit round-robin virtual clock (micro-quanta).
     vclock: u64,
     /// Whether an entry for this tenant is in the stepping heap.
@@ -355,10 +363,11 @@ impl PartialOrd for HeapEntry {
 /// when both have ready campaigns.
 const QUANTUM: u64 = 10_080;
 
-/// Recompute fair-share boosts every this many service steps. Boost
-/// recomputation scans every tenant's live leases, so it is amortized
-/// rather than per-step; a service step is roughly one routed completion,
-/// so this keeps boosts responsive on the scale of tens of completions.
+/// Recompute fair-share boosts every this many service steps. A
+/// rebalance reads and ranks one account per tenant, whatever the number
+/// of campaigns; a service step is roughly one routed completion, so
+/// ranks move on the scale of tens of completions and recomputing them
+/// every step would buy nothing.
 const REBALANCE_EVERY: u64 = 64;
 
 /// Thousands of concurrent campaigns behind a typed submission API, on one
@@ -370,6 +379,12 @@ pub struct CampaignService<O, B: ExecutionBackend> {
     campaigns: Vec<CampaignState<O, B>>,
     /// Lease id → campaign index, the pump's delivery routing.
     lease_index: HashMap<u32, usize>,
+    /// Running campaigns per priority class: admission asks it whether a
+    /// preemption sweep has anybody to visit.
+    running_by_class: BTreeMap<i32, usize>,
+    /// No campaign below this index is running. Statuses only ever leave
+    /// `Running`, so the deadline drain moves it forward and never back.
+    first_running: usize,
     /// Tenants with ready campaigns, popped in vclock order.
     heap: BinaryHeap<HeapEntry>,
     steps: u64,
@@ -393,6 +408,8 @@ where
             tenant_index: HashMap::new(),
             campaigns: Vec::new(),
             lease_index: HashMap::new(),
+            running_by_class: BTreeMap::new(),
+            first_running: 0,
             heap: BinaryHeap::new(),
             steps: 0,
             telemetry,
@@ -416,33 +433,33 @@ where
         self.tenants.push(TenantState {
             id: id.clone(),
             quota,
-            active: Vec::new(),
+            account: self.cluster.open_account(),
+            running: 0,
             ready: VecDeque::new(),
-            spent: LeaseUsage::default(),
             vclock,
             queued: false,
         });
         self.tenant_index.insert(id, at);
     }
 
-    /// A tenant's delivered usage so far: finished campaigns plus live
-    /// leases.
+    /// A tenant's delivered usage so far, as the cluster metered it: every
+    /// completion of every campaign the tenant ever ran — running,
+    /// completed, drained or canceled, including tasks of a canceled
+    /// campaign that finished after the cancel.
     pub fn tenant_usage(&self, id: &TenantId) -> Option<LeaseUsage> {
         let &at = self.tenant_index.get(id)?;
-        Some(self.tenant_usage_at(at))
+        Some(self.cluster.account_usage(self.tenants[at].account))
     }
 
-    fn tenant_usage_at(&self, at: usize) -> LeaseUsage {
-        let t = &self.tenants[at];
-        let mut u = t.spent;
-        for &c in &t.active {
-            if let Some(live) = self.cluster.usage_of(self.campaigns[c].lease) {
-                u.core_seconds += live.core_seconds;
-                u.gpu_seconds += live.gpu_seconds;
-                u.completions += live.completions;
-            }
-        }
-        u
+    /// Occupancy metered on one campaign's lease so far. Unlike
+    /// [`CampaignResult::usage`] it keeps growing after a cancel, until the
+    /// campaign's last running task has finished; a tenant's
+    /// [`tenant_usage`](CampaignService::tenant_usage) is exactly the sum of
+    /// this over every campaign it was ever admitted.
+    pub fn campaign_usage(&self, handle: &CampaignHandle) -> LeaseUsage {
+        self.cluster
+            .usage_of(self.campaigns[handle.id as usize].lease)
+            .expect("every admitted campaign holds a lease")
     }
 
     /// Submit a campaign. On success the campaign is admitted, its lease
@@ -458,13 +475,13 @@ where
             .get(tenant)
             .ok_or_else(|| AdmissionError::UnknownTenant(tenant.clone()))?;
         let quota = self.tenants[at].quota;
-        if self.tenants[at].active.len() >= quota.max_in_flight {
+        if self.tenants[at].running >= quota.max_in_flight {
             self.deny_instant(tenant, "in-flight-cap");
             return Err(AdmissionError::TooManyInFlight {
                 limit: quota.max_in_flight,
             });
         }
-        let usage = self.tenant_usage_at(at);
+        let usage = self.cluster.account_usage(self.tenants[at].account);
         if usage.core_seconds >= quota.core_seconds {
             self.deny_instant(tenant, "core-seconds");
             return Err(AdmissionError::BudgetExhausted {
@@ -482,7 +499,7 @@ where
             });
         }
 
-        let lease = self.cluster.lease();
+        let lease = self.cluster.lease(self.tenants[at].account);
         let lease_id = lease.id();
         let mut coordinator = match &spec.plan {
             Some(plan) => Coordinator::resume(lease, spec.decision, plan)
@@ -525,7 +542,8 @@ where
         });
         let cid = self.campaigns.len() - 1;
         self.lease_index.insert(lease_id, cid);
-        self.tenants[at].active.push(cid);
+        self.tenants[at].running += 1;
+        *self.running_by_class.entry(spec.priority).or_insert(0) += 1;
         self.mark_ready(cid);
         self.preempt_below(spec.priority);
         Ok(CampaignHandle {
@@ -552,6 +570,9 @@ where
     /// class strictly below `class`. Victim attempts requeue without
     /// consuming retry budget; their occupancy is booked as waste.
     fn preempt_below(&mut self, class: i32) {
+        if !self.running_by_class.range(..class).any(|(_, &n)| n > 0) {
+            return;
+        }
         let victims: Vec<u32> = self
             .campaigns
             .iter()
@@ -711,8 +732,8 @@ where
         None
     }
 
-    /// Take a terminally-stepped campaign apart: retire its lease, book
-    /// its usage, park its result.
+    /// Take a terminally-stepped campaign apart: retire its lease, park
+    /// its result.
     fn retire_terminal(&mut self, cid: usize) {
         let coordinator = self.campaigns[cid]
             .coordinator
@@ -787,9 +808,12 @@ where
                     // the backend's walltime deadline is holding tasks.
                     // Let one blocked campaign observe the drain through
                     // its (now non-advancing) blocking step.
-                    let cid = (0..self.campaigns.len())
-                        .find(|&c| self.campaigns[c].status == CampaignStatus::Running)
-                        .expect("unfinished campaigns exist");
+                    while self.campaigns[self.first_running].status != CampaignStatus::Running
+                    {
+                        // In bounds: an unfinished campaign exists.
+                        self.first_running += 1;
+                    }
+                    let cid = self.first_running;
                     let alive = self.campaigns[cid]
                         .coordinator
                         .as_mut()
@@ -822,16 +846,13 @@ where
             .usage_of(self.campaigns[cid].lease)
             .unwrap_or_default();
         let now = self.cluster.now();
-        let tenant = self.campaigns[cid].tenant;
-        {
-            let t = &mut self.tenants[tenant];
-            t.spent.core_seconds += usage.core_seconds;
-            t.spent.gpu_seconds += usage.gpu_seconds;
-            t.spent.completions += usage.completions;
-            t.active.retain(|&c| c != cid);
-        }
         self.lease_index.remove(&self.campaigns[cid].lease);
         let c = &mut self.campaigns[cid];
+        self.tenants[c.tenant].running -= 1;
+        *self
+            .running_by_class
+            .get_mut(&c.priority)
+            .expect("a running campaign is counted in its class") -= 1;
         c.ready = false;
         c.status = status;
         c.result = Some(CampaignResult {
@@ -847,31 +868,31 @@ where
         self.finished += 1;
     }
 
-    /// Map tenant usage ranks onto lease priority boosts: a tenant's boost
-    /// is the number of tenants strictly ahead of it in delivered usage
-    /// per unit weight. Under-served tenants enqueue future work at higher
-    /// priority; with one tenant the boost is exactly 0 (pass-through).
+    /// Map tenant usage ranks onto account priority boosts: a tenant's
+    /// boost is the number of tenants strictly ahead of it in delivered
+    /// usage per unit weight. Under-served tenants enqueue future work at
+    /// higher priority; with one tenant the boost is exactly 0
+    /// (pass-through). One account read and one write per tenant.
     fn rebalance_boosts(&mut self) {
-        let ratios: Vec<f64> = (0..self.tenants.len())
-            .map(|at| {
-                let u = self.tenant_usage_at(at);
-                (u.core_seconds + u.gpu_seconds) / f64::from(self.tenants[at].quota.weight)
+        let mut ranked: Vec<(f64, AccountId)> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                let u = self.cluster.account_usage(t.account);
+                let ratio = (u.core_seconds + u.gpu_seconds) / f64::from(t.quota.weight);
+                (ratio, t.account)
             })
             .collect();
-        let mut swept = 0u64;
-        for at in 0..self.tenants.len() {
-            let boost = ratios
-                .iter()
-                .filter(|&&r| r > ratios[at])
-                .count() as i32;
-            for &cid in &self.tenants[at].active {
-                self.cluster.set_boost(self.campaigns[cid].lease, boost);
-                swept += 1;
+        // Most-served first: a tenant's boost is where its tie group starts.
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut boost = 0;
+        for (at, &(ratio, account)) in ranked.iter().enumerate() {
+            if at > 0 && ratio < ranked[at - 1].0 {
+                boost = at as i32;
             }
+            self.cluster.set_account_boost(account, boost);
         }
-        if swept > 0 {
-            self.telemetry.count("fair_share_rebalances", 1);
-        }
+        self.telemetry.count("fair_share_rebalances", 1);
     }
 }
 

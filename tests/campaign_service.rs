@@ -4,14 +4,22 @@
 //! service is behaviorally identical to a bare coordinator; and one
 //! tenant's journaled campaign killed mid-run resumes — byte-identically —
 //! in a fresh service while other tenants' campaigns run to completion.
+//! Fair share is billed to per-tenant cluster accounts: a pinned digest
+//! holds the stepping/boost/finish behaviour of an up-front weighted cell
+//! fixed, and a props test checks usage conservation (account = sum of its
+//! lease meters) under submits, cancels and preemption.
 
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{
-    Completion, NodeSpec, PilotConfig, PlacementPolicy, ResourceRequest, TaskDescription,
+    Completion, NodeSpec, PilotConfig, PlacementPolicy, ResourceRequest, RuntimeConfig,
+    TaskDescription,
 };
-use impress_sim::SimDuration;
+use impress_sim::{props, SimDuration, SimTime};
 use impress_workflow::journal::{load_plan, Journal, MemoryJournal};
-use impress_workflow::service::{CampaignService, CampaignSpec, CampaignStatus, TenantId, TenantQuota};
+use impress_workflow::service::{
+    AdmissionError, CampaignHandle, CampaignService, CampaignSpec, CampaignStatus, TenantId,
+    TenantQuota,
+};
 use impress_workflow::decision::Spawn;
 use impress_workflow::{
     BoxedPipeline, Coordinator, CoordinatorView, DecisionEngine, PipelineId, PipelineLogic, Step,
@@ -341,4 +349,319 @@ fn journaled_campaign_resumes_in_a_fresh_service_while_others_keep_running() {
     // B and C finished on the shared cluster with real work delivered.
     assert!(service.take_result(&hb).unwrap().usage.core_seconds > 0.0);
     assert!(service.take_result(&hc).unwrap().usage.core_seconds > 0.0);
+}
+
+/// FNV-1a-64 over 64-bit words, for the pinned-behaviour digest below.
+fn fnv1a_word(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes()
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Fair-share behaviour, pinned rather than assumed: 240 campaigns over
+/// five tenants of weights 1–4, all submitted at t = 0 on a 16-core
+/// cluster, whole-second durations. The digest covers every campaign's
+/// finish time and outcomes (ids included — they follow completion order)
+/// plus each tenant's delivered core-seconds, and was computed at the
+/// commit *before* usage and boost moved from leases to tenant accounts:
+/// an all-submitted-up-front run must step, boost and finish exactly as it
+/// did when fair share was recomputed lease by lease.
+#[test]
+fn weighted_cell_digest_is_pinned_across_the_account_refactor() {
+    const WEIGHTS: [u32; 5] = [1, 2, 3, 4, 2];
+    let all = campaigns(240);
+    let mut service: CampaignService<u64, _> =
+        CampaignService::new(SimulatedBackend::new(pilot(4, 4)));
+    let ids: Vec<TenantId> = WEIGHTS
+        .iter()
+        .enumerate()
+        .map(|(t, &w)| {
+            let id = TenantId::new(format!("tenant-{t}"));
+            service.register_tenant(id.clone(), TenantQuota::unmetered(240).with_weight(w));
+            id
+        })
+        .collect();
+    let handles: Vec<_> = all
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            service
+                .submit(&ids[i % ids.len()], spec_for(c, &format!("c{i}")))
+                .expect("admitted")
+        })
+        .collect();
+    service.run();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for h in &handles {
+        let r = service.take_result(h).expect("result");
+        assert_eq!(r.status, CampaignStatus::Completed);
+        digest = fnv1a_word(digest, (r.finished_at - r.submitted_at).as_micros());
+        for (id, outcome) in &r.outcomes {
+            digest = fnv1a_word(fnv1a_word(digest, id.0), *outcome);
+        }
+    }
+    for id in &ids {
+        let usage = service.tenant_usage(id).expect("registered");
+        digest = fnv1a_word(digest, usage.core_seconds.to_bits());
+    }
+    assert_eq!(
+        digest, 0x021d_8666_e1a0_1635,
+        "weighted-cell behaviour moved: digest {digest:#018x}"
+    );
+}
+
+/// `stages` sequential `secs`-second single-core tasks; outcome = stages run.
+struct Long {
+    stages: u64,
+    secs: u64,
+    done: u64,
+}
+
+impl Long {
+    fn boxed(stages: u64, secs: u64) -> BoxedPipeline<u64> {
+        Box::new(Long {
+            stages,
+            secs,
+            done: 0,
+        })
+    }
+
+    fn next(&mut self) -> Step<u64> {
+        if self.done == self.stages {
+            return Step::Complete(self.done);
+        }
+        self.done += 1;
+        Step::run(
+            TaskDescription::new(
+                "long",
+                ResourceRequest::cores(1),
+                SimDuration::from_secs(self.secs),
+            )
+            .with_work(|| 0u64),
+        )
+    }
+}
+
+impl PipelineLogic<u64> for Long {
+    fn name(&self) -> String {
+        "long".into()
+    }
+    fn begin(&mut self) -> Step<u64> {
+        self.next()
+    }
+    fn stage_done(&mut self, _: Vec<Completion>) -> Step<u64> {
+        self.next()
+    }
+}
+
+fn long_spec(name: &str, roots: usize, stages: u64, secs: u64) -> CampaignSpec<u64> {
+    (0..roots).fold(CampaignSpec::new(name), |spec, _| {
+        spec.root(Long::boxed(stages, secs))
+    })
+}
+
+/// Regression: `cancel` used to snapshot the lease's meter into the
+/// tenant's spent total at cancel time, so whatever the campaign's running
+/// tasks went on to occupy was never charged — `tenant_usage`, budget
+/// admission and the fair-share ratio all under-counted. The tenant's
+/// account is billed when a completion is pumped, whoever it was for.
+#[test]
+fn a_canceled_campaigns_late_usage_is_charged_to_its_tenant() {
+    let mut service: CampaignService<u64, _> =
+        CampaignService::new(SimulatedBackend::new(pilot(4, 1)));
+    let (quitter, witness) = (TenantId::new("quitter"), TenantId::new("witness"));
+    service.register_tenant(quitter.clone(), TenantQuota::unmetered(8));
+    service.register_tenant(witness.clone(), TenantQuota::unmetered(8));
+    // Three 40-second tasks take three of the four cores; the witness keeps
+    // the clock moving long after they are through.
+    let doomed = service.submit(&quitter, long_spec("doomed", 3, 2, 40)).unwrap();
+    let other = service.submit(&witness, long_spec("witness", 1, 30, 5)).unwrap();
+    // Run until the witness has had completions delivered: the cluster is
+    // past its bootstrap and the doomed campaign's first stage is running.
+    while service.tenant_usage(&witness).unwrap().completions < 2 {
+        assert!(service.step());
+    }
+    assert_eq!(service.tenant_usage(&quitter).unwrap().completions, 0);
+    assert!(service.cancel(&doomed));
+    let at_cancel = service.tenant_usage(&quitter).unwrap();
+    assert_eq!(at_cancel.core_seconds, 0.0, "nothing had finished yet");
+    service.run();
+    assert_eq!(service.status(&other), CampaignStatus::Completed);
+
+    // The three running tasks finished as waste: (1 s setup + 40 s) × 3.
+    let billed = service.tenant_usage(&quitter).unwrap();
+    assert_eq!(billed.completions, 3);
+    assert_eq!(billed.core_seconds, 123.0, "late usage is charged");
+    assert_eq!(billed, service.campaign_usage(&doomed), "account = its one lease");
+    let result = service.take_result(&doomed).unwrap();
+    assert_eq!(result.status, CampaignStatus::Canceled);
+    assert_eq!(result.usage, at_cancel, "the result is the meter at cancel time");
+
+    // …so a quota the late usage exceeds now refuses the tenant.
+    service.register_tenant(
+        quitter.clone(),
+        TenantQuota::unmetered(8).with_budget(100.0, f64::INFINITY),
+    );
+    match service.submit(&quitter, long_spec("again", 1, 1, 1)) {
+        Err(AdmissionError::BudgetExhausted { resource, spent, .. }) => {
+            assert_eq!((resource, spent), ("core-seconds", 123.0));
+        }
+        other => panic!("expected a budget refusal, got {:?}", other.map(|h| h.id())),
+    }
+}
+
+/// The one intended behaviour change of tenant accounts: the boost is the
+/// tenant's, so a campaign admitted between two rebalances enqueues its
+/// first tasks at its tenant's current boost. (Boosts used to sit on
+/// leases, and a new lease stayed at 0 until the next rebalance reached
+/// it.) One core; `fat` has been served for 70 steps — one rebalance, at
+/// step 64 — and `thin` never: thin's boost is 1. A thin campaign admitted
+/// now, *behind* another fat one and behind fat's queued stages, takes the
+/// very next free slot.
+#[test]
+fn a_campaign_admitted_mid_run_enqueues_at_its_tenants_current_boost() {
+    let mut service: CampaignService<u64, _> =
+        CampaignService::new(SimulatedBackend::new(pilot(1, 1)));
+    let (fat, thin) = (TenantId::new("fat"), TenantId::new("thin"));
+    service.register_tenant(fat.clone(), TenantQuota::unmetered(8));
+    service.register_tenant(thin.clone(), TenantQuota::unmetered(8));
+    let bulk = service.submit(&fat, long_spec("bulk", 3, 40, 2)).unwrap();
+    for _ in 0..70 {
+        assert!(service.step());
+    }
+    let fat_late = service.submit(&fat, long_spec("fat-late", 1, 1, 2)).unwrap();
+    let thin_late = service.submit(&thin, long_spec("thin-late", 1, 1, 2)).unwrap();
+    let submitted = service.now();
+    service.run();
+    let finished = |service: &mut CampaignService<u64, _>, h: &CampaignHandle| {
+        service.take_result(h).expect("completed").finished_at
+    };
+    let (bulk, fat_late, thin_late) = (
+        finished(&mut service, &bulk),
+        finished(&mut service, &fat_late),
+        finished(&mut service, &thin_late),
+    );
+    // The core is mid-task at admission (≤ 3 s left), then runs thin's
+    // single 1 s + 2 s task first.
+    assert!(
+        thin_late - submitted <= SimDuration::from_secs(6),
+        "thin waited {} behind fat's queue",
+        thin_late - submitted
+    );
+    assert!(thin_late < fat_late && fat_late < bulk);
+}
+
+/// Deadline drain: when the backend's walltime deadline holds every
+/// remaining task, each blocked campaign is stepped exactly once to observe
+/// the drain — found through a cursor that only moves forward, not by
+/// rescanning the campaign table from the top on every step.
+#[test]
+fn deadline_held_campaigns_all_drain_one_step_each() {
+    const CAMPAIGNS: usize = 300;
+    // 100 s allocation, 10 s bootstrap: 60-second stages fit once, not twice.
+    let backend = RuntimeConfig::new(pilot(4, 100))
+        .deadline(SimTime::from_micros(100 * 1_000_000))
+        .simulated();
+    let mut service: CampaignService<u64, _> = CampaignService::new(backend);
+    let t = TenantId::new("t");
+    service.register_tenant(t.clone(), TenantQuota::unmetered(CAMPAIGNS));
+    let handles: Vec<_> = (0..CAMPAIGNS)
+        .map(|i| service.submit(&t, long_spec(&format!("c{i}"), 1, 2, 60)).unwrap())
+        .collect();
+    // The first drain happens once nothing is deliverable any more: every
+    // first stage has run and been delivered, every second stage is held.
+    while service.campaigns_finished() == 0 {
+        assert!(service.step());
+    }
+    assert_eq!(service.tenant_usage(&t).unwrap().completions, CAMPAIGNS as u64);
+    // From then on every step drains exactly one campaign.
+    let mut drained = service.campaigns_finished();
+    while service.step() {
+        drained += 1;
+        assert_eq!(service.campaigns_finished(), drained);
+    }
+    assert_eq!(drained, CAMPAIGNS);
+    for h in &handles {
+        assert_eq!(service.status(h), CampaignStatus::Drained);
+        let r = service.take_result(h).unwrap();
+        assert!(r.outcomes.is_empty(), "no pipeline got its second stage");
+        assert_eq!(r.usage.completions, 1);
+    }
+}
+
+props! {
+    /// Usage conservation under random service runs — submissions spread
+    /// over the run, cancels, mixed priority classes (so preemption sweeps
+    /// happen): after every step each tenant's account reads exactly the
+    /// sum of the meters of every lease it ever held, and once everything
+    /// has drained the accounts add up to what the cluster's own profiler
+    /// says was occupied and not wasted.
+    fn tenant_accounts_equal_the_sum_of_their_lease_meters(rng, cases = 48) {
+        let (cores, nodes) = (1 + rng.below(4) as u32, 1 + rng.below(2) as u32);
+        let mut service: CampaignService<u64, _> =
+            CampaignService::new(SimulatedBackend::new(pilot(cores, nodes)));
+        let tenants: Vec<TenantId> = (0..1 + rng.below(4))
+            .map(|t| {
+                let id = TenantId::new(format!("tenant-{t}"));
+                let quota = TenantQuota::unmetered(64).with_weight(1 + rng.below(4) as u32);
+                service.register_tenant(id.clone(), quota);
+                id
+            })
+            .collect();
+        let mut handles: Vec<Vec<CampaignHandle>> = vec![Vec::new(); tenants.len()];
+        let conserved = |service: &CampaignService<u64, _>, handles: &[Vec<CampaignHandle>]| {
+            for (tenant, own) in tenants.iter().zip(handles) {
+                let account = service.tenant_usage(tenant).expect("registered");
+                let leases = own.iter().map(|h| service.campaign_usage(h));
+                let (core, gpu, completions) = leases.fold((0.0, 0.0, 0), |sum, u| {
+                    (sum.0 + u.core_seconds, sum.1 + u.gpu_seconds, sum.2 + u.completions)
+                });
+                assert_eq!(
+                    (account.core_seconds, account.gpu_seconds, account.completions),
+                    (core, gpu, completions),
+                    "{tenant}"
+                );
+            }
+        };
+        let mut to_submit = 4 + rng.below(20);
+        loop {
+            // Arrivals and cancels are interleaved with stepping.
+            if to_submit > 0 && rng.chance(0.3) {
+                to_submit -= 1;
+                let at = rng.below(tenants.len());
+                let (roots, stages, secs) = (1 + rng.below(3), 1 + rng.below(4), 1 + rng.below(9));
+                let spec = long_spec("c", roots, stages as u64, secs as u64)
+                    .priority(rng.below(3) as i32);
+                handles[at].push(service.submit(&tenants[at], spec).expect("admitted"));
+            }
+            if rng.chance(0.05) {
+                let own = &handles[rng.below(tenants.len())];
+                if !own.is_empty() {
+                    service.cancel(&own[rng.below(own.len())]);
+                }
+            }
+            let alive = service.step();
+            conserved(&service, &handles);
+            if !alive && to_submit == 0 {
+                break;
+            }
+        }
+        // Outlive every canceled campaign's running tasks, so the profiler's
+        // occupancy integral has no attempt still open.
+        let last = service.submit(&tenants[0], long_spec("drain", 1, 1, 60)).expect("admitted");
+        handles[0].push(last);
+        service.run();
+        conserved(&service, &handles);
+        let billed: f64 = tenants
+            .iter()
+            .map(|t| service.tenant_usage(t).expect("registered").core_seconds)
+            .sum();
+        let util = service.utilization();
+        let occupied = util.cpu * util.makespan.as_secs_f64() * f64::from(cores * nodes);
+        let useful = occupied - util.wasted_core_seconds;
+        assert!(
+            (billed - useful).abs() <= 1e-6 * useful,
+            "accounts bill {billed} core-seconds, the cluster delivered {useful}"
+        );
+    }
 }
