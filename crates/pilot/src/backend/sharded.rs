@@ -28,6 +28,14 @@
 //!   [`SimulatedBackend`](crate::backend::SimulatedBackend) (completions,
 //!   virtual clocks, metrics, and the full telemetry trace), which the
 //!   256-case differential test below proves on random campaigns.
+//! * **One heartbeat round per tick.** The one place the event streams
+//!   differ: the sequential engine schedules every heartbeat send,
+//!   arrival and timeout check as an event of its own and stays the
+//!   oracle; this engine drives the `FailureDetector` lane of
+//!   [`crate::control`] with one event per tick and stages an arrival or
+//!   a check only where it can be observed, under the sequence number the
+//!   oracle's event would have carried — so what is observable still
+//!   merges identically.
 //! * **Optional parallel drive.** With
 //!   [`RuntimeConfig::parallel_shards`](crate::RuntimeConfig), each shard
 //!   queue is owned by a worker thread (on the same `crate::sync` channel
@@ -46,7 +54,7 @@
 //! repo workloads) satisfy this.
 
 use crate::backend::{Completion, ExecutionBackend, TaskError};
-use crate::control::{ControlPlane, ControlStats};
+use crate::control::{ControlPlane, ControlStats, FailureDetector, Wake, WakeKind};
 use crate::fault::{
     dilate_span, AttemptFault, FaultPlan, HedgePolicy, QuarantinePolicy, RetryPolicy, SlowWindow,
 };
@@ -106,13 +114,14 @@ enum Ev {
     /// Control plane on: a cancel acknowledgment arrives at the client;
     /// the terminal `Canceled` completion surfaces here.
     CancelAck { task: u64, attempt: u32 },
-    /// Control plane on: one heartbeat tick for a node — draw the seeded
-    /// delivery verdict, arm the suspicion check, schedule the next tick.
-    HeartbeatSend { node: u32 },
-    /// Control plane on: a heartbeat reached the coordinator.
+    /// Failure detector on: one heartbeat tick for every node — the
+    /// [`FailureDetector`] lane's round.
+    HeartbeatRound,
+    /// Failure detector on: a heartbeat arrival the lane could not fold
+    /// (its node is suspected, so it may resync).
     HeartbeatArrive { node: u32 },
-    /// Control plane on: the suspicion check armed one timeout after a
-    /// heartbeat send.
+    /// Failure detector on: a suspicion check the lane could not rule
+    /// out, one timeout after the heartbeat round that armed it.
     SuspectCheck { node: u32 },
 }
 
@@ -490,19 +499,15 @@ pub struct ShardedBackend {
     /// Control-plane resilience counters (all zero while `control` is
     /// `None`).
     cstats: ControlStats,
-    /// Failure detector: last heartbeat arrival per node.
-    last_heard: Vec<SimTime>,
+    /// The heartbeat failure detector (`None` = no heartbeats configured).
+    detector: Option<FailureDetector>,
+    /// Scratch: what one heartbeat round asks to have scheduled.
+    wakes: Vec<Wake>,
     /// Nodes currently declared suspect by the detector.
     suspected: Vec<bool>,
     /// Ground-truth node health (set by crash/recover events); a crashed
     /// node emits no heartbeats and cannot be resynced by one.
     crashed: Vec<bool>,
-    /// Per-node heartbeat sequence numbers (message identity).
-    hb_seq: Vec<u64>,
-    /// Whether heartbeat chains are currently ticking. Chains retire
-    /// themselves when the coordinator goes idle and restart on submit,
-    /// so a drained run still exhausts its event queues.
-    hb_live: bool,
     /// Idempotent-dedup set: message identities whose effects have been
     /// applied. A second arrival of the same identity is absorbed.
     seen: HashSet<(u64, u32, u8)>,
@@ -544,6 +549,9 @@ impl ShardedBackend {
         let backoff_rng = SimRng::from_seed(config.seed).fork("retry-backoff");
         let control = ControlPlane::from_plan(&faults);
         let node_count = config.nodes as usize;
+        let detector = control
+            .as_ref()
+            .and_then(|cp| FailureDetector::new(cp.link(), node_count));
         // Bootstrap completes at a known instant: record its span up front.
         let boot = telemetry.span(
             SpanCat::Pilot,
@@ -596,11 +604,10 @@ impl ShardedBackend {
             shape_poison: HashMap::new(),
             control,
             cstats: ControlStats::default(),
-            last_heard: vec![SimTime::ZERO; node_count],
+            detector,
+            wakes: Vec::new(),
             suspected: vec![false; node_count],
             crashed: vec![false; node_count],
-            hb_seq: vec![0; node_count],
-            hb_live: false,
             seen: HashSet::new(),
             canceled_acks: HashMap::new(),
         };
@@ -632,6 +639,14 @@ impl ShardedBackend {
     fn schedule_on(&mut self, shard: usize, at: SimTime, ev: Ev) -> (usize, EventId) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.stage(shard, at, seq, ev)
+    }
+
+    /// Stage an event on `shard` under a sequence number of the caller's:
+    /// the failure-detector lane reserves a range per heartbeat round and
+    /// stages what it has to, later, under the numbers the sequential
+    /// engine's events would have had.
+    fn stage(&mut self, shard: usize, at: SimTime, seq: u64, ev: Ev) -> (usize, EventId) {
         let meta = &mut self.shards[shard];
         let id = EventId(meta.next_id);
         meta.next_id += 1;
@@ -640,18 +655,31 @@ impl ShardedBackend {
         (shard, id)
     }
 
-    /// Stage an event on its home shard: node-owned events hash to their
-    /// node, global (hub-link) events live on shard 0.
-    fn schedule(&mut self, at: SimTime, ev: Ev) -> (usize, EventId) {
-        let shard = match ev {
+    /// An event's home shard: node-owned events hash to their node,
+    /// global (hub-link) events live on shard 0.
+    fn home_shard(&self, ev: Ev) -> usize {
+        match ev {
             Ev::Crash { node }
             | Ev::Recover { node }
-            | Ev::HeartbeatSend { node }
             | Ev::HeartbeatArrive { node }
             | Ev::SuspectCheck { node } => node as usize % self.nshards,
             _ => 0,
+        }
+    }
+
+    /// Stage an event on its home shard.
+    fn schedule(&mut self, at: SimTime, ev: Ev) -> (usize, EventId) {
+        self.schedule_on(self.home_shard(ev), at, ev)
+    }
+
+    /// Stage what the failure-detector lane asked for, under the sequence
+    /// number the lane reserved for it.
+    fn schedule_wake(&mut self, wake: Wake) {
+        let ev = match wake.kind {
+            WakeKind::Arrive => Ev::HeartbeatArrive { node: wake.node },
+            WakeKind::Check => Ev::SuspectCheck { node: wake.node },
         };
-        self.schedule_on(shard, at, ev)
+        self.stage(self.home_shard(ev), wake.at, wake.key, ev);
     }
 
     /// Stage a cancellation for the next sync of `shard`.
@@ -743,8 +771,10 @@ impl ShardedBackend {
         }
     }
 
-    /// Dispatch one event — the bodies mirror the sequential backend's
-    /// event closures statement for statement.
+    /// Dispatch one event. Apart from the heartbeat lane (one round
+    /// event where the sequential backend has three events per node) the
+    /// bodies mirror the sequential backend's event closures statement
+    /// for statement.
     fn apply(&mut self, ev: Ev, now: SimTime) {
         match ev {
             Ev::Bootstrap => {
@@ -766,7 +796,7 @@ impl ShardedBackend {
             Ev::DeliverHedge { task, attempt } => self.deliver_hedge(task, attempt, now),
             Ev::RetryArrive { task, attempt } => self.deliver_retry(task, attempt, now),
             Ev::CancelAck { task, attempt } => self.deliver_cancel(task, attempt, now),
-            Ev::HeartbeatSend { node } => self.heartbeat_send(node, now),
+            Ev::HeartbeatRound => self.heartbeat_round(now),
             Ev::HeartbeatArrive { node } => self.heartbeat_arrive(node, now),
             Ev::SuspectCheck { node } => self.suspect_check(node, now),
         }
@@ -1052,85 +1082,60 @@ impl ShardedBackend {
         self.place_ready(now);
     }
 
-    /// (Re)start heartbeat chains under an active failure detector.
-    /// Chains run only while work is in flight — each node's chain retires
-    /// itself at the first tick with an idle coordinator — so a drained
-    /// run still exhausts its event queues.
+    /// (Re)start heartbeat rounds under a configured failure detector.
+    /// Rounds run only while work is in flight — the first round that
+    /// finds the coordinator idle retires the detector — so a drained run
+    /// still exhausts its event queues.
     fn ensure_heartbeats(&mut self, now: SimTime) {
-        let interval = {
-            let Some(cp) = &self.control else {
-                return;
-            };
-            let link = cp.link();
-            let (Some(interval), Some(_)) = (link.heartbeat_interval, link.heartbeat_timeout)
-            else {
-                return;
-            };
-            if self.hb_live {
-                return;
-            }
-            interval
+        let Some(fd) = self.detector.as_mut().filter(|fd| !fd.live()) else {
+            return;
         };
-        self.hb_live = true;
-        // A (re)started detector grants every node a fresh grace period —
-        // nothing can be suspected for silence that predates the detector.
-        for t in self.last_heard.iter_mut() {
-            *t = now;
-        }
-        for node in 0..self.config.nodes {
-            self.schedule(now + interval, Ev::HeartbeatSend { node });
-        }
+        let base = self.next_seq;
+        self.next_seq += fd.keys_per_start();
+        let (at, seq) = fd.start(now, base);
+        self.stage(0, at, seq, Ev::HeartbeatRound);
     }
 
-    /// One heartbeat tick for `node`: draw the seeded delivery verdict,
-    /// schedule the arrival (if any), the suspicion check one timeout out,
-    /// and the next tick one interval out — in that order on both
-    /// deterministic engines.
-    fn heartbeat_send(&mut self, node: u32, now: SimTime) {
+    /// One heartbeat tick for all nodes: the lane draws every uncrashed
+    /// node's seeded delivery verdict and asks for queue events only where
+    /// an arrival or a check can be observed (see [`FailureDetector`]).
+    fn heartbeat_round(&mut self, now: SimTime) {
+        let (Some(cp), Some(fd)) = (&self.control, &mut self.detector) else {
+            return;
+        };
         if self.in_flight == 0 {
-            self.hb_live = false;
+            fd.retire();
             return;
         }
-        let tick = {
-            let Some(cp) = &self.control else {
-                return;
-            };
-            let link = cp.link();
-            let (Some(interval), Some(timeout)) = (link.heartbeat_interval, link.heartbeat_timeout)
-            else {
-                return;
-            };
-            let seq = self.hb_seq[node as usize];
-            // A crashed node emits nothing this tick; the schedule keeps
-            // ticking so heartbeats resume the instant it recovers.
-            let sent = !self.crashed[node as usize];
-            let arrive = if sent {
-                cp.best_effort("hb", (u64::from(node) << 32) | seq, node, now)
-            } else {
-                None
-            };
-            (arrive, sent, interval, timeout)
-        };
-        let (arrive, sent, interval, timeout) = tick;
-        self.hb_seq[node as usize] += 1;
-        if sent {
-            self.cstats.heartbeats_sent += 1;
-            if arrive.is_some() {
-                self.cstats.heartbeats_delivered += 1;
-            }
+        let base = self.next_seq;
+        self.next_seq += fd.keys_per_round();
+        let mut wakes = std::mem::take(&mut self.wakes);
+        let round = fd.round(
+            now,
+            base,
+            &self.crashed,
+            &self.suspected,
+            |node, key| cp.best_effort("hb", key, node, now),
+            &mut wakes,
+        );
+        self.cstats.heartbeats_sent += round.sent;
+        self.cstats.heartbeats_delivered += round.delivered;
+        for wake in wakes.drain(..) {
+            self.schedule_wake(wake);
         }
-        if let Some(at) = arrive {
-            self.schedule(at, Ev::HeartbeatArrive { node });
-        }
-        self.schedule(now + timeout, Ev::SuspectCheck { node });
-        self.schedule(now + interval, Ev::HeartbeatSend { node });
+        self.wakes = wakes;
+        let (at, seq) = round.next;
+        self.stage(0, at, seq, Ev::HeartbeatRound);
     }
 
     /// A heartbeat reached the coordinator: refresh the node's liveness
     /// and, if it was falsely suspected (partition, dropped heartbeats),
     /// resync — re-admit the node to placement.
     fn heartbeat_arrive(&mut self, node: u32, now: SimTime) {
-        self.last_heard[node as usize] = now;
+        let Some(fd) = &mut self.detector else {
+            return;
+        };
+        fd.heard(node, now);
         if self.suspected[node as usize] && !self.crashed[node as usize] {
             self.suspected[node as usize] = false;
             self.cstats.resyncs += 1;
@@ -1150,19 +1155,16 @@ impl ShardedBackend {
         }
     }
 
-    /// Timeout check armed one heartbeat-timeout after each send: if the
-    /// node has been silent for a full timeout, declare it suspect.
+    /// A timeout check the lane could not rule out when it decided it: if
+    /// the node has been silent for a full timeout, declare it suspect.
     fn suspect_check(&mut self, node: u32, now: SimTime) {
-        let Some(cp) = &self.control else {
-            return;
-        };
-        let Some(timeout) = cp.link().heartbeat_timeout else {
+        let Some(fd) = &self.detector else {
             return;
         };
         if self.in_flight > 0
             && !self.suspected[node as usize]
             && self.scheduler.node_is_up(node)
-            && self.last_heard[node as usize] + timeout <= now
+            && fd.silent(node, now)
         {
             self.suspect_node(node, now);
         }
@@ -1176,6 +1178,10 @@ impl ShardedBackend {
     fn suspect_node(&mut self, node: u32, now: SimTime) {
         self.suspected[node as usize] = true;
         self.cstats.suspicions += 1;
+        // A heartbeat the lane folded is now a resync in waiting.
+        if let Some(wake) = self.detector.as_mut().and_then(|fd| fd.unfold(node, now)) {
+            self.schedule_wake(wake);
+        }
         // Victims in task-id order: slab iteration order must not leak
         // into the deterministic event stream.
         let mut victims: Vec<(u64, SlotId)> = self
@@ -1848,7 +1854,9 @@ impl ShardedBackend {
         // The healed node gets a fresh liveness grace period, and any
         // standing suspicion is cleared by this ground-truth recovery.
         self.suspected[node as usize] = false;
-        self.last_heard[node as usize] = now;
+        if let Some(fd) = &mut self.detector {
+            fd.heard(node, now);
+        }
         self.scheduler.recover_node(node);
         if self.telemetry.enabled() {
             self.telemetry.instant(
@@ -1898,8 +1906,9 @@ impl ShardedBackend {
         // frontier is never re-scanned. Without the control plane that gap
         // is benign — the event queue drains and the run ends — and fixing
         // it would break byte-identity with the pre-control engine. With
-        // the plane on, the heartbeat chain keeps the queue alive forever,
-        // so a stranded entry would livelock termination; re-scan below.
+        // the plane on, heartbeat rounds keep the queue alive for as long
+        // as anything is in flight, so a stranded entry would livelock
+        // termination; re-scan below.
         let mut stranded = false;
         for (id, mut alloc) in placements {
             let idx = id.0 as usize;
@@ -2226,10 +2235,10 @@ impl ExecutionBackend for ShardedBackend {
             if self.in_flight == 0 {
                 return None;
             }
-            // With a live detector the heartbeat chains keep the event
-            // queues nonempty forever; a workload reduced to held tasks
-            // can never complete, so stop instead of ticking heartbeats
-            // until the end of time.
+            // With a live detector a heartbeat round reschedules itself
+            // while anything is in flight; a workload reduced to held
+            // tasks can never complete, so stop instead of ticking
+            // heartbeats until the end of time.
             if self.control.is_some() && self.in_flight == self.held.len() {
                 return None;
             }
@@ -2440,6 +2449,87 @@ mod tests {
         assert_eq!(b.in_flight(), 1);
     }
 
+    /// A 64-node cell with a heartbeat every second, on a link that loses
+    /// nothing. `scheduled` is every event the engine ever staged.
+    fn heartbeat_cell(heartbeats: bool) -> (u64, ControlStats) {
+        let mut fc = FaultConfig::none();
+        fc.link.delay = SimDuration::from_millis(50);
+        if heartbeats {
+            fc.link.heartbeat_interval = Some(SimDuration::from_secs(1));
+            fc.link.heartbeat_timeout = Some(SimDuration::from_secs(4));
+        }
+        let mut b = RuntimeConfig::new(PilotConfig {
+            nodes: 64,
+            ..config(4, 0)
+        })
+        .faults(FaultPlan::new(fc, 7), RetryPolicy::none())
+        .sharded();
+        for i in 0..128 {
+            b.submit(task("t", 1, 0, 400 + i));
+        }
+        let mut done = 0;
+        while let Some(c) = b.next_completion() {
+            assert!(c.result.is_ok());
+            done += 1;
+        }
+        assert_eq!(done, 128);
+        let scheduled = b.shards.iter().map(|m| m.next_id).sum();
+        (scheduled, b.control_stats())
+    }
+
+    /// The point of the failure-detector lane, as a count that repeats
+    /// exactly: a tick costs the event queue one round, not three events
+    /// per node, as long as nothing observable happens. (Counted from the
+    /// shard queues' ids; `next_seq` also moves by the numbers a round
+    /// reserves and never stages.)
+    #[test]
+    fn a_quiet_heartbeat_tick_is_one_queue_event() {
+        let (with, stats) = heartbeat_cell(true);
+        let (without, off) = heartbeat_cell(false);
+        assert_eq!(off.heartbeats_sent, 0);
+        let ticks = stats.heartbeats_sent / 64;
+        assert!(ticks >= 500, "{ticks} ticks");
+        assert_eq!(stats.heartbeats_sent, stats.heartbeats_delivered);
+        assert_eq!((stats.suspicions, stats.resyncs), (0, 0));
+        // The round that `start` arms and one more per tick, where the
+        // event-per-heartbeat form stages 3 × 64 per tick.
+        assert_eq!(with - without, ticks + 1);
+    }
+
+    /// A round that shares its instant with the last report and runs
+    /// after it finds nothing in flight and retires the detector; the next
+    /// submit restarts it with a fresh grace period, one interval out.
+    #[test]
+    fn detector_retires_when_idle_and_restarts_on_submit() {
+        let mut fc = FaultConfig::none();
+        fc.link.delay = SimDuration::from_secs(1);
+        fc.link.heartbeat_interval = Some(SimDuration::from_secs(1));
+        fc.link.heartbeat_timeout = Some(SimDuration::from_secs(3));
+        let mut b = RuntimeConfig::new(config(4, 0))
+            .faults(FaultPlan::new(fc, 1), RetryPolicy::none())
+            .sharded();
+        // Bootstrap 100 s + setup 10 s + run 50 s, reported over a 1 s
+        // link: done at 161 s, in the same instant as a round scheduled
+        // after the report was.
+        b.submit(task("first", 1, 0, 50));
+        let first = b.next_completion().unwrap();
+        assert_eq!(first.finished, SimTime::from_micros(161_000_000));
+        assert!(b.next_completion().is_none());
+        // Rounds at 1..=160 s sent; the one at 161 s retired.
+        assert_eq!(b.control_stats().heartbeats_sent, 160);
+        assert!(!b.detector.as_ref().unwrap().live());
+        // Resubmitted at 161 s: arrives 162 s, runs 10 + 50 s, reported at
+        // 223 s. Restarted rounds tick at 162..=222 s — a detector that had
+        // merely carried on would also have sent at 161 s.
+        b.submit(task("second", 1, 0, 50));
+        let second = b.next_completion().unwrap();
+        assert_eq!(second.finished, SimTime::from_micros(223_000_000));
+        assert!(second.result.is_ok());
+        let stats = b.control_stats();
+        assert_eq!(stats.heartbeats_sent, 160 + 61);
+        assert_eq!((stats.suspicions, stats.lease_expiries), (0, 0));
+    }
+
     /// The tentpole's differential proof: on random campaigns — random
     /// cluster shapes, workloads, fault environments, deadlines, shard
     /// counts, pre-drain cancellations — the sharded engine replays the
@@ -2458,9 +2548,22 @@ mod tests {
             deadline: Option<SimTime>,
             hedge: Option<HedgePolicy>,
             quarantine: Option<QuarantinePolicy>,
-            /// (cores, gpus, secs, priority, walltime_secs)
-            descs: Vec<(u32, u32, u64, i32, Option<u64>)>,
+            descs: Vec<Desc>,
             cancels: Vec<usize>,
+            /// Submitted once the first wave has drained to idle.
+            second_wave: Vec<Desc>,
+        }
+
+        /// (cores, gpus, duration, priority, walltime_secs)
+        type Desc = (u32, u32, SimDuration, i32, Option<u64>);
+
+        fn describe(&(cores, gpus, duration, priority, walltime): &Desc) -> TaskDescription {
+            let request = ResourceRequest::with_gpus(cores, gpus);
+            let d = TaskDescription::new("t", request, duration).with_priority(priority);
+            match walltime {
+                Some(w) => d.with_walltime(SimDuration::from_secs(w)),
+                None => d,
+            }
         }
 
         struct Outcome {
@@ -2474,37 +2577,51 @@ mod tests {
             cstats: ControlStats,
         }
 
-        fn drive(backend: &mut dyn ExecutionBackend, c: &Campaign) -> Vec<(u64, String, u64, u64, u32, bool, String)> {
+        /// Submit, cancel, drain; then the second wave, and drain again.
+        /// `settle` runs whenever the backend reports itself drained: the
+        /// sequential engine stops between two events of one instant, the
+        /// sharded one only between instants (the module docs' granularity
+        /// caveat), so the oracle finishes its instant there before anyone
+        /// submits into it or reads its counters.
+        fn drive<B: ExecutionBackend>(
+            backend: &mut B,
+            c: &Campaign,
+            settle: impl Fn(&mut B),
+        ) -> Vec<(u64, String, u64, u64, u32, bool, String)> {
             let ids: Vec<TaskId> = c
                 .descs
                 .iter()
-                .map(|&(cores, gpus, secs, priority, walltime)| {
-                    let mut d = task("t", cores, gpus, secs).with_priority(priority);
-                    if let Some(w) = walltime {
-                        d = d.with_walltime(SimDuration::from_secs(w));
-                    }
-                    backend.submit(d)
-                })
+                .map(|d| backend.submit(describe(d)))
                 .collect();
             for &i in &c.cancels {
                 backend.cancel(ids[i]);
             }
             let mut log = Vec::new();
-            while let Some(done) = backend.next_completion() {
-                log.push((
-                    done.task.0,
-                    done.name,
-                    done.started.as_micros(),
-                    done.finished.as_micros(),
-                    done.attempts,
-                    done.hedged,
-                    format!("{:?}", done.result.map(|_| ())),
-                ));
+            for wave in [&[][..], &c.second_wave[..]] {
+                for d in wave {
+                    backend.submit(describe(d));
+                }
+                while let Some(done) = backend.next_completion() {
+                    log.push((
+                        done.task.0,
+                        done.name,
+                        done.started.as_micros(),
+                        done.finished.as_micros(),
+                        done.attempts,
+                        done.hedged,
+                        format!("{:?}", done.result.map(|_| ())),
+                    ));
+                }
+                settle(backend);
             }
             log
         }
 
-        fn run(c: &Campaign, make: impl FnOnce(RuntimeConfig) -> Box<dyn ExecutionBackend>) -> Outcome {
+        fn run<B: ExecutionBackend>(
+            c: &Campaign,
+            make: impl FnOnce(RuntimeConfig) -> B,
+            settle: impl Fn(&mut B),
+        ) -> Outcome {
             let (telemetry, recorder) = Telemetry::recording(1 << 16);
             let mut rt = RuntimeConfig::new(c.config.clone())
                 .faults(c.faults.clone(), c.retry)
@@ -2519,7 +2636,7 @@ mod tests {
                 rt = rt.quarantine(q);
             }
             let mut backend = make(rt);
-            let completions = drive(backend.as_mut(), c);
+            let completions = drive(&mut backend, c, settle);
             Outcome {
                 completions,
                 cstats: backend.control_stats(),
@@ -2535,6 +2652,16 @@ mod tests {
             }
         }
 
+        fn draw_desc(rng: &mut SimRng, cores: u32, gpus: u32) -> Desc {
+            (
+                1 + rng.below(cores as usize) as u32,
+                rng.below(gpus as usize + 1) as u32,
+                SimDuration::from_secs(5 + rng.below(900) as u64),
+                rng.below(5) as i32 - 2,
+                if rng.below(5) == 0 { Some(1 + rng.below(400) as u64) } else { None },
+            )
+        }
+
         props! {
             /// 256 random campaigns, three engines each: sequential oracle,
             /// sharded (serial drive), sharded (parallel drive).
@@ -2546,6 +2673,7 @@ mod tests {
                 let nshards = 1 + rng.below(5);
 
                 let mut fc = FaultConfig::none();
+                let mut second_wave = Vec::new();
                 if rng.below(2) == 1 {
                     fc.task_failure_rate = rng.below(30) as f64 / 100.0;
                     fc.task_hang_rate = rng.below(20) as f64 / 100.0;
@@ -2598,24 +2726,73 @@ mod tests {
                         });
                     }
                     if rng.below(2) == 0 {
-                        let interval = 1 + rng.below(5) as u64;
-                        fc.link.heartbeat_interval = Some(SimDuration::from_secs(interval));
+                        let interval = (1 + rng.below(5) as u64) * 1_000_000;
+                        fc.link.heartbeat_interval = Some(SimDuration::from_micros(interval));
                         // Any timeout is legal — too-tight ones just produce
                         // false suspicions, which resync. Both sides of that
-                        // coin must replay identically.
-                        fc.link.heartbeat_timeout =
-                            Some(SimDuration::from_secs(interval * (3 + rng.below(6) as u64)));
+                        // coin must replay identically: whole multiples of
+                        // the interval (checks land on round instants),
+                        // off-grid ones, and ones shorter than the interval
+                        // (a check is decided by the round that arms it).
+                        // Never the interval itself: every check would sit
+                        // between two nodes' sends of the next tick, and
+                        // one that fails the last task there retires the
+                        // oracle's chains for the nodes after it only.
+                        let timeout = match rng.below(4) {
+                            0 | 1 => interval * (2 + rng.below(7) as u64),
+                            2 => interval * (1 + rng.below(4) as u64)
+                                + 1 + rng.below(interval as usize - 1) as u64,
+                            _ => 1 + rng.below(interval as usize - 1) as u64,
+                        };
+                        fc.link.heartbeat_timeout = Some(SimDuration::from_micros(timeout));
+                        match rng.below(5) {
+                            // Latency beyond the interval: two heartbeats in
+                            // flight per node.
+                            0 => {
+                                fc.link.delay = SimDuration::from_micros(
+                                    interval + rng.below(2 * interval as usize) as u64,
+                                );
+                            }
+                            // A whole-second link, instantaneous half of
+                            // the time: arrivals, checks and rounds share
+                            // instants with each other and with reports
+                            // and retry verdicts — order alone decides.
+                            // Without scripted crashes: a crash in the very
+                            // instant its victim's report arrives cancels
+                            // the report on the oracle and fences it
+                            // (`fenced_completions`) here — a gap between
+                            // the engines that is older than the lane and
+                            // that only a whole-second link can reach.
+                            // And never the interval itself, for the
+                            // timeout's reason: the previous tick's
+                            // arrivals would sit between this tick's sends.
+                            1 | 2 => {
+                                let mut delay = rng.below(2) as u64
+                                    * (1 + rng.below(2 * interval as usize / 1_000_000) as u64)
+                                    * 1_000_000;
+                                if delay == interval {
+                                    delay += 1_000_000;
+                                }
+                                fc.link.delay = SimDuration::from_micros(delay);
+                                fc.link.jitter = SimDuration::ZERO;
+                                fc.scripted_crashes.clear();
+                            }
+                            _ => {}
+                        }
+                        // Drain to idle, then resubmit: the detector carries
+                        // on across the gap, or — when a round shared the
+                        // last report's instant and found nothing in
+                        // flight — retires and restarts.
+                        if rng.below(2) == 0 {
+                            for _ in 0..1 + rng.below(6) {
+                                second_wave.push(draw_desc(rng, cores, gpus));
+                            }
+                        }
                     }
                 }
                 let mut descs = Vec::new();
                 for _ in 0..1 + rng.below(25) {
-                    descs.push((
-                        1 + rng.below(cores as usize) as u32,
-                        rng.below(gpus as usize + 1) as u32,
-                        5 + rng.below(900) as u64,
-                        rng.below(5) as i32 - 2,
-                        if rng.below(5) == 0 { Some(1 + rng.below(400) as u64) } else { None },
-                    ));
+                    descs.push(draw_desc(rng, cores, gpus));
                 }
                 let mut cancels = Vec::new();
                 for i in 0..descs.len() {
@@ -2660,15 +2837,20 @@ mod tests {
                     },
                     descs,
                     cancels,
+                    second_wave,
                 };
 
-                let oracle = run(&campaign, |rt| Box::new(rt.simulated()));
-                let serial = run(&campaign, |rt| {
-                    Box::new(rt.shards(nshards).parallel_shards(false).sharded())
-                });
-                let parallel = run(&campaign, |rt| {
-                    Box::new(rt.shards(nshards).parallel_shards(true).sharded())
-                });
+                let oracle = run(&campaign, |rt| rt.simulated(), |b| b.finish_instant());
+                let serial = run(
+                    &campaign,
+                    |rt| rt.shards(nshards).parallel_shards(false).sharded(),
+                    |_| {},
+                );
+                let parallel = run(
+                    &campaign,
+                    |rt| rt.shards(nshards).parallel_shards(true).sharded(),
+                    |_| {},
+                );
 
                 assert_eq!(oracle.completions, serial.completions, "completion stream diverged");
                 assert_eq!(oracle.end, serial.end, "final virtual clock diverged");

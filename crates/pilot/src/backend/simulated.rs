@@ -385,6 +385,17 @@ impl SimulatedBackend {
         }
     }
 
+    /// Test support: run what is left of the current instant. This engine
+    /// hands a completion back between two events of one instant, the
+    /// sharded engine only between instants; a differential test calls
+    /// this on a drained backend before it submits into it or reads its
+    /// counters, so that both are observed at the same boundary.
+    #[cfg(test)]
+    pub(crate) fn finish_instant(&mut self) {
+        let now = self.engine.now();
+        self.engine.run_until(now);
+    }
+
     /// The pilot configuration this backend runs.
     pub fn config(&self) -> &PilotConfig {
         &self.config

@@ -27,6 +27,7 @@
 //! backends without fault support.
 
 use impress_sim::{SimDuration, SimRng, SimTime};
+use std::fmt;
 
 /// The fault class an attempt draws from the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +167,52 @@ impl LinkFaults {
             && self.partitions.is_empty()
             && self.heartbeat_interval.is_none()
     }
+
+    /// Check the failure-detector knobs: the interval and the timeout
+    /// come as a pair, and neither may be zero (a zero interval would
+    /// tick forever inside one instant).
+    pub fn validate(&self) -> Result<(), LinkFaultsError> {
+        match (self.heartbeat_interval, self.heartbeat_timeout) {
+            (None, None) => Ok(()),
+            (Some(_), None) => Err(LinkFaultsError::HeartbeatIntervalWithoutTimeout),
+            (None, Some(_)) => Err(LinkFaultsError::HeartbeatTimeoutWithoutInterval),
+            (Some(SimDuration::ZERO), Some(_)) => Err(LinkFaultsError::ZeroHeartbeatInterval),
+            (Some(_), Some(SimDuration::ZERO)) => Err(LinkFaultsError::ZeroHeartbeatTimeout),
+            (Some(_), Some(_)) => Ok(()),
+        }
+    }
 }
+
+/// Why a [`LinkFaults`] config cannot be realized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkFaultsError {
+    /// [`LinkFaults::heartbeat_interval`] is zero.
+    ZeroHeartbeatInterval,
+    /// [`LinkFaults::heartbeat_timeout`] is zero.
+    ZeroHeartbeatTimeout,
+    /// A heartbeat interval without a timeout: nodes would beat with
+    /// nothing listening.
+    HeartbeatIntervalWithoutTimeout,
+    /// A heartbeat timeout without an interval: nothing would ever beat.
+    HeartbeatTimeoutWithoutInterval,
+}
+
+impl fmt::Display for LinkFaultsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            LinkFaultsError::ZeroHeartbeatInterval => "heartbeat_interval is zero",
+            LinkFaultsError::ZeroHeartbeatTimeout => "heartbeat_timeout is zero",
+            LinkFaultsError::HeartbeatIntervalWithoutTimeout => {
+                "heartbeat_interval is set but heartbeat_timeout is not"
+            }
+            LinkFaultsError::HeartbeatTimeoutWithoutInterval => {
+                "heartbeat_timeout is set but heartbeat_interval is not"
+            }
+        })
+    }
+}
+
+impl std::error::Error for LinkFaultsError {}
 
 impl Default for LinkFaults {
     fn default() -> Self {
@@ -258,11 +304,28 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Realize `config` under `seed`.
-    pub fn new(config: FaultConfig, seed: u64) -> Self {
-        FaultPlan {
+    /// Realize `config` under `seed`, or say why its link section cannot
+    /// be realized. A plan only ever holds a config that passed
+    /// [`LinkFaults::validate`], which is what lets the backends build
+    /// their failure detector without checking again.
+    pub fn try_new(config: FaultConfig, seed: u64) -> Result<Self, LinkFaultsError> {
+        config.link.validate()?;
+        Ok(FaultPlan {
             config,
             rng: SimRng::from_seed(seed).fork("fault-plan"),
+        })
+    }
+
+    /// Realize `config` under `seed`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.link` fails [`LinkFaults::validate`]. Use
+    /// [`FaultPlan::try_new`] for a config that was not written by hand.
+    pub fn new(config: FaultConfig, seed: u64) -> Self {
+        match Self::try_new(config, seed) {
+            Ok(plan) => plan,
+            Err(e) => panic!("invalid link faults: {e}"),
         }
     }
 

@@ -66,8 +66,8 @@ pub use backend::{Completion, ExecutionBackend, TaskError};
 pub use cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
 pub use control::{ControlPlane, ControlStats, Deliveries};
 pub use fault::{
-    AttemptFault, FaultConfig, FaultPlan, HedgePolicy, LinkFaults, QuarantinePolicy, RetryPolicy,
-    ScriptedCrash, ScriptedPartition, ScriptedSlowdown, SlowWindow,
+    AttemptFault, FaultConfig, FaultPlan, HedgePolicy, LinkFaults, LinkFaultsError,
+    QuarantinePolicy, RetryPolicy, ScriptedCrash, ScriptedPartition, ScriptedSlowdown, SlowWindow,
 };
 pub use pilot::{PhaseBreakdown, PilotConfig, PilotPhase};
 pub use profiler::{Profiler, UtilizationReport};

@@ -5,9 +5,12 @@
 
 use impress_core::{DesignPipeline, ProtocolConfig, TargetToolkit};
 use impress_pilot::backend::{ShardedBackend, SimulatedBackend, ThreadedBackend};
-use impress_pilot::{ExecutionBackend, PilotConfig, ResourceRequest, Session, TaskDescription};
+use impress_pilot::{
+    ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, ResourceRequest, RetryPolicy,
+    RuntimeConfig, ScriptedCrash, ScriptedPartition, Session, TaskDescription,
+};
 use impress_proteins::datasets::named_pdz_domains;
-use impress_sim::SimDuration;
+use impress_sim::{SimDuration, SimTime};
 use impress_workflow::{Coordinator, NoDecisions};
 
 fn pilot_config(seed: u64) -> PilotConfig {
@@ -68,6 +71,97 @@ fn three_engines_export_byte_identical_virtual_traces() {
     assert!(!sim.is_empty() && sim.contains("traceEvents"));
     assert_eq!(sim, sharded, "sharded engine's virtual trace diverged");
     assert_eq!(sim, threaded, "threaded engine's virtual trace diverged");
+}
+
+/// The default engine runs the heartbeat failure detector as a lane (one
+/// round event per tick, arrivals and checks folded unless observable);
+/// the sequential engine keeps one event per send, arrival and check and
+/// is the oracle. Under drops, duplicates, jitter, a partition and node
+/// crashes both must tell the same story: the same completion stream and
+/// the same control-plane counters, heartbeats included. (The 256-case
+/// random differential lives in `impress-pilot`; this is its fixed-seed
+/// anchor in the root package.)
+#[test]
+fn sharded_lane_matches_event_per_heartbeat_oracle() {
+    let campaign = |seed: u64, sharded: bool| {
+        let mut faults = FaultConfig::none();
+        faults.task_failure_rate = 0.05;
+        faults.scripted_crashes = vec![
+            ScriptedCrash {
+                node: 5,
+                at: SimTime::from_micros(150_000_000),
+                outage: SimDuration::from_secs(120),
+            },
+            ScriptedCrash {
+                node: 9,
+                at: SimTime::from_micros(400_000_000),
+                outage: SimDuration::from_secs(60),
+            },
+        ];
+        faults.link.drop_rate = 0.15;
+        faults.link.duplicate_rate = 0.1;
+        faults.link.delay = SimDuration::from_millis(40);
+        faults.link.jitter = SimDuration::from_millis(30);
+        faults.link.reorder_rate = 0.1;
+        faults.link.partitions = vec![ScriptedPartition {
+            first_node: 0,
+            last_node: 3,
+            at: SimTime::from_micros(200_000_000),
+            duration: SimDuration::from_secs(90),
+        }];
+        faults.link.heartbeat_interval = Some(SimDuration::from_secs(5));
+        faults.link.heartbeat_timeout = Some(SimDuration::from_secs(20));
+        let runtime = RuntimeConfig::new(PilotConfig {
+            node: NodeSpec::new(4, 1, 64),
+            nodes: 16,
+            bootstrap: SimDuration::from_secs(30),
+            exec_setup_per_task: SimDuration::from_secs(2),
+            ..PilotConfig::with_seed(seed)
+        })
+        .faults(FaultPlan::new(faults, seed), RetryPolicy::retries(3));
+        let mut backend: Box<dyn ExecutionBackend> = if sharded {
+            Box::new(runtime.sharded())
+        } else {
+            Box::new(runtime.simulated())
+        };
+        for i in 0..160u64 {
+            backend.submit(TaskDescription::new(
+                format!("t{i}"),
+                ResourceRequest::with_gpus(1 + (i % 3) as u32, (i % 2) as u32),
+                SimDuration::from_secs(20 + (i * 37) % 200),
+            ));
+        }
+        let mut stream = Vec::new();
+        while let Some(done) = backend.next_completion() {
+            stream.push((
+                done.task,
+                done.finished,
+                done.attempts,
+                done.hedged,
+                format!("{:?}", done.result.map(|_| ())),
+            ));
+        }
+        (stream, backend.control_stats())
+    };
+    for seed in [3, 11, 2025] {
+        let (oracle_stream, oracle_stats) = campaign(seed, false);
+        let (lane_stream, lane_stats) = campaign(seed, true);
+        assert_eq!(oracle_stream.len(), 160);
+        assert!(
+            oracle_stats.suspicions > 0
+                && oracle_stats.resyncs > 0
+                && oracle_stats.lease_expiries > 0,
+            "seed {seed}: the partition must exercise the detector: {oracle_stats:?}"
+        );
+        assert_eq!(
+            lane_stream, oracle_stream,
+            "seed {seed}: completion stream diverged"
+        );
+        assert_eq!(
+            lane_stats, oracle_stats,
+            "seed {seed}: control-plane counters diverged"
+        );
+    }
 }
 
 /// A full design pipeline produces the same accepted design on both

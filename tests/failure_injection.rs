@@ -11,8 +11,8 @@ use impress_core::generator::SequenceGenerator;
 use impress_core::{DesignPipeline, ProtocolConfig, TargetToolkit};
 use impress_pilot::backend::{SimulatedBackend, ThreadedBackend};
 use impress_pilot::{
-    ExecutionBackend, FaultConfig, FaultPlan, PilotConfig, RetryPolicy, RuntimeConfig,
-    ScriptedCrash,
+    ExecutionBackend, FaultConfig, FaultPlan, LinkFaultsError, PilotConfig, ResourceRequest,
+    RetryPolicy, RuntimeConfig, ScriptedCrash, TaskDescription,
 };
 use impress_proteins::datasets::named_pdz_domains;
 use impress_proteins::{MpnnConfig, ScoredSequence, Structure, SurrogateMpnn};
@@ -249,4 +249,65 @@ fn node_crash_mid_campaign_is_absorbed_threaded() {
             .faults(plan, retry_no_backoff(5))
             .threaded(),
     );
+}
+
+/// A failure detector that cannot be realized is a typed error where the
+/// fault plan is made, not a hang: a zero heartbeat interval used to
+/// reschedule its own tick inside one instant forever (one submitted task,
+/// `next_completion` never returned), and an interval without a timeout
+/// silently ran the control plane with the detector off.
+#[test]
+fn unrealizable_failure_detector_is_a_typed_error() {
+    let plan = |interval: Option<u64>, timeout: Option<u64>| {
+        let mut config = FaultConfig::none();
+        config.link.heartbeat_interval = interval.map(SimDuration::from_secs);
+        config.link.heartbeat_timeout = timeout.map(SimDuration::from_secs);
+        FaultPlan::try_new(config, 5)
+    };
+    assert_eq!(
+        plan(Some(0), Some(30)).err(),
+        Some(LinkFaultsError::ZeroHeartbeatInterval)
+    );
+    assert_eq!(
+        plan(Some(0), Some(0)).err(),
+        Some(LinkFaultsError::ZeroHeartbeatInterval)
+    );
+    assert_eq!(
+        plan(Some(5), Some(0)).err(),
+        Some(LinkFaultsError::ZeroHeartbeatTimeout)
+    );
+    assert_eq!(
+        plan(Some(5), None).err(),
+        Some(LinkFaultsError::HeartbeatIntervalWithoutTimeout)
+    );
+    assert_eq!(
+        plan(None, Some(30)).err(),
+        Some(LinkFaultsError::HeartbeatTimeoutWithoutInterval)
+    );
+    assert!(plan(None, None).is_ok());
+
+    // What passes runs: the hang's repro with a realizable interval.
+    let plan = plan(Some(5), Some(30)).expect("a realizable detector");
+    let mut backend = RuntimeConfig::new(PilotConfig::with_seed(5))
+        .faults(plan, RetryPolicy::none())
+        .sharded();
+    backend.submit(TaskDescription::new(
+        "t",
+        ResourceRequest::cores(1),
+        SimDuration::from_secs(60),
+    ));
+    let done = backend.next_completion().expect("the task completes");
+    assert!(done.result.is_ok());
+    assert!(backend.next_completion().is_none());
+    assert!(backend.control_stats().heartbeats_sent > 0);
+}
+
+/// The constructor without a `Result` fails loudly on the same input.
+#[test]
+#[should_panic(expected = "heartbeat_interval is zero")]
+fn fault_plan_new_refuses_a_zero_heartbeat_interval() {
+    let mut config = FaultConfig::none();
+    config.link.heartbeat_interval = Some(SimDuration::ZERO);
+    config.link.heartbeat_timeout = Some(SimDuration::from_secs(30));
+    let _ = FaultPlan::new(config, 5);
 }

@@ -123,6 +123,31 @@ fn no_registry_dependencies_anywhere() {
     );
 }
 
+/// The tier-1 line is a bare `cargo test -q`. Without `default-members`
+/// that is the root package alone — a tenth of the workspace's tests, and
+/// none of the crate-level differential, props or zero-alloc suites.
+#[test]
+fn a_bare_cargo_test_covers_every_workspace_member() {
+    let manifest =
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
+            .expect("read root Cargo.toml");
+    let workspace: Vec<&str> = manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != "[workspace]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .collect();
+    assert!(
+        workspace.contains(&r#"members = ["crates/*"]"#),
+        "[workspace] members changed: {workspace:?}"
+    );
+    assert!(
+        workspace.contains(&r#"default-members = [".", "crates/*"]"#),
+        "[workspace] must keep default-members = the root package and every member: {workspace:?}"
+    );
+}
+
 /// Every bench-suite source file must be declared in the bench crate's
 /// manifest. `cargo build`/`cargo test` silently skip an undeclared
 /// `src/bin/*.rs` or `benches/*.rs` (the crate has `harness = false`
