@@ -1,18 +1,24 @@
 //! Execution backends.
 //!
-//! One trait, three implementations:
+//! One trait, three backends — two of them drivers of one core:
 //!
-//! * [`SimulatedBackend`] — deterministic virtual time on the `impress-sim`
-//!   engine. Tasks cost their declared [`crate::task::TaskDescription::duration`];
-//!   work closures run at the completion instant. Every paper figure is
-//!   regenerated on this backend, because the original experiments take
-//!   27–38 wall-clock hours.
-//! * [`ShardedBackend`] — the same virtual-time semantics on a sharded
-//!   parallel-DES engine: typed events in flat storage, per-node-group
-//!   event-queue shards advanced to a conservative lookahead horizon, an
-//!   optional worker-thread drive mode. Bit-identical to the simulated
-//!   backend (a 256-case differential test proves it) and the backend of
-//!   choice for 10k-node campaign studies.
+//! * `des` (private) — the discrete-event core both virtual-time
+//!   backends run: typed `Copy` events, a dense task table, and every
+//!   attempt-lifecycle handler (placement, retry, hedge, quarantine,
+//!   crash, control-plane delivery, cancel, preempt) written once,
+//!   generic over an event transport and a utilization sink.
+//! * [`SimulatedBackend`] — the core on one event queue, popped one event
+//!   per step, with per-device utilization. Tasks cost their declared
+//!   [`crate::task::TaskDescription::duration`]; work closures run at the
+//!   completion instant. Every paper figure is regenerated on this
+//!   backend, because the original experiments take 27–38 wall-clock
+//!   hours, and the sharded driver is checked against it.
+//! * [`ShardedBackend`] — the core on per-node-group event-queue shards
+//!   advanced to a conservative lookahead horizon and merged by a global
+//!   sequence number, with one heartbeat round per tick and an optional
+//!   worker-thread drive mode. Bit-identical to the simulated backend (a
+//!   256-case differential test checks the two transports against each
+//!   other) and the backend of choice for 10k-node campaign studies.
 //! * [`ThreadedBackend`] — real threads, real work, the same slot
 //!   semantics. Used by the examples and by tests that exercise actual
 //!   concurrency. Virtual durations can optionally be dilated into real
@@ -21,6 +27,7 @@
 //! The coordinator (in `impress-workflow`) drives any of them through
 //! [`ExecutionBackend`], so protocol logic is backend-agnostic.
 
+mod des;
 pub mod sharded;
 pub mod simulated;
 pub mod threaded;

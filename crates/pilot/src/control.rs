@@ -30,12 +30,13 @@
 //! simulated and sharded engines (and the threaded backend's modeled
 //! virtual clock) draw identical verdicts for identical traffic.
 //!
-//! The heartbeat failure detector built on `best_effort` has two forms
-//! that must agree to the byte. `SimulatedBackend` schedules every send,
-//! arrival and timeout check as its own event — the oracle.
-//! `FailureDetector` is the production form on the sharded engine: a
-//! lane driven by one event per tick that puts on the queue only what
-//! can be observed.
+//! The heartbeat failure detector built on `best_effort` is ticked by two
+//! clocks that must agree to the byte. `SimulatedBackend` schedules every
+//! send, arrival and timeout check as its own event — the oracle — and
+//! uses `FailureDetector` only for what was heard when. On the sharded
+//! driver `FailureDetector` is also the clock: a lane driven by one event
+//! per tick that puts on the queue only what can be observed. What an
+//! arrival or a check *does* is the shared core's (`backend::des`).
 
 use crate::fault::{FaultPlan, LinkFaults};
 use impress_sim::{SimDuration, SimRng, SimTime};
@@ -367,6 +368,25 @@ impl FailureDetector {
             lane.last_heard = now;
         }
         (now + self.interval, base + self.keys_per_start() - 1)
+    }
+
+    /// The configured heartbeat interval.
+    pub(crate) fn interval(&self) -> SimDuration {
+        self.interval
+    }
+
+    /// The configured silence timeout.
+    pub(crate) fn timeout(&self) -> SimDuration {
+        self.timeout
+    }
+
+    /// The sequence number (message identity) of `node`'s next heartbeat,
+    /// for a clock that sends each node's heartbeat as an event of its
+    /// own; [`FailureDetector::round`] numbers a whole tick.
+    pub(crate) fn next_seq(&mut self, node: u32) -> u64 {
+        let lane = &mut self.lanes[node as usize];
+        lane.hb_seq += 1;
+        lane.hb_seq - 1
     }
 
     /// Stop ticking: a round found nothing in flight. Undecided checks

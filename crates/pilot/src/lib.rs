@@ -18,9 +18,10 @@
 //!   backfill).
 //! * [`backend`] — execution backends behind one trait:
 //!   [`backend::SimulatedBackend`] replays runs in deterministic virtual
-//!   time on the `impress-sim` engine (used for every paper figure),
-//!   [`backend::ShardedBackend`] replays the identical event stream on a
-//!   sharded parallel-DES engine sized for 10k-node campaigns, and
+//!   time, one event at a time (used for every paper figure),
+//!   [`backend::ShardedBackend`] drives the same discrete-event core —
+//!   the identical event stream — on sharded queues sized for 10k-node
+//!   campaigns, and
 //!   [`backend::ThreadedBackend`] executes task closures on real threads
 //!   with the same slot semantics.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]: transient

@@ -14,7 +14,7 @@ pub struct EventId(pub u64);
 
 /// An entry in the event queue: a firing time plus an opaque payload.
 ///
-/// The engine stores continuations as payloads; tests may use plain values.
+/// The pilot backends store small typed events as payloads.
 pub struct ScheduledEvent<T> {
     /// When the event fires.
     pub at: SimTime,

@@ -13,38 +13,32 @@
 //!
 //! * [`time`] — virtual time points and durations with microsecond resolution.
 //! * [`event`] — the deterministic event queue (ordered by `(time, seq)`).
-//! * [`engine`] — the event loop; schedules continuation-passing callbacks.
-//! * [`resource`] — counted resources with FIFO wait queues (e.g. shared
-//!   filesystem bandwidth during AlphaFold MSA construction).
 //! * [`rng`] — seedable, forkable deterministic random streams.
 //! * [`slab`] — arena storage with `u32` handles for hot-path records.
 //! * [`trace`] — busy-interval timelines and utilization accounting.
 //! * [`stats`] — summary statistics (median, std-dev, quantiles) used by the
 //!   experiment harnesses.
 //!
-//! The engine is intentionally *not* thread-safe: determinism is the point.
-//! Real-time execution is provided by `impress-pilot`'s threaded backend
-//! instead.
+//! There is no event loop here: `impress-pilot`'s virtual-time backends
+//! drive [`EventQueue`]s of typed events themselves. Everything in this
+//! crate is single-threaded by design — determinism is the point; real-time
+//! execution is provided by `impress-pilot`'s threaded backend instead.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod alloc_probe;
-pub mod engine;
 pub mod event;
 pub mod histogram;
 pub mod props;
-pub mod resource;
 pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, ProcessHandle};
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use histogram::Histogram;
-pub use resource::{Resource, ResourceId};
 pub use rng::SimRng;
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;

@@ -918,10 +918,12 @@ mod tests {
         })
     }
 
-    /// `stages` single-task stages, outcome = sum of task outputs.
+    /// `stages` single-task stages of `secs` seconds each, outcome = sum of
+    /// task outputs.
     struct Counter {
         label: String,
         stages: u32,
+        secs: u64,
         acc: u64,
     }
 
@@ -950,7 +952,7 @@ mod tests {
                 TaskDescription::new(
                     format!("{}-stage", self.label),
                     ResourceRequest::cores(1),
-                    SimDuration::from_secs(3),
+                    SimDuration::from_secs(self.secs),
                 )
                 .with_work(|| 1u64),
             )
@@ -958,9 +960,14 @@ mod tests {
     }
 
     fn spec(name: &str, stages: u32) -> CampaignSpec<u64> {
+        timed_spec(name, stages, 3)
+    }
+
+    fn timed_spec(name: &str, stages: u32, secs: u64) -> CampaignSpec<u64> {
         CampaignSpec::new(name).root(Box::new(Counter {
             label: name.into(),
             stages,
+            secs,
             acc: 0,
         }))
     }
@@ -1077,27 +1084,30 @@ mod tests {
 
     #[test]
     fn higher_priority_admission_preempts_lower_class_tasks() {
-        let mut s: CampaignService<u64, _> = CampaignService::new(backend(1));
+        let mut s: CampaignService<u64, _> = CampaignService::new(backend(2));
         let t = TenantId::new("t");
         s.register_tenant(t.clone(), TenantQuota::unmetered(8));
-        let low = s.submit(&t, spec("low", 3)).unwrap();
-        // Step until the low campaign has a task actually running.
-        for _ in 0..2 {
-            s.step();
+        let low = s.submit(&t, timed_spec("low", 1, 100)).unwrap();
+        // A same-class ticker on the second core moves the clock in 4 s
+        // steps (1 s setup + 3 s) from the 5 s bootstrap: 9 s, 13 s.
+        let ticker = s.submit(&t, spec("ticker", 3)).unwrap();
+        while s.now() < SimTime::from_micros(13_000_000) {
+            assert!(s.step());
         }
         let before = s.utilization().wasted_core_seconds;
         let high = s.submit(&t, spec("hi", 1).priority(10)).unwrap();
         let after = s.utilization().wasted_core_seconds;
-        assert!(
-            after >= before,
-            "sweep may book waste, never unbook it"
-        );
+        // Low's task had held its core since 5 s.
+        assert_eq!(after - before, 8.0, "the sweep evicts what is running");
         s.run();
-        // Both campaigns still complete: preemption delays, never kills.
-        assert_eq!(s.status(&low), CampaignStatus::Completed);
-        assert_eq!(s.status(&high), CampaignStatus::Completed);
+        // All campaigns still complete: preemption delays, never kills.
+        for h in [&low, &ticker, &high] {
+            assert_eq!(s.status(h), CampaignStatus::Completed);
+        }
         let r = s.take_result(&low).unwrap();
-        assert_eq!(r.outcomes[0].1, 3);
+        assert_eq!(r.outcomes[0].1, 1);
+        // Restarted at 13 s: 1 s setup + 100 s.
+        assert_eq!(r.finished_at, SimTime::from_micros(114_000_000));
     }
 
     #[test]

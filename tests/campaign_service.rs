@@ -7,9 +7,10 @@
 //! Fair share is billed to per-tenant cluster accounts: a pinned digest
 //! holds the stepping/boost/finish behaviour of an up-front weighted cell
 //! fixed, and a props test checks usage conservation (account = sum of its
-//! lease meters) under submits, cancels and preemption.
+//! lease meters) under submits, cancels and preemption. Priority
+//! preemption itself is checked on both virtual-time engines.
 
-use impress_pilot::backend::SimulatedBackend;
+use impress_pilot::backend::{ExecutionBackend, SimulatedBackend};
 use impress_pilot::{
     Completion, NodeSpec, PilotConfig, PlacementPolicy, ResourceRequest, RuntimeConfig,
     TaskDescription,
@@ -508,6 +509,56 @@ fn a_canceled_campaigns_late_usage_is_charged_to_its_tenant() {
         }
         other => panic!("expected a budget refusal, got {:?}", other.map(|h| h.id())),
     }
+}
+
+/// One tenant on two cores: `low` holds a core for 1000 s while a ticker
+/// keeps the clock moving; at 22 s a third campaign is admitted in
+/// `class`. Returns the waste booked across that admission and when `low`
+/// finished.
+fn admit_over_a_long_task<B: ExecutionBackend>(backend: B, class: i32) -> (f64, SimTime) {
+    let mut service: CampaignService<u64, B> = CampaignService::new(backend);
+    let tenant = TenantId::new("t");
+    service.register_tenant(tenant.clone(), TenantQuota::unmetered(8));
+    let low = service.submit(&tenant, long_spec("low", 1, 1, 1000)).unwrap();
+    let ticker = service.submit(&tenant, long_spec("ticker", 1, 4, 5)).unwrap();
+    // Bootstrap 10 s, then the ticker's 1 s + 5 s tasks end at 16 s, 22 s…
+    while service.now() < SimTime::from_micros(20_000_000) {
+        assert!(service.step());
+    }
+    assert_eq!(service.now(), SimTime::from_micros(22_000_000));
+    let before = service.utilization().wasted_core_seconds;
+    let late = service
+        .submit(&tenant, long_spec("late", 1, 1, 5).priority(class))
+        .unwrap();
+    let booked = service.utilization().wasted_core_seconds - before;
+    service.run();
+    for h in [&ticker, &late] {
+        assert_eq!(service.status(h), CampaignStatus::Completed);
+    }
+    let low = service.take_result(&low).expect("preemption delays, never kills");
+    assert_eq!((low.status, low.outcomes[0].1), (CampaignStatus::Completed, 1));
+    (booked, low.finished_at)
+}
+
+/// Regression: `ShardedBackend` never implemented
+/// `ExecutionBackend::preempt` and inherited the trait's `false`, so on the
+/// default engine a higher class was admitted without evicting anybody.
+/// Preemption is the shared core's now: on either engine the admission
+/// books the evicted attempt's 12 s on its core as waste, and `low` starts
+/// over — later than it finishes when the newcomer is of its own class.
+#[test]
+fn a_higher_class_admission_evicts_running_tasks_on_both_engines() {
+    fn check<B: ExecutionBackend>(engine: &str, make: impl Fn(RuntimeConfig) -> B) {
+        let runtime = || RuntimeConfig::new(pilot(2, 1));
+        let (booked, undisturbed) = admit_over_a_long_task(make(runtime()), 0);
+        assert_eq!(booked, 0.0, "{engine}: same class, nobody evicted");
+        assert_eq!(undisturbed, SimTime::from_micros(1_011_000_000), "{engine}");
+        let (booked, evicted) = admit_over_a_long_task(make(runtime()), 10);
+        assert_eq!(booked, 12.0, "{engine}: 10 s..22 s on one core");
+        assert!(evicted > undisturbed, "{engine}: {evicted} vs {undisturbed}");
+    }
+    check("simulated", |rt| rt.simulated());
+    check("sharded", |rt| rt.sharded());
 }
 
 /// The one intended behaviour change of tenant accounts: the boost is the

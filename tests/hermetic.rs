@@ -590,6 +590,24 @@ fn straggler_smoke_iteration_produces_a_complete_document() {
         .expect("smoke study computes the recovery fraction");
 }
 
+/// Every `.rs` file under `dir`, build output excepted.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n == "target") {
+                continue;
+            }
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
 /// The deprecated pilot constructor shims and `Session` probes completed
 /// their one-release sunset and were deleted; the workspace is now a
 /// zero-`#[deprecated]` codebase by policy. Deprecation here means
@@ -603,22 +621,6 @@ fn no_deprecated_items_anywhere_in_the_workspace() {
     // Only this guard file may spell the needles (it has to name them to
     // search for them).
     let allowlist: [&Path; 1] = [Path::new("tests/hermetic.rs")];
-    fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                if path.file_name().is_some_and(|n| n == "target") {
-                    continue;
-                }
-                rs_files(&path, out);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                out.push(path);
-            }
-        }
-    }
     let mut files = Vec::new();
     for dir in ["crates", "tests", "examples", "src"] {
         rs_files(&root.join(dir), &mut files);
@@ -646,6 +648,59 @@ fn no_deprecated_items_anywhere_in_the_workspace() {
          (and update this guard deliberately):\n{}",
         violations.join("\n")
     );
+}
+
+/// `SimulatedBackend` and `ShardedBackend` are two clocks over ONE set of
+/// attempt-lifecycle handlers (`crates/pilot/src/backend/des.rs`). They
+/// used to be two copies kept equal by hand, the second one written as
+/// closures for an engine only it used. This guard fails the moment an
+/// engine change re-forks a handler into a driver, or the closure engine
+/// comes back. (`threaded.rs` still has its own; it is next.)
+#[test]
+fn the_virtual_time_backends_share_one_set_of_lifecycle_handlers() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut drivers = Vec::new();
+    rs_files(&root.join("crates/pilot/src/backend"), &mut drivers);
+    drivers.retain(|f| !f.ends_with("threaded.rs"));
+    assert!(drivers.len() >= 3, "expected the core and its two drivers");
+    let sources: Vec<(PathBuf, String)> = drivers
+        .into_iter()
+        .map(|f| {
+            let text = std::fs::read_to_string(&f).expect("read backend source");
+            (f, text)
+        })
+        .collect();
+    for handler in [
+        "fn place_ready(",
+        "fn fail_attempt(",
+        "fn hedge_check(",
+        "fn deliver_done(",
+        "fn suspect_node(",
+        "fn finish_task(",
+    ] {
+        let homes: Vec<_> = sources
+            .iter()
+            .filter(|(_, text)| text.contains(handler))
+            .map(|(f, _)| f.display().to_string())
+            .collect();
+        assert_eq!(homes.len(), 1, "`{handler}` must have exactly one home: {homes:?}");
+    }
+
+    assert!(
+        !root.join("crates/sim/src/engine.rs").exists(),
+        "the closure engine was deleted with its last caller"
+    );
+    // Spelled in two halves so that this file does not name it either.
+    let engine = ["impress_sim", "Engine"].join("::");
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "src", "perf/src"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 20, "expected to scan the whole workspace");
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("read workspace source");
+        assert!(!text.contains(&engine), "{} names {engine}", file.display());
+    }
 }
 
 /// The root `[workspace.dependencies]` entries themselves must all be
