@@ -5,7 +5,7 @@
 //! the paper's "continuous scheduling" only pays off if placement decisions
 //! are cheap relative to task granularity.
 
-use impress_bench::sched::{placement_cycle, task_stream};
+use impress_bench::harness::{placement_cycle, task_stream};
 use impress_bench::timing::{black_box, Suite};
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{ExecutionBackend, PilotConfig, PlacementPolicy, TaskDescription};

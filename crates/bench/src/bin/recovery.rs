@@ -15,12 +15,13 @@
 //! and replay wall time.
 //!
 //! Usage: `cargo run --release -p impress-bench --bin recovery`.
-//! Writes `recovery.json`; deterministic for a fixed `IMPRESS_SEED`
-//! (replay wall-clock milliseconds are the only machine-dependent field).
+//! Writes `recovery.json`, deterministic for a fixed `IMPRESS_SEED`: replay
+//! wall-clock milliseconds are printed, not written (the perf ledger's
+//! `workflow.journal.load_ms` / `workflow.resume_{full,half}_ms` measure them).
 
 use impress_bench::harness::master_seed;
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::{imrp_journal, resume_imrp, run_imrp_journaled};
+use impress_core::{imrp_journal, CampaignSpec};
 use impress_pilot::PilotConfig;
 use impress_proteins::datasets::named_pdz_domains;
 use impress_workflow::journal::{load_plan, MemoryJournal, JOURNAL_FORMAT_VERSION};
@@ -34,14 +35,15 @@ fn main() {
 
     // Uninterrupted baseline: same campaign, journaled end to end.
     let base_store = MemoryJournal::new();
-    let baseline = run_imrp_journaled(
-        &targets,
-        config.clone(),
-        policy.clone(),
-        pilot.clone(),
-        imrp_journal(Box::new(base_store.clone()), &config).expect("baseline journal"),
-        None,
-    );
+    let spec = || {
+        CampaignSpec::imrp(&targets, config.clone())
+            .policy(policy)
+            .pilot(pilot)
+    };
+    let baseline = spec()
+        .journal(imrp_journal(Box::new(base_store.clone()), &config).expect("baseline journal"))
+        .run()
+        .expect("no resume plan to reject");
     let baseline_json = impress_json::to_string(&baseline.result);
     let total_records = baseline.records;
     let total_tasks = baseline.result.run.total_tasks;
@@ -68,25 +70,20 @@ fn main() {
             if let Some(i) = snapshot_interval {
                 journal = journal.with_snapshot_interval(i);
             }
-            let (targets_c, config_c, policy_c, pilot_c) =
-                (targets.clone(), config.clone(), policy.clone(), pilot.clone());
-            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                run_imrp_journaled(&targets_c, config_c, policy_c, pilot_c, journal, None)
-            }));
+            let doomed = spec().journal(journal);
+            let crashed =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || doomed.run()));
             assert!(crashed.is_err(), "kill switch must fire mid-campaign");
 
             let lines = store.line_count();
             let bytes = store.bytes();
             let replay_start = std::time::Instant::now();
             let loaded = load_plan(&store).expect("surviving journal must load");
-            let resumed = resume_imrp(
-                &targets,
-                config.clone(),
-                policy.clone(),
-                pilot.clone(),
-                &loaded.plan,
-            )
-            .expect("resume from surviving journal");
+            let resumed = spec()
+                .resume_from(loaded.plan.clone())
+                .run()
+                .expect("resume from surviving journal")
+                .result;
             let replay_ms = replay_start.elapsed().as_secs_f64() * 1e3;
             let resumed_json = impress_json::to_string(&resumed);
             assert_eq!(
@@ -124,7 +121,6 @@ fn main() {
                     .field("dropped_lines", loaded.dropped)
                     .field("ghost_tasks", ghosts)
                     .field("reexecuted_tasks", reexecuted)
-                    .field("replay_ms", replay_ms)
                     .field("makespan_overhead_secs", overhead)
                     .field("byte_identical", true)
                     .build(),

@@ -228,18 +228,21 @@ fn main() {
     let scale_targets = impress_proteins::datasets::mined_pdz_complexes(seed, 24);
     let mut base_h = None;
     for nodes in [1u32, 2, 4, 8] {
-        let result = impress_core::experiment::run_imrp_on(
+        let result = impress_core::CampaignSpec::imrp(
             &scale_targets,
             impress_core::ProtocolConfig::imrp(seed),
-            impress_core::adaptive::AdaptivePolicy {
-                sub_budget: 8,
-                ..Default::default()
-            },
-            impress_pilot::PilotConfig {
-                nodes,
-                ..impress_pilot::PilotConfig::with_seed(seed)
-            },
-        );
+        )
+        .policy(impress_core::adaptive::AdaptivePolicy {
+            sub_budget: 8,
+            ..Default::default()
+        })
+        .pilot(impress_pilot::PilotConfig {
+            nodes,
+            ..impress_pilot::PilotConfig::with_seed(seed)
+        })
+        .run()
+        .expect("no resume plan to reject")
+        .result;
         let h = result.run.makespan.as_hours_f64();
         let base = *base_h.get_or_insert(h);
         writeln!(

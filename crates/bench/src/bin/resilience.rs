@@ -14,9 +14,8 @@
 //! Writes `resilience.json`; deterministic for a fixed `IMPRESS_SEED`.
 
 use impress_bench::harness::master_seed;
-use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_cont_v_resilient, run_imrp_resilient, ExperimentResult};
-use impress_core::ProtocolConfig;
+use impress_core::experiment::{run_cont_v_resilient, ExperimentResult};
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_pilot::{FaultConfig, PilotConfig, RetryPolicy};
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::SimDuration;
@@ -92,14 +91,11 @@ fn main() {
 
     let mut rows = Vec::new();
     for cell in cells() {
-        let imrp = run_imrp_resilient(
-            &targets,
-            ProtocolConfig::imrp(seed),
-            AdaptivePolicy::default(),
-            PilotConfig::with_seed(seed),
-            cell.faults.clone(),
-            cell.retry,
-        );
+        let imrp = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
+            .faults(cell.faults.clone(), cell.retry)
+            .run()
+            .expect("no resume plan to reject")
+            .result;
         let cont = run_cont_v_resilient(
             &targets,
             ProtocolConfig::cont_v(seed),

@@ -4,17 +4,15 @@
 //! strong-scaling makespan and efficiency, then pushes a 10 000-task
 //! synthetic stream through a 16-node pilot to exercise the scheduler at
 //! queue depths the protocol itself never reaches. Every reported number
-//! is virtual-time (deterministic per seed) — wall-clock throughput lives
-//! in `BENCH_scheduler.json`, which is regenerated per machine.
+//! is virtual-time (deterministic per seed) — wall-clock throughput is the
+//! perf ledger's (`perf run`, `pilot.scheduler.place_release_ns`).
 //!
 //! Usage: `cargo run --release -p impress-bench --bin scaling [n_complexes]`
 //! (default 24).
 
-use impress_bench::harness::master_seed;
-use impress_bench::sched::task_stream;
+use impress_bench::harness::{master_seed, task_stream};
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::run_imrp_on;
-use impress_core::ProtocolConfig;
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{ExecutionBackend, PilotConfig, TaskDescription};
 use impress_proteins::datasets::mined_pdz_complexes;
@@ -81,15 +79,15 @@ fn main() {
             nodes,
             ..PilotConfig::with_seed(seed)
         };
-        let result = run_imrp_on(
-            &targets,
-            ProtocolConfig::imrp(seed),
-            AdaptivePolicy {
+        let result = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
+            .policy(AdaptivePolicy {
                 sub_budget: n / 3,
                 ..AdaptivePolicy::default()
-            },
-            pilot,
-        );
+            })
+            .pilot(pilot)
+            .run()
+            .expect("no resume plan to reject")
+            .result;
         let h = result.run.makespan.as_hours_f64();
         let base = *baseline_h.get_or_insert(h);
         let speedup = base / h;

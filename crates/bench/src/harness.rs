@@ -3,16 +3,68 @@
 use impress_core::adaptive::AdaptivePolicy;
 use impress_core::experiment::{run_cont_v_experiment, run_imrp, ExperimentResult};
 use impress_core::{ProtocolConfig, Table1Row};
+use impress_pilot::{ClusterSpec, NodeSpec, PlacementPolicy, ResourceRequest, Scheduler, TaskId};
 use impress_proteins::datasets::{mined_pdz_complexes, named_pdz_domains};
 use impress_proteins::MetricKind;
 
 /// Master seed used by all paper harnesses; override with the
-/// `IMPRESS_SEED` environment variable.
+/// `IMPRESS_SEED` environment variable. A value that is set but is not a
+/// seed ends the process: falling back to the default would regenerate the
+/// default artifacts under a reader who asked for different ones.
 pub fn master_seed() -> u64 {
-    std::env::var("IMPRESS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025)
+    let var = std::env::var("IMPRESS_SEED").ok();
+    parse_seed(var.as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// The seed `IMPRESS_SEED` asks for: unset means 2025, anything set must
+/// parse as a `u64`.
+fn parse_seed(var: Option<&str>) -> Result<u64, String> {
+    match var {
+        None => Ok(2025),
+        Some(text) => text
+            .parse()
+            .map_err(|e| format!("IMPRESS_SEED={text:?} is not a seed (an unsigned integer): {e}")),
+    }
+}
+
+/// The deterministic heterogeneous task stream shaped like the protocol's
+/// workload (6-core MSAs, 1-GPU inference/MPNN pairs, 1-core bookkeeping).
+pub fn task_stream(n: usize) -> Vec<ResourceRequest> {
+    (0..n)
+        .map(|i| match i % 5 {
+            0 => ResourceRequest::cores(6),        // MSA
+            1 => ResourceRequest::with_gpus(2, 1), // inference
+            2 => ResourceRequest::with_gpus(2, 1), // MPNN
+            _ => ResourceRequest::cores(1),        // bookkeeping
+        })
+        .collect()
+}
+
+/// One full scheduler cycle: enqueue `stream`, then alternate placement
+/// rounds with single releases until everything has run. Returns the task
+/// count (for `black_box`ing). This is the placement-throughput kernel of
+/// `benches/scheduler.rs`.
+pub fn placement_cycle(policy: PlacementPolicy, nodes: u32, stream: &[ResourceRequest]) -> usize {
+    let cluster = ClusterSpec::homogeneous(NodeSpec::amarel(), nodes);
+    let mut s = Scheduler::new_cluster(cluster, policy);
+    for (i, req) in stream.iter().enumerate() {
+        s.enqueue(TaskId(i as u64), *req);
+    }
+    let mut running = Vec::new();
+    let mut done = 0usize;
+    while done < stream.len() {
+        for pair in s.place_ready() {
+            running.push(pair);
+        }
+        if let Some((_, alloc)) = running.pop() {
+            done += 1;
+            s.release(&alloc);
+        }
+    }
+    done
 }
 
 /// Both arms of the paper's primary (4-domain) experiment.
@@ -198,6 +250,19 @@ pub fn downsample(series: &[f64], max: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_seed_defaults_when_unset_and_refuses_what_is_not_a_seed() {
+        assert_eq!(parse_seed(None), Ok(2025));
+        assert_eq!(parse_seed(Some("7")), Ok(7));
+        for bad in ["2O25", "", "-1", " 7", "1e3"] {
+            let message = parse_seed(Some(bad)).unwrap_err();
+            assert!(
+                message.contains("IMPRESS_SEED") && message.contains(&format!("{bad:?}")),
+                "{message}"
+            );
+        }
+    }
 
     #[test]
     fn sparkline_maps_levels() {

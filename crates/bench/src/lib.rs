@@ -17,12 +17,8 @@
 //!
 //! Run e.g. `cargo run --release -p impress-bench --bin table1`.
 
-pub mod coord;
 pub mod harness;
 pub mod partition;
-pub mod sched;
-pub mod serve;
-pub mod sim;
 pub mod straggler;
 pub mod timing;
 pub mod trace;

@@ -90,13 +90,20 @@ pub struct Suite {
 impl Suite {
     /// Start a suite. `name` becomes the JSON sidecar's stem.
     pub fn new(name: impl Into<String>) -> Suite {
-        let name = name.into();
+        Suite::with_budget(
+            name.into(),
+            env_u64("IMPRESS_BENCH_SAMPLES", 11).max(3) as usize,
+            Duration::from_secs_f64(env_f64("IMPRESS_BENCH_MAX_SECS", 2.0).max(0.1)),
+        )
+    }
+
+    fn with_budget(name: String, samples: usize, max_budget: Duration) -> Suite {
         eprintln!("benchmark suite `{name}` (in-repo timing harness)");
         Suite {
             name,
             results: Vec::new(),
-            samples: env_u64("IMPRESS_BENCH_SAMPLES", 11).max(3) as usize,
-            max_budget: Duration::from_secs_f64(env_f64("IMPRESS_BENCH_MAX_SECS", 2.0).max(0.1)),
+            samples,
+            max_budget,
         }
     }
 
@@ -181,8 +188,8 @@ mod tests {
 
     #[test]
     fn bench_records_sane_timings() {
-        std::env::set_var("IMPRESS_BENCH_MAX_SECS", "0.2");
-        let mut suite = Suite::new("timing-selftest");
+        let mut suite =
+            Suite::with_budget("timing-selftest".into(), 11, Duration::from_millis(200));
         suite.bench("sum_1k", || (0..1000u64).sum::<u64>());
         let r = &suite.results()[0];
         assert_eq!(r.id, "sum_1k");

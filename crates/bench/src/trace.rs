@@ -23,8 +23,7 @@
 //! can run a tiny smoke iteration under `cargo test`.
 
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_imrp_on, run_imrp_traced};
-use impress_core::ProtocolConfig;
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_json::{Json, ToJson};
 use impress_pilot::{
     ExecutionBackend, PilotConfig, ResourceRequest, RuntimeConfig, TaskDescription,
@@ -207,9 +206,18 @@ pub fn run_study(params: &TraceParams, seed: u64) -> Json {
         "recording IM-RP campaign ({} complexes) with telemetry off, then on...",
         params.complexes
     );
-    let baseline = run_imrp_on(&targets, config.clone(), policy.clone(), pilot.clone());
+    let spec = || {
+        CampaignSpec::imrp(&targets, config.clone())
+            .policy(policy)
+            .pilot(pilot)
+    };
+    let baseline = spec().run().expect("no resume plan to reject").result;
     let (telemetry, recorder) = Telemetry::recording(params.ring_capacity);
-    let traced = run_imrp_traced(&targets, config, policy, pilot, telemetry.clone());
+    let traced = spec()
+        .telemetry(telemetry.clone())
+        .run()
+        .expect("no resume plan to reject")
+        .result;
     let perturbation_free =
         impress_json::to_string(&baseline.to_json()) == impress_json::to_string(&traced.to_json());
 

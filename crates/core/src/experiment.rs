@@ -13,9 +13,8 @@ use impress_pilot::{FaultConfig, FaultPlan, PilotConfig, RetryPolicy, RuntimeCon
 use impress_proteins::datasets::DesignTarget;
 use impress_proteins::MetricKind;
 use impress_json::json_struct;
-use impress_sim::{SimDuration, SimTime};
-use impress_telemetry::Telemetry;
-use impress_workflow::journal::{Journal, JournalError, JournalStore, ReplayPlan};
+use impress_sim::SimDuration;
+use impress_workflow::journal::{Journal, JournalError, JournalStore};
 use impress_workflow::{Coordinator, RunReport};
 use std::sync::Arc;
 
@@ -93,67 +92,6 @@ pub fn run_imrp(
         .result
 }
 
-/// Run IM-RP on an arbitrary pilot configuration (e.g. a multi-node
-/// cluster for scaling studies). Thin wrapper over [`CampaignSpec::run`].
-pub fn run_imrp_on(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    policy: AdaptivePolicy,
-    pilot: PilotConfig,
-) -> ExperimentResult {
-    CampaignSpec::imrp(targets, config)
-        .policy(policy)
-        .pilot(pilot)
-        .run()
-        .expect("no resume plan to reject")
-        .result
-}
-
-/// Run IM-RP under an injected fault environment: the same protocol, but
-/// the pilot realizes the given fault plan (transient failures, hangs,
-/// node crash/recover windows) and retry policy. With
-/// [`FaultConfig::none`] and [`RetryPolicy::none`] this is bit-identical
-/// to [`run_imrp_on`]. Thin wrapper over [`CampaignSpec::run`].
-pub fn run_imrp_resilient(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    policy: AdaptivePolicy,
-    pilot: PilotConfig,
-    faults: FaultConfig,
-    retry: RetryPolicy,
-) -> ExperimentResult {
-    CampaignSpec::imrp(targets, config)
-        .policy(policy)
-        .pilot(pilot)
-        .faults(faults, retry)
-        .run()
-        .expect("no resume plan to reject")
-        .result
-}
-
-/// Run IM-RP with a live [`Telemetry`] handle wired through the pilot:
-/// every scheduler decision, task attempt, pipeline, stage, and adaptive
-/// decision lands in the handle's sink (pair with
-/// [`Telemetry::recording`] to capture a Chrome-exportable trace).
-/// Telemetry never perturbs the simulation — with a disabled handle this
-/// is bit-identical to [`run_imrp_on`]. Thin wrapper over
-/// [`CampaignSpec::run`].
-pub fn run_imrp_traced(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    policy: AdaptivePolicy,
-    pilot: PilotConfig,
-    telemetry: Telemetry,
-) -> ExperimentResult {
-    CampaignSpec::imrp(targets, config)
-        .policy(policy)
-        .pilot(pilot)
-        .telemetry(telemetry)
-        .run()
-        .expect("no resume plan to reject")
-        .result
-}
-
 /// The IM-RP coordinator type the experiment drivers build.
 pub(crate) type ImrpCoordinator = Coordinator<DesignOutcome, SimulatedBackend, ImpressDecision>;
 
@@ -171,9 +109,9 @@ pub(crate) fn add_imrp_roots(
     }
 }
 
-/// Drive the coordinator to completion and package the result — the shared
-/// tail of the plain, journaled, and resumed IM-RP drivers, so all three
-/// produce byte-identical artifacts by construction.
+/// Drive the coordinator to completion and package the result — the one
+/// tail of plain, journaled and resumed IM-RP runs, so all three produce
+/// byte-identical artifacts by construction.
 pub(crate) fn finish_imrp(mut coordinator: ImrpCoordinator) -> (ExperimentResult, ImrpCoordinator) {
     let run = coordinator.run();
     let backend = coordinator.session().backend();
@@ -197,83 +135,16 @@ pub(crate) fn finish_imrp(mut coordinator: ImrpCoordinator) -> (ExperimentResult
 }
 
 /// The campaign label journaled IM-RP runs stamp into the journal header;
-/// [`resume_imrp`] refuses a plan with any other label.
+/// [`CampaignSpec::run`] refuses a resume plan with any other label.
 pub const IMRP_JOURNAL_LABEL: &str = "IM-RP";
 
 /// A write-ahead journal on `store` stamped with the campaign identity
-/// (label + protocol seed) that [`resume_imrp`] validates.
+/// (label + protocol seed) that [`CampaignSpec::resume_from`] validates.
 pub fn imrp_journal(
     store: Box<dyn JournalStore>,
     config: &ProtocolConfig,
 ) -> Result<Journal, JournalError> {
     Journal::new(store, IMRP_JOURNAL_LABEL, config.seed)
-}
-
-/// What a journaled IM-RP run produced: the packaged result (identical to
-/// an unjournaled run) plus the crash-consistency facts the recovery study
-/// reports.
-pub struct JournaledRun {
-    /// The experiment result.
-    pub result: ExperimentResult,
-    /// Whether the walltime deadline forced a graceful drain before the
-    /// campaign finished.
-    pub drained: bool,
-    /// Journal records appended (excluding Begin/Snapshot frames).
-    pub records: u64,
-    /// Snapshot compactions performed.
-    pub snapshots: u64,
-}
-
-/// Run IM-RP with a write-ahead journal, and optionally an allocation
-/// walltime deadline after which the pilot stops launching tasks that
-/// cannot finish, drains in-flight work, and leaves the journal as the
-/// checkpoint ([`JournaledRun::drained`] reports this). Without a deadline
-/// the run is byte-identical to [`run_imrp_on`].
-pub fn run_imrp_journaled(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    policy: AdaptivePolicy,
-    pilot: PilotConfig,
-    journal: Journal,
-    deadline: Option<SimTime>,
-) -> JournaledRun {
-    let mut spec = CampaignSpec::imrp(targets, config)
-        .policy(policy)
-        .pilot(pilot)
-        .journal(journal);
-    if let Some(d) = deadline {
-        spec = spec.deadline(d);
-    }
-    let run = spec.run().expect("no resume plan to reject");
-    JournaledRun {
-        result: run.result,
-        drained: run.drained,
-        records: run.records,
-        snapshots: run.snapshots,
-    }
-}
-
-/// Resume an interrupted IM-RP campaign from a replayed journal
-/// ([`impress_workflow::journal::load_plan`]) and drive it to completion.
-///
-/// The resumed run re-simulates from `t = 0` on a fresh pilot: journaled
-/// terminal pipelines replay as work-free ghosts, everything else re-runs
-/// for real, and the result is byte-identical to an uninterrupted run. The
-/// plan's campaign identity must match `config` — a journal from a
-/// different campaign (or a corrupt one) is a typed error, not a panic.
-pub fn resume_imrp(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    policy: AdaptivePolicy,
-    pilot: PilotConfig,
-    plan: &ReplayPlan,
-) -> Result<ExperimentResult, JournalError> {
-    CampaignSpec::imrp(targets, config)
-        .policy(policy)
-        .pilot(pilot)
-        .resume_from(plan.clone())
-        .run()
-        .map(|run| run.result)
 }
 
 /// Run the sequential CONT-V arm on its own simulated node.
@@ -362,6 +233,7 @@ fn package(
 mod tests {
     use super::*;
     use impress_proteins::datasets::named_pdz_domains;
+    use impress_workflow::journal::ReplayPlan;
 
     fn small_targets() -> Vec<DesignTarget> {
         named_pdz_domains(42).into_iter().take(2).collect()
@@ -428,16 +300,17 @@ mod tests {
             ..AdaptivePolicy::default()
         };
         let pilot = PilotConfig::with_seed(config.seed);
-        let plain = run_imrp_on(&targets, config.clone(), policy.clone(), pilot.clone());
+        let spec = || {
+            CampaignSpec::imrp(&targets, config.clone())
+                .policy(policy)
+                .pilot(pilot)
+        };
+        let plain = spec().run().unwrap().result;
         let store = MemoryJournal::new();
-        let journaled = run_imrp_journaled(
-            &targets,
-            config.clone(),
-            policy.clone(),
-            pilot.clone(),
-            imrp_journal(Box::new(store.clone()), &config).unwrap(),
-            None,
-        );
+        let journaled = spec()
+            .journal(imrp_journal(Box::new(store.clone()), &config).unwrap())
+            .run()
+            .unwrap();
         assert!(!journaled.drained);
         assert!(journaled.records > 0);
         assert_eq!(
@@ -449,7 +322,7 @@ mod tests {
         // byte-identical artifacts.
         let plan = load_plan(&store).unwrap().plan;
         assert_eq!(plan.live_pipelines(), 0);
-        let resumed = resume_imrp(&targets, config, policy, pilot, &plan).unwrap();
+        let resumed = spec().resume_from(plan).run().unwrap().result;
         assert_eq!(
             impress_json::to_string(&plain),
             impress_json::to_string(&resumed)
@@ -461,14 +334,11 @@ mod tests {
         let targets = small_targets();
         let config = ProtocolConfig::imrp(1);
         let plan = ReplayPlan::new("CONT-V", config.seed);
-        let err = resume_imrp(
-            &targets,
-            config.clone(),
-            AdaptivePolicy::default(),
-            PilotConfig::with_seed(config.seed),
-            &plan,
-        )
-        .unwrap_err();
+        let err = CampaignSpec::imrp(&targets, config)
+            .resume_from(plan)
+            .run()
+            .err()
+            .expect("foreign plan must be refused");
         assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
     }
 

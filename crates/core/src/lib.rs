@@ -56,9 +56,7 @@ pub use adaptive::ImpressDecision;
 pub use campaign::{export_campaign, load_results, CampaignOutput};
 pub use config::{CostModel, ProtocolConfig};
 pub use control::run_cont_v;
-pub use experiment::{
-    imrp_journal, resume_imrp, run_imrp, run_imrp_journaled, ExperimentResult, JournaledRun,
-};
+pub use experiment::{imrp_journal, run_imrp, ExperimentResult};
 pub use generator::{MpnnGenerator, RandomMutagenesis, SequenceGenerator};
 pub use protocol::{DesignOutcome, DesignPipeline, IterationRecord};
 pub use quality::{IterationSeries, NetDeltas};

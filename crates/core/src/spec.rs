@@ -1,20 +1,15 @@
 //! The spec-driven front door for IM-RP campaigns.
 //!
-//! `impress-core` grew one experiment driver per concern —
-//! [`run_imrp`](crate::experiment::run_imrp) (defaults),
-//! [`run_imrp_on`](crate::experiment::run_imrp_on) (custom pilot),
-//! [`run_imrp_resilient`](crate::experiment::run_imrp_resilient) (faults),
-//! [`run_imrp_traced`](crate::experiment::run_imrp_traced) (telemetry),
-//! [`run_imrp_journaled`](crate::experiment::run_imrp_journaled) (journal +
-//! deadline) and [`resume_imrp`](crate::experiment::resume_imrp) (replay) —
-//! each hand-assembling the same backend/decision/coordinator sandwich.
-//! [`CampaignSpec`] collapses them into one typed description of a campaign
-//! with a single entry point, [`CampaignSpec::run`]; every named driver is
-//! now a thin wrapper over it, so all variants share one code path by
-//! construction and byte-identical artifact regeneration is a structural
-//! property rather than six parallel promises. The shape deliberately
-//! mirrors `impress_workflow::CampaignSpec` — the service-level submission
-//! type — so "a campaign" means the same thing at both layers.
+//! [`CampaignSpec`] is one typed description of a campaign — targets,
+//! protocol, policy, pilot, and the optional fault, telemetry, journal,
+//! deadline and resume layers — with a single entry point,
+//! [`CampaignSpec::run`]. Every configured IM-RP run in the workspace goes
+//! through it, so all variants share one code path by construction and
+//! byte-identical artifact regeneration is a structural property rather
+//! than parallel promises. [`run_imrp`](crate::experiment::run_imrp) is the
+//! paper's named arm over the defaults. The shape deliberately mirrors
+//! `impress_workflow::CampaignSpec` — the service-level submission type —
+//! so "a campaign" means the same thing at both layers.
 
 use crate::adaptive::{AdaptivePolicy, ImpressDecision};
 use crate::config::ProtocolConfig;
@@ -47,8 +42,7 @@ pub struct CampaignSpec {
 /// the crash-consistency facts (meaningful when a journal and/or deadline
 /// was configured; degenerate otherwise).
 pub struct CampaignRun {
-    /// The experiment result — identical to what the legacy drivers
-    /// returned for the same configuration.
+    /// The experiment result.
     pub result: ExperimentResult,
     /// Whether a walltime deadline forced a graceful drain before the
     /// campaign finished.
@@ -137,7 +131,7 @@ impl CampaignSpec {
     }
 
     /// Run the campaign to completion (or to a drained deadline). This is
-    /// the single code path every IM-RP driver funnels through: build the
+    /// the single code path every IM-RP run takes: build the
     /// backend from the runtime config, build the decision engine, build or
     /// resume the coordinator, attach the journal, add one root pipeline
     /// per target, and drive to completion.
@@ -192,15 +186,13 @@ impl CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_imrp, run_imrp_on};
+    use crate::experiment::run_imrp;
     use impress_proteins::datasets::named_pdz_domains;
 
     /// The golden test: the spec-driven path must be byte-identical to a
-    /// hand-assembled coordinator run — i.e. the refactor of the named
-    /// drivers onto [`CampaignSpec::run`] did not perturb a single artifact
-    /// byte. Everything downstream (fig2–5, table1) consumes
-    /// `ExperimentResult` through `run_imrp`, so this pins the whole
-    /// artifact chain.
+    /// hand-assembled coordinator run. Everything downstream (fig2–5,
+    /// table1) consumes `ExperimentResult` through `run_imrp`, so this pins
+    /// the whole artifact chain.
     #[test]
     fn spec_path_is_byte_identical_to_a_hand_assembled_run() {
         let targets: Vec<_> = named_pdz_domains(42).into_iter().take(2).collect();
@@ -210,30 +202,28 @@ mod tests {
             ..AdaptivePolicy::default()
         };
 
-        // Hand-assembled, the way the drivers used to do it inline.
+        // Hand-assembled, the way `CampaignSpec::run` does it.
         let pilot = PilotConfig::with_seed(config.seed);
         let tks = toolkits(&targets, config.seed);
         let decision = ImpressDecision::new(config.clone(), policy.clone(), tks.clone());
         let mut coordinator = Coordinator::new(
-            impress_pilot::backend::SimulatedBackend::new(pilot.clone()),
+            impress_pilot::backend::SimulatedBackend::new(pilot),
             decision,
         );
         add_imrp_roots(&mut coordinator, &tks, &config);
         let (manual, _) = finish_imrp(coordinator);
 
-        // Through the new front door, twice: via the builder directly and
-        // via the legacy wrapper.
+        // Through the front door, twice: via the builder directly and via
+        // the paper's named arm.
         let spec_run = CampaignSpec::imrp(&targets, config.clone())
             .policy(policy.clone())
             .run()
             .unwrap();
-        let wrapper = run_imrp(&targets, config.clone(), policy.clone());
-        let on = run_imrp_on(&targets, config, policy, pilot);
+        let named = run_imrp(&targets, config, policy);
 
         let golden = impress_json::to_string(&manual);
         assert_eq!(golden, impress_json::to_string(&spec_run.result));
-        assert_eq!(golden, impress_json::to_string(&wrapper));
-        assert_eq!(golden, impress_json::to_string(&on));
+        assert_eq!(golden, impress_json::to_string(&named));
         assert_eq!(spec_run.records, 0, "no journal configured");
         assert!(!spec_run.drained);
         // Sanity: the run actually did work.

@@ -1,7 +1,7 @@
 //! The parser must accept every JSON artifact checked into the repository
-//! (emitted by the fig*/table1/scaling/resilience bench binaries), and
-//! re-serializing
-//! the parsed tree must be a fixed point of parsing.
+//! root (emitted by the paper and study bench binaries, plus
+//! `BENCHMARK.json`), and re-serializing the parsed tree must be a fixed
+//! point of parsing.
 
 use impress_json::{parse, to_string_pretty, Json};
 use std::path::PathBuf;
@@ -13,23 +13,27 @@ fn repo_root() -> PathBuf {
         .expect("repo root resolves")
 }
 
-const ARTIFACTS: &[&str] = &[
-    "fig2.json",
-    "fig3.json",
-    "fig4.json",
-    "fig5.json",
-    "table1.json",
-    "scaling.json",
-    "resilience.json",
-    "BENCH_coord.json",
-];
+/// Every `*.json` in the repository root: the paper and study artifacts
+/// plus the benchmark contract.
+fn root_artifacts() -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(repo_root())
+        .expect("read the repository root")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.is_file() && p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    found.sort();
+    assert!(
+        found.len() >= 11,
+        "expected every checked-in artifact, found {found:?}"
+    );
+    found
+}
 
 #[test]
 fn checked_in_artifacts_parse_and_round_trip() {
-    for name in ARTIFACTS {
-        let path = repo_root().join(name);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    for path in root_artifacts() {
+        let name = path.display();
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {name}: {e}"));
         let value = parse(&text).unwrap_or_else(|e| panic!("parse {name}: {e}"));
         assert!(
             matches!(value, Json::Object(_)),

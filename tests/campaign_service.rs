@@ -8,7 +8,10 @@
 //! holds the stepping/boost/finish behaviour of an up-front weighted cell
 //! fixed, and a props test checks usage conservation (account = sum of its
 //! lease meters) under submits, cancels and preemption. Priority
-//! preemption itself is checked on both virtual-time engines.
+//! preemption itself is checked on both virtual-time engines. Equal-weight
+//! tenants share a contended cluster fairly (Jain index), and independent
+//! journaled coordinators interleaved through `Coordinator::step()` each
+//! behave as they do driven alone.
 
 use impress_pilot::backend::{ExecutionBackend, SimulatedBackend};
 use impress_pilot::{
@@ -508,6 +511,108 @@ fn a_canceled_campaigns_late_usage_is_charged_to_its_tenant() {
             assert_eq!((resource, spent), ("core-seconds", 123.0));
         }
         other => panic!("expected a budget refusal, got {:?}", other.map(|h| h.id())),
+    }
+}
+
+/// Jain's fairness index over per-tenant allocations: `(Σx)² / (n·Σx²)`,
+/// 1.0 = perfectly fair. Empty or all-zero inputs are defined as 1.0 (a
+/// service that delivered nothing delivered it evenly).
+fn jain_index(xs: &[f64]) -> f64 {
+    let n = xs.len() as f64;
+    let sum: f64 = xs.iter().sum();
+    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    if n == 0.0 || sq == 0.0 {
+        return 1.0;
+    }
+    (sum * sum) / (n * sq)
+}
+
+/// Five equal-weight tenants submit the same load at t = 0 on a four-core
+/// cluster that can run a twentieth of it at once. Delivered core-seconds
+/// per tenant are fair (Jain ≥ 0.9) while the cluster is still contended —
+/// half the campaigns finished — and once every campaign has completed.
+#[test]
+fn equal_weight_tenants_share_delivered_core_seconds_fairly() {
+    const TENANTS: usize = 5;
+    const PER_TENANT: usize = 8;
+    let mut service: CampaignService<u64, _> =
+        CampaignService::new(SimulatedBackend::new(pilot(2, 2)));
+    let ids: Vec<TenantId> = (0..TENANTS)
+        .map(|t| {
+            let id = TenantId::new(format!("tenant-{t}"));
+            service.register_tenant(id.clone(), TenantQuota::unmetered(PER_TENANT));
+            id
+        })
+        .collect();
+    // Tenant by tenant, so submission order alone would serve them in turn.
+    let mut handles = Vec::new();
+    for id in &ids {
+        for c in 0..PER_TENANT {
+            let spec = long_spec(&format!("c{c}"), 2, 3, 5 + c as u64);
+            handles.push(service.submit(id, spec).expect("admitted"));
+        }
+    }
+    let jain = |service: &CampaignService<u64, _>| {
+        let delivered: Vec<f64> = ids
+            .iter()
+            .map(|id| service.tenant_usage(id).expect("registered").core_seconds)
+            .collect();
+        jain_index(&delivered)
+    };
+    while service.campaigns_finished() < handles.len() / 2 {
+        assert!(service.step());
+    }
+    assert!(jain(&service) >= 0.9, "mid-run Jain {}", jain(&service));
+    service.run();
+    for h in &handles {
+        assert_eq!(service.status(h), CampaignStatus::Completed);
+    }
+    assert!(jain(&service) >= 0.9, "final Jain {}", jain(&service));
+}
+
+/// 32 independent journaled coordinators, each on its own one-node backend,
+/// interleaved round-robin on one thread through the public
+/// `Coordinator::step()`: every campaign completes, and each coordinator's
+/// outcomes (ids and order included) and journal record count are those of
+/// the same campaign driven alone with `run()`.
+#[test]
+fn interleaved_journaled_coordinators_each_match_their_solo_run() {
+    let all = campaigns(32);
+    let build = |i: usize| {
+        let c = &all[i];
+        let journal =
+            Journal::new(Box::new(MemoryJournal::new()), "fleet", i as u64).expect("journal");
+        let mut coordinator = Coordinator::new(
+            SimulatedBackend::new(pilot(4, 1)),
+            SpawnOnMultiples {
+                max_depth: c.max_depth,
+            },
+        )
+        .with_journal(journal);
+        for &seed in &c.roots {
+            coordinator.add_pipeline(Chain::boxed(seed));
+        }
+        coordinator
+    };
+    let mut fleet: Vec<_> = (0..all.len()).map(build).collect();
+    let mut alive: Vec<usize> = (0..fleet.len()).collect();
+    while !alive.is_empty() {
+        alive.retain(|&i| fleet[i].step());
+    }
+    for (i, interleaved) in fleet.iter().enumerate() {
+        let mut solo = build(i);
+        solo.run();
+        assert!(
+            interleaved.outcomes().len() >= all[i].roots.len(),
+            "campaign {i}"
+        );
+        assert!(interleaved.aborts().is_empty(), "campaign {i}");
+        assert_eq!(interleaved.outcomes(), solo.outcomes(), "campaign {i}");
+        assert_eq!(
+            interleaved.journal().expect("journaled").records_written(),
+            solo.journal().expect("journaled").records_written(),
+            "campaign {i}"
+        );
     }
 }
 

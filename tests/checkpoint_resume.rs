@@ -7,9 +7,8 @@
 //! drain-checkpoint-resume with outcome-cohort parity.
 
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_imrp_on, JournaledRun};
 use impress_core::{
-    imrp_journal, resume_imrp, run_imrp_journaled, DesignPipeline, ProtocolConfig, TargetToolkit,
+    imrp_journal, CampaignRun, CampaignSpec, DesignPipeline, ProtocolConfig, TargetToolkit,
 };
 use impress_pilot::{PilotConfig, RuntimeConfig};
 use impress_proteins::datasets::named_pdz_domains;
@@ -30,11 +29,17 @@ fn policy() -> AdaptivePolicy {
     }
 }
 
+/// The campaign under test, before any journal, deadline or resume plan.
+fn spec() -> CampaignSpec {
+    CampaignSpec::imrp(&targets(), ProtocolConfig::imrp(SEED))
+        .policy(policy())
+        .pilot(PilotConfig::with_seed(SEED))
+}
+
 /// A journaled run killed after `kill_after` records; returns the
 /// surviving store. The kill switch panics from inside the coordinator,
 /// which is exactly how a preempted allocation looks to the journal.
 fn killed_run(kill_after: u64, snapshot_interval: Option<usize>) -> MemoryJournal {
-    let targets = targets();
     let config = ProtocolConfig::imrp(SEED);
     let store = MemoryJournal::new();
     let mut journal = imrp_journal(Box::new(store.clone()), &config)
@@ -44,14 +49,7 @@ fn killed_run(kill_after: u64, snapshot_interval: Option<usize>) -> MemoryJourna
         journal = journal.with_snapshot_interval(i);
     }
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_imrp_journaled(
-            &targets,
-            config.clone(),
-            policy(),
-            PilotConfig::with_seed(SEED),
-            journal,
-            None,
-        )
+        spec().journal(journal).run()
     }));
     assert!(crashed.is_err(), "kill switch must fire");
     store
@@ -59,25 +57,13 @@ fn killed_run(kill_after: u64, snapshot_interval: Option<usize>) -> MemoryJourna
 
 fn resume_from(store: &MemoryJournal) -> (String, usize) {
     let loaded = load_plan(store).expect("surviving journal must load");
-    let resumed = resume_imrp(
-        &targets(),
-        ProtocolConfig::imrp(SEED),
-        policy(),
-        PilotConfig::with_seed(SEED),
-        &loaded.plan,
-    )
-    .expect("resume");
-    (impress_json::to_string(&resumed), loaded.dropped)
+    let resumed = spec().resume_from(loaded.plan).run().expect("resume");
+    (impress_json::to_string(&resumed.result), loaded.dropped)
 }
 
 fn baseline_json() -> String {
-    let r = run_imrp_on(
-        &targets(),
-        ProtocolConfig::imrp(SEED),
-        policy(),
-        PilotConfig::with_seed(SEED),
-    );
-    impress_json::to_string(&r)
+    let r = spec().run().expect("no resume plan to reject");
+    impress_json::to_string(&r.result)
 }
 
 /// Three adversarial kill points — just after campaign registration,
@@ -89,14 +75,10 @@ fn kill_and_resume_is_byte_identical_at_adversarial_kill_points() {
     // Record the campaign's natural journal length first.
     let store = MemoryJournal::new();
     let config = ProtocolConfig::imrp(SEED);
-    let full = run_imrp_journaled(
-        &targets(),
-        config.clone(),
-        policy(),
-        PilotConfig::with_seed(SEED),
-        imrp_journal(Box::new(store.clone()), &config).expect("journal"),
-        None,
-    );
+    let full = spec()
+        .journal(imrp_journal(Box::new(store.clone()), &config).expect("journal"))
+        .run()
+        .expect("no resume plan to reject");
     assert_eq!(baseline, impress_json::to_string(&full.result));
     let total = full.records;
     assert!(total > 20, "campaign too small to be adversarial: {total}");
@@ -145,15 +127,11 @@ fn torn_snapshot_write_forces_full_rerun_with_parity() {
         0,
         "a torn snapshot leaves nothing trustworthy to replay"
     );
-    let resumed = resume_imrp(
-        &targets(),
-        ProtocolConfig::imrp(SEED),
-        policy(),
-        PilotConfig::with_seed(SEED),
-        &loaded.plan,
-    )
-    .expect("resume from empty plan is a full re-run");
-    assert_eq!(baseline, impress_json::to_string(&resumed));
+    let resumed = spec()
+        .resume_from(loaded.plan)
+        .run()
+        .expect("resume from empty plan is a full re-run");
+    assert_eq!(baseline, impress_json::to_string(&resumed.result));
 }
 
 /// A journal whose head is garbage is a typed error, never a panic: the
@@ -178,23 +156,15 @@ fn simulated_drain_then_resume_matches_uninterrupted_run() {
     let config = ProtocolConfig::imrp(SEED);
     let store = MemoryJournal::new();
     // Deadline at roughly half the campaign: guaranteed to strand work.
-    let full = run_imrp_on(
-        &targets(),
-        config.clone(),
-        policy(),
-        PilotConfig::with_seed(SEED),
-    );
+    let full = spec().run().expect("no resume plan to reject").result;
     let deadline = SimTime::from_micros(full.run.makespan.as_micros() / 2);
-    let JournaledRun {
+    let CampaignRun {
         result, drained, ..
-    } = run_imrp_journaled(
-        &targets(),
-        config.clone(),
-        policy(),
-        PilotConfig::with_seed(SEED),
-        imrp_journal(Box::new(store.clone()), &config).expect("journal"),
-        Some(deadline),
-    );
+    } = spec()
+        .journal(imrp_journal(Box::new(store.clone()), &config).expect("journal"))
+        .deadline(deadline)
+        .run()
+        .expect("no resume plan to reject");
     assert!(drained, "a mid-campaign deadline must force a drain");
     assert!(
         result.outcomes.len() < full.outcomes.len() || result.run.total_tasks < full.run.total_tasks,
@@ -369,17 +339,12 @@ fn journal_fixture() -> &'static (Vec<String>, String) {
     use std::sync::OnceLock;
     static FIXTURE: OnceLock<(Vec<String>, String)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let targets = targets();
         let config = ProtocolConfig::imrp(SEED);
         let store = MemoryJournal::new();
-        let full = run_imrp_journaled(
-            &targets,
-            config.clone(),
-            policy(),
-            PilotConfig::with_seed(SEED),
-            imrp_journal(Box::new(store.clone()), &config).expect("journal"),
-            None,
-        );
+        let full = spec()
+            .journal(imrp_journal(Box::new(store.clone()), &config).expect("journal"))
+            .run()
+            .expect("no resume plan to reject");
         let mut lines = Vec::new();
         store.tamper(|l| lines = l.clone());
         (lines, impress_json::to_string(&full.result))

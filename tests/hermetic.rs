@@ -195,8 +195,9 @@ fn every_bench_suite_is_declared_in_the_manifest() {
 /// the code on the journal's on-disk format version. A version bump in
 /// `impress_workflow::journal` without regenerating `recovery.json`
 /// (`cargo run --release -p impress-bench --bin recovery`) fails here.
-/// Deliberately *not* a byte comparison: the study's replay wall-clock
-/// milliseconds are machine-dependent; only the structure is pinned.
+/// No row may carry a wall-clock reading: the bin prints replay
+/// milliseconds and keeps them out of the file, so the artifact
+/// regenerates byte for byte on any machine.
 #[test]
 fn recovery_artifact_matches_the_journal_format_version() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("recovery.json");
@@ -223,98 +224,10 @@ fn recovery_artifact_matches_the_journal_format_version() {
             Some(true),
             "every checked-in recovery cell must have resumed byte-identically: {row:?}"
         );
+        for (key, _) in row.as_object().expect("recovery rows are objects") {
+            assert!(!key.ends_with("_ms"), "wall-clock field {key:?} in {row:?}");
+        }
     }
-}
-
-/// The checked-in scheduler bench artifact must match the study's current
-/// document layout and carry both sides of the comparison: the live
-/// results *and* the embedded pre-optimization baseline. Deliberately not
-/// a byte comparison — the medians are machine-dependent; only the
-/// structure is pinned. Regenerate with
-/// `cargo run --release -p impress-bench --bin sched_bench`.
-#[test]
-fn scheduler_bench_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_scheduler.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the sched_bench bin", path.display()));
-    let json: impress_json::Json =
-        impress_json::from_str(&text).expect("BENCH_scheduler.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("BENCH_scheduler.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::sched::SCHED_BENCH_FORMAT_VERSION,
-        "BENCH_scheduler.json was generated under a different study format — regenerate it"
-    );
-    let results = json
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("BENCH_scheduler.json has results");
-    assert!(!results.is_empty(), "bench study must report cases");
-    let baseline = json.get("baseline").expect("baseline section present");
-    let micro = baseline
-        .get("micro")
-        .and_then(|m| m.as_array())
-        .expect("baseline has micro rows");
-    assert!(!micro.is_empty(), "baseline must document the before-shape");
-    let speedups = json
-        .get("speedups")
-        .and_then(|s| s.as_array())
-        .expect("speedups section present");
-    assert!(
-        !speedups.is_empty(),
-        "artifact must compare live results against the baseline"
-    );
-    json.get("imrp_campaign")
-        .and_then(|c| c.get("wall_ms"))
-        .and_then(|v| v.as_f64())
-        .expect("end-to-end campaign timing present");
-    let overhead = json
-        .get("telemetry_overhead")
-        .and_then(|t| t.get("overhead_ratio"))
-        .and_then(|v| v.as_f64())
-        .expect("telemetry overhead comparison present");
-    assert!(
-        overhead > 0.0 && overhead.is_finite(),
-        "telemetry overhead ratio must be a real measurement: {overhead}"
-    );
-}
-
-/// One tiny iteration of the scheduler bench study runs under `cargo test`,
-/// so the code that regenerates `BENCH_scheduler.json` cannot bit-rot
-/// between releases. The sample budget is clamped to keep this a smoke
-/// test, not a benchmark.
-#[test]
-fn scheduler_bench_smoke_iteration_produces_a_complete_document() {
-    std::env::set_var("IMPRESS_BENCH_SAMPLES", "1");
-    std::env::set_var("IMPRESS_BENCH_MAX_SECS", "0.2");
-    let doc = impress_bench::sched::run_study(&impress_bench::sched::StudyParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::sched::SCHED_BENCH_FORMAT_VERSION as f64)
-    );
-    let results = doc
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has results");
-    // One depth × two policies + one cluster case.
-    assert_eq!(results.len(), 3, "smoke study covers every code path");
-    assert!(
-        doc.get("imrp_campaign")
-            .and_then(|c| c.get("makespan_hours"))
-            .and_then(|v| v.as_f64())
-            .is_some_and(|h| h > 0.0),
-        "smoke campaign ran to completion"
-    );
-    assert!(
-        doc.get("telemetry_overhead")
-            .and_then(|t| t.get("null_sink_wall_ms"))
-            .and_then(|v| v.as_f64())
-            .is_some_and(|ms| ms > 0.0),
-        "smoke study measured the null-sink campaign"
-    );
 }
 
 /// The checked-in telemetry trace study must match the current document
@@ -394,101 +307,6 @@ fn trace_study_smoke_iteration_certifies_every_contract() {
         Some(true),
         "smoke trace study: backends disagreed on the virtual trace"
     );
-}
-
-/// The checked-in sim-engine scaling artifact must match the study's
-/// current document layout and carry both sides of the comparison: the
-/// live sharded-engine results *and* the embedded pre-sharding baseline —
-/// including the headline claim the study exists to make: the 10k-node /
-/// 1M-task campaign (unmeasurable on the old engine; its baseline cell is
-/// `null`) drains in single-digit seconds. Deliberately not a byte
-/// comparison — wall times are machine-dependent; only the structure and
-/// the headline invariant are pinned. Regenerate with
-/// `cargo run --release -p impress-bench --bin sim_bench`.
-#[test]
-fn sim_bench_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_sim.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the sim_bench bin", path.display()));
-    let json: impress_json::Json = impress_json::from_str(&text).expect("BENCH_sim.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("BENCH_sim.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::sim::SIM_BENCH_FORMAT_VERSION,
-        "BENCH_sim.json was generated under a different study format — regenerate it"
-    );
-    let results = json
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("BENCH_sim.json has results");
-    assert!(!results.is_empty(), "sim study must report rows");
-    let cells = json
-        .get("baseline")
-        .and_then(|b| b.get("cells"))
-        .and_then(|c| c.as_array())
-        .expect("baseline cells present");
-    assert!(
-        cells
-            .iter()
-            .any(|c| c.get("wall_ms").is_some_and(|v| v.is_null())),
-        "baseline must document the cell the old engine could not measure"
-    );
-    assert!(
-        !json
-            .get("speedups")
-            .and_then(|s| s.as_array())
-            .expect("speedups section present")
-            .is_empty(),
-        "artifact must compare the sharded engine against the baseline"
-    );
-    let headline = json.get("headline").expect("headline section present");
-    assert_eq!(
-        headline.get("nodes").and_then(|v| v.as_u64()),
-        Some(10_000),
-        "headline must be the 10k-node campaign"
-    );
-    assert_eq!(
-        headline.get("tasks").and_then(|v| v.as_u64()),
-        Some(1_000_000),
-        "headline must be the 1M-task campaign"
-    );
-    assert_eq!(
-        headline.get("single_digit_seconds").and_then(|v| v.as_bool()),
-        Some(true),
-        "the checked-in headline cell must drain in single-digit seconds"
-    );
-}
-
-/// One tiny iteration of the sim scaling study runs under `cargo test`,
-/// so the code that regenerates `BENCH_sim.json` cannot bit-rot between
-/// releases. The smoke cell runs all three engines (sequential, sharded,
-/// sharded-parallel) on a campaign small enough to stay a smoke test.
-#[test]
-fn sim_bench_smoke_iteration_produces_a_complete_document() {
-    let doc = impress_bench::sim::run_study(&impress_bench::sim::StudyParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::sim::SIM_BENCH_FORMAT_VERSION as f64)
-    );
-    let results = doc
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has results");
-    assert_eq!(results.len(), 3, "smoke study covers all three engines");
-    for row in results {
-        assert_eq!(
-            row.get("completed").and_then(|v| v.as_u64()),
-            row.get("tasks").and_then(|v| v.as_u64()),
-            "every smoke campaign must drain fully: {row:?}"
-        );
-    }
-    doc.get("headline")
-        .and_then(|h| h.get("wall_ms"))
-        .and_then(|v| v.as_f64())
-        .expect("smoke study reports a headline cell");
 }
 
 /// The checked-in gray-failure study artifact must match the study's
@@ -608,6 +426,118 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Every `.rs` file of the workspace and of the perf ledger, this one
+/// excepted (a guard has to spell what it searches for).
+fn workspace_sources() -> Vec<(PathBuf, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "src", "perf/src"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 20, "expected to scan the whole workspace");
+    files
+        .into_iter()
+        .map(|f| {
+            f.strip_prefix(root)
+                .expect("workspace-relative path")
+                .to_path_buf()
+        })
+        .filter(|rel| rel != Path::new("tests/hermetic.rs"))
+        .map(|rel| {
+            let text = std::fs::read_to_string(root.join(&rel))
+                .unwrap_or_else(|e| panic!("read {}: {e}", rel.display()));
+            (rel, text)
+        })
+        .collect()
+}
+
+/// `cargo test` runs a binary's tests on parallel threads, and the harness
+/// reads `IMPRESS_SEED` / `IMPRESS_BENCH_*` from many of them: a test that
+/// writes the process environment races every sibling that reads it. Code
+/// that needs a different setting takes it as an argument (`Suite`'s
+/// private constructor, `parse_seed`).
+#[test]
+fn no_source_file_mutates_the_process_environment() {
+    let mut violations = Vec::new();
+    for (rel, text) in workspace_sources() {
+        for (i, line) in text.lines().enumerate() {
+            if ["set_var(", "remove_var("].iter().any(|n| line.contains(n)) {
+                violations.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "environment writes:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// `perf/` + `BENCHMARK.json` is the one performance instrument. The four
+/// `BENCH_*.json` studies it replaced each compared HEAD with constants
+/// embedded from a different dead commit and read the sample-count
+/// variables with their own defaults; this guard fails when a perf change
+/// forks the ledger that way again.
+#[test]
+fn the_perf_ledger_is_the_only_performance_artifact() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let stale: Vec<String> = std::fs::read_dir(root)
+        .expect("read the repository root")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "performance artifacts beside the ledger: {stale:?}"
+    );
+
+    let sources = workspace_sources();
+    let readers: Vec<&Path> = sources
+        .iter()
+        .filter(|(_, text)| text.contains("IMPRESS_BENCH_SAMPLES"))
+        .map(|(rel, _)| rel.as_path())
+        .collect();
+    assert_eq!(
+        readers,
+        [Path::new("crates/bench/src/timing.rs")],
+        "sample-count readers"
+    );
+    for (rel, text) in &sources {
+        assert!(
+            !rel.starts_with("crates/bench/src") || !text.contains("mod baseline"),
+            "{} embeds a baseline table",
+            rel.display()
+        );
+    }
+
+    let bench_dir = root.join("crates/bench");
+    let manifest = std::fs::read_to_string(bench_dir.join("Cargo.toml"))
+        .expect("read crates/bench/Cargo.toml");
+    let mut bins = 0;
+    for path in manifest
+        .lines()
+        .filter_map(|l| l.strip_prefix("path = \"src/bin/"))
+    {
+        let file = bench_dir.join("src/bin").join(path.trim_end_matches('"'));
+        assert!(
+            file.is_file(),
+            "[[bin]] without its source: {}",
+            file.display()
+        );
+        bins += 1;
+    }
+    assert!(
+        bins >= 12,
+        "expected every paper and study bin, found {bins}"
+    );
+}
+
 /// The deprecated pilot constructor shims and `Session` probes completed
 /// their one-release sunset and were deleted; the workspace is now a
 /// zero-`#[deprecated]` codebase by policy. Deprecation here means
@@ -617,23 +547,8 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// suppression) reappears anywhere in the workspace sources.
 #[test]
 fn no_deprecated_items_anywhere_in_the_workspace() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    // Only this guard file may spell the needles (it has to name them to
-    // search for them).
-    let allowlist: [&Path; 1] = [Path::new("tests/hermetic.rs")];
-    let mut files = Vec::new();
-    for dir in ["crates", "tests", "examples", "src"] {
-        rs_files(&root.join(dir), &mut files);
-    }
-    assert!(files.len() > 20, "expected to scan the whole workspace");
     let mut violations = Vec::new();
-    for file in files {
-        let rel = file.strip_prefix(root).expect("workspace-relative path");
-        if allowlist.contains(&rel) {
-            continue;
-        }
-        let text = std::fs::read_to_string(&file)
-            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+    for (rel, text) in workspace_sources() {
         for needle in ["#[deprecated", "#![deprecated", "(deprecated)"] {
             for (i, line) in text.lines().enumerate() {
                 if line.contains(needle) {
@@ -690,16 +605,9 @@ fn the_virtual_time_backends_share_one_set_of_lifecycle_handlers() {
         !root.join("crates/sim/src/engine.rs").exists(),
         "the closure engine was deleted with its last caller"
     );
-    // Spelled in two halves so that this file does not name it either.
     let engine = ["impress_sim", "Engine"].join("::");
-    let mut files = Vec::new();
-    for dir in ["crates", "tests", "examples", "src", "perf/src"] {
-        rs_files(&root.join(dir), &mut files);
-    }
-    assert!(files.len() > 20, "expected to scan the whole workspace");
-    for file in files {
-        let text = std::fs::read_to_string(&file).expect("read workspace source");
-        assert!(!text.contains(&engine), "{} names {engine}", file.display());
+    for (rel, text) in workspace_sources() {
+        assert!(!text.contains(&engine), "{} names {engine}", rel.display());
     }
 }
 
@@ -876,221 +784,4 @@ fn partition_smoke_iteration_produces_a_complete_document() {
         .and_then(|a| a.get("exactly_once_at_every_rate"))
         .and_then(|v| v.as_bool())
         .expect("smoke study reports the exactly-once verdict");
-}
-
-/// The checked-in coordinator fast-path study must match the study's
-/// current document layout and certify the claims it exists to make: the
-/// group-commit + slab-dispatch fast path cuts journaled-campaign
-/// overhead at least 5x against the embedded pre-optimization baseline
-/// (file-store cell), and 1,000 concurrent journaled coordinators drain
-/// to completion on one thread. Structure + claims, never wall-clock
-/// bytes (those are machine-dependent). Regenerate with
-/// `cargo run --release -p impress-bench --bin coord_bench`.
-#[test]
-fn coord_bench_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_coord.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the coord_bench bin", path.display()));
-    let json: impress_json::Json = impress_json::from_str(&text).expect("BENCH_coord.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("BENCH_coord.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::coord::COORD_BENCH_FORMAT_VERSION,
-        "BENCH_coord.json was generated under a different study format — regenerate it"
-    );
-    let results = json
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("BENCH_coord.json has results");
-    assert_eq!(results.len(), 2, "one overhead cell per journal store");
-    json.get("baseline")
-        .and_then(|b| b.get("commit"))
-        .and_then(|c| c.as_str())
-        .expect("baseline must name the pre-optimization commit");
-    let reductions = json
-        .get("overhead_reductions")
-        .and_then(|r| r.as_array())
-        .expect("overhead_reductions section present");
-    assert_eq!(reductions.len(), 2, "both stores compare against baseline");
-    let headline = json.get("headline").expect("headline section present");
-    assert_eq!(
-        headline.get("coordinators").and_then(|v| v.as_u64()),
-        Some(1000),
-        "headline must be the 1k-concurrent-coordinator cell"
-    );
-    assert_eq!(
-        headline.get("all_completed").and_then(|v| v.as_bool()),
-        Some(true),
-        "every concurrent campaign in the checked-in headline must complete"
-    );
-    assert_eq!(
-        headline
-            .get("five_x_file_overhead_reduction")
-            .and_then(|v| v.as_bool()),
-        Some(true),
-        "the checked-in artifact must certify the 5x file-overhead reduction"
-    );
-}
-
-/// One tiny iteration of the coordinator study runs under `cargo test`,
-/// so the code that regenerates `BENCH_coord.json` cannot bit-rot. The
-/// smoke grid covers both journal stores and a small concurrent fleet.
-#[test]
-fn coord_bench_smoke_iteration_produces_a_complete_document() {
-    let doc = impress_bench::coord::run_study(&impress_bench::coord::StudyParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::coord::COORD_BENCH_FORMAT_VERSION as f64)
-    );
-    let results = doc
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has results");
-    assert_eq!(results.len(), 2, "smoke grid covers memory and file stores");
-    for row in results {
-        assert!(
-            row.get("records").and_then(|v| v.as_u64()).unwrap_or(0) > 0,
-            "every smoke cell must journal records: {row:?}"
-        );
-        assert!(
-            row.get("journaled_ms").and_then(|v| v.as_f64()).is_some(),
-            "every smoke cell must time the journaled drain: {row:?}"
-        );
-    }
-    let headline = doc.get("headline").expect("smoke study has a headline");
-    assert_eq!(
-        headline.get("all_completed").and_then(|v| v.as_bool()),
-        Some(true),
-        "every smoke concurrent campaign must drain to completion"
-    );
-}
-
-/// The checked-in multi-tenant campaign-service study must match the
-/// study's current document layout and certify the claims it exists to
-/// make: 1,000+ concurrent campaigns on the simulated 1,000-node cluster,
-/// every campaign completed, Jain fairness ≥ 0.9 under equal weights,
-/// p50/p99 campaign latency and a scheduler-overhead comparison reported,
-/// and the weight-4 tenant served no worse than the weight-1 tenant.
-/// Structure + claims, never wall-clock bytes (those are
-/// machine-dependent). Regenerate with
-/// `cargo run --release -p impress-bench --bin serve_bench`.
-#[test]
-fn serve_bench_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_serve.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the serve_bench bin", path.display()));
-    let json: impress_json::Json = impress_json::from_str(&text).expect("BENCH_serve.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("BENCH_serve.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::serve::SERVE_BENCH_FORMAT_VERSION,
-        "BENCH_serve.json was generated under a different study format — regenerate it"
-    );
-    assert_eq!(
-        json.get("cluster").and_then(|c| c.get("nodes")).and_then(|v| v.as_u64()),
-        Some(1000),
-        "the study runs on the simulated 1,000-node cluster"
-    );
-    let results = json
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("BENCH_serve.json has results");
-    assert!(!results.is_empty(), "at least one grid cell");
-    for row in results {
-        for key in [
-            "campaigns",
-            "p50_latency_s",
-            "p99_latency_s",
-            "jain_fairness",
-            "overhead_ratio",
-            "baseline_wall_ms",
-        ] {
-            assert!(
-                row.get(key).and_then(|v| v.as_f64()).is_some(),
-                "every cell reports {key}: {row:?}"
-            );
-        }
-        assert_eq!(
-            row.get("all_completed").and_then(|v| v.as_bool()),
-            Some(true),
-            "every campaign in every checked-in cell must complete: {row:?}"
-        );
-        assert!(
-            row.get("jain_fairness").and_then(|v| v.as_f64()).unwrap() >= 0.9,
-            "equal-weight tenants must score Jain >= 0.9: {row:?}"
-        );
-    }
-    let headline = json.get("headline").expect("headline section present");
-    assert!(
-        headline
-            .get("max_concurrent_campaigns")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0)
-            >= 1000,
-        "headline must cover 1k+ concurrent campaigns"
-    );
-    assert_eq!(
-        headline.get("thousand_plus_campaigns").and_then(|v| v.as_bool()),
-        Some(true)
-    );
-    assert_eq!(
-        headline.get("fair_at_equal_weights").and_then(|v| v.as_bool()),
-        Some(true),
-        "the checked-in artifact must certify Jain >= 0.9 at equal weights"
-    );
-    for key in ["p50_latency_s", "p99_latency_s", "overhead_ratio"] {
-        assert!(
-            headline.get(key).and_then(|v| v.as_f64()).is_some(),
-            "headline reports {key}"
-        );
-    }
-    let weighted = json.get("weighted").expect("weighted cell present");
-    assert_eq!(
-        weighted.get("heavy_not_worse").and_then(|v| v.as_bool()),
-        Some(true),
-        "the weight-4 tenant must not be served worse than the weight-1 tenant"
-    );
-}
-
-/// One tiny iteration of the campaign-service study runs under
-/// `cargo test`, so the code that regenerates `BENCH_serve.json` cannot
-/// bit-rot. The smoke grid drives a small multi-tenant fleet plus the
-/// weighted cell end to end.
-#[test]
-fn serve_bench_smoke_iteration_produces_a_complete_document() {
-    let doc = impress_bench::serve::run_study(&impress_bench::serve::StudyParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::serve::SERVE_BENCH_FORMAT_VERSION as f64)
-    );
-    let results = doc
-        .get("results")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has results");
-    assert!(!results.is_empty());
-    for row in results {
-        assert_eq!(
-            row.get("all_completed").and_then(|v| v.as_bool()),
-            Some(true),
-            "every smoke campaign must complete: {row:?}"
-        );
-        assert!(
-            row.get("jain_fairness").and_then(|v| v.as_f64()).unwrap_or(0.0) >= 0.9,
-            "smoke equal-weight fairness holds: {row:?}"
-        );
-        assert!(
-            row.get("tasks").and_then(|v| v.as_u64()).unwrap_or(0) > 0,
-            "smoke cells execute real tasks: {row:?}"
-        );
-    }
-    doc.get("weighted")
-        .and_then(|w| w.get("latency_ratio"))
-        .and_then(|v| v.as_f64())
-        .expect("smoke study runs the weighted cell");
 }

@@ -3,8 +3,8 @@
 
 use impress_bench::harness::expanded_experiment;
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_imrp, run_imrp_on};
-use impress_core::ProtocolConfig;
+use impress_core::experiment::run_imrp;
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_pilot::PilotConfig;
 use impress_proteins::datasets::{mined_pdz_complexes, named_pdz_domains};
 use impress_proteins::MetricKind;
@@ -94,18 +94,18 @@ fn speculation_width_does_not_change_accepted_designs() {
 fn multi_node_scaling_shortens_makespan() {
     let targets = mined_pdz_complexes(3, 10);
     let run = |nodes: u32| {
-        run_imrp_on(
-            &targets,
-            ProtocolConfig::imrp(3),
-            AdaptivePolicy {
+        CampaignSpec::imrp(&targets, ProtocolConfig::imrp(3))
+            .policy(AdaptivePolicy {
                 sub_budget: 4,
                 ..AdaptivePolicy::default()
-            },
-            PilotConfig {
+            })
+            .pilot(PilotConfig {
                 nodes,
                 ..PilotConfig::with_seed(3)
-            },
-        )
+            })
+            .run()
+            .expect("no resume plan to reject")
+            .result
     };
     let one = run(1);
     let four = run(4);

@@ -10,11 +10,8 @@
 //!   exactly, across random workload shapes and priorities.
 
 use impress_bench::trace::parity_trace;
-use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_imrp_on, run_imrp_traced};
-use impress_core::ProtocolConfig;
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_json::{Json, ToJson};
-use impress_pilot::PilotConfig;
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::props;
 use impress_telemetry::{
@@ -24,13 +21,10 @@ use impress_telemetry::{
 fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, Telemetry, Json) {
     let targets = named_pdz_domains(seed);
     let (telemetry, recorder) = Telemetry::recording(1 << 18);
-    run_imrp_traced(
-        &targets,
-        ProtocolConfig::imrp(seed),
-        AdaptivePolicy::default(),
-        PilotConfig::with_seed(seed),
-        telemetry.clone(),
-    );
+    CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
+        .telemetry(telemetry.clone())
+        .run()
+        .expect("no resume plan to reject");
     let chrome = recorder.chrome_trace(TraceClock::Virtual);
     (recorder.events(), telemetry, chrome)
 }
@@ -114,19 +108,17 @@ fn telemetry_never_perturbs_the_experiment() {
     for seed in [3, 17] {
         let targets = named_pdz_domains(seed);
         let config = ProtocolConfig::imrp(seed);
-        let policy = AdaptivePolicy::default();
-        let off = run_imrp_on(&targets, config.clone(), policy, PilotConfig::with_seed(seed));
+        let off = CampaignSpec::imrp(&targets, config.clone())
+            .run()
+            .expect("no resume plan to reject");
         let (telemetry, _recorder) = Telemetry::recording(1 << 18);
-        let on = run_imrp_traced(
-            &targets,
-            config,
-            policy,
-            PilotConfig::with_seed(seed),
-            telemetry,
-        );
+        let on = CampaignSpec::imrp(&targets, config)
+            .telemetry(telemetry)
+            .run()
+            .expect("no resume plan to reject");
         assert_eq!(
-            impress_json::to_string(&off.to_json()),
-            impress_json::to_string(&on.to_json()),
+            impress_json::to_string(&off.result.to_json()),
+            impress_json::to_string(&on.result.to_json()),
             "seed {seed}: tracing changed the experiment"
         );
     }
