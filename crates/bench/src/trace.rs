@@ -11,7 +11,7 @@
 //!    [`check_nesting`] and the Chrome export round-trips through
 //!    `impress-json` byte-for-byte.
 //! 3. **Backend parity** — a serialized workload replayed on the
-//!    simulated and threaded backends exports byte-identical
+//!    simulated, sharded and threaded backends exports byte-identical
 //!    virtual-clock traces (scheduler mechanics filtered out; see
 //!    [`parity_trace`]).
 //!
@@ -34,7 +34,6 @@ use impress_telemetry::{
     check_nesting, write_chrome_trace, write_chrome_trace_filtered, SpanCat, Telemetry,
     TelemetryEvent, TraceClock,
 };
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Bumped whenever the JSON document layout changes; `tests/hermetic.rs`
 /// checks the checked-in artifact against this.
@@ -78,14 +77,12 @@ impl TraceParams {
 /// virtual-clock Chrome trace as a canonical string.
 ///
 /// The workload is the parity shape: full-node tasks (execution
-/// serializes, so placement order is the scheduler's decision order) with
-/// a max-priority gate task that — on the threaded backend — blocks the
-/// node until every submission is enqueued. No completion can be
-/// delivered while the gate holds the node, so every submission observes
-/// virtual time zero on both backends and the modeled virtual clock
-/// evolves exactly like the simulated one. Scheduler placement-round
-/// spans are filtered out of the export: how many rounds the backend
-/// polls is backend mechanics, not workload causality.
+/// serializes, so placement order is the scheduler's decision order)
+/// behind a max-priority first task, all submitted at virtual time zero —
+/// no backend makes progress before its first `next_completion`.
+/// Scheduler placement-round spans are filtered out of the export: how
+/// many rounds a driver runs per instant is backend mechanics, not
+/// workload causality.
 pub fn parity_trace(threaded: bool, seed: u64, tasks: usize) -> String {
     parity_trace_on(
         if threaded {
@@ -105,7 +102,7 @@ pub enum ParityBackend {
     Simulated,
     /// The sharded parallel-DES engine (default shard count).
     Sharded,
-    /// Real threads with a virtual model clock.
+    /// Real threads under the paced virtual clock.
     Threaded,
 }
 
@@ -121,8 +118,7 @@ impl ParityBackend {
 }
 
 /// [`parity_trace`] generalized to any engine — see there for the
-/// workload's construction and why the gate task makes the three virtual
-/// clocks comparable.
+/// workload's construction.
 pub fn parity_trace_on(which: ParityBackend, seed: u64, tasks: usize) -> String {
     let config = PilotConfig {
         bootstrap: SimDuration::from_secs(1),
@@ -133,40 +129,23 @@ pub fn parity_trace_on(which: ParityBackend, seed: u64, tasks: usize) -> String 
     let full = ResourceRequest::with_gpus(node.cores, node.gpus);
     let (telemetry, recorder) = Telemetry::recording(1 << 16);
     let runtime = RuntimeConfig::new(config).telemetry(telemetry);
-    let threaded = which == ParityBackend::Threaded;
     let mut backend: Box<dyn ExecutionBackend> = match which {
         ParityBackend::Simulated => Box::new(runtime.simulated()),
         ParityBackend::Sharded => Box::new(runtime.sharded()),
         ParityBackend::Threaded => Box::new(runtime.threaded()),
     };
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    {
-        let gate = gate.clone();
-        backend.submit(
-            TaskDescription::new("gate", full, SimDuration::from_secs(1))
-                .with_priority(i32::MAX)
-                .with_work(move || {
-                    if threaded {
-                        let (lock, cv) = &*gate;
-                        let mut open = lock.lock().expect("gate lock");
-                        while !*open {
-                            open = cv.wait(open).expect("gate wait");
-                        }
-                    }
-                }),
-        );
-    }
+    // `trace_summary.json` pins this trace's size, first task included.
+    backend.submit(
+        TaskDescription::new("gate", full, SimDuration::from_secs(1))
+            .with_priority(i32::MAX)
+            .with_work(|| ()),
+    );
     for i in 0..tasks {
         backend.submit(TaskDescription::new(
             format!("p{i}"),
             full,
             SimDuration::from_secs(5 + 3 * i as u64),
         ));
-    }
-    {
-        let (lock, cv) = &*gate;
-        *lock.lock().expect("gate lock") = true;
-        cv.notify_all();
     }
     while backend.next_completion().is_some() {}
     let mut trace = String::new();

@@ -1,4 +1,4 @@
-//! The one discrete-event core under both virtual-time backends.
+//! The one discrete-event core under all three backends.
 //!
 //! Everything that decides what happens to an attempt lives here, once:
 //! placement, the fault plan's verdict at the grant, retry backoff,
@@ -16,7 +16,11 @@
 //!   how a scheduled event is taken back. [`SimulatedBackend`] lends one
 //!   [`EventQueue`], popped one event per step with immediate cancel;
 //!   [`ShardedBackend`] lends its shard queues, outboxes and sequence
-//!   merge, and processes an instant at a time.
+//!   merge, and processes an instant at a time. The transport is also
+//!   where a driver with a wall clock says so: [`ThreadedBackend`] (the
+//!   sequential driver again, paced) starts work closures on OS threads
+//!   at [`Transport::launch`] and dual-stamps telemetry at
+//!   [`Transport::stamp`]; the other two leave both at their defaults.
 //! * a [`UtilSink`] — where occupancy is booked: the per-device
 //!   [`Profiler`](crate::profiler::Profiler) behind the figure series, or
 //!   the sharded driver's O(1) occupancy integral.
@@ -31,6 +35,7 @@
 //!
 //! [`SimulatedBackend`]: crate::backend::SimulatedBackend
 //! [`ShardedBackend`]: crate::backend::ShardedBackend
+//! [`ThreadedBackend`]: crate::backend::ThreadedBackend
 //! [`EventQueue`]: impress_sim::EventQueue
 
 use super::{msg_key, Completion, TaskError};
@@ -133,6 +138,21 @@ pub(super) trait Transport {
     /// transport's business: handlers re-validate what a late event
     /// finds.
     fn cancel(&mut self, handle: Handle);
+
+    /// An attempt of `task` that the fault plan lets finish was placed. A
+    /// driver that executes work off the event loop takes the closure out
+    /// of `work` here and leaves one that waits for its result; the
+    /// default leaves it alone and `finish_task` runs it at the
+    /// completion instant. Either way what is in `work` stays with the
+    /// task record, so it runs at most once per task: an evicted
+    /// attempt's result is there for whichever attempt completes, and an
+    /// attempt planned to fail or time out never gets here.
+    fn launch(&mut self, _task: u64, _work: &mut Option<TaskWork>) {}
+
+    /// The telemetry stamp for an event at virtual instant `at`.
+    fn stamp(&self, at: SimTime) -> Stamp {
+        Stamp::virt(at)
+    }
 }
 
 /// Occupancy accounting: the seam between the handlers and whoever
@@ -344,10 +364,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             "bootstrap",
             SpanId::NONE,
             track::PILOT,
-            Stamp::virt(SimTime::ZERO),
+            transport.stamp(SimTime::ZERO),
             &[],
         );
-        telemetry.end(boot, Stamp::virt(SimTime::ZERO + config.bootstrap));
+        telemetry.end(boot, transport.stamp(SimTime::ZERO + config.bootstrap));
         let mut core = Core {
             transport,
             util,
@@ -608,7 +628,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "dedup-hit",
                 self.task_span(task),
                 track::task(task),
-                Stamp::virt(at),
+                self.transport.stamp(at),
                 &[("attempt", attempt as i64), ("kind", kind as i64)],
             );
             self.telemetry.count("dedup_hits", 1);
@@ -628,7 +648,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "fenced-completion",
                 self.task_span(task),
                 track::task(task),
-                Stamp::virt(at),
+                self.transport.stamp(at),
                 &[("attempt", attempt as i64)],
             );
             self.telemetry.count("fenced_completions", 1);
@@ -694,13 +714,14 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         self.enqueue(task);
         if self.telemetry.enabled() {
             let tele = self.telemetry.clone();
+            let at = self.transport.stamp(now);
             let t = self.record(task);
             t.spans.queue = tele.span(
                 SpanCat::Queue,
                 "queue",
                 t.spans.task,
                 track::task(task),
-                Stamp::virt(now),
+                at,
                 &[("attempt", attempt as i64)],
             );
             t.spans.queued_at = now;
@@ -753,7 +774,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                     "resync",
                     SpanId::NONE,
                     track::FAULT,
-                    Stamp::virt(now),
+                    self.transport.stamp(now),
                     &[("node", node as i64)],
                 );
                 self.telemetry.count("resyncs", 1);
@@ -827,7 +848,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "suspect",
                 SpanId::NONE,
                 track::FAULT,
-                Stamp::virt(now),
+                self.transport.stamp(now),
                 &[("node", node as i64)],
             );
             self.telemetry.count("suspicions", 1);
@@ -845,7 +866,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                     "lease-expired",
                     self.attempt_span(task),
                     track::task(task),
-                    Stamp::virt(now),
+                    self.transport.stamp(now),
                     &[("node", node as i64), ("attempt", run.attempt as i64)],
                 );
                 self.telemetry.count("lease_expiries", 1);
@@ -913,7 +934,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         self.in_flight -= 1;
         if self.telemetry.enabled() {
             let tele = &self.telemetry;
-            let at = Stamp::virt(now);
+            let at = self.transport.stamp(now);
             tele.end(task.spans.attempt, at);
             tele.end(task.spans.task, at);
             let outcome = if result.is_ok() {
@@ -986,7 +1007,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         node: u32,
     ) {
         if self.telemetry.enabled() {
-            let at = Stamp::virt(now);
+            let at = self.transport.stamp(now);
             let attempt = self.attempt_span(id.0);
             let fault = match &err {
                 TaskError::Injected => "fault-injected",
@@ -1059,7 +1080,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             };
             if self.telemetry.enabled() {
                 let tele = &self.telemetry;
-                let at = Stamp::virt(now);
+                let at = self.transport.stamp(now);
                 tele.instant(
                     SpanCat::Quarantine,
                     "poisoned",
@@ -1090,7 +1111,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             err
         };
         if self.telemetry.enabled() {
-            self.telemetry.end(task.spans.task, Stamp::virt(now));
+            self.telemetry.end(task.spans.task, self.transport.stamp(now));
             self.telemetry.count("tasks_failed", 1);
             self.telemetry.gauge("in_flight", self.in_flight as f64);
         }
@@ -1189,7 +1210,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "hedge-place",
                 self.attempt_span(task),
                 track::task(task),
-                Stamp::virt(now),
+                self.transport.stamp(now),
                 &[("attempt", attempt as i64), ("node", alloc.node as i64)],
             );
             self.telemetry.count("hedges", 1);
@@ -1272,7 +1293,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "hedge-win",
                 self.attempt_span(task),
                 track::task(task),
-                Stamp::virt(now),
+                self.transport.stamp(now),
                 &[("node", hedge.alloc.node as i64)],
             );
             self.telemetry.count("hedge_wins", 1);
@@ -1302,7 +1323,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "hedge-lose",
                 self.attempt_span(task),
                 track::task(task),
-                Stamp::virt(now),
+                self.transport.stamp(now),
                 &[("node", node as i64)],
             );
             self.telemetry.count("hedge_losses", 1);
@@ -1326,7 +1347,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "node-crash",
                 SpanId::NONE,
                 track::FAULT,
-                Stamp::virt(now),
+                self.transport.stamp(now),
                 &[("node", node as i64)],
             );
             self.telemetry.count("node_crashes", 1);
@@ -1361,7 +1382,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 "node-recover",
                 SpanId::NONE,
                 track::FAULT,
-                Stamp::virt(now),
+                self.transport.stamp(now),
                 &[("node", node as i64)],
             );
         }
@@ -1380,7 +1401,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         let placements = self.scheduler.place_ready();
         if self.telemetry.enabled() && queued > 0 {
             let tele = &self.telemetry;
-            let at = Stamp::virt(now);
+            let at = self.transport.stamp(now);
             let round = tele.span(
                 SpanCat::Scheduler,
                 "placement-round",
@@ -1428,7 +1449,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 self.in_flight -= 1;
                 if self.telemetry.enabled() {
                     let tele = &self.telemetry;
-                    let at = Stamp::virt(now);
+                    let at = self.transport.stamp(now);
                     tele.end(task.spans.queue, at);
                     tele.instant(
                         SpanCat::Quarantine,
@@ -1505,7 +1526,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 self.held.push(id.0);
                 if self.telemetry.enabled() {
                     let tele = &self.telemetry;
-                    let at = Stamp::virt(now);
+                    let at = self.transport.stamp(now);
                     let spans = self.spans(id.0).expect("held task exists");
                     tele.end(spans.queue, at);
                     tele.instant(
@@ -1525,7 +1546,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             launched += 1;
             if self.telemetry.enabled() {
                 let tele = self.telemetry.clone();
-                let at = Stamp::virt(now);
+                let at = self.transport.stamp(now);
                 let spans = &mut self.record(id.0).spans;
                 tele.end(spans.queue, at);
                 let waited = now.since(spans.queued_at).as_secs_f64();
@@ -1555,7 +1576,13 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 outcome,
                 event,
             });
-            self.record(task).running = Some(slot);
+            let record = self.tasks[task as usize]
+                .as_mut()
+                .expect("an in-flight task has a record");
+            record.running = Some(slot);
+            if matches!(outcome, Planned::Finish) {
+                self.transport.launch(task, &mut record.work);
+            }
             // Hedge arming: once the shape class has a runtime estimate, an
             // attempt still running past k× that estimate gets a duplicate.
             // The check is armed only when it could fire before the modeled
@@ -1604,7 +1631,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         };
         if self.telemetry.enabled() {
             let tele = &self.telemetry;
-            let at = Stamp::virt(now);
+            let at = self.transport.stamp(now);
             let tr = track::task(id.0);
             spans.task = tele.span(
                 SpanCat::Task,
@@ -1685,7 +1712,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         self.in_flight -= 1;
         if self.telemetry.enabled() {
             let tele = &self.telemetry;
-            let at = Stamp::virt(now);
+            let at = self.transport.stamp(now);
             let tr = track::task(id.0);
             tele.end(task.spans.queue, at);
             tele.instant(SpanCat::Task, "canceled", task.spans.task, tr, at, &[]);
@@ -1745,7 +1772,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         task.attempts += 1;
         let attempt = task.attempts;
         if self.telemetry.enabled() {
-            let at = Stamp::virt(now);
+            let at = self.transport.stamp(now);
             let evicted = self.attempt_span(id.0);
             self.telemetry.instant(
                 SpanCat::Scheduler,

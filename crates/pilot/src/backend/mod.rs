@@ -1,28 +1,34 @@
 //! Execution backends.
 //!
-//! One trait, three backends — two of them drivers of one core:
+//! One trait, three backends — all of them drivers of one core:
 //!
-//! * `des` (private) — the discrete-event core both virtual-time
-//!   backends run: typed `Copy` events, a dense task table, and every
-//!   attempt-lifecycle handler (placement, retry, hedge, quarantine,
-//!   crash, control-plane delivery, cancel, preempt) written once,
-//!   generic over an event transport and a utilization sink.
+//! * `des` (private) — the discrete-event core every backend runs: typed
+//!   `Copy` events, a dense task table, and every attempt-lifecycle
+//!   handler (placement, retry, hedge, quarantine, crash, control-plane
+//!   delivery, cancel, preempt) written once, generic over an event
+//!   transport and a utilization sink. Virtual time is authoritative on
+//!   all three: `now()`, completion stamps, utilization, the phase
+//!   breakdown and the deadline are on the modeled clock.
 //! * [`SimulatedBackend`] — the core on one event queue, popped one event
 //!   per step, with per-device utilization. Tasks cost their declared
 //!   [`crate::task::TaskDescription::duration`]; work closures run at the
 //!   completion instant. Every paper figure is regenerated on this
 //!   backend, because the original experiments take 27–38 wall-clock
-//!   hours, and the sharded driver is checked against it.
+//!   hours, and the other two drivers are checked against it.
 //! * [`ShardedBackend`] — the core on per-node-group event-queue shards
 //!   advanced to a conservative lookahead horizon and merged by a global
 //!   sequence number, with one heartbeat round per tick and an optional
 //!   worker-thread drive mode. Bit-identical to the simulated backend (a
 //!   256-case differential test checks the two transports against each
 //!   other) and the backend of choice for 10k-node campaign studies.
-//! * [`ThreadedBackend`] — real threads, real work, the same slot
-//!   semantics. Used by the examples and by tests that exercise actual
-//!   concurrency. Virtual durations can optionally be dilated into real
-//!   sleeps via a time-scale factor.
+//! * [`ThreadedBackend`] — the simulated backend's sequential driver
+//!   again, with each work closure on an OS thread of its own (started
+//!   when an attempt that will finish is placed, joined at its
+//!   completion, run at most once per task) and the virtual clock paced
+//!   to `time_scale` wall seconds per virtual second. Same event stream,
+//!   same completions; attempts that overlap in virtual time overlap in
+//!   real time. Used by the examples and by tests that exercise actual
+//!   concurrency.
 //!
 //! The coordinator (in `impress-workflow`) drives any of them through
 //! [`ExecutionBackend`], so protocol logic is backend-agnostic.
@@ -265,11 +271,13 @@ pub trait ExecutionBackend {
     /// Submit a task; returns its id immediately.
     fn submit(&mut self, desc: TaskDescription) -> TaskId;
 
-    /// Deliver the next completion, advancing (virtual or real) time as
-    /// needed. Returns `None` when no submitted task remains unfinished.
+    /// Deliver the next completion, advancing virtual time (and, on the
+    /// threaded backend, waiting for real work and the paced clock) as
+    /// needed. All progress happens here. Returns `None` when no
+    /// submitted task remains unfinished.
     fn next_completion(&mut self) -> Option<Completion>;
 
-    /// Current backend time.
+    /// Current backend time: the virtual clock, on every backend.
     fn now(&self) -> SimTime;
 
     /// Tasks submitted but not yet completed.
@@ -281,13 +289,12 @@ pub trait ExecutionBackend {
     /// Pilot phase breakdown so far.
     fn phase_breakdown(&self) -> PhaseBreakdown;
 
-    /// Best-effort cancellation of a task that has not *committed* to
-    /// running its work. On success a completion with
-    /// [`TaskError::Canceled`] is delivered through the normal stream, and
-    /// a `true` acknowledgement guarantees the task's work closure will
-    /// never produce an `Ok` completion. Returns `false` if the task
-    /// already committed, finished, is unknown, or (best-effort) is
-    /// waiting out a retry backoff.
+    /// Best-effort cancellation of a task that is still queued. On
+    /// success a completion with [`TaskError::Canceled`] is delivered
+    /// through the normal stream, and a `true` acknowledgement guarantees
+    /// the task will never produce an `Ok` completion. Returns `false` if
+    /// the task was already placed, finished, is unknown, or
+    /// (best-effort) is waiting out a retry backoff.
     fn cancel(&mut self, _id: TaskId) -> bool {
         false
     }
@@ -335,18 +342,16 @@ pub trait ExecutionBackend {
         impress_telemetry::disabled_ref()
     }
 
-    /// Current *virtual* time. Identical to [`now`](Self::now) on backends
-    /// whose clock is already virtual (the simulated backend). The
-    /// threaded backend — whose `now` is wall-clock — overrides this with
-    /// its model-derived virtual watermark: the latest virtual completion
-    /// time it has delivered.
+    /// Current *virtual* time. Every backend in this crate keeps its
+    /// clock virtual, so this is [`now`](Self::now); it stays in the
+    /// trait for backends outside it whose `now` is not.
     fn virtual_now(&self) -> SimTime {
         self.now()
     }
 
     /// A dual-clock telemetry stamp for "here and now": virtual time from
     /// [`virtual_now`](Self::virtual_now), plus wall-clock micros on
-    /// backends that have a wall clock.
+    /// backends that have a wall clock (the threaded backend).
     fn stamp(&self) -> impress_telemetry::Stamp {
         impress_telemetry::Stamp::virt(self.virtual_now())
     }

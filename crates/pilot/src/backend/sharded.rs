@@ -832,7 +832,8 @@ mod tests {
     /// snapshot, and the byte-exact Chrome trace. The handlers are one
     /// program now, so what this checks is the two transports and the two
     /// heartbeat clocks. The parallel drive mode must match its own
-    /// serial drive the same way.
+    /// serial drive the same way, and so must the threaded backend — the
+    /// oracle's own driver with every work closure on an OS thread.
     mod differential {
         use super::*;
         use impress_telemetry::{chrome_trace, MetricsSnapshot, Telemetry, TraceClock};
@@ -866,7 +867,10 @@ mod tests {
 
         fn describe(&(cores, gpus, duration, priority, walltime): &Desc) -> TaskDescription {
             let request = ResourceRequest::with_gpus(cores, gpus);
-            let d = TaskDescription::new("t", request, duration).with_priority(priority);
+            // Work, so that the threaded arm really spawns.
+            let d = TaskDescription::new("t", request, duration)
+                .with_priority(priority)
+                .with_work(move || cores);
             match walltime {
                 Some(w) => d.with_walltime(SimDuration::from_secs(w)),
                 None => d,
@@ -986,8 +990,8 @@ mod tests {
         }
 
         props! {
-            /// 256 random campaigns, three engines each: sequential oracle,
-            /// sharded (serial drive), sharded (parallel drive).
+            /// 256 random campaigns, four engines each: sequential oracle,
+            /// sharded (serial drive), sharded (parallel drive), threaded.
             fn sharded_engine_matches_sequential_oracle(rng, cases = 256) {
                 let nodes = 1 + rng.below(6) as u32;
                 let cores = 2 + rng.below(7) as u32;
@@ -1223,6 +1227,18 @@ mod tests {
                 assert_eq!(serial.snapshot, parallel.snapshot);
                 assert_eq!(serial.trace, parallel.trace);
                 assert_eq!(serial.cstats, parallel.cstats);
+
+                // Threads: the oracle's driver and accounting, so equal in
+                // everything, utilization included.
+                let threaded = run(&campaign, |rt| rt.threaded(), |b| b.finish_instant());
+                assert_eq!(oracle.completions, threaded.completions, "threaded stream diverged");
+                assert_eq!(oracle.end, threaded.end);
+                assert_eq!(oracle.held, threaded.held);
+                assert_eq!(oracle.snapshot, threaded.snapshot);
+                assert_eq!(oracle.trace, threaded.trace);
+                assert_eq!(oracle.breakdown, threaded.breakdown);
+                assert_eq!(oracle.cstats, threaded.cstats);
+                assert_eq!(format!("{:?}", oracle.util), format!("{:?}", threaded.util));
             }
         }
     }

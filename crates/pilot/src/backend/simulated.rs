@@ -1,4 +1,4 @@
-//! The deterministic virtual-time backend, and the reference driver of
+//! The deterministic virtual-time backend, and the sequential driver of
 //! the shared DES core.
 //!
 //! Submissions enqueue into the scheduler; placements, exec-setup delays
@@ -6,8 +6,8 @@
 //! closures execute at their task's completion instant. The whole 27-hour
 //! CONT-V run replays in milliseconds, bit-identically for a given seed.
 //!
-//! This driver is the plain one, kept plain because the sharded driver is
-//! checked against it:
+//! The driver (`Sequential`, private to `backend/`) is the plain one,
+//! kept plain because the sharded driver is checked against it:
 //!
 //! * **One queue, one event per step.** A single [`EventQueue`] ordered by
 //!   `(time, scheduling order)`; [`ExecutionBackend::next_completion`]
@@ -22,6 +22,13 @@
 //! * **Per-device utilization.** Occupancy is booked through the
 //!   [`Profiler`], which keeps the busy intervals behind the fig. 4/5
 //!   series and the per-task records.
+//!
+//! It is generic over one seam, `Exec`: what real time has to do with
+//! the run. [`SimulatedBackend`] is the driver over `Inline` — nothing:
+//! work runs inside the event loop, the clock is never paced, stamps are
+//! virtual — and monomorphises to exactly the loop above.
+//! [`ThreadedBackend`](super::ThreadedBackend) is the same driver over OS
+//! threads and a paced clock (`backend/threaded.rs`).
 //!
 //! Fault injection (via [`crate::RuntimeConfig::faults`]) weaves a
 //! [`FaultPlan`](crate::FaultPlan) into the same event stream: injected
@@ -47,19 +54,43 @@ use crate::pilot::{PhaseBreakdown, PilotConfig};
 use crate::profiler::{Profiler, UtilizationReport};
 use crate::resources::Allocation;
 use crate::runtime::RuntimeConfig;
-use crate::task::{TaskDescription, TaskId};
+use crate::task::{TaskDescription, TaskId, TaskWork};
 use impress_sim::{EventQueue, SimDuration, SimTime};
-use impress_telemetry::Telemetry;
+use impress_telemetry::{Stamp, Telemetry};
+
+/// What real time has to do with a sequentially driven run. The defaults
+/// are "nothing", which is [`Inline`].
+pub(super) trait Exec {
+    /// [`Transport::launch`]: an attempt that will finish was placed.
+    fn launch(&mut self, _task: u64, _work: &mut Option<TaskWork>) {}
+
+    /// The event at virtual instant `at` is next: wait until it is due.
+    fn pace(&mut self, _at: SimTime) {}
+
+    /// [`Transport::stamp`].
+    fn stamp(&self, at: SimTime) -> Stamp {
+        Stamp::virt(at)
+    }
+}
+
+/// Pure virtual time: work runs at its completion instant inside the
+/// event loop and the clock jumps from event to event.
+pub(super) struct Inline;
+
+impl Exec for Inline {}
 
 /// The single queue is the whole transport: its ids order same-instant
 /// events by scheduling order, and a cancel takes effect at once.
-struct SingleQueue(EventQueue<Ev>);
+struct SingleQueue<X> {
+    queue: EventQueue<Ev>,
+    exec: X,
+}
 
-impl Transport for SingleQueue {
+impl<X: Exec> Transport for SingleQueue<X> {
     fn schedule(&mut self, at: SimTime, ev: Ev) -> Handle {
         Handle {
             lane: 0,
-            event: self.0.schedule(at, ev),
+            event: self.queue.schedule(at, ev),
         }
     }
 
@@ -74,7 +105,15 @@ impl Transport for SingleQueue {
     }
 
     fn cancel(&mut self, handle: Handle) {
-        let _ = self.0.cancel(handle.event);
+        let _ = self.queue.cancel(handle.event);
+    }
+
+    fn launch(&mut self, task: u64, work: &mut Option<TaskWork>) {
+        self.exec.launch(task, work);
+    }
+
+    fn stamp(&self, at: SimTime) -> Stamp {
+        self.exec.stamp(at)
     }
 }
 
@@ -121,44 +160,38 @@ impl UtilSink for Profiler {
     }
 }
 
-/// The virtual-time pilot backend.
-pub struct SimulatedBackend {
-    core: Core<SingleQueue, Profiler>,
+/// The sequential driver: the core on one queue, one event per step.
+pub(super) struct Sequential<X: Exec> {
+    core: Core<SingleQueue<X>, Profiler>,
 }
 
-impl SimulatedBackend {
-    /// Start a pilot on a simulated node. Bootstrap begins at `t = 0`; no
-    /// task can start before `config.bootstrap` has elapsed.
-    pub fn new(config: PilotConfig) -> Self {
-        Self::from_config(RuntimeConfig::new(config))
-    }
-
-    /// Start a pilot under a full [`RuntimeConfig`]: fault plan + retry
-    /// policy, walltime deadline and telemetry in one value. The default
-    /// config (`RuntimeConfig::new(pilot)`) is exactly
-    /// [`SimulatedBackend::new`]: no extra events, no extra randomness.
-    /// (`time_scale` is threaded-only and ignored here — virtual time is
-    /// already this backend's clock.)
-    pub fn from_config(runtime: RuntimeConfig) -> Self {
+impl<X: Exec> Sequential<X> {
+    /// Start a pilot under `runtime`, executing through `exec`. Bootstrap
+    /// begins at `t = 0`.
+    pub(super) fn new(runtime: RuntimeConfig, exec: X) -> Self {
         let pilot = &runtime.pilot;
         let profiler = Profiler::new_cluster(pilot.node.cores, pilot.node.gpus, pilot.nodes);
-        SimulatedBackend {
-            core: Core::new(runtime, SingleQueue(EventQueue::new()), profiler),
+        let queue = SingleQueue {
+            queue: EventQueue::new(),
+            exec,
+        };
+        Sequential {
+            core: Core::new(runtime, queue, profiler),
         }
     }
 
-    /// The pilot configuration this backend runs.
-    pub fn config(&self) -> &PilotConfig {
+    pub(super) fn config(&self) -> &PilotConfig {
         self.core.config()
     }
 
-    /// Dispatch the next event, if any. Returns `false` when the queue is
-    /// exhausted.
+    /// Dispatch the next event, if any, once it is due. Returns `false`
+    /// when the queue is exhausted.
     fn step(&mut self) -> bool {
-        let Some(next) = self.core.transport.0.pop() else {
+        let Some(next) = self.core.transport.queue.pop() else {
             return false;
         };
         debug_assert!(next.at >= self.core.now, "event queue went backwards");
+        self.core.transport.exec.pace(next.at);
         self.core.now = next.at;
         match next.payload {
             Ev::HeartbeatSend { node } => self.heartbeat_send(node, next.at),
@@ -173,8 +206,8 @@ impl SimulatedBackend {
     /// this on a drained backend before it submits into it or reads its
     /// counters, so that both are observed at the same boundary.
     #[cfg(test)]
-    pub(crate) fn finish_instant(&mut self) {
-        while self.core.transport.0.peek_time() == Some(self.core.now) {
+    pub(super) fn finish_instant(&mut self) {
+        while self.core.transport.queue.peek_time() == Some(self.core.now) {
             self.step();
         }
     }
@@ -222,29 +255,9 @@ impl SimulatedBackend {
         core.transport.schedule(check, Ev::SuspectCheck { node });
         core.transport.schedule(next, Ev::HeartbeatSend { node });
     }
-
-    /// Binned CPU-occupancy series up to the current time (Fig. 4/5 data).
-    pub fn cpu_series(&self, bin: SimDuration) -> Vec<f64> {
-        self.core.util.cpu_series(self.core.now, bin)
-    }
-
-    /// Binned GPU slot-occupancy series up to the current time.
-    pub fn gpu_slot_series(&self, bin: SimDuration) -> Vec<f64> {
-        self.core.util.gpu_slot_series(self.core.now, bin)
-    }
-
-    /// Binned GPU hardware-busy series up to the current time.
-    pub fn gpu_hw_series(&self, bin: SimDuration) -> Vec<f64> {
-        self.core.util.gpu_hw_series(self.core.now, bin)
-    }
-
-    /// Per-task records completed so far (cloned snapshot).
-    pub fn task_records(&self) -> Vec<crate::profiler::TaskRecord> {
-        self.core.util.records().to_vec()
-    }
 }
 
-impl ExecutionBackend for SimulatedBackend {
+impl<X: Exec> ExecutionBackend for Sequential<X> {
     fn submit(&mut self, desc: TaskDescription) -> TaskId {
         let id = self.core.submit(desc);
         self.ensure_heartbeats();
@@ -294,10 +307,114 @@ impl ExecutionBackend for SimulatedBackend {
         self.core.preempt(id)
     }
 
+    fn stamp(&self) -> Stamp {
+        self.core.transport.stamp(self.core.now)
+    }
+
     fn control_stats(&self) -> ControlStats {
         self.core.cstats
     }
 }
+
+/// [`ExecutionBackend`] for a public newtype over a [`Sequential`]: the
+/// driver is generic and private, the backends are neither.
+macro_rules! drive_sequential {
+    ($backend:ty) => {
+        impl $crate::backend::ExecutionBackend for $backend {
+            fn submit(&mut self, desc: $crate::task::TaskDescription) -> $crate::task::TaskId {
+                self.0.submit(desc)
+            }
+            fn next_completion(&mut self) -> Option<$crate::backend::Completion> {
+                self.0.next_completion()
+            }
+            fn now(&self) -> impress_sim::SimTime {
+                self.0.now()
+            }
+            fn in_flight(&self) -> usize {
+                self.0.in_flight()
+            }
+            fn utilization(&self) -> $crate::profiler::UtilizationReport {
+                self.0.utilization()
+            }
+            fn phase_breakdown(&self) -> $crate::pilot::PhaseBreakdown {
+                self.0.phase_breakdown()
+            }
+            fn held_tasks(&self) -> usize {
+                self.0.held_tasks()
+            }
+            fn telemetry(&self) -> &impress_telemetry::Telemetry {
+                self.0.telemetry()
+            }
+            fn cancel(&mut self, id: $crate::task::TaskId) -> bool {
+                self.0.cancel(id)
+            }
+            fn preempt(&mut self, id: $crate::task::TaskId) -> bool {
+                self.0.preempt(id)
+            }
+            fn stamp(&self) -> impress_telemetry::Stamp {
+                self.0.stamp()
+            }
+            fn control_stats(&self) -> $crate::control::ControlStats {
+                self.0.control_stats()
+            }
+        }
+    };
+}
+pub(super) use drive_sequential;
+
+/// The virtual-time pilot backend.
+pub struct SimulatedBackend(Sequential<Inline>);
+
+impl SimulatedBackend {
+    /// Start a pilot on a simulated node. Bootstrap begins at `t = 0`; no
+    /// task can start before `config.bootstrap` has elapsed.
+    pub fn new(config: PilotConfig) -> Self {
+        Self::from_config(RuntimeConfig::new(config))
+    }
+
+    /// Start a pilot under a full [`RuntimeConfig`]: fault plan + retry
+    /// policy, walltime deadline and telemetry in one value. The default
+    /// config (`RuntimeConfig::new(pilot)`) is exactly
+    /// [`SimulatedBackend::new`]: no extra events, no extra randomness.
+    /// (`time_scale` paces the threaded backend's clock and is ignored
+    /// here — this backend never waits for one.)
+    pub fn from_config(runtime: RuntimeConfig) -> Self {
+        SimulatedBackend(Sequential::new(runtime, Inline))
+    }
+
+    /// The pilot configuration this backend runs.
+    pub fn config(&self) -> &PilotConfig {
+        self.0.config()
+    }
+
+    /// Test support: [`Sequential::finish_instant`].
+    #[cfg(test)]
+    pub(crate) fn finish_instant(&mut self) {
+        self.0.finish_instant();
+    }
+
+    /// Binned CPU-occupancy series up to the current time (Fig. 4/5 data).
+    pub fn cpu_series(&self, bin: SimDuration) -> Vec<f64> {
+        self.0.core.util.cpu_series(self.0.core.now, bin)
+    }
+
+    /// Binned GPU slot-occupancy series up to the current time.
+    pub fn gpu_slot_series(&self, bin: SimDuration) -> Vec<f64> {
+        self.0.core.util.gpu_slot_series(self.0.core.now, bin)
+    }
+
+    /// Binned GPU hardware-busy series up to the current time.
+    pub fn gpu_hw_series(&self, bin: SimDuration) -> Vec<f64> {
+        self.0.core.util.gpu_hw_series(self.0.core.now, bin)
+    }
+
+    /// Per-task records completed so far (cloned snapshot).
+    pub fn task_records(&self) -> Vec<crate::profiler::TaskRecord> {
+        self.0.core.util.records().to_vec()
+    }
+}
+
+drive_sequential!(SimulatedBackend);
 
 #[cfg(test)]
 mod tests {

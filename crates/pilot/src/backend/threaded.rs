@@ -1,2184 +1,156 @@
-//! The real-thread backend.
+//! The real-thread backend: the sequential driver of the shared DES core,
+//! with work on OS threads and a paced clock.
 //!
-//! Executes task work closures on actual OS threads while enforcing the same
-//! slot semantics as the simulated backend: a task holding `n` cores and `g`
-//! GPUs blocks other tasks from those devices until it finishes. Used by the
-//! examples (live runs at natural speed) and by concurrency tests.
+//! Everything that decides what happens to an attempt — placement, fault
+//! verdicts, retries, walltime, the deadline hold, hedging, quarantine,
+//! node crashes, the control plane, cancel and preempt — is the one core
+//! in `backend/des.rs`, driven by the one sequential driver in
+//! `backend/simulated.rs`. This file adds the two things a live run has
+//! that a replay does not (`Threads`, the driver's execution seam):
 //!
-//! Virtual durations can be dilated into real sleeps with
-//! [`RuntimeConfig::time_scale`](crate::RuntimeConfig::time_scale) — e.g. a scale of `1e-4` replays a
-//! 28-hour CONT-V run in about ten real seconds with faithful overlap
-//! structure. The default scale of `0.0` skips sleeping entirely and runs
-//! work closures back-to-back.
+//! * **Work runs on real threads.** When the first attempt of a task that
+//!   the fault plan lets finish is placed, its work closure moves to an
+//!   OS thread of its own; the attempt's completion joins it. Attempts
+//!   that hold slots at the same virtual time therefore overlap in real
+//!   time, and slot limits serialise real work exactly as they serialise
+//!   modeled work. A closure runs at most once per task: an attempt
+//!   evicted by a crash, a suspicion or a preemption leaves the running
+//!   (or finished) thread with the task, and whichever attempt completes
+//!   — the retry, or a winning hedge duplicate — joins it and surfaces
+//!   its output. Attempts planned to fail (`Injected`, `TimedOut`) never
+//!   start it. A panic in the closure is re-raised at the join and
+//!   surfaces as [`TaskError::WorkPanicked`](super::TaskError) like
+//!   everywhere else.
+//! * **The virtual clock is paced.** Before an event at virtual instant
+//!   `t` is applied the driver sleeps until `t ×`
+//!   [`time_scale`](crate::RuntimeConfig::time_scale) seconds of real time
+//!   have passed since the backend was built — a scale of `1e-4` replays
+//!   a 28-hour CONT-V run in about ten real seconds with faithful overlap
+//!   structure. At the default scale of `0.0` nothing sleeps and the run
+//!   takes as long as its work does.
 //!
-//! Architecture: one scheduler thread owns the [`Scheduler`] and the
-//! [`Profiler`]; submissions and worker messages arrive on a channel
-//! (the in-repo [`crate::sync`] Mutex+Condvar channel — no external
-//! dependency); each placed task runs on its own spawned thread. Completion
-//! order is whatever real concurrency produces — determinism is the
-//! simulated backend's job.
+//! Virtual time is authoritative, as on the other two backends: `now()`,
+//! completion stamps, utilization, the phase breakdown and
+//! [`RuntimeConfig::deadline`](crate::RuntimeConfig::deadline) are all on
+//! the modeled clock, and the completion stream is deterministic for a
+//! seed. Progress happens inside
+//! [`next_completion`](super::ExecutionBackend::next_completion);
+//! `cancel` accepts queued tasks and `preempt` evicts running ones, as on
+//! the other two. Telemetry events carry both clocks
+//! ([`Stamp::dual`]): the virtual instant, and wall-clock microseconds
+//! since the backend's epoch, so `TraceClock::Wall` exports show real
+//! execution.
 //!
-//! Fault injection ([`RuntimeConfig::faults`](crate::RuntimeConfig::faults)) mirrors the simulated
-//! backend: *which* attempts fault is decided by the same seeded
-//! [`FaultPlan`] (so the two backends agree on the fault sequence), and the
-//! worker thread realizes the outcome — an injected transient failure or
-//! walltime expiry ends the attempt without running its work, and the
-//! scheduler thread applies the [`RetryPolicy`] before surfacing an error.
-//! Node crash/recover windows become scheduler-thread timers that drain the
-//! node and preempt resident workers mid-sleep; since a zero time scale has
-//! no sleeps to preempt, node-fault injection requires `time_scale > 0`.
-//!
-//! Cancellation is race-free: a per-task cancel-requested flag is checked
-//! under one lock both by [`ExecutionBackend::cancel`] and by the worker at
-//! its *commit point* (after its sleep, before running its work). A cancel
-//! acknowledged with `true` therefore never yields an `Ok` completion.
-//!
-//! Telemetry (via [`crate::RuntimeConfig::telemetry`]) records the same
-//! spans, instants and metrics as the simulated backend, dual-stamped with
-//! both clocks: the wall clock (microseconds since the backend's epoch)
-//! and a *modeled virtual clock* that replays the simulated backend's
-//! time arithmetic alongside real execution. Per-device virtual-free
-//! watermarks advance by `exec setup + launch overhead + run` exactly as
-//! the `impress-sim` engine would, and the completion watermark (the max
-//! virtual end over delivered completions) feeds submit times, so a
-//! seeded serialized workload exports a virtual-time trace byte-identical
-//! to the simulated backend's.
+//! Dropping the backend detaches workers that have not been joined; they
+//! run to the end of their closure and their output is discarded.
 
-use crate::backend::{Completion, ExecutionBackend, TaskError};
-use crate::control::{ControlPlane, ControlStats};
-use crate::fault::{dilate_span, AttemptFault, SlowWindow};
-use crate::pilot::{PhaseBreakdown, PilotConfig};
-use crate::profiler::{Profiler, UtilizationReport};
-use crate::resources::{Allocation, ResourceRequest};
+use super::simulated::{drive_sequential, Exec, Sequential};
+use crate::pilot::PilotConfig;
+use crate::resources::NodeSpec;
 use crate::runtime::RuntimeConfig;
-use crate::scheduler::Scheduler;
-use crate::sync::{channel, Receiver, RecvTimeoutError, Sender};
-use crate::task::{TaskDescription, TaskId, TaskKind, TaskOutput, TaskWork};
-use impress_sim::{SimDuration, SimRng, SimTime};
-use impress_telemetry::{track, SpanCat, SpanId, Stamp, Telemetry};
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use crate::task::TaskWork;
+use impress_sim::SimTime;
+use impress_telemetry::Stamp;
+use std::collections::HashSet;
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
-/// Lock a mutex, recovering the guard when the mutex is poisoned. A worker
-/// that panicked while holding one of the backend's locks has its panic
-/// captured and surfaced as a task error elsewhere; propagating the poison
-/// here would wedge every later lock site behind a second, unrelated panic.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// Real time for the sequential driver: worker threads and a paced clock.
+struct Threads {
+    /// When the backend was built: virtual zero on the wall clock.
+    epoch: Instant,
+    /// Wall seconds per virtual second.
+    time_scale: f64,
+    /// Tasks whose closure is already on a thread.
+    launched: HashSet<u64>,
 }
 
-/// Everything the scheduler keeps per submitted-but-unfinished task; travels
-/// back to the scheduler when an attempt fails so it can be resubmitted.
-struct TaskSpec {
-    name: String,
-    tag: String,
-    request: ResourceRequest,
-    priority: i32,
-    duration: SimDuration,
-    gpu_busy_fraction: f64,
-    kind: TaskKind,
-    walltime: Option<SimDuration>,
-    attempts: u32,
-    work: Option<TaskWork>,
-}
-
-/// Scheduler-thread bookkeeping per unfinished task: the spans opened for
-/// it plus the modeled virtual-clock window of its current attempt. The
-/// virtual fields are maintained even with telemetry off — they back
-/// [`ExecutionBackend::virtual_now`] and cost a few compares per placement.
-#[derive(Clone, Copy)]
-struct VtSpans {
-    /// Whole-lifetime span (opened on the client thread at submit).
-    task: SpanId,
-    /// Current queue-wait span.
-    queue: SpanId,
-    /// Current attempt span.
-    attempt: SpanId,
-    /// Virtual instant the current queue wait began.
-    queued_vt: SimTime,
-    /// Modeled virtual start of the current attempt.
-    start_vt: SimTime,
-    /// Modeled virtual end of the current attempt.
-    end_vt: SimTime,
-}
-
-enum Msg {
-    Submit {
-        id: TaskId,
-        spec: TaskSpec,
-        /// Completion watermark at submit: the virtual submit instant.
-        vt_queued: SimTime,
-        /// Task span opened client-side ([`SpanId::NONE`] when off).
-        task_span: SpanId,
-        /// Queue span opened client-side ([`SpanId::NONE`] when off).
-        queue_span: SpanId,
-    },
-    /// The worker committed and produced a terminal result. `hedge` is
-    /// true when the committing worker was a speculative duplicate.
-    WorkerDone {
-        id: TaskId,
-        alloc: Allocation,
-        started: SimTime,
-        incarnation: u64,
-        hedge: bool,
-        result: Result<Option<TaskOutput>, TaskError>,
-    },
-    /// The attempt ended before its work ran (injected fault, walltime
-    /// expiry, or node-crash preemption); the scheduler still owns the
-    /// spec and applies the retry policy.
-    AttemptFailed {
-        id: TaskId,
-        alloc: Allocation,
-        started: SimTime,
-        incarnation: u64,
-        err: TaskError,
-    },
-    /// The worker observed the cancel-requested flag and backed out.
-    WorkerCanceled {
-        id: TaskId,
-        alloc: Allocation,
-        started: SimTime,
-        incarnation: u64,
-    },
-    /// One side of a hedged pair lost the race (or was preempted) and
-    /// backed out without committing; its occupancy is hedge waste.
-    HedgeLost {
-        id: TaskId,
-        alloc: Allocation,
-        started: SimTime,
-        incarnation: u64,
-        hedge: bool,
-    },
-    Cancel {
-        id: TaskId,
-    },
-    Shutdown,
-}
-
-/// Scheduler-thread timers: retry backoffs, the node fault schedule, and
-/// hedge checks. Each fault timer carries the virtual instant it models so
-/// telemetry can stamp the resulting events on the virtual clock.
-enum Timer {
-    Retry {
-        id: TaskId,
-        spec: TaskSpec,
-        vt: SimTime,
-    },
-    Crash(u32, SimTime),
-    Recover(u32, SimTime),
-    /// Re-check a possibly-straggling attempt for hedging.
-    HedgeCheck { id: TaskId, attempt: u32 },
-    /// One failure-detector tick for a node: emit (or skip) the seeded
-    /// heartbeat, heal a false suspicion on delivery, suspect on a full
-    /// timeout of silence. `vt` is the modeled virtual tick instant.
-    Heartbeat { node: u32, vt: SimTime },
-}
-
-/// Cancellation handshake state, shared between the client thread (cancel),
-/// the scheduler thread (terminal bookkeeping) and workers (commit point).
-#[derive(Default)]
-struct TaskStatus {
-    cancel_requested: bool,
-    committed: bool,
-    terminal: bool,
-    /// Set by the scheduler when the main attempt settles while its hedge
-    /// duplicate is still sleeping: a fenced hedge can never commit, so
-    /// the retry ladder safely reclaims the shared work closure.
-    hedge_fenced: bool,
-}
-
-/// Scheduler-thread bookkeeping for a live hedge duplicate.
-struct HedgeMeta {
-    alloc: Allocation,
-    started: SimTime,
-    incarnation: u64,
-    token: Arc<SleepToken>,
-    /// Modeled virtual window of the duplicate.
-    start_vt: SimTime,
-    end_vt: SimTime,
-}
-
-/// The hedging threshold base for a shape class: the running mean of
-/// useful completion virtual spans once `min_samples` have been observed,
-/// the attempt's own modeled span until then.
-fn shape_estimate(
-    estimates: &HashMap<(u32, u32), (u64, u128)>,
-    shape: (u32, u32),
-    fallback: SimDuration,
-    min_samples: u32,
-) -> SimDuration {
-    match estimates.get(&shape) {
-        Some(&(n, total)) if n >= min_samples as u64 => {
-            SimDuration::from_micros((total / n as u128) as u64)
-        }
-        _ => fallback,
+impl Threads {
+    /// How long after the epoch virtual instant `at` is due. A scale that
+    /// is not a usable factor (negative, NaN, overflowing) paces nothing.
+    fn due(&self, at: SimTime) -> Duration {
+        Duration::try_from_secs_f64(at.as_secs_f64() * self.time_scale).unwrap_or(Duration::ZERO)
     }
 }
 
-type StatusMap = Arc<Mutex<HashMap<u64, TaskStatus>>>;
+impl Exec for Threads {
+    fn launch(&mut self, task: u64, work: &mut Option<TaskWork>) {
+        // A retry of a task already on its thread has nothing to start.
+        let Some(run) = work.take_if(|_| self.launched.insert(task)) else {
+            return;
+        };
+        let worker = std::thread::Builder::new()
+            .name(format!("pilot-task-{task}"))
+            .spawn(run)
+            .expect("spawn a worker thread");
+        *work = Some(Box::new(move || {
+            worker.join().unwrap_or_else(|panic| resume_unwind(panic))
+        }));
+    }
 
-/// An interruptible sleep: a crashed node (or a cancel) preempts resident
-/// workers mid-sleep instead of letting them run to completion.
-struct SleepToken {
-    preempted: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl SleepToken {
-    fn new() -> Self {
-        SleepToken {
-            preempted: Mutex::new(false),
-            cv: Condvar::new(),
+    fn pace(&mut self, at: SimTime) {
+        if let Some(wait) = self.due(at).checked_sub(self.epoch.elapsed()) {
+            std::thread::sleep(wait);
         }
     }
 
-    fn preempt(&self) {
-        *lock_recover(&self.preempted) = true;
-        self.cv.notify_all();
+    /// Both clocks. An instant stamped ahead of the clock (the bootstrap
+    /// span's end, recorded up front) gets the wall time it is due at.
+    fn stamp(&self, at: SimTime) -> Stamp {
+        let wall = self.epoch.elapsed().max(self.due(at));
+        Stamp::dual(at, wall.as_micros() as u64)
     }
-
-    /// Sleep up to `dur`; returns `false` if preempted first.
-    fn sleep(&self, dur: Duration) -> bool {
-        let deadline = Instant::now() + dur;
-        let mut flag = lock_recover(&self.preempted);
-        loop {
-            if *flag {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(flag, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            flag = guard;
-        }
-    }
-}
-
-struct SchedState {
-    profiler: Profiler,
-    breakdown: PhaseBreakdown,
 }
 
 /// The real-thread pilot backend.
-pub struct ThreadedBackend {
-    tx: Sender<Msg>,
-    completion_rx: Receiver<Completion>,
-    state: Arc<Mutex<SchedState>>,
-    statuses: StatusMap,
-    unfinished: Arc<AtomicUsize>,
-    /// Like `unfinished`, but decremented *before* a completion is made
-    /// visible on the channel (where `unfinished` is decremented after).
-    /// Backs `in_flight()`: once a consumer has popped the final
-    /// completion, this already reads zero — while `unfinished` keeps the
-    /// opposite ordering so `next_completion` can never return `None`
-    /// with a completion still in transit.
-    inflight: Arc<AtomicUsize>,
-    /// Tasks held back by the deadline (they will never launch).
-    held: Arc<AtomicUsize>,
-    epoch: Instant,
-    next_id: u64,
-    scheduler_thread: Option<std::thread::JoinHandle<()>>,
-    node: crate::resources::NodeSpec,
-    /// Modeled virtual clock: max virtual end over delivered completions,
-    /// in micros. Read at submit (virtual queue-entry time) and by
-    /// [`ExecutionBackend::virtual_now`].
-    vt_watermark: Arc<AtomicU64>,
-    /// Control-plane resilience counters (scheduler thread writes, client
-    /// reads). All-zero without an armed control plane.
-    cstats: Arc<Mutex<ControlStats>>,
-    telemetry: Telemetry,
-}
+pub struct ThreadedBackend(Sequential<Threads>);
 
 impl ThreadedBackend {
-    /// Start a pilot over real threads. `config.bootstrap` and per-task
-    /// exec setup are honored only when a time scale is set.
+    /// Start a pilot over real threads, unpaced (`time_scale = 0`).
     pub fn new(config: PilotConfig) -> Self {
         Self::from_config(RuntimeConfig::new(config))
     }
 
     /// Start a pilot under a full [`RuntimeConfig`]: time scale, fault
-    /// plan + retry policy, walltime deadline and telemetry in one value.
-    ///
-    /// Task-level faults (transients, hangs, walltime expiries) work at
-    /// any time scale; the node crash/recover schedule needs
-    /// `time_scale > 0` — with no real sleeps there is no execution window
-    /// for a crash to interrupt, so it is skipped entirely at scale `0`.
+    /// plan + retry policy, walltime deadline, hedging, quarantine and
+    /// telemetry in one value. Everything but `time_scale` means what it
+    /// means on [`SimulatedBackend`](super::SimulatedBackend), at any
+    /// time scale.
     pub fn from_config(runtime: RuntimeConfig) -> Self {
-        let RuntimeConfig {
-            pilot: config,
-            faults,
-            retry,
-            deadline,
-            time_scale,
-            telemetry,
-            hedge,
-            quarantine,
-            ..
-        } = runtime;
-        let (tx, rx) = channel::<Msg>();
-        let (completion_tx, completion_rx) = channel::<Completion>();
-        let state = Arc::new(Mutex::new(SchedState {
-            profiler: Profiler::new_cluster(config.node.cores, config.node.gpus, config.nodes),
-            breakdown: PhaseBreakdown {
-                bootstrap: if time_scale > 0.0 {
-                    config.bootstrap
-                } else {
-                    SimDuration::ZERO
-                },
-                ..Default::default()
-            },
-        }));
-        let statuses: StatusMap = Arc::new(Mutex::new(HashMap::new()));
-        let unfinished = Arc::new(AtomicUsize::new(0));
-        let inflight = Arc::new(AtomicUsize::new(0));
-        // Allocation deadline in backend-time micros; `u64::MAX` = none.
-        let deadline_micros = Arc::new(AtomicU64::new(
-            deadline.map(|d| d.as_micros()).unwrap_or(u64::MAX),
-        ));
-        let held = Arc::new(AtomicUsize::new(0));
-        let vt_watermark = Arc::new(AtomicU64::new(0));
-        let cstats = Arc::new(Mutex::new(ControlStats::default()));
-        // The same seeded plane the deterministic engines realize: `None`
-        // when link faults are disabled, which keeps every path below on
-        // the exact pre-control-plane behavior.
-        let control = ControlPlane::from_plan(&faults);
-        let epoch = Instant::now();
-
-        let thread_state = state.clone();
-        let thread_statuses = statuses.clone();
-        let thread_unfinished = unfinished.clone();
-        let thread_inflight = inflight.clone();
-        let thread_deadline = deadline_micros.clone();
-        let thread_held = held.clone();
-        let thread_watermark = vt_watermark.clone();
-        let thread_cstats = cstats.clone();
-        let tele = telemetry.clone();
-        let exec_setup = config.exec_setup_per_task;
-        let worker_tx = tx.clone();
-        let node = config.node;
-        let scheduler_thread = std::thread::Builder::new()
-            .name("pilot-scheduler".into())
-            .spawn(move || {
-                if time_scale > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(
-                        config.bootstrap.as_secs_f64() * time_scale,
-                    ));
-                }
-                let vt_bootstrap = SimTime::ZERO + config.bootstrap;
-                if tele.enabled() {
-                    // The modeled virtual clock always pays the bootstrap
-                    // (mirroring the simulated backend), even when the real
-                    // sleep is skipped at time scale 0.
-                    let boot = tele.span(
-                        SpanCat::Pilot,
-                        "bootstrap",
-                        SpanId::NONE,
-                        track::PILOT,
-                        Stamp::dual(SimTime::ZERO, 0),
-                        &[],
-                    );
-                    tele.end(
-                        boot,
-                        Stamp::dual(vt_bootstrap, epoch.elapsed().as_micros() as u64),
-                    );
-                }
-                let mut scheduler = Scheduler::new_cluster(
-                    crate::resources::ClusterSpec::homogeneous(node, config.nodes),
-                    config.policy,
-                );
-                let mut backoff_rng = SimRng::from_seed(config.seed).fork("retry-backoff");
-                let mut waiting: HashMap<u64, TaskSpec> = HashMap::new();
-                // Per-node slowdown windows (empty when unconfigured: every
-                // dilation below is then an exact identity).
-                let slow: Vec<Vec<SlowWindow>> = (0..config.nodes)
-                    .map(|n| faults.slowdown_windows(n))
-                    .collect();
-                // Specs of placed tasks, plus the shared work closure a
-                // hedged pair races for. The spec stays here (not on the
-                // worker) so retries and hedges can both reach it.
-                let mut executing: HashMap<u64, (TaskSpec, Arc<Mutex<Option<TaskWork>>>)> =
-                    HashMap::new();
-                // Live hedge duplicates, keyed by task id (at most one each).
-                let mut hedges: HashMap<u64, HedgeMeta> = HashMap::new();
-                // Shape-class virtual-runtime estimates from useful
-                // completions (hedging only).
-                let mut estimates: HashMap<(u32, u32), (u64, u128)> = HashMap::new();
-                // Distinct nodes each task has failed on (quarantine only).
-                let mut failed_nodes: HashMap<u64, Vec<u32>> = HashMap::new();
-                // Poisoned lineage count per shape class (quarantine breaker).
-                let mut shape_poison: HashMap<(u32, u32), u32> = HashMap::new();
-                // Tasks that ever had a hedge duplicate placed.
-                let mut hedged_tasks: HashSet<u64> = HashSet::new();
-                // Per-device virtual-free watermarks: device `d` of node `n`
-                // is globally `n * (cores + gpus) + d` (cores first). A
-                // placement's modeled virtual start is the max over its
-                // devices, exactly as slot contention resolves in the sim.
-                let devices_per_node = (node.cores + node.gpus) as usize;
-                let mut vt_free: Vec<SimTime> =
-                    vec![vt_bootstrap; devices_per_node * config.nodes as usize];
-                let dev_ids = |alloc: &Allocation| -> Vec<usize> {
-                    let base = alloc.node as usize * devices_per_node;
-                    alloc
-                        .core_ids
-                        .iter()
-                        .map(|&c| base + c as usize)
-                        .chain(
-                            alloc
-                                .gpu_ids
-                                .iter()
-                                .map(|&g| base + node.cores as usize + g as usize),
-                        )
-                        .collect()
-                };
-                // Last crash instant per node: stamps crash-evicted attempts.
-                let mut vt_crash: Vec<SimTime> = vec![SimTime::ZERO; config.nodes as usize];
-                let mut vspans: HashMap<u64, VtSpans> = HashMap::new();
-                let vt_now = || SimTime::from_micros(thread_watermark.load(Ordering::SeqCst));
-                // id → (allocation, start time, incarnation at placement,
-                // sleep token). The allocation and start time let a crash
-                // close the victims' profiler intervals synchronously.
-                let mut running: HashMap<u64, (Allocation, SimTime, u64, Arc<SleepToken>)> =
-                    HashMap::new();
-                // Bumped on each crash: a worker message whose incarnation is
-                // stale must not release into the rebuilt pool.
-                let mut node_incarnation: Vec<u64> = vec![0; config.nodes as usize];
-                // Failure detector (heartbeat liveness + suspicion): armed
-                // only when the control plane models heartbeats AND real
-                // sleeps exist — at time scale 0 there is no silence window
-                // for a timeout to measure, exactly like node faults.
-                let hb = control.as_ref().and_then(|cp| {
-                    let link = cp.link();
-                    match (link.heartbeat_interval, link.heartbeat_timeout) {
-                        (Some(i), Some(t)) if time_scale > 0.0 => Some((i, t)),
-                        _ => None,
-                    }
-                });
-                let mut suspected = vec![false; config.nodes as usize];
-                // Ground-truth node health: a crashed node emits no
-                // heartbeats and cannot be resynced by one.
-                let mut crashed = vec![false; config.nodes as usize];
-                let mut hb_seq: Vec<u64> = vec![0u64; config.nodes as usize];
-                // Last modeled heartbeat arrival per node, on the virtual
-                // clock the ticks march on.
-                let mut vt_heard: Vec<SimTime> = vec![vt_bootstrap; config.nodes as usize];
-                let scale_vt = move |t: SimTime| {
-                    epoch + Duration::from_secs_f64(t.as_secs_f64() * time_scale)
-                };
-                let mut timers: Vec<(Instant, Timer)> = Vec::new();
-                if time_scale > 0.0 {
-                    for n in 0..config.nodes {
-                        for (crash_at, recover_at) in faults.crash_windows(n) {
-                            timers.push((scale_vt(crash_at), Timer::Crash(n, crash_at)));
-                            timers.push((scale_vt(recover_at), Timer::Recover(n, recover_at)));
-                        }
-                    }
-                }
-                if let Some((interval, _)) = hb {
-                    for n in 0..config.nodes {
-                        let vt = vt_bootstrap + interval;
-                        timers.push((scale_vt(vt), Timer::Heartbeat { node: n, vt }));
-                    }
-                }
-                let now = |epoch: Instant| -> SimTime {
-                    SimTime::from_micros(epoch.elapsed().as_micros() as u64)
-                };
-                let deliver = |c: Completion, vt_end: SimTime| {
-                    if let Some(s) = lock_recover(&thread_statuses).get_mut(&c.task.0)
-                    {
-                        s.terminal = true;
-                    }
-                    // The watermark advances BEFORE the send: a client that
-                    // pops this completion and submits a follow-up must read
-                    // a virtual submit time at or past this virtual end.
-                    thread_watermark.fetch_max(vt_end.as_micros(), Ordering::SeqCst);
-                    // `inflight` drops before the send so a consumer that
-                    // popped this completion observes the decrement;
-                    // `unfinished` drops after so the drain check in
-                    // `next_completion` cannot miss an in-transit one.
-                    thread_inflight.fetch_sub(1, Ordering::SeqCst);
-                    let _ = completion_tx.send(c);
-                    thread_unfinished.fetch_sub(1, Ordering::SeqCst);
-                    if tele.enabled() {
-                        tele.gauge("in_flight", thread_inflight.load(Ordering::SeqCst) as f64);
-                    }
-                };
-                let cancel_requested = |id: TaskId| {
-                    lock_recover(&thread_statuses)
-                        .get(&id.0)
-                        .is_some_and(|s| s.cancel_requested)
-                };
-                loop {
-                    // Fire due timers, earliest first.
-                    loop {
-                        let due = timers
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, (t, _))| *t <= Instant::now())
-                            .min_by_key(|(_, (t, _))| *t)
-                            .map(|(i, _)| i);
-                        let Some(i) = due else { break };
-                        match timers.remove(i).1 {
-                            Timer::Crash(n, crash_vt) => {
-                                let live = node_incarnation[n as usize];
-                                node_incarnation[n as usize] += 1;
-                                crashed[n as usize] = true;
-                                // A node already drained by a suspicion
-                                // verdict stays drained; draining twice
-                                // would corrupt the pool.
-                                if !suspected[n as usize] {
-                                    scheduler.drain_node(n);
-                                }
-                                vt_crash[n as usize] = crash_vt;
-                                if tele.enabled() {
-                                    tele.instant(
-                                        SpanCat::Fault,
-                                        "node-crash",
-                                        SpanId::NONE,
-                                        track::FAULT,
-                                        Stamp::dual(crash_vt, now(epoch).as_micros()),
-                                        &[("node", n as i64)],
-                                    );
-                                    tele.count("node_crashes", 1);
-                                }
-                                // Close the victims' device intervals *now*:
-                                // their slots may be re-allocated after
-                                // recovery before the preempted workers'
-                                // messages arrive, and the profiler rejects
-                                // overlapping busy intervals. The message
-                                // handlers skip the close for stale
-                                // incarnations (it happened here). Tasks
-                                // already stale from an earlier crash were
-                                // closed by that crash.
-                                let at = now(epoch);
-                                let mut st = lock_recover(&thread_state);
-                                for (_, (alloc, started, _, token)) in running
-                                    .iter()
-                                    .filter(|(_, (a, _, inc, _))| a.node == n && *inc == live)
-                                {
-                                    st.profiler.attempt_wasted(alloc, *started, at);
-                                    token.preempt();
-                                }
-                                // Hedge duplicates resident on the crashed
-                                // node forfeit their slots too, no matter
-                                // where their main attempt runs; the stale
-                                // incarnation in their HedgeLost message
-                                // skips the double booking.
-                                for (_, h) in hedges
-                                    .iter()
-                                    .filter(|(_, h)| h.alloc.node == n && h.incarnation == live)
-                                {
-                                    st.profiler.attempt_hedge_wasted(&h.alloc, h.started, at);
-                                    h.token.preempt();
-                                }
-                            }
-                            Timer::Recover(n, recover_vt) => {
-                                crashed[n as usize] = false;
-                                // Ground-truth recovery clears any standing
-                                // suspicion and grants a fresh liveness
-                                // grace period.
-                                suspected[n as usize] = false;
-                                vt_heard[n as usize] = recover_vt;
-                                scheduler.recover_node(n);
-                                if tele.enabled() {
-                                    tele.instant(
-                                        SpanCat::Fault,
-                                        "node-recover",
-                                        SpanId::NONE,
-                                        track::FAULT,
-                                        Stamp::dual(recover_vt, now(epoch).as_micros()),
-                                        &[("node", n as i64)],
-                                    );
-                                }
-                            }
-                            Timer::Retry { id, spec, vt } => {
-                                if cancel_requested(id) {
-                                    let at = now(epoch);
-                                    let vcan = vt.max(vt_now());
-                                    if tele.enabled() {
-                                        let st = Stamp::dual(vcan, at.as_micros());
-                                        if let Some(vs) = vspans.remove(&id.0) {
-                                            tele.instant(
-                                                SpanCat::Task,
-                                                "canceled",
-                                                vs.task,
-                                                track::task(id.0),
-                                                st,
-                                                &[],
-                                            );
-                                            tele.end(vs.task, st);
-                                        }
-                                        tele.count("tasks_canceled", 1);
-                                    } else {
-                                        vspans.remove(&id.0);
-                                    }
-                                    deliver(
-                                        Completion {
-                                            task: id,
-                                            name: spec.name,
-                                            tag: spec.tag,
-                                            result: Err(TaskError::Canceled),
-                                            started: at,
-                                            finished: at,
-                                            attempts: spec.attempts,
-                                            hedged: hedged_tasks.remove(&id.0),
-                                        },
-                                        vcan,
-                                    );
-                                } else {
-                                    scheduler.enqueue_with_priority(id, spec.request, spec.priority);
-                                    if let Some(vs) = vspans.get_mut(&id.0) {
-                                        vs.queued_vt = vt;
-                                        if tele.enabled() {
-                                            vs.queue = tele.span(
-                                                SpanCat::Queue,
-                                                "queue",
-                                                vs.task,
-                                                track::task(id.0),
-                                                Stamp::dual(vt, now(epoch).as_micros()),
-                                                &[("attempt", spec.attempts as i64)],
-                                            );
-                                        }
-                                    }
-                                    if tele.enabled() {
-                                        tele.gauge(
-                                            "queue_depth",
-                                            scheduler.queue_len() as f64,
-                                        );
-                                    }
-                                    waiting.insert(id.0, spec);
-                                }
-                            }
-                            Timer::HedgeCheck { id, attempt } => {
-                                // Re-validate: the attempt may have settled
-                                // or been superseded since the check was
-                                // armed, or an earlier re-arm already placed
-                                // a duplicate.
-                                let probe = match (running.get(&id.0), executing.get(&id.0)) {
-                                    (Some((alloc, ..)), Some((spec, work)))
-                                        if spec.attempts == attempt
-                                            && !hedges.contains_key(&id.0) =>
-                                    {
-                                        Some((
-                                            spec.request,
-                                            alloc.node,
-                                            spec.kind,
-                                            spec.duration,
-                                            spec.walltime,
-                                            work.clone(),
-                                        ))
-                                    }
-                                    _ => None,
-                                };
-                                let Some((request, main_node, kind, duration, walltime, work)) =
-                                    probe
-                                else {
-                                    continue;
-                                };
-                                let policy = hedge.expect("hedge checks only arm with a policy");
-                                // The duplicate models a clean run: exec
-                                // setup + launch overhead + undilated run,
-                                // stretched by the hedge node's slowdowns.
-                                let hsetup = exec_setup.saturating_add(kind.launch_overhead());
-                                // A node where the duplicate's own modeled
-                                // span would cross the straggler threshold
-                                // cannot rescue anyone — a copy racing at
-                                // the same degraded pace loses to its head
-                                // start. Skip such nodes and keep probing
-                                // the next-best allocation.
-                                let hthreshold = shape_estimate(
-                                    &estimates,
-                                    (request.cores, request.gpus),
-                                    hsetup.saturating_add(duration),
-                                    policy.min_samples,
-                                )
-                                .mul_f64(policy.threshold);
-                                let mut avoid = vec![main_node];
-                                let (halloc, v_place, hspan) = loop {
-                                    let Some(halloc) =
-                                        scheduler.alloc_avoiding(&request, &avoid)
-                                    else {
-                                        // No useful capacity off the
-                                        // straggler's node: re-arm after
-                                        // roughly one estimated runtime
-                                        // instead of polling.
-                                        let est = shape_estimate(
-                                            &estimates,
-                                            (request.cores, request.gpus),
-                                            SimDuration::from_micros(1),
-                                            policy.min_samples,
-                                        );
-                                        let wait = Duration::from_secs_f64(
-                                            est.as_secs_f64() * time_scale,
-                                        )
-                                        .max(Duration::from_millis(1));
-                                        timers.push((
-                                            Instant::now() + wait,
-                                            Timer::HedgeCheck { id, attempt },
-                                        ));
-                                        break (None, SimTime::ZERO, SimDuration::ZERO);
-                                    };
-                                    let devs = dev_ids(&halloc);
-                                    let mut v_place = vt_now();
-                                    for &d in &devs {
-                                        if vt_free[d] > v_place {
-                                            v_place = vt_free[d];
-                                        }
-                                    }
-                                    let hspan = dilate_span(
-                                        &slow[halloc.node as usize],
-                                        v_place,
-                                        hsetup.saturating_add(duration),
-                                    );
-                                    if hspan > hthreshold {
-                                        scheduler.release(&halloc);
-                                        avoid.push(halloc.node);
-                                        continue;
-                                    }
-                                    break (Some(halloc), v_place, hspan);
-                                };
-                                let Some(halloc) = halloc else {
-                                    continue;
-                                };
-                                if walltime.is_some_and(|limit| limit < hspan) {
-                                    // The duplicate could only time out on
-                                    // its own walltime — not a useful hedge.
-                                    scheduler.release(&halloc);
-                                    continue;
-                                }
-                                let v_end = v_place + hspan;
-                                for &d in &dev_ids(&halloc) {
-                                    vt_free[d] = v_end;
-                                }
-                                // Un-fence: a fresh duplicate may commit.
-                                lock_recover(&thread_statuses)
-                                    .entry(id.0)
-                                    .or_default()
-                                    .hedge_fenced = false;
-                                let started = now(epoch);
-                                let incarnation = node_incarnation[halloc.node as usize];
-                                let token = Arc::new(SleepToken::new());
-                                {
-                                    let mut st = lock_recover(&thread_state);
-                                    st.profiler.note_hedge();
-                                    st.profiler.task_started(&halloc, started);
-                                }
-                                hedged_tasks.insert(id.0);
-                                if tele.enabled() {
-                                    let owner = vspans
-                                        .get(&id.0)
-                                        .map(|v| v.attempt)
-                                        .unwrap_or(SpanId::NONE);
-                                    tele.instant(
-                                        SpanCat::Hedge,
-                                        "hedge-place",
-                                        owner,
-                                        track::task(id.0),
-                                        Stamp::dual(v_place, started.as_micros()),
-                                        &[
-                                            ("attempt", attempt as i64),
-                                            ("node", halloc.node as i64),
-                                        ],
-                                    );
-                                    tele.count("hedges", 1);
-                                }
-                                hedges.insert(
-                                    id.0,
-                                    HedgeMeta {
-                                        alloc: halloc.clone(),
-                                        started,
-                                        incarnation,
-                                        token: token.clone(),
-                                        start_vt: v_place,
-                                        end_vt: v_end,
-                                    },
-                                );
-                                let done_tx = worker_tx.clone();
-                                let statuses = thread_statuses.clone();
-                                std::thread::Builder::new()
-                                    .name(format!("pilot-hedge-{}", id.0))
-                                    .spawn(move || {
-                                        run_attempt(
-                                            id,
-                                            halloc,
-                                            started,
-                                            incarnation,
-                                            work,
-                                            hspan,
-                                            None,
-                                            true,
-                                            time_scale,
-                                            &token,
-                                            &statuses,
-                                            &done_tx,
-                                        );
-                                    })
-                                    .expect("spawn hedge worker thread");
-                            }
-                            Timer::Heartbeat { node: n, vt } => {
-                                let (interval, timeout) =
-                                    hb.expect("heartbeat timers only arm with a detector");
-                                let cp = control.as_ref().expect("detector implies a plane");
-                                let seq = hb_seq[n as usize];
-                                hb_seq[n as usize] += 1;
-                                // A crashed node emits nothing this tick; the
-                                // schedule keeps ticking so heartbeats resume
-                                // the instant it recovers. Verdicts are the
-                                // same seeded per-message draws the
-                                // deterministic engines make.
-                                let arrive = if !crashed[n as usize] {
-                                    let arrive = cp.best_effort(
-                                        "hb",
-                                        (u64::from(n) << 32) | seq,
-                                        n,
-                                        vt,
-                                    );
-                                    let mut cs = lock_recover(&thread_cstats);
-                                    cs.heartbeats_sent += 1;
-                                    if arrive.is_some() {
-                                        cs.heartbeats_delivered += 1;
-                                    }
-                                    arrive
-                                } else {
-                                    None
-                                };
-                                if let Some(at) = arrive {
-                                    vt_heard[n as usize] = at;
-                                    // A heartbeat from a suspected (but not
-                                    // crashed) node heals the false
-                                    // suspicion: re-admit it to placement.
-                                    if suspected[n as usize] && !crashed[n as usize] {
-                                        suspected[n as usize] = false;
-                                        scheduler.recover_node(n);
-                                        lock_recover(&thread_cstats).resyncs += 1;
-                                        if tele.enabled() {
-                                            tele.instant(
-                                                SpanCat::Control,
-                                                "resync",
-                                                SpanId::NONE,
-                                                track::FAULT,
-                                                Stamp::dual(at, now(epoch).as_micros()),
-                                                &[("node", n as i64)],
-                                            );
-                                            tele.count("resyncs", 1);
-                                        }
-                                    }
-                                } else if thread_inflight.load(Ordering::SeqCst) > 0
-                                    && !suspected[n as usize]
-                                    && scheduler.node_is_up(n)
-                                    && vt_heard[n as usize] + timeout <= vt
-                                {
-                                    // A full timeout of silence with work in
-                                    // flight: declare the node suspect, stop
-                                    // placing on it and evict its resident
-                                    // attempts — their leases are expired.
-                                    // The bookkeeping mirrors a crash (the
-                                    // incarnation bump makes the preempted
-                                    // workers' messages stale so the drained
-                                    // pool never sees a release); the
-                                    // AttemptFailed handler rewrites their
-                                    // eviction to a lease expiry.
-                                    let live = node_incarnation[n as usize];
-                                    node_incarnation[n as usize] += 1;
-                                    suspected[n as usize] = true;
-                                    scheduler.drain_node(n);
-                                    // The eviction instant stamps the
-                                    // victims' lease expiries (same slot a
-                                    // crash uses for its evictions).
-                                    vt_crash[n as usize] = vt;
-                                    lock_recover(&thread_cstats).suspicions += 1;
-                                    let at = now(epoch);
-                                    if tele.enabled() {
-                                        tele.instant(
-                                            SpanCat::Control,
-                                            "suspect",
-                                            SpanId::NONE,
-                                            track::FAULT,
-                                            Stamp::dual(vt, at.as_micros()),
-                                            &[("node", n as i64)],
-                                        );
-                                        tele.count("suspicions", 1);
-                                    }
-                                    let mut st = lock_recover(&thread_state);
-                                    for (_, (alloc, started, _, token)) in running
-                                        .iter()
-                                        .filter(|(_, (a, _, inc, _))| a.node == n && *inc == live)
-                                    {
-                                        st.profiler.attempt_wasted(alloc, *started, at);
-                                        token.preempt();
-                                    }
-                                    for (_, h) in hedges
-                                        .iter()
-                                        .filter(|(_, h)| h.alloc.node == n && h.incarnation == live)
-                                    {
-                                        st.profiler.attempt_hedge_wasted(&h.alloc, h.started, at);
-                                        h.token.preempt();
-                                    }
-                                }
-                                let next = vt + interval;
-                                timers.push((
-                                    scale_vt(next),
-                                    Timer::Heartbeat { node: n, vt: next },
-                                ));
-                            }
-                        }
-                    }
-                    // Place everything that fits now — BEFORE blocking on the
-                    // channel, so work unlocked by a timer (a retry backoff
-                    // expiring, a node recovering) is scheduled even though no
-                    // message will arrive to wake us.
-                    let queued = scheduler.queue_len();
-                    let placements = scheduler.place_ready();
-                    if tele.enabled() && queued > 0 {
-                        let st = Stamp::dual(vt_now(), now(epoch).as_micros());
-                        let round = tele.span(
-                            SpanCat::Scheduler,
-                            "placement-round",
-                            SpanId::NONE,
-                            track::SCHED,
-                            st,
-                            &[
-                                ("queued", queued as i64),
-                                ("placed", placements.len() as i64),
-                            ],
-                        );
-                        tele.end(round, st);
-                        tele.count("placement_rounds", 1);
-                        tele.gauge("queue_depth", scheduler.queue_len() as f64);
-                    }
-                    for (id, mut alloc) in placements {
-                        let mut spec = waiting.remove(&id.0).expect("placed task was submitted");
-                        // Quarantine: an open shape circuit breaker sheds
-                        // the whole shape class at the placement grant.
-                        let shape = (spec.request.cores, spec.request.gpus);
-                        let tripped = match quarantine {
-                            Some(q) if q.shape_trip > 0 => {
-                                shape_poison.get(&shape).copied().unwrap_or(0) >= q.shape_trip
-                            }
-                            _ => false,
-                        };
-                        if tripped {
-                            scheduler.release(&alloc);
-                            let at = now(epoch);
-                            let vshed = vt_now();
-                            if tele.enabled() {
-                                let st = Stamp::dual(vshed, at.as_micros());
-                                if let Some(vs) = vspans.remove(&id.0) {
-                                    tele.end(vs.queue, st);
-                                    tele.instant(
-                                        SpanCat::Quarantine,
-                                        "shape-shed",
-                                        vs.task,
-                                        track::task(id.0),
-                                        st,
-                                        &[
-                                            ("cores", shape.0 as i64),
-                                            ("gpus", shape.1 as i64),
-                                        ],
-                                    );
-                                    tele.end(vs.task, st);
-                                }
-                                tele.count("tasks_shed", 1);
-                            } else {
-                                vspans.remove(&id.0);
-                            }
-                            deliver(
-                                Completion {
-                                    task: id,
-                                    name: spec.name,
-                                    tag: spec.tag,
-                                    result: Err(TaskError::ShapeCircuitOpen {
-                                        cores: shape.0,
-                                        gpus: shape.1,
-                                    }),
-                                    started: at,
-                                    finished: at,
-                                    attempts: spec.attempts,
-                                    hedged: hedged_tasks.remove(&id.0),
-                                },
-                                vshed,
-                            );
-                            continue;
-                        }
-                        // Retry steering: re-home a retried attempt granted
-                        // a node the task already failed on, when any other
-                        // node has capacity. The alternative is claimed
-                        // before the original grant is released.
-                        if quarantine.is_some() {
-                            let avoid = failed_nodes.get(&id.0).cloned().unwrap_or_default();
-                            if avoid.contains(&alloc.node) {
-                                if let Some(alt) = scheduler.alloc_avoiding(&spec.request, &avoid)
-                                {
-                                    let original = std::mem::replace(&mut alloc, alt);
-                                    scheduler.release(&original);
-                                }
-                            }
-                        }
-                        // Modeled virtual window of this attempt: the same
-                        // arithmetic the simulated backend runs at placement
-                        // (setup = exec setup + launch overhead; hang faults
-                        // dilate the run; slowdown windows stretch the span;
-                        // walltime caps it).
-                        let devs = dev_ids(&alloc);
-                        let mut v_place = vspans
-                            .get(&id.0)
-                            .map(|v| v.queued_vt)
-                            .unwrap_or(SimTime::ZERO);
-                        for &d in &devs {
-                            if vt_free[d] > v_place {
-                                v_place = vt_free[d];
-                            }
-                        }
-                        let fault = faults.attempt_fault(id.0, spec.attempts);
-                        let hang_factor = faults.config().hang_factor;
-                        let setup = exec_setup.saturating_add(spec.kind.launch_overhead());
-                        let mut vrun = spec.duration;
-                        if fault == AttemptFault::Hang {
-                            vrun = vrun.mul_f64(hang_factor);
-                        }
-                        let vtotal = setup.saturating_add(vrun);
-                        let vtotal = dilate_span(&slow[alloc.node as usize], v_place, vtotal);
-                        let (vspan, timed_out) = match spec.walltime {
-                            Some(limit) if limit < vtotal => (limit, true),
-                            _ => (vtotal, false),
-                        };
-                        let v_end = v_place + vspan;
-                        // Walltime-aware drain: hold any attempt whose scaled
-                        // span would cross the allocation deadline. Its slots
-                        // return to the pool, it never launches, and the held
-                        // count lets next_completion report the drain. The
-                        // spec is dropped — a resume re-submits from the
-                        // journal, not from this process's memory.
-                        let deadline = thread_deadline.load(Ordering::SeqCst);
-                        if deadline != u64::MAX {
-                            let at = now(epoch).as_micros();
-                            let span_micros = if time_scale > 0.0 {
-                                (spec.duration.as_secs_f64() * time_scale * 1e6) as u64
-                            } else {
-                                // No sleeps: tasks are instant, so only an
-                                // already-expired allocation holds them.
-                                0
-                            };
-                            if at.saturating_add(span_micros) > deadline {
-                                scheduler.release(&alloc);
-                                thread_held.fetch_add(1, Ordering::SeqCst);
-                                if tele.enabled() {
-                                    let st = Stamp::dual(v_place, now(epoch).as_micros());
-                                    if let Some(vs) = vspans.get(&id.0).copied() {
-                                        tele.end(vs.queue, st);
-                                        tele.instant(
-                                            SpanCat::Task,
-                                            "held",
-                                            vs.task,
-                                            track::task(id.0),
-                                            st,
-                                            &[],
-                                        );
-                                    }
-                                    tele.count("tasks_held", 1);
-                                }
-                                continue;
-                            }
-                        }
-                        for &d in &devs {
-                            vt_free[d] = v_end;
-                        }
-                        if let Some(vs) = vspans.get_mut(&id.0) {
-                            vs.start_vt = v_place;
-                            vs.end_vt = v_end;
-                        }
-                        if tele.enabled() {
-                            let st = Stamp::dual(v_place, now(epoch).as_micros());
-                            if let Some(vs) = vspans.get(&id.0).copied() {
-                                tele.end(vs.queue, st);
-                                tele.observe(
-                                    "queue_wait_seconds",
-                                    0.0,
-                                    14_400.0,
-                                    48,
-                                    v_place.since(vs.queued_vt).as_secs_f64(),
-                                );
-                                let attempt_span = tele.span(
-                                    SpanCat::Attempt,
-                                    "attempt",
-                                    vs.task,
-                                    track::task(id.0),
-                                    st,
-                                    &[
-                                        ("attempt", spec.attempts as i64),
-                                        ("node", alloc.node as i64),
-                                    ],
-                                );
-                                vspans.get_mut(&id.0).expect("span entry").attempt =
-                                    attempt_span;
-                            }
-                            tele.count("placements", 1);
-                        }
-                        let started = now(epoch);
-                        lock_recover(&thread_state)
-                            .profiler
-                            .task_started(&alloc, started);
-                        let incarnation = node_incarnation[alloc.node as usize];
-                        let token = Arc::new(SleepToken::new());
-                        running.insert(id.0, (alloc.clone(), started, incarnation, token.clone()));
-                        // Realize the fault plan's verdict here (walltime
-                        // wins over other faults, as in the simulated
-                        // backend); the worker just sleeps out the span and
-                        // reports it.
-                        let fail = if timed_out {
-                            Some(TaskError::TimedOut {
-                                limit: spec.walltime.expect("timed_out implies a limit"),
-                            })
-                        } else if fault == AttemptFault::Transient {
-                            Some(TaskError::Injected)
-                        } else {
-                            None
-                        };
-                        // The work closure moves into a shared cell: the
-                        // attempt and a possible hedge duplicate race for it
-                        // at their commit points, and a fenced retry ladder
-                        // reclaims it.
-                        let work = Arc::new(Mutex::new(spec.work.take()));
-                        let attempts = spec.attempts;
-                        executing.insert(id.0, (spec, work.clone()));
-                        let done_tx = worker_tx.clone();
-                        let statuses = thread_statuses.clone();
-                        let walloc = alloc.clone();
-                        let wwork = work.clone();
-                        std::thread::Builder::new()
-                            .name(format!("pilot-worker-{}", id.0))
-                            .spawn(move || {
-                                run_attempt(
-                                    id,
-                                    walloc,
-                                    started,
-                                    incarnation,
-                                    wwork,
-                                    vspan,
-                                    fail,
-                                    false,
-                                    time_scale,
-                                    &token,
-                                    &statuses,
-                                    &done_tx,
-                                );
-                            })
-                            .expect("spawn worker thread");
-                        // Hedge arming: once the shape class has a runtime
-                        // estimate, an attempt still sleeping past k× that
-                        // estimate gets a speculative duplicate. Needs real
-                        // sleeps (like node faults): at time scale 0 there
-                        // is no straggling window to hedge.
-                        if let Some(policy) = hedge {
-                            if time_scale > 0.0 {
-                                let threshold =
-                                    shape_estimate(&estimates, shape, vspan, policy.min_samples)
-                                        .mul_f64(policy.threshold);
-                                if threshold < vspan {
-                                    timers.push((
-                                        Instant::now()
-                                            + Duration::from_secs_f64(
-                                                threshold.as_secs_f64() * time_scale,
-                                            ),
-                                        Timer::HedgeCheck { id, attempt: attempts },
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    // Wait for the next message, but never past the next timer.
-                    let msg = if timers.is_empty() {
-                        match rx.recv() {
-                            Ok(m) => Some(m),
-                            Err(_) => break,
-                        }
-                    } else {
-                        let next = timers.iter().map(|(t, _)| *t).min().expect("non-empty");
-                        let wait = next
-                            .saturating_duration_since(Instant::now())
-                            .min(Duration::from_millis(100))
-                            .max(Duration::from_millis(1));
-                        match rx.recv_timeout(wait) {
-                            Ok(m) => Some(m),
-                            Err(RecvTimeoutError::Timeout) => None,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    };
-                    match msg {
-                        None => {}
-                        Some(Msg::Shutdown) => break,
-                        Some(Msg::Cancel { id }) => {
-                            if scheduler.cancel_queued(id) {
-                                let spec = waiting.remove(&id.0).expect("queued task waits");
-                                let at = now(epoch);
-                                let vs = vspans.remove(&id.0);
-                                let vcan =
-                                    vs.map(|v| v.queued_vt).unwrap_or(SimTime::ZERO).max(vt_now());
-                                if tele.enabled() {
-                                    let st = Stamp::dual(vcan, at.as_micros());
-                                    if let Some(v) = vs {
-                                        tele.end(v.queue, st);
-                                        tele.instant(
-                                            SpanCat::Task,
-                                            "canceled",
-                                            v.task,
-                                            track::task(id.0),
-                                            st,
-                                            &[],
-                                        );
-                                        tele.end(v.task, st);
-                                    }
-                                    tele.count("tasks_canceled", 1);
-                                }
-                                deliver(
-                                    Completion {
-                                        task: id,
-                                        name: spec.name,
-                                        tag: spec.tag,
-                                        result: Err(TaskError::Canceled),
-                                        started: at,
-                                        finished: at,
-                                        attempts: spec.attempts,
-                                        hedged: hedged_tasks.remove(&id.0),
-                                    },
-                                    vcan,
-                                );
-                            } else {
-                                if let Some((_, _, _, token)) = running.get(&id.0) {
-                                    // Wake the worker early; its commit check
-                                    // sees the flag and backs out.
-                                    token.preempt();
-                                }
-                                if let Some(h) = hedges.get(&id.0) {
-                                    // A hedge duplicate backs out the same
-                                    // way (its HedgeLost books the waste).
-                                    h.token.preempt();
-                                }
-                            }
-                            // Otherwise the task is in a retry backoff (the
-                            // timer checks the flag) or already racing to a
-                            // terminal state the flag can still veto.
-                        }
-                        Some(Msg::Submit {
-                            id,
-                            spec,
-                            vt_queued,
-                            task_span,
-                            queue_span,
-                        }) => {
-                            lock_recover(&thread_state)
-                                .profiler
-                                .task_submitted(id, now(epoch));
-                            scheduler.enqueue_with_priority(id, spec.request, spec.priority);
-                            vspans.insert(
-                                id.0,
-                                VtSpans {
-                                    task: task_span,
-                                    queue: queue_span,
-                                    attempt: SpanId::NONE,
-                                    queued_vt: vt_queued,
-                                    start_vt: vt_queued,
-                                    end_vt: vt_queued,
-                                },
-                            );
-                            if tele.enabled() {
-                                tele.gauge("queue_depth", scheduler.queue_len() as f64);
-                            }
-                            waiting.insert(id.0, spec);
-                        }
-                        Some(Msg::WorkerDone {
-                            id,
-                            alloc,
-                            started,
-                            incarnation,
-                            hedge: won_by_hedge,
-                            result,
-                        }) => {
-                            let hedge_meta = if won_by_hedge {
-                                // The duplicate won: its main attempt can no
-                                // longer commit (the flag blocks it); wake
-                                // the straggler so its HedgeLost arrives
-                                // promptly and books the occupancy.
-                                if let Some((_, _, _, token)) = running.get(&id.0) {
-                                    token.preempt();
-                                }
-                                hedges.remove(&id.0)
-                            } else {
-                                running.remove(&id.0);
-                                // A live duplicate lost the race: wake it;
-                                // its HedgeLost books the hedge waste.
-                                if let Some(h) = hedges.get(&id.0) {
-                                    h.token.preempt();
-                                }
-                                None
-                            };
-                            let (spec, _work) =
-                                executing.remove(&id.0).expect("done task was placed");
-                            let finished = now(epoch);
-                            // A committed task outruns its node's crash: the
-                            // result stands, but the drained pool must not
-                            // see a release, and the crash already closed
-                            // the device intervals (as wasted).
-                            let fresh = incarnation == node_incarnation[alloc.node as usize];
-                            // Under the control plane a stale-incarnation
-                            // completion is a late report from an old
-                            // lease-holder. The work genuinely ran on a real
-                            // thread (the commit race arbitrates effects),
-                            // so the result still stands — the fence records
-                            // the lateness.
-                            if !fresh && control.is_some() {
-                                lock_recover(&thread_cstats).fenced_completions += 1;
-                                if tele.enabled() {
-                                    tele.count("fenced_completions", 1);
-                                }
-                            }
-                            {
-                                let mut st = lock_recover(&thread_state);
-                                if fresh {
-                                    st.profiler.task_finished(
-                                        id,
-                                        &spec.name,
-                                        &spec.tag,
-                                        &alloc,
-                                        started,
-                                        finished,
-                                        spec.gpu_busy_fraction,
-                                    );
-                                }
-                                st.breakdown
-                                    .record_task(SimDuration::ZERO, finished.since(started));
-                            }
-                            if fresh {
-                                scheduler.release(&alloc);
-                            }
-                            let vs = vspans.remove(&id.0);
-                            // The modeled virtual end is the winner's.
-                            let v_end = hedge_meta
-                                .as_ref()
-                                .map(|h| h.end_vt)
-                                .or(vs.map(|v| v.end_vt))
-                                .unwrap_or_else(vt_now);
-                            // Shape estimates learn from useful completions
-                            // (hedging only), on the virtual clock so all
-                            // three backends learn the same values.
-                            if let (Some(policy), true) = (hedge, result.is_ok()) {
-                                let vstart = hedge_meta
-                                    .as_ref()
-                                    .map(|h| h.start_vt)
-                                    .or(vs.map(|v| v.start_vt))
-                                    .unwrap_or(v_end);
-                                let shape = (spec.request.cores, spec.request.gpus);
-                                let e = estimates.entry(shape).or_insert((0, 0));
-                                e.0 += 1;
-                                e.1 += v_end.since(vstart).as_micros() as u128;
-                                // Exactly the completion that makes the
-                                // estimate usable: attempts of this shape
-                                // placed while it was cold were never armed
-                                // for a hedge check, so arm them now at the
-                                // instant their virtual elapsed time crosses
-                                // the threshold (mirrors the warm-up arming
-                                // of the deterministic engines). Needs real
-                                // sleeps, like placement-time arming.
-                                if e.0 == (policy.min_samples as u64).max(1) && time_scale > 0.0 {
-                                    let threshold = shape_estimate(
-                                        &estimates,
-                                        shape,
-                                        SimDuration::ZERO,
-                                        policy.min_samples,
-                                    )
-                                    .mul_f64(policy.threshold);
-                                    let vnow = vt_now();
-                                    let mut arms: Vec<(u64, SimDuration, u32)> = executing
-                                        .iter()
-                                        .filter_map(|(&tid, (espec, _))| {
-                                            if threshold == SimDuration::ZERO
-                                                || (espec.request.cores, espec.request.gpus)
-                                                    != shape
-                                                || !running.contains_key(&tid)
-                                                || hedges.contains_key(&tid)
-                                            {
-                                                return None;
-                                            }
-                                            let vstarted = vspans
-                                                .get(&tid)
-                                                .map(|v| v.start_vt)
-                                                .unwrap_or(vnow);
-                                            let wait = threshold
-                                                .as_micros()
-                                                .saturating_sub(vnow.since(vstarted).as_micros());
-                                            Some((
-                                                tid,
-                                                SimDuration::from_micros(wait.max(1)),
-                                                espec.attempts,
-                                            ))
-                                        })
-                                        .collect();
-                                    arms.sort_unstable_by_key(|&(tid, _, _)| tid);
-                                    for (tid, delay, attempt) in arms {
-                                        timers.push((
-                                            Instant::now()
-                                                + Duration::from_secs_f64(
-                                                    delay.as_secs_f64() * time_scale,
-                                                ),
-                                            Timer::HedgeCheck { id: TaskId(tid), attempt },
-                                        ));
-                                    }
-                                }
-                            }
-                            if quarantine.is_some() {
-                                failed_nodes.remove(&id.0);
-                            }
-                            if tele.enabled() {
-                                let st = Stamp::dual(v_end, finished.as_micros());
-                                if won_by_hedge {
-                                    tele.instant(
-                                        SpanCat::Hedge,
-                                        "hedge-win",
-                                        vs.map(|v| v.attempt).unwrap_or(SpanId::NONE),
-                                        track::task(id.0),
-                                        st,
-                                        &[("node", alloc.node as i64)],
-                                    );
-                                    tele.count("hedge_wins", 1);
-                                }
-                                if let Some(vs) = vs {
-                                    tele.end(vs.attempt, st);
-                                    tele.end(vs.task, st);
-                                    tele.observe(
-                                        "task_run_seconds",
-                                        0.0,
-                                        14_400.0,
-                                        48,
-                                        vs.end_vt.since(vs.start_vt).as_secs_f64(),
-                                    );
-                                }
-                                tele.count(
-                                    if result.is_ok() {
-                                        "tasks_completed"
-                                    } else {
-                                        "tasks_failed"
-                                    },
-                                    1,
-                                );
-                            }
-                            deliver(
-                                Completion {
-                                    task: id,
-                                    name: spec.name,
-                                    tag: spec.tag,
-                                    result,
-                                    started,
-                                    finished,
-                                    attempts: spec.attempts,
-                                    hedged: hedged_tasks.remove(&id.0),
-                                },
-                                v_end,
-                            );
-                        }
-                        Some(Msg::WorkerCanceled {
-                            id,
-                            alloc,
-                            started,
-                            incarnation,
-                        }) => {
-                            running.remove(&id.0);
-                            // A live hedge duplicate backs out too (the
-                            // cancel flag blocks its commit); its HedgeLost
-                            // books the waste.
-                            if let Some(h) = hedges.get(&id.0) {
-                                h.token.preempt();
-                            }
-                            let (spec, _work) =
-                                executing.remove(&id.0).expect("canceled task was placed");
-                            let at = now(epoch);
-                            if incarnation == node_incarnation[alloc.node as usize] {
-                                lock_recover(&thread_state)
-                                    .profiler
-                                    .attempt_wasted(&alloc, started, at);
-                                scheduler.release(&alloc);
-                            }
-                            let vs = vspans.remove(&id.0);
-                            let vcan = vs.map(|v| v.start_vt).unwrap_or(SimTime::ZERO).max(vt_now());
-                            if tele.enabled() {
-                                let st = Stamp::dual(vcan, at.as_micros());
-                                if let Some(vs) = vs {
-                                    tele.end(vs.attempt, st);
-                                    tele.instant(
-                                        SpanCat::Task,
-                                        "canceled",
-                                        vs.task,
-                                        track::task(id.0),
-                                        st,
-                                        &[],
-                                    );
-                                    tele.end(vs.task, st);
-                                }
-                                tele.count("tasks_canceled", 1);
-                            }
-                            deliver(
-                                Completion {
-                                    task: id,
-                                    name: spec.name,
-                                    tag: spec.tag,
-                                    result: Err(TaskError::Canceled),
-                                    started,
-                                    finished: at,
-                                    attempts: spec.attempts,
-                                    hedged: hedged_tasks.remove(&id.0),
-                                },
-                                vcan,
-                            );
-                        }
-                        Some(Msg::AttemptFailed {
-                            id,
-                            alloc,
-                            started,
-                            incarnation,
-                            err,
-                        }) => {
-                            running.remove(&id.0);
-                            let at = now(epoch);
-                            // Lease fencing: an eviction by the failure
-                            // detector preempts the worker's sleep exactly
-                            // like a crash, so it wakes reporting
-                            // NodeCrashed — but the node may be healthy.
-                            // Rewrite to the typed lease expiry (retryable,
-                            // so the ladder requeues it elsewhere).
-                            let err = if matches!(err, TaskError::NodeCrashed { .. })
-                                && suspected[alloc.node as usize]
-                                && !crashed[alloc.node as usize]
-                            {
-                                lock_recover(&thread_cstats).lease_expiries += 1;
-                                if tele.enabled() {
-                                    let owner = vspans
-                                        .get(&id.0)
-                                        .map(|v| v.attempt)
-                                        .unwrap_or(SpanId::NONE);
-                                    tele.instant(
-                                        SpanCat::Control,
-                                        "lease-expired",
-                                        owner,
-                                        track::task(id.0),
-                                        Stamp::dual(
-                                            vt_crash[alloc.node as usize],
-                                            at.as_micros(),
-                                        ),
-                                        &[("node", alloc.node as i64)],
-                                    );
-                                    tele.count("lease_expiries", 1);
-                                }
-                                TaskError::LeaseExpired { node: alloc.node }
-                            } else {
-                                err
-                            };
-                            // Hedge interplay: if the duplicate already
-                            // committed, it owns the task's outcome — this
-                            // failure is absorbed and no retry fires.
-                            // Otherwise fence the duplicate (it can never
-                            // commit past the fence) and wake it, so the
-                            // retry ladder below can safely reclaim the
-                            // shared work closure.
-                            let mut absorbed = false;
-                            if let Some(h) = hedges.get(&id.0) {
-                                let fenced = {
-                                    let mut stm = lock_recover(&thread_statuses);
-                                    let s = stm.entry(id.0).or_default();
-                                    if s.committed {
-                                        absorbed = true;
-                                        false
-                                    } else {
-                                        s.hedge_fenced = true;
-                                        true
-                                    }
-                                };
-                                if fenced {
-                                    h.token.preempt();
-                                }
-                            }
-                            // Stale incarnation: the crash that evicted this
-                            // attempt already closed its intervals and the
-                            // drained pool must not see a release.
-                            if incarnation == node_incarnation[alloc.node as usize] {
-                                lock_recover(&thread_state)
-                                    .profiler
-                                    .attempt_wasted(&alloc, started, at);
-                                scheduler.release(&alloc);
-                            }
-                            // Virtual failure instant: the modeled attempt
-                            // end for injected faults and walltime expiries;
-                            // the crash instant for crash evictions.
-                            let vs = vspans.get(&id.0).copied();
-                            let v_fail = match (&err, vs) {
-                                (TaskError::NodeCrashed { node }, Some(v))
-                                | (TaskError::LeaseExpired { node }, Some(v)) => {
-                                    vt_crash[*node as usize].max(v.start_vt)
-                                }
-                                (_, Some(v)) => v.end_vt,
-                                _ => vt_now(),
-                            };
-                            if tele.enabled() {
-                                let st = Stamp::dual(v_fail, at.as_micros());
-                                if let Some(v) = vs {
-                                    let fname = match &err {
-                                        TaskError::Injected => "fault-injected",
-                                        TaskError::TimedOut { .. } => "fault-timeout",
-                                        TaskError::NodeCrashed { .. } => "fault-crash",
-                                        TaskError::LeaseExpired { .. } => "fault-lease-expired",
-                                        _ => "fault",
-                                    };
-                                    tele.instant(
-                                        SpanCat::Fault,
-                                        fname,
-                                        v.attempt,
-                                        track::task(id.0),
-                                        st,
-                                        &[],
-                                    );
-                                    tele.end(v.attempt, st);
-                                }
-                            }
-                            if absorbed {
-                                // The committed duplicate will deliver; the
-                                // spec stays in `executing` for it.
-                                continue;
-                            }
-                            let (mut spec, work) =
-                                executing.remove(&id.0).expect("failed task was placed");
-                            if cancel_requested(id) {
-                                if tele.enabled() {
-                                    let st = Stamp::dual(v_fail, at.as_micros());
-                                    if let Some(v) = vspans.remove(&id.0) {
-                                        tele.instant(
-                                            SpanCat::Task,
-                                            "canceled",
-                                            v.task,
-                                            track::task(id.0),
-                                            st,
-                                            &[],
-                                        );
-                                        tele.end(v.task, st);
-                                    }
-                                    tele.count("tasks_canceled", 1);
-                                } else {
-                                    vspans.remove(&id.0);
-                                }
-                                deliver(
-                                    Completion {
-                                        task: id,
-                                        name: spec.name,
-                                        tag: spec.tag,
-                                        result: Err(TaskError::Canceled),
-                                        started,
-                                        finished: at,
-                                        attempts: spec.attempts,
-                                        hedged: hedged_tasks.remove(&id.0),
-                                    },
-                                    v_fail,
-                                );
-                                continue;
-                            }
-                            // Quarantine: record the failing node. A task
-                            // failing on enough *distinct* nodes is poisoned
-                            // — the input, not the hardware, is the likely
-                            // culprit, and retrying it elsewhere is waste.
-                            let node = alloc.node;
-                            let poisoned = match quarantine {
-                                Some(q) => {
-                                    let nodes = failed_nodes.entry(id.0).or_default();
-                                    if !nodes.contains(&node) {
-                                        nodes.push(node);
-                                    }
-                                    nodes.len() as u32 >= q.distinct_nodes
-                                }
-                                None => false,
-                            };
-                            if !poisoned && spec.attempts < retry.max_retries {
-                                spec.attempts += 1;
-                                // Reclaim the shared work closure: the hedge
-                                // is fenced (or never existed), so nobody
-                                // else can take it now.
-                                spec.work = lock_recover(&work).take();
-                                lock_recover(&thread_state).profiler.note_retry();
-                                if tele.enabled() {
-                                    tele.count("retries", 1);
-                                }
-                                let delay = retry.backoff(spec.attempts, &mut backoff_rng);
-                                let fire_at = Instant::now()
-                                    + Duration::from_secs_f64(delay.as_secs_f64() * time_scale);
-                                timers.push((
-                                    fire_at,
-                                    Timer::Retry {
-                                        id,
-                                        spec,
-                                        vt: v_fail + delay,
-                                    },
-                                ));
-                            } else {
-                                let distinct = failed_nodes
-                                    .remove(&id.0)
-                                    .map(|v| v.len() as u32)
-                                    .unwrap_or(0);
-                                let err = if poisoned {
-                                    // Poison verdict: bump the shape class's
-                                    // breaker count and surface a typed
-                                    // terminal error.
-                                    let shape = (spec.request.cores, spec.request.gpus);
-                                    let count = {
-                                        let c = shape_poison.entry(shape).or_insert(0);
-                                        *c += 1;
-                                        *c
-                                    };
-                                    if tele.enabled() {
-                                        let st = Stamp::dual(v_fail, at.as_micros());
-                                        let owner =
-                                            vspans.get(&id.0).map(|v| v.task).unwrap_or(SpanId::NONE);
-                                        tele.instant(
-                                            SpanCat::Quarantine,
-                                            "poisoned",
-                                            owner,
-                                            track::task(id.0),
-                                            st,
-                                            &[("distinct_nodes", distinct as i64)],
-                                        );
-                                        if quarantine
-                                            .is_some_and(|q| q.shape_trip > 0 && count == q.shape_trip)
-                                        {
-                                            tele.instant(
-                                                SpanCat::Quarantine,
-                                                "circuit-open",
-                                                SpanId::NONE,
-                                                track::FAULT,
-                                                st,
-                                                &[
-                                                    ("cores", shape.0 as i64),
-                                                    ("gpus", shape.1 as i64),
-                                                ],
-                                            );
-                                        }
-                                        tele.count("tasks_poisoned", 1);
-                                    }
-                                    TaskError::Poisoned {
-                                        distinct_nodes: distinct,
-                                    }
-                                } else {
-                                    err
-                                };
-                                if tele.enabled() {
-                                    let st = Stamp::dual(v_fail, at.as_micros());
-                                    if let Some(v) = vspans.remove(&id.0) {
-                                        tele.end(v.task, st);
-                                    }
-                                    tele.count("tasks_failed", 1);
-                                } else {
-                                    vspans.remove(&id.0);
-                                }
-                                deliver(
-                                    Completion {
-                                        task: id,
-                                        name: spec.name,
-                                        tag: spec.tag,
-                                        result: Err(err),
-                                        started,
-                                        finished: at,
-                                        attempts: spec.attempts,
-                                        hedged: hedged_tasks.remove(&id.0),
-                                    },
-                                    v_fail,
-                                );
-                            }
-                        }
-                        Some(Msg::HedgeLost {
-                            id,
-                            alloc,
-                            started,
-                            incarnation,
-                            hedge: was_hedge,
-                        }) => {
-                            if was_hedge {
-                                hedges.remove(&id.0);
-                            } else {
-                                running.remove(&id.0);
-                            }
-                            let at = now(epoch);
-                            // Stale incarnation: the crash that evicted this
-                            // side already booked its occupancy.
-                            if incarnation == node_incarnation[alloc.node as usize] {
-                                lock_recover(&thread_state)
-                                    .profiler
-                                    .attempt_hedge_wasted(&alloc, started, at);
-                                scheduler.release(&alloc);
-                            }
-                            if tele.enabled() {
-                                let owner =
-                                    vspans.get(&id.0).map(|v| v.attempt).unwrap_or(SpanId::NONE);
-                                tele.instant(
-                                    SpanCat::Hedge,
-                                    "hedge-lose",
-                                    owner,
-                                    track::task(id.0),
-                                    Stamp::dual(vt_now(), at.as_micros()),
-                                    &[("node", alloc.node as i64)],
-                                );
-                                tele.count("hedge_losses", 1);
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn scheduler thread");
-
-        ThreadedBackend {
-            tx,
-            completion_rx,
-            state,
-            statuses,
-            unfinished,
-            inflight,
-            held,
-            epoch,
-            next_id: 0,
-            scheduler_thread: Some(scheduler_thread),
-            node,
-            vt_watermark,
-            cstats,
-            telemetry,
-        }
+        let exec = Threads {
+            epoch: Instant::now(),
+            time_scale: runtime.time_scale,
+            launched: HashSet::new(),
+        };
+        ThreadedBackend(Sequential::new(runtime, exec))
     }
 
     /// The node this backend schedules over.
-    pub fn node(&self) -> &crate::resources::NodeSpec {
-        &self.node
+    pub fn node(&self) -> &NodeSpec {
+        &self.0.config().node
     }
 
-}
-
-/// How a worker's commit point resolved.
-enum CommitOutcome {
-    /// This side owns the outcome and will deliver the result.
-    Committed,
-    /// A cancel was acknowledged before the commit point.
-    Canceled,
-    /// The racing duplicate (or a fence) got there first.
-    Lost,
-}
-
-/// One placed attempt, on its own worker thread: sleep out the (scaled)
-/// placement-computed span, realize the fault verdict decided at placement,
-/// then — only past the commit point — take and run the shared work closure.
-///
-/// Both a main attempt and its hedged duplicate run this body; `hedge`
-/// selects which side of the commit race this worker is. The work closure
-/// lives behind a shared `Mutex<Option<..>>` so exactly one of main, hedge,
-/// or the retry ladder can claim it.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    id: TaskId,
-    alloc: Allocation,
-    started: SimTime,
-    incarnation: u64,
-    work: Arc<Mutex<Option<TaskWork>>>,
-    span: SimDuration,
-    fail: Option<TaskError>,
-    hedge: bool,
-    time_scale: f64,
-    token: &SleepToken,
-    statuses: &StatusMap,
-    done_tx: &Sender<Msg>,
-) {
-    let preempted = if time_scale > 0.0 {
-        !token.sleep(Duration::from_secs_f64(span.as_secs_f64() * time_scale))
-    } else {
-        false
-    };
-    if preempted {
-        if hedge {
-            // A hedge is only ever preempted when it lost the race (fenced
-            // by a main failure, beaten by a main commit, or its node
-            // crashed — the crash handler books that occupancy itself, and
-            // the stale-incarnation guard makes the release a no-op).
-            let _ = done_tx.send(Msg::HedgeLost {
-                id,
-                alloc,
-                started,
-                incarnation,
-                hedge: true,
-            });
-            return;
-        }
-        let (canceled, committed) = {
-            let st = lock_recover(statuses);
-            st.get(&id.0)
-                .map(|s| (s.cancel_requested, s.committed))
-                .unwrap_or((false, false))
-        };
-        let msg = if canceled {
-            Msg::WorkerCanceled {
-                id,
-                alloc,
-                started,
-                incarnation,
-            }
-        } else if committed {
-            // The hedged duplicate won; this main attempt is the loser.
-            Msg::HedgeLost {
-                id,
-                alloc,
-                started,
-                incarnation,
-                hedge: false,
-            }
-        } else {
-            let node = alloc.node;
-            Msg::AttemptFailed {
-                id,
-                alloc,
-                started,
-                incarnation,
-                err: TaskError::NodeCrashed { node },
-            }
-        };
-        let _ = done_tx.send(msg);
-        return;
-    }
-    if let Some(err) = fail {
-        let _ = done_tx.send(Msg::AttemptFailed {
-            id,
-            alloc,
-            started,
-            incarnation,
-            err,
-        });
-        return;
-    }
-    // Commit point: past this, the attempt WILL deliver its result, so a
-    // concurrent cancel() can no longer be acknowledged with `true` and the
-    // racing duplicate (if any) can no longer win.
-    let outcome = {
-        let mut st = lock_recover(statuses);
-        let s = st.entry(id.0).or_default();
-        if hedge {
-            if s.cancel_requested || s.committed || s.hedge_fenced {
-                CommitOutcome::Lost
-            } else {
-                s.committed = true;
-                CommitOutcome::Committed
-            }
-        } else if s.cancel_requested {
-            CommitOutcome::Canceled
-        } else if s.committed {
-            CommitOutcome::Lost
-        } else {
-            s.committed = true;
-            CommitOutcome::Committed
-        }
-    };
-    match outcome {
-        CommitOutcome::Canceled => {
-            let _ = done_tx.send(Msg::WorkerCanceled {
-                id,
-                alloc,
-                started,
-                incarnation,
-            });
-            return;
-        }
-        CommitOutcome::Lost => {
-            let _ = done_tx.send(Msg::HedgeLost {
-                id,
-                alloc,
-                started,
-                incarnation,
-                hedge,
-            });
-            return;
-        }
-        CommitOutcome::Committed => {}
-    }
-    let result = match lock_recover(&work).take() {
-        Some(w) => match catch_unwind(AssertUnwindSafe(w)) {
-            Ok(out) => Ok(Some(out)),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                Err(TaskError::WorkPanicked(msg))
-            }
-        },
-        None => Ok(None),
-    };
-    let _ = done_tx.send(Msg::WorkerDone {
-        id,
-        alloc,
-        started,
-        incarnation,
-        hedge,
-        result,
-    });
-}
-
-impl ExecutionBackend for ThreadedBackend {
-    fn submit(&mut self, desc: TaskDescription) -> TaskId {
-        assert!(
-            desc.request.fits_node(&self.node),
-            "request {} can never fit node {}",
-            desc.request,
-            self.node
-        );
-        let id = TaskId(self.next_id);
-        self.next_id += 1;
-        lock_recover(&self.statuses)
-            .insert(id.0, TaskStatus::default());
-        // Virtual submit instant: the completion watermark. A client that
-        // just consumed a completion and submits a follow-up queues it, on
-        // the virtual clock, exactly when the simulated backend would.
-        let vt_queued = SimTime::from_micros(self.vt_watermark.load(Ordering::SeqCst));
-        let (task_span, queue_span) = if self.telemetry.enabled() {
-            let st = Stamp::dual(vt_queued, self.now().as_micros());
-            let tr = track::task(id.0);
-            let task_span = self.telemetry.span(
-                SpanCat::Task,
-                &desc.name,
-                SpanId::NONE,
-                tr,
-                st,
-                &[("task", id.0 as i64), ("priority", desc.priority as i64)],
-            );
-            let queue_span = self.telemetry.span(
-                SpanCat::Queue,
-                "queue",
-                task_span,
-                tr,
-                st,
-                &[("attempt", 0)],
-            );
-            self.telemetry.count("tasks_submitted", 1);
-            (task_span, queue_span)
-        } else {
-            (SpanId::NONE, SpanId::NONE)
-        };
-        self.unfinished.fetch_add(1, Ordering::SeqCst);
-        self.inflight.fetch_add(1, Ordering::SeqCst);
-        if self.telemetry.enabled() {
-            self.telemetry
-                .gauge("in_flight", self.inflight.load(Ordering::SeqCst) as f64);
-        }
-        self.tx
-            .send(Msg::Submit {
-                id,
-                spec: TaskSpec {
-                    name: desc.name,
-                    tag: desc.tag,
-                    request: desc.request,
-                    priority: desc.priority,
-                    duration: desc.duration,
-                    gpu_busy_fraction: desc.gpu_busy_fraction,
-                    kind: desc.kind,
-                    walltime: desc.walltime,
-                    attempts: 0,
-                    work: desc.work,
-                },
-                vt_queued,
-                task_span,
-                queue_span,
-            })
-            .expect("scheduler thread alive");
-        id
-    }
-
-    fn next_completion(&mut self) -> Option<Completion> {
-        loop {
-            if let Ok(c) = self.completion_rx.try_recv() {
-                return Some(c);
-            }
-            // Held tasks will never complete: once they are all that
-            // remains, the drain is finished.
-            if self.unfinished.load(Ordering::SeqCst) <= self.held.load(Ordering::SeqCst) {
-                return None;
-            }
-            match self.completion_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(c) => return Some(c),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    fn utilization(&self) -> UtilizationReport {
-        lock_recover(&self.state).profiler.report(self.now())
-    }
-
-    fn phase_breakdown(&self) -> PhaseBreakdown {
-        lock_recover(&self.state).breakdown
-    }
-
-    fn held_tasks(&self) -> usize {
-        self.held.load(Ordering::SeqCst)
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    fn virtual_now(&self) -> SimTime {
-        SimTime::from_micros(self.vt_watermark.load(Ordering::SeqCst))
-    }
-
-    fn stamp(&self) -> Stamp {
-        Stamp::dual(self.virtual_now(), self.now().as_micros())
-    }
-
-    fn control_stats(&self) -> ControlStats {
-        *lock_recover(&self.cstats)
-    }
-
-    fn cancel(&mut self, id: TaskId) -> bool {
-        // Set the cancel-requested flag under the same lock the worker's
-        // commit point takes: once this returns `true`, no worker can
-        // commit, so an `Ok` completion is impossible.
-        {
-            let mut st = lock_recover(&self.statuses);
-            match st.get_mut(&id.0) {
-                Some(s) if !s.terminal && !s.committed && !s.cancel_requested => {
-                    s.cancel_requested = true;
-                }
-                _ => return false,
-            }
-        }
-        self.tx.send(Msg::Cancel { id }).is_ok()
+    /// Test support: [`Sequential::finish_instant`].
+    #[cfg(test)]
+    pub(crate) fn finish_instant(&mut self) {
+        self.0.finish_instant();
     }
 }
 
-impl Drop for ThreadedBackend {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
-        if let Some(handle) = self.scheduler_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
+drive_sequential!(ThreadedBackend);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecutionBackend, TaskError};
+    use crate::control::ControlStats;
+    use crate::task::{TaskDescription, TaskId};
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy, ScriptedCrash};
     use crate::resources::{NodeSpec, ResourceRequest};
     use crate::scheduler::PlacementPolicy;
+    use impress_sim::SimDuration;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn config(cores: u32, gpus: u32) -> PilotConfig {
         PilotConfig {
@@ -2308,16 +280,17 @@ mod tests {
 
     #[test]
     fn deadline_holds_overrunning_tasks_and_drains() {
-        // At 1% time scale: bootstrap 1s → 10ms, short tasks 3s → 30ms, the
-        // long task 100s → 1s. With a 200ms allocation the long task can
-        // never fit, while both short ones finish with ample margin.
+        // One core, bootstrap 1 s: the short tasks run 1–2 s and 2–3 s; the
+        // long one would hold the core from 3 s to 103 s. A 50 s allocation
+        // (virtual, like every deadline) fits the first two and strands
+        // the third.
         let cfg = PilotConfig {
             bootstrap: SimDuration::from_secs(1),
             ..config(1, 0)
         };
         let mut b = RuntimeConfig::new(cfg)
             .time_scale(0.01)
-            .deadline(SimTime::from_micros(200_000))
+            .deadline(SimTime::from_micros(50_000_000))
             .threaded();
         b.submit(task("short-a", 1).with_work(|| 1u64));
         b.submit(task("short-b", 1).with_work(|| 2u64));
@@ -2330,10 +303,10 @@ mod tests {
             assert!(c.result.is_ok());
             done.push(c.name);
         }
-        done.sort();
         assert_eq!(done, vec!["short-a".to_string(), "short-b".into()]);
         assert_eq!(b.held_tasks(), 1);
         assert_eq!(b.in_flight(), 1, "held tasks stay in flight");
+        assert_eq!(b.now(), SimTime::from_micros(3_000_000));
     }
 
     #[test]
@@ -2487,11 +460,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scripted_node_crash_requeues_and_completes() {
-        // 2 nodes × 4 cores at 1% time scale. Node 0 crashes 30 (virtual)
-        // seconds in — mid-sleep of its resident task — and recovers after
-        // 40 s; the evicted task retries and the whole workload completes.
+    /// 2 nodes × 4 cores, no retry backoff. Node 0 crashes 30 (virtual)
+    /// seconds in — in the middle of a full-node task's attempt, whose
+    /// closure is already on a thread — and recovers after 40 s.
+    fn crash_cell(time_scale: f64) -> ThreadedBackend {
         let plan = FaultPlan::new(
             FaultConfig {
                 scripted_crashes: vec![ScriptedCrash {
@@ -2508,35 +480,41 @@ mod tests {
             bootstrap: SimDuration::from_secs(1),
             ..config(4, 0)
         };
-        let mut b = RuntimeConfig::new(cfg)
-            .time_scale(0.01)
+        RuntimeConfig::new(cfg)
+            .time_scale(time_scale)
             .faults(plan, no_backoff(3))
-            .threaded();
-        for i in 0..2u64 {
-            b.submit(
-                TaskDescription::new(
-                    format!("t{i}"),
-                    ResourceRequest::cores(4),
-                    SimDuration::from_secs(100),
-                )
-                .with_work(move || i),
+            .threaded()
+    }
+
+    fn full_node(name: impl Into<String>) -> TaskDescription {
+        TaskDescription::new(name, ResourceRequest::cores(4), SimDuration::from_secs(100))
+    }
+
+    /// The evicted task retries and the whole workload completes, paced
+    /// or not.
+    #[test]
+    fn scripted_node_crash_requeues_and_completes() {
+        for time_scale in [0.01, 0.0] {
+            let mut b = crash_cell(time_scale);
+            for i in 0..2u64 {
+                b.submit(full_node(format!("t{i}")).with_work(move || i));
+            }
+            let mut completions = Vec::new();
+            while let Some(c) = b.next_completion() {
+                completions.push(c);
+            }
+            assert_eq!(completions.len(), 2);
+            assert!(
+                completions.iter().all(|c| c.result.is_ok()),
+                "requeued task must finish: {completions:?}"
             );
+            let evicted = completions.iter().filter(|c| c.attempts > 0).count();
+            assert_eq!(evicted, 1, "exactly the node-0 resident was evicted");
+            let r = b.utilization();
+            assert_eq!(r.retries, 1);
+            assert!(r.wasted_core_seconds > 0.0);
+            assert_eq!(b.in_flight(), 0);
         }
-        let mut completions = Vec::new();
-        while let Some(c) = b.next_completion() {
-            completions.push(c);
-        }
-        assert_eq!(completions.len(), 2);
-        assert!(
-            completions.iter().all(|c| c.result.is_ok()),
-            "requeued task must finish: {completions:?}"
-        );
-        let evicted = completions.iter().filter(|c| c.attempts > 0).count();
-        assert_eq!(evicted, 1, "exactly the node-0 resident was evicted");
-        let r = b.utilization();
-        assert_eq!(r.retries, 1);
-        assert!(r.wasted_core_seconds > 0.0);
-        assert_eq!(b.in_flight(), 0);
     }
 
     #[test]
@@ -2579,45 +557,6 @@ mod tests {
         let hist = snap.histogram("task_run_seconds").expect("recorded");
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 14.0, "two modeled 7s (setup+run) attempts");
-    }
-
-    #[test]
-    fn poisoned_sleep_token_still_preempts_and_wakes() {
-        let token = Arc::new(SleepToken::new());
-        let t2 = token.clone();
-        // Poison the token's mutex: a thread panics while holding it.
-        let _ = std::thread::spawn(move || {
-            let _guard = t2.preempted.lock().unwrap();
-            panic!("poison the token");
-        })
-        .join();
-        assert!(token.preempted.is_poisoned());
-        // Recovery: preempt() must neither panic nor lose the flag, and a
-        // sleeper must still observe the preemption immediately.
-        token.preempt();
-        assert!(
-            !token.sleep(Duration::from_secs(5)),
-            "preempt flag was lost to the poisoned lock"
-        );
-    }
-
-    #[test]
-    fn poisoned_status_map_does_not_wedge_the_backend() {
-        let mut b = ThreadedBackend::new(config(1, 0));
-        let statuses = Arc::clone(&b.statuses);
-        let _ = std::thread::spawn(move || {
-            let _guard = statuses.lock().unwrap();
-            panic!("poison the status map");
-        })
-        .join();
-        assert!(b.statuses.is_poisoned());
-        // Submission, execution, commit and delivery all cross the status
-        // lock; every site must recover the guard instead of panicking.
-        b.submit(task("t", 1).with_work(|| 7i32));
-        let c = b.next_completion().expect("completion despite poisoned lock");
-        assert!(!c.hedged);
-        assert_eq!(c.output::<i32>(), 7);
-        assert!(b.next_completion().is_none());
     }
 
     #[test]
@@ -2689,20 +628,12 @@ mod tests {
         }
         assert_eq!(hedged, 1, "exactly the straggler is rescued by its hedge");
         assert!(b.next_completion().is_none());
-        // The losing main wakes and reports asynchronously; poll for its
-        // hedge-waste booking rather than racing it.
-        let t0 = Instant::now();
-        loop {
-            let util = b.utilization();
-            if util.hedges == 1 && util.hedge_wasted_core_seconds > 0.0 {
-                break;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(5),
-                "hedge waste never booked: {util:?}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The victim held node 0 from 2 s until its duplicate (placed at
+        // the 2 × 1 s threshold, 4 s) won at 5 s: three core-seconds of
+        // hedge waste, booked by the time the winner's completion is out.
+        let util = b.utilization();
+        assert_eq!(util.hedges, 1);
+        assert_eq!(util.hedge_wasted_core_seconds, 3.0);
     }
 
     #[test]
@@ -2762,27 +693,26 @@ mod tests {
             nodes: 2,
             ..config(2, 0)
         };
-        let mut b = RuntimeConfig::new(cfg)
-            .faults(FaultPlan::new(fc, 3), no_backoff(3))
-            .time_scale(1e-3)
-            .threaded();
-        b.submit(
+        let runtime = || {
+            RuntimeConfig::new(cfg).faults(FaultPlan::new(fc.clone(), 3), no_backoff(3))
+        };
+        let long = || {
             TaskDescription::new("long", ResourceRequest::cores(2), SimDuration::from_secs(100))
-                .with_work(|| 7i32),
-        );
+                .with_work(|| 7i32)
+        };
+        let mut b = runtime().time_scale(1e-3).threaded();
+        b.submit(long());
         let c = b.next_completion().unwrap();
         assert_eq!(c.attempts, 1, "the lease expiry consumed one retry");
         assert_eq!(c.output::<i32>(), 7);
         assert!(b.next_completion().is_none());
         let cs = b.control_stats();
-        assert!(cs.heartbeats_sent > 0, "chains never ticked: {cs:?}");
-        assert!(
-            cs.heartbeats_delivered > 0,
-            "post-heal heartbeats never arrived: {cs:?}"
-        );
-        assert!(cs.suspicions >= 1, "partition never suspected: {cs:?}");
-        assert!(cs.lease_expiries >= 1, "victim kept its lease: {cs:?}");
-        assert!(cs.resyncs >= 1, "heal never resynced: {cs:?}");
+        assert!(cs.suspicions > 0 && cs.resyncs > 0, "no partition bit: {cs:?}");
+        // One core, one heartbeat clock: the replay counts the same.
+        let mut sim = runtime().simulated();
+        sim.submit(long());
+        while sim.next_completion().is_some() {}
+        assert_eq!(cs, sim.control_stats());
     }
 
     #[test]
@@ -2799,9 +729,9 @@ mod tests {
     fn repeated_create_drop_with_live_timers_shuts_down_cleanly() {
         use crate::fault::HedgePolicy;
         // A backend dropped with heartbeat chains ticking, retry backoffs
-        // pending, hedge checks armed and workers mid-sleep must join its
-        // scheduler thread promptly instead of hanging or panicking. The
-        // in-flight completions are simply never popped.
+        // pending and hedge checks armed must go away promptly instead of
+        // hanging or panicking. The in-flight completions are simply
+        // never popped.
         for round in 0..12u64 {
             let fc = FaultConfig {
                 task_failure_rate: 0.5,
@@ -2835,5 +765,104 @@ mod tests {
             }
             drop(b);
         }
+    }
+
+    #[test]
+    fn an_evicted_attempts_closure_runs_once_and_its_output_surfaces_with_the_retry() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let mut b = crash_cell(0.0);
+        for name in ["on-node-0", "on-node-1"] {
+            let runs = runs.clone();
+            b.submit(full_node(name).with_work(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                name
+            }));
+        }
+        let mut retried = 0;
+        while let Some(c) = b.next_completion() {
+            retried += c.attempts;
+            let name = c.name.clone();
+            assert_eq!(c.output::<&str>(), name, "each task gets its own output");
+        }
+        assert_eq!(retried, 1, "the node-0 resident was evicted once");
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "one run per task, not per attempt");
+    }
+
+    #[test]
+    fn preempt_evicts_a_running_attempt_and_requeues_it() {
+        let mut b = ThreadedBackend::new(config(2, 0));
+        let long = b.submit(
+            TaskDescription::new("long", ResourceRequest::cores(1), SimDuration::from_secs(100))
+                .with_work(|| 1u32),
+        );
+        let short = b.submit(task("short", 1).with_work(|| 2u32));
+        assert!(!b.preempt(long), "queued, not running");
+        assert_eq!(b.next_completion().unwrap().task, short);
+        assert!(b.preempt(long));
+        let c = b.next_completion().unwrap();
+        assert_eq!((c.task, c.attempts), (long, 1));
+        assert_eq!(c.output::<u32>(), 1);
+        // Held one core from bootstrap (1 s) to the eviction at 2 s.
+        assert_eq!(b.utilization().wasted_core_seconds, 1.0);
+    }
+
+    #[test]
+    fn the_control_plane_routes_submits_and_reports() {
+        let mut fc = FaultConfig::none();
+        fc.link.delay = SimDuration::from_secs(2);
+        let mut b = RuntimeConfig::new(config(1, 0))
+            .faults(FaultPlan::new(fc, 1), RetryPolicy::none())
+            .threaded();
+        b.submit(task("t", 1).with_work(|| ()));
+        let c = b.next_completion().unwrap();
+        // The submit arrives at 2 s (bootstrap ended at 1 s), the attempt
+        // runs to 3 s and its report takes the link's 2 s.
+        assert_eq!(c.started, SimTime::from_micros(2_000_000));
+        assert_eq!(c.finished, SimTime::from_micros(5_000_000));
+        assert_eq!(b.control_stats().messages, 2, "one submit, one report");
+    }
+
+    #[test]
+    fn the_completion_stream_is_deterministic() {
+        let run = || {
+            let plan = FaultPlan::new(
+                FaultConfig {
+                    task_failure_rate: 0.3,
+                    ..FaultConfig::none()
+                },
+                5,
+            );
+            let mut b = RuntimeConfig::new(config(3, 0))
+                .faults(plan, RetryPolicy::retries(4))
+                .threaded();
+            for i in 0..10u64 {
+                b.submit(task(&format!("t{i}"), 1 + (i % 2) as u32).with_work(move || i));
+            }
+            let mut log = Vec::new();
+            while let Some(c) = b.next_completion() {
+                log.push((c.task, c.started, c.finished, c.attempts, c.result.is_ok()));
+            }
+            (log, b.now())
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn dropping_a_backend_with_unjoined_workers_neither_hangs_nor_panics() {
+        // The slow worker is parked on a channel until after the drop (or
+        // two seconds, so that a drop that joined would fail, not hang).
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let mut b = ThreadedBackend::new(config(2, 0));
+        b.submit(task("fast", 1).with_work(|| ()));
+        b.submit(
+            TaskDescription::new("slow", ResourceRequest::cores(1), SimDuration::from_secs(100))
+                .with_work(move || parked.recv_timeout(Duration::from_secs(2)).is_ok()),
+        );
+        assert_eq!(b.next_completion().unwrap().name, "fast");
+        assert_eq!(b.in_flight(), 1, "the slow worker is launched, not joined");
+        let t0 = Instant::now();
+        drop(b);
+        assert!(t0.elapsed() < Duration::from_secs(1), "drop waited for a worker");
+        release.send(()).expect("the detached worker is still parked");
     }
 }

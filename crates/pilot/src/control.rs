@@ -27,8 +27,7 @@
 //!
 //! Determinism: each message forks the plane's RNG on
 //! `(label, key)` — never on the order backends happen to ask — so the
-//! simulated and sharded engines (and the threaded backend's modeled
-//! virtual clock) draw identical verdicts for identical traffic.
+//! three backends draw identical verdicts for identical traffic.
 //!
 //! The heartbeat failure detector built on `best_effort` is ticked by two
 //! clocks that must agree to the byte. `SimulatedBackend` schedules every

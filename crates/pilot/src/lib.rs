@@ -22,8 +22,8 @@
 //!   [`backend::ShardedBackend`] drives the same discrete-event core —
 //!   the identical event stream — on sharded queues sized for 10k-node
 //!   campaigns, and
-//!   [`backend::ThreadedBackend`] executes task closures on real threads
-//!   with the same slot semantics.
+//!   [`backend::ThreadedBackend`] drives it once more with task closures
+//!   on real threads and the virtual clock paced to real time.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]: transient
 //!   task failures, hangs, node crash/recover schedules) and the
 //!   [`RetryPolicy`] with which the pilot resubmits faulted attempts.

@@ -6,7 +6,7 @@
 //! `with_deadline` — and adding telemetry would have doubled the zoo.
 //! `RuntimeConfig` collapses them: build one value describing the run
 //! (pilot sizing, fault plan + retry policy, walltime deadline, threaded
-//! time dilation, telemetry handle), then hand it to either backend. The
+//! clock pacing, telemetry handle), then hand it to any backend. The
 //! old constructors shipped as deprecated shims for one release and have
 //! since been removed; `RuntimeConfig` is the only way to configure a
 //! backend beyond `new`.
@@ -30,8 +30,8 @@ use impress_telemetry::Telemetry;
 /// Everything a backend can be configured with, in one builder.
 ///
 /// Knobs that only one backend honors are documented as such and are
-/// silently inert on the other (`time_scale` is threaded-only; the
-/// simulated backend replays virtual time directly).
+/// silently inert on the others (`time_scale` is threaded-only; the
+/// virtual-time backends never wait for a clock).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Pilot sizing and timing (node shape, bootstrap, per-task setup,
@@ -41,11 +41,13 @@ pub struct RuntimeConfig {
     pub faults: FaultPlan,
     /// Retry policy for faulted attempts (default: no retries).
     pub retry: RetryPolicy,
-    /// Walltime deadline: tasks whose modeled span would cross it are held
-    /// instead of launched (default: none).
+    /// Walltime deadline, a point on the modeled clock on every backend:
+    /// tasks whose modeled span would cross it are held instead of
+    /// launched (default: none).
     pub deadline: Option<SimTime>,
-    /// Threaded backend only: factor dilating virtual durations into real
-    /// sleeps (`0.0` = sleep only for the work closure itself).
+    /// Threaded backend only: paces the virtual clock to this many wall
+    /// seconds per virtual second (`0.0` = unpaced: the run takes as long
+    /// as its work closures do).
     pub time_scale: f64,
     /// Telemetry handle; the default disabled handle records nothing and
     /// costs one branch per instrumentation point.
@@ -96,7 +98,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Dilate virtual durations into real sleeps (threaded backend only).
+    /// Pace the virtual clock to `scale` wall seconds per virtual second
+    /// (threaded backend only).
     pub fn time_scale(mut self, scale: f64) -> Self {
         self.time_scale = scale;
         self

@@ -1,9 +1,10 @@
 //! An mpsc channel built on `std::sync::{Mutex, Condvar}`.
 //!
-//! Replaces `crossbeam::channel` in the hermetic build. Only the surface the
-//! threaded backend needs is provided: an unbounded multi-producer
-//! single-consumer queue with blocking, non-blocking, and timed receives,
-//! and disconnection detection on both ends.
+//! Replaces `crossbeam::channel` in the hermetic build: an unbounded
+//! multi-producer single-consumer queue with blocking, non-blocking, and
+//! timed receives, and disconnection detection on both ends. Its one
+//! caller in the crate is the sharded backend's worker-thread shard drive
+//! (`channel` / `send` / `recv`).
 //!
 //! Semantics match `std::sync::mpsc` (and crossbeam's unbounded channel):
 //!
@@ -11,8 +12,7 @@
 //! * `recv` blocks until a message arrives or every sender is dropped; a
 //!   disconnected channel still drains buffered messages before reporting
 //!   [`RecvError`].
-//! * `recv_timeout` is the bounded-wait variant the backend's completion
-//!   loop polls with.
+//! * `recv_timeout` is the bounded-wait variant.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

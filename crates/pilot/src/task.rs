@@ -6,10 +6,10 @@
 //! reproduction), and bookkeeping tags linking it back to the pipeline and
 //! stage that created it.
 //!
-//! Both backends use the same description: the simulated backend advances
-//! virtual time by the cost and runs the closure at the completion instant;
-//! the threaded backend runs the closure on a real thread while holding the
-//! same slots.
+//! Every backend uses the same description: virtual time advances by the
+//! cost; the virtual-time backends run the closure at the completion
+//! instant, the threaded backend runs it on a real thread while the
+//! attempt holds its slots and joins it there.
 
 use crate::resources::ResourceRequest;
 use impress_json::{json_enum, json_struct};

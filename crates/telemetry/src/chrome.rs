@@ -5,11 +5,10 @@
 //! `"X"` (complete) events carrying `(ts, dur, tid, cat, name, args)` and
 //! no span ids, and the event list is canonically sorted by exactly those
 //! fields. Two recordings of the same workload that interleaved
-//! differently — the simulated backend coalesces a submit burst into one
-//! placement scan while the threaded backend interleaves placement rounds
-//! between `Submit` messages, so both recording order *and* span-id
-//! allocation order differ between backends — still export byte-identical
-//! documents whenever their timestamps and span structure agree.
+//! differently — two drivers of one instant may record its events, and
+//! so allocate its span ids, in different orders — still export
+//! byte-identical documents whenever their timestamps and span structure
+//! agree.
 
 use crate::event::{SpanCat, SpanId, Stamp, TelemetryEvent};
 use impress_json::Json;

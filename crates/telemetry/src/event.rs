@@ -94,8 +94,7 @@ impl SpanCat {
 /// which is what makes cross-backend byte parity possible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stamp {
-    /// Virtual time (exact under the simulated backend; model-derived
-    /// under the threaded backend).
+    /// Virtual time: the backend's one modeled clock.
     pub virt: SimTime,
     /// Wall-clock microseconds since the backend epoch, when one exists.
     pub wall: Option<u64>,

@@ -678,7 +678,9 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     ///
     /// [`Coordinator::run`] is `while self.step() {}`; calling `step`
     /// directly lets a multi-tenant driver interleave many independent
-    /// campaigns on one thread (the `coord_bench` 1k-coordinator cell).
+    /// campaigns on one thread
+    /// (`interleaved_journaled_coordinators_each_match_their_solo_run` in
+    /// `tests/campaign_service.rs`).
     pub fn step(&mut self) -> bool {
         self.start_pending();
         match self.session.wait_next() {

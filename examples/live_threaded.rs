@@ -1,11 +1,12 @@
 //! Live execution on the real-thread backend.
 //!
-//! Everything else in this repository replays experiments in virtual time;
-//! this example runs an actual concurrent campaign on OS threads with
-//! virtual durations dilated to milliseconds (1 virtual hour ≈ 40 real ms),
-//! so you can watch a 30-virtual-hour IM-RP run finish in a few seconds of
-//! wall-clock — with the same designs as the simulated backend, because the
-//! protocol's randomness is keyed to streams, not schedules.
+//! Everything else in this repository replays experiments in virtual time
+//! as fast as it can; this example runs the campaign's work closures on OS
+//! threads and paces the same virtual clock to real time (1 virtual hour ≈
+//! 40 real ms), so you can watch a 13-virtual-hour IM-RP run finish in
+//! about half a second of wall-clock — with the same schedule and the same
+//! designs as the simulated backend, because all three backends drive one
+//! discrete-event core.
 //!
 //! Run with: `cargo run --release --example live_threaded`
 
@@ -19,7 +20,7 @@ use std::time::Instant;
 fn main() {
     let seed = 7;
     let targets: Vec<_> = named_pdz_domains(seed).into_iter().take(2).collect();
-    // 1 virtual second → 11 µs of real sleep: ~30 virtual hours ≈ 1.2 s.
+    // 1 virtual second → 11 µs of real time: ~13 virtual hours ≈ 0.5 s.
     let time_scale = 11e-6;
     let pilot = PilotConfig {
         bootstrap: SimDuration::from_secs(30),
@@ -46,7 +47,11 @@ fn main() {
     let report = coordinator.run();
     let elapsed = t0.elapsed();
 
-    println!("\nfinished in {elapsed:.2?} of real time:");
+    println!(
+        "\nfinished in {elapsed:.2?} of real time ({:.2} virtual hours x {time_scale} = {:.2} s paced):",
+        report.makespan.as_hours_f64(),
+        report.makespan.as_secs_f64() * time_scale,
+    );
     println!("{report}");
     for (_, outcome) in coordinator.outcomes() {
         println!(
@@ -59,18 +64,17 @@ fn main() {
         );
     }
 
-    // Wait-time distribution across the run's tasks — real queueing, real
-    // threads.
     let log = coordinator.events();
     let stage_events =
         log.count(|e| matches!(e.kind, impress_workflow::EventKind::StageCompleted { .. }));
     println!("\nstages completed: {stage_events}");
-    let mut hist = Histogram::new(0.0, 2.0, 8);
-    // Real elapsed seconds per pipeline, from the event log.
+    // The event log is on the virtual clock: hours per pipeline, each of
+    // which took `time_scale` times as long in real time.
+    let mut hist = Histogram::new(0.0, 16.0, 8);
     for (id, _) in coordinator.outcomes() {
         if let Some((start, end)) = log.pipeline_span(*id) {
-            hist.record(end.since(start).as_secs_f64());
+            hist.record(end.since(start).as_hours_f64());
         }
     }
-    println!("pipeline wall-times (real seconds):\n{}", hist.render(30));
+    println!("pipeline makespans (virtual hours):\n{}", hist.render(30));
 }

@@ -1,7 +1,7 @@
 //! Backend parity: the simulated, sharded, and threaded backends must
 //! agree on the *science* (same task closures, same deterministic RNG
-//! streams, same outputs) even though they disagree on wall-clock — and
-//! in the sharded case, event-engine — mechanics.
+//! streams, same outputs) and on the virtual clock, even though they
+//! disagree on event-engine mechanics and on where closures run.
 
 use impress_core::{DesignPipeline, ProtocolConfig, TargetToolkit};
 use impress_pilot::backend::{ShardedBackend, SimulatedBackend, ThreadedBackend};
@@ -58,7 +58,7 @@ fn batch_outputs_agree_across_backends() {
 
 /// The serialized parity workload exports *byte-identical* virtual-clock
 /// Chrome traces on all three engines: the sequential oracle, the sharded
-/// parallel-DES engine, and real threads under the model clock. This is
+/// parallel-DES engine, and real threads under the paced clock. This is
 /// the strongest cross-engine statement the telemetry layer can make —
 /// every span boundary, name, and argument at the same virtual
 /// microsecond, serialized to the same bytes.
@@ -197,8 +197,8 @@ fn design_pipeline_science_is_backend_independent() {
 
 /// Per-replica RNG streams (`fork_idx` off a task-local root) are a pure
 /// function of seed and index, never of scheduling order — so both backends
-/// see identical streams even though the threaded one completes tasks in
-/// nondeterministic wall-clock order.
+/// see identical streams even though the threaded one runs closures
+/// concurrently, in whatever order the OS schedules them.
 #[test]
 fn forked_rng_streams_agree_across_backends() {
     use impress_sim::SimRng;
@@ -235,40 +235,22 @@ fn forked_rng_streams_agree_across_backends() {
 }
 
 /// Placement-order parity: random full-node workloads with random
-/// priorities execute in the *same order* on both backends. Full-node
+/// priorities execute in the *same order* on every backend. Full-node
 /// requests serialize execution, so the order work closures run is exactly
-/// the scheduler's placement order — observable even under the threaded
-/// backend's nondeterministic wall-clock. A max-priority gate task holds
-/// the node (blocking on a condvar in the threaded case) until every
-/// submission is enqueued, so the scheduler sees the identical queue in
-/// both backends before making its first real decision.
+/// the scheduler's placement order — observable even on real threads.
+/// Nothing is placed before the first `next_completion`, so the scheduler
+/// sees the identical queue everywhere before its first decision.
 mod placement_order_parity {
     use super::*;
     use impress_sim::props;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Mutex};
 
-    /// Run `priorities.len()` full-node tasks (plus the gate) and return
-    /// the order their work closures executed in.
-    fn run_order(backend: &mut dyn ExecutionBackend, priorities: &[i32], threaded: bool) -> Vec<u64> {
+    /// Run `priorities.len()` full-node tasks and return the order their
+    /// work closures executed in.
+    fn run_order(backend: &mut dyn ExecutionBackend, priorities: &[i32]) -> Vec<u64> {
         let node = PilotConfig::with_seed(0).node;
         let full = ResourceRequest::with_gpus(node.cores, node.gpus);
         let order = Arc::new(Mutex::new(Vec::new()));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = gate.clone();
-            let desc = TaskDescription::new("gate", full, SimDuration::from_secs(1))
-                .with_priority(i32::MAX)
-                .with_work(move || {
-                    if threaded {
-                        let (lock, cv) = &*gate;
-                        let mut open = lock.lock().expect("gate lock");
-                        while !*open {
-                            open = cv.wait(open).expect("gate wait");
-                        }
-                    }
-                });
-            backend.submit(desc);
-        }
         for (i, &p) in priorities.iter().enumerate() {
             let order = order.clone();
             backend.submit(
@@ -280,11 +262,6 @@ mod placement_order_parity {
                 .with_priority(p)
                 .with_work(move || order.lock().expect("order lock").push(i as u64)),
             );
-        }
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().expect("gate lock") = true;
-            cv.notify_all();
         }
         while backend.next_completion().is_some() {}
         let order = order.lock().expect("order lock").clone();
@@ -301,11 +278,11 @@ mod placement_order_parity {
                 (0..n).map(|_| rng.below(7) as i32 - 3).collect();
             let seed = rng.next_u64();
             let mut sim = SimulatedBackend::new(pilot_config(seed));
-            let sim_order = run_order(&mut sim, &priorities, false);
+            let sim_order = run_order(&mut sim, &priorities);
             let mut thr = ThreadedBackend::new(pilot_config(seed));
-            let thr_order = run_order(&mut thr, &priorities, true);
+            let thr_order = run_order(&mut thr, &priorities);
             let mut sha = ShardedBackend::new(pilot_config(seed));
-            let sha_order = run_order(&mut sha, &priorities, false);
+            let sha_order = run_order(&mut sha, &priorities);
             assert_eq!(
                 sim_order, thr_order,
                 "placement order diverged for priorities {priorities:?}"
@@ -326,57 +303,29 @@ mod placement_order_parity {
 /// Gray failures with hedging off are bit-identical across all three
 /// engines: scripted slowdown windows dilate the modeled clock by exactly
 /// the same microseconds whether virtual time is replayed sequentially,
-/// sharded, or modeled under real threads. Full-node tasks serialize
-/// execution, so the threaded engine's wall-clock races cannot perturb
-/// placement — any divergence is a dilation bug, not a scheduling race.
+/// sharded, or paced under real threads.
 mod slowdown_parity {
     use super::*;
     use impress_pilot::{FaultConfig, FaultPlan, RetryPolicy, RuntimeConfig, ScriptedSlowdown};
     use impress_sim::{props, SimTime};
     use impress_telemetry::{chrome_trace_filtered, SpanCat, Telemetry, TraceClock};
-    use std::sync::{Arc, Condvar, Mutex};
 
-    /// Drive `durations.len()` full-node tasks (plus a max-priority gate
-    /// that holds the node until everything is enqueued, so all queue
-    /// spans begin at virtual zero on every engine) and export the
-    /// virtual-clock Chrome trace plus the final virtual watermark.
-    /// Scheduler spans are filtered: polling cadence is backend mechanics.
+    /// Drive `durations.len()` full-node tasks and export the
+    /// virtual-clock Chrome trace plus the final virtual clock. Scheduler
+    /// spans are filtered: how many placement rounds a driver runs per
+    /// instant is backend mechanics.
     fn run_traced(
         mut backend: Box<dyn ExecutionBackend>,
         durations: &[u64],
         recorder: impress_telemetry::TraceRecorder,
-        threaded: bool,
     ) -> (String, u64) {
         let node = PilotConfig::with_seed(0).node;
         let full = ResourceRequest::with_gpus(node.cores, node.gpus);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = gate.clone();
-            backend.submit(
-                TaskDescription::new("gate", full, SimDuration::from_secs(1))
-                    .with_priority(i32::MAX)
-                    .with_work(move || {
-                        if threaded {
-                            let (lock, cv) = &*gate;
-                            let mut open = lock.lock().expect("gate lock");
-                            while !*open {
-                                open = cv.wait(open).expect("gate wait");
-                            }
-                        }
-                    }),
-            );
-        }
         for (i, &secs) in durations.iter().enumerate() {
-            backend.submit(TaskDescription::new(
-                format!("t{i}"),
-                full,
-                SimDuration::from_secs(secs),
-            ));
-        }
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().expect("gate lock") = true;
-            cv.notify_all();
+            backend.submit(
+                TaskDescription::new(format!("t{i}"), full, SimDuration::from_secs(secs))
+                    .with_work(move || i),
+            );
         }
         while let Some(c) = backend.next_completion() {
             assert!(c.result.is_ok());
@@ -396,7 +345,7 @@ mod slowdown_parity {
         fn slowdown_windows_dilate_identically_on_all_three_engines(rng, cases = 12) {
             let n = 3 + rng.below(8);
             let durations: Vec<u64> = (0..n).map(|_| 5 + rng.below(300) as u64).collect();
-            let total_nominal: u64 = 1 + durations.iter().sum::<u64>();
+            let total_nominal: u64 = durations.iter().sum::<u64>();
             let seed = rng.next_u64();
             let mut fc = FaultConfig::none();
             for _ in 0..1 + rng.below(3) {
@@ -407,20 +356,18 @@ mod slowdown_parity {
                     factor: 2.0 + rng.below(18) as f64,
                 });
             }
-            let run = |make: &dyn Fn(RuntimeConfig) -> Box<dyn ExecutionBackend>, threaded| {
+            let run = |make: &dyn Fn(RuntimeConfig) -> Box<dyn ExecutionBackend>| {
                 let (telemetry, recorder) = Telemetry::recording(1 << 16);
                 let rt = RuntimeConfig::new(pilot_config(seed))
                     .faults(FaultPlan::new(fc.clone(), seed ^ 0x51), RetryPolicy::none())
                     .telemetry(telemetry);
-                run_traced(make(rt), &durations, recorder, threaded)
+                run_traced(make(rt), &durations, recorder)
             };
-            let sim = run(&|rt| Box::new(rt.simulated()), false);
-            let sha = run(&|rt| Box::new(rt.sharded()), false);
-            let thr = run(&|rt| Box::new(rt.threaded()), true);
+            let sim = run(&|rt| Box::new(rt.simulated()));
+            let sha = run(&|rt| Box::new(rt.sharded()));
+            let thr = run(&|rt| Box::new(rt.threaded()));
             assert_eq!(sim, sha, "sharded slowdown dilation diverged");
-            // The threaded engine's `now()` is a wall clock, so only the
-            // virtual trace is comparable — and it must match to the byte.
-            assert_eq!(sim.0, thr.0, "threaded slowdown dilation diverged");
+            assert_eq!(sim, thr, "threaded slowdown dilation diverged");
             // The node is busy continuously from bootstrap to the last
             // completion and every window starts inside that busy span, so
             // the degradation must actually have stretched the campaign.

@@ -8,7 +8,7 @@
 //! holds the stepping/boost/finish behaviour of an up-front weighted cell
 //! fixed, and a props test checks usage conservation (account = sum of its
 //! lease meters) under submits, cancels and preemption. Priority
-//! preemption itself is checked on both virtual-time engines. Equal-weight
+//! preemption itself is checked on all three engines. Equal-weight
 //! tenants share a contended cluster fairly (Jain index), and independent
 //! journaled coordinators interleaved through `Coordinator::step()` each
 //! behave as they do driven alone.
@@ -645,14 +645,14 @@ fn admit_over_a_long_task<B: ExecutionBackend>(backend: B, class: i32) -> (f64, 
     (booked, low.finished_at)
 }
 
-/// Regression: `ShardedBackend` never implemented
-/// `ExecutionBackend::preempt` and inherited the trait's `false`, so on the
-/// default engine a higher class was admitted without evicting anybody.
-/// Preemption is the shared core's now: on either engine the admission
+/// Regression: `ShardedBackend`, and after it `ThreadedBackend`, never
+/// implemented `ExecutionBackend::preempt` and inherited the trait's
+/// `false`, so a higher class was admitted without evicting anybody.
+/// Preemption is the shared core's now: on every engine the admission
 /// books the evicted attempt's 12 s on its core as waste, and `low` starts
 /// over — later than it finishes when the newcomer is of its own class.
 #[test]
-fn a_higher_class_admission_evicts_running_tasks_on_both_engines() {
+fn a_higher_class_admission_evicts_running_tasks_on_every_engine() {
     fn check<B: ExecutionBackend>(engine: &str, make: impl Fn(RuntimeConfig) -> B) {
         let runtime = || RuntimeConfig::new(pilot(2, 1));
         let (booked, undisturbed) = admit_over_a_long_task(make(runtime()), 0);
@@ -664,6 +664,7 @@ fn a_higher_class_admission_evicts_running_tasks_on_both_engines() {
     }
     check("simulated", |rt| rt.simulated());
     check("sharded", |rt| rt.sharded());
+    check("threaded", |rt| rt.threaded());
 }
 
 /// The one intended behaviour change of tenant accounts: the boost is the

@@ -565,19 +565,21 @@ fn no_deprecated_items_anywhere_in_the_workspace() {
     );
 }
 
-/// `SimulatedBackend` and `ShardedBackend` are two clocks over ONE set of
-/// attempt-lifecycle handlers (`crates/pilot/src/backend/des.rs`). They
-/// used to be two copies kept equal by hand, the second one written as
-/// closures for an engine only it used. This guard fails the moment an
-/// engine change re-forks a handler into a driver, or the closure engine
-/// comes back. (`threaded.rs` still has its own; it is next.)
+/// `SimulatedBackend`, `ShardedBackend` and `ThreadedBackend` are three
+/// drivers of ONE set of attempt-lifecycle handlers
+/// (`crates/pilot/src/backend/des.rs`). They used to be three copies kept
+/// equal by hand — one written as closures for an engine only it used,
+/// one as a scheduler thread with a modeled second clock. This guard fails
+/// the moment an engine change re-forks a handler (or the state only the
+/// handlers need) into a driver, the sequential driver gets a second
+/// copy, `threaded.rs` grows back into an engine, or the closure engine
+/// comes back.
 #[test]
-fn the_virtual_time_backends_share_one_set_of_lifecycle_handlers() {
+fn every_backend_shares_one_set_of_lifecycle_handlers() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut drivers = Vec::new();
     rs_files(&root.join("crates/pilot/src/backend"), &mut drivers);
-    drivers.retain(|f| !f.ends_with("threaded.rs"));
-    assert!(drivers.len() >= 3, "expected the core and its two drivers");
+    assert!(drivers.len() >= 4, "expected the core and its three drivers");
     let sources: Vec<(PathBuf, String)> = drivers
         .into_iter()
         .map(|f| {
@@ -585,6 +587,13 @@ fn the_virtual_time_backends_share_one_set_of_lifecycle_handlers() {
             (f, text)
         })
         .collect();
+    let homes = |needle: &str| -> Vec<String> {
+        sources
+            .iter()
+            .filter(|(_, text)| text.contains(needle))
+            .map(|(f, _)| f.display().to_string())
+            .collect()
+    };
     for handler in [
         "fn place_ready(",
         "fn fail_attempt(",
@@ -592,14 +601,28 @@ fn the_virtual_time_backends_share_one_set_of_lifecycle_handlers() {
         "fn deliver_done(",
         "fn suspect_node(",
         "fn finish_task(",
+        // The sequential driver, shared by two backends.
+        "fn step(",
+        "fn heartbeat_send(",
     ] {
-        let homes: Vec<_> = sources
-            .iter()
-            .filter(|(_, text)| text.contains(handler))
-            .map(|(f, _)| f.display().to_string())
-            .collect();
+        let homes = homes(handler);
         assert_eq!(homes.len(), 1, "`{handler}` must have exactly one home: {homes:?}");
     }
+    // What only the handlers need is named by the core alone.
+    for state in ["Scheduler::new_cluster", ".attempt_fault(", "backoff_rng"] {
+        let homes = homes(state);
+        assert!(
+            homes.len() == 1 && homes[0].ends_with("des.rs"),
+            "`{state}` belongs to des.rs alone: {homes:?}"
+        );
+    }
+    let (_, threaded) = sources
+        .iter()
+        .find(|(f, _)| f.ends_with("threaded.rs"))
+        .expect("backend/threaded.rs");
+    let non_test = threaded.split("#[cfg(test)]\nmod tests").next().expect("a first piece");
+    let lines = non_test.lines().count();
+    assert!(lines < 400, "threaded.rs is a driver, not an engine: {lines} non-test lines");
 
     assert!(
         !root.join("crates/sim/src/engine.rs").exists(),

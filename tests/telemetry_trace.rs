@@ -5,9 +5,8 @@
 //! * recorded streams are structurally well-formed (`check_nesting`);
 //! * the Chrome trace-event export round-trips through `impress-json`;
 //! * the simulated and threaded backends export byte-identical
-//!   virtual-clock traces for serialized workloads — the threaded
-//!   backend's *modeled* virtual clock reproduces the simulated one
-//!   exactly, across random workload shapes and priorities.
+//!   virtual-clock traces for serialized workloads — one virtual clock
+//!   under both, across random workload shapes and priorities.
 
 use impress_bench::trace::parity_trace;
 use impress_core::{CampaignSpec, ProtocolConfig};
@@ -125,11 +124,11 @@ fn telemetry_never_perturbs_the_experiment() {
 }
 
 props! {
-    /// The threaded backend's modeled virtual clock reproduces the
-    /// simulated backend's exact one: serialized workloads of random
-    /// size export byte-identical virtual-time Chrome traces (scheduler
-    /// mechanics filtered; every task, queue, attempt, and pilot span
-    /// must agree to the microsecond).
+    /// The threaded backend's virtual clock is the simulated backend's:
+    /// serialized workloads of random size export byte-identical
+    /// virtual-time Chrome traces (scheduler mechanics filtered; every
+    /// task, queue, attempt, and pilot span must agree to the
+    /// microsecond).
     fn virtual_traces_agree_across_backends(rng, cases = 8) {
         let tasks = 2 + rng.below(6) as usize;
         let seed = rng.next_u64();
