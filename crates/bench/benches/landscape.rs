@@ -1,13 +1,15 @@
 //! Landscape micro-benchmarks: NK fitness evaluation cost vs sequence
-//! length, local-score cost, and hill-climb sweeps.
+//! length, local-score cost, hill-climb sweeps, and one default MPNN
+//! `sample()`.
 //!
-//! The MPNN surrogate evaluates ~20 local scores per mutated position per
-//! proposal; these numbers bound how large a cohort the reproduction can
-//! replay per host-second.
+//! The MPNN surrogate takes one twenty-candidate `local_scores` pass per
+//! mutated position per proposal; these numbers bound how large a cohort
+//! the reproduction can replay per host-second.
 
 use impress_bench::timing::{black_box, Suite};
-use impress_proteins::amino::ALL;
+use impress_proteins::datasets::DesignTarget;
 use impress_proteins::landscape::DesignLandscape;
+use impress_proteins::mpnn::{MpnnConfig, SurrogateMpnn};
 use impress_proteins::Sequence;
 use impress_sim::SimRng;
 
@@ -32,11 +34,18 @@ fn bench_local_score(suite: &mut Suite) {
     let l = DesignLandscape::new(7, 90, peptide);
     let seq = arb_receptor(&l, 2);
     suite.bench("local_score_all_candidates", || {
-        let mut acc = 0.0;
-        for &aa in &ALL {
-            acc += l.local_score(&seq, 45, aa);
-        }
-        black_box(acc)
+        black_box(l.local_scores(&seq, 45).iter().sum::<f64>())
+    });
+}
+
+fn bench_mpnn_sample(suite: &mut Suite) {
+    let peptide = Sequence::parse("EGYQDYEPEA").unwrap();
+    let mut rng = SimRng::from_seed(4);
+    let target = DesignTarget::fabricate("bench", 7, 90, peptide, &mut rng);
+    let mpnn = SurrogateMpnn::new(target.landscape.clone());
+    let config = MpnnConfig::default();
+    suite.bench("mpnn_sample/90", || {
+        black_box(mpnn.sample(&target.start, &config, &mut rng))
     });
 }
 
@@ -57,5 +66,6 @@ fn main() {
     bench_fitness_vs_length(&mut suite);
     bench_local_score(&mut suite);
     bench_hill_climb(&mut suite);
+    bench_mpnn_sample(&mut suite);
     suite.finish();
 }

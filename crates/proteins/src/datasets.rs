@@ -10,7 +10,7 @@
 //! are real proteins (far better than random) but far from optimal *for the
 //! new target peptide* (that is the design task).
 
-use crate::landscape::DesignLandscape;
+use crate::landscape::{best_candidate, DesignLandscape};
 use crate::sequence::{Chain, Sequence};
 use crate::structure::{Complex, Structure};
 use impress_sim::SimRng;
@@ -60,16 +60,7 @@ impl DesignTarget {
             if !rng.chance(NATIVE_OPTIMIZED_FRACTION) {
                 continue;
             }
-            let best = crate::amino::ALL
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    landscape
-                        .local_score(&native, pos, a)
-                        .partial_cmp(&landscape.local_score(&native, pos, b))
-                        .expect("finite scores")
-                })
-                .expect("non-empty");
+            let best = best_candidate(&landscape.local_scores(&native, pos));
             native.set(pos, best);
         }
         let q0 = landscape.fitness(&native).quality;
@@ -271,6 +262,34 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             targets.iter().map(|t| t.target.name.as_str()).collect();
         assert_eq!(names.len(), 5);
+    }
+
+    /// `fabricate` and `hill_climb` pick each position's arg-max with
+    /// `Iterator::max_by`'s last-maximum-wins tie rule. Content hashes of
+    /// the native and of a two-sweep climb from it, recorded from the
+    /// clone-and-rehash implementation the `local_scores` kernel replaced.
+    #[test]
+    fn fabricate_and_hill_climb_sequences_are_pinned() {
+        const GOLDEN: [(u64, u64); 5] = [
+            (0x55bd_742f_7a11_143b, 0x85ab_b6ba_515e_50ec),
+            (0x4b51_7a35_331f_6901, 0x6e2d_1e0b_d9a6_5e66),
+            (0xe20c_e4d5_bd22_ea5b, 0xa452_d1f5_e938_4c2a),
+            (0x0c91_1033_e05b_2d47, 0x9f60_bf58_5393_cf43),
+            (0x9e4c_f96e_fdc8_f3a2, 0x2437_4ae9_a854_eacd),
+        ];
+        let got: Vec<(u64, u64)> = [1u64, 7, 42, 2025, 0xdead_beef]
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| {
+                let mut rng = SimRng::from_seed(seed);
+                let peptide = alpha_synuclein_tail(if i % 2 == 0 { 10 } else { 4 });
+                let t = DesignTarget::fabricate("pin", seed, 80 + 9 * i, peptide, &mut rng);
+                let native = &t.start.complex.receptor.sequence;
+                let climbed = t.landscape.hill_climb(native, 2, &mut rng);
+                (native.content_hash(), climbed.content_hash())
+            })
+            .collect();
+        assert_eq!(got, GOLDEN);
     }
 
     #[test]

@@ -146,8 +146,9 @@ impl InterfaceModel {
     }
 
     /// Sum of contact scores touching receptor position `pos` if it held
-    /// `candidate` — the local term the MPNN surrogate uses. Zero when `pos`
-    /// is not in the groove.
+    /// `candidate` — the local term the MPNN surrogate uses, a constant of
+    /// the target that [`super::DesignLandscape::new`] tables once per
+    /// groove position. Zero when `pos` is not in the groove.
     pub fn local_sum(&self, pos: usize, candidate: AminoAcid, peptide: &Sequence) -> f64 {
         self.contacts
             .iter()

@@ -15,6 +15,22 @@
 //! linear reads of `q` (see [`crate::alphafold`]), which places starting
 //! structures and final designs in the paper's observed pLDDT/pTM/pAE
 //! ranges.
+//!
+//! # The local-scoring kernel and its contract
+//!
+//! Every caller of the local score — [`crate::mpnn::SurrogateMpnn`]'s
+//! proposals, [`DesignLandscape::hill_climb`], target fabrication — wants
+//! all twenty candidates at one `(sequence, position)`, so that is the one
+//! operation there is: [`DesignLandscape::local_scores`]. It clones no
+//! sequence, runs each NK hash chain once up to the first link that names
+//! the candidate ([`NkLandscape::local_sums`]), and reads the binding term,
+//! a constant of the target, from a table built in
+//! [`DesignLandscape::new`] and shared by the landscape's clones. The contract is that every `f64` is produced
+//! by the same operations in the same order as scoring one candidate at a
+//! time against a mutated copy of the sequence: no reassociation, no
+//! `mul_add`, and a product is tabled only where it was already a separate
+//! rounding. The tests keep that one-candidate definition as their oracle
+//! and compare bit for bit.
 
 pub mod interface;
 pub mod nk;
@@ -26,6 +42,7 @@ use crate::amino::{AminoAcid, ALL};
 use crate::sequence::Sequence;
 use impress_json::json_struct;
 use impress_sim::SimRng;
+use std::sync::Arc;
 
 /// Weight of the fold component in total fitness (binding gets the rest).
 pub const FOLD_WEIGHT: f64 = 0.55;
@@ -78,16 +95,58 @@ pub struct DesignLandscape {
     nk: NkLandscape,
     interface: InterfaceModel,
     peptide: Sequence,
+    binding: Arc<BindingTable>,
+}
+
+/// The binding term of [`DesignLandscape::local_scores`] — a constant of
+/// the target, so it is computed once and shared by every clone of the
+/// landscape (a toolkit holds four per target).
+#[derive(Debug)]
+struct BindingTable {
+    /// Row 0 serves every position outside the groove, then one row per
+    /// groove position (a groove is under a fifth of the receptor).
+    rows: Vec<[f64; 20]>,
+    /// Row of `rows` each receptor position reads.
+    row_of: Vec<u32>,
+}
+
+impl BindingTable {
+    fn new(interface: &InterfaceModel, peptide: &Sequence, receptor_len: usize) -> Self {
+        let row = |pos: usize| {
+            ALL.map(|candidate| {
+                let bind =
+                    interface.local_sum(pos, candidate, peptide) / interface.num_contacts() as f64;
+                (1.0 - FOLD_WEIGHT) * bind
+            })
+        };
+        // No contact names position `receptor_len`, so row 0 is the empty
+        // sum every position outside the groove scores.
+        let mut rows = vec![row(receptor_len)];
+        let mut row_of = vec![0u32; receptor_len];
+        for pos in interface.groove_positions() {
+            row_of[pos] = u32::try_from(rows.len()).expect("groove fits in u32");
+            rows.push(row(pos));
+        }
+        BindingTable { rows, row_of }
+    }
+
+    #[inline]
+    fn row(&self, pos: usize) -> &[f64; 20] {
+        &self.rows[self.row_of[pos] as usize]
+    }
 }
 
 impl DesignLandscape {
     /// Landscape for a receptor of `receptor_len` residues binding `peptide`,
     /// fully determined by `seed`.
     pub fn new(seed: u64, receptor_len: usize, peptide: Sequence) -> Self {
+        let interface = InterfaceModel::new(seed ^ 0xba5e_ba11, receptor_len, peptide.len());
+        let binding = Arc::new(BindingTable::new(&interface, &peptide, receptor_len));
         DesignLandscape {
             nk: NkLandscape::new(seed, receptor_len),
-            interface: InterfaceModel::new(seed ^ 0xba5e_ba11, receptor_len, peptide.len()),
+            interface,
             peptide,
+            binding,
         }
     }
 
@@ -120,16 +179,20 @@ impl DesignLandscape {
         }
     }
 
-    /// Change to the *raw total* fitness if `pos` mutated to `candidate`,
-    /// relative to an arbitrary per-position baseline. Only differences
-    /// between candidates at the same position are meaningful. This is the
-    /// local score the MPNN surrogate ranks residues with — it sees local
-    /// structure chemistry, not the global landscape.
-    pub fn local_score(&self, receptor: &Sequence, pos: usize, candidate: AminoAcid) -> f64 {
-        let fold = self.nk.local_sum(receptor, pos, candidate) / self.nk.len() as f64;
-        let bind = self.interface.local_sum(pos, candidate, &self.peptide)
-            / self.interface.num_contacts() as f64;
-        FOLD_WEIGHT * fold + (1.0 - FOLD_WEIGHT) * bind
+    /// Change to the *raw total* fitness if `pos` mutated to each of the
+    /// twenty residues, indexed by [`AminoAcid::index`] (the order of
+    /// [`ALL`]), relative to an arbitrary per-position baseline. Only
+    /// differences between candidates at the same position are meaningful.
+    /// This is the local score the MPNN surrogate ranks residues with — it
+    /// sees local structure chemistry, not the global landscape. Allocates
+    /// nothing; see the module docs for the bit-for-bit contract.
+    pub fn local_scores(&self, receptor: &Sequence, pos: usize) -> [f64; 20] {
+        let sums = self.nk.local_sums(receptor, pos);
+        let bind = self.binding.row(pos);
+        std::array::from_fn(|c| {
+            let fold = sums[c] / self.nk.len() as f64;
+            FOLD_WEIGHT * fold + bind[c]
+        })
     }
 
     /// Greedy first-improvement hill climb used to fabricate plausible
@@ -142,17 +205,9 @@ impl DesignLandscape {
             let mut order: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut order);
             for &pos in &order {
-                let current = self.local_score(&seq, pos, seq.at(pos));
-                let best = ALL
-                    .iter()
-                    .copied()
-                    .max_by(|&a, &b| {
-                        self.local_score(&seq, pos, a)
-                            .partial_cmp(&self.local_score(&seq, pos, b))
-                            .expect("scores are finite")
-                    })
-                    .expect("ALL is non-empty");
-                if self.local_score(&seq, pos, best) > current {
+                let scores = self.local_scores(&seq, pos);
+                let best = best_candidate(&scores);
+                if scores[best.index()] > scores[seq.at(pos).index()] {
                     seq.set(pos, best);
                 }
             }
@@ -170,12 +225,109 @@ impl DesignLandscape {
     }
 }
 
+/// The best-scoring residue of one [`DesignLandscape::local_scores`] pass;
+/// among equal maxima the last in [`ALL`] order wins, as with
+/// [`Iterator::max_by`].
+pub(crate) fn best_candidate(scores: &[f64; 20]) -> AminoAcid {
+    ALL.iter()
+        .copied()
+        .max_by(|a, b| {
+            scores[a.index()]
+                .partial_cmp(&scores[b.index()])
+                .expect("scores are finite")
+        })
+        .expect("ALL is non-empty")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_sim::props;
 
     fn landscape() -> DesignLandscape {
         DesignLandscape::new(99, 80, Sequence::parse("EGYQDYEPEA").unwrap())
+    }
+
+    /// The specification of [`DesignLandscape::local_scores`]: score one
+    /// candidate by rescoring a mutated copy of the receptor, filtering the
+    /// contact list and recomputing the contact chemistry.
+    fn naive_local_score(
+        l: &DesignLandscape,
+        receptor: &Sequence,
+        pos: usize,
+        candidate: AminoAcid,
+    ) -> f64 {
+        let fold = nk::naive_local_sum(&l.nk, receptor, pos, candidate) / l.nk.len() as f64;
+        FOLD_WEIGHT * fold + naive_binding_term(l, pos, candidate)
+    }
+
+    /// The binding half of [`naive_local_score`].
+    fn naive_binding_term(l: &DesignLandscape, pos: usize, candidate: AminoAcid) -> f64 {
+        let bind =
+            l.interface.local_sum(pos, candidate, &l.peptide) / l.interface.num_contacts() as f64;
+        (1.0 - FOLD_WEIGHT) * bind
+    }
+
+    fn arb_sequence(rng: &mut SimRng, len: usize) -> Sequence {
+        Sequence::new((0..len).map(|_| *rng.choose(&ALL)).collect())
+    }
+
+    /// Every position x candidate of the kernel carries the oracle's bits
+    /// — the cyclic wrap at `0`, `1`, `len − 2`, `len − 1` among them — and
+    /// so does the tabled binding term on its own, where the sign of an
+    /// empty sum's zero would otherwise hide behind the fold term.
+    fn assert_kernel_matches_oracle(rng: &mut SimRng, len: usize) {
+        let peptide_len = 1 + rng.below(12);
+        let peptide = arb_sequence(rng, peptide_len);
+        let l = DesignLandscape::new(rng.next_u64(), len, peptide);
+        let receptor = arb_sequence(rng, len);
+        let groove = l.groove_positions();
+        assert!(groove.len() < len, "some position lies outside the groove");
+        for pos in 0..len {
+            let scores = l.local_scores(&receptor, pos);
+            let row = l.binding.row(pos);
+            assert_eq!(l.binding.row_of[pos] != 0, groove.contains(&pos));
+            for &candidate in &ALL {
+                let c = candidate.index();
+                let naive = naive_local_score(&l, &receptor, pos, candidate);
+                let naive_bind = naive_binding_term(&l, pos, candidate);
+                assert!(
+                    scores[c].to_bits() == naive.to_bits()
+                        && row[c].to_bits() == naive_bind.to_bits(),
+                    "len {len} pos {pos} (groove: {}) candidate {candidate:?}: \
+                     {} vs {naive}, binding {} vs {naive_bind}",
+                    groove.contains(&pos),
+                    scores[c],
+                    row[c],
+                );
+            }
+        }
+    }
+
+    props! {
+        fn local_scores_match_the_naive_oracle_bit_for_bit(rng, cases = 48) {
+            let len = 8 + rng.below(153);
+            assert_kernel_matches_oracle(rng, len);
+        }
+    }
+
+    /// 8 is the shortest receptor an interface accepts, where the groove is
+    /// half the positions and every neighbourhood is near the wrap.
+    #[test]
+    fn the_shortest_receptor_matches_the_naive_oracle_too() {
+        let mut rng = SimRng::from_seed(8);
+        for _ in 0..8 {
+            assert_kernel_matches_oracle(&mut rng, 8);
+        }
+    }
+
+    #[test]
+    fn best_candidate_keeps_the_last_of_equal_maxima() {
+        let mut scores = [0.25; 20];
+        assert_eq!(best_candidate(&scores), ALL[19]);
+        scores[3] = 0.5;
+        scores[11] = 0.5;
+        assert_eq!(best_candidate(&scores), ALL[11]);
     }
 
     #[test]
@@ -216,15 +368,7 @@ mod tests {
             FOLD_WEIGHT * l.fitness(&seq).raw_fold + (1.0 - FOLD_WEIGHT) * l.fitness(&seq).raw_bind;
         let mut improved = 0;
         for pos in 0..20 {
-            let best = ALL
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    l.local_score(&seq, pos, a)
-                        .partial_cmp(&l.local_score(&seq, pos, b))
-                        .unwrap()
-                })
-                .unwrap();
+            let best = best_candidate(&l.local_scores(&seq, pos));
             let f = l.fitness(&seq.with_substitution(pos, best));
             let raw = FOLD_WEIGHT * f.raw_fold + (1.0 - FOLD_WEIGHT) * f.raw_bind;
             if raw >= base {

@@ -12,7 +12,7 @@
 //! and the landscape seed, mapped to `[0, 1)`. This keeps landscapes for
 //! 70 × 100-residue targets allocation-free and bit-reproducible.
 
-use crate::amino::AminoAcid;
+use crate::amino::{AminoAcid, ALL};
 use crate::sequence::Sequence;
 
 /// Number of epistatic neighbours per position.
@@ -31,6 +31,13 @@ fn mix(mut z: u64) -> u64 {
 #[inline]
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One link of a contribution's hash chain: mix `residue` into `h` at
+/// `slot` (0 = the position's own residue, `i` = its `i`-th neighbour).
+#[inline]
+fn link(h: u64, residue: AminoAcid, slot: usize) -> u64 {
+    mix(h ^ ((residue.index() as u64 + 1) << (8 * slot)))
 }
 
 /// The NK fold-fitness component for one design target.
@@ -61,12 +68,17 @@ impl NkLandscape {
     /// residues at its `K` cyclic right-neighbours. Uniform in `[0, 1)`.
     #[inline]
     pub fn contribution(&self, pos: usize, own: AminoAcid, neighbours: [AminoAcid; K]) -> f64 {
-        let mut h = self.seed ^ mix(pos as u64 + 1);
-        h = mix(h ^ (own.index() as u64 + 1));
-        for (i, n) in neighbours.iter().enumerate() {
-            h = mix(h ^ ((n.index() as u64 + 1) << (8 * (i + 1))));
+        let mut h = link(self.chain_start(pos), own, 0);
+        for (i, &n) in neighbours.iter().enumerate() {
+            h = link(h, n, i + 1);
         }
         unit(h)
+    }
+
+    /// Head of position `pos`'s hash chain, before any residue is mixed in.
+    #[inline]
+    fn chain_start(&self, pos: usize) -> u64 {
+        self.seed ^ mix(pos as u64 + 1)
     }
 
     /// Neighbour residues of `pos` in `seq` (cyclic).
@@ -87,28 +99,57 @@ impl NkLandscape {
         total / self.len as f64
     }
 
-    /// Contribution *touched by* position `pos`: its own term plus the terms
-    /// of the `K` positions whose neighbourhoods include `pos`. Dividing by
-    /// `len` gives the exact change to [`NkLandscape::raw_fitness`] when only
-    /// `pos` mutates — the cheap local score the MPNN surrogate ranks
-    /// candidate residues with.
-    pub fn local_sum(&self, seq: &Sequence, pos: usize, candidate: AminoAcid) -> f64 {
+    /// Contributions *touched by* position `pos` for each of the twenty
+    /// residues it could hold, indexed by [`AminoAcid::index`]: its own term
+    /// plus the terms of the `K` positions whose neighbourhoods include
+    /// `pos`. Dividing by `len` gives the exact change to
+    /// [`NkLandscape::raw_fitness`] when only `pos` mutates — the cheap
+    /// local score the MPNN surrogate ranks candidate residues with.
+    ///
+    /// Each of the three hash chains is run once up to the first link that
+    /// names the candidate, and only the rest is run per candidate (3, 2
+    /// and 1 `mix` rounds instead of 5 each). Entry `c` carries the bits
+    /// [`NkLandscape::contribution`] gives for `c` at `pos` and `seq`
+    /// elsewhere, summed in the order `pos`, `pos − 1`, `pos − 2`.
+    pub fn local_sums(&self, seq: &Sequence, pos: usize) -> [f64; 20] {
         let n = self.len;
-        let mut probe = seq.clone();
-        probe.set(pos, candidate);
-        let mut total = self.contribution(pos, candidate, self.neighbours(&probe, pos));
-        for back in 1..=K {
-            let p = (pos + n - back) % n;
-            total += self.contribution(p, probe.at(p), self.neighbours(&probe, p));
-        }
-        total
+        let [next, after] = self.neighbours(seq, pos);
+        let (p1, p2) = ((pos + n - 1) % n, (pos + n - 2) % n);
+        let own = self.chain_start(pos);
+        let back1 = link(self.chain_start(p1), seq.at(p1), 0);
+        let back2 = link(link(self.chain_start(p2), seq.at(p2), 0), seq.at(p1), 1);
+        ALL.map(|candidate| {
+            let mut total = unit(link(link(link(own, candidate, 0), next, 1), after, 2));
+            total += unit(link(link(back1, candidate, 1), next, 2));
+            total += unit(link(back2, candidate, 2));
+            total
+        })
     }
+}
+
+/// The clone-and-rescore definition [`NkLandscape::local_sums`] must match
+/// bit for bit, one candidate at a time.
+#[cfg(test)]
+pub(super) fn naive_local_sum(
+    nk: &NkLandscape,
+    seq: &Sequence,
+    pos: usize,
+    candidate: AminoAcid,
+) -> f64 {
+    let n = nk.len;
+    let mut probe = seq.clone();
+    probe.set(pos, candidate);
+    let mut total = nk.contribution(pos, candidate, nk.neighbours(&probe, pos));
+    for back in 1..=K {
+        let p = (pos + n - back) % n;
+        total += nk.contribution(p, probe.at(p), nk.neighbours(&probe, p));
+    }
+    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::amino::ALL;
     use impress_sim_test_util::seq_of;
 
     /// Minimal local helper so tests read clearly.
@@ -162,14 +203,15 @@ mod tests {
         let residues: Vec<_> = (0..30).map(|i| ALL[(i * 7) % 20]).collect();
         let s = Sequence::new(residues);
         let pos = 13;
+        let sums = l.local_sums(&s, pos);
         for &cand in &ALL {
             let mutated = s.with_substitution(pos, cand);
-            let predicted = l.raw_fitness(&s)
-                + (l.local_sum(&mutated, pos, cand) - l.local_sum(&s, pos, s.at(pos))) / 30.0;
+            let predicted =
+                l.raw_fitness(&s) + (sums[cand.index()] - sums[s.at(pos).index()]) / 30.0;
             let actual = l.raw_fitness(&mutated);
             assert!(
                 (predicted - actual).abs() < 1e-12,
-                "local_sum must exactly predict single-mutation delta"
+                "local_sums must exactly predict single-mutation delta"
             );
         }
     }

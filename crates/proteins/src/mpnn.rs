@@ -16,6 +16,19 @@
 //! in ⇒ better proposals out — the coupling that makes iterative design
 //! work), and log-likelihoods are a noisy affine read of true fitness mapped
 //! into ProteinMPNN's characteristic negative score range.
+//!
+//! # Draw order
+//!
+//! Every figure and table downstream is a function of the exact stream of
+//! random draws, so the order is a contract (pinned by
+//! `sample_draw_order_is_pinned`): each proposal runs on its own
+//! `fork_idx("mpnn-proposal", i)` stream; per position, `fixed_positions`
+//! short-circuits *before* `chance(p)`; a mutated position then draws twenty
+//! `normal_with` in [`ALL`] order and one `uniform`; `score` draws a single
+//! trailing `normal_with`. The scores themselves come from
+//! [`DesignLandscape::local_scores`], whose every `f64` is produced by the
+//! same operations in the same order as scoring one candidate at a time —
+//! so a faster kernel changes no proposal.
 
 use crate::amino::ALL;
 use crate::landscape::DesignLandscape;
@@ -91,10 +104,11 @@ pub struct SurrogateMpnn {
     /// Std-dev of the log-likelihood observation noise (in raw-fitness
     /// units, before affine mapping).
     ll_noise: f64,
-    /// Binding-groove positions (mutated preferentially: interface
-    /// redesign is where ProteinMPNN spends its capacity on a two-chain
-    /// complex, and it is what moves inter-chain pAE).
-    groove: std::collections::HashSet<usize>,
+    /// Whether each receptor position lies in the binding groove (groove
+    /// positions are mutated preferentially: interface redesign is where
+    /// ProteinMPNN spends its capacity on a two-chain complex, and it is
+    /// what moves inter-chain pAE).
+    groove: Vec<bool>,
 }
 
 impl SurrogateMpnn {
@@ -113,7 +127,10 @@ impl SurrogateMpnn {
 
     /// Build a surrogate over the target's hidden landscape.
     pub fn new(landscape: DesignLandscape) -> Self {
-        let groove = landscape.groove_positions().into_iter().collect();
+        let mut groove = vec![false; landscape.receptor_len()];
+        for pos in landscape.groove_positions() {
+            groove[pos] = true;
+        }
         SurrogateMpnn {
             landscape,
             local_noise: 0.22,
@@ -147,12 +164,20 @@ impl SurrogateMpnn {
             self.landscape.receptor_len(),
             "structure does not match this target's landscape"
         );
+        assert!(
+            config.num_sequences >= 1,
+            "MpnnConfig::num_sequences must be at least 1"
+        );
+        assert!(
+            config.temperature.is_finite() && config.temperature > 0.0,
+            "MpnnConfig::temperature must be finite and positive, got {}",
+            config.temperature
+        );
         (0..config.num_sequences)
             .map(|i| {
                 let mut seq_rng = rng.fork_idx("mpnn-proposal", i as u64);
-                let mut cfg = config.clone();
-                cfg.temperature = config.temperature * (1.0 + Self::LADDER * i as f64);
-                let sequence = self.propose(structure, &cfg, &mut seq_rng);
+                let temperature = config.temperature * (1.0 + Self::LADDER * i as f64);
+                let sequence = self.propose(structure, config, temperature, &mut seq_rng);
                 let log_likelihood = self.score(&sequence, &mut seq_rng);
                 ScoredSequence {
                     sequence,
@@ -173,25 +198,32 @@ impl SurrogateMpnn {
         -(2.1 - 4.0 * (observed - 0.45))
     }
 
-    /// One proposal: mutate designable positions with Boltzmann-weighted
-    /// residue choices on noisy local scores.
-    fn propose(&self, structure: &Structure, config: &MpnnConfig, rng: &mut SimRng) -> Sequence {
+    /// One proposal at ladder `temperature` (which stands in for
+    /// `config.temperature`): mutate designable positions with
+    /// Boltzmann-weighted residue choices on noisy local scores.
+    fn propose(
+        &self,
+        structure: &Structure,
+        config: &MpnnConfig,
+        temperature: f64,
+        rng: &mut SimRng,
+    ) -> Sequence {
         let mut seq = structure.complex.receptor.sequence.clone();
         let q = structure.backbone_quality;
         // Better backbones sharpen the local signal the network "sees".
         let noise = self.local_noise * (1.2 - 0.8 * q);
-        let mutate_p = (config.mutation_rate * config.temperature).clamp(0.0, 1.0);
+        let mutate_p = (config.mutation_rate * temperature).clamp(0.0, 1.0);
         // Inverse temperature for residue choice at a mutated position.
         // Local score differences between candidates are ~0.005–0.03, so a
         // large β is needed for the softmax to prefer good residues (real
         // ProteinMPNN at T=0.1–0.2 is similarly near-greedy per position).
-        let beta = 1600.0 / config.temperature.max(1e-3);
+        let beta = 1600.0 / temperature.max(1e-3);
         // Observation noise on local scores, in score units (typical
         // candidate spread ≈ 0.015).
         let noise_sd = noise * 0.004;
 
         for pos in 0..seq.len() {
-            let p = if self.groove.contains(&pos) {
+            let p = if self.groove[pos] {
                 (mutate_p * Self::GROOVE_MUTATION_BOOST).min(1.0)
             } else {
                 mutate_p
@@ -199,15 +231,13 @@ impl SurrogateMpnn {
             if config.fixed_positions.contains(&pos) || !rng.chance(p) {
                 continue;
             }
-            // Noisy local scores for all 20 candidates.
-            let scores: Vec<f64> = ALL
-                .iter()
-                .map(|&aa| {
-                    self.landscape.local_score(&seq, pos, aa) + rng.normal_with(0.0, noise_sd)
-                })
-                .collect();
+            // Noisy local scores for all 20 candidates, drawn in `ALL` order.
+            let scores = self
+                .landscape
+                .local_scores(&seq, pos)
+                .map(|score| score + rng.normal_with(0.0, noise_sd));
             let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let weights: Vec<f64> = scores.iter().map(|s| ((s - max) * beta).exp()).collect();
+            let weights = scores.map(|s| ((s - max) * beta).exp());
             let total: f64 = weights.iter().sum();
             let mut draw = rng.uniform() * total;
             let mut chosen = ALL[ALL.len() - 1];
@@ -227,6 +257,7 @@ impl SurrogateMpnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::landscape::best_candidate;
     use crate::sequence::Chain;
     use crate::structure::Complex;
 
@@ -241,16 +272,7 @@ mod tests {
             if !rng.chance(0.20) {
                 continue;
             }
-            let best = ALL
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    landscape
-                        .local_score(&native, pos, a)
-                        .partial_cmp(&landscape.local_score(&native, pos, b))
-                        .unwrap()
-                })
-                .unwrap();
+            let best = best_candidate(&landscape.local_scores(&native, pos));
             native.set(pos, best);
         }
         let q0 = landscape.fitness(&native).quality;
@@ -322,6 +344,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "num_sequences must be at least 1")]
+    fn an_empty_batch_is_rejected_by_name() {
+        let (mpnn, s) = setup(5);
+        let config = MpnnConfig {
+            num_sequences: 0,
+            ..MpnnConfig::default()
+        };
+        mpnn.sample(&s, &config, &mut SimRng::from_seed(6));
+    }
+
+    fn sample_at_temperature(temperature: f64) {
+        let (mpnn, s) = setup(5);
+        let config = MpnnConfig {
+            temperature,
+            ..MpnnConfig::default()
+        };
+        mpnn.sample(&s, &config, &mut SimRng::from_seed(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "temperature must be finite and positive, got -1")]
+    fn a_negative_temperature_is_rejected_by_name() {
+        sample_at_temperature(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "temperature must be finite and positive, got NaN")]
+    fn a_nan_temperature_is_rejected_by_name() {
+        sample_at_temperature(f64::NAN);
     }
 
     #[test]
@@ -403,6 +457,100 @@ mod tests {
         let ranked = rank_by_log_likelihood(vec![mk(-2.0), mk(-0.5), mk(-1.0)]);
         let lls: Vec<f64> = ranked.iter().map(|s| s.log_likelihood).collect();
         assert_eq!(lls, vec![-0.5, -1.0, -2.0]);
+    }
+
+    /// FNV-1a-64, the digest the golden pins below record.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// What a golden case pins: a digest over every proposal's letters and
+    /// log-likelihood bits, then the next word of the caller's stream and
+    /// of proposal 0's stream once it has proposed and scored.
+    fn golden(
+        landscape_seed: u64,
+        len: usize,
+        quality: f64,
+        config: &MpnnConfig,
+    ) -> (u64, u64, u64) {
+        let peptide = Sequence::parse("EGYQDYEPEA").unwrap();
+        let landscape = DesignLandscape::new(landscape_seed, len, peptide.clone());
+        let mut rng = SimRng::from_seed(landscape_seed ^ 0x5eed);
+        let receptor = landscape.random_receptor(&mut rng);
+        let complex = Complex::new(
+            "G",
+            Chain::designable('A', receptor),
+            Chain::fixed('B', peptide),
+        );
+        let structure = Structure::starting(complex, quality);
+        let mpnn = SurrogateMpnn::new(landscape);
+
+        let out = mpnn.sample(&structure, config, &mut rng);
+        let digest = out.iter().fold(0xcbf2_9ce4_8422_2325, |h, ss| {
+            let h = fnv1a(h, ss.sequence.to_letters().as_bytes());
+            fnv1a(h, &ss.log_likelihood.to_bits().to_le_bytes())
+        });
+        let mut first = rng.fork_idx("mpnn-proposal", 0);
+        let sequence = mpnn.propose(&structure, config, config.temperature, &mut first);
+        assert_eq!(sequence, out[0].sequence);
+        mpnn.score(&sequence, &mut first);
+        (digest, rng.next_u64(), first.next_u64())
+    }
+
+    const GOLDEN_SAMPLES: [(u64, u64, u64); 3] = [
+        (
+            0x391d_6fad_f6dd_328f,
+            0x84c6_b40f_aad7_7c3a,
+            0xc9fc_776a_afff_d75b,
+        ),
+        (
+            0x9394_aaa3_ebdc_2e36,
+            0xa945_8c78_d1d8_d8ea,
+            0xa479_21a5_11f9_e482,
+        ),
+        (
+            0x5a76_32f4_69ef_fdf5,
+            0x5da0_87a8_a3b7_cfac,
+            0xdf33_0c3d_fcc7_8ca0,
+        ),
+    ];
+
+    /// The draw-order pin: per position `fixed_positions` short-circuits
+    /// before `chance`, then twenty `normal_with` in `ALL` order, then one
+    /// `uniform`; `score` draws one trailing `normal_with`. A draw added,
+    /// dropped or reordered changes a constant here. Recorded from the
+    /// clone-and-rehash implementation this kernel replaced.
+    #[test]
+    fn sample_draw_order_is_pinned() {
+        let cases = [
+            (2025, 80, 0.30, MpnnConfig::default()),
+            (
+                7,
+                95,
+                0.45,
+                MpnnConfig {
+                    temperature: 3.0,
+                    fixed_positions: vec![0, 7, 13, 42, 79],
+                    ..MpnnConfig::default()
+                },
+            ),
+            (
+                11,
+                86,
+                0.95,
+                MpnnConfig {
+                    num_sequences: 60,
+                    ..MpnnConfig::default()
+                },
+            ),
+        ];
+        let got: Vec<(u64, u64, u64)> = cases
+            .iter()
+            .map(|(seed, len, quality, config)| golden(*seed, *len, *quality, config))
+            .collect();
+        assert_eq!(got, GOLDEN_SAMPLES);
     }
 
     #[test]

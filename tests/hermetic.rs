@@ -634,6 +634,47 @@ fn every_backend_shares_one_set_of_lifecycle_handlers() {
     }
 }
 
+/// Every caller of the landscape's local score wants all twenty candidates
+/// at one position, and `local_scores`/`local_sums` is that one pass. The
+/// one-candidate form (a `Sequence` clone and three full hash chains per
+/// candidate) survives only as the `#[cfg(test)]` oracle: this guard fails
+/// when it comes back beside the kernel.
+#[test]
+fn the_landscape_has_one_local_scoring_kernel() {
+    let interface = Path::new("crates/proteins/src/landscape/interface.rs");
+    let nk = Path::new("crates/proteins/src/landscape/nk.rs");
+    let mut saw_nk = false;
+    for (rel, text) in workspace_sources() {
+        if !(rel.starts_with("crates") || rel.starts_with("examples")) {
+            continue;
+        }
+        let non_test = text.split("#[cfg(test)]").next().expect("a first piece");
+        assert!(
+            !non_test.contains("fn local_score("),
+            "{} scores one candidate at a time",
+            rel.display()
+        );
+        // `InterfaceModel::local_sum` is what `DesignLandscape::new` tables.
+        assert!(
+            rel == interface || !non_test.contains("fn local_sum("),
+            "{} sums one candidate at a time",
+            rel.display()
+        );
+        if rel == nk {
+            saw_nk = true;
+            assert!(
+                non_test.contains("fn local_sums("),
+                "the NK kernel lives in nk.rs"
+            );
+            assert!(
+                !non_test.contains(".clone()"),
+                "the NK kernel clones nothing"
+            );
+        }
+    }
+    assert!(saw_nk, "expected to scan {}", nk.display());
+}
+
 /// The root `[workspace.dependencies]` entries themselves must all be
 /// `path` specs, since member `workspace = true` entries resolve to them.
 #[test]
