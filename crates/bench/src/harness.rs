@@ -6,27 +6,33 @@ use impress_core::{ProtocolConfig, Table1Row};
 use impress_pilot::{ClusterSpec, NodeSpec, PlacementPolicy, ResourceRequest, Scheduler, TaskId};
 use impress_proteins::datasets::{mined_pdz_complexes, named_pdz_domains};
 use impress_proteins::MetricKind;
+use std::str::FromStr;
 
 /// Master seed used by all paper harnesses; override with the
-/// `IMPRESS_SEED` environment variable. A value that is set but is not a
-/// seed ends the process: falling back to the default would regenerate the
-/// default artifacts under a reader who asked for different ones.
+/// `IMPRESS_SEED` environment variable.
 pub fn master_seed() -> u64 {
-    let var = std::env::var("IMPRESS_SEED").ok();
-    parse_seed(var.as_deref()).unwrap_or_else(|message| {
+    env_or("IMPRESS_SEED", 2025)
+}
+
+/// The environment variable `key`, or `default` when it is unset. A value
+/// that is set but does not parse ends the process: falling back would
+/// regenerate the default artifacts (or time the default budget) under a
+/// reader who asked for different ones.
+pub(crate) fn env_or<T: FromStr>(key: &str, default: T) -> T {
+    let var = std::env::var(key).ok();
+    parse_var(key, var.as_deref(), default).unwrap_or_else(|message| {
         eprintln!("{message}");
         std::process::exit(2)
     })
 }
 
-/// The seed `IMPRESS_SEED` asks for: unset means 2025, anything set must
-/// parse as a `u64`.
-fn parse_seed(var: Option<&str>) -> Result<u64, String> {
+fn parse_var<T: FromStr>(key: &str, var: Option<&str>, default: T) -> Result<T, String> {
+    let kind = std::any::type_name::<T>();
     match var {
-        None => Ok(2025),
+        None => Ok(default),
         Some(text) => text
             .parse()
-            .map_err(|e| format!("IMPRESS_SEED={text:?} is not a seed (an unsigned integer): {e}")),
+            .map_err(|_| format!("{key}={text:?} does not parse as {kind}")),
     }
 }
 
@@ -253,10 +259,12 @@ mod tests {
 
     #[test]
     fn parse_seed_defaults_when_unset_and_refuses_what_is_not_a_seed() {
-        assert_eq!(parse_seed(None), Ok(2025));
-        assert_eq!(parse_seed(Some("7")), Ok(7));
-        for bad in ["2O25", "", "-1", " 7", "1e3"] {
-            let message = parse_seed(Some(bad)).unwrap_err();
+        assert_eq!(parse_var("IMPRESS_SEED", None, 2025u64), Ok(2025));
+        assert_eq!(parse_var("IMPRESS_SEED", Some("7"), 2025u64), Ok(7));
+        assert_eq!(parse_var("IMPRESS_BENCH_MAX_SECS", Some("0.15"), 2.0f64), Ok(0.15));
+        assert!(parse_var("IMPRESS_BENCH_MAX_SECS", Some("10k"), 2.0f64).is_err());
+        for bad in ["2O25", "", "-1", " 7", "1e3", "10k", "0xCAFE"] {
+            let message = parse_var("IMPRESS_SEED", Some(bad), 2025u64).unwrap_err();
             assert!(
                 message.contains("IMPRESS_SEED") && message.contains(&format!("{bad:?}")),
                 "{message}"

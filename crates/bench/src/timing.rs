@@ -20,6 +20,7 @@
 
 pub use std::hint::black_box;
 
+use crate::harness::env_or;
 use impress_json::{json_struct, Json};
 use std::time::{Duration, Instant};
 
@@ -48,29 +49,8 @@ json_struct!(BenchResult {
     samples
 });
 
-impl BenchResult {
-    /// Median seconds per iteration.
-    pub fn median_secs(&self) -> f64 {
-        self.median_ns as f64 / 1e9
-    }
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Human-friendly rendering of a ns/iteration figure.
-pub fn format_ns(ns: u64) -> String {
+fn format_ns(ns: u64) -> String {
     match ns {
         0..=9_999 => format!("{ns} ns"),
         10_000..=9_999_999 => format!("{:.2} µs", ns as f64 / 1e3),
@@ -92,8 +72,8 @@ impl Suite {
     pub fn new(name: impl Into<String>) -> Suite {
         Suite::with_budget(
             name.into(),
-            env_u64("IMPRESS_BENCH_SAMPLES", 11).max(3) as usize,
-            Duration::from_secs_f64(env_f64("IMPRESS_BENCH_MAX_SECS", 2.0).max(0.1)),
+            env_or("IMPRESS_BENCH_SAMPLES", 11usize).max(3),
+            Duration::from_secs_f64(env_or("IMPRESS_BENCH_MAX_SECS", 2.0f64).max(0.1)),
         )
     }
 

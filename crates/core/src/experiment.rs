@@ -51,7 +51,7 @@ json_struct!(ExperimentResult {
 });
 
 /// Time-series bin width used for the utilization figures.
-pub const SERIES_BIN: SimDuration = SimDuration::from_mins(10);
+const SERIES_BIN: SimDuration = SimDuration::from_mins(10);
 
 impl ExperimentResult {
     /// Per-iteration series for one metric (a Fig. 2/3 panel).

@@ -38,22 +38,19 @@
 
 pub mod ablation;
 pub mod adaptive;
-pub mod campaign;
 pub mod config;
 pub mod control;
 pub mod experiment;
 pub mod generator;
-pub mod genetic;
 pub mod protocol;
 pub mod quality;
 pub mod results;
 pub mod spec;
-pub mod stages;
+mod stages;
 pub mod toolkit;
 
 pub use ablation::{run_ablation, standard_suite, AblationRow};
 pub use adaptive::ImpressDecision;
-pub use campaign::{export_campaign, load_results, CampaignOutput};
 pub use config::{CostModel, ProtocolConfig};
 pub use control::run_cont_v;
 pub use experiment::{imrp_journal, run_imrp, ExperimentResult};

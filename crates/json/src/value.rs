@@ -163,11 +163,6 @@ impl Json {
         }
     }
 
-    /// `true` if this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// A short name for the node's type, used in error messages.
     pub fn type_name(&self) -> &'static str {
         match self {

@@ -506,11 +506,6 @@ impl ShardedBackend {
         self.core.config()
     }
 
-    /// Number of event-queue shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.transport.shards.len()
-    }
-
     /// Advance to the next event instant and process *all* of it: drain
     /// every shard's events at the horizon, sort by global sequence, and
     /// apply — repeating while handlers schedule more work at the same

@@ -285,7 +285,7 @@ impl FaultConfig {
     }
 
     /// Whether any gray (slowdown) injection is configured.
-    pub fn has_slowdowns(&self) -> bool {
+    fn has_slowdowns(&self) -> bool {
         self.node_slowdown_mtbf.is_some() || !self.scripted_slowdowns.is_empty()
     }
 }

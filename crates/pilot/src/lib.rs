@@ -10,7 +10,7 @@
 //! Components:
 //!
 //! * [`resources`] — node specification and slot allocations (cores + GPUs).
-//! * [`states`] — the task state model (mirrors RP's `NEW → … → DONE`),
+//! * `states` — the task state model (mirrors RP's `NEW → … → DONE`),
 //!   with a validated transition table.
 //! * [`task`] — task descriptions: resource request, virtual cost, optional
 //!   real work closure, bookkeeping tags.
@@ -58,8 +58,8 @@ pub mod resources;
 pub mod runtime;
 pub mod scheduler;
 pub mod session;
-pub mod states;
-pub mod sync;
+mod states;
+mod sync;
 pub mod task;
 pub mod timeline;
 

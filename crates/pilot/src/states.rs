@@ -8,7 +8,6 @@
 //! an illegal transition is a runtime-bug panic, never silent state
 //! corruption.
 
-use impress_json::{json_enum, json_struct};
 use std::fmt;
 
 /// Lifecycle state of a task.
@@ -29,15 +28,6 @@ pub enum TaskState {
     /// Cancelled before completion.
     Canceled,
 }
-json_enum!(TaskState {
-    New,
-    Scheduling,
-    ExecSetup,
-    Executing,
-    Done,
-    Failed,
-    Canceled
-});
 
 impl TaskState {
     /// Whether the state is terminal.
@@ -49,7 +39,7 @@ impl TaskState {
     }
 
     /// Whether `self → next` is a legal transition.
-    pub fn can_transition_to(self, next: TaskState) -> bool {
+    fn can_transition_to(self, next: TaskState) -> bool {
         use TaskState::*;
         matches!(
             (self, next),
@@ -101,7 +91,6 @@ impl fmt::Display for TaskState {
 pub struct StateCell {
     state: TaskState,
 }
-json_struct!(StateCell { state });
 
 impl Default for StateCell {
     fn default() -> Self {
@@ -115,11 +104,6 @@ impl StateCell {
     /// A cell in the `New` state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current state.
-    pub fn get(&self) -> TaskState {
-        self.state
     }
 
     /// Advance to `next`, panicking on an illegal transition.
@@ -144,7 +128,7 @@ mod tests {
         for &next in &TaskState::HAPPY_PATH[1..] {
             cell.advance(next);
         }
-        assert_eq!(cell.get(), TaskState::Done);
+        assert_eq!(cell.state, TaskState::Done);
     }
 
     #[test]

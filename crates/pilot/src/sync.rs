@@ -1,10 +1,9 @@
 //! An mpsc channel built on `std::sync::{Mutex, Condvar}`.
 //!
 //! Replaces `crossbeam::channel` in the hermetic build: an unbounded
-//! multi-producer single-consumer queue with blocking, non-blocking, and
-//! timed receives, and disconnection detection on both ends. Its one
-//! caller in the crate is the sharded backend's worker-thread shard drive
-//! (`channel` / `send` / `recv`).
+//! multi-producer single-consumer queue with a blocking receive and
+//! disconnection detection on both ends. Its one caller is the sharded
+//! backend's worker-thread shard drive.
 //!
 //! Semantics match `std::sync::mpsc` (and crossbeam's unbounded channel):
 //!
@@ -12,11 +11,9 @@
 //! * `recv` blocks until a message arrives or every sender is dropped; a
 //!   disconnected channel still drains buffered messages before reporting
 //!   [`RecvError`].
-//! * `recv_timeout` is the bounded-wait variant.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// The receiver disconnected; the message is handed back.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -33,24 +30,6 @@ impl<T> std::fmt::Debug for SendError<T> {
 /// Every sender disconnected and the queue is drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Outcome of a non-blocking receive attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message buffered right now.
-    Empty,
-    /// Every sender disconnected and the queue is drained.
-    Disconnected,
-}
-
-/// Outcome of a timed receive attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The timeout elapsed with no message.
-    Timeout,
-    /// Every sender disconnected and the queue is drained.
-    Disconnected,
-}
 
 struct Shared<T> {
     queue: Mutex<ChannelState<T>>,
@@ -122,7 +101,7 @@ impl<T> Drop for Sender<T> {
             state.senders
         };
         if remaining == 0 {
-            // Wake a receiver blocked in recv()/recv_timeout() so it can
+            // Wake a receiver blocked in recv() so it can
             // observe the disconnect.
             self.shared.ready.notify_all();
         }
@@ -130,16 +109,6 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.shared.queue.lock().expect("channel lock");
-        match state.buf.pop_front() {
-            Some(v) => Ok(v),
-            None if state.senders == 0 => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
-    }
-
     /// Block until a message arrives or all senders disconnect.
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut state = self.shared.queue.lock().expect("channel lock");
@@ -151,32 +120,6 @@ impl<T> Receiver<T> {
                 return Err(RecvError);
             }
             state = self.shared.ready.wait(state).expect("channel lock");
-        }
-    }
-
-    /// Block up to `timeout` for a message.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.queue.lock().expect("channel lock");
-        loop {
-            if let Some(v) = state.buf.pop_front() {
-                return Ok(v);
-            }
-            if state.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let (guard, _result) = self
-                .shared
-                .ready
-                .wait_timeout(state, deadline - now)
-                .expect("channel lock");
-            state = guard;
-            // Loop re-checks buffer, disconnect, and deadline — spurious
-            // wakeups and timeouts are both handled by the same re-check.
         }
     }
 }
@@ -191,6 +134,7 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn messages_arrive_in_order() {
@@ -200,16 +144,6 @@ mod tests {
         }
         let got: Vec<i32> = (0..10).map(|_| rx.recv().unwrap()).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_recv_distinguishes_empty_and_disconnected() {
-        let (tx, rx) = channel::<u8>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(7).unwrap();
-        drop(tx);
-        assert_eq!(rx.try_recv(), Ok(7));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
@@ -228,22 +162,6 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         drop(tx);
         assert_eq!(h.join().unwrap(), Err(RecvError));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_and_still_receives() {
-        let (tx, rx) = channel();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(1).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Ok(1));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Disconnected)
-        );
     }
 
     #[test]

@@ -29,31 +29,31 @@ use impress_sim::{SimDuration, SimRng};
 /// Metric calibration constants: observed metric = intercept + slope × q.
 pub mod calibration {
     /// pLDDT = [`PLDDT_BASE`] + [`PLDDT_GAIN`] · q ± noise.
-    pub const PLDDT_BASE: f64 = 60.0;
+    pub(super) const PLDDT_BASE: f64 = 60.0;
     /// See [`PLDDT_BASE`].
-    pub const PLDDT_GAIN: f64 = 15.0;
+    pub(super) const PLDDT_GAIN: f64 = 15.0;
     /// Per-model pLDDT noise σ at MSA noise factor 1.
-    pub const PLDDT_NOISE: f64 = 0.9;
+    pub(super) const PLDDT_NOISE: f64 = 0.9;
 
     /// pTM = [`PTM_BASE`] + [`PTM_GAIN`] · q ± noise.
-    pub const PTM_BASE: f64 = 0.30;
+    pub(super) const PTM_BASE: f64 = 0.30;
     /// See [`PTM_BASE`].
-    pub const PTM_GAIN: f64 = 0.62;
+    pub(super) const PTM_GAIN: f64 = 0.62;
     /// Per-model pTM noise σ at MSA noise factor 1.
-    pub const PTM_NOISE: f64 = 0.012;
+    pub(super) const PTM_NOISE: f64 = 0.012;
 
     /// ipAE = [`PAE_BASE`] − [`PAE_GAIN`] · q_bind ± noise (Å).
-    pub const PAE_BASE: f64 = 22.0;
+    pub(super) const PAE_BASE: f64 = 22.0;
     /// See [`PAE_BASE`].
-    pub const PAE_GAIN: f64 = 20.0;
+    pub(super) const PAE_GAIN: f64 = 20.0;
     /// Per-model ipAE noise σ at MSA noise factor 1.
-    pub const PAE_NOISE: f64 = 0.45;
+    pub(super) const PAE_NOISE: f64 = 0.45;
 
     /// σ of the latent quality observation (in q units) at noise factor 1.
-    pub const QUALITY_NOISE: f64 = 0.035;
+    pub(super) const QUALITY_NOISE: f64 = 0.035;
 
     /// Wall-clock minutes of inference per candidate model.
-    pub const INFERENCE_MINS_PER_MODEL: f64 = 12.0;
+    pub(super) const INFERENCE_MINS_PER_MODEL: f64 = 12.0;
 
     /// Fraction of the inference phase during which the GPU is actually
     /// computing (the rest is model loading, feature processing, I/O). This

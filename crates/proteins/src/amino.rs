@@ -248,14 +248,6 @@ impl AminoAcid {
             AminoAcid::Trp => 227.8,
         }
     }
-
-    /// Whether the residue is aromatic (π-stacking capable).
-    pub fn is_aromatic(self) -> bool {
-        matches!(
-            self,
-            AminoAcid::Phe | AminoAcid::Tyr | AminoAcid::Trp | AminoAcid::His
-        )
-    }
 }
 
 impl fmt::Display for AminoAcid {

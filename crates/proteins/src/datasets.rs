@@ -16,10 +16,10 @@ use crate::structure::{Complex, Structure};
 use impress_sim::SimRng;
 
 /// Human α-synuclein C-terminal region (residues 120–140).
-pub const ALPHA_SYNUCLEIN_C_TERMINUS: &str = "PDNEAYEMPSEEGYQDYEPEA";
+const ALPHA_SYNUCLEIN_C_TERMINUS: &str = "PDNEAYEMPSEEGYQDYEPEA";
 
 /// The last `n` residues of α-synuclein (the paper uses 10 and 4).
-pub fn alpha_synuclein_tail(n: usize) -> Sequence {
+fn alpha_synuclein_tail(n: usize) -> Sequence {
     let s = ALPHA_SYNUCLEIN_C_TERMINUS;
     assert!(n <= s.len(), "tail longer than the known C-terminus");
     Sequence::parse(&s[s.len() - n..]).expect("constant is valid")
@@ -28,7 +28,7 @@ pub fn alpha_synuclein_tail(n: usize) -> Sequence {
 /// Fraction of receptor positions pre-optimized in fabricated "native"
 /// starting sequences (tuned so starting designs land at quality ≈ 0.2–0.4,
 /// matching the paper's starting pLDDT/pTM bands).
-pub const NATIVE_OPTIMIZED_FRACTION: f64 = 0.20;
+const NATIVE_OPTIMIZED_FRACTION: f64 = 0.20;
 
 /// One design problem: a target complex plus its hidden landscape.
 #[derive(Debug, Clone)]

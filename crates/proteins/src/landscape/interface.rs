@@ -50,7 +50,7 @@ pub struct InterfaceModel {
 
 impl InterfaceModel {
     /// Fraction of receptor positions that form the binding groove.
-    pub const GROOVE_FRACTION: f64 = 0.18;
+    const GROOVE_FRACTION: f64 = 0.18;
 
     /// Build the interface for a receptor of `receptor_len` residues binding
     /// a peptide of `peptide_len` residues. Contact topology is derived
@@ -90,11 +90,6 @@ impl InterfaceModel {
         }
     }
 
-    /// The contact map.
-    pub fn contacts(&self) -> &[Contact] {
-        &self.contacts
-    }
-
     /// Receptor positions that belong to the binding groove.
     pub fn groove_positions(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.contacts.iter().map(|c| c.receptor_pos).collect();
@@ -108,7 +103,7 @@ impl InterfaceModel {
     /// 55% physicochemistry, 45% seeded target-specific preference. The
     /// chemistry term rewards hydrophobic packing of hydrophobic peptide
     /// residues, charge complementarity, and avoiding size clashes.
-    pub fn pair_score(&self, contact: Contact, receptor: AminoAcid, peptide: AminoAcid) -> f64 {
+    fn pair_score(&self, contact: Contact, receptor: AminoAcid, peptide: AminoAcid) -> f64 {
         let chem = {
             // Hydrophobic match: both hydrophobic is good; burying a charge
             // against a hydrophobe is bad.
@@ -189,9 +184,9 @@ mod tests {
     fn topology_is_deterministic_per_seed() {
         let a = InterfaceModel::new(42, 90, 10);
         let b = InterfaceModel::new(42, 90, 10);
-        assert_eq!(a.contacts(), b.contacts());
+        assert_eq!(a.contacts, b.contacts);
         let c = InterfaceModel::new(43, 90, 10);
-        assert_ne!(a.contacts(), c.contacts());
+        assert_ne!(a.contacts, c.contacts);
     }
 
     #[test]
@@ -234,12 +229,12 @@ mod tests {
     #[test]
     fn charge_complementarity_scores_higher() {
         let m = InterfaceModel::new(3, 60, 10);
-        let c = m.contacts()[0];
+        let c = m.contacts[0];
         // Peptide Glu (negative): receptor Arg (positive) must out-score Asp
         // (negative) on the chemistry component. Seeded term could offset it
         // for one contact, so average over all contacts.
         let (mut salt, mut clash) = (0.0, 0.0);
-        for &c in m.contacts() {
+        for &c in &m.contacts {
             salt += m.pair_score(c, AminoAcid::Arg, AminoAcid::Glu);
             clash += m.pair_score(c, AminoAcid::Asp, AminoAcid::Glu);
         }

@@ -50,20 +50,20 @@ pub const FOLD_WEIGHT: f64 = 0.55;
 /// Raw-to-quality rescaling anchors for total fitness: [`RAW_LO`] is the
 /// random-sequence mean, [`RAW_HI`] the practical greedy-optimization
 /// asymptote (both measured empirically on PDZ-scale landscapes).
-pub const RAW_LO: f64 = 0.53;
+const RAW_LO: f64 = 0.53;
 /// See [`RAW_LO`].
-pub const RAW_HI: f64 = 0.835;
+const RAW_HI: f64 = 0.835;
 
 /// Raw-to-quality rescaling anchors for the binding component.
-pub const BIND_LO: f64 = 0.46;
+const BIND_LO: f64 = 0.46;
 /// See [`BIND_LO`].
-pub const BIND_HI: f64 = 0.88;
+const BIND_HI: f64 = 0.88;
 
 /// Raw-to-quality rescaling anchors for the fold component alone (used by
 /// AlphaFold's monomer prediction mode, where no interface exists).
-pub const FOLD_LO: f64 = 0.50;
+const FOLD_LO: f64 = 0.50;
 /// See [`FOLD_LO`].
-pub const FOLD_HI: f64 = 0.84;
+const FOLD_HI: f64 = 0.84;
 
 /// Ground-truth fitness of one design.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -30,7 +30,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod align;
 pub mod alphafold;
 pub mod amino;
 pub mod datasets;
@@ -39,19 +38,16 @@ pub mod landscape;
 pub mod metrics;
 pub mod mpnn;
 pub mod msa;
-pub mod mutations;
 pub mod pdb;
 pub mod profile;
 pub mod sequence;
 pub mod structure;
 
-pub use align::{global_align, percent_identity, AlignScoring, Alignment};
 pub use alphafold::{AlphaFoldConfig, Prediction, SurrogateAlphaFold};
 pub use amino::AminoAcid;
 pub use landscape::DesignLandscape;
 pub use metrics::{ConfidenceReport, MetricKind};
 pub use mpnn::{MpnnConfig, ScoredSequence, SurrogateMpnn};
-pub use mutations::{diff as mutation_diff, format_mutations, Mutation};
 pub use profile::SequenceProfile;
 pub use sequence::{Chain, ChainId, Sequence};
 pub use structure::{Complex, Structure};

@@ -98,12 +98,6 @@ pub fn rank_by_log_likelihood(mut seqs: Vec<ScoredSequence>) -> Vec<ScoredSequen
 #[derive(Debug, Clone)]
 pub struct SurrogateMpnn {
     landscape: DesignLandscape,
-    /// Std-dev of the noise added to local residue scores at backbone
-    /// quality 0 (shrinks linearly as quality rises).
-    local_noise: f64,
-    /// Std-dev of the log-likelihood observation noise (in raw-fitness
-    /// units, before affine mapping).
-    ll_noise: f64,
     /// Whether each receptor position lies in the binding groove (groove
     /// positions are mutated preferentially: interface redesign is where
     /// ProteinMPNN spends its capacity on a two-chain complex, and it is
@@ -112,8 +106,16 @@ pub struct SurrogateMpnn {
 }
 
 impl SurrogateMpnn {
+    /// Std-dev of the noise added to local residue scores at backbone
+    /// quality 0 (shrinks linearly as quality rises).
+    const LOCAL_NOISE: f64 = 0.22;
+
+    /// Std-dev of the log-likelihood observation noise (in raw-fitness
+    /// units, before affine mapping).
+    const LL_NOISE: f64 = 0.012;
+
     /// Extra mutation propensity at binding-groove positions.
-    pub const GROOVE_MUTATION_BOOST: f64 = 2.5;
+    const GROOVE_MUTATION_BOOST: f64 = 2.5;
 
     /// Per-proposal temperature ladder slope: proposal `i` of a batch
     /// samples at `T · (1 + LADDER · i)`. A batch thus spans conservative
@@ -123,7 +125,7 @@ impl SurrogateMpnn {
     /// *randomly* (CONT-V; the non-adaptive final cycle of the expanded
     /// run) risks landing on a hot, regressed sample — the source of the
     /// paper's Fig. 3 iteration-4 quality dip.
-    pub const LADDER: f64 = 0.13;
+    const LADDER: f64 = 0.13;
 
     /// Build a surrogate over the target's hidden landscape.
     pub fn new(landscape: DesignLandscape) -> Self {
@@ -131,24 +133,7 @@ impl SurrogateMpnn {
         for pos in landscape.groove_positions() {
             groove[pos] = true;
         }
-        SurrogateMpnn {
-            landscape,
-            local_noise: 0.22,
-            ll_noise: 0.012,
-            groove,
-        }
-    }
-
-    /// The underlying landscape (used by oracle-mode analysis in benches).
-    pub fn landscape(&self) -> &DesignLandscape {
-        &self.landscape
-    }
-
-    /// Override noise parameters (ablation studies).
-    pub fn with_noise(mut self, local_noise: f64, ll_noise: f64) -> Self {
-        self.local_noise = local_noise;
-        self.ll_noise = ll_noise;
-        self
+        SurrogateMpnn { landscape, groove }
     }
 
     /// Generate `config.num_sequences` scored proposals conditioned on
@@ -192,7 +177,7 @@ impl SurrogateMpnn {
         let f = self.landscape.fitness(sequence);
         let raw = crate::landscape::FOLD_WEIGHT * f.raw_fold
             + (1.0 - crate::landscape::FOLD_WEIGHT) * f.raw_bind;
-        let observed = raw + rng.normal_with(0.0, self.ll_noise);
+        let observed = raw + rng.normal_with(0.0, Self::LL_NOISE);
         // Affine map into ProteinMPNN's characteristic negative range:
         // raw 0.45 (random) → ≈ −2.1, raw 0.80 (excellent) → ≈ −0.7.
         -(2.1 - 4.0 * (observed - 0.45))
@@ -211,7 +196,7 @@ impl SurrogateMpnn {
         let mut seq = structure.complex.receptor.sequence.clone();
         let q = structure.backbone_quality;
         // Better backbones sharpen the local signal the network "sees".
-        let noise = self.local_noise * (1.2 - 0.8 * q);
+        let noise = Self::LOCAL_NOISE * (1.2 - 0.8 * q);
         let mutate_p = (config.mutation_rate * temperature).clamp(0.0, 1.0);
         // Inverse temperature for residue choice at a mutated position.
         // Local score differences between candidates are ~0.005–0.03, so a
@@ -382,14 +367,11 @@ mod tests {
     fn proposals_tend_to_improve_true_fitness() {
         let (mpnn, s) = setup(7);
         let mut rng = SimRng::from_seed(8);
-        let q0 = mpnn
-            .landscape()
-            .fitness(&s.complex.receptor.sequence)
-            .quality;
+        let q0 = mpnn.landscape.fitness(&s.complex.receptor.sequence).quality;
         let out = mpnn.sample(&s, &MpnnConfig::default(), &mut rng);
         let mean_q: f64 = out
             .iter()
-            .map(|ss| mpnn.landscape().fitness(&ss.sequence).quality)
+            .map(|ss| mpnn.landscape.fitness(&ss.sequence).quality)
             .sum::<f64>()
             / out.len() as f64;
         assert!(
@@ -411,7 +393,7 @@ mod tests {
         let ranked = rank_by_log_likelihood(mpnn.sample(&s, &config, &mut rng));
         let q: Vec<f64> = ranked
             .iter()
-            .map(|ss| mpnn.landscape().fitness(&ss.sequence).quality)
+            .map(|ss| mpnn.landscape.fitness(&ss.sequence).quality)
             .collect();
         let top: f64 = q[..30].iter().sum::<f64>() / 30.0;
         let bottom: f64 = q[30..].iter().sum::<f64>() / 30.0;
@@ -436,7 +418,7 @@ mod tests {
         };
         let mean = |out: &[ScoredSequence]| {
             out.iter()
-                .map(|ss| mpnn.landscape().fitness(&ss.sequence).quality)
+                .map(|ss| mpnn.landscape.fitness(&ss.sequence).quality)
                 .sum::<f64>()
                 / out.len() as f64
         };

@@ -42,10 +42,10 @@ json_struct!(Msa { depth, noise_factor });
 
 impl Msa {
     /// Noise multiplier when no evolutionary information is available.
-    pub const SINGLE_SEQ_NOISE: f64 = 2.2;
+    const SINGLE_SEQ_NOISE: f64 = 2.2;
 
     /// The single-sequence (empty) alignment.
-    pub fn single_sequence() -> Msa {
+    fn single_sequence() -> Msa {
         Msa {
             depth: 0,
             noise_factor: Self::SINGLE_SEQ_NOISE,
@@ -65,33 +65,25 @@ fn mix(mut z: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SyntheticMsaDatabase {
     seed: u64,
-    /// Mean search duration per residue of query at the reference depth.
-    /// Tuned so a ~90-residue PDZ query costs ≈ 1.4 virtual hours, matching
-    /// the paper's "takes hours" observation and the CONT-V makespan band.
-    search_secs_per_residue: f64,
 }
 
 impl SyntheticMsaDatabase {
     /// Reference depth at which the noise factor is exactly 1.0.
-    pub const REFERENCE_DEPTH: usize = 1024;
+    const REFERENCE_DEPTH: usize = 1024;
 
-    /// A database determined by `seed`, with the default cost model.
+    /// Mean search duration per residue of query at the reference depth.
+    /// Tuned so a ~90-residue PDZ query costs ≈ 1.4 virtual hours, matching
+    /// the paper's "takes hours" observation and the CONT-V makespan band.
+    const SEARCH_SECS_PER_RESIDUE: f64 = 50.0;
+
+    /// A database determined by `seed`.
     pub fn new(seed: u64) -> Self {
-        SyntheticMsaDatabase {
-            seed,
-            search_secs_per_residue: 50.0,
-        }
-    }
-
-    /// Override the per-residue search cost (used by fast test/demo setups).
-    pub fn with_search_cost(mut self, secs_per_residue: f64) -> Self {
-        self.search_secs_per_residue = secs_per_residue;
-        self
+        SyntheticMsaDatabase { seed }
     }
 
     /// Homolog depth for a query: deterministic in (database, sequence).
     /// Log-uniform between 64 and 16384 — close homolog families are rare.
-    pub fn depth_for(&self, query: &Sequence) -> usize {
+    fn depth_for(&self, query: &Sequence) -> usize {
         let h = mix(self.seed ^ query.content_hash());
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         let lo: f64 = 64.0;
@@ -131,7 +123,7 @@ impl SyntheticMsaDatabase {
             MsaMode::Full => {
                 let depth = self.depth_for(query) as f64;
                 let depth_scale = (depth / Self::REFERENCE_DEPTH as f64).powf(0.25);
-                let base = self.search_secs_per_residue * query.len() as f64 * depth_scale;
+                let base = Self::SEARCH_SECS_PER_RESIDUE * query.len() as f64 * depth_scale;
                 SimDuration::from_secs_f64(rng.jitter(base, 0.10))
             }
         }

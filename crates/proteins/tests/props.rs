@@ -4,7 +4,6 @@
 use impress_proteins::amino::{AminoAcid, ALL};
 use impress_proteins::fasta::{parse_fasta, write_fasta, FastaRecord};
 use impress_proteins::landscape::DesignLandscape;
-use impress_proteins::mutations::{apply_all, diff};
 use impress_proteins::pdb::{parse_pdb, write_pdb};
 use impress_proteins::profile::SequenceProfile;
 use impress_proteins::sequence::{Chain, Sequence};
@@ -115,21 +114,6 @@ props! {
         assert_eq!(l.fitness(&seq).raw_bind, l.fitness(&mutated).raw_bind);
     }
 
-    /// `diff` followed by `apply_all` reconstructs the target sequence, for
-    /// arbitrary pairs of equal-length sequences.
-    fn mutation_diff_apply_round_trips(rng) {
-        let a = arb_sequence(rng, 5, 59);
-        let b = substituted(rng, &a, 19);
-        let muts = diff(&a, &b);
-        assert_eq!(muts.len(), a.hamming(&b));
-        assert_eq!(apply_all(&a, &muts).unwrap(), b);
-        // Notation round trip for every mutation.
-        for m in &muts {
-            let parsed = impress_proteins::mutations::Mutation::parse(&m.to_string()).unwrap();
-            assert_eq!(parsed, *m);
-        }
-    }
-
     /// Profile invariants: frequencies sum to 1 per position, consensus
     /// frequency is maximal, entropy within [0, log2 20].
     fn profile_invariants(rng) {
@@ -148,18 +132,6 @@ props! {
             let e = p.entropy(pos);
             assert!((0.0..=20.0f64.log2() + 1e-9).contains(&e));
         }
-    }
-
-    /// Global alignment of equal-length sequences never scores below the
-    /// gapless diagonal (the aligner may only improve on it).
-    fn alignment_score_at_least_diagonal(rng) {
-        use impress_proteins::align::{global_align, AlignScoring};
-        let a = arb_sequence(rng, 4, 39);
-        let b = substituted(rng, &a, 11);
-        let scoring = AlignScoring::default();
-        let diagonal: f64 = (0..a.len()).map(|i| scoring.pair(a.at(i), b.at(i))).sum();
-        let alignment = global_align(&a, &b, &scoring);
-        assert!(alignment.score >= diagonal - 1e-9);
     }
 
     /// All 20 amino acids parse from both their own letter and lowercase.

@@ -16,6 +16,9 @@
 //! * `IMPRESS_PROPS_CASES` — override the per-property case count (e.g. a
 //!   quick `=8` smoke pass, or `=10000` for a soak).
 //!
+//! Both are plain decimal; a value that is set but does not parse fails
+//! every property by name instead of silently running the default.
+//!
 //! Usage:
 //!
 //! ```
@@ -53,18 +56,29 @@ pub struct Discard;
 
 /// The master seed for this process: `IMPRESS_PROPS_SEED` or the default.
 pub fn master_seed() -> u64 {
-    std::env::var("IMPRESS_PROPS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xCAFE_BABE)
+    env_or("IMPRESS_PROPS_SEED", 0xCAFE_BABE)
 }
 
 /// The per-property case count: `IMPRESS_PROPS_CASES` or `default`.
 pub fn case_count(default: u32) -> u32 {
-    std::env::var("IMPRESS_PROPS_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    env_or("IMPRESS_PROPS_CASES", default)
+}
+
+fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let var = std::env::var(name).ok();
+    parse_var(name, var.as_deref(), default).unwrap_or_else(|message| panic!("{message}"))
+}
+
+/// Unset means `default`; anything set must parse, or a mistyped rerun of a
+/// printed failing seed would pass green on the default one.
+fn parse_var<T: std::str::FromStr>(name: &str, var: Option<&str>, default: T) -> Result<T, String> {
+    let kind = std::any::type_name::<T>();
+    match var {
+        None => Ok(default),
+        Some(text) => text
+            .parse()
+            .map_err(|_| format!("{name}={text:?} does not parse as {kind}")),
+    }
 }
 
 /// Run `body` for `cases` randomized cases. Called by the [`props!`]
@@ -143,6 +157,20 @@ macro_rules! prop_assume {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_set_variable_that_does_not_parse_is_refused_by_name() {
+        assert_eq!(parse_var("IMPRESS_PROPS_SEED", None, 7u64), Ok(7));
+        assert_eq!(parse_var("IMPRESS_PROPS_SEED", Some("99"), 7u64), Ok(99));
+        assert_eq!(parse_var("IMPRESS_PROPS_CASES", Some("18"), 256u32), Ok(18));
+        for bad in ["10k", "", "-1", " 7", "0xCAFE"] {
+            let message = parse_var("IMPRESS_PROPS_SEED", Some(bad), 7u64).unwrap_err();
+            assert!(
+                message.contains("IMPRESS_PROPS_SEED") && message.contains(&format!("{bad:?}")),
+                "{message}"
+            );
+        }
+    }
 
     #[test]
     fn cases_replay_deterministically() {

@@ -85,7 +85,7 @@ impl IntervalTrace {
     }
 
     /// Total busy time in `[lo, hi)`, including any still-open interval.
-    pub fn busy_within(&self, lo: SimTime, hi: SimTime) -> SimDuration {
+    fn busy_within(&self, lo: SimTime, hi: SimTime) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for iv in &self.intervals {
             total += iv.overlap(lo, hi);

@@ -25,9 +25,8 @@
 //! * [`registry`] — pipeline bookkeeping: states, parentage (root pipeline
 //!   vs spawned sub-pipeline), per-pipeline task counts.
 //! * [`report`] — the run report the Table I harness consumes.
-//! * [`linear`], [`dag`] — ready-made pipeline shapes (stage chains and
-//!   level-synchronized dependency DAGs) for users who don't need a custom
-//!   state machine.
+//! * [`linear`] — a ready-made stage chain for users who don't need a
+//!   custom state machine.
 //! * [`events`] — the structured event log of everything the coordinator
 //!   did, with virtual timestamps and monotonic sequence numbers.
 //! * [`journal`] — the crash-consistency layer: a write-ahead journal of
@@ -43,7 +42,6 @@
 #![deny(unsafe_code)]
 
 pub mod coordinator;
-pub mod dag;
 pub mod decision;
 pub mod events;
 pub mod journal;
@@ -55,7 +53,6 @@ pub mod service;
 pub mod stage;
 
 pub use coordinator::{Coordinator, CoordinatorParts, CoordinatorView, TryStep};
-pub use dag::{DagBuilder, DagPipeline};
 pub use decision::{DecisionEngine, NoDecisions};
 pub use events::{Event, EventKind, EventLog};
 pub use journal::{

@@ -675,6 +675,197 @@ fn the_landscape_has_one_local_scoring_kernel() {
     assert!(saw_nk, "expected to scan {}", nk.display());
 }
 
+/// `word` occurs in `text` with no identifier character on either side.
+fn names(text: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
+}
+
+/// `rest` up to the `;` that ends the statement it starts in.
+fn statement(rest: &str) -> &str {
+    &rest[..rest.find(';').unwrap_or(rest.len())]
+}
+
+/// Whether a file outside the library of `crates/<krate>` names that
+/// crate's `module`: as the path `impress_<krate>::<module>`, inside a
+/// `use impress_<krate>::{..};` group, or — most callers go through the
+/// crate root — as any item the root re-exports from it (`pub use
+/// module::{A, b as C};` gives `A` and `C`), a whole word in a file that
+/// also names the crate. Another crate, a `src/bin/` or `benches/` target,
+/// an example, a root test and `perf/src` are outside; the crate's own
+/// `src/` (minus `src/bin/`) and its own `tests/` are not.
+fn module_is_reached(krate: &str, module: &str, sources: &[(PathBuf, String)]) -> bool {
+    let home = Path::new("crates").join(krate);
+    let (src, bins, tests) = (home.join("src"), home.join("src/bin"), home.join("tests"));
+    let lib = sources
+        .iter()
+        .find(|(rel, _)| *rel == src.join("lib.rs"))
+        .map_or("", |(_, text)| text.as_str());
+    let ident = format!("impress_{krate}");
+    let path = format!("{ident}::{module}");
+    let group = format!("{ident}::{{");
+    let grouped = |text: &str| {
+        text.split(&group)
+            .skip(1)
+            .any(|rest| names(statement(rest), module))
+    };
+    let items: Vec<&str> = lib
+        .split(&format!("\npub use {module}::"))
+        .skip(1)
+        .flat_map(|rest| statement(rest).trim_matches(['{', '}']).split(','))
+        .filter_map(|item| item.split_whitespace().last())
+        .collect();
+    sources
+        .iter()
+        .filter(|(rel, _)| {
+            let library = rel.starts_with(&src) && !rel.starts_with(&bins);
+            !library && !rel.starts_with(&tests)
+        })
+        .any(|(_, text)| {
+            names(text, &ident)
+                && (names(text, &path)
+                    || grouped(text)
+                    || items.iter().any(|item| names(text, item)))
+        })
+}
+
+/// What is wrong with the `pub mod`s of the `crates/*/src/lib.rs` roots in
+/// `sources`, given an allow-table of `(crate::module, reason)`: a module
+/// nothing reaches and nothing allows, and an allowed module that is gone
+/// or is reached after all.
+fn reachability_violations(sources: &[(PathBuf, String)], allowed: &[(&str, &str)]) -> Vec<String> {
+    let mut unreached = Vec::new();
+    for (rel, lib) in sources {
+        let root = rel.to_str().and_then(|rel| rel.strip_prefix("crates/"));
+        let Some(krate) = root.and_then(|rel| rel.strip_suffix("/src/lib.rs")) else {
+            continue;
+        };
+        for module in lib.lines().filter_map(|line| line.strip_prefix("pub mod ")) {
+            let module = module.trim_end_matches([';', '{', ' ']);
+            if !module_is_reached(krate, module, sources) {
+                unreached.push(format!("{krate}::{module}"));
+            }
+        }
+    }
+    let unallowed = unreached
+        .iter()
+        .filter(|module| !allowed.iter().any(|(entry, _)| entry == module))
+        .map(|module| format!("{module}: a `pub mod` unreached from outside its crate"));
+    let stale = allowed
+        .iter()
+        .filter(|(entry, _)| !unreached.iter().any(|module| module == entry))
+        .map(|(entry, _)| format!("allow-table entry {entry} is stale"));
+    unallowed.chain(stale).collect()
+}
+
+/// Public modules nothing reaches, each with the reason it stays public.
+const UNREACHED_BUT_ALLOWED: &[(&str, &str)] = &[];
+
+/// Five public modules (`dag`, `genetic`, `campaign`, `mutations`, `align`:
+/// 1.2k lines, 28 tests) were compiled, documented and tested while no
+/// stage, study, bin, bench, example, root test or perf cell called them.
+/// A `pub mod` with no caller outside its own crate's library gets one, or
+/// becomes private, or goes, or is listed above with a reason.
+#[test]
+fn every_pub_mod_is_reached_from_outside_its_own_crate() {
+    let violations = reachability_violations(&workspace_sources(), UNREACHED_BUT_ALLOWED);
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// The scan itself, on in-memory trees: what counts as reach, what does
+/// not, and that an allow-table entry cannot outlive its reason.
+#[test]
+fn the_reachability_scan_is_pinned_on_fixtures() {
+    const LIB: &str = "pub mod m;\npub mod n;\npub use m::{Thing, helper as assist};\n";
+    const OWN: [(&str, &str); 3] = [
+        ("crates/a/src/lib.rs", LIB),
+        ("crates/a/src/n.rs", "// impress_a::n impress_a::m"),
+        ("crates/a/tests/p.rs", "use impress_a::{m::Thing, n::X};"),
+    ];
+    let with = |extra: &[(&str, &str)]| -> Vec<(PathBuf, String)> {
+        let files = OWN.iter().chain(extra);
+        files.map(|(f, t)| (f.into(), t.to_string())).collect()
+    };
+
+    // Named only under its own `src/` and `tests/`: both reported.
+    let reported = reachability_violations(&with(&[]), &[]);
+    assert_eq!(reported.len(), 2, "{reported:?}");
+    assert!(reported[0].starts_with("a::m:") && reported[1].starts_with("a::n:"));
+
+    // By path, group or re-exported item, from anywhere outside the library.
+    for out in [
+        ("tests/end_to_end.rs", "use impress_a::m::Thing;"),
+        ("examples/quickstart.rs", "use impress_a::Thing;"),
+        ("perf/src/adapter.rs", "use impress_a::assist;"),
+        ("crates/b/src/lib.rs", "use impress_a::{\n    m, Other,\n};"),
+        ("crates/a/src/bin/fig.rs", "fn main() { impress_a::m::g() }"),
+        ("crates/a/benches/suite.rs", "use impress_a::{Thing};"),
+    ] {
+        assert!(module_is_reached("a", "m", &with(&[out])), "{out:?}");
+        assert!(!module_is_reached("a", "n", &with(&[out])), "{out:?}");
+    }
+    // Not reach: the item in a file that never names the crate, a longer
+    // identifier, the pre-rename name of a renamed re-export.
+    for text in [
+        "struct Thing;",
+        "use impress_a::{Things, m2};",
+        "use impress_a::helper;",
+    ] {
+        let sources = with(&[("tests/t.rs", text)]);
+        assert!(!module_is_reached("a", "m", &sources), "{text}");
+    }
+
+    // An entry silences exactly its module, and fails once the module is
+    // reached or gone.
+    let allow_n = [("a::n", "the worked example in DESIGN.md")];
+    let m_reached = ("tests/t.rs", "use impress_a::m::Thing;");
+    assert!(reachability_violations(&with(&[m_reached]), &allow_n).is_empty());
+    let both = with(&[m_reached, ("examples/demo.rs", "use impress_a::n::X;")]);
+    let stale = reachability_violations(&both, &allow_n);
+    assert!(stale.len() == 1 && stale[0].contains("a::n is stale"));
+    let gone = reachability_violations(&both, &[("a::old", "was here once")]);
+    assert!(gone.len() == 1 && gone[0].contains("a::old is stale"));
+}
+
+/// DESIGN.md's workspace inventory listed `impress_sim::{engine, resource}`
+/// after PR 17 deleted them, and `genetic` while nothing called it. Every
+/// backticked name in the "Key modules" cell of a `crates/<c>` row is
+/// `crates/<c>/src/<m>.rs`, `crates/<c>/src/<m>/` (`a/{b,c}` names `a/b`
+/// and `a/c`) or a `[[bin]]`/`[[bench]]` of that crate.
+#[test]
+fn the_design_inventory_names_only_what_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let mut rows = 0;
+    let mut missing = Vec::new();
+    for line in design.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let krate = cells.get(1).and_then(|cell| cell.strip_prefix("`crates/"));
+        let (Some(krate), Some(modules)) = (krate.and_then(|c| c.split('`').next()), cells.get(3))
+        else {
+            continue;
+        };
+        rows += 1;
+        let home = root.join("crates").join(krate);
+        let manifest = std::fs::read_to_string(home.join("Cargo.toml")).expect("crate manifest");
+        for name in modules.split('`').skip(1).step_by(2) {
+            let (prefix, leaves) = name.split_once('{').unwrap_or(("", name));
+            for leaf in leaves.trim_end_matches('}').split(',') {
+                let module = format!("{prefix}{}", leaf.trim());
+                let exists = home.join(format!("src/{module}.rs")).is_file()
+                    || home.join("src").join(&module).is_dir()
+                    || manifest.contains(&format!("name = \"{module}\""));
+                if !exists {
+                    missing.push(format!("crates/{krate}: `{module}`"));
+                }
+            }
+        }
+    }
+    assert!(rows >= 8, "one inventory row per crate: {rows}");
+    assert!(missing.is_empty(), "not in the tree: {missing:#?}");
+}
+
 /// The root `[workspace.dependencies]` entries themselves must all be
 /// `path` specs, since member `workspace = true` entries resolve to them.
 #[test]
