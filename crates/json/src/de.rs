@@ -1,37 +1,137 @@
-//! A recursive-descent JSON parser over UTF-8 text.
+//! A pull decoder over UTF-8 JSON text: the read-side mirror of
+//! [`ToJsonBuf`](crate::ToJsonBuf).
+//!
+//! [`Parser`] is a cursor over the text and the only tokeniser in the crate.
+//! [`FromJsonBuf`] decodes a typed value straight off it, so a record goes
+//! from bytes to its struct without a [`Json`] tree in between; the tree
+//! itself is just one more `FromJsonBuf` impl, and [`parse`] a wrapper over
+//! it. Both routes — `read_json::<T>(text)` and
+//! `T::from_json(&parse(text)?)` — accept and reject the same documents and
+//! decode equal values (pinned type by type in `tests/roundtrip.rs`).
 //!
 //! Accepts exactly RFC 8259 JSON (no comments, no trailing commas). Errors
 //! carry the byte offset of the offending token. Nesting depth is capped so
 //! adversarial input cannot overflow the stack.
 
 use crate::value::{Json, JsonError, Number};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 
 const MAX_DEPTH: usize = 128;
+
+/// Decode a typed value straight from JSON text (the read-side mirror of
+/// [`ToJsonBuf`](crate::ToJsonBuf)).
+///
+/// Implementations decode exactly what `FromJson::from_json` would decode
+/// from the parsed tree; the [`json_struct!`](crate::json_struct) and
+/// [`json_enum!`](crate::json_enum) macros generate conforming impls
+/// alongside the tree-reading ones. Struct decode takes keys in any order,
+/// skips unknown keys, keeps the first of duplicate keys and reads a missing
+/// key as `null`; enum decode dispatches on the first key that names a
+/// variant.
+pub trait FromJsonBuf: Sized {
+    /// Decode one value starting at the cursor, leaving the cursor right
+    /// behind its last byte.
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError>;
+}
+
+/// Decode a complete document as `T` (the buffer-reading analog of
+/// [`from_str`](crate::from_str)). Trailing whitespace is allowed; any other
+/// trailing content is an error.
+pub fn read_json<T: FromJsonBuf>(text: &str) -> Result<T, JsonError> {
+    let mut p = Parser::new(text);
+    let value = T::from_json_buf(&mut p)?;
+    p.finish()?;
+    Ok(value)
+}
 
 /// Parse a complete JSON document. Trailing whitespace is allowed; any other
 /// trailing content is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(JsonError::at("trailing content after document", p.pos));
-    }
-    Ok(value)
+    read_json(text)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over JSON text. Between calls it rests on the first byte of a
+/// token: [`new`](Parser::new), [`key`](Parser::key) and [`Seq::next`] skip
+/// the whitespace in front of the value they hand over.
+pub struct Parser<'a> {
+    text: &'a str,
     pos: usize,
+    depth: usize,
+}
+
+/// An array or object being read: [`Parser::begin_array`] /
+/// [`Parser::begin_object`] open it, [`next`](Seq::next) steps through it.
+pub struct Seq {
+    close: u8,
+    first: bool,
+}
+
+impl Seq {
+    /// Step to the next element (for an object: to its key). `false` once
+    /// the closing bracket is consumed; do not call again after that.
+    pub fn next(&mut self, p: &mut Parser<'_>) -> Result<bool, JsonError> {
+        p.skip_ws();
+        if std::mem::take(&mut self.first) {
+            if p.peek() == Some(self.close) {
+                p.pos += 1;
+                return Ok(false);
+            }
+            p.depth += 1;
+            if p.depth > MAX_DEPTH {
+                return Err(JsonError::at("nesting too deep", p.pos));
+            }
+            return Ok(true);
+        }
+        match p.peek() {
+            Some(b',') => {
+                p.pos += 1;
+                p.skip_ws();
+                Ok(true)
+            }
+            Some(c) if c == self.close => {
+                p.pos += 1;
+                p.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(JsonError::at(
+                format!("expected `,` or `{}`", self.close as char),
+                p.pos,
+            )),
+        }
+    }
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// A cursor at the first token of `text`.
+    pub fn new(text: &'a str) -> Self {
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Byte offset of the cursor. Read before and after a decode, the two
+    /// offsets delimit the value's stored bytes.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The byte under the cursor, `None` at the end of the text.
+    pub fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Require the end of the document (trailing whitespace allowed).
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(JsonError::at("trailing content after document", self.pos));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -40,104 +140,135 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(JsonError::at(format!("expected `{}`", b as char), self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(JsonError::at(format!("expected `{word}`"), self.pos))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(JsonError::at("nesting too deep", self.pos));
-        }
+    /// The error for a token that is not an `expected`: names the type found,
+    /// or the stray byte when no value starts here.
+    pub fn type_error(&self, expected: &str) -> JsonError {
+        let got = match self.peek() {
+            Some(b'n') => "null",
+            Some(b't' | b'f') => "bool",
+            Some(b'"') => "string",
+            Some(b'[') => "array",
+            Some(b'{') => "object",
+            Some(b'-' | b'0'..=b'9') => "number",
+            Some(c) => return JsonError::at(format!("unexpected byte `{}`", c as char), self.pos),
+            None => return JsonError::at("unexpected end of input", self.pos),
+        };
+        JsonError::at(format!("expected {expected}, got {got}"), self.pos)
+    }
+
+    /// The value a struct field takes when its key is absent: whatever `T`
+    /// decodes from `null` (`None` for an `Option`), else an error naming
+    /// the field.
+    pub fn missing_field<T: FromJsonBuf>(&self, key: &str) -> Result<T, JsonError> {
+        T::from_json_buf(&mut Parser::new("null"))
+            .map_err(|_| JsonError::at(format!("missing field `{key}`"), self.pos))
+    }
+
+    /// Consume `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.literal("null")
+    }
+
+    /// Consume `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(JsonError::at(
-                format!("unexpected byte `{}`", c as char),
-                self.pos,
-            )),
-            None => Err(JsonError::at("unexpected end of input", self.pos)),
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(self.type_error("bool")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Open an array.
+    pub fn begin_array(&mut self) -> Result<Seq, JsonError> {
+        self.begin(b'[', b']', "array")
+    }
+
+    /// Open an object; read each member with [`key`](Parser::key) and then
+    /// its value.
+    pub fn begin_object(&mut self) -> Result<Seq, JsonError> {
+        self.begin(b'{', b'}', "object")
+    }
+
+    fn begin(&mut self, open: u8, close: u8, name: &str) -> Result<Seq, JsonError> {
+        if self.peek() != Some(open) {
+            return Err(self.type_error(name));
+        }
+        self.pos += 1;
+        Ok(Seq { close, first: true })
+    }
+
+    /// Consume an object key and its `:`, leaving the cursor on the value.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.str_token()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
+        if self.peek() != Some(b':') {
+            return Err(JsonError::at("expected `:`", self.pos));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(JsonError::at("expected `,` or `]`", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
+        Ok(key)
+    }
+
+    /// Consume any one value, checking its syntax and building nothing.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'[') => {
+                let mut items = self.begin_array()?;
+                while items.next(self)? {
+                    self.skip_value()?;
                 }
-                _ => return Err(JsonError::at("expected `,` or `}`", self.pos)),
+                Ok(())
             }
+            Some(b'{') => {
+                let mut fields = self.begin_object()?;
+                while fields.next(self)? {
+                    self.key()?;
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.str_token().map(drop),
+            Some(b'n') => self.null(),
+            Some(b't' | b'f') => self.bool().map(drop),
+            _ => self.number().map(drop),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Consume a string into an owned `String`.
+    pub fn string(&mut self) -> Result<String, JsonError> {
+        self.str_token().map(Cow::into_owned)
+    }
+
+    /// Consume a string, borrowing it from the text when it holds no escape
+    /// (every key and enum tag the writers emit) and decoding it otherwise.
+    pub fn str_token(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.type_error("string"));
+        }
+        self.pos += 1;
+        let start = self.pos;
+        self.plain_run();
+        if self.peek() == Some(b'"') {
+            let plain = &self.text[start..self.pos];
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(JsonError::at("unterminated string", self.pos)),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -164,23 +295,23 @@ impl<'a> Parser<'a> {
                     return Err(JsonError::at("raw control character in string", self.pos));
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar (input is a &str, so slicing on
-                    // a char boundary found via the leading byte is safe).
                     let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .peek()
-                        .map(|b| (b & 0xC0) == 0x80)
-                        .unwrap_or(false)
-                    {
-                        self.pos += 1;
-                    }
-                    let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| JsonError::at("invalid UTF-8", start))?;
-                    out.push_str(text);
+                    self.plain_run();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
+    }
+
+    /// Advance over the bytes a string holds verbatim, up to the next `"`,
+    /// `\` or control byte. All three are ASCII, so both ends of the run are
+    /// char boundaries of the text.
+    fn plain_run(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
     }
 
     /// Parse the 4 hex digits after `\u` (the `u` is already consumed),
@@ -189,7 +320,7 @@ impl<'a> Parser<'a> {
         let hi = self.hex4()?;
         if (0xD800..0xDC00).contains(&hi) {
             // High surrogate: require a following \uXXXX low surrogate.
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
+            if self.peek() == Some(b'\\') && self.text.as_bytes().get(self.pos + 1) == Some(&b'u') {
                 self.pos += 2;
                 let lo = self.hex4()?;
                 if !(0xDC00..0xE000).contains(&lo) {
@@ -227,7 +358,11 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Consume a number, keeping integers exact.
+    pub fn number(&mut self) -> Result<Number, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.type_error("number"));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -243,9 +378,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII digits are valid UTF-8");
-        let num = if is_float {
+        let text = &self.text[start..self.pos];
+        Ok(if is_float {
             Number::F64(
                 text.parse::<f64>()
                     .map_err(|_| JsonError::at("invalid number", start))?,
@@ -265,8 +399,170 @@ impl<'a> Parser<'a> {
                 text.parse::<u64>()
                     .map_err(|_| JsonError::at("integer out of range", start))?,
             )
-        };
-        Ok(Json::Num(num))
+        })
+    }
+}
+
+/// The tree builder: what [`parse`] runs.
+impl FromJsonBuf for Json {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        match p.peek() {
+            Some(b'n') => p.null().map(|()| Json::Null),
+            Some(b't' | b'f') => p.bool().map(Json::Bool),
+            Some(b'"') => p.string().map(Json::Str),
+            Some(b'[') => Vec::from_json_buf(p).map(Json::Array),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                let mut members = p.begin_object()?;
+                while members.next(p)? {
+                    let key = p.key()?.into_owned();
+                    fields.push((key, Json::from_json_buf(p)?));
+                }
+                Ok(Json::Object(fields))
+            }
+            _ => p.number().map(Json::Num),
+        }
+    }
+}
+
+impl FromJsonBuf for bool {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        p.bool()
+    }
+}
+
+impl FromJsonBuf for String {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        p.string()
+    }
+}
+
+impl FromJsonBuf for char {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        let at = p.pos;
+        let s = p.str_token()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(JsonError::at("expected single-character string", at)),
+        }
+    }
+}
+
+/// Consume a number and narrow it with `pick`, exactly as the tree route
+/// narrows a [`Number`] node.
+fn narrow<T>(
+    p: &mut Parser<'_>,
+    expected: &str,
+    pick: impl FnOnce(Number) -> Option<T>,
+) -> Result<T, JsonError> {
+    if !matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
+        return Err(p.type_error(expected));
+    }
+    let at = p.pos;
+    pick(p.number()?).ok_or_else(|| JsonError::at(format!("expected {expected}, got number"), at))
+}
+
+macro_rules! impl_pull_int {
+    ($as:ident: $($ty:ty),+) => {$(
+        impl FromJsonBuf for $ty {
+            fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+                narrow(p, concat!(stringify!($ty), " integer"), |n| {
+                    n.$as().and_then(|x| <$ty>::try_from(x).ok())
+                })
+            }
+        }
+    )+};
+}
+impl_pull_int!(as_u64: u8, u16, u32, u64, usize);
+impl_pull_int!(as_i64: i8, i16, i32, i64, isize);
+
+impl FromJsonBuf for f64 {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        p.number().map(Number::as_f64)
+    }
+}
+
+impl FromJsonBuf for f32 {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        f64::from_json_buf(p).map(|f| f as f32)
+    }
+}
+
+impl<T: FromJsonBuf> FromJsonBuf for Option<T> {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        if p.peek() == Some(b'n') {
+            return p.null().map(|()| None);
+        }
+        T::from_json_buf(p).map(Some)
+    }
+}
+
+impl<T: FromJsonBuf> FromJsonBuf for Vec<T> {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        let mut out = Vec::new();
+        let mut items = p.begin_array()?;
+        while items.next(p)? {
+            out.push(T::from_json_buf(p)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: FromJsonBuf, const N: usize> FromJsonBuf for [T; N] {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        let at = p.pos;
+        let items = Vec::<T>::from_json_buf(p)?;
+        let n = items.len();
+        <[T; N]>::try_from(items)
+            .map_err(|_| JsonError::at(format!("expected array of length {N}, got {n}"), at))
+    }
+}
+
+impl<A: FromJsonBuf, B: FromJsonBuf> FromJsonBuf for (A, B) {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        let at = p.pos;
+        let wrong_len = || JsonError::at("expected 2-element array", at);
+        let mut items = p.begin_array()?;
+        if !items.next(p)? {
+            return Err(wrong_len());
+        }
+        let a = A::from_json_buf(p)?;
+        if !items.next(p)? {
+            return Err(wrong_len());
+        }
+        let b = B::from_json_buf(p)?;
+        if items.next(p)? {
+            return Err(wrong_len());
+        }
+        Ok((a, b))
+    }
+}
+
+/// Object members into a map; of duplicate keys the last wins, as when the
+/// tree route collects an object's field list.
+fn read_map<V: FromJsonBuf, M: Default + Extend<(String, V)>>(
+    p: &mut Parser<'_>,
+) -> Result<M, JsonError> {
+    let mut map = M::default();
+    let mut members = p.begin_object()?;
+    while members.next(p)? {
+        let key = p.key()?.into_owned();
+        let value = V::from_json_buf(p).map_err(|e| e.in_field(&key))?;
+        map.extend([(key, value)]);
+    }
+    Ok(map)
+}
+
+impl<V: FromJsonBuf> FromJsonBuf for BTreeMap<String, V> {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        read_map(p)
+    }
+}
+
+impl<V: FromJsonBuf> FromJsonBuf for HashMap<String, V> {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        read_map(p)
     }
 }
 
@@ -287,6 +583,25 @@ mod tests {
             err.to_string().contains(needle),
             "{doc:?}: expected error containing `{needle}`, got `{err}`"
         );
+    }
+
+    #[test]
+    fn the_cursor_borrows_plain_strings_and_delimits_values() {
+        let text = " {\"plain\": \"h\u{e9}llo\", \"esc\\n\": [1, {\"x\": null}] } ";
+        let mut p = Parser::new(text);
+        let mut members = p.begin_object().unwrap();
+        assert!(members.next(&mut p).unwrap());
+        assert!(matches!(p.key().unwrap(), Cow::Borrowed("plain")));
+        assert!(matches!(p.str_token().unwrap(), Cow::Borrowed("h\u{e9}llo")));
+        assert!(members.next(&mut p).unwrap());
+        assert!(matches!(p.key().unwrap(), Cow::Owned(key) if key == "esc\n"));
+        // The offsets either side of a decode are the value's stored bytes
+        // (what the journal checksums).
+        let start = p.pos();
+        p.skip_value().unwrap();
+        assert_eq!(&text[start..p.pos()], "[1, {\"x\": null}]");
+        assert!(!members.next(&mut p).unwrap());
+        p.finish().unwrap();
     }
 
     #[test]

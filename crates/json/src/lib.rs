@@ -19,6 +19,10 @@
 //!   straight into a reused buffer, skipping the `Json` tree, with bytes
 //!   identical to `to_string(&value.to_json())` (the macros generate these
 //!   impls too).
+//! * [`FromJsonBuf`] / [`read_json`] — its read-side mirror: decode a typed
+//!   value straight off the [`Parser`] cursor, skipping the `Json` tree,
+//!   with the value `T::from_json(&parse(text)?)` would give (the macros
+//!   generate these impls too; `parse` is the `Json` impl).
 //!
 //! Enum representation matches serde's externally-tagged default:
 //! unit variants are strings (`"Fifo"`), newtype variants are
@@ -40,6 +44,6 @@ mod macros;
 
 pub use buf::{write_json, ToJsonBuf};
 pub use convert::{from_field, from_str, FromJson, ToJson};
-pub use de::parse;
+pub use de::{parse, read_json, FromJsonBuf, Parser, Seq};
 pub use ser::{to_string, to_string_pretty};
 pub use value::{Json, JsonError, Number, ObjBuilder};

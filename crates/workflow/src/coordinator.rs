@@ -13,14 +13,12 @@
 
 use crate::decision::{DecisionEngine, Spawn};
 use crate::events::{EventKind, EventLog};
-use crate::journal::{
-    Journal, JournalError, JournalRecord, PipelineScript, ReplayPlan, TaskMeta, TerminalRecord,
-};
+use crate::journal::{Journal, JournalError, JournalRecord, ReplayPlan, TaskMeta, TerminalRecord};
 use crate::pipeline::{BoxedPipeline, PipelineId, PipelineLogic, PipelineState};
 use crate::registry::Registry;
 use crate::report::RunReport;
 use crate::stage::{StageBuffer, Step};
-use impress_json::{FromJson, Json, JsonError, ToJson};
+use impress_json::{FromJson, Json, ToJson};
 use impress_pilot::{Completion, ExecutionBackend, Session, TaskDescription};
 use impress_sim::SimTime;
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
@@ -103,15 +101,6 @@ impl<O> JournalWriter<O> {
     }
 }
 
-/// Resume state: the journaled scripts of pipelines that reached a terminal
-/// state before the kill, plus the outcome decoder for their `Completed`
-/// records. Pipelines registered during a resumed run are swapped for
-/// [`GhostPipeline`]s when a matching terminal script exists.
-struct ReplayState<O> {
-    scripts: HashMap<u64, PipelineScript>,
-    decode: fn(&Json) -> Result<O, JsonError>,
-}
-
 /// A work-free replay of a journaled terminal pipeline. It resubmits the
 /// exact task metadata the original submitted — so the backend sees the
 /// identical load and evolves the identical virtual timeline — but every
@@ -120,9 +109,10 @@ struct ReplayState<O> {
 struct GhostPipeline<O> {
     name: String,
     stages: VecDeque<Vec<TaskMeta>>,
-    /// Taken at the terminal step (a ghost reaches it exactly once).
-    terminal: Option<TerminalRecord>,
-    decode: fn(&Json) -> Result<O, JsonError>,
+    /// How the journaled pipeline ended — the outcome `resume` decoded, or
+    /// the abort reason. Taken at the terminal step (a ghost reaches it
+    /// exactly once).
+    terminal: Option<Result<O, String>>,
 }
 
 impl<O> GhostPipeline<O> {
@@ -131,14 +121,8 @@ impl<O> GhostPipeline<O> {
             return Step::Submit(stage.iter().map(TaskMeta::to_description).collect());
         }
         match self.terminal.take() {
-            // `resume` pre-validates that every journaled outcome decodes,
-            // so the Err arm is unreachable in practice; it degrades to an
-            // abort rather than panicking if a plan is mutated after that.
-            Some(TerminalRecord::Completed(json)) => match (self.decode)(&json) {
-                Ok(outcome) => Step::Complete(outcome),
-                Err(e) => Step::Abort(format!("journaled outcome failed to decode: {e}")),
-            },
-            Some(TerminalRecord::Aborted(reason)) => Step::Abort(reason),
+            Some(Ok(outcome)) => Step::Complete(outcome),
+            Some(Err(reason)) => Step::Abort(reason),
             None => Step::Abort("ghost pipeline stepped past its terminal record".into()),
         }
     }
@@ -223,7 +207,11 @@ pub struct Coordinator<O, B: ExecutionBackend, D: DecisionEngine<O>> {
     aborts: Vec<(PipelineId, String)>,
     events: EventLog,
     journal: Option<JournalWriter<O>>,
-    replay: Option<ReplayState<O>>,
+    /// Resume state: a ready ghost for every journaled pipeline that
+    /// reached a terminal state before the kill, its outcome already
+    /// decoded. A pipeline registered during a resumed run is swapped for
+    /// the ghost under its id. Empty on a fresh run.
+    ghosts: HashMap<u64, GhostPipeline<O>>,
     drained: bool,
     telemetry: Telemetry,
 }
@@ -247,7 +235,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             aborts: Vec::new(),
             events: EventLog::new(),
             journal: None,
-            replay: None,
+            ghosts: HashMap::new(),
             drained: false,
             telemetry,
         }
@@ -273,24 +261,13 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         // journal replays as a work-free ghost. Live-at-kill pipelines (no
         // terminal record) re-run for real. A name mismatch means the plan
         // does not describe this pipeline — run it for real.
-        let pipeline = match self.replay.as_mut().and_then(|rs| {
-            let script = rs.scripts.get(&id.0)?;
-            if script.name != name {
-                debug_assert!(false, "{id}: plan names {:?}, run names {name:?}", script.name);
-                return None;
+        // Each id registers exactly once, so the ghost moves out.
+        let pipeline: BoxedPipeline<O> = match self.ghosts.remove(&id.0) {
+            Some(ghost) if ghost.name == name => Box::new(ghost),
+            Some(ghost) => {
+                debug_assert!(false, "{id}: plan names {:?}, run names {name:?}", ghost.name);
+                pipeline
             }
-            script.terminal.as_ref()?;
-            // Each id registers exactly once, so the ghost takes ownership
-            // of the journaled script instead of cloning its stages.
-            let script = rs.scripts.remove(&id.0).expect("present just above");
-            Some(Box::new(GhostPipeline {
-                name: script.name,
-                stages: script.stages.into(),
-                terminal: script.terminal,
-                decode: rs.decode,
-            }) as BoxedPipeline<O>)
-        }) {
-            Some(ghost) => ghost,
             None => pipeline,
         };
         let assigned = self.registry.register(name, parent, self.session.now());
@@ -886,26 +863,29 @@ impl<O: FromJson + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinat
     /// not decode as `O` — a corrupt checkpoint is a diagnostic, never a
     /// panic.
     pub fn resume(backend: B, decision: D, plan: &ReplayPlan) -> Result<Self, JournalError> {
+        let mut ghosts = HashMap::new();
         for script in &plan.pipelines {
-            if let Some(TerminalRecord::Completed(json)) = &script.terminal {
-                O::from_json(json).map_err(|e| {
+            let terminal = match &script.terminal {
+                None => continue,
+                Some(TerminalRecord::Aborted(reason)) => Err(reason.clone()),
+                Some(TerminalRecord::Completed(json)) => Ok(O::from_json(json).map_err(|e| {
                     JournalError::Corrupt(format!(
                         "pipeline {} ({}): journaled outcome does not decode: {e}",
                         script.id, script.name
                     ))
-                })?;
-            }
+                })?),
+            };
+            ghosts.insert(
+                script.id,
+                GhostPipeline {
+                    name: script.name.clone(),
+                    stages: script.stages.iter().cloned().collect(),
+                    terminal: Some(terminal),
+                },
+            );
         }
         let mut coordinator = Coordinator::new(backend, decision);
-        coordinator.replay = Some(ReplayState {
-            scripts: plan
-                .pipelines
-                .iter()
-                .filter(|s| s.terminal.is_some())
-                .map(|s| (s.id, s.clone()))
-                .collect(),
-            decode: |json| O::from_json(json),
-        });
+        coordinator.ghosts = ghosts;
         Ok(coordinator)
     }
 }

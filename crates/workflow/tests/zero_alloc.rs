@@ -1,7 +1,7 @@
 //! Zero-allocation pins for the workflow fast path.
 //!
-//! Two perf claims the journal group commit rests on, pinned so they
-//! cannot rot silently:
+//! Three perf claims the journal rests on, pinned so they cannot rot
+//! silently:
 //!
 //! 1. **`ToJsonBuf` serialization is zero-alloc**: writing a record's
 //!    compact JSON into a warm buffer performs no heap allocation, for
@@ -13,6 +13,10 @@
 //!    so the window isolates the journal's own path from the caller's
 //!    record construction; durability I/O (`commit`) sits outside the
 //!    window — the group commit pays it once per cycle, not per record.
+//! 3. **Loading a frame is zero-alloc**: `load_plan` decodes a frame
+//!    straight into its typed record and checksums the stored bytes, so a
+//!    journal that is longer by records owning no heap data costs the
+//!    loader not one allocation more.
 //!
 //! This is a dedicated test binary with a single `#[test]`: the probe's
 //! counters are process-global, so a second concurrent test would bleed
@@ -21,7 +25,7 @@
 use impress_pilot::{ResourceRequest, TaskKind};
 use impress_sim::alloc_probe::CountingAlloc;
 use impress_sim::SimDuration;
-use impress_workflow::journal::{Journal, JournalRecord, MemoryJournal, TaskMeta};
+use impress_workflow::journal::{load_plan, Journal, JournalRecord, MemoryJournal, TaskMeta};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -58,7 +62,8 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     assert_eq!(buf, expected, "warm pass must produce identical bytes");
 
     // --- Pin 2: steady-state Journal::record -------------------------
-    let mut journal = Journal::new(Box::new(MemoryJournal::new()), "zero-alloc", 7).unwrap();
+    let store = MemoryJournal::new();
+    let mut journal = Journal::new(Box::new(store.clone()), "zero-alloc", 7).unwrap();
     journal
         .record(JournalRecord::Registered {
             pipeline: 0,
@@ -87,6 +92,11 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     // Commit clears the frame buffer but keeps its (now warm) capacity.
     journal.commit().unwrap();
     assert_eq!(journal.pending_records(), 0);
+    // Pin 3's baseline: what loading the journal costs before the window's
+    // records are in it.
+    let (load_before, loaded) = ALLOC.measure(|| load_plan(&store).unwrap());
+    let records_before = loaded.records;
+    drop(loaded);
 
     let (allocs, ()) = ALLOC.measure(|| {
         for i in 0..WINDOW {
@@ -112,4 +122,15 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     );
     assert_eq!(journal.pending_records(), 2 * WINDOW as usize);
     journal.commit().unwrap();
+
+    // --- Pin 3: load_plan per StageCompleted / TaskPoisoned frame -----
+    let (load_after, loaded) = ALLOC.measure(|| load_plan(&store).unwrap());
+    assert_eq!(loaded.records, records_before + 2 * WINDOW as usize);
+    assert_eq!(loaded.dropped, 0);
+    assert_eq!(loaded.plan, *journal.plan());
+    assert_eq!(
+        load_after, load_before,
+        "{} more frames must not cost the loader an allocation",
+        2 * WINDOW
+    );
 }

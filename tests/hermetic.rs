@@ -675,6 +675,35 @@ fn the_landscape_has_one_local_scoring_kernel() {
     assert!(saw_nk, "expected to scan {}", nk.display());
 }
 
+/// `load_plan` reads a frame once: `seq`, `crc` and the typed record come
+/// straight off the line through `FromJsonBuf`, and the checksum covers the
+/// stored bytes. The tree route it replaced — `impress_json::parse`, a
+/// re-serialisation to hash, `from_json` on the tree — survives in
+/// `journal.rs` only as the `#[cfg(test)]` reference the pull route is held
+/// to: this guard fails when a `Json` tree comes back under the loader.
+#[test]
+fn the_journal_loader_builds_no_json_tree() {
+    let journal = Path::new("crates/workflow/src/journal.rs");
+    let sources = workspace_sources();
+    let (_, text) = sources
+        .iter()
+        .find(|(rel, _)| rel == journal)
+        .expect("crates/workflow/src/journal.rs");
+    let (non_test, tests) = text
+        .split_once("#[cfg(test)]")
+        .expect("journal.rs keeps its tests in the file");
+    for tree_route in ["parse", "from_str", "FromJson", "from_json", "from_field"] {
+        assert!(
+            !names(non_test, tree_route),
+            "journal.rs reaches `{tree_route}` outside its tests"
+        );
+    }
+    assert!(
+        names(tests, "parse") && names(tests, "from_json"),
+        "the tree-route reference is gone from journal.rs's tests"
+    );
+}
+
 /// `word` occurs in `text` with no identifier character on either side.
 fn names(text: &str, word: &str) -> bool {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
