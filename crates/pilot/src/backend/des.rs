@@ -212,6 +212,35 @@ struct TaskSpans {
     queued_at: SimTime,
 }
 
+/// Where a live task sits. The two places exclude each other — a task is
+/// dequeued at its grant and requeued only after its attempt is gone — so
+/// the queue ticket costs the task record no room of its own.
+#[derive(Clone, Copy)]
+enum Seat {
+    /// Neither: waiting out a backoff or a routed message, or held.
+    None,
+    /// In the scheduler queue, under the ticket its enqueue returned.
+    Queued(u32),
+    /// Placed: the slab handle of the current running attempt.
+    Running(SlotId),
+}
+
+impl Seat {
+    fn running(self) -> Option<SlotId> {
+        match self {
+            Seat::Running(slot) => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// Vacate a running seat, returning its slot.
+    fn take_running(&mut self) -> Option<SlotId> {
+        let slot = self.running()?;
+        *self = Seat::None;
+        Some(slot)
+    }
+}
+
 /// One submitted task, indexed by its id in the flat task table.
 struct Task {
     name: String,
@@ -228,8 +257,7 @@ struct Task {
     work: Option<TaskWork>,
     state: StateCell,
     spans: TaskSpans,
-    /// Slab handle of the current running attempt, if placed.
-    running: Option<SlotId>,
+    seat: Seat,
     /// Whether a hedged duplicate was ever placed for this task.
     hedged: bool,
 }
@@ -526,7 +554,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
 
     /// The slab slot of `task`'s running attempt, if that is `attempt`.
     fn live_attempt(&self, task: u64, attempt: u32) -> Option<SlotId> {
-        let slot = self.get(task)?.running?;
+        let slot = self.get(task)?.seat.running()?;
         (self.running.get(slot)?.attempt == attempt).then_some(slot)
     }
 
@@ -609,9 +637,16 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
     /// priority.
     fn enqueue(&mut self, task: u64) {
         let t = self.record(task);
+        assert!(
+            matches!(t.seat, Seat::None),
+            "{} enqueued while already queued or running",
+            TaskId(task)
+        );
         let (request, priority) = (t.request, t.priority);
-        self.scheduler
+        let ticket = self
+            .scheduler
             .enqueue_with_priority(TaskId(task), request, priority);
+        self.record(task).seat = Seat::Queued(ticket);
     }
 
     /// At-least-once meets exactly-once: the first arrival of a message
@@ -660,7 +695,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
     /// running its work, or end a doomed attempt.
     fn settle(&mut self, task: u64, slot: SlotId, now: SimTime) {
         let run = self.running.remove(slot);
-        self.record(task).running = None;
+        self.record(task).seat = Seat::None;
         // A live hedge duplicate lost the race to this settlement (or
         // shares the attempt's failure): cancel it first.
         self.settle_hedge_loser(task, true, now);
@@ -856,7 +891,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
             let run = self.running.remove(slot);
-            self.record(task).running = None;
+            self.record(task).seat = Seat::None;
             self.settle_hedge_loser(task, true, now);
             self.cstats.lease_expiries += 1;
             self.util.wasted(&run.alloc, run.started, now);
@@ -1151,7 +1186,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         // placed a duplicate.
         let probe = match self.get(task) {
             Some(t) if t.attempts == attempt && !self.hedge_running.contains_key(&task) => t
-                .running
+                .seat
+                .running()
                 .and_then(|slot| self.running.get(slot))
                 .map(|run| (t.request, run.alloc.node, t.kind, t.duration, t.walltime)),
             _ => None,
@@ -1250,8 +1286,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         };
         let slot = self
             .record(task)
-            .running
-            .take()
+            .seat
+            .take_running()
             .expect("hedge won over a running main attempt");
         self.rescue(task, slot, hedge, now);
     }
@@ -1267,7 +1303,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             self.fence(task, attempt, now);
             return;
         };
-        let Some(slot) = self.record(task).running.take() else {
+        let Some(slot) = self.record(task).seat.take_running() else {
             // No live main to rescue (it was evicted between the hedge's
             // finish and this delivery): book the duplicate as waste. The
             // freed slots can admit queued work, so re-scan.
@@ -1308,6 +1344,11 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
     /// own node just crashed — the drained pool is rebuilt, so forfeited
     /// slots must not be released back into it.
     fn settle_hedge_loser(&mut self, task: u64, release: bool, now: SimTime) {
+        // Every settlement asks; without hedging the map stays empty, and
+        // even an empty map hashes the key before it looks.
+        if self.hedge_running.is_empty() {
+            return;
+        }
         let Some(hedge) = self.hedge_running.remove(&task) else {
             return;
         };
@@ -1355,7 +1396,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
             let run = self.running.remove(slot);
-            self.record(task).running = None;
+            self.record(task).seat = Seat::None;
             self.transport.cancel(run.event);
             // A victim's surviving hedge (on a different node by
             // construction) is settled normally before the attempt fails.
@@ -1433,7 +1474,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             // shape class at the placement grant — the slots go straight
             // back and the lineage ends with a typed error instead of
             // burning a retry ladder on a poisoned shape.
-            let request = self.record(id.0).request;
+            let granted = self.record(id.0);
+            debug_assert!(matches!(granted.seat, Seat::Queued(_)));
+            granted.seat = Seat::None;
+            let request = granted.request;
             let shape = (request.cores, request.gpus);
             let tripped = match self.quarantine {
                 Some(q) if q.shape_trip > 0 => {
@@ -1579,7 +1623,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             let record = self.tasks[task as usize]
                 .as_mut()
                 .expect("an in-flight task has a record");
-            record.running = Some(slot);
+            record.seat = Seat::Running(slot);
             if matches!(outcome, Planned::Finish) {
                 self.transport.launch(task, &mut record.work);
             }
@@ -1666,7 +1710,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             work: desc.work,
             state,
             spans,
-            running: None,
+            seat: Seat::None,
             hedged: false,
         }));
         self.util.submitted(id, now);
@@ -1700,12 +1744,14 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
 
     /// [`ExecutionBackend::cancel`](super::ExecutionBackend::cancel).
     pub(super) fn cancel(&mut self, id: TaskId) -> bool {
-        if !self.scheduler.cancel_queued(id) {
+        let Some(Seat::Queued(ticket)) = self.get(id.0).map(|t| t.seat) else {
             // Already placed, finished, unknown — or requeued but waiting
             // out a retry backoff (best-effort: such a task re-enters the
             // queue when its backoff fires).
             return false;
-        }
+        };
+        let dequeued = self.scheduler.cancel_queued(id, ticket);
+        assert!(dequeued, "{id} holds a ticket the queue does not know");
         let now = self.now;
         let mut task = self.take_record(id.0);
         task.state.advance(TaskState::Canceled);
@@ -1755,10 +1801,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
     /// like a suspicion eviction's.
     pub(super) fn preempt(&mut self, id: TaskId) -> bool {
         let now = self.now;
-        let Some(slot) = self.get(id.0).and_then(|t| t.running) else {
+        let Some(slot) = self.get(id.0).and_then(|t| t.seat.running()) else {
             return false;
         };
-        self.record(id.0).running = None;
+        self.record(id.0).seat = Seat::None;
         let run = self.running.remove(slot);
         self.transport.cancel(run.event);
         // A live hedge duplicate lost with its main attempt.
@@ -2128,10 +2174,12 @@ mod tests {
         assert!(!core.preempt(id), "finished");
     }
 
-    /// `des_clean` holds a million of each.
+    /// `des_clean` holds a million of each. The queue ticket rides in
+    /// the seat, where the running slot already was.
     #[test]
     fn events_and_task_records_stay_small() {
         assert!(std::mem::size_of::<Ev>() <= 16);
-        assert!(std::mem::size_of::<Option<Task>>() <= 160);
+        assert_eq!(std::mem::size_of::<Task>(), 160);
+        assert_eq!(std::mem::size_of::<Option<Task>>(), 160);
     }
 }

@@ -269,6 +269,13 @@ impl fmt::Debug for Completion {
 /// A pilot execution backend.
 pub trait ExecutionBackend {
     /// Submit a task; returns its id immediately.
+    ///
+    /// Ids are dense per backend instance: the first submission gets 0 and
+    /// each later one the next integer, in submission order, whatever
+    /// became of the tasks before it. Consumers index arrays by them — the
+    /// coordinator's routes, the DES core's task table, the shared
+    /// cluster's routes — so an implementation must not skip or reuse ids,
+    /// nor derive them from anything but its own submission count.
     fn submit(&mut self, desc: TaskDescription) -> TaskId;
 
     /// Deliver the next completion, advancing virtual time (and, on the

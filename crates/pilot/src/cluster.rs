@@ -53,7 +53,7 @@ use crate::task::{TaskDescription, TaskId};
 use impress_sim::SimTime;
 use impress_telemetry::Telemetry;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Occupancy delivered to one lease — or to one account, across all of its
@@ -148,9 +148,12 @@ struct TaskRoute {
 
 struct ClusterCore<B: ExecutionBackend> {
     backend: B,
-    routes: HashMap<u64, TaskRoute>,
-    leases: HashMap<u32, LeaseState>,
-    next_lease: u32,
+    /// Indexed by the backend's task id (dense from 0 in submission
+    /// order, see [`ExecutionBackend::submit`]); `None` once the task's
+    /// completion was pumped, and for ids submitted around the lease layer.
+    routes: Vec<Option<TaskRoute>>,
+    /// Indexed by lease id; leases are never closed, only retired.
+    leases: Vec<LeaseState>,
     /// Indexed by [`AccountId`]; accounts are never closed.
     accounts: Vec<AccountState>,
 }
@@ -163,17 +166,14 @@ impl<B: ExecutionBackend> ClusterCore<B> {
     fn pump(&mut self) -> Option<(u32, Completion)> {
         loop {
             let mut c = self.backend.next_completion()?;
-            let Some(route) = self.routes.remove(&c.task.0) else {
+            let Some(route) = self.take_route(c.task) else {
                 // A task submitted around the lease layer (e.g. directly on
                 // the backend before it was wrapped). No owner — drop it;
                 // leases must only ever see their own traffic.
                 continue;
             };
             let span_us = (c.finished - c.started).as_micros();
-            let lease = self
-                .leases
-                .get_mut(&route.owner)
-                .expect("every route points at a lease record");
+            let lease = &mut self.leases[route.owner as usize];
             lease.meter.book(span_us, route.cores, route.gpus);
             self.accounts[lease.account]
                 .meter
@@ -191,11 +191,23 @@ impl<B: ExecutionBackend> ClusterCore<B> {
     /// Resolve a lease-local id to the shared backend's id, provided the
     /// task is still routed (unfinished) and really belongs to `lease`.
     fn routed(&self, lease: u32, local: TaskId) -> Option<TaskId> {
-        let global = *self.leases.get(&lease)?.to_global.get(local.0 as usize)?;
-        self.routes
-            .get(&global.0)
+        let global = *self
+            .leases
+            .get(lease as usize)?
+            .to_global
+            .get(local.0 as usize)?;
+        self.route(global)
             .is_some_and(|r| r.owner == lease)
             .then_some(global)
+    }
+
+    /// The route of backend task `global`, while it is unfinished.
+    fn route(&self, global: TaskId) -> Option<&TaskRoute> {
+        self.routes.get(global.0 as usize)?.as_ref()
+    }
+
+    fn take_route(&mut self, global: TaskId) -> Option<TaskRoute> {
+        self.routes.get_mut(global.0 as usize)?.take()
     }
 }
 
@@ -227,9 +239,8 @@ impl<B: ExecutionBackend> SharedCluster<B> {
         SharedCluster {
             core: Rc::new(RefCell::new(ClusterCore {
                 backend,
-                routes: HashMap::new(),
-                leases: HashMap::new(),
-                next_lease: 0,
+                routes: Vec::new(),
+                leases: Vec::new(),
                 accounts: Vec::new(),
             })),
             telemetry,
@@ -250,19 +261,15 @@ impl<B: ExecutionBackend> SharedCluster<B> {
         let mut core = self.core.borrow_mut();
         let account = account.0 as usize;
         assert!(account < core.accounts.len(), "account of another cluster");
-        let id = core.next_lease;
-        core.next_lease += 1;
-        core.leases.insert(
-            id,
-            LeaseState {
-                account,
-                inbox: VecDeque::new(),
-                in_flight: 0,
-                meter: Meter::default(),
-                retired: false,
-                to_global: Vec::new(),
-            },
-        );
+        let id = u32::try_from(core.leases.len()).expect("under 2^32 leases");
+        core.leases.push(LeaseState {
+            account,
+            inbox: VecDeque::new(),
+            in_flight: 0,
+            meter: Meter::default(),
+            retired: false,
+            to_global: Vec::new(),
+        });
         ClusterLease {
             core: self.core.clone(),
             telemetry: self.telemetry.clone(),
@@ -277,7 +284,7 @@ impl<B: ExecutionBackend> SharedCluster<B> {
         self.core
             .borrow()
             .leases
-            .get(&lease)
+            .get(lease as usize)
             .map(|l| l.meter.read())
     }
 
@@ -309,11 +316,7 @@ impl<B: ExecutionBackend> SharedCluster<B> {
     pub fn pump_one(&self) -> Option<u32> {
         let mut core = self.core.borrow_mut();
         let (owner, c) = core.pump()?;
-        core.leases
-            .get_mut(&owner)
-            .expect("pump only returns live owners")
-            .inbox
-            .push_back(c);
+        core.leases[owner as usize].inbox.push_back(c);
         Some(owner)
     }
 
@@ -326,7 +329,7 @@ impl<B: ExecutionBackend> SharedCluster<B> {
         self.core
             .borrow()
             .leases
-            .get(&lease)
+            .get(lease as usize)
             .is_some_and(|l| !l.inbox.is_empty() || l.in_flight == 0)
     }
 
@@ -350,7 +353,7 @@ impl<B: ExecutionBackend> SharedCluster<B> {
     /// the lease ever submitted, independent of the rest of the cluster.
     pub fn tasks_of(&self, lease: u32) -> Vec<TaskId> {
         let core = self.core.borrow();
-        let Some(state) = core.leases.get(&lease) else {
+        let Some(state) = core.leases.get(lease as usize) else {
             return Vec::new();
         };
         // `to_global` holds only this lease's own submissions, so a route
@@ -359,7 +362,7 @@ impl<B: ExecutionBackend> SharedCluster<B> {
             .to_global
             .iter()
             .enumerate()
-            .filter(|(_, global)| core.routes.contains_key(&global.0))
+            .filter(|(_, global)| core.route(**global).is_some())
             .map(|(local, _)| TaskId(local as u64))
             .collect()
     }
@@ -405,7 +408,7 @@ impl<B: ExecutionBackend> ClusterLease<B> {
 
     /// Delivered occupancy so far.
     pub fn usage(&self) -> LeaseUsage {
-        self.core.borrow().leases[&self.id].meter.read()
+        self.core.borrow().leases[self.id as usize].meter.read()
     }
 
     /// Retire the lease: drop its queued inbox, drop any late completions,
@@ -414,7 +417,7 @@ impl<B: ExecutionBackend> ClusterLease<B> {
     /// metering survives.
     pub fn retire(&mut self) {
         let mut core = self.core.borrow_mut();
-        let lease = core.leases.get_mut(&self.id).expect("lease exists");
+        let lease = &mut core.leases[self.id as usize];
         lease.retired = true;
         lease.inbox.clear();
         lease.in_flight = 0;
@@ -428,7 +431,7 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
     fn submit(&mut self, desc: TaskDescription) -> TaskId {
         let mut core = self.core.borrow_mut();
         let core = &mut *core;
-        let lease = core.leases.get_mut(&self.id).expect("lease exists");
+        let lease = &mut core.leases[self.id as usize];
         assert!(!lease.retired, "submit on a retired lease");
         let boost = core.accounts[lease.account].boost;
         lease.in_flight += 1;
@@ -436,27 +439,30 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
         let (cores, gpus) = (desc.request.cores, desc.request.gpus);
         let priority = desc.priority;
         let id = core.backend.submit(desc.with_priority(priority + boost));
-        core.leases
-            .get_mut(&self.id)
-            .expect("lease exists")
-            .to_global
-            .push(id);
-        core.routes.insert(
-            id.0,
-            TaskRoute {
-                owner: self.id,
-                local: local.0,
-                cores,
-                gpus,
-            },
+        lease.to_global.push(id);
+        let slot = id.0 as usize;
+        debug_assert!(
+            slot >= core.routes.len(),
+            "ExecutionBackend::submit hands out ids dense from 0 in submission order: \
+             got {id} with every id below {} already routed",
+            core.routes.len()
         );
+        if core.routes.len() <= slot {
+            core.routes.resize_with(slot + 1, || None);
+        }
+        core.routes[slot] = Some(TaskRoute {
+            owner: self.id,
+            local: local.0,
+            cores,
+            gpus,
+        });
         local
     }
 
     fn next_completion(&mut self) -> Option<Completion> {
         {
             let mut core = self.core.borrow_mut();
-            let lease = core.leases.get_mut(&self.id).expect("lease exists");
+            let lease = &mut core.leases[self.id as usize];
             if let Some(c) = lease.inbox.pop_front() {
                 lease.in_flight -= 1;
                 return Some(c);
@@ -469,17 +475,10 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
             let mut core = self.core.borrow_mut();
             match core.pump() {
                 Some((owner, c)) if owner == self.id => {
-                    let lease = core.leases.get_mut(&self.id).expect("lease exists");
-                    lease.in_flight -= 1;
+                    core.leases[self.id as usize].in_flight -= 1;
                     return Some(c);
                 }
-                Some((owner, c)) => {
-                    let lease = core
-                        .leases
-                        .get_mut(&owner)
-                        .expect("pump only returns live owners");
-                    lease.inbox.push_back(c);
-                }
+                Some((owner, c)) => core.leases[owner as usize].inbox.push_back(c),
                 // The backend is out of deliverable completions while this
                 // lease still has work in flight: its tasks are held by the
                 // walltime deadline — the graceful-drain signal. Surface it
@@ -495,7 +494,7 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
 
     /// Tasks submitted through *this lease* and not yet delivered to it.
     fn in_flight(&self) -> usize {
-        self.core.borrow().leases[&self.id].in_flight
+        self.core.borrow().leases[self.id as usize].in_flight
     }
 
     /// Cluster-wide utilization: occupancy has no per-lease meaning on
@@ -533,7 +532,7 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
     /// so polling cannot advance time on behalf of other leases.
     fn poll_completion(&mut self) -> Option<Completion> {
         let mut core = self.core.borrow_mut();
-        let lease = core.leases.get_mut(&self.id).expect("lease exists");
+        let lease = &mut core.leases[self.id as usize];
         let c = lease.inbox.pop_front()?;
         lease.in_flight -= 1;
         Some(c)
@@ -743,6 +742,41 @@ mod tests {
         assert!(!cluster.preempt(b.id(), bt), "finished: resolves to nothing");
         while b.next_completion().is_some() {}
         assert!(cluster.tasks_of(b.id()).is_empty());
+    }
+
+    #[test]
+    fn tasks_submitted_around_the_lease_layer_are_never_delivered() {
+        // Backend ids 0 and 2 bypass the leases; id 1 is lease a's first.
+        let mut raw = backend(4);
+        raw.submit(task("before", 1));
+        let cluster = SharedCluster::new(raw);
+        let mut a = cluster.lease(cluster.open_account());
+        let at = a.submit(task("a", 3));
+        cluster.core.borrow_mut().backend.submit(task("between", 2));
+        let bt = a.submit(task("a2", 5));
+        assert_eq!(cluster.tasks_of(a.id()), vec![at, bt]);
+        // Both strays finish first and are dropped on the way to a's own.
+        assert_eq!(cluster.pump_one(), Some(a.id()));
+        assert_eq!(a.next_completion().expect("a's own").task, at);
+        assert_eq!(a.next_completion().expect("a's second").task, bt);
+        assert!(a.next_completion().is_none());
+        let usage = cluster.usage_of(a.id()).expect("a is a lease");
+        assert_eq!((usage.completions, usage.core_seconds), (2, 8.0));
+    }
+
+    #[test]
+    fn a_lease_id_never_issued_answers_like_an_unknown_one() {
+        let cluster = SharedCluster::new(backend(1));
+        let mut a = cluster.lease(cluster.open_account());
+        let at = a.submit(task("a", 5));
+        for never in [a.id() + 1, 99, u32::MAX] {
+            assert!(!cluster.lease_ready(never));
+            assert_eq!(cluster.usage_of(never), None);
+            assert!(cluster.tasks_of(never).is_empty());
+            assert!(!cluster.preempt(never, at));
+        }
+        assert!(!cluster.lease_ready(a.id()), "a waits on its task");
+        assert_eq!(cluster.tasks_of(a.id()), vec![at]);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::resources::Allocation;
 use crate::task::TaskId;
 use impress_json::json_struct;
 use impress_sim::{SimDuration, SimTime, UtilizationTracker};
-use std::collections::HashMap;
 
 /// Per-task execution record.
 #[derive(Debug, Clone)]
@@ -125,7 +124,9 @@ pub struct Profiler {
     gpu_hw: UtilizationTracker,
     cores_per_node: u32,
     gpus_per_node: u32,
-    submitted: HashMap<u64, SimTime>,
+    /// Submission instants indexed by task id, until the task finishes.
+    /// The profiler sits under one backend, whose ids are dense from 0.
+    submitted: Vec<Option<SimTime>>,
     records: Vec<TaskRecord>,
     retries: usize,
     wasted_core_seconds: f64,
@@ -157,7 +158,7 @@ impl Profiler {
             gpu_hw: UtilizationTracker::new((gpus * nodes) as usize),
             cores_per_node: cores,
             gpus_per_node: gpus,
-            submitted: HashMap::new(),
+            submitted: Vec::new(),
             records: Vec::new(),
             retries: 0,
             wasted_core_seconds: 0.0,
@@ -180,7 +181,11 @@ impl Profiler {
 
     /// Note a task submission (for wait-time accounting).
     pub fn task_submitted(&mut self, id: TaskId, at: SimTime) {
-        self.submitted.insert(id.0, at);
+        let slot = id.0 as usize;
+        if self.submitted.len() <= slot {
+            self.submitted.resize(slot + 1, None);
+        }
+        self.submitted[slot] = Some(at);
     }
 
     /// Note that a task received its allocation and begins occupying slots.
@@ -221,7 +226,11 @@ impl Profiler {
                 self.gpu_hw.end(gi, finished);
             }
         }
-        let submitted = self.submitted.remove(&id.0).unwrap_or(started);
+        let submitted = self
+            .submitted
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .unwrap_or(started);
         self.records.push(TaskRecord {
             id: id.0,
             name: name.to_string(),

@@ -21,8 +21,9 @@
 //! The waiting queue is a slab of entries threaded through priority
 //! buckets (a `BTreeMap` keyed highest-priority-first): enqueue is
 //! O(log P) in the number of distinct priorities, dequeue/cancel are O(1)
-//! (cancel leaves a tombstone that is compacted away amortized), and no
-//! operation shifts a `Vec`. Within a bucket, entries are grouped into
+//! (cancel names its slab entry by the ticket enqueue returned and leaves
+//! a tombstone that is compacted away amortized), and no operation shifts
+//! a `Vec` or hashes an id. Within a bucket, entries are grouped into
 //! **shape classes** — one FIFO deque per distinct `(cores, gpus)`
 //! request shape, merged by global arrival `seq` during a scan. Because
 //! free capacity only shrinks within a scan, the first member of a shape
@@ -58,7 +59,7 @@ use crate::resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 use crate::task::TaskId;
 use impress_json::json_enum;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Which waiting task may start when slots are free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +74,13 @@ json_enum!(PlacementPolicy { Fifo, Backfill });
 /// A queued task in the slab. `live` is cleared on cancellation; the
 /// tombstone stays in its class deque until pruned or compacted so no
 /// `VecDeque` ever shifts. `seq` is the global arrival number — the FIFO
-/// tie-breaker when merging shape classes within a priority bucket.
+/// tie-breaker when merging shape classes within a priority bucket;
+/// `priority` names the bucket the entry is threaded through.
 #[derive(Debug)]
 struct QueueEntry {
     id: TaskId,
     seq: u64,
+    priority: i32,
     live: bool,
 }
 
@@ -171,9 +174,25 @@ impl FitIndex {
 /// identical shapes against a frontier that only shrinks must all fail.
 #[derive(Debug, Default)]
 struct Bucket {
-    classes: HashMap<(u32, u32), VecDeque<u32>>,
+    /// Shape classes in first-seen order. A bucket holds a handful of
+    /// shapes and every scan visits all of them anyway, so lookup is a
+    /// linear find and iteration order is the same on every run.
+    classes: Vec<((u32, u32), VecDeque<u32>)>,
     /// Live entries across all classes (tombstones excluded).
     live: usize,
+}
+
+impl Bucket {
+    fn class_mut(&mut self, shape: (u32, u32)) -> &mut VecDeque<u32> {
+        let at = match self.classes.iter().position(|(s, _)| *s == shape) {
+            Some(at) => at,
+            None => {
+                self.classes.push((shape, VecDeque::new()));
+                self.classes.len() - 1
+            }
+        };
+        &mut self.classes[at].1
+    }
 }
 
 /// The pilot agent's scheduler.
@@ -191,8 +210,6 @@ pub struct Scheduler {
     /// Arrival counter feeding `QueueEntry::seq`.
     next_seq: u64,
     free_slots: Vec<u32>,
-    /// Task id → (slab index, priority), for O(log P) cancellation.
-    by_task: HashMap<u64, (u32, i32)>,
     /// Live (placeable) entries across all buckets.
     live: usize,
     /// Tombstones still threaded through buckets.
@@ -211,6 +228,8 @@ pub struct Scheduler {
     /// frontier. Valid until capacity grows ([`Scheduler::release`] /
     /// [`Scheduler::recover_node`] clear it).
     blocked_shape: Option<(u32, u32)>,
+    /// Scratch of one backfill scan: the shapes that failed in it.
+    failed_shapes: Vec<(u32, u32)>,
 }
 
 impl Scheduler {
@@ -232,7 +251,6 @@ impl Scheduler {
             slab: Vec::new(),
             next_seq: 0,
             free_slots: Vec::new(),
-            by_task: HashMap::new(),
             live: 0,
             dead: 0,
             policy,
@@ -242,6 +260,7 @@ impl Scheduler {
             scanned_queue_epoch: u64::MAX,
             scanned_capacity_epoch: u64::MAX,
             blocked_shape: None,
+            failed_shapes: Vec::new(),
         }
     }
 
@@ -341,15 +360,27 @@ impl Scheduler {
     }
 
     /// Enqueue a task at default priority. Panics if the request can never
-    /// fit the node — accepting it would deadlock the queue.
-    pub fn enqueue(&mut self, id: TaskId, request: ResourceRequest) {
-        self.enqueue_with_priority(id, request, 0);
+    /// fit the node — accepting it would deadlock the queue. Returns the
+    /// queue ticket, as [`Scheduler::enqueue_with_priority`] does.
+    pub fn enqueue(&mut self, id: TaskId, request: ResourceRequest) -> u32 {
+        self.enqueue_with_priority(id, request, 0)
     }
 
     /// Enqueue a task with an explicit priority: higher priorities are
     /// considered first at every placement round; equal priorities keep
     /// submission (FIFO) order.
-    pub fn enqueue_with_priority(&mut self, id: TaskId, request: ResourceRequest, priority: i32) {
+    ///
+    /// Returns the entry's queue ticket, which [`Scheduler::cancel_queued`]
+    /// takes back together with the id. The scheduler keeps no index from
+    /// task ids to entries: a caller that may cancel holds the ticket, and
+    /// it is the caller's business not to enqueue an id that is already
+    /// queued (the queue would hold it twice).
+    pub fn enqueue_with_priority(
+        &mut self,
+        id: TaskId,
+        request: ResourceRequest,
+        priority: i32,
+    ) -> u32 {
         assert!(
             request.fits_node(&self.cluster.node),
             "{id}: request {request} can never fit node {}",
@@ -358,6 +389,7 @@ impl Scheduler {
         let entry = QueueEntry {
             id,
             seq: self.next_seq,
+            priority,
             live: true,
         };
         self.next_seq += 1;
@@ -371,17 +403,14 @@ impl Scheduler {
                 (self.slab.len() - 1) as u32
             }
         };
-        let prev = self.by_task.insert(id.0, (idx, priority));
-        assert!(prev.is_none(), "{id} enqueued while already queued");
         let bucket = self.buckets.entry(Reverse(priority)).or_default();
         bucket
-            .classes
-            .entry((request.cores, request.gpus))
-            .or_default()
+            .class_mut((request.cores, request.gpus))
             .push_back(idx);
         bucket.live += 1;
         self.live += 1;
         self.queue_epoch += 1;
+        idx
     }
 
     /// Place every task the policy allows right now. Returns the granted
@@ -407,16 +436,21 @@ impl Scheduler {
         placed
     }
 
-    /// The earliest-arrived live head across a bucket's shape classes,
-    /// pruning front tombstones along the way. Returns `(seq, shape)`.
+    /// The earliest-arrived live head across a bucket's shape classes not
+    /// `skip`ped, pruning front tombstones along the way. Returns the
+    /// head's class as an index into `bucket.classes`.
     fn min_seq_head(
         slab: &[QueueEntry],
         free_slots: &mut Vec<u32>,
         dead: &mut usize,
         bucket: &mut Bucket,
-    ) -> Option<(u64, (u32, u32))> {
-        let mut best: Option<(u64, (u32, u32))> = None;
-        for (&shape, dq) in bucket.classes.iter_mut() {
+        skip: impl Fn((u32, u32)) -> bool,
+    ) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for (at, (shape, dq)) in bucket.classes.iter_mut().enumerate() {
+            if skip(*shape) {
+                continue;
+            }
             while let Some(&idx) = dq.front() {
                 if slab[idx as usize].live {
                     break;
@@ -428,27 +462,32 @@ impl Scheduler {
             if let Some(&idx) = dq.front() {
                 let seq = slab[idx as usize].seq;
                 if best.is_none_or(|(s, _)| seq < s) {
-                    best = Some((seq, shape));
+                    best = Some((seq, at));
                 }
             }
         }
-        best
+        best.map(|(_, at)| at)
     }
 
-    /// Pop the front of `shape`'s class deque as a placed entry.
-    fn take_head(&mut self, priority_key: Reverse<i32>, shape: (u32, u32)) -> TaskId {
-        let bucket = self.buckets.get_mut(&priority_key).expect("bucket exists");
-        let dq = bucket.classes.get_mut(&shape).expect("class exists");
-        let idx = dq.pop_front().expect("class head exists");
+    /// Pop the front of `bucket.classes[class]` as a placed entry.
+    fn take_head(
+        slab: &mut [QueueEntry],
+        free_slots: &mut Vec<u32>,
+        live: &mut usize,
+        bucket: &mut Bucket,
+        class: usize,
+    ) -> TaskId {
+        let idx = bucket.classes[class]
+            .1
+            .pop_front()
+            .expect("class head exists");
         bucket.live -= 1;
-        let entry = &mut self.slab[idx as usize];
+        let entry = &mut slab[idx as usize];
         debug_assert!(entry.live, "placed a tombstone");
         entry.live = false;
-        let id = entry.id;
-        self.by_task.remove(&id.0);
-        self.free_slots.push(idx);
-        self.live -= 1;
-        id
+        free_slots.push(idx);
+        *live -= 1;
+        entry.id
     }
 
     /// Strict-arrival placement: pop the overall earliest entry of the
@@ -458,15 +497,28 @@ impl Scheduler {
             let Some((&key, bucket)) = self.buckets.iter_mut().next() else {
                 return;
             };
-            let head = Self::min_seq_head(&self.slab, &mut self.free_slots, &mut self.dead, bucket);
-            let Some((_, shape)) = head else {
+            let head = Self::min_seq_head(
+                &self.slab,
+                &mut self.free_slots,
+                &mut self.dead,
+                bucket,
+                |_| false,
+            );
+            let Some(class) = head else {
                 self.buckets.remove(&key);
                 continue;
             };
+            let shape = bucket.classes[class].0;
             let req = ResourceRequest::with_gpus(shape.0, shape.1);
             match Self::alloc_in(&mut self.pools, &mut self.fit, &req) {
                 Some(alloc) => {
-                    let id = self.take_head(key, shape);
+                    let id = Self::take_head(
+                        &mut self.slab,
+                        &mut self.free_slots,
+                        &mut self.live,
+                        bucket,
+                        class,
+                    );
                     placed.push((id, alloc));
                 }
                 None => return, // FIFO: the head blocks everything behind it
@@ -488,48 +540,37 @@ impl Scheduler {
     /// the placement sequence equals the naive full scan's.
     fn place_backfill(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
         let mut blocked = self.blocked_shape;
-        let keys: Vec<Reverse<i32>> = self.buckets.keys().copied().collect();
-        let mut failed: Vec<(u32, u32)> = Vec::new();
-        for key in keys {
-            // Failures carry across buckets too: the frontier never grows
-            // during a scan, so a shape that failed at high priority still
-            // fails at low priority.
-            loop {
-                let bucket = self.buckets.get_mut(&key).expect("bucket exists");
-                if bucket.live == 0 {
-                    break;
-                }
-                // Earliest live head among classes not yet known to fail.
-                let mut best: Option<(u64, (u32, u32))> = None;
-                for (&shape, dq) in bucket.classes.iter_mut() {
-                    if failed.contains(&shape) {
-                        continue;
-                    }
-                    if let Some((bc, bg)) = blocked {
-                        if shape.0 >= bc && shape.1 >= bg {
-                            continue; // dominates a shape that fits nowhere
-                        }
-                    }
-                    while let Some(&idx) = dq.front() {
-                        if self.slab[idx as usize].live {
-                            break;
-                        }
-                        dq.pop_front();
-                        self.free_slots.push(idx);
-                        self.dead -= 1;
-                    }
-                    if let Some(&idx) = dq.front() {
-                        let seq = self.slab[idx as usize].seq;
-                        if best.is_none_or(|(s, _)| seq < s) {
-                            best = Some((seq, shape));
-                        }
-                    }
-                }
-                let Some((_, shape)) = best else { break };
+        // Failures carry across buckets too: the frontier never grows
+        // during a scan, so a shape that failed at high priority still
+        // fails at low priority.
+        let failed = &mut self.failed_shapes;
+        failed.clear();
+        for bucket in self.buckets.values_mut() {
+            while bucket.live > 0 {
+                // Earliest live head among classes not yet known to fail,
+                // nor dominating a shape that fits nowhere.
+                let head = Self::min_seq_head(
+                    &self.slab,
+                    &mut self.free_slots,
+                    &mut self.dead,
+                    bucket,
+                    |shape| {
+                        failed.contains(&shape)
+                            || blocked.is_some_and(|(bc, bg)| shape.0 >= bc && shape.1 >= bg)
+                    },
+                );
+                let Some(class) = head else { break };
+                let shape = bucket.classes[class].0;
                 let req = ResourceRequest::with_gpus(shape.0, shape.1);
                 match Self::alloc_in(&mut self.pools, &mut self.fit, &req) {
                     Some(alloc) => {
-                        let id = self.take_head(key, shape);
+                        let id = Self::take_head(
+                            &mut self.slab,
+                            &mut self.free_slots,
+                            &mut self.live,
+                            bucket,
+                            class,
+                        );
                         placed.push((id, alloc));
                     }
                     None => {
@@ -554,7 +595,7 @@ impl Scheduler {
         let slab = &self.slab;
         let free_slots = &mut self.free_slots;
         self.buckets.retain(|_, bucket| {
-            bucket.classes.retain(|_, dq| {
+            bucket.classes.retain_mut(|(_, dq)| {
                 dq.retain(|&idx| {
                     if slab[idx as usize].live {
                         true
@@ -605,29 +646,34 @@ impl Scheduler {
         self.blocked_shape = None;
     }
 
-    /// Remove a queued (not yet placed) task. Returns `true` if it was found.
-    pub fn cancel_queued(&mut self, id: TaskId) -> bool {
-        match self.by_task.remove(&id.0) {
-            Some((idx, priority)) => {
-                let entry = &mut self.slab[idx as usize];
-                debug_assert!(entry.live, "index map pointed at a tombstone");
-                entry.live = false;
-                self.live -= 1;
-                self.dead += 1;
-                self.buckets
-                    .get_mut(&Reverse(priority))
-                    .expect("queued task's bucket exists")
-                    .live -= 1;
-                // Removing a blocked FIFO head can unblock the next entry,
-                // so the next round must not early-exit.
-                self.queue_epoch += 1;
-                if self.dead > 64 && self.dead >= self.live {
-                    self.compact();
-                }
-                true
-            }
-            None => false,
+    /// Remove a queued (not yet placed) task, named by its id and the
+    /// ticket its enqueue returned. Returns `true` if it was found: a
+    /// ticket whose entry was placed or cancelled since — its slot free, or
+    /// reused by a later enqueue of another id — finds nothing and changes
+    /// nothing.
+    pub fn cancel_queued(&mut self, id: TaskId, ticket: u32) -> bool {
+        let Some(entry) = self
+            .slab
+            .get_mut(ticket as usize)
+            .filter(|e| e.live && e.id == id)
+        else {
+            return false;
+        };
+        entry.live = false;
+        let priority = entry.priority;
+        self.live -= 1;
+        self.dead += 1;
+        self.buckets
+            .get_mut(&Reverse(priority))
+            .expect("queued task's bucket exists")
+            .live -= 1;
+        // Removing a blocked FIFO head can unblock the next entry,
+        // so the next round must not early-exit.
+        self.queue_epoch += 1;
+        if self.dead > 64 && self.dead >= self.live {
+            self.compact();
         }
+        true
     }
 
     /// Number of tasks waiting for slots.
@@ -788,11 +834,20 @@ mod tests {
     fn cancel_queued_removes_waiting_task() {
         let mut s = Scheduler::new(NodeSpec::new(2, 0, 1), PlacementPolicy::Fifo);
         s.enqueue(TaskId(0), req(2, 0));
-        s.enqueue(TaskId(1), req(2, 0));
+        let ticket = s.enqueue(TaskId(1), req(2, 0));
         let _ = s.place_ready();
-        assert!(s.cancel_queued(TaskId(1)));
-        assert!(!s.cancel_queued(TaskId(1)));
+        assert!(!s.cancel_queued(TaskId(2), ticket), "the ticket is task 1's");
+        assert!(s.cancel_queued(TaskId(1), ticket));
+        assert!(!s.cancel_queued(TaskId(1), ticket));
         assert_eq!(s.queue_len(), 0);
+        // A later task takes over the freed slot: task 1's ticket is stale,
+        // and must not cancel the newcomer.
+        let _ = s.place_ready(); // prunes the tombstone, freeing its slot
+        let reused = s.enqueue(TaskId(7), req(2, 0));
+        assert_eq!(reused, ticket, "the slab recycles slots");
+        assert!(!s.cancel_queued(TaskId(1), ticket), "stale ticket");
+        assert_eq!(s.queue_len(), 1);
+        assert!(s.cancel_queued(TaskId(7), reused));
     }
 
     #[test]
@@ -935,10 +990,10 @@ mod tests {
         assert!(s.place_ready().is_empty());
         assert!(s.place_ready().is_empty());
         // A queue mutation re-arms the round.
-        s.enqueue(TaskId(2), req(1, 0));
+        let ticket = s.enqueue(TaskId(2), req(1, 0));
         assert!(s.place_ready().is_empty(), "still no capacity");
         let before = s.queue_len();
-        assert!(s.cancel_queued(TaskId(2)));
+        assert!(s.cancel_queued(TaskId(2), ticket));
         assert_eq!(s.queue_len(), before - 1);
     }
 
@@ -947,12 +1002,12 @@ mod tests {
         let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Fifo);
         s.enqueue(TaskId(0), req(2, 0));
         assert_eq!(ids(&s.place_ready()), vec![0]); // 2 cores stay free
-        s.enqueue(TaskId(1), req(4, 0)); // head: blocked (only 2 free)
+        let head = s.enqueue(TaskId(1), req(4, 0)); // blocked (only 2 free)
         s.enqueue(TaskId(2), req(2, 0)); // would fit, FIFO-blocked behind it
         assert!(s.place_ready().is_empty());
         // Capacity never changed, so only the cancel's queue-epoch bump can
         // re-arm the round; if it didn't, task 2 would be lost here.
-        assert!(s.cancel_queued(TaskId(1)));
+        assert!(s.cancel_queued(TaskId(1), head));
         assert_eq!(ids(&s.place_ready()), vec![2]);
     }
 
@@ -961,11 +1016,11 @@ mod tests {
         let mut s = Scheduler::new(NodeSpec::new(2, 0, 1), PlacementPolicy::Backfill);
         s.enqueue(TaskId(10_000), req(2, 0));
         let placed = s.place_ready();
-        for i in 0..500u64 {
-            s.enqueue(TaskId(i), req(1, 0));
-        }
-        for i in 0..500u64 {
-            assert!(s.cancel_queued(TaskId(i)));
+        let tickets: Vec<u32> = (0..500u64)
+            .map(|i| s.enqueue(TaskId(i), req(1, 0)))
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            assert!(s.cancel_queued(TaskId(i as u64), ticket));
         }
         assert_eq!(s.queue_len(), 0);
         assert!(s.dead <= 64, "mass cancellation must compact: {}", s.dead);
@@ -1039,6 +1094,9 @@ mod tests {
             let mut oracle = ReferenceScheduler::new_cluster(cluster, policy);
             let mut outstanding: Vec<Allocation> = Vec::new();
             let mut queued: Vec<TaskId> = Vec::new();
+            // Every ticket ever issued, by task id: those of placed and
+            // cancelled tasks go stale, and their slab slots get reused.
+            let mut tickets: Vec<u32> = Vec::new();
             let mut next_id = 0u64;
 
             let ops = 30 + rng.below(60);
@@ -1052,7 +1110,7 @@ mod tests {
                         let prio = rng.below(7) as i32 - 3;
                         let id = TaskId(next_id);
                         next_id += 1;
-                        opt.enqueue_with_priority(id, r, prio);
+                        tickets.push(opt.enqueue_with_priority(id, r, prio));
                         oracle.enqueue_with_priority(id, r, prio);
                         queued.push(id);
                     }
@@ -1074,14 +1132,29 @@ mod tests {
                         oracle.release(&alloc);
                     }
                     80..=89 => {
-                        // Cancel a random queued id — or a bogus one, which
-                        // both sides must report as not-found.
-                        let id = if queued.is_empty() || rng.below(4) == 0 {
-                            TaskId(next_id + 1_000_000)
+                        // Cancel by ticket: a queued task, a task placed or
+                        // cancelled long ago (a stale ticket, its slot maybe
+                        // reused by a later task), or an id never enqueued
+                        // under some other task's ticket. The oracle, which
+                        // looks ids up, says which of them is in the queue.
+                        let (id, ticket) = if next_id == 0 || rng.below(8) == 0 {
+                            (TaskId(next_id + 1_000_000), rng.below(64) as u32)
+                        } else if queued.is_empty() || rng.below(3) == 0 {
+                            let any = rng.below(next_id as usize);
+                            (TaskId(any as u64), tickets[any])
                         } else {
-                            queued[rng.below(queued.len())]
+                            let id = queued[rng.below(queued.len())];
+                            (id, tickets[id.0 as usize])
                         };
-                        assert_eq!(opt.cancel_queued(id), oracle.cancel_queued(id));
+                        let (len, free) = (opt.queue_len(), opt.free_slots.len());
+                        let found = oracle.cancel_queued(id);
+                        assert_eq!(opt.cancel_queued(id, ticket), found, "{id} ticket {ticket}");
+                        assert_eq!(found, queued.contains(&id));
+                        if found {
+                            assert!(!opt.cancel_queued(id, ticket), "double cancel of {id}");
+                        } else {
+                            assert_eq!((opt.queue_len(), opt.free_slots.len()), (len, free));
+                        }
                         queued.retain(|q| *q != id);
                     }
                     90..=94 => {

@@ -6,7 +6,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Monotonically increasing identifier assigned to every scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,22 +44,42 @@ impl<T> Ord for ScheduledEvent<T> {
     }
 }
 
+/// State of one issued id inside the queue's window.
+const GONE: u8 = 0;
+const PENDING: u8 = 1;
+const TOMBSTONE: u8 = 2;
+
 /// A min-queue of timed events with deterministic FIFO tie-breaking.
 ///
 /// Cancellation is lazy (a tombstone in the heap, skipped when popped) but
-/// *exact*: the queue also tracks the set of scheduled-and-not-yet-fired
-/// ids, so [`EventQueue::cancel`] reports precisely whether it removed a
-/// live event and [`EventQueue::len`] is always the true live count. When
-/// tombstones dominate the heap it is compacted in one O(n) rebuild, so
-/// mass cancellations (a node crash evicting thousands of completions)
-/// cannot degrade every later pop.
+/// *exact*: the queue also tracks the state of every scheduled-and-not-yet-
+/// retired id, so [`EventQueue::cancel`] reports precisely whether it
+/// removed a live event and [`EventQueue::len`] is always the true live
+/// count. When tombstones dominate the heap it is compacted in one O(n)
+/// rebuild, so mass cancellations (a node crash evicting thousands of
+/// completions) cannot degrade every later pop.
+///
+/// # Memory
+///
+/// Ids are handed out densely from 0, so their state lives in a sliding
+/// window indexed by `id - base` rather than in a hash set: one byte per id
+/// between the oldest id still in the heap and the newest issued, whatever
+/// happened to the ids in between. (A hash set of pending ids cost at least
+/// 9 bytes per *pending* id, and a hash per schedule, pop and cancel.) The
+/// window's front advances as soon as its oldest id fires or its tombstone
+/// is dropped; a single far-future event therefore pins one byte for every
+/// id issued after it until it fires or is cancelled and compacted away.
 pub struct EventQueue<T> {
     heap: BinaryHeap<ScheduledEvent<T>>,
     next_id: u64,
-    /// Ids scheduled and not yet fired, cancelled, or pruned.
-    pending: std::collections::HashSet<u64>,
+    /// `window[id - base]` is the state of `id`, for `base <= id < next_id`.
+    /// Ids below `base` are gone: fired, or cancelled and out of the heap.
+    window: VecDeque<u8>,
+    base: u64,
+    /// Pending ids in the window: scheduled, not fired, not cancelled.
+    live: usize,
     /// Tombstones still physically in the heap (always a subset of it).
-    cancelled: std::collections::HashSet<u64>,
+    tombstones: usize,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -74,8 +94,10 @@ impl<T> EventQueue<T> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_id: 0,
-            pending: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
+            window: VecDeque::new(),
+            base: 0,
+            live: 0,
+            tombstones: 0,
         }
     }
 
@@ -84,7 +106,8 @@ impl<T> EventQueue<T> {
     pub fn schedule(&mut self, at: SimTime, payload: T) -> EventId {
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.pending.insert(id.0);
+        self.window.push_back(PENDING);
+        self.live += 1;
         self.heap.push(ScheduledEvent { at, id, payload });
         id
     }
@@ -98,38 +121,65 @@ impl<T> EventQueue<T> {
     /// amortized rebuild instead of N sift-ups.
     pub fn schedule_batch(&mut self, items: impl IntoIterator<Item = (SimTime, T)>) -> (EventId, usize) {
         let first = EventId(self.next_id);
-        let pending = &mut self.pending;
         let next_id = &mut self.next_id;
         self.heap.extend(items.into_iter().map(|(at, payload)| {
             let id = EventId(*next_id);
             *next_id += 1;
-            pending.insert(id.0);
             ScheduledEvent { at, id, payload }
         }));
-        (first, (self.next_id - first.0) as usize)
+        let count = (self.next_id - first.0) as usize;
+        self.window.extend(std::iter::repeat_n(PENDING, count));
+        self.live += count;
+        (first, count)
     }
 
     /// Cancel a previously scheduled event. Cancellation is lazy: the entry
     /// stays in the heap but is skipped when popped. Returns `true` only if
-    /// the event was still live — `false` if it already fired or was
-    /// already cancelled.
+    /// the event was still live — `false` if it already fired, was already
+    /// cancelled, or was never issued.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.pending.remove(&id.0) {
+        let Some(state) =
+            id.0.checked_sub(self.base)
+                .and_then(|at| self.window.get_mut(at as usize))
+                .filter(|state| **state == PENDING)
+        else {
             return false;
-        }
-        self.cancelled.insert(id.0);
+        };
+        *state = TOMBSTONE;
+        self.live -= 1;
+        self.tombstones += 1;
         self.maybe_compact();
         true
+    }
+
+    /// `id` left the heap: mark it gone and slide the window's front past
+    /// every id that is. Returns whether it was a tombstone.
+    fn retire(&mut self, id: EventId) -> bool {
+        let state = &mut self.window[(id.0 - self.base) as usize];
+        let was_tombstone = *state == TOMBSTONE;
+        *state = GONE;
+        if was_tombstone {
+            self.tombstones -= 1;
+        } else {
+            self.live -= 1;
+        }
+        self.trim_front();
+        was_tombstone
+    }
+
+    fn trim_front(&mut self) {
+        while self.window.front() == Some(&GONE) {
+            self.window.pop_front();
+            self.base += 1;
+        }
     }
 
     /// Remove and return the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
         while let Some(ev) = self.heap.pop() {
-            if self.cancelled.remove(&ev.id.0) {
-                continue;
+            if !self.retire(ev.id) {
+                return Some(ev);
             }
-            self.pending.remove(&ev.id.0);
-            return Some(ev);
         }
         None
     }
@@ -138,9 +188,9 @@ impl<T> EventQueue<T> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled entries from the top so the peek is accurate.
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.id.0) {
+            if self.window[(top.id.0 - self.base) as usize] == TOMBSTONE {
                 let ev = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&ev.id.0);
+                self.retire(ev.id);
             } else {
                 return Some(top.at);
             }
@@ -152,20 +202,29 @@ impl<T> EventQueue<T> {
     /// tombstones are never counted.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Rebuild the heap without tombstones once they outnumber live
     /// entries. The threshold keeps small queues untouched and makes the
     /// O(n) sweep amortized O(1) per cancellation.
     fn maybe_compact(&mut self) {
-        if self.cancelled.len() > 64 && self.cancelled.len() * 2 > self.heap.len() {
-            let cancelled = std::mem::take(&mut self.cancelled);
+        if self.tombstones > 64 && self.tombstones * 2 > self.heap.len() {
+            let (window, base) = (&mut self.window, self.base);
             let heap = std::mem::take(&mut self.heap);
             self.heap = heap
                 .into_iter()
-                .filter(|ev| !cancelled.contains(&ev.id.0))
+                .filter(|ev| {
+                    let state = &mut window[(ev.id.0 - base) as usize];
+                    let keep = *state != TOMBSTONE;
+                    if !keep {
+                        *state = GONE;
+                    }
+                    keep
+                })
                 .collect();
+            self.tombstones = 0;
+            self.trim_front();
         }
     }
 
@@ -174,6 +233,12 @@ impl<T> EventQueue<T> {
     #[allow(clippy::wrong_self_convention)]
     pub fn is_empty(&mut self) -> bool {
         self.peek_time().is_none()
+    }
+
+    /// The id range the state window spans, `base..base + len`.
+    #[cfg(test)]
+    fn window_span(&self) -> std::ops::Range<u64> {
+        self.base..self.base + self.window.len() as u64
     }
 }
 
@@ -395,6 +460,37 @@ mod tests {
                 assert_eq!(q.len(), 0);
             }
         }
+    }
+
+    #[test]
+    fn the_state_window_spans_oldest_outstanding_to_newest() {
+        let mut q = EventQueue::new();
+        let far = q.schedule(t(9_000), 0u64);
+        for round in 0..50u64 {
+            let (first, count) = q.schedule_batch((0..40).map(|i| (t(round), i)));
+            assert!(q.cancel(EventId(first.0 + 7)));
+            for _ in 0..count - 1 {
+                assert!(q.pop().expect("the batch is pending").id > far);
+            }
+        }
+        // One far-future event outstanding: every id issued after it keeps
+        // its slot, fired or cancelled, and nothing before it does.
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.window_span(), far.0..far.0 + 1 + 50 * 40);
+        assert_eq!(q.pop().map(|e| e.id), Some(far));
+        // Drained with nothing outstanding: the window is empty, and stays
+        // anchored at the next id to be issued.
+        assert_eq!(q.window_span(), 2_001..2_001);
+        assert!(!q.cancel(far) && !q.cancel(EventId(2_001)));
+
+        // A cancelled front holds the window only until its tombstone
+        // leaves the heap.
+        let a = q.schedule(t(1), 1);
+        let b = q.schedule(t(2), 2);
+        assert!(q.cancel(a));
+        assert_eq!(q.window_span(), a.0..b.0 + 1);
+        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.window_span(), b.0..b.0 + 1);
     }
 
     #[test]

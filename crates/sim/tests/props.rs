@@ -1,16 +1,127 @@
 //! Property-based tests for the simulation substrate, on the in-repo
 //! `props!` harness (see `impress_sim::props`).
 
-use impress_sim::event::EventQueue;
+use impress_sim::event::{EventId, EventQueue};
 use impress_sim::stats::{net_delta, quantile};
 use impress_sim::{prop_assume, props, SimDuration, SimRng, SimTime, Summary};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn vec_of(rng: &mut SimRng, min_len: usize, max_len: usize, f: impl Fn(&mut SimRng) -> f64) -> Vec<f64> {
     let len = min_len + rng.below(max_len - min_len);
     (0..len).map(|_| f(rng)).collect()
 }
 
+/// What [`EventQueue`] promises, said the slow way: the live events in
+/// firing order, and when each live id fires.
+#[derive(Default)]
+struct QueueModel {
+    order: BTreeSet<(SimTime, u64)>,
+    live: BTreeMap<u64, SimTime>,
+    issued: u64,
+}
+
+impl QueueModel {
+    fn schedule(&mut self, at: SimTime) -> u64 {
+        let id = self.issued;
+        self.issued += 1;
+        self.order.insert((at, id));
+        self.live.insert(id, at);
+        id
+    }
+    fn cancel(&mut self, id: u64) -> bool {
+        self.live.remove(&id).is_some_and(|at| self.order.remove(&(at, id)))
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let (at, id) = self.order.pop_first()?;
+        self.live.remove(&id);
+        Some((at, id))
+    }
+    fn peek_time(&self) -> Option<SimTime> {
+        self.order.first().map(|&(at, _)| at)
+    }
+}
+
 props! {
+    /// Every operation of the queue returns what the model returns, at
+    /// every step of a random interleaving. Three shapes of case: a small
+    /// mixed one; one whose cancel bursts cross the compaction threshold
+    /// (tombstones > 64 and > half the heap); and one where a far-future
+    /// event issued first pins the id window while thousands of later ids
+    /// fire and cancel behind it.
+    fn event_queue_matches_an_ordered_map_model(rng, cases = 96) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = QueueModel::default();
+        let shape = rng.below(3);
+        let ops = [200, 1_500, 4_000][shape];
+        if shape == 2 {
+            let pin = SimTime::from_micros(1 << 40);
+            assert_eq!(q.schedule(pin, 0).0, model.schedule(pin));
+        }
+        let mut clock = 0u64;
+        for _ in 0..ops {
+            // Times run ahead of a moving clock, as a simulation's do.
+            let when = |rng: &mut SimRng| SimTime::from_micros(clock + rng.below(50) as u64);
+            match rng.below(if shape == 1 { 11 } else { 10 }) {
+                0..=2 => {
+                    let at = when(rng);
+                    let id = q.schedule(at, model.issued);
+                    assert_eq!(id.0, model.schedule(at));
+                }
+                3 => {
+                    let ats: Vec<SimTime> = (0..rng.below([40, 400, 40][shape])).map(|_| when(rng)).collect();
+                    let (first, count) =
+                        q.schedule_batch(ats.iter().map(|&at| (at, model.issued)));
+                    assert_eq!((first.0, count), (model.issued, ats.len()));
+                    for at in ats {
+                        model.schedule(at);
+                    }
+                }
+                4..=6 => {
+                    let got = q.pop().map(|e| (e.at, e.id.0));
+                    assert_eq!(got, model.pop(), "pop diverged");
+                    if let Some((at, id)) = got {
+                        clock = at.as_micros();
+                        assert!(!q.cancel(EventId(id)), "cancel of the id just fired");
+                    }
+                }
+                7 => {
+                    // A live id if there is one — then the same id again.
+                    let span = model.issued.saturating_sub(rng.below(64) as u64);
+                    if let Some((&id, _)) = model.live.range(span..).next() {
+                        assert!(q.cancel(EventId(id)) && model.cancel(id));
+                        assert!(!q.cancel(EventId(id)), "second cancel of {id}");
+                    }
+                }
+                8 => {
+                    // Any id ever issued: live, fired or cancelled.
+                    let id = rng.below(model.issued as usize + 1) as u64;
+                    assert_eq!(q.cancel(EventId(id)), model.cancel(id), "cancel of {id}");
+                }
+                9 => {
+                    let never = model.issued + rng.below(1_000) as u64;
+                    assert!(!q.cancel(EventId(never)), "cancel of unissued {never}");
+                    assert!(!q.cancel(EventId(u64::MAX - rng.below(3) as u64)));
+                }
+                _ => {
+                    // A crash-style burst: cancel most of what is pending.
+                    let victims: Vec<u64> =
+                        model.live.keys().copied().filter(|_| rng.chance(0.8)).collect();
+                    for id in victims {
+                        assert_eq!(q.cancel(EventId(id)), model.cancel(id));
+                    }
+                }
+            }
+            assert_eq!(q.len(), model.order.len(), "live count drifted");
+            assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
+            assert_eq!(q.is_empty(), model.order.is_empty());
+        }
+        while let Some(ev) = q.pop() {
+            assert_eq!(Some((ev.at, ev.id.0)), model.pop(), "drain diverged");
+        }
+        assert_eq!(model.pop(), None, "the queue lost an event");
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+    }
+
     /// The event queue is a stable priority queue: pops come out sorted by
     /// time, and equal times preserve insertion order.
     fn event_queue_pops_sorted_and_stable(rng) {

@@ -377,8 +377,9 @@ pub struct CampaignService<O, B: ExecutionBackend> {
     tenants: Vec<TenantState>,
     tenant_index: HashMap<TenantId, usize>,
     campaigns: Vec<CampaignState<O, B>>,
-    /// Lease id → campaign index, the pump's delivery routing.
-    lease_index: HashMap<u32, usize>,
+    /// The pump's delivery routing: the running campaign on each lease,
+    /// indexed by lease id (the cluster hands them out densely from 0).
+    lease_index: Vec<Option<usize>>,
     /// Running campaigns per priority class: admission asks it whether a
     /// preemption sweep has anybody to visit.
     running_by_class: BTreeMap<i32, usize>,
@@ -407,7 +408,7 @@ where
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             campaigns: Vec::new(),
-            lease_index: HashMap::new(),
+            lease_index: Vec::new(),
             running_by_class: BTreeMap::new(),
             first_running: 0,
             heap: BinaryHeap::new(),
@@ -541,7 +542,11 @@ where
             span,
         });
         let cid = self.campaigns.len() - 1;
-        self.lease_index.insert(lease_id, cid);
+        let slot = lease_id as usize;
+        if self.lease_index.len() <= slot {
+            self.lease_index.resize(slot + 1, None);
+        }
+        self.lease_index[slot] = Some(cid);
         self.tenants[at].running += 1;
         *self.running_by_class.entry(spec.priority).or_insert(0) += 1;
         self.mark_ready(cid);
@@ -799,7 +804,7 @@ where
             // one completion, which makes its owner ready.
             match self.cluster.pump_one() {
                 Some(owner) => {
-                    if let Some(&cid) = self.lease_index.get(&owner) {
+                    if let Some(&Some(cid)) = self.lease_index.get(owner as usize) {
                         self.mark_ready(cid);
                     }
                 }
@@ -846,7 +851,7 @@ where
             .usage_of(self.campaigns[cid].lease)
             .unwrap_or_default();
         let now = self.cluster.now();
-        self.lease_index.remove(&self.campaigns[cid].lease);
+        self.lease_index[self.campaigns[cid].lease as usize] = None;
         let c = &mut self.campaigns[cid];
         self.tenants[c.tenant].running -= 1;
         *self

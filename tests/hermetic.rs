@@ -711,6 +711,113 @@ fn names(text: &str, word: &str) -> bool {
         .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
 }
 
+/// Every `name: HashMap<K, ..>` / `name: HashSet<K>` in `text` whose key
+/// type names `u64` or `u32` (alone or inside a tuple), as `(name, K)`.
+fn int_keyed_hash_tables(text: &str) -> Vec<(String, String)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    for table in ["HashMap<", "HashSet<"] {
+        for (at, _) in text.match_indices(table) {
+            let params = &text[at + table.len()..];
+            // The key runs to the first `,` or `>` outside nested brackets.
+            let mut depth = 0;
+            let end = params.find(|c: char| {
+                match c {
+                    '(' | '<' | '[' => depth += 1,
+                    ')' | ']' => depth -= 1,
+                    '>' if depth > 0 => depth -= 1,
+                    ',' | '>' => return depth == 0,
+                    _ => {}
+                }
+                false
+            });
+            let key = params[..end.unwrap_or(params.len())].trim();
+            if !names(key, "u64") && !names(key, "u32") {
+                continue;
+            }
+            let before = text[..at].trim_end();
+            let field = before.strip_suffix(':').map_or("", |decl| {
+                let name = decl.trim_end();
+                &name[name.rfind(|c| !ident(c)).map_or(0, |at| at + 1)..]
+            });
+            found.push((field.to_string(), key.to_string()));
+        }
+    }
+    found
+}
+
+/// The files whose tables sit on the per-event / per-task path and are
+/// keyed by ids the program hands out densely from 0 (DESIGN.md, "Id
+/// spaces"): such an id indexes an array.
+const DENSE_ID_FILES: [&str; 5] = [
+    "crates/sim/src/event.rs",
+    "crates/pilot/src/scheduler/mod.rs",
+    "crates/pilot/src/profiler.rs",
+    "crates/pilot/src/cluster.rs",
+    "crates/workflow/src/service.rs",
+];
+
+/// The hash tables `crates/pilot/src/backend/des.rs` keeps next to its
+/// dense task table, by field, each with the reason it is not an array.
+const SPARSE_TABLES_OF_THE_CORE: &[(&str, &str)] = &[
+    ("estimates", "keyed by request shape, not an id; a handful of entries, hedging only"),
+    ("shape_poison", "keyed by request shape, not an id; one entry per poisoned shape"),
+    ("hedge_running", "sparse: only tasks with a live hedge duplicate"),
+    ("failed_nodes", "sparse: only tasks with a failed attempt, and only under quarantine"),
+    ("seen", "sparse: only routed messages (control plane on), keyed by task x attempt x kind"),
+    ("canceled_acks", "sparse: only cancels whose acknowledgment is still in flight"),
+];
+
+/// ISSUE 24 found ~13 % of `service_cell` inside SipHash over keys that
+/// were all dense ids: event ids, backend task ids, lease ids. Those tables
+/// are arrays now; this guard keeps a `HashMap<u64, _>` from coming back
+/// beside them without a reason written down.
+#[test]
+fn dense_ids_index_arrays_on_the_hot_path() {
+    let sources = workspace_sources();
+    let non_test = |file: &str| -> &str {
+        let (_, text) = sources
+            .iter()
+            .find(|(rel, _)| rel == Path::new(file))
+            .unwrap_or_else(|| panic!("{file} is gone: update the guard"));
+        text.split_once("#[cfg(test)]").map_or(text, |(code, _)| code)
+    };
+    for file in DENSE_ID_FILES {
+        let tables = int_keyed_hash_tables(non_test(file));
+        assert!(tables.is_empty(), "{file}: integer-keyed hash tables {tables:?}");
+    }
+    let core = int_keyed_hash_tables(non_test("crates/pilot/src/backend/des.rs"));
+    for (field, key) in &core {
+        assert!(
+            SPARSE_TABLES_OF_THE_CORE.iter().any(|(f, _)| f == field),
+            "des.rs: `{field}` is a hash table keyed by {key}; index an array by the id, \
+             or list it in SPARSE_TABLES_OF_THE_CORE with the reason it is sparse"
+        );
+    }
+    for (field, _) in SPARSE_TABLES_OF_THE_CORE {
+        assert!(
+            core.iter().any(|(f, _)| f == field),
+            "allow-table entry `{field}` is stale"
+        );
+    }
+}
+
+/// The scan itself, on in-memory text: which declarations it reports.
+#[test]
+fn the_hash_table_scan_is_pinned_on_fixtures() {
+    let text = "use std::collections::{HashMap, HashSet};\n\
+        struct S {\n    by_task: HashMap<u64, (u32, i32)>,\n    pending: HashSet<u64>,\n\
+            seen : HashSet<(u64, u32, u8)>,\n    shapes: HashMap<(u32, u32), Vec<u64>>,\n\
+            tenants: HashMap<TenantId, usize>,\n    nested: HashMap<Vec<u8>, u64>,\n\
+            names: HashSet<String>,\n}\n\
+        fn f() -> HashMap<u32, u8> { let m = HashMap::new(); m }\n";
+    let found = int_keyed_hash_tables(text);
+    let fields: Vec<&str> = found.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(fields, ["by_task", "shapes", "", "pending", "seen"]);
+    assert_eq!(found[1].1, "(u32, u32)");
+    assert_eq!(found[4].1, "(u64, u32, u8)");
+}
+
 /// `rest` up to the `;` that ends the statement it starts in.
 fn statement(rest: &str) -> &str {
     &rest[..rest.find(';').unwrap_or(rest.len())]
