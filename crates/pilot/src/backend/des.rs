@@ -1589,9 +1589,11 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             self.util.started(&alloc, now);
             launched += 1;
             if self.telemetry.enabled() {
-                let tele = self.telemetry.clone();
+                let tele = &self.telemetry;
                 let at = self.transport.stamp(now);
-                let spans = &mut self.record(id.0).spans;
+                // Field-disjoint borrows: `self.record` would borrow all of
+                // `self` and force a clone of the telemetry handle.
+                let spans = &mut self.tasks[id.0 as usize].as_mut().expect("in flight").spans;
                 tele.end(spans.queue, at);
                 let waited = now.since(spans.queued_at).as_secs_f64();
                 spans.attempt = tele.span(

@@ -26,14 +26,15 @@ pub enum TraceClock {
     Wall,
 }
 
-/// One flattened trace row, pre-render.
-struct Row {
+/// One flattened trace row, pre-render. Its args are a `Vec` because the
+/// exporter appends its own (`unclosed`, `vt_us`) to the recorded ones.
+struct Row<'a> {
     ts: u64,
     /// `None` for instants, `Some(dur)` for complete events.
     dur: Option<u64>,
     tid: i64,
     cat: SpanCat,
-    name: String,
+    name: &'a str,
     args: Vec<(&'static str, i64)>,
 }
 
@@ -63,7 +64,7 @@ pub fn chrome_trace_filtered(
         .iter()
         .map(|row| {
             let mut obj = Json::object()
-                .field("name", &row.name)
+                .field("name", row.name)
                 .field("cat", row.cat.as_str())
                 .field("ph", if row.dur.is_some() { "X" } else { "i" })
                 .field("ts", row.ts)
@@ -150,7 +151,7 @@ fn collect_rows(
     events: &[TelemetryEvent],
     clock: TraceClock,
     keep: impl Fn(SpanCat) -> bool,
-) -> Vec<Row> {
+) -> Vec<Row<'_>> {
     // Pair Begin/End by id, then forget the ids.
     let mut ends: HashMap<SpanId, Stamp> = HashMap::new();
     for ev in events {
@@ -175,7 +176,7 @@ fn collect_rows(
                     continue;
                 }
                 let ts = timestamp(*at, clock);
-                let mut args = args.clone();
+                let mut args = args.as_slice().to_vec();
                 let dur = match ends.get(id) {
                     Some(end) => timestamp(*end, clock).saturating_sub(ts),
                     None => {
@@ -193,7 +194,7 @@ fn collect_rows(
                     dur: Some(dur),
                     tid: *track,
                     cat: *cat,
-                    name: name.clone(),
+                    name,
                     args,
                 });
             }
@@ -209,7 +210,7 @@ fn collect_rows(
                 if !keep(*cat) {
                     continue;
                 }
-                let mut args = args.clone();
+                let mut args = args.as_slice().to_vec();
                 if clock == TraceClock::Wall {
                     args.push(("vt_us", at.virt.as_micros() as i64));
                 }
@@ -218,7 +219,7 @@ fn collect_rows(
                     dur: None,
                     tid: *track,
                     cat: *cat,
-                    name: name.clone(),
+                    name,
                     args,
                 });
             }

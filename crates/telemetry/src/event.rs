@@ -115,10 +115,131 @@ impl Stamp {
     }
 }
 
-/// Small integer key/value pairs attached to spans and instants.
-pub type Args = Vec<(&'static str, i64)>;
+/// Longest name a [`Label`] stores inline (every literal and every in-tree
+/// task name fits); 22 bytes plus a length and a tag keep a label at 24.
+pub const LABEL_INLINE: usize = 22;
 
-/// One record in the telemetry stream.
+/// A span or instant name, built without a heap allocation when it fits in
+/// [`LABEL_INLINE`] bytes. Longer names — pipeline and campaign names are
+/// user input — go in a `Box<str>`. Compares and prints as its text,
+/// whichever way it is stored.
+#[derive(Clone)]
+pub struct Label(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; LABEL_INLINE] },
+    Heap(Box<str>),
+}
+
+impl From<&str> for Label {
+    fn from(text: &str) -> Label {
+        if text.len() > LABEL_INLINE {
+            return Label(Repr::Heap(text.into()));
+        }
+        let mut bytes = [0; LABEL_INLINE];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        Label(Repr::Inline {
+            len: text.len() as u8,
+            bytes,
+        })
+    }
+}
+
+impl std::ops::Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..*len as usize])
+                .expect("an inline label holds a whole &str"),
+            Repr::Heap(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialEq<str> for Label {
+    fn eq(&self, other: &str) -> bool {
+        &**self == other
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        &**self == *other
+    }
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl std::fmt::Debug for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Most key/value pairs one event carries: the widest in-tree call site
+/// (a campaign span's `campaign`, `tenant`, `priority`).
+pub const ARGS_MAX: usize = 3;
+
+/// Small integer key/value pairs attached to spans and instants, held
+/// inline (at most [`ARGS_MAX`]) so recording one allocates nothing.
+#[derive(Clone, Copy)]
+pub struct Args {
+    len: u8,
+    pairs: [(&'static str, i64); ARGS_MAX],
+}
+
+impl Args {
+    /// Copy `pairs` in. Panics, naming the limit, past [`ARGS_MAX`].
+    pub fn new(pairs: &[(&'static str, i64)]) -> Args {
+        assert!(
+            pairs.len() <= ARGS_MAX,
+            "a telemetry event carries at most ARGS_MAX = {ARGS_MAX} args, got {}",
+            pairs.len()
+        );
+        let mut args = Args {
+            len: pairs.len() as u8,
+            pairs: [("", 0); ARGS_MAX],
+        };
+        args.pairs[..pairs.len()].copy_from_slice(pairs);
+        args
+    }
+
+    /// The pairs, in the order they were given.
+    pub fn as_slice(&self) -> &[(&'static str, i64)] {
+        &self.pairs[..self.len as usize]
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Args) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Args {}
+
+impl std::fmt::Debug for Args {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// One record in the telemetry stream. It owns heap memory only when its
+/// name is longer than [`LABEL_INLINE`] bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A span opened.
@@ -130,7 +251,7 @@ pub enum TelemetryEvent {
         /// Category.
         cat: SpanCat,
         /// Human-readable span name.
-        name: String,
+        name: Label,
         /// Export track (Chrome `tid`): deterministic per entity, e.g.
         /// `10_000 + task id` or `100 + pipeline id`.
         track: i64,
@@ -153,7 +274,7 @@ pub enum TelemetryEvent {
         /// Category.
         cat: SpanCat,
         /// Event name.
-        name: String,
+        name: Label,
         /// Export track (Chrome `tid`).
         track: i64,
         /// When it happened.
@@ -181,7 +302,7 @@ impl TelemetryEvent {
 /// parent.begin`). Returns a description of the first violation found.
 pub fn check_nesting(events: &[TelemetryEvent]) -> Result<(), String> {
     use std::collections::HashMap;
-    let mut begins: HashMap<SpanId, (SpanId, SimTime, String)> = HashMap::new();
+    let mut begins: HashMap<SpanId, (SpanId, SimTime, &str)> = HashMap::new();
     let mut ends: HashMap<SpanId, SimTime> = HashMap::new();
     for ev in events {
         match ev {
@@ -191,7 +312,7 @@ pub fn check_nesting(events: &[TelemetryEvent]) -> Result<(), String> {
                 if id.is_none() {
                     return Err(format!("span '{name}' begun with the NONE id"));
                 }
-                if begins.insert(*id, (*parent, at.virt, name.clone())).is_some() {
+                if begins.insert(*id, (*parent, at.virt, &**name)).is_some() {
                     return Err(format!("span {id:?} ('{name}') begun twice"));
                 }
             }

@@ -17,6 +17,15 @@
 //! * **Exporters** — Chrome trace-event JSON ([`chrome_trace`], loadable
 //!   in Perfetto) and Prometheus text exposition ([`prometheus_text`]).
 //!
+//! What recording costs on the enabled path: an event is a fixed-size
+//! value — its name a [`Label`] (inline up to [`LABEL_INLINE`] bytes), its
+//! args an inline [`Args`] of at most [`ARGS_MAX`] pairs — so building one,
+//! and evicting one from a full ring, touches no allocator. A metric
+//! update takes one lock and scans a short vector for the name literal's
+//! address. Strings, vectors and name order appear only at export
+//! ([`chrome_trace`], [`Telemetry::snapshot`]). `tests/zero_alloc.rs` pins
+//! both at zero allocations.
+//!
 //! The export contract that makes cross-backend testing possible: the
 //! Chrome exporter emits structurally canonical documents (no span ids,
 //! deterministic sort), so identical seeded workloads recorded on the
@@ -36,7 +45,9 @@ pub use chrome::{
     chrome_trace, chrome_trace_filtered, write_chrome_trace, write_chrome_trace_filtered,
     TraceClock,
 };
-pub use event::{check_nesting, Args, SpanCat, SpanId, Stamp, TelemetryEvent};
+pub use event::{
+    check_nesting, Args, Label, SpanCat, SpanId, Stamp, TelemetryEvent, ARGS_MAX, LABEL_INLINE,
+};
 pub use metrics::{BucketSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 pub use prom::{prometheus_text, prometheus_text_into};
 pub use sink::{NullSink, RingSink, TelemetrySink, TraceRecorder};
@@ -156,7 +167,8 @@ impl Telemetry {
     }
 
     /// Open a span. Returns [`SpanId::NONE`] (and records nothing) when
-    /// disabled.
+    /// disabled. Panics when enabled and `args` has more than [`ARGS_MAX`]
+    /// pairs.
     pub fn span(
         &self,
         cat: SpanCat,
@@ -174,10 +186,10 @@ impl Telemetry {
             id,
             parent,
             cat,
-            name: name.to_string(),
+            name: Label::from(name),
             track,
             at,
-            args: args.to_vec(),
+            args: Args::new(args),
         });
         id
     }
@@ -193,7 +205,8 @@ impl Telemetry {
         }
     }
 
-    /// Record a point event, optionally attached to an owning span.
+    /// Record a point event, optionally attached to an owning span. The
+    /// same [`ARGS_MAX`] limit as [`Telemetry::span`] applies.
     pub fn instant(
         &self,
         cat: SpanCat,
@@ -207,10 +220,10 @@ impl Telemetry {
             inner.sink.record(TelemetryEvent::Instant {
                 span,
                 cat,
-                name: name.to_string(),
+                name: Label::from(name),
                 track,
                 at,
-                args: args.to_vec(),
+                args: Args::new(args),
             });
         }
     }
@@ -460,6 +473,169 @@ impress_lat_sum 47
 impress_lat_count 6
 ";
         assert_eq!(text, expected);
+    }
+
+    /// Golden one-bin histogram: the single finite bucket's bound is the
+    /// cell's `hi`, not a width read from a second bin that does not exist.
+    #[test]
+    fn prometheus_one_bin_histogram_bounds_at_hi() {
+        let (tele, _rec) = Telemetry::recording(4);
+        tele.observe("h", 0.0, 10.0, 1, 5.0);
+        let expected = "\
+# TYPE impress_h histogram
+impress_h_bucket{le=\"10\"} 1
+impress_h_bucket{le=\"+Inf\"} 1
+impress_h_sum 5
+impress_h_count 1
+";
+        assert_eq!(prometheus_text(&tele.snapshot()), expected);
+    }
+
+    #[test]
+    fn a_name_literal_at_another_address_merges_into_one_series() {
+        let (tele, _rec) = Telemetry::recording(4);
+        let copy: &'static str = Box::leak(String::from("merged").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "merged"));
+        tele.count("merged", 2);
+        tele.count(copy, 3);
+        tele.gauge(copy, 1.0);
+        tele.gauge("merged", 4.0);
+        tele.observe("merged", 0.0, 10.0, 2, 1.0);
+        tele.observe_many(copy, 0.0, 10.0, 2, &[7.0, 8.0]);
+        let snap = tele.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.counter("merged"), Some(5));
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.gauge("merged"), Some(4.0));
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histogram("merged").map(|h| h.count), Some(3));
+    }
+
+    #[test]
+    fn snapshot_order_does_not_depend_on_first_use_order() {
+        let names = ["zeta", "alpha", "mid", "beta"];
+        let render = |order: &[&'static str]| {
+            let (tele, _rec) = Telemetry::recording(4);
+            for &name in order {
+                tele.count(name, name.len() as u64);
+                tele.gauge(name, name.len() as f64);
+                tele.observe(name, 0.0, 8.0, 4, name.len() as f64);
+            }
+            tele.snapshot()
+        };
+        let forward = render(&names);
+        let mut reversed = names;
+        reversed.reverse();
+        assert_eq!(forward, render(&reversed));
+        let counters: Vec<&str> = forward.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(counters, ["alpha", "beta", "mid", "zeta"]);
+        let gauges: Vec<&str> = forward.gauges.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(gauges, counters);
+        let hists: Vec<&str> = forward.histograms.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(hists, counters);
+    }
+
+    /// Names at and across the inline limit, multi-byte text and the empty
+    /// name come back out of both export routes exactly as recorded.
+    #[test]
+    fn label_edge_names_round_trip_through_both_export_routes() {
+        let at_limit = "a".repeat(LABEL_INLINE);
+        let past_limit = "b".repeat(LABEL_INLINE + 1);
+        let names = [
+            at_limit.as_str(),
+            past_limit.as_str(),
+            "épi-ß-タスク-🧬",
+            "",
+        ];
+        let (tele, rec) = Telemetry::recording(16);
+        for (i, name) in names.iter().enumerate() {
+            let id = tele.span(SpanCat::Task, name, SpanId::NONE, 1, t(i as u64), &[]);
+            tele.end(id, t(i as u64 + 1));
+            tele.instant(SpanCat::Fault, name, id, 2, t(i as u64), &[("i", i as i64)]);
+        }
+        let events = rec.events();
+        for ev in &events {
+            if let TelemetryEvent::Begin { name, .. } | TelemetryEvent::Instant { name, .. } = ev {
+                assert!(names.contains(&&**name), "{name:?} was not recorded");
+                assert_eq!(name.to_string(), **name);
+            }
+        }
+        let tree = impress_json::to_string(&chrome_trace(&events, TraceClock::Virtual));
+        let mut streamed = String::new();
+        write_chrome_trace(&mut streamed, &events, TraceClock::Virtual);
+        assert_eq!(streamed, tree);
+        let doc: impress_json::Json = impress_json::from_str(&streamed).expect("trace parses");
+        let rows = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("rows");
+        let mut exported: Vec<&str> = rows
+            .iter()
+            .map(|r| r.get("name").and_then(|n| n.as_str()).expect("name"))
+            .collect();
+        exported.sort_unstable();
+        let mut expected: Vec<&str> = names.iter().chain(names.iter()).copied().collect();
+        expected.sort_unstable();
+        assert_eq!(exported, expected);
+    }
+
+    #[test]
+    fn labels_compare_as_their_text_whichever_way_they_are_stored() {
+        let short = Label::from("queue");
+        let long = Label::from("a-pipeline-name-longer-than-inline");
+        assert_eq!(short, "queue");
+        assert_eq!(long, "a-pipeline-name-longer-than-inline");
+        assert_eq!(long.clone(), long);
+        assert_ne!(short, long);
+        assert_eq!(
+            format!("{short}/{long:?}"),
+            "queue/\"a-pipeline-name-longer-than-inline\""
+        );
+        assert_eq!(
+            Args::new(&[("k", 1), ("v", 2)]).as_slice(),
+            &[("k", 1), ("v", 2)]
+        );
+        assert_eq!(Args::new(&[]), Args::new(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most ARGS_MAX = 3 args, got 4")]
+    fn more_args_than_the_inline_capacity_fail_naming_the_limit() {
+        let (tele, _rec) = Telemetry::recording(4);
+        tele.instant(
+            SpanCat::Session,
+            "wide",
+            SpanId::NONE,
+            1,
+            t(0),
+            &[("a", 1), ("b", 2), ("c", 3), ("d", 4)],
+        );
+    }
+
+    impress_sim::props! {
+        /// The ring against a model: after any number of records it holds
+        /// exactly the newest `capacity` events, oldest first, and
+        /// `dropped()` is the overflow.
+        fn ring_keeps_the_newest_capacity_events_in_order(rng, cases = 64) {
+            let capacity = 1 + rng.below(8);
+            let records = rng.below(4 * capacity + 2);
+            let (tele, rec) = Telemetry::recording(capacity);
+            for i in 0..records as i64 {
+                tele.instant(SpanCat::Session, "e", SpanId::NONE, 1, t(i as u64), &[("i", i)]);
+            }
+            let kept: Vec<i64> = rec
+                .events()
+                .iter()
+                .map(|ev| match ev {
+                    TelemetryEvent::Instant { args, .. } => args.as_slice()[0].1,
+                    other => panic!("only instants were recorded: {other:?}"),
+                })
+                .collect();
+            let overflow = records.saturating_sub(capacity);
+            let newest: Vec<i64> = (overflow..records).map(|i| i as i64).collect();
+            assert_eq!(kept, newest, "capacity {capacity}, {records} records");
+            assert_eq!(rec.dropped(), overflow as u64);
+        }
     }
 
     #[test]

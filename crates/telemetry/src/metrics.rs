@@ -3,7 +3,6 @@
 
 use impress_json::json_struct;
 use impress_sim::Histogram;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// One counter at snapshot time.
@@ -105,6 +104,8 @@ impl MetricsSnapshot {
 #[derive(Debug)]
 struct HistCell {
     hist: Histogram,
+    /// Bottom bound of the first bin.
+    lo: f64,
     /// Top bound of the finite bins; observations `>= hi` bypass them.
     hi: f64,
     sum: f64,
@@ -115,6 +116,7 @@ impl HistCell {
     fn new(lo: f64, hi: f64, bins: usize) -> Self {
         HistCell {
             hist: Histogram::new(lo, hi, bins),
+            lo,
             hi,
             sum: 0.0,
             count: 0,
@@ -131,35 +133,81 @@ impl HistCell {
         self.sum += value;
         self.count += 1;
     }
+
+    /// Cumulative finite buckets. Each bound comes from the cell's own
+    /// `lo`/`hi`, and the top one is exactly `hi`.
+    fn buckets(&self) -> Vec<BucketSample> {
+        let counts = self.hist.counts();
+        let width = (self.hi - self.lo) / counts.len() as f64;
+        let mut cum = 0u64;
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                cum += c;
+                let le = if i + 1 == counts.len() {
+                    self.hi
+                } else {
+                    self.lo + width * (i + 1) as f64
+                };
+                BucketSample { le, count: cum }
+            })
+            .collect()
+    }
 }
 
 /// Interior-mutable metric registry shared by all clones of one
-/// [`Telemetry`](crate::Telemetry) handle. Keys are `&'static str` because
-/// metric names are always literals at instrumentation sites; `BTreeMap`
-/// keeps snapshots deterministically ordered.
+/// [`Telemetry`](crate::Telemetry) handle: one lock over three short
+/// vectors of `(name, value)` series, kept in first-use order.
 #[derive(Debug, Default)]
 pub(crate) struct Metrics {
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
-    histograms: Mutex<BTreeMap<&'static str, HistCell>>,
+    series: Mutex<Series>,
+}
+
+#[derive(Debug, Default)]
+struct Series {
+    counters: Vec<(&'static str, u64)>,
+    gauges: Vec<(&'static str, f64)>,
+    histograms: Vec<(&'static str, HistCell)>,
+}
+
+/// The value of `name`'s series, created by `new` on first use. Metric
+/// names are literals, so a call site finds its series by the literal's
+/// address; the same text at another address (another crate's copy of the
+/// literal, a leaked string) is matched by text on a miss and merges into
+/// the same series.
+fn entry<'a, T>(
+    series: &'a mut Vec<(&'static str, T)>,
+    name: &'static str,
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    let at = series
+        .iter()
+        .position(|(n, _)| std::ptr::eq(*n, name))
+        .or_else(|| series.iter().position(|(n, _)| *n == name))
+        .unwrap_or_else(|| {
+            series.push((name, new()));
+            series.len() - 1
+        });
+    &mut series[at].1
 }
 
 impl Metrics {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Series> {
+        self.series.lock().expect("metrics lock")
+    }
+
     pub(crate) fn count(&self, name: &'static str, delta: u64) {
-        *self.counters.lock().expect("counter lock").entry(name).or_insert(0) += delta;
+        *entry(&mut self.lock().counters, name, || 0) += delta;
     }
 
     pub(crate) fn gauge(&self, name: &'static str, value: f64) {
-        self.gauges.lock().expect("gauge lock").insert(name, value);
+        *entry(&mut self.lock().gauges, name, || 0.0) = value;
     }
 
     pub(crate) fn observe(&self, name: &'static str, lo: f64, hi: f64, bins: usize, value: f64) {
-        self.histograms
-            .lock()
-            .expect("histogram lock")
-            .entry(name)
-            .or_insert_with(|| HistCell::new(lo, hi, bins))
-            .observe(value);
+        let mut series = self.lock();
+        entry(&mut series.histograms, name, || HistCell::new(lo, hi, bins)).observe(value);
     }
 
     /// Record a batch of observations into one histogram under a single
@@ -179,67 +227,47 @@ impl Metrics {
         if values.is_empty() {
             return;
         }
-        let mut hists = self.histograms.lock().expect("histogram lock");
-        let cell = hists
-            .entry(name)
-            .or_insert_with(|| HistCell::new(lo, hi, bins));
+        let mut series = self.lock();
+        let cell = entry(&mut series.histograms, name, || HistCell::new(lo, hi, bins));
         for &value in values {
             cell.observe(value);
         }
     }
 
+    /// Every series, sorted by name: the snapshot does not depend on the
+    /// order in which names were first used.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
+        let series = self.lock();
+        let mut counters: Vec<CounterSample> = series
             .counters
-            .lock()
-            .expect("counter lock")
             .iter()
-            .map(|(&name, &value)| CounterSample {
+            .map(|&(name, value)| CounterSample {
                 name: name.to_string(),
                 value,
             })
             .collect();
-        let gauges = self
+        let mut gauges: Vec<GaugeSample> = series
             .gauges
-            .lock()
-            .expect("gauge lock")
             .iter()
-            .map(|(&name, &value)| GaugeSample {
+            .map(|&(name, value)| GaugeSample {
                 name: name.to_string(),
                 value,
             })
             .collect();
-        let histograms = self
+        let mut histograms: Vec<HistogramSample> = series
             .histograms
-            .lock()
-            .expect("histogram lock")
             .iter()
-            .map(|(&name, cell)| {
-                let mut cum = 0u64;
-                let width = {
-                    let bins = cell.hist.bins();
-                    bins.get(1).map(|(e, _)| e - bins[0].0).unwrap_or(0.0)
-                };
-                let buckets = cell
-                    .hist
-                    .bins()
-                    .iter()
-                    .map(|&(lower, c)| {
-                        cum += c;
-                        BucketSample {
-                            le: lower + width,
-                            count: cum,
-                        }
-                    })
-                    .collect();
-                HistogramSample {
-                    name: name.to_string(),
-                    count: cell.count,
-                    sum: cell.sum,
-                    buckets,
-                }
+            .map(|(name, cell)| HistogramSample {
+                name: name.to_string(),
+                count: cell.count,
+                sum: cell.sum,
+                buckets: cell.buckets(),
             })
             .collect();
+        drop(series);
+        counters.sort_by(|a, b| a.name.cmp(&b.name));
+        gauges.sort_by(|a, b| a.name.cmp(&b.name));
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
             counters,
             gauges,

@@ -14,11 +14,17 @@ use impress_json::{Json, ToJson};
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::props;
 use impress_telemetry::{
-    check_nesting, SpanCat, Telemetry, TelemetryEvent, TraceClock,
+    check_nesting, SpanCat, Telemetry, TelemetryEvent, TraceClock, LABEL_INLINE,
 };
 
+/// A target name whose pipeline names (`<target>/root`, `<target>/sub0`,
+/// ...) run past the telemetry label's inline capacity, so the recorded
+/// campaign carries names stored both ways.
+const LONG_TARGET: &str = "a-pdz-target-named-past-the-inline-label";
+
 fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, Telemetry, Json) {
-    let targets = named_pdz_domains(seed);
+    let mut targets = named_pdz_domains(seed);
+    targets[0].name = LONG_TARGET.to_string();
     let (telemetry, recorder) = Telemetry::recording(1 << 18);
     CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
         .telemetry(telemetry.clone())
@@ -56,6 +62,15 @@ fn campaign_trace_is_well_formed_and_complete() {
     ] {
         assert!(begins(cat) > 0, "no {:?} spans recorded", cat);
     }
+    let long_root = format!("{LONG_TARGET}/root");
+    assert!(long_root.len() > LABEL_INLINE);
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            TelemetryEvent::Begin { cat: SpanCat::Pipeline, name, .. } if *name == *long_root
+        )),
+        "no pipeline span named {long_root:?}"
+    );
     let snapshot = telemetry.snapshot();
     let submitted = snapshot.counter("tasks_submitted").expect("counter");
     assert_eq!(begins(SpanCat::Task), submitted, "task spans vs counter");
@@ -92,6 +107,13 @@ fn chrome_export_round_trips_through_impress_json() {
         .and_then(|e| e.as_array())
         .expect("traceEvents array");
     assert!(!events.is_empty());
+    let long_root = format!("{LONG_TARGET}/root");
+    assert!(
+        events
+            .iter()
+            .any(|row| row.get("name").and_then(|n| n.as_str()) == Some(long_root.as_str())),
+        "the export lost the pipeline named {long_root:?}"
+    );
     for row in events {
         for key in ["ph", "name", "cat", "ts", "pid", "tid"] {
             assert!(row.get(key).is_some(), "trace row missing `{key}`: {row:?}");
