@@ -5,9 +5,23 @@
 //! walltime and deadline holds, hedged duplicates, quarantine and the
 //! shape breaker, node crashes, the control plane's routed messages with
 //! their dedup set and lease fence, suspicion evictions, cancel and
-//! preempt. State is flat — a dense task table indexed by task id, a
-//! [`Slab`] of running attempts — and events are a small `Copy` enum,
-//! [`Ev`]; nothing is boxed and nothing is reference-counted.
+//! preempt. State is flat, and split by who touches it:
+//!
+//! * a dense task table indexed by task id, whose 56-byte records hold
+//!   only what the event loop reads and writes — shape, duration,
+//!   priority, attempt count, work closure, lifecycle state, seat, the
+//!   hedged flag — and a [`SlotId`] into
+//! * a [`Slab`] of shared descriptors: what a task is merely *described*
+//!   as (name, tag, kind, walltime, GPU busy fraction). Consecutive
+//!   submissions that describe alike share one, counted; the last lineage
+//!   to end frees it;
+//! * a [`Slab`] of running attempts;
+//! * span ids, in a table of their own indexed by task id and filled only
+//!   while telemetry is enabled.
+//!
+//! Events are a small `Copy` enum, [`Ev`]. Names and tags are
+//! [`Label`]s — inline up to 22 bytes, a shared `Arc<str>` past that — so
+//! neither describing a task nor completing it copies text to the heap.
 //!
 //! What the core does *not* own is time. A driver owns the clock and
 //! lends the core three seams:
@@ -52,7 +66,7 @@ use crate::scheduler::Scheduler;
 use crate::states::{StateCell, TaskState};
 use crate::task::{TaskDescription, TaskId, TaskKind, TaskWork};
 use impress_sim::{EventId, SimDuration, SimRng, SimTime, Slab, SlotId};
-use impress_telemetry::{track, SpanCat, SpanId, Stamp, Telemetry};
+use impress_telemetry::{track, Label, SpanCat, SpanId, Stamp, Telemetry};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -198,8 +212,8 @@ enum Planned {
     TimedOut(SimDuration),
 }
 
-/// Span bookkeeping for one in-flight task (all `SpanId::NONE` when
-/// telemetry is disabled).
+/// Span bookkeeping for one task, kept in `Core.spans` while telemetry is
+/// enabled.
 #[derive(Clone, Copy)]
 struct TaskSpans {
     /// Whole-lifetime span (submit → terminal).
@@ -241,26 +255,50 @@ impl Seat {
     }
 }
 
-/// One submitted task, indexed by its id in the flat task table.
+/// One submitted task, indexed by its id in the flat task table: what the
+/// event loop reads and writes, and nothing it does not.
 struct Task {
-    name: String,
-    tag: String,
     request: ResourceRequest,
-    priority: i32,
     duration: SimDuration,
-    gpu_busy_fraction: f64,
-    kind: TaskKind,
-    walltime: Option<SimDuration>,
+    priority: i32,
     /// Attempts so far. Doubles as the lease epoch: a completion report
     /// settles only if its attempt number still matches.
     attempts: u32,
     work: Option<TaskWork>,
     state: StateCell,
-    spans: TaskSpans,
     seat: Seat,
     /// Whether a hedged duplicate was ever placed for this task.
     hedged: bool,
+    /// What the task is described as, in `Core.descriptors`.
+    desc: SlotId,
 }
+
+/// What a task is described as — read at placement, a hedge check and
+/// completion, never written. Shared by consecutive submissions that
+/// describe alike.
+struct Descriptor {
+    name: Label,
+    tag: Label,
+    kind: TaskKind,
+    walltime: Option<SimDuration>,
+    gpu_busy_fraction: f64,
+    /// Live lineages described by this; the last to end frees it.
+    live: u32,
+}
+
+impl Descriptor {
+    /// Whether `other` describes a task as this does. The fraction
+    /// compares by its bits.
+    fn alike(&self, other: &Descriptor) -> bool {
+        self.name == other.name
+            && self.tag == other.tag
+            && self.kind == other.kind
+            && self.walltime == other.walltime
+            && self.gpu_busy_fraction.to_bits() == other.gpu_busy_fraction.to_bits()
+    }
+}
+
+const DESCRIBED: &str = "a live task's descriptor is live";
 
 /// A placed attempt: everything needed to complete, evict, or waste it.
 struct Running {
@@ -297,6 +335,10 @@ pub(super) struct Core<T, U> {
     /// Task records indexed by task id (ids are assigned densely from 0);
     /// `None` once the lineage has ended.
     tasks: Vec<Option<Task>>,
+    /// What the live tasks are described as; a record's `desc` points in.
+    descriptors: Slab<Descriptor>,
+    /// Span ids indexed by task id; empty while telemetry is disabled.
+    spans: Vec<TaskSpans>,
     running: Slab<Running>,
     completions: VecDeque<Completion>,
     pub(super) in_flight: usize,
@@ -354,9 +396,10 @@ pub(super) struct Core<T, U> {
     /// Idempotent-dedup set: message identities whose effects have been
     /// applied. A second arrival of the same identity is absorbed.
     seen: HashSet<(u64, u32, u8)>,
-    /// Cancel acks in flight: `Ev` is `Copy`, so the completion's strings
-    /// are stashed here between the cancel call and the ack's delivery.
-    canceled_acks: HashMap<u64, (String, String, bool)>,
+    /// Cancel acks in flight: `Ev` is `Copy`, so the completion's name,
+    /// tag and hedged flag are stashed here between the cancel call and
+    /// the ack's delivery. The lineage ends at the stash.
+    canceled_acks: HashMap<u64, (Label, Label, bool)>,
 }
 
 impl<T: Transport, U: UtilSink> Core<T, U> {
@@ -406,6 +449,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 ..Default::default()
             },
             tasks: Vec::new(),
+            descriptors: Slab::new(),
+            spans: Vec::new(),
             running: Slab::new(),
             completions: VecDeque::new(),
             in_flight: 0,
@@ -463,6 +508,15 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
 
     pub(super) fn held_tasks(&self) -> usize {
         self.held.len()
+    }
+
+    /// Test support: the descriptors in use, once checked against the
+    /// live records — each is described by one, and counted once.
+    #[cfg(test)]
+    pub(super) fn live_descriptors(&self) -> usize {
+        let lineages: usize = self.descriptors.iter().map(|(_, d)| d.live as usize).sum();
+        assert_eq!(lineages, self.tasks.iter().flatten().count());
+        self.descriptors.len()
     }
 
     /// The next completion already surfaced, if any.
@@ -540,8 +594,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             .expect("an in-flight task has a record")
     }
 
+    /// `task`'s spans, while its lineage is live and telemetry enabled.
     fn spans(&self, task: u64) -> Option<TaskSpans> {
-        self.get(task).map(|t| t.spans)
+        self.get(task)?;
+        self.spans.get(task as usize).copied()
     }
 
     fn task_span(&self, task: u64) -> SpanId {
@@ -558,6 +614,19 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         (self.running.get(slot)?.attempt == attempt).then_some(slot)
     }
 
+    /// The lineage of a task described by `slot` ended: the name and tag
+    /// its completion carries. The last lineage a descriptor describes
+    /// frees it and hands its labels over.
+    fn release(&mut self, slot: SlotId) -> (Label, Label) {
+        let d = self.descriptors.get_mut(slot).expect(DESCRIBED);
+        d.live -= 1;
+        if d.live > 0 {
+            return (d.name.clone(), d.tag.clone());
+        }
+        let d = self.descriptors.remove(slot);
+        (d.name, d.tag)
+    }
+
     /// Surface `task`'s terminal completion.
     fn surface(
         &mut self,
@@ -567,10 +636,11 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         started: SimTime,
         finished: SimTime,
     ) {
+        let (name, tag) = self.release(task.desc);
         self.completions.push_back(Completion {
             task: id,
-            name: task.name,
-            tag: task.tag,
+            name,
+            tag,
             result,
             started,
             finished,
@@ -748,18 +818,18 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
     fn requeue(&mut self, task: u64, attempt: u32, now: SimTime) {
         self.enqueue(task);
         if self.telemetry.enabled() {
-            let tele = self.telemetry.clone();
+            let tele = &self.telemetry;
             let at = self.transport.stamp(now);
-            let t = self.record(task);
-            t.spans.queue = tele.span(
+            let spans = &mut self.spans[task as usize];
+            spans.queue = tele.span(
                 SpanCat::Queue,
                 "queue",
-                t.spans.task,
+                spans.task,
                 track::task(task),
                 at,
                 &[("attempt", attempt as i64)],
             );
-            t.spans.queued_at = now;
+            spans.queued_at = now;
             tele.gauge("queue_depth", self.scheduler.queue_len() as f64);
         }
         self.place_ready(now);
@@ -944,9 +1014,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 Ok(None)
             }
         };
-        let busy = task.gpu_busy_fraction;
+        let d = self.descriptors.get(task.desc).expect(DESCRIBED);
+        let busy = d.gpu_busy_fraction;
         self.util
-            .finished(id, &task.name, &task.tag, &alloc, started, now, busy);
+            .finished(id, &d.name, &d.tag, &alloc, started, now, busy);
         let mut warmed = None;
         if let Some(policy) = self.hedge {
             let shape = (task.request.cores, task.request.gpus);
@@ -970,8 +1041,9 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         if self.telemetry.enabled() {
             let tele = &self.telemetry;
             let at = self.transport.stamp(now);
-            tele.end(task.spans.attempt, at);
-            tele.end(task.spans.task, at);
+            let spans = self.spans[id.0 as usize];
+            tele.end(spans.attempt, at);
+            tele.end(spans.task, at);
             let outcome = if result.is_ok() {
                 "tasks_completed"
             } else {
@@ -1119,7 +1191,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 tele.instant(
                     SpanCat::Quarantine,
                     "poisoned",
-                    task.spans.task,
+                    self.spans[id.0 as usize].task,
                     track::task(id.0),
                     at,
                     &[("distinct_nodes", distinct as i64)],
@@ -1146,7 +1218,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             err
         };
         if self.telemetry.enabled() {
-            self.telemetry.end(task.spans.task, self.transport.stamp(now));
+            let span = self.spans[id.0 as usize].task;
+            self.telemetry.end(span, self.transport.stamp(now));
             self.telemetry.count("tasks_failed", 1);
             self.telemetry.gauge("in_flight", self.in_flight as f64);
         }
@@ -1189,12 +1262,14 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 .seat
                 .running()
                 .and_then(|slot| self.running.get(slot))
-                .map(|run| (t.request, run.alloc.node, t.kind, t.duration, t.walltime)),
+                .map(|run| (t.request, run.alloc.node, t.desc, t.duration)),
             _ => None,
         };
-        let Some((request, main_node, kind, duration, walltime)) = probe else {
+        let Some((request, main_node, desc, duration)) = probe else {
             return;
         };
+        let d = self.descriptors.get(desc).expect(DESCRIBED);
+        let (kind, walltime) = (d.kind, d.walltime);
         let shape = (request.cores, request.gpus);
         let setup = self
             .config
@@ -1494,11 +1569,12 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 if self.telemetry.enabled() {
                     let tele = &self.telemetry;
                     let at = self.transport.stamp(now);
-                    tele.end(task.spans.queue, at);
+                    let spans = self.spans[id.0 as usize];
+                    tele.end(spans.queue, at);
                     tele.instant(
                         SpanCat::Quarantine,
                         "shape-shed",
-                        task.spans.task,
+                        spans.task,
                         track::task(id.0),
                         at,
                         &[
@@ -1506,7 +1582,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                             ("gpus", request.gpus as i64),
                         ],
                     );
-                    tele.end(task.spans.task, at);
+                    tele.end(spans.task, at);
                     tele.count("tasks_shed", 1);
                     tele.gauge("in_flight", self.in_flight as f64);
                 }
@@ -1532,10 +1608,12 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                     }
                 }
             }
-            let (kind, duration, task_walltime, attempts) = {
+            let (desc, duration, attempts) = {
                 let t = self.record(id.0);
-                (t.kind, t.duration, t.walltime, t.attempts)
+                (t.desc, t.duration, t.attempts)
             };
+            let d = self.descriptors.get(desc).expect(DESCRIBED);
+            let (kind, task_walltime) = (d.kind, d.walltime);
             let fault = self.faults.attempt_fault(id.0, attempts);
             let hang_factor = self.faults.config().hang_factor;
             let setup = self
@@ -1591,9 +1669,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             if self.telemetry.enabled() {
                 let tele = &self.telemetry;
                 let at = self.transport.stamp(now);
-                // Field-disjoint borrows: `self.record` would borrow all of
-                // `self` and force a clone of the telemetry handle.
-                let spans = &mut self.tasks[id.0 as usize].as_mut().expect("in flight").spans;
+                let spans = &mut self.spans[id.0 as usize];
                 tele.end(spans.queue, at);
                 let waited = now.since(spans.queued_at).as_secs_f64();
                 spans.attempt = tele.span(
@@ -1669,17 +1745,11 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             "{id}: request {} can never fit the pilot's node",
             desc.request
         );
-        let mut spans = TaskSpans {
-            task: SpanId::NONE,
-            queue: SpanId::NONE,
-            attempt: SpanId::NONE,
-            queued_at: now,
-        };
         if self.telemetry.enabled() {
             let tele = &self.telemetry;
             let at = self.transport.stamp(now);
             let tr = track::task(id.0);
-            spans.task = tele.span(
+            let task = tele.span(
                 SpanCat::Task,
                 &desc.name,
                 SpanId::NONE,
@@ -1687,33 +1757,47 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 at,
                 &[("task", id.0 as i64), ("priority", desc.priority as i64)],
             );
-            spans.queue = tele.span(
-                SpanCat::Queue,
-                "queue",
-                spans.task,
-                tr,
-                at,
-                &[("attempt", 0)],
-            );
+            let queue = tele.span(SpanCat::Queue, "queue", task, tr, at, &[("attempt", 0)]);
             tele.count("tasks_submitted", 1);
+            debug_assert_eq!(self.spans.len(), id.0 as usize);
+            self.spans.push(TaskSpans {
+                task,
+                queue,
+                attempt: SpanId::NONE,
+                queued_at: now,
+            });
         }
         let mut state = StateCell::new();
         state.advance(TaskState::Scheduling);
+        let TaskDescription {
+            name,
+            tag,
+            request,
+            duration,
+            gpu_busy_fraction,
+            priority,
+            kind,
+            walltime,
+            work,
+        } = desc;
+        let desc = self.describe(Descriptor {
+            name,
+            tag,
+            kind,
+            walltime,
+            gpu_busy_fraction,
+            live: 1,
+        });
         self.tasks.push(Some(Task {
-            name: desc.name,
-            tag: desc.tag,
-            request: desc.request,
-            priority: desc.priority,
-            duration: desc.duration,
-            gpu_busy_fraction: desc.gpu_busy_fraction,
-            kind: desc.kind,
-            walltime: desc.walltime,
+            request,
+            duration,
+            priority,
             attempts: 0,
-            work: desc.work,
+            work,
             state,
-            spans,
             seat: Seat::None,
             hedged: false,
+            desc,
         }));
         self.util.submitted(id, now);
         self.in_flight += 1;
@@ -1744,6 +1828,20 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         id
     }
 
+    /// Where a task about to be submitted is described: with the previous
+    /// submission, if that is still live and described alike, otherwise
+    /// in a slot of its own.
+    fn describe(&mut self, described: Descriptor) -> SlotId {
+        if let Some(Some(prev)) = self.tasks.last() {
+            let d = self.descriptors.get_mut(prev.desc).expect(DESCRIBED);
+            if d.alike(&described) {
+                d.live += 1;
+                return prev.desc;
+            }
+        }
+        self.descriptors.insert(described)
+    }
+
     /// [`ExecutionBackend::cancel`](super::ExecutionBackend::cancel).
     pub(super) fn cancel(&mut self, id: TaskId) -> bool {
         let Some(Seat::Queued(ticket)) = self.get(id.0).map(|t| t.seat) else {
@@ -1762,9 +1860,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             let tele = &self.telemetry;
             let at = self.transport.stamp(now);
             let tr = track::task(id.0);
-            tele.end(task.spans.queue, at);
-            tele.instant(SpanCat::Task, "canceled", task.spans.task, tr, at, &[]);
-            tele.end(task.spans.task, at);
+            let spans = self.spans[id.0 as usize];
+            tele.end(spans.queue, at);
+            tele.instant(SpanCat::Task, "canceled", spans.task, tr, at, &[]);
+            tele.end(spans.task, at);
             tele.count("tasks_canceled", 1);
             tele.gauge("in_flight", self.in_flight as f64);
         }
@@ -1781,8 +1880,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             // The deferred ack keeps the task in flight until delivery so
             // the completion pump knows to keep stepping.
             self.in_flight += 1;
-            self.canceled_acks
-                .insert(id.0, (task.name, task.tag, task.hedged));
+            let (name, tag) = self.release(task.desc);
+            self.canceled_acks.insert(id.0, (name, tag, task.hedged));
             return true;
         }
         self.surface(id, task, Err(TaskError::Canceled), now, now);
@@ -1845,7 +1944,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
+    use crate::backend::{ExecutionBackend, ShardedBackend, SimulatedBackend, ThreadedBackend};
+    use crate::fault::{FaultConfig, ScriptedCrash, ScriptedSlowdown};
     use crate::profiler::Profiler;
     use crate::resources::NodeSpec;
     use crate::scheduler::PlacementPolicy;
@@ -2176,12 +2276,317 @@ mod tests {
         assert!(!core.preempt(id), "finished");
     }
 
+    /// Consecutive submissions described alike share one descriptor;
+    /// any one of the five fields differing — the fraction by its bits —
+    /// starts a new one, and so does a previous submission whose lineage
+    /// has ended.
+    #[test]
+    fn alike_submissions_share_a_descriptor_and_unlike_ones_do_not() {
+        let long = "a-task-name-of-forty-bytes-for-the-pins.";
+        assert_eq!(long.len(), 40);
+        let described = |name: &str, tag: &str| {
+            TaskDescription::new(name, ResourceRequest::cores(1), secs(50)).with_tag(tag)
+        };
+        let ml = |name, tag| described(name, tag).with_kind(TaskKind::Ml);
+        let capped = |name, tag| ml(name, tag).with_walltime(secs(60));
+        let steps = [
+            (described("a", ""), 1, "a first submission"),
+            (described("a", ""), 1, "alike: shared"),
+            (described("b", ""), 2, "another name"),
+            (
+                described("a", ""),
+                3,
+                "only the previous submission is asked",
+            ),
+            (described(long, ""), 4, "a long name"),
+            (described(long, ""), 4, "a long name shares too"),
+            (described(long, "pl.2"), 5, "another tag"),
+            (ml(long, "pl.2"), 6, "another kind"),
+            (capped(long, "pl.2"), 7, "a walltime"),
+            (
+                capped(long, "pl.2").with_gpu_busy_fraction(0.0),
+                8,
+                "a fraction",
+            ),
+            (
+                capped(long, "pl.2").with_gpu_busy_fraction(-0.0),
+                9,
+                "its bits",
+            ),
+        ];
+        let mut core = rig(1, |rt| rt);
+        for (desc, live, why) in steps {
+            core.submit(desc);
+            assert_eq!(core.live_descriptors(), live, "{why}");
+        }
+        let shared = core.descriptors.iter().map(|(_, d)| d.live).max();
+        assert_eq!(shared, Some(2));
+
+        // Canceling the last submission ends its lineage: the next one,
+        // alike as it is, cannot share.
+        assert!(core.cancel(TaskId(10)));
+        assert_eq!(core.live_descriptors(), 8);
+        core.submit(capped(long, "pl.2").with_gpu_busy_fraction(-0.0));
+        assert_eq!(core.live_descriptors(), 9);
+    }
+
+    /// A task as the descriptor cases describe it: name, tag, run
+    /// seconds, walltime seconds, GPU busy fraction.
+    type Spec = (&'static str, &'static str, u64, Option<u64>, f64);
+
+    /// What one engine surfaced, per completion: task, name, tag, and the
+    /// outcome with its attempts and hedge flag.
+    type Surfaced = Vec<(u64, String, String, String)>;
+
+    /// What a case leaves behind on one engine: what surfaced, the
+    /// descriptors still live once drained, and the GPU hardware-busy
+    /// seconds booked.
+    type Drained = (Surfaced, usize, u64);
+
+    const FORTY: &str = "a-task-name-of-forty-bytes-for-the-cases";
+
+    /// Nodes of one core and one GPU each, under the descriptor cases.
+    const NODES: u32 = 2;
+
+    /// Submit `specs`, cancel `cancel` once the first completion is back,
+    /// and drain.
+    fn drain<B: ExecutionBackend>(
+        mut b: B,
+        specs: &[Spec],
+        cancel: &[u64],
+        live: impl Fn(&B) -> usize,
+    ) -> Drained {
+        for &(name, tag, run, walltime, fraction) in specs {
+            let request = ResourceRequest::with_gpus(1, 1);
+            let d = TaskDescription::new(name, request, secs(run))
+                .with_tag(tag)
+                .with_gpu_busy_fraction(fraction);
+            b.submit(match walltime {
+                Some(limit) => d.with_walltime(secs(limit)),
+                None => d,
+            });
+        }
+        let mut surfaced = Vec::new();
+        while let Some(c) = b.next_completion() {
+            let outcome = match &c.result {
+                Ok(_) => "ok".to_string(),
+                Err(e) => e.to_string(),
+            };
+            let outcome = format!("{outcome} after {}, hedged {}", c.attempts, c.hedged);
+            surfaced.push((c.task.0, c.name.to_string(), c.tag.to_string(), outcome));
+            if surfaced.len() == 1 {
+                for &id in cancel {
+                    assert!(b.cancel(TaskId(id)), "{} is queued", TaskId(id));
+                }
+            }
+        }
+        let util = b.utilization();
+        let gpu_seconds = util.makespan.as_secs_f64() * f64::from(NODES);
+        (
+            surfaced,
+            live(&b),
+            (util.gpu_hardware * gpu_seconds).round() as u64,
+        )
+    }
+
+    /// `specs` on every engine, which must agree; what they surfaced.
+    fn on_every_engine(
+        tune: impl Fn(RuntimeConfig) -> RuntimeConfig,
+        specs: &[Spec],
+        cancel: &[u64],
+    ) -> Drained {
+        let runtime = || {
+            tune(RuntimeConfig::new(PilotConfig {
+                node: NodeSpec::new(1, 1, 64),
+                nodes: NODES,
+                policy: PlacementPolicy::Backfill,
+                bootstrap: secs(100),
+                exec_setup_per_task: secs(10),
+                seed: 0,
+            }))
+        };
+        let simulated = drain(
+            runtime().simulated(),
+            specs,
+            cancel,
+            SimulatedBackend::live_descriptors,
+        );
+        let sharded = drain(
+            runtime().sharded(),
+            specs,
+            cancel,
+            ShardedBackend::live_descriptors,
+        );
+        let threaded = drain(
+            runtime().threaded(),
+            specs,
+            cancel,
+            ThreadedBackend::live_descriptors,
+        );
+        assert_eq!(simulated, sharded, "sharded");
+        assert_eq!(simulated, threaded, "threaded");
+        simulated
+    }
+
+    /// The names and tags `specs` describe, in task order.
+    fn labels(specs: &[Spec]) -> Vec<(u64, String, String)> {
+        let named = specs.iter().enumerate();
+        named
+            .map(|(id, &(name, tag, ..))| (id as u64, name.into(), tag.into()))
+            .collect()
+    }
+
+    /// What surfaced, without the outcomes, in task order.
+    fn surfaced_labels(mut surfaced: Surfaced) -> Vec<(u64, String, String)> {
+        surfaced.sort_unstable();
+        surfaced
+            .into_iter()
+            .map(|(id, n, t, _)| (id, n, t))
+            .collect()
+    }
+
+    #[test]
+    fn alternating_and_long_names_surface_as_described_and_free_their_descriptors() {
+        let specs: [Spec; 7] = [
+            ("a", "pl.1", 50, None, 1.0),
+            ("b", "pl.1", 50, None, 1.0),
+            ("a", "pl.1", 50, None, 1.0),
+            ("b", "pl.2", 50, None, 1.0),
+            (FORTY, "pl.2", 50, None, 1.0),
+            (FORTY, "pl.2", 50, None, 1.0),
+            ("a", FORTY, 50, None, 1.0),
+        ];
+        let (surfaced, live, _) = on_every_engine(|rt| rt, &specs, &[]);
+        assert_eq!(surfaced_labels(surfaced), labels(&specs));
+        assert_eq!(live, 0);
+    }
+
+    /// Equal names, unequal walltimes or fractions: each task runs under
+    /// its own.
+    #[test]
+    fn equal_names_keep_their_own_walltime_and_fraction() {
+        let specs: [Spec; 2] = [("same", "", 50, Some(30), 1.0), ("same", "", 50, None, 1.0)];
+        let (surfaced, live, _) = on_every_engine(|rt| rt, &specs, &[]);
+        let outcomes: Vec<&str> = surfaced.iter().map(|s| s.3.as_str()).collect();
+        assert_eq!(
+            outcomes,
+            [
+                "task exceeded its walltime limit of 30.000s after 0, hedged false",
+                "ok after 0, hedged false"
+            ]
+        );
+        assert_eq!(live, 0);
+
+        // One node's GPU busy for the first task's whole 60 s span only.
+        let specs: [Spec; 2] = [("same", "", 50, None, 1.0), ("same", "", 50, None, 0.0)];
+        let (surfaced, live, gpu_busy) = on_every_engine(|rt| rt, &specs, &[]);
+        assert_eq!(surfaced_labels(surfaced), labels(&specs));
+        assert_eq!((live, gpu_busy), (0, 60));
+    }
+
+    /// Under link faults the canceled task's lineage ends when its ack is
+    /// stashed, and the ack carries its name and tag.
+    #[test]
+    fn a_cancel_ack_under_link_faults_carries_its_labels() {
+        let mut faults = FaultConfig::none();
+        faults.link.delay = secs(1);
+        let plan = FaultPlan::new(faults, 1);
+        let specs: [Spec; 4] = [
+            ("first", "pl.1", 50, None, 1.0),
+            ("second", "pl.1", 500, None, 1.0),
+            (FORTY, FORTY, 50, None, 1.0),
+            (FORTY, FORTY, 50, None, 1.0),
+        ];
+        let tune = |rt: RuntimeConfig| rt.faults(plan.clone(), RetryPolicy::none());
+        let (surfaced, live, _) = on_every_engine(tune, &specs, &[3]);
+        assert_eq!(surfaced_labels(surfaced.clone()), labels(&specs));
+        let canceled = surfaced.iter().find(|s| s.0 == 3).expect("task 3 surfaced");
+        assert_eq!(canceled.3, "task canceled after 0, hedged false");
+        assert_eq!(live, 0);
+    }
+
+    /// A straggler on a degraded node is rescued by its duplicate; then
+    /// a crash evicts a running attempt and its retry finishes.
+    #[test]
+    fn a_hedged_winner_and_a_retried_task_surface_their_labels() {
+        // Node 0 runs 20x slow from the start. "fast" on node 1 primes the
+        // estimate at 60 s, so "slow" is hedged onto node 1 at 220 s.
+        let plan = FaultPlan::new(
+            FaultConfig {
+                scripted_slowdowns: vec![ScriptedSlowdown {
+                    node: 0,
+                    at: SimTime::ZERO,
+                    duration: secs(1_000_000),
+                    factor: 20.0,
+                }],
+                ..FaultConfig::none()
+            },
+            0,
+        );
+        let hedge = HedgePolicy {
+            threshold: 2.0,
+            min_samples: 1,
+        };
+        let specs: [Spec; 2] = [
+            (FORTY, "slow", 50, None, 1.0),
+            ("fast", FORTY, 50, None, 1.0),
+        ];
+        let tune = |rt: RuntimeConfig| rt.faults(plan.clone(), RetryPolicy::none()).hedge(hedge);
+        let (surfaced, live, _) = on_every_engine(tune, &specs, &[]);
+        assert_eq!(surfaced_labels(surfaced.clone()), labels(&specs));
+        assert_eq!(surfaced[1].3, "ok after 0, hedged true");
+        assert_eq!(live, 0);
+
+        // Node 0 crashes 20 s into its task, which retries after recovery.
+        let plan = FaultPlan::new(
+            FaultConfig {
+                scripted_crashes: vec![ScriptedCrash {
+                    node: 0,
+                    at: at(130),
+                    outage: secs(10),
+                }],
+                ..FaultConfig::none()
+            },
+            0,
+        );
+        let specs: [Spec; 2] = [
+            (FORTY, "crashed", 50, None, 1.0),
+            (FORTY, "crashed", 50, None, 1.0),
+        ];
+        let tune = |rt: RuntimeConfig| rt.faults(plan.clone(), RetryPolicy::retries(1));
+        let (surfaced, live, _) = on_every_engine(tune, &specs, &[]);
+        assert_eq!(surfaced_labels(surfaced.clone()), labels(&specs));
+        let retried = surfaced.iter().find(|s| s.0 == 0).expect("task 0 surfaced");
+        assert_eq!(retried.3, "ok after 1, hedged false");
+        assert_eq!(live, 0);
+    }
+
+    /// A held task keeps its record, so its descriptor outlives the drain
+    /// — and only its.
+    #[test]
+    fn a_held_task_keeps_its_descriptor_and_no_other() {
+        let specs: [Spec; 3] = [
+            ("fits", "pl.1", 50, None, 1.0),
+            ("held", "pl.1", 100_000, None, 1.0),
+            ("fits", "pl.1", 50, None, 1.0),
+        ];
+        let tune = |rt: RuntimeConfig| rt.deadline(at(300));
+        let (surfaced, live, _) = on_every_engine(tune, &specs, &[]);
+        let names: Vec<&str> = surfaced.iter().map(|s| s.1.as_str()).collect();
+        assert_eq!(names, ["fits", "fits"]);
+        assert_eq!(live, 1);
+    }
+
     /// `des_clean` holds a million of each. The queue ticket rides in
-    /// the seat, where the running slot already was.
+    /// the seat, where the running slot already was; what a task is
+    /// described as sits in a shared descriptor, its spans in a table of
+    /// their own.
     #[test]
     fn events_and_task_records_stay_small() {
         assert!(std::mem::size_of::<Ev>() <= 16);
-        assert_eq!(std::mem::size_of::<Task>(), 160);
-        assert_eq!(std::mem::size_of::<Option<Task>>(), 160);
+        assert_eq!(std::mem::size_of::<Task>(), 56);
+        assert_eq!(std::mem::size_of::<Option<Task>>(), 56);
+        assert_eq!(std::mem::size_of::<TaskSpans>(), 32);
+        assert_eq!(std::mem::size_of::<Completion>(), 104);
     }
 }

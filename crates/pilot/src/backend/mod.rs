@@ -46,6 +46,7 @@ use crate::pilot::PhaseBreakdown;
 use crate::profiler::UtilizationReport;
 use crate::task::{TaskDescription, TaskId, TaskOutput};
 use impress_sim::{SimDuration, SimTime};
+use impress_telemetry::Label;
 use std::fmt;
 
 /// Message-kind discriminants for the control plane's idempotent dedup
@@ -173,10 +174,11 @@ impl std::error::Error for TaskError {}
 pub struct Completion {
     /// The task.
     pub task: TaskId,
-    /// Task name (copied from the description).
-    pub name: String,
-    /// Bookkeeping tag.
-    pub tag: String,
+    /// Task name, as described. A [`Label`]: handing it over never
+    /// allocates, however long it is.
+    pub name: Label,
+    /// Bookkeeping tag, as described.
+    pub tag: Label,
     /// The work closure's output (`Ok(None)` for tasks without work), or
     /// the failure reason.
     pub result: Result<Option<TaskOutput>, TaskError>,
@@ -425,7 +427,7 @@ mod tests {
         let c = Completion {
             task: TaskId(1),
             name: "t".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(Some(Box::new(7u32))),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,
@@ -441,7 +443,7 @@ mod tests {
         let c = Completion {
             task: TaskId(1),
             name: "t".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(Some(Box::new(7u32))),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,
@@ -456,7 +458,7 @@ mod tests {
         let c = Completion {
             task: TaskId(2),
             name: "t".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(Some(Box::new(vec![1u8, 2, 3]))),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,
@@ -524,7 +526,7 @@ mod tests {
         let ok = Completion {
             task: TaskId(1),
             name: "t".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(Some(Box::new(11u32))),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,
@@ -538,7 +540,7 @@ mod tests {
         let failed = Completion {
             task: TaskId(2),
             name: "t".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Err(TaskError::Injected),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,
@@ -556,7 +558,7 @@ mod tests {
         let c = Completion {
             task: TaskId(1),
             name: "t".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(Some(Box::new(7u32))),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,

@@ -506,6 +506,12 @@ impl ShardedBackend {
         self.core.config()
     }
 
+    /// Test support: [`Core::live_descriptors`].
+    #[cfg(test)]
+    pub(crate) fn live_descriptors(&self) -> usize {
+        self.core.live_descriptors()
+    }
+
     /// Advance to the next event instant and process *all* of it: drain
     /// every shard's events at the horizon, sort by global sequence, and
     /// apply — repeating while handlers schedule more work at the same
@@ -823,7 +829,9 @@ mod tests {
     /// shapes, workloads, fault environments, deadlines, shard counts,
     /// cancellations before the drain, cancels and preempts in the middle
     /// of it — the sharded driver replays the sequential one
-    /// *bit-for-bit*: completion streams, virtual clocks, the full metrics
+    /// *bit-for-bit*: completion streams (names and tags included, drawn
+    /// so that some runs of submissions share a descriptor and some names
+    /// are too long to inline), virtual clocks, the full metrics
     /// snapshot, and the byte-exact Chrome trace. The handlers are one
     /// program now, so what this checks is the two transports and the two
     /// heartbeat clocks. The parallel drive mode must match its own
@@ -831,7 +839,7 @@ mod tests {
     /// oracle's own driver with every work closure on an OS thread.
     mod differential {
         use super::*;
-        use impress_telemetry::{chrome_trace, MetricsSnapshot, Telemetry, TraceClock};
+        use impress_telemetry::{chrome_trace, Label, MetricsSnapshot, Telemetry, TraceClock};
 
         struct Campaign {
             config: PilotConfig,
@@ -847,8 +855,19 @@ mod tests {
             second_wave: Vec<Desc>,
         }
 
-        /// (cores, gpus, duration, priority, walltime_secs)
-        type Desc = (u32, u32, SimDuration, i32, Option<u64>);
+        /// (cores, gpus, duration, priority, walltime_secs, name, tag);
+        /// the last two index [`NAMES`] and [`TAGS`].
+        type Desc = (u32, u32, SimDuration, i32, Option<u64>, usize, usize);
+
+        /// Names and tags are drawn from these in random order, so runs of
+        /// alike submissions share a descriptor and runs of unlike ones do
+        /// not. Each pool has one entry past the inline limit.
+        const NAMES: [&str; 3] = ["t", "af2-inference", "mpnn-generate-over-22-bytes"];
+        const TAGS: [&str; 3] = ["", "pl.000001", "pipeline.000002/stage.04"];
+
+        /// One line of a completion stream: task, name, tag, started,
+        /// finished, attempts, hedged, result.
+        type Line = (u64, Label, Label, u64, u64, u32, bool, String);
 
         /// Calls made in the middle of the first drain, once `after`
         /// completions have come back: preempt, then cancel, these tasks
@@ -860,10 +879,13 @@ mod tests {
             cancel: Vec<usize>,
         }
 
-        fn describe(&(cores, gpus, duration, priority, walltime): &Desc) -> TaskDescription {
+        fn describe(
+            &(cores, gpus, duration, priority, walltime, name, tag): &Desc,
+        ) -> TaskDescription {
             let request = ResourceRequest::with_gpus(cores, gpus);
             // Work, so that the threaded arm really spawns.
-            let d = TaskDescription::new("t", request, duration)
+            let d = TaskDescription::new(NAMES[name], request, duration)
+                .with_tag(TAGS[tag])
                 .with_priority(priority)
                 .with_work(move || cores);
             match walltime {
@@ -873,7 +895,7 @@ mod tests {
         }
 
         struct Outcome {
-            completions: Vec<(u64, String, u64, u64, u32, bool, String)>,
+            completions: Vec<Line>,
             end: u64,
             held: usize,
             snapshot: MetricsSnapshot,
@@ -895,7 +917,7 @@ mod tests {
             backend: &mut B,
             c: &Campaign,
             settle: impl Fn(&mut B),
-        ) -> Vec<(u64, String, u64, u64, u32, bool, String)> {
+        ) -> Vec<Line> {
             let ids: Vec<TaskId> = c
                 .descs
                 .iter()
@@ -914,6 +936,7 @@ mod tests {
                     log.push((
                         done.task.0,
                         done.name,
+                        done.tag,
                         done.started.as_micros(),
                         done.finished.as_micros(),
                         done.attempts,
@@ -930,7 +953,16 @@ mod tests {
                                 "<preempt>" => backend.preempt(ids[i]),
                                 _ => backend.cancel(ids[i]),
                             };
-                            log.push((ids[i].0, call.into(), now, now, 0, accepted, String::new()));
+                            log.push((
+                                ids[i].0,
+                                call.into(),
+                                Label::default(),
+                                now,
+                                now,
+                                0,
+                                accepted,
+                                String::new(),
+                            ));
                         }
                     }
                 }
@@ -981,6 +1013,8 @@ mod tests {
                 SimDuration::from_secs(5 + rng.below(900) as u64),
                 rng.below(5) as i32 - 2,
                 if rng.below(5) == 0 { Some(1 + rng.below(400) as u64) } else { None },
+                rng.below(NAMES.len()),
+                rng.below(TAGS.len()),
             )
         }
 

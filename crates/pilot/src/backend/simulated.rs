@@ -212,6 +212,12 @@ impl<X: Exec> Sequential<X> {
         }
     }
 
+    /// Test support: [`Core::live_descriptors`].
+    #[cfg(test)]
+    pub(super) fn live_descriptors(&self) -> usize {
+        self.core.live_descriptors()
+    }
+
     /// (Re)start heartbeat chains under a configured failure detector,
     /// one per node. Chains run only while work is in flight — each node's
     /// chain retires itself at the first tick with an idle coordinator —
@@ -391,6 +397,12 @@ impl SimulatedBackend {
     #[cfg(test)]
     pub(crate) fn finish_instant(&mut self) {
         self.0.finish_instant();
+    }
+
+    /// Test support: [`Sequential::live_descriptors`].
+    #[cfg(test)]
+    pub(crate) fn live_descriptors(&self) -> usize {
+        self.0.live_descriptors()
     }
 
     /// Binned CPU-occupancy series up to the current time (Fig. 4/5 data).
@@ -899,7 +911,7 @@ mod tests {
             finished.push(c.name);
         }
         // In-flight work drained; the overrunning task was held, not run.
-        assert_eq!(finished, vec!["fits-a".to_string(), "fits-b".into()]);
+        assert_eq!(finished, ["fits-a", "fits-b"]);
         assert_eq!(b.held_tasks(), 1);
         assert_eq!(b.in_flight(), 1, "held tasks stay in flight");
         assert!(

@@ -135,6 +135,12 @@ impl ThreadedBackend {
     pub(crate) fn finish_instant(&mut self) {
         self.0.finish_instant();
     }
+
+    /// Test support: [`Sequential::live_descriptors`].
+    #[cfg(test)]
+    pub(crate) fn live_descriptors(&self) -> usize {
+        self.0.live_descriptors()
+    }
 }
 
 drive_sequential!(ThreadedBackend);
@@ -149,6 +155,7 @@ mod tests {
     use crate::resources::{NodeSpec, ResourceRequest};
     use crate::scheduler::PlacementPolicy;
     use impress_sim::SimDuration;
+    use impress_telemetry::Label;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -303,7 +310,7 @@ mod tests {
             assert!(c.result.is_ok());
             done.push(c.name);
         }
-        assert_eq!(done, vec!["short-a".to_string(), "short-b".into()]);
+        assert_eq!(done, ["short-a", "short-b"]);
         assert_eq!(b.held_tasks(), 1);
         assert_eq!(b.in_flight(), 1, "held tasks stay in flight");
         assert_eq!(b.now(), SimTime::from_micros(3_000_000));
@@ -486,7 +493,7 @@ mod tests {
             .threaded()
     }
 
-    fn full_node(name: impl Into<String>) -> TaskDescription {
+    fn full_node(name: impl Into<Label>) -> TaskDescription {
         TaskDescription::new(name, ResourceRequest::cores(4), SimDuration::from_secs(100))
     }
 
@@ -782,7 +789,7 @@ mod tests {
         while let Some(c) = b.next_completion() {
             retried += c.attempts;
             let name = c.name.clone();
-            assert_eq!(c.output::<&str>(), name, "each task gets its own output");
+            assert_eq!(name, c.output::<&str>(), "each task gets its own output");
         }
         assert_eq!(retried, 1, "the node-0 resident was evicted once");
         assert_eq!(runs.load(Ordering::SeqCst), 2, "one run per task, not per attempt");

@@ -70,6 +70,7 @@ pub use fault::{
     AttemptFault, FaultConfig, FaultPlan, HedgePolicy, LinkFaults, LinkFaultsError,
     QuarantinePolicy, RetryPolicy, ScriptedCrash, ScriptedPartition, ScriptedSlowdown, SlowWindow,
 };
+pub use impress_telemetry::Label;
 pub use pilot::{PhaseBreakdown, PilotConfig, PilotPhase};
 pub use profiler::{Profiler, UtilizationReport};
 pub use resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};

@@ -14,6 +14,7 @@
 use crate::resources::ResourceRequest;
 use impress_json::{json_enum, json_struct};
 use impress_sim::SimDuration;
+use impress_telemetry::Label;
 use std::any::Any;
 use std::fmt;
 
@@ -72,11 +73,19 @@ pub type TaskOutput = Box<dyn Any + Send>;
 pub type TaskWork = Box<dyn FnOnce() -> TaskOutput + Send>;
 
 /// Everything needed to schedule and execute one task.
+///
+/// The name and tag are [`Label`]s: up to
+/// [`LABEL_INLINE`](impress_telemetry::LABEL_INLINE) bytes they are held
+/// inline, so describing a task allocates nothing for either, and a longer
+/// one is shared, so copying it into the task's [`Completion`] never
+/// allocates.
+///
+/// [`Completion`]: crate::backend::Completion
 pub struct TaskDescription {
     /// Human-readable name (e.g. `"af2-inference"`).
-    pub name: String,
+    pub name: Label,
     /// Pipeline/stage tag for bookkeeping and reports.
-    pub tag: String,
+    pub tag: Label,
     /// Slots required.
     pub request: ResourceRequest,
     /// Virtual time the task holds its slots.
@@ -116,10 +125,10 @@ impl fmt::Debug for TaskDescription {
 
 impl TaskDescription {
     /// A task with a name, request and virtual duration (no work closure).
-    pub fn new(name: impl Into<String>, request: ResourceRequest, duration: SimDuration) -> Self {
+    pub fn new(name: impl Into<Label>, request: ResourceRequest, duration: SimDuration) -> Self {
         TaskDescription {
             name: name.into(),
-            tag: String::new(),
+            tag: Label::default(),
             request,
             duration,
             gpu_busy_fraction: 1.0,
@@ -131,7 +140,7 @@ impl TaskDescription {
     }
 
     /// Attach a bookkeeping tag (pipeline id, stage number, …).
-    pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
+    pub fn with_tag(mut self, tag: impl Into<Label>) -> Self {
         self.tag = tag.into();
         self
     }
@@ -147,7 +156,15 @@ impl TaskDescription {
     }
 
     /// Set the GPU hardware-busy fraction (clamped to `[0, 1]`).
+    ///
+    /// # Panics
+    /// On NaN, which `clamp` would pass through and the utilization sinks
+    /// would then book as no busy time at all.
     pub fn with_gpu_busy_fraction(mut self, f: f64) -> Self {
+        assert!(
+            !f.is_nan(),
+            "TaskDescription::gpu_busy_fraction must be a number, got NaN"
+        );
         self.gpu_busy_fraction = f.clamp(0.0, 1.0);
         self
     }
@@ -189,6 +206,13 @@ mod tests {
         assert_eq!(d.request.cores, 6);
         assert_eq!(d.gpu_busy_fraction, 1.0, "clamped");
         assert!(d.work.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "gpu_busy_fraction must be a number, got NaN")]
+    fn a_nan_gpu_busy_fraction_is_rejected_by_name() {
+        let _ = TaskDescription::new("af2", ResourceRequest::with_gpus(1, 1), SimDuration::ZERO)
+            .with_gpu_busy_fraction(f64::NAN);
     }
 
     #[test]

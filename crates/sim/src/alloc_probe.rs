@@ -17,6 +17,12 @@
 //! assert_eq!(allocs, 0);
 //! ```
 //!
+//! It also keeps the bytes currently live, for pins on what a structure
+//! holds rather than on what a path acquires: [`live_bytes`] before and
+//! after building it.
+//!
+//! [`live_bytes`]: CountingAlloc::live_bytes
+//!
 //! The probe belongs in its own test *binary* (one `#[test]`): the
 //! counters are process-global, so concurrent tests in the same binary
 //! would bleed allocations into each other's measurements. It lives here
@@ -25,18 +31,20 @@
 
 // The one place in the workspace that needs `unsafe`: implementing
 // `GlobalAlloc` requires it by signature. Every method is a trivial
-// forward to `System` plus a relaxed counter bump.
+// forward to `System` plus relaxed counter updates.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A [`System`]-forwarding allocator that counts every allocation.
+/// A [`System`]-forwarding allocator that counts every allocation and
+/// the bytes live.
 ///
 /// Install as the `#[global_allocator]` of a test binary, then wrap the
 /// code under measurement in [`measure`](Self::measure).
 pub struct CountingAlloc {
     allocs: AtomicU64,
+    live: AtomicU64,
 }
 
 impl CountingAlloc {
@@ -45,6 +53,7 @@ impl CountingAlloc {
     pub const fn new() -> Self {
         CountingAlloc {
             allocs: AtomicU64::new(0),
+            live: AtomicU64::new(0),
         }
     }
 
@@ -53,6 +62,12 @@ impl CountingAlloc {
     /// acquiring memory, not returning it).
     pub fn allocations(&self) -> u64 {
         self.allocs.load(Ordering::Relaxed)
+    }
+
+    /// Heap bytes currently allocated and not yet freed, as requested of
+    /// the allocator (its own rounding and headers are not counted).
+    pub fn live_bytes(&self) -> u64 {
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Run `f`, returning how many heap allocations it performed along
@@ -74,11 +89,13 @@ impl Default for CountingAlloc {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -87,10 +104,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // counts against a zero-alloc pin: a hot path that grows a buffer
         // per record is not zero-alloc.
         self.allocs.fetch_add(1, Ordering::Relaxed);
+        // Wrapping: a shrink adds the two's complement of what it frees.
+        let grown = (new_size as u64).wrapping_sub(layout.size() as u64);
+        self.live.fetch_add(grown, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }

@@ -2,6 +2,7 @@
 //! [`TelemetrySink`](crate::TelemetrySink).
 
 use impress_sim::SimTime;
+use std::sync::Arc;
 
 /// Opaque identifier pairing a span's begin and end records.
 ///
@@ -119,17 +120,20 @@ impl Stamp {
 /// task name fits); 22 bytes plus a length and a tag keep a label at 24.
 pub const LABEL_INLINE: usize = 22;
 
-/// A span or instant name, built without a heap allocation when it fits in
-/// [`LABEL_INLINE`] bytes. Longer names — pipeline and campaign names are
-/// user input — go in a `Box<str>`. Compares and prints as its text,
+/// A name — of a span, an instant, a task or a tag — built without a heap
+/// allocation when it fits in [`LABEL_INLINE`] bytes. Longer names —
+/// pipeline and campaign names are user input — go in a shared `Arc<str>`,
+/// so cloning a label never allocates. Compares and prints as its text,
 /// whichever way it is stored.
 #[derive(Clone)]
 pub struct Label(Repr);
 
+/// A text has exactly one representation: inline, zero-padded, iff it
+/// fits.
 #[derive(Clone)]
 enum Repr {
     Inline { len: u8, bytes: [u8; LABEL_INLINE] },
-    Heap(Box<str>),
+    Heap(Arc<str>),
 }
 
 impl From<&str> for Label {
@@ -143,6 +147,25 @@ impl From<&str> for Label {
             len: text.len() as u8,
             bytes,
         })
+    }
+}
+
+impl From<&String> for Label {
+    fn from(text: &String) -> Label {
+        Label::from(text.as_str())
+    }
+}
+
+impl From<String> for Label {
+    fn from(text: String) -> Label {
+        Label::from(text.as_str())
+    }
+}
+
+impl Default for Label {
+    /// The empty label.
+    fn default() -> Label {
+        Label::from("")
     }
 }
 
@@ -160,7 +183,16 @@ impl std::ops::Deref for Label {
 
 impl PartialEq for Label {
     fn eq(&self, other: &Label) -> bool {
-        **self == **other
+        // The representation is canonical — two labels of one text are
+        // stored the same way, inline bytes past `len` zero — so no text
+        // needs decoding.
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: a, bytes: x }, Repr::Inline { len: b, bytes: y }) => {
+                a == b && x == y
+            }
+            (Repr::Heap(x), Repr::Heap(y)) => Arc::ptr_eq(x, y) || x == y,
+            _ => false,
+        }
     }
 }
 

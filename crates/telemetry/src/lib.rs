@@ -587,6 +587,13 @@ impress_h_count 1
         assert_eq!(long, "a-pipeline-name-longer-than-inline");
         assert_eq!(long.clone(), long);
         assert_ne!(short, long);
+        let owned = String::from("a-pipeline-name-longer-than-inline");
+        assert_eq!(Label::from(&owned), long);
+        assert_eq!(Label::from(owned), long);
+        assert_eq!(Label::from(String::from("queue")), short);
+        assert_eq!(Label::default(), "");
+        assert_ne!(Label::default(), Label::from("\0"));
+        assert_eq!(std::mem::size_of::<Label>(), 24);
         assert_eq!(
             format!("{short}/{long:?}"),
             "queue/\"a-pipeline-name-longer-than-inline\""

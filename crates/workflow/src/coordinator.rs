@@ -19,7 +19,7 @@ use crate::registry::Registry;
 use crate::report::RunReport;
 use crate::stage::{StageBuffer, Step};
 use impress_json::{FromJson, Json, ToJson};
-use impress_pilot::{Completion, ExecutionBackend, Session, TaskDescription};
+use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescription};
 use impress_sim::SimTime;
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
 use std::collections::{HashMap, VecDeque};
@@ -160,9 +160,8 @@ struct PipelineSlot<O> {
     /// Open telemetry spans; taken when the pipeline span closes.
     spans: Option<PipelineSpans>,
     /// The pipeline's task tag, formatted once at registration — each
-    /// submission clones it (the completion owns its tag) instead of
-    /// re-formatting per task.
-    tag: String,
+    /// submission clones it, which copies a `Label` and never allocates.
+    tag: Label,
 }
 
 /// Where a task's completion routes, indexed by dense backend task id.
@@ -297,7 +296,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 pipeline: span,
                 stage: SpanId::NONE,
             }),
-            tag: id.to_string(),
+            tag: id.to_string().into(),
         });
         self.telemetry.count("pipelines_registered", 1);
         self.to_start.push(id);
@@ -1209,7 +1208,7 @@ mod tests {
         c.route(Completion {
             task: TaskId(999),
             name: "ghost".into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(None),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,

@@ -88,7 +88,7 @@ impl TaskMeta {
     /// Capture a description's scheduling metadata.
     pub fn of(desc: &TaskDescription) -> Self {
         TaskMeta {
-            name: desc.name.clone(),
+            name: desc.name.to_string(),
             request: desc.request,
             duration: desc.duration,
             gpu_busy_fraction: desc.gpu_busy_fraction,
@@ -100,7 +100,7 @@ impl TaskMeta {
 
     /// Rebuild a (work-free) description for ghost replay.
     pub fn to_description(&self) -> TaskDescription {
-        let mut d = TaskDescription::new(self.name.clone(), self.request, self.duration)
+        let mut d = TaskDescription::new(&self.name, self.request, self.duration)
             .with_gpu_busy_fraction(self.gpu_busy_fraction)
             .with_priority(self.priority)
             .with_kind(self.kind);

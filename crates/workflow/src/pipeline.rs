@@ -69,7 +69,7 @@ pub type BoxedPipeline<O> = Box<dyn PipelineLogic<O>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impress_pilot::{ResourceRequest, TaskDescription};
+    use impress_pilot::{Label, ResourceRequest, TaskDescription};
     use impress_sim::SimDuration;
 
     /// A trivial two-stage pipeline used to exercise the trait machinery.
@@ -116,7 +116,7 @@ mod tests {
         let fake = |name: &str| Completion {
             task: impress_pilot::TaskId(0),
             name: name.into(),
-            tag: String::new(),
+            tag: Label::default(),
             result: Ok(None),
             started: impress_sim::SimTime::ZERO,
             finished: impress_sim::SimTime::ZERO,

@@ -96,13 +96,14 @@ impl StageBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_pilot::Label;
     use impress_sim::SimTime;
 
     fn completion(id: u64) -> Completion {
         Completion {
             task: TaskId(id),
-            name: format!("t{id}"),
-            tag: String::new(),
+            name: format!("t{id}").into(),
+            tag: Label::default(),
             result: Ok(None),
             started: SimTime::ZERO,
             finished: SimTime::ZERO,

@@ -3,7 +3,7 @@
 //! arbitrary pipeline shapes. Runs on the in-repo `props!` harness.
 
 use impress_pilot::backend::SimulatedBackend;
-use impress_pilot::{Completion, PilotConfig, ResourceRequest, TaskDescription, TaskId};
+use impress_pilot::{Completion, Label, PilotConfig, ResourceRequest, TaskDescription, TaskId};
 use impress_sim::{props, SimDuration, SimTime};
 use impress_workflow::stage::StageBuffer;
 use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Registry, Step};
@@ -11,8 +11,8 @@ use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Registry, Step};
 fn completion(id: u64) -> Completion {
     Completion {
         task: TaskId(id),
-        name: format!("t{id}"),
-        tag: String::new(),
+        name: format!("t{id}").into(),
+        tag: Label::default(),
         result: Ok(None),
         started: SimTime::ZERO,
         finished: SimTime::ZERO,
