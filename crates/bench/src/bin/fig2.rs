@@ -93,7 +93,6 @@ fn main() {
             impress_json::Json::array(MetricKind::ALL.map(|m| exp.imrp.series(m))),
         )
         .build();
-    std::fs::write("fig2.json", impress_json::to_string_pretty(&json))
-        .expect("write json sidecar");
+    std::fs::write("fig2.json", impress_json::to_string_pretty(&json)).expect("write json sidecar");
     eprintln!("\nwrote fig2.json");
 }

@@ -93,7 +93,6 @@ fn main() {
             impress_json::Json::array(MetricKind::ALL.map(|m| result.series(m))),
         )
         .build();
-    std::fs::write("fig3.json", impress_json::to_string_pretty(&json))
-        .expect("write json sidecar");
+    std::fs::write("fig3.json", impress_json::to_string_pretty(&json)).expect("write json sidecar");
     eprintln!("\nwrote fig3.json");
 }

@@ -42,7 +42,6 @@ fn main() {
         .field("avg_gpu_hw", r.run.gpu_hardware_utilization)
         .field("makespan_hours", r.run.makespan.as_hours_f64())
         .build();
-    std::fs::write("fig4.json", impress_json::to_string_pretty(&json))
-        .expect("write json sidecar");
+    std::fs::write("fig4.json", impress_json::to_string_pretty(&json)).expect("write json sidecar");
     eprintln!("\nwrote fig4.json");
 }

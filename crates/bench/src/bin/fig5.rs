@@ -97,7 +97,6 @@ task Gantt (first 24 tasks; ▒ queued, █ running):"
         .field("makespan_hours", r.run.makespan.as_hours_f64())
         .field("phases", p)
         .build();
-    std::fs::write("fig5.json", impress_json::to_string_pretty(&json))
-        .expect("write json sidecar");
+    std::fs::write("fig5.json", impress_json::to_string_pretty(&json)).expect("write json sidecar");
     eprintln!("\nwrote fig5.json");
 }

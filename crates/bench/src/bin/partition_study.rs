@@ -27,13 +27,26 @@ fn main() {
     );
     println!(
         "{:>9} {:>9} {:>8} {:>12} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "loss", "partition", "detector", "makespan(s)", "suspect", "lease", "fenced", "resync",
-        "dedup", "retx"
+        "loss",
+        "partition",
+        "detector",
+        "makespan(s)",
+        "suspect",
+        "lease",
+        "fenced",
+        "resync",
+        "dedup",
+        "retx"
     );
 
     let doc = run_study(&p, seed);
     for row in doc.get("grid").and_then(|r| r.as_array()).expect("grid") {
-        let s = |k: &str| row.get(k).and_then(|v| v.as_str()).unwrap_or("?").to_string();
+        let s = |k: &str| {
+            row.get(k)
+                .and_then(|v| v.as_str())
+                .unwrap_or("?")
+                .to_string()
+        };
         let f = |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
         println!(
             "{:>9} {:>9} {:>8} {:>12.1} {:>8.0} {:>7.0} {:>7.0} {:>7.0} {:>7.0} {:>7.0}",

@@ -53,7 +53,15 @@ fn main() {
     );
     println!(
         "{:>6} {:>9} {:>8} {:>7} {:>9} {:>7} {:>8} {:>10} {:>9}",
-        "kill", "snapshot", "records", "lines", "bytes", "ghosts", "re-exec", "replay(ms)", "overhead"
+        "kill",
+        "snapshot",
+        "records",
+        "lines",
+        "bytes",
+        "ghosts",
+        "re-exec",
+        "replay(ms)",
+        "overhead"
     );
 
     // The kill switch panics inside the coordinator; silence the default

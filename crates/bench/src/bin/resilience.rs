@@ -86,7 +86,15 @@ fn main() {
     );
     println!(
         "{:>8} {:>7} {:>8} {:>12} {:>7} {:>8} {:>10} {:>8} {:>6}",
-        "mtbf", "budget", "arm", "makespan(h)", "CPU %", "retries", "wasted(ch)", "aborted", "evals"
+        "mtbf",
+        "budget",
+        "arm",
+        "makespan(h)",
+        "CPU %",
+        "retries",
+        "wasted(ch)",
+        "aborted",
+        "evals"
     );
 
     let mut rows = Vec::new();

@@ -35,7 +35,12 @@ fn main() {
 
     let doc = run_study(&p, seed);
     for row in doc.get("rows").and_then(|r| r.as_array()).expect("rows") {
-        let s = |k: &str| row.get(k).and_then(|v| v.as_str()).unwrap_or("?").to_string();
+        let s = |k: &str| {
+            row.get(k)
+                .and_then(|v| v.as_str())
+                .unwrap_or("?")
+                .to_string()
+        };
         let f = |k: &str| row.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
         println!(
             "{:>8} {:>5} {:>5} {:>12.0} {:>5.1}% {:>7.0} {:>11.0} {:>8.0} {:>10.0} {:>9.0} {:>5.0}",

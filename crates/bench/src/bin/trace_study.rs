@@ -43,7 +43,9 @@ fn main() {
             c.get("chrome_trace_bytes")
                 .and_then(|v| v.as_f64())
                 .unwrap_or(0.0),
-            c.get("makespan_hours").and_then(|v| v.as_f64()).unwrap_or(0.0)
+            c.get("makespan_hours")
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0)
         );
     }
 }

@@ -261,7 +261,10 @@ mod tests {
     fn parse_seed_defaults_when_unset_and_refuses_what_is_not_a_seed() {
         assert_eq!(parse_var("IMPRESS_SEED", None, 2025u64), Ok(2025));
         assert_eq!(parse_var("IMPRESS_SEED", Some("7"), 2025u64), Ok(7));
-        assert_eq!(parse_var("IMPRESS_BENCH_MAX_SECS", Some("0.15"), 2.0f64), Ok(0.15));
+        assert_eq!(
+            parse_var("IMPRESS_BENCH_MAX_SECS", Some("0.15"), 2.0f64),
+            Ok(0.15)
+        );
         assert!(parse_var("IMPRESS_BENCH_MAX_SECS", Some("10k"), 2.0f64).is_err());
         for bad in ["2O25", "", "-1", " 7", "1e3", "10k", "0xCAFE"] {
             let message = parse_var("IMPRESS_SEED", Some(bad), 2025u64).unwrap_err();

@@ -47,8 +47,11 @@ const DURATIONS: [(&str, u64); 4] = [("none", 0), ("20s", 20), ("60s", 60), ("12
 
 /// Failure-detector axis: `(heartbeat interval, suspicion timeout)` in
 /// seconds, or off.
-const TIMEOUTS: [(&str, Option<(f64, f64)>); 3] =
-    [("off", None), ("t2", Some((0.5, 2.0))), ("t6", Some((1.5, 6.0)))];
+const TIMEOUTS: [(&str, Option<(f64, f64)>); 3] = [
+    ("off", None),
+    ("t2", Some((0.5, 2.0))),
+    ("t6", Some((1.5, 6.0))),
+];
 
 /// Knobs of one study run; [`StudyParams::paper`] is the checked-in
 /// artifact, [`StudyParams::smoke`] a milliseconds-scale tier-1 variant.
@@ -287,8 +290,8 @@ fn run_delivery(p: &StudyParams, loss: (&'static str, f64), seed: u64) -> Delive
         .faults(FaultPlan::new(fc, seed ^ 0x9A27), p.retry())
         .simulated();
     let store = MemoryJournal::new();
-    let journal = Journal::new(Box::new(store.clone()), "partition-study", seed)
-        .expect("fresh journal");
+    let journal =
+        Journal::new(Box::new(store.clone()), "partition-study", seed).expect("fresh journal");
     let counts = Rc::new(RefCell::new(EffectCounts::default()));
     let mut c = Coordinator::new(
         backend,
@@ -365,8 +368,7 @@ pub fn run_study(p: &StudyParams, seed: u64) -> Json {
             }
         }
     }
-    let delivery: Vec<DeliveryResult> =
-        LOSSES.iter().map(|&l| run_delivery(p, l, seed)).collect();
+    let delivery: Vec<DeliveryResult> = LOSSES.iter().map(|&l| run_delivery(p, l, seed)).collect();
 
     // Claim 1 — exactly-once effects at every swept loss rate: no task
     // settles twice anywhere in the grid, and the journaled coordinator
@@ -390,7 +392,11 @@ pub fn run_study(p: &StudyParams, seed: u64) -> Json {
     let undetected = cell(&grid, "lossless", "60s", "off").makespan_secs;
     let detected = cell(&grid, "lossless", "60s", "t2").makespan_secs;
     let lost = undetected - clean;
-    let recovered = if lost > 0.0 { (undetected - detected) / lost } else { 0.0 };
+    let recovered = if lost > 0.0 {
+        (undetected - detected) / lost
+    } else {
+        0.0
+    };
 
     let acceptance = Json::object()
         .field("grid_duplicate_completions", grid_duplicates as u64)
@@ -433,7 +439,10 @@ pub fn run_study(p: &StudyParams, seed: u64) -> Json {
                 .field("drop_rate", d.drop_rate)
                 .field("pipelines_completed", d.pipelines_completed)
                 .field("duplicate_decision_effects", d.duplicate_decision_effects)
-                .field("duplicate_journal_effects", d.duplicate_journal_effects as u64)
+                .field(
+                    "duplicate_journal_effects",
+                    d.duplicate_journal_effects as u64,
+                )
                 .field("journal_tail_dropped", d.journal_tail_dropped as u64)
                 .field("coordinator_dedup_hits", d.coordinator_dedup_hits)
                 .field("backend_dedup_hits", d.backend_dedup_hits)

@@ -257,7 +257,11 @@ pub fn run_study(p: &StudyParams, seed: u64) -> Json {
     let tail = cell(&rows, "10x", "off", "on").makespan_secs;
     let hedged = cell(&rows, "10x", "k2", "on").makespan_secs;
     let lost = tail - healthy;
-    let recovered = if lost > 0.0 { (tail - hedged) / lost } else { 0.0 };
+    let recovered = if lost > 0.0 {
+        (tail - hedged) / lost
+    } else {
+        0.0
+    };
 
     // Poison-waste claim: with quarantine on, every cell's retry waste —
     // design tasks never fail, so it is all poison waste — stays under

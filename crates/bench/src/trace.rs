@@ -158,7 +158,8 @@ pub fn parity_trace_on(which: ParityBackend, seed: u64, tasks: usize) -> String 
 /// Count `Begin` events per span category, as sorted `(label, count)`
 /// JSON rows.
 fn span_counts(events: &[TelemetryEvent]) -> Json {
-    let mut counts: std::collections::BTreeMap<&'static str, u64> = std::collections::BTreeMap::new();
+    let mut counts: std::collections::BTreeMap<&'static str, u64> =
+        std::collections::BTreeMap::new();
     for ev in events {
         if let TelemetryEvent::Begin { cat, .. } = ev {
             *counts.entry(cat.as_str()).or_insert(0) += 1;

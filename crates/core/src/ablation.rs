@@ -9,8 +9,8 @@
 use crate::adaptive::AdaptivePolicy;
 use crate::config::ProtocolConfig;
 use crate::experiment::{run_imrp, ExperimentResult};
-use impress_proteins::datasets::DesignTarget;
 use impress_json::json_struct;
+use impress_proteins::datasets::DesignTarget;
 use impress_sim::Summary;
 use std::fmt;
 

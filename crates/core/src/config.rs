@@ -1,8 +1,8 @@
 //! Protocol and cost-model configuration.
 
+use impress_json::json_struct;
 use impress_proteins::msa::MsaMode;
 use impress_proteins::{AlphaFoldConfig, MpnnConfig};
-use impress_json::json_struct;
 use impress_sim::SimDuration;
 
 /// Resource shapes and durations of the pipeline's tasks on the simulated

@@ -148,8 +148,10 @@ fn run_lineage<B: ExecutionBackend>(
             ),
         ));
         // Stages 5+6: metrics gathered; no comparison, no pruning.
-        let prediction: Prediction =
-            try_stage!(run_blocking(session, stage5_6_assess(prediction, &config.cost)));
+        let prediction: Prediction = try_stage!(run_blocking(
+            session,
+            stage5_6_assess(prediction, &config.cost)
+        ));
         let truth = tk
             .landscape
             .fitness(&prediction.structure.complex.receptor.sequence);

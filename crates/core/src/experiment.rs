@@ -8,11 +8,11 @@ use crate::protocol::{DesignOutcome, DesignPipeline};
 use crate::quality::{IterationSeries, NetDeltas};
 use crate::spec::CampaignSpec;
 use crate::toolkit::TargetToolkit;
+use impress_json::json_struct;
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{FaultConfig, FaultPlan, PilotConfig, RetryPolicy, RuntimeConfig, Session};
 use impress_proteins::datasets::DesignTarget;
 use impress_proteins::MetricKind;
-use impress_json::json_struct;
 use impress_sim::SimDuration;
 use impress_workflow::journal::{Journal, JournalError, JournalStore};
 use impress_workflow::{Coordinator, RunReport};

@@ -13,11 +13,11 @@ use crate::stages::{
     stage1_mpnn, stage2_3_select, stage4_inference, stage4_msa, stage5_6_assess, SelectOutput,
 };
 use crate::toolkit::TargetToolkit;
+use impress_json::json_struct;
 use impress_pilot::Completion;
 use impress_proteins::msa::Msa;
 use impress_proteins::{ConfidenceReport, Prediction, ScoredSequence, Sequence, Structure};
 use impress_sim::SimRng;
-use impress_json::json_struct;
 use impress_workflow::{PipelineLogic, Step};
 use std::sync::Arc;
 

@@ -2,8 +2,8 @@
 //! net-Δ statistics (Table I).
 
 use crate::protocol::DesignOutcome;
-use impress_proteins::MetricKind;
 use impress_json::json_struct;
+use impress_proteins::MetricKind;
 use impress_sim::Summary;
 use std::collections::BTreeMap;
 

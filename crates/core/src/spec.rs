@@ -15,9 +15,9 @@ use crate::adaptive::{AdaptivePolicy, ImpressDecision};
 use crate::config::ProtocolConfig;
 use crate::experiment::{add_imrp_roots, finish_imrp, toolkits, ExperimentResult};
 use impress_pilot::{FaultConfig, FaultPlan, PilotConfig, RetryPolicy, RuntimeConfig};
+use impress_proteins::datasets::DesignTarget;
 use impress_sim::SimTime;
 use impress_telemetry::Telemetry;
-use impress_proteins::datasets::DesignTarget;
 use impress_workflow::journal::{Journal, JournalError, ReplayPlan};
 use impress_workflow::Coordinator;
 

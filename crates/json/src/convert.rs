@@ -175,9 +175,8 @@ impl ToJson for isize {
 
 impl FromJson for isize {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        i64::from_json(v).and_then(|i| {
-            isize::try_from(i).map_err(|_| JsonError::msg("isize out of range"))
-        })
+        i64::from_json(v)
+            .and_then(|i| isize::try_from(i).map_err(|_| JsonError::msg("isize out of range")))
     }
 }
 

@@ -592,7 +592,10 @@ mod tests {
         let mut members = p.begin_object().unwrap();
         assert!(members.next(&mut p).unwrap());
         assert!(matches!(p.key().unwrap(), Cow::Borrowed("plain")));
-        assert!(matches!(p.str_token().unwrap(), Cow::Borrowed("h\u{e9}llo")));
+        assert!(matches!(
+            p.str_token().unwrap(),
+            Cow::Borrowed("h\u{e9}llo")
+        ));
         assert!(members.next(&mut p).unwrap());
         assert!(matches!(p.key().unwrap(), Cow::Owned(key) if key == "esc\n"));
         // The offsets either side of a decode are the value's stored bytes
@@ -650,8 +653,8 @@ mod tests {
     #[test]
     fn unpaired_high_surrogate_is_a_typed_error() {
         for doc in [
-            "\"\\uD800\"",      // at end of string
-            "\"\\uDBFF x\"",    // followed by ordinary text
+            "\"\\uD800\"",    // at end of string
+            "\"\\uDBFF x\"",  // followed by ordinary text
             "\"\\uD800\\n\"", // followed by a non-\u escape
             "\"\\uD834\\t\"",
         ] {
@@ -675,11 +678,11 @@ mod tests {
     #[test]
     fn truncated_unicode_escapes_are_rejected() {
         for doc in [
-            "\"\\u\"",           // no digits
-            "\"\\u00\"",         // two digits
-            "\"\\uD8\"",         // truncated high surrogate
+            "\"\\u\"",          // no digits
+            "\"\\u00\"",        // two digits
+            "\"\\uD8\"",        // truncated high surrogate
             "\"\\uD800\\uDC\"", // truncated low half of a pair
-            "\"\\uD800\\u\"",  // pair promised, no digits delivered
+            "\"\\uD800\\u\"",   // pair promised, no digits delivered
         ] {
             expect_error(doc, "expected 4 hex digits");
         }

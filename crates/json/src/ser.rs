@@ -92,4 +92,3 @@ fn close_line(out: &mut String, indent: Option<usize>) {
         }
     }
 }
-

@@ -44,9 +44,7 @@ impl Number {
         match self {
             Number::U64(u) => i64::try_from(u).ok(),
             Number::I64(i) => Some(i),
-            Number::F64(f)
-                if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 =>
-            {
+            Number::F64(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
                 Some(f as i64)
             }
             Number::F64(_) => None,

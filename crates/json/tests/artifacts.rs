@@ -50,7 +50,10 @@ fn artifacts_expose_expected_top_level_keys() {
     let checks: &[(&str, &[&str])] = &[
         ("fig2.json", &["seed", "cont_v", "imrp"]),
         ("fig3.json", &["seed", "series"]),
-        ("table1.json", &["seed", "cont_v", "imrp", "improvement_pct"]),
+        (
+            "table1.json",
+            &["seed", "cont_v", "imrp", "improvement_pct"],
+        ),
         ("scaling.json", &["seed", "rows"]),
         ("resilience.json", &["seed", "task_failure_rate", "rows"]),
     ];

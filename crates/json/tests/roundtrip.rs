@@ -28,7 +28,11 @@ impl XorShift {
 
 /// Build a random JSON tree of bounded depth.
 fn arb_json(rng: &mut XorShift, depth: usize) -> Json {
-    match if depth == 0 { rng.below(4) } else { rng.below(6) } {
+    match if depth == 0 {
+        rng.below(4)
+    } else {
+        rng.below(6)
+    } {
         0 => Json::Null,
         1 => Json::Bool(rng.below(2) == 0),
         2 => match rng.below(3) {
@@ -118,14 +122,14 @@ fn floats_round_trip_bit_exactly() {
     let mut cases = vec![
         f64::MIN,
         f64::MAX,
-        f64::MIN_POSITIVE,          // smallest normal
-        f64::MIN_POSITIVE / 1e10,   // subnormal
-        5e-324,                     // smallest subnormal
+        f64::MIN_POSITIVE,        // smallest normal
+        f64::MIN_POSITIVE / 1e10, // subnormal
+        5e-324,                   // smallest subnormal
         -0.0,
-        0.1 + 0.2,                  // classic non-representable sum
+        0.1 + 0.2, // classic non-representable sum
         1.0 / 3.0,
         std::f64::consts::PI,
-        2f64.powi(53) - 1.0,        // largest exact integer
+        2f64.powi(53) - 1.0, // largest exact integer
         2f64.powi(53) + 2.0,
         6.02214076e23,
         1.616255e-35,
@@ -141,7 +145,11 @@ fn floats_round_trip_bit_exactly() {
         let text = to_string(&f);
         let back: f64 = from_str(&text).expect(&text);
         assert_eq!(back.to_bits(), f.to_bits(), "{f:?} via {text:?}");
-        assert_eq!(to_string(&back), text, "serialization must be a fixed point");
+        assert_eq!(
+            to_string(&back),
+            text,
+            "serialization must be a fixed point"
+        );
     }
 }
 
@@ -152,10 +160,7 @@ fn string_escapes_round_trip() {
     let back: String = from_str(&text).expect("reparse");
     assert_eq!(back, tricky);
     // Escaped surrogate pairs decode.
-    assert_eq!(
-        parse(r#""𝄞""#).unwrap().as_str(),
-        Some("\u{1D11E}")
-    );
+    assert_eq!(parse(r#""𝄞""#).unwrap().as_str(), Some("\u{1D11E}"));
 }
 
 const MALFORMED: [&str; 11] = [
@@ -349,10 +354,22 @@ json_struct!(Script {
 
 #[derive(Debug, Clone, PartialEq)]
 enum Record {
-    Begin { version: u32, label: String },
-    Submitted { pipeline: u64, tasks: Vec<Inner> },
-    Poisoned { pipeline: u64, task: u64, nodes: u32 },
-    Snapshot { scripts: Vec<Script> },
+    Begin {
+        version: u32,
+        label: String,
+    },
+    Submitted {
+        pipeline: u64,
+        tasks: Vec<Inner>,
+    },
+    Poisoned {
+        pipeline: u64,
+        task: u64,
+        nodes: u32,
+    },
+    Snapshot {
+        scripts: Vec<Script>,
+    },
     Shape(Shape),
     Span(i64, f32),
     Idle,
@@ -436,7 +453,10 @@ fn arb_record(rng: &mut XorShift) -> Record {
             scripts: (0..rng.below(4)).map(|_| arb_script(rng)).collect(),
         },
         4 => Record::Shape(arb_shape(rng)),
-        5 => Record::Span(-(rng.below(1 << 40) as i64), rng.below(1 << 20) as f32 / 4.0),
+        5 => Record::Span(
+            -(rng.below(1 << 40) as i64),
+            rng.below(1 << 20) as f32 / 4.0,
+        ),
         _ => Record::Idle,
     }
 }
@@ -465,7 +485,10 @@ fn mutate(rng: &mut XorShift, v: &mut Json) {
         Json::Object(fields) => {
             match rng.below(6) {
                 0 if fields.len() > 1 => {
-                    let (i, j) = (rng.below(fields.len() as u64), rng.below(fields.len() as u64));
+                    let (i, j) = (
+                        rng.below(fields.len() as u64),
+                        rng.below(fields.len() as u64),
+                    );
                     fields.swap(i as usize, j as usize);
                 }
                 1 if !fields.is_empty() => {
@@ -508,10 +531,18 @@ fn pull_route_and_tree_route_agree() {
         let record = arb_record(&mut rng);
         let script = arb_script(&mut rng);
         for text in [to_string(&record), to_string_pretty(&record)] {
-            assert_eq!(assert_routes_agree::<Record>(&text), Some(record.clone()), "case {case}");
+            assert_eq!(
+                assert_routes_agree::<Record>(&text),
+                Some(record.clone()),
+                "case {case}"
+            );
         }
         for text in [to_string(&script), to_string_pretty(&script)] {
-            assert_eq!(assert_routes_agree::<Script>(&text), Some(script.clone()), "case {case}");
+            assert_eq!(
+                assert_routes_agree::<Script>(&text),
+                Some(script.clone()),
+                "case {case}"
+            );
         }
         // Anything else either decodes to one value or is refused by both.
         let mut tree = record.to_json();
@@ -524,7 +555,10 @@ fn pull_route_and_tree_route_agree() {
         assert_routes_agree::<Script>(&to_string_pretty(&tree));
         // Arbitrary documents against every std impl.
         let text = to_string(&arb_json(&mut rng, 3));
-        assert_eq!(assert_routes_agree::<Json>(&text), Some(parse(&text).unwrap()));
+        assert_eq!(
+            assert_routes_agree::<Json>(&text),
+            Some(parse(&text).unwrap())
+        );
         assert_routes_agree::<Record>(&text);
         assert_routes_agree::<Lenient>(&text);
         assert_routes_agree::<Vec<Option<f64>>>(&text);
@@ -548,7 +582,11 @@ fn both_routes_refuse_the_malformed_corpus() {
         assert_eq!(assert_routes_agree::<String>(bad), None, "{bad:?}");
         // Under a key no field claims, where the pull route only skips.
         let skipped = format!("{{\"unclaimed\":{bad}}}");
-        assert_eq!(assert_routes_agree::<Lenient>(&skipped), None, "{skipped:?}");
+        assert_eq!(
+            assert_routes_agree::<Lenient>(&skipped),
+            None,
+            "{skipped:?}"
+        );
         let after = format!("{{\"a\":1,\"a\":{bad}}}");
         assert_eq!(assert_routes_agree::<Lenient>(&after), None, "{after:?}");
     }
@@ -577,12 +615,19 @@ fn struct_decode_takes_keys_in_any_order_and_ignores_the_rest() {
         // An escape inside a key still names the field.
         r#"{"\u0069d":7,"in\u006eer":{"label":"pdz","weight":0.25},"tags":["a"],"maybe":3}"#,
     ] {
-        assert_eq!(assert_routes_agree::<Outer>(text), Some(want.clone()), "{text}");
+        assert_eq!(
+            assert_routes_agree::<Outer>(text),
+            Some(want.clone()),
+            "{text}"
+        );
     }
     // A missing `Option` field reads as `None`; a missing required field
     // is refused, and the error names it.
     let trimmed = r#"{"tags":["a"],"inner":{"label":"pdz","weight":0.25},"id":7}"#;
-    let without = Outer { maybe: None, ..want };
+    let without = Outer {
+        maybe: None,
+        ..want
+    };
     assert_eq!(assert_routes_agree::<Outer>(trimmed), Some(without));
     assert_eq!(assert_routes_agree::<Outer>(r#"{"id":7,"tags":[]}"#), None);
     let err = read_json::<Outer>(r#"{"id":7,"tags":[]}"#).unwrap_err();
@@ -595,7 +640,10 @@ fn struct_decode_takes_keys_in_any_order_and_ignores_the_rest() {
 fn enum_decode_dispatches_on_the_first_key_that_names_a_variant() {
     for (text, want) in [
         (r#"{"Newtype":3}"#, Some(Shape::Newtype(3))),
-        (r#"{"later":[1],"Newtype":3,"more":{}}"#, Some(Shape::Newtype(3))),
+        (
+            r#"{"later":[1],"Newtype":3,"more":{}}"#,
+            Some(Shape::Newtype(3)),
+        ),
         // Text order decides, not declaration order; the rest is ignored.
         (r#"{"Pair":[1,2],"Newtype":"x"}"#, Some(Shape::Pair(1, 2))),
         (r#"{"Newtype":3,"Newtype":4}"#, Some(Shape::Newtype(3))),
@@ -603,7 +651,10 @@ fn enum_decode_dispatches_on_the_first_key_that_names_a_variant() {
         (r#"{"Pair":[1,2,"extra"]}"#, Some(Shape::Pair(1, 2))),
         (r#"{"Pair":[1]}"#, None),
         (r#"{"Pair":{"a":1,"b":2}}"#, None),
-        (r#"{"Fields":{"y":2.0,"skip":[],"x":1.0}}"#, Some(Shape::Fields { x: 1.0, y: 2.0 })),
+        (
+            r#"{"Fields":{"y":2.0,"skip":[],"x":1.0}}"#,
+            Some(Shape::Fields { x: 1.0, y: 2.0 }),
+        ),
         // A unit variant is a string and only a string.
         (r#""Unit""#, Some(Shape::Unit)),
         (r#""\u0055nit""#, Some(Shape::Unit)),
@@ -627,14 +678,21 @@ fn escapes_and_surrogate_pairs_decode_in_keys_and_values() {
     .into_iter()
     .map(|(k, v)| (k.to_string(), v.to_string()))
     .collect();
-    assert_eq!(assert_routes_agree::<BTreeMap<String, String>>(text), Some(want));
+    assert_eq!(
+        assert_routes_agree::<BTreeMap<String, String>>(text),
+        Some(want)
+    );
     // A broken pair is refused wherever it sits, claimed or skipped.
     for bad in [
         r#"{"\ud834":1}"#,
         r#"{"k":"\udd1e"}"#,
         r#"{"a":1,"\ud834x":2}"#,
     ] {
-        assert_eq!(assert_routes_agree::<BTreeMap<String, Json>>(bad), None, "{bad}");
+        assert_eq!(
+            assert_routes_agree::<BTreeMap<String, Json>>(bad),
+            None,
+            "{bad}"
+        );
         assert_eq!(assert_routes_agree::<Lenient>(bad), None, "{bad}");
     }
 }
@@ -650,11 +708,20 @@ fn the_depth_cap_holds_on_the_pull_route() {
         let as_tree = assert_routes_agree::<Json>(&doc).is_some();
         let skipped = format!("{{\"unclaimed\":{doc}}}");
         let held = format!("{{\"Completed\":{doc}}}");
-        assert_eq!(assert_routes_agree::<Lenient>(&skipped).is_some(), parse(&skipped).is_ok());
-        assert_eq!(assert_routes_agree::<Terminal>(&held).is_some(), parse(&held).is_ok());
+        assert_eq!(
+            assert_routes_agree::<Lenient>(&skipped).is_some(),
+            parse(&skipped).is_ok()
+        );
+        assert_eq!(
+            assert_routes_agree::<Terminal>(&held).is_some(),
+            parse(&held).is_ok()
+        );
         refused += usize::from(!as_tree);
     }
-    assert!((1..20).contains(&refused), "the cap sits inside the range probed");
+    assert!(
+        (1..20).contains(&refused),
+        "the cap sits inside the range probed"
+    );
     let err = read_json::<Lenient>(&format!("{{\"unclaimed\":{}}}", nest(500))).unwrap_err();
     assert!(err.to_string().contains("nesting too deep"), "{err}");
 }

@@ -159,10 +159,16 @@ impl fmt::Display for TaskError {
                 write!(f, "attempt's lease on suspected node {node} expired")
             }
             TaskError::Poisoned { distinct_nodes } => {
-                write!(f, "task quarantined as poisoned after failing on {distinct_nodes} distinct nodes")
+                write!(
+                    f,
+                    "task quarantined as poisoned after failing on {distinct_nodes} distinct nodes"
+                )
             }
             TaskError::ShapeCircuitOpen { cores, gpus } => {
-                write!(f, "shape class {cores}c/{gpus}g shed by an open quarantine circuit breaker")
+                write!(
+                    f,
+                    "shape class {cores}c/{gpus}g shed by an open quarantine circuit breaker"
+                )
             }
         }
     }

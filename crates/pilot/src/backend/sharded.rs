@@ -272,7 +272,10 @@ impl WorkerPool {
                             cancels,
                             drain,
                         } => {
-                            if rtx.send(sync_queue(&mut q, pushes, cancels, drain)).is_err() {
+                            if rtx
+                                .send(sync_queue(&mut q, pushes, cancels, drain))
+                                .is_err()
+                            {
                                 break;
                             }
                         }
@@ -1012,7 +1015,11 @@ mod tests {
                 rng.below(gpus as usize + 1) as u32,
                 SimDuration::from_secs(5 + rng.below(900) as u64),
                 rng.below(5) as i32 - 2,
-                if rng.below(5) == 0 { Some(1 + rng.below(400) as u64) } else { None },
+                if rng.below(5) == 0 {
+                    Some(1 + rng.below(400) as u64)
+                } else {
+                    None
+                },
                 rng.below(NAMES.len()),
                 rng.below(TAGS.len()),
             )

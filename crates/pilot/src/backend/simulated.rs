@@ -501,7 +501,11 @@ mod tests {
         b.submit(task("b", 1, 0, 50));
         let first = b.next_completion().expect("first of two at 160 s");
         assert_eq!(first.finished, SimTime::from_micros(160_000_000));
-        assert_eq!(b.in_flight(), 1, "the twin's event has not been applied yet");
+        assert_eq!(
+            b.in_flight(),
+            1,
+            "the twin's event has not been applied yet"
+        );
         let second = b.next_completion().expect("second");
         assert_eq!((second.finished, b.now()), (first.finished, first.finished));
     }
@@ -705,14 +709,19 @@ mod tests {
             },
             1,
         );
-        let mut b = RuntimeConfig::new(config(2, 0)).faults(plan, RetryPolicy::none()).simulated();
+        let mut b = RuntimeConfig::new(config(2, 0))
+            .faults(plan, RetryPolicy::none())
+            .simulated();
         b.submit(task("doomed", 1, 0, 50).with_work(|| 1u32));
         let c = b.next_completion().unwrap();
         assert_eq!(c.result.unwrap_err(), TaskError::Injected);
         assert_eq!(c.attempts, 0);
         let r = b.utilization();
         assert_eq!(r.retries, 0);
-        assert!(r.wasted_core_seconds > 0.0, "the doomed attempt held a core");
+        assert!(
+            r.wasted_core_seconds > 0.0,
+            "the doomed attempt held a core"
+        );
         assert_eq!(r.tasks, 0, "no useful execution happened");
     }
 
@@ -725,7 +734,9 @@ mod tests {
             },
             1,
         );
-        let mut b = RuntimeConfig::new(config(2, 0)).faults(plan, no_backoff(3)).simulated();
+        let mut b = RuntimeConfig::new(config(2, 0))
+            .faults(plan, no_backoff(3))
+            .simulated();
         b.submit(task("doomed", 1, 0, 50));
         let c = b.next_completion().unwrap();
         assert_eq!(c.attempts, 3, "budget fully spent");
@@ -743,7 +754,9 @@ mod tests {
             },
             11,
         );
-        let mut b = RuntimeConfig::new(config(4, 0)).faults(plan, no_backoff(8)).simulated();
+        let mut b = RuntimeConfig::new(config(4, 0))
+            .faults(plan, no_backoff(8))
+            .simulated();
         for i in 0..12 {
             b.submit(task(&format!("t{i}"), 1, 0, 30).with_work(move || i as u32));
         }
@@ -795,7 +808,9 @@ mod tests {
             2,
         );
         // Base run (10 + 100 s) fits the 200 s walltime; the ×8 hang does not.
-        let mut b = RuntimeConfig::new(config(2, 0)).faults(plan, RetryPolicy::none()).simulated();
+        let mut b = RuntimeConfig::new(config(2, 0))
+            .faults(plan, RetryPolicy::none())
+            .simulated();
         b.submit(task("hung", 1, 0, 100).with_walltime(SimDuration::from_secs(200)));
         let c = b.next_completion().unwrap();
         assert!(matches!(c.result, Err(TaskError::TimedOut { .. })));
@@ -829,14 +844,21 @@ mod tests {
             completions.push(c);
         }
         assert_eq!(completions.len(), 4);
-        assert!(completions.iter().all(|c| c.result.is_ok()), "no lineage lost");
+        assert!(
+            completions.iter().all(|c| c.result.is_ok()),
+            "no lineage lost"
+        );
         let evicted: Vec<_> = completions.iter().filter(|c| c.attempts > 0).collect();
         assert_eq!(evicted.len(), 1, "exactly the node-0 resident was evicted");
         let r = b.utilization();
         assert_eq!(r.retries, 1);
         // The victim started at t=100 (bootstrap) and was evicted at t=500,
         // holding 4 cores: 1600 wasted core-seconds.
-        assert!((r.wasted_core_seconds - 1600.0).abs() < 1e-6, "{}", r.wasted_core_seconds);
+        assert!(
+            (r.wasted_core_seconds - 1600.0).abs() < 1e-6,
+            "{}",
+            r.wasted_core_seconds
+        );
         assert_eq!(b.in_flight(), 0);
     }
 
@@ -853,7 +875,9 @@ mod tests {
             },
             0,
         );
-        let mut b = RuntimeConfig::new(config(4, 0)).faults(plan, RetryPolicy::none()).simulated();
+        let mut b = RuntimeConfig::new(config(4, 0))
+            .faults(plan, RetryPolicy::none())
+            .simulated();
         b.submit(task("victim", 4, 0, 1000));
         let c = b.next_completion().unwrap();
         assert_eq!(c.result.unwrap_err(), TaskError::NodeCrashed { node: 0 });
@@ -887,7 +911,12 @@ mod tests {
             }
             let mut log = Vec::new();
             while let Some(c) = b.next_completion() {
-                log.push((c.task.0, c.finished.as_micros(), c.result.is_ok(), c.attempts));
+                log.push((
+                    c.task.0,
+                    c.finished.as_micros(),
+                    c.result.is_ok(),
+                    c.attempts,
+                ));
             }
             log
         };
@@ -1034,7 +1063,10 @@ mod tests {
             Err(TaskError::Poisoned { distinct_nodes }) => assert_eq!(distinct_nodes, 2),
             ref other => panic!("expected a poison verdict, got {other:?}"),
         }
-        assert_eq!(c.attempts, 1, "verdict after exactly distinct_nodes attempts");
+        assert_eq!(
+            c.attempts, 1,
+            "verdict after exactly distinct_nodes attempts"
+        );
     }
 
     #[test]
@@ -1090,7 +1122,11 @@ mod control_tests {
     }
 
     fn task(name: &str, secs: u64) -> TaskDescription {
-        TaskDescription::new(name, ResourceRequest::cores(1), SimDuration::from_secs(secs))
+        TaskDescription::new(
+            name,
+            ResourceRequest::cores(1),
+            SimDuration::from_secs(secs),
+        )
     }
 
     fn secs(s: u64) -> SimDuration {

@@ -150,10 +150,10 @@ mod tests {
     use super::*;
     use crate::backend::{ExecutionBackend, TaskError};
     use crate::control::ControlStats;
-    use crate::task::{TaskDescription, TaskId};
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy, ScriptedCrash};
     use crate::resources::{NodeSpec, ResourceRequest};
     use crate::scheduler::PlacementPolicy;
+    use crate::task::{TaskDescription, TaskId};
     use impress_sim::SimDuration;
     use impress_telemetry::Label;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -302,8 +302,12 @@ mod tests {
         b.submit(task("short-a", 1).with_work(|| 1u64));
         b.submit(task("short-b", 1).with_work(|| 2u64));
         b.submit(
-            TaskDescription::new("long", ResourceRequest::cores(1), SimDuration::from_secs(100))
-                .with_work(|| 3u64),
+            TaskDescription::new(
+                "long",
+                ResourceRequest::cores(1),
+                SimDuration::from_secs(100),
+            )
+            .with_work(|| 3u64),
         );
         let mut done = Vec::new();
         while let Some(c) = b.next_completion() {
@@ -318,7 +322,9 @@ mod tests {
 
     #[test]
     fn expired_deadline_at_zero_time_scale_holds_everything() {
-        let mut b = RuntimeConfig::new(config(2, 0)).deadline(SimTime::ZERO).threaded();
+        let mut b = RuntimeConfig::new(config(2, 0))
+            .deadline(SimTime::ZERO)
+            .threaded();
         b.submit(task("a", 1).with_work(|| 1u64));
         b.submit(task("b", 1).with_work(|| 2u64));
         assert!(b.next_completion().is_none());
@@ -407,7 +413,9 @@ mod tests {
             },
             1,
         );
-        let mut b = RuntimeConfig::new(config(2, 0)).faults(plan, no_backoff(2)).threaded();
+        let mut b = RuntimeConfig::new(config(2, 0))
+            .faults(plan, no_backoff(2))
+            .threaded();
         b.submit(task("doomed", 1).with_work(|| 1u32));
         let c = b.next_completion().unwrap();
         assert_eq!(c.attempts, 2);
@@ -427,7 +435,9 @@ mod tests {
             },
             11,
         );
-        let mut b = RuntimeConfig::new(config(4, 0)).faults(plan, no_backoff(8)).threaded();
+        let mut b = RuntimeConfig::new(config(4, 0))
+            .faults(plan, no_backoff(8))
+            .threaded();
         for i in 0..12u64 {
             b.submit(task(&format!("t{i}"), 1).with_work(move || i));
         }
@@ -700,12 +710,15 @@ mod tests {
             nodes: 2,
             ..config(2, 0)
         };
-        let runtime = || {
-            RuntimeConfig::new(cfg).faults(FaultPlan::new(fc.clone(), 3), no_backoff(3))
-        };
+        let runtime =
+            || RuntimeConfig::new(cfg).faults(FaultPlan::new(fc.clone(), 3), no_backoff(3));
         let long = || {
-            TaskDescription::new("long", ResourceRequest::cores(2), SimDuration::from_secs(100))
-                .with_work(|| 7i32)
+            TaskDescription::new(
+                "long",
+                ResourceRequest::cores(2),
+                SimDuration::from_secs(100),
+            )
+            .with_work(|| 7i32)
         };
         let mut b = runtime().time_scale(1e-3).threaded();
         b.submit(long());
@@ -714,7 +727,10 @@ mod tests {
         assert_eq!(c.output::<i32>(), 7);
         assert!(b.next_completion().is_none());
         let cs = b.control_stats();
-        assert!(cs.suspicions > 0 && cs.resyncs > 0, "no partition bit: {cs:?}");
+        assert!(
+            cs.suspicions > 0 && cs.resyncs > 0,
+            "no partition bit: {cs:?}"
+        );
         // One core, one heartbeat clock: the replay counts the same.
         let mut sim = runtime().simulated();
         sim.submit(long());
@@ -724,9 +740,7 @@ mod tests {
 
     #[test]
     fn control_stats_stay_zero_without_link_faults() {
-        let mut b = RuntimeConfig::new(config(2, 0))
-            .time_scale(1e-3)
-            .threaded();
+        let mut b = RuntimeConfig::new(config(2, 0)).time_scale(1e-3).threaded();
         b.submit(task("t", 1).with_work(|| 1i32));
         while b.next_completion().is_some() {}
         assert_eq!(b.control_stats(), ControlStats::default());
@@ -792,15 +806,23 @@ mod tests {
             assert_eq!(name, c.output::<&str>(), "each task gets its own output");
         }
         assert_eq!(retried, 1, "the node-0 resident was evicted once");
-        assert_eq!(runs.load(Ordering::SeqCst), 2, "one run per task, not per attempt");
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            2,
+            "one run per task, not per attempt"
+        );
     }
 
     #[test]
     fn preempt_evicts_a_running_attempt_and_requeues_it() {
         let mut b = ThreadedBackend::new(config(2, 0));
         let long = b.submit(
-            TaskDescription::new("long", ResourceRequest::cores(1), SimDuration::from_secs(100))
-                .with_work(|| 1u32),
+            TaskDescription::new(
+                "long",
+                ResourceRequest::cores(1),
+                SimDuration::from_secs(100),
+            )
+            .with_work(|| 1u32),
         );
         let short = b.submit(task("short", 1).with_work(|| 2u32));
         assert!(!b.preempt(long), "queued, not running");
@@ -862,14 +884,23 @@ mod tests {
         let mut b = ThreadedBackend::new(config(2, 0));
         b.submit(task("fast", 1).with_work(|| ()));
         b.submit(
-            TaskDescription::new("slow", ResourceRequest::cores(1), SimDuration::from_secs(100))
-                .with_work(move || parked.recv_timeout(Duration::from_secs(2)).is_ok()),
+            TaskDescription::new(
+                "slow",
+                ResourceRequest::cores(1),
+                SimDuration::from_secs(100),
+            )
+            .with_work(move || parked.recv_timeout(Duration::from_secs(2)).is_ok()),
         );
         assert_eq!(b.next_completion().unwrap().name, "fast");
         assert_eq!(b.in_flight(), 1, "the slow worker is launched, not joined");
         let t0 = Instant::now();
         drop(b);
-        assert!(t0.elapsed() < Duration::from_secs(1), "drop waited for a worker");
-        release.send(()).expect("the detached worker is still parked");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "drop waited for a worker"
+        );
+        release
+            .send(())
+            .expect("the detached worker is still parked");
     }
 }

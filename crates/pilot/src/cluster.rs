@@ -576,7 +576,11 @@ mod tests {
     }
 
     fn task(name: &str, secs: u64) -> TaskDescription {
-        TaskDescription::new(name, ResourceRequest::cores(1), SimDuration::from_secs(secs))
+        TaskDescription::new(
+            name,
+            ResourceRequest::cores(1),
+            SimDuration::from_secs(secs),
+        )
     }
 
     #[test]
@@ -739,7 +743,10 @@ mod tests {
         assert_eq!(b.next_completion().expect("b's first task").task, bt);
         assert_eq!(cluster.tasks_of(b.id()), vec![bt2, bt3]);
         assert!(cluster.preempt(b.id(), bt2), "bt2 holds the core now");
-        assert!(!cluster.preempt(b.id(), bt), "finished: resolves to nothing");
+        assert!(
+            !cluster.preempt(b.id(), bt),
+            "finished: resolves to nothing"
+        );
         while b.next_completion().is_some() {}
         assert!(cluster.tasks_of(b.id()).is_empty());
     }

@@ -155,7 +155,13 @@ impl ControlPlane {
     /// but never partitions. Transmissions blocked by a partition or a
     /// drop draw retransmit after [`LinkFaults::retransmit_timeout`];
     /// the first one through fixes the arrival.
-    pub fn deliveries(&self, label: &str, key: u64, node: Option<u32>, sent: SimTime) -> Deliveries {
+    pub fn deliveries(
+        &self,
+        label: &str,
+        key: u64,
+        node: Option<u32>,
+        sent: SimTime,
+    ) -> Deliveries {
         let mut rng = self.message_rng(label, key);
         // A saturated drop rate would make the retransmit loop the whole
         // story; clamp so every message still terminates quickly.
@@ -176,13 +182,12 @@ impl ControlPlane {
             t = t + rto;
         };
         let primary = through + self.latency(&mut rng);
-        let duplicate = if self.link.duplicate_rate > 0.0
-            && rng.uniform() < self.link.duplicate_rate
-        {
-            Some(through + self.latency(&mut rng))
-        } else {
-            None
-        };
+        let duplicate =
+            if self.link.duplicate_rate > 0.0 && rng.uniform() < self.link.duplicate_rate {
+                Some(through + self.latency(&mut rng))
+            } else {
+                None
+            };
         Deliveries {
             primary,
             duplicate,
@@ -588,8 +593,12 @@ mod tests {
         assert_eq!(outside.transmissions, 1, "node outside the window is fine");
         let hub = p.deliveries("submit", 1, None, SimTime::from_micros(10));
         assert_eq!(hub.transmissions, 1, "hub link never partitions");
-        assert!(p.best_effort("hb", 5, 2, SimTime::from_micros(10)).is_none());
-        assert!(p.best_effort("hb", 5, 2, heal + SimDuration::from_micros(1)).is_some());
+        assert!(p
+            .best_effort("hb", 5, 2, SimTime::from_micros(10))
+            .is_none());
+        assert!(p
+            .best_effort("hb", 5, 2, heal + SimDuration::from_micros(1))
+            .is_some());
     }
 
     #[test]

@@ -104,7 +104,10 @@ pub struct ScriptedPartition {
 impl ScriptedPartition {
     /// Whether a message to/from `node` sent at `t` falls inside the window.
     pub fn blocks(&self, node: u32, t: SimTime) -> bool {
-        node >= self.first_node && node <= self.last_node && t >= self.at && t < self.at + self.duration
+        node >= self.first_node
+            && node <= self.last_node
+            && t >= self.at
+            && t < self.at + self.duration
     }
 }
 
@@ -359,9 +362,10 @@ impl FaultPlan {
         if c.task_failure_rate <= 0.0 && c.task_hang_rate <= 0.0 {
             return AttemptFault::None;
         }
-        let mut rng = self
-            .rng
-            .fork_idx("attempt", task.wrapping_mul(0x1_0000).wrapping_add(attempt as u64));
+        let mut rng = self.rng.fork_idx(
+            "attempt",
+            task.wrapping_mul(0x1_0000).wrapping_add(attempt as u64),
+        );
         let u = rng.uniform();
         if u < c.task_failure_rate {
             AttemptFault::Transient
@@ -706,7 +710,10 @@ mod tests {
         let fails = (0..2000u64)
             .filter(|&t| plan.attempt_fault(t, 0) == AttemptFault::Transient)
             .count();
-        assert!((400..600).contains(&fails), "~25% expected, got {fails}/2000");
+        assert!(
+            (400..600).contains(&fails),
+            "~25% expected, got {fails}/2000"
+        );
     }
 
     #[test]
@@ -725,7 +732,11 @@ mod tests {
         for pair in w.windows(2) {
             assert!(pair[0].1 < pair[1].0, "windows must not overlap");
         }
-        assert_ne!(plan.crash_windows(0), plan.crash_windows(1), "per-node schedules");
+        assert_ne!(
+            plan.crash_windows(0),
+            plan.crash_windows(1),
+            "per-node schedules"
+        );
         assert_eq!(w, plan.crash_windows(0), "deterministic");
     }
 
@@ -798,7 +809,11 @@ mod tests {
         assert_eq!(d1, SimDuration::from_secs(30));
         assert_eq!(d2, SimDuration::from_secs(60));
         assert_eq!(d3, SimDuration::from_secs(120));
-        assert_eq!(p.backoff(40, &mut rng), SimDuration::from_mins(30), "capped");
+        assert_eq!(
+            p.backoff(40, &mut rng),
+            SimDuration::from_mins(30),
+            "capped"
+        );
     }
 
     #[test]
@@ -829,7 +844,10 @@ mod tests {
             for attempt in 0..64u32 {
                 let d = p.backoff(attempt, &mut rng);
                 assert!(d >= prev, "mult {mult} attempt {attempt}: {d} < {prev}");
-                assert!(d <= p.backoff_cap, "mult {mult} attempt {attempt}: over cap");
+                assert!(
+                    d <= p.backoff_cap,
+                    "mult {mult} attempt {attempt}: over cap"
+                );
                 if capped {
                     assert_eq!(d, p.backoff_cap, "once capped, stays capped");
                 }
@@ -855,7 +873,10 @@ mod tests {
         let mut prev = SimDuration::ZERO;
         for attempt in 0..64u32 {
             let d = p.backoff(attempt, &mut rng);
-            assert!(d >= prev, "attempt {attempt}: {d} < {prev} (overflow collapse)");
+            assert!(
+                d >= prev,
+                "attempt {attempt}: {d} < {prev} (overflow collapse)"
+            );
             prev = d;
         }
         assert_eq!(prev, SimDuration::from_micros(u64::MAX), "saturated");
@@ -918,7 +939,10 @@ mod tests {
     fn dilate_span_is_exact_identity_without_windows() {
         let d = SimDuration::from_secs(50);
         assert_eq!(dilate_span(&[], SimTime::ZERO, d), d);
-        assert_eq!(dilate_span(&[], SimTime::from_micros(123), SimDuration::ZERO), SimDuration::ZERO);
+        assert_eq!(
+            dilate_span(&[], SimTime::from_micros(123), SimDuration::ZERO),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
@@ -935,18 +959,30 @@ mod tests {
         );
         // Entirely inside: 1 s of work takes 10 s.
         assert_eq!(
-            dilate_span(&w, SimTime::from_micros(10_000_000), SimDuration::from_secs(1)),
+            dilate_span(
+                &w,
+                SimTime::from_micros(10_000_000),
+                SimDuration::from_secs(1)
+            ),
             SimDuration::from_secs(10)
         );
         // Straddling: 5 s free + 15 s of work; 2 s of it fits in the
         // window (20 s real), the last 13 s run after it ends.
         assert_eq!(
-            dilate_span(&w, SimTime::from_micros(5_000_000), SimDuration::from_secs(20)),
+            dilate_span(
+                &w,
+                SimTime::from_micros(5_000_000),
+                SimDuration::from_secs(20)
+            ),
             SimDuration::from_secs(5 + 20 + 13)
         );
         // Work starting after the window is untouched.
         assert_eq!(
-            dilate_span(&w, SimTime::from_micros(30_000_000), SimDuration::from_secs(7)),
+            dilate_span(
+                &w,
+                SimTime::from_micros(30_000_000),
+                SimDuration::from_secs(7)
+            ),
             SimDuration::from_secs(7)
         );
     }
@@ -979,7 +1015,10 @@ mod tests {
         let h = HedgePolicy::k(0.5);
         assert_eq!(h.threshold, 1.0, "threshold below 1 would hedge instantly");
         let q = QuarantinePolicy::distinct(1).with_shape_trip(3);
-        assert_eq!(q.distinct_nodes, 2, "one node can never be distinct evidence");
+        assert_eq!(
+            q.distinct_nodes, 2,
+            "one node can never be distinct evidence"
+        );
         assert_eq!(q.shape_trip, 3);
     }
 

@@ -417,7 +417,10 @@ mod tests {
         p.task_finished(TaskId(1), "x", "", &a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         assert_eq!(r.retries, 1);
-        assert!((r.wasted_core_seconds - 20.0).abs() < 1e-9, "2 cores × 10 s");
+        assert!(
+            (r.wasted_core_seconds - 20.0).abs() < 1e-9,
+            "2 cores × 10 s"
+        );
         assert!((r.wasted_gpu_seconds - 10.0).abs() < 1e-9, "1 GPU × 10 s");
         assert_eq!(r.tasks, 1, "wasted attempts create no task records");
         // Occupancy still reflects the held slots: 2/4 cores for the whole run.
@@ -442,7 +445,10 @@ mod tests {
         p.task_finished(TaskId(1), "x", "", &main, t(0), t(15), 0.0);
         let r = p.report(t(15));
         assert_eq!(r.hedges, 1);
-        assert!((r.hedge_wasted_core_seconds - 10.0).abs() < 1e-9, "2 cores × 5 s");
+        assert!(
+            (r.hedge_wasted_core_seconds - 10.0).abs() < 1e-9,
+            "2 cores × 5 s"
+        );
         assert_eq!(r.hedge_wasted_gpu_seconds, 0.0);
         assert_eq!(r.wasted_core_seconds, 0.0, "hedge waste is not retry waste");
         assert_eq!(r.retries, 0);

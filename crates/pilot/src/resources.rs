@@ -17,7 +17,11 @@ pub struct NodeSpec {
     /// RAM in gigabytes (bookkeeping only; tasks do not reserve memory).
     pub ram_gb: u32,
 }
-json_struct!(NodeSpec { cores, gpus, ram_gb });
+json_struct!(NodeSpec {
+    cores,
+    gpus,
+    ram_gb
+});
 
 impl NodeSpec {
     /// The paper's Rutgers Amarel node: 28 cores, 4 × Quadro M6000, 128 GB.

@@ -309,7 +309,12 @@ impl Scheduler {
                 continue;
             }
             let leaf = self.fit.size + idx;
-            saved.push((idx, self.fit.cores[leaf], self.fit.gpus[leaf], self.fit.up[leaf]));
+            saved.push((
+                idx,
+                self.fit.cores[leaf],
+                self.fit.gpus[leaf],
+                self.fit.up[leaf],
+            ));
             self.fit.set(idx, 0, 0, false);
         }
         let alloc = Self::alloc_in(&mut self.pools, &mut self.fit, req);
@@ -343,8 +348,12 @@ impl Scheduler {
         assert!(self.down[idx], "node {node} recovered while up");
         self.down[idx] = false;
         // The pool was rebuilt fully free at drain time.
-        self.fit
-            .set(idx, self.pools[idx].cores_free(), self.pools[idx].gpus_free(), true);
+        self.fit.set(
+            idx,
+            self.pools[idx].cores_free(),
+            self.pools[idx].gpus_free(),
+            true,
+        );
         self.capacity_epoch += 1;
         self.blocked_shape = None;
     }
@@ -623,8 +632,12 @@ impl Scheduler {
         );
         let idx = alloc.node as usize;
         self.pools[idx].release(alloc);
-        self.fit
-            .set(idx, self.pools[idx].cores_free(), self.pools[idx].gpus_free(), true);
+        self.fit.set(
+            idx,
+            self.pools[idx].cores_free(),
+            self.pools[idx].gpus_free(),
+            true,
+        );
         self.capacity_epoch += 1;
         self.blocked_shape = None;
     }
@@ -640,8 +653,12 @@ impl Scheduler {
         );
         let idx = alloc.node as usize;
         self.pools[idx].release_owned(alloc);
-        self.fit
-            .set(idx, self.pools[idx].cores_free(), self.pools[idx].gpus_free(), true);
+        self.fit.set(
+            idx,
+            self.pools[idx].cores_free(),
+            self.pools[idx].gpus_free(),
+            true,
+        );
         self.capacity_epoch += 1;
         self.blocked_shape = None;
     }
@@ -836,7 +853,10 @@ mod tests {
         s.enqueue(TaskId(0), req(2, 0));
         let ticket = s.enqueue(TaskId(1), req(2, 0));
         let _ = s.place_ready();
-        assert!(!s.cancel_queued(TaskId(2), ticket), "the ticket is task 1's");
+        assert!(
+            !s.cancel_queued(TaskId(2), ticket),
+            "the ticket is task 1's"
+        );
         assert!(s.cancel_queued(TaskId(1), ticket));
         assert!(!s.cancel_queued(TaskId(1), ticket));
         assert_eq!(s.queue_len(), 0);

@@ -65,10 +65,16 @@ impl ReferencePool {
 
     fn release(&mut self, alloc: &Allocation) {
         for &c in &alloc.core_ids {
-            assert!(self.free_cores.insert(c), "oracle: double release of core {c}");
+            assert!(
+                self.free_cores.insert(c),
+                "oracle: double release of core {c}"
+            );
         }
         for &g in &alloc.gpu_ids {
-            assert!(self.free_gpus.insert(g), "oracle: double release of gpu {g}");
+            assert!(
+                self.free_gpus.insert(g),
+                "oracle: double release of gpu {g}"
+            );
         }
     }
 }

@@ -279,5 +279,4 @@ mod tests {
         assert!(obs.metrics().counters.is_empty());
         assert!(!s.telemetry().enabled());
     }
-
 }

@@ -126,7 +126,11 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.queue.lock().expect("channel lock").receiver_alive = false;
+        self.shared
+            .queue
+            .lock()
+            .expect("channel lock")
+            .receiver_alive = false;
     }
 }
 

@@ -5,8 +5,7 @@
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{
     ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, PlacementPolicy,
-    ResourceRequest, RetryPolicy, RuntimeConfig, Scheduler, ScriptedCrash, TaskDescription,
-    TaskId,
+    ResourceRequest, RetryPolicy, RuntimeConfig, Scheduler, ScriptedCrash, TaskDescription, TaskId,
 };
 use impress_sim::{props, SimDuration, SimRng, SimTime};
 

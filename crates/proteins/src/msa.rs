@@ -26,7 +26,10 @@ pub enum MsaMode {
     /// (EvoPro's speed/accuracy trade-off discussed in Related Work).
     SingleSequence,
 }
-json_enum!(MsaMode { Full, SingleSequence });
+json_enum!(MsaMode {
+    Full,
+    SingleSequence
+});
 
 /// Result of an MSA database search.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +41,10 @@ pub struct Msa {
     /// with no alignment at all.
     pub noise_factor: f64,
 }
-json_struct!(Msa { depth, noise_factor });
+json_struct!(Msa {
+    depth,
+    noise_factor
+});
 
 impl Msa {
     /// Noise multiplier when no evolutionary information is available.

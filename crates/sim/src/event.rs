@@ -119,7 +119,10 @@ impl<T> EventQueue<T> {
     /// can reconstruct them without a per-event allocation. The heap is
     /// extended in bulk, so a submission burst of N events costs one
     /// amortized rebuild instead of N sift-ups.
-    pub fn schedule_batch(&mut self, items: impl IntoIterator<Item = (SimTime, T)>) -> (EventId, usize) {
+    pub fn schedule_batch(
+        &mut self,
+        items: impl IntoIterator<Item = (SimTime, T)>,
+    ) -> (EventId, usize) {
         let first = EventId(self.next_id);
         let next_id = &mut self.next_id;
         self.heap.extend(items.into_iter().map(|(at, payload)| {
@@ -334,7 +337,10 @@ mod tests {
         );
         assert_eq!(q.pop().unwrap().id, keep);
         assert!(q.is_empty());
-        assert!(!q.cancel(keep), "fired after compaction still reports false");
+        assert!(
+            !q.cancel(keep),
+            "fired after compaction still reports false"
+        );
     }
 
     #[test]

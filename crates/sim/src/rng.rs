@@ -378,12 +378,7 @@ mod tests {
         let w0 = b.next_u32().to_le_bytes();
         let w1 = b.next_u32().to_le_bytes();
         let w2 = b.next_u32().to_le_bytes();
-        let expect: Vec<u8> = w0
-            .iter()
-            .chain(&w1)
-            .chain(&w2[..3])
-            .copied()
-            .collect();
+        let expect: Vec<u8> = w0.iter().chain(&w1).chain(&w2[..3]).copied().collect();
         assert_eq!(bytes.to_vec(), expect);
     }
 

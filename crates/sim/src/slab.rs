@@ -128,10 +128,13 @@ impl<T> Slab<T> {
 
     /// Iterate occupied slots in index order as `(handle, &record)`.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &T)> {
-        self.entries.iter().enumerate().filter_map(|(i, e)| match e {
-            Entry::Occupied(v) => Some((SlotId(i as u32), v)),
-            Entry::Free(_) => None,
-        })
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e {
+                Entry::Occupied(v) => Some((SlotId(i as u32), v)),
+                Entry::Free(_) => None,
+            })
     }
 }
 

@@ -6,7 +6,12 @@ use impress_sim::stats::{net_delta, quantile};
 use impress_sim::{prop_assume, props, SimDuration, SimRng, SimTime, Summary};
 use std::collections::{BTreeMap, BTreeSet};
 
-fn vec_of(rng: &mut SimRng, min_len: usize, max_len: usize, f: impl Fn(&mut SimRng) -> f64) -> Vec<f64> {
+fn vec_of(
+    rng: &mut SimRng,
+    min_len: usize,
+    max_len: usize,
+    f: impl Fn(&mut SimRng) -> f64,
+) -> Vec<f64> {
     let len = min_len + rng.below(max_len - min_len);
     (0..len).map(|_| f(rng)).collect()
 }
@@ -29,7 +34,9 @@ impl QueueModel {
         id
     }
     fn cancel(&mut self, id: u64) -> bool {
-        self.live.remove(&id).is_some_and(|at| self.order.remove(&(at, id)))
+        self.live
+            .remove(&id)
+            .is_some_and(|at| self.order.remove(&(at, id)))
     }
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         let (at, id) = self.order.pop_first()?;

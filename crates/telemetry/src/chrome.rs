@@ -232,14 +232,22 @@ fn collect_rows(
     // full rendered content, so equal keys mean identical rows and the
     // output is independent of recording order.
     rows.sort_by(|a, b| {
-        (a.ts, std::cmp::Reverse(a.dur), a.tid, a.cat, &a.name, &a.args).cmp(&(
-            b.ts,
-            std::cmp::Reverse(b.dur),
-            b.tid,
-            b.cat,
-            &b.name,
-            &b.args,
-        ))
+        (
+            a.ts,
+            std::cmp::Reverse(a.dur),
+            a.tid,
+            a.cat,
+            &a.name,
+            &a.args,
+        )
+            .cmp(&(
+                b.ts,
+                std::cmp::Reverse(b.dur),
+                b.tid,
+                b.cat,
+                &b.name,
+                &b.args,
+            ))
     });
     rows
 }

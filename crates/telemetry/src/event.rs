@@ -104,7 +104,10 @@ pub struct Stamp {
 impl Stamp {
     /// A virtual-only stamp (simulated backend, no wall clock).
     pub fn virt(at: SimTime) -> Stamp {
-        Stamp { virt: at, wall: None }
+        Stamp {
+            virt: at,
+            wall: None,
+        }
     }
 
     /// A dual-clock stamp (threaded backend).
@@ -339,7 +342,11 @@ pub fn check_nesting(events: &[TelemetryEvent]) -> Result<(), String> {
     for ev in events {
         match ev {
             TelemetryEvent::Begin {
-                id, parent, name, at, ..
+                id,
+                parent,
+                name,
+                at,
+                ..
             } => {
                 if id.is_none() {
                     return Err(format!("span '{name}' begun with the NONE id"));

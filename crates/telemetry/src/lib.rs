@@ -257,14 +257,7 @@ impl Telemetry {
     /// [`Telemetry::observe`] once per value — hot loops (the sharded
     /// simulation backend buffers a placement round's queue-wait samples)
     /// batch their stamps without changing what is measured.
-    pub fn observe_many(
-        &self,
-        name: &'static str,
-        lo: f64,
-        hi: f64,
-        bins: usize,
-        values: &[f64],
-    ) {
+    pub fn observe_many(&self, name: &'static str, lo: f64, hi: f64, bins: usize, values: &[f64]) {
         if let Some(inner) = self.active() {
             inner.metrics.observe_many(name, lo, hi, bins, values);
         }
@@ -352,7 +345,14 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         let (tele, rec) = Telemetry::recording(2);
         for i in 0..5 {
-            tele.instant(SpanCat::Session, &format!("e{i}"), SpanId::NONE, 1, t(i), &[]);
+            tele.instant(
+                SpanCat::Session,
+                &format!("e{i}"),
+                SpanId::NONE,
+                1,
+                t(i),
+                &[],
+            );
         }
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 3);
@@ -403,7 +403,14 @@ mod tests {
             &[("pipeline", 0)],
         );
         let b = tele.span(SpanCat::Stage, "stage", a, 3, t(2), &[("tasks", 4)]);
-        tele.instant(SpanCat::Fault, "task-retried", b, 3, t(3), &[("attempts", 2)]);
+        tele.instant(
+            SpanCat::Fault,
+            "task-retried",
+            b,
+            3,
+            t(3),
+            &[("attempts", 2)],
+        );
         tele.end(b, t(6));
         tele.end(a, t(9));
         tele.span(SpanCat::Task, "unclosed", SpanId::NONE, 7, t(4), &[]);
@@ -416,11 +423,8 @@ mod tests {
         }
         // The filtered variants agree too (and actually filter).
         let keep = |c: SpanCat| c != SpanCat::Task;
-        let tree = impress_json::to_string(&chrome_trace_filtered(
-            &events,
-            TraceClock::Virtual,
-            keep,
-        ));
+        let tree =
+            impress_json::to_string(&chrome_trace_filtered(&events, TraceClock::Virtual, keep));
         let mut streamed = String::new();
         write_chrome_trace_filtered(&mut streamed, &events, TraceClock::Virtual, keep);
         assert_eq!(streamed, tree);
@@ -440,11 +444,16 @@ mod tests {
         );
         tele.end(id, Stamp::dual(SimTime::from_micros(200), 19));
         let doc = rec.chrome_trace(TraceClock::Wall);
-        let ev = doc.get("traceEvents").and_then(|e| e.idx(0)).expect("event");
+        let ev = doc
+            .get("traceEvents")
+            .and_then(|e| e.idx(0))
+            .expect("event");
         assert_eq!(ev.get("ts").and_then(|v| v.as_f64()), Some(7.0));
         assert_eq!(ev.get("dur").and_then(|v| v.as_f64()), Some(12.0));
         assert_eq!(
-            ev.get("args").and_then(|a| a.get("vt_us")).and_then(|v| v.as_f64()),
+            ev.get("args")
+                .and_then(|a| a.get("vt_us"))
+                .and_then(|v| v.as_f64()),
             Some(100.0)
         );
     }

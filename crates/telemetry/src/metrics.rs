@@ -76,7 +76,10 @@ json_struct!(MetricsSnapshot {
 impl MetricsSnapshot {
     /// Counter value by name, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
     }
 
     /// Gauge value by name, if present.

@@ -28,7 +28,11 @@ pub fn prometheus_text_into(out: &mut String, snapshot: &MetricsSnapshot) {
     for h in &snapshot.histograms {
         let _ = writeln!(out, "# TYPE impress_{} histogram", h.name);
         for b in &h.buckets {
-            let _ = writeln!(out, "impress_{}_bucket{{le=\"{}\"}} {}", h.name, b.le, b.count);
+            let _ = writeln!(
+                out,
+                "impress_{}_bucket{{le=\"{}\"}} {}",
+                h.name, b.le, b.count
+            );
         }
         let _ = writeln!(out, "impress_{}_bucket{{le=\"+Inf\"}} {}", h.name, h.count);
         let _ = writeln!(out, "impress_{}_sum {}", h.name, h.sum);

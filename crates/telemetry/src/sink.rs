@@ -60,7 +60,12 @@ impl RingSink {
 
     /// Snapshot of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TelemetryEvent> {
-        self.buffer.lock().expect("ring lock").iter().cloned().collect()
+        self.buffer
+            .lock()
+            .expect("ring lock")
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Number of events currently buffered.

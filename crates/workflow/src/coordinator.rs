@@ -264,7 +264,11 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         let pipeline: BoxedPipeline<O> = match self.ghosts.remove(&id.0) {
             Some(ghost) if ghost.name == name => Box::new(ghost),
             Some(ghost) => {
-                debug_assert!(false, "{id}: plan names {:?}, run names {name:?}", ghost.name);
+                debug_assert!(
+                    false,
+                    "{id}: plan names {:?}, run names {name:?}",
+                    ghost.name
+                );
                 pipeline
             }
             None => pipeline,
@@ -606,9 +610,9 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     util: &self.session,
                     cached_util: std::cell::OnceCell::new(),
                 };
-                let spawns =
-                    self.decision
-                        .on_task_poisoned(id, completion.task.0, distinct, &view);
+                let spawns = self
+                    .decision
+                    .on_task_poisoned(id, completion.task.0, distinct, &view);
                 self.telemetry.end(d, self.session.stamp());
                 spawns
             };
@@ -1337,11 +1341,11 @@ mod tests {
         let deadline = SimTime::from_micros(20 * 1_000_000);
         let store = MemoryJournal::new();
         let drained = {
-            let deadlined = RuntimeConfig::new(pilot_config()).deadline(deadline).simulated();
-            let mut c = Coordinator::new(deadlined, SpawnOnce {
-                spawned: 0,
-            })
-            .with_journal(Journal::new(Box::new(store.clone()), "camp", 7).unwrap());
+            let deadlined = RuntimeConfig::new(pilot_config())
+                .deadline(deadline)
+                .simulated();
+            let mut c = Coordinator::new(deadlined, SpawnOnce { spawned: 0 })
+                .with_journal(Journal::new(Box::new(store.clone()), "camp", 7).unwrap());
             for i in 0..2 {
                 c.add_pipeline(Box::new(Counter {
                     label: format!("root{i}"),

@@ -163,7 +163,11 @@ pub struct ReplayPlan {
     /// Journaled pipelines in registration order.
     pub pipelines: Vec<PipelineScript>,
 }
-json_struct!(ReplayPlan { label, seed, pipelines });
+json_struct!(ReplayPlan {
+    label,
+    seed,
+    pipelines
+});
 
 impl ReplayPlan {
     /// An empty plan for a fresh campaign.
@@ -669,7 +673,11 @@ fn frame(seq: u64, rec: &impl ToJsonBuf) -> String {
 enum FrameIssue {
     Json(impress_json::JsonError),
     NoRec,
-    Crc { seq: u64, stored: u64, computed: u64 },
+    Crc {
+        seq: u64,
+        stored: u64,
+        computed: u64,
+    },
 }
 
 impl FrameIssue {
@@ -971,26 +979,24 @@ pub fn load_plan(store: &dyn JournalStore) -> Result<LoadedJournal, JournalError
         // Mid-stream failures are discarded wholesale (the tail is dropped,
         // not diagnosed), so the error type here is `()` — no message is
         // ever formatted for a line that will simply be dropped.
-        let keep: Result<u64, ()> = parse_frame(line)
-            .map_err(|_| ())
-            .and_then(|(seq, rec)| {
-                if seq <= prev_seq {
-                    return Err(()); // sequence regressed
-                }
-                match rec {
-                    // A Snapshot directly after the head replaces the plan
-                    // wholesale (compacted journal). Anywhere else it is
-                    // torn.
-                    JournalRecord::Snapshot { plan: snap } if records == 1 => {
-                        if snap.label != plan.label || snap.seed != plan.seed {
-                            return Err(()); // identity mismatch with Begin
-                        }
-                        plan = snap;
-                        Ok(seq)
+        let keep: Result<u64, ()> = parse_frame(line).map_err(|_| ()).and_then(|(seq, rec)| {
+            if seq <= prev_seq {
+                return Err(()); // sequence regressed
+            }
+            match rec {
+                // A Snapshot directly after the head replaces the plan
+                // wholesale (compacted journal). Anywhere else it is
+                // torn.
+                JournalRecord::Snapshot { plan: snap } if records == 1 => {
+                    if snap.label != plan.label || snap.seed != plan.seed {
+                        return Err(()); // identity mismatch with Begin
                     }
-                    rec => plan.apply(rec).map(|()| seq).map_err(|_| ()),
+                    plan = snap;
+                    Ok(seq)
                 }
-            });
+                rec => plan.apply(rec).map(|()| seq).map_err(|_| ()),
+            }
+        });
         match keep {
             Ok(seq) => {
                 prev_seq = seq;
@@ -1107,8 +1113,14 @@ mod tests {
                 duration: SimDuration::from_micros(rng.below(1 << 40) as u64),
                 gpu_busy_fraction: rng.uniform(),
                 priority: rng.below(20) as i32 - 10,
-                kind: if rng.chance(0.5) { TaskKind::Ml } else { TaskKind::Mpi },
-                walltime: rng.chance(0.5).then(|| SimDuration::from_secs(rng.below(9999) as u64)),
+                kind: if rng.chance(0.5) {
+                    TaskKind::Ml
+                } else {
+                    TaskKind::Mpi
+                },
+                walltime: rng
+                    .chance(0.5)
+                    .then(|| SimDuration::from_secs(rng.below(9999) as u64)),
             })
             .collect()
     }
@@ -1202,7 +1214,10 @@ mod tests {
         let store = MemoryJournal::new();
         store.append_block(text).unwrap();
         let loaded = load_plan(&store).unwrap();
-        assert_eq!((loaded.records, loaded.dropped, loaded.duplicates), (6, 0, 0));
+        assert_eq!(
+            (loaded.records, loaded.dropped, loaded.duplicates),
+            (6, 0, 0)
+        );
 
         let mut frames = text.lines().map(tree_frame);
         let (_, JournalRecord::Begin { label, seed, .. }) = frames.next().unwrap() else {
@@ -1243,13 +1258,51 @@ mod tests {
                 frame(1, &JournalRecord::Snapshot { plan }),
                 // pipelines[1] holds id 0, pipelines[2] holds id 2 (dense
                 // by coincidence), pipelines[3] holds id 1.
-                frame(2, &JournalRecord::StageCompleted { pipeline: 1, stage: 0 }),
-                frame(3, &JournalRecord::StageCompleted { pipeline: 2, stage: 0 }),
-                frame(4, &JournalRecord::StageCompleted { pipeline: 7, stage: 0 }),
-                frame(5, &JournalRecord::Registered { pipeline: 3, parent: None, name: "new".into() }),
-                frame(6, &JournalRecord::Aborted { pipeline: 3, reason: "r".into() }),
+                frame(
+                    2,
+                    &JournalRecord::StageCompleted {
+                        pipeline: 1,
+                        stage: 0,
+                    },
+                ),
+                frame(
+                    3,
+                    &JournalRecord::StageCompleted {
+                        pipeline: 2,
+                        stage: 0,
+                    },
+                ),
+                frame(
+                    4,
+                    &JournalRecord::StageCompleted {
+                        pipeline: 7,
+                        stage: 0,
+                    },
+                ),
+                frame(
+                    5,
+                    &JournalRecord::Registered {
+                        pipeline: 3,
+                        parent: None,
+                        name: "new".into(),
+                    },
+                ),
+                frame(
+                    6,
+                    &JournalRecord::Aborted {
+                        pipeline: 3,
+                        reason: "r".into(),
+                    },
+                ),
                 // Already registered, found by the scan: the tail is torn.
-                frame(7, &JournalRecord::Registered { pipeline: 7, parent: None, name: "dup".into() }),
+                frame(
+                    7,
+                    &JournalRecord::Registered {
+                        pipeline: 7,
+                        parent: None,
+                        name: "dup".into(),
+                    },
+                ),
             ])
             .unwrap();
         let loaded = load_plan(&store).unwrap();
@@ -1264,7 +1317,10 @@ mod tests {
         );
         let mut plan = loaded.plan;
         assert!(plan
-            .apply(JournalRecord::StageCompleted { pipeline: 9, stage: 0 })
+            .apply(JournalRecord::StageCompleted {
+                pipeline: 9,
+                stage: 0
+            })
             .is_err());
     }
 
@@ -1315,10 +1371,7 @@ mod tests {
         let line = frame(7, &rec);
         assert_eq!(parse_frame(&line).unwrap(), (7, rec.clone()));
         let flipped = line.replace("\"stage\":1", "\"stage\":2");
-        assert!(matches!(
-            parse_frame(&flipped),
-            Err(FrameIssue::Crc { .. })
-        ));
+        assert!(matches!(parse_frame(&flipped), Err(FrameIssue::Crc { .. })));
         assert!(parse_frame(&line[..line.len() - 4]).is_err(), "truncation");
         // The checksum covers the stored bytes, not the value: a `rec` that
         // was re-spaced by hand decodes to the same record and still fails,
@@ -1468,7 +1521,10 @@ mod tests {
             // Re-frame a different record under the last line's seq.
             let forged = frame(
                 (lines.len() - 1) as u64,
-                &JournalRecord::StageCompleted { pipeline: 0, stage: 0 },
+                &JournalRecord::StageCompleted {
+                    pipeline: 0,
+                    stage: 0,
+                },
             );
             lines.push(forged);
         });
@@ -1528,10 +1584,7 @@ mod tests {
     #[test]
     fn corrupt_head_is_a_typed_error_never_a_panic() {
         let empty = MemoryJournal::new();
-        assert!(matches!(
-            load_plan(&empty),
-            Err(JournalError::Corrupt(_))
-        ));
+        assert!(matches!(load_plan(&empty), Err(JournalError::Corrupt(_))));
         let garbage = MemoryJournal::new();
         garbage.append("not json at all").unwrap();
         assert!(load_plan(&garbage).is_err());

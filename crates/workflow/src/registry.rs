@@ -93,7 +93,9 @@ impl Registry {
 
     /// Look up an entry.
     pub fn get(&self, id: PipelineId) -> &PipelineEntry {
-        self.entries.get(id.0 as usize).expect("pipeline is registered")
+        self.entries
+            .get(id.0 as usize)
+            .expect("pipeline is registered")
     }
 
     fn get_mut(&mut self, id: PipelineId) -> &mut PipelineEntry {

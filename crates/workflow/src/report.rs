@@ -1,8 +1,8 @@
 //! The run report: the computational half of Table I.
 
 use crate::registry::Registry;
-use impress_pilot::{PhaseBreakdown, UtilizationReport};
 use impress_json::json_struct;
+use impress_pilot::{PhaseBreakdown, UtilizationReport};
 use impress_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -192,7 +192,10 @@ mod tests {
         assert!(s.contains("CPU 88.3%"), "{s}");
         assert!(s.contains("GPU 61.0% (slot)"), "{s}");
         assert!(s.contains("38.00h"), "{s}");
-        assert!(!s.contains("faults:"), "clean runs omit the fault line: {s}");
+        assert!(
+            !s.contains("faults:"),
+            "clean runs omit the fault line: {s}"
+        );
     }
 
     #[test]

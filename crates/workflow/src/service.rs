@@ -274,7 +274,10 @@ impl fmt::Display for AdmissionError {
                 resource,
                 spent,
                 budget,
-            } => write!(f, "tenant exhausted its {resource} budget ({spent:.1} of {budget:.1})"),
+            } => write!(
+                f,
+                "tenant exhausted its {resource} budget ({spent:.1} of {budget:.1})"
+            ),
             AdmissionError::BadPlan(e) => write!(f, "resume plan rejected: {e}"),
         }
     }
@@ -640,12 +643,7 @@ where
         }
         parts.session.backend_mut().retire();
         self.telemetry.count("campaigns_canceled", 1);
-        self.finish_campaign(
-            cid,
-            CampaignStatus::Canceled,
-            parts.outcomes,
-            parts.aborts,
-        );
+        self.finish_campaign(cid, CampaignStatus::Canceled, parts.outcomes, parts.aborts);
         true
     }
 
@@ -813,8 +811,7 @@ where
                     // the backend's walltime deadline is holding tasks.
                     // Let one blocked campaign observe the drain through
                     // its (now non-advancing) blocking step.
-                    while self.campaigns[self.first_running].status != CampaignStatus::Running
-                    {
+                    while self.campaigns[self.first_running].status != CampaignStatus::Running {
                         // In bounds: an unfinished campaign exists.
                         self.first_running += 1;
                     }
@@ -1005,7 +1002,10 @@ mod tests {
             Err(AdmissionError::BudgetExhausted { resource, .. }) => {
                 assert_eq!(resource, "core-seconds");
             }
-            other => panic!("expected budget refusal, got {other:?}", other = other.map(|h| h.id())),
+            other => panic!(
+                "expected budget refusal, got {other:?}",
+                other = other.map(|h| h.id())
+            ),
         }
     }
 
@@ -1075,7 +1075,12 @@ mod tests {
         let mean_finish = |s: &mut CampaignService<u64, _>, handles: &[CampaignHandle]| {
             let sum: f64 = handles
                 .iter()
-                .map(|h| s.take_result(h).expect("completed").finished_at.as_secs_f64())
+                .map(|h| {
+                    s.take_result(h)
+                        .expect("completed")
+                        .finished_at
+                        .as_secs_f64()
+                })
                 .sum();
             sum / handles.len() as f64
         };

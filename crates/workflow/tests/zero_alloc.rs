@@ -55,10 +55,7 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     let expected = buf.clone();
     buf.clear();
     let (allocs, ()) = ALLOC.measure(|| impress_json::write_json(&mut buf, &rec));
-    assert_eq!(
-        allocs, 0,
-        "ToJsonBuf must not allocate into a warm buffer"
-    );
+    assert_eq!(allocs, 0, "ToJsonBuf must not allocate into a warm buffer");
     assert_eq!(buf, expected, "warm pass must produce identical bytes");
 
     // --- Pin 2: steady-state Journal::record -------------------------
@@ -116,7 +113,8 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
         }
     });
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "steady-state Journal::record must not allocate ({} records buffered)",
         2 * WINDOW
     );
@@ -129,7 +127,8 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     assert_eq!(loaded.dropped, 0);
     assert_eq!(loaded.plan, *journal.plan());
     assert_eq!(
-        load_after, load_before,
+        load_after,
+        load_before,
         "{} more frames must not cost the loader an allocation",
         2 * WINDOW
     );

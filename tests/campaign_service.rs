@@ -19,12 +19,12 @@ use impress_pilot::{
     TaskDescription,
 };
 use impress_sim::{props, SimDuration, SimTime};
+use impress_workflow::decision::Spawn;
 use impress_workflow::journal::{load_plan, Journal, MemoryJournal};
 use impress_workflow::service::{
     AdmissionError, CampaignHandle, CampaignService, CampaignSpec, CampaignStatus, TenantId,
     TenantQuota,
 };
-use impress_workflow::decision::Spawn;
 use impress_workflow::{
     BoxedPipeline, Coordinator, CoordinatorView, DecisionEngine, PipelineId, PipelineLogic, Step,
 };
@@ -195,10 +195,7 @@ fn spec_for(c: &Campaign, name: &str) -> CampaignSpec<u64> {
 #[test]
 fn service_campaign_outcomes_are_bit_identical_to_serial_runs() {
     let all = campaigns(12);
-    let serial: Vec<String> = all
-        .iter()
-        .map(|c| run_serial(c, pilot(4, 1)))
-        .collect();
+    let serial: Vec<String> = all.iter().map(|c| run_serial(c, pilot(4, 1))).collect();
 
     // Layouts: (cluster cores/node, nodes, tenant count).
     for &(cores, nodes, tenants) in &[(4u32, 1u32, 1usize), (8, 2, 3), (2, 1, 12)] {
@@ -318,8 +315,12 @@ fn journaled_campaign_resumes_in_a_fresh_service_while_others_keep_running() {
         service
             .submit(&TenantId::new("A"), spec_for(&a, "a").journal(journal))
             .unwrap();
-        service.submit(&TenantId::new("B"), spec_for(&b, "b")).unwrap();
-        service.submit(&TenantId::new("C"), spec_for(&c, "c")).unwrap();
+        service
+            .submit(&TenantId::new("B"), spec_for(&b, "b"))
+            .unwrap();
+        service
+            .submit(&TenantId::new("C"), spec_for(&c, "c"))
+            .unwrap();
         service.run();
     }));
     assert!(crashed.is_err(), "kill switch must fire mid-service");
@@ -335,8 +336,12 @@ fn journaled_campaign_resumes_in_a_fresh_service_while_others_keep_running() {
     let ha = service
         .submit(&TenantId::new("A"), spec_for(&a, "a").resume_from(plan))
         .unwrap();
-    let hb = service.submit(&TenantId::new("B"), spec_for(&b, "b")).unwrap();
-    let hc = service.submit(&TenantId::new("C"), spec_for(&c, "c")).unwrap();
+    let hb = service
+        .submit(&TenantId::new("B"), spec_for(&b, "b"))
+        .unwrap();
+    let hc = service
+        .submit(&TenantId::new("C"), spec_for(&c, "c"))
+        .unwrap();
     service.run();
     for h in [&ha, &hb, &hc] {
         assert_eq!(service.status(h), CampaignStatus::Completed);
@@ -357,9 +362,9 @@ fn journaled_campaign_resumes_in_a_fresh_service_while_others_keep_running() {
 
 /// FNV-1a-64 over 64-bit words, for the pinned-behaviour digest below.
 fn fnv1a_word(hash: u64, word: u64) -> u64 {
-    word.to_le_bytes()
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Fair-share behaviour, pinned rather than assumed: 240 campaigns over
@@ -478,8 +483,12 @@ fn a_canceled_campaigns_late_usage_is_charged_to_its_tenant() {
     service.register_tenant(witness.clone(), TenantQuota::unmetered(8));
     // Three 40-second tasks take three of the four cores; the witness keeps
     // the clock moving long after they are through.
-    let doomed = service.submit(&quitter, long_spec("doomed", 3, 2, 40)).unwrap();
-    let other = service.submit(&witness, long_spec("witness", 1, 30, 5)).unwrap();
+    let doomed = service
+        .submit(&quitter, long_spec("doomed", 3, 2, 40))
+        .unwrap();
+    let other = service
+        .submit(&witness, long_spec("witness", 1, 30, 5))
+        .unwrap();
     // Run until the witness has had completions delivered: the cluster is
     // past its bootstrap and the doomed campaign's first stage is running.
     while service.tenant_usage(&witness).unwrap().completions < 2 {
@@ -496,10 +505,17 @@ fn a_canceled_campaigns_late_usage_is_charged_to_its_tenant() {
     let billed = service.tenant_usage(&quitter).unwrap();
     assert_eq!(billed.completions, 3);
     assert_eq!(billed.core_seconds, 123.0, "late usage is charged");
-    assert_eq!(billed, service.campaign_usage(&doomed), "account = its one lease");
+    assert_eq!(
+        billed,
+        service.campaign_usage(&doomed),
+        "account = its one lease"
+    );
     let result = service.take_result(&doomed).unwrap();
     assert_eq!(result.status, CampaignStatus::Canceled);
-    assert_eq!(result.usage, at_cancel, "the result is the meter at cancel time");
+    assert_eq!(
+        result.usage, at_cancel,
+        "the result is the meter at cancel time"
+    );
 
     // …so a quota the late usage exceeds now refuses the tenant.
     service.register_tenant(
@@ -507,7 +523,9 @@ fn a_canceled_campaigns_late_usage_is_charged_to_its_tenant() {
         TenantQuota::unmetered(8).with_budget(100.0, f64::INFINITY),
     );
     match service.submit(&quitter, long_spec("again", 1, 1, 1)) {
-        Err(AdmissionError::BudgetExhausted { resource, spent, .. }) => {
+        Err(AdmissionError::BudgetExhausted {
+            resource, spent, ..
+        }) => {
             assert_eq!((resource, spent), ("core-seconds", 123.0));
         }
         other => panic!("expected a budget refusal, got {:?}", other.map(|h| h.id())),
@@ -624,8 +642,12 @@ fn admit_over_a_long_task<B: ExecutionBackend>(backend: B, class: i32) -> (f64, 
     let mut service: CampaignService<u64, B> = CampaignService::new(backend);
     let tenant = TenantId::new("t");
     service.register_tenant(tenant.clone(), TenantQuota::unmetered(8));
-    let low = service.submit(&tenant, long_spec("low", 1, 1, 1000)).unwrap();
-    let ticker = service.submit(&tenant, long_spec("ticker", 1, 4, 5)).unwrap();
+    let low = service
+        .submit(&tenant, long_spec("low", 1, 1, 1000))
+        .unwrap();
+    let ticker = service
+        .submit(&tenant, long_spec("ticker", 1, 4, 5))
+        .unwrap();
     // Bootstrap 10 s, then the ticker's 1 s + 5 s tasks end at 16 s, 22 s…
     while service.now() < SimTime::from_micros(20_000_000) {
         assert!(service.step());
@@ -640,8 +662,13 @@ fn admit_over_a_long_task<B: ExecutionBackend>(backend: B, class: i32) -> (f64, 
     for h in [&ticker, &late] {
         assert_eq!(service.status(h), CampaignStatus::Completed);
     }
-    let low = service.take_result(&low).expect("preemption delays, never kills");
-    assert_eq!((low.status, low.outcomes[0].1), (CampaignStatus::Completed, 1));
+    let low = service
+        .take_result(&low)
+        .expect("preemption delays, never kills");
+    assert_eq!(
+        (low.status, low.outcomes[0].1),
+        (CampaignStatus::Completed, 1)
+    );
     (booked, low.finished_at)
 }
 
@@ -660,7 +687,10 @@ fn a_higher_class_admission_evicts_running_tasks_on_every_engine() {
         assert_eq!(undisturbed, SimTime::from_micros(1_011_000_000), "{engine}");
         let (booked, evicted) = admit_over_a_long_task(make(runtime()), 10);
         assert_eq!(booked, 12.0, "{engine}: 10 s..22 s on one core");
-        assert!(evicted > undisturbed, "{engine}: {evicted} vs {undisturbed}");
+        assert!(
+            evicted > undisturbed,
+            "{engine}: {evicted} vs {undisturbed}"
+        );
     }
     check("simulated", |rt| rt.simulated());
     check("sharded", |rt| rt.sharded());
@@ -686,8 +716,12 @@ fn a_campaign_admitted_mid_run_enqueues_at_its_tenants_current_boost() {
     for _ in 0..70 {
         assert!(service.step());
     }
-    let fat_late = service.submit(&fat, long_spec("fat-late", 1, 1, 2)).unwrap();
-    let thin_late = service.submit(&thin, long_spec("thin-late", 1, 1, 2)).unwrap();
+    let fat_late = service
+        .submit(&fat, long_spec("fat-late", 1, 1, 2))
+        .unwrap();
+    let thin_late = service
+        .submit(&thin, long_spec("thin-late", 1, 1, 2))
+        .unwrap();
     let submitted = service.now();
     service.run();
     let finished = |service: &mut CampaignService<u64, _>, h: &CampaignHandle| {
@@ -723,14 +757,21 @@ fn deadline_held_campaigns_all_drain_one_step_each() {
     let t = TenantId::new("t");
     service.register_tenant(t.clone(), TenantQuota::unmetered(CAMPAIGNS));
     let handles: Vec<_> = (0..CAMPAIGNS)
-        .map(|i| service.submit(&t, long_spec(&format!("c{i}"), 1, 2, 60)).unwrap())
+        .map(|i| {
+            service
+                .submit(&t, long_spec(&format!("c{i}"), 1, 2, 60))
+                .unwrap()
+        })
         .collect();
     // The first drain happens once nothing is deliverable any more: every
     // first stage has run and been delivered, every second stage is held.
     while service.campaigns_finished() == 0 {
         assert!(service.step());
     }
-    assert_eq!(service.tenant_usage(&t).unwrap().completions, CAMPAIGNS as u64);
+    assert_eq!(
+        service.tenant_usage(&t).unwrap().completions,
+        CAMPAIGNS as u64
+    );
     // From then on every step drains exactly one campaign.
     let mut drained = service.campaigns_finished();
     while service.step() {

@@ -167,7 +167,8 @@ fn simulated_drain_then_resume_matches_uninterrupted_run() {
         .expect("no resume plan to reject");
     assert!(drained, "a mid-campaign deadline must force a drain");
     assert!(
-        result.outcomes.len() < full.outcomes.len() || result.run.total_tasks < full.run.total_tasks,
+        result.outcomes.len() < full.outcomes.len()
+            || result.run.total_tasks < full.run.total_tasks,
         "a drained campaign must have stopped early"
     );
     let (resumed, dropped) = resume_from(&store);
@@ -207,7 +208,9 @@ fn threaded_drain_checkpoint_resume_preserves_outcome_cohort() {
 
     // Uninterrupted reference cohort.
     let mut reference = Coordinator::new(
-        RuntimeConfig::new(pilot()).time_scale(time_scale).threaded(),
+        RuntimeConfig::new(pilot())
+            .time_scale(time_scale)
+            .threaded(),
         NoDecisions,
     );
     add_roots(&mut reference);
@@ -235,7 +238,9 @@ fn threaded_drain_checkpoint_resume_preserves_outcome_cohort() {
     // terminals, real execution for the stranded remainder.
     let plan = load_plan(&store).expect("drain checkpoint must load").plan;
     let mut resumed = Coordinator::resume(
-        RuntimeConfig::new(pilot()).time_scale(time_scale).threaded(),
+        RuntimeConfig::new(pilot())
+            .time_scale(time_scale)
+            .threaded(),
         NoDecisions,
         &plan,
     )
@@ -322,8 +327,7 @@ fn kill_mid_retry_backoff_resumes_onto_an_identical_timeline() {
     assert!(crashed.is_err(), "kill switch must fire");
 
     let plan = load_plan(&store).expect("surviving journal must load").plan;
-    let mut resumed =
-        Coordinator::resume(faulted_backend(), NoDecisions, &plan).expect("resume");
+    let mut resumed = Coordinator::resume(faulted_backend(), NoDecisions, &plan).expect("resume");
     add_roots(&mut resumed);
     resumed.run();
     assert_eq!(want, cohort(&resumed), "resume diverged from the baseline");

@@ -351,7 +351,9 @@ fn straggler_artifact_matches_the_study_format_version() {
     );
     for row in rows {
         assert!(
-            row.get("makespan_secs").and_then(|v| v.as_f64()).is_some_and(|m| m > 0.0),
+            row.get("makespan_secs")
+                .and_then(|v| v.as_f64())
+                .is_some_and(|m| m > 0.0),
             "every cell must report a positive makespan: {row:?}"
         );
     }
@@ -390,7 +392,9 @@ fn straggler_smoke_iteration_produces_a_complete_document() {
             "every smoke cell must drain its campaign: {row:?}"
         );
         assert!(
-            row.get("makespan_secs").and_then(|v| v.as_f64()).is_some_and(|m| m > 0.0),
+            row.get("makespan_secs")
+                .and_then(|v| v.as_f64())
+                .is_some_and(|m| m > 0.0),
             "every smoke cell must report a positive makespan: {row:?}"
         );
     }
@@ -399,7 +403,9 @@ fn straggler_smoke_iteration_produces_a_complete_document() {
         .filter(|r| r.get("quarantine").and_then(|v| v.as_str()) == Some("on"))
         .collect();
     assert!(
-        quarantined.iter().any(|r| r.get("poisoned").and_then(|v| v.as_u64()).unwrap_or(0) > 0),
+        quarantined
+            .iter()
+            .any(|r| r.get("poisoned").and_then(|v| v.as_u64()).unwrap_or(0) > 0),
         "quarantine-on smoke cells must actually poison the doomed lineages"
     );
     doc.get("acceptance")
@@ -579,7 +585,10 @@ fn every_backend_shares_one_set_of_lifecycle_handlers() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut drivers = Vec::new();
     rs_files(&root.join("crates/pilot/src/backend"), &mut drivers);
-    assert!(drivers.len() >= 4, "expected the core and its three drivers");
+    assert!(
+        drivers.len() >= 4,
+        "expected the core and its three drivers"
+    );
     let sources: Vec<(PathBuf, String)> = drivers
         .into_iter()
         .map(|f| {
@@ -606,7 +615,11 @@ fn every_backend_shares_one_set_of_lifecycle_handlers() {
         "fn heartbeat_send(",
     ] {
         let homes = homes(handler);
-        assert_eq!(homes.len(), 1, "`{handler}` must have exactly one home: {homes:?}");
+        assert_eq!(
+            homes.len(),
+            1,
+            "`{handler}` must have exactly one home: {homes:?}"
+        );
     }
     // What only the handlers need is named by the core alone.
     for state in ["Scheduler::new_cluster", ".attempt_fault(", "backoff_rng"] {
@@ -620,9 +633,15 @@ fn every_backend_shares_one_set_of_lifecycle_handlers() {
         .iter()
         .find(|(f, _)| f.ends_with("threaded.rs"))
         .expect("backend/threaded.rs");
-    let non_test = threaded.split("#[cfg(test)]\nmod tests").next().expect("a first piece");
+    let non_test = threaded
+        .split("#[cfg(test)]\nmod tests")
+        .next()
+        .expect("a first piece");
     let lines = non_test.lines().count();
-    assert!(lines < 400, "threaded.rs is a driver, not an engine: {lines} non-test lines");
+    assert!(
+        lines < 400,
+        "threaded.rs is a driver, not an engine: {lines} non-test lines"
+    );
 
     assert!(
         !root.join("crates/sim/src/engine.rs").exists(),
@@ -760,12 +779,30 @@ const DENSE_ID_FILES: [&str; 5] = [
 /// The hash tables `crates/pilot/src/backend/des.rs` keeps next to its
 /// dense task table, by field, each with the reason it is not an array.
 const SPARSE_TABLES_OF_THE_CORE: &[(&str, &str)] = &[
-    ("estimates", "keyed by request shape, not an id; a handful of entries, hedging only"),
-    ("shape_poison", "keyed by request shape, not an id; one entry per poisoned shape"),
-    ("hedge_running", "sparse: only tasks with a live hedge duplicate"),
-    ("failed_nodes", "sparse: only tasks with a failed attempt, and only under quarantine"),
-    ("seen", "sparse: only routed messages (control plane on), keyed by task x attempt x kind"),
-    ("canceled_acks", "sparse: only cancels whose acknowledgment is still in flight"),
+    (
+        "estimates",
+        "keyed by request shape, not an id; a handful of entries, hedging only",
+    ),
+    (
+        "shape_poison",
+        "keyed by request shape, not an id; one entry per poisoned shape",
+    ),
+    (
+        "hedge_running",
+        "sparse: only tasks with a live hedge duplicate",
+    ),
+    (
+        "failed_nodes",
+        "sparse: only tasks with a failed attempt, and only under quarantine",
+    ),
+    (
+        "seen",
+        "sparse: only routed messages (control plane on), keyed by task x attempt x kind",
+    ),
+    (
+        "canceled_acks",
+        "sparse: only cancels whose acknowledgment is still in flight",
+    ),
 ];
 
 /// ISSUE 24 found ~13 % of `service_cell` inside SipHash over keys that
@@ -780,11 +817,15 @@ fn dense_ids_index_arrays_on_the_hot_path() {
             .iter()
             .find(|(rel, _)| rel == Path::new(file))
             .unwrap_or_else(|| panic!("{file} is gone: update the guard"));
-        text.split_once("#[cfg(test)]").map_or(text, |(code, _)| code)
+        text.split_once("#[cfg(test)]")
+            .map_or(text, |(code, _)| code)
     };
     for file in DENSE_ID_FILES {
         let tables = int_keyed_hash_tables(non_test(file));
-        assert!(tables.is_empty(), "{file}: integer-keyed hash tables {tables:?}");
+        assert!(
+            tables.is_empty(),
+            "{file}: integer-keyed hash tables {tables:?}"
+        );
     }
     let core = int_keyed_hash_tables(non_test("crates/pilot/src/backend/des.rs"));
     for (field, key) in &core {
@@ -1061,12 +1102,16 @@ fn partition_artifact_matches_the_study_format_version() {
         );
     }
     assert_eq!(
-        acceptance.get("grid_duplicate_completions").and_then(|v| v.as_f64()),
+        acceptance
+            .get("grid_duplicate_completions")
+            .and_then(|v| v.as_f64()),
         Some(0.0),
         "the grid must observe zero duplicate completions"
     );
     assert_eq!(
-        acceptance.get("delivery_duplicate_effects").and_then(|v| v.as_f64()),
+        acceptance
+            .get("delivery_duplicate_effects")
+            .and_then(|v| v.as_f64()),
         Some(0.0),
         "the delivery campaigns must observe zero duplicate journal/decision effects"
     );
@@ -1081,7 +1126,9 @@ fn partition_artifact_matches_the_study_format_version() {
     );
     for row in grid {
         assert!(
-            row.get("makespan_secs").and_then(|v| v.as_f64()).is_some_and(|m| m > 0.0),
+            row.get("makespan_secs")
+                .and_then(|v| v.as_f64())
+                .is_some_and(|m| m > 0.0),
             "every grid cell must report a positive makespan: {row:?}"
         );
         assert_eq!(
@@ -1094,7 +1141,11 @@ fn partition_artifact_matches_the_study_format_version() {
         .get("delivery")
         .and_then(|r| r.as_array())
         .expect("partition.json has a delivery array");
-    assert_eq!(delivery.len(), 3, "one journaled delivery campaign per loss rate");
+    assert_eq!(
+        delivery.len(),
+        3,
+        "one journaled delivery campaign per loss rate"
+    );
     for row in delivery {
         for key in ["duplicate_decision_effects", "duplicate_journal_effects"] {
             assert_eq!(
@@ -1130,7 +1181,10 @@ fn partition_smoke_iteration_produces_a_complete_document() {
         36,
         "smoke study sweeps the same 36-cell grid as the paper run"
     );
-    let tasks = doc.get("tasks").and_then(|v| v.as_u64()).expect("smoke study reports tasks");
+    let tasks = doc
+        .get("tasks")
+        .and_then(|v| v.as_u64())
+        .expect("smoke study reports tasks");
     for row in grid {
         assert_eq!(
             row.get("completed").and_then(|v| v.as_u64()),
@@ -1148,13 +1202,17 @@ fn partition_smoke_iteration_produces_a_complete_document() {
         .filter(|r| r.get("detector").and_then(|v| v.as_str()) != Some("off"))
         .collect();
     assert!(
-        detected.iter().any(|r| r.get("suspicions").and_then(|v| v.as_f64()).unwrap_or(0.0) > 0.0),
+        detected
+            .iter()
+            .any(|r| r.get("suspicions").and_then(|v| v.as_f64()).unwrap_or(0.0) > 0.0),
         "detector-on smoke cells must actually suspect the partitioned node"
     );
     assert!(
-        detected
-            .iter()
-            .any(|r| r.get("lease_expiries").and_then(|v| v.as_f64()).unwrap_or(0.0) > 0.0),
+        detected.iter().any(|r| r
+            .get("lease_expiries")
+            .and_then(|v| v.as_f64())
+            .unwrap_or(0.0)
+            > 0.0),
         "suspicion eviction must expire the trapped leases in some smoke cell"
     );
     let delivery = doc
