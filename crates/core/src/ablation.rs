@@ -1,10 +1,10 @@
 //! Programmatic ablation studies over the protocol's design choices.
 //!
-//! The Criterion `ablations` bench measures replay cost; this module is the
-//! typed API behind it: run a named set of protocol variants on the same
-//! targets and collect comparable quality/cost rows. Used by the bench, the
-//! integration tests, and anyone extending the protocol who wants a quick
-//! "did my change help" table.
+//! Run a named set of protocol variants on the same targets and collect
+//! comparable quality/cost rows: a quick "did my change help" table for
+//! anyone extending the protocol. The `report` bin prints
+//! [`standard_suite`]; the `ablations` bench, on the in-repo `timing`
+//! harness, measures what replaying such variants costs.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::config::ProtocolConfig;

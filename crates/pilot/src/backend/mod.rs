@@ -34,9 +34,9 @@
 //! [`ExecutionBackend`], so protocol logic is backend-agnostic.
 
 mod des;
-pub mod sharded;
-pub mod simulated;
-pub mod threaded;
+mod sharded;
+mod simulated;
+mod threaded;
 
 pub use sharded::ShardedBackend;
 pub use simulated::SimulatedBackend;
@@ -68,6 +68,12 @@ pub(crate) fn msg_key(task: u64, attempt: u32) -> u64 {
 }
 
 /// Why a task did not complete successfully.
+///
+/// Only failures that strike before the work closure ran — `TimedOut`,
+/// `Injected`, `NodeCrashed`, `LeaseExpired` — are retried within the
+/// budget. A panicked closure is consumed and a deterministic panic would
+/// recur; a cancellation is a caller decision, not a fault; a poisoned or
+/// circuit-broken task is quarantined precisely so it is not retried.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskError {
     /// The work closure panicked; the payload's message if it was a string.
@@ -114,33 +120,6 @@ pub enum TaskError {
         /// GPUs in the shed shape class.
         gpus: u32,
     },
-}
-
-impl TaskError {
-    /// Whether the pilot may transparently resubmit an attempt that failed
-    /// this way: only failures striking *before* the work closure ran are
-    /// retryable. A panicked closure is consumed and a deterministic panic
-    /// would recur; a cancellation is a caller decision, not a fault; a
-    /// poisoned or circuit-broken task is quarantined precisely so it is
-    /// *not* retried.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            TaskError::TimedOut { .. }
-                | TaskError::Injected
-                | TaskError::NodeCrashed { .. }
-                | TaskError::LeaseExpired { .. }
-        )
-    }
-
-    /// Whether the quarantine layer produced this error (poison verdict or
-    /// shape circuit breaker) — the campaign should prune the lineage.
-    pub fn is_quarantined(&self) -> bool {
-        matches!(
-            self,
-            TaskError::Poisoned { .. } | TaskError::ShapeCircuitOpen { .. }
-        )
-    }
 }
 
 impl fmt::Display for TaskError {
@@ -240,17 +219,6 @@ impl Completion {
             Ok(Some(out)) => Ok(*out
                 .downcast::<T>()
                 .unwrap_or_else(|_| panic!("{}: output has unexpected type", self.task))),
-            Ok(None) => panic!("{}: task had no work output", self.task),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Borrowing variant of [`Completion::try_output`].
-    pub fn try_peek<T: 'static>(&self) -> Result<&T, &TaskError> {
-        match &self.result {
-            Ok(Some(out)) => Ok(out
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| panic!("{}: output has unexpected type", self.task))),
             Ok(None) => panic!("{}: task had no work output", self.task),
             Err(e) => Err(e),
         }
@@ -509,25 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn only_pre_work_failures_are_retryable() {
-        assert!(TaskError::Injected.is_retryable());
-        assert!(TaskError::TimedOut {
-            limit: SimDuration::ZERO
-        }
-        .is_retryable());
-        assert!(TaskError::NodeCrashed { node: 0 }.is_retryable());
-        assert!(TaskError::LeaseExpired { node: 0 }.is_retryable());
-        assert!(!TaskError::LeaseExpired { node: 0 }.is_quarantined());
-        assert!(!TaskError::WorkPanicked("boom".into()).is_retryable());
-        assert!(!TaskError::Canceled.is_retryable());
-        assert!(!TaskError::Poisoned { distinct_nodes: 3 }.is_retryable());
-        assert!(!TaskError::ShapeCircuitOpen { cores: 1, gpus: 0 }.is_retryable());
-        assert!(TaskError::Poisoned { distinct_nodes: 3 }.is_quarantined());
-        assert!(TaskError::ShapeCircuitOpen { cores: 1, gpus: 0 }.is_quarantined());
-        assert!(!TaskError::Injected.is_quarantined());
-    }
-
-    #[test]
     fn try_output_surfaces_failure_without_panicking() {
         let ok = Completion {
             task: TaskId(1),
@@ -539,7 +488,6 @@ mod tests {
             attempts: 2,
             hedged: false,
         };
-        assert_eq!(ok.try_peek::<u32>(), Ok(&11));
         assert!(ok.failure().is_none());
         assert_eq!(ok.try_output::<u32>(), Ok(11));
 
@@ -553,7 +501,6 @@ mod tests {
             attempts: 0,
             hedged: false,
         };
-        assert_eq!(failed.try_peek::<u32>(), Err(&TaskError::Injected));
         assert_eq!(failed.failure(), Some(&TaskError::Injected));
         assert_eq!(failed.try_output::<u32>(), Err(TaskError::Injected));
     }

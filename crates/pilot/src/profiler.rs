@@ -58,11 +58,6 @@ impl TaskRecord {
     pub fn wait(&self) -> SimDuration {
         self.started.since(self.submitted)
     }
-
-    /// Slot-holding time (grant → release).
-    pub fn turnaround(&self) -> SimDuration {
-        self.finished.since(self.started)
-    }
 }
 
 /// Aggregate utilization numbers for one run.
@@ -376,7 +371,7 @@ mod tests {
         p.task_finished(TaskId(5), "w", "tag", &a, t(7), t(12), 1.0);
         let rec = &p.records()[0];
         assert_eq!(rec.wait(), SimDuration::from_secs(5));
-        assert_eq!(rec.turnaround(), SimDuration::from_secs(5));
+        assert_eq!(rec.finished.since(rec.started), SimDuration::from_secs(5));
         assert_eq!(rec.tag, "tag");
     }
 

@@ -1,7 +1,7 @@
 //! The hidden design-fitness landscape.
 //!
-//! Combines the NK fold component ([`nk`]) and the binding-interface
-//! component ([`interface`]) into one [`DesignLandscape`] per design target.
+//! Combines the NK fold component ([`NkLandscape`]) and the binding-interface
+//! component ([`InterfaceModel`]) into one [`DesignLandscape`] per design target.
 //! The landscape plays the role of ground truth ("how good is this design
 //! really?") that the real paper gets from physical reality; the AlphaFold
 //! surrogate observes it noisily, the ProteinMPNN surrogate climbs it
@@ -32,8 +32,8 @@
 //! rounding. The tests keep that one-candidate definition as their oracle
 //! and compare bit for bit.
 
-pub mod interface;
-pub mod nk;
+mod interface;
+mod nk;
 
 pub use interface::{Contact, InterfaceModel};
 pub use nk::NkLandscape;

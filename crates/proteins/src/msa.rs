@@ -134,25 +134,6 @@ impl SyntheticMsaDatabase {
             }
         }
     }
-
-    /// Sample up to `n` synthetic homolog sequences (point-mutated copies of
-    /// the query) — used by examples that export alignments.
-    pub fn sample_homologs(&self, query: &Sequence, n: usize, rng: &mut SimRng) -> Vec<Sequence> {
-        let depth = self.depth_for(query);
-        let n = n.min(depth);
-        (0..n)
-            .map(|_| {
-                let mut s = query.clone();
-                // ~15% of positions mutated per homolog.
-                for pos in 0..s.len() {
-                    if rng.chance(0.15) {
-                        s.set(pos, *rng.choose(&crate::amino::ALL));
-                    }
-                }
-                s
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -216,19 +197,6 @@ mod tests {
             (0.4..4.0).contains(&hours),
             "search should take on the order of hours, got {hours}h"
         );
-    }
-
-    #[test]
-    fn homologs_resemble_the_query() {
-        let db = SyntheticMsaDatabase::new(1);
-        let mut rng = SimRng::from_seed(7);
-        let query = q(80);
-        let homologs = db.sample_homologs(&query, 16, &mut rng);
-        assert_eq!(homologs.len(), 16);
-        for h in &homologs {
-            let dist = query.hamming(h) as f64 / 80.0;
-            assert!(dist < 0.40, "homolog too diverged: {dist}");
-        }
     }
 
     #[test]

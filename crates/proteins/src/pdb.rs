@@ -6,8 +6,8 @@
 //! examples can write designs that external viewers open.
 
 use crate::amino::AminoAcid;
-use crate::sequence::{Chain, ChainId, Sequence};
-use crate::structure::{CaAtom, Complex, Structure};
+use crate::sequence::{ChainId, Sequence};
+use crate::structure::{CaAtom, Structure};
 use std::fmt;
 
 /// Errors from PDB parsing.
@@ -129,26 +129,6 @@ pub fn parse_pdb(text: &str) -> Result<Vec<ParsedChain>, PdbError> {
     Ok(chains)
 }
 
-/// Rebuild a [`Structure`] from parsed chains, assuming the first chain is
-/// the designable receptor and the second the fixed peptide (the layout
-/// [`write_pdb`] produces).
-pub fn structure_from_chains(
-    name: impl Into<String>,
-    chains: &[ParsedChain],
-    backbone_quality: f64,
-    iteration: u32,
-) -> Option<Structure> {
-    if chains.len() < 2 {
-        return None;
-    }
-    let complex = Complex::new(
-        name,
-        Chain::designable(chains[0].id.0, chains[0].sequence.clone()),
-        Chain::fixed(chains[1].id.0, chains[1].sequence.clone()),
-    );
-    Some(Structure::refined(complex, backbone_quality, iteration))
-}
-
 fn three_letter_to_aa(name: &str) -> Option<AminoAcid> {
     crate::amino::ALL
         .iter()
@@ -159,6 +139,8 @@ fn three_letter_to_aa(name: &str) -> Option<AminoAcid> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::Chain;
+    use crate::structure::Complex;
 
     fn structure() -> Structure {
         Structure::starting(
@@ -208,18 +190,6 @@ mod tests {
                 assert!((a.z - b.z).abs() < 5e-4);
             }
         }
-    }
-
-    #[test]
-    fn structure_from_chains_rebuilds_complex() {
-        let s = structure();
-        let parsed = parse_pdb(&write_pdb(&s)).unwrap();
-        let rebuilt = structure_from_chains("TESTPDZ", &parsed, 0.4, 0).unwrap();
-        assert_eq!(
-            rebuilt.complex.receptor.sequence,
-            s.complex.receptor.sequence
-        );
-        assert_eq!(rebuilt.complex.peptide.sequence, s.complex.peptide.sequence);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl SequenceProfile {
         AminoAcid::from_index(idx)
     }
 
-    /// The consensus sequence.
-    pub fn consensus(&self) -> Sequence {
-        Sequence::new((0..self.len()).map(|p| self.consensus_at(p)).collect())
-    }
-
     /// Shannon entropy (bits) of the residue distribution at `pos`:
     /// 0 = fully conserved, log2(20) ≈ 4.32 = uniform.
     pub fn entropy(&self, pos: usize) -> f64 {
@@ -101,11 +96,6 @@ impl SequenceProfile {
             .filter(|&p| self.counts[p].contains(&self.n))
             .collect()
     }
-
-    /// Conservation score at `pos` in `[0, 1]`: `1 − entropy / log2(20)`.
-    pub fn conservation(&self, pos: usize) -> f64 {
-        1.0 - self.entropy(pos) / (20.0f64).log2()
-    }
 }
 
 #[cfg(test)]
@@ -122,11 +112,9 @@ mod tests {
         let seqs = vec![seq("MKVLA"), seq("MKVLA"), seq("MKVLA")];
         let p = SequenceProfile::from_sequences(&seqs);
         assert_eq!(p.num_sequences(), 3);
-        assert_eq!(p.consensus().to_letters(), "MKVLA");
         assert_eq!(p.conserved_positions(), vec![0, 1, 2, 3, 4]);
         for pos in 0..5 {
             assert_eq!(p.entropy(pos), 0.0);
-            assert!((p.conservation(pos) - 1.0).abs() < 1e-12);
         }
     }
 
@@ -134,7 +122,7 @@ mod tests {
     fn consensus_picks_majority() {
         let seqs = vec![seq("MKV"), seq("MKV"), seq("MRV")];
         let p = SequenceProfile::from_sequences(&seqs);
-        assert_eq!(p.consensus().to_letters(), "MKV");
+        assert_eq!(p.consensus_at(1), AminoAcid::Lys);
         assert!((p.frequency(1, AminoAcid::Lys) - 2.0 / 3.0).abs() < 1e-12);
         assert!((p.frequency(1, AminoAcid::Arg) - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -155,7 +143,6 @@ mod tests {
         let seqs: Vec<Sequence> = ALL.iter().map(|&aa| Sequence::new(vec![aa])).collect();
         let p = SequenceProfile::from_sequences(&seqs);
         assert!((p.entropy(0) - 20.0f64.log2()).abs() < 1e-12);
-        assert!(p.conservation(0).abs() < 1e-12);
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl Sequence {
             .count()
     }
 
-    /// Positions (0-based) where the two sequences differ.
-    pub fn diff_positions(&self, other: &Sequence) -> Vec<usize> {
-        assert_eq!(self.len(), other.len());
-        (0..self.len())
-            .filter(|&i| self.residues[i] != other.residues[i])
-            .collect()
-    }
-
     /// One-letter string form.
     pub fn to_letters(&self) -> String {
         self.residues.iter().map(|a| a.letter()).collect()
@@ -193,14 +185,12 @@ mod tests {
         let t = s.with_substitution(2, AminoAcid::Trp);
         assert_eq!(t.to_letters(), "AAWA");
         assert_eq!(s.hamming(&t), 1);
-        assert_eq!(s.diff_positions(&t), vec![2]);
     }
 
     #[test]
     fn hamming_of_self_is_zero() {
         let s = Sequence::parse("MKVLA").unwrap();
         assert_eq!(s.hamming(&s), 0);
-        assert!(s.diff_positions(&s).is_empty());
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl Complex {
         c
     }
 
-    /// Total residue count across both chains.
-    pub fn total_len(&self) -> usize {
-        self.receptor.len() + self.peptide.len()
-    }
-
     /// Replace the receptor sequence (lengths must match — design does not
     /// insert or delete residues).
     pub fn with_receptor_sequence(&self, seq: Sequence) -> Complex {
@@ -183,7 +178,6 @@ mod tests {
     #[test]
     fn complex_accessors() {
         let c = complex();
-        assert_eq!(c.total_len(), 12);
         assert_eq!(c.chain(ChainId('A')).unwrap().len(), 8);
         assert_eq!(c.chain(ChainId('B')).unwrap().len(), 4);
         assert!(c.chain(ChainId('C')).is_none());

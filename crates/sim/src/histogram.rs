@@ -49,13 +49,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Record every value of a slice.
-    pub fn record_all(&mut self, values: &[f64]) {
-        for &v in values {
-            self.record(v);
-        }
-    }
-
     /// Total recorded observations.
     pub fn total(&self) -> u64 {
         self.total
@@ -74,21 +67,6 @@ impl Histogram {
             .enumerate()
             .map(|(i, &c)| (self.lo + w * i as f64, c))
             .collect()
-    }
-
-    /// Fraction of observations at or below `value` (empirical CDF).
-    pub fn cdf(&self, value: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let below: u64 = self
-            .bins()
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|((edge, _), _)| *edge <= value)
-            .map(|(_, &c)| c)
-            .sum();
-        below as f64 / self.total as f64
     }
 
     /// Render as horizontal ASCII bars, `width` characters for the modal bin.
@@ -115,7 +93,9 @@ mod tests {
     #[test]
     fn values_land_in_the_right_bins() {
         let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record_all(&[0.0, 1.9, 2.0, 5.5, 9.99]);
+        for v in [0.0, 1.9, 2.0, 5.5, 9.99] {
+            h.record(v);
+        }
         assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
         assert_eq!(h.total(), 5);
     }
@@ -136,18 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_reaches_one() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record_all(&[1.0, 2.0, 3.0, 8.0]);
-        assert!(h.cdf(0.5) <= h.cdf(3.5));
-        assert!((h.cdf(10.0) - 1.0).abs() < 1e-12);
-        assert_eq!(Histogram::new(0.0, 1.0, 2).cdf(0.5), 0.0);
-    }
-
-    #[test]
     fn render_scales_bars() {
         let mut h = Histogram::new(0.0, 2.0, 2);
-        h.record_all(&[0.5, 0.6, 1.5]);
+        for v in [0.5, 0.6, 1.5] {
+            h.record(v);
+        }
         let text = h.render(10);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -21,9 +21,8 @@
 //! * **Block function** — ChaCha with 8 rounds (4 double-rounds), constants
 //!   `"expa nd 3 2-by te k"`, a 64-bit little-endian block counter in state
 //!   words 12–13 and a zero nonce in words 14–15.
-//! * **Word stream** — `next_u32` yields the 16 output words of each block
-//!   in order; `next_u64` packs two consecutive words little-endian
-//!   (low word first).
+//! * **Word stream** — the 16 output words of each block, in order;
+//!   `next_u64` packs two consecutive words little-endian (low word first).
 //! * **Uniform doubles** — `uniform()` is `(next_u64() >> 11) × 2⁻⁵³`,
 //!   i.e. 53 mantissa bits in `[0, 1)`.
 //! * **Bounded ints** — `below(n)` rejection-samples `next_u64()` against
@@ -212,32 +211,12 @@ impl SimRng {
         SimRng::from_seed_bytes(seed)
     }
 
-    /// Next 32 raw bits of the stream.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        self.core.next_word()
-    }
-
     /// Next 64 raw bits (two consecutive words, low word first).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let lo = u64::from(self.core.next_word());
         let hi = u64::from(self.core.next_word());
         (hi << 32) | lo
-    }
-
-    /// Fill `dest` with stream bytes (whole words little-endian; a final
-    /// partial word contributes its low-order bytes).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.core.next_word().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.core.next_word().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
     }
 
     /// Uniform draw in `[0, 1)` (53 mantissa bits).
@@ -336,7 +315,7 @@ mod tests {
     #[test]
     fn stream_spec_is_pinned() {
         let mut rng = SimRng::from_seed(2025);
-        let first: Vec<u32> = (0..4).map(|_| rng.next_u32()).collect();
+        let first: Vec<u32> = (0..4).map(|_| rng.core.next_word()).collect();
         let mut again = SimRng::from_seed(2025);
         let packed = again.next_u64();
         assert_eq!(
@@ -367,19 +346,6 @@ mod tests {
         assert_eq!(wa, wb);
         // Two consecutive blocks must differ (counter advanced).
         assert_ne!(&wa[..16], &wa[16..]);
-    }
-
-    #[test]
-    fn fill_bytes_matches_word_stream() {
-        let mut a = SimRng::from_seed(5);
-        let mut b = SimRng::from_seed(5);
-        let mut bytes = [0u8; 11];
-        a.fill_bytes(&mut bytes);
-        let w0 = b.next_u32().to_le_bytes();
-        let w1 = b.next_u32().to_le_bytes();
-        let w2 = b.next_u32().to_le_bytes();
-        let expect: Vec<u8> = w0.iter().chain(&w1).chain(&w2[..3]).copied().collect();
-        assert_eq!(bytes.to_vec(), expect);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl IntervalTrace {
         }
     }
 
-    /// Whether the device is currently marked busy.
-    pub fn is_busy(&self) -> bool {
-        self.open.is_some()
-    }
-
     /// Close any open interval at `at` (used at simulation shutdown).
     pub fn flush(&mut self, at: SimTime) {
         if self.open.is_some() {
@@ -216,7 +211,6 @@ mod tests {
         tr.begin(t(0));
         assert!((tr.utilization(t(0), t(10)) - 1.0).abs() < 1e-12);
         tr.flush(t(10));
-        assert!(!tr.is_busy());
         assert_eq!(tr.intervals().len(), 1);
     }
 

@@ -54,11 +54,6 @@ impl StageBuffer {
         }
     }
 
-    /// Whether `id` belongs to this stage.
-    pub fn expects(&self, id: TaskId) -> bool {
-        self.expected.contains(&id)
-    }
-
     /// Record a completion. Returns the full, submission-ordered batch once
     /// the last task reports; `None` while tasks are still outstanding.
     /// Panics on a completion for a task this stage never submitted, or on
@@ -142,12 +137,5 @@ mod tests {
     #[should_panic(expected = "at least one task")]
     fn empty_stage_rejected() {
         let _ = StageBuffer::new(vec![]);
-    }
-
-    #[test]
-    fn expects_is_accurate() {
-        let b = StageBuffer::new(vec![TaskId(5)]);
-        assert!(b.expects(TaskId(5)));
-        assert!(!b.expects(TaskId(6)));
     }
 }

@@ -1,726 +1,80 @@
-//! Hermetic-build guard: the workspace must never regain a crates.io
-//! dependency. Every entry in every dependency table — root
-//! `[workspace.dependencies]` and each member's `[dependencies]` /
-//! `[dev-dependencies]` / `[build-dependencies]` — must be either a `path`
-//! dependency or `workspace = true` (which resolves to one).
+//! Self-checks on the tree: the workspace builds with no registry
+//! dependency, every checked-in study artifact agrees with the code that
+//! writes it, and the design decisions a source scan can see stay made.
 //!
-//! This is the policy the root `Cargo.toml` comment points at. If this test
-//! fails, someone reintroduced a registry dependency and tier-1 verify will
-//! break on any machine without network access to a package index.
+//! Every check reads one load of the tree ([`sources`]) and reports its
+//! findings as lines of text. The checks are data where they can be:
+//!
+//! * [`Rule`] rows: a text pattern over a slice of the sources, a verdict,
+//!   an allow-list and the reason printed on failure, run by one scanner;
+//! * [`Artifact`] rows: a checked-in study, its format version, its row
+//!   arrays and claims, checked on the file and on a fresh smoke run;
+//! * structural checks that are not text patterns: the manifests (one TOML
+//!   section walker), integer-keyed hash tables on the hot path, `pub mod`
+//!   reachability and the DESIGN.md inventory.
+//!
+//! [`guards!`] makes each guard a test of its own, so a failure names the
+//! decision that broke. The fixture tests at the end pin the scanners on
+//! in-memory text.
 
+use impress_bench::{partition, straggler, trace};
+use impress_json::Json;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-/// All manifests in the workspace: the root plus every `crates/*` member.
-fn workspace_manifests() -> Vec<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut manifests = vec![root.join("Cargo.toml")];
-    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ dir");
-    for entry in crates {
-        let manifest = entry.expect("dir entry").path().join("Cargo.toml");
-        if manifest.is_file() {
-            manifests.push(manifest);
-        }
-    }
-    assert!(
-        manifests.len() >= 2,
-        "expected root + member manifests, found {manifests:?}"
-    );
-    manifests
-}
+/// A load of the tree: `(repository-relative path, text)`.
+type Sources = [(String, String)];
 
-/// True for section headers that declare dependencies, e.g.
-/// `[dependencies]`, `[dev-dependencies]`, `[workspace.dependencies]`,
-/// `[target.'cfg(unix)'.dependencies]`, or a single-dependency table like
-/// `[dependencies.foo]`.
-fn is_dependency_section(header: &str) -> bool {
-    header.split('.').any(|part| {
-        part == "dependencies" || part == "dev-dependencies" || part == "build-dependencies"
-    })
-}
-
-/// A dependency entry is hermetic if it resolves via a path: either an
-/// inline table containing `path = ...`, or the workspace-inherited forms
-/// `foo = { workspace = true }` / `foo.workspace = true` (the root
-/// `[workspace.dependencies]` is itself checked to be all-path).
-fn entry_is_hermetic(name: &str, spec: &str) -> bool {
-    name.ends_with(".workspace") || spec.contains("path") || spec.contains("workspace")
-}
-
-#[test]
-fn no_registry_dependencies_anywhere() {
-    let mut violations = Vec::new();
-
-    for manifest in workspace_manifests() {
-        let text = std::fs::read_to_string(&manifest)
-            .unwrap_or_else(|e| panic!("read {}: {e}", manifest.display()));
-        let mut in_dep_section = false;
-        // Header of a `[dependencies.foo]`-style table currently being
-        // scanned, with a flag for whether a `path` key was seen.
-        let mut dep_table: Option<(String, bool)> = None;
-
-        for raw in text.lines() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                if let Some((header, saw_path)) = dep_table.take() {
-                    if !saw_path {
-                        violations.push(format!("{}: [{header}] has no path", manifest.display()));
-                    }
-                }
-                let header = line.trim_matches(|c| c == '[' || c == ']');
-                let is_dep = is_dependency_section(header);
-                // `[dependencies.foo]` opens a per-dependency table whose
-                // keys we must scan for `path`.
-                let per_dep = is_dep
-                    && header
-                        .rsplit('.')
-                        .next()
-                        .map(|last| !last.ends_with("dependencies"))
-                        .unwrap_or(false);
-                if per_dep {
-                    dep_table = Some((header.to_string(), false));
-                    in_dep_section = false;
-                } else {
-                    in_dep_section = is_dep;
-                }
-                continue;
-            }
-            if let Some((_, saw_path)) = dep_table.as_mut() {
-                if line.starts_with("path") {
-                    *saw_path = true;
-                }
-                continue;
-            }
-            if !in_dep_section {
-                continue;
-            }
-            let Some((name, spec)) = line.split_once('=') else {
-                continue;
-            };
-            if !entry_is_hermetic(name.trim(), spec) {
-                violations.push(format!(
-                    "{}: `{}` is not a path/workspace dependency: {}",
-                    manifest.display(),
-                    name.trim(),
-                    spec.trim()
-                ));
-            }
-        }
-        if let Some((header, saw_path)) = dep_table {
-            if !saw_path {
-                violations.push(format!("{}: [{header}] has no path", manifest.display()));
+/// Every `.rs` file and `Cargo.toml` under the workspace's source
+/// directories and `perf/src`, plus the JSON, Markdown and TOML files at
+/// the repository root. This file is left out: a guard has to spell what it
+/// searches for.
+fn workspace_sources() -> Vec<(String, String)> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten() {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() && !path.ends_with("target") {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") || path.ends_with("Cargo.toml") {
+                out.push(path);
             }
         }
     }
-
-    assert!(
-        violations.is_empty(),
-        "registry dependencies reintroduced — the workspace must stay hermetic \
-         (path-only deps):\n{}",
-        violations.join("\n")
-    );
-}
-
-/// The tier-1 line is a bare `cargo test -q`. Without `default-members`
-/// that is the root package alone — a tenth of the workspace's tests, and
-/// none of the crate-level differential, props or zero-alloc suites.
-#[test]
-fn a_bare_cargo_test_covers_every_workspace_member() {
-    let manifest =
-        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
-            .expect("read root Cargo.toml");
-    let workspace: Vec<&str> = manifest
-        .lines()
-        .map(str::trim)
-        .skip_while(|l| *l != "[workspace]")
-        .skip(1)
-        .take_while(|l| !l.starts_with('['))
-        .collect();
-    assert!(
-        workspace.contains(&r#"members = ["crates/*"]"#),
-        "[workspace] members changed: {workspace:?}"
-    );
-    assert!(
-        workspace.contains(&r#"default-members = [".", "crates/*"]"#),
-        "[workspace] must keep default-members = the root package and every member: {workspace:?}"
-    );
-}
-
-/// Every bench-suite source file must be declared in the bench crate's
-/// manifest. `cargo build`/`cargo test` silently skip an undeclared
-/// `src/bin/*.rs` or `benches/*.rs` (the crate has `harness = false`
-/// benches, so auto-discovery is off), which would let a broken study
-/// binary rot unnoticed until someone tries to regenerate an artifact.
-/// Tier-1 verify compiles the suites (`cargo build --benches`); this
-/// guard makes sure there is nothing the compile pass cannot see.
-#[test]
-fn every_bench_suite_is_declared_in_the_manifest() {
-    let bench_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench");
-    let manifest = std::fs::read_to_string(bench_dir.join("Cargo.toml"))
-        .expect("read crates/bench/Cargo.toml");
-
-    let stems = |dir: &Path| -> Vec<String> {
-        let mut out: Vec<String> = std::fs::read_dir(dir)
-            .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
-            .map(|entry| entry.expect("dir entry").path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
-            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
-            .collect();
-        out.sort();
-        out
-    };
-
-    let mut missing = Vec::new();
-    for stem in stems(&bench_dir.join("src/bin")) {
-        // `[[bin]]` entries name the target and point at the source path.
-        if !manifest.contains(&format!("path = \"src/bin/{stem}.rs\"")) {
-            missing.push(format!("src/bin/{stem}.rs has no [[bin]] entry"));
-        }
-    }
-    for stem in stems(&bench_dir.join("benches")) {
-        if !manifest.contains(&format!("name = \"{stem}\"")) {
-            missing.push(format!("benches/{stem}.rs has no [[bench]] entry"));
-        }
-    }
-    assert!(
-        missing.is_empty(),
-        "undeclared bench-crate targets (cargo will silently skip them):\n{}",
-        missing.join("\n")
-    );
-}
-
-/// The checked-in recovery study must stay loadable and must agree with
-/// the code on the journal's on-disk format version. A version bump in
-/// `impress_workflow::journal` without regenerating `recovery.json`
-/// (`cargo run --release -p impress-bench --bin recovery`) fails here.
-/// No row may carry a wall-clock reading: the bin prints replay
-/// milliseconds and keeps them out of the file, so the artifact
-/// regenerates byte for byte on any machine.
-#[test]
-fn recovery_artifact_matches_the_journal_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("recovery.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the recovery bin", path.display()));
-    let json: impress_json::Json = impress_json::from_str(&text).expect("recovery.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("recovery.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_workflow::JOURNAL_FORMAT_VERSION,
-        "recovery.json was generated under a different journal format — regenerate it"
-    );
-    let rows = json
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("recovery.json has rows");
-    assert!(!rows.is_empty(), "recovery study must report cells");
-    for row in rows {
-        assert_eq!(
-            row.get("byte_identical").and_then(|b| b.as_bool()),
-            Some(true),
-            "every checked-in recovery cell must have resumed byte-identically: {row:?}"
-        );
-        for (key, _) in row.as_object().expect("recovery rows are objects") {
-            assert!(!key.ends_with("_ms"), "wall-clock field {key:?} in {row:?}");
-        }
-    }
-}
-
-/// The checked-in telemetry trace study must match the current document
-/// layout and certify all three trace contracts. Unlike the timing
-/// artifacts this one is fully deterministic (event counts, span counts,
-/// metric counters — no wall-clock readings), but the guard still pins
-/// structure + invariants rather than bytes so a seed change stays a
-/// one-regeneration fix. Regenerate with
-/// `cargo run --release -p impress-bench --bin trace_study`.
-#[test]
-fn trace_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("trace_summary.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the trace_study bin", path.display()));
-    let json: impress_json::Json =
-        impress_json::from_str(&text).expect("trace_summary.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("trace_summary.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::trace::TRACE_FORMAT_VERSION,
-        "trace_summary.json was generated under a different study format — regenerate it"
-    );
-    for key in ["perturbation_free", "nesting_ok", "chrome_round_trip_ok"] {
-        assert_eq!(
-            json.get(key).and_then(|v| v.as_bool()),
-            Some(true),
-            "checked-in trace study must certify `{key}`"
-        );
-    }
-    assert_eq!(
-        json.get("parity")
-            .and_then(|p| p.get("backends_agree"))
-            .and_then(|v| v.as_bool()),
-        Some(true),
-        "checked-in trace study must certify cross-backend virtual-trace parity"
-    );
-    let campaign = json.get("campaign").expect("campaign section present");
-    assert!(
-        campaign
-            .get("events")
-            .and_then(|v| v.as_f64())
-            .is_some_and(|n| n > 0.0),
-        "recorded campaign must contain events"
-    );
-    assert_eq!(
-        campaign.get("events_dropped").and_then(|v| v.as_f64()),
-        Some(0.0),
-        "the study ring must be large enough to record the campaign losslessly"
-    );
-}
-
-/// One tiny iteration of the trace study runs under `cargo test`, so the
-/// code that regenerates `trace_summary.json` cannot bit-rot between
-/// releases — and the three trace contracts are re-proven on every test
-/// run, not just at artifact-regeneration time.
-#[test]
-fn trace_study_smoke_iteration_certifies_every_contract() {
-    let doc = impress_bench::trace::run_study(&impress_bench::trace::TraceParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::trace::TRACE_FORMAT_VERSION as f64)
-    );
-    for key in ["perturbation_free", "nesting_ok", "chrome_round_trip_ok"] {
-        assert_eq!(
-            doc.get(key).and_then(|v| v.as_bool()),
-            Some(true),
-            "smoke trace study failed `{key}`"
-        );
-    }
-    assert_eq!(
-        doc.get("parity")
-            .and_then(|p| p.get("backends_agree"))
-            .and_then(|v| v.as_bool()),
-        Some(true),
-        "smoke trace study: backends disagreed on the virtual trace"
-    );
-}
-
-/// The checked-in gray-failure study artifact must match the study's
-/// current document layout and certify both resilience claims it exists
-/// to make: hedging at k=2 recovers the majority of the makespan a 10x
-/// straggler tail costs, and quarantine bounds poisoned-lineage waste to
-/// the distinct-node budget. The study is fully deterministic (virtual
-/// clock, fixed seed), but the guard pins structure + claims rather than
-/// bytes so a parameter change stays a one-regeneration fix. Regenerate
-/// with `cargo run --release -p impress-bench --bin straggler_study`.
-#[test]
-fn straggler_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("straggler.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the straggler_study bin", path.display()));
-    let json: impress_json::Json = impress_json::from_str(&text).expect("straggler.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("straggler.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::straggler::STRAGGLER_FORMAT_VERSION,
-        "straggler.json was generated under a different study format — regenerate it"
-    );
-    let acceptance = json.get("acceptance").expect("acceptance section present");
-    for key in ["k2_recovers_majority", "quarantine_bounds_poison_waste"] {
-        assert_eq!(
-            acceptance.get(key).and_then(|v| v.as_bool()),
-            Some(true),
-            "checked-in straggler study must certify `{key}`"
-        );
-    }
-    let rows = json
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("straggler.json has a rows array");
-    assert_eq!(
-        rows.len(),
-        24,
-        "the study sweeps 4 severities x 3 hedge modes x 2 quarantine modes"
-    );
-    for row in rows {
-        assert!(
-            row.get("makespan_secs")
-                .and_then(|v| v.as_f64())
-                .is_some_and(|m| m > 0.0),
-            "every cell must report a positive makespan: {row:?}"
-        );
-    }
-}
-
-/// One tiny iteration of the gray-failure study runs under `cargo test`,
-/// so the code that regenerates `straggler.json` cannot bit-rot between
-/// releases. The smoke grid keeps every code path warm — scripted
-/// slowdowns, hedged duplicates, poison quarantine, circuit-breaker
-/// shedding — without asserting the paper-scale recovery bar, which only
-/// the full grid is sized to meet.
-#[test]
-fn straggler_smoke_iteration_produces_a_complete_document() {
-    let doc =
-        impress_bench::straggler::run_study(&impress_bench::straggler::StudyParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::straggler::STRAGGLER_FORMAT_VERSION as f64)
-    );
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has rows");
-    assert_eq!(
-        rows.len(),
-        24,
-        "smoke study sweeps the same 24-cell grid as the paper run"
-    );
-    for row in rows {
-        let completed = row.get("completed").and_then(|v| v.as_u64()).unwrap_or(0);
-        let poisoned = row.get("poisoned").and_then(|v| v.as_u64()).unwrap_or(0);
-        let shed = row.get("shed").and_then(|v| v.as_u64()).unwrap_or(0);
-        let timed_out = row.get("timed_out").and_then(|v| v.as_u64()).unwrap_or(0);
-        assert!(
-            completed + poisoned + shed + timed_out > 0,
-            "every smoke cell must drain its campaign: {row:?}"
-        );
-        assert!(
-            row.get("makespan_secs")
-                .and_then(|v| v.as_f64())
-                .is_some_and(|m| m > 0.0),
-            "every smoke cell must report a positive makespan: {row:?}"
-        );
-    }
-    let quarantined: Vec<_> = rows
-        .iter()
-        .filter(|r| r.get("quarantine").and_then(|v| v.as_str()) == Some("on"))
-        .collect();
-    assert!(
-        quarantined
-            .iter()
-            .any(|r| r.get("poisoned").and_then(|v| v.as_u64()).unwrap_or(0) > 0),
-        "quarantine-on smoke cells must actually poison the doomed lineages"
-    );
-    doc.get("acceptance")
-        .and_then(|a| a.get("k2_recovered_fraction"))
-        .and_then(|v| v.as_f64())
-        .expect("smoke study computes the recovery fraction");
-}
-
-/// Every `.rs` file under `dir`, build output excepted.
-fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            rs_files(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Every `.rs` file of the workspace and of the perf ledger, this one
-/// excepted (a guard has to spell what it searches for).
-fn workspace_sources() -> Vec<(PathBuf, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for dir in ["crates", "tests", "examples", "src", "perf/src"] {
-        rs_files(&root.join(dir), &mut files);
+    for dir in ["crates", "tests", "examples", "perf/src"] {
+        walk(&root.join(dir), &mut files);
     }
-    assert!(files.len() > 20, "expected to scan the whole workspace");
+    for entry in std::fs::read_dir(root).expect("read the repository root") {
+        let path = entry.expect("dir entry").path();
+        let ext = path.extension().and_then(|e| e.to_str());
+        if path.is_file() && matches!(ext, Some("json" | "md" | "toml")) {
+            files.push(path);
+        }
+    }
+    assert!(files.len() > 20, "expected to load the whole workspace");
     files
         .into_iter()
         .map(|f| {
-            f.strip_prefix(root)
-                .expect("workspace-relative path")
-                .to_path_buf()
-        })
-        .filter(|rel| rel != Path::new("tests/hermetic.rs"))
-        .map(|rel| {
-            let text = std::fs::read_to_string(root.join(&rel))
+            let rel = f.strip_prefix(root).expect("repository-relative path");
+            let text = std::fs::read_to_string(&f)
                 .unwrap_or_else(|e| panic!("read {}: {e}", rel.display()));
-            (rel, text)
+            (rel.to_str().expect("UTF-8 path").to_string(), text)
         })
+        .filter(|(rel, _)| rel != "tests/hermetic.rs")
         .collect()
 }
 
-/// `cargo test` runs a binary's tests on parallel threads, and the harness
-/// reads `IMPRESS_SEED` / `IMPRESS_BENCH_*` from many of them: a test that
-/// writes the process environment races every sibling that reads it. Code
-/// that needs a different setting takes it as an argument (`Suite`'s
-/// private constructor, `parse_seed`).
-#[test]
-fn no_source_file_mutates_the_process_environment() {
-    let mut violations = Vec::new();
-    for (rel, text) in workspace_sources() {
-        for (i, line) in text.lines().enumerate() {
-            if ["set_var(", "remove_var("].iter().any(|n| line.contains(n)) {
-                violations.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
-            }
-        }
-    }
-    assert!(
-        violations.is_empty(),
-        "environment writes:\n{}",
-        violations.join("\n")
-    );
+/// The one load every guard reads.
+fn sources() -> &'static Sources {
+    static LOAD: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    LOAD.get_or_init(workspace_sources)
 }
 
-/// `perf/` + `BENCHMARK.json` is the one performance instrument. The four
-/// `BENCH_*.json` studies it replaced each compared HEAD with constants
-/// embedded from a different dead commit and read the sample-count
-/// variables with their own defaults; this guard fails when a perf change
-/// forks the ledger that way again.
-#[test]
-fn the_perf_ledger_is_the_only_performance_artifact() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let stale: Vec<String> = std::fs::read_dir(root)
-        .expect("read the repository root")
-        .map(|entry| {
-            entry
-                .expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "performance artifacts beside the ledger: {stale:?}"
-    );
-
-    let sources = workspace_sources();
-    let readers: Vec<&Path> = sources
-        .iter()
-        .filter(|(_, text)| text.contains("IMPRESS_BENCH_SAMPLES"))
-        .map(|(rel, _)| rel.as_path())
-        .collect();
-    assert_eq!(
-        readers,
-        [Path::new("crates/bench/src/timing.rs")],
-        "sample-count readers"
-    );
-    for (rel, text) in &sources {
-        assert!(
-            !rel.starts_with("crates/bench/src") || !text.contains("mod baseline"),
-            "{} embeds a baseline table",
-            rel.display()
-        );
-    }
-
-    let bench_dir = root.join("crates/bench");
-    let manifest = std::fs::read_to_string(bench_dir.join("Cargo.toml"))
-        .expect("read crates/bench/Cargo.toml");
-    let mut bins = 0;
-    for path in manifest
-        .lines()
-        .filter_map(|l| l.strip_prefix("path = \"src/bin/"))
-    {
-        let file = bench_dir.join("src/bin").join(path.trim_end_matches('"'));
-        assert!(
-            file.is_file(),
-            "[[bin]] without its source: {}",
-            file.display()
-        );
-        bins += 1;
-    }
-    assert!(
-        bins >= 12,
-        "expected every paper and study bin, found {bins}"
-    );
-}
-
-/// The deprecated pilot constructor shims and `Session` probes completed
-/// their one-release sunset and were deleted; the workspace is now a
-/// zero-`#[deprecated]` codebase by policy. Deprecation here means
-/// *delete on schedule*, not *accumulate* — any future shim must carry a
-/// removal plan, and this guard forces the conversation by failing the
-/// moment a `#[deprecated]` attribute (or an `#[allow(deprecated)]`
-/// suppression) reappears anywhere in the workspace sources.
-#[test]
-fn no_deprecated_items_anywhere_in_the_workspace() {
-    let mut violations = Vec::new();
-    for (rel, text) in workspace_sources() {
-        for needle in ["#[deprecated", "#![deprecated", "(deprecated)"] {
-            for (i, line) in text.lines().enumerate() {
-                if line.contains(needle) {
-                    violations.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
-                }
-            }
-        }
-    }
-    assert!(
-        violations.is_empty(),
-        "deprecated items reintroduced — delete them or ship them with a removal plan \
-         (and update this guard deliberately):\n{}",
-        violations.join("\n")
-    );
-}
-
-/// `SimulatedBackend`, `ShardedBackend` and `ThreadedBackend` are three
-/// drivers of ONE set of attempt-lifecycle handlers
-/// (`crates/pilot/src/backend/des.rs`). They used to be three copies kept
-/// equal by hand — one written as closures for an engine only it used,
-/// one as a scheduler thread with a modeled second clock. This guard fails
-/// the moment an engine change re-forks a handler (or the state only the
-/// handlers need) into a driver, the sequential driver gets a second
-/// copy, `threaded.rs` grows back into an engine, or the closure engine
-/// comes back.
-#[test]
-fn every_backend_shares_one_set_of_lifecycle_handlers() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut drivers = Vec::new();
-    rs_files(&root.join("crates/pilot/src/backend"), &mut drivers);
-    assert!(
-        drivers.len() >= 4,
-        "expected the core and its three drivers"
-    );
-    let sources: Vec<(PathBuf, String)> = drivers
-        .into_iter()
-        .map(|f| {
-            let text = std::fs::read_to_string(&f).expect("read backend source");
-            (f, text)
-        })
-        .collect();
-    let homes = |needle: &str| -> Vec<String> {
-        sources
-            .iter()
-            .filter(|(_, text)| text.contains(needle))
-            .map(|(f, _)| f.display().to_string())
-            .collect()
-    };
-    for handler in [
-        "fn place_ready(",
-        "fn fail_attempt(",
-        "fn hedge_check(",
-        "fn deliver_done(",
-        "fn suspect_node(",
-        "fn finish_task(",
-        // The sequential driver, shared by two backends.
-        "fn step(",
-        "fn heartbeat_send(",
-    ] {
-        let homes = homes(handler);
-        assert_eq!(
-            homes.len(),
-            1,
-            "`{handler}` must have exactly one home: {homes:?}"
-        );
-    }
-    // What only the handlers need is named by the core alone.
-    for state in ["Scheduler::new_cluster", ".attempt_fault(", "backoff_rng"] {
-        let homes = homes(state);
-        assert!(
-            homes.len() == 1 && homes[0].ends_with("des.rs"),
-            "`{state}` belongs to des.rs alone: {homes:?}"
-        );
-    }
-    let (_, threaded) = sources
-        .iter()
-        .find(|(f, _)| f.ends_with("threaded.rs"))
-        .expect("backend/threaded.rs");
-    let non_test = threaded
-        .split("#[cfg(test)]\nmod tests")
-        .next()
-        .expect("a first piece");
-    let lines = non_test.lines().count();
-    assert!(
-        lines < 400,
-        "threaded.rs is a driver, not an engine: {lines} non-test lines"
-    );
-
-    assert!(
-        !root.join("crates/sim/src/engine.rs").exists(),
-        "the closure engine was deleted with its last caller"
-    );
-    let engine = ["impress_sim", "Engine"].join("::");
-    for (rel, text) in workspace_sources() {
-        assert!(!text.contains(&engine), "{} names {engine}", rel.display());
-    }
-}
-
-/// Every caller of the landscape's local score wants all twenty candidates
-/// at one position, and `local_scores`/`local_sums` is that one pass. The
-/// one-candidate form (a `Sequence` clone and three full hash chains per
-/// candidate) survives only as the `#[cfg(test)]` oracle: this guard fails
-/// when it comes back beside the kernel.
-#[test]
-fn the_landscape_has_one_local_scoring_kernel() {
-    let interface = Path::new("crates/proteins/src/landscape/interface.rs");
-    let nk = Path::new("crates/proteins/src/landscape/nk.rs");
-    let mut saw_nk = false;
-    for (rel, text) in workspace_sources() {
-        if !(rel.starts_with("crates") || rel.starts_with("examples")) {
-            continue;
-        }
-        let non_test = text.split("#[cfg(test)]").next().expect("a first piece");
-        assert!(
-            !non_test.contains("fn local_score("),
-            "{} scores one candidate at a time",
-            rel.display()
-        );
-        // `InterfaceModel::local_sum` is what `DesignLandscape::new` tables.
-        assert!(
-            rel == interface || !non_test.contains("fn local_sum("),
-            "{} sums one candidate at a time",
-            rel.display()
-        );
-        if rel == nk {
-            saw_nk = true;
-            assert!(
-                non_test.contains("fn local_sums("),
-                "the NK kernel lives in nk.rs"
-            );
-            assert!(
-                !non_test.contains(".clone()"),
-                "the NK kernel clones nothing"
-            );
-        }
-    }
-    assert!(saw_nk, "expected to scan {}", nk.display());
-}
-
-/// `load_plan` reads a frame once: `seq`, `crc` and the typed record come
-/// straight off the line through `FromJsonBuf`, and the checksum covers the
-/// stored bytes. The tree route it replaced — `impress_json::parse`, a
-/// re-serialisation to hash, `from_json` on the tree — survives in
-/// `journal.rs` only as the `#[cfg(test)]` reference the pull route is held
-/// to: this guard fails when a `Json` tree comes back under the loader.
-#[test]
-fn the_journal_loader_builds_no_json_tree() {
-    let journal = Path::new("crates/workflow/src/journal.rs");
-    let sources = workspace_sources();
-    let (_, text) = sources
-        .iter()
-        .find(|(rel, _)| rel == journal)
-        .expect("crates/workflow/src/journal.rs");
-    let (non_test, tests) = text
-        .split_once("#[cfg(test)]")
-        .expect("journal.rs keeps its tests in the file");
-    for tree_route in ["parse", "from_str", "FromJson", "from_json", "from_field"] {
-        assert!(
-            !names(non_test, tree_route),
-            "journal.rs reaches `{tree_route}` outside its tests"
-        );
-    }
-    assert!(
-        names(tests, "parse") && names(tests, "from_json"),
-        "the tree-route reference is gone from journal.rs's tests"
-    );
+/// The text of `rel` in `sources`.
+fn source<'a>(sources: &'a Sources, rel: &str) -> &'a str {
+    let found = sources.iter().find(|(path, _)| path == rel);
+    found.map_or_else(|| panic!("{rel} is gone: update the guard"), |(_, t)| t)
 }
 
 /// `word` occurs in `text` with no identifier character on either side.
@@ -729,6 +83,720 @@ fn names(text: &str, word: &str) -> bool {
     text.match_indices(word)
         .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
 }
+
+/// Each guard is a test of its own; its check returns what it found.
+macro_rules! guards {
+    ($($name:ident => $check:expr,)*) => {$(
+        #[test]
+        fn $name() {
+            let found: Vec<String> = $check;
+            assert!(found.is_empty(), "{}", found.join("\n"));
+        }
+    )*};
+}
+
+guards! {
+    no_registry_dependencies_anywhere => registry_dependencies(sources()),
+    workspace_dependency_table_is_all_paths => workspace_dependency_table(sources()),
+    a_bare_cargo_test_covers_every_workspace_member => default_members(sources()),
+    every_bench_suite_is_declared_in_the_manifest => bench_targets(sources()),
+    no_source_file_mutates_the_process_environment => rules(ENV_WRITES),
+    no_deprecated_items_anywhere_in_the_workspace => rules(DEPRECATED),
+    the_perf_ledger_is_the_only_performance_artifact => rules(PERF_LEDGER),
+    every_backend_shares_one_set_of_lifecycle_handlers => rules(LIFECYCLE),
+    the_landscape_has_one_local_scoring_kernel => rules(LANDSCAPE),
+    the_journal_loader_builds_no_json_tree => rules(JOURNAL_LOADER),
+    recovery_artifact_matches_the_journal_format_version => checked_in(&RECOVERY),
+    trace_artifact_matches_the_study_format_version => checked_in(&TRACE),
+    trace_study_smoke_iteration_certifies_every_contract => smoke(&TRACE),
+    straggler_artifact_matches_the_study_format_version => checked_in(&STRAGGLER),
+    straggler_smoke_iteration_produces_a_complete_document => smoke(&STRAGGLER),
+    partition_artifact_matches_the_study_format_version => checked_in(&PARTITION),
+    partition_smoke_iteration_produces_a_complete_document => smoke(&PARTITION),
+    dense_ids_index_arrays_on_the_hot_path => dense_id_tables(sources()),
+    every_pub_mod_is_reached_from_outside_its_own_crate =>
+        reachability_violations(sources(), UNREACHED_BUT_ALLOWED),
+    the_design_inventory_names_only_what_exists => design_inventory(sources()),
+}
+
+// ---------------------------------------------------------------- rules
+
+/// Which part of a file a rule reads: all of it, or the part before or
+/// after its first `#[cfg(test)]`.
+#[derive(Clone, Copy)]
+enum Part {
+    Whole,
+    Code,
+    Tests,
+}
+
+fn part(text: &str, part: Part) -> &str {
+    let (code, tests) = text.split_once("#[cfg(test)]").unwrap_or((text, ""));
+    match part {
+        Part::Whole => text,
+        Part::Code => code,
+        Part::Tests => tests,
+    }
+}
+
+enum Verdict {
+    /// No file in scope has a needle.
+    Forbidden,
+    /// Every file in scope has every needle.
+    Required,
+    /// The files in scope with a needle are exactly these, for each needle.
+    OnlyIn(&'static [&'static str]),
+    /// Each needle is in exactly one file in scope.
+    ExactlyOneHome,
+    /// No file in scope is longer than this many lines.
+    MaxLines(usize),
+    /// Nothing is in scope: the path must not exist.
+    Absent,
+}
+
+struct Rule {
+    /// Path prefix of the files the rule reads: `.rs` files only, but any
+    /// file for `Absent`.
+    scope: &'static str,
+    part: Part,
+    needles: &'static [&'static str],
+    /// Match the needles as whole words rather than substrings.
+    word: bool,
+    verdict: Verdict,
+    /// Files taken out of scope, each with the reason. An entry is stale,
+    /// and reported, unless putting its file back changes what the rule
+    /// finds.
+    allow: &'static [(&'static str, &'static str)],
+    /// Why the rule exists, printed with every finding.
+    reason: &'static str,
+}
+
+/// What every row leaves out.
+const FORBIDDEN: Rule = Rule {
+    scope: "",
+    part: Part::Whole,
+    needles: &[],
+    word: false,
+    verdict: Verdict::Forbidden,
+    allow: &[],
+    reason: "",
+};
+
+/// `cargo test` runs a binary's tests on parallel threads, and the harness
+/// reads `IMPRESS_SEED` / `IMPRESS_BENCH_*` from many of them.
+const ENV_WRITES: &[Rule] = &[Rule {
+    needles: &["set_var(", "remove_var("],
+    reason: "writing the environment races every test that reads it; \
+             code that needs another setting takes it as an argument",
+    ..FORBIDDEN
+}];
+
+/// The deprecated pilot shims finished their sunset and were deleted.
+const DEPRECATED: &[Rule] = &[Rule {
+    needles: &["#[deprecated", "#![deprecated", "(deprecated)"],
+    reason: "deprecation means delete on schedule: a shim ships with its removal plan",
+    ..FORBIDDEN
+}];
+
+/// The four `BENCH_*.json` studies each compared HEAD with constants from a
+/// dead commit and read the sample count with their own default.
+const PERF_LEDGER: &[Rule] = &[
+    Rule {
+        scope: "BENCH_",
+        verdict: Verdict::Absent,
+        reason: "perf/ and BENCHMARK.json are the one performance instrument",
+        ..FORBIDDEN
+    },
+    Rule {
+        needles: &["IMPRESS_BENCH_SAMPLES"],
+        verdict: Verdict::OnlyIn(&["crates/bench/src/timing.rs"]),
+        reason: "the sample count has one reader and one default",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/bench/src/",
+        needles: &["mod baseline"],
+        reason: "a bench embeds no baseline table: the ledger compares commits",
+        ..FORBIDDEN
+    },
+];
+
+const BACKEND: &str = "crates/pilot/src/backend/";
+
+/// `SimulatedBackend`, `ShardedBackend` and `ThreadedBackend` are three
+/// drivers of one set of attempt-lifecycle handlers in `des.rs`; they used
+/// to be three copies kept equal by hand.
+const LIFECYCLE: &[Rule] = &[
+    Rule {
+        scope: BACKEND,
+        needles: &[
+            "fn place_ready(",
+            "fn fail_attempt(",
+            "fn hedge_check(",
+            "fn deliver_done(",
+            "fn suspect_node(",
+            "fn finish_task(",
+            "fn step(",
+            "fn heartbeat_send(",
+        ],
+        verdict: Verdict::ExactlyOneHome,
+        reason: "every driver shares one copy of each handler and of the sequential driver",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: BACKEND,
+        needles: &["Scheduler::new_cluster", ".attempt_fault(", "backoff_rng"],
+        verdict: Verdict::OnlyIn(&["crates/pilot/src/backend/des.rs"]),
+        reason: "what only the handlers need is named by the core alone",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/pilot/src/backend/threaded.rs",
+        part: Part::Code,
+        verdict: Verdict::MaxLines(399),
+        reason: "threaded.rs is a driver, not an engine",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/sim/src/engine.rs",
+        verdict: Verdict::Absent,
+        reason: "the closure engine was deleted with its last caller",
+        ..FORBIDDEN
+    },
+    Rule {
+        needles: &["impress_sim::Engine"],
+        reason: "the closure engine was deleted with its last caller",
+        ..FORBIDDEN
+    },
+];
+
+const NK: &str = "crates/proteins/src/landscape/nk.rs";
+
+/// Every caller of the local score wants all twenty candidates at one
+/// position, and `local_scores` / `local_sums` is that one pass; scoring
+/// one candidate at a time survives only as the tests' oracle.
+const LANDSCAPE: &[Rule] = &[
+    Rule {
+        part: Part::Code,
+        needles: &["fn local_score("],
+        reason: "the one-candidate score is the tests' oracle, not a second kernel",
+        ..FORBIDDEN
+    },
+    Rule {
+        part: Part::Code,
+        needles: &["fn local_sum("],
+        allow: &[(
+            "crates/proteins/src/landscape/interface.rs",
+            "`InterfaceModel::local_sum` is what `DesignLandscape::new` tables",
+        )],
+        reason: "the one-candidate sum is the tests' oracle, not a second kernel",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: NK,
+        part: Part::Code,
+        needles: &["fn local_sums("],
+        verdict: Verdict::Required,
+        reason: "the NK kernel lives in nk.rs",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: NK,
+        part: Part::Code,
+        needles: &[".clone()"],
+        reason: "the NK kernel clones nothing",
+        ..FORBIDDEN
+    },
+];
+
+const JOURNAL: &str = "crates/workflow/src/journal.rs";
+
+/// `load_plan` reads a frame once, straight off the line through
+/// `FromJsonBuf`, and checksums the stored bytes.
+const JOURNAL_LOADER: &[Rule] = &[
+    Rule {
+        scope: JOURNAL,
+        part: Part::Code,
+        needles: &["parse", "from_str", "FromJson", "from_json", "from_field"],
+        word: true,
+        reason: "the journal loader builds no Json tree",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: JOURNAL,
+        part: Part::Tests,
+        needles: &["parse", "from_json"],
+        word: true,
+        verdict: Verdict::Required,
+        reason: "the tree route stays in journal.rs's tests as the pull route's reference",
+        ..FORBIDDEN
+    },
+];
+
+const RULES: [&[Rule]; 6] = [
+    ENV_WRITES,
+    DEPRECATED,
+    PERF_LEDGER,
+    LIFECYCLE,
+    LANDSCAPE,
+    JOURNAL_LOADER,
+];
+
+/// What `rule` finds in `files`, allow-list not applied.
+fn findings(rule: &Rule, files: &[&(String, String)]) -> Vec<String> {
+    let has = |text: &str, needle: &str| {
+        let text = part(text, rule.part);
+        if rule.word {
+            names(text, needle)
+        } else {
+            text.contains(needle)
+        }
+    };
+    let mut found = Vec::new();
+    match rule.verdict {
+        Verdict::Absent => found.extend(files.iter().map(|(rel, _)| format!("{rel} exists"))),
+        _ if files.is_empty() => found.push(format!("nothing to check under `{}`", rule.scope)),
+        Verdict::MaxLines(max) => {
+            for (rel, text) in files {
+                let lines = part(text, rule.part).lines().count();
+                if lines > max {
+                    found.push(format!("{rel} has {lines} lines, over {max}"));
+                }
+            }
+        }
+        Verdict::Required => {
+            for (rel, text) in files {
+                let missing = rule.needles.iter().filter(|n| !has(text, n));
+                found.extend(missing.map(|n| format!("{rel} lacks `{n}`")));
+            }
+        }
+        Verdict::Forbidden | Verdict::OnlyIn(_) | Verdict::ExactlyOneHome => {
+            for needle in rule.needles {
+                let homes: Vec<&str> = files
+                    .iter()
+                    .filter(|(_, text)| has(text, needle))
+                    .map(|(rel, _)| rel.as_str())
+                    .collect();
+                let holds = match rule.verdict {
+                    Verdict::OnlyIn(only) => homes == only,
+                    Verdict::ExactlyOneHome => homes.len() == 1,
+                    _ => homes.is_empty(),
+                };
+                if !holds {
+                    found.push(format!("`{needle}` is in {homes:?}"));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// What is wrong in `sources` by `rule`, stale allow-list entries included.
+fn rule_violations(rule: &Rule, sources: &Sources) -> Vec<String> {
+    let in_scope = |rel: &str| {
+        rel.starts_with(rule.scope)
+            && (rel.ends_with(".rs") || matches!(rule.verdict, Verdict::Absent))
+    };
+    let allowed = |rel: &str| rule.allow.iter().any(|(file, _)| *file == rel);
+    let checked: Vec<&(String, String)> = sources
+        .iter()
+        .filter(|(rel, _)| in_scope(rel) && !allowed(rel))
+        .collect();
+    let mut found = findings(rule, &checked);
+    for (file, _) in rule.allow {
+        let back = sources.iter().find(|(rel, _)| rel == file && in_scope(rel));
+        let matters =
+            back.is_some_and(|back| findings(rule, &[&checked[..], &[back][..]].concat()) != found);
+        if !matters {
+            found.push(format!("allow-list entry {file} is stale"));
+        }
+    }
+    found
+        .into_iter()
+        .map(|f| format!("{f}: {}", rule.reason))
+        .collect()
+}
+
+fn rules(rows: &[Rule]) -> Vec<String> {
+    rows.iter()
+        .flat_map(|rule| rule_violations(rule, sources()))
+        .collect()
+}
+
+// ------------------------------------------------------------ artifacts
+
+static NULL: Json = Json::Null;
+
+/// The value at a dotted `path` of `doc` (`""` is `doc`), null if absent.
+fn at<'a>(doc: &'a Json, path: &str) -> &'a Json {
+    let mut keys = path.split('.').filter(|k| !k.is_empty());
+    keys.try_fold(doc, |v, k| v.get(k)).unwrap_or(&NULL)
+}
+
+fn num(doc: &Json, path: &str) -> f64 {
+    at(doc, path).as_f64().unwrap_or(f64::NAN)
+}
+
+fn rows<'a>(doc: &'a Json, path: &str) -> &'a [Json] {
+    at(doc, path).as_array().unwrap_or_default()
+}
+
+/// A predicate on a document or a row.
+enum Expect {
+    True(&'static str),
+    Zero(&'static str),
+    Positive(&'static str),
+    /// A described predicate on the whole value.
+    Holds(&'static str, fn(&Json) -> bool),
+}
+
+impl Expect {
+    fn fails(&self, doc: &Json) -> Option<String> {
+        let (holds, what) = match *self {
+            Expect::True(path) => (
+                at(doc, path).as_bool() == Some(true),
+                format!("`{path}` is true"),
+            ),
+            Expect::Zero(path) => (num(doc, path) == 0.0, format!("`{path}` is 0")),
+            Expect::Positive(path) => (num(doc, path) > 0.0, format!("`{path}` is positive")),
+            Expect::Holds(what, holds) => (holds(doc), what.to_string()),
+        };
+        (!holds).then(|| format!("expected {what}"))
+    }
+}
+
+/// A checked-in study. The guard pins structure and claims rather than
+/// bytes, so a parameter change stays a one-regeneration fix.
+struct Artifact {
+    file: &'static str,
+    /// The format-version constant of the code that writes the file.
+    version: u32,
+    /// The study at smoke size, run under `cargo test` so the code that
+    /// regenerates the file cannot rot between releases.
+    smoke: Option<fn() -> Json>,
+    /// Row arrays: key, expected length, and what every row satisfies.
+    rows: &'static [(&'static str, usize, &'static [Expect])],
+    /// Claims on the document that hold at any scale, the smoke run's too.
+    claims: &'static [Expect],
+    /// Claims only the paper-scale run is sized to meet.
+    paper_claims: &'static [Expect],
+}
+
+/// Regenerate with `cargo run --release -p impress-bench --bin recovery`.
+/// Replay milliseconds are printed, never stored, so the file regenerates
+/// byte for byte on any machine.
+const RECOVERY: Artifact = Artifact {
+    file: "recovery.json",
+    version: impress_workflow::JOURNAL_FORMAT_VERSION,
+    smoke: None,
+    rows: &[(
+        "rows",
+        9,
+        &[
+            Expect::True("byte_identical"),
+            Expect::Holds("no wall-clock `_ms` field", |row| {
+                let fields = row.as_object().unwrap_or_default();
+                fields.iter().all(|(key, _)| !key.ends_with("_ms"))
+            }),
+        ],
+    )],
+    claims: &[],
+    paper_claims: &[],
+};
+
+/// Regenerate with `cargo run --release -p impress-bench --bin trace_study`.
+const TRACE: Artifact = Artifact {
+    file: "trace_summary.json",
+    version: trace::TRACE_FORMAT_VERSION,
+    smoke: Some(|| trace::run_study(&trace::TraceParams::smoke(), 7)),
+    rows: &[],
+    claims: &[
+        Expect::True("perturbation_free"),
+        Expect::True("nesting_ok"),
+        Expect::True("chrome_round_trip_ok"),
+        Expect::True("parity.backends_agree"),
+        Expect::Positive("campaign.events"),
+        Expect::Zero("campaign.events_dropped"),
+    ],
+    paper_claims: &[],
+};
+
+/// Regenerate with `cargo run --release -p impress-bench --bin
+/// straggler_study`. The smoke grid keeps every code path warm without the
+/// paper-scale bars, which only the full grid is sized to meet.
+const STRAGGLER: Artifact = Artifact {
+    file: "straggler.json",
+    version: straggler::STRAGGLER_FORMAT_VERSION,
+    smoke: Some(|| straggler::run_study(&straggler::StudyParams::smoke(), 7)),
+    rows: &[(
+        "rows",
+        24,
+        &[
+            Expect::Positive("makespan_secs"),
+            Expect::Holds("the cell to drain its campaign", |row| {
+                let ends = ["completed", "poisoned", "shed", "timed_out"];
+                ends.iter().map(|k| num(row, k)).sum::<f64>() > 0.0
+            }),
+        ],
+    )],
+    claims: &[
+        Expect::Positive("acceptance.k2_recovered_fraction"),
+        Expect::Holds(
+            "a quarantine-on cell to poison its doomed lineages",
+            |doc| {
+                let on = |r: &&Json| at(r, "quarantine").as_str() == Some("on");
+                rows(doc, "rows")
+                    .iter()
+                    .filter(on)
+                    .any(|r| num(r, "poisoned") > 0.0)
+            },
+        ),
+    ],
+    paper_claims: &[
+        Expect::True("acceptance.k2_recovers_majority"),
+        Expect::True("acceptance.quarantine_bounds_poison_waste"),
+    ],
+};
+
+/// Regenerate with `cargo run --release -p impress-bench --bin
+/// partition_study`. Exactly-once holds at any scale, the 90 % recovery bar
+/// only on the full grid.
+const PARTITION: Artifact = Artifact {
+    file: "partition.json",
+    version: partition::PARTITION_FORMAT_VERSION,
+    smoke: Some(|| partition::run_study(&partition::StudyParams::smoke(), 7)),
+    rows: &[
+        (
+            "grid",
+            36,
+            &[
+                Expect::Positive("makespan_secs"),
+                Expect::Zero("duplicate_completions"),
+            ],
+        ),
+        (
+            "delivery",
+            3,
+            &[
+                Expect::Zero("duplicate_decision_effects"),
+                Expect::Zero("duplicate_journal_effects"),
+            ],
+        ),
+    ],
+    claims: &[
+        Expect::True("acceptance.exactly_once_at_every_rate"),
+        Expect::Zero("acceptance.grid_duplicate_completions"),
+        Expect::Zero("acceptance.delivery_duplicate_effects"),
+        Expect::Holds("every grid campaign to drain fully", |doc| {
+            let drained = |r: &Json| num(r, "completed") == num(doc, "tasks");
+            rows(doc, "grid").iter().all(drained)
+        }),
+        Expect::Holds("detection to suspect a node and expire its leases", |doc| {
+            let on = |r: &&Json| at(r, "detector").as_str() != Some("off");
+            let seen = |key| {
+                rows(doc, "grid")
+                    .iter()
+                    .filter(on)
+                    .any(|r| num(r, key) > 0.0)
+            };
+            seen("suspicions") && seen("lease_expiries")
+        }),
+    ],
+    paper_claims: &[Expect::True("acceptance.detection_recovers_90pct")],
+};
+
+/// What is wrong with `doc` as `artifact`; a smoke document is held only to
+/// the claims that hold at any scale.
+fn artifact_violations(artifact: &Artifact, doc: &Json, smoke: bool) -> Vec<String> {
+    let mut found = Vec::new();
+    if at(doc, "format_version").as_f64() != Some(f64::from(artifact.version)) {
+        let version = artifact.version;
+        found.push(format!("not written under format {version}: regenerate it"));
+    }
+    for (key, len, each) in artifact.rows {
+        let rows = rows(doc, key);
+        if rows.len() != *len {
+            found.push(format!(
+                "`{key}` has {} rows, the study sweeps {len}",
+                rows.len()
+            ));
+        }
+        for row in rows {
+            let fails = each.iter().filter_map(|e| e.fails(row));
+            found.extend(fails.map(|f| format!("{f} in {row}")));
+        }
+    }
+    let paper = if smoke {
+        &[][..]
+    } else {
+        artifact.paper_claims
+    };
+    let claims = artifact.claims.iter().chain(paper);
+    found.extend(claims.filter_map(|claim| claim.fails(doc)));
+    let which = if smoke { "smoke study" } else { artifact.file };
+    found.into_iter().map(|f| format!("{which}: {f}")).collect()
+}
+
+fn checked_in(artifact: &Artifact) -> Vec<String> {
+    let text = source(sources(), artifact.file);
+    let doc = impress_json::from_str(text).unwrap_or_else(|e| panic!("{}: {e}", artifact.file));
+    artifact_violations(artifact, &doc, false)
+}
+
+fn smoke(artifact: &Artifact) -> Vec<String> {
+    let run = artifact.smoke.expect("the study has a smoke size");
+    artifact_violations(artifact, &run(), true)
+}
+
+// ------------------------------------------------------------ manifests
+
+/// The sections of a TOML manifest as `(header, lines)`, comments and blank
+/// lines dropped; `[[bin]]` is `bin`, and keys before any header sit
+/// under `""`.
+fn sections(toml: &str) -> Vec<(&str, Vec<&str>)> {
+    let mut out = vec![("", Vec::new())];
+    for line in toml
+        .lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+    {
+        if line.starts_with('[') {
+            out.push((line.trim_matches(['[', ']']), Vec::new()));
+        } else if !line.is_empty() {
+            out.last_mut().expect("a section").1.push(line);
+        }
+    }
+    out
+}
+
+/// The lines of `[header]` in `toml`, empty if it has none.
+fn section<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
+    let mut all = sections(toml).into_iter();
+    all.find(|(h, _)| *h == header)
+        .map(|(_, lines)| lines)
+        .unwrap_or_default()
+}
+
+/// Every dependency of the root manifest and each `crates/*` member is a
+/// `path` dependency or `workspace = true`, which resolves to one: tier-1
+/// must build with no access to a package index.
+fn registry_dependencies(sources: &Sources) -> Vec<String> {
+    let manifests: Vec<_> = sources
+        .iter()
+        .filter(|(rel, _)| {
+            rel == "Cargo.toml" || rel.starts_with("crates/") && rel.ends_with("/Cargo.toml")
+        })
+        .collect();
+    let mut found = Vec::new();
+    if manifests.len() < 2 {
+        found.push(format!(
+            "expected the root and member manifests, found {}",
+            manifests.len()
+        ));
+    }
+    for (rel, text) in manifests {
+        for (header, lines) in sections(text) {
+            let parts: Vec<&str> = header.split('.').collect();
+            let kinds = ["dependencies", "dev-dependencies", "build-dependencies"];
+            let Some(at) = parts.iter().position(|p| kinds.contains(p)) else {
+                continue;
+            };
+            if at + 1 < parts.len() {
+                // `[dependencies.foo]`: one dependency, spelled as a table.
+                if !lines.iter().any(|l| l.starts_with("path")) {
+                    found.push(format!("{rel}: [{header}] has no path"));
+                }
+                continue;
+            }
+            for (name, spec) in lines.iter().filter_map(|l| l.split_once('=')) {
+                let name = name.trim();
+                if !(name.ends_with(".workspace")
+                    || spec.contains("path")
+                    || spec.contains("workspace"))
+                {
+                    found.push(format!("{rel}: `{name}` is a registry dependency: {spec}"));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// The root `[workspace.dependencies]` that members inherit is all paths.
+fn workspace_dependency_table(sources: &Sources) -> Vec<String> {
+    let entries = section(source(sources, "Cargo.toml"), "workspace.dependencies");
+    let mut found: Vec<String> = entries
+        .iter()
+        .filter(|l| !l.contains("path ="))
+        .map(|l| format!("non-path entry in [workspace.dependencies]: {l}"))
+        .collect();
+    if entries.is_empty() {
+        found.push("expected a populated [workspace.dependencies]".into());
+    }
+    found
+}
+
+/// The tier-1 line is a bare `cargo test -q`. Without `default-members`
+/// that is the root package alone: none of the crate-level differential,
+/// props or zero-alloc suites.
+fn default_members(sources: &Sources) -> Vec<String> {
+    let lines = section(source(sources, "Cargo.toml"), "workspace");
+    let expected = [
+        r#"members = ["crates/*"]"#,
+        r#"default-members = [".", "crates/*"]"#,
+    ];
+    let missing = expected.iter().filter(|line| !lines.contains(line));
+    missing
+        .map(|line| format!("[workspace] lost `{line}`: {lines:?}"))
+        .collect()
+}
+
+/// The bench crate turns auto-discovery off, so an undeclared `src/bin/*.rs`
+/// or `benches/*.rs` would rot unseen by `cargo build`; a `[[bin]]` needs
+/// its source, and every paper and study bin is there.
+fn bench_targets(sources: &Sources) -> Vec<String> {
+    let manifest = sections(source(sources, "crates/bench/Cargo.toml"));
+    let declared = |kind: &str, key: &str| -> Vec<&str> {
+        let tables = manifest.iter().filter(|(header, _)| *header == kind);
+        let pairs = tables.flat_map(|(_, lines)| lines.iter().filter_map(|l| l.split_once('=')));
+        pairs
+            .filter(|(k, _)| k.trim() == key)
+            .map(|(_, v)| v.trim().trim_matches('"'))
+            .collect()
+    };
+    let (bins, benches) = (declared("bin", "path"), declared("bench", "name"));
+    let mut found = Vec::new();
+    for (rel, _) in sources {
+        let Some(file) = rel.strip_prefix("crates/bench/") else {
+            continue;
+        };
+        if file.starts_with("src/bin/") && !bins.contains(&file) {
+            found.push(format!("{rel} has no [[bin]] entry"));
+        }
+        let bench = file
+            .strip_prefix("benches/")
+            .and_then(|f| f.strip_suffix(".rs"));
+        if bench.is_some_and(|stem| !benches.contains(&stem)) {
+            found.push(format!("{rel} has no [[bench]] entry"));
+        }
+    }
+    for bin in &bins {
+        if !sources
+            .iter()
+            .any(|(rel, _)| *rel == format!("crates/bench/{bin}"))
+        {
+            found.push(format!("[[bin]] without its source: {bin}"));
+        }
+    }
+    if bins.len() < 12 {
+        found.push(format!(
+            "expected every paper and study bin, found {}",
+            bins.len()
+        ));
+    }
+    found
+}
+
+// ------------------------------------------------- hash tables on ids
 
 /// Every `name: HashMap<K, ..>` / `name: HashSet<K>` in `text` whose key
 /// type names `u64` or `u32` (alone or inside a tuple), as `(name, K)`.
@@ -805,42 +873,300 @@ const SPARSE_TABLES_OF_THE_CORE: &[(&str, &str)] = &[
     ),
 ];
 
-/// ISSUE 24 found ~13 % of `service_cell` inside SipHash over keys that
-/// were all dense ids: event ids, backend task ids, lease ids. Those tables
-/// are arrays now; this guard keeps a `HashMap<u64, _>` from coming back
-/// beside them without a reason written down.
-#[test]
-fn dense_ids_index_arrays_on_the_hot_path() {
-    let sources = workspace_sources();
-    let non_test = |file: &str| -> &str {
-        let (_, text) = sources
-            .iter()
-            .find(|(rel, _)| rel == Path::new(file))
-            .unwrap_or_else(|| panic!("{file} is gone: update the guard"));
-        text.split_once("#[cfg(test)]")
-            .map_or(text, |(code, _)| code)
-    };
-    for file in DENSE_ID_FILES {
-        let tables = int_keyed_hash_tables(non_test(file));
-        assert!(
-            tables.is_empty(),
-            "{file}: integer-keyed hash tables {tables:?}"
-        );
-    }
-    let core = int_keyed_hash_tables(non_test("crates/pilot/src/backend/des.rs"));
+/// SipHash over dense ids was ~13 % of `service_cell`; those tables are
+/// arrays now, and a `HashMap<u64, _>` comes back only with a reason.
+fn dense_id_tables(sources: &Sources) -> Vec<String> {
+    let tables = |file: &str| int_keyed_hash_tables(part(source(sources, file), Part::Code));
+    let mut found: Vec<String> = DENSE_ID_FILES
+        .iter()
+        .flat_map(|file| {
+            tables(file)
+                .into_iter()
+                .map(move |t| format!("{file}: {t:?}"))
+        })
+        .collect();
+    let core = tables("crates/pilot/src/backend/des.rs");
     for (field, key) in &core {
-        assert!(
-            SPARSE_TABLES_OF_THE_CORE.iter().any(|(f, _)| f == field),
-            "des.rs: `{field}` is a hash table keyed by {key}; index an array by the id, \
-             or list it in SPARSE_TABLES_OF_THE_CORE with the reason it is sparse"
-        );
+        if !SPARSE_TABLES_OF_THE_CORE.iter().any(|(f, _)| f == field) {
+            found.push(format!(
+                "des.rs: `{field}` is a hash table keyed by {key}; index an array by the id, \
+                 or list it in SPARSE_TABLES_OF_THE_CORE with the reason it is sparse"
+            ));
+        }
     }
     for (field, _) in SPARSE_TABLES_OF_THE_CORE {
+        if !core.iter().any(|(f, _)| f == field) {
+            found.push(format!("allow-table entry `{field}` is stale"));
+        }
+    }
+    found
+}
+
+// --------------------------------------------------------- reachability
+
+/// `rest` up to the `;` that ends the statement it starts in.
+fn statement(rest: &str) -> &str {
+    &rest[..rest.find(';').unwrap_or(rest.len())]
+}
+
+/// Whether a file outside the library of `crates/<krate>` names its
+/// `module` (`a` or `a::b`): as the path `impress_<krate>::a::b`, inside a
+/// `use impress_<krate>::{..};` or `use impress_<krate>::a::{..};` group,
+/// or — most callers go through the crate root — as any item the root
+/// re-exports from it (`pub use a::b::{A, f as G};` gives `A` and `G`), a
+/// whole word in a file that also names the crate. Another crate, a
+/// `src/bin/` or `benches/` target, an example, a root test and `perf/src`
+/// are outside; the crate's own `src/` (minus `src/bin/`) and its own
+/// `tests/` are not.
+fn module_is_reached(krate: &str, module: &str, sources: &Sources) -> bool {
+    let home = format!("crates/{krate}/");
+    let (src, bins, tests) = (
+        format!("{home}src/"),
+        format!("{home}src/bin/"),
+        format!("{home}tests/"),
+    );
+    let lib = sources
+        .iter()
+        .find(|(rel, _)| *rel == format!("{src}lib.rs"));
+    let ident = format!("impress_{krate}");
+    let segments: Vec<&str> = module.split("::").collect();
+    let by_path = |text: &str| {
+        names(text, &format!("{ident}::{module}"))
+            || (0..segments.len()).any(|i| {
+                let group: String = segments[..i].iter().map(|s| format!("{s}::")).collect();
+                let rest = segments[i..].join("::");
+                let open = format!("{ident}::{group}{{");
+                let mut tails = text.split(&open).skip(1);
+                tails.any(|tail| names(statement(tail), &rest))
+            })
+    };
+    let items: Vec<&str> = lib
+        .map_or("", |(_, text)| text)
+        .split(&format!("\npub use {module}::"))
+        .skip(1)
+        .flat_map(|rest| statement(rest).trim_matches(['{', '}']).split(','))
+        .filter_map(|item| item.split_whitespace().last())
+        .collect();
+    sources
+        .iter()
+        .filter(|(rel, _)| {
+            let library = rel.starts_with(&src) && !rel.starts_with(&bins);
+            rel.ends_with(".rs") && !library && !rel.starts_with(&tests)
+        })
+        .any(|(_, text)| {
+            names(text, &ident) && (by_path(text) || items.iter().any(|item| names(text, item)))
+        })
+}
+
+/// What is wrong with the `pub mod`s of `crates/*/src` in `sources` — at a
+/// crate root or nested in a module file — given an allow-table of
+/// `(crate::module, reason)`: a module nothing reaches and nothing allows,
+/// and an allowed module that is gone or is reached after all.
+fn reachability_violations(sources: &Sources, allowed: &[(&str, &str)]) -> Vec<String> {
+    let mut unreached = Vec::new();
+    for (rel, text) in sources {
+        let Some((krate, file)) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once("/src/"))
+        else {
+            continue;
+        };
+        if file.starts_with("bin/") {
+            continue;
+        }
+        // The module the file defines: `lib.rs` the root, `a.rs` and
+        // `a/mod.rs` are `a`, `a/b.rs` is `a::b`.
+        let parent = match file.trim_end_matches(".rs").trim_end_matches("/mod") {
+            "lib" => String::new(),
+            path => format!("{}::", path.replace('/', "::")),
+        };
+        for module in text
+            .lines()
+            .filter_map(|line| line.strip_prefix("pub mod "))
+        {
+            let module = format!("{parent}{}", module.trim_end_matches([';', '{', ' ']));
+            if !module_is_reached(krate, &module, sources) {
+                unreached.push(format!("{krate}::{module}"));
+            }
+        }
+    }
+    let unallowed = unreached
+        .iter()
+        .filter(|module| !allowed.iter().any(|(entry, _)| entry == module))
+        .map(|module| format!("{module}: a `pub mod` unreached from outside its crate"));
+    let stale = allowed
+        .iter()
+        .filter(|(entry, _)| !unreached.iter().any(|module| module == entry))
+        .map(|(entry, _)| format!("allow-table entry {entry} is stale"));
+    unallowed.chain(stale).collect()
+}
+
+/// Public modules nothing reaches, each with the reason it stays public.
+/// Five such modules (1.2k lines, 28 tests) were once compiled, documented
+/// and tested while nothing called them.
+const UNREACHED_BUT_ALLOWED: &[(&str, &str)] = &[];
+
+/// Every backticked name in the "Key modules" cell of a `crates/<c>` row of
+/// DESIGN.md is `crates/<c>/src/<m>.rs`, `crates/<c>/src/<m>/` (`a/{b,c}`
+/// names `a/b` and `a/c`) or a `[[bin]]`/`[[bench]]` of that crate.
+fn design_inventory(sources: &Sources) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut rows = 0;
+    for line in source(sources, "DESIGN.md").lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let krate = cells.get(1).and_then(|cell| cell.strip_prefix("`crates/"));
+        let (Some(krate), Some(modules)) = (krate.and_then(|c| c.split('`').next()), cells.get(3))
+        else {
+            continue;
+        };
+        rows += 1;
+        let src = format!("crates/{krate}/src/");
+        let manifest = source(sources, &format!("crates/{krate}/Cargo.toml"));
+        for name in modules.split('`').skip(1).step_by(2) {
+            let (prefix, leaves) = name.split_once('{').unwrap_or(("", name));
+            for leaf in leaves.trim_end_matches('}').split(',') {
+                let module = format!("{prefix}{}", leaf.trim());
+                let file = format!("{src}{module}.rs");
+                let dir = format!("{src}{module}/");
+                let exists = sources
+                    .iter()
+                    .any(|(rel, _)| *rel == file || rel.starts_with(&dir))
+                    || manifest.contains(&format!("name = \"{module}\""));
+                if !exists {
+                    found.push(format!(
+                        "DESIGN.md names crates/{krate}: `{module}`, not in the tree"
+                    ));
+                }
+            }
+        }
+    }
+    if rows < 8 {
+        found.push(format!(
+            "expected one inventory row per crate, found {rows}"
+        ));
+    }
+    found
+}
+
+// ------------------------------------------------------------- fixtures
+
+/// Every rule row, on a tree made to break it and on one made to keep it:
+/// the clean tree keeps the needles where the row does not read (the other
+/// side of `#[cfg(test)]`), and an allow-listed file whose exemption is no
+/// longer needed is reported stale.
+#[test]
+fn every_rule_row_is_pinned_on_fixtures() {
+    let file =
+        |code: &str, tests: &str| format!("{code}\n#[cfg(test)]\nmod tests {{\n{tests}\n}}\n");
+    for rule in RULES.iter().flat_map(|rows| rows.iter()) {
+        let path = |name: &str| match rule.scope {
+            file if file.ends_with(".rs") => file.to_string(),
+            dir => format!("{dir}{name}"),
+        };
+        let needles = rule.needles.join("\n");
+        let (with, without) = match rule.part {
+            Part::Whole => (file(&needles, ""), file("", "")),
+            Part::Code => (file(&needles, ""), file("", &needles)),
+            Part::Tests => (file("", &needles), file(&needles, "")),
+        };
+        let (mut bad, mut good) = match rule.verdict {
+            Verdict::Forbidden => (
+                vec![(path("a.rs"), with.clone())],
+                vec![(path("a.rs"), without.clone())],
+            ),
+            Verdict::Required => (
+                vec![(path("a.rs"), without.clone())],
+                vec![(path("a.rs"), with.clone())],
+            ),
+            Verdict::OnlyIn(homes) => {
+                let good: Vec<_> = homes
+                    .iter()
+                    .map(|h| (h.to_string(), with.clone()))
+                    .collect();
+                ([&good[..], &[(path("a.rs"), with.clone())]].concat(), good)
+            }
+            Verdict::ExactlyOneHome => {
+                let good = vec![(path("a.rs"), with.clone())];
+                ([&good[..], &[(path("b.rs"), with.clone())]].concat(), good)
+            }
+            Verdict::MaxLines(max) => {
+                let lines = |n: usize| file(&vec!["x"; n].join("\n"), "x\nx");
+                (
+                    vec![(path("a.rs"), lines(max + 1))],
+                    vec![(path("a.rs"), lines(max))],
+                )
+            }
+            Verdict::Absent => (vec![(path("a.json"), String::new())], vec![]),
+        };
+        for (allowed, _) in rule.allow {
+            bad.push((allowed.to_string(), with.clone()));
+            good.push((allowed.to_string(), with.clone()));
+        }
         assert!(
-            core.iter().any(|(f, _)| f == field),
-            "allow-table entry `{field}` is stale"
+            !rule_violations(rule, &bad).is_empty(),
+            "not reported: {}",
+            rule.reason
+        );
+        assert_eq!(rule_violations(rule, &good), Vec::<String>::new());
+        for (allowed, _) in rule.allow {
+            let kept = good.iter().filter(|(rel, _)| rel != allowed).cloned();
+            let moot: Vec<_> = kept
+                .chain([(allowed.to_string(), without.clone())])
+                .collect();
+            let found = rule_violations(rule, &moot);
+            assert!(
+                found.len() == 1 && found[0].contains("is stale"),
+                "{found:?}"
+            );
+        }
+    }
+}
+
+/// The artifact check on an in-memory study: clean, then doctored four
+/// ways; a smoke document is not held to a paper-scale claim.
+#[test]
+fn the_artifact_check_rejects_doctored_documents() {
+    const STUDY: Artifact = Artifact {
+        file: "study.json",
+        version: 3,
+        smoke: None,
+        rows: &[("grid", 2, &[Expect::Positive("makespan_secs")])],
+        claims: &[Expect::True("holds")],
+        paper_claims: &[Expect::True("at_scale")],
+    };
+    let doc = |text: &str| impress_json::from_str::<Json>(text).expect("fixture parses");
+    let clean = r#"{"format_version": 3, "holds": true, "at_scale": true,
+        "grid": [{"makespan_secs": 2.5}, {"makespan_secs": 1}]}"#;
+    assert_eq!(
+        artifact_violations(&STUDY, &doc(clean), false),
+        Vec::<String>::new()
+    );
+    for (from, to, expected) in [
+        (
+            r#""format_version": 3"#,
+            r#""format_version": 2"#,
+            "format 3",
+        ),
+        (r#""holds": true"#, r#""holds": false"#, "`holds` is true"),
+        (r#", {"makespan_secs": 1}"#, "", "has 1 rows"),
+        (
+            r#""makespan_secs": 1}"#,
+            r#""makespan_secs": 0}"#,
+            "`makespan_secs` is positive",
+        ),
+    ] {
+        let found = artifact_violations(&STUDY, &doc(&clean.replace(from, to)), false);
+        assert!(
+            found.len() == 1 && found[0].contains(expected),
+            "{to}: {found:?}"
         );
     }
+    let small = clean.replace(r#""at_scale": true"#, r#""at_scale": false"#);
+    assert_eq!(
+        artifact_violations(&STUDY, &doc(&small), true),
+        Vec::<String>::new()
+    );
+    assert_eq!(artifact_violations(&STUDY, &doc(&small), false).len(), 1);
 }
 
 /// The scan itself, on in-memory text: which declarations it reports.
@@ -859,116 +1185,34 @@ fn the_hash_table_scan_is_pinned_on_fixtures() {
     assert_eq!(found[4].1, "(u64, u32, u8)");
 }
 
-/// `rest` up to the `;` that ends the statement it starts in.
-fn statement(rest: &str) -> &str {
-    &rest[..rest.find(';').unwrap_or(rest.len())]
-}
-
-/// Whether a file outside the library of `crates/<krate>` names that
-/// crate's `module`: as the path `impress_<krate>::<module>`, inside a
-/// `use impress_<krate>::{..};` group, or — most callers go through the
-/// crate root — as any item the root re-exports from it (`pub use
-/// module::{A, b as C};` gives `A` and `C`), a whole word in a file that
-/// also names the crate. Another crate, a `src/bin/` or `benches/` target,
-/// an example, a root test and `perf/src` are outside; the crate's own
-/// `src/` (minus `src/bin/`) and its own `tests/` are not.
-fn module_is_reached(krate: &str, module: &str, sources: &[(PathBuf, String)]) -> bool {
-    let home = Path::new("crates").join(krate);
-    let (src, bins, tests) = (home.join("src"), home.join("src/bin"), home.join("tests"));
-    let lib = sources
-        .iter()
-        .find(|(rel, _)| *rel == src.join("lib.rs"))
-        .map_or("", |(_, text)| text.as_str());
-    let ident = format!("impress_{krate}");
-    let path = format!("{ident}::{module}");
-    let group = format!("{ident}::{{");
-    let grouped = |text: &str| {
-        text.split(&group)
-            .skip(1)
-            .any(|rest| names(statement(rest), module))
-    };
-    let items: Vec<&str> = lib
-        .split(&format!("\npub use {module}::"))
-        .skip(1)
-        .flat_map(|rest| statement(rest).trim_matches(['{', '}']).split(','))
-        .filter_map(|item| item.split_whitespace().last())
-        .collect();
-    sources
-        .iter()
-        .filter(|(rel, _)| {
-            let library = rel.starts_with(&src) && !rel.starts_with(&bins);
-            !library && !rel.starts_with(&tests)
-        })
-        .any(|(_, text)| {
-            names(text, &ident)
-                && (names(text, &path)
-                    || grouped(text)
-                    || items.iter().any(|item| names(text, item)))
-        })
-}
-
-/// What is wrong with the `pub mod`s of the `crates/*/src/lib.rs` roots in
-/// `sources`, given an allow-table of `(crate::module, reason)`: a module
-/// nothing reaches and nothing allows, and an allowed module that is gone
-/// or is reached after all.
-fn reachability_violations(sources: &[(PathBuf, String)], allowed: &[(&str, &str)]) -> Vec<String> {
-    let mut unreached = Vec::new();
-    for (rel, lib) in sources {
-        let root = rel.to_str().and_then(|rel| rel.strip_prefix("crates/"));
-        let Some(krate) = root.and_then(|rel| rel.strip_suffix("/src/lib.rs")) else {
-            continue;
-        };
-        for module in lib.lines().filter_map(|line| line.strip_prefix("pub mod ")) {
-            let module = module.trim_end_matches([';', '{', ' ']);
-            if !module_is_reached(krate, module, sources) {
-                unreached.push(format!("{krate}::{module}"));
-            }
-        }
-    }
-    let unallowed = unreached
-        .iter()
-        .filter(|module| !allowed.iter().any(|(entry, _)| entry == module))
-        .map(|module| format!("{module}: a `pub mod` unreached from outside its crate"));
-    let stale = allowed
-        .iter()
-        .filter(|(entry, _)| !unreached.iter().any(|module| module == entry))
-        .map(|(entry, _)| format!("allow-table entry {entry} is stale"));
-    unallowed.chain(stale).collect()
-}
-
-/// Public modules nothing reaches, each with the reason it stays public.
-const UNREACHED_BUT_ALLOWED: &[(&str, &str)] = &[];
-
-/// Five public modules (`dag`, `genetic`, `campaign`, `mutations`, `align`:
-/// 1.2k lines, 28 tests) were compiled, documented and tested while no
-/// stage, study, bin, bench, example, root test or perf cell called them.
-/// A `pub mod` with no caller outside its own crate's library gets one, or
-/// becomes private, or goes, or is listed above with a reason.
-#[test]
-fn every_pub_mod_is_reached_from_outside_its_own_crate() {
-    let violations = reachability_violations(&workspace_sources(), UNREACHED_BUT_ALLOWED);
-    assert!(violations.is_empty(), "{}", violations.join("\n"));
-}
-
 /// The scan itself, on in-memory trees: what counts as reach, what does
-/// not, and that an allow-table entry cannot outlive its reason.
+/// not, nested modules included, and that an allow-table entry cannot
+/// outlive its reason.
 #[test]
 fn the_reachability_scan_is_pinned_on_fixtures() {
     const LIB: &str = "pub mod m;\npub mod n;\npub use m::{Thing, helper as assist};\n";
-    const OWN: [(&str, &str); 3] = [
+    const OWN: [(&str, &str); 4] = [
         ("crates/a/src/lib.rs", LIB),
         ("crates/a/src/n.rs", "// impress_a::n impress_a::m"),
-        ("crates/a/tests/p.rs", "use impress_a::{m::Thing, n::X};"),
+        (
+            "crates/a/src/m/mod.rs",
+            "pub mod deep;\npub use deep::Gadget;\n",
+        ),
+        (
+            "crates/a/tests/p.rs",
+            "use impress_a::{m::Thing, n::X, m::deep};",
+        ),
     ];
-    let with = |extra: &[(&str, &str)]| -> Vec<(PathBuf, String)> {
+    let with = |extra: &[(&str, &str)]| -> Vec<(String, String)> {
         let files = OWN.iter().chain(extra);
-        files.map(|(f, t)| (f.into(), t.to_string())).collect()
+        files.map(|(f, t)| (f.to_string(), t.to_string())).collect()
     };
 
-    // Named only under its own `src/` and `tests/`: both reported.
+    // Named only under its own `src/` and `tests/`: all three reported.
     let reported = reachability_violations(&with(&[]), &[]);
-    assert_eq!(reported.len(), 2, "{reported:?}");
+    assert_eq!(reported.len(), 3, "{reported:?}");
     assert!(reported[0].starts_with("a::m:") && reported[1].starts_with("a::n:"));
+    assert!(reported[2].starts_with("a::m::deep:"));
 
     // By path, group or re-exported item, from anywhere outside the library.
     for out in [
@@ -989,248 +1233,35 @@ fn the_reachability_scan_is_pinned_on_fixtures() {
         "use impress_a::{Things, m2};",
         "use impress_a::helper;",
     ] {
-        let sources = with(&[("tests/t.rs", text)]);
-        assert!(!module_is_reached("a", "m", &sources), "{text}");
+        assert!(
+            !module_is_reached("a", "m", &with(&[("tests/t.rs", text)])),
+            "{text}"
+        );
+    }
+    // A nested module: by its path or a group at either level; not by an
+    // item its parent re-exports, which needs only the parent public.
+    for (text, reached) in [
+        ("use impress_a::m::deep::Gadget;", true),
+        ("use impress_a::m::{deep, Thing};", true),
+        ("use impress_a::{m::deep::Gadget};", true),
+        ("use impress_a::m::Gadget;", false),
+    ] {
+        let sources = with(&[("examples/e.rs", text)]);
+        assert_eq!(
+            module_is_reached("a", "m::deep", &sources),
+            reached,
+            "{text}"
+        );
     }
 
     // An entry silences exactly its module, and fails once the module is
     // reached or gone.
     let allow_n = [("a::n", "the worked example in DESIGN.md")];
-    let m_reached = ("tests/t.rs", "use impress_a::m::Thing;");
+    let m_reached = ("tests/t.rs", "use impress_a::m::deep::Gadget;");
     assert!(reachability_violations(&with(&[m_reached]), &allow_n).is_empty());
     let both = with(&[m_reached, ("examples/demo.rs", "use impress_a::n::X;")]);
     let stale = reachability_violations(&both, &allow_n);
     assert!(stale.len() == 1 && stale[0].contains("a::n is stale"));
     let gone = reachability_violations(&both, &[("a::old", "was here once")]);
     assert!(gone.len() == 1 && gone[0].contains("a::old is stale"));
-}
-
-/// DESIGN.md's workspace inventory listed `impress_sim::{engine, resource}`
-/// after PR 17 deleted them, and `genetic` while nothing called it. Every
-/// backticked name in the "Key modules" cell of a `crates/<c>` row is
-/// `crates/<c>/src/<m>.rs`, `crates/<c>/src/<m>/` (`a/{b,c}` names `a/b`
-/// and `a/c`) or a `[[bin]]`/`[[bench]]` of that crate.
-#[test]
-fn the_design_inventory_names_only_what_exists() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
-    let mut rows = 0;
-    let mut missing = Vec::new();
-    for line in design.lines() {
-        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-        let krate = cells.get(1).and_then(|cell| cell.strip_prefix("`crates/"));
-        let (Some(krate), Some(modules)) = (krate.and_then(|c| c.split('`').next()), cells.get(3))
-        else {
-            continue;
-        };
-        rows += 1;
-        let home = root.join("crates").join(krate);
-        let manifest = std::fs::read_to_string(home.join("Cargo.toml")).expect("crate manifest");
-        for name in modules.split('`').skip(1).step_by(2) {
-            let (prefix, leaves) = name.split_once('{').unwrap_or(("", name));
-            for leaf in leaves.trim_end_matches('}').split(',') {
-                let module = format!("{prefix}{}", leaf.trim());
-                let exists = home.join(format!("src/{module}.rs")).is_file()
-                    || home.join("src").join(&module).is_dir()
-                    || manifest.contains(&format!("name = \"{module}\""));
-                if !exists {
-                    missing.push(format!("crates/{krate}: `{module}`"));
-                }
-            }
-        }
-    }
-    assert!(rows >= 8, "one inventory row per crate: {rows}");
-    assert!(missing.is_empty(), "not in the tree: {missing:#?}");
-}
-
-/// The root `[workspace.dependencies]` entries themselves must all be
-/// `path` specs, since member `workspace = true` entries resolve to them.
-#[test]
-fn workspace_dependency_table_is_all_paths() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
-    let text = std::fs::read_to_string(&root).expect("read root Cargo.toml");
-    let mut in_table = false;
-    let mut entries = 0usize;
-    for raw in text.lines() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.starts_with('[') {
-            in_table = line == "[workspace.dependencies]";
-            continue;
-        }
-        if !in_table || line.is_empty() {
-            continue;
-        }
-        entries += 1;
-        assert!(
-            line.contains("path ="),
-            "non-path entry in [workspace.dependencies]: {line}"
-        );
-    }
-    assert!(entries > 0, "expected a populated [workspace.dependencies]");
-}
-
-/// The checked-in partition study artifact must match the study's current
-/// document layout and certify both resilience claims it exists to make:
-/// journal/DecisionEngine effects stay exactly-once at every swept
-/// drop/duplication rate, and heartbeat detection recovers >= 90% of the
-/// makespan a healed 60 s partition costs. The study is fully
-/// deterministic (virtual clock, fixed seed), but the guard pins
-/// structure + claims rather than bytes so a parameter change stays a
-/// one-regeneration fix. Regenerate with
-/// `cargo run --release -p impress-bench --bin partition_study`.
-#[test]
-fn partition_artifact_matches_the_study_format_version() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("partition.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} — run the partition_study bin", path.display()));
-    let json: impress_json::Json = impress_json::from_str(&text).expect("partition.json parses");
-    let version: u32 = json
-        .get("format_version")
-        .and_then(|v| v.as_f64())
-        .expect("partition.json has a format_version field") as u32;
-    assert_eq!(
-        version,
-        impress_bench::partition::PARTITION_FORMAT_VERSION,
-        "partition.json was generated under a different study format — regenerate it"
-    );
-    let acceptance = json.get("acceptance").expect("acceptance section present");
-    for key in ["exactly_once_at_every_rate", "detection_recovers_90pct"] {
-        assert_eq!(
-            acceptance.get(key).and_then(|v| v.as_bool()),
-            Some(true),
-            "checked-in partition study must certify `{key}`"
-        );
-    }
-    assert_eq!(
-        acceptance
-            .get("grid_duplicate_completions")
-            .and_then(|v| v.as_f64()),
-        Some(0.0),
-        "the grid must observe zero duplicate completions"
-    );
-    assert_eq!(
-        acceptance
-            .get("delivery_duplicate_effects")
-            .and_then(|v| v.as_f64()),
-        Some(0.0),
-        "the delivery campaigns must observe zero duplicate journal/decision effects"
-    );
-    let grid = json
-        .get("grid")
-        .and_then(|r| r.as_array())
-        .expect("partition.json has a grid array");
-    assert_eq!(
-        grid.len(),
-        36,
-        "the study sweeps 3 loss rates x 4 partition durations x 3 detector settings"
-    );
-    for row in grid {
-        assert!(
-            row.get("makespan_secs")
-                .and_then(|v| v.as_f64())
-                .is_some_and(|m| m > 0.0),
-            "every grid cell must report a positive makespan: {row:?}"
-        );
-        assert_eq!(
-            row.get("duplicate_completions").and_then(|v| v.as_f64()),
-            Some(0.0),
-            "exactly-once must hold in every grid cell: {row:?}"
-        );
-    }
-    let delivery = json
-        .get("delivery")
-        .and_then(|r| r.as_array())
-        .expect("partition.json has a delivery array");
-    assert_eq!(
-        delivery.len(),
-        3,
-        "one journaled delivery campaign per loss rate"
-    );
-    for row in delivery {
-        for key in ["duplicate_decision_effects", "duplicate_journal_effects"] {
-            assert_eq!(
-                row.get(key).and_then(|v| v.as_f64()),
-                Some(0.0),
-                "`{key}` must be zero in every delivery campaign: {row:?}"
-            );
-        }
-    }
-}
-
-/// One tiny iteration of the partition study runs under `cargo test`, so
-/// the code that regenerates `partition.json` cannot bit-rot between
-/// releases. The smoke grid keeps every code path warm — lossy links,
-/// scripted partitions, heartbeat suspicion and lease-fenced reruns,
-/// journaled delivery with coordinator-boundary dedup — without asserting
-/// the paper-scale 90% recovery bar, which only the full grid is sized to
-/// meet. Exactly-once, by contrast, must hold at any scale.
-#[test]
-fn partition_smoke_iteration_produces_a_complete_document() {
-    let doc =
-        impress_bench::partition::run_study(&impress_bench::partition::StudyParams::smoke(), 7);
-    assert_eq!(
-        doc.get("format_version").and_then(|v| v.as_f64()),
-        Some(impress_bench::partition::PARTITION_FORMAT_VERSION as f64)
-    );
-    let grid = doc
-        .get("grid")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has a grid");
-    assert_eq!(
-        grid.len(),
-        36,
-        "smoke study sweeps the same 36-cell grid as the paper run"
-    );
-    let tasks = doc
-        .get("tasks")
-        .and_then(|v| v.as_u64())
-        .expect("smoke study reports tasks");
-    for row in grid {
-        assert_eq!(
-            row.get("completed").and_then(|v| v.as_u64()),
-            Some(tasks),
-            "every smoke campaign must drain fully: {row:?}"
-        );
-        assert_eq!(
-            row.get("duplicate_completions").and_then(|v| v.as_f64()),
-            Some(0.0),
-            "exactly-once must hold in every smoke cell: {row:?}"
-        );
-    }
-    let detected: Vec<_> = grid
-        .iter()
-        .filter(|r| r.get("detector").and_then(|v| v.as_str()) != Some("off"))
-        .collect();
-    assert!(
-        detected
-            .iter()
-            .any(|r| r.get("suspicions").and_then(|v| v.as_f64()).unwrap_or(0.0) > 0.0),
-        "detector-on smoke cells must actually suspect the partitioned node"
-    );
-    assert!(
-        detected.iter().any(|r| r
-            .get("lease_expiries")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0)
-            > 0.0),
-        "suspicion eviction must expire the trapped leases in some smoke cell"
-    );
-    let delivery = doc
-        .get("delivery")
-        .and_then(|r| r.as_array())
-        .expect("smoke study has a delivery array");
-    assert_eq!(delivery.len(), 3);
-    for row in delivery {
-        for key in ["duplicate_decision_effects", "duplicate_journal_effects"] {
-            assert_eq!(
-                row.get(key).and_then(|v| v.as_f64()),
-                Some(0.0),
-                "`{key}` must be zero in every smoke delivery campaign: {row:?}"
-            );
-        }
-    }
-    doc.get("acceptance")
-        .and_then(|a| a.get("exactly_once_at_every_rate"))
-        .and_then(|v| v.as_bool())
-        .expect("smoke study reports the exactly-once verdict");
 }
