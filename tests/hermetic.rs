@@ -1069,34 +1069,24 @@ fn every_rule_row_is_pinned_on_fixtures() {
             Part::Code => (file(&needles, ""), file("", &needles)),
             Part::Tests => (file("", &needles), file(&needles, "")),
         };
+        let one = |text: &str| vec![(path("a.rs"), text.to_string())];
         let (mut bad, mut good) = match rule.verdict {
-            Verdict::Forbidden => (
-                vec![(path("a.rs"), with.clone())],
-                vec![(path("a.rs"), without.clone())],
-            ),
-            Verdict::Required => (
-                vec![(path("a.rs"), without.clone())],
-                vec![(path("a.rs"), with.clone())],
-            ),
-            Verdict::OnlyIn(homes) => {
-                let good: Vec<_> = homes
-                    .iter()
-                    .map(|h| (h.to_string(), with.clone()))
-                    .collect();
-                ([&good[..], &[(path("a.rs"), with.clone())]].concat(), good)
-            }
-            Verdict::ExactlyOneHome => {
-                let good = vec![(path("a.rs"), with.clone())];
+            Verdict::Forbidden => (one(&with), one(&without)),
+            Verdict::Required => (one(&without), one(&with)),
+            Verdict::OnlyIn(_) | Verdict::ExactlyOneHome => {
+                // The homes hold the needles; one more file breaks the rule.
+                let homes = match rule.verdict {
+                    Verdict::OnlyIn(homes) => homes.iter().map(|h| h.to_string()).collect(),
+                    _ => vec![path("a.rs")],
+                };
+                let good: Vec<_> = homes.into_iter().map(|h| (h, with.clone())).collect();
                 ([&good[..], &[(path("b.rs"), with.clone())]].concat(), good)
             }
             Verdict::MaxLines(max) => {
                 let lines = |n: usize| file(&vec!["x"; n].join("\n"), "x\nx");
-                (
-                    vec![(path("a.rs"), lines(max + 1))],
-                    vec![(path("a.rs"), lines(max))],
-                )
+                (one(&lines(max + 1)), one(&lines(max)))
             }
-            Verdict::Absent => (vec![(path("a.json"), String::new())], vec![]),
+            Verdict::Absent => (one(""), vec![]),
         };
         for (allowed, _) in rule.allow {
             bad.push((allowed.to_string(), with.clone()));
