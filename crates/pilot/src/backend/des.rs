@@ -181,8 +181,8 @@ pub(super) trait UtilSink {
     fn finished(
         &mut self,
         id: TaskId,
-        name: &str,
-        tag: &str,
+        name: &Label,
+        tag: &Label,
         alloc: &Allocation,
         started: SimTime,
         at: SimTime,
@@ -362,6 +362,8 @@ pub(super) struct Core<T, U> {
     /// Scratch: queue-wait samples for one placement round, flushed via
     /// a single batched histogram observation.
     queue_waits: Vec<f64>,
+    /// Scratch: one placement round's grants, drained by the round.
+    placements: Vec<(TaskId, Allocation)>,
     /// Hedged speculative execution policy (`None` = off, a strict no-op).
     hedge: Option<HedgePolicy>,
     /// Poison-task quarantine policy (`None` = off, a strict no-op).
@@ -462,6 +464,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             place_event_pending: false,
             telemetry,
             queue_waits: Vec::new(),
+            placements: Vec::new(),
             hedge,
             quarantine,
             slow,
@@ -541,6 +544,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             Ev::Bootstrap => {
                 self.bootstrapped = true;
                 self.place_ready(now);
+                // The bootstrap round places everything queued before the
+                // start; later rounds place what an instant's releases
+                // free. Its buffer is not kept for them.
+                self.placements = Vec::new();
             }
             Ev::PlaceScan => {
                 self.place_event_pending = false;
@@ -1514,7 +1521,10 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             return;
         }
         let queued = self.scheduler.queue_len();
-        let placements = self.scheduler.place_ready();
+        // The round's grants land in the core's own buffer, put back
+        // drained before the re-scan below: a warm round allocates nothing.
+        let mut placements = std::mem::take(&mut self.placements);
+        self.scheduler.place_ready_into(&mut placements);
         if self.telemetry.enabled() && queued > 0 {
             let tele = &self.telemetry;
             let at = self.transport.stamp(now);
@@ -1544,7 +1554,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
         // anything is in flight, so a stranded entry would livelock
         // termination; re-scan below.
         let mut stranded = false;
-        for (id, mut alloc) in placements {
+        for (id, mut alloc) in placements.drain(..) {
             // Quarantine: an open shape circuit breaker sheds the whole
             // shape class at the placement grant — the slots go straight
             // back and the lineage ends with a typed error instead of
@@ -1721,6 +1731,7 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 }
             }
         }
+        self.placements = placements;
         if launched > 0 {
             self.telemetry.count("placements", launched);
         }

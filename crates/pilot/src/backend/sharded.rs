@@ -59,7 +59,7 @@ use crate::resources::Allocation;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId};
 use impress_sim::{EventId, EventQueue, SimTime};
-use impress_telemetry::Telemetry;
+use impress_telemetry::{Label, Telemetry};
 
 /// Queue payload: global sequence number (the deterministic merge key,
 /// mirroring the sequential driver's `EventId` order) plus the event.
@@ -141,8 +141,8 @@ impl UtilSink for AggregateUtil {
     fn finished(
         &mut self,
         _id: TaskId,
-        _name: &str,
-        _tag: &str,
+        _name: &Label,
+        _tag: &Label,
         alloc: &Allocation,
         started: SimTime,
         now: SimTime,

@@ -56,7 +56,7 @@ use crate::resources::Allocation;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId, TaskWork};
 use impress_sim::{EventQueue, SimDuration, SimTime};
-use impress_telemetry::{Stamp, Telemetry};
+use impress_telemetry::{Label, Stamp, Telemetry};
 
 /// What real time has to do with a sequentially driven run. The defaults
 /// are "nothing", which is [`Inline`].
@@ -129,8 +129,8 @@ impl UtilSink for Profiler {
     fn finished(
         &mut self,
         id: TaskId,
-        name: &str,
-        tag: &str,
+        name: &Label,
+        tag: &Label,
         alloc: &Allocation,
         started: SimTime,
         at: SimTime,

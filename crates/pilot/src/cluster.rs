@@ -411,15 +411,15 @@ impl<B: ExecutionBackend> ClusterLease<B> {
         self.core.borrow().leases[self.id as usize].meter.read()
     }
 
-    /// Retire the lease: drop its queued inbox, drop any late completions,
-    /// refuse further submissions (they panic — submitting into a retired
-    /// lease is a service-layer bug, not a runtime condition). Usage
-    /// metering survives.
+    /// Retire the lease: drop its queued inbox and the inbox's storage,
+    /// drop any late completions, refuse further submissions (they panic —
+    /// submitting into a retired lease is a service-layer bug, not a
+    /// runtime condition). Usage metering survives.
     pub fn retire(&mut self) {
         let mut core = self.core.borrow_mut();
         let lease = &mut core.leases[self.id as usize];
         lease.retired = true;
-        lease.inbox.clear();
+        lease.inbox = VecDeque::new();
         lease.in_flight = 0;
     }
 }

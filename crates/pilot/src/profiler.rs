@@ -21,16 +21,18 @@ use crate::resources::Allocation;
 use crate::task::TaskId;
 use impress_json::json_struct;
 use impress_sim::{SimDuration, SimTime, UtilizationTracker};
+use impress_telemetry::Label;
 
-/// Per-task execution record.
+/// Per-task execution record. Name and tag are the task's own [`Label`]s,
+/// shared rather than copied; their JSON is that of the text.
 #[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// The task.
     pub id: u64,
     /// Task name.
-    pub name: String,
+    pub name: Label,
     /// Bookkeeping tag.
-    pub tag: String,
+    pub tag: Label,
     /// When the task was submitted.
     pub submitted: SimTime,
     /// When slots were granted.
@@ -200,8 +202,8 @@ impl Profiler {
     pub fn task_finished(
         &mut self,
         id: TaskId,
-        name: &str,
-        tag: &str,
+        name: &Label,
+        tag: &Label,
         alloc: &Allocation,
         started: SimTime,
         finished: SimTime,
@@ -228,8 +230,8 @@ impl Profiler {
             .unwrap_or(started);
         self.records.push(TaskRecord {
             id: id.0,
-            name: name.to_string(),
-            tag: tag.to_string(),
+            name: name.clone(),
+            tag: tag.clone(),
             submitted,
             started,
             finished,
@@ -341,7 +343,7 @@ mod tests {
         let a = alloc(&[0, 1], &[0]);
         p.task_submitted(TaskId(1), t(0));
         p.task_started(&a, t(10));
-        p.task_finished(TaskId(1), "x", "", &a, t(10), t(20), 1.0);
+        p.task_finished(TaskId(1), &"x".into(), &"".into(), &a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         // 2 of 4 cores busy for half the run → 25%.
         assert!((r.cpu - 0.25).abs() < 1e-9);
@@ -356,7 +358,7 @@ mod tests {
         let mut p = Profiler::new(1, 1);
         let a = alloc(&[0], &[0]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), "af2", "", &a, t(0), t(100), 0.25);
+        p.task_finished(TaskId(1), &"af2".into(), &"".into(), &a, t(0), t(100), 0.25);
         let r = p.report(t(100));
         assert!((r.gpu_slot - 1.0).abs() < 1e-9);
         assert!((r.gpu_hardware - 0.25).abs() < 1e-9);
@@ -368,7 +370,7 @@ mod tests {
         let a = alloc(&[0], &[]);
         p.task_submitted(TaskId(5), t(2));
         p.task_started(&a, t(7));
-        p.task_finished(TaskId(5), "w", "tag", &a, t(7), t(12), 1.0);
+        p.task_finished(TaskId(5), &"w".into(), &"tag".into(), &a, t(7), t(12), 1.0);
         let rec = &p.records()[0];
         assert_eq!(rec.wait(), SimDuration::from_secs(5));
         assert_eq!(rec.finished.since(rec.started), SimDuration::from_secs(5));
@@ -380,9 +382,9 @@ mod tests {
         let mut p = Profiler::new(1, 0);
         let a = alloc(&[0], &[]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), "a", "", &a, t(0), t(4), 1.0);
+        p.task_finished(TaskId(1), &"a".into(), &"".into(), &a, t(0), t(4), 1.0);
         p.task_started(&a, t(6));
-        p.task_finished(TaskId(2), "b", "", &a, t(6), t(10), 1.0);
+        p.task_finished(TaskId(2), &"b".into(), &"".into(), &a, t(6), t(10), 1.0);
         let r = p.report(t(10));
         assert!((r.cpu - 0.8).abs() < 1e-9);
     }
@@ -392,7 +394,7 @@ mod tests {
         let mut p = Profiler::new(2, 0);
         let a = alloc(&[0, 1], &[]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), "x", "", &a, t(0), t(5), 1.0);
+        p.task_finished(TaskId(1), &"x".into(), &"".into(), &a, t(0), t(5), 1.0);
         let series = p.cpu_series(t(10), SimDuration::from_secs(5));
         assert_eq!(series.len(), 2);
         assert!((series[0] - 1.0).abs() < 1e-9);
@@ -409,7 +411,7 @@ mod tests {
         p.note_retry();
         // The retry occupies the same slots again and succeeds.
         p.task_started(&a, t(10));
-        p.task_finished(TaskId(1), "x", "", &a, t(10), t(20), 1.0);
+        p.task_finished(TaskId(1), &"x".into(), &"".into(), &a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         assert_eq!(r.retries, 1);
         assert!(
@@ -437,7 +439,7 @@ mod tests {
         p.note_hedge();
         p.task_started(&dup, t(10));
         p.attempt_hedge_wasted(&dup, t(10), t(15));
-        p.task_finished(TaskId(1), "x", "", &main, t(0), t(15), 0.0);
+        p.task_finished(TaskId(1), &"x".into(), &"".into(), &main, t(0), t(15), 0.0);
         let r = p.report(t(15));
         assert_eq!(r.hedges, 1);
         assert!(
@@ -455,7 +457,7 @@ mod tests {
         let mut p = Profiler::new(1, 0);
         let a = alloc(&[0], &[]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), "a", "", &a, t(0), t(4), 1.0);
+        p.task_finished(TaskId(1), &"a".into(), &"".into(), &a, t(0), t(4), 1.0);
         let r = p.report(t(4));
         assert_eq!(r.retries, 0);
         assert_eq!(r.wasted_core_seconds, 0.0);
@@ -467,7 +469,15 @@ mod tests {
         let mut p = Profiler::new(1, 1);
         let a = alloc(&[0], &[0]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), "cpu-ish", "", &a, t(0), t(10), 0.0);
+        p.task_finished(
+            TaskId(1),
+            &"cpu-ish".into(),
+            &"".into(),
+            &a,
+            t(0),
+            t(10),
+            0.0,
+        );
         let r = p.report(t(10));
         assert_eq!(r.gpu_hardware, 0.0);
         assert!((r.gpu_slot - 1.0).abs() < 1e-9);

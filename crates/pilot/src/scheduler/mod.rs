@@ -425,24 +425,31 @@ impl Scheduler {
     /// Place every task the policy allows right now. Returns the granted
     /// `(task, allocation)` pairs in placement order.
     pub fn place_ready(&mut self) -> Vec<(TaskId, Allocation)> {
+        let mut placed = Vec::new();
+        self.place_ready_into(&mut placed);
+        placed
+    }
+
+    /// [`Scheduler::place_ready`], appending the granted pairs to `placed`
+    /// instead: a caller that drains and reuses one buffer places without
+    /// allocating once it is warm.
+    pub fn place_ready_into(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
         // Nothing enqueued and no capacity growth since the last round ⇒
         // every outcome is already known to be "no placement".
         if self.scanned_queue_epoch == self.queue_epoch
             && self.scanned_capacity_epoch == self.capacity_epoch
         {
-            return Vec::new();
+            return;
         }
-        let mut placed = Vec::new();
         match self.policy {
-            PlacementPolicy::Fifo => self.place_fifo(&mut placed),
-            PlacementPolicy::Backfill => self.place_backfill(&mut placed),
+            PlacementPolicy::Fifo => self.place_fifo(placed),
+            PlacementPolicy::Backfill => self.place_backfill(placed),
         }
         self.scanned_queue_epoch = self.queue_epoch;
         self.scanned_capacity_epoch = self.capacity_epoch;
         if self.dead > 64 && self.dead >= self.live {
             self.compact();
         }
-        placed
     }
 
     /// The earliest-arrived live head across a bucket's shape classes not

@@ -56,8 +56,8 @@ impl Timeline {
             .iter()
             .map(|r| GanttRow {
                 id: r.id,
-                name: r.name.clone(),
-                tag: r.tag.clone(),
+                name: r.name.to_string(),
+                tag: r.tag.to_string(),
                 wait: r.wait(),
                 start: r.started,
                 end: r.finished,
@@ -141,7 +141,7 @@ mod tests {
         TaskRecord {
             id,
             name: name.into(),
-            tag: format!("pl.{id}"),
+            tag: format!("pl.{id}").into(),
             submitted: SimTime::from_micros(submit * 1_000_000),
             started: SimTime::from_micros(start * 1_000_000),
             finished: SimTime::from_micros(end * 1_000_000),

@@ -1,6 +1,7 @@
 //! The span/event model: what instrumentation points emit into a
 //! [`TelemetrySink`](crate::TelemetrySink).
 
+use impress_json::{FromJson, FromJsonBuf, Json, JsonError, Parser, ToJson, ToJsonBuf};
 use impress_sim::SimTime;
 use std::sync::Arc;
 
@@ -222,6 +223,42 @@ impl std::fmt::Display for Label {
 impl std::fmt::Debug for Label {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+// A label's JSON is its text's: it writes and reads exactly the bytes, and
+// fails with exactly the errors, of the `String` it stands in for, so a
+// record that swaps one for the other keeps its encoding.
+
+impl ToJson for Label {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl ToJsonBuf for Label {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl FromJson for Label {
+    fn from_json(v: &Json) -> Result<Label, JsonError> {
+        match v.as_str() {
+            Some(text) => Ok(Label::from(text)),
+            None => Err(JsonError::msg(format!(
+                "expected string, got {}",
+                v.type_name()
+            ))),
+        }
+    }
+}
+
+impl FromJsonBuf for Label {
+    /// Borrows the text off the cursor when it holds no escape, so an
+    /// inline-sized name decodes without touching the heap.
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Label, JsonError> {
+        p.str_token().map(|text| Label::from(&*text))
     }
 }
 

@@ -155,8 +155,9 @@ struct PipelineSpans {
 struct PipelineSlot<O> {
     /// The pipeline logic; `None` once terminal.
     live: Option<BoxedPipeline<O>>,
-    /// The in-flight stage's completion buffer, if a stage is in flight.
-    buffer: Option<StageBuffer>,
+    /// The stage buffer, reused stage after stage while the pipeline
+    /// lives; its storage is freed when the pipeline ends.
+    buffer: StageBuffer,
     /// Open telemetry spans; taken when the pipeline span closes.
     spans: Option<PipelineSpans>,
     /// The pipeline's task tag, formatted once at registration — each
@@ -169,8 +170,8 @@ struct PipelineSlot<O> {
 enum RouteState {
     /// Never submitted by this coordinator (or not yet).
     Unknown,
-    /// In flight, owned by this pipeline.
-    Routed(PipelineId),
+    /// In flight, owned by `pipeline`, at position `at` of its stage.
+    Routed { pipeline: PipelineId, at: u32 },
     /// Completion already consumed — an exact replay is deduped.
     Consumed,
 }
@@ -295,7 +296,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         debug_assert_eq!(self.slots.len() as u64, id.0, "slot slab diverged from ids");
         self.slots.push(PipelineSlot {
             live: Some(pipeline),
-            buffer: None,
+            buffer: StageBuffer::new(),
             spans: Some(PipelineSpans {
                 pipeline: span,
                 stage: SpanId::NONE,
@@ -351,25 +352,18 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 let entry = &mut self.pending_submits[i];
                 (entry.0, std::mem::take(&mut entry.1))
             };
-            let mut ids = Vec::with_capacity(tasks.len());
-            for task in tasks {
-                let tid = self
-                    .session
-                    .submit(task.with_tag(self.slots[id.0 as usize].tag.clone()));
-                let at = tid.0 as usize;
-                if self.routes.len() <= at {
-                    self.routes.resize(at + 1, RouteState::Unknown);
-                }
-                debug_assert!(matches!(self.routes[at], RouteState::Unknown));
-                self.routes[at] = RouteState::Routed(id);
-                ids.push(tid);
-            }
             let slot = &mut self.slots[id.0 as usize];
-            assert!(
-                slot.buffer.is_none(),
-                "{id}: submitted a stage while one is in flight"
-            );
-            slot.buffer = Some(StageBuffer::new(ids));
+            slot.buffer.open(tasks.len());
+            for task in tasks {
+                let tid = self.session.submit(task.with_tag(slot.tag.clone()));
+                let at = slot.buffer.push(tid) as u32;
+                let route = tid.0 as usize;
+                if self.routes.len() <= route {
+                    self.routes.resize(route + 1, RouteState::Unknown);
+                }
+                debug_assert!(matches!(self.routes[route], RouteState::Unknown));
+                self.routes[route] = RouteState::Routed { pipeline: id, at };
+            }
         }
         self.pending_submits.clear();
     }
@@ -433,8 +427,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     .push(self.session.now(), id, EventKind::Completed);
                 self.registry
                     .finish(id, PipelineState::Completed, self.session.now());
-                self.slots[id.0 as usize].live = None;
-                self.end_pipeline_span(id);
+                self.end_pipeline(id);
                 self.telemetry.count("pipelines_completed", 1);
                 // Decision point: the adaptive engine may spawn sub-pipelines.
                 let spawns = {
@@ -466,8 +459,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 );
                 self.registry
                     .finish(id, PipelineState::Aborted, self.session.now());
-                self.slots[id.0 as usize].live = None;
-                self.end_pipeline_span(id);
+                self.end_pipeline(id);
                 self.telemetry.count("pipelines_aborted", 1);
                 let spawns = {
                     let d = self.decision_span("on-pipeline-aborted");
@@ -493,9 +485,13 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         }
     }
 
-    /// Close a pipeline's whole-lifetime span at the terminal step.
-    fn end_pipeline_span(&mut self, id: PipelineId) {
-        if let Some(spans) = self.slots[id.0 as usize].spans.take() {
+    /// The terminal step: drop the pipeline's logic and its stage buffer's
+    /// storage, and close its whole-lifetime span.
+    fn end_pipeline(&mut self, id: PipelineId) {
+        let slot = &mut self.slots[id.0 as usize];
+        slot.live = None;
+        slot.buffer = StageBuffer::new();
+        if let Some(spans) = slot.spans.take() {
             self.telemetry.end(spans.pipeline, self.session.stamp());
         }
     }
@@ -516,9 +512,14 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     }
 
     fn route(&mut self, completion: Completion) {
-        let at = completion.task.0 as usize;
-        let id = match self.routes.get(at).copied().unwrap_or(RouteState::Unknown) {
-            RouteState::Routed(id) => id,
+        let route = completion.task.0 as usize;
+        let (id, at) = match self
+            .routes
+            .get(route)
+            .copied()
+            .unwrap_or(RouteState::Unknown)
+        {
+            RouteState::Routed { pipeline, at } => (pipeline, at as usize),
             // Idempotent dedup at the coordinator boundary: under
             // at-least-once delivery a completion already consumed can be
             // replayed. Re-applying it would double the pipeline's stage
@@ -540,7 +541,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             }
             RouteState::Unknown => panic!("{}: completion has no route", completion.task),
         };
-        self.routes[at] = RouteState::Consumed;
+        self.routes[route] = RouteState::Consumed;
         if completion.attempts > 0 {
             self.events.push(
                 self.session.now(),
@@ -618,13 +619,8 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             };
             self.apply_spawns(spawns);
         }
-        let batch = self.slots[id.0 as usize]
-            .buffer
-            .as_mut()
-            .unwrap_or_else(|| panic!("{id}: completion but no in-flight stage"))
-            .record(completion);
+        let batch = self.slots[id.0 as usize].buffer.record(at, completion);
         if let Some(batch) = batch {
-            self.slots[id.0 as usize].buffer = None;
             let stage = self.registry.get(id).stages_completed;
             self.journal_append(|| JournalRecord::StageCompleted {
                 pipeline: id.0,
@@ -1002,6 +998,57 @@ mod tests {
             report.makespan.as_secs_f64() < 40.0,
             "no concurrency: {}",
             report.makespan
+        );
+    }
+
+    /// One 64-task stage in which the later a task is submitted, the
+    /// sooner it finishes; completes with each task's output and finish
+    /// instant, in the order `stage_done` was handed them.
+    struct Reversed;
+
+    impl PipelineLogic<Vec<(u64, SimTime)>> for Reversed {
+        fn name(&self) -> String {
+            "reversed".into()
+        }
+        fn begin(&mut self) -> Step<Vec<(u64, SimTime)>> {
+            Step::Submit(
+                (0..64u64)
+                    .map(|i| {
+                        let run = SimDuration::from_secs(64 - i);
+                        TaskDescription::new("r", ResourceRequest::cores(1), run)
+                            .with_work(move || i)
+                    })
+                    .collect(),
+            )
+        }
+        fn stage_done(&mut self, completions: Vec<Completion>) -> Step<Vec<(u64, SimTime)>> {
+            Step::Complete(
+                completions
+                    .into_iter()
+                    .map(|c| {
+                        let finished = c.finished;
+                        (c.output::<u64>(), finished)
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    #[test]
+    fn a_stage_completing_in_reverse_is_handed_over_in_submission_order() {
+        let wide = SimulatedBackend::new(PilotConfig {
+            node: impress_pilot::NodeSpec::new(64, 0, 256),
+            ..pilot_config()
+        });
+        let mut c = Coordinator::new(wide, NoDecisions);
+        c.add_pipeline(Box::new(Reversed));
+        c.run();
+        let (_, batch) = &c.outcomes()[0];
+        let outputs: Vec<u64> = batch.iter().map(|&(i, _)| i).collect();
+        assert_eq!(outputs, (0..64).collect::<Vec<_>>(), "submission order");
+        assert!(
+            batch.windows(2).all(|w| w[0].1 > w[1].1),
+            "every task finished before the one submitted ahead of it"
         );
     }
 

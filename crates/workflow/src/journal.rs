@@ -41,7 +41,7 @@
 //! regenerates every artifact byte-identically to an uninterrupted one.
 
 use impress_json::{json_enum, json_struct, FromJsonBuf, Json, Parser, ToJsonBuf};
-use impress_pilot::{ResourceRequest, TaskDescription, TaskKind};
+use impress_pilot::{Label, ResourceRequest, TaskDescription, TaskKind};
 use impress_sim::SimDuration;
 use std::fmt::{self, Write as _};
 use std::fs::File;
@@ -56,11 +56,13 @@ pub const JOURNAL_FORMAT_VERSION: u32 = 1;
 
 /// Scheduling-relevant task metadata — everything the backend's timing
 /// depends on. The work closure is deliberately absent (ghost replays skip
-/// it) and the tag is re-applied by the coordinator at submission.
+/// it) and the tag is re-applied by the coordinator at submission. The
+/// name is the description's own [`Label`], shared rather than copied; its
+/// JSON is that of the text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskMeta {
     /// Task name.
-    pub name: String,
+    pub name: Label,
     /// Slots required.
     pub request: ResourceRequest,
     /// Virtual duration.
@@ -88,7 +90,7 @@ impl TaskMeta {
     /// Capture a description's scheduling metadata.
     pub fn of(desc: &TaskDescription) -> Self {
         TaskMeta {
-            name: desc.name.to_string(),
+            name: desc.name.clone(),
             request: desc.request,
             duration: desc.duration,
             gpu_busy_fraction: desc.gpu_busy_fraction,
@@ -100,7 +102,7 @@ impl TaskMeta {
 
     /// Rebuild a (work-free) description for ghost replay.
     pub fn to_description(&self) -> TaskDescription {
-        let mut d = TaskDescription::new(&self.name, self.request, self.duration)
+        let mut d = TaskDescription::new(self.name.clone(), self.request, self.duration)
             .with_gpu_busy_fraction(self.gpu_busy_fraction)
             .with_priority(self.priority)
             .with_kind(self.kind);
@@ -605,11 +607,14 @@ impl JournalStore for FileJournal {
         // a stale handle would keep appending to the unlinked old file.
         *self.handle.lock().expect("journal file handle lock") = None;
         let tmp = self.path.with_extension("journal.tmp");
-        let mut body = lines.join("\n");
-        if !body.is_empty() {
-            body.push('\n');
+        // Each line goes to the file as it lies: a snapshot line is the
+        // bulk of a compaction, and joining would copy it once more.
+        let mut f = File::create(&tmp).map_err(io_err)?;
+        for line in lines {
+            f.write_all(line.as_bytes()).map_err(io_err)?;
+            f.write_all(b"\n").map_err(io_err)?;
         }
-        std::fs::write(&tmp, body).map_err(io_err)?;
+        drop(f);
         std::fs::rename(&tmp, &self.path).map_err(io_err)
     }
 }
@@ -1108,7 +1113,7 @@ mod tests {
     fn arb_metas(rng: &mut SimRng) -> Vec<TaskMeta> {
         (0..rng.below(3))
             .map(|_| TaskMeta {
-                name: arb_name(rng),
+                name: arb_name(rng).into(),
                 request: ResourceRequest::with_gpus(1 + rng.below(8) as u32, rng.below(3) as u32),
                 duration: SimDuration::from_micros(rng.below(1 << 40) as u64),
                 gpu_busy_fraction: rng.uniform(),
@@ -1360,6 +1365,133 @@ mod tests {
         let d = back.to_description();
         assert_eq!(TaskMeta::of(&d), m);
         assert!(d.work.is_none(), "ghost tasks carry no work");
+    }
+
+    /// `TaskMeta` and the profiler's `TaskRecord` as they were before their
+    /// names became `Label`s: the encoding the labels must keep.
+    struct MetaOfStrings {
+        name: String,
+        request: ResourceRequest,
+        duration: SimDuration,
+        gpu_busy_fraction: f64,
+        priority: i32,
+        kind: TaskKind,
+        walltime: Option<SimDuration>,
+    }
+    json_struct!(MetaOfStrings {
+        name,
+        request,
+        duration,
+        gpu_busy_fraction,
+        priority,
+        kind,
+        walltime
+    });
+
+    struct RecordOfStrings {
+        id: u64,
+        name: String,
+        tag: String,
+        submitted: SimTime,
+        started: SimTime,
+        finished: SimTime,
+        cores: u32,
+        gpus: u32,
+    }
+    json_struct!(RecordOfStrings {
+        id,
+        name,
+        tag,
+        submitted,
+        started,
+        finished,
+        cores,
+        gpus
+    });
+
+    #[test]
+    fn label_names_encode_and_decode_byte_identically_to_strings() {
+        use impress_json::{from_str, read_json, to_string, write_json};
+        use impress_pilot::profiler::TaskRecord;
+        let escapes = "af2 \"fold\"\\msa\n\t\u{1}";
+        let (inline, spilled) = ("i".repeat(22), "s".repeat(23));
+        let multibyte_spill = format!("{}x", "ß".repeat(11));
+        let names = [
+            escapes,
+            "épi-ß-タスク-🧬",
+            &inline,
+            &spilled,
+            &multibyte_spill,
+            "",
+        ];
+        let at = |s: u64| SimTime::from_micros(s * 1_000_000);
+        for name in names {
+            let meta = TaskMeta {
+                name: name.into(),
+                ..meta("m", 60)
+            };
+            let text = to_string(&meta);
+            let strings = MetaOfStrings {
+                name: name.to_string(),
+                request: meta.request,
+                duration: meta.duration,
+                gpu_busy_fraction: meta.gpu_busy_fraction,
+                priority: meta.priority,
+                kind: meta.kind,
+                walltime: meta.walltime,
+            };
+            assert_eq!(text, to_string(&strings), "{name:?}");
+            let mut buf = String::new();
+            write_json(&mut buf, &meta);
+            write_json(&mut buf, &strings);
+            assert_eq!(buf, text.repeat(2), "{name:?}");
+            assert_eq!(read_json::<TaskMeta>(&text).unwrap(), meta);
+            assert_eq!(from_str::<TaskMeta>(&text).unwrap(), meta);
+
+            let record = TaskRecord {
+                id: 3,
+                name: name.into(),
+                tag: format!("{name}/pl.0001").into(),
+                submitted: at(1),
+                started: at(2),
+                finished: at(9),
+                cores: 2,
+                gpus: 1,
+            };
+            let text = to_string(&record);
+            let strings = RecordOfStrings {
+                id: 3,
+                name: name.to_string(),
+                tag: format!("{name}/pl.0001"),
+                submitted: at(1),
+                started: at(2),
+                finished: at(9),
+                cores: 2,
+                gpus: 1,
+            };
+            assert_eq!(text, to_string(&strings), "{name:?}");
+            buf.clear();
+            write_json(&mut buf, &record);
+            assert_eq!(buf, text, "{name:?}");
+            for back in [
+                read_json::<TaskRecord>(&text).unwrap(),
+                from_str::<TaskRecord>(&text).unwrap(),
+            ] {
+                assert_eq!(
+                    (back.name, back.tag),
+                    (record.name.clone(), record.tag.clone())
+                );
+            }
+        }
+        // What is not a string fails as a `String` does, on both routes.
+        let error = |text| {
+            let pulled = read_json::<Label>(text).unwrap_err().to_string();
+            let tree = from_str::<Label>(text).unwrap_err().to_string();
+            assert_eq!(pulled, read_json::<String>(text).unwrap_err().to_string());
+            assert_eq!(tree, from_str::<String>(text).unwrap_err().to_string());
+        };
+        error("3");
+        error("\"unterminated");
     }
 
     #[test]

@@ -35,56 +35,79 @@ impl<O> std::fmt::Debug for Step<O> {
     }
 }
 
-/// Collects completions for one in-flight stage until all of its tasks have
-/// reported, preserving **submission order** regardless of completion order
-/// (stages must see deterministic inputs even on the threaded backend).
+/// Collects completions for one pipeline's in-flight stage until all of its
+/// tasks have reported, preserving **submission order** regardless of
+/// completion order (stages must see deterministic inputs even on the
+/// threaded backend).
+///
+/// One buffer serves stage after stage: [`open`](Self::open) reuses the
+/// storage the last stage left behind — one slot per task, holding its id
+/// and, once it reports, its completion — so once warm the only allocation
+/// a stage costs is the batch [`record`](Self::record) hands over.
+/// [`push`](Self::push) gives each task its position, which its completion
+/// brings back, and a count of the tasks still out says when the stage is
+/// done: no completion scans the stage.
+#[derive(Default)]
 pub struct StageBuffer {
-    expected: Vec<TaskId>,
-    received: Vec<Option<Completion>>,
+    /// The in-flight stage's tasks in submission order, each with its
+    /// completion once it has arrived; empty between stages.
+    slots: Vec<(TaskId, Option<Completion>)>,
+    /// Tasks that have not reported yet.
+    outstanding: usize,
 }
 
 impl StageBuffer {
-    /// A buffer expecting completions for exactly `expected`.
-    pub fn new(expected: Vec<TaskId>) -> Self {
-        assert!(!expected.is_empty(), "a stage needs at least one task");
-        let n = expected.len();
-        StageBuffer {
-            expected,
-            received: (0..n).map(|_| None).collect(),
-        }
+    /// An empty buffer: no stage in flight.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Record a completion. Returns the full, submission-ordered batch once
-    /// the last task reports; `None` while tasks are still outstanding.
-    /// Panics on a completion for a task this stage never submitted, or on
-    /// a duplicate.
-    pub fn record(&mut self, c: Completion) -> Option<Vec<Completion>> {
-        let idx = self
-            .expected
-            .iter()
-            .position(|&t| t == c.task)
-            .unwrap_or_else(|| panic!("{}: completion does not belong to this stage", c.task));
-        assert!(
-            self.received[idx].is_none(),
-            "{}: duplicate completion",
-            c.task
-        );
-        self.received[idx] = Some(c);
-        if self.received.iter().all(Option::is_some) {
-            Some(
-                self.received
-                    .drain(..)
-                    .map(|o| o.expect("all present"))
-                    .collect(),
-            )
-        } else {
-            None
+    /// Open a stage of `tasks` tasks, then [`push`](Self::push) each in
+    /// submission order. Panics on an empty stage, or while the previous
+    /// stage is still in flight.
+    pub fn open(&mut self, tasks: usize) {
+        assert!(tasks > 0, "a stage needs at least one task");
+        assert_eq!(self.outstanding, 0, "a stage is already in flight");
+        // Exactly: a pipeline holds its buffer for life, and `reserve`
+        // would round a one-task stage up to four slots.
+        self.slots.reserve_exact(tasks);
+    }
+
+    /// Add the open stage's next task. Returns its position, which
+    /// [`record`](Self::record) takes back with its completion.
+    pub fn push(&mut self, id: TaskId) -> usize {
+        self.slots.push((id, None));
+        self.outstanding += 1;
+        self.slots.len() - 1
+    }
+
+    /// Record the completion of the task [`push`](Self::push) placed at
+    /// `at`. Returns the full, submission-ordered batch once the last task
+    /// reports; `None` while tasks are still outstanding. Panics on a
+    /// completion for a task the stage does not hold there, or on a
+    /// duplicate.
+    pub fn record(&mut self, at: usize, c: Completion) -> Option<Vec<Completion>> {
+        let slot = match self.slots.get_mut(at) {
+            Some((id, slot)) if *id == c.task => slot,
+            _ => panic!("{}: completion does not belong to this stage", c.task),
+        };
+        assert!(slot.is_none(), "{}: duplicate completion", c.task);
+        *slot = Some(c);
+        self.outstanding -= 1;
+        if self.outstanding > 0 {
+            return None;
         }
+        Some(
+            self.slots
+                .drain(..)
+                .map(|(_, c)| c.expect("every task reported"))
+                .collect(),
+        )
     }
 
     /// Tasks still outstanding.
     pub fn outstanding(&self) -> usize {
-        self.received.iter().filter(|o| o.is_none()).count()
+        self.outstanding
     }
 }
 
@@ -107,35 +130,54 @@ mod tests {
         }
     }
 
+    /// A buffer holding one open stage of `ids`.
+    fn stage(ids: &[u64]) -> StageBuffer {
+        let mut b = StageBuffer::new();
+        b.open(ids.len());
+        for (at, &id) in ids.iter().enumerate() {
+            assert_eq!(b.push(TaskId(id)), at);
+        }
+        b
+    }
+
     #[test]
     fn batch_released_only_when_full_in_submission_order() {
-        let mut b = StageBuffer::new(vec![TaskId(1), TaskId(2), TaskId(3)]);
-        assert!(b.record(completion(3)).is_none());
+        let mut b = stage(&[1, 2, 3]);
+        assert!(b.record(2, completion(3)).is_none());
         assert_eq!(b.outstanding(), 2);
-        assert!(b.record(completion(1)).is_none());
-        let batch = b.record(completion(2)).expect("complete");
+        assert!(b.record(0, completion(1)).is_none());
+        let batch = b.record(1, completion(2)).expect("complete");
         let ids: Vec<u64> = batch.iter().map(|c| c.task.0).collect();
         assert_eq!(ids, vec![1, 2, 3], "submission order, not completion order");
+        assert_eq!(b.outstanding(), 0);
     }
 
     #[test]
     #[should_panic(expected = "does not belong")]
     fn foreign_completion_panics() {
-        let mut b = StageBuffer::new(vec![TaskId(1)]);
-        let _ = b.record(completion(9));
+        let mut b = stage(&[1]);
+        let _ = b.record(0, completion(9));
     }
 
     #[test]
     #[should_panic(expected = "duplicate completion")]
     fn duplicate_completion_panics() {
-        let mut b = StageBuffer::new(vec![TaskId(1), TaskId(2)]);
-        let _ = b.record(completion(1));
-        let _ = b.record(completion(1));
+        let mut b = stage(&[1, 2]);
+        let _ = b.record(0, completion(1));
+        let _ = b.record(0, completion(1));
     }
 
     #[test]
     #[should_panic(expected = "at least one task")]
     fn empty_stage_rejected() {
-        let _ = StageBuffer::new(vec![]);
+        StageBuffer::new().open(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already in flight")]
+    fn a_stage_cannot_open_over_one_in_flight() {
+        let mut b = stage(&[1, 2]);
+        let _ = b.record(0, completion(1));
+        b.open(1);
     }
 }

@@ -26,13 +26,16 @@ props! {
     /// once, with the batch in submission order.
     fn stage_buffer_orders_any_arrival(rng) {
         let n = 1 + rng.below(39);
-        let ids: Vec<TaskId> = (0..n as u64).map(TaskId).collect();
-        let mut buffer = StageBuffer::new(ids.clone());
+        let mut buffer = StageBuffer::new();
+        buffer.open(n);
+        for id in 0..n as u64 {
+            assert_eq!(buffer.push(TaskId(id)), id as usize);
+        }
         let mut order: Vec<u64> = (0..n as u64).collect();
         rng.shuffle(&mut order);
         let mut released = None;
         for (i, id) in order.iter().enumerate() {
-            let out = buffer.record(completion(*id));
+            let out = buffer.record(*id as usize, completion(*id));
             if i + 1 < n {
                 assert!(out.is_none(), "released early");
             } else {

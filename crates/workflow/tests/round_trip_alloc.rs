@@ -1,0 +1,151 @@
+//! Allocation pins for a task's round trip through the coordinator and the
+//! pilot.
+//!
+//! 1. **A warm single-task stage costs at most 4 allocations a task**:
+//!    through `Coordinator` on `SimulatedBackend`, a stage allocates what
+//!    the API hands over — the `Vec` of `Step::run`, the work output box,
+//!    the batch given to `stage_done` — plus the amortized growth of the
+//!    run's logs. The stage buffer, the placement list and the profiler's
+//!    task record allocate nothing of their own.
+//! 2. **A warm `place_ready_into` allocates nothing**: the same saturated
+//!    placement cycle as `impress-pilot`'s `zero_alloc.rs`, placing into a
+//!    buffer the caller drains and reuses.
+//! 3. **Retiring a lease frees its inbox**: completions queued for a lease
+//!    leave with their storage when the lease retires.
+//!
+//! This is a dedicated test binary with a single `#[test]`: the probe's
+//! counters are process-global, so a second concurrent test would bleed
+//! allocations into the measurement.
+
+use impress_pilot::backend::SimulatedBackend;
+use impress_pilot::{
+    Completion, ExecutionBackend, NodeSpec, PilotConfig, PlacementPolicy, ResourceRequest,
+    Scheduler, SharedCluster, TaskDescription, TaskId,
+};
+use impress_sim::alloc_probe::CountingAlloc;
+use impress_sim::SimDuration;
+use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Step};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// `stages` single-task stages, then done.
+struct Chain {
+    stages: u32,
+}
+
+impl Chain {
+    fn next(&mut self) -> Step<u32> {
+        if self.stages == 0 {
+            return Step::Complete(0);
+        }
+        self.stages -= 1;
+        Step::run(
+            TaskDescription::new("link", ResourceRequest::cores(1), SimDuration::from_secs(5))
+                .with_work(|| 1u64),
+        )
+    }
+}
+
+impl PipelineLogic<u32> for Chain {
+    fn name(&self) -> String {
+        "chain".into()
+    }
+    fn begin(&mut self) -> Step<u32> {
+        self.next()
+    }
+    fn stage_done(&mut self, _: Vec<Completion>) -> Step<u32> {
+        self.next()
+    }
+}
+
+fn pilot(cores: u32) -> PilotConfig {
+    PilotConfig {
+        node: NodeSpec::new(cores, 0, 64),
+        nodes: 1,
+        policy: PlacementPolicy::Backfill,
+        bootstrap: SimDuration::from_secs(1),
+        exec_setup_per_task: SimDuration::ZERO,
+        seed: 0,
+    }
+}
+
+#[test]
+fn a_warm_round_trip_allocates_only_what_the_api_hands_over() {
+    // --- Pin 1: one task per stage through the coordinator -------------
+    const WARM: u32 = 2_000;
+    const MEASURED: u32 = 2_000;
+    let mut coordinator = Coordinator::new(SimulatedBackend::new(pilot(4)), NoDecisions);
+    coordinator.add_pipeline(Box::new(Chain {
+        stages: WARM + MEASURED,
+    }));
+    // Each step routes one completion: one task, one stage.
+    for _ in 0..WARM {
+        assert!(coordinator.step());
+    }
+    let (allocs, ()) = ALLOC.measure(|| {
+        for _ in 0..MEASURED {
+            assert!(coordinator.step());
+        }
+    });
+    let per_task = allocs as f64 / f64::from(MEASURED);
+    assert!(
+        per_task <= 4.0,
+        "a warm single-task stage allocates {per_task:.2} times a task, more than 4"
+    );
+    assert!(!coordinator.step(), "the chain ends after its last stage");
+    assert_eq!(coordinator.outcomes().len(), 1);
+
+    // --- Pin 2: placement into a reused buffer ---------------------------
+    const CYCLES: u64 = 20_000;
+    let mut scheduler = Scheduler::new(NodeSpec::new(4, 0, 64), PlacementPolicy::Backfill);
+    let mut placed = Vec::new();
+    scheduler.enqueue(TaskId(0), ResourceRequest::cores(1));
+    scheduler.place_ready_into(&mut placed); // one core gone for good
+    assert_eq!(placed.len(), 1);
+    placed.clear();
+    scheduler.enqueue(TaskId(1), ResourceRequest::cores(4)); // never fits
+    let mut next = 2u64;
+    let mut cycle = |scheduler: &mut Scheduler, placed: &mut Vec<_>| {
+        for _ in 0..CYCLES {
+            scheduler.enqueue(TaskId(next), ResourceRequest::cores(1));
+            next += 1;
+            scheduler.place_ready_into(placed);
+            let (_, allocation) = placed.pop().expect("three cores are free");
+            assert!(placed.is_empty(), "the four-core request failed again");
+            scheduler.release_owned(allocation);
+        }
+    };
+    cycle(&mut scheduler, &mut placed); // warm
+    let (allocs, ()) = ALLOC.measure(|| cycle(&mut scheduler, &mut placed));
+    assert_eq!(allocs, 0, "placing into a warm buffer allocates nothing");
+
+    // --- Pin 3: a retired lease frees its inbox --------------------------
+    const QUEUED: u64 = 256;
+    let cluster = SharedCluster::new(SimulatedBackend::new(pilot(64)));
+    let mut long = cluster.lease(cluster.open_account());
+    let mut short = cluster.lease(cluster.open_account());
+    long.submit(TaskDescription::new(
+        "long",
+        ResourceRequest::cores(1),
+        SimDuration::from_secs(60),
+    ));
+    for _ in 0..QUEUED {
+        short.submit(TaskDescription::new(
+            "short",
+            ResourceRequest::cores(1),
+            SimDuration::from_secs(1),
+        ));
+    }
+    // Waiting on the long task pumps every short one into its inbox.
+    assert!(long.next_completion().is_some());
+    assert_eq!(short.in_flight() as u64, QUEUED, "all queued, none taken");
+    let before = ALLOC.live_bytes();
+    short.retire();
+    let freed = before.saturating_sub(ALLOC.live_bytes());
+    let inbox = QUEUED * std::mem::size_of::<Completion>() as u64;
+    assert!(
+        freed >= inbox,
+        "retiring freed {freed} bytes; its {QUEUED} queued completions alone held {inbox}"
+    );
+}
