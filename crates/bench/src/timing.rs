@@ -170,7 +170,9 @@ mod tests {
     fn bench_records_sane_timings() {
         let mut suite =
             Suite::with_budget("timing-selftest".into(), 11, Duration::from_millis(200));
-        suite.bench("sum_1k", || (0..1000u64).sum::<u64>());
+        suite.bench("sum_1k", || {
+            (0..1000u64).map(std::hint::black_box).sum::<u64>()
+        });
         let r = &suite.results()[0];
         assert_eq!(r.id, "sum_1k");
         assert!(r.median_ns > 0);

@@ -204,32 +204,30 @@ impl UtilSink for AggregateUtil {
 
 /// One shard queue sync: apply staged inserts, then cancellations (so a
 /// cancel may target an id staged in the same sync), then optionally
-/// drain every event at exactly `drain`. Returns the drained events and
-/// the queue's next head time. Both drive modes — in-process and worker
+/// drain every event at exactly `drain` onto `events`. Returns the queue's
+/// next head time. The staged buffers are emptied in place and keep their
+/// storage for the next sync. Both drive modes — in-process and worker
 /// thread — run exactly this routine, which is what makes them
 /// event-identical.
 fn sync_queue(
     q: &mut EventQueue<Item>,
-    pushes: Vec<(SimTime, Item)>,
-    cancels: Vec<EventId>,
+    pushes: &mut Vec<(SimTime, Item)>,
+    cancels: &mut Vec<EventId>,
     drain: Option<SimTime>,
-) -> Reply {
-    let _ = q.schedule_batch(pushes);
-    for id in cancels {
+    events: &mut Vec<Item>,
+) -> Option<SimTime> {
+    let _ = q.schedule_batch(pushes.drain(..));
+    for id in cancels.drain(..) {
         // A cancel may race an event already delivered in this instant's
         // batch; the queue's exact-cancel contract makes that a clean no-op.
         let _ = q.cancel(id);
     }
-    let mut events = Vec::new();
     if let Some(t) = drain {
         while q.peek_time() == Some(t) {
             events.push(q.pop().expect("peeked event pops").payload);
         }
     }
-    Reply {
-        events,
-        next: q.peek_time(),
-    }
+    q.peek_time()
 }
 
 /// Command to a shard (worker thread mode).
@@ -268,14 +266,14 @@ impl WorkerPool {
                 while let Ok(cmd) = crx.recv() {
                     match cmd {
                         Cmd::Sync {
-                            pushes,
-                            cancels,
+                            mut pushes,
+                            mut cancels,
                             drain,
                         } => {
-                            if rtx
-                                .send(sync_queue(&mut q, pushes, cancels, drain))
-                                .is_err()
-                            {
+                            let mut events = Vec::new();
+                            let next =
+                                sync_queue(&mut q, &mut pushes, &mut cancels, drain, &mut events);
+                            if rtx.send(Reply { events, next }).is_err() {
                                 break;
                             }
                         }
@@ -405,15 +403,14 @@ impl Shards {
                     if !meta.dirty && !(drain.is_some() && meta.peek == drain) {
                         continue;
                     }
-                    let reply = sync_queue(
+                    meta.peek = sync_queue(
                         q,
-                        std::mem::take(&mut meta.outbox),
-                        std::mem::take(&mut meta.cancels),
+                        &mut meta.outbox,
+                        &mut meta.cancels,
                         drain,
+                        &mut self.batch,
                     );
                     meta.dirty = false;
-                    meta.peek = reply.next;
-                    self.batch.extend(reply.events);
                 }
             }
             ShardStore::Parallel(pool) => {
@@ -439,6 +436,18 @@ impl Shards {
                     self.batch.extend(reply.events);
                 }
             }
+        }
+    }
+
+    /// Drop the staging buffers' storage once they are flushed. The
+    /// bootstrap round stages a completion for everything it places; later
+    /// instants stage a few events a shard, so its buffers are not kept
+    /// for them.
+    fn release_staging(&mut self) {
+        for meta in &mut self.shards {
+            debug_assert!(meta.outbox.is_empty() && meta.cancels.is_empty());
+            meta.outbox = Vec::new();
+            meta.cancels = Vec::new();
         }
     }
 
@@ -524,8 +533,12 @@ impl ShardedBackend {
             return false;
         };
         self.core.now = t;
+        let mut bootstrapped = false;
         loop {
             self.core.transport.sync_shards(Some(t));
+            if std::mem::take(&mut bootstrapped) {
+                self.core.transport.release_staging();
+            }
             let mut batch = std::mem::take(&mut self.core.transport.batch);
             if batch.is_empty() {
                 self.core.transport.batch = batch;
@@ -535,7 +548,10 @@ impl ShardedBackend {
             for &(_, ev) in &batch {
                 match ev {
                     Ev::HeartbeatRound => self.heartbeat_round(t),
-                    ev => self.core.apply(ev),
+                    ev => {
+                        bootstrapped |= matches!(ev, Ev::Bootstrap);
+                        self.core.apply(ev);
+                    }
                 }
             }
             batch.clear();

@@ -5,8 +5,7 @@
 //! the queue never consults wall-clock time, thread identity, or hash order.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Monotonically increasing identifier assigned to every scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,61 +23,86 @@ pub struct ScheduledEvent<T> {
     pub payload: T,
 }
 
-impl<T> PartialEq for ScheduledEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
-    }
-}
-impl<T> Eq for ScheduledEvent<T> {}
-
-impl<T> PartialOrd for ScheduledEvent<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for ScheduledEvent<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, id) pops first.
-        other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
-    }
-}
-
 /// State of one issued id inside the queue's window.
 const GONE: u8 = 0;
 const PENDING: u8 = 1;
 const TOMBSTONE: u8 = 2;
 
+/// One bucket per bit of a `u64` key.
+const BUCKETS: usize = 64;
+
+/// The first allocation a `Vec` of queue entries makes: a drained bucket
+/// keeps at least this much storage, so a queue of a few events never
+/// re-grows it.
+const MIN_KEPT: usize = 4;
+
 /// A min-queue of timed events with deterministic FIFO tie-breaking.
 ///
-/// Cancellation is lazy (a tombstone in the heap, skipped when popped) but
-/// *exact*: the queue also tracks the state of every scheduled-and-not-yet-
-/// retired id, so [`EventQueue::cancel`] reports precisely whether it
-/// removed a live event and [`EventQueue::len`] is always the true live
-/// count. When tombstones dominate the heap it is compacted in one O(n)
-/// rebuild, so mass cancellations (a node crash evicting thousands of
-/// completions) cannot degrade every later pop.
+/// # Shape
+///
+/// A radix heap keyed on the firing time in microseconds. `floor` is the
+/// key the queue last moved up to (no stored event is earlier); `now` holds
+/// the events at exactly `floor`, in id order; every other event sits in
+/// `buckets[b]`, where `b` is the highest bit in which its key differs from
+/// `floor`. Keys in a lower bucket are all earlier than keys in a higher
+/// one. A pop takes the front of `now`; when `now` is empty it refills it
+/// from the lowest non-empty bucket: the floor moves to that bucket's
+/// earliest live key and the bucket redistributes into `now` and lower
+/// buckets. An event therefore moves down a few buckets over its life
+/// rather than sifting through a heap on every pop, and the buckets are
+/// scanned sequentially.
+///
+/// [`EventQueue::peek_time`] does not move the floor, so a driver may peek
+/// and then schedule earlier than the peeked head (the sharded driver
+/// does). Scheduling earlier than the floor itself — before the last pop —
+/// re-files every stored event under the new floor: O(n), and no driver
+/// does it.
+///
+/// Cancellation is lazy (a tombstone stays in its bucket and is skipped or
+/// dropped when reached) but *exact*: the queue also tracks the state of
+/// every scheduled-and-not-yet-retired id, so [`EventQueue::cancel`]
+/// reports precisely whether it removed a live event and
+/// [`EventQueue::len`] is always the true live count. When tombstones
+/// dominate the stored entries they are swept out in one O(n) pass, so mass
+/// cancellations (a node crash evicting thousands of completions) cannot
+/// degrade every later pop.
 ///
 /// # Memory
 ///
 /// Ids are handed out densely from 0, so their state lives in a sliding
 /// window indexed by `id - base` rather than in a hash set: one byte per id
-/// between the oldest id still in the heap and the newest issued, whatever
+/// between the oldest id still stored and the newest issued, whatever
 /// happened to the ids in between. (A hash set of pending ids cost at least
 /// 9 bytes per *pending* id, and a hash per schedule, pop and cancel.) The
 /// window's front advances as soon as its oldest id fires or its tombstone
 /// is dropped; a single far-future event therefore pins one byte for every
 /// id issued after it until it fires or is cancelled and compacted away.
+///
+/// As the clock crosses a high bit, the bucket of that bit briefly holds
+/// the whole stored set. A refill therefore releases a drained bucket's
+/// storage when its capacity exceeds `max(stored, 4)`, so the buckets of a
+/// drained burst do not keep its peak.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<ScheduledEvent<T>>,
+    /// Key (microseconds) of the last refill: no stored event is earlier.
+    floor: u64,
+    /// The stored events at exactly `floor`, in id order.
+    now: VecDeque<ScheduledEvent<T>>,
+    /// `buckets[b]`: the stored events whose key differs from `floor`
+    /// highest at bit `b`.
+    buckets: [Vec<ScheduledEvent<T>>; BUCKETS],
+    /// Bit `b` is set when `buckets[b]` is non-empty.
+    occupied: u64,
+    /// The answer of [`EventQueue::peek_time`], while no pop or cancel has
+    /// made it stale (a push only lowers it).
+    head: Option<Option<SimTime>>,
     next_id: u64,
     /// `window[id - base]` is the state of `id`, for `base <= id < next_id`.
-    /// Ids below `base` are gone: fired, or cancelled and out of the heap.
+    /// Ids below `base` are gone: fired, or cancelled and no longer stored.
     window: VecDeque<u8>,
     base: u64,
     /// Pending ids in the window: scheduled, not fired, not cancelled.
     live: usize,
-    /// Tombstones still physically in the heap (always a subset of it).
+    /// Tombstones still stored (always a subset of the stored entries).
     tombstones: usize,
 }
 
@@ -92,7 +116,11 @@ impl<T> EventQueue<T> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            floor: 0,
+            now: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            head: Some(None),
             next_id: 0,
             window: VecDeque::new(),
             base: 0,
@@ -108,36 +136,63 @@ impl<T> EventQueue<T> {
         self.next_id += 1;
         self.window.push_back(PENDING);
         self.live += 1;
-        self.heap.push(ScheduledEvent { at, id, payload });
+        let key = at.as_micros();
+        if key < self.floor {
+            self.lower_floor(key);
+        }
+        if let Some(head) = &mut self.head {
+            *head = Some(head.map_or(at, |head| head.min(at)));
+        }
+        // An event at `floor` carries the largest id so far, so `now`
+        // stays in id order.
+        self.place(ScheduledEvent { at, id, payload });
         id
     }
 
-    /// Schedule a burst of events in one queue operation. Ids are assigned
-    /// in iteration order; the batch occupies the contiguous id range
-    /// `first.0 .. first.0 + count` of the returned `(first, count)` pair,
-    /// so callers that track per-event ids (for later [`EventQueue::cancel`])
-    /// can reconstruct them without a per-event allocation. The heap is
-    /// extended in bulk, so a submission burst of N events costs one
-    /// amortized rebuild instead of N sift-ups.
+    /// Schedule a burst of events. Ids are assigned in iteration order; the
+    /// batch occupies the contiguous id range `first.0 .. first.0 + count`
+    /// of the returned `(first, count)` pair, so callers that track
+    /// per-event ids (for later [`EventQueue::cancel`]) can reconstruct
+    /// them without a per-event allocation.
     pub fn schedule_batch(
         &mut self,
         items: impl IntoIterator<Item = (SimTime, T)>,
     ) -> (EventId, usize) {
         let first = EventId(self.next_id);
-        let next_id = &mut self.next_id;
-        self.heap.extend(items.into_iter().map(|(at, payload)| {
-            let id = EventId(*next_id);
-            *next_id += 1;
-            ScheduledEvent { at, id, payload }
-        }));
-        let count = (self.next_id - first.0) as usize;
-        self.window.extend(std::iter::repeat_n(PENDING, count));
-        self.live += count;
-        (first, count)
+        for (at, payload) in items {
+            self.schedule(at, payload);
+        }
+        (first, (self.next_id - first.0) as usize)
+    }
+
+    /// File `ev` under the current floor, which its key must not be below.
+    fn place(&mut self, ev: ScheduledEvent<T>) {
+        let diff = ev.at.as_micros() ^ self.floor;
+        if diff == 0 {
+            self.now.push_back(ev);
+        } else {
+            let b = diff.ilog2() as usize;
+            self.buckets[b].push(ev);
+            self.occupied |= 1 << b;
+        }
+    }
+
+    /// Move the floor down to `key`, below every stored event, and re-file
+    /// them all under it.
+    fn lower_floor(&mut self, key: u64) {
+        let mut stored: Vec<_> = self.now.drain(..).collect();
+        for bucket in &mut self.buckets {
+            stored.append(bucket);
+        }
+        self.occupied = 0;
+        self.floor = key;
+        for ev in stored {
+            self.place(ev);
+        }
     }
 
     /// Cancel a previously scheduled event. Cancellation is lazy: the entry
-    /// stays in the heap but is skipped when popped. Returns `true` only if
+    /// stays stored but is skipped when reached. Returns `true` only if
     /// the event was still live — `false` if it already fired, was already
     /// cancelled, or was never issued.
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -151,11 +206,16 @@ impl<T> EventQueue<T> {
         *state = TOMBSTONE;
         self.live -= 1;
         self.tombstones += 1;
+        self.head = None;
         self.maybe_compact();
         true
     }
 
-    /// `id` left the heap: mark it gone and slide the window's front past
+    fn state(&self, id: EventId) -> u8 {
+        self.window[(id.0 - self.base) as usize]
+    }
+
+    /// `id` left the queue: mark it gone and slide the window's front past
     /// every id that is. Returns whether it was a tombstone.
     fn retire(&mut self, id: EventId) -> bool {
         let state = &mut self.window[(id.0 - self.base) as usize];
@@ -179,24 +239,88 @@ impl<T> EventQueue<T> {
 
     /// Remove and return the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        while let Some(ev) = self.heap.pop() {
-            if !self.retire(ev.id) {
-                return Some(ev);
+        loop {
+            while let Some(ev) = self.now.pop_front() {
+                self.head = None;
+                if !self.retire(ev.id) {
+                    return Some(ev);
+                }
             }
+            let head = self.peek_time()?;
+            self.refill(head.as_micros());
         }
-        None
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled entries from the top so the peek is accurate.
-        while let Some(top) = self.heap.peek() {
-            if self.window[(top.id.0 - self.base) as usize] == TOMBSTONE {
-                let ev = self.heap.pop().expect("peeked entry exists");
+    /// Refill the empty `now`: move the floor up to `key`, the earliest
+    /// live key, and redistribute the lowest non-empty bucket (which holds
+    /// it) under the new floor. Anything in that bucket earlier than `key`
+    /// is a tombstone, and is dropped.
+    fn refill(&mut self, key: u64) {
+        debug_assert!(self.now.is_empty() && key > self.floor);
+        let b = self.occupied.trailing_zeros() as usize;
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        self.occupied &= !(1 << b);
+        self.floor = key;
+        // Every key left in the bucket agrees with the new floor above bit
+        // `b`, so each lands in `now` or a lower bucket.
+        for ev in bucket.drain(..) {
+            if ev.at.as_micros() < key {
                 self.retire(ev.id);
             } else {
-                return Some(top.at);
+                self.place(ev);
             }
+        }
+        self.now.make_contiguous().sort_unstable_by_key(|ev| ev.id);
+        self.put_back(b, bucket);
+    }
+
+    /// Give drained bucket `b` its storage back, unless that storage is
+    /// more than the queue holds: capacity above `max(stored, MIN_KEPT)` is
+    /// released.
+    fn put_back(&mut self, b: usize, bucket: Vec<ScheduledEvent<T>>) {
+        if bucket.capacity() <= (self.live + self.tombstones).max(MIN_KEPT) {
+            self.buckets[b] = bucket;
+        }
+    }
+
+    /// Time of the earliest pending event, if any. Does not move the
+    /// floor: scheduling earlier than the answer stays cheap.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        if let Some(head) = self.head {
+            return head;
+        }
+        let head = self.find_head();
+        self.head = Some(head);
+        head
+    }
+
+    /// The earliest live key. Drops the tombstones it can without moving
+    /// the floor: those at the front of `now`, and buckets holding nothing
+    /// else.
+    fn find_head(&mut self) -> Option<SimTime> {
+        while let Some(front) = self.now.front() {
+            if self.state(front.id) == PENDING {
+                return Some(front.at);
+            }
+            let ev = self.now.pop_front().expect("the front exists");
+            self.retire(ev.id);
+        }
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            let earliest = self.buckets[b]
+                .iter()
+                .filter(|ev| self.tombstones == 0 || self.state(ev.id) == PENDING)
+                .map(|ev| ev.at)
+                .min();
+            if earliest.is_some() {
+                return earliest;
+            }
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            self.occupied &= !(1 << b);
+            for ev in bucket.drain(..) {
+                self.retire(ev.id);
+            }
+            self.put_back(b, bucket);
         }
         None
     }
@@ -208,24 +332,29 @@ impl<T> EventQueue<T> {
         self.live
     }
 
-    /// Rebuild the heap without tombstones once they outnumber live
-    /// entries. The threshold keeps small queues untouched and makes the
-    /// O(n) sweep amortized O(1) per cancellation.
+    /// Sweep tombstones out once they outnumber live entries. The
+    /// threshold keeps small queues untouched and makes the O(n) sweep
+    /// amortized O(1) per cancellation. Removing entries never changes the
+    /// bucket of the ones that stay.
     fn maybe_compact(&mut self) {
-        if self.tombstones > 64 && self.tombstones * 2 > self.heap.len() {
+        if self.tombstones > 64 && self.tombstones > self.live {
             let (window, base) = (&mut self.window, self.base);
-            let heap = std::mem::take(&mut self.heap);
-            self.heap = heap
-                .into_iter()
-                .filter(|ev| {
-                    let state = &mut window[(ev.id.0 - base) as usize];
-                    let keep = *state != TOMBSTONE;
-                    if !keep {
-                        *state = GONE;
-                    }
-                    keep
-                })
-                .collect();
+            let mut keep = |ev: &ScheduledEvent<T>| {
+                let state = &mut window[(ev.id.0 - base) as usize];
+                let keep = *state != TOMBSTONE;
+                if !keep {
+                    *state = GONE;
+                }
+                keep
+            };
+            self.now.retain(&mut keep);
+            self.occupied = 0;
+            for (b, bucket) in self.buckets.iter_mut().enumerate() {
+                bucket.retain(&mut keep);
+                if !bucket.is_empty() {
+                    self.occupied |= 1 << b;
+                }
+            }
             self.tombstones = 0;
             self.trim_front();
         }
@@ -242,6 +371,18 @@ impl<T> EventQueue<T> {
     #[cfg(test)]
     fn window_span(&self) -> std::ops::Range<u64> {
         self.base..self.base + self.window.len() as u64
+    }
+
+    /// Entries physically stored, tombstones included.
+    #[cfg(test)]
+    fn stored(&self) -> usize {
+        self.now.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Entries the buckets have room for.
+    #[cfg(test)]
+    fn bucket_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -331,9 +472,9 @@ mod tests {
         }
         assert_eq!(q.len(), 1);
         assert!(
-            q.heap.len() < 1001,
+            q.stored() < 1001,
             "tombstone-dominated heap must compact: {}",
-            q.heap.len()
+            q.stored()
         );
         assert_eq!(q.pop().unwrap().id, keep);
         assert!(q.is_empty());
@@ -525,5 +666,24 @@ mod tests {
         let mut expected: Vec<_> = popped.clone();
         expected.sort();
         assert_eq!(popped, expected, "pop order survives compaction");
+    }
+
+    #[test]
+    fn a_drained_burst_releases_its_bucket_storage() {
+        // 100,000 events spread below 3,000 s: as the clock crosses each
+        // high bit, that bit's bucket holds most of what is left.
+        let mut q = EventQueue::new();
+        for i in 0..100_000u64 {
+            q.schedule(SimTime::from_micros(i * 2_654_435_761 % 3_000_000_000), i);
+        }
+        let mut peak = q.bucket_capacity();
+        while q.pop().is_some() {
+            peak = peak.max(q.bucket_capacity());
+        }
+        let kept = q.bucket_capacity();
+        assert!(
+            kept * 50 < peak,
+            "a drained queue keeps {kept} of its peak {peak} bucket entries"
+        );
     }
 }

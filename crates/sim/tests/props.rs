@@ -50,16 +50,20 @@ impl QueueModel {
 
 props! {
     /// Every operation of the queue returns what the model returns, at
-    /// every step of a random interleaving. Three shapes of case: a small
+    /// every step of a random interleaving. Five shapes of case: a small
     /// mixed one; one whose cancel bursts cross the compaction threshold
-    /// (tombstones > 64 and > half the heap); and one where a far-future
-    /// event issued first pins the id window while thousands of later ids
-    /// fire and cancel behind it.
+    /// (tombstones > 64 and > half the stored entries); one where a
+    /// far-future event issued first pins the id window while thousands of
+    /// later ids fire and cancel behind it; one whose times spread over
+    /// 2^40 µs past the clock, so keys differ in high bits; and one that
+    /// peeks, then schedules between the last pop and the peeked head —
+    /// and now and then before the last pop.
     fn event_queue_matches_an_ordered_map_model(rng, cases = 96) {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut model = QueueModel::default();
-        let shape = rng.below(3);
-        let ops = [200, 1_500, 4_000][shape];
+        let shape = rng.below(5);
+        let ops = [200, 1_500, 4_000, 1_500, 1_500][shape];
+        let spread = if shape == 3 { 1 << 40 } else { 50 };
         if shape == 2 {
             let pin = SimTime::from_micros(1 << 40);
             assert_eq!(q.schedule(pin, 0).0, model.schedule(pin));
@@ -67,7 +71,18 @@ props! {
         let mut clock = 0u64;
         for _ in 0..ops {
             // Times run ahead of a moving clock, as a simulation's do.
-            let when = |rng: &mut SimRng| SimTime::from_micros(clock + rng.below(50) as u64);
+            let when = |rng: &mut SimRng| SimTime::from_micros(clock + rng.below(spread) as u64);
+            if shape == 4 && rng.chance(0.3) {
+                // Ahead of the peeked head, as the sharded driver schedules.
+                let head = q.peek_time().map_or(clock + 50, SimTime::as_micros);
+                let at = if clock > 0 && rng.chance(0.1) {
+                    clock - 1 - rng.below(clock.min(50) as usize) as u64
+                } else {
+                    clock + rng.below(head.saturating_sub(clock) as usize + 1) as u64
+                };
+                let at = SimTime::from_micros(at);
+                assert_eq!(q.schedule(at, model.issued).0, model.schedule(at));
+            }
             match rng.below(if shape == 1 { 11 } else { 10 }) {
                 0..=2 => {
                     let at = when(rng);
@@ -75,7 +90,7 @@ props! {
                     assert_eq!(id.0, model.schedule(at));
                 }
                 3 => {
-                    let ats: Vec<SimTime> = (0..rng.below([40, 400, 40][shape])).map(|_| when(rng)).collect();
+                    let ats: Vec<SimTime> = (0..rng.below([40, 400, 40, 40, 40][shape])).map(|_| when(rng)).collect();
                     let (first, count) =
                         q.schedule_batch(ats.iter().map(|&at| (at, model.issued)));
                     assert_eq!((first.0, count), (model.issued, ats.len()));
