@@ -20,6 +20,7 @@
 //!    evicted, their leases expire, and the trapped work reruns on
 //!    reachable nodes instead of waiting for the heal.
 
+use crate::study::Size;
 use impress_json::Json;
 use impress_pilot::{
     ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, PlacementPolicy,
@@ -35,8 +36,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Format version stamped into `partition.json`; the hermetic guard pins
-/// it so a schema change without regeneration fails `cargo test`.
+/// Format version stamped into `partition.json`; the study table pins it
+/// so a schema change without regeneration fails `cargo test`.
 pub const PARTITION_FORMAT_VERSION: u32 = 1;
 
 /// Loss axis: symmetric per-message drop and duplication rates.
@@ -56,36 +57,36 @@ const TIMEOUTS: [(&str, Option<(f64, f64)>); 3] = [
 /// Knobs of one study run; [`StudyParams::paper`] is the checked-in
 /// artifact, [`StudyParams::smoke`] a milliseconds-scale tier-1 variant.
 #[derive(Debug, Clone)]
-pub struct StudyParams {
+struct StudyParams {
     /// Cluster width.
-    pub nodes: u32,
+    nodes: u32,
     /// Cores per node (CPU-only study).
-    pub cores_per_node: u32,
+    cores_per_node: u32,
     /// Single-core design tasks in the recovery grid.
-    pub tasks: usize,
+    tasks: usize,
     /// Modeled task runtime, seconds.
-    pub task_secs: u64,
+    task_secs: u64,
     /// First node (inclusive) on the far side of the partition.
-    pub partition_first_node: u32,
+    partition_first_node: u32,
     /// Last node (inclusive) on the far side of the partition.
-    pub partition_last_node: u32,
+    partition_last_node: u32,
     /// When the partition opens, seconds (mid first wave).
-    pub partition_at_secs: u64,
+    partition_at_secs: u64,
     /// Pilot bootstrap, seconds.
-    pub bootstrap_secs: u64,
+    bootstrap_secs: u64,
     /// Per-task execution setup, seconds.
-    pub exec_setup_secs: u64,
+    exec_setup_secs: u64,
     /// Root pipelines in the delivery (exactly-once) campaign.
-    pub pipelines: usize,
+    pipelines: usize,
     /// Sequential stages per delivery pipeline.
-    pub stages_per_pipeline: usize,
+    stages_per_pipeline: usize,
 }
 
 impl StudyParams {
     /// The checked-in artifact's shape: 6 × 4-core nodes, the first wave
     /// loads nodes 0–3, the partition severs nodes 2–3, nodes 4–5 stay
     /// free as rerun capacity.
-    pub fn paper() -> Self {
+    fn paper() -> Self {
         StudyParams {
             nodes: 6,
             cores_per_node: 4,
@@ -102,7 +103,7 @@ impl StudyParams {
     }
 
     /// A smaller variant exercising every code path under `cargo test`.
-    pub fn smoke() -> Self {
+    fn smoke() -> Self {
         StudyParams {
             nodes: 4,
             cores_per_node: 4,
@@ -359,7 +360,11 @@ fn cell<'a>(rows: &'a [CellResult], l: &str, d: &str, t: &str) -> &'a CellResult
 }
 
 /// Run the full sweep and assemble the `partition.json` document.
-pub fn run_study(p: &StudyParams, seed: u64) -> Json {
+pub(crate) fn run(size: Size, seed: u64) -> Json {
+    let p = &match size {
+        Size::Paper => StudyParams::paper(),
+        Size::Smoke => StudyParams::smoke(),
+    };
     let mut grid = Vec::new();
     for loss in LOSSES {
         for duration in DURATIONS {

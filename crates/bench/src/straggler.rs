@@ -16,6 +16,7 @@
 //! killed at the limit — the deterministic-failure analogue the
 //! quarantine policy exists to catch.
 
+use crate::study::Size;
 use impress_json::Json;
 use impress_pilot::{
     ExecutionBackend, FaultConfig, FaultPlan, HedgePolicy, NodeSpec, PilotConfig, PlacementPolicy,
@@ -24,8 +25,8 @@ use impress_pilot::{
 };
 use impress_sim::{SimDuration, SimTime};
 
-/// Format version stamped into `straggler.json`; the hermetic guard pins
-/// it so a schema change without regeneration fails `cargo test`.
+/// Format version stamped into `straggler.json`; the study table pins it
+/// so a schema change without regeneration fails `cargo test`.
 pub const STRAGGLER_FORMAT_VERSION: u32 = 1;
 
 /// Slowdown severity axis: runtime multiplier on the degraded nodes
@@ -42,39 +43,39 @@ const QUARANTINES: [(&str, bool); 2] = [("off", false), ("on", true)];
 /// Knobs of one study run; [`StudyParams::paper`] is the checked-in
 /// artifact, [`StudyParams::smoke`] a seconds-scale tier-1 variant.
 #[derive(Debug, Clone)]
-pub struct StudyParams {
+struct StudyParams {
     /// Cluster width.
-    pub nodes: u32,
+    nodes: u32,
     /// Cores per node (CPU-only study).
-    pub cores_per_node: u32,
+    cores_per_node: u32,
     /// Nodes 0..slow_nodes carry the slowdown windows.
-    pub slow_nodes: u32,
+    slow_nodes: u32,
     /// Healthy single-core design tasks.
-    pub design_tasks: usize,
+    design_tasks: usize,
     /// Walltime-doomed two-core poison lineages.
-    pub poison_tasks: usize,
+    poison_tasks: usize,
     /// Shortest design-task modeled runtime, seconds.
-    pub task_secs_base: u64,
+    task_secs_base: u64,
     /// Design-task runtimes spread deterministically over
     /// `[base, base + spread)`.
-    pub task_secs_spread: u64,
+    task_secs_spread: u64,
     /// Walltime limit on poison tasks (their modeled span is 4× this, so
     /// every attempt expires).
-    pub poison_walltime_secs: u64,
+    poison_walltime_secs: u64,
     /// Retry budget burnt by unquarantined poison lineages.
-    pub retry_budget: u32,
+    retry_budget: u32,
     /// Poisoned lineages of the poison shape before the breaker sheds it.
-    pub shape_trip: u32,
+    shape_trip: u32,
     /// Pilot bootstrap, seconds.
-    pub bootstrap_secs: u64,
+    bootstrap_secs: u64,
     /// Per-task execution setup, seconds.
-    pub exec_setup_secs: u64,
+    exec_setup_secs: u64,
 }
 
 impl StudyParams {
     /// The checked-in artifact's shape: 8 × 8-core nodes, two of them
     /// degraded, 200 design tasks and 6 poison lineages.
-    pub fn paper() -> Self {
+    fn paper() -> Self {
         StudyParams {
             nodes: 8,
             cores_per_node: 8,
@@ -93,7 +94,7 @@ impl StudyParams {
 
     /// A seconds-scale variant exercising every code path under
     /// `cargo test`.
-    pub fn smoke() -> Self {
+    fn smoke() -> Self {
         StudyParams {
             nodes: 4,
             cores_per_node: 4,
@@ -241,7 +242,11 @@ fn cell<'a>(rows: &'a [CellResult], s: &str, h: &str, q: &str) -> &'a CellResult
 /// numbers: hedging at k=2 recovers the majority of the makespan a
 /// 10x-slowdown tail costs, and quarantine bounds the core-seconds a
 /// poisoned lineage can burn to `distinct_nodes × attempt cost`.
-pub fn run_study(p: &StudyParams, seed: u64) -> Json {
+pub(crate) fn run(size: Size, seed: u64) -> Json {
+    let p = &match size {
+        Size::Paper => StudyParams::paper(),
+        Size::Smoke => StudyParams::smoke(),
+    };
     let mut rows = Vec::new();
     for severity in SEVERITIES {
         for hedge in HEDGES {

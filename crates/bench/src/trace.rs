@@ -1,6 +1,6 @@
 //! Telemetry trace study: record a full IM-RP campaign through the
-//! unified telemetry subsystem and document what the trace contains,
-//! written to `trace_summary.json` by the `trace_study` binary.
+//! unified telemetry subsystem and document what the trace contains: the
+//! `trace` row of the study table, written to `trace_summary.json`.
 //!
 //! The study pins the subsystem's three contracts:
 //!
@@ -18,10 +18,8 @@
 //! Every number in the summary document is deterministic (event counts,
 //! span counts, metric counters — no wall-clock readings), so
 //! regenerating the artifact on any machine reproduces it byte-for-byte.
-//!
-//! The logic lives in the library (not the binary) so `tests/hermetic.rs`
-//! can run a tiny smoke iteration under `cargo test`.
 
+use crate::study::Size;
 use impress_core::adaptive::AdaptivePolicy;
 use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_json::{Json, ToJson};
@@ -41,34 +39,30 @@ use impress_telemetry::{
 ///   sharded) and records which engines were compared.
 pub const TRACE_FORMAT_VERSION: u32 = 2;
 
-/// Knobs for one study run; [`TraceParams::full`] is what the binary
-/// uses, [`TraceParams::smoke`] is the tiny `cargo test` iteration.
-pub struct TraceParams {
+/// Knobs for one study run.
+struct TraceParams {
     /// Cohort size for the recorded IM-RP campaign.
-    pub complexes: usize,
+    complexes: usize,
     /// Ring capacity for the trace recorder (the study asserts nothing
     /// was dropped, so this bounds the campaign it can record).
-    pub ring_capacity: usize,
+    ring_capacity: usize,
     /// Serialized task count for the cross-backend parity replay.
-    pub parity_tasks: usize,
+    parity_tasks: usize,
 }
 
 impl TraceParams {
-    /// The full study regenerating `trace_summary.json`.
-    pub fn full() -> Self {
-        TraceParams {
-            complexes: 24,
-            ring_capacity: 1 << 21,
-            parity_tasks: 8,
-        }
-    }
-
-    /// A seconds-scale iteration exercising every code path.
-    pub fn smoke() -> Self {
-        TraceParams {
-            complexes: 2,
-            ring_capacity: 1 << 16,
-            parity_tasks: 3,
+    fn of(size: Size) -> Self {
+        match size {
+            Size::Paper => TraceParams {
+                complexes: 24,
+                ring_capacity: 1 << 21,
+                parity_tasks: 8,
+            },
+            Size::Smoke => TraceParams {
+                complexes: 2,
+                ring_capacity: 1 << 16,
+                parity_tasks: 3,
+            },
         }
     }
 }
@@ -173,7 +167,8 @@ fn span_counts(events: &[TelemetryEvent]) -> Json {
 }
 
 /// Run the study and build the `trace_summary.json` document.
-pub fn run_study(params: &TraceParams, seed: u64) -> Json {
+pub(crate) fn run(size: Size, seed: u64) -> Json {
+    let params = &TraceParams::of(size);
     let targets = mined_pdz_complexes(seed, params.complexes);
     let config = ProtocolConfig::imrp(seed);
     let policy = AdaptivePolicy {

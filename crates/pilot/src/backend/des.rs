@@ -172,17 +172,11 @@ pub(super) trait Transport {
 /// Occupancy accounting: the seam between the handlers and whoever
 /// answers [`ExecutionBackend::utilization`](super::ExecutionBackend).
 pub(super) trait UtilSink {
-    /// A task was submitted (wait-time accounting).
-    fn submitted(&mut self, id: TaskId, at: SimTime);
     /// An attempt (or hedge duplicate) begins occupying `alloc`.
     fn started(&mut self, alloc: &Allocation, at: SimTime);
     /// A useful execution released `alloc`.
-    #[allow(clippy::too_many_arguments)]
     fn finished(
         &mut self,
-        id: TaskId,
-        name: &Label,
-        tag: &Label,
         alloc: &Allocation,
         started: SimTime,
         at: SimTime,
@@ -1021,10 +1015,12 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
                 Ok(None)
             }
         };
-        let d = self.descriptors.get(task.desc).expect(DESCRIBED);
-        let busy = d.gpu_busy_fraction;
-        self.util
-            .finished(id, &d.name, &d.tag, &alloc, started, now, busy);
+        let busy = self
+            .descriptors
+            .get(task.desc)
+            .expect(DESCRIBED)
+            .gpu_busy_fraction;
+        self.util.finished(&alloc, started, now, busy);
         let mut warmed = None;
         if let Some(policy) = self.hedge {
             let shape = (task.request.cores, task.request.gpus);
@@ -1810,7 +1806,6 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             hedged: false,
             desc,
         }));
-        self.util.submitted(id, now);
         self.in_flight += 1;
         // Under the control plane the submit command itself is routed:
         // the task enters the scheduler queue at the command's hub

@@ -59,7 +59,7 @@ use crate::resources::Allocation;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId};
 use impress_sim::{EventId, EventQueue, SimTime};
-use impress_telemetry::{Label, Telemetry};
+use impress_telemetry::Telemetry;
 
 /// Queue payload: global sequence number (the deterministic merge key,
 /// mirroring the sequential driver's `EventId` order) plus the event.
@@ -130,24 +130,13 @@ impl AggregateUtil {
 }
 
 impl UtilSink for AggregateUtil {
-    fn submitted(&mut self, _id: TaskId, _at: SimTime) {}
-
     fn started(&mut self, alloc: &Allocation, now: SimTime) {
         self.tick(now);
         self.busy_cores += alloc.core_ids.len() as u64;
         self.busy_gpus += alloc.gpu_ids.len() as u64;
     }
 
-    fn finished(
-        &mut self,
-        _id: TaskId,
-        _name: &Label,
-        _tag: &Label,
-        alloc: &Allocation,
-        started: SimTime,
-        now: SimTime,
-        fraction: f64,
-    ) {
+    fn finished(&mut self, alloc: &Allocation, started: SimTime, now: SimTime, fraction: f64) {
         self.vacate(alloc, started, now);
         let busy = now.since(started).mul_f64(fraction.clamp(0.0, 1.0));
         self.gpu_hw_us += busy.as_micros() as f64 * alloc.gpu_ids.len() as f64;

@@ -56,7 +56,7 @@ use crate::resources::Allocation;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId, TaskWork};
 use impress_sim::{EventQueue, SimDuration, SimTime};
-use impress_telemetry::{Label, Stamp, Telemetry};
+use impress_telemetry::{Stamp, Telemetry};
 
 /// What real time has to do with a sequentially driven run. The defaults
 /// are "nothing", which is [`Inline`].
@@ -118,25 +118,12 @@ impl<X: Exec> Transport for SingleQueue<X> {
 }
 
 impl UtilSink for Profiler {
-    fn submitted(&mut self, id: TaskId, at: SimTime) {
-        self.task_submitted(id, at);
-    }
-
     fn started(&mut self, alloc: &Allocation, at: SimTime) {
         self.task_started(alloc, at);
     }
 
-    fn finished(
-        &mut self,
-        id: TaskId,
-        name: &Label,
-        tag: &Label,
-        alloc: &Allocation,
-        started: SimTime,
-        at: SimTime,
-        gpu_busy_fraction: f64,
-    ) {
-        self.task_finished(id, name, tag, alloc, started, at, gpu_busy_fraction);
+    fn finished(&mut self, alloc: &Allocation, started: SimTime, at: SimTime, fraction: f64) {
+        self.task_finished(alloc, started, at, fraction);
     }
 
     fn wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
@@ -418,11 +405,6 @@ impl SimulatedBackend {
     /// Binned GPU hardware-busy series up to the current time.
     pub fn gpu_hw_series(&self, bin: SimDuration) -> Vec<f64> {
         self.0.core.util.gpu_hw_series(self.0.core.now, bin)
-    }
-
-    /// Per-task records completed so far (cloned snapshot).
-    pub fn task_records(&self) -> Vec<crate::profiler::TaskRecord> {
-        self.0.core.util.records().to_vec()
     }
 }
 

@@ -61,7 +61,6 @@ pub mod session;
 mod states;
 mod sync;
 pub mod task;
-pub mod timeline;
 
 pub use backend::{Completion, ExecutionBackend, TaskError};
 pub use cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
@@ -79,4 +78,3 @@ pub use scheduler::{PlacementPolicy, Scheduler};
 pub use session::{Observation, Session};
 pub use states::TaskState;
 pub use task::{TaskDescription, TaskId, TaskKind, TaskWork};
-pub use timeline::{GanttRow, Timeline};

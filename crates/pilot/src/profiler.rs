@@ -18,49 +18,8 @@
 //! CPU phases are genuinely compute/I/O bound), so only one CPU view exists.
 
 use crate::resources::Allocation;
-use crate::task::TaskId;
 use impress_json::json_struct;
 use impress_sim::{SimDuration, SimTime, UtilizationTracker};
-use impress_telemetry::Label;
-
-/// Per-task execution record. Name and tag are the task's own [`Label`]s,
-/// shared rather than copied; their JSON is that of the text.
-#[derive(Debug, Clone)]
-pub struct TaskRecord {
-    /// The task.
-    pub id: u64,
-    /// Task name.
-    pub name: Label,
-    /// Bookkeeping tag.
-    pub tag: Label,
-    /// When the task was submitted.
-    pub submitted: SimTime,
-    /// When slots were granted.
-    pub started: SimTime,
-    /// When the task released its slots.
-    pub finished: SimTime,
-    /// Cores held.
-    pub cores: u32,
-    /// GPUs held.
-    pub gpus: u32,
-}
-json_struct!(TaskRecord {
-    id,
-    name,
-    tag,
-    submitted,
-    started,
-    finished,
-    cores,
-    gpus
-});
-
-impl TaskRecord {
-    /// Queue wait time (submission → slot grant).
-    pub fn wait(&self) -> SimDuration {
-        self.started.since(self.submitted)
-    }
-}
 
 /// Aggregate utilization numbers for one run.
 #[derive(Debug, Clone, Copy)]
@@ -112,7 +71,7 @@ json_struct!(UtilizationReport {
     hedge_wasted_gpu_seconds
 });
 
-/// The profiler: device trackers plus per-task records. Multi-node pilots
+/// The profiler: device trackers plus run counters. Multi-node pilots
 /// flatten devices into global indices (`node × per-node + local id`).
 #[derive(Debug)]
 pub struct Profiler {
@@ -121,10 +80,7 @@ pub struct Profiler {
     gpu_hw: UtilizationTracker,
     cores_per_node: u32,
     gpus_per_node: u32,
-    /// Submission instants indexed by task id, until the task finishes.
-    /// The profiler sits under one backend, whose ids are dense from 0.
-    submitted: Vec<Option<SimTime>>,
-    records: Vec<TaskRecord>,
+    tasks: usize,
     retries: usize,
     wasted_core_seconds: f64,
     wasted_gpu_seconds: f64,
@@ -155,8 +111,7 @@ impl Profiler {
             gpu_hw: UtilizationTracker::new((gpus * nodes) as usize),
             cores_per_node: cores,
             gpus_per_node: gpus,
-            submitted: Vec::new(),
-            records: Vec::new(),
+            tasks: 0,
             retries: 0,
             wasted_core_seconds: 0.0,
             wasted_gpu_seconds: 0.0,
@@ -176,15 +131,6 @@ impl Profiler {
         (alloc_node * self.gpus_per_node + id) as usize
     }
 
-    /// Note a task submission (for wait-time accounting).
-    pub fn task_submitted(&mut self, id: TaskId, at: SimTime) {
-        let slot = id.0 as usize;
-        if self.submitted.len() <= slot {
-            self.submitted.resize(slot + 1, None);
-        }
-        self.submitted[slot] = Some(at);
-    }
-
     /// Note that a task received its allocation and begins occupying slots.
     pub fn task_started(&mut self, alloc: &Allocation, at: SimTime) {
         for &c in &alloc.core_ids {
@@ -198,12 +144,8 @@ impl Profiler {
     /// Note that a task released its slots. `gpu_busy_fraction` of the
     /// occupancy window is recorded as hardware-busy GPU time (placed at the
     /// end of the window, where inference kernels actually run).
-    #[allow(clippy::too_many_arguments)]
     pub fn task_finished(
         &mut self,
-        id: TaskId,
-        name: &Label,
-        tag: &Label,
         alloc: &Allocation,
         started: SimTime,
         finished: SimTime,
@@ -223,27 +165,12 @@ impl Profiler {
                 self.gpu_hw.end(gi, finished);
             }
         }
-        let submitted = self
-            .submitted
-            .get_mut(id.0 as usize)
-            .and_then(Option::take)
-            .unwrap_or(started);
-        self.records.push(TaskRecord {
-            id: id.0,
-            name: name.clone(),
-            tag: tag.clone(),
-            submitted,
-            started,
-            finished,
-            cores: alloc.core_ids.len() as u32,
-            gpus: alloc.gpu_ids.len() as u32,
-        });
+        self.tasks += 1;
     }
 
     /// Note that an attempt ended *without* completing its task: close its
-    /// slot-occupancy intervals and book the span as wasted work. No
-    /// [`TaskRecord`] is created (records are useful executions) and no
-    /// hardware-busy GPU time is booked — a killed attempt never reached
+    /// slot-occupancy intervals and book the span as wasted work. It does
+    /// not count as a completed task, and no hardware-busy GPU time is booked — a killed attempt never reached
     /// its inference kernels.
     pub fn attempt_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
         for &c in &alloc.core_ids {
@@ -282,11 +209,6 @@ impl Profiler {
         self.hedge_wasted_gpu_seconds += span * alloc.gpu_ids.len() as f64;
     }
 
-    /// All completed-task records, in completion order.
-    pub fn records(&self) -> &[TaskRecord] {
-        &self.records
-    }
-
     /// Aggregate report over `[0, end)`.
     pub fn report(&self, end: SimTime) -> UtilizationReport {
         UtilizationReport {
@@ -294,7 +216,7 @@ impl Profiler {
             gpu_slot: self.gpu_slot.mean_utilization(SimTime::ZERO, end),
             gpu_hardware: self.gpu_hw.mean_utilization(SimTime::ZERO, end),
             makespan: end.since(SimTime::ZERO),
-            tasks: self.records.len(),
+            tasks: self.tasks,
             retries: self.retries,
             wasted_core_seconds: self.wasted_core_seconds,
             wasted_gpu_seconds: self.wasted_gpu_seconds,
@@ -341,9 +263,8 @@ mod tests {
     fn slot_occupancy_covers_full_window() {
         let mut p = Profiler::new(4, 2);
         let a = alloc(&[0, 1], &[0]);
-        p.task_submitted(TaskId(1), t(0));
         p.task_started(&a, t(10));
-        p.task_finished(TaskId(1), &"x".into(), &"".into(), &a, t(10), t(20), 1.0);
+        p.task_finished(&a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         // 2 of 4 cores busy for half the run → 25%.
         assert!((r.cpu - 0.25).abs() < 1e-9);
@@ -358,23 +279,10 @@ mod tests {
         let mut p = Profiler::new(1, 1);
         let a = alloc(&[0], &[0]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), &"af2".into(), &"".into(), &a, t(0), t(100), 0.25);
+        p.task_finished(&a, t(0), t(100), 0.25);
         let r = p.report(t(100));
         assert!((r.gpu_slot - 1.0).abs() < 1e-9);
         assert!((r.gpu_hardware - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wait_and_turnaround_are_recorded() {
-        let mut p = Profiler::new(1, 0);
-        let a = alloc(&[0], &[]);
-        p.task_submitted(TaskId(5), t(2));
-        p.task_started(&a, t(7));
-        p.task_finished(TaskId(5), &"w".into(), &"tag".into(), &a, t(7), t(12), 1.0);
-        let rec = &p.records()[0];
-        assert_eq!(rec.wait(), SimDuration::from_secs(5));
-        assert_eq!(rec.finished.since(rec.started), SimDuration::from_secs(5));
-        assert_eq!(rec.tag, "tag");
     }
 
     #[test]
@@ -382,9 +290,9 @@ mod tests {
         let mut p = Profiler::new(1, 0);
         let a = alloc(&[0], &[]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), &"a".into(), &"".into(), &a, t(0), t(4), 1.0);
+        p.task_finished(&a, t(0), t(4), 1.0);
         p.task_started(&a, t(6));
-        p.task_finished(TaskId(2), &"b".into(), &"".into(), &a, t(6), t(10), 1.0);
+        p.task_finished(&a, t(6), t(10), 1.0);
         let r = p.report(t(10));
         assert!((r.cpu - 0.8).abs() < 1e-9);
     }
@@ -394,7 +302,7 @@ mod tests {
         let mut p = Profiler::new(2, 0);
         let a = alloc(&[0, 1], &[]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), &"x".into(), &"".into(), &a, t(0), t(5), 1.0);
+        p.task_finished(&a, t(0), t(5), 1.0);
         let series = p.cpu_series(t(10), SimDuration::from_secs(5));
         assert_eq!(series.len(), 2);
         assert!((series[0] - 1.0).abs() < 1e-9);
@@ -405,13 +313,12 @@ mod tests {
     fn wasted_attempts_book_lost_seconds_without_records() {
         let mut p = Profiler::new(4, 2);
         let a = alloc(&[0, 1], &[0]);
-        p.task_submitted(TaskId(1), t(0));
         p.task_started(&a, t(0));
         p.attempt_wasted(&a, t(0), t(10));
         p.note_retry();
         // The retry occupies the same slots again and succeeds.
         p.task_started(&a, t(10));
-        p.task_finished(TaskId(1), &"x".into(), &"".into(), &a, t(10), t(20), 1.0);
+        p.task_finished(&a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         assert_eq!(r.retries, 1);
         assert!(
@@ -419,7 +326,7 @@ mod tests {
             "2 cores × 10 s"
         );
         assert!((r.wasted_gpu_seconds - 10.0).abs() < 1e-9, "1 GPU × 10 s");
-        assert_eq!(r.tasks, 1, "wasted attempts create no task records");
+        assert_eq!(r.tasks, 1, "wasted attempts complete no task");
         // Occupancy still reflects the held slots: 2/4 cores for the whole run.
         assert!((r.cpu - 0.5).abs() < 1e-9);
     }
@@ -433,13 +340,12 @@ mod tests {
             core_ids: vec![2, 3],
             gpu_ids: vec![],
         };
-        p.task_submitted(TaskId(1), t(0));
         p.task_started(&main, t(0));
         // A hedge duplicate launches at t=10 and the original wins at t=15.
         p.note_hedge();
         p.task_started(&dup, t(10));
         p.attempt_hedge_wasted(&dup, t(10), t(15));
-        p.task_finished(TaskId(1), &"x".into(), &"".into(), &main, t(0), t(15), 0.0);
+        p.task_finished(&main, t(0), t(15), 0.0);
         let r = p.report(t(15));
         assert_eq!(r.hedges, 1);
         assert!(
@@ -449,7 +355,7 @@ mod tests {
         assert_eq!(r.hedge_wasted_gpu_seconds, 0.0);
         assert_eq!(r.wasted_core_seconds, 0.0, "hedge waste is not retry waste");
         assert_eq!(r.retries, 0);
-        assert_eq!(r.tasks, 1, "the loser creates no task record");
+        assert_eq!(r.tasks, 1, "the loser completes no task");
     }
 
     #[test]
@@ -457,7 +363,7 @@ mod tests {
         let mut p = Profiler::new(1, 0);
         let a = alloc(&[0], &[]);
         p.task_started(&a, t(0));
-        p.task_finished(TaskId(1), &"a".into(), &"".into(), &a, t(0), t(4), 1.0);
+        p.task_finished(&a, t(0), t(4), 1.0);
         let r = p.report(t(4));
         assert_eq!(r.retries, 0);
         assert_eq!(r.wasted_core_seconds, 0.0);
@@ -469,15 +375,7 @@ mod tests {
         let mut p = Profiler::new(1, 1);
         let a = alloc(&[0], &[0]);
         p.task_started(&a, t(0));
-        p.task_finished(
-            TaskId(1),
-            &"cpu-ish".into(),
-            &"".into(),
-            &a,
-            t(0),
-            t(10),
-            0.0,
-        );
+        p.task_finished(&a, t(0), t(10), 0.0);
         let r = p.report(t(10));
         assert_eq!(r.gpu_hardware, 0.0);
         assert!((r.gpu_slot - 1.0).abs() < 1e-9);

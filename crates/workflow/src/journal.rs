@@ -1367,8 +1367,8 @@ mod tests {
         assert!(d.work.is_none(), "ghost tasks carry no work");
     }
 
-    /// `TaskMeta` and the profiler's `TaskRecord` as they were before their
-    /// names became `Label`s: the encoding the labels must keep.
+    /// `TaskMeta` as it was before its name became a `Label`: the encoding
+    /// the label must keep.
     struct MetaOfStrings {
         name: String,
         request: ResourceRequest,
@@ -1388,31 +1388,9 @@ mod tests {
         walltime
     });
 
-    struct RecordOfStrings {
-        id: u64,
-        name: String,
-        tag: String,
-        submitted: SimTime,
-        started: SimTime,
-        finished: SimTime,
-        cores: u32,
-        gpus: u32,
-    }
-    json_struct!(RecordOfStrings {
-        id,
-        name,
-        tag,
-        submitted,
-        started,
-        finished,
-        cores,
-        gpus
-    });
-
     #[test]
     fn label_names_encode_and_decode_byte_identically_to_strings() {
         use impress_json::{from_str, read_json, to_string, write_json};
-        use impress_pilot::profiler::TaskRecord;
         let escapes = "af2 \"fold\"\\msa\n\t\u{1}";
         let (inline, spilled) = ("i".repeat(22), "s".repeat(23));
         let multibyte_spill = format!("{}x", "ß".repeat(11));
@@ -1424,7 +1402,6 @@ mod tests {
             &multibyte_spill,
             "",
         ];
-        let at = |s: u64| SimTime::from_micros(s * 1_000_000);
         for name in names {
             let meta = TaskMeta {
                 name: name.into(),
@@ -1447,41 +1424,6 @@ mod tests {
             assert_eq!(buf, text.repeat(2), "{name:?}");
             assert_eq!(read_json::<TaskMeta>(&text).unwrap(), meta);
             assert_eq!(from_str::<TaskMeta>(&text).unwrap(), meta);
-
-            let record = TaskRecord {
-                id: 3,
-                name: name.into(),
-                tag: format!("{name}/pl.0001").into(),
-                submitted: at(1),
-                started: at(2),
-                finished: at(9),
-                cores: 2,
-                gpus: 1,
-            };
-            let text = to_string(&record);
-            let strings = RecordOfStrings {
-                id: 3,
-                name: name.to_string(),
-                tag: format!("{name}/pl.0001"),
-                submitted: at(1),
-                started: at(2),
-                finished: at(9),
-                cores: 2,
-                gpus: 1,
-            };
-            assert_eq!(text, to_string(&strings), "{name:?}");
-            buf.clear();
-            write_json(&mut buf, &record);
-            assert_eq!(buf, text, "{name:?}");
-            for back in [
-                read_json::<TaskRecord>(&text).unwrap(),
-                from_str::<TaskRecord>(&text).unwrap(),
-            ] {
-                assert_eq!(
-                    (back.name, back.tag),
-                    (record.name.clone(), record.tag.clone())
-                );
-            }
         }
         // What is not a string fails as a `String` does, on both routes.
         let error = |text| {

@@ -7,8 +7,9 @@
 //!
 //! * [`Rule`] rows: a text pattern over a slice of the sources, a verdict,
 //!   an allow-list and the reason printed on failure, run by one scanner;
-//! * [`Artifact`] rows: a checked-in study, its format version, its row
-//!   arrays and claims, checked on the file and on a fresh smoke run;
+//! * the study table (`impress_bench::study::STUDIES`): every checked-in
+//!   study, its format version, row arrays and claims, checked on the file
+//!   and on a fresh smoke run;
 //! * structural checks that are not text patterns: the manifests (one TOML
 //!   section walker), integer-keyed hash tables on the hot path, `pub mod`
 //!   reachability and the DESIGN.md inventory.
@@ -17,8 +18,8 @@
 //! decision that broke. The fixture tests at the end pin the scanners on
 //! in-memory text.
 
-use impress_bench::{partition, straggler, trace};
-use impress_json::Json;
+use impress_bench::harness::DEFAULT_SEED;
+use impress_bench::study::{Size, Study, STUDIES};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -26,9 +27,9 @@ use std::sync::OnceLock;
 type Sources = [(String, String)];
 
 /// Every `.rs` file and `Cargo.toml` under the workspace's source
-/// directories and `perf/src`, plus the JSON, Markdown and TOML files at
-/// the repository root. This file is left out: a guard has to spell what it
-/// searches for.
+/// directories and `perf/src`, plus the JSON, Markdown and TOML files and
+/// the `.gitignore` at the repository root. This file is left out: a guard
+/// has to spell what it searches for.
 fn workspace_sources() -> Vec<(String, String)> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).into_iter().flatten() {
@@ -48,7 +49,8 @@ fn workspace_sources() -> Vec<(String, String)> {
     for entry in std::fs::read_dir(root).expect("read the repository root") {
         let path = entry.expect("dir entry").path();
         let ext = path.extension().and_then(|e| e.to_str());
-        if path.is_file() && matches!(ext, Some("json" | "md" | "toml")) {
+        let listed = matches!(ext, Some("json" | "md" | "toml")) || path.ends_with(".gitignore");
+        if path.is_file() && listed {
             files.push(path);
         }
     }
@@ -106,13 +108,9 @@ guards! {
     every_backend_shares_one_set_of_lifecycle_handlers => rules(LIFECYCLE),
     the_landscape_has_one_local_scoring_kernel => rules(LANDSCAPE),
     the_journal_loader_builds_no_json_tree => rules(JOURNAL_LOADER),
-    recovery_artifact_matches_the_journal_format_version => checked_in(&RECOVERY),
-    trace_artifact_matches_the_study_format_version => checked_in(&TRACE),
-    trace_study_smoke_iteration_certifies_every_contract => smoke(&TRACE),
-    straggler_artifact_matches_the_study_format_version => checked_in(&STRAGGLER),
-    straggler_smoke_iteration_produces_a_complete_document => smoke(&STRAGGLER),
-    partition_artifact_matches_the_study_format_version => checked_in(&PARTITION),
-    partition_smoke_iteration_produces_a_complete_document => smoke(&PARTITION),
+    every_checked_in_study_holds_its_claims => checked_in_studies(sources()),
+    every_study_smoke_run_holds_its_claims => smoke_runs(),
+    the_root_artifacts_are_the_study_table => root_artifacts(sources()),
     dense_ids_index_arrays_on_the_hot_path => dense_id_tables(sources()),
     every_pub_mod_is_reached_from_outside_its_own_crate =>
         reachability_violations(sources(), UNREACHED_BUT_ALLOWED),
@@ -425,227 +423,66 @@ fn rules(rows: &[Rule]) -> Vec<String> {
 
 // ------------------------------------------------------------ artifacts
 
-static NULL: Json = Json::Null;
-
-/// The value at a dotted `path` of `doc` (`""` is `doc`), null if absent.
-fn at<'a>(doc: &'a Json, path: &str) -> &'a Json {
-    let mut keys = path.split('.').filter(|k| !k.is_empty());
-    keys.try_fold(doc, |v, k| v.get(k)).unwrap_or(&NULL)
+fn checked_in_studies(sources: &Sources) -> Vec<String> {
+    let check = |study: &Study| {
+        let text = source(sources, study.file);
+        match impress_json::from_str(text) {
+            Ok(doc) => study.violations(&doc, Size::Paper),
+            Err(e) => vec![format!("{}: {e}", study.file)],
+        }
+    };
+    STUDIES.iter().flat_map(check).collect()
 }
 
-fn num(doc: &Json, path: &str) -> f64 {
-    at(doc, path).as_f64().unwrap_or(f64::NAN)
+/// Every row at smoke size, each on a thread of its own, so the code that
+/// regenerates a file cannot rot between regenerations.
+fn smoke_runs() -> Vec<String> {
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = STUDIES
+            .iter()
+            .map(|study| {
+                let run =
+                    move || study.violations(&(study.run)(Size::Smoke, DEFAULT_SEED), Size::Smoke);
+                (study.name, scope.spawn(run))
+            })
+            .collect();
+        let joined = runs.into_iter().map(|(name, run)| {
+            run.join()
+                .unwrap_or_else(|_| vec![format!("{name} smoke run panicked")])
+        });
+        joined.flatten().collect()
+    })
 }
 
-fn rows<'a>(doc: &'a Json, path: &str) -> &'a [Json] {
-    at(doc, path).as_array().unwrap_or_default()
-}
-
-/// A predicate on a document or a row.
-enum Expect {
-    True(&'static str),
-    Zero(&'static str),
-    Positive(&'static str),
-    /// A described predicate on the whole value.
-    Holds(&'static str, fn(&Json) -> bool),
-}
-
-impl Expect {
-    fn fails(&self, doc: &Json) -> Option<String> {
-        let (holds, what) = match *self {
-            Expect::True(path) => (
-                at(doc, path).as_bool() == Some(true),
-                format!("`{path}` is true"),
-            ),
-            Expect::Zero(path) => (num(doc, path) == 0.0, format!("`{path}` is 0")),
-            Expect::Positive(path) => (num(doc, path) > 0.0, format!("`{path}` is positive")),
-            Expect::Holds(what, holds) => (holds(doc), what.to_string()),
-        };
-        (!holds).then(|| format!("expected {what}"))
-    }
-}
-
-/// A checked-in study. The guard pins structure and claims rather than
-/// bytes, so a parameter change stays a one-regeneration fix.
-struct Artifact {
-    file: &'static str,
-    /// The format-version constant of the code that writes the file.
-    version: u32,
-    /// The study at smoke size, run under `cargo test` so the code that
-    /// regenerates the file cannot rot between releases.
-    smoke: Option<fn() -> Json>,
-    /// Row arrays: key, expected length, and what every row satisfies.
-    rows: &'static [(&'static str, usize, &'static [Expect])],
-    /// Claims on the document that hold at any scale, the smoke run's too.
-    claims: &'static [Expect],
-    /// Claims only the paper-scale run is sized to meet.
-    paper_claims: &'static [Expect],
-}
-
-/// Regenerate with `cargo run --release -p impress-bench --bin recovery`.
-/// Replay milliseconds are printed, never stored, so the file regenerates
-/// byte for byte on any machine.
-const RECOVERY: Artifact = Artifact {
-    file: "recovery.json",
-    version: impress_workflow::JOURNAL_FORMAT_VERSION,
-    smoke: None,
-    rows: &[(
-        "rows",
-        9,
-        &[
-            Expect::True("byte_identical"),
-            Expect::Holds("no wall-clock `_ms` field", |row| {
-                let fields = row.as_object().unwrap_or_default();
-                fields.iter().all(|(key, _)| !key.ends_with("_ms"))
-            }),
-        ],
-    )],
-    claims: &[],
-    paper_claims: &[],
-};
-
-/// Regenerate with `cargo run --release -p impress-bench --bin trace_study`.
-const TRACE: Artifact = Artifact {
-    file: "trace_summary.json",
-    version: trace::TRACE_FORMAT_VERSION,
-    smoke: Some(|| trace::run_study(&trace::TraceParams::smoke(), 7)),
-    rows: &[],
-    claims: &[
-        Expect::True("perturbation_free"),
-        Expect::True("nesting_ok"),
-        Expect::True("chrome_round_trip_ok"),
-        Expect::True("parity.backends_agree"),
-        Expect::Positive("campaign.events"),
-        Expect::Zero("campaign.events_dropped"),
-    ],
-    paper_claims: &[],
-};
-
-/// Regenerate with `cargo run --release -p impress-bench --bin
-/// straggler_study`. The smoke grid keeps every code path warm without the
-/// paper-scale bars, which only the full grid is sized to meet.
-const STRAGGLER: Artifact = Artifact {
-    file: "straggler.json",
-    version: straggler::STRAGGLER_FORMAT_VERSION,
-    smoke: Some(|| straggler::run_study(&straggler::StudyParams::smoke(), 7)),
-    rows: &[(
-        "rows",
-        24,
-        &[
-            Expect::Positive("makespan_secs"),
-            Expect::Holds("the cell to drain its campaign", |row| {
-                let ends = ["completed", "poisoned", "shed", "timed_out"];
-                ends.iter().map(|k| num(row, k)).sum::<f64>() > 0.0
-            }),
-        ],
-    )],
-    claims: &[
-        Expect::Positive("acceptance.k2_recovered_fraction"),
-        Expect::Holds(
-            "a quarantine-on cell to poison its doomed lineages",
-            |doc| {
-                let on = |r: &&Json| at(r, "quarantine").as_str() == Some("on");
-                rows(doc, "rows")
-                    .iter()
-                    .filter(on)
-                    .any(|r| num(r, "poisoned") > 0.0)
-            },
-        ),
-    ],
-    paper_claims: &[
-        Expect::True("acceptance.k2_recovers_majority"),
-        Expect::True("acceptance.quarantine_bounds_poison_waste"),
-    ],
-};
-
-/// Regenerate with `cargo run --release -p impress-bench --bin
-/// partition_study`. Exactly-once holds at any scale, the 90 % recovery bar
-/// only on the full grid.
-const PARTITION: Artifact = Artifact {
-    file: "partition.json",
-    version: partition::PARTITION_FORMAT_VERSION,
-    smoke: Some(|| partition::run_study(&partition::StudyParams::smoke(), 7)),
-    rows: &[
-        (
-            "grid",
-            36,
-            &[
-                Expect::Positive("makespan_secs"),
-                Expect::Zero("duplicate_completions"),
-            ],
-        ),
-        (
-            "delivery",
-            3,
-            &[
-                Expect::Zero("duplicate_decision_effects"),
-                Expect::Zero("duplicate_journal_effects"),
-            ],
-        ),
-    ],
-    claims: &[
-        Expect::True("acceptance.exactly_once_at_every_rate"),
-        Expect::Zero("acceptance.grid_duplicate_completions"),
-        Expect::Zero("acceptance.delivery_duplicate_effects"),
-        Expect::Holds("every grid campaign to drain fully", |doc| {
-            let drained = |r: &Json| num(r, "completed") == num(doc, "tasks");
-            rows(doc, "grid").iter().all(drained)
-        }),
-        Expect::Holds("detection to suspect a node and expire its leases", |doc| {
-            let on = |r: &&Json| at(r, "detector").as_str() != Some("off");
-            let seen = |key| {
-                rows(doc, "grid")
-                    .iter()
-                    .filter(on)
-                    .any(|r| num(r, key) > 0.0)
-            };
-            seen("suspicions") && seen("lease_expiries")
-        }),
-    ],
-    paper_claims: &[Expect::True("acceptance.detection_recovers_90pct")],
-};
-
-/// What is wrong with `doc` as `artifact`; a smoke document is held only to
-/// the claims that hold at any scale.
-fn artifact_violations(artifact: &Artifact, doc: &Json, smoke: bool) -> Vec<String> {
+/// The JSON files at the root, `BENCHMARK.json` aside, are the study
+/// table's files, and `.gitignore` un-ignores each of them by name: a file
+/// nothing regenerates, or one `git add` would skip, is caught here.
+fn root_artifacts(sources: &Sources) -> Vec<String> {
     let mut found = Vec::new();
-    if at(doc, "format_version").as_f64() != Some(f64::from(artifact.version)) {
-        let version = artifact.version;
-        found.push(format!("not written under format {version}: regenerate it"));
+    let studied = |file: &str| STUDIES.iter().any(|s| s.file == file);
+    let root_json = sources
+        .iter()
+        .map(|(rel, _)| rel.as_str())
+        .filter(|rel| !rel.contains('/') && rel.ends_with(".json") && *rel != "BENCHMARK.json");
+    for file in root_json.filter(|file| !studied(file)) {
+        found.push(format!("{file} is at the root but no study writes it"));
     }
-    for (key, len, each) in artifact.rows {
-        let rows = rows(doc, key);
-        if rows.len() != *len {
+    let ignore = source(sources, ".gitignore");
+    for study in STUDIES {
+        if !sources.iter().any(|(rel, _)| rel == study.file) {
             found.push(format!(
-                "`{key}` has {} rows, the study sweeps {len}",
-                rows.len()
+                "{} is not checked in: run the `study` bin",
+                study.file
             ));
         }
-        for row in rows {
-            let fails = each.iter().filter_map(|e| e.fails(row));
-            found.extend(fails.map(|f| format!("{f} in {row}")));
+        if !ignore
+            .lines()
+            .any(|line| line == format!("!/{}", study.file))
+        {
+            found.push(format!(".gitignore lacks `!/{}`", study.file));
         }
     }
-    let paper = if smoke {
-        &[][..]
-    } else {
-        artifact.paper_claims
-    };
-    let claims = artifact.claims.iter().chain(paper);
-    found.extend(claims.filter_map(|claim| claim.fails(doc)));
-    let which = if smoke { "smoke study" } else { artifact.file };
-    found.into_iter().map(|f| format!("{which}: {f}")).collect()
-}
-
-fn checked_in(artifact: &Artifact) -> Vec<String> {
-    let text = source(sources(), artifact.file);
-    let doc = impress_json::from_str(text).unwrap_or_else(|e| panic!("{}: {e}", artifact.file));
-    artifact_violations(artifact, &doc, false)
-}
-
-fn smoke(artifact: &Artifact) -> Vec<String> {
-    let run = artifact.smoke.expect("the study has a smoke size");
-    artifact_violations(artifact, &run(), true)
+    found
 }
 
 // ------------------------------------------------------------ manifests
@@ -752,7 +589,7 @@ fn default_members(sources: &Sources) -> Vec<String> {
 
 /// The bench crate turns auto-discovery off, so an undeclared `src/bin/*.rs`
 /// or `benches/*.rs` would rot unseen by `cargo build`; a `[[bin]]` needs
-/// its source, and every paper and study bin is there.
+/// its source, and there is one: `study`, which runs the study table.
 fn bench_targets(sources: &Sources) -> Vec<String> {
     let manifest = sections(source(sources, "crates/bench/Cargo.toml"));
     let declared = |kind: &str, key: &str| -> Vec<&str> {
@@ -787,11 +624,8 @@ fn bench_targets(sources: &Sources) -> Vec<String> {
             found.push(format!("[[bin]] without its source: {bin}"));
         }
     }
-    if bins.len() < 12 {
-        found.push(format!(
-            "expected every paper and study bin, found {}",
-            bins.len()
-        ));
+    if bins != ["src/bin/study.rs"] {
+        found.push(format!("expected the one `study` [[bin]], found {bins:?}"));
     }
     found
 }
@@ -1110,53 +944,6 @@ fn every_rule_row_is_pinned_on_fixtures() {
             );
         }
     }
-}
-
-/// The artifact check on an in-memory study: clean, then doctored four
-/// ways; a smoke document is not held to a paper-scale claim.
-#[test]
-fn the_artifact_check_rejects_doctored_documents() {
-    const STUDY: Artifact = Artifact {
-        file: "study.json",
-        version: 3,
-        smoke: None,
-        rows: &[("grid", 2, &[Expect::Positive("makespan_secs")])],
-        claims: &[Expect::True("holds")],
-        paper_claims: &[Expect::True("at_scale")],
-    };
-    let doc = |text: &str| impress_json::from_str::<Json>(text).expect("fixture parses");
-    let clean = r#"{"format_version": 3, "holds": true, "at_scale": true,
-        "grid": [{"makespan_secs": 2.5}, {"makespan_secs": 1}]}"#;
-    assert_eq!(
-        artifact_violations(&STUDY, &doc(clean), false),
-        Vec::<String>::new()
-    );
-    for (from, to, expected) in [
-        (
-            r#""format_version": 3"#,
-            r#""format_version": 2"#,
-            "format 3",
-        ),
-        (r#""holds": true"#, r#""holds": false"#, "`holds` is true"),
-        (r#", {"makespan_secs": 1}"#, "", "has 1 rows"),
-        (
-            r#""makespan_secs": 1}"#,
-            r#""makespan_secs": 0}"#,
-            "`makespan_secs` is positive",
-        ),
-    ] {
-        let found = artifact_violations(&STUDY, &doc(&clean.replace(from, to)), false);
-        assert!(
-            found.len() == 1 && found[0].contains(expected),
-            "{to}: {found:?}"
-        );
-    }
-    let small = clean.replace(r#""at_scale": true"#, r#""at_scale": false"#);
-    assert_eq!(
-        artifact_violations(&STUDY, &doc(&small), true),
-        Vec::<String>::new()
-    );
-    assert_eq!(artifact_violations(&STUDY, &doc(&small), false).len(), 1);
 }
 
 /// The scan itself, on in-memory text: which declarations it reports.
