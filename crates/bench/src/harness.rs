@@ -133,7 +133,7 @@ pub(crate) fn named_domains(size: Size, seed: u64) -> Vec<DesignTarget> {
 
 /// Run the expanded experiment (Fig. 3): `n` mined PDZ–peptide complexes ×
 /// α-synuclein 4-mer, adaptivity *not* enforced in the final cycle.
-pub(crate) fn expanded_experiment(seed: u64, n: usize) -> ExperimentResult {
+pub fn expanded_experiment(seed: u64, n: usize) -> ExperimentResult {
     let targets = mined_pdz_complexes(seed, n);
     let mut config = ProtocolConfig::imrp(seed);
     config.adaptive_final_cycle = false;

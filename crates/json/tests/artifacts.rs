@@ -1,7 +1,8 @@
 //! The parser must accept every JSON artifact checked into the repository
 //! root (the study table's files, plus `BENCHMARK.json`), and
-//! re-serializing the parsed tree must be a fixed point of parsing. What
-//! each file holds is checked by its study row.
+//! re-serializing the parsed tree must be a fixed point of parsing. Beyond
+//! the paper files' top-level keys, what each holds is checked by its study
+//! row.
 
 use impress_json::{parse, to_string_pretty, Json};
 use std::path::PathBuf;
@@ -42,5 +43,28 @@ fn checked_in_artifacts_parse_and_round_trip() {
         let rendered = to_string_pretty(&value);
         let reparsed = parse(&rendered).unwrap_or_else(|e| panic!("reparse {name}: {e}"));
         assert_eq!(reparsed, value, "{name} must round-trip through our writer");
+    }
+}
+
+/// The JSON reader's view of the paper artifacts: the top-level keys a
+/// reader of each file looks up first are there.
+#[test]
+fn artifacts_expose_expected_top_level_keys() {
+    let checks: &[(&str, &[&str])] = &[
+        ("fig2.json", &["seed", "cont_v", "imrp"]),
+        ("fig3.json", &["seed", "series"]),
+        (
+            "table1.json",
+            &["seed", "cont_v", "imrp", "improvement_pct"],
+        ),
+        ("scaling.json", &["seed", "rows"]),
+        ("resilience.json", &["seed", "task_failure_rate", "rows"]),
+    ];
+    for (name, keys) in checks {
+        let text = std::fs::read_to_string(repo_root().join(name)).expect("artifact exists");
+        let value = parse(&text).expect("artifact parses");
+        for key in *keys {
+            assert!(value.get(key).is_some(), "{name} missing key {key}");
+        }
     }
 }
