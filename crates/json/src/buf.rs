@@ -7,9 +7,14 @@
 //! the number and string writers below — so checksums computed over either
 //! representation agree. Hot paths that serialize per-record (the
 //! write-ahead journal, trace exporters, study bins) use this to reach
-//! zero heap allocations per record once the buffer is warm: integers and
-//! floats are formatted through `core::fmt` (stack buffers, no heap), and
-//! strings are escaped char-by-char into the existing capacity.
+//! zero heap allocations per record once the buffer is warm.
+//!
+//! The writers produce the bytes `core::fmt` would, without going through
+//! it: integers two digits at a time from a table into a stack buffer,
+//! integral floats below 2^53 through the same integer path (`{f}` of such
+//! a value is its exact integer digits), and strings as runs of plain bytes
+//! copied whole between escapes. Only non-integral and very large floats
+//! still take `core::fmt`'s shortest round-trip formatting.
 
 use crate::value::{Json, Number};
 use std::collections::{BTreeMap, HashMap};
@@ -32,13 +37,49 @@ pub fn write_json(out: &mut String, value: &impl ToJsonBuf) {
     value.write_json(out);
 }
 
-pub(crate) fn write_u64(out: &mut String, u: u64) {
-    let _ = write!(out, "{u}");
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+pub(crate) fn write_u64(out: &mut String, mut u: u64) {
+    // u64::MAX has 20 digits; they fill the buffer from the right.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while u >= 100 {
+        let pair = (u % 100) as usize * 2;
+        u /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if u >= 10 {
+        let pair = u as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + u as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
 }
 
 pub(crate) fn write_i64(out: &mut String, i: i64) {
-    let _ = write!(out, "{i}");
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(out, i.unsigned_abs());
 }
+
+/// 2^53: below it every integral `f64` is an exact `u64` whose digits are
+/// the float's shortest round-trip text.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
 
 pub(crate) fn write_f64(out: &mut String, f: f64) {
     if !f.is_finite() {
@@ -46,8 +87,21 @@ pub(crate) fn write_f64(out: &mut String, f: f64) {
         out.push_str("null");
         return;
     }
+    if f.abs() < EXACT_INTEGERS {
+        let whole = f as i64;
+        if whole as f64 == f {
+            // The sign comes from the float, so `-0.0` keeps its minus.
+            if f.is_sign_negative() {
+                out.push('-');
+            }
+            write_u64(out, whole.unsigned_abs());
+            out.push_str(".0");
+            return;
+        }
+    }
     // Rust's shortest round-trip formatting, with a `.0` re-attached for
-    // integral values so the token stays float-typed on re-parse.
+    // the integral values from 2^53 up so the token stays float-typed on
+    // re-read.
     let start = out.len();
     let _ = write!(out, "{f}");
     if !out[start..].contains(['.', 'e', 'E']) {
@@ -63,27 +117,43 @@ pub(crate) fn write_number(out: &mut String, n: Number) {
     }
 }
 
-fn escape_char(out: &mut String, c: char) {
-    match c {
-        '"' => out.push_str("\\\""),
-        '\\' => out.push_str("\\\\"),
-        '\n' => out.push_str("\\n"),
-        '\r' => out.push_str("\\r"),
-        '\t' => out.push_str("\\t"),
-        '\u{08}' => out.push_str("\\b"),
-        '\u{0c}' => out.push_str("\\f"),
-        c if (c as u32) < 0x20 => {
-            let _ = write!(out, "\\u{:04x}", c as u32);
+/// Whether byte `b` of a UTF-8 string needs an escape: the quote, the
+/// backslash and the C0 controls. Every byte of a multi-byte character is
+/// at least 0x80, so those are always copied as they are.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+fn write_escape(out: &mut String, b: u8) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    match b {
+        b'"' => out.push_str("\\\""),
+        b'\\' => out.push_str("\\\\"),
+        b'\n' => out.push_str("\\n"),
+        b'\r' => out.push_str("\\r"),
+        b'\t' => out.push_str("\\t"),
+        0x08 => out.push_str("\\b"),
+        0x0c => out.push_str("\\f"),
+        _ => {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
-        c => out.push(c),
     }
 }
 
 pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        escape_char(out, c);
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if needs_escape(b) {
+            // An escaped byte is ASCII, so `i` is a char boundary.
+            out.push_str(&s[plain..i]);
+            write_escape(out, b);
+            plain = i + 1;
+        }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -125,9 +195,7 @@ impl ToJsonBuf for String {
 
 impl ToJsonBuf for char {
     fn write_json(&self, out: &mut String) {
-        out.push('"');
-        escape_char(out, *self);
-        out.push('"');
+        write_escaped(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 

@@ -11,14 +11,37 @@
 //! # Record framing
 //!
 //! One JSON line per record: `{"seq":N,"crc":C,"rec":{...}}` where `seq`
-//! is strictly increasing and `crc` is the FNV-1a 64 hash of the compact
-//! serialization of `rec`. The loader ([`load_plan`]) decodes each line
-//! once, straight into its typed record, and verifies the hash over the
+//! is strictly increasing and `crc` is the [frame
+//! checksum](#frame-checksum) of the compact serialization of `rec`, in
+//! decimal. The loader ([`load_plan`]) decodes each line once, straight
+//! into its typed record, and verifies the hash over the
 //! `rec` bytes as stored — so a frame whose `rec` is not the writer's
 //! canonical text fails its checksum even when it is value-equal. The tail
 //! is dropped at the first malformed line, CRC mismatch, non-increasing
 //! sequence number, or structurally inconsistent record — a torn write
 //! costs recomputation, never correctness.
+//!
+//! # Frame checksum
+//!
+//! Format version 2's checksum reads the bytes as 8-byte little-endian
+//! words, the last one zero-padded, one dependent step per word:
+//!
+//! ```text
+//! h = K0 ^ len
+//! for each word w:  h = rotl((h ^ w) * K1, 29)
+//! h ^= h >> 32;  h *= K2;  h ^= h >> 29;  h *= K3;  h ^= h >> 32
+//! ```
+//!
+//! with `K0 = 0x243f_6a88_85a3_08d3` (the fractional bits of π),
+//! `K1 = 0x9e37_79b9_7f4a_7c15` (of the golden ratio), and the finaliser
+//! constants `K2 = 0xbf58_476d_1ce4_e5b9`, `K3 = 0x94d0_49bb_1331_11eb`;
+//! all arithmetic wraps modulo 2^64. For a fixed word each step is a
+//! bijection of `h` (xor, an odd multiplier, a rotation), and so is the
+//! finaliser, so two inputs of one length that differ in a single word —
+//! in particular any single-byte change — always hash differently; the
+//! length term separates a zero-padded tail from real zero bytes. Version
+//! 1 hashed byte by byte; a version-1 journal is refused by its `Begin`
+//! record ([`JournalError::Version`]).
 //!
 //! # Snapshots and compaction
 //!
@@ -43,7 +66,7 @@
 use impress_json::{json_enum, json_struct, FromJsonBuf, Json, Parser, ToJsonBuf};
 use impress_pilot::{Label, ResourceRequest, TaskDescription, TaskKind};
 use impress_sim::SimDuration;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -52,7 +75,7 @@ use std::sync::{Arc, Mutex};
 /// Journal format version. Bumped on any incompatible change to the record
 /// set or framing; [`load_plan`] refuses to replay a journal written by a
 /// different version.
-pub const JOURNAL_FORMAT_VERSION: u32 = 1;
+pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 
 /// Scheduling-relevant task metadata — everything the backend's timing
 /// depends on. The work closure is deliberately absent (ghost replays skip
@@ -619,30 +642,48 @@ impl JournalStore for FileJournal {
     }
 }
 
-/// FNV-1a 64-bit hash — the record checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The frame checksum (see the module doc for its definition).
+fn checksum(bytes: &[u8]) -> u64 {
+    const K0: u64 = 0x243f_6a88_85a3_08d3;
+    const K1: u64 = 0x9e37_79b9_7f4a_7c15;
+    const K2: u64 = 0xbf58_476d_1ce4_e5b9;
+    const K3: u64 = 0x94d0_49bb_1331_11eb;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K1).rotate_left(29);
+    let mut h = K0 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(
+            h,
+            u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")),
+        );
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(w));
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(K2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(K3);
+    h ^ (h >> 32)
 }
 
 /// Append one framed line (`{"seq":N,"crc":C,"rec":{...}}`, no trailing
 /// newline) to `out`. The record is serialized exactly once, through the
-/// [`ToJsonBuf`] fast path into `scratch` (a reused buffer), and the CRC is
-/// computed over those same bytes — the old tree-building path serialized
-/// every record twice and allocated a fresh `String` both times. Fast-path
-/// bytes are identical to the tree path's, so journals stay interchangeable.
+/// [`ToJsonBuf`] fast path into `scratch` (a reused buffer), and the
+/// checksum is computed over those same bytes. Fast-path bytes are
+/// identical to the tree path's, so either serializer's frames verify; the
+/// two numbers go through the same integer writer as every record field.
 fn write_frame(out: &mut String, scratch: &mut String, seq: u64, rec: &impl ToJsonBuf) {
     scratch.clear();
     rec.write_json(scratch);
-    let crc = fnv1a(scratch.as_bytes());
+    let crc = checksum(scratch.as_bytes());
     out.push_str("{\"seq\":");
-    let _ = write!(out, "{seq}");
+    seq.write_json(out);
     out.push_str(",\"crc\":");
-    let _ = write!(out, "{crc}");
+    crc.write_json(out);
     out.push_str(",\"rec\":");
     out.push_str(scratch);
     out.push('}');
@@ -678,10 +719,13 @@ fn frame(seq: u64, rec: &impl ToJsonBuf) -> String {
 enum FrameIssue {
     Json(impress_json::JsonError),
     NoRec,
+    /// The checksum does not verify. The record decoded anyway, so the
+    /// head can still tell a journal of another format version.
     Crc {
         seq: u64,
         stored: u64,
         computed: u64,
+        record: JournalRecord,
     },
 }
 
@@ -694,6 +738,7 @@ impl FrameIssue {
                 seq,
                 stored,
                 computed,
+                ..
             } => JournalError::Corrupt(format!(
                 "crc mismatch at seq {seq}: stored {stored:#x}, computed {computed:#x}"
             )),
@@ -725,7 +770,7 @@ fn parse_frame(line: &str) -> Result<(u64, JournalRecord), FrameIssue> {
         } else if rec.is_none() && key == "rec" {
             let start = p.pos();
             let record = JournalRecord::from_json_buf(&mut p)?;
-            rec = Some((record, fnv1a(&line.as_bytes()[start..p.pos()])));
+            rec = Some((record, checksum(&line.as_bytes()[start..p.pos()])));
         } else {
             p.skip_value()?;
         }
@@ -739,6 +784,7 @@ fn parse_frame(line: &str) -> Result<(u64, JournalRecord), FrameIssue> {
             seq,
             stored,
             computed,
+            record,
         });
     }
     Ok((seq, record))
@@ -949,7 +995,17 @@ pub fn load_plan(store: &dyn JournalStore) -> Result<LoadedJournal, JournalError
     let head = it
         .next()
         .ok_or_else(|| JournalError::Corrupt("journal is empty".into()))?;
-    let (mut prev_seq, begin) = parse_frame(head).map_err(FrameIssue::into_error)?;
+    let (mut prev_seq, begin) = match parse_frame(head) {
+        Ok(frame) => frame,
+        // The checksum is defined by the format version, so a head of
+        // another version is reported as that, verified or not.
+        Err(FrameIssue::Crc {
+            seq,
+            record: record @ JournalRecord::Begin { version, .. },
+            ..
+        }) if version != JOURNAL_FORMAT_VERSION => (seq, record),
+        Err(issue) => return Err(issue.into_error()),
+    };
     let JournalRecord::Begin {
         version,
         label,
@@ -968,17 +1024,15 @@ pub fn load_plan(store: &dyn JournalStore) -> Result<LoadedJournal, JournalError
     }
     let mut plan = ReplayPlan::new(label, seed);
     let mut records = 1usize;
-    let mut dropped = 0usize;
     let mut duplicates = 0usize;
-    let mut remaining = it.clone().count();
+    let mut torn = false;
     let mut prev_line = head;
-    for line in it {
+    for line in it.by_ref() {
         // Benign at-least-once duplicate: the exact bytes of the previous
         // (already applied) frame, re-appended by a writer that died
         // between append and ack. Skip without re-applying.
         if line == prev_line {
             duplicates += 1;
-            remaining -= 1;
             continue;
         }
         // Mid-stream failures are discarded wholesale (the tail is dropped,
@@ -1007,19 +1061,20 @@ pub fn load_plan(store: &dyn JournalStore) -> Result<LoadedJournal, JournalError
                 prev_seq = seq;
                 prev_line = line;
                 records += 1;
-                remaining -= 1;
             }
             Err(()) => {
                 // Torn tail: everything from here on is untrusted.
-                dropped = remaining;
+                torn = true;
                 break;
             }
         }
     }
+    // A torn line leaves the rest of the journal unread; only then are
+    // those lines counted, so a whole journal is walked once.
     Ok(LoadedJournal {
         plan,
         records,
-        dropped,
+        dropped: usize::from(torn) + it.count(),
         duplicates,
     })
 }
@@ -1209,13 +1264,30 @@ mod tests {
         }
     }
 
-    /// A journal the parent commit (720ca6b) wrote — compacted head, live
-    /// tail, escapes, a `Completed` payload — verifies frame by frame under
-    /// the stored-bytes checksum and loads to the plan the tree route reads
-    /// out of it.
+    /// A journal commit 720ca6b wrote at format 1 — compacted head, live
+    /// tail, escapes, a `Completed` payload. Kept byte for byte.
+    const FORMAT_1: &str = include_str!("../tests/fixtures/parent_720ca6b.journal");
+    /// The same records framed at format 2: `Begin` says 2, every checksum
+    /// is the current one, every `rec` byte past the version is the same.
+    const FORMAT_2: &str = include_str!("../tests/fixtures/format_2.journal");
+
+    /// The format-1 journal is refused at its head with the typed version
+    /// error; its records at format 2 verify frame by frame under the
+    /// stored-bytes checksum and load to the plan the tree route reads out
+    /// of them.
     #[test]
     fn a_journal_written_before_the_pull_decoder_loads_to_the_same_plan() {
-        let text = include_str!("../tests/fixtures/parent_720ca6b.journal");
+        let old = MemoryJournal::new();
+        old.append_block(FORMAT_1).unwrap();
+        assert_eq!(
+            load_plan(&old).unwrap_err(),
+            JournalError::Version {
+                found: 1,
+                expected: 2
+            }
+        );
+
+        let text = FORMAT_2;
         let store = MemoryJournal::new();
         store.append_block(text).unwrap();
         let loaded = load_plan(&store).unwrap();
@@ -1238,6 +1310,141 @@ mod tests {
         assert_eq!(loaded.plan, want);
         assert_eq!(loaded.plan.pipelines.len(), 3);
         assert_eq!(loaded.plan.live_pipelines(), 1);
+    }
+
+    /// Format 2 changed the checksum and nothing else: the fixture is the
+    /// format-1 one with `version` bumped, framed by today's writer, and
+    /// every other `rec` is the bytes 720ca6b wrote.
+    #[test]
+    fn the_format_2_fixture_is_the_format_1_records_reframed() {
+        assert_eq!(FORMAT_1.lines().count(), FORMAT_2.lines().count());
+        for (old, new) in FORMAT_1.lines().zip(FORMAT_2.lines()) {
+            let (seq, rec) = tree_frame(old);
+            let rec = match rec {
+                JournalRecord::Begin {
+                    version: 1,
+                    label,
+                    seed,
+                } => JournalRecord::Begin {
+                    version: 2,
+                    label,
+                    seed,
+                },
+                rec => {
+                    let rec_bytes = |line: &'static str| line.split_once(",\"rec\":").unwrap().1;
+                    assert_eq!(rec_bytes(old), rec_bytes(new));
+                    rec
+                }
+            };
+            assert_eq!(frame(seq, &rec), new);
+        }
+    }
+
+    #[test]
+    fn a_version_1_frame_fails_the_version_2_check() {
+        for line in FORMAT_1.lines() {
+            assert!(
+                matches!(parse_frame(line), Err(FrameIssue::Crc { .. })),
+                "{line}"
+            );
+        }
+        // Only a head of another version is excused its checksum: a
+        // format-2 head carrying the format-1 head's crc is corrupt.
+        let crc = |text: &'static str| text.split(',').nth(1).unwrap();
+        let forged = FORMAT_2.replacen(crc(FORMAT_2), crc(FORMAT_1), 1);
+        let store = MemoryJournal::new();
+        store.append_block(&forged).unwrap();
+        assert!(matches!(load_plan(&store), Err(JournalError::Corrupt(_))));
+    }
+
+    /// The module doc's definition spelled out: zero-pad to whole words,
+    /// assemble each one byte by byte.
+    fn checksum_as_documented(bytes: &[u8]) -> u64 {
+        let mut padded = bytes.to_vec();
+        padded.resize(bytes.len().div_ceil(8) * 8, 0);
+        let mut h = 0x243f_6a88_85a3_08d3 ^ bytes.len() as u64;
+        for word in padded.chunks(8) {
+            let w = word.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= h >> 29;
+        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 32)
+    }
+
+    #[test]
+    fn the_checksum_matches_its_golden_values() {
+        let input: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let golden = [
+            (0, 0xe2a6_d783_92bc_d725),
+            (1, 0x80cd_43ab_d67d_62a8),
+            (7, 0x012b_4ccc_ac97_2784),
+            (8, 0x2ec9_522f_7c8f_dd57),
+            (9, 0xc91c_578e_7eee_362a),
+            (15, 0x1635_50f1_b109_e18d),
+            (16, 0x4776_c313_0154_bb73),
+            (64, 0x699f_a670_2252_8d60),
+        ];
+        for (len, want) in golden {
+            assert_eq!(checksum(&input[..len]), want, "length {len}");
+        }
+        for len in 0..=input.len() {
+            assert_eq!(
+                checksum(&input[..len]),
+                checksum_as_documented(&input[..len])
+            );
+        }
+        // The length term tells a zero-padded tail from real zero bytes.
+        assert_ne!(checksum(b"ab"), checksum(b"ab\0"));
+        assert_ne!(checksum(b""), checksum(&[0; 8]));
+    }
+
+    #[test]
+    fn every_single_byte_change_and_truncation_of_a_stage_submitted_frame_is_detected() {
+        let rec = JournalRecord::StageSubmitted {
+            pipeline: 4,
+            stage: 2,
+            tasks: vec![meta("mpnn", 600), meta("af2", 3600)],
+        };
+        let line = frame(11, &rec);
+        assert_eq!(parse_frame(&line).unwrap(), (11, rec));
+        let crc_at = line.find("\"crc\":").unwrap() + "\"crc\":".len();
+        let rec_at = line.find(",\"rec\":").unwrap() + ",\"rec\":".len();
+        let covered = &line.as_bytes()[rec_at..line.len() - 1];
+        let crc = checksum(covered);
+
+        // Every substitute for every covered byte changes the checksum…
+        let mut bytes = covered.to_vec();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for b in (0..=u8::MAX).filter(|&b| b != original) {
+                bytes[i] = b;
+                assert_ne!(checksum(&bytes), crc, "byte {i} → {b:#04x}");
+            }
+            bytes[i] = original;
+        }
+        // …and every ASCII substitute in the checksummed record or the
+        // stored checksum fails the frame (`seq` is the loader's ordering
+        // rule's to check).
+        let mut bytes = line.clone().into_bytes();
+        for i in crc_at..line.len() - 1 {
+            let original = bytes[i];
+            for b in (0..0x80).filter(|&b| b != original) {
+                bytes[i] = b;
+                let changed = std::str::from_utf8(&bytes).unwrap();
+                assert!(parse_frame(changed).is_err(), "{changed}");
+            }
+            bytes[i] = original;
+        }
+        // Every truncation: of the covered bytes, and of the line.
+        for len in 0..covered.len() {
+            assert_ne!(checksum(&covered[..len]), crc, "record cut at {len}");
+        }
+        for len in 0..line.len() {
+            assert!(parse_frame(&line[..len]).is_err(), "line cut at {len}");
+        }
     }
 
     #[test]
