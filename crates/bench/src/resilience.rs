@@ -108,6 +108,12 @@ pub(crate) fn recovery(size: Size, seed: u64) -> Json {
         .expect("no resume plan to reject");
     let baseline_json = impress_json::to_string(&baseline.result);
     let (total_records, total_tasks) = (baseline.records, baseline.result.run.total_tasks);
+    let journaled = load_plan(&base_store).expect("baseline journal loads").plan;
+    eprintln!(
+        "  baseline: {} distinct task shapes of {} journaled tasks",
+        journaled.shapes.len(),
+        journaled.ghost_tasks()
+    );
 
     let mut rows = Vec::new();
     for snapshot_interval in [None, Some(32usize), Some(128)] {

@@ -23,6 +23,7 @@ use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescriptio
 use impress_sim::SimTime;
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A read-only snapshot handed to the decision engine.
 ///
@@ -90,6 +91,14 @@ impl<O> JournalWriter<O> {
         }
     }
 
+    /// Journal a stage submission, each task by its shape.
+    fn record_stage(&mut self, pipeline: u64, stage: usize, tasks: &[TaskDescription]) {
+        let metas = tasks.iter().map(TaskMeta::of);
+        if let Err(e) = self.journal.record_stage(pipeline, stage, metas) {
+            panic!("write-ahead journal append failed; refusing to run without durability: {e}");
+        }
+    }
+
     /// Flush the current group commit; returns the batch size.
     fn commit(&mut self) -> usize {
         match self.journal.commit() {
@@ -108,7 +117,10 @@ impl<O> JournalWriter<O> {
 /// journaled outcome instead of recomputing it.
 struct GhostPipeline<O> {
     name: String,
-    stages: VecDeque<Vec<TaskMeta>>,
+    /// The journal's shape table, shared by every ghost of one resume.
+    shapes: Arc<[TaskMeta]>,
+    /// Each stage's tasks, as ids into `shapes`.
+    stages: VecDeque<Vec<u32>>,
     /// How the journaled pipeline ended — the outcome `resume` decoded, or
     /// the abort reason. Taken at the terminal step (a ghost reaches it
     /// exactly once).
@@ -118,7 +130,12 @@ struct GhostPipeline<O> {
 impl<O> GhostPipeline<O> {
     fn next(&mut self) -> Step<O> {
         if let Some(stage) = self.stages.pop_front() {
-            return Step::Submit(stage.iter().map(TaskMeta::to_description).collect());
+            return Step::Submit(
+                stage
+                    .iter()
+                    .map(|&id| self.shapes[id as usize].to_description())
+                    .collect(),
+            );
         }
         match self.terminal.take() {
             Some(Ok(outcome)) => Step::Complete(outcome),
@@ -385,11 +402,9 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             Step::Submit(tasks) => {
                 assert!(!tasks.is_empty(), "{id}: empty stage submission");
                 let stage = self.registry.get(id).stages_completed;
-                self.journal_append(|| JournalRecord::StageSubmitted {
-                    pipeline: id.0,
-                    stage,
-                    tasks: tasks.iter().map(TaskMeta::of).collect(),
-                });
+                if let Some(writer) = &mut self.journal {
+                    writer.record_stage(id.0, stage, &tasks);
+                }
                 self.events.push(
                     self.session.now(),
                     id,
@@ -859,9 +874,15 @@ impl<O: FromJson + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinat
     /// The resumed run therefore regenerates every artifact byte-for-byte.
     ///
     /// Fails with [`JournalError::Corrupt`] if any journaled outcome does
-    /// not decode as `O` — a corrupt checkpoint is a diagnostic, never a
-    /// panic.
+    /// not decode as `O`, or a stage names a task shape the plan does not
+    /// define — a corrupt checkpoint is a diagnostic, never a panic.
     pub fn resume(backend: B, decision: D, plan: &ReplayPlan) -> Result<Self, JournalError> {
+        if !plan.shapes_resolve() {
+            return Err(JournalError::Corrupt(
+                "a journaled stage names an undefined task shape".into(),
+            ));
+        }
+        let shapes: Arc<[TaskMeta]> = plan.shapes.as_slice().into();
         let mut ghosts = HashMap::new();
         for script in &plan.pipelines {
             let terminal = match &script.terminal {
@@ -878,6 +899,7 @@ impl<O: FromJson + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinat
                 script.id,
                 GhostPipeline {
                     name: script.name.clone(),
+                    shapes: Arc::clone(&shapes),
                     stages: script.stages.iter().cloned().collect(),
                     terminal: Some(terminal),
                 },
@@ -1361,23 +1383,31 @@ mod tests {
 
     #[test]
     fn resume_rejects_an_undecodable_outcome_with_a_diagnostic() {
-        let plan = ReplayPlan {
+        let plan = |stages: Vec<Vec<u32>>, outcome: Json| ReplayPlan {
             label: "x".into(),
             seed: 0,
+            shapes: Vec::new(),
             pipelines: vec![crate::journal::PipelineScript {
                 id: 0,
                 name: "p".into(),
                 parent: None,
-                stages: Vec::new(),
-                stages_completed: 0,
-                terminal: Some(TerminalRecord::Completed("not a u64".to_json())),
+                stages_completed: stages.len(),
+                stages,
+                terminal: Some(TerminalRecord::Completed(outcome)),
             }],
         };
-        let err = match Coordinator::<u64, _, _>::resume(backend(), NoDecisions, &plan) {
-            Ok(_) => panic!("undecodable outcome must be rejected"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
+        // An outcome that is not an `O`, and a stage naming a task shape
+        // the plan does not define.
+        for plan in [
+            plan(Vec::new(), "not a u64".to_json()),
+            plan(vec![vec![0]], 7u64.to_json()),
+        ] {
+            let err = match Coordinator::<u64, _, _>::resume(backend(), NoDecisions, &plan) {
+                Ok(_) => panic!("a corrupt plan must be rejected"),
+                Err(e) => e,
+            };
+            assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
+        }
     }
 
     #[test]

@@ -13,18 +13,22 @@
 //! One JSON line per record: `{"seq":N,"crc":C,"rec":{...}}` where `seq`
 //! is strictly increasing and `crc` is the [frame
 //! checksum](#frame-checksum) of the compact serialization of `rec`, in
-//! decimal. The loader ([`load_plan`]) decodes each line once, straight
-//! into its typed record, and verifies the hash over the
-//! `rec` bytes as stored — so a frame whose `rec` is not the writer's
-//! canonical text fails its checksum even when it is value-equal. The tail
+//! decimal. A `StageSubmitted` record names its tasks by id in the
+//! journal's [shape table](#shape-table). The loader ([`load_plan`])
+//! decodes each line once, straight into its typed record, and verifies
+//! the hash over the `rec` bytes as stored — so a frame whose `rec` is not
+//! the writer's canonical text fails its checksum even when it is
+//! value-equal. The tail
 //! is dropped at the first malformed line, CRC mismatch, non-increasing
-//! sequence number, or structurally inconsistent record — a torn write
-//! costs recomputation, never correctness.
+//! sequence number, or structurally inconsistent record (one naming a
+//! task shape the journal has not defined is one) — a torn write costs
+//! recomputation, never correctness.
 //!
 //! # Frame checksum
 //!
-//! Format version 2's checksum reads the bytes as 8-byte little-endian
-//! words, the last one zero-padded, one dependent step per word:
+//! The checksum of format version 2, which version 3 keeps, reads the
+//! bytes as 8-byte little-endian words, the last one zero-padded, one
+//! dependent step per word:
 //!
 //! ```text
 //! h = K0 ^ len
@@ -43,31 +47,55 @@
 //! 1 hashed byte by byte; a version-1 journal is refused by its `Begin`
 //! record ([`JournalError::Version`]).
 //!
+//! # Shape table
+//!
+//! A campaign resubmits the same few stage kinds over and over, so most of
+//! its tasks share their scheduling metadata. Format version 3 writes each
+//! distinct [`TaskMeta`] — a task *shape* — once per journal and refers to
+//! it afterwards by a dense `u32` id, in order of first use. A
+//! `StageSubmitted` record is `{pipeline, stage, shapes, tasks}`: `shapes`
+//! lists the metas this record introduces, which take the next ids, and
+//! `tasks` lists one id per task. The loader appends each record's shapes
+//! to [`ReplayPlan::shapes`]; an id beyond the table ends the trusted
+//! prefix like any other inconsistent record. The writer finds a meta's id
+//! in an index keyed by the meta's exact value — the GPU busy fraction by
+//! its bits, so `0.0` and `-0.0` are two shapes and every shape reads back
+//! as the bytes it was written with. Versions 1 and 2 wrote every task's
+//! meta in full.
+//!
 //! # Snapshots and compaction
 //!
 //! The journal maintains a running [`ReplayPlan`] — the derived state a
-//! resume needs — and every `snapshot_interval` records rewrites the store
-//! to `[Begin, Snapshot(plan)]`, bounding both journal size and replay
-//! (load) cost. Sequence numbers keep increasing across compaction.
+//! resume needs, the whole shape table included — and every
+//! `snapshot_interval` records rewrites the store to `[Begin,
+//! Snapshot(plan)]`, bounding both journal size and replay (load) cost.
+//! The table outlives compaction: a shape the snapshot defines is never
+//! defined again, and records after it refer to the snapshot's ids. The two
+//! compaction lines are framed into buffers the journal keeps, so a warm
+//! compaction allocates only when the snapshot outgrows them. Sequence
+//! numbers keep increasing across compaction.
 //!
 //! # Resume model
 //!
 //! Resume is a deterministic *re-simulation* from `t = 0` on a fresh
 //! backend. Pipelines that reached a terminal state in the journal are
-//! replayed as "ghosts": their journaled per-stage task descriptions are
-//! resubmitted (so the backend sees the identical load and evolves the
-//! identical virtual timeline) but *without their work closures* — the
-//! expensive computation is skipped and the journaled outcome is injected.
-//! Pipelines that were live at the kill re-run for real, fed by the same
-//! deterministic decision sequence. Because backend timing depends only on
+//! replayed as "ghosts": their journaled per-stage task descriptions, each
+//! rebuilt from its shape, are resubmitted (so the backend sees the
+//! identical load and evolves the identical virtual timeline) but *without
+//! their work closures* — the expensive computation is skipped and the
+//! journaled outcome is injected. Pipelines that were live at the kill
+//! re-run for real, fed by the same deterministic decision sequence. Because backend timing depends only on
 //! task metadata, never on work outputs, an interrupted-then-resumed run
 //! regenerates every artifact byte-identically to an uninterrupted one.
 
 use impress_json::{json_enum, json_struct, FromJsonBuf, Json, Parser, ToJsonBuf};
 use impress_pilot::{Label, ResourceRequest, TaskDescription, TaskKind};
 use impress_sim::SimDuration;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
+use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -75,7 +103,7 @@ use std::sync::{Arc, Mutex};
 /// Journal format version. Bumped on any incompatible change to the record
 /// set or framing; [`load_plan`] refuses to replay a journal written by a
 /// different version.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// Scheduling-relevant task metadata — everything the backend's timing
 /// depends on. The work closure is deliberately absent (ghost replays skip
@@ -136,6 +164,38 @@ impl TaskMeta {
     }
 }
 
+/// A [`TaskMeta`] as the writer's index key: equal to another exactly when
+/// every field is, the GPU busy fraction compared by its bits.
+struct Shape(TaskMeta);
+
+impl PartialEq for Shape {
+    fn eq(&self, other: &Shape) -> bool {
+        let (a, b) = (&self.0, &other.0);
+        a.name == b.name
+            && a.request == b.request
+            && a.duration == b.duration
+            && a.gpu_busy_fraction.to_bits() == b.gpu_busy_fraction.to_bits()
+            && a.priority == b.priority
+            && a.kind == b.kind
+            && a.walltime == b.walltime
+    }
+}
+
+impl Eq for Shape {}
+
+impl Hash for Shape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let m = &self.0;
+        (*m.name).hash(state);
+        m.request.hash(state);
+        m.duration.hash(state);
+        m.gpu_busy_fraction.to_bits().hash(state);
+        m.priority.hash(state);
+        m.kind.hash(state);
+        m.walltime.hash(state);
+    }
+}
+
 /// How a journaled pipeline ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TerminalRecord {
@@ -150,7 +210,7 @@ json_enum!(TerminalRecord {
 });
 
 /// One pipeline's journaled history: identity, the stages it submitted (in
-/// order, with full task metadata), and how it ended (if it did).
+/// order, each task by its shape id), and how it ended (if it did).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineScript {
     /// The pipeline id the live run assigned.
@@ -159,8 +219,9 @@ pub struct PipelineScript {
     pub name: String,
     /// Parent pipeline id, for sub-pipelines.
     pub parent: Option<u64>,
-    /// Submitted stages, each a list of task metas in submission order.
-    pub stages: Vec<Vec<TaskMeta>>,
+    /// Submitted stages, each a list of shape ids ([`ReplayPlan::shapes`])
+    /// in submission order.
+    pub stages: Vec<Vec<u32>>,
     /// Stages confirmed completed (≤ `stages.len()`).
     pub stages_completed: usize,
     /// Terminal state, if the pipeline reached one before the kill.
@@ -175,22 +236,25 @@ json_struct!(PipelineScript {
     terminal
 });
 
-/// The derived state a resume needs: every pipeline the journaled run
-/// registered, with its stage history and terminal record. This is also the
-/// snapshot payload — the journal keeps a live copy and serializes it at
-/// each compaction.
+/// The derived state a resume needs: the task shapes the journal defined,
+/// and every pipeline the journaled run registered, with its stage history
+/// and terminal record. This is also the snapshot payload — the journal
+/// keeps a live copy and serializes it at each compaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayPlan {
     /// Campaign label (validated on resume).
     pub label: String,
     /// Campaign seed (validated on resume).
     pub seed: u64,
+    /// Every task shape defined so far; a shape's id is its index.
+    pub shapes: Vec<TaskMeta>,
     /// Journaled pipelines in registration order.
     pub pipelines: Vec<PipelineScript>,
 }
 json_struct!(ReplayPlan {
     label,
     seed,
+    shapes,
     pipelines
 });
 
@@ -200,8 +264,21 @@ impl ReplayPlan {
         ReplayPlan {
             label: label.into(),
             seed,
+            shapes: Vec::new(),
             pipelines: Vec::new(),
         }
+    }
+
+    /// Whether every journaled stage names only defined shapes — what a
+    /// snapshot must satisfy before it is trusted, and a plan before it is
+    /// replayed.
+    pub fn shapes_resolve(&self) -> bool {
+        let defined = self.shapes.len();
+        self.pipelines
+            .iter()
+            .flat_map(|s| &s.stages)
+            .flatten()
+            .all(|&id| (id as usize) < defined)
     }
 
     /// Where pipeline `id` sits in `pipelines`. Ids are dense in
@@ -259,8 +336,15 @@ impl ReplayPlan {
             JournalRecord::StageSubmitted {
                 pipeline,
                 stage,
+                shapes,
                 tasks,
             } => {
+                let defined = self.shapes.len() + shapes.len();
+                if tasks.iter().any(|&id| id as usize >= defined) {
+                    return Err(JournalError::Corrupt(format!(
+                        "pipeline {pipeline}: stage {stage} names an undefined task shape"
+                    )));
+                }
                 let s = self.script_mut(pipeline)?;
                 if s.terminal.is_some() || stage != s.stages.len() {
                     return Err(JournalError::Corrupt(format!(
@@ -268,6 +352,7 @@ impl ReplayPlan {
                     )));
                 }
                 s.stages.push(tasks);
+                self.shapes.extend(shapes);
                 Ok(())
             }
             JournalRecord::StageCompleted { pipeline, stage } => {
@@ -356,8 +441,11 @@ pub enum JournalRecord {
         pipeline: u64,
         /// Stage ordinal (0-based).
         stage: usize,
-        /// Full scheduling metadata of every task in the stage.
-        tasks: Vec<TaskMeta>,
+        /// The task shapes this record defines, in order; they take the
+        /// next ids of the journal's shape table.
+        shapes: Vec<TaskMeta>,
+        /// Every task in the stage, as its shape id.
+        tasks: Vec<u32>,
     },
     /// A stage's tasks all completed.
     StageCompleted {
@@ -401,7 +489,12 @@ pub enum JournalRecord {
 json_enum!(JournalRecord {
     Begin { version, label, seed },
     Registered { pipeline, parent, name },
-    StageSubmitted { pipeline, stage, tasks },
+    StageSubmitted {
+        pipeline,
+        stage,
+        shapes,
+        tasks
+    },
     StageCompleted { pipeline, stage },
     Completed { pipeline, outcome },
     Aborted { pipeline, reason },
@@ -701,8 +794,8 @@ impl ToJsonBuf for SnapshotOf<'_> {
     }
 }
 
-/// Frame into a fresh `String` — the compaction / test convenience wrapper
-/// around [`write_frame`].
+/// Frame into a fresh `String` — the journal head's and the tests'
+/// convenience wrapper around [`write_frame`].
 fn frame(seq: u64, rec: &impl ToJsonBuf) -> String {
     let mut out = String::new();
     let mut scratch = String::new();
@@ -811,12 +904,19 @@ pub struct Journal {
     snapshot_interval: Option<usize>,
     kill_after: Option<u64>,
     plan: ReplayPlan,
+    /// Each shape in `plan.shapes`, to its id.
+    index: HashMap<Shape, u32>,
+    /// The journal head, re-framed at each compaction.
+    begin: JournalRecord,
     /// Framed-but-not-durable lines, each `\n`-terminated.
     buf: String,
     /// Per-record serialization scratch (CRC is computed over it).
     scratch: String,
     /// Records in `buf`.
     pending: usize,
+    /// The `[Begin, Snapshot]` lines of the last compaction, refilled by
+    /// the next one.
+    compacted: [String; 2],
 }
 
 impl Journal {
@@ -844,9 +944,12 @@ impl Journal {
             snapshot_interval: None,
             kill_after: None,
             plan: ReplayPlan::new(label, seed),
+            index: HashMap::new(),
+            begin,
             buf: String::new(),
             scratch: String::new(),
             pending: 0,
+            compacted: Default::default(),
         })
     }
 
@@ -870,7 +973,66 @@ impl Journal {
     /// once warm) and plan maintenance happen now; durability is deferred
     /// to [`commit`](Journal::commit), which the caller must invoke before
     /// applying any buffered transition's externally visible effects.
+    ///
+    /// A `StageSubmitted` record's `shapes` join the shape table; one that
+    /// is already defined is refused before anything is buffered, since a
+    /// journal defines each shape once.
+    /// [`record_stage`](Journal::record_stage) assigns the ids itself. A
+    /// record the plan refuses (out of order, or naming an undefined shape
+    /// or an unregistered pipeline) is already framed, and leaves the
+    /// journal unfit for more writes: the caller must stop, as the
+    /// coordinator does.
     pub fn record(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
+        if let JournalRecord::StageSubmitted { shapes, .. } = &rec {
+            let next = self.plan.shapes.len();
+            for (i, meta) in shapes.iter().enumerate() {
+                if let Entry::Vacant(slot) = self.index.entry(Shape(meta.clone())) {
+                    slot.insert(shape_id(next + i));
+                } else {
+                    self.index.retain(|_, id| (*id as usize) < next);
+                    return Err(JournalError::Corrupt(format!(
+                        "task shape {:?} is already defined",
+                        meta.name
+                    )));
+                }
+            }
+        }
+        self.append(rec)
+    }
+
+    /// Buffer a `StageSubmitted` record for `tasks`, naming each by its
+    /// shape id: a meta the journal has not seen yet is defined by this
+    /// record and takes the next id. A stage of known shapes writes ids
+    /// only.
+    pub fn record_stage(
+        &mut self,
+        pipeline: u64,
+        stage: usize,
+        tasks: impl IntoIterator<Item = TaskMeta>,
+    ) -> Result<(), JournalError> {
+        let next = self.plan.shapes.len();
+        let mut shapes = Vec::new();
+        let tasks = tasks
+            .into_iter()
+            .map(|meta| match self.index.entry(Shape(meta)) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => {
+                    let id = shape_id(next + shapes.len());
+                    shapes.push(slot.key().0.clone());
+                    *slot.insert(id)
+                }
+            })
+            .collect();
+        self.append(JournalRecord::StageSubmitted {
+            pipeline,
+            stage,
+            shapes,
+            tasks,
+        })
+    }
+
+    /// Frame `rec` into the group commit and fold it into the plan.
+    fn append(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
         write_frame(&mut self.buf, &mut self.scratch, self.seq, &rec);
         self.buf.push('\n');
         self.seq += 1;
@@ -917,17 +1079,20 @@ impl Journal {
         Ok(batch)
     }
 
-    /// Rewrite the store as `[Begin, Snapshot(plan)]`.
+    /// Rewrite the store as `[Begin, Snapshot(plan)]`, framed into the
+    /// buffers the last compaction filled.
     fn compact(&mut self) -> Result<(), JournalError> {
-        let begin = JournalRecord::Begin {
-            version: JOURNAL_FORMAT_VERSION,
-            label: self.plan.label.clone(),
-            seed: self.plan.seed,
-        };
-        self.store.rewrite(&[
-            frame(self.seq, &begin),
-            frame(self.seq + 1, &SnapshotOf(&self.plan)),
-        ])?;
+        let [head, snapshot] = &mut self.compacted;
+        head.clear();
+        write_frame(head, &mut self.scratch, self.seq, &self.begin);
+        snapshot.clear();
+        write_frame(
+            snapshot,
+            &mut self.scratch,
+            self.seq + 1,
+            &SnapshotOf(&self.plan),
+        );
+        self.store.rewrite(&self.compacted)?;
         self.seq += 2;
         self.since_snapshot = 0;
         self.snapshots += 1;
@@ -954,6 +1119,12 @@ impl Journal {
     pub fn plan(&self) -> &ReplayPlan {
         &self.plan
     }
+}
+
+/// Shape ids are dense `u32`s; a journal with more distinct task shapes
+/// than that is a broken invariant, not a recoverable condition.
+fn shape_id(index: usize) -> u32 {
+    u32::try_from(index).expect("fewer than 2^32 distinct task shapes")
 }
 
 /// What [`load_plan`] recovered from a (possibly torn) journal.
@@ -1050,6 +1221,9 @@ pub fn load_plan(store: &dyn JournalStore) -> Result<LoadedJournal, JournalError
                     if snap.label != plan.label || snap.seed != plan.seed {
                         return Err(()); // identity mismatch with Begin
                     }
+                    if !snap.shapes_resolve() {
+                        return Err(()); // a stage names an undefined shape
+                    }
                     plan = snap;
                     Ok(seq)
                 }
@@ -1117,7 +1291,8 @@ mod tests {
             JournalRecord::StageSubmitted {
                 pipeline: 0,
                 stage: 0,
-                tasks: vec![meta("a", 10), meta("b", 20)],
+                shapes: vec![meta("a", 10), meta("b", 20)],
+                tasks: vec![0, 1, 0],
             },
             JournalRecord::StageCompleted {
                 pipeline: 0,
@@ -1165,23 +1340,34 @@ mod tests {
         NAMES[rng.below(NAMES.len())].into()
     }
 
-    fn arb_metas(rng: &mut SimRng) -> Vec<TaskMeta> {
-        (0..rng.below(3))
-            .map(|_| TaskMeta {
-                name: arb_name(rng).into(),
-                request: ResourceRequest::with_gpus(1 + rng.below(8) as u32, rng.below(3) as u32),
-                duration: SimDuration::from_micros(rng.below(1 << 40) as u64),
-                gpu_busy_fraction: rng.uniform(),
-                priority: rng.below(20) as i32 - 10,
-                kind: if rng.chance(0.5) {
-                    TaskKind::Ml
-                } else {
-                    TaskKind::Mpi
-                },
-                walltime: rng
-                    .chance(0.5)
-                    .then(|| SimDuration::from_secs(rng.below(9999) as u64)),
-            })
+    fn arb_meta(rng: &mut SimRng) -> TaskMeta {
+        TaskMeta {
+            name: arb_name(rng).into(),
+            request: ResourceRequest::with_gpus(1 + rng.below(8) as u32, rng.below(3) as u32),
+            duration: SimDuration::from_micros(rng.below(1 << 40) as u64),
+            gpu_busy_fraction: rng.uniform(),
+            priority: rng.below(20) as i32 - 10,
+            kind: if rng.chance(0.5) {
+                TaskKind::Ml
+            } else {
+                TaskKind::Mpi
+            },
+            walltime: rng
+                .chance(0.5)
+                .then(|| SimDuration::from_secs(rng.below(9999) as u64)),
+        }
+    }
+
+    /// A few task shapes that a stream of records shares, as a campaign's
+    /// repeated stage kinds do.
+    fn arb_pool(rng: &mut SimRng) -> Vec<TaskMeta> {
+        (0..1 + rng.below(6)).map(|_| arb_meta(rng)).collect()
+    }
+
+    /// Up to `n - 1` ids below `defined`, repeats likely.
+    fn arb_ids(rng: &mut SimRng, n: usize, defined: usize) -> Vec<u32> {
+        (0..rng.below(n))
+            .map(|_| rng.below(defined.max(1)) as u32)
             .collect()
     }
 
@@ -1194,7 +1380,10 @@ mod tests {
             .build()
     }
 
-    fn arb_record(rng: &mut SimRng) -> JournalRecord {
+    /// A record whose shapes come from `pool`: a stage defines a run of it
+    /// and names ids among what it and its predecessors would define, and
+    /// a snapshot's table is a prefix of it.
+    fn arb_record(rng: &mut SimRng, pool: &[TaskMeta]) -> JournalRecord {
         let pipeline = rng.below(64) as u64;
         match rng.below(8) {
             0 => JournalRecord::Begin {
@@ -1207,11 +1396,16 @@ mod tests {
                 parent: rng.chance(0.5).then(|| rng.below(64) as u64),
                 name: arb_name(rng),
             },
-            2 => JournalRecord::StageSubmitted {
-                pipeline,
-                stage: rng.below(9),
-                tasks: arb_metas(rng),
-            },
+            2 => {
+                let first = rng.below(pool.len());
+                let shapes = pool[first..first + rng.below(pool.len() - first + 1)].to_vec();
+                JournalRecord::StageSubmitted {
+                    pipeline,
+                    stage: rng.below(9),
+                    tasks: arb_ids(rng, 5, first + shapes.len()),
+                    shapes,
+                }
+            }
             3 => JournalRecord::StageCompleted {
                 pipeline,
                 stage: rng.below(9),
@@ -1233,12 +1427,15 @@ mod tests {
                 plan: ReplayPlan {
                     label: arb_name(rng),
                     seed: rng.below(1 << 50) as u64,
+                    shapes: pool[..rng.below(pool.len() + 1)].to_vec(),
                     pipelines: (0..rng.below(4))
                         .map(|i| PipelineScript {
                             id: i as u64,
                             name: arb_name(rng),
                             parent: rng.chance(0.3).then_some(0),
-                            stages: (0..rng.below(3)).map(|_| arb_metas(rng)).collect(),
+                            stages: (0..rng.below(3))
+                                .map(|_| arb_ids(rng, 4, pool.len()))
+                                .collect(),
                             stages_completed: rng.below(3),
                             terminal: match rng.below(3) {
                                 0 => None,
@@ -1255,7 +1452,8 @@ mod tests {
     #[test]
     fn the_pull_route_decodes_every_record_type_like_the_tree_route() {
         let mut rng = SimRng::from_seed(0x10AD).fork("journal-routes");
-        let random = (0..300).map(|_| arb_record(&mut rng));
+        let pool = arb_pool(&mut rng);
+        let random: Vec<_> = (0..300).map(|_| arb_record(&mut rng, &pool)).collect();
         for (i, rec) in sample_records().into_iter().chain(random).enumerate() {
             let line = frame(i as u64, &rec);
             let pulled = parse_frame(&line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
@@ -1268,26 +1466,125 @@ mod tests {
     /// tail, escapes, a `Completed` payload. Kept byte for byte.
     const FORMAT_1: &str = include_str!("../tests/fixtures/parent_720ca6b.journal");
     /// The same records framed at format 2: `Begin` says 2, every checksum
-    /// is the current one, every `rec` byte past the version is the same.
+    /// is the format-2 one, every `rec` byte past the version is the same.
+    /// Kept byte for byte.
     const FORMAT_2: &str = include_str!("../tests/fixtures/format_2.journal");
+    /// The same records at format 3: `Begin` says 3, and the snapshot and
+    /// the stage submission name their tasks through the shape table.
+    const FORMAT_3: &str = include_str!("../tests/fixtures/format_3.journal");
 
-    /// The format-1 journal is refused at its head with the typed version
-    /// error; its records at format 2 verify frame by frame under the
-    /// stored-bytes checksum and load to the plan the tree route reads out
-    /// of them.
+    /// A frame of any format version, read as a tree: `seq`, `crc`, `rec`.
+    fn frame_tree(line: &str) -> (u64, u64, Json) {
+        let v = impress_json::parse(line).unwrap();
+        let number = |key| v.get(key).unwrap().as_u64().unwrap();
+        (number("seq"), number("crc"), v.get("rec").unwrap().clone())
+    }
+
+    /// The `rec` bytes of a frame, as stored.
+    fn rec_bytes(line: &str) -> &str {
+        let rest = line.split_once(",\"rec\":").unwrap().1;
+        &rest[..rest.len() - 1]
+    }
+
+    /// A frame for the tree `rec`, checksummed as formats 2 and 3 do.
+    fn reframe(seq: u64, rec: &Json) -> String {
+        let text = impress_json::to_string(rec);
+        let crc = checksum(text.as_bytes());
+        format!("{{\"seq\":{seq},\"crc\":{crc},\"rec\":{text}}}")
+    }
+
+    /// The record kind of a `rec` tree, and its fields.
+    fn variant(rec: &mut Json) -> (&str, &mut Vec<(String, Json)>) {
+        let Json::Object(variant) = rec else {
+            panic!("a record is an object")
+        };
+        let (kind, Json::Object(fields)) = &mut variant[0] else {
+            panic!("a record's body is an object")
+        };
+        (kind, fields)
+    }
+
+    fn field<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
+        &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// Set a `Begin` record's version from `from` to `to`; other records
+    /// stay as they are.
+    fn bump_version(rec: &mut Json, from: u32, to: u32) {
+        if let ("Begin", fields) = variant(rec) {
+            let version = field(fields, "version");
+            assert_eq!(*version, from.to_json());
+            *version = to.to_json();
+        }
+    }
+
+    /// A list of format-2 task metas as shape ids, each meta defined in
+    /// `table` the first time it appears.
+    fn shape_ids(metas: &Json, table: &mut Vec<Json>) -> Json {
+        let ids = metas.as_array().unwrap().iter().map(|meta| {
+            let id = table.iter().position(|t| t == meta).unwrap_or_else(|| {
+                table.push(meta.clone());
+                table.len() - 1
+            });
+            id as u32
+        });
+        Json::array(ids)
+    }
+
+    /// A format-2 `rec` tree re-encoded at format 3.
+    fn at_format_3(mut rec: Json, table: &mut Vec<Json>) -> Json {
+        bump_version(&mut rec, 2, 3);
+        match variant(&mut rec) {
+            ("StageSubmitted", fields) => {
+                let defined = table.len();
+                let tasks = field(fields, "tasks");
+                *tasks = shape_ids(tasks, table);
+                let shapes = Json::Array(table[defined..].to_vec());
+                let at = fields.iter().position(|(k, _)| k == "tasks").unwrap();
+                fields.insert(at, ("shapes".into(), shapes));
+            }
+            ("Snapshot", fields) => {
+                let Json::Object(plan) = field(fields, "plan") else {
+                    panic!("a plan is an object")
+                };
+                let Json::Array(pipelines) = field(plan, "pipelines") else {
+                    panic!("pipelines are a list")
+                };
+                for script in pipelines {
+                    let Json::Object(script) = script else {
+                        panic!("a pipeline is an object")
+                    };
+                    let Json::Array(stages) = field(script, "stages") else {
+                        panic!("stages are a list")
+                    };
+                    for stage in stages {
+                        *stage = shape_ids(stage, table);
+                    }
+                }
+                let at = plan.iter().position(|(k, _)| k == "pipelines").unwrap();
+                plan.insert(at, ("shapes".into(), Json::Array(table.clone())));
+            }
+            _ => {}
+        }
+        rec
+    }
+
+    /// The older journals are refused at their heads with the typed
+    /// version error; the records at format 3 verify frame by frame under
+    /// the stored-bytes checksum and load to the plan the tree route reads
+    /// out of them.
     #[test]
     fn a_journal_written_before_the_pull_decoder_loads_to_the_same_plan() {
-        let old = MemoryJournal::new();
-        old.append_block(FORMAT_1).unwrap();
-        assert_eq!(
-            load_plan(&old).unwrap_err(),
-            JournalError::Version {
-                found: 1,
-                expected: 2
-            }
-        );
+        for (text, found) in [(FORMAT_1, 1), (FORMAT_2, 2)] {
+            let old = MemoryJournal::new();
+            old.append_block(text).unwrap();
+            assert_eq!(
+                load_plan(&old).unwrap_err(),
+                JournalError::Version { found, expected: 3 }
+            );
+        }
 
-        let text = FORMAT_2;
+        let text = FORMAT_3;
         let store = MemoryJournal::new();
         store.append_block(text).unwrap();
         let loaded = load_plan(&store).unwrap();
@@ -1310,48 +1607,62 @@ mod tests {
         assert_eq!(loaded.plan, want);
         assert_eq!(loaded.plan.pipelines.len(), 3);
         assert_eq!(loaded.plan.live_pipelines(), 1);
+        assert_eq!(loaded.plan.shapes.len(), 3);
     }
 
     /// Format 2 changed the checksum and nothing else: the fixture is the
-    /// format-1 one with `version` bumped, framed by today's writer, and
-    /// every other `rec` is the bytes 720ca6b wrote.
+    /// format-1 one with `version` bumped and every frame re-checksummed,
+    /// and every other `rec` is the bytes 720ca6b wrote.
     #[test]
     fn the_format_2_fixture_is_the_format_1_records_reframed() {
         assert_eq!(FORMAT_1.lines().count(), FORMAT_2.lines().count());
         for (old, new) in FORMAT_1.lines().zip(FORMAT_2.lines()) {
-            let (seq, rec) = tree_frame(old);
-            let rec = match rec {
-                JournalRecord::Begin {
-                    version: 1,
-                    label,
-                    seed,
-                } => JournalRecord::Begin {
-                    version: 2,
-                    label,
-                    seed,
-                },
-                rec => {
-                    let rec_bytes = |line: &'static str| line.split_once(",\"rec\":").unwrap().1;
-                    assert_eq!(rec_bytes(old), rec_bytes(new));
-                    rec
-                }
-            };
-            assert_eq!(frame(seq, &rec), new);
+            let (seq, _, mut rec) = frame_tree(old);
+            bump_version(&mut rec, 1, 2);
+            assert_eq!(reframe(seq, &rec), new);
+            if !rec_bytes(old).starts_with("{\"Begin\"") {
+                assert_eq!(rec_bytes(old), rec_bytes(new));
+            }
         }
+    }
+
+    /// Format 3 changed how stages name their tasks and nothing else: the
+    /// fixture is the format-2 one with `version` bumped and each task meta
+    /// moved into the shape table, every record is what today's writer
+    /// frames, and the records that name no task are the format-2 bytes.
+    #[test]
+    fn the_format_3_fixture_is_the_format_2_records_reframed() {
+        assert_eq!(FORMAT_2.lines().count(), FORMAT_3.lines().count());
+        let mut table = Vec::new();
+        for (old, new) in FORMAT_2.lines().zip(FORMAT_3.lines()) {
+            let (seq, _, rec) = frame_tree(old);
+            assert_eq!(reframe(seq, &at_format_3(rec, &mut table)), new);
+            let (seq, rec) = tree_frame(new);
+            assert_eq!(frame(seq, &rec), new);
+            if !matches!(
+                rec,
+                JournalRecord::Begin { .. }
+                    | JournalRecord::StageSubmitted { .. }
+                    | JournalRecord::Snapshot { .. }
+            ) {
+                assert_eq!(rec_bytes(old), rec_bytes(new));
+            }
+        }
+        // Three distinct metas in the format-2 fixture, each defined once.
+        assert_eq!(table.len(), 3);
+        assert_eq!(FORMAT_3.matches("\"gpu_busy_fraction\"").count(), 3);
     }
 
     #[test]
     fn a_version_1_frame_fails_the_version_2_check() {
         for line in FORMAT_1.lines() {
-            assert!(
-                matches!(parse_frame(line), Err(FrameIssue::Crc { .. })),
-                "{line}"
-            );
+            let (_, stored, _) = frame_tree(line);
+            assert_ne!(stored, checksum(rec_bytes(line).as_bytes()), "{line}");
         }
         // Only a head of another version is excused its checksum: a
-        // format-2 head carrying the format-1 head's crc is corrupt.
+        // format-3 head carrying the format-2 head's crc is corrupt.
         let crc = |text: &'static str| text.split(',').nth(1).unwrap();
-        let forged = FORMAT_2.replacen(crc(FORMAT_2), crc(FORMAT_1), 1);
+        let forged = FORMAT_3.replacen(crc(FORMAT_3), crc(FORMAT_2), 1);
         let store = MemoryJournal::new();
         store.append_block(&forged).unwrap();
         assert!(matches!(load_plan(&store), Err(JournalError::Corrupt(_))));
@@ -1406,7 +1717,8 @@ mod tests {
         let rec = JournalRecord::StageSubmitted {
             pipeline: 4,
             stage: 2,
-            tasks: vec![meta("mpnn", 600), meta("af2", 3600)],
+            shapes: vec![meta("mpnn", 600), meta("af2", 3600)],
+            tasks: vec![0, 1, 1],
         };
         let line = frame(11, &rec);
         assert_eq!(parse_frame(&line).unwrap(), (11, rec));
@@ -1457,11 +1769,12 @@ mod tests {
             id,
             name: format!("p{id}"),
             parent: None,
-            stages: vec![vec![meta("a", 1)]],
+            stages: vec![vec![0]],
             stages_completed: 0,
             terminal: None,
         };
         let mut plan = ReplayPlan::new("t", 9);
+        plan.shapes = vec![meta("a", 1)];
         plan.pipelines = vec![script(7), script(0), script(2), script(1)];
         let store = MemoryJournal::new();
         store
@@ -1554,13 +1867,287 @@ mod tests {
             label: "t \"q\"".into(),
             seed: 9,
         };
-        let snapshot = JournalRecord::Snapshot {
+        let snapshot = |j: &Journal| JournalRecord::Snapshot {
             plan: j.plan().clone(),
         };
         assert_eq!(
             store.lines().unwrap(),
-            [frame(8, &begin), frame(9, &snapshot)]
+            [frame(8, &begin), frame(9, &snapshot(&j))]
         );
+        // The next compaction refills the same two buffers: a shorter
+        // snapshot leaves no bytes of the longer one behind.
+        let warm = j.compacted.each_ref().map(String::capacity);
+        j.record(JournalRecord::Registered {
+            pipeline: 2,
+            parent: None,
+            name: "p".into(),
+        })
+        .unwrap();
+        j.record_stage(2, 0, [meta("a", 10), meta("c", 5)]).unwrap();
+        for stage in 0..5 {
+            j.record(JournalRecord::TaskPoisoned {
+                pipeline: 2,
+                task: stage,
+                distinct_nodes: 1,
+            })
+            .unwrap();
+        }
+        j.commit().unwrap();
+        assert_eq!(j.snapshots_taken(), 2);
+        assert_eq!(
+            store.lines().unwrap(),
+            [frame(17, &begin), frame(18, &snapshot(&j))]
+        );
+        assert!(j.compacted.iter().zip(warm).all(|(l, c)| l.capacity() >= c));
+    }
+
+    /// Every `StageSubmitted` and `Snapshot` line the store holds, as the
+    /// shapes each defines.
+    fn defined_shapes(store: &MemoryJournal) -> Vec<TaskMeta> {
+        let mut defined = Vec::new();
+        for (_, rec) in store.lines().unwrap().iter().map(|l| tree_frame(l)) {
+            match rec {
+                JournalRecord::StageSubmitted { shapes, .. } => defined.extend(shapes),
+                JournalRecord::Snapshot { plan } => defined.extend(plan.shapes),
+                _ => {}
+            }
+        }
+        defined
+    }
+
+    /// Whether `a` and `b` are one shape (the GPU fraction by its bits).
+    fn same_shape(a: &TaskMeta, b: &TaskMeta) -> bool {
+        Shape(a.clone()) == Shape(b.clone())
+    }
+
+    #[test]
+    fn each_distinct_meta_is_defined_exactly_once_across_compactions() {
+        let mut rng = SimRng::from_seed(0x5EA7).fork("shape-table");
+        let pool = arb_pool(&mut rng);
+        for interval in [None, Some(1), Some(3), Some(8)] {
+            let store = MemoryJournal::new();
+            let mut j = Journal::new(Box::new(store.clone()), "t", 9).unwrap();
+            if let Some(i) = interval {
+                j = j.with_snapshot_interval(i);
+            }
+            let mut used: Vec<TaskMeta> = Vec::new();
+            for pipeline in 0..6u64 {
+                j.record(JournalRecord::Registered {
+                    pipeline,
+                    parent: None,
+                    name: format!("p{pipeline}"),
+                })
+                .unwrap();
+                for stage in 0..4 {
+                    let tasks: Vec<TaskMeta> = (0..1 + rng.below(4))
+                        .map(|_| pool[rng.below(pool.len())].clone())
+                        .collect();
+                    for meta in &tasks {
+                        if !used.iter().any(|u| same_shape(u, meta)) {
+                            used.push(meta.clone());
+                        }
+                    }
+                    j.record_stage(pipeline, stage, tasks.clone()).unwrap();
+                    // Ids are dense and each names the meta it stands for.
+                    let plan = j.plan();
+                    let ids = plan.pipelines[pipeline as usize].stages[stage].clone();
+                    assert!(ids.iter().all(|&id| (id as usize) < plan.shapes.len()));
+                    for (meta, &id) in tasks.iter().zip(&ids) {
+                        assert!(same_shape(&plan.shapes[id as usize], meta));
+                    }
+                    j.commit().unwrap();
+                    // Whatever the store holds now — head, snapshot, tail —
+                    // defines every shape used so far exactly once, in
+                    // order of first use.
+                    let defined = defined_shapes(&store);
+                    assert_eq!(defined.len(), used.len(), "interval {interval:?}");
+                    assert!(defined.iter().zip(&used).all(|(d, u)| same_shape(d, u)));
+                    let loaded = load_plan(&store).unwrap();
+                    assert_eq!(loaded.dropped, 0);
+                    assert_eq!(loaded.plan, *j.plan());
+                }
+            }
+            if interval.is_some() {
+                assert!(j.snapshots_taken() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn metas_that_differ_in_one_field_are_distinct_shapes_and_round_trip_bytewise() {
+        let base = TaskMeta {
+            gpu_busy_fraction: 0.0,
+            walltime: None,
+            ..meta("a", 60)
+        };
+        let variants = [
+            base.clone(),
+            TaskMeta {
+                gpu_busy_fraction: -0.0,
+                ..base.clone()
+            },
+            TaskMeta {
+                walltime: Some(SimDuration::from_secs(60)),
+                ..base.clone()
+            },
+            TaskMeta {
+                name: "b".into(),
+                ..base.clone()
+            },
+            TaskMeta {
+                name: "a".repeat(30).into(),
+                ..base.clone()
+            },
+        ];
+        let store = MemoryJournal::new();
+        let mut j = Journal::new(Box::new(store.clone()), "t", 9).unwrap();
+        j.record(body()[0].clone()).unwrap();
+        let twice = variants.iter().chain(&variants).cloned();
+        j.record_stage(0, 0, twice).unwrap();
+        j.record_stage(0, 1, variants.iter().rev().cloned())
+            .unwrap();
+        j.commit().unwrap();
+        let n = variants.len() as u32;
+        let loaded = load_plan(&store).unwrap();
+        let stages = &loaded.plan.pipelines[0].stages;
+        assert_eq!(stages[0], (0..n).chain(0..n).collect::<Vec<_>>());
+        assert_eq!(stages[1], (0..n).rev().collect::<Vec<_>>());
+        assert_eq!(loaded.plan.shapes.len(), variants.len());
+        for (shape, meta) in loaded.plan.shapes.iter().zip(&variants) {
+            assert_eq!(
+                impress_json::to_string(shape),
+                impress_json::to_string(meta)
+            );
+            assert_eq!(
+                shape.gpu_busy_fraction.to_bits(),
+                meta.gpu_busy_fraction.to_bits()
+            );
+            assert!(same_shape(shape, meta));
+        }
+        // The second stage defined nothing: it is ids only.
+        let last = store.lines().unwrap().pop().unwrap();
+        assert!(
+            last.contains("\"shapes\":[],\"tasks\":[4,3,2,1,0]"),
+            "{last}"
+        );
+    }
+
+    #[test]
+    fn a_record_naming_an_undefined_shape_ends_the_trusted_prefix() {
+        let stage = |stage, shapes, tasks| JournalRecord::StageSubmitted {
+            pipeline: 0,
+            stage,
+            shapes,
+            tasks,
+        };
+        let store = MemoryJournal::new();
+        store
+            .rewrite(&[
+                frame(0, &sample_records()[0]),
+                frame(1, &body()[0]),
+                frame(2, &stage(0, vec![meta("a", 1)], vec![0, 0])),
+                // Id 1 was never defined: the tail is dropped from here.
+                frame(3, &stage(1, Vec::new(), vec![0, 1])),
+                frame(4, &stage(1, Vec::new(), vec![0])),
+            ])
+            .unwrap();
+        let loaded = load_plan(&store).unwrap();
+        assert_eq!((loaded.records, loaded.dropped), (3, 2));
+        assert_eq!(loaded.plan.pipelines[0].stages, [vec![0, 0]]);
+        assert_eq!(loaded.plan.shapes, [meta("a", 1)]);
+
+        // A snapshot whose stages name an undefined shape is torn too.
+        let mut plan = loaded.plan;
+        plan.shapes.clear();
+        store
+            .rewrite(&[
+                frame(0, &sample_records()[0]),
+                frame(1, &JournalRecord::Snapshot { plan }),
+            ])
+            .unwrap();
+        let loaded = load_plan(&store).unwrap();
+        assert_eq!((loaded.records, loaded.dropped), (1, 1));
+        assert!(loaded.plan.pipelines.is_empty());
+    }
+
+    #[test]
+    fn a_cut_between_a_defining_record_and_its_next_use_loads_the_prefix() {
+        let store = MemoryJournal::new();
+        let mut j = Journal::new(Box::new(store.clone()), "t", 9).unwrap();
+        for pipeline in 0..2 {
+            j.record(JournalRecord::Registered {
+                pipeline,
+                parent: None,
+                name: "p".into(),
+            })
+            .unwrap();
+        }
+        j.record_stage(0, 0, [meta("a", 1), meta("b", 2)]).unwrap(); // defines 0, 1
+        j.record(JournalRecord::StageCompleted {
+            pipeline: 0,
+            stage: 0,
+        })
+        .unwrap();
+        j.record_stage(1, 0, [meta("b", 2), meta("c", 3)]).unwrap(); // uses 1, defines 2
+        j.record_stage(0, 1, [meta("c", 3), meta("a", 1)]).unwrap(); // ids only
+        j.commit().unwrap();
+        let lines = store.lines().unwrap();
+        assert_eq!(lines.len(), 7);
+        for cut in 1..=lines.len() {
+            let prefix = MemoryJournal::new();
+            prefix.rewrite(&lines[..cut]).unwrap();
+            let loaded = load_plan(&prefix).unwrap();
+            assert_eq!((loaded.records, loaded.dropped), (cut, 0));
+            assert!(loaded.plan.shapes_resolve());
+            // The table holds exactly what the prefix defined.
+            let want = match cut {
+                1..=3 => 0,
+                4 | 5 => 2,
+                _ => 3,
+            };
+            assert_eq!(loaded.plan.shapes.len(), want, "cut at {cut}");
+        }
+        // A cut inside the record that only refers: its torn line is
+        // dropped, and the definitions before it stand.
+        let torn = MemoryJournal::new();
+        let mut cut = lines.clone();
+        let last = cut.last_mut().unwrap();
+        last.truncate(last.len() - 3);
+        torn.rewrite(&cut).unwrap();
+        let loaded = load_plan(&torn).unwrap();
+        assert_eq!((loaded.records, loaded.dropped), (6, 1));
+        assert_eq!(
+            loaded.plan.shapes,
+            [meta("a", 1), meta("b", 2), meta("c", 3)]
+        );
+    }
+
+    #[test]
+    fn the_writer_refuses_a_shape_defined_twice() {
+        let mut j = Journal::new(Box::new(MemoryJournal::new()), "t", 9).unwrap();
+        j.record(body()[0].clone()).unwrap();
+        let stage = |stage, shapes, tasks| JournalRecord::StageSubmitted {
+            pipeline: 0,
+            stage,
+            shapes,
+            tasks,
+        };
+        j.record(stage(0, vec![meta("a", 1)], vec![0])).unwrap();
+        assert!(matches!(
+            j.record(stage(1, vec![meta("a", 1)], vec![1])),
+            Err(JournalError::Corrupt(_))
+        ));
+        let mut j = Journal::new(Box::new(MemoryJournal::new()), "t", 9).unwrap();
+        j.record(body()[0].clone()).unwrap();
+        assert!(j
+            .record(stage(0, vec![meta("a", 1), meta("a", 1)], vec![0]))
+            .is_err());
+        // A refused duplicate buffers and defines nothing, so the shape
+        // gets the next id when a stage first uses it.
+        assert_eq!(j.pending_records(), 1);
+        j.record_stage(0, 0, [meta("b", 2), meta("a", 1)]).unwrap();
+        assert_eq!(j.plan().shapes, [meta("b", 2), meta("a", 1)]);
+        assert_eq!(j.plan().pipelines[0].stages, [vec![0, 1]]);
     }
 
     #[test]
@@ -1716,7 +2303,7 @@ mod tests {
             loaded.plan.pipelines[1].terminal,
             Some(TerminalRecord::Aborted(_))
         ));
-        assert_eq!(loaded.plan.ghost_tasks(), 2);
+        assert_eq!(loaded.plan.ghost_tasks(), 3);
         assert_eq!(loaded.plan.live_pipelines(), 0);
     }
 

@@ -12,6 +12,12 @@
 //!    buffer the caller drains and reuses.
 //! 3. **Retiring a lease frees its inbox**: completions queued for a lease
 //!    leave with their storage when the lease retires.
+//! 4. **Journaling a known task shape adds one allocation a task**: the
+//!    same warm chain with a write-ahead journal that compacts every 64
+//!    records. A stage whose task shape is already in the journal's table
+//!    costs its record one list of ids, which the replay plan keeps; the
+//!    framing buffers and the two compaction lines are reused, so a warm
+//!    compaction allocates only when the snapshot outgrows them.
 //!
 //! This is a dedicated test binary with a single `#[test]`: the probe's
 //! counters are process-global, so a second concurrent test would bleed
@@ -24,7 +30,9 @@ use impress_pilot::{
 };
 use impress_sim::alloc_probe::CountingAlloc;
 use impress_sim::SimDuration;
-use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Step};
+use impress_workflow::{
+    Coordinator, Journal, JournalError, JournalStore, NoDecisions, PipelineLogic, Step,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -56,6 +64,22 @@ impl PipelineLogic<u32> for Chain {
     }
     fn stage_done(&mut self, _: Vec<Completion>) -> Step<u32> {
         self.next()
+    }
+}
+
+/// A store that keeps nothing, so the window counts the journal's own
+/// allocations and not a medium's.
+struct Discard;
+
+impl JournalStore for Discard {
+    fn append(&self, _: &str) -> Result<(), JournalError> {
+        Ok(())
+    }
+    fn lines(&self) -> Result<Vec<String>, JournalError> {
+        Ok(Vec::new())
+    }
+    fn rewrite(&self, _: &[String]) -> Result<(), JournalError> {
+        Ok(())
     }
 }
 
@@ -148,4 +172,30 @@ fn a_warm_round_trip_allocates_only_what_the_api_hands_over() {
         freed >= inbox,
         "retiring freed {freed} bytes; its {QUEUED} queued completions alone held {inbox}"
     );
+
+    // --- Pin 4: the same chain, journaled -------------------------------
+    let journal = Journal::new(Box::new(Discard), "chain", 0)
+        .unwrap()
+        .with_snapshot_interval(64);
+    let mut coordinator =
+        Coordinator::new(SimulatedBackend::new(pilot(4)), NoDecisions).with_journal(journal);
+    coordinator.add_pipeline(Box::new(Chain {
+        stages: WARM + MEASURED,
+    }));
+    for _ in 0..WARM {
+        assert!(coordinator.step());
+    }
+    let (allocs, ()) = ALLOC.measure(|| {
+        for _ in 0..MEASURED {
+            assert!(coordinator.step());
+        }
+    });
+    let journaled = allocs as f64 / f64::from(MEASURED);
+    assert!(
+        journaled <= per_task + 1.05,
+        "journaling a known shape costs {:.2} allocations a task, more than 1",
+        journaled - per_task
+    );
+    assert!(coordinator.journal().unwrap().snapshots_taken() >= 60);
+    assert!(!coordinator.step());
 }

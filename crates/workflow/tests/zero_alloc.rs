@@ -48,7 +48,8 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     let rec = JournalRecord::StageSubmitted {
         pipeline: 3,
         stage: 2,
-        tasks: vec![meta("fold-\"x\"-msa"), meta("md-equilibrate")],
+        shapes: vec![meta("fold-\"x\"-msa"), meta("md-equilibrate")],
+        tasks: vec![0, 1, 1, 0],
     };
     let mut buf = String::new();
     impress_json::write_json(&mut buf, &rec); // warm the capacity
@@ -73,13 +74,7 @@ fn warm_serialization_and_journal_record_paths_allocate_nothing() {
     // the window is in order.
     const WINDOW: u64 = 16;
     for stage in 0..(3 * WINDOW as usize) {
-        journal
-            .record(JournalRecord::StageSubmitted {
-                pipeline: 0,
-                stage,
-                tasks: vec![meta("warm")],
-            })
-            .unwrap();
+        journal.record_stage(0, stage, [meta("warm")]).unwrap();
     }
     for stage in 0..WINDOW as usize {
         journal
