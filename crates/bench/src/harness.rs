@@ -4,7 +4,7 @@ use crate::study::Size;
 use impress_core::adaptive::AdaptivePolicy;
 use impress_core::experiment::{run_cont_v_experiment, run_imrp, ExperimentResult};
 use impress_core::{ProtocolConfig, Table1Row};
-use impress_pilot::{ClusterSpec, NodeSpec, PlacementPolicy, ResourceRequest, Scheduler, TaskId};
+use impress_pilot::ResourceRequest;
 use impress_proteins::datasets::{mined_pdz_complexes, named_pdz_domains, DesignTarget};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -20,9 +20,9 @@ pub fn master_seed() -> u64 {
 
 /// The environment variable `key`, or `default` when it is unset. A value
 /// that is set but does not parse ends the process: falling back would
-/// regenerate the default artifacts (or time the default budget) under a
-/// reader who asked for different ones.
-pub(crate) fn env_or<T: FromStr>(key: &str, default: T) -> T {
+/// regenerate the default artifacts under a reader who asked for different
+/// ones.
+fn env_or<T: FromStr>(key: &str, default: T) -> T {
     let var = std::env::var(key).ok();
     parse_var(key, var.as_deref(), default).unwrap_or_else(|message| {
         eprintln!("{message}");
@@ -42,7 +42,7 @@ fn parse_var<T: FromStr>(key: &str, var: Option<&str>, default: T) -> Result<T, 
 
 /// The deterministic heterogeneous task stream shaped like the protocol's
 /// workload (6-core MSAs, 1-GPU inference/MPNN pairs, 1-core bookkeeping).
-pub fn task_stream(n: usize) -> Vec<ResourceRequest> {
+pub(crate) fn task_stream(n: usize) -> Vec<ResourceRequest> {
     (0..n)
         .map(|i| match i % 5 {
             0 => ResourceRequest::cores(6),        // MSA
@@ -51,30 +51,6 @@ pub fn task_stream(n: usize) -> Vec<ResourceRequest> {
             _ => ResourceRequest::cores(1),        // bookkeeping
         })
         .collect()
-}
-
-/// One full scheduler cycle: enqueue `stream`, then alternate placement
-/// rounds with single releases until everything has run. Returns the task
-/// count (for `black_box`ing). This is the placement-throughput kernel of
-/// `benches/scheduler.rs`.
-pub fn placement_cycle(policy: PlacementPolicy, nodes: u32, stream: &[ResourceRequest]) -> usize {
-    let cluster = ClusterSpec::homogeneous(NodeSpec::amarel(), nodes);
-    let mut s = Scheduler::new_cluster(cluster, policy);
-    for (i, req) in stream.iter().enumerate() {
-        s.enqueue(TaskId(i as u64), *req);
-    }
-    let mut running = Vec::new();
-    let mut done = 0usize;
-    while done < stream.len() {
-        for pair in s.place_ready() {
-            running.push(pair);
-        }
-        if let Some((_, alloc)) = running.pop() {
-            done += 1;
-            s.release(&alloc);
-        }
-    }
-    done
 }
 
 /// Both arms of the paper's primary (4-domain) experiment.
@@ -257,11 +233,6 @@ mod tests {
     fn parse_seed_defaults_when_unset_and_refuses_what_is_not_a_seed() {
         assert_eq!(parse_var("IMPRESS_SEED", None, 2025u64), Ok(2025));
         assert_eq!(parse_var("IMPRESS_SEED", Some("7"), 2025u64), Ok(7));
-        assert_eq!(
-            parse_var("IMPRESS_BENCH_MAX_SECS", Some("0.15"), 2.0f64),
-            Ok(0.15)
-        );
-        assert!(parse_var("IMPRESS_BENCH_MAX_SECS", Some("10k"), 2.0f64).is_err());
         for bad in ["2O25", "", "-1", " 7", "1e3", "10k", "0xCAFE"] {
             let message = parse_var("IMPRESS_SEED", Some(bad), 2025u64).unwrap_err();
             assert!(

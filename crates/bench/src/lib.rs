@@ -1,8 +1,7 @@
 //! # impress-bench
 //!
 //! The study table ([`study::STUDIES`]) regenerating every table and figure
-//! of the IMPRESS paper's evaluation section and the extension studies,
-//! plus micro/meso benchmarks on the in-repo `timing` harness.
+//! of the IMPRESS paper's evaluation section and the extension studies.
 //!
 //! One binary, `study [NAME…]`, runs the named rows (all of them when none
 //! is named), writes each one's JSON file into the working directory,
@@ -18,7 +17,4 @@ mod partition;
 mod resilience;
 mod straggler;
 pub mod study;
-pub mod timing;
 pub mod trace;
-
-pub use timing::{black_box, BenchResult, Suite};

@@ -3,9 +3,7 @@
 //! Run a named set of protocol variants on the same targets and collect
 //! comparable quality/cost rows: a quick "did my change help" table for
 //! anyone extending the protocol. [`standard_suite`] is the `ablations`
-//! row of the study table (`study -- ablations` writes `ablations.json`);
-//! the `ablations` bench, on the in-repo `timing` harness, measures what
-//! replaying such variants costs.
+//! row of the study table (`study -- ablations` writes `ablations.json`).
 
 use crate::adaptive::AdaptivePolicy;
 use crate::config::ProtocolConfig;

@@ -153,7 +153,7 @@ impl SurrogateAlphaFold {
         }
     }
 
-    /// The underlying landscape (oracle access for benches/analysis).
+    /// The underlying landscape (oracle access for tests/analysis).
     pub fn landscape(&self) -> &DesignLandscape {
         &self.landscape
     }
