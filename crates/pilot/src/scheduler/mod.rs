@@ -30,18 +30,24 @@
 //! that fails to fit proves every later member of that shape fails too,
 //! so the whole class is retired for the rest of the scan: a no-progress
 //! backfill round costs O(distinct shapes), not O(queue length).
-//! Placement rounds keep two further caches:
+//! Placement rounds carry two things from one round to the next:
 //!
 //! * a **capacity/queue epoch** pair — if neither the queue nor free
 //!   capacity changed since the last round, the round is provably a no-op
-//!   and returns immediately;
-//! * a **blocked-shape cache** — the smallest `(cores, gpus)` request that
-//!   failed against the current free frontier. Any queued request
-//!   dominating it (needing ≥ cores *and* ≥ gpus) cannot fit on any up
-//!   node either and is skipped without touching the pools. The cache is
-//!   invalidated whenever free capacity can *grow* (release / recover);
-//!   placements and drains only shrink the frontier, so it stays valid
-//!   across them.
+//!   and returns immediately. A release bumps the capacity epoch, so this
+//!   never fires on the round that follows a completion;
+//! * a **proof** — each backfill round ends knowing that every shape it
+//!   failed or carried over, and every shape dominating the blocked shape
+//!   among them (needing ≥ cores *and* ≥ gpus), fits no up node. Only a
+//!   node whose free capacity grew (release / recover) can break that;
+//!   placements, drains and [`Scheduler::alloc_avoiding`] only shrink it.
+//!   So the scheduler records the **grown** nodes, and the next round
+//!   skips every proven shape that exceeds the largest free `(cores,
+//!   gpus)` among them without touching the pools, and tests one that fits
+//!   against the grown nodes alone: the leftmost that admits it is the
+//!   node the full first-fit would return. The fit index answers only for
+//!   shapes the proof does not cover. After a completion that is O(1) pool
+//!   checks on the released node instead of a tree descent per shape.
 //!
 //! All three mechanisms are pure bypasses of work whose outcome is
 //! already known: the placement *sequence* is bit-identical to the naive
@@ -224,12 +230,21 @@ pub struct Scheduler {
     /// still match, the next round is a provable no-op.
     scanned_queue_epoch: u64,
     scanned_capacity_epoch: u64,
-    /// Smallest `(cores, gpus)` shape known not to fit any up node's free
-    /// frontier. Valid until capacity grows ([`Scheduler::release`] /
-    /// [`Scheduler::recover_node`] clear it).
+    /// The last backfill round's proof: shapes that fit no up node outside
+    /// `grown`, as do all shapes dominating `blocked_shape`.
+    proof: Vec<(u32, u32)>,
     blocked_shape: Option<(u32, u32)>,
-    /// Scratch of one backfill scan: the shapes that failed in it.
+    /// Nodes whose free capacity grew since the last backfill round,
+    /// sorted and deduplicated; always empty under FIFO.
+    grown: Vec<u32>,
+    /// Scratch of one backfill scan: the shapes known to fit nowhere. It
+    /// becomes the next proof, and the old proof its storage.
     failed_shapes: Vec<(u32, u32)>,
+}
+
+/// Whether `shape` needs at least as many cores *and* GPUs as `blocked`.
+fn dominates(shape: (u32, u32), blocked: Option<(u32, u32)>) -> bool {
+    blocked.is_some_and(|(bc, bg)| shape.0 >= bc && shape.1 >= bg)
 }
 
 impl Scheduler {
@@ -259,7 +274,9 @@ impl Scheduler {
             capacity_epoch: 0,
             scanned_queue_epoch: u64::MAX,
             scanned_capacity_epoch: u64::MAX,
+            proof: Vec::new(),
             blocked_shape: None,
+            grown: Vec::new(),
             failed_shapes: Vec::new(),
         }
     }
@@ -283,13 +300,34 @@ impl Scheduler {
         req: &ResourceRequest,
     ) -> Option<Allocation> {
         let idx = fit.first_fit(req.cores, req.gpus)?;
+        Some(Self::alloc_on(pools, fit, idx, req))
+    }
+
+    /// Grant `req` on node `idx`, whose fit-index leaf admits it.
+    fn alloc_on(
+        pools: &mut [SlotPool],
+        fit: &mut FitIndex,
+        idx: usize,
+        req: &ResourceRequest,
+    ) -> Allocation {
         let pool = &mut pools[idx];
         let mut alloc = pool
             .try_alloc(req)
             .expect("fit index admitted a node its pool rejects");
         alloc.node = idx as u32;
         fit.set(idx, pool.cores_free(), pool.gpus_free(), true);
-        Some(alloc)
+        alloc
+    }
+
+    /// Record that node `idx`'s free capacity grew: the next round may no
+    /// longer skip it. FIFO rounds read no proof, so they keep no record.
+    fn grew(&mut self, idx: usize) {
+        self.capacity_epoch += 1;
+        if self.policy == PlacementPolicy::Backfill {
+            if let Err(at) = self.grown.binary_search(&(idx as u32)) {
+                self.grown.insert(at, idx as u32);
+            }
+        }
     }
 
     /// Direct first-fit allocation that bypasses the queue and skips the
@@ -299,8 +337,8 @@ impl Scheduler {
     /// quarantine retry steering (away from nodes a task already failed
     /// on). The avoided nodes are masked out of the fit index for the
     /// single query and restored untouched afterwards; the queue, epochs
-    /// and blocked-shape cache are unaffected (an allocation only shrinks
-    /// the free frontier, which every cache already tolerates).
+    /// and proof are unaffected (an allocation only shrinks the free
+    /// frontier, which the proof already tolerates).
     pub fn alloc_avoiding(&mut self, req: &ResourceRequest, avoid: &[u32]) -> Option<Allocation> {
         let mut saved = Vec::with_capacity(avoid.len());
         for &n in avoid {
@@ -332,8 +370,8 @@ impl Scheduler {
     /// responsible for requeueing tasks that were resident on it (their
     /// allocations are implicitly forfeited — do *not* release them).
     ///
-    /// A drain only shrinks the placeable frontier, so the blocked-shape
-    /// cache and round epochs stay valid.
+    /// A drain only shrinks the placeable frontier, so the proof and round
+    /// epochs stay valid.
     pub fn drain_node(&mut self, node: u32) {
         let idx = node as usize;
         assert!(!self.down[idx], "node {node} drained twice");
@@ -354,8 +392,7 @@ impl Scheduler {
             self.pools[idx].gpus_free(),
             true,
         );
-        self.capacity_epoch += 1;
-        self.blocked_shape = None;
+        self.grew(idx);
     }
 
     /// Whether `node` is currently accepting placements.
@@ -550,35 +587,62 @@ impl Scheduler {
     /// * once a shape fails, its entire class is retired for the rest of
     ///   the scan — identical requests against a frontier that only
     ///   shrinks must fail identically;
-    /// * classes dominating the cached blocked shape are skipped outright.
+    /// * classes dominating the smallest failed shape are skipped outright.
     ///
-    /// Both prunes only skip fit tests whose outcome is already known, so
-    /// the placement sequence equals the naive full scan's.
+    /// The scan starts from the last round's proof: a proven shape the
+    /// grown nodes cannot hold is retired before the scan begins, and one
+    /// they might hold is tested against them alone. Every prune only
+    /// skips fit tests whose outcome is already known, so the placement
+    /// sequence equals the naive full scan's.
     fn place_backfill(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
-        let mut blocked = self.blocked_shape;
-        // Failures carry across buckets too: the frontier never grows
-        // during a scan, so a shape that failed at high priority still
-        // fails at low priority.
+        // The largest free (cores, gpus) among the up grown nodes: a proven
+        // shape beyond it still fits nowhere.
+        let fit = &self.fit;
+        let reach = self
+            .grown
+            .iter()
+            .map(|&n| fit.size + n as usize)
+            .filter(|&leaf| fit.up[leaf])
+            .map(|leaf| (fit.cores[leaf], fit.gpus[leaf]))
+            .reduce(|a, b| (a.0.max(b.0), a.1.max(b.1)));
+        let beyond_reach =
+            |shape: (u32, u32)| !reach.is_some_and(|r| shape.0 <= r.0 && shape.1 <= r.1);
+        let proof = &self.proof;
+        let proven_blocked = self.blocked_shape;
+        let mut blocked = proven_blocked.filter(|&b| beyond_reach(b));
         let failed = &mut self.failed_shapes;
         failed.clear();
+        failed.extend(proof.iter().copied().filter(|&s| beyond_reach(s)));
         for bucket in self.buckets.values_mut() {
             while bucket.live > 0 {
                 // Earliest live head among classes not yet known to fail,
-                // nor dominating a shape that fits nowhere.
+                // nor dominating a shape that fits nowhere. Failures carry
+                // across buckets too: the frontier never grows during a
+                // scan, so a shape that failed at high priority still fails
+                // at low priority.
                 let head = Self::min_seq_head(
                     &self.slab,
                     &mut self.free_slots,
                     &mut self.dead,
                     bucket,
-                    |shape| {
-                        failed.contains(&shape)
-                            || blocked.is_some_and(|(bc, bg)| shape.0 >= bc && shape.1 >= bg)
-                    },
+                    |shape| failed.contains(&shape) || dominates(shape, blocked),
                 );
                 let Some(class) = head else { break };
                 let shape = bucket.classes[class].0;
                 let req = ResourceRequest::with_gpus(shape.0, shape.1);
-                match Self::alloc_in(&mut self.pools, &mut self.fit, &req) {
+                let alloc = if proof.contains(&shape) || dominates(shape, proven_blocked) {
+                    // Only a grown node can hold a proven shape, so the
+                    // leftmost grown node that admits it is the first fit.
+                    let fit = &self.fit;
+                    self.grown
+                        .iter()
+                        .map(|&n| n as usize)
+                        .find(|&n| fit.admits(fit.size + n, shape.0, shape.1))
+                        .map(|n| Self::alloc_on(&mut self.pools, &mut self.fit, n, &req))
+                } else {
+                    Self::alloc_in(&mut self.pools, &mut self.fit, &req)
+                };
+                match alloc {
                     Some(alloc) => {
                         let id = Self::take_head(
                             &mut self.slab,
@@ -592,7 +656,7 @@ impl Scheduler {
                     None => {
                         failed.push(shape);
                         // Keep the smaller failed shape; an incomparable new
-                        // failure keeps the existing cache (either is sound).
+                        // failure keeps the existing one (either is sound).
                         blocked = Some(match blocked {
                             Some((bc, bg)) if !(shape.0 <= bc && shape.1 <= bg) => (bc, bg),
                             _ => shape,
@@ -601,7 +665,11 @@ impl Scheduler {
                 }
             }
         }
+        // Every queued shape now fits nowhere or dominates `blocked`: that
+        // is the next round's proof, valid until a node grows.
+        std::mem::swap(&mut self.proof, &mut self.failed_shapes);
         self.blocked_shape = blocked;
+        self.grown.clear();
     }
 
     /// Rebuild the buckets without tombstones, reclaiming their slab slots.
@@ -645,8 +713,7 @@ impl Scheduler {
             self.pools[idx].gpus_free(),
             true,
         );
-        self.capacity_epoch += 1;
-        self.blocked_shape = None;
+        self.grew(idx);
     }
 
     /// [`Scheduler::release`], additionally recycling the allocation's id
@@ -666,8 +733,7 @@ impl Scheduler {
             self.pools[idx].gpus_free(),
             true,
         );
-        self.capacity_epoch += 1;
-        self.blocked_shape = None;
+        self.grew(idx);
     }
 
     /// Remove a queued (not yet placed) task, named by its id and the
@@ -730,7 +796,7 @@ impl Scheduler {
 mod tests {
     use super::reference::ReferenceScheduler;
     use super::*;
-    use impress_sim::props;
+    use impress_sim::{props, SimRng};
 
     fn req(c: u32, g: u32) -> ResourceRequest {
         ResourceRequest::with_gpus(c, g)
@@ -1086,17 +1152,98 @@ mod tests {
     }
 
     #[test]
-    fn blocked_shape_cache_clears_when_capacity_grows() {
-        let mut s = Scheduler::new(NodeSpec::new(8, 0, 1), PlacementPolicy::Backfill);
-        s.enqueue(TaskId(0), req(6, 0));
+    fn a_release_reopens_only_the_shapes_the_grown_node_can_hold() {
+        let cluster = ClusterSpec::homogeneous(NodeSpec::new(8, 0, 1), 3);
+        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+        for (id, cores) in [(0, 8), (1, 8), (2, 4), (3, 4)] {
+            s.enqueue(TaskId(id), req(cores, 0));
+        }
         let placed = s.place_ready();
-        s.enqueue(TaskId(1), req(4, 0)); // fails: 2 free
-        s.enqueue(TaskId(2), req(5, 0)); // dominated by (4,0): skipped
-        assert!(s.place_ready().is_empty());
-        assert_eq!(s.blocked_shape, Some((4, 0)));
-        s.release(&placed[0].1);
-        assert_eq!(s.blocked_shape, None, "release invalidates the cache");
-        assert_eq!(ids(&s.place_ready()), vec![1], "6 free places only task 1");
+        assert_eq!(placed[2].1.node, 2);
+        s.enqueue(TaskId(4), req(8, 0));
+        s.enqueue(TaskId(5), req(2, 0));
+        assert!(s.place_ready().is_empty(), "every node is full");
+        assert_eq!(
+            (s.proof.clone(), s.blocked_shape),
+            (vec![(8, 0), (2, 0)], Some((2, 0)))
+        );
+        s.release(&placed[2].1);
+        assert_eq!(s.grown, vec![2]);
+        assert_eq!(s.blocked_shape, Some((2, 0)), "a release keeps the proof");
+        // Make node 0's leaf claim eight free cores its pool does not have:
+        // any fit-index query now lands on node 0 and its pool panics.
+        s.fit.set(0, 8, 0, true);
+        let placed = s.place_ready();
+        assert_eq!(
+            ids(&placed),
+            vec![5],
+            "(8, 0) exceeds node 2's four free cores"
+        );
+        assert_eq!(
+            placed[0].1.node, 2,
+            "(2, 0) is tested on the grown node alone"
+        );
+        s.fit.set(0, 0, 0, true);
+        assert_eq!((s.proof.clone(), s.blocked_shape), (vec![(8, 0)], None));
+        assert!(s.grown.is_empty(), "the round consumed the growth record");
+    }
+
+    #[test]
+    fn the_leftmost_grown_node_wins_whatever_the_release_order() {
+        let cluster = ClusterSpec::homogeneous(NodeSpec::new(4, 0, 1), 3);
+        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+        for id in 0..4 {
+            s.enqueue(TaskId(id), req(4, 0));
+        }
+        let placed = s.place_ready();
+        assert_eq!(
+            ids(&placed),
+            vec![0, 1, 2],
+            "task 3 waits, proven to fit nowhere"
+        );
+        s.release(&placed[2].1);
+        s.release(&placed[1].1);
+        assert_eq!(s.grown, vec![1, 2], "sorted, whatever the release order");
+        let placed = s.place_ready();
+        assert_eq!(ids(&placed), vec![3]);
+        assert_eq!(placed[0].1.node, 1, "first fit, not the first release");
+    }
+
+    #[test]
+    fn a_fifo_scheduler_keeps_no_growth_record() {
+        let cluster = ClusterSpec::homogeneous(NodeSpec::new(2, 0, 1), 2);
+        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Fifo);
+        for id in 0..1_000 {
+            s.enqueue(TaskId(id), req(2, 0));
+            s.enqueue(TaskId(id + 1_000), req(2, 0));
+            for (_, alloc) in s.place_ready() {
+                s.release_owned(alloc);
+            }
+        }
+        s.drain_node(1);
+        s.recover_node(1);
+        assert_eq!(s.queue_len(), 0);
+        assert!(s.grown.is_empty(), "FIFO rounds never read the proof");
+        assert!(s.proof.is_empty() && s.blocked_shape.is_none());
+    }
+
+    /// The carried proof holds: no up node outside `grown` has the free
+    /// cores and GPUs of a proven shape (or of the blocked shape, which
+    /// every shape dominating it needs at least), and FIFO keeps no record.
+    fn assert_proof_holds(s: &Scheduler) {
+        if s.policy == PlacementPolicy::Fifo {
+            assert!(s.grown.is_empty() && s.proof.is_empty());
+        }
+        for &(c, g) in s.proof.iter().chain(&s.blocked_shape) {
+            for (n, pool) in s.pools.iter().enumerate() {
+                if !s.down[n] && !s.grown.contains(&(n as u32)) {
+                    assert!(
+                        pool.cores_free() < c || pool.gpus_free() < g,
+                        "node {n} holds proven shape ({c}, {g})"
+                    );
+                }
+            }
+        }
     }
 
     props! {
@@ -1104,9 +1251,12 @@ mod tests {
         /// through the optimized scheduler and the naive pre-optimization
         /// reference must produce *identical* placement sequences (ids,
         /// device grants, node assignments), queue lengths, and free
-        /// counters — under both policies, priorities, cancels, drains and
+        /// counters — under both policies, priorities, cancels, both
+        /// release paths, direct `alloc_avoiding` grants, drains and
         /// recoveries. This is the property that guarantees every pinned
-        /// artifact regenerates byte-for-byte.
+        /// artifact regenerates byte-for-byte. In half the cases every
+        /// request comes from a three-shape palette, so backlogs of proven
+        /// shapes persist across rounds and releases reopen them.
         fn optimized_scheduler_matches_reference_oracle(rng, cases = 256) {
             let cores = 1 + rng.below(32) as u32;
             let gpus = rng.below(5) as u32;
@@ -1116,6 +1266,21 @@ mod tests {
                 PlacementPolicy::Fifo
             } else {
                 PlacementPolicy::Backfill
+            };
+            let draw = |rng: &mut SimRng| {
+                ResourceRequest::with_gpus(
+                    1 + rng.below(cores as usize) as u32,
+                    rng.below(gpus as usize + 1) as u32,
+                )
+            };
+            let palette = [draw(rng), draw(rng), draw(rng)];
+            let few_shapes = rng.below(2) == 0;
+            let request = |rng: &mut SimRng| {
+                if few_shapes {
+                    palette[rng.below(palette.len())]
+                } else {
+                    draw(rng)
+                }
             };
             let mut opt = Scheduler::new_cluster(cluster, policy);
             let mut oracle = ReferenceScheduler::new_cluster(cluster, policy);
@@ -1128,12 +1293,9 @@ mod tests {
 
             let ops = 30 + rng.below(60);
             for _ in 0..ops {
-                match rng.below(100) {
+                match rng.below(105) {
                     0..=39 => {
-                        let r = ResourceRequest::with_gpus(
-                            1 + rng.below(cores as usize) as u32,
-                            rng.below(gpus as usize + 1) as u32,
-                        );
+                        let r = request(rng);
                         let prio = rng.below(7) as i32 - 3;
                         let id = TaskId(next_id);
                         next_id += 1;
@@ -1155,8 +1317,12 @@ mod tests {
                             continue;
                         }
                         let alloc = outstanding.swap_remove(rng.below(outstanding.len()));
-                        opt.release(&alloc);
                         oracle.release(&alloc);
+                        if rng.below(2) == 0 {
+                            opt.release(&alloc);
+                        } else {
+                            opt.release_owned(alloc);
+                        }
                     }
                     80..=89 => {
                         // Cancel by ticket: a queued task, a task placed or
@@ -1196,7 +1362,7 @@ mod tests {
                         // Resident allocations are forfeited, never released.
                         outstanding.retain(|a| a.node != node);
                     }
-                    _ => {
+                    95..=99 => {
                         let down: Vec<u32> =
                             (0..nodes).filter(|&n| !opt.node_is_up(n)).collect();
                         if down.is_empty() {
@@ -1206,7 +1372,18 @@ mod tests {
                         opt.recover_node(node);
                         oracle.recover_node(node);
                     }
+                    _ => {
+                        // A direct grant past the queue, avoiding up to two
+                        // nodes (maybe one out of range, maybe one twice).
+                        let r = request(rng);
+                        let avoid: Vec<u32> =
+                            (0..rng.below(3)).map(|_| rng.below(nodes as usize + 1) as u32).collect();
+                        let a = opt.alloc_avoiding(&r, &avoid);
+                        assert_eq!(a, oracle.alloc_avoiding(&r, &avoid), "avoiding {avoid:?}");
+                        outstanding.extend(a);
+                    }
                 }
+                assert_proof_holds(&opt);
                 assert_eq!(opt.queue_len(), oracle.queue_len());
                 assert_eq!(opt.cores_free(), oracle.cores_free());
                 assert_eq!(opt.gpus_free(), oracle.gpus_free());
@@ -1232,10 +1409,11 @@ mod tests {
                 if a.is_empty() {
                     break;
                 }
-                for (_, alloc) in &a {
-                    opt.release(alloc);
-                    oracle.release(alloc);
+                for (_, alloc) in a {
+                    oracle.release(&alloc);
+                    opt.release_owned(alloc);
                 }
+                assert_proof_holds(&opt);
             }
             assert_eq!(opt.queue_len(), oracle.queue_len());
         }

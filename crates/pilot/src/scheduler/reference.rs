@@ -104,8 +104,12 @@ impl ReferenceScheduler {
     }
 
     fn try_alloc(&mut self, req: &ResourceRequest) -> Option<Allocation> {
+        self.alloc_avoiding(req, &[])
+    }
+
+    pub fn alloc_avoiding(&mut self, req: &ResourceRequest, avoid: &[u32]) -> Option<Allocation> {
         for (idx, pool) in self.pools.iter_mut().enumerate() {
-            if self.down[idx] {
+            if self.down[idx] || avoid.contains(&(idx as u32)) {
                 continue;
             }
             if let Some(mut alloc) = pool.try_alloc(req) {

@@ -6,9 +6,9 @@
 //!    the window's front retires as fast as its back grows.
 //! 2. **A warm `enqueue` → `place_ready` → `release_owned` cycle allocates
 //!    the returned `Vec` and nothing else** — on a saturated cluster with
-//!    a standing request that fails every round, so the scan's
-//!    failed-shape scratch is in use: slab slots, class deques, id
-//!    buffers and the scratch are all reused.
+//!    a standing request that fails every round, so the proof's shape
+//!    list and the grown-node list are in use: slab slots, class deques,
+//!    id buffers and both lists are all reused.
 //!
 //! This is a dedicated test binary with a single `#[test]`: the probe's
 //! counters are process-global, so a second concurrent test would bleed
