@@ -11,7 +11,7 @@ use impress_core::adaptive::AdaptivePolicy;
 use impress_core::{CampaignSpec, IterationSeries, ProtocolConfig};
 use impress_json::{FromJson, Json};
 use impress_pilot::backend::SimulatedBackend;
-use impress_pilot::{ExecutionBackend, PilotConfig, TaskDescription};
+use impress_pilot::{ExecutionBackend, PilotConfig, TaskDescription, SERIES_BIN};
 use impress_proteins::datasets::mined_pdz_complexes;
 use impress_proteins::MetricKind;
 use impress_sim::SimDuration;
@@ -71,12 +71,15 @@ pub(crate) fn fig3(size: Size, seed: u64) -> Json {
         .build()
 }
 
+/// The width of one Fig. 4/5 series point, in minutes.
+const BIN_MINUTES: u64 = SERIES_BIN.as_micros() / 60_000_000;
+
 /// Fig. 4: CONT-V utilization in 10-minute bins, and its makespan.
 pub(crate) fn fig4(_: Size, seed: u64) -> Json {
     let r = &paper_experiment(seed).cont_v;
     Json::object()
         .field("seed", seed)
-        .field("bin_minutes", 10)
+        .field("bin_minutes", BIN_MINUTES)
         .field("cpu_series", &r.cpu_series)
         .field("gpu_hw_series", &r.gpu_hw_series)
         .field("avg_cpu", r.run.cpu_utilization)
@@ -90,7 +93,7 @@ pub(crate) fn fig5(_: Size, seed: u64) -> Json {
     let r = &paper_experiment(seed).imrp;
     Json::object()
         .field("seed", seed)
-        .field("bin_minutes", 10)
+        .field("bin_minutes", BIN_MINUTES)
         .field("cpu_series", &r.cpu_series)
         .field("gpu_slot_series", &r.gpu_slot_series)
         .field("gpu_hw_series", &r.gpu_hw_series)

@@ -13,7 +13,6 @@ use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{FaultConfig, FaultPlan, PilotConfig, RetryPolicy, RuntimeConfig, Session};
 use impress_proteins::datasets::DesignTarget;
 use impress_proteins::MetricKind;
-use impress_sim::SimDuration;
 use impress_workflow::journal::{Journal, JournalError, JournalStore};
 use impress_workflow::{Coordinator, RunReport};
 use std::sync::Arc;
@@ -49,9 +48,6 @@ json_struct!(ExperimentResult {
     gpu_slot_series,
     gpu_hw_series
 });
-
-/// Time-series bin width used for the utilization figures.
-const SERIES_BIN: SimDuration = SimDuration::from_mins(10);
 
 impl ExperimentResult {
     /// Per-iteration series for one metric (a Fig. 2/3 panel).
@@ -114,23 +110,12 @@ pub(crate) fn add_imrp_roots(
 /// byte-identical artifacts by construction.
 pub(crate) fn finish_imrp(mut coordinator: ImrpCoordinator) -> (ExperimentResult, ImrpCoordinator) {
     let run = coordinator.run();
-    let backend = coordinator.session().backend();
-    let cpu_series = backend.cpu_series(SERIES_BIN);
-    let gpu_slot_series = backend.gpu_slot_series(SERIES_BIN);
-    let gpu_hw_series = backend.gpu_hw_series(SERIES_BIN);
     let outcomes: Vec<DesignOutcome> = coordinator
         .outcomes()
         .iter()
         .map(|(_, o)| o.clone())
         .collect();
-    let result = package(
-        "IM-RP",
-        outcomes,
-        run,
-        cpu_series,
-        gpu_slot_series,
-        gpu_hw_series,
-    );
+    let result = package("IM-RP", outcomes, run, coordinator.session().backend());
     (result, coordinator)
 }
 
@@ -177,10 +162,6 @@ fn run_cont_v_with_backend(
     let tks = toolkits(targets, config.seed);
     let mut session = Session::new(backend);
     let outcomes = run_cont_v(&mut session, &tks, &config);
-    let backend = session.backend();
-    let cpu_series = backend.cpu_series(SERIES_BIN);
-    let gpu_slot_series = backend.gpu_slot_series(SERIES_BIN);
-    let gpu_hw_series = backend.gpu_hw_series(SERIES_BIN);
     // CONT-V has no coordinator; build the equivalent report directly.
     let obs = session.observe();
     let registry = {
@@ -197,23 +178,15 @@ fn run_cont_v_with_backend(
         obs.at(),
         aborted,
     );
-    package(
-        "CONT-V",
-        outcomes,
-        run,
-        cpu_series,
-        gpu_slot_series,
-        gpu_hw_series,
-    )
+    package("CONT-V", outcomes, run, session.backend())
 }
 
+/// One arm's result, its utilization series read off the backend it ran on.
 fn package(
     label: &str,
     outcomes: Vec<DesignOutcome>,
     run: RunReport,
-    cpu_series: Vec<f64>,
-    gpu_slot_series: Vec<f64>,
-    gpu_hw_series: Vec<f64>,
+    backend: &SimulatedBackend,
 ) -> ExperimentResult {
     let trajectories = outcomes.iter().map(|o| o.trajectories()).sum();
     let evaluations = outcomes.iter().map(|o| o.total_evaluations).sum();
@@ -223,9 +196,9 @@ fn package(
         run,
         trajectories,
         evaluations,
-        cpu_series,
-        gpu_slot_series,
-        gpu_hw_series,
+        cpu_series: backend.cpu_series(),
+        gpu_slot_series: backend.gpu_slot_series(),
+        gpu_hw_series: backend.gpu_hw_series(),
     }
 }
 

@@ -24,7 +24,7 @@
 //! neither describing a task nor completing it copies text to the heap.
 //!
 //! What the core does *not* own is time. A driver owns the clock and
-//! lends the core three seams:
+//! lends the core two seams:
 //!
 //! * a [`Transport`] — where a scheduled event waits until it is due, and
 //!   how a scheduled event is taken back. [`SimulatedBackend`] lends one
@@ -35,14 +35,15 @@
 //!   sequential driver again, paced) starts work closures on OS threads
 //!   at [`Transport::launch`] and dual-stamps telemetry at
 //!   [`Transport::stamp`]; the other two leave both at their defaults.
-//! * a [`UtilSink`] — where occupancy is booked: the per-device
-//!   [`Profiler`](crate::profiler::Profiler) behind the figure series, or
-//!   the sharded driver's O(1) occupancy integral.
 //! * the heartbeat clock — [`Ev::HeartbeatSend`] chains (three queue
 //!   events per node per tick) or one [`Ev::HeartbeatRound`] per tick for
 //!   the `FailureDetector` lane. The driver handles those two events
 //!   itself; what a heartbeat *means* ([`Ev::HeartbeatArrive`],
 //!   [`Ev::SuspectCheck`], the eviction) is the core's.
+//!
+//! Occupancy is not a seam: the core books it into its own
+//! [`profiler`](crate::profiler) accountant, so every driver reports the
+//! same utilization bits for the same event stream.
 //!
 //! The handlers are generic over the seams and monomorphise per driver:
 //! there is no `dyn` in the event loop.
@@ -59,7 +60,7 @@ use crate::fault::{
     dilate_span, AttemptFault, FaultPlan, HedgePolicy, QuarantinePolicy, RetryPolicy, SlowWindow,
 };
 use crate::pilot::{PhaseBreakdown, PilotConfig};
-use crate::profiler::UtilizationReport;
+use crate::profiler::{Profiler, UtilizationReport};
 use crate::resources::{Allocation, ResourceRequest};
 use crate::runtime::RuntimeConfig;
 use crate::scheduler::Scheduler;
@@ -167,31 +168,6 @@ pub(super) trait Transport {
     fn stamp(&self, at: SimTime) -> Stamp {
         Stamp::virt(at)
     }
-}
-
-/// Occupancy accounting: the seam between the handlers and whoever
-/// answers [`ExecutionBackend::utilization`](super::ExecutionBackend).
-pub(super) trait UtilSink {
-    /// An attempt (or hedge duplicate) begins occupying `alloc`.
-    fn started(&mut self, alloc: &Allocation, at: SimTime);
-    /// A useful execution released `alloc`.
-    fn finished(
-        &mut self,
-        alloc: &Allocation,
-        started: SimTime,
-        at: SimTime,
-        gpu_busy_fraction: f64,
-    );
-    /// An attempt ended without completing its task: retry waste.
-    fn wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime);
-    /// A hedge loser released its slots: hedge waste, kept apart.
-    fn hedge_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime);
-    /// A transparent resubmission.
-    fn note_retry(&mut self);
-    /// A hedged duplicate placement.
-    fn note_hedge(&mut self);
-    /// Aggregate report over `[0, end)`.
-    fn report(&self, end: SimTime) -> UtilizationReport;
 }
 
 /// Attempt outcome decided at placement, held in the running record so
@@ -319,9 +295,10 @@ struct HedgeRun {
 }
 
 /// The attempt-lifecycle machine, generic over a driver's seams.
-pub(super) struct Core<T, U> {
+pub(super) struct Core<T> {
     pub(super) transport: T,
-    pub(super) util: U,
+    /// The utilization accountant, the same on every driver.
+    pub(super) util: Profiler,
     /// The instant of the event being applied; the driver advances it.
     pub(super) now: SimTime,
     scheduler: Scheduler,
@@ -398,12 +375,12 @@ pub(super) struct Core<T, U> {
     canceled_acks: HashMap<u64, (Label, Label, bool)>,
 }
 
-impl<T: Transport, U: UtilSink> Core<T, U> {
+impl<T: Transport> Core<T> {
     /// A pilot under `runtime` on the driver's seams. Bootstrap begins at
     /// `t = 0`; it and every node's crash/recover windows are scheduled
     /// here, in that order. A [`FaultPlan::none`] plan schedules nothing
     /// more and draws no randomness.
-    pub(super) fn new(runtime: RuntimeConfig, transport: T, util: U) -> Self {
+    pub(super) fn new(runtime: RuntimeConfig, transport: T) -> Self {
         let RuntimeConfig {
             pilot: config,
             faults,
@@ -435,6 +412,8 @@ impl<T: Transport, U: UtilSink> Core<T, U> {
             &[],
         );
         telemetry.end(boot, transport.stamp(SimTime::ZERO + config.bootstrap));
+        let devices = |per_node: u32| u64::from(per_node) * u64::from(config.nodes);
+        let util = Profiler::new(devices(config.node.cores), devices(config.node.gpus));
         let mut core = Core {
             transport,
             util,
@@ -1952,7 +1931,6 @@ mod tests {
     use super::*;
     use crate::backend::{ExecutionBackend, ShardedBackend, SimulatedBackend, ThreadedBackend};
     use crate::fault::{FaultConfig, ScriptedCrash, ScriptedSlowdown};
-    use crate::profiler::Profiler;
     use crate::resources::NodeSpec;
     use crate::scheduler::PlacementPolicy;
 
@@ -1984,7 +1962,7 @@ mod tests {
         }
     }
 
-    type Rig = Core<Recorder, Profiler>;
+    type Rig = Core<Recorder>;
 
     /// `nodes` one-core nodes, bootstrap 10 s, setup 1 s.
     fn rig(nodes: u32, tune: impl FnOnce(RuntimeConfig) -> RuntimeConfig) -> Rig {
@@ -1997,11 +1975,7 @@ mod tests {
             seed: 0,
         };
         let runtime = tune(RuntimeConfig::new(pilot));
-        Core::new(
-            runtime,
-            Recorder::default(),
-            Profiler::new_cluster(1, 0, nodes),
-        )
+        Core::new(runtime, Recorder::default())
     }
 
     fn secs(s: u64) -> SimDuration {

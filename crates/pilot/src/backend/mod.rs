@@ -6,15 +6,18 @@
 //!   `Copy` events, a dense task table, and every attempt-lifecycle
 //!   handler (placement, retry, hedge, quarantine, crash, control-plane
 //!   delivery, cancel, preempt) written once, generic over an event
-//!   transport and a utilization sink. Virtual time is authoritative on
-//!   all three: `now()`, completion stamps, utilization, the phase
-//!   breakdown and the deadline are on the modeled clock.
+//!   transport, and the one utilization accountant
+//!   ([`crate::profiler`]) they all book into. Virtual time is
+//!   authoritative on all three: `now()`, completion stamps,
+//!   utilization, the phase breakdown and the deadline are on the
+//!   modeled clock.
 //! * [`SimulatedBackend`] — the core on one event queue, popped one event
-//!   per step, with per-device utilization. Tasks cost their declared
-//!   [`crate::task::TaskDescription::duration`]; work closures run at the
-//!   completion instant. Every paper figure is regenerated on this
-//!   backend, because the original experiments take 27–38 wall-clock
-//!   hours, and the other two drivers are checked against it.
+//!   per step; it also serves the Fig. 4/5 utilization series. Tasks cost
+//!   their declared [`crate::task::TaskDescription::duration`]; work
+//!   closures run at the completion instant. Every paper figure is
+//!   regenerated on this backend, because the original experiments take
+//!   27–38 wall-clock hours, and the other two drivers are checked
+//!   against it.
 //! * [`ShardedBackend`] — the core on per-node-group event-queue shards
 //!   advanced to a conservative lookahead horizon and merged by a global
 //!   sequence number, with one heartbeat round per tick and an optional

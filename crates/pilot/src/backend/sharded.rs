@@ -16,9 +16,9 @@
 //!   [`SimulatedBackend`](crate::backend::SimulatedBackend)'s single queue
 //!   assigns its `EventId`s. Sorting each instant's batch by sequence
 //!   therefore replays the sequential driver's event order *exactly*:
-//!   completions, virtual clocks, metrics and the full telemetry trace
-//!   are bit-identical, which the 256-case differential test below
-//!   checks on random campaigns.
+//!   completions, virtual clocks, metrics, utilization and the full
+//!   telemetry trace are bit-identical, which the 256-case differential
+//!   test below checks on random campaigns.
 //! * **Staged cancellation.** A cancel joins its shard's next sync. One
 //!   that targets an event already drained into the current instant's
 //!   batch comes too late; the core's handlers re-validate what such an
@@ -30,8 +30,6 @@
 //!   arrival or a check only where it can be observed, under the sequence
 //!   number the reference's event would have carried — so what is
 //!   observable still merges identically.
-//! * **Aggregate utilization.** A running occupancy integral instead of
-//!   per-device interval lists (see `AggregateUtil`).
 //! * **Optional parallel drive.** With
 //!   [`RuntimeConfig::parallel_shards`](crate::RuntimeConfig), each shard
 //!   queue is owned by a worker thread (on the same `crate::sync` channel
@@ -50,12 +48,11 @@
 //! this; the multi-tenant service cell does not, and schedules slightly
 //! differently here.
 
-use super::des::{Core, Ev, Handle, Transport, UtilSink};
+use super::des::{Core, Ev, Handle, Transport};
 use crate::backend::{Completion, ExecutionBackend};
 use crate::control::{ControlStats, Wake, WakeKind};
 use crate::pilot::{PhaseBreakdown, PilotConfig};
 use crate::profiler::UtilizationReport;
-use crate::resources::Allocation;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId};
 use impress_sim::{EventId, EventQueue, SimTime};
@@ -64,132 +61,6 @@ use impress_telemetry::Telemetry;
 /// Queue payload: global sequence number (the deterministic merge key,
 /// mirroring the sequential driver's `EventId` order) plus the event.
 type Item = (u64, Ev);
-
-/// Aggregate utilization accounting. The per-device
-/// [`Profiler`](crate::profiler::Profiler) keeps a busy-interval list per
-/// core and per GPU — ~1.3 GB of trackers at 10k nodes. Campaign reports
-/// only need cluster-wide means, which a running occupancy integral
-/// (`Σ busy_devices × dt`) computes in O(1) per placement/completion:
-/// mathematically identical to the mean over per-device ratios, since
-/// every device shares the same `[0, end]` window.
-struct AggregateUtil {
-    cores_total: u64,
-    gpus_total: u64,
-    busy_cores: u64,
-    busy_gpus: u64,
-    last: SimTime,
-    core_busy_us: u128,
-    gpu_slot_busy_us: u128,
-    /// GPU hardware-busy device-microseconds (fraction-weighted).
-    gpu_hw_us: f64,
-    tasks: usize,
-    retries: usize,
-    wasted_core_seconds: f64,
-    wasted_gpu_seconds: f64,
-    hedges: usize,
-    hedge_wasted_core_seconds: f64,
-    hedge_wasted_gpu_seconds: f64,
-}
-
-impl AggregateUtil {
-    fn new(cores: u32, gpus: u32, nodes: u32) -> Self {
-        AggregateUtil {
-            cores_total: cores as u64 * nodes as u64,
-            gpus_total: gpus as u64 * nodes as u64,
-            busy_cores: 0,
-            busy_gpus: 0,
-            last: SimTime::ZERO,
-            core_busy_us: 0,
-            gpu_slot_busy_us: 0,
-            gpu_hw_us: 0.0,
-            tasks: 0,
-            retries: 0,
-            wasted_core_seconds: 0.0,
-            wasted_gpu_seconds: 0.0,
-            hedges: 0,
-            hedge_wasted_core_seconds: 0.0,
-            hedge_wasted_gpu_seconds: 0.0,
-        }
-    }
-
-    /// Integrate occupancy up to `now`.
-    fn tick(&mut self, now: SimTime) {
-        let dt = now.since(self.last).as_micros() as u128;
-        self.core_busy_us += self.busy_cores as u128 * dt;
-        self.gpu_slot_busy_us += self.busy_gpus as u128 * dt;
-        self.last = now;
-    }
-
-    /// End `alloc`'s occupancy at `at`; the seconds it lasted.
-    fn vacate(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) -> f64 {
-        self.tick(at);
-        self.busy_cores -= alloc.core_ids.len() as u64;
-        self.busy_gpus -= alloc.gpu_ids.len() as u64;
-        at.since(started).as_secs_f64()
-    }
-}
-
-impl UtilSink for AggregateUtil {
-    fn started(&mut self, alloc: &Allocation, now: SimTime) {
-        self.tick(now);
-        self.busy_cores += alloc.core_ids.len() as u64;
-        self.busy_gpus += alloc.gpu_ids.len() as u64;
-    }
-
-    fn finished(&mut self, alloc: &Allocation, started: SimTime, now: SimTime, fraction: f64) {
-        self.vacate(alloc, started, now);
-        let busy = now.since(started).mul_f64(fraction.clamp(0.0, 1.0));
-        self.gpu_hw_us += busy.as_micros() as f64 * alloc.gpu_ids.len() as f64;
-        self.tasks += 1;
-    }
-
-    fn wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
-        let secs = self.vacate(alloc, started, at);
-        self.wasted_core_seconds += secs * alloc.core_ids.len() as f64;
-        self.wasted_gpu_seconds += secs * alloc.gpu_ids.len() as f64;
-    }
-
-    fn hedge_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
-        let secs = self.vacate(alloc, started, at);
-        self.hedge_wasted_core_seconds += secs * alloc.core_ids.len() as f64;
-        self.hedge_wasted_gpu_seconds += secs * alloc.gpu_ids.len() as f64;
-    }
-
-    fn note_retry(&mut self) {
-        self.retries += 1;
-    }
-
-    fn note_hedge(&mut self) {
-        self.hedges += 1;
-    }
-
-    fn report(&self, end: SimTime) -> UtilizationReport {
-        let end_us = end.as_micros() as f64;
-        let tail = end.since(self.last).as_micros() as u128;
-        let core_us = (self.core_busy_us + self.busy_cores as u128 * tail) as f64;
-        let gpu_us = (self.gpu_slot_busy_us + self.busy_gpus as u128 * tail) as f64;
-        let frac = |busy_us: f64, devices: u64| {
-            if devices == 0 || end_us == 0.0 {
-                0.0
-            } else {
-                busy_us / (devices as f64 * end_us)
-            }
-        };
-        UtilizationReport {
-            cpu: frac(core_us, self.cores_total),
-            gpu_slot: frac(gpu_us, self.gpus_total),
-            gpu_hardware: frac(self.gpu_hw_us, self.gpus_total),
-            makespan: end.since(SimTime::ZERO),
-            tasks: self.tasks,
-            retries: self.retries,
-            wasted_core_seconds: self.wasted_core_seconds,
-            wasted_gpu_seconds: self.wasted_gpu_seconds,
-            hedges: self.hedges,
-            hedge_wasted_core_seconds: self.hedge_wasted_core_seconds,
-            hedge_wasted_gpu_seconds: self.hedge_wasted_gpu_seconds,
-        }
-    }
-}
 
 /// One shard queue sync: apply staged inserts, then cancellations (so a
 /// cancel may target an id staged in the same sync), then optionally
@@ -477,7 +348,7 @@ impl Transport for Shards {
 /// [`SimulatedBackend`](crate::backend::SimulatedBackend); see the module
 /// docs for what differs underneath.
 pub struct ShardedBackend {
-    core: Core<Shards, AggregateUtil>,
+    core: Core<Shards>,
     /// Scratch: what one heartbeat round asks to have scheduled.
     wakes: Vec<Wake>,
 }
@@ -494,10 +365,8 @@ impl ShardedBackend {
     /// policy, walltime deadline, telemetry, shard count, and drive mode.
     pub fn from_config(runtime: RuntimeConfig) -> Self {
         let shards = Shards::new(runtime.shards.max(1), runtime.parallel_shards);
-        let pilot = &runtime.pilot;
-        let util = AggregateUtil::new(pilot.node.cores, pilot.node.gpus, pilot.nodes);
         ShardedBackend {
-            core: Core::new(runtime, shards, util),
+            core: Core::new(runtime, shards),
             wakes: Vec::new(),
         }
     }
@@ -1242,23 +1111,7 @@ mod tests {
                 assert_eq!(oracle.breakdown, serial.breakdown, "phase breakdown diverged");
                 assert_eq!(oracle.cstats, serial.cstats, "control-plane stats diverged");
 
-                // Utilization: same math, different (aggregate vs per-device)
-                // summation order — equal to float round-off.
-                let (a, b) = (&oracle.util, &serial.util);
-                assert!((a.cpu - b.cpu).abs() < 1e-8, "cpu {} vs {}", a.cpu, b.cpu);
-                assert!((a.gpu_slot - b.gpu_slot).abs() < 1e-8, "gpu_slot {} vs {}", a.gpu_slot, b.gpu_slot);
-                assert!(
-                    (a.gpu_hardware - b.gpu_hardware).abs() < 1e-8,
-                    "gpu_hw {} vs {}", a.gpu_hardware, b.gpu_hardware
-                );
-                assert_eq!(a.makespan, b.makespan);
-                assert_eq!(a.tasks, b.tasks);
-                assert_eq!(a.retries, b.retries);
-                assert!((a.wasted_core_seconds - b.wasted_core_seconds).abs() < 1e-6);
-                assert!((a.wasted_gpu_seconds - b.wasted_gpu_seconds).abs() < 1e-6);
-                assert_eq!(a.hedges, b.hedges, "hedge count diverged");
-                assert!((a.hedge_wasted_core_seconds - b.hedge_wasted_core_seconds).abs() < 1e-6);
-                assert!((a.hedge_wasted_gpu_seconds - b.hedge_wasted_gpu_seconds).abs() < 1e-6);
+                assert_eq!(oracle.util, serial.util, "utilization diverged");
 
                 // Parallel drive: same routine on worker threads ⇒ identical
                 // in every observable, bit for bit.
@@ -1268,6 +1121,7 @@ mod tests {
                 assert_eq!(serial.snapshot, parallel.snapshot);
                 assert_eq!(serial.trace, parallel.trace);
                 assert_eq!(serial.cstats, parallel.cstats);
+                assert_eq!(serial.util, parallel.util);
 
                 // Threads: the oracle's driver and accounting, so equal in
                 // everything, utilization included.
@@ -1279,7 +1133,7 @@ mod tests {
                 assert_eq!(oracle.trace, threaded.trace);
                 assert_eq!(oracle.breakdown, threaded.breakdown);
                 assert_eq!(oracle.cstats, threaded.cstats);
-                assert_eq!(format!("{:?}", oracle.util), format!("{:?}", threaded.util));
+                assert_eq!(oracle.util, threaded.util);
             }
         }
     }

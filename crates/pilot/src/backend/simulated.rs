@@ -19,9 +19,6 @@
 //! * **An event per heartbeat.** Every node's send, arrival and timeout
 //!   check is a queue event of its own: one seeded delivery verdict, one
 //!   arrival, one check and one re-arm per node per tick.
-//! * **Per-device utilization.** Occupancy is booked through the
-//!   [`Profiler`], which keeps the busy intervals behind the fig. 4/5
-//!   series and the per-task records.
 //!
 //! It is generic over one seam, `Exec`: what real time has to do with
 //! the run. [`SimulatedBackend`] is the driver over `Inline` — nothing:
@@ -47,15 +44,14 @@
 //! scheduled and no randomness is drawn, so an instrumented run is
 //! event-for-event identical to an uninstrumented one.
 
-use super::des::{Core, Ev, Handle, Transport, UtilSink};
+use super::des::{Core, Ev, Handle, Transport};
 use crate::backend::{Completion, ExecutionBackend};
 use crate::control::ControlStats;
 use crate::pilot::{PhaseBreakdown, PilotConfig};
-use crate::profiler::{Profiler, UtilizationReport};
-use crate::resources::Allocation;
+use crate::profiler::UtilizationReport;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId, TaskWork};
-use impress_sim::{EventQueue, SimDuration, SimTime};
+use impress_sim::{EventQueue, SimTime};
 use impress_telemetry::{Stamp, Telemetry};
 
 /// What real time has to do with a sequentially driven run. The defaults
@@ -117,53 +113,21 @@ impl<X: Exec> Transport for SingleQueue<X> {
     }
 }
 
-impl UtilSink for Profiler {
-    fn started(&mut self, alloc: &Allocation, at: SimTime) {
-        self.task_started(alloc, at);
-    }
-
-    fn finished(&mut self, alloc: &Allocation, started: SimTime, at: SimTime, fraction: f64) {
-        self.task_finished(alloc, started, at, fraction);
-    }
-
-    fn wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
-        self.attempt_wasted(alloc, started, at);
-    }
-
-    fn hedge_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
-        self.attempt_hedge_wasted(alloc, started, at);
-    }
-
-    fn note_retry(&mut self) {
-        Profiler::note_retry(self);
-    }
-
-    fn note_hedge(&mut self) {
-        Profiler::note_hedge(self);
-    }
-
-    fn report(&self, end: SimTime) -> UtilizationReport {
-        Profiler::report(self, end)
-    }
-}
-
 /// The sequential driver: the core on one queue, one event per step.
 pub(super) struct Sequential<X: Exec> {
-    core: Core<SingleQueue<X>, Profiler>,
+    core: Core<SingleQueue<X>>,
 }
 
 impl<X: Exec> Sequential<X> {
     /// Start a pilot under `runtime`, executing through `exec`. Bootstrap
     /// begins at `t = 0`.
     pub(super) fn new(runtime: RuntimeConfig, exec: X) -> Self {
-        let pilot = &runtime.pilot;
-        let profiler = Profiler::new_cluster(pilot.node.cores, pilot.node.gpus, pilot.nodes);
         let queue = SingleQueue {
             queue: EventQueue::new(),
             exec,
         };
         Sequential {
-            core: Core::new(runtime, queue, profiler),
+            core: Core::new(runtime, queue),
         }
     }
 
@@ -392,19 +356,20 @@ impl SimulatedBackend {
         self.0.live_descriptors()
     }
 
-    /// Binned CPU-occupancy series up to the current time (Fig. 4/5 data).
-    pub fn cpu_series(&self, bin: SimDuration) -> Vec<f64> {
-        self.0.core.util.cpu_series(self.0.core.now, bin)
+    /// CPU occupancy up to the current time, one value per
+    /// [`SERIES_BIN`](crate::profiler::SERIES_BIN) (Fig. 4/5 data).
+    pub fn cpu_series(&self) -> Vec<f64> {
+        self.0.core.util.cpu_series(self.0.core.now)
     }
 
-    /// Binned GPU slot-occupancy series up to the current time.
-    pub fn gpu_slot_series(&self, bin: SimDuration) -> Vec<f64> {
-        self.0.core.util.gpu_slot_series(self.0.core.now, bin)
+    /// GPU slot occupancy up to the current time, one value per bin.
+    pub fn gpu_slot_series(&self) -> Vec<f64> {
+        self.0.core.util.gpu_slot_series(self.0.core.now)
     }
 
-    /// Binned GPU hardware-busy series up to the current time.
-    pub fn gpu_hw_series(&self, bin: SimDuration) -> Vec<f64> {
-        self.0.core.util.gpu_hw_series(self.0.core.now, bin)
+    /// GPU hardware-busy time up to the current time, one value per bin.
+    pub fn gpu_hw_series(&self) -> Vec<f64> {
+        self.0.core.util.gpu_hw_series(self.0.core.now)
     }
 }
 
@@ -417,6 +382,7 @@ mod tests {
     use crate::fault::{FaultPlan, HedgePolicy, QuarantinePolicy, RetryPolicy};
     use crate::resources::{NodeSpec, ResourceRequest};
     use crate::scheduler::PlacementPolicy;
+    use impress_sim::SimDuration;
 
     fn config(cores: u32, gpus: u32) -> PilotConfig {
         PilotConfig {
@@ -1091,6 +1057,7 @@ mod control_tests {
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy, ScriptedPartition};
     use crate::resources::{NodeSpec, ResourceRequest};
     use crate::scheduler::PlacementPolicy;
+    use impress_sim::SimDuration;
 
     fn pconfig(nodes: u32, cores: u32) -> PilotConfig {
         PilotConfig {

@@ -33,10 +33,11 @@
 //!   detection, lease fencing and idempotent dedup.
 //! * [`pilot`] — pilot lifecycle phases (Bootstrap → Exec setup → Running,
 //!   the Fig. 5 breakdown) and their timing configuration.
-//! * [`profiler`] — per-device utilization accounting, distinguishing *slot
-//!   occupancy* (what RP's profiler sees) from *hardware busy* time (what
-//!   `nvidia-smi` sees) — the distinction behind the paper's 61% vs 1% GPU
-//!   utilization gap.
+//! * [`profiler`] — the one utilization accountant every backend books
+//!   into: integer device-microseconds in 10-minute bins, distinguishing
+//!   *slot occupancy* (what RP's profiler sees) from *hardware busy* time
+//!   (what `nvidia-smi` sees) — the distinction behind the paper's 61% vs
+//!   1% GPU utilization gap.
 //! * [`session`] — the user-facing API tying the above together.
 //! * [`cluster`] — one backend shared between many consumers:
 //!   [`SharedCluster`] hands out [`ClusterLease`]s (each an
@@ -71,7 +72,7 @@ pub use fault::{
 };
 pub use impress_telemetry::Label;
 pub use pilot::{PhaseBreakdown, PilotConfig, PilotPhase};
-pub use profiler::{Profiler, UtilizationReport};
+pub use profiler::{UtilizationReport, SERIES_BIN};
 pub use resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 pub use runtime::RuntimeConfig;
 pub use scheduler::{PlacementPolicy, Scheduler};

@@ -1,7 +1,11 @@
-//! Utilization profiling.
+//! Utilization accounting: the one accountant every driver books into.
 //!
-//! Records, per device, when tasks occupied it — producing the Fig. 4/5
-//! utilization timelines and the Table I CPU%/GPU% cells.
+//! Occupancy is counted in whole device-microseconds — core-µs, GPU-slot-µs
+//! and GPU-hardware-µs, as integers — in a running total and in
+//! [`SERIES_BIN`]-wide bins, and becomes a fraction only when read: the
+//! Table I CPU%/GPU% cells from the totals, the Fig. 4/5 timelines from
+//! the bins. Integer sums do not depend on the order events are booked
+//! in, so every driver reports the same bits for the same event stream.
 //!
 //! Two GPU views are kept, because the paper mixes them:
 //!
@@ -19,10 +23,16 @@
 
 use crate::resources::Allocation;
 use impress_json::json_struct;
-use impress_sim::{SimDuration, SimTime, UtilizationTracker};
+use impress_sim::{SimDuration, SimTime};
+
+/// Width of one utilization-series bin: Figs. 4 and 5 plot ten virtual
+/// minutes a point.
+pub const SERIES_BIN: SimDuration = SimDuration::from_mins(10);
+
+const BIN_US: u64 = SERIES_BIN.as_micros();
 
 /// Aggregate utilization numbers for one run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationReport {
     /// Mean CPU-core occupancy over the run, 0–1.
     pub cpu: f64,
@@ -71,15 +81,66 @@ json_struct!(UtilizationReport {
     hedge_wasted_gpu_seconds
 });
 
-/// The profiler: device trackers plus run counters. Multi-node pilots
-/// flatten devices into global indices (`node × per-node + local id`).
+/// Busy device-microseconds of one device class.
 #[derive(Debug)]
-pub struct Profiler {
-    cpu: UtilizationTracker,
-    gpu_slot: UtilizationTracker,
-    gpu_hw: UtilizationTracker,
-    cores_per_node: u32,
-    gpus_per_node: u32,
+struct Meter {
+    devices: u64,
+    /// Devices busy now; occupancy since the accountant's last tick is
+    /// not booked yet. Always 0 for hardware-busy time, which is booked
+    /// whole when its attempt ends.
+    busy: u64,
+    busy_us: u128,
+    /// `bins[i]` is the busy device-µs booked in `[i, i + 1) × SERIES_BIN`.
+    bins: Vec<u64>,
+}
+
+impl Meter {
+    fn new(devices: u64) -> Self {
+        Meter {
+            devices,
+            busy: 0,
+            busy_us: 0,
+            bins: Vec::new(),
+        }
+    }
+
+    /// Book `n` devices busy over `[lo, hi)` µs.
+    fn book(&mut self, n: u64, lo: u64, hi: u64) {
+        if n == 0 || hi <= lo {
+            return;
+        }
+        self.busy_us += u128::from(n) * u128::from(hi - lo);
+        let last = ((hi - 1) / BIN_US) as usize;
+        if self.bins.len() <= last {
+            self.bins.resize(last + 1, 0);
+        }
+        let mut at = lo;
+        while at < hi {
+            let bin = at / BIN_US;
+            let edge = ((bin + 1) * BIN_US).min(hi);
+            self.bins[bin as usize] += n * (edge - at);
+            at = edge;
+        }
+    }
+
+    /// `busy_us` over `devices × span_us`; 0 with no devices or no span.
+    fn fraction(&self, busy_us: u128, span_us: u64) -> f64 {
+        if self.devices == 0 || span_us == 0 {
+            0.0
+        } else {
+            busy_us as f64 / (self.devices as f64 * span_us as f64)
+        }
+    }
+}
+
+/// The accountant: three [`Meter`]s plus run counters.
+#[derive(Debug)]
+pub(crate) struct Profiler {
+    cpu: Meter,
+    gpu_slot: Meter,
+    gpu_hw: Meter,
+    /// Slot occupancy is booked up to here.
+    last: SimTime,
     tasks: usize,
     retries: usize,
     wasted_core_seconds: f64,
@@ -90,27 +151,13 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// A profiler for a single node with `cores` CPUs and `gpus` GPUs.
-    ///
-    /// Delegates to [`Profiler::new_cluster`] with `nodes = 1`: the
-    /// single-node profiler *is* a one-node cluster, so `cores`/`gpus`
-    /// become both the per-node shape (used to index device slots from an
-    /// [`Allocation`]'s node-relative ids) and the cluster-wide tracker
-    /// capacity. Utilization, per-device busy intervals, and waste
-    /// accounting are therefore identical whether a caller builds the
-    /// profiler through this shorthand or through `new_cluster(c, g, 1)`.
-    pub fn new(cores: u32, gpus: u32) -> Self {
-        Self::new_cluster(cores, gpus, 1)
-    }
-
-    /// A profiler for `nodes` identical nodes.
-    pub fn new_cluster(cores: u32, gpus: u32, nodes: u32) -> Self {
+    /// An accountant for `cores` CPU cores and `gpus` GPUs in total.
+    pub(crate) fn new(cores: u64, gpus: u64) -> Self {
         Profiler {
-            cpu: UtilizationTracker::new((cores * nodes) as usize),
-            gpu_slot: UtilizationTracker::new((gpus * nodes) as usize),
-            gpu_hw: UtilizationTracker::new((gpus * nodes) as usize),
-            cores_per_node: cores,
-            gpus_per_node: gpus,
+            cpu: Meter::new(cores),
+            gpu_slot: Meter::new(gpus),
+            gpu_hw: Meter::new(gpus),
+            last: SimTime::ZERO,
             tasks: 0,
             retries: 0,
             wasted_core_seconds: 0.0,
@@ -121,100 +168,105 @@ impl Profiler {
         }
     }
 
-    #[inline]
-    fn core_index(&self, alloc_node: u32, id: u32) -> usize {
-        (alloc_node * self.cores_per_node + id) as usize
-    }
-
-    #[inline]
-    fn gpu_index(&self, alloc_node: u32, id: u32) -> usize {
-        (alloc_node * self.gpus_per_node + id) as usize
-    }
-
-    /// Note that a task received its allocation and begins occupying slots.
-    pub fn task_started(&mut self, alloc: &Allocation, at: SimTime) {
-        for &c in &alloc.core_ids {
-            self.cpu.begin(self.core_index(alloc.node, c), at);
-        }
-        for &g in &alloc.gpu_ids {
-            self.gpu_slot.begin(self.gpu_index(alloc.node, g), at);
+    /// Book slot occupancy up to `now`.
+    fn tick(&mut self, now: SimTime) {
+        let (lo, hi) = (self.last.as_micros(), now.as_micros());
+        if hi > lo {
+            self.cpu.book(self.cpu.busy, lo, hi);
+            self.gpu_slot.book(self.gpu_slot.busy, lo, hi);
+            self.last = now;
         }
     }
 
-    /// Note that a task released its slots. `gpu_busy_fraction` of the
-    /// occupancy window is recorded as hardware-busy GPU time (placed at the
-    /// end of the window, where inference kernels actually run).
-    pub fn task_finished(
+    /// An attempt (or hedge duplicate) begins occupying `alloc` at `at`.
+    pub(crate) fn started(&mut self, alloc: &Allocation, at: SimTime) {
+        self.tick(at);
+        for (meter, n) in [
+            (&mut self.cpu, alloc.core_ids.len()),
+            (&mut self.gpu_slot, alloc.gpu_ids.len()),
+        ] {
+            meter.busy += n as u64;
+            assert!(
+                meter.busy <= meter.devices,
+                "more devices busy than exist at {at}"
+            );
+        }
+    }
+
+    /// End `alloc`'s occupancy at `at`; the seconds it lasted.
+    fn vacate(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) -> f64 {
+        self.tick(at);
+        for (meter, n) in [
+            (&mut self.cpu, alloc.core_ids.len()),
+            (&mut self.gpu_slot, alloc.gpu_ids.len()),
+        ] {
+            meter.busy = meter
+                .busy
+                .checked_sub(n as u64)
+                .unwrap_or_else(|| panic!("a device released twice at {at}"));
+        }
+        at.since(started).as_secs_f64()
+    }
+
+    /// A useful execution released `alloc`. `gpu_busy_fraction` of the
+    /// occupancy window is booked as hardware-busy GPU time, placed at the
+    /// end of the window, where inference kernels actually run.
+    pub(crate) fn finished(
         &mut self,
         alloc: &Allocation,
         started: SimTime,
         finished: SimTime,
         gpu_busy_fraction: f64,
     ) {
-        for &c in &alloc.core_ids {
-            self.cpu.end(self.core_index(alloc.node, c), finished);
-        }
-        let span = finished.since(started);
-        let busy = span.mul_f64(gpu_busy_fraction.clamp(0.0, 1.0));
-        for &g in &alloc.gpu_ids {
-            let gi = self.gpu_index(alloc.node, g);
-            self.gpu_slot.end(gi, finished);
-            if busy > SimDuration::ZERO {
-                let hw_start = started + (span - busy);
-                self.gpu_hw.begin(gi, hw_start);
-                self.gpu_hw.end(gi, finished);
-            }
-        }
+        self.vacate(alloc, started, finished);
+        let busy = finished
+            .since(started)
+            .mul_f64(gpu_busy_fraction.clamp(0.0, 1.0));
+        let end = finished.as_micros();
+        self.gpu_hw
+            .book(alloc.gpu_ids.len() as u64, end - busy.as_micros(), end);
         self.tasks += 1;
     }
 
-    /// Note that an attempt ended *without* completing its task: close its
-    /// slot-occupancy intervals and book the span as wasted work. It does
-    /// not count as a completed task, and no hardware-busy GPU time is booked — a killed attempt never reached
+    /// An attempt ended *without* completing its task: its occupancy ends
+    /// and its span is booked as wasted work. It completes no task, and no
+    /// hardware-busy GPU time is booked — a killed attempt never reached
     /// its inference kernels.
-    pub fn attempt_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
-        for &c in &alloc.core_ids {
-            self.cpu.end(self.core_index(alloc.node, c), at);
-        }
-        for &g in &alloc.gpu_ids {
-            self.gpu_slot.end(self.gpu_index(alloc.node, g), at);
-        }
-        let span = at.since(started).as_secs_f64();
-        self.wasted_core_seconds += span * alloc.core_ids.len() as f64;
-        self.wasted_gpu_seconds += span * alloc.gpu_ids.len() as f64;
+    pub(crate) fn wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
+        let secs = self.vacate(alloc, started, at);
+        self.wasted_core_seconds += secs * alloc.core_ids.len() as f64;
+        self.wasted_gpu_seconds += secs * alloc.gpu_ids.len() as f64;
+    }
+
+    /// A hedge *loser* released its slots: its span is booked as hedge
+    /// waste — the deliberate price of straggler mitigation, kept apart
+    /// from fault/retry waste.
+    pub(crate) fn hedge_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
+        let secs = self.vacate(alloc, started, at);
+        self.hedge_wasted_core_seconds += secs * alloc.core_ids.len() as f64;
+        self.hedge_wasted_gpu_seconds += secs * alloc.gpu_ids.len() as f64;
     }
 
     /// Note a transparent resubmission.
-    pub fn note_retry(&mut self) {
+    pub(crate) fn note_retry(&mut self) {
         self.retries += 1;
     }
 
     /// Note a hedged speculative duplicate placement.
-    pub fn note_hedge(&mut self) {
+    pub(crate) fn note_hedge(&mut self) {
         self.hedges += 1;
     }
 
-    /// Note that a hedge *loser* released its slots: close its occupancy
-    /// intervals and book the span as hedge waste — the deliberate price
-    /// of straggler mitigation, kept apart from fault/retry waste.
-    pub fn attempt_hedge_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
-        for &c in &alloc.core_ids {
-            self.cpu.end(self.core_index(alloc.node, c), at);
-        }
-        for &g in &alloc.gpu_ids {
-            self.gpu_slot.end(self.gpu_index(alloc.node, g), at);
-        }
-        let span = at.since(started).as_secs_f64();
-        self.hedge_wasted_core_seconds += span * alloc.core_ids.len() as f64;
-        self.hedge_wasted_gpu_seconds += span * alloc.gpu_ids.len() as f64;
-    }
-
-    /// Aggregate report over `[0, end)`.
-    pub fn report(&self, end: SimTime) -> UtilizationReport {
+    /// Aggregate report over `[0, end)`: busy device-µs over
+    /// `devices × end`, the devices still busy counted up to `end`.
+    pub(crate) fn report(&self, end: SimTime) -> UtilizationReport {
+        let end_us = end.as_micros();
+        let tail = u128::from(end.since(self.last).as_micros());
+        let mean = |m: &Meter| m.fraction(m.busy_us + u128::from(m.busy) * tail, end_us);
         UtilizationReport {
-            cpu: self.cpu.mean_utilization(SimTime::ZERO, end),
-            gpu_slot: self.gpu_slot.mean_utilization(SimTime::ZERO, end),
-            gpu_hardware: self.gpu_hw.mean_utilization(SimTime::ZERO, end),
+            cpu: mean(&self.cpu),
+            gpu_slot: mean(&self.gpu_slot),
+            gpu_hardware: mean(&self.gpu_hw),
             makespan: end.since(SimTime::ZERO),
             tasks: self.tasks,
             retries: self.retries,
@@ -226,29 +278,47 @@ impl Profiler {
         }
     }
 
-    /// Binned CPU-occupancy time series (for plotting Figs. 4–5).
-    pub fn cpu_series(&self, end: SimTime, bin: SimDuration) -> Vec<f64> {
-        self.cpu.series(end, bin).values
+    /// `meter`'s [`SERIES_BIN`] series over `[0, end)`, a partial last bin
+    /// measured over its own width.
+    fn series(&self, meter: &Meter, end: SimTime) -> Vec<f64> {
+        let (end_us, last) = (end.as_micros(), self.last.as_micros());
+        (0..end_us.div_ceil(BIN_US))
+            .map(|i| {
+                let lo = i * BIN_US;
+                let hi = (lo + BIN_US).min(end_us);
+                let booked = meter.bins.get(i as usize).copied().unwrap_or(0);
+                let open = meter.busy * hi.saturating_sub(last.max(lo));
+                meter.fraction(u128::from(booked + open), hi - lo)
+            })
+            .collect()
     }
 
-    /// Binned GPU slot-occupancy time series.
-    pub fn gpu_slot_series(&self, end: SimTime, bin: SimDuration) -> Vec<f64> {
-        self.gpu_slot.series(end, bin).values
+    /// CPU occupancy in [`SERIES_BIN`]s up to `end` (Figs. 4–5).
+    pub(crate) fn cpu_series(&self, end: SimTime) -> Vec<f64> {
+        self.series(&self.cpu, end)
     }
 
-    /// Binned GPU hardware-busy time series.
-    pub fn gpu_hw_series(&self, end: SimTime, bin: SimDuration) -> Vec<f64> {
-        self.gpu_hw.series(end, bin).values
+    /// GPU slot occupancy in [`SERIES_BIN`]s up to `end`.
+    pub(crate) fn gpu_slot_series(&self, end: SimTime) -> Vec<f64> {
+        self.series(&self.gpu_slot, end)
+    }
+
+    /// GPU hardware-busy time in [`SERIES_BIN`]s up to `end`.
+    pub(crate) fn gpu_hw_series(&self, end: SimTime) -> Vec<f64> {
+        self.series(&self.gpu_hw, end)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::ResourceRequest;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_micros(s * 1_000_000)
+    }
+
+    fn m(mins: u64) -> SimTime {
+        t(mins * 60)
     }
 
     fn alloc(cores: &[u32], gpus: &[u32]) -> Allocation {
@@ -263,14 +333,14 @@ mod tests {
     fn slot_occupancy_covers_full_window() {
         let mut p = Profiler::new(4, 2);
         let a = alloc(&[0, 1], &[0]);
-        p.task_started(&a, t(10));
-        p.task_finished(&a, t(10), t(20), 1.0);
+        p.started(&a, t(10));
+        p.finished(&a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         // 2 of 4 cores busy for half the run → 25%.
-        assert!((r.cpu - 0.25).abs() < 1e-9);
+        assert_eq!(r.cpu, 0.25);
         // 1 of 2 GPUs for half the run → 25%.
-        assert!((r.gpu_slot - 0.25).abs() < 1e-9);
-        assert!((r.gpu_hardware - 0.25).abs() < 1e-9);
+        assert_eq!(r.gpu_slot, 0.25);
+        assert_eq!(r.gpu_hardware, 0.25);
         assert_eq!(r.tasks, 1);
     }
 
@@ -278,92 +348,232 @@ mod tests {
     fn hardware_busy_respects_fraction() {
         let mut p = Profiler::new(1, 1);
         let a = alloc(&[0], &[0]);
-        p.task_started(&a, t(0));
-        p.task_finished(&a, t(0), t(100), 0.25);
+        p.started(&a, t(0));
+        p.finished(&a, t(0), t(100), 0.25);
         let r = p.report(t(100));
-        assert!((r.gpu_slot - 1.0).abs() < 1e-9);
-        assert!((r.gpu_hardware - 0.25).abs() < 1e-9);
+        assert_eq!(r.gpu_slot, 1.0);
+        assert_eq!(r.gpu_hardware, 0.25);
+    }
+
+    #[test]
+    fn hardware_busy_time_sits_at_the_end_of_the_window() {
+        // 20 minutes of slot occupancy, the last quarter on the kernels:
+        // minutes 15-20, all in the second bin.
+        let mut p = Profiler::new(1, 1);
+        let a = alloc(&[0], &[0]);
+        p.started(&a, m(0));
+        p.finished(&a, m(0), m(20), 0.25);
+        assert_eq!(p.gpu_slot_series(m(20)), [1.0, 1.0]);
+        assert_eq!(p.gpu_hw_series(m(20)), [0.0, 0.5]);
     }
 
     #[test]
     fn sequential_tasks_on_same_device_accumulate() {
         let mut p = Profiler::new(1, 0);
         let a = alloc(&[0], &[]);
-        p.task_started(&a, t(0));
-        p.task_finished(&a, t(0), t(4), 1.0);
-        p.task_started(&a, t(6));
-        p.task_finished(&a, t(6), t(10), 1.0);
+        p.started(&a, t(0));
+        p.finished(&a, t(0), t(4), 1.0);
+        p.started(&a, t(6));
+        p.finished(&a, t(6), t(10), 1.0);
         let r = p.report(t(10));
-        assert!((r.cpu - 0.8).abs() < 1e-9);
+        assert_eq!(r.cpu, 0.8);
     }
 
     #[test]
     fn series_show_the_load_shape() {
         let mut p = Profiler::new(2, 0);
         let a = alloc(&[0, 1], &[]);
-        p.task_started(&a, t(0));
-        p.task_finished(&a, t(0), t(5), 1.0);
-        let series = p.cpu_series(t(10), SimDuration::from_secs(5));
-        assert_eq!(series.len(), 2);
-        assert!((series[0] - 1.0).abs() < 1e-9);
-        assert!(series[1].abs() < 1e-9);
+        p.started(&a, m(0));
+        p.finished(&a, m(0), m(10), 1.0);
+        assert_eq!(p.cpu_series(m(20)), [1.0, 0.0]);
+    }
+
+    #[test]
+    fn a_single_busy_window_reads_as_its_share_of_the_run() {
+        let mut p = Profiler::new(1, 0);
+        let a = alloc(&[0], &[]);
+        p.started(&a, m(2));
+        p.finished(&a, m(2), m(6), 1.0);
+        assert_eq!(p.report(m(8)).cpu, 0.5);
+        assert_eq!(p.report(m(6)).cpu, 4.0 / 6.0);
+        assert_eq!(p.cpu_series(m(8)), [0.5]);
+    }
+
+    #[test]
+    fn busy_time_is_averaged_over_every_device() {
+        // Core 0 busy for the whole run, core 1 idle.
+        let mut p = Profiler::new(2, 0);
+        let a = alloc(&[0], &[]);
+        p.started(&a, t(0));
+        p.finished(&a, t(0), t(10), 1.0);
+        assert_eq!(p.report(t(10)).cpu, 0.5);
+    }
+
+    #[test]
+    fn each_bin_reads_its_own_busy_share() {
+        let mut p = Profiler::new(1, 0);
+        let a = alloc(&[0], &[]);
+        p.started(&a, m(0));
+        p.finished(&a, m(0), m(15), 1.0);
+        let s = p.cpu_series(m(30));
+        assert_eq!(s.len(), 3);
+        assert_eq!(s, [1.0, 0.5, 0.0]);
+    }
+
+    #[test]
+    fn no_devices_read_as_idle() {
+        let mut p = Profiler::new(2, 0);
+        p.started(&alloc(&[0], &[]), m(0));
+        let r = p.report(m(20));
+        assert_eq!((r.gpu_slot, r.gpu_hardware), (0.0, 0.0));
+        assert_eq!(p.gpu_slot_series(m(20)), [0.0, 0.0]);
+        assert_eq!(p.gpu_hw_series(m(20)), [0.0, 0.0]);
+        assert_eq!(Profiler::new(0, 0).report(m(20)).cpu, 0.0);
+    }
+
+    #[test]
+    fn an_interval_is_split_across_the_bins_it_spans() {
+        let mut p = Profiler::new(1, 0);
+        let a = alloc(&[0], &[]);
+        p.started(&a, m(5));
+        p.finished(&a, m(5), m(25), 1.0);
+        assert_eq!(p.cpu_series(m(30)), [0.5, 1.0, 0.5]);
+    }
+
+    #[test]
+    fn a_partial_last_bin_is_measured_over_its_own_width() {
+        let mut p = Profiler::new(2, 0);
+        let a = alloc(&[0], &[]);
+        p.started(&a, m(10));
+        p.finished(&a, m(10), m(13), 1.0);
+        // The run ends 4 minutes into the second bin: 1 of 2 cores for
+        // 3 of those 4 minutes.
+        assert_eq!(p.cpu_series(m(14)), [0.0, 0.375]);
+    }
+
+    #[test]
+    fn an_open_interval_counts_at_read_time() {
+        let mut p = Profiler::new(2, 1);
+        p.started(&alloc(&[0], &[0]), m(5));
+        let r = p.report(m(20));
+        assert_eq!(r.cpu, 0.375, "1 of 2 cores for 15 of 20 minutes");
+        assert_eq!(r.gpu_slot, 0.75);
+        assert_eq!(r.gpu_hardware, 0.0, "kernels are booked at the end");
+        assert_eq!(p.cpu_series(m(20)), [0.25, 0.5]);
+        // Reading books nothing: a later read extends the tail.
+        assert_eq!(p.report(m(25)).gpu_slot, 0.8);
+    }
+
+    #[test]
+    fn a_zero_length_attempt_books_nothing() {
+        let mut p = Profiler::new(1, 1);
+        let a = alloc(&[0], &[0]);
+        p.started(&a, t(3));
+        p.finished(&a, t(3), t(3), 1.0);
+        let r = p.report(t(10));
+        assert_eq!((r.cpu, r.gpu_slot, r.gpu_hardware), (0.0, 0.0, 0.0));
+        assert_eq!(r.tasks, 1);
+        assert!(p.cpu.bins.is_empty() && p.gpu_hw.bins.is_empty());
+    }
+
+    #[test]
+    fn the_bins_sum_to_the_total_exactly() {
+        let mut p = Profiler::new(8, 4);
+        let mut rng = impress_sim::SimRng::from_seed(7).fork("profiler");
+        let mut now = 0;
+        for _ in 0..200 {
+            let cores = 1 + rng.below(8) as u32;
+            let gpus = rng.below(5) as u32;
+            let a = alloc(
+                &(0..cores).collect::<Vec<_>>(),
+                &(0..gpus).collect::<Vec<_>>(),
+            );
+            let start = now + rng.below(90_000_000) as u64;
+            let end = start + rng.below(3_000_000_000) as u64;
+            let (start, end) = (SimTime::from_micros(start), SimTime::from_micros(end));
+            p.started(&a, start);
+            match rng.below(3) {
+                0 => p.wasted(&a, start, end),
+                1 => p.hedge_wasted(&a, start, end),
+                _ => p.finished(&a, start, end, rng.below(101) as f64 / 100.0),
+            }
+            now = end.as_micros();
+        }
+        for meter in [&p.cpu, &p.gpu_slot, &p.gpu_hw] {
+            let binned: u128 = meter.bins.iter().map(|&b| u128::from(b)).sum();
+            assert_eq!(binned, meter.busy_us);
+            assert!(meter.busy_us > 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more devices busy than exist")]
+    fn busy_counts_never_exceed_the_device_totals() {
+        let mut p = Profiler::new(2, 0);
+        let a = alloc(&[0, 1], &[]);
+        p.started(&a, t(0));
+        p.started(&a, t(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "released twice")]
+    fn busy_counts_never_underflow() {
+        let mut p = Profiler::new(2, 0);
+        let a = alloc(&[0], &[]);
+        p.started(&a, t(0));
+        p.finished(&a, t(0), t(1), 1.0);
+        p.wasted(&a, t(0), t(2));
     }
 
     #[test]
     fn wasted_attempts_book_lost_seconds_without_records() {
         let mut p = Profiler::new(4, 2);
         let a = alloc(&[0, 1], &[0]);
-        p.task_started(&a, t(0));
-        p.attempt_wasted(&a, t(0), t(10));
+        p.started(&a, t(0));
+        p.wasted(&a, t(0), t(10));
         p.note_retry();
         // The retry occupies the same slots again and succeeds.
-        p.task_started(&a, t(10));
-        p.task_finished(&a, t(10), t(20), 1.0);
+        p.started(&a, t(10));
+        p.finished(&a, t(10), t(20), 1.0);
         let r = p.report(t(20));
         assert_eq!(r.retries, 1);
-        assert!(
-            (r.wasted_core_seconds - 20.0).abs() < 1e-9,
-            "2 cores × 10 s"
-        );
-        assert!((r.wasted_gpu_seconds - 10.0).abs() < 1e-9, "1 GPU × 10 s");
+        assert_eq!(r.wasted_core_seconds, 20.0, "2 cores × 10 s");
+        assert_eq!(r.wasted_gpu_seconds, 10.0, "1 GPU × 10 s");
         assert_eq!(r.tasks, 1, "wasted attempts complete no task");
         // Occupancy still reflects the held slots: 2/4 cores for the whole run.
-        assert!((r.cpu - 0.5).abs() < 1e-9);
+        assert_eq!(r.cpu, 0.5);
+        // Hardware-busy time is booked for the useful attempt only.
+        assert_eq!(r.gpu_hardware, 0.25);
     }
 
     #[test]
     fn hedge_waste_is_booked_apart_from_retry_waste() {
         let mut p = Profiler::new(4, 0);
         let main = alloc(&[0, 1], &[]);
-        let dup = Allocation {
-            node: 0,
-            core_ids: vec![2, 3],
-            gpu_ids: vec![],
-        };
-        p.task_started(&main, t(0));
+        let dup = alloc(&[2, 3], &[]);
+        p.started(&main, t(0));
         // A hedge duplicate launches at t=10 and the original wins at t=15.
         p.note_hedge();
-        p.task_started(&dup, t(10));
-        p.attempt_hedge_wasted(&dup, t(10), t(15));
-        p.task_finished(&main, t(0), t(15), 0.0);
+        p.started(&dup, t(10));
+        p.hedge_wasted(&dup, t(10), t(15));
+        p.finished(&main, t(0), t(15), 0.0);
         let r = p.report(t(15));
         assert_eq!(r.hedges, 1);
-        assert!(
-            (r.hedge_wasted_core_seconds - 10.0).abs() < 1e-9,
-            "2 cores × 5 s"
-        );
+        assert_eq!(r.hedge_wasted_core_seconds, 10.0, "2 cores × 5 s");
         assert_eq!(r.hedge_wasted_gpu_seconds, 0.0);
         assert_eq!(r.wasted_core_seconds, 0.0, "hedge waste is not retry waste");
         assert_eq!(r.retries, 0);
         assert_eq!(r.tasks, 1, "the loser completes no task");
+        // Both held their slots: (2 × 15 + 2 × 5) of 4 × 15 core-seconds.
+        assert_eq!(r.cpu, 40.0 / 60.0);
     }
 
     #[test]
     fn fault_free_reports_have_zero_waste() {
         let mut p = Profiler::new(1, 0);
         let a = alloc(&[0], &[]);
-        p.task_started(&a, t(0));
-        p.task_finished(&a, t(0), t(4), 1.0);
+        p.started(&a, t(0));
+        p.finished(&a, t(0), t(4), 1.0);
         let r = p.report(t(4));
         assert_eq!(r.retries, 0);
         assert_eq!(r.wasted_core_seconds, 0.0);
@@ -374,11 +584,10 @@ mod tests {
     fn zero_gpu_fraction_records_no_hw_time() {
         let mut p = Profiler::new(1, 1);
         let a = alloc(&[0], &[0]);
-        p.task_started(&a, t(0));
-        p.task_finished(&a, t(0), t(10), 0.0);
+        p.started(&a, t(0));
+        p.finished(&a, t(0), t(10), 0.0);
         let r = p.report(t(10));
         assert_eq!(r.gpu_hardware, 0.0);
-        assert!((r.gpu_slot - 1.0).abs() < 1e-9);
-        let _ = ResourceRequest::cores(1);
+        assert_eq!(r.gpu_slot, 1.0);
     }
 }

@@ -133,8 +133,7 @@ impl fmt::Display for ResourceRequest {
 }
 
 /// Concrete slots granted to a task: a node plus which of its cores and
-/// GPUs. Device identity matters for per-device utilization traces
-/// (Figs. 4–5).
+/// GPUs. Device identity is what the slot pool checks exclusivity on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Node index within the pilot's cluster (0 on a single-node pilot).

@@ -158,7 +158,7 @@ impl TaskDescription {
     /// Set the GPU hardware-busy fraction (clamped to `[0, 1]`).
     ///
     /// # Panics
-    /// On NaN, which `clamp` would pass through and the utilization sinks
+    /// On NaN, which `clamp` would pass through and the utilization accountant
     /// would then book as no busy time at all.
     pub fn with_gpu_busy_fraction(mut self, f: f64) -> Self {
         assert!(

@@ -77,7 +77,7 @@ props! {
     }
 
     /// Every submitted task completes exactly once on the simulated backend,
-    /// and per-device busy time never exceeds the makespan.
+    /// and no device class is busy for more than the makespan.
     fn simulated_backend_completes_everything(rng, cases = 64) {
         let tasks = arb_tasks(rng, 6, 2);
         let mut backend = SimulatedBackend::new(PilotConfig {

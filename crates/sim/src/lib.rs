@@ -15,7 +15,6 @@
 //! * [`event`] — the deterministic event queue (ordered by `(time, seq)`).
 //! * [`rng`] — seedable, forkable deterministic random streams.
 //! * [`slab`] — arena storage with `u32` handles for hot-path records.
-//! * [`trace`] — busy-interval timelines and utilization accounting.
 //! * [`stats`] — summary statistics (median, std-dev, quantiles) used by the
 //!   experiment harnesses.
 //!
@@ -35,7 +34,6 @@ pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use histogram::Histogram;
@@ -43,4 +41,3 @@ pub use rng::SimRng;
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
-pub use trace::{IntervalTrace, UtilizationTracker};

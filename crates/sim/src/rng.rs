@@ -37,8 +37,6 @@
 //! harnesses already recorded artifacts under a ChaCha-class stream and the
 //! statistical quality margin is worth the ~8 rounds per 64 bytes.
 
-use impress_json::json_struct;
-
 /// Number of ChaCha double-rounds (8 rounds total — the "8" in ChaCha8).
 const DOUBLE_ROUNDS: usize = 4;
 
@@ -284,18 +282,6 @@ impl SimRng {
     }
 }
 
-/// Snapshot of a stream's identity (its seed material), serialized for
-/// trace provenance. Restoring replays the stream from the beginning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RngSeed(pub Vec<u8>);
-json_struct!(RngSeed(Vec<u8>));
-
-impl From<&SimRng> for RngSeed {
-    fn from(rng: &SimRng) -> RngSeed {
-        RngSeed(rng.seed.to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,14 +430,5 @@ mod tests {
             let dev = (f64::from(c) - expect).abs() / expect;
             assert!(dev < 0.05, "bucket {i}: {c} vs {expect} (dev {dev:.3})");
         }
-    }
-
-    #[test]
-    fn rng_seed_snapshot_round_trips() {
-        let rng = SimRng::from_seed(99).fork("snapshot");
-        let snap = RngSeed::from(&rng);
-        let text = impress_json::to_string(&snap);
-        let back: RngSeed = impress_json::from_str(&text).expect("reparse");
-        assert_eq!(back, snap);
     }
 }

@@ -418,7 +418,8 @@ fn threaded_backend_enforces_gpu_slots() {
     );
 }
 
-/// Utilization accounting exists and is sane on both backends.
+/// Utilization accounting exists, is sane, and is the same bits on every
+/// backend: one accountant books occupancy for all three drivers.
 #[test]
 fn utilization_reports_are_sane_on_both_backends() {
     let run = |mut session: Session<Box<dyn ExecutionBackend>>| {
@@ -435,7 +436,7 @@ fn utilization_reports_are_sane_on_both_backends() {
     let sim: Box<dyn ExecutionBackend> = Box::new(SimulatedBackend::new(pilot_config(2)));
     let thr: Box<dyn ExecutionBackend> = Box::new(ThreadedBackend::new(pilot_config(2)));
     let sha: Box<dyn ExecutionBackend> = Box::new(ShardedBackend::new(pilot_config(2)));
-    for (label, backend) in [("sim", sim), ("threaded", thr), ("sharded", sha)] {
+    let reports = [("sim", sim), ("threaded", thr), ("sharded", sha)].map(|(label, backend)| {
         let report = run(Session::new(backend));
         assert_eq!(report.tasks, 4, "{label}");
         assert!(
@@ -443,5 +444,8 @@ fn utilization_reports_are_sane_on_both_backends() {
             "{label}: {}",
             report.cpu
         );
-    }
+        report
+    });
+    assert_eq!(reports[0], reports[1], "threaded");
+    assert_eq!(reports[0], reports[2], "sharded");
 }

@@ -106,6 +106,7 @@ guards! {
     no_deprecated_items_anywhere_in_the_workspace => rules(DEPRECATED),
     the_perf_ledger_is_the_only_performance_artifact => rules(PERF_LEDGER),
     every_backend_shares_one_set_of_lifecycle_handlers => rules(LIFECYCLE),
+    one_accountant_books_occupancy_for_every_driver => rules(UTILIZATION),
     the_landscape_has_one_local_scoring_kernel => rules(LANDSCAPE),
     the_journal_loader_builds_no_json_tree => rules(JOURNAL_LOADER),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
@@ -275,6 +276,35 @@ const LIFECYCLE: &[Rule] = &[
     },
 ];
 
+/// Occupancy is counted once, in integer device-microseconds, by the
+/// accountant the lifecycle core owns; the sequential and sharded drivers
+/// used to book it two ways and report different float bits.
+const UTILIZATION: &[Rule] = &[
+    Rule {
+        scope: "crates/",
+        part: Part::Code,
+        // A `UtilizationReport` literal names every field, and no other
+        // struct has this one: where it is, a report is built.
+        needles: &["gpu_hardware:"],
+        word: true,
+        verdict: Verdict::OnlyIn(&["crates/pilot/src/profiler.rs"]),
+        reason: "one accountant books occupancy for every driver",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/",
+        needles: &[
+            "UtilSink",
+            "UtilizationTracker",
+            "IntervalTrace",
+            "AggregateUtil",
+        ],
+        word: true,
+        reason: "one accountant books occupancy for every driver",
+        ..FORBIDDEN
+    },
+];
+
 const NK: &str = "crates/proteins/src/landscape/nk.rs";
 
 /// Every caller of the local score wants all twenty candidates at one
@@ -338,11 +368,12 @@ const JOURNAL_LOADER: &[Rule] = &[
     },
 ];
 
-const RULES: [&[Rule]; 6] = [
+const RULES: [&[Rule]; 7] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
     LIFECYCLE,
+    UTILIZATION,
     LANDSCAPE,
     JOURNAL_LOADER,
 ];
