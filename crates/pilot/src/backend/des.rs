@@ -23,23 +23,22 @@
 //! [`Label`]s — inline up to 22 bytes, a shared `Arc<str>` past that — so
 //! neither describing a task nor completing it copies text to the heap.
 //!
-//! What the core does *not* own is time. A driver owns the clock and
-//! lends the core two seams:
+//! What the core does *not* own is where events wait. A driver lends the
+//! core one seam, a [`Transport`]: where a scheduled event waits until it
+//! is due, how same-instant events are ordered (by a sequence number the
+//! transport assigns, [`Transport::reserve`]), and how a scheduled event
+//! is taken back. [`SimulatedBackend`] lends one [`EventQueue`], popped
+//! one event per step with immediate cancel; [`ShardedBackend`] lends its
+//! shard queues, outboxes and sequence merge, and processes an instant at
+//! a time. The transport is also where a driver with a wall clock says
+//! so: [`ThreadedBackend`] (the sequential driver again, paced) starts
+//! work closures on OS threads at [`Transport::launch`] and dual-stamps
+//! telemetry at [`Transport::stamp`]; the other two leave both at their
+//! defaults.
 //!
-//! * a [`Transport`] — where a scheduled event waits until it is due, and
-//!   how a scheduled event is taken back. [`SimulatedBackend`] lends one
-//!   [`EventQueue`], popped one event per step with immediate cancel;
-//!   [`ShardedBackend`] lends its shard queues, outboxes and sequence
-//!   merge, and processes an instant at a time. The transport is also
-//!   where a driver with a wall clock says so: [`ThreadedBackend`] (the
-//!   sequential driver again, paced) starts work closures on OS threads
-//!   at [`Transport::launch`] and dual-stamps telemetry at
-//!   [`Transport::stamp`]; the other two leave both at their defaults.
-//! * the heartbeat clock — [`Ev::HeartbeatSend`] chains (three queue
-//!   events per node per tick) or one [`Ev::HeartbeatRound`] per tick for
-//!   the `FailureDetector` lane. The driver handles those two events
-//!   itself; what a heartbeat *means* ([`Ev::HeartbeatArrive`],
-//!   [`Ev::SuspectCheck`], the eviction) is the core's.
+//! The heartbeat clock is the core's too: one [`Ev::HeartbeatRound`] per
+//! tick ticks the `FailureDetector` lane for every node, whoever drives,
+//! and schedules an arrival or a check only where it can be observed.
 //!
 //! Occupancy is not a seam: the core books it into its own
 //! [`profiler`](crate::profiler) accountant, so every driver reports the
@@ -55,7 +54,7 @@
 
 use super::{msg_key, Completion, TaskError};
 use super::{MSG_CANCEL, MSG_DONE, MSG_HEDGE, MSG_RETRY, MSG_SUBMIT};
-use crate::control::{ControlPlane, ControlStats, FailureDetector};
+use crate::control::{ControlPlane, ControlStats, FailureDetector, Wake, WakeKind};
 use crate::fault::{
     dilate_span, AttemptFault, FaultPlan, HedgePolicy, QuarantinePolicy, RetryPolicy, SlowWindow,
 };
@@ -113,17 +112,21 @@ pub(super) enum Ev {
     /// Control plane on: a cancel acknowledgment arrives at the client;
     /// the terminal `Canceled` completion surfaces here.
     CancelAck { task: u64, attempt: u32 },
-    /// Heartbeat clock of the sharded driver: one tick for every node,
-    /// the [`FailureDetector`] lane's round. Never reaches the core.
+    /// The heartbeat clock: one tick for every node, the
+    /// [`FailureDetector`] lane's round.
     HeartbeatRound,
-    /// Heartbeat clock of the sequential driver: one node's tick, which
-    /// schedules its arrival, its check and its next tick. Never reaches
-    /// the core.
-    HeartbeatSend { node: u32 },
     /// A heartbeat reaches the coordinator and may resync its node.
     HeartbeatArrive { node: u32 },
     /// A suspicion check, one timeout after the tick that armed it.
     SuspectCheck { node: u32 },
+}
+
+/// The event a failure-detector [`Wake`] asks for.
+fn woken(wake: Wake) -> Ev {
+    match wake.kind {
+        WakeKind::Arrive => Ev::HeartbeatArrive { node: wake.node },
+        WakeKind::Check => Ev::SuspectCheck { node: wake.node },
+    }
 }
 
 /// Where a scheduled event waits, for taking it back: the transport's
@@ -144,9 +147,14 @@ pub(super) trait Transport {
     /// partition events by node home it with its sender.
     fn schedule_report(&mut self, node: u32, at: SimTime, ev: Ev) -> Handle;
 
-    /// Schedule `ev` under an order key the failure-detector lane
-    /// reserved when it folded the event away. Only a driver whose
-    /// heartbeat clock folds is ever asked to.
+    /// Reserve `n` consecutive order keys; the first of them. Every
+    /// [`Transport::schedule`] takes the next key, and same-instant events
+    /// fire in key order.
+    fn reserve(&mut self, n: u64) -> u64;
+
+    /// Schedule `ev` under a key reserved earlier: the failure-detector
+    /// lane's events, each where its event-per-heartbeat twin would sort.
+    /// Never cancelled.
     fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: Ev);
 
     /// Take a scheduled event back. Whether that is immediate is the
@@ -353,19 +361,20 @@ pub(super) struct Core<T> {
     shape_poison: HashMap<(u32, u32), u32>,
     /// The seeded control plane (`None` = link faults off, a strict
     /// no-op: no extra events, no randomness, no routing).
-    pub(super) control: Option<ControlPlane>,
+    control: Option<ControlPlane>,
     /// Control-plane resilience counters (all zero while `control` is
     /// `None`).
     pub(super) cstats: ControlStats,
-    /// Liveness under a configured heartbeat (`None` = no heartbeats).
-    /// The core reads it (`heard`/`silent`/`unfold`); the driver's
-    /// heartbeat clock ticks it.
+    /// Liveness under a configured heartbeat (`None` = no heartbeats),
+    /// ticked by [`Ev::HeartbeatRound`].
     pub(super) detector: Option<FailureDetector>,
+    /// Scratch: what one heartbeat round asks to have scheduled.
+    wakes: Vec<Wake>,
     /// Nodes currently declared suspect by the detector.
-    pub(super) suspected: Vec<bool>,
+    suspected: Vec<bool>,
     /// Ground-truth node health (set by crash/recover events); a crashed
     /// node emits no heartbeats and cannot be resynced by one.
-    pub(super) crashed: Vec<bool>,
+    crashed: Vec<bool>,
     /// Idempotent-dedup set: message identities whose effects have been
     /// applied. A second arrival of the same identity is absorbed.
     seen: HashSet<(u64, u32, u8)>,
@@ -448,6 +457,7 @@ impl<T: Transport> Core<T> {
             control,
             cstats: ControlStats::default(),
             detector,
+            wakes: Vec::new(),
             suspected: vec![false; nodes],
             crashed: vec![false; nodes],
             seen: HashSet::new(),
@@ -550,9 +560,7 @@ impl<T: Transport> Core<T> {
             Ev::CancelAck { task, attempt } => self.deliver_cancel(task, attempt, now),
             Ev::HeartbeatArrive { node } => self.heartbeat_arrive(node, now),
             Ev::SuspectCheck { node } => self.suspect_check(node, now),
-            Ev::HeartbeatRound | Ev::HeartbeatSend { .. } => {
-                unreachable!("the driver's heartbeat clock handles {ev:?}")
-            }
+            Ev::HeartbeatRound => self.heartbeat_round(now),
         }
     }
 
@@ -841,6 +849,49 @@ impl<T: Transport> Core<T> {
         });
     }
 
+    /// (Re)start heartbeat rounds under a configured failure detector.
+    /// Rounds run only while work is in flight — the first round that
+    /// finds the coordinator idle retires the detector — so a drained run
+    /// still exhausts its event queue.
+    fn ensure_heartbeats(&mut self) {
+        let Some(fd) = self.detector.as_mut().filter(|fd| !fd.live()) else {
+            return;
+        };
+        let base = self.transport.reserve(fd.keys_per_start());
+        let (at, key) = fd.start(self.now, base);
+        self.transport.schedule_keyed(at, key, Ev::HeartbeatRound);
+    }
+
+    /// One heartbeat tick for all nodes: the lane draws every uncrashed
+    /// node's seeded delivery verdict and asks for queue events only where
+    /// an arrival or a check can be observed (see [`FailureDetector`]).
+    fn heartbeat_round(&mut self, now: SimTime) {
+        let (Some(cp), Some(fd)) = (&self.control, &mut self.detector) else {
+            return;
+        };
+        if self.in_flight == 0 {
+            fd.retire();
+            return;
+        }
+        let base = self.transport.reserve(fd.keys_per_round());
+        let round = fd.round(
+            now,
+            base,
+            &self.crashed,
+            &self.suspected,
+            |node, key| cp.best_effort("hb", key, node, now),
+            &mut self.wakes,
+        );
+        self.cstats.heartbeats_sent += round.sent;
+        self.cstats.heartbeats_delivered += round.delivered;
+        for wake in self.wakes.drain(..) {
+            self.transport
+                .schedule_keyed(wake.at, wake.key, woken(wake));
+        }
+        let (at, key) = round.next;
+        self.transport.schedule_keyed(at, key, Ev::HeartbeatRound);
+    }
+
     /// A heartbeat reached the coordinator: refresh the node's liveness
     /// and, if it was falsely suspected (partition, dropped heartbeats),
     /// resync — re-admit the node to placement.
@@ -923,7 +974,7 @@ impl<T: Transport> Core<T> {
         // A heartbeat the lane folded is now a resync in waiting.
         if let Some(wake) = self.detector.as_mut().and_then(|fd| fd.unfold(node, now)) {
             self.transport
-                .schedule_keyed(wake.at, wake.key, Ev::HeartbeatArrive { node });
+                .schedule_keyed(wake.at, wake.key, woken(wake));
         }
         let victims = self.residents(node);
         self.scheduler.drain_node(node);
@@ -1721,8 +1772,7 @@ impl<T: Transport> Core<T> {
         }
     }
 
-    /// [`ExecutionBackend::submit`](super::ExecutionBackend::submit). The
-    /// driver arms its heartbeat clock afterwards.
+    /// [`ExecutionBackend::submit`](super::ExecutionBackend::submit).
     pub(super) fn submit(&mut self, desc: TaskDescription) -> TaskId {
         let id = TaskId(self.tasks.len() as u64);
         let now = self.now;
@@ -1790,26 +1840,25 @@ impl<T: Transport> Core<T> {
         // the task enters the scheduler queue at the command's hub
         // delivery, not at the client call.
         let arrive = Ev::SubmitArrive { task: id.0 };
-        if self
+        let routed = self
             .send("submit", msg_key(id.0, 0), None, now, arrive)
-            .is_some()
-        {
-            if self.telemetry.enabled() {
-                self.telemetry.gauge("in_flight", self.in_flight as f64);
-            }
-            return id;
+            .is_some();
+        if !routed {
+            self.enqueue(id.0);
         }
-        self.enqueue(id.0);
         if self.telemetry.enabled() {
-            self.telemetry
-                .gauge("queue_depth", self.scheduler.queue_len() as f64);
+            if !routed {
+                let depth = self.scheduler.queue_len() as f64;
+                self.telemetry.gauge("queue_depth", depth);
+            }
             self.telemetry.gauge("in_flight", self.in_flight as f64);
         }
         // Placement goes through the queue so ordering with same-instant
         // events stays deterministic — one coalesced scan per burst.
-        if !std::mem::replace(&mut self.place_event_pending, true) {
+        if !routed && !std::mem::replace(&mut self.place_event_pending, true) {
             self.transport.schedule(now, Ev::PlaceScan);
         }
+        self.ensure_heartbeats();
         id
     }
 
@@ -1951,6 +2000,10 @@ mod tests {
 
         fn schedule_report(&mut self, _node: u32, at: SimTime, ev: Ev) -> Handle {
             self.schedule(at, ev)
+        }
+
+        fn reserve(&mut self, _n: u64) -> u64 {
+            0
         }
 
         fn schedule_keyed(&mut self, at: SimTime, _key: u64, ev: Ev) {

@@ -12,7 +12,8 @@
 //!   utilization, the phase breakdown and the deadline are on the
 //!   modeled clock.
 //! * [`SimulatedBackend`] — the core on one event queue, popped one event
-//!   per step; it also serves the Fig. 4/5 utilization series. Tasks cost
+//!   per step; the failure detector's heartbeat round, one event per tick,
+//!   is the core's on every driver. It also serves the Fig. 4/5 utilization series. Tasks cost
 //!   their declared [`crate::task::TaskDescription::duration`]; work
 //!   closures run at the completion instant. Every paper figure is
 //!   regenerated on this backend, because the original experiments take
@@ -20,8 +21,7 @@
 //!   against it.
 //! * [`ShardedBackend`] — the core on per-node-group event-queue shards
 //!   advanced to a conservative lookahead horizon and merged by a global
-//!   sequence number, with one heartbeat round per tick and an optional
-//!   worker-thread drive mode. Bit-identical to the simulated backend (a
+//!   sequence number, with an optional worker-thread drive mode. Bit-identical to the simulated backend (a
 //!   256-case differential test checks the two transports against each
 //!   other) and the backend of choice for 10k-node campaign studies.
 //! * [`ThreadedBackend`] — the simulated backend's sequential driver

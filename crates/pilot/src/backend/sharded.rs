@@ -12,9 +12,9 @@
 //!   (the minimum head time across shards), drains every event at that
 //!   instant, and applies them in global sequence order.
 //! * **Deterministic merge.** Every scheduled event carries a global
-//!   sequence number assigned in scheduling order — the order in which
+//!   sequence number assigned in scheduling order — the numbering
 //!   [`SimulatedBackend`](crate::backend::SimulatedBackend)'s single queue
-//!   assigns its `EventId`s. Sorting each instant's batch by sequence
+//!   fires each instant in. Sorting each instant's batch by sequence
 //!   therefore replays the sequential driver's event order *exactly*:
 //!   completions, virtual clocks, metrics, utilization and the full
 //!   telemetry trace are bit-identical, which the 256-case differential
@@ -23,13 +23,11 @@
 //!   that targets an event already drained into the current instant's
 //!   batch comes too late; the core's handlers re-validate what such an
 //!   event finds (attempt epoch, hedge record) and drop it.
-//! * **One heartbeat round per tick.** The sequential driver schedules
-//!   every heartbeat send, arrival and timeout check as an event of its
-//!   own and stays the reference; this driver ticks the `FailureDetector`
-//!   lane of [`crate::control`] with one event per tick and stages an
-//!   arrival or a check only where it can be observed, under the sequence
-//!   number the reference's event would have carried — so what is
-//!   observable still merges identically.
+//! * **Reserved sequence numbers.** The core's heartbeat round reserves a
+//!   range of sequence numbers per tick and stages an arrival or a check,
+//!   later, under the number its event-per-heartbeat twin would have had
+//!   ([`Transport::reserve`], [`Transport::schedule_keyed`]); the merge
+//!   sorts them like any other event.
 //! * **Optional parallel drive.** With
 //!   [`RuntimeConfig::parallel_shards`](crate::RuntimeConfig), each shard
 //!   queue is owned by a worker thread (on the same `crate::sync` channel
@@ -50,7 +48,7 @@
 
 use super::des::{Core, Ev, Handle, Transport};
 use crate::backend::{Completion, ExecutionBackend};
-use crate::control::{ControlStats, Wake, WakeKind};
+use crate::control::ControlStats;
 use crate::pilot::{PhaseBreakdown, PilotConfig};
 use crate::profiler::UtilizationReport;
 use crate::runtime::RuntimeConfig;
@@ -208,18 +206,8 @@ impl Shards {
         }
     }
 
-    /// Reserve `n` consecutive sequence numbers; the first of them.
-    fn reserve(&mut self, n: u64) -> u64 {
-        let base = self.next_seq;
-        self.next_seq += n;
-        base
-    }
-
     /// Stage an event on `shard` under sequence number `seq`, returning
-    /// its predicted queue id. Every event takes the next number, except
-    /// that the failure-detector lane reserves a range per heartbeat round
-    /// and stages what it has to, later, under the numbers the sequential
-    /// driver's events would have had.
+    /// its predicted queue id.
     fn stage(&mut self, shard: usize, at: SimTime, seq: u64, ev: Ev) -> Handle {
         let meta = &mut self.shards[shard];
         let event = EventId(meta.next_id);
@@ -239,16 +227,6 @@ impl Shards {
             | Ev::SuspectCheck { node } => node as usize % self.shards.len(),
             _ => 0,
         }
-    }
-
-    /// Stage what the failure-detector lane asked for, under the sequence
-    /// number the lane reserved for it.
-    fn stage_wake(&mut self, wake: Wake) {
-        let ev = match wake.kind {
-            WakeKind::Arrive => Ev::HeartbeatArrive { node: wake.node },
-            WakeKind::Check => Ev::SuspectCheck { node: wake.node },
-        };
-        self.schedule_keyed(wake.at, wake.key, ev);
     }
 
     /// Sync shard queues. With `drain = None` this flushes staged work on
@@ -321,6 +299,12 @@ impl Shards {
 }
 
 impl Transport for Shards {
+    fn reserve(&mut self, n: u64) -> u64 {
+        let base = self.next_seq;
+        self.next_seq += n;
+        base
+    }
+
     fn schedule(&mut self, at: SimTime, ev: Ev) -> Handle {
         let seq = self.reserve(1);
         self.stage(self.home_shard(ev), at, seq, ev)
@@ -349,8 +333,6 @@ impl Transport for Shards {
 /// docs for what differs underneath.
 pub struct ShardedBackend {
     core: Core<Shards>,
-    /// Scratch: what one heartbeat round asks to have scheduled.
-    wakes: Vec<Wake>,
 }
 
 impl ShardedBackend {
@@ -367,7 +349,6 @@ impl ShardedBackend {
         let shards = Shards::new(runtime.shards.max(1), runtime.parallel_shards);
         ShardedBackend {
             core: Core::new(runtime, shards),
-            wakes: Vec::new(),
         }
     }
 
@@ -404,70 +385,18 @@ impl ShardedBackend {
             }
             batch.sort_unstable_by_key(|&(seq, _)| seq);
             for &(_, ev) in &batch {
-                match ev {
-                    Ev::HeartbeatRound => self.heartbeat_round(t),
-                    ev => {
-                        bootstrapped |= matches!(ev, Ev::Bootstrap);
-                        self.core.apply(ev);
-                    }
-                }
+                bootstrapped |= matches!(ev, Ev::Bootstrap);
+                self.core.apply(ev);
             }
             batch.clear();
             self.core.transport.batch = batch;
         }
     }
-
-    /// (Re)start heartbeat rounds under a configured failure detector.
-    /// Rounds run only while work is in flight — the first round that
-    /// finds the coordinator idle retires the detector — so a drained run
-    /// still exhausts its event queues.
-    fn ensure_heartbeats(&mut self) {
-        let core = &mut self.core;
-        let Some(fd) = core.detector.as_mut().filter(|fd| !fd.live()) else {
-            return;
-        };
-        let base = core.transport.reserve(fd.keys_per_start());
-        let (at, seq) = fd.start(core.now, base);
-        core.transport.stage(0, at, seq, Ev::HeartbeatRound);
-    }
-
-    /// One heartbeat tick for all nodes: the lane draws every uncrashed
-    /// node's seeded delivery verdict and asks for queue events only where
-    /// an arrival or a check can be observed (see
-    /// [`FailureDetector`](crate::control::FailureDetector)).
-    fn heartbeat_round(&mut self, now: SimTime) {
-        let core = &mut self.core;
-        let (Some(cp), Some(fd)) = (&core.control, &mut core.detector) else {
-            return;
-        };
-        if core.in_flight == 0 {
-            fd.retire();
-            return;
-        }
-        let base = core.transport.reserve(fd.keys_per_round());
-        let round = fd.round(
-            now,
-            base,
-            &core.crashed,
-            &core.suspected,
-            |node, key| cp.best_effort("hb", key, node, now),
-            &mut self.wakes,
-        );
-        core.cstats.heartbeats_sent += round.sent;
-        core.cstats.heartbeats_delivered += round.delivered;
-        for wake in self.wakes.drain(..) {
-            core.transport.stage_wake(wake);
-        }
-        let (at, seq) = round.next;
-        core.transport.stage(0, at, seq, Ev::HeartbeatRound);
-    }
 }
 
 impl ExecutionBackend for ShardedBackend {
     fn submit(&mut self, desc: TaskDescription) -> TaskId {
-        let id = self.core.submit(desc);
-        self.ensure_heartbeats();
-        id
+        self.core.submit(desc)
     }
 
     fn next_completion(&mut self) -> Option<Completion> {
@@ -622,50 +551,65 @@ mod tests {
     }
 
     /// A 64-node cell with a heartbeat every second, on a link that loses
-    /// nothing. `scheduled` is every event the engine ever staged.
-    fn heartbeat_cell(heartbeats: bool) -> (u64, ControlStats) {
+    /// nothing, on the sharded driver or the sequential one. `scheduled`
+    /// is every event the engine ever queued.
+    fn heartbeat_cell(heartbeats: bool, sharded: bool) -> (u64, ControlStats) {
         let mut fc = FaultConfig::none();
         fc.link.delay = SimDuration::from_millis(50);
         if heartbeats {
             fc.link.heartbeat_interval = Some(SimDuration::from_secs(1));
             fc.link.heartbeat_timeout = Some(SimDuration::from_secs(4));
         }
-        let mut b = RuntimeConfig::new(PilotConfig {
+        let runtime = RuntimeConfig::new(PilotConfig {
             nodes: 64,
             ..config(4, 0)
         })
-        .faults(FaultPlan::new(fc, 7), RetryPolicy::none())
-        .sharded();
-        for i in 0..128 {
-            b.submit(task("t", 1, 0, 400 + i));
+        .faults(FaultPlan::new(fc, 7), RetryPolicy::none());
+        fn drain(b: &mut impl ExecutionBackend) -> ControlStats {
+            for i in 0..128 {
+                b.submit(task("t", 1, 0, 400 + i));
+            }
+            let mut done = 0;
+            while let Some(c) = b.next_completion() {
+                assert!(c.result.is_ok());
+                done += 1;
+            }
+            assert_eq!(done, 128);
+            b.control_stats()
         }
-        let mut done = 0;
-        while let Some(c) = b.next_completion() {
-            assert!(c.result.is_ok());
-            done += 1;
+        if sharded {
+            let mut b = runtime.sharded();
+            let stats = drain(&mut b);
+            (
+                b.core.transport.shards.iter().map(|m| m.next_id).sum(),
+                stats,
+            )
+        } else {
+            let mut b = runtime.simulated();
+            let stats = drain(&mut b);
+            (b.events_scheduled(), stats)
         }
-        assert_eq!(done, 128);
-        let scheduled = b.core.transport.shards.iter().map(|m| m.next_id).sum();
-        (scheduled, b.control_stats())
     }
 
     /// The point of the failure-detector lane, as a count that repeats
     /// exactly: a tick costs the event queue one round, not three events
-    /// per node, as long as nothing observable happens. (Counted from the
-    /// shard queues' ids; `next_seq` also moves by the numbers a round
-    /// reserves and never stages.)
+    /// per node, as long as nothing observable happens — on both drivers.
+    /// (Counted from the queues' ids; the sequence numbers also move by
+    /// the numbers a round reserves and never schedules.)
     #[test]
     fn a_quiet_heartbeat_tick_is_one_queue_event() {
-        let (with, stats) = heartbeat_cell(true);
-        let (without, off) = heartbeat_cell(false);
-        assert_eq!(off.heartbeats_sent, 0);
-        let ticks = stats.heartbeats_sent / 64;
-        assert!(ticks >= 500, "{ticks} ticks");
-        assert_eq!(stats.heartbeats_sent, stats.heartbeats_delivered);
-        assert_eq!((stats.suspicions, stats.resyncs), (0, 0));
-        // The round that `start` arms and one more per tick, where the
-        // event-per-heartbeat form stages 3 × 64 per tick.
-        assert_eq!(with - without, ticks + 1);
+        for sharded in [true, false] {
+            let (with, stats) = heartbeat_cell(true, sharded);
+            let (without, off) = heartbeat_cell(false, sharded);
+            assert_eq!(off.heartbeats_sent, 0);
+            let ticks = stats.heartbeats_sent / 64;
+            assert!(ticks >= 500, "{ticks} ticks");
+            assert_eq!(stats.heartbeats_sent, stats.heartbeats_delivered);
+            assert_eq!((stats.suspicions, stats.resyncs), (0, 0));
+            // The round that `start` arms and one more per tick, where the
+            // event-per-heartbeat form queues 3 × 64 per tick.
+            assert_eq!(with - without, ticks + 1, "sharded: {sharded}");
+        }
     }
 
     /// A round that shares its instant with the last report and runs
@@ -709,11 +653,11 @@ mod tests {
     /// *bit-for-bit*: completion streams (names and tags included, drawn
     /// so that some runs of submissions share a descriptor and some names
     /// are too long to inline), virtual clocks, the full metrics
-    /// snapshot, and the byte-exact Chrome trace. The handlers are one
-    /// program now, so what this checks is the two transports and the two
-    /// heartbeat clocks. The parallel drive mode must match its own
-    /// serial drive the same way, and so must the threaded backend — the
-    /// oracle's own driver with every work closure on an OS thread.
+    /// snapshot, and the byte-exact Chrome trace. The handlers and the
+    /// heartbeat clock are one program now, so what this checks is the
+    /// two transports. The parallel drive mode must match its own serial
+    /// drive the same way, and so must the threaded backend — the oracle's
+    /// own driver with every work closure on an OS thread.
     mod differential {
         use super::*;
         use impress_telemetry::{chrome_trace, Label, MetricsSnapshot, Telemetry, TraceClock};
@@ -968,15 +912,12 @@ mod tests {
                         // Any timeout is legal — too-tight ones just produce
                         // false suspicions, which resync. Both sides of that
                         // coin must replay identically: whole multiples of
-                        // the interval (checks land on round instants),
-                        // off-grid ones, and ones shorter than the interval
-                        // (a check is decided by the round that arms it).
-                        // Never the interval itself: every check would sit
-                        // between two nodes' sends of the next tick, and
-                        // one that fails the last task there retires the
-                        // oracle's chains for the nodes after it only.
+                        // the interval, the interval itself included (checks
+                        // land on round instants), off-grid ones, and ones
+                        // shorter than the interval (a check is decided by
+                        // the round that arms it).
                         let timeout = match rng.below(4) {
-                            0 | 1 => interval * (2 + rng.below(7) as u64),
+                            0 | 1 => interval * (1 + rng.below(8) as u64),
                             2 => interval * (1 + rng.below(4) as u64)
                                 + 1 + rng.below(interval as usize - 1) as u64,
                             _ => 1 + rng.below(interval as usize - 1) as u64,
@@ -1000,16 +941,10 @@ mod tests {
                             // (`fenced_completions`) here — a gap between
                             // the engines that is older than the lane and
                             // that only a whole-second link can reach.
-                            // And never the interval itself, for the
-                            // timeout's reason: the previous tick's
-                            // arrivals would sit between this tick's sends.
                             1 | 2 => {
-                                let mut delay = rng.below(2) as u64
+                                let delay = rng.below(2) as u64
                                     * (1 + rng.below(2 * interval as usize / 1_000_000) as u64)
                                     * 1_000_000;
-                                if delay == interval {
-                                    delay += 1_000_000;
-                                }
                                 fc.link.delay = SimDuration::from_micros(delay);
                                 fc.link.jitter = SimDuration::ZERO;
                                 fc.scripted_crashes.clear();

@@ -9,16 +9,16 @@
 //! The driver (`Sequential`, private to `backend/`) is the plain one,
 //! kept plain because the sharded driver is checked against it:
 //!
-//! * **One queue, one event per step.** A single [`EventQueue`] ordered by
-//!   `(time, scheduling order)`; [`ExecutionBackend::next_completion`]
-//!   pops exactly one event at a time, so a caller reacting to a
-//!   completion acts *between* two events of the same instant (the
-//!   multi-tenant service depends on that granularity).
+//! * **One queue, one event per step.** A single [`EventQueue`]; the
+//!   events of one instant fire in the order of the transport's sequence
+//!   number — scheduling order, except that the core's heartbeat round
+//!   reserves a range of numbers and schedules into it later.
+//!   [`ExecutionBackend::next_completion`] pops exactly one event at a
+//!   time, so a caller reacting to a completion acts *between* two events
+//!   of the same instant (the multi-tenant service depends on that
+//!   granularity).
 //! * **Immediate cancel.** An evicted attempt's completion event is gone
 //!   the moment it is cancelled, even within its own instant.
-//! * **An event per heartbeat.** Every node's send, arrival and timeout
-//!   check is a queue event of its own: one seeded delivery verdict, one
-//!   arrival, one check and one re-arm per node per tick.
 //!
 //! It is generic over one seam, `Exec`: what real time has to do with
 //! the run. [`SimulatedBackend`] is the driver over `Inline` — nothing:
@@ -51,8 +51,9 @@ use crate::pilot::{PhaseBreakdown, PilotConfig};
 use crate::profiler::UtilizationReport;
 use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId, TaskWork};
-use impress_sim::{EventQueue, SimTime};
+use impress_sim::{EventQueue, ScheduledEvent, SimTime};
 use impress_telemetry::{Stamp, Telemetry};
+use std::cmp::Reverse;
 
 /// What real time has to do with a sequentially driven run. The defaults
 /// are "nothing", which is [`Inline`].
@@ -75,18 +76,61 @@ pub(super) struct Inline;
 
 impl Exec for Inline {}
 
-/// The single queue is the whole transport: its ids order same-instant
-/// events by scheduling order, and a cancel takes effect at once.
+/// Queue payload: the order key among same-instant events, and the event.
+type Item = (u64, Ev);
+
+/// The single queue is the whole transport. Same-instant events fire in
+/// key order, and a cancel takes effect at once.
 struct SingleQueue<X> {
-    queue: EventQueue<Ev>,
+    queue: EventQueue<Item>,
+    /// The key the next [`Transport::schedule`] takes.
+    next_seq: u64,
+    /// What is left of the current instant, popped from `queue` and
+    /// sorted by key, the next to fire last. Whatever the instant's
+    /// events schedule for the instant itself takes a key above all of
+    /// these, so it waits in `queue` until they have fired.
+    instant: Vec<ScheduledEvent<Item>>,
     exec: X,
 }
 
+impl<X> SingleQueue<X> {
+    /// The next event to fire: the lowest key of the earliest instant.
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        if self.instant.is_empty() {
+            let t = self.queue.peek_time()?;
+            while self.queue.peek_time() == Some(t) {
+                let next = self.queue.pop().expect("peeked event pops");
+                self.instant.push(next);
+            }
+            self.instant
+                .sort_unstable_by_key(|ev| Reverse(ev.payload.0));
+        }
+        let next = self.instant.pop()?;
+        Some((next.at, next.payload.1))
+    }
+
+    /// When the next event fires.
+    #[cfg(test)]
+    fn peek_time(&mut self) -> Option<SimTime> {
+        match self.instant.last() {
+            Some(next) => Some(next.at),
+            None => self.queue.peek_time(),
+        }
+    }
+}
+
 impl<X: Exec> Transport for SingleQueue<X> {
+    fn reserve(&mut self, n: u64) -> u64 {
+        let base = self.next_seq;
+        self.next_seq += n;
+        base
+    }
+
     fn schedule(&mut self, at: SimTime, ev: Ev) -> Handle {
+        let key = self.reserve(1);
         Handle {
             lane: 0,
-            event: self.queue.schedule(at, ev),
+            event: self.queue.schedule(at, (key, ev)),
         }
     }
 
@@ -94,14 +138,15 @@ impl<X: Exec> Transport for SingleQueue<X> {
         self.schedule(at, ev)
     }
 
-    /// The event-per-heartbeat clock folds nothing away, so nothing comes
-    /// back under a reserved key; on one queue, scheduling order is the key.
-    fn schedule_keyed(&mut self, at: SimTime, _key: u64, ev: Ev) {
-        self.schedule(at, ev);
+    fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: Ev) {
+        self.queue.schedule(at, (key, ev));
     }
 
     fn cancel(&mut self, handle: Handle) {
-        let _ = self.queue.cancel(handle.event);
+        if !self.queue.cancel(handle.event) {
+            // Popped already: gone, unless its instant is still firing.
+            self.instant.retain(|ev| ev.id != handle.event);
+        }
     }
 
     fn launch(&mut self, task: u64, work: &mut Option<TaskWork>) {
@@ -124,6 +169,8 @@ impl<X: Exec> Sequential<X> {
     pub(super) fn new(runtime: RuntimeConfig, exec: X) -> Self {
         let queue = SingleQueue {
             queue: EventQueue::new(),
+            next_seq: 0,
+            instant: Vec::new(),
             exec,
         };
         Sequential {
@@ -138,16 +185,13 @@ impl<X: Exec> Sequential<X> {
     /// Dispatch the next event, if any, once it is due. Returns `false`
     /// when the queue is exhausted.
     fn step(&mut self) -> bool {
-        let Some(next) = self.core.transport.queue.pop() else {
+        let Some((at, ev)) = self.core.transport.pop() else {
             return false;
         };
-        debug_assert!(next.at >= self.core.now, "event queue went backwards");
-        self.core.transport.exec.pace(next.at);
-        self.core.now = next.at;
-        match next.payload {
-            Ev::HeartbeatSend { node } => self.heartbeat_send(node, next.at),
-            ev => self.core.apply(ev),
-        }
+        debug_assert!(at >= self.core.now, "event queue went backwards");
+        self.core.transport.exec.pace(at);
+        self.core.now = at;
+        self.core.apply(ev);
         true
     }
 
@@ -158,7 +202,7 @@ impl<X: Exec> Sequential<X> {
     /// counters, so that both are observed at the same boundary.
     #[cfg(test)]
     pub(super) fn finish_instant(&mut self) {
-        while self.core.transport.queue.peek_time() == Some(self.core.now) {
+        while self.core.transport.peek_time() == Some(self.core.now) {
             self.step();
         }
     }
@@ -168,57 +212,11 @@ impl<X: Exec> Sequential<X> {
     pub(super) fn live_descriptors(&self) -> usize {
         self.core.live_descriptors()
     }
-
-    /// (Re)start heartbeat chains under a configured failure detector,
-    /// one per node. Chains run only while work is in flight — each node's
-    /// chain retires itself at the first tick with an idle coordinator —
-    /// so a drained run still exhausts its event queue.
-    fn ensure_heartbeats(&mut self) {
-        let core = &mut self.core;
-        let Some(fd) = core.detector.as_mut().filter(|fd| !fd.live()) else {
-            return;
-        };
-        let (at, _) = fd.start(core.now, 0);
-        for node in 0..core.config().nodes {
-            core.transport.schedule(at, Ev::HeartbeatSend { node });
-        }
-    }
-
-    /// One heartbeat tick for `node`: draw the seeded delivery verdict,
-    /// schedule the arrival (if any), the suspicion check one timeout out,
-    /// and the next tick one interval out — in that order, which is the
-    /// order the sharded driver's lane reserves its sequence numbers in.
-    fn heartbeat_send(&mut self, node: u32, now: SimTime) {
-        let core = &mut self.core;
-        let (Some(cp), Some(fd)) = (&core.control, &mut core.detector) else {
-            return;
-        };
-        if core.in_flight == 0 {
-            fd.retire();
-            return;
-        }
-        let seq = fd.next_seq(node);
-        // A crashed node emits nothing this tick; the chain keeps ticking
-        // so heartbeats resume the instant it recovers.
-        if !core.crashed[node as usize] {
-            core.cstats.heartbeats_sent += 1;
-            let key = (u64::from(node) << 32) | seq;
-            if let Some(at) = cp.best_effort("hb", key, node, now) {
-                core.cstats.heartbeats_delivered += 1;
-                core.transport.schedule(at, Ev::HeartbeatArrive { node });
-            }
-        }
-        let (check, next) = (now + fd.timeout(), now + fd.interval());
-        core.transport.schedule(check, Ev::SuspectCheck { node });
-        core.transport.schedule(next, Ev::HeartbeatSend { node });
-    }
 }
 
 impl<X: Exec> ExecutionBackend for Sequential<X> {
     fn submit(&mut self, desc: TaskDescription) -> TaskId {
-        let id = self.core.submit(desc);
-        self.ensure_heartbeats();
-        id
+        self.core.submit(desc)
     }
 
     fn next_completion(&mut self) -> Option<Completion> {
@@ -354,6 +352,16 @@ impl SimulatedBackend {
     #[cfg(test)]
     pub(crate) fn live_descriptors(&self) -> usize {
         self.0.live_descriptors()
+    }
+
+    /// Test support: how many events the queue was ever handed — the id
+    /// it gives the next one, read off a probe it takes straight back.
+    #[cfg(test)]
+    pub(crate) fn events_scheduled(&mut self) -> u64 {
+        let queue = &mut self.0.core.transport.queue;
+        let probe = queue.schedule(SimTime::MAX, (u64::MAX, Ev::PlaceScan));
+        queue.cancel(probe);
+        probe.0
     }
 
     /// CPU occupancy up to the current time, one value per

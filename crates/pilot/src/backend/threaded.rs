@@ -748,7 +748,7 @@ mod tests {
     #[test]
     fn repeated_create_drop_with_live_timers_shuts_down_cleanly() {
         use crate::fault::HedgePolicy;
-        // A backend dropped with heartbeat chains ticking, retry backoffs
+        // A backend dropped with heartbeat rounds ticking, retry backoffs
         // pending and hedge checks armed must go away promptly instead of
         // hanging or panicking. The in-flight completions are simply
         // never popped.

@@ -29,13 +29,13 @@
 //! `(label, key)` — never on the order backends happen to ask — so the
 //! three backends draw identical verdicts for identical traffic.
 //!
-//! The heartbeat failure detector built on `best_effort` is ticked by two
-//! clocks that must agree to the byte. `SimulatedBackend` schedules every
-//! send, arrival and timeout check as its own event — the oracle — and
-//! uses `FailureDetector` only for what was heard when. On the sharded
-//! driver `FailureDetector` is also the clock: a lane driven by one event
-//! per tick that puts on the queue only what can be observed. What an
-//! arrival or a check *does* is the shared core's (`backend::des`).
+//! The heartbeat failure detector built on `best_effort` is
+//! [`FailureDetector`]: a lane driven by one engine event per tick that
+//! puts on the queue only what can be observed. It is the one heartbeat
+//! clock, ticked by the shared core (`backend::des`) on every driver; what
+//! an arrival or a check *does* is the core's too. Its reference, the
+//! event-per-heartbeat detector it replaced, lives on as the model in
+//! this module's tests.
 
 use crate::fault::{FaultPlan, LinkFaults};
 use impress_sim::{SimDuration, SimRng, SimTime};
@@ -212,7 +212,7 @@ impl ControlPlane {
 }
 
 /// Order keys a round reserves per node: its arrival, its check and its
-/// next send, in the order the event-per-heartbeat engine schedules them.
+/// next send, in the order the event-per-heartbeat form schedules them.
 const KEYS_PER_NODE: u64 = 3;
 
 /// Which handler a [`Wake`] runs.
@@ -273,8 +273,8 @@ struct Armed {
 /// The heartbeat failure detector as a lane: every node's send, arrival
 /// and timeout check for one tick, driven by ONE engine event per tick.
 ///
-/// The event-per-heartbeat form (kept by `SimulatedBackend` as the oracle)
-/// schedules three queue events per node per tick. Almost all of them
+/// The event-per-heartbeat form (this module's tests keep it as the
+/// model) schedules three queue events per node per tick. Almost all of them
 /// touch nothing but detector-private state: an arrival at an unsuspected
 /// node only moves `last_heard`, a check that finds a recent arrival does
 /// nothing. The lane keeps those in itself and hands the engine a
@@ -297,19 +297,12 @@ struct Armed {
 /// **Order keys.** Engines order same-instant events by a scheduling
 /// sequence number, and a wake is scheduled later than its twin would
 /// have been. So each round reserves [`FailureDetector::keys_per_round`]
-/// consecutive numbers from the engine, laid out as the oracle lays out
-/// its events (per node: arrival, check, next send), and every wake
-/// carries the number its twin would have had. The round itself takes
-/// the place of the *last* node's send, so that everything the previous
-/// round scheduled for this instant has run before it.
-///
-/// That makes the lane's observable behaviour the oracle's, event for
-/// event, with one family of configurations set aside: a timeout or a
-/// link latency equal to the interval to the microsecond puts the
-/// previous round's checks or arrivals *between* two nodes' sends of this
-/// round. If one of them ends the last task in flight there, the oracle
-/// retires the chains of the later nodes only; the lane retires the
-/// detector as a whole.
+/// consecutive numbers from the engine, laid out as the event-per-
+/// heartbeat form lays out its events (per node: arrival, check, next
+/// send), and every wake carries the number its twin would have had. The
+/// round itself takes the place of the *last* node's send, so that
+/// everything the previous round scheduled for this instant has run
+/// before it.
 #[derive(Debug, Clone)]
 pub(crate) struct FailureDetector {
     interval: SimDuration,
@@ -372,25 +365,6 @@ impl FailureDetector {
             lane.last_heard = now;
         }
         (now + self.interval, base + self.keys_per_start() - 1)
-    }
-
-    /// The configured heartbeat interval.
-    pub(crate) fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// The configured silence timeout.
-    pub(crate) fn timeout(&self) -> SimDuration {
-        self.timeout
-    }
-
-    /// The sequence number (message identity) of `node`'s next heartbeat,
-    /// for a clock that sends each node's heartbeat as an event of its
-    /// own; [`FailureDetector::round`] numbers a whole tick.
-    pub(crate) fn next_seq(&mut self, node: u32) -> u64 {
-        let lane = &mut self.lanes[node as usize];
-        lane.hb_seq += 1;
-        lane.hb_seq - 1
     }
 
     /// Stop ticking: a round found nothing in flight. Undecided checks
@@ -683,7 +657,7 @@ mod tests {
         let mut fd = detector(3, 10, 30);
         let mut wakes = Vec::new();
         // Node 1 is suspected: its arrival may resync, so it is an event,
-        // under the key the oracle's arrival would have had.
+        // under the key its event-per-heartbeat twin would have had.
         fd.round(
             at(10 * SEC),
             100,
@@ -921,5 +895,461 @@ mod tests {
         assert_eq!(d.primary, SimTime::from_micros(1_500));
         assert_eq!(d.duplicate, None);
         assert_eq!(d.transmissions, 1);
+    }
+
+    /// The reference the lane is proved against: the event-per-heartbeat
+    /// detector, every send, arrival and check an event of its own. Both
+    /// run over the same kind of queue — an ordered map keyed by (instant,
+    /// order key) — under the same script of crashes, recoveries and busy
+    /// and idle spells, and must leave the same effects under the same
+    /// keys.
+    mod model {
+        use super::*;
+        use impress_sim::props;
+        use std::collections::BTreeMap;
+
+        /// What a detector does that the rest of the engine can see.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Effect {
+            /// A heartbeat left `node`; when it arrives, unless it is lost.
+            Sent { node: u32, arrives: Option<SimTime> },
+            /// A check found `node` silent for a full timeout.
+            Suspect(u32),
+            /// An arrival cleared `node`'s suspicion.
+            Resync(u32),
+        }
+
+        /// What happens around the detector.
+        #[derive(Debug, Clone, Copy)]
+        enum Env {
+            Crash(u32),
+            Recover(u32),
+            /// Work is in flight: (re)start the detector.
+            Busy,
+            /// Nothing is in flight: the next tick retires the detector.
+            Idle,
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Ev {
+            /// Per event: one node's heartbeat tick.
+            Tick(u32),
+            /// Lane: one tick for every node.
+            Round,
+            Arrive(u32),
+            Check(u32),
+            /// The script's entry at this index.
+            Env(usize),
+        }
+
+        /// One effect, at its instant, under the key of the event it
+        /// belongs to.
+        type Trace = Vec<(SimTime, u64, Effect)>;
+
+        struct Case {
+            nodes: usize,
+            link: LinkFaults,
+            /// Time-ordered; the last entry is `Idle`.
+            script: Vec<(SimTime, Env)>,
+            /// `(node, from, to)`: every heartbeat sent inside is lost.
+            silences: Vec<(u32, SimTime, SimTime)>,
+            drop: f64,
+            /// One-way latency, or `None` for a fresh draw below
+            /// `2 × interval` per heartbeat.
+            latency: Option<SimDuration>,
+            seed: u64,
+        }
+
+        impl Case {
+            /// The seeded, order-independent fate of heartbeat `key` sent
+            /// by `node` at `now`.
+            fn verdict(&self, node: u32, key: u64, now: SimTime) -> Option<SimTime> {
+                let silenced = self
+                    .silences
+                    .iter()
+                    .any(|&(n, from, to)| n == node && from <= now && now < to);
+                let mut rng = SimRng::from_seed(self.seed).fork_idx("hb", key);
+                if silenced || rng.uniform() < self.drop {
+                    return None;
+                }
+                let interval = self.link.heartbeat_interval.expect("set").as_micros();
+                let latency = self.latency.unwrap_or_else(|| {
+                    SimDuration::from_micros(rng.below(2 * interval as usize) as u64)
+                });
+                Some(now + latency)
+            }
+        }
+
+        /// The queue and what a detector may read but not change.
+        struct Cell<'a> {
+            case: &'a Case,
+            queue: BTreeMap<(SimTime, u64), Ev>,
+            next_key: u64,
+            crashed: Vec<bool>,
+            suspected: Vec<bool>,
+            busy: bool,
+            trace: Trace,
+        }
+
+        impl Cell<'_> {
+            fn reserve(&mut self, n: u64) -> u64 {
+                self.next_key += n;
+                self.next_key - n
+            }
+
+            fn schedule(&mut self, at: SimTime, ev: Ev) {
+                let key = self.reserve(1);
+                self.keyed(at, key, ev);
+            }
+
+            fn keyed(&mut self, at: SimTime, key: u64, ev: Ev) {
+                let taken = self.queue.insert((at, key), ev);
+                assert!(taken.is_none(), "two events under ({at}, {key})");
+            }
+        }
+
+        /// A heartbeat clock: its ticks, and the liveness it keeps.
+        trait Clock {
+            /// Start ticking at `now` unless already ticking.
+            fn start(&mut self, cell: &mut Cell, now: SimTime);
+            /// A [`Ev::Tick`] or [`Ev::Round`] fired under `key`.
+            fn tick(&mut self, cell: &mut Cell, now: SimTime, key: u64, ev: Ev);
+            fn heard(&mut self, node: u32, now: SimTime);
+            fn silent(&self, node: u32, now: SimTime) -> bool;
+            /// `node` became suspected at `now`.
+            fn suspect(&mut self, _cell: &mut Cell, _node: u32, _now: SimTime) {}
+        }
+
+        /// The event-per-heartbeat detector. Every send schedules its
+        /// arrival, its check and its next send under three consecutive
+        /// keys. Numbering by queue id would skip the key of an arrival
+        /// that never comes; keeping it moves no event's order and makes
+        /// the two clocks' keys comparable.
+        struct PerEvent {
+            interval: SimDuration,
+            timeout: SimDuration,
+            live: bool,
+            last_heard: Vec<SimTime>,
+            hb_seq: Vec<u64>,
+        }
+
+        impl Clock for PerEvent {
+            fn start(&mut self, cell: &mut Cell, now: SimTime) {
+                if std::mem::replace(&mut self.live, true) {
+                    return;
+                }
+                self.last_heard.fill(now);
+                for node in 0..cell.case.nodes as u32 {
+                    cell.schedule(now + self.interval, Ev::Tick(node));
+                }
+            }
+
+            fn tick(&mut self, cell: &mut Cell, now: SimTime, key: u64, ev: Ev) {
+                let Ev::Tick(node) = ev else {
+                    unreachable!("{ev:?}")
+                };
+                if !cell.busy {
+                    self.live = false;
+                    return;
+                }
+                let i = node as usize;
+                let seq = self.hb_seq[i];
+                self.hb_seq[i] += 1;
+                let base = cell.reserve(KEYS_PER_NODE);
+                if !cell.crashed[i] {
+                    let arrives = cell.case.verdict(node, (u64::from(node) << 32) | seq, now);
+                    cell.trace.push((now, key, Effect::Sent { node, arrives }));
+                    if let Some(at) = arrives {
+                        cell.keyed(at, base, Ev::Arrive(node));
+                    }
+                }
+                cell.keyed(now + self.timeout, base + 1, Ev::Check(node));
+                cell.keyed(now + self.interval, base + 2, Ev::Tick(node));
+            }
+
+            fn heard(&mut self, node: u32, now: SimTime) {
+                self.last_heard[node as usize] = now;
+            }
+
+            fn silent(&self, node: u32, now: SimTime) -> bool {
+                self.last_heard[node as usize] + self.timeout <= now
+            }
+        }
+
+        /// The lane under test.
+        struct Lane {
+            fd: FailureDetector,
+            /// Keys between two nodes' sends in the tick the next round
+            /// stands for: 1 after a start, 3 after a round.
+            stride: u64,
+        }
+
+        impl Clock for Lane {
+            fn start(&mut self, cell: &mut Cell, now: SimTime) {
+                if self.fd.live() {
+                    return;
+                }
+                let base = cell.reserve(self.fd.keys_per_start());
+                let (at, key) = self.fd.start(now, base);
+                self.stride = 1;
+                cell.keyed(at, key, Ev::Round);
+            }
+
+            fn tick(&mut self, cell: &mut Cell, now: SimTime, key: u64, _: Ev) {
+                if !cell.busy {
+                    self.fd.retire();
+                    return;
+                }
+                let base = cell.reserve(self.fd.keys_per_round());
+                let case = cell.case;
+                let (mut sends, mut wakes) = (Vec::new(), Vec::new());
+                let round = self.fd.round(
+                    now,
+                    base,
+                    &cell.crashed,
+                    &cell.suspected,
+                    |node, msg| {
+                        let arrives = case.verdict(node, msg, now);
+                        sends.push((node, arrives));
+                        arrives
+                    },
+                    &mut wakes,
+                );
+                let delivered = sends.iter().filter(|(_, a)| a.is_some()).count();
+                assert_eq!(
+                    (round.sent, round.delivered),
+                    (sends.len() as u64, delivered as u64)
+                );
+                // The round stands in for the last node's send; each other
+                // node's send sits `stride` keys before the next one's.
+                let last = case.nodes as u64 - 1;
+                for (node, arrives) in sends {
+                    let at = key - self.stride * (last - u64::from(node));
+                    cell.trace.push((now, at, Effect::Sent { node, arrives }));
+                }
+                self.stride = KEYS_PER_NODE;
+                for wake in wakes {
+                    let ev = match wake.kind {
+                        WakeKind::Arrive => Ev::Arrive(wake.node),
+                        WakeKind::Check => Ev::Check(wake.node),
+                    };
+                    cell.keyed(wake.at, wake.key, ev);
+                }
+                cell.keyed(round.next.0, round.next.1, Ev::Round);
+            }
+
+            fn heard(&mut self, node: u32, now: SimTime) {
+                self.fd.heard(node, now);
+            }
+
+            fn silent(&self, node: u32, now: SimTime) -> bool {
+                self.fd.silent(node, now)
+            }
+
+            fn suspect(&mut self, cell: &mut Cell, node: u32, now: SimTime) {
+                if let Some(wake) = self.fd.unfold(node, now) {
+                    cell.keyed(wake.at, wake.key, Ev::Arrive(node));
+                }
+            }
+        }
+
+        /// Run `case` under `clock`; what an arrival, a check and the
+        /// script do is the engine's (`backend::des`), written once here.
+        fn run(case: &Case, clock: &mut impl Clock) -> Trace {
+            let mut cell = Cell {
+                case,
+                queue: BTreeMap::new(),
+                next_key: 0,
+                crashed: vec![false; case.nodes],
+                suspected: vec![false; case.nodes],
+                busy: false,
+                trace: Vec::new(),
+            };
+            cell.schedule(case.script[0].0, Ev::Env(0));
+            while let Some(((now, key), ev)) = cell.queue.pop_first() {
+                match ev {
+                    Ev::Tick(_) | Ev::Round => clock.tick(&mut cell, now, key, ev),
+                    Ev::Arrive(node) => {
+                        clock.heard(node, now);
+                        let i = node as usize;
+                        if cell.suspected[i] && !cell.crashed[i] {
+                            cell.suspected[i] = false;
+                            cell.trace.push((now, key, Effect::Resync(node)));
+                        }
+                    }
+                    Ev::Check(node) => {
+                        let i = node as usize;
+                        if cell.busy
+                            && !cell.suspected[i]
+                            && !cell.crashed[i]
+                            && clock.silent(node, now)
+                        {
+                            cell.suspected[i] = true;
+                            cell.trace.push((now, key, Effect::Suspect(node)));
+                            clock.suspect(&mut cell, node, now);
+                        }
+                    }
+                    Ev::Env(i) => {
+                        match case.script[i].1 {
+                            Env::Crash(node) => cell.crashed[node as usize] = true,
+                            Env::Recover(node) => {
+                                cell.crashed[node as usize] = false;
+                                cell.suspected[node as usize] = false;
+                                clock.heard(node, now);
+                            }
+                            Env::Busy => {
+                                cell.busy = true;
+                                clock.start(&mut cell, now);
+                            }
+                            Env::Idle => cell.busy = false,
+                        }
+                        // Scheduled as it comes due, so script entries take
+                        // keys among the detector's own.
+                        if let Some(&(at, _)) = case.script.get(i + 1) {
+                            cell.schedule(at, Ev::Env(i + 1));
+                        }
+                    }
+                }
+            }
+            // The lane records a tick's sends at its round, under the keys
+            // of the sends it stands in for.
+            cell.trace.sort();
+            cell.trace
+        }
+
+        fn draw(rng: &mut SimRng) -> Case {
+            let nodes = 1 + rng.below(6);
+            let interval = (1 + rng.below(4) as u64) * SEC;
+            let us = |rng: &mut SimRng, below: u64| rng.below(below as usize) as u64;
+            let timeout = match rng.below(3) {
+                // Multiples, the interval itself included: checks land on
+                // round instants.
+                0 => interval * (1 + us(rng, 6)),
+                // Off the grid.
+                1 => interval * (1 + us(rng, 4)) + 1 + us(rng, interval - 1),
+                // Shorter than the interval: decided by its own round.
+                _ => 1 + us(rng, interval - 1),
+            };
+            let latency = match rng.below(6) {
+                0 => Some(0),
+                1 => Some(1 + us(rng, interval - 1)),
+                2 => Some(interval * (1 + us(rng, 2))),
+                3 => Some(interval + 1 + us(rng, interval)),
+                // On the instant of an earlier round's check.
+                4 if timeout > interval => {
+                    let earlier = 1 + us(rng, (timeout - 1) / interval);
+                    Some(timeout - earlier * interval)
+                }
+                _ => None,
+            };
+            // Script instants on the round grid half the time.
+            let instant = |rng: &mut SimRng, from: u64, span: u64| {
+                let t = from + us(rng, span / SEC + 1) * SEC;
+                SimTime::from_micros(if rng.below(2) == 0 {
+                    t
+                } else {
+                    t + us(rng, SEC)
+                })
+            };
+            let horizon = 60 * interval;
+            let mut script = vec![(SimTime::ZERO, Env::Busy)];
+            let mut t = 0;
+            for _ in 0..rng.below(4) {
+                let idle = instant(rng, t, horizon / 4);
+                let busy = instant(rng, idle.as_micros(), 4 * interval);
+                script.push((idle, Env::Idle));
+                script.push((busy, Env::Busy));
+                t = busy.as_micros();
+            }
+            for _ in 0..rng.below(4) {
+                let node = rng.below(nodes) as u32;
+                let crash = instant(rng, 0, horizon);
+                let recover = instant(rng, crash.as_micros() + 1, 10 * interval);
+                script.push((crash, Env::Crash(node)));
+                script.push((recover, Env::Recover(node)));
+            }
+            script.sort_by_key(|&(at, _)| at);
+            let end = instant(
+                rng,
+                script.last().expect("busy at 0").0.as_micros(),
+                horizon,
+            );
+            script.push((end, Env::Idle));
+            let silences = (0..rng.below(4))
+                .map(|_| {
+                    let from = instant(rng, 0, horizon);
+                    let to = instant(rng, from.as_micros(), 12 * interval);
+                    (rng.below(nodes) as u32, from, to)
+                })
+                .collect();
+            Case {
+                nodes,
+                link: LinkFaults {
+                    heartbeat_interval: Some(SimDuration::from_micros(interval)),
+                    heartbeat_timeout: Some(SimDuration::from_micros(timeout)),
+                    ..LinkFaults::none()
+                },
+                script,
+                silences,
+                drop: [0.0, 0.1, 0.4][rng.below(3)],
+                latency: latency.map(SimDuration::from_micros),
+                seed: rng.next_u64(),
+            }
+        }
+
+        /// The model's trace and the lane's.
+        fn both(case: &Case) -> (Trace, Trace) {
+            let fd = FailureDetector::new(&case.link, case.nodes).expect("both knobs set");
+            let mut per_event = PerEvent {
+                interval: fd.interval,
+                timeout: fd.timeout,
+                live: false,
+                last_heard: vec![SimTime::ZERO; case.nodes],
+                hb_seq: vec![0; case.nodes],
+            };
+            let mut lane = Lane { fd, stride: 1 };
+            (run(case, &mut per_event), run(case, &mut lane))
+        }
+
+        props! {
+            /// Random detectors, scripts and links: the lane suspects,
+            /// resyncs, sends and delivers exactly what the event-per-
+            /// heartbeat model does, each under the same key.
+            fn the_lane_leaves_the_trace_of_an_event_per_heartbeat_detector(rng) {
+                let case = draw(rng);
+                let (model, lane) = both(&case);
+                assert_eq!(model, lane);
+            }
+        }
+
+        /// The draw reaches what the property is about: suspicions,
+        /// resyncs, lost heartbeats and restarts after a retire.
+        #[test]
+        fn the_drawn_cases_suspect_resync_and_restart() {
+            let mut rng = SimRng::from_seed(11);
+            let (mut suspects, mut resyncs, mut lost, mut restarts) = (0, 0, 0, 0);
+            for _ in 0..64 {
+                let case = draw(&mut rng);
+                let (trace, _) = both(&case);
+                for (_, _, effect) in &trace {
+                    match effect {
+                        Effect::Suspect(_) => suspects += 1,
+                        Effect::Resync(_) => resyncs += 1,
+                        Effect::Sent { arrives: None, .. } => lost += 1,
+                        Effect::Sent { .. } => {}
+                    }
+                }
+                restarts += case
+                    .script
+                    .iter()
+                    .filter(|(_, e)| matches!(e, Env::Busy))
+                    .count()
+                    - 1;
+            }
+            assert!(
+                suspects > 1000 && resyncs > 1000 && lost > 1000 && restarts > 50,
+                "{suspects} suspicions, {resyncs} resyncs, {lost} lost, {restarts} restarts"
+            );
+        }
     }
 }

@@ -73,14 +73,15 @@ fn three_engines_export_byte_identical_virtual_traces() {
     assert_eq!(sim, threaded, "threaded engine's virtual trace diverged");
 }
 
-/// The default engine runs the heartbeat failure detector as a lane (one
-/// round event per tick, arrivals and checks folded unless observable);
-/// the sequential engine keeps one event per send, arrival and check and
-/// is the oracle. Under drops, duplicates, jitter, a partition and node
-/// crashes both must tell the same story: the same completion stream and
-/// the same control-plane counters, heartbeats included. (The 256-case
-/// random differential lives in `impress-pilot`; this is its fixed-seed
-/// anchor in the root package.)
+/// Both engines run the heartbeat failure detector as the core's lane
+/// (one round event per tick, arrivals and checks folded unless
+/// observable) over their own transports; the lane's reference, one event
+/// per send, arrival and check, is a model in `impress-pilot`'s
+/// `control.rs` tests. Under drops, duplicates, jitter, a partition and
+/// node crashes both engines must tell the same story: the same
+/// completion stream and the same control-plane counters, heartbeats
+/// included. (The 256-case random differential lives in `impress-pilot`;
+/// this is its fixed-seed anchor in the root package.)
 #[test]
 fn sharded_lane_matches_event_per_heartbeat_oracle() {
     let campaign = |seed: u64, sharded: bool| {

@@ -230,8 +230,9 @@ const PERF_LEDGER: &[Rule] = &[
 const BACKEND: &str = "crates/pilot/src/backend/";
 
 /// `SimulatedBackend`, `ShardedBackend` and `ThreadedBackend` are three
-/// drivers of one set of attempt-lifecycle handlers in `des.rs`; they used
-/// to be three copies kept equal by hand.
+/// drivers of one set of attempt-lifecycle handlers and one heartbeat
+/// clock in `des.rs`; they used to be three copies kept equal by hand, and
+/// two clocks.
 const LIFECYCLE: &[Rule] = &[
     Rule {
         scope: BACKEND,
@@ -243,10 +244,18 @@ const LIFECYCLE: &[Rule] = &[
             "fn suspect_node(",
             "fn finish_task(",
             "fn step(",
-            "fn heartbeat_send(",
+            "fn heartbeat_round(",
         ],
         verdict: Verdict::ExactlyOneHome,
-        reason: "every driver shares one copy of each handler and of the sequential driver",
+        reason: "every driver shares one copy of each handler, of the heartbeat clock \
+                 and of the sequential driver",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/pilot/src/",
+        needles: &["HeartbeatSend", "fn next_seq("],
+        reason: "the core's failure-detector lane is the one heartbeat clock; \
+                 the per-node chains are a model in control.rs's tests",
         ..FORBIDDEN
     },
     Rule {
