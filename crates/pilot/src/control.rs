@@ -528,6 +528,62 @@ mod tests {
         assert_ne!(a1, b, "labels separate the streams");
     }
 
+    /// Verdicts recorded before the per-label message roots: the stream
+    /// each message draws from, and the order it draws in, are pinned.
+    /// Never re-record them to make a change pass.
+    #[test]
+    fn verdicts_are_pinned() {
+        let link = LinkFaults {
+            partitions: vec![ScriptedPartition {
+                first_node: 0,
+                last_node: 1,
+                at: SimTime::ZERO,
+                duration: SimDuration::from_secs(10),
+            }],
+            ..lossy()
+        };
+        let p = plane(link, 2025);
+        let heartbeats = [
+            ((0, 0), 11_000_000, Some(11_058_302)),
+            ((2, 0), 11_000_000, None),
+            ((2, 1), 12_000_000, None),
+            ((3, 5), 16_000_000, None),
+            ((5, 9), 20_000_000, Some(20_050_499)),
+            ((7, 2), 13_000_000, None),
+            ((9, 40), 51_000_000, None),
+            ((1, 3), 14_000_000, Some(14_069_416)),
+            // Inside the partition: lost whatever the draw.
+            ((0, 3), 5_000_000, None),
+        ];
+        for ((node, seq), sent, arrives) in heartbeats {
+            let key = (u64::from(node) << 32) | seq;
+            let verdict = p.best_effort("hb", key, node, SimTime::from_micros(sent));
+            assert_eq!(verdict.map(SimTime::as_micros), arrives, "hb {node}/{seq}");
+        }
+        let messages = [
+            (("done", 1 << 8, Some(0)), (11_053_283, None, 10)),
+            (("done", 5 << 8 | 1, Some(3)), (2_080_959, None, 1)),
+            (("submit", 2 << 8, None), (2_069_297, None, 1)),
+            (("retry", 9 << 8 | 2, None), (2_065_501, None, 1)),
+            (("cancel", 4 << 8, None), (3_068_897, Some(3_067_867), 2)),
+            (("hedge", 6 << 8 | 1, Some(1)), (10_067_538, None, 9)),
+            (("done", 77 << 8, Some(4)), (2_051_467, Some(2_068_374), 1)),
+            (("submit", 3 << 8, None), (3_055_545, None, 2)),
+        ];
+        for ((label, key, node), (primary, duplicate, transmissions)) in messages {
+            let d = p.deliveries(label, key, node, SimTime::from_micros(2_000_000));
+            assert_eq!(
+                (
+                    d.primary.as_micros(),
+                    d.duplicate.map(SimTime::as_micros),
+                    d.transmissions
+                ),
+                (primary, duplicate, transmissions),
+                "{label} {key}"
+            );
+        }
+    }
+
     #[test]
     fn delivery_is_at_least_once_even_at_saturated_drop() {
         let p = plane(
