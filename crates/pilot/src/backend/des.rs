@@ -4,8 +4,8 @@
 //! placement, the fault plan's verdict at the grant, retry backoff,
 //! walltime and deadline holds, hedged duplicates, quarantine and the
 //! shape breaker, node crashes, the control plane's routed messages with
-//! their dedup set and lease fence, suspicion evictions, cancel and
-//! preempt. State is flat, and split by who touches it:
+//! their exactly-once record and lease fence, suspicion evictions, cancel
+//! and preempt. State is flat, and split by who touches it:
 //!
 //! * a dense task table indexed by task id, whose 56-byte records hold
 //!   only what the event loop reads and writes — shape, duration,
@@ -15,7 +15,8 @@
 //!   as (name, tag, kind, walltime, GPU busy fraction). Consecutive
 //!   submissions that describe alike share one, counted; the last lineage
 //!   to end frees it;
-//! * a [`Slab`] of running attempts;
+//! * a [`Slab`] of running attempts, with a column of their nodes beside
+//!   it for evictions to scan;
 //! * span ids, in a table of their own indexed by task id and filled only
 //!   while telemetry is enabled.
 //!
@@ -68,6 +69,7 @@ use crate::task::{TaskDescription, TaskId, TaskKind, TaskWork};
 use impress_sim::{EventId, SimDuration, SimRng, SimTime, Slab, SlotId};
 use impress_telemetry::{track, Label, SpanCat, SpanId, Stamp, Telemetry};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A simulation event. `Copy`, two machine words: scheduling one never
@@ -96,12 +98,12 @@ pub(super) enum Ev {
     HedgeWin { task: u64, attempt: u32 },
     /// Control plane on: a routed submit command arrives at the
     /// coordinator — the task enters the queue here, not at the client
-    /// call. Duplicated arrivals are absorbed by the dedup set.
+    /// call. Duplicated arrivals are absorbed by the exactly-once record.
     SubmitArrive { task: u64 },
-    /// Control plane on: a routed completion report arrives. The dedup
-    /// set makes duplicated reports apply once; the lease fence (attempt
-    /// epoch vs the running record) turns away reports superseded by an
-    /// eviction.
+    /// Control plane on: a routed completion report arrives. The
+    /// exactly-once record makes duplicated reports apply once; the lease
+    /// fence (attempt epoch vs the running record) turns away reports
+    /// superseded by an eviction.
     DeliverDone { task: u64, attempt: u32 },
     /// Control plane on: a routed hedge-completion report arrives, with
     /// the same dedup/fence discipline as [`Ev::DeliverDone`].
@@ -302,6 +304,77 @@ struct HedgeRun {
     event: Handle,
 }
 
+/// The hasher of the core's keyed maps: a multiply and a rotate per word,
+/// the same on every run. No map's iteration order reaches the event
+/// stream (`forfeit_hedges_on` sorts what it collects).
+#[derive(Default)]
+struct MulRot(u64);
+
+impl Hasher for MulRot {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Keyed = BuildHasherDefault<MulRot>;
+
+/// Message kinds, [`MSG_DONE`] to [`MSG_HEDGE`]: the bits an attempt takes
+/// in a task's word of the exactly-once record.
+const KINDS: u32 = 5;
+
+/// Attempts whose identities fit a task's word: 12, in 60 bits.
+const WORD_ATTEMPTS: u32 = u64::BITS / KINDS;
+
+/// The exactly-once record: the message identities `(task, attempt,
+/// kind)` whose effects have been applied. One word per task id, one bit
+/// per identity of the task's first [`WORD_ATTEMPTS`] attempts; an
+/// identity of a later attempt spills into a set.
+#[derive(Default)]
+struct ExactlyOnce {
+    words: Vec<u64>,
+    /// Identities of attempts past the word.
+    spill: HashSet<(u64, u32, u8), Keyed>,
+}
+
+impl ExactlyOnce {
+    /// Record `(task, attempt, kind)`; whether it was new.
+    fn insert(&mut self, task: u64, attempt: u32, kind: u8) -> bool {
+        debug_assert!(u32::from(kind) < KINDS);
+        if attempt >= WORD_ATTEMPTS {
+            return self.spill.insert((task, attempt, kind));
+        }
+        let i = task as usize;
+        if i >= self.words.len() {
+            self.words.resize(i + 1, 0);
+        }
+        let bit = 1 << (attempt * KINDS + u32::from(kind));
+        let fresh = self.words[i] & bit == 0;
+        self.words[i] |= bit;
+        fresh
+    }
+}
+
+/// The node column's mark for a vacant `running` slot.
+const VACANT: u32 = u32::MAX;
+
 /// The attempt-lifecycle machine, generic over a driver's seams.
 pub(super) struct Core<T> {
     pub(super) transport: T,
@@ -318,7 +391,12 @@ pub(super) struct Core<T> {
     descriptors: Slab<Descriptor>,
     /// Span ids indexed by task id; empty while telemetry is disabled.
     spans: Vec<TaskSpans>,
+    /// Placed attempts. Only [`Core::run_insert`] and [`Core::run_remove`]
+    /// put one in or take one out, and they keep `running_node` beside it.
     running: Slab<Running>,
+    /// The node column: the node of each `running` slot's attempt, by slot
+    /// index, [`VACANT`] for a free slot. [`Core::residents`] scans it.
+    running_node: Vec<u32>,
     completions: VecDeque<Completion>,
     pub(super) in_flight: usize,
     bootstrapped: bool,
@@ -352,13 +430,13 @@ pub(super) struct Core<T> {
     /// Shape-class runtime estimates from useful completions:
     /// `(cores, gpus) → (completions, total span micros)`. Only maintained
     /// while hedging is on.
-    estimates: HashMap<(u32, u32), (u64, u128)>,
+    estimates: HashMap<(u32, u32), (u64, u128), Keyed>,
     /// Live hedge duplicates, keyed by task id (at most one per task).
-    hedge_running: HashMap<u64, HedgeRun>,
+    hedge_running: HashMap<u64, HedgeRun, Keyed>,
     /// Distinct nodes each task has failed on (quarantine only).
-    failed_nodes: HashMap<u64, Vec<u32>>,
+    failed_nodes: HashMap<u64, Vec<u32>, Keyed>,
     /// Poisoned lineage count per shape class (quarantine breaker).
-    shape_poison: HashMap<(u32, u32), u32>,
+    shape_poison: HashMap<(u32, u32), u32, Keyed>,
     /// The seeded control plane (`None` = link faults off, a strict
     /// no-op: no extra events, no randomness, no routing).
     control: Option<ControlPlane>,
@@ -375,13 +453,13 @@ pub(super) struct Core<T> {
     /// Ground-truth node health (set by crash/recover events); a crashed
     /// node emits no heartbeats and cannot be resynced by one.
     crashed: Vec<bool>,
-    /// Idempotent-dedup set: message identities whose effects have been
-    /// applied. A second arrival of the same identity is absorbed.
-    seen: HashSet<(u64, u32, u8)>,
+    /// Message identities whose effects have been applied. A second
+    /// arrival of the same identity is absorbed.
+    seen: ExactlyOnce,
     /// Cancel acks in flight: `Ev` is `Copy`, so the completion's name,
     /// tag and hedged flag are stashed here between the cancel call and
     /// the ack's delivery. The lineage ends at the stash.
-    canceled_acks: HashMap<u64, (Label, Label, bool)>,
+    canceled_acks: HashMap<u64, (Label, Label, bool), Keyed>,
 }
 
 impl<T: Transport> Core<T> {
@@ -436,6 +514,7 @@ impl<T: Transport> Core<T> {
             descriptors: Slab::new(),
             spans: Vec::new(),
             running: Slab::new(),
+            running_node: Vec::new(),
             completions: VecDeque::new(),
             in_flight: 0,
             bootstrapped: false,
@@ -450,18 +529,18 @@ impl<T: Transport> Core<T> {
             hedge,
             quarantine,
             slow,
-            estimates: HashMap::new(),
-            hedge_running: HashMap::new(),
-            failed_nodes: HashMap::new(),
-            shape_poison: HashMap::new(),
+            estimates: HashMap::default(),
+            hedge_running: HashMap::default(),
+            failed_nodes: HashMap::default(),
+            shape_poison: HashMap::default(),
             control,
             cstats: ControlStats::default(),
             detector,
             wakes: Vec::new(),
             suspected: vec![false; nodes],
             crashed: vec![false; nodes],
-            seen: HashSet::new(),
-            canceled_acks: HashMap::new(),
+            seen: ExactlyOnce::default(),
+            canceled_acks: HashMap::default(),
             faults,
             config,
         };
@@ -602,6 +681,23 @@ impl<T: Transport> Core<T> {
         (self.running.get(slot)?.attempt == attempt).then_some(slot)
     }
 
+    /// Put a placed attempt in `running`, its node in the column.
+    fn run_insert(&mut self, run: Running) -> SlotId {
+        let node = run.alloc.node;
+        let slot = self.running.insert(run);
+        match self.running_node.get_mut(slot.0 as usize) {
+            Some(column) => *column = node,
+            None => self.running_node.push(node),
+        }
+        slot
+    }
+
+    /// Take the attempt in `slot` out of `running`, vacating its column.
+    fn run_remove(&mut self, slot: SlotId) -> Running {
+        self.running_node[slot.0 as usize] = VACANT;
+        self.running.remove(slot)
+    }
+
     /// The lineage of a task described by `slot` ended: the name and tag
     /// its completion carries. The last lineage a descriptor describes
     /// frees it and hands its labels over.
@@ -672,10 +768,10 @@ impl<T: Transport> Core<T> {
     /// Schedule the end of an attempt placed on `node`, modeled at `end`.
     /// Under the control plane the node's completion report is sent then
     /// and *routed*: `report` fires at its (at-least-once) delivery
-    /// instant, where the lease fence and dedup set decide whether its
-    /// effects apply. Without the plane the report is the completion —
-    /// `direct` fires at `end` itself. The handle is what an eviction
-    /// cancels.
+    /// instant, where the lease fence and the exactly-once record decide
+    /// whether its effects apply. Without the plane the report is the
+    /// completion — `direct` fires at `end` itself. The handle is what an
+    /// eviction cancels.
     fn send_report(
         &mut self,
         label: &str,
@@ -711,7 +807,7 @@ impl<T: Transport> Core<T> {
     /// identity claims it and applies; a repeat arrival is absorbed here.
     /// Returns true when this arrival is the duplicate.
     fn dedup(&mut self, task: u64, attempt: u32, kind: u8, at: SimTime) -> bool {
-        if self.seen.insert((task, attempt, kind)) {
+        if self.seen.insert(task, attempt, kind) {
             return false;
         }
         self.cstats.dedup_hits += 1;
@@ -752,7 +848,7 @@ impl<T: Transport> Core<T> {
     /// its report was delivered and passed the fence): finish the task,
     /// running its work, or end a doomed attempt.
     fn settle(&mut self, task: u64, slot: SlotId, now: SimTime) {
-        let run = self.running.remove(slot);
+        let run = self.run_remove(slot);
         self.record(task).seat = Seat::None;
         // A live hedge duplicate lost the race to this settlement (or
         // shares the attempt's failure): cancel it first.
@@ -935,13 +1031,20 @@ impl<T: Transport> Core<T> {
     }
 
     /// The attempts resident on `node`, in task-id order: slab iteration
-    /// order must not leak into the deterministic event stream.
+    /// order must not leak into the deterministic event stream. The scan
+    /// reads the node column, and a record only where the node matches.
     fn residents(&self, node: u32) -> Vec<(u64, SlotId)> {
-        let mut victims: Vec<(u64, SlotId)> = self
-            .running
-            .iter()
-            .filter(|(_, r)| r.alloc.node == node)
-            .map(|(slot, r)| (r.task, slot))
+        let mut victims: Vec<(u64, SlotId)> = (0u32..)
+            .zip(&self.running_node)
+            .filter(|&(_, &n)| n == node)
+            .map(|(i, _)| {
+                let slot = SlotId(i);
+                let run = self
+                    .running
+                    .get(slot)
+                    .expect("a column entry is a running slot");
+                (run.task, slot)
+            })
             .collect();
         victims.sort_unstable_by_key(|&(task, _)| task);
         victims
@@ -991,7 +1094,7 @@ impl<T: Transport> Core<T> {
         }
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
-            let run = self.running.remove(slot);
+            let run = self.run_remove(slot);
             self.record(task).seat = Seat::None;
             self.settle_hedge_loser(task, true, now);
             self.cstats.lease_expiries += 1;
@@ -1427,7 +1530,7 @@ impl<T: Transport> Core<T> {
     /// Cancel the straggling main attempt in `slot`, book its occupancy as
     /// hedge waste, and complete the task from the duplicate's allocation.
     fn rescue(&mut self, task: u64, slot: SlotId, hedge: HedgeRun, now: SimTime) {
-        let run = self.running.remove(slot);
+        let run = self.run_remove(slot);
         self.transport.cancel(run.event);
         self.util.hedge_wasted(&run.alloc, run.started, now);
         self.scheduler.release_owned(run.alloc);
@@ -1503,7 +1606,7 @@ impl<T: Transport> Core<T> {
         }
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
-            let run = self.running.remove(slot);
+            let run = self.run_remove(slot);
             self.record(task).seat = Seat::None;
             self.transport.cancel(run.event);
             // A victim's surviving hedge (on a different node by
@@ -1636,9 +1739,9 @@ impl<T: Transport> Core<T> {
             // alternative the original grant is kept (a suspect node
             // beats no node).
             if self.quarantine.is_some() {
-                let avoid = self.failed_nodes.get(&id.0).cloned().unwrap_or_default();
+                let avoid = self.failed_nodes.get(&id.0).map_or(&[][..], Vec::as_slice);
                 if avoid.contains(&alloc.node) {
-                    if let Some(alt) = self.scheduler.alloc_avoiding(&request, &avoid) {
+                    if let Some(alt) = self.scheduler.alloc_avoiding(&request, avoid) {
                         let original = std::mem::replace(&mut alloc, alt);
                         self.scheduler.release_owned(original);
                     }
@@ -1725,7 +1828,7 @@ impl<T: Transport> Core<T> {
             );
             let key = msg_key(task, attempt);
             let event = self.send_report("done", key, alloc.node, now + span, report, done);
-            let slot = self.running.insert(Running {
+            let slot = self.run_insert(Running {
                 task,
                 attempt,
                 alloc,
@@ -1940,7 +2043,7 @@ impl<T: Transport> Core<T> {
             return false;
         };
         self.record(id.0).seat = Seat::None;
-        let run = self.running.remove(slot);
+        let run = self.run_remove(slot);
         self.transport.cancel(run.event);
         // A live hedge duplicate lost with its main attempt.
         self.settle_hedge_loser(id.0, true, now);
@@ -1982,6 +2085,7 @@ mod tests {
     use crate::fault::{FaultConfig, ScriptedCrash, ScriptedSlowdown};
     use crate::resources::NodeSpec;
     use crate::scheduler::PlacementPolicy;
+    use impress_sim::props;
 
     #[derive(Default)]
     struct Recorder {
@@ -2621,5 +2725,139 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Task>>(), 56);
         assert_eq!(std::mem::size_of::<TaskSpans>(), 32);
         assert_eq!(std::mem::size_of::<Completion>(), 104);
+    }
+
+    /// The model of the exactly-once record: every identity, in a set.
+    type Identity = (u64, u32, u8);
+
+    /// A stream of identities over a few tasks, with attempts on both sides
+    /// of the word, in any order, and a repeat about a third of the time.
+    fn identities(rng: &mut SimRng) -> Vec<Identity> {
+        let tasks = 1 + rng.below(40);
+        let attempts = 1 + rng.below(2 * WORD_ATTEMPTS as usize);
+        let mut stream: Vec<Identity> = Vec::new();
+        for _ in 0..rng.below(400) {
+            let identity = if !stream.is_empty() && rng.chance(0.3) {
+                *rng.choose(&stream)
+            } else {
+                let task = rng.below(tasks) as u64;
+                let attempt = rng.below(attempts) as u32;
+                (task, attempt, rng.below(KINDS as usize) as u8)
+            };
+            stream.push(identity);
+        }
+        stream
+    }
+
+    props! {
+        /// The dense record answers "fresh" or "duplicate" at every step
+        /// exactly as a plain set of identities does.
+        fn the_exactly_once_record_answers_as_a_set_does(rng) {
+            let mut record = ExactlyOnce::default();
+            let mut model = HashSet::new();
+            for (step, (task, attempt, kind)) in identities(rng).into_iter().enumerate() {
+                assert_eq!(
+                    record.insert(task, attempt, kind),
+                    model.insert((task, attempt, kind)),
+                    "step {step}: ({task}, {attempt}, {kind})"
+                );
+            }
+        }
+    }
+
+    /// The streams reach what the property is about: repeats of
+    /// identities inside the word and past it.
+    #[test]
+    fn the_drawn_identities_repeat_inside_and_past_the_word() {
+        let mut rng = SimRng::from_seed(3);
+        let (mut inside, mut past) = (0, 0);
+        for _ in 0..64 {
+            let mut model = HashSet::new();
+            for identity in identities(&mut rng) {
+                if !model.insert(identity) {
+                    if identity.1 < WORD_ATTEMPTS {
+                        inside += 1;
+                    } else {
+                        past += 1;
+                    }
+                }
+            }
+        }
+        assert!(inside > 500 && past > 500, "{inside} inside, {past} past");
+    }
+
+    /// The full-slab scan the node column replaced, kept as its model.
+    fn residents_by_scan(core: &Rig, node: u32) -> Vec<(u64, SlotId)> {
+        let mut victims: Vec<(u64, SlotId)> = core
+            .running
+            .iter()
+            .filter(|(_, r)| r.alloc.node == node)
+            .map(|(slot, r)| (r.task, slot))
+            .collect();
+        victims.sort_unstable_by_key(|&(task, _)| task);
+        victims
+    }
+
+    props! {
+        /// Random submits, settlements, preemptions, crashes, suspicions
+        /// and recoveries: after each, the column marks exactly the
+        /// occupied slots with their attempts' nodes, and every node's
+        /// residents are what the full scan finds.
+        fn residents_read_off_the_node_column_match_the_full_scan(rng) {
+            let nodes = 1 + rng.below(5) as u32;
+            let cores = 1 + rng.below(4) as u32;
+            let pilot = PilotConfig {
+                node: NodeSpec::new(cores, 0, 64),
+                nodes,
+                policy: PlacementPolicy::Backfill,
+                bootstrap: secs(10),
+                exec_setup_per_task: secs(1),
+                seed: 0,
+            };
+            let mut core = Core::new(RuntimeConfig::new(pilot), Recorder::default());
+            fire(&mut core, at(10), Ev::Bootstrap);
+            let mut now = at(10);
+            for _ in 0..rng.below(200) {
+                now += SimDuration::from_micros(rng.below(2_000_000) as u64);
+                let running: Vec<(u64, u32)> =
+                    core.running.iter().map(|(_, r)| (r.task, r.attempt)).collect();
+                let node = rng.below(nodes as usize) as u32;
+                let crashed = core.crashed[node as usize];
+                let drained = crashed || core.suspected[node as usize];
+                match rng.below(7) {
+                    0 | 1 => {
+                        let wants = 1 + rng.below(cores as usize) as u32;
+                        let run = 1 + rng.below(100) as u64;
+                        core.now = now;
+                        let request = ResourceRequest::cores(wants);
+                        core.submit(TaskDescription::new("t", request, secs(run)));
+                        fire(&mut core, now, Ev::PlaceScan);
+                    }
+                    2 if !running.is_empty() => {
+                        let (task, attempt) = *rng.choose(&running);
+                        fire(&mut core, now, Ev::Complete { task, attempt });
+                    }
+                    3 if !running.is_empty() => {
+                        core.now = now;
+                        assert!(core.preempt(TaskId(rng.choose(&running).0)));
+                    }
+                    4 if !crashed => fire(&mut core, now, Ev::Crash { node }),
+                    5 if !drained => {
+                        core.now = now;
+                        core.suspect_node(node, now);
+                    }
+                    6 if drained => fire(&mut core, now, Ev::Recover { node }),
+                    _ => {}
+                }
+                for (i, &n) in core.running_node.iter().enumerate() {
+                    let run = core.running.get(SlotId(i as u32));
+                    assert_eq!(n == VACANT, run.is_none(), "slot {i}");
+                    assert!(run.is_none_or(|r| r.alloc.node == n), "slot {i}");
+                }
+                for node in 0..nodes {
+                    assert_eq!(core.residents(node), residents_by_scan(&core, node));
+                }
+            }
+        }
     }
 }

@@ -27,7 +27,10 @@
 //!
 //! Determinism: each message forks the plane's RNG on
 //! `(label, key)` — never on the order backends happen to ask — so the
-//! three backends draw identical verdicts for identical traffic.
+//! three backends draw identical verdicts for identical traffic. The
+//! label half of that fork is taken once, at construction, for every
+//! label the engine routes; a message then costs one fork and one ChaCha8
+//! block.
 //!
 //! The heartbeat failure detector built on `best_effort` is
 //! [`FailureDetector`]: a lane driven by one engine event per tick that
@@ -88,18 +91,25 @@ pub struct Deliveries {
     pub transmissions: u32,
 }
 
+/// The labels the engine routes messages under, heartbeats (most of the
+/// traffic) first.
+const ROUTED: [&str; 6] = ["hb", "done", "submit", "retry", "hedge", "cancel"];
+
 /// A seeded realization of [`LinkFaults`]: pure per-message delivery
 /// verdicts. See the module docs for the determinism contract.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     link: LinkFaults,
     rng: SimRng,
+    /// `rng.fork(label)` for each label of [`ROUTED`], in its order.
+    roots: [SimRng; ROUTED.len()],
 }
 
 impl ControlPlane {
     /// Realize `link` under an explicit RNG root.
     pub fn new(link: LinkFaults, rng: SimRng) -> Self {
-        ControlPlane { link, rng }
+        let roots = ROUTED.map(|label| rng.fork(label));
+        ControlPlane { link, rng, roots }
     }
 
     /// The control plane a fault plan calls for: `Some` exactly when the
@@ -127,7 +137,10 @@ impl ControlPlane {
 
     /// The RNG for one message, keyed on its stable identity.
     fn message_rng(&self, label: &str, key: u64) -> SimRng {
-        self.rng.fork(label).fork_idx("msg", key)
+        match ROUTED.iter().position(|&routed| routed == label) {
+            Some(i) => self.roots[i].fork_idx("msg", key),
+            None => self.rng.fork(label).fork_idx("msg", key),
+        }
     }
 
     /// One-way latency draw: base delay, plus uniform jitter, plus (with
@@ -199,10 +212,10 @@ impl ControlPlane {
     /// single transmission gets through, `None` if it is partitioned away
     /// or dropped.
     pub fn best_effort(&self, label: &str, key: u64, node: u32, sent: SimTime) -> Option<SimTime> {
-        let mut rng = self.message_rng(label, key);
         if self.partitioned(node, sent) {
             return None;
         }
+        let mut rng = self.message_rng(label, key);
         let drop = self.link.drop_rate.clamp(0.0, 0.95);
         if drop > 0.0 && rng.uniform() < drop {
             return None;

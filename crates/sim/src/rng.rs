@@ -55,11 +55,7 @@ struct ChaCha8 {
 }
 
 impl ChaCha8 {
-    fn new(seed: &[u8; 32]) -> ChaCha8 {
-        let mut key = [0u32; 8];
-        for (i, chunk) in seed.chunks_exact(4).enumerate() {
-            key[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
+    fn new(key: [u32; 8]) -> ChaCha8 {
         ChaCha8 {
             key,
             counter: 0,
@@ -139,12 +135,11 @@ fn fnv1a_step(h: u64, byte: u8) -> u64 {
     (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
 }
 
-/// A deterministic random stream.
+/// A deterministic random stream. Its seed is the key of its ChaCha8
+/// core, which reading never changes: a child derives from it whatever
+/// the parent's read position.
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    /// The 32 seed bytes this stream was created from (kept for forking:
-    /// child derivation must be independent of the parent's read position).
-    seed: [u8; 32],
     core: ChaCha8,
 }
 
@@ -153,17 +148,15 @@ impl SimRng {
     /// module docs for the exact spec).
     pub fn from_seed(seed: u64) -> Self {
         let mut sm = seed;
-        let mut bytes = [0u8; 32];
-        for chunk in bytes.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut sm).to_le_bytes());
-        }
-        SimRng::from_seed_bytes(bytes)
+        SimRng::from_seed_words(std::array::from_fn(|_| splitmix64(&mut sm)))
     }
 
-    fn from_seed_bytes(seed: [u8; 32]) -> Self {
+    /// The stream keyed by four 64-bit seed words, each split into two key
+    /// words low half first: the little-endian concatenation of the spec.
+    fn from_seed_words(seed: [u64; 4]) -> Self {
+        let key = std::array::from_fn(|i| (seed[i / 2] >> (32 * (i % 2))) as u32);
         SimRng {
-            seed,
-            core: ChaCha8::new(&seed),
+            core: ChaCha8::new(key),
         }
     }
 
@@ -200,13 +193,11 @@ impl SimRng {
     }
 
     fn fork_hash(&self, h: u64) -> SimRng {
-        let mut seed = [0u8; 32];
-        for (i, chunk) in seed.chunks_exact_mut(8).enumerate() {
-            let parent = u64::from_le_bytes(self.seed[i * 8..i * 8 + 8].try_into().expect("8B"));
-            let mixed = parent ^ h.rotate_left((i as u32) * 16 + 1);
-            chunk.copy_from_slice(&mixed.to_le_bytes());
-        }
-        SimRng::from_seed_bytes(seed)
+        let key = &self.core.key;
+        SimRng::from_seed_words(std::array::from_fn(|i| {
+            let parent = u64::from(key[2 * i]) | u64::from(key[2 * i + 1]) << 32;
+            parent ^ h.rotate_left((i as u32) * 16 + 1)
+        }))
     }
 
     /// Next 64 raw bits (two consecutive words, low word first).
@@ -327,7 +318,7 @@ mod tests {
                                2c840ec3ce9a7f3b181be188ef711a1e\
                                984ce172b9216f419f445367456d5619\
                                314a42a3da86b001387bfdb80e0cfe42";
-        let mut a = ChaCha8::new(&[0u8; 32]);
+        let mut a = ChaCha8::new([0; 8]);
         let block: String = (0..16)
             .flat_map(|_| a.next_word().to_le_bytes())
             .map(|b| format!("{b:02x}"))
@@ -335,7 +326,7 @@ mod tests {
         assert_eq!(block, BLOCK_0);
         // The next block differs: the counter advanced.
         let next: Vec<u32> = (0..16).map(|_| a.next_word()).collect();
-        let mut b = ChaCha8::new(&[0u8; 32]);
+        let mut b = ChaCha8::new([0; 8]);
         let first: Vec<u32> = (0..16).map(|_| b.next_word()).collect();
         assert_ne!(first, next);
     }

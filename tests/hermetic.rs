@@ -79,11 +79,20 @@ fn source<'a>(sources: &'a Sources, rel: &str) -> &'a str {
     found.map_or_else(|| panic!("{rel} is gone: update the guard"), |(_, t)| t)
 }
 
+/// How often `needle` occurs in `text`; as a whole `word`, only where no
+/// identifier character is on either side.
+fn occurrences(text: &str, needle: &str, word: bool) -> usize {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let whole =
+        |at: usize| !text[..at].ends_with(ident) && !text[at + needle.len()..].starts_with(ident);
+    text.match_indices(needle)
+        .filter(|&(at, _)| !word || whole(at))
+        .count()
+}
+
 /// `word` occurs in `text` with no identifier character on either side.
 fn names(text: &str, word: &str) -> bool {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    text.match_indices(word)
-        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
+    occurrences(text, word, true) > 0
 }
 
 /// Each guard is a test of its own; its check returns what it found.
@@ -154,6 +163,8 @@ enum Verdict {
     OnlyIn(&'static [&'static str]),
     /// Each needle is in exactly one file in scope.
     ExactlyOneHome,
+    /// Each needle occurs exactly once in the files in scope.
+    Once,
     /// No file in scope is longer than this many lines.
     MaxLines(usize),
     /// Nothing is in scope: the path must not exist.
@@ -263,6 +274,15 @@ const LIFECYCLE: &[Rule] = &[
         needles: &["Scheduler::new_cluster", ".attempt_fault(", "backoff_rng"],
         verdict: Verdict::OnlyIn(&["crates/pilot/src/backend/des.rs"]),
         reason: "what only the handlers need is named by the core alone",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/pilot/src/backend/des.rs",
+        needles: &["running.insert", "running.remove"],
+        word: true,
+        verdict: Verdict::Once,
+        reason: "`run_insert` and `run_remove` are the one way into and out of the \
+                 running slab: they keep the node column `residents` reads beside it",
         ..FORBIDDEN
     },
     Rule {
@@ -389,14 +409,8 @@ const RULES: [&[Rule]; 7] = [
 
 /// What `rule` finds in `files`, allow-list not applied.
 fn findings(rule: &Rule, files: &[&(String, String)]) -> Vec<String> {
-    let has = |text: &str, needle: &str| {
-        let text = part(text, rule.part);
-        if rule.word {
-            names(text, needle)
-        } else {
-            text.contains(needle)
-        }
-    };
+    let count = |text: &str, needle: &str| occurrences(part(text, rule.part), needle, rule.word);
+    let has = |text: &str, needle: &str| count(text, needle) > 0;
     let mut found = Vec::new();
     match rule.verdict {
         Verdict::Absent => found.extend(files.iter().map(|(rel, _)| format!("{rel} exists"))),
@@ -406,6 +420,14 @@ fn findings(rule: &Rule, files: &[&(String, String)]) -> Vec<String> {
                 let lines = part(text, rule.part).lines().count();
                 if lines > max {
                     found.push(format!("{rel} has {lines} lines, over {max}"));
+                }
+            }
+        }
+        Verdict::Once => {
+            for needle in rule.needles {
+                let n: usize = files.iter().map(|(_, text)| count(text, needle)).sum();
+                if n != 1 {
+                    found.push(format!("`{needle}` occurs {n} times"));
                 }
             }
         }
@@ -762,8 +784,9 @@ const SPARSE_TABLES_OF_THE_CORE: &[(&str, &str)] = &[
         "sparse: only tasks with a failed attempt, and only under quarantine",
     ),
     (
-        "seen",
-        "sparse: only routed messages (control plane on), keyed by task x attempt x kind",
+        "spill",
+        "the exactly-once record's overflow: only identities of attempts past a task's \
+         word, the 13th attempt on",
     ),
     (
         "canceled_acks",
@@ -979,6 +1002,14 @@ fn every_rule_row_is_pinned_on_fixtures() {
                 };
                 let good: Vec<_> = homes.into_iter().map(|h| (h, with.clone())).collect();
                 ([&good[..], &[(path("b.rs"), with.clone())]].concat(), good)
+            }
+            Verdict::Once => {
+                let twice = format!("{needles}\n{needles}");
+                let doubled = match rule.part {
+                    Part::Tests => file("", &twice),
+                    _ => file(&twice, ""),
+                };
+                (one(&doubled), one(&with))
             }
             Verdict::MaxLines(max) => {
                 let lines = |n: usize| file(&vec!["x"; n].join("\n"), "x\nx");
