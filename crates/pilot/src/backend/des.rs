@@ -69,7 +69,6 @@ use crate::task::{TaskDescription, TaskId, TaskKind, TaskWork};
 use impress_sim::{EventId, SimDuration, SimRng, SimTime, Slab, SlotId};
 use impress_telemetry::{track, Label, SpanCat, SpanId, Stamp, Telemetry};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A simulation event. `Copy`, two machine words: scheduling one never
@@ -304,41 +303,9 @@ struct HedgeRun {
     event: Handle,
 }
 
-/// The hasher of the core's keyed maps: a multiply and a rotate per word,
-/// the same on every run. No map's iteration order reaches the event
-/// stream (`forfeit_hedges_on` sorts what it collects).
-#[derive(Default)]
-struct MulRot(u64);
-
-impl Hasher for MulRot {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type Keyed = BuildHasherDefault<MulRot>;
-
 /// Message kinds, [`MSG_DONE`] to [`MSG_HEDGE`]: the bits an attempt takes
 /// in a task's word of the exactly-once record.
-const KINDS: u32 = 5;
+const KINDS: u32 = MSG_HEDGE as u32 + 1;
 
 /// Attempts whose identities fit a task's word: 12, in 60 bits.
 const WORD_ATTEMPTS: u32 = u64::BITS / KINDS;
@@ -351,7 +318,7 @@ const WORD_ATTEMPTS: u32 = u64::BITS / KINDS;
 struct ExactlyOnce {
     words: Vec<u64>,
     /// Identities of attempts past the word.
-    spill: HashSet<(u64, u32, u8), Keyed>,
+    spill: HashSet<(u64, u32, u8)>,
 }
 
 impl ExactlyOnce {
@@ -430,13 +397,13 @@ pub(super) struct Core<T> {
     /// Shape-class runtime estimates from useful completions:
     /// `(cores, gpus) → (completions, total span micros)`. Only maintained
     /// while hedging is on.
-    estimates: HashMap<(u32, u32), (u64, u128), Keyed>,
+    estimates: HashMap<(u32, u32), (u64, u128)>,
     /// Live hedge duplicates, keyed by task id (at most one per task).
-    hedge_running: HashMap<u64, HedgeRun, Keyed>,
+    hedge_running: HashMap<u64, HedgeRun>,
     /// Distinct nodes each task has failed on (quarantine only).
-    failed_nodes: HashMap<u64, Vec<u32>, Keyed>,
+    failed_nodes: HashMap<u64, Vec<u32>>,
     /// Poisoned lineage count per shape class (quarantine breaker).
-    shape_poison: HashMap<(u32, u32), u32, Keyed>,
+    shape_poison: HashMap<(u32, u32), u32>,
     /// The seeded control plane (`None` = link faults off, a strict
     /// no-op: no extra events, no randomness, no routing).
     control: Option<ControlPlane>,
@@ -459,7 +426,7 @@ pub(super) struct Core<T> {
     /// Cancel acks in flight: `Ev` is `Copy`, so the completion's name,
     /// tag and hedged flag are stashed here between the cancel call and
     /// the ack's delivery. The lineage ends at the stash.
-    canceled_acks: HashMap<u64, (Label, Label, bool), Keyed>,
+    canceled_acks: HashMap<u64, (Label, Label, bool)>,
 }
 
 impl<T: Transport> Core<T> {
@@ -529,10 +496,10 @@ impl<T: Transport> Core<T> {
             hedge,
             quarantine,
             slow,
-            estimates: HashMap::default(),
-            hedge_running: HashMap::default(),
-            failed_nodes: HashMap::default(),
-            shape_poison: HashMap::default(),
+            estimates: HashMap::new(),
+            hedge_running: HashMap::new(),
+            failed_nodes: HashMap::new(),
+            shape_poison: HashMap::new(),
             control,
             cstats: ControlStats::default(),
             detector,
@@ -540,7 +507,7 @@ impl<T: Transport> Core<T> {
             suspected: vec![false; nodes],
             crashed: vec![false; nodes],
             seen: ExactlyOnce::default(),
-            canceled_acks: HashMap::default(),
+            canceled_acks: HashMap::new(),
             faults,
             config,
         };

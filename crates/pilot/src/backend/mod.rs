@@ -56,7 +56,9 @@ use std::fmt;
 /// set: a message identity is `(task, attempt, kind)`, so a retry verdict
 /// and a completion report for the same attempt dedup independently. The
 /// same constants key the seeded per-message RNG on both deterministic
-/// engines, which is what keeps their delivery verdicts identical.
+/// engines, which is what keeps their delivery verdicts identical. Kinds
+/// are dense from 0 and `MSG_HEDGE` is the last: the exactly-once record
+/// in `des.rs` sizes a task's word by it.
 pub(crate) const MSG_DONE: u8 = 0;
 pub(crate) const MSG_SUBMIT: u8 = 1;
 pub(crate) const MSG_RETRY: u8 = 2;

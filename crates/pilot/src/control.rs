@@ -27,10 +27,7 @@
 //!
 //! Determinism: each message forks the plane's RNG on
 //! `(label, key)` — never on the order backends happen to ask — so the
-//! three backends draw identical verdicts for identical traffic. The
-//! label half of that fork is taken once, at construction, for every
-//! label the engine routes; a message then costs one fork and one ChaCha8
-//! block.
+//! three backends draw identical verdicts for identical traffic.
 //!
 //! The heartbeat failure detector built on `best_effort` is
 //! [`FailureDetector`]: a lane driven by one engine event per tick that
@@ -91,25 +88,18 @@ pub struct Deliveries {
     pub transmissions: u32,
 }
 
-/// The labels the engine routes messages under, heartbeats (most of the
-/// traffic) first.
-const ROUTED: [&str; 6] = ["hb", "done", "submit", "retry", "hedge", "cancel"];
-
 /// A seeded realization of [`LinkFaults`]: pure per-message delivery
 /// verdicts. See the module docs for the determinism contract.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     link: LinkFaults,
     rng: SimRng,
-    /// `rng.fork(label)` for each label of [`ROUTED`], in its order.
-    roots: [SimRng; ROUTED.len()],
 }
 
 impl ControlPlane {
     /// Realize `link` under an explicit RNG root.
     pub fn new(link: LinkFaults, rng: SimRng) -> Self {
-        let roots = ROUTED.map(|label| rng.fork(label));
-        ControlPlane { link, rng, roots }
+        ControlPlane { link, rng }
     }
 
     /// The control plane a fault plan calls for: `Some` exactly when the
@@ -137,10 +127,7 @@ impl ControlPlane {
 
     /// The RNG for one message, keyed on its stable identity.
     fn message_rng(&self, label: &str, key: u64) -> SimRng {
-        match ROUTED.iter().position(|&routed| routed == label) {
-            Some(i) => self.roots[i].fork_idx("msg", key),
-            None => self.rng.fork(label).fork_idx("msg", key),
-        }
+        self.rng.fork(label).fork_idx("msg", key)
     }
 
     /// One-way latency draw: base delay, plus uniform jitter, plus (with
@@ -541,8 +528,9 @@ mod tests {
         assert_ne!(a1, b, "labels separate the streams");
     }
 
-    /// Verdicts recorded before the per-label message roots: the stream
-    /// each message draws from, and the order it draws in, are pinned.
+    /// Verdicts recorded before `SimRng` kept its seed as key words: the
+    /// stream each message draws from, and the order it draws in, are
+    /// pinned.
     /// Never re-record them to make a change pass.
     #[test]
     fn verdicts_are_pinned() {
