@@ -339,9 +339,6 @@ impl ExactlyOnce {
     }
 }
 
-/// The node column's mark for a vacant `running` slot.
-const VACANT: u32 = u32::MAX;
-
 /// The attempt-lifecycle machine, generic over a driver's seams.
 pub(super) struct Core<T> {
     pub(super) transport: T,
@@ -358,11 +355,12 @@ pub(super) struct Core<T> {
     descriptors: Slab<Descriptor>,
     /// Span ids indexed by task id; empty while telemetry is disabled.
     spans: Vec<TaskSpans>,
-    /// Placed attempts. Only [`Core::run_insert`] and [`Core::run_remove`]
-    /// put one in or take one out, and they keep `running_node` beside it.
+    /// Placed attempts. Only [`Core::run_insert`] puts one in, and it
+    /// writes `running_node` beside it.
     running: Slab<Running>,
-    /// The node column: the node of each `running` slot's attempt, by slot
-    /// index, [`VACANT`] for a free slot. [`Core::residents`] scans it.
+    /// The node column: by slot index, the node of the attempt last put in
+    /// that `running` slot. A free slot keeps a stale node, so a reader
+    /// checks the slot is occupied; settling writes nothing here.
     running_node: Vec<u32>,
     completions: VecDeque<Completion>,
     pub(super) in_flight: usize,
@@ -659,12 +657,6 @@ impl<T: Transport> Core<T> {
         slot
     }
 
-    /// Take the attempt in `slot` out of `running`, vacating its column.
-    fn run_remove(&mut self, slot: SlotId) -> Running {
-        self.running_node[slot.0 as usize] = VACANT;
-        self.running.remove(slot)
-    }
-
     /// The lineage of a task described by `slot` ended: the name and tag
     /// its completion carries. The last lineage a descriptor describes
     /// frees it and hands its labels over.
@@ -815,7 +807,7 @@ impl<T: Transport> Core<T> {
     /// its report was delivered and passed the fence): finish the task,
     /// running its work, or end a doomed attempt.
     fn settle(&mut self, task: u64, slot: SlotId, now: SimTime) {
-        let run = self.run_remove(slot);
+        let run = self.running.remove(slot);
         self.record(task).seat = Seat::None;
         // A live hedge duplicate lost the race to this settlement (or
         // shares the attempt's failure): cancel it first.
@@ -1004,13 +996,9 @@ impl<T: Transport> Core<T> {
         let mut victims: Vec<(u64, SlotId)> = (0u32..)
             .zip(&self.running_node)
             .filter(|&(_, &n)| n == node)
-            .map(|(i, _)| {
+            .filter_map(|(i, _)| {
                 let slot = SlotId(i);
-                let run = self
-                    .running
-                    .get(slot)
-                    .expect("a column entry is a running slot");
-                (run.task, slot)
+                self.running.get(slot).map(|run| (run.task, slot))
             })
             .collect();
         victims.sort_unstable_by_key(|&(task, _)| task);
@@ -1061,7 +1049,7 @@ impl<T: Transport> Core<T> {
         }
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
-            let run = self.run_remove(slot);
+            let run = self.running.remove(slot);
             self.record(task).seat = Seat::None;
             self.settle_hedge_loser(task, true, now);
             self.cstats.lease_expiries += 1;
@@ -1497,7 +1485,7 @@ impl<T: Transport> Core<T> {
     /// Cancel the straggling main attempt in `slot`, book its occupancy as
     /// hedge waste, and complete the task from the duplicate's allocation.
     fn rescue(&mut self, task: u64, slot: SlotId, hedge: HedgeRun, now: SimTime) {
-        let run = self.run_remove(slot);
+        let run = self.running.remove(slot);
         self.transport.cancel(run.event);
         self.util.hedge_wasted(&run.alloc, run.started, now);
         self.scheduler.release_owned(run.alloc);
@@ -1573,7 +1561,7 @@ impl<T: Transport> Core<T> {
         }
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
-            let run = self.run_remove(slot);
+            let run = self.running.remove(slot);
             self.record(task).seat = Seat::None;
             self.transport.cancel(run.event);
             // A victim's surviving hedge (on a different node by
@@ -2010,7 +1998,7 @@ impl<T: Transport> Core<T> {
             return false;
         };
         self.record(id.0).seat = Seat::None;
-        let run = self.run_remove(slot);
+        let run = self.running.remove(slot);
         self.transport.cancel(run.event);
         // A live hedge duplicate lost with its main attempt.
         self.settle_hedge_loser(id.0, true, now);
@@ -2767,9 +2755,9 @@ mod tests {
 
     props! {
         /// Random submits, settlements, preemptions, crashes, suspicions
-        /// and recoveries: after each, the column marks exactly the
-        /// occupied slots with their attempts' nodes, and every node's
-        /// residents are what the full scan finds.
+        /// and recoveries: after each, the column holds every occupied
+        /// slot's node, and every node's residents are what the full scan
+        /// finds.
         fn residents_read_off_the_node_column_match_the_full_scan(rng) {
             let nodes = 1 + rng.below(5) as u32;
             let cores = 1 + rng.below(4) as u32;
@@ -2816,10 +2804,8 @@ mod tests {
                     6 if drained => fire(&mut core, now, Ev::Recover { node }),
                     _ => {}
                 }
-                for (i, &n) in core.running_node.iter().enumerate() {
-                    let run = core.running.get(SlotId(i as u32));
-                    assert_eq!(n == VACANT, run.is_none(), "slot {i}");
-                    assert!(run.is_none_or(|r| r.alloc.node == n), "slot {i}");
+                for (slot, run) in core.running.iter() {
+                    assert_eq!(core.running_node[slot.0 as usize], run.alloc.node, "{slot:?}");
                 }
                 for node in 0..nodes {
                     assert_eq!(core.residents(node), residents_by_scan(&core, node));
