@@ -339,6 +339,15 @@ impl ExactlyOnce {
     }
 }
 
+/// Record in the node column that `slot` holds an attempt on `node`.
+fn set_node(column: &mut Vec<u32>, slot: SlotId, node: u32) {
+    let i = slot.0 as usize;
+    if i >= column.len() {
+        column.resize(i + 1, u32::MAX);
+    }
+    column[i] = node;
+}
+
 /// The attempt-lifecycle machine, generic over a driver's seams.
 pub(super) struct Core<T> {
     pub(super) transport: T,
@@ -360,7 +369,9 @@ pub(super) struct Core<T> {
     running: Slab<Running>,
     /// The node column: by slot index, the node of the attempt last put in
     /// that `running` slot. A free slot keeps a stale node, so a reader
-    /// checks the slot is occupied; settling writes nothing here.
+    /// checks the slot is occupied; settling writes nothing here. Empty
+    /// until the first eviction builds it, so a run without crashes or
+    /// suspicions never writes it.
     running_node: Vec<u32>,
     completions: VecDeque<Completion>,
     pub(super) in_flight: usize,
@@ -646,13 +657,13 @@ impl<T: Transport> Core<T> {
         (self.running.get(slot)?.attempt == attempt).then_some(slot)
     }
 
-    /// Put a placed attempt in `running`, its node in the column.
+    /// Put a placed attempt in `running`, and its node in the column once
+    /// that is built.
     fn run_insert(&mut self, run: Running) -> SlotId {
         let node = run.alloc.node;
         let slot = self.running.insert(run);
-        match self.running_node.get_mut(slot.0 as usize) {
-            Some(column) => *column = node,
-            None => self.running_node.push(node),
+        if !self.running_node.is_empty() {
+            set_node(&mut self.running_node, slot, node);
         }
         slot
     }
@@ -991,8 +1002,14 @@ impl<T: Transport> Core<T> {
 
     /// The attempts resident on `node`, in task-id order: slab iteration
     /// order must not leak into the deterministic event stream. The scan
-    /// reads the node column, and a record only where the node matches.
-    fn residents(&self, node: u32) -> Vec<(u64, SlotId)> {
+    /// reads the node column, and a record only where the node matches;
+    /// the first call builds the column from the slab.
+    fn residents(&mut self, node: u32) -> Vec<(u64, SlotId)> {
+        if self.running_node.is_empty() {
+            for (slot, run) in self.running.iter() {
+                set_node(&mut self.running_node, slot, run.alloc.node);
+            }
+        }
         let mut victims: Vec<(u64, SlotId)> = (0u32..)
             .zip(&self.running_node)
             .filter(|&(_, &n)| n == node)
@@ -2755,9 +2772,9 @@ mod tests {
 
     props! {
         /// Random submits, settlements, preemptions, crashes, suspicions
-        /// and recoveries: after each, the column holds every occupied
-        /// slot's node, and every node's residents are what the full scan
-        /// finds.
+        /// and recoveries: after each, the column (once built) holds every
+        /// occupied slot's node, and every node's residents are what the
+        /// full scan finds.
         fn residents_read_off_the_node_column_match_the_full_scan(rng) {
             let nodes = 1 + rng.below(5) as u32;
             let cores = 1 + rng.below(4) as u32;
@@ -2804,7 +2821,7 @@ mod tests {
                     6 if drained => fire(&mut core, now, Ev::Recover { node }),
                     _ => {}
                 }
-                for (slot, run) in core.running.iter() {
+                for (slot, run) in core.running.iter().filter(|_| !core.running_node.is_empty()) {
                     assert_eq!(core.running_node[slot.0 as usize], run.alloc.node, "{slot:?}");
                 }
                 for node in 0..nodes {
