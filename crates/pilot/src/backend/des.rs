@@ -365,7 +365,7 @@ pub(super) struct Core<T> {
     /// Span ids indexed by task id; empty while telemetry is disabled.
     spans: Vec<TaskSpans>,
     /// Placed attempts. Only [`Core::run_insert`] puts one in, and it
-    /// writes `running_node` beside it.
+    /// keeps `running_node` beside it once the column is built.
     running: Slab<Running>,
     /// The node column: by slot index, the node of the attempt last put in
     /// that `running` slot. A free slot keeps a stale node, so a reader
