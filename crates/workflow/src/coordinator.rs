@@ -12,7 +12,6 @@
 //! for live runs.
 
 use crate::decision::{DecisionEngine, Spawn};
-use crate::events::{EventKind, EventLog};
 use crate::journal::{Journal, JournalError, JournalRecord, ReplayPlan, TaskMeta, TerminalRecord};
 use crate::pipeline::{BoxedPipeline, PipelineId, PipelineLogic, PipelineState};
 use crate::registry::Registry;
@@ -222,7 +221,6 @@ pub struct Coordinator<O, B: ExecutionBackend, D: DecisionEngine<O>> {
     to_start: Vec<PipelineId>,
     outcomes: Vec<(PipelineId, O)>,
     aborts: Vec<(PipelineId, String)>,
-    events: EventLog,
     journal: Option<JournalWriter<O>>,
     /// Resume state: a ready ghost for every journaled pipeline that
     /// reached a terminal state before the kill, its outcome already
@@ -250,7 +248,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             to_start: Vec::new(),
             outcomes: Vec::new(),
             aborts: Vec::new(),
-            events: EventLog::new(),
             journal: None,
             ghosts: HashMap::new(),
             drained: false,
@@ -293,8 +290,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         };
         let assigned = self.registry.register(name, parent, self.session.now());
         debug_assert_eq!(assigned, id, "peeked id diverged from assigned id");
-        self.events
-            .push(self.session.now(), id, EventKind::Registered { parent });
         // Pipeline span: lives from registration to the terminal step,
         // parented under the spawning pipeline's span (if any) so adaptive
         // sub-pipeline trees nest in the trace.
@@ -405,14 +400,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 if let Some(writer) = &mut self.journal {
                     writer.record_stage(id.0, stage, &tasks);
                 }
-                self.events.push(
-                    self.session.now(),
-                    id,
-                    EventKind::StageSubmitted {
-                        stage,
-                        n_tasks: tasks.len(),
-                    },
-                );
                 self.registry.note_stage_submitted(id, tasks.len());
                 if let Some(spans) = self.slots[id.0 as usize].spans.as_mut() {
                     spans.stage = self.telemetry.span(
@@ -438,25 +425,14 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     };
                     writer.record(rec);
                 }
-                self.events
-                    .push(self.session.now(), id, EventKind::Completed);
                 self.registry
                     .finish(id, PipelineState::Completed, self.session.now());
                 self.end_pipeline(id);
                 self.telemetry.count("pipelines_completed", 1);
                 // Decision point: the adaptive engine may spawn sub-pipelines.
-                let spawns = {
-                    let d = self.decision_span("on-pipeline-complete");
-                    let view = CoordinatorView {
-                        now: self.session.now(),
-                        registry: &self.registry,
-                        util: &self.session,
-                        cached_util: std::cell::OnceCell::new(),
-                    };
-                    let spawns = self.decision.on_pipeline_complete(id, &outcome, &view);
-                    self.telemetry.end(d, self.session.stamp());
-                    spawns
-                };
+                let spawns = self.decide("on-pipeline-complete", |d, view| {
+                    d.on_pipeline_complete(id, &outcome, view)
+                });
                 self.outcomes.push((id, outcome));
                 self.apply_spawns(spawns);
             }
@@ -465,29 +441,13 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     pipeline: id.0,
                     reason: reason.clone(),
                 });
-                self.events.push(
-                    self.session.now(),
-                    id,
-                    EventKind::Aborted {
-                        reason: reason.clone(),
-                    },
-                );
                 self.registry
                     .finish(id, PipelineState::Aborted, self.session.now());
                 self.end_pipeline(id);
                 self.telemetry.count("pipelines_aborted", 1);
-                let spawns = {
-                    let d = self.decision_span("on-pipeline-aborted");
-                    let view = CoordinatorView {
-                        now: self.session.now(),
-                        registry: &self.registry,
-                        util: &self.session,
-                        cached_util: std::cell::OnceCell::new(),
-                    };
-                    let spawns = self.decision.on_pipeline_aborted(id, &reason, &view);
-                    self.telemetry.end(d, self.session.stamp());
-                    spawns
-                };
+                let spawns = self.decide("on-pipeline-aborted", |d, view| {
+                    d.on_pipeline_aborted(id, &reason, view)
+                });
                 self.aborts.push((id, reason));
                 self.apply_spawns(spawns);
             }
@@ -511,19 +471,33 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         }
     }
 
-    /// Open a zero-or-more-spawns decision span around a
-    /// [`DecisionEngine`] callback. Virtual time does not advance inside
-    /// the callback, so the span is zero-width on the virtual clock; on
-    /// the threaded backend its wall width is the real decision cost.
-    fn decision_span(&self, name: &str) -> SpanId {
-        self.telemetry.span(
+    /// Run one [`DecisionEngine`] callback on a fresh view, inside a
+    /// decision span called `name`, and return the spawns it asks for.
+    /// Virtual time does not advance inside the callback, so the span is
+    /// zero-width on the virtual clock; on the threaded backend its wall
+    /// width is the real decision cost.
+    fn decide(
+        &mut self,
+        name: &str,
+        call: impl FnOnce(&mut D, &CoordinatorView<'_>) -> Vec<Spawn<O>>,
+    ) -> Vec<Spawn<O>> {
+        let span = self.telemetry.span(
             SpanCat::Decision,
             name,
             SpanId::NONE,
             track::SESSION,
             self.session.stamp(),
             &[],
-        )
+        );
+        let view = CoordinatorView {
+            now: self.session.now(),
+            registry: &self.registry,
+            util: &self.session,
+            cached_util: std::cell::OnceCell::new(),
+        };
+        let spawns = call(&mut self.decision, &view);
+        self.telemetry.end(span, self.session.stamp());
+        spawns
     }
 
     fn route(&mut self, completion: Completion) {
@@ -558,14 +532,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         };
         self.routes[route] = RouteState::Consumed;
         if completion.attempts > 0 {
-            self.events.push(
-                self.session.now(),
-                id,
-                EventKind::TaskRetried {
-                    task: completion.task.0,
-                    attempts: completion.attempts,
-                },
-            );
             let span = self.slots[id.0 as usize]
                 .spans
                 .as_ref()
@@ -584,7 +550,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             );
         }
         // A poison verdict from the backend's quarantine layer: journal it
-        // (post-mortems read verdicts off the journal), log it, and give
+        // (post-mortems read verdicts off the journal), trace it, and give
         // the decision engine a chance to react before the completion is
         // folded into the stage buffer as an ordinary failure.
         if let Err(impress_pilot::TaskError::Poisoned { distinct_nodes }) = &completion.result {
@@ -594,14 +560,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 task: completion.task.0,
                 distinct_nodes: distinct,
             });
-            self.events.push(
-                self.session.now(),
-                id,
-                EventKind::TaskPoisoned {
-                    task: completion.task.0,
-                    distinct_nodes: distinct,
-                },
-            );
             let span = self.slots[id.0 as usize]
                 .spans
                 .as_ref()
@@ -618,20 +576,9 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     ("distinct_nodes", distinct as i64),
                 ],
             );
-            let spawns = {
-                let d = self.decision_span("on-task-poisoned");
-                let view = CoordinatorView {
-                    now: self.session.now(),
-                    registry: &self.registry,
-                    util: &self.session,
-                    cached_util: std::cell::OnceCell::new(),
-                };
-                let spawns = self
-                    .decision
-                    .on_task_poisoned(id, completion.task.0, distinct, &view);
-                self.telemetry.end(d, self.session.stamp());
-                spawns
-            };
+            let spawns = self.decide("on-task-poisoned", |d, view| {
+                d.on_task_poisoned(id, completion.task.0, distinct, view)
+            });
             self.apply_spawns(spawns);
         }
         let batch = self.slots[id.0 as usize].buffer.record(at, completion);
@@ -641,8 +588,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 pipeline: id.0,
                 stage,
             });
-            self.events
-                .push(self.session.now(), id, EventKind::StageCompleted { stage });
             self.registry.note_stage_completed(id);
             if let Some(spans) = self.slots[id.0 as usize].spans.as_mut() {
                 let done = std::mem::replace(&mut spans.stage, SpanId::NONE);
@@ -697,18 +642,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         }
         // Workload drained. Give the engine a chance to start another
         // round; otherwise we are done.
-        let spawns = {
-            let d = self.decision_span("on-all-idle");
-            let view = CoordinatorView {
-                now: self.session.now(),
-                registry: &self.registry,
-                util: &self.session,
-                cached_util: std::cell::OnceCell::new(),
-            };
-            let spawns = self.decision.on_all_idle(&view);
-            self.telemetry.end(d, self.session.stamp());
-            spawns
-        };
+        let spawns = self.decide("on-all-idle", |d, view| d.on_all_idle(view));
         if spawns.is_empty() && self.to_start.is_empty() {
             assert_eq!(
                 self.registry.live_count(),
@@ -791,11 +725,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         &self.registry
     }
 
-    /// The structured event log of everything that happened this run.
-    pub fn events(&self) -> &EventLog {
-        &self.events
-    }
-
     /// Whether [`run`](Self::run) stopped because the backend's walltime
     /// deadline forced a graceful drain (tasks held, work checkpointed)
     /// rather than because the campaign finished.
@@ -823,16 +752,15 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// session back to the caller.
     ///
     /// Ownership handoff contract: after this call the coordinator is gone
-    /// — its registry, event log, journal handle, and routing state are
-    /// dropped. What survives is exactly what a *caller that owns the
+    /// — its registry, journal handle, and routing state are dropped. What survives is exactly what a *caller that owns the
     /// campaign's aftermath* needs: the terminal outcomes, the aborts, and
     /// the live [`Session`] (whose backend keeps its full utilization and
     /// phase history, so post-run accounting still works). The session is
     /// returned *hot*: any tasks the campaign left in flight are still in
     /// flight, which is what lets a service layer recycle the backend for
     /// the next campaign or drain it on its own schedule. Callers that
-    /// need the event log or registry must read them (or clone what they
-    /// need) *before* consuming the coordinator.
+    /// need the registry must read it (or clone what they need) *before*
+    /// consuming the coordinator.
     pub fn into_parts(self) -> CoordinatorParts<O, B> {
         CoordinatorParts {
             outcomes: self.outcomes,
@@ -1205,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn event_log_captures_the_full_lifecycle() {
+    fn the_registry_records_the_full_lifecycle() {
         let mut c = Coordinator::new(backend(), NoDecisions);
         let id = c.add_pipeline(Box::new(Counter {
             label: "p".into(),
@@ -1213,20 +1141,12 @@ mod tests {
             acc: 0,
         }));
         c.run();
-        let events = c.events().for_pipeline(id);
-        use crate::events::EventKind as K;
-        assert!(matches!(events[0].kind, K::Registered { parent: None }));
-        let submitted = c
-            .events()
-            .count(|e| matches!(e.kind, K::StageSubmitted { .. }));
-        let completed = c
-            .events()
-            .count(|e| matches!(e.kind, K::StageCompleted { .. }));
-        assert_eq!(submitted, 2);
-        assert_eq!(completed, 2);
-        assert!(matches!(events.last().unwrap().kind, K::Completed));
-        let (start, end) = c.events().pipeline_span(id).unwrap();
-        assert!(end > start);
+        let entry = c.registry().get(id);
+        assert_eq!(entry.parent, None);
+        assert_eq!(entry.state, PipelineState::Completed);
+        assert_eq!(entry.stages_completed, 2);
+        assert_eq!(entry.tasks_submitted, 2);
+        assert!(entry.created_at < entry.finished_at.unwrap());
     }
 
     #[test]
@@ -1349,7 +1269,7 @@ mod tests {
         let resumed = run_campaign(None, Some(&plan));
         assert_eq!(live.outcomes(), resumed.outcomes());
         assert_eq!(live.aborts(), resumed.aborts());
-        assert_eq!(live.events().events(), resumed.events().events());
+        assert_eq!(live.registry().entries(), resumed.registry().entries());
         assert_eq!(
             impress_json::to_string(&live.report()),
             impress_json::to_string(&resumed.report()),

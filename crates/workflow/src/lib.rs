@@ -27,8 +27,6 @@
 //! * [`report`] — the run report the Table I harness consumes.
 //! * [`linear`] — a ready-made stage chain for users who don't need a
 //!   custom state machine.
-//! * [`events`] — the structured event log of everything the coordinator
-//!   did, with virtual timestamps and monotonic sequence numbers.
 //! * [`journal`] — the crash-consistency layer: a write-ahead journal of
 //!   coordinator state transitions with snapshot compaction, and the replay
 //!   plan [`Coordinator::resume`] uses to reconstruct an interrupted
@@ -43,7 +41,6 @@
 
 pub mod coordinator;
 pub mod decision;
-pub mod events;
 pub mod journal;
 pub mod linear;
 pub mod pipeline;
@@ -54,7 +51,6 @@ pub mod stage;
 
 pub use coordinator::{Coordinator, CoordinatorParts, CoordinatorView, TryStep};
 pub use decision::{DecisionEngine, NoDecisions};
-pub use events::{Event, EventKind, EventLog};
 pub use journal::{
     load_plan, FileJournal, Journal, JournalError, JournalRecord, JournalStore, LoadedJournal,
     MemoryJournal, ReplayPlan, TaskMeta, JOURNAL_FORMAT_VERSION,

@@ -10,7 +10,7 @@ use impress_json::json_struct;
 use impress_sim::SimTime;
 
 /// One pipeline's ledger entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineEntry {
     /// The pipeline.
     pub id: PipelineId,
@@ -127,8 +127,8 @@ impl Registry {
     }
 
     /// All entries in registration order.
-    pub fn entries(&self) -> Vec<&PipelineEntry> {
-        self.entries.iter().collect()
+    pub fn entries(&self) -> &[PipelineEntry] {
+        &self.entries
     }
 
     /// Number of root pipelines (Table I `# PL`).

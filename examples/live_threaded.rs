@@ -64,16 +64,16 @@ fn main() {
         );
     }
 
-    let log = coordinator.events();
-    let stage_events =
-        log.count(|e| matches!(e.kind, impress_workflow::EventKind::StageCompleted { .. }));
-    println!("\nstages completed: {stage_events}");
-    // The event log is on the virtual clock: hours per pipeline, each of
+    let registry = coordinator.registry();
+    let stages: usize = registry.entries().iter().map(|e| e.stages_completed).sum();
+    println!("\nstages completed: {stages}");
+    // The registry is on the virtual clock: hours per pipeline, each of
     // which took `time_scale` times as long in real time.
     let mut hist = Histogram::new(0.0, 16.0, 8);
     for (id, _) in coordinator.outcomes() {
-        if let Some((start, end)) = log.pipeline_span(*id) {
-            hist.record(end.since(start).as_hours_f64());
+        let entry = registry.get(*id);
+        if let Some(end) = entry.finished_at {
+            hist.record(end.since(entry.created_at).as_hours_f64());
         }
     }
     println!("pipeline makespans (virtual hours):\n{}", hist.render(30));

@@ -118,6 +118,7 @@ guards! {
     one_accountant_books_occupancy_for_every_driver => rules(UTILIZATION),
     the_landscape_has_one_local_scoring_kernel => rules(LANDSCAPE),
     the_journal_loader_builds_no_json_tree => rules(JOURNAL_LOADER),
+    the_registry_is_the_coordinators_one_ledger => rules(COORDINATOR_RECORD),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -397,7 +398,24 @@ const JOURNAL_LOADER: &[Rule] = &[
     },
 ];
 
-const RULES: [&[Rule]; 7] = [
+/// The coordinator used to append every pipeline transition to an
+/// unbounded event log that no production code read; the registry holds
+/// the same states, counts and timestamps.
+const COORDINATOR_RECORD: &[Rule] = &[
+    Rule {
+        scope: "crates/workflow/src/events.rs",
+        verdict: Verdict::Absent,
+        reason: "the registry and the span stream are the coordinator's record",
+        ..FORBIDDEN
+    },
+    Rule {
+        needles: &["EventLog", "EventKind"],
+        reason: "the registry and the span stream are the coordinator's record",
+        ..FORBIDDEN
+    },
+];
+
+const RULES: [&[Rule]; 8] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -405,6 +423,7 @@ const RULES: [&[Rule]; 7] = [
     UTILIZATION,
     LANDSCAPE,
     JOURNAL_LOADER,
+    COORDINATOR_RECORD,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.
