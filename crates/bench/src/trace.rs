@@ -22,7 +22,7 @@
 use crate::study::Size;
 use impress_core::adaptive::AdaptivePolicy;
 use impress_core::{CampaignSpec, ProtocolConfig};
-use impress_json::{Json, ToJson};
+use impress_json::Json;
 use impress_pilot::{
     ExecutionBackend, PilotConfig, ResourceRequest, RuntimeConfig, TaskDescription,
 };
@@ -152,18 +152,13 @@ pub fn parity_trace_on(which: ParityBackend, seed: u64, tasks: usize) -> String 
 /// Count `Begin` events per span category, as sorted `(label, count)`
 /// JSON rows.
 fn span_counts(events: &[TelemetryEvent]) -> Json {
-    let mut counts: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
+    let mut counts = std::collections::BTreeMap::<String, u64>::new();
     for ev in events {
         if let TelemetryEvent::Begin { cat, .. } = ev {
-            *counts.entry(cat.as_str()).or_insert(0) += 1;
+            *counts.entry(cat.as_str().into()).or_insert(0) += 1;
         }
     }
-    let mut doc = Json::object();
-    for (label, n) in counts {
-        doc = doc.field(label, n);
-    }
-    doc.build()
+    Json::of(&counts)
 }
 
 /// Run the study and build the `trace_summary.json` document.
@@ -193,15 +188,13 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
         .run()
         .expect("no resume plan to reject")
         .result;
-    let perturbation_free =
-        impress_json::to_string(&baseline.to_json()) == impress_json::to_string(&traced.to_json());
+    let perturbation_free = impress_json::to_string(&baseline) == impress_json::to_string(&traced);
 
     let events = recorder.events();
     let dropped = recorder.dropped();
     let nesting = check_nesting(&events);
-    // Streaming fast path (no intermediate Json tree); the round-trip
-    // check below re-parses it, so a parity break would fail loudly here
-    // as well as in the exporter's own tests.
+    // The document's compact text; the round-trip check below re-parses
+    // it and writes the tree back.
     let mut chrome_text = String::new();
     write_chrome_trace(&mut chrome_text, &events, TraceClock::Virtual);
     let round_trip_ok = impress_json::from_str::<Json>(&chrome_text)
@@ -260,25 +253,14 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
         )
         .field("perturbation_free", perturbation_free)
         .field("nesting_ok", nesting.is_ok())
-        .field(
-            "nesting_error",
-            nesting.err().map(|e| e.to_json()).unwrap_or(Json::Null),
-        )
+        .field("nesting_error", nesting.err())
         .field("chrome_round_trip_ok", round_trip_ok)
         .field(
             "parity",
             Json::object()
                 .field("tasks", params.parity_tasks as u64)
                 .field("trace_bytes", sim_trace.len() as u64)
-                .field(
-                    "engines",
-                    Json::array(
-                        engines
-                            .iter()
-                            .map(|b| b.label().to_json())
-                            .collect::<Vec<_>>(),
-                    ),
-                )
+                .field("engines", Json::array(engines.iter().map(|b| b.label())))
                 .field("backends_agree", backends_agree)
                 .build(),
         )

@@ -1,13 +1,12 @@
-//! Zero-allocation serialization fast path.
+//! The one serializer.
 //!
 //! [`ToJsonBuf`] writes a value's compact JSON text directly into a caller
-//! supplied (and typically reused) `String`, skipping the intermediate
-//! [`Json`] tree that [`ToJson`](crate::ToJson) builds. The bytes produced
-//! are **identical** to `to_string(&value.to_json())` — both paths share
-//! the number and string writers below — so checksums computed over either
-//! representation agree. Hot paths that serialize per-record (the
-//! write-ahead journal, trace exporters, study bins) use this to reach
-//! zero heap allocations per record once the buffer is warm.
+//! supplied (and typically reused) `String`; it is the only way a value
+//! becomes JSON text. [`to_string`](crate::to_string) is this writer into
+//! a fresh `String`, and a [`Json`] tree is written by its own impl below.
+//! Hot paths that serialize per record (the write-ahead journal, trace
+//! exporters) reach zero heap allocations per record once the buffer is
+//! warm.
 //!
 //! The writers produce the bytes `core::fmt` would, without going through
 //! it: integers two digits at a time from a table into a stack buffer,
@@ -22,10 +21,9 @@ use std::fmt::Write as _;
 
 /// Serialize directly into a reused buffer, compactly.
 ///
-/// Implementations must produce exactly the bytes of
-/// `crate::to_string(&self.to_json())`; the [`json_struct!`](crate::json_struct)
-/// and [`json_enum!`](crate::json_enum) macros generate conforming impls
-/// alongside the tree-building ones.
+/// Implementations must write one complete JSON value; the
+/// [`json_struct!`](crate::json_struct) and [`json_enum!`](crate::json_enum)
+/// macros generate them.
 pub trait ToJsonBuf {
     /// Append `self`'s compact JSON text to `out`.
     fn write_json(&self, out: &mut String);
@@ -241,8 +239,7 @@ impl ToJsonBuf for f64 {
 
 impl ToJsonBuf for f32 {
     fn write_json(&self, out: &mut String) {
-        // Widen first: shortest-round-trip text of the f64 value, exactly
-        // like the tree path (`f32::to_json` stores an `f64`).
+        // Widen first: the shortest round-trip text of the f64 value.
         write_f64(out, f64::from(*self));
     }
 }
@@ -314,9 +311,9 @@ impl<V: ToJsonBuf> ToJsonBuf for BTreeMap<String, V> {
 
 impl<V: ToJsonBuf> ToJsonBuf for HashMap<String, V> {
     fn write_json(&self, out: &mut String) {
-        // Sort keys so HashMap iteration order cannot leak into the output
-        // (matching the tree path). The key vector allocates; ordered maps
-        // on hot paths should prefer `BTreeMap` or a struct.
+        // Sort keys so HashMap iteration order cannot leak into the output.
+        // The key vector allocates; ordered maps on hot paths should prefer
+        // `BTreeMap` or a struct.
         let mut keys: Vec<&String> = self.keys().collect();
         keys.sort();
         out.push('{');
@@ -336,15 +333,18 @@ impl<V: ToJsonBuf> ToJsonBuf for HashMap<String, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{json_enum, json_struct, to_string, ToJson};
+    use crate::{json_enum, json_struct, to_string};
 
-    /// The invariant everything rests on: fast-path bytes == tree-path
-    /// bytes, for any value.
-    fn assert_parity<T: ToJson + ToJsonBuf>(v: &T) {
-        let tree = to_string(v);
+    /// What a document assembled as a tree rests on: a value's tree
+    /// ([`Json::of`]) writes back exactly the bytes the value writes, and
+    /// the writer appends the same bytes after existing text as into a
+    /// fresh buffer.
+    fn assert_parity<T: ToJsonBuf>(v: &T) {
         let mut buf = String::from("seed-prefix");
         v.write_json(&mut buf);
-        assert_eq!(&buf["seed-prefix".len()..], tree, "fast path diverged");
+        let text = &buf["seed-prefix".len()..];
+        assert_eq!(to_string(v), text, "a fresh buffer diverged");
+        assert_eq!(to_string(&Json::of(v)), text, "the tree path diverged");
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! `ToJson` / `FromJson` conversion traits and impls for std types.
+//! The tree-reading conversion trait, `FromJson`, and its impls for std
+//! types. The write side has no tree route: a value becomes JSON text only
+//! through [`ToJsonBuf`](crate::ToJsonBuf).
 
-use crate::value::{Json, JsonError, Number};
+use crate::value::{Json, JsonError};
 use std::collections::{BTreeMap, HashMap};
-
-/// Conversion into a [`Json`] tree (the replacement for `serde::Serialize`).
-pub trait ToJson {
-    /// Build the JSON representation of `self`.
-    fn to_json(&self) -> Json;
-}
 
 /// Conversion out of a [`Json`] tree (the replacement for
 /// `serde::Deserialize`).
@@ -42,27 +38,9 @@ fn type_err<T>(expected: &str, got: &Json) -> Result<T, JsonError> {
     )))
 }
 
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
 impl FromJson for Json {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(v.clone())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
     }
 }
 
@@ -72,28 +50,10 @@ impl FromJson for bool {
     }
 }
 
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
 impl FromJson for String {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_str()
             .map_or_else(|| type_err("string", v), |s| Ok(s.to_string()))
-    }
-}
-
-impl ToJson for char {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
     }
 }
 
@@ -108,11 +68,6 @@ impl FromJson for char {
 
 macro_rules! impl_json_uint {
     ($($ty:ty),+) => {$(
-        impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                Json::Num(Number::U64(u64::from(*self)))
-            }
-        }
         impl FromJson for $ty {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
                 match v.as_u64().map(<$ty>::try_from) {
@@ -127,16 +82,6 @@ impl_json_uint!(u8, u16, u32, u64);
 
 macro_rules! impl_json_int {
     ($($ty:ty),+) => {$(
-        impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                let i = i64::from(*self);
-                if i >= 0 {
-                    Json::Num(Number::U64(i as u64))
-                } else {
-                    Json::Num(Number::I64(i))
-                }
-            }
-        }
         impl FromJson for $ty {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
                 match v {
@@ -152,24 +97,12 @@ macro_rules! impl_json_int {
 }
 impl_json_int!(i8, i16, i32, i64);
 
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Num(Number::U64(*self as u64))
-    }
-}
-
 impl FromJson for usize {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         match v.as_u64().map(usize::try_from) {
             Some(Ok(n)) => Ok(n),
             _ => type_err("usize integer", v),
         }
-    }
-}
-
-impl ToJson for isize {
-    fn to_json(&self) -> Json {
-        (*self as i64).to_json()
     }
 }
 
@@ -180,36 +113,15 @@ impl FromJson for isize {
     }
 }
 
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(Number::F64(*self))
-    }
-}
-
 impl FromJson for f64 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_f64().map_or_else(|| type_err("number", v), Ok)
     }
 }
 
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::Num(Number::F64(f64::from(*self)))
-    }
-}
-
 impl FromJson for f32 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         f64::from_json(v).map(|f| f as f32)
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
     }
 }
 
@@ -222,30 +134,12 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(|v| v.to_json()).collect())
-    }
-}
-
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         match v.as_array() {
             Some(items) => items.iter().map(T::from_json).collect(),
             None => type_err("array", v),
         }
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(|v| v.to_json()).collect())
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        self.as_slice().to_json()
     }
 }
 
@@ -258,24 +152,12 @@ impl<T: FromJson + std::fmt::Debug, const N: usize> FromJson for [T; N] {
     }
 }
 
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         match v.as_array() {
             Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
             _ => type_err("2-element array", v),
         }
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Json {
-        Json::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
     }
 }
 
@@ -288,19 +170,6 @@ impl<V: FromJson> FromJson for BTreeMap<String, V> {
                 .collect(),
             None => type_err("object", v),
         }
-    }
-}
-
-impl<V: ToJson> ToJson for HashMap<String, V> {
-    fn to_json(&self) -> Json {
-        // Sort keys so HashMap iteration order cannot leak into the output.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        Json::Object(
-            keys.into_iter()
-                .map(|k| (k.clone(), self[k].to_json()))
-                .collect(),
-        )
     }
 }
 

@@ -243,6 +243,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consume any one value, checked as [`skip_value`](Parser::skip_value)
+    /// checks it, and return its text as it stands in the input.
+    pub fn raw_value(&mut self) -> Result<&'a str, JsonError> {
+        let start = self.pos;
+        self.skip_value()?;
+        Ok(&self.text[start..self.pos])
+    }
+
     /// Consume a string into an owned `String`.
     pub fn string(&mut self) -> Result<String, JsonError> {
         self.str_token().map(Cow::into_owned)

@@ -10,19 +10,21 @@
 //! * [`Number`] — exact `u64`/`i64` integers plus `f64`, mirroring
 //!   `serde_json`'s arithmetic model so existing artifacts round-trip.
 //! * [`parse`] — a recursive-descent parser with precise error offsets.
-//! * [`to_string`] / [`to_string_pretty`] — compact and 2-space-indented
-//!   serializers.
-//! * [`ToJson`] / [`FromJson`] — conversion traits; the [`json_struct!`] and
-//!   [`json_enum!`] macros generate the short hand-written impls that replace
-//!   `#[derive(Serialize, Deserialize)]`.
-//! * [`ToJsonBuf`] / [`write_json`] — the zero-alloc fast path: serialize
-//!   straight into a reused buffer, skipping the `Json` tree, with bytes
-//!   identical to `to_string(&value.to_json())` (the macros generate these
-//!   impls too).
-//! * [`FromJsonBuf`] / [`read_json`] — its read-side mirror: decode a typed
-//!   value straight off the [`Parser`] cursor, skipping the `Json` tree,
-//!   with the value `T::from_json(&parse(text)?)` would give (the macros
-//!   generate these impls too; `parse` is the `Json` impl).
+//! * [`ToJsonBuf`] / [`write_json`] — the one serializer: a value writes its
+//!   compact text straight into a reused buffer. [`to_string`] is that
+//!   writer into a fresh `String`; [`to_string_pretty`] lays out a `Json`
+//!   tree with 2-space indentation; [`Json::of`] is a value's tree, where a
+//!   document is assembled as one.
+//! * [`FromJson`] / [`from_str`] — decode a typed value out of a `Json`
+//!   tree.
+//! * [`FromJsonBuf`] / [`read_json`] — decode a typed value straight off
+//!   the [`Parser`] cursor, skipping the tree, with the value
+//!   `T::from_json(&parse(text)?)` would give (`parse` is the `Json` impl).
+//! * [`RawJson`] — a value kept as the compact text it was written as.
+//!
+//! The [`json_struct!`] and [`json_enum!`] macros generate the
+//! `ToJsonBuf`, `FromJson` and `FromJsonBuf` impls that replace
+//! `#[derive(Serialize, Deserialize)]`.
 //!
 //! Enum representation matches serde's externally-tagged default:
 //! unit variants are strings (`"Fifo"`), newtype variants are
@@ -43,7 +45,7 @@ mod value;
 mod macros;
 
 pub use buf::{write_json, ToJsonBuf};
-pub use convert::{from_field, from_str, FromJson, ToJson};
+pub use convert::{from_field, from_str, FromJson};
 pub use de::{parse, read_json, FromJsonBuf, Parser, Seq};
 pub use ser::{to_string, to_string_pretty};
-pub use value::{Json, JsonError, Number, ObjBuilder};
+pub use value::{Json, JsonError, Number, ObjBuilder, RawJson};

@@ -16,15 +16,17 @@
 //! json_enum!(Policy { Fifo, Backfill });
 //! ```
 //!
-//! The generated representation matches what serde's default derive produced
-//! for the same types, so artifacts written by pre-hermetic builds still
-//! parse: structs are objects keyed by field name (declaration order),
-//! newtype structs are transparent, and enums are externally tagged.
+//! Each invocation generates one writer, `ToJsonBuf`, and two readers,
+//! `FromJson` and `FromJsonBuf`. The generated representation matches what
+//! serde's default derive produced for the same types, so artifacts written
+//! by pre-hermetic builds still parse: structs are objects keyed by field
+//! name (declaration order), newtype structs are transparent, and enums are
+//! externally tagged.
 
-/// Implement [`ToJson`](crate::ToJson), [`FromJson`](crate::FromJson) and
-/// the tree-free [`ToJsonBuf`](crate::ToJsonBuf) / [`FromJsonBuf`](crate::FromJsonBuf)
-/// fast paths for a struct with named fields, or transparently for a
-/// newtype struct.
+/// Implement the writer [`ToJsonBuf`](crate::ToJsonBuf) and the readers
+/// [`FromJson`](crate::FromJson) (from a tree) and
+/// [`FromJsonBuf`](crate::FromJsonBuf) (off the parser) for a struct with
+/// named fields, or transparently for a newtype struct.
 ///
 /// Missing keys on input read as `null`, so `Option<T>` fields tolerate
 /// older artifacts that omitted them.
@@ -56,13 +58,6 @@ macro_rules! json_struct {
         }
     }};
     ($ty:ident { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::Object(vec![
-                    $( (stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)) ),+
-                ])
-            }
-        }
         impl $crate::ToJsonBuf for $ty {
             fn write_json(&self, out: &mut ::std::string::String) {
                 out.push('{');
@@ -91,11 +86,6 @@ macro_rules! json_struct {
         }
     };
     ($ty:ident ( $inner:ty )) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::ToJson::to_json(&self.0)
-            }
-        }
         impl $crate::ToJsonBuf for $ty {
             fn write_json(&self, out: &mut ::std::string::String) {
                 $crate::ToJsonBuf::write_json(&self.0, out);
@@ -114,9 +104,10 @@ macro_rules! json_struct {
     };
 }
 
-/// Implement [`ToJson`](crate::ToJson), [`FromJson`](crate::FromJson) and
-/// the tree-free [`ToJsonBuf`](crate::ToJsonBuf) / [`FromJsonBuf`](crate::FromJsonBuf)
-/// fast paths for an enum, using serde's externally-tagged representation.
+/// Implement the writer [`ToJsonBuf`](crate::ToJsonBuf) and the readers
+/// [`FromJson`](crate::FromJson) (from a tree) and
+/// [`FromJsonBuf`](crate::FromJsonBuf) (off the parser) for an enum, using
+/// serde's externally-tagged representation.
 ///
 /// Unit variants serialize as `"Name"`; newtype variants as
 /// `{"Name": value}`; tuple variants as `{"Name": [..]}`; struct variants as
@@ -126,14 +117,6 @@ macro_rules! json_struct {
 #[macro_export]
 macro_rules! json_enum {
     ($ty:ident { $( $var:ident $( ( $($tf:ident),+ ) )? $( { $($sf:ident),+ } )? ),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                match self {
-                    $( $crate::json_enum!(@pat $ty $var $(( $($tf),+ ))? $({ $($sf),+ })?) =>
-                        $crate::json_enum!(@to $var $(( $($tf),+ ))? $({ $($sf),+ })?), )+
-                }
-            }
-        }
         impl $crate::ToJsonBuf for $ty {
             fn write_json(&self, out: &mut ::std::string::String) {
                 match self {
@@ -198,28 +181,6 @@ macro_rules! json_enum {
     (@pat $ty:ident $var:ident) => { $ty::$var };
     (@pat $ty:ident $var:ident ( $($tf:ident),+ )) => { $ty::$var( $($tf),+ ) };
     (@pat $ty:ident $var:ident { $($sf:ident),+ }) => { $ty::$var { $($sf),+ } };
-
-    (@to $var:ident) => { $crate::Json::Str(stringify!($var).to_string()) };
-    (@to $var:ident ( $single:ident )) => {
-        $crate::Json::Object(vec![(
-            stringify!($var).to_string(),
-            $crate::ToJson::to_json($single),
-        )])
-    };
-    (@to $var:ident ( $($tf:ident),+ )) => {
-        $crate::Json::Object(vec![(
-            stringify!($var).to_string(),
-            $crate::Json::Array(vec![ $( $crate::ToJson::to_json($tf) ),+ ]),
-        )])
-    };
-    (@to $var:ident { $($sf:ident),+ }) => {
-        $crate::Json::Object(vec![(
-            stringify!($var).to_string(),
-            $crate::Json::Object(vec![
-                $( (stringify!($sf).to_string(), $crate::ToJson::to_json($sf)) ),+
-            ]),
-        )])
-    };
 
     (@tobuf $out:ident $var:ident) => {
         $out.push_str(concat!("\"", stringify!($var), "\""))

@@ -1,29 +1,25 @@
 //! Serialization: compact and pretty (2-space indent, `serde_json` style).
 //!
-//! The number and string writers live in [`crate::buf`] and are shared
-//! with the [`ToJsonBuf`](crate::ToJsonBuf) fast path, so the two paths
-//! produce identical bytes by construction.
+//! Compact text has one writer, [`ToJsonBuf`](crate::ToJsonBuf); the number
+//! and string writers live in [`crate::buf`]. Pretty text is a layout of a
+//! [`Json`] tree, written with those same number and string writers.
 
 use crate::buf::{write_escaped, write_number};
 use crate::value::Json;
-use crate::ToJson;
+use crate::ToJsonBuf;
 
-/// Serialize compactly: `{"k":1,"v":[true,null]}`.
-pub fn to_string(value: &impl ToJson) -> String {
-    json_to_string(&value.to_json())
-}
-
-/// Serialize with 2-space indentation, matching the layout of the
-/// checked-in `fig*.json` / `table1.json` artifacts.
-pub fn to_string_pretty(value: &impl ToJson) -> String {
+/// Serialize compactly into a fresh `String`: `{"k":1,"v":[true,null]}`.
+pub fn to_string(value: &impl ToJsonBuf) -> String {
     let mut out = String::new();
-    write_value(&mut out, &value.to_json(), Some(0));
+    value.write_json(&mut out);
     out
 }
 
-pub(crate) fn json_to_string(value: &Json) -> String {
+/// Serialize a tree with 2-space indentation, matching the layout of the
+/// checked-in `fig*.json` / `table1.json` artifacts.
+pub fn to_string_pretty(value: &Json) -> String {
     let mut out = String::new();
-    write_value(&mut out, value, None);
+    write_value(&mut out, value, Some(0));
     out
 }
 

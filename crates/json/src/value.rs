@@ -1,5 +1,6 @@
 //! The JSON value model.
 
+use crate::Parser;
 use std::fmt;
 
 /// A JSON number.
@@ -13,7 +14,8 @@ pub enum Number {
     U64(u64),
     /// A negative integer (parsers only produce this for values < 0).
     I64(i64),
-    /// A floating-point number. Never NaN/inf (those serialize as `null`).
+    /// A floating-point number. Never NaN/inf: those are written as
+    /// `null`, so [`Json::of`] and the parser never make one.
     F64(f64),
 }
 
@@ -92,9 +94,22 @@ impl Json {
         ObjBuilder(Vec::new())
     }
 
-    /// Build an array by converting each item with [`crate::ToJson`].
-    pub fn array<T: crate::ToJson>(items: impl IntoIterator<Item = T>) -> Json {
-        Json::Array(items.into_iter().map(|v| v.to_json()).collect())
+    /// The tree of `value`'s compact text: written through
+    /// [`ToJsonBuf`](crate::ToJsonBuf), then [`parse`](crate::parse)d.
+    /// Non-finite floats are written as `null`, so they come back as
+    /// [`Json::Null`].
+    ///
+    /// # Panics
+    ///
+    /// If a hand-written `ToJsonBuf` impl writes text that is not JSON.
+    pub fn of(value: &impl crate::ToJsonBuf) -> Json {
+        let text = crate::to_string(value);
+        crate::parse(&text).unwrap_or_else(|e| panic!("the writer emitted invalid JSON: {e}"))
+    }
+
+    /// An array of each item's tree ([`Json::of`]).
+    pub fn array<T: crate::ToJsonBuf>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Array(items.into_iter().map(|v| Json::of(&v)).collect())
     }
 
     /// Object field lookup (first match; `None` for non-objects).
@@ -176,7 +191,7 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::ser::json_to_string(self))
+        f.write_str(&crate::to_string(self))
     }
 }
 
@@ -185,9 +200,9 @@ impl fmt::Display for Json {
 pub struct ObjBuilder(pub(crate) Vec<(String, Json)>);
 
 impl ObjBuilder {
-    /// Append a field, converting the value with [`crate::ToJson`].
-    pub fn field(mut self, key: &str, value: impl crate::ToJson) -> Self {
-        self.0.push((key.to_string(), value.to_json()));
+    /// Append a field holding `value`'s tree ([`Json::of`]).
+    pub fn field(mut self, key: &str, value: impl crate::ToJsonBuf) -> Self {
+        self.0.push((key.to_string(), Json::of(&value)));
         self
     }
 
@@ -200,6 +215,43 @@ impl ObjBuilder {
 impl From<ObjBuilder> for Json {
     fn from(b: ObjBuilder) -> Json {
         b.build()
+    }
+}
+
+/// A value's compact JSON text, held as text rather than as a tree: what
+/// [`ToJsonBuf`](crate::ToJsonBuf) wrote, written back verbatim, and on
+/// read the parser's slice of the value ([`Parser::raw_value`]). Decode it
+/// with [`read_json`](crate::read_json).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawJson(String);
+
+impl RawJson {
+    /// `value`'s compact text.
+    pub fn new(value: &impl crate::ToJsonBuf) -> RawJson {
+        RawJson(crate::to_string(value))
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl crate::ToJsonBuf for RawJson {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+}
+
+impl crate::FromJsonBuf for RawJson {
+    fn from_json_buf(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        p.raw_value().map(|text| RawJson(text.to_string()))
+    }
+}
+
+impl crate::FromJson for RawJson {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(RawJson::new(v))
     }
 }
 

@@ -2,7 +2,7 @@
 
 use impress_json::{
     from_str, json_enum, json_struct, parse, read_json, to_string, to_string_pretty, FromJson,
-    FromJsonBuf, Json, Number, ToJson,
+    FromJsonBuf, Json, Number, RawJson,
 };
 use std::collections::BTreeMap;
 
@@ -85,6 +85,53 @@ fn parse_after_serialize_is_identity_compact_and_pretty() {
         assert_eq!(back_compact, value, "case {case} compact:\n{compact}");
         assert_eq!(back_pretty, value, "case {case} pretty:\n{pretty}");
     }
+}
+
+#[test]
+fn json_of_a_tree_is_the_same_tree() {
+    let mut rng = XorShift(0x0F0F_1D3A_7717_0001);
+    for case in 0..500u32 {
+        let value = arb_json(&mut rng, 3);
+        assert_eq!(Json::of(&value), value, "case {case}");
+    }
+}
+
+#[test]
+fn json_of_maps_non_finite_floats_to_null() {
+    for f in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(Json::of(&f), Json::Null, "{f}");
+        assert_eq!(Json::of(&(f as f32)), Json::Null, "{f} as f32");
+    }
+    let doc = Json::object()
+        .field("score", f64::NAN)
+        .field("xs", vec![1.5, f64::INFINITY])
+        .build();
+    assert_eq!(doc.get("score"), Some(&Json::Null));
+    assert_eq!(
+        doc.get("xs"),
+        Some(&Json::Array(vec![Json::Num(Number::F64(1.5)), Json::Null]))
+    );
+    assert_eq!(Json::of(&0.5), Json::Num(Number::F64(0.5)));
+}
+
+#[test]
+fn raw_json_is_the_text_it_was_written_as() {
+    let value = Json::object()
+        .field("s", "tab\t \"q\" µ 日本")
+        .field("xs", vec![vec![1.0, -2.5], vec![]])
+        .field("f", 0.1875)
+        .build();
+    let raw = RawJson::new(&value);
+    assert_eq!(raw.as_str(), to_string(&value));
+    assert_eq!(to_string(&raw), raw.as_str());
+    // Read back as the parser's slice of the value, surrounding spaces
+    // and all other members left out.
+    let doc = format!("[ {} , 7]", raw.as_str());
+    let (back, seven): (RawJson, u32) = read_json(&doc).unwrap();
+    assert_eq!((back, seven), (raw.clone(), 7));
+    assert_eq!(from_str::<(RawJson, u32)>(&doc).unwrap().0, raw);
+    assert_eq!(read_json::<Json>(raw.as_str()).unwrap(), value);
+    assert!(read_json::<RawJson>("[1,").is_err());
 }
 
 #[test]
@@ -259,7 +306,7 @@ fn struct_macro_round_trips_nested_types() {
         tags: vec!["a".into(), "b".into()],
         maybe: None,
     };
-    let text = to_string_pretty(&outer);
+    let text = to_string_pretty(&Json::of(&outer));
     let back: Outer = from_str(&text).expect("reparse");
     assert_eq!(back, outer);
     // None serializes as null, and a missing key also reads back as None.
@@ -303,16 +350,6 @@ fn enum_macro_uses_serde_external_tagging() {
 fn error_messages_name_the_failing_field() {
     let err = from_str::<Outer>(r#"{"id":"not a number"}"#).unwrap_err();
     assert!(err.to_string().contains("id"), "{err}");
-}
-
-#[test]
-fn to_json_reference_blanket_impl_works() {
-    let s = Inner {
-        label: "x".into(),
-        weight: 1.0,
-    };
-    let by_ref: Json = (&s).to_json();
-    assert_eq!(by_ref, s.to_json());
 }
 
 // --- pull route == tree route ----------------------------------------------
@@ -530,14 +567,14 @@ fn pull_route_and_tree_route_agree() {
         // compact or pretty.
         let record = arb_record(&mut rng);
         let script = arb_script(&mut rng);
-        for text in [to_string(&record), to_string_pretty(&record)] {
+        for text in [to_string(&record), to_string_pretty(&Json::of(&record))] {
             assert_eq!(
                 assert_routes_agree::<Record>(&text),
                 Some(record.clone()),
                 "case {case}"
             );
         }
-        for text in [to_string(&script), to_string_pretty(&script)] {
+        for text in [to_string(&script), to_string_pretty(&Json::of(&script))] {
             assert_eq!(
                 assert_routes_agree::<Script>(&text),
                 Some(script.clone()),
@@ -545,12 +582,12 @@ fn pull_route_and_tree_route_agree() {
             );
         }
         // Anything else either decodes to one value or is refused by both.
-        let mut tree = record.to_json();
+        let mut tree = Json::of(&record);
         for _ in 0..1 + rng.below(3) {
             mutate(&mut rng, &mut tree);
         }
         assert_routes_agree::<Record>(&to_string(&tree));
-        let mut tree = script.to_json();
+        let mut tree = Json::of(&script);
         mutate(&mut rng, &mut tree);
         assert_routes_agree::<Script>(&to_string_pretty(&tree));
         // Arbitrary documents against every std impl.

@@ -5,7 +5,7 @@
 //! writers produced (checksummed journals and pinned artifacts depend on
 //! them). The reference writers below are those, kept only here.
 
-use impress_json::{to_string, write_json, ToJson, ToJsonBuf};
+use impress_json::{to_string, write_json, ToJsonBuf};
 use std::fmt::Write as _;
 
 /// Deterministic splitmix64, local to this test (the json crate has no
@@ -60,13 +60,13 @@ fn reference_str(s: &str) -> String {
     out
 }
 
-/// Both serializers — the buffer fast path (after existing text) and the
-/// tree path — write `want` for `v`.
-fn check<T: ToJson + ToJsonBuf + std::fmt::Debug>(v: &T, want: &str) {
+/// The writer puts `want` for `v` both after existing text and into a
+/// fresh `String`.
+fn check<T: ToJsonBuf + std::fmt::Debug>(v: &T, want: &str) {
     let mut buf = String::from("[1,");
     write_json(&mut buf, &v);
-    assert_eq!(&buf[3..], want, "fast path, {v:?}");
-    assert_eq!(to_string(v), want, "tree path, {v:?}");
+    assert_eq!(&buf[3..], want, "into a used buffer, {v:?}");
+    assert_eq!(to_string(v), want, "into a fresh buffer, {v:?}");
 }
 
 fn check_u64(u: u64) {

@@ -30,10 +30,9 @@
 //!   sorts them like any other event.
 //! * **Optional parallel drive.** With
 //!   [`RuntimeConfig::parallel_shards`](crate::RuntimeConfig), each shard
-//!   queue is owned by a worker thread (on the same `crate::sync` channel
-//!   substrate as the threaded backend) and the per-horizon queue
-//!   operations — batched inserts, cancellations, drains — run
-//!   concurrently. Both drive modes execute the same `sync_queue`
+//!   queue is owned by a worker thread (fed over `std::sync::mpsc`
+//!   channels) and the per-horizon queue operations — batched inserts,
+//!   cancellations, drains — run concurrently. Both drive modes execute the same `sync_queue`
 //!   routine, so the event stream is identical; only queue ownership
 //!   changes.
 //!
@@ -55,6 +54,7 @@ use crate::runtime::RuntimeConfig;
 use crate::task::{TaskDescription, TaskId};
 use impress_sim::{EventId, EventQueue, SimTime};
 use impress_telemetry::Telemetry;
+use std::sync::mpsc;
 
 /// Queue payload: global sequence number (the deterministic merge key,
 /// mirroring the sequential driver's `EventId` order) plus the event.
@@ -106,8 +106,8 @@ struct Reply {
 
 /// Worker threads owning the shard queues (parallel drive mode).
 struct WorkerPool {
-    txs: Vec<crate::sync::Sender<Cmd>>,
-    rxs: Vec<crate::sync::Receiver<Reply>>,
+    txs: Vec<mpsc::Sender<Cmd>>,
+    rxs: Vec<mpsc::Receiver<Reply>>,
     joins: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -117,8 +117,8 @@ impl WorkerPool {
         let mut rxs = Vec::with_capacity(n);
         let mut joins = Vec::with_capacity(n);
         for _ in 0..n {
-            let (ctx, crx) = crate::sync::channel::<Cmd>();
-            let (rtx, rrx) = crate::sync::channel::<Reply>();
+            let (ctx, crx) = mpsc::channel::<Cmd>();
+            let (rtx, rrx) = mpsc::channel::<Reply>();
             joins.push(std::thread::spawn(move || {
                 let mut q: EventQueue<Item> = EventQueue::new();
                 while let Ok(cmd) = crx.recv() {
@@ -660,7 +660,9 @@ mod tests {
     /// own driver with every work closure on an OS thread.
     mod differential {
         use super::*;
-        use impress_telemetry::{chrome_trace, Label, MetricsSnapshot, Telemetry, TraceClock};
+        use impress_telemetry::{
+            write_chrome_trace, Label, MetricsSnapshot, Telemetry, TraceClock,
+        };
 
         struct Campaign {
             config: PilotConfig,
@@ -812,16 +814,15 @@ mod tests {
             }
             let mut backend = make(rt);
             let completions = drive(&mut backend, c, settle);
+            let mut trace = String::new();
+            write_chrome_trace(&mut trace, &recorder.events(), TraceClock::Virtual);
             Outcome {
                 completions,
                 cstats: backend.control_stats(),
                 end: backend.now().as_micros(),
                 held: backend.held_tasks(),
                 snapshot: telemetry.snapshot(),
-                trace: impress_json::to_string(&chrome_trace(
-                    &recorder.events(),
-                    TraceClock::Virtual,
-                )),
+                trace,
                 breakdown: backend.phase_breakdown(),
                 util: backend.utilization(),
             }

@@ -60,7 +60,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod session;
 mod states;
-mod sync;
 pub mod task;
 
 pub use backend::{Completion, ExecutionBackend, TaskError};

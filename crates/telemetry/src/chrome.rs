@@ -1,5 +1,6 @@
 //! Chrome trace-event JSON export (loadable in `about://tracing` and
-//! Perfetto).
+//! Perfetto). One exporter, [`write_chrome_trace`], writes the document's
+//! compact text straight into a buffer.
 //!
 //! The exporter is deliberately *structural*: spans become self-contained
 //! `"X"` (complete) events carrying `(ts, dur, tid, cat, name, args)` and
@@ -11,7 +12,6 @@
 //! agree.
 
 use crate::event::{SpanCat, SpanId, Stamp, TelemetryEvent};
-use impress_json::Json;
 use std::collections::HashMap;
 
 /// Which clock drives the exported `ts`/`dur` fields.
@@ -45,61 +45,18 @@ fn timestamp(at: Stamp, clock: TraceClock) -> u64 {
     }
 }
 
-/// Export every event as a Chrome trace document.
-pub fn chrome_trace(events: &[TelemetryEvent], clock: TraceClock) -> Json {
-    chrome_trace_filtered(events, clock, |_| true)
-}
-
-/// Export only events whose category passes `keep`. The virtual-time
-/// parity contract uses this to exclude [`SpanCat::Scheduler`] rounds,
-/// whose count and shape are backend mechanics rather than workload
-/// causality.
-pub fn chrome_trace_filtered(
-    events: &[TelemetryEvent],
-    clock: TraceClock,
-    keep: impl Fn(SpanCat) -> bool,
-) -> Json {
-    let rows = collect_rows(events, clock, keep);
-    let trace_events: Vec<Json> = rows
-        .iter()
-        .map(|row| {
-            let mut obj = Json::object()
-                .field("name", row.name)
-                .field("cat", row.cat.as_str())
-                .field("ph", if row.dur.is_some() { "X" } else { "i" })
-                .field("ts", row.ts)
-                .field("pid", 1u64)
-                .field("tid", row.tid);
-            if let Some(dur) = row.dur {
-                obj = obj.field("dur", dur);
-            } else {
-                obj = obj.field("s", "t");
-            }
-            let mut args = Json::object();
-            for (k, v) in &row.args {
-                args = args.field(k, *v);
-            }
-            obj.field("args", args.build()).build()
-        })
-        .collect();
-
-    Json::object()
-        .field("traceEvents", Json::Array(trace_events))
-        .field("displayTimeUnit", "ms")
-        .build()
-}
-
-/// Render the compact-JSON trace document straight into `out` — the
-/// [`ToJsonBuf`](impress_json::ToJsonBuf)-style fast path. The bytes are
-/// identical to `impress_json::to_string(&chrome_trace(events, clock))`
-/// without materializing the intermediate [`Json`] tree (one small object
-/// per span adds up: trace documents reach hundreds of kilobytes).
+/// Render every event as a compact Chrome trace document straight into
+/// `out`, with no [`Json`](impress_json::Json) tree in between (one small
+/// object per span adds up: trace documents reach hundreds of kilobytes).
+/// Parse the text where a test needs the tree.
 pub fn write_chrome_trace(out: &mut String, events: &[TelemetryEvent], clock: TraceClock) {
     write_chrome_trace_filtered(out, events, clock, |_| true)
 }
 
-/// [`write_chrome_trace`] restricted to categories passing `keep`; byte
-/// parity with [`chrome_trace_filtered`] rendered compactly.
+/// [`write_chrome_trace`] restricted to categories passing `keep`. The
+/// virtual-time parity contract uses this to exclude
+/// [`SpanCat::Scheduler`] rounds, whose count and shape are backend
+/// mechanics rather than workload causality.
 pub fn write_chrome_trace_filtered(
     out: &mut String,
     events: &[TelemetryEvent],
@@ -145,8 +102,7 @@ pub fn write_chrome_trace_filtered(
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
 }
 
-/// Flatten, filter and canonically sort the events into render-ready rows
-/// (shared by the tree and streaming renderers).
+/// Flatten, filter and canonically sort the events into render-ready rows.
 fn collect_rows(
     events: &[TelemetryEvent],
     clock: TraceClock,

@@ -1,7 +1,7 @@
 //! The span/event model: what instrumentation points emit into a
 //! [`TelemetrySink`](crate::TelemetrySink).
 
-use impress_json::{FromJson, FromJsonBuf, Json, JsonError, Parser, ToJson, ToJsonBuf};
+use impress_json::{FromJson, FromJsonBuf, Json, JsonError, Parser, ToJsonBuf};
 use impress_sim::SimTime;
 use std::sync::Arc;
 
@@ -229,12 +229,6 @@ impl std::fmt::Debug for Label {
 // A label's JSON is its text's: it writes and reads exactly the bytes, and
 // fails with exactly the errors, of the `String` it stands in for, so a
 // record that swaps one for the other keeps its encoding.
-
-impl ToJson for Label {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
 
 impl ToJsonBuf for Label {
     fn write_json(&self, out: &mut String) {

@@ -14,8 +14,9 @@
 //! * **Metrics** — named counters, gauges and histograms (reusing
 //!   [`impress_sim::Histogram`]), snapshotted deterministically into a
 //!   [`MetricsSnapshot`].
-//! * **Exporters** — Chrome trace-event JSON ([`chrome_trace`], loadable
-//!   in Perfetto) and Prometheus text exposition ([`prometheus_text`]).
+//! * **Exporters** — Chrome trace-event JSON ([`write_chrome_trace`],
+//!   loadable in Perfetto) and Prometheus text exposition
+//!   ([`prometheus_text`]).
 //!
 //! What recording costs on the enabled path: an event is a fixed-size
 //! value — its name a [`Label`] (inline up to [`LABEL_INLINE`] bytes), its
@@ -23,8 +24,8 @@
 //! and evicting one from a full ring, touches no allocator. A metric
 //! update takes one lock and scans a short vector for the name literal's
 //! address. Strings, vectors and name order appear only at export
-//! ([`chrome_trace`], [`Telemetry::snapshot`]). `tests/zero_alloc.rs` pins
-//! both at zero allocations.
+//! ([`write_chrome_trace`], [`Telemetry::snapshot`]).
+//! `tests/zero_alloc.rs` pins both at zero allocations.
 //!
 //! The export contract that makes cross-backend testing possible: the
 //! Chrome exporter emits structurally canonical documents (no span ids,
@@ -41,10 +42,7 @@ mod metrics;
 mod prom;
 mod sink;
 
-pub use chrome::{
-    chrome_trace, chrome_trace_filtered, write_chrome_trace, write_chrome_trace_filtered,
-    TraceClock,
-};
+pub use chrome::{write_chrome_trace, write_chrome_trace_filtered, TraceClock};
 pub use event::{
     check_nesting, Args, Label, SpanCat, SpanId, Stamp, TelemetryEvent, ARGS_MAX, LABEL_INLINE,
 };
@@ -289,6 +287,12 @@ mod tests {
         Stamp::virt(SimTime::from_micros(s * 1_000_000))
     }
 
+    fn chrome(events: &[TelemetryEvent], clock: TraceClock) -> String {
+        let mut out = String::new();
+        write_chrome_trace(&mut out, events, clock);
+        out
+    }
+
     #[test]
     fn disabled_handle_records_nothing_and_returns_none_ids() {
         let tele = Telemetry::disabled();
@@ -386,49 +390,32 @@ mod tests {
                 open("alpha");
                 open("beta");
             }
-            impress_json::to_string(&rec.chrome_trace(TraceClock::Virtual))
+            chrome(&rec.events(), TraceClock::Virtual)
         };
         assert_eq!(render(false), render(true));
     }
 
     #[test]
-    fn streaming_chrome_export_matches_the_tree_path_byte_for_byte() {
+    fn the_filtered_export_drops_exactly_the_excluded_categories() {
         let (tele, rec) = Telemetry::recording(64);
-        let a = tele.span(
-            SpanCat::Pipeline,
-            "pipe \"0\"",
-            SpanId::NONE,
-            3,
-            t(1),
-            &[("pipeline", 0)],
-        );
-        let b = tele.span(SpanCat::Stage, "stage", a, 3, t(2), &[("tasks", 4)]);
-        tele.instant(
-            SpanCat::Fault,
-            "task-retried",
-            b,
-            3,
-            t(3),
-            &[("attempts", 2)],
-        );
-        tele.end(b, t(6));
-        tele.end(a, t(9));
+        let a = tele.span(SpanCat::Stage, "stage", SpanId::NONE, 3, t(2), &[]);
+        tele.instant(SpanCat::Fault, "task-retried", a, 3, t(3), &[]);
+        tele.end(a, t(6));
         tele.span(SpanCat::Task, "unclosed", SpanId::NONE, 7, t(4), &[]);
         let events = rec.events();
-        for clock in [TraceClock::Virtual, TraceClock::Wall] {
-            let tree = impress_json::to_string(&chrome_trace(&events, clock));
-            let mut streamed = String::new();
-            write_chrome_trace(&mut streamed, &events, clock);
-            assert_eq!(streamed, tree, "fast path diverged ({clock:?})");
-        }
-        // The filtered variants agree too (and actually filter).
-        let keep = |c: SpanCat| c != SpanCat::Task;
-        let tree =
-            impress_json::to_string(&chrome_trace_filtered(&events, TraceClock::Virtual, keep));
-        let mut streamed = String::new();
-        write_chrome_trace_filtered(&mut streamed, &events, TraceClock::Virtual, keep);
-        assert_eq!(streamed, tree);
-        assert!(!streamed.contains("unclosed"));
+        let mut kept = String::new();
+        write_chrome_trace_filtered(&mut kept, &events, TraceClock::Virtual, |c| {
+            c != SpanCat::Task
+        });
+        let rows = |text: &str| {
+            let doc = impress_json::parse(text).unwrap();
+            doc.get("traceEvents").unwrap().as_array().unwrap().to_vec()
+        };
+        let mut want = rows(&chrome(&events, TraceClock::Virtual));
+        assert_eq!(want.len(), 3);
+        want.retain(|row| row.get("cat").and_then(|c| c.as_str()) != Some(SpanCat::Task.as_str()));
+        assert_eq!(want.len(), 2);
+        assert_eq!(rows(&kept), want);
     }
 
     #[test]
@@ -443,7 +430,7 @@ mod tests {
             &[],
         );
         tele.end(id, Stamp::dual(SimTime::from_micros(200), 19));
-        let doc = rec.chrome_trace(TraceClock::Wall);
+        let doc = impress_json::parse(&chrome(&rec.events(), TraceClock::Wall)).unwrap();
         let ev = doc
             .get("traceEvents")
             .and_then(|e| e.idx(0))
@@ -545,7 +532,7 @@ impress_h_count 1
     }
 
     /// Names at and across the inline limit, multi-byte text and the empty
-    /// name come back out of both export routes exactly as recorded.
+    /// name come back out of the export on both clocks exactly as recorded.
     #[test]
     fn label_edge_names_round_trip_through_both_export_routes() {
         let at_limit = "a".repeat(LABEL_INLINE);
@@ -569,23 +556,21 @@ impress_h_count 1
                 assert_eq!(name.to_string(), **name);
             }
         }
-        let tree = impress_json::to_string(&chrome_trace(&events, TraceClock::Virtual));
-        let mut streamed = String::new();
-        write_chrome_trace(&mut streamed, &events, TraceClock::Virtual);
-        assert_eq!(streamed, tree);
-        let doc: impress_json::Json = impress_json::from_str(&streamed).expect("trace parses");
-        let rows = doc
-            .get("traceEvents")
-            .and_then(|e| e.as_array())
-            .expect("rows");
-        let mut exported: Vec<&str> = rows
-            .iter()
-            .map(|r| r.get("name").and_then(|n| n.as_str()).expect("name"))
-            .collect();
-        exported.sort_unstable();
         let mut expected: Vec<&str> = names.iter().chain(names.iter()).copied().collect();
         expected.sort_unstable();
-        assert_eq!(exported, expected);
+        for clock in [TraceClock::Virtual, TraceClock::Wall] {
+            let doc = impress_json::parse(&chrome(&events, clock)).expect("trace parses");
+            let rows = doc
+                .get("traceEvents")
+                .and_then(|e| e.as_array())
+                .expect("rows");
+            let mut exported: Vec<&str> = rows
+                .iter()
+                .map(|r| r.get("name").and_then(|n| n.as_str()).expect("name"))
+                .collect();
+            exported.sort_unstable();
+            assert_eq!(exported, expected, "{clock:?}");
+        }
     }
 
     #[test]

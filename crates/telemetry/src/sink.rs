@@ -2,9 +2,7 @@
 //! and the fixed-capacity [`RingSink`] with its [`TraceRecorder`] drain
 //! handle.
 
-use crate::chrome::{chrome_trace, TraceClock};
 use crate::event::TelemetryEvent;
-use impress_json::Json;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -123,10 +121,5 @@ impl TraceRecorder {
     /// How many events were evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.ring.dropped()
-    }
-
-    /// Export everything recorded so far as a Chrome trace document.
-    pub fn chrome_trace(&self, clock: TraceClock) -> Json {
-        chrome_trace(&self.events(), clock)
     }
 }

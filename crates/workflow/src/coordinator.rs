@@ -17,7 +17,7 @@ use crate::pipeline::{BoxedPipeline, PipelineId, PipelineLogic, PipelineState};
 use crate::registry::Registry;
 use crate::report::RunReport;
 use crate::stage::{StageBuffer, Step};
-use impress_json::{FromJson, Json, ToJson};
+use impress_json::{read_json, FromJsonBuf, RawJson, ToJsonBuf};
 use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescription};
 use impress_sim::SimTime;
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
@@ -78,7 +78,7 @@ impl<'a> CoordinatorView<'a> {
 /// coordinator itself stays unbounded in `O`.
 struct JournalWriter<O> {
     journal: Journal,
-    encode: fn(&O) -> Json,
+    encode: fn(&O) -> RawJson,
 }
 
 impl<O> JournalWriter<O> {
@@ -770,7 +770,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     }
 }
 
-impl<O: ToJson, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D> {
+impl<O: ToJsonBuf, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D> {
     /// Install a write-ahead journal: every state transition's record is
     /// durable *before* the transition's effects apply, so a crash at any
     /// instant leaves a journal describing a consistent prefix of the run.
@@ -782,13 +782,13 @@ impl<O: ToJson, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D> 
     pub fn with_journal(mut self, journal: Journal) -> Self {
         self.journal = Some(JournalWriter {
             journal,
-            encode: |outcome| outcome.to_json(),
+            encode: |outcome| RawJson::new(outcome),
         });
         self
     }
 }
 
-impl<O: FromJson + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D> {
+impl<O: FromJsonBuf + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D> {
     /// A coordinator that resumes an interrupted campaign from a replayed
     /// journal ([`crate::journal::load_plan`]).
     ///
@@ -816,12 +816,14 @@ impl<O: FromJson + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinat
             let terminal = match &script.terminal {
                 None => continue,
                 Some(TerminalRecord::Aborted(reason)) => Err(reason.clone()),
-                Some(TerminalRecord::Completed(json)) => Ok(O::from_json(json).map_err(|e| {
-                    JournalError::Corrupt(format!(
-                        "pipeline {} ({}): journaled outcome does not decode: {e}",
-                        script.id, script.name
-                    ))
-                })?),
+                Some(TerminalRecord::Completed(raw)) => {
+                    Ok(read_json(raw.as_str()).map_err(|e| {
+                        JournalError::Corrupt(format!(
+                            "pipeline {} ({}): journaled outcome does not decode: {e}",
+                            script.id, script.name
+                        ))
+                    })?)
+                }
             };
             ghosts.insert(
                 script.id,
@@ -1303,7 +1305,7 @@ mod tests {
 
     #[test]
     fn resume_rejects_an_undecodable_outcome_with_a_diagnostic() {
-        let plan = |stages: Vec<Vec<u32>>, outcome: Json| ReplayPlan {
+        let plan = |stages: Vec<Vec<u32>>, outcome: RawJson| ReplayPlan {
             label: "x".into(),
             seed: 0,
             shapes: Vec::new(),
@@ -1319,8 +1321,8 @@ mod tests {
         // An outcome that is not an `O`, and a stage naming a task shape
         // the plan does not define.
         for plan in [
-            plan(Vec::new(), "not a u64".to_json()),
-            plan(vec![vec![0]], 7u64.to_json()),
+            plan(Vec::new(), RawJson::new(&"not a u64")),
+            plan(vec![vec![0]], RawJson::new(&7u64)),
         ] {
             let err = match Coordinator::<u64, _, _>::resume(backend(), NoDecisions, &plan) {
                 Ok(_) => panic!("a corrupt plan must be rejected"),
@@ -1328,6 +1330,92 @@ mod tests {
             };
             assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
         }
+    }
+
+    /// An outcome whose text has escapes, non-ASCII characters, nested
+    /// arrays and non-integral floats.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Design {
+        name: String,
+        scores: Vec<Vec<f64>>,
+        note: Option<String>,
+    }
+    impress_json::json_struct!(Design { name, scores, note });
+
+    /// One stage, then a `Design` holding the stage's output.
+    struct Designer;
+
+    impl PipelineLogic<Design> for Designer {
+        fn name(&self) -> String {
+            "designer".into()
+        }
+        fn begin(&mut self) -> Step<Design> {
+            Step::run(
+                TaskDescription::new("fold", ResourceRequest::cores(1), SimDuration::from_secs(3))
+                    .with_work(|| 0.1875f64),
+            )
+        }
+        fn stage_done(&mut self, done: Vec<Completion>) -> Step<Design> {
+            let x: f64 = done.into_iter().map(Completion::output::<f64>).sum();
+            Step::Complete(Design {
+                name: "pdz \"α\"\tβ-日本\\n".into(),
+                scores: vec![vec![x, -1.0 / 3.0], vec![], vec![2.5e-300, 1e21]],
+                note: Some("µ\u{1}".into()),
+            })
+        }
+    }
+
+    fn run_designer(
+        journal: Option<Journal>,
+        plan: Option<&ReplayPlan>,
+    ) -> Coordinator<Design, SimulatedBackend, NoDecisions> {
+        let mut c = match plan {
+            Some(p) => Coordinator::resume(backend(), NoDecisions, p).unwrap(),
+            None => Coordinator::new(backend(), NoDecisions),
+        };
+        if let Some(j) = journal {
+            c = c.with_journal(j);
+        }
+        c.add_pipeline(Box::new(Designer));
+        c.run();
+        c
+    }
+
+    /// The one `Completed` outcome of a plan, as its journaled text.
+    fn outcome_text(plan: &ReplayPlan) -> &str {
+        match &plan.pipelines[0].terminal {
+            Some(TerminalRecord::Completed(raw)) => raw.as_str(),
+            other => panic!("expected a completed pipeline, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_journaled_outcome_keeps_its_bytes_through_load_compaction_and_resume() {
+        let store = MemoryJournal::new();
+        let live = run_designer(
+            Some(Journal::new(Box::new(store.clone()), "raw", 3).unwrap()),
+            None,
+        );
+        let want = impress_json::to_string(&live.outcomes()[0].1);
+        let first = load_plan(&store).unwrap().plan;
+        assert_eq!(outcome_text(&first), want);
+
+        // A resume from that plan, journaled with a snapshot after every
+        // commit: the ghost's outcome is decoded, re-encoded and compacted
+        // into the store's `[Begin, Snapshot]` pair.
+        let compacted = MemoryJournal::new();
+        let journal = Journal::new(Box::new(compacted.clone()), "raw", 3)
+            .unwrap()
+            .with_snapshot_interval(1);
+        let resumed = run_designer(Some(journal), Some(&first));
+        assert_eq!(compacted.line_count(), 2, "the store is one snapshot");
+        let second = load_plan(&compacted).unwrap().plan;
+        assert_eq!(outcome_text(&second), want);
+        assert_eq!(second, first);
+
+        let again = run_designer(None, Some(&second));
+        assert_eq!(resumed.outcomes(), live.outcomes());
+        assert_eq!(again.outcomes(), live.outcomes());
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! decodes each line once, straight into its typed record, and verifies
 //! the hash over the `rec` bytes as stored — so a frame whose `rec` is not
 //! the writer's canonical text fails its checksum even when it is
-//! value-equal. The tail
+//! value-equal. A `Completed` record holds its outcome as the compact text
+//! the coordinator wrote ([`RawJson`]): the loader keeps the stored slice
+//! and compaction writes it back verbatim, so no outcome is ever a `Json`
+//! tree; resume decodes it as the outcome type. The tail
 //! is dropped at the first malformed line, CRC mismatch, non-increasing
 //! sequence number, or structurally inconsistent record (one naming a
 //! task shape the journal has not defined is one) — a torn write costs
@@ -88,7 +91,7 @@
 //! task metadata, never on work outputs, an interrupted-then-resumed run
 //! regenerates every artifact byte-identically to an uninterrupted one.
 
-use impress_json::{json_enum, json_struct, FromJsonBuf, Json, Parser, ToJsonBuf};
+use impress_json::{json_enum, json_struct, FromJsonBuf, Parser, RawJson, ToJsonBuf};
 use impress_pilot::{Label, ResourceRequest, TaskDescription, TaskKind};
 use impress_sim::SimDuration;
 use std::collections::hash_map::Entry;
@@ -199,8 +202,8 @@ impl Hash for Shape {
 /// How a journaled pipeline ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TerminalRecord {
-    /// Completed with this serialized outcome.
-    Completed(Json),
+    /// Completed with this outcome, as the compact text it was written as.
+    Completed(RawJson),
     /// Aborted with this reason.
     Aborted(String),
 }
@@ -458,8 +461,8 @@ pub enum JournalRecord {
     Completed {
         /// The pipeline.
         pipeline: u64,
-        /// Serialized outcome (decoded on resume).
-        outcome: Json,
+        /// The outcome's compact text (decoded on resume).
+        outcome: RawJson,
     },
     /// A pipeline aborted.
     Aborted {
@@ -764,11 +767,10 @@ fn checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Append one framed line (`{"seq":N,"crc":C,"rec":{...}}`, no trailing
-/// newline) to `out`. The record is serialized exactly once, through the
-/// [`ToJsonBuf`] fast path into `scratch` (a reused buffer), and the
-/// checksum is computed over those same bytes. Fast-path bytes are
-/// identical to the tree path's, so either serializer's frames verify; the
-/// two numbers go through the same integer writer as every record field.
+/// newline) to `out`. The record is serialized exactly once, through
+/// [`ToJsonBuf`] into `scratch` (a reused buffer), and the checksum is
+/// computed over those same bytes; the two numbers go through the same
+/// integer writer as every record field.
 fn write_frame(out: &mut String, scratch: &mut String, seq: u64, rec: &impl ToJsonBuf) {
     scratch.clear();
     rec.write_json(scratch);
@@ -1256,7 +1258,7 @@ pub fn load_plan(store: &dyn JournalStore) -> Result<LoadedJournal, JournalError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impress_json::{FromJson, ToJson};
+    use impress_json::{FromJson, Json};
     use impress_sim::{SimRng, SimTime};
 
     fn meta(name: &str, secs: u64) -> TaskMeta {
@@ -1305,7 +1307,7 @@ mod tests {
             },
             JournalRecord::Completed {
                 pipeline: 0,
-                outcome: Json::object().field("score", 0.1875).build(),
+                outcome: RawJson::new(&Json::object().field("score", 0.1875).build()),
             },
             JournalRecord::Aborted {
                 pipeline: 1,
@@ -1320,8 +1322,7 @@ mod tests {
     #[test]
     fn every_record_type_round_trips_through_json() {
         for rec in sample_records() {
-            let json = rec.to_json();
-            let text = impress_json::to_string(&json);
+            let text = impress_json::to_string(&rec);
             let back = JournalRecord::from_json(&impress_json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, rec, "round trip failed for {text}");
         }
@@ -1371,13 +1372,15 @@ mod tests {
             .collect()
     }
 
-    fn arb_outcome(rng: &mut SimRng) -> Json {
-        Json::object()
-            .field("score", rng.uniform_range(-3.0, 3.0))
-            .field("sequence", "ACDEFGHIK")
-            .field("accepted", rng.chance(0.5))
-            .field("parent", rng.chance(0.5).then(|| rng.below(9) as u64))
-            .build()
+    fn arb_outcome(rng: &mut SimRng) -> RawJson {
+        RawJson::new(
+            &Json::object()
+                .field("score", rng.uniform_range(-3.0, 3.0))
+                .field("sequence", "ACDEFGHIK")
+                .field("accepted", rng.chance(0.5))
+                .field("parent", rng.chance(0.5).then(|| rng.below(9) as u64))
+                .build(),
+        )
     }
 
     /// A record whose shapes come from `pool`: a stage defines a run of it
@@ -1513,8 +1516,8 @@ mod tests {
     fn bump_version(rec: &mut Json, from: u32, to: u32) {
         if let ("Begin", fields) = variant(rec) {
             let version = field(fields, "version");
-            assert_eq!(*version, from.to_json());
-            *version = to.to_json();
+            assert_eq!(*version, Json::of(&from));
+            *version = Json::of(&to);
         }
     }
 

@@ -79,7 +79,7 @@ use crate::coordinator::{Coordinator, TryStep};
 use crate::decision::DecisionEngine;
 use crate::journal::{Journal, ReplayPlan};
 use crate::pipeline::{BoxedPipeline, PipelineId};
-use impress_json::{FromJson, ToJson};
+use impress_json::{FromJsonBuf, ToJsonBuf};
 use impress_pilot::cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
 use impress_pilot::{ExecutionBackend, UtilizationReport};
 use impress_sim::SimTime;
@@ -399,7 +399,7 @@ pub struct CampaignService<O, B: ExecutionBackend> {
 
 impl<O, B> CampaignService<O, B>
 where
-    O: ToJson + FromJson + 'static,
+    O: ToJsonBuf + FromJsonBuf + 'static,
     B: ExecutionBackend,
 {
     /// A service over one shared backend.

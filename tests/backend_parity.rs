@@ -309,7 +309,7 @@ mod slowdown_parity {
     use super::*;
     use impress_pilot::{FaultConfig, FaultPlan, RetryPolicy, RuntimeConfig, ScriptedSlowdown};
     use impress_sim::{props, SimTime};
-    use impress_telemetry::{chrome_trace_filtered, SpanCat, Telemetry, TraceClock};
+    use impress_telemetry::{write_chrome_trace_filtered, SpanCat, Telemetry, TraceClock};
 
     /// Drive `durations.len()` full-node tasks and export the
     /// virtual-clock Chrome trace plus the final virtual clock. Scheduler
@@ -331,10 +331,11 @@ mod slowdown_parity {
         while let Some(c) = backend.next_completion() {
             assert!(c.result.is_ok());
         }
-        let trace = chrome_trace_filtered(&recorder.events(), TraceClock::Virtual, |cat| {
+        let mut trace = String::new();
+        write_chrome_trace_filtered(&mut trace, &recorder.events(), TraceClock::Virtual, |cat| {
             cat != SpanCat::Scheduler
         });
-        (impress_json::to_string(&trace), backend.now().as_micros())
+        (trace, backend.now().as_micros())
     }
 
     props! {

@@ -119,6 +119,8 @@ guards! {
     the_landscape_has_one_local_scoring_kernel => rules(LANDSCAPE),
     the_journal_loader_builds_no_json_tree => rules(JOURNAL_LOADER),
     the_registry_is_the_coordinators_one_ledger => rules(COORDINATOR_RECORD),
+    every_value_has_one_json_writer_and_one_trace_exporter => rules(ONE_WRITER),
+    the_shard_workers_talk_over_std_channels => rules(CHANNELS),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -415,7 +417,36 @@ const COORDINATOR_RECORD: &[Rule] = &[
     },
 ];
 
-const RULES: [&[Rule]; 8] = [
+/// Every value became JSON text twice — a `Json` tree built by `ToJson`
+/// beside the `ToJsonBuf` writer, and a Chrome trace rendered as a tree
+/// beside the streamed one — with tests only to keep each pair's bytes
+/// equal. The writers are the one route now.
+const ONE_WRITER: &[Rule] = &[
+    Rule {
+        needles: &["ToJson", "chrome_trace_filtered"],
+        word: true,
+        reason: "`ToJsonBuf` and `write_chrome_trace[_filtered]` are the one serializer and \
+                 the one trace exporter; `Json::of` is a value's tree",
+        ..FORBIDDEN
+    },
+    Rule {
+        needles: &["fn to_json", "fn chrome_trace("],
+        reason: "`ToJsonBuf` and `write_chrome_trace[_filtered]` are the one serializer and \
+                 the one trace exporter; `Json::of` is a value's tree",
+        ..FORBIDDEN
+    },
+];
+
+/// The sharded driver's worker threads talked over an in-repo
+/// `Mutex`/`Condvar` channel whose semantics were `std::sync::mpsc`'s.
+const CHANNELS: &[Rule] = &[Rule {
+    scope: "crates/pilot/src/sync.rs",
+    verdict: Verdict::Absent,
+    reason: "`std::sync::mpsc` is the channel",
+    ..FORBIDDEN
+}];
+
+const RULES: [&[Rule]; 10] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -424,6 +455,8 @@ const RULES: [&[Rule]; 8] = [
     LANDSCAPE,
     JOURNAL_LOADER,
     COORDINATOR_RECORD,
+    ONE_WRITER,
+    CHANNELS,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.

@@ -10,11 +10,11 @@
 
 use impress_bench::trace::parity_trace;
 use impress_core::{CampaignSpec, ProtocolConfig};
-use impress_json::{Json, ToJson};
+use impress_json::Json;
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::props;
 use impress_telemetry::{
-    check_nesting, SpanCat, Telemetry, TelemetryEvent, TraceClock, LABEL_INLINE,
+    check_nesting, write_chrome_trace, SpanCat, Telemetry, TelemetryEvent, TraceClock, LABEL_INLINE,
 };
 
 /// A target name whose pipeline names (`<target>/root`, `<target>/sub0`,
@@ -22,7 +22,7 @@ use impress_telemetry::{
 /// campaign carries names stored both ways.
 const LONG_TARGET: &str = "a-pdz-target-named-past-the-inline-label";
 
-fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, Telemetry, Json) {
+fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, Telemetry, String) {
     let mut targets = named_pdz_domains(seed);
     targets[0].name = LONG_TARGET.to_string();
     let (telemetry, recorder) = Telemetry::recording(1 << 18);
@@ -30,8 +30,10 @@ fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, Telemetry, Json) {
         .telemetry(telemetry.clone())
         .run()
         .expect("no resume plan to reject");
-    let chrome = recorder.chrome_trace(TraceClock::Virtual);
-    (recorder.events(), telemetry, chrome)
+    let events = recorder.events();
+    let mut chrome = String::new();
+    write_chrome_trace(&mut chrome, &events, TraceClock::Virtual);
+    (events, telemetry, chrome)
 }
 
 /// A real multi-pipeline campaign records a structurally valid span
@@ -94,8 +96,7 @@ fn campaign_trace_is_well_formed_and_complete() {
 /// needs.
 #[test]
 fn chrome_export_round_trips_through_impress_json() {
-    let (_, _, chrome) = record_campaign(13);
-    let text = impress_json::to_string(&chrome);
+    let (_, _, text) = record_campaign(13);
     let parsed: Json = impress_json::from_str(&text).expect("chrome trace parses");
     assert_eq!(
         impress_json::to_string(&parsed),
@@ -138,8 +139,8 @@ fn telemetry_never_perturbs_the_experiment() {
             .run()
             .expect("no resume plan to reject");
         assert_eq!(
-            impress_json::to_string(&off.result.to_json()),
-            impress_json::to_string(&on.result.to_json()),
+            impress_json::to_string(&off.result),
+            impress_json::to_string(&on.result),
             "seed {seed}: tracing changed the experiment"
         );
     }
