@@ -48,7 +48,7 @@ fn timestamp(at: Stamp, clock: TraceClock) -> u64 {
 /// Render every event as a compact Chrome trace document straight into
 /// `out`, with no [`Json`](impress_json::Json) tree in between (one small
 /// object per span adds up: trace documents reach hundreds of kilobytes).
-/// Parse the text where a test needs the tree.
+/// A caller that needs the tree parses the text.
 pub fn write_chrome_trace(out: &mut String, events: &[TelemetryEvent], clock: TraceClock) {
     write_chrome_trace_filtered(out, events, clock, |_| true)
 }
