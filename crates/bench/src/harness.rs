@@ -2,8 +2,8 @@
 
 use crate::study::Size;
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_cont_v_experiment, run_imrp, ExperimentResult};
-use impress_core::{ProtocolConfig, Table1Row};
+use impress_core::experiment::ExperimentResult;
+use impress_core::{CampaignSpec, ProtocolConfig, Table1Row};
 use impress_pilot::ResourceRequest;
 use impress_proteins::datasets::{mined_pdz_complexes, named_pdz_domains, DesignTarget};
 use std::str::FromStr;
@@ -74,13 +74,10 @@ pub(crate) fn paper_experiment(seed: u64) -> Arc<PaperExperiment> {
         return run.clone();
     }
     let targets = named_pdz_domains(seed);
+    let arm = |spec: CampaignSpec| spec.run().expect("a bare spec runs").result;
     let run = Arc::new(PaperExperiment {
-        cont_v: run_cont_v_experiment(&targets, ProtocolConfig::cont_v(seed)),
-        imrp: run_imrp(
-            &targets,
-            ProtocolConfig::imrp(seed),
-            AdaptivePolicy::default(),
-        ),
+        cont_v: arm(CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(seed))),
+        imrp: arm(CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))),
         structures: targets.len(),
     });
     runs.push((seed, run.clone()));
@@ -113,16 +110,16 @@ pub fn expanded_experiment(seed: u64, n: usize) -> ExperimentResult {
     let targets = mined_pdz_complexes(seed, n);
     let mut config = ProtocolConfig::imrp(seed);
     config.adaptive_final_cycle = false;
-    run_imrp(
-        &targets,
-        config,
-        AdaptivePolicy {
+    CampaignSpec::imrp(&targets, config)
+        .policy(AdaptivePolicy {
             // The paper's expanded run spawned 96 sub-pipelines over 70
             // complexes; scale the budget with the target count.
             sub_budget: n * 96 / 70,
             ..AdaptivePolicy::default()
-        },
-    )
+        })
+        .run()
+        .expect("no resume plan to reject")
+        .result
 }
 
 /// Render a Fig. 2/3-style grouped bar panel: one bar per iteration, bar

@@ -19,7 +19,7 @@
 use crate::harness::named_domains;
 use crate::study::Size;
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_cont_v_resilient, ExperimentResult};
+use impress_core::experiment::ExperimentResult;
 use impress_core::{imrp_journal, CampaignSpec, ProtocolConfig};
 use impress_json::Json;
 use impress_pilot::{FaultConfig, PilotConfig, RetryPolicy};
@@ -50,20 +50,13 @@ pub(crate) fn resilience(size: Size, seed: u64) -> Json {
     let targets = named_domains(size, seed);
     let mut rows = Vec::new();
     for (mtbf, budget, faults, retry) in cells() {
-        let imrp = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
-            .faults(faults.clone(), retry)
-            .run()
-            .expect("no resume plan to reject")
-            .result;
-        let cont = run_cont_v_resilient(
-            &targets,
-            ProtocolConfig::cont_v(seed),
-            PilotConfig::with_seed(seed),
-            faults,
-            retry,
-        );
-        for (arm, r) in [("IM-RP", &imrp), ("CONT-V", &cont)] {
-            rows.push(row(mtbf, budget, arm, r));
+        for spec in [
+            CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed)),
+            CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(seed)),
+        ] {
+            let run = spec.faults(faults.clone(), retry).run();
+            let r = run.expect("the grid's faults have no link section").result;
+            rows.push(row(mtbf, budget, &r));
         }
     }
     Json::object()
@@ -75,11 +68,11 @@ pub(crate) fn resilience(size: Size, seed: u64) -> Json {
         .build()
 }
 
-fn row(mtbf: &str, budget: u32, arm: &str, r: &ExperimentResult) -> Json {
+fn row(mtbf: &str, budget: u32, r: &ExperimentResult) -> Json {
     Json::object()
         .field("mtbf", mtbf)
         .field("retry_budget", budget)
-        .field("arm", arm)
+        .field("arm", r.label.as_str())
         .field("makespan_hours", r.run.makespan.as_hours_f64())
         .field("cpu", r.run.cpu_utilization)
         .field("gpu_slot", r.run.gpu_slot_utilization)

@@ -5,16 +5,13 @@
 //! anyone extending the protocol. [`standard_suite`] is the `ablations`
 //! row of the study table (`study -- ablations` writes `ablations.json`).
 
-use crate::adaptive::AdaptivePolicy;
 use crate::config::ProtocolConfig;
-use crate::experiment::{run_imrp, ExperimentResult};
+use crate::experiment::ExperimentResult;
+use crate::spec::CampaignSpec;
 use impress_json::json_struct;
 use impress_proteins::datasets::DesignTarget;
 use impress_sim::Summary;
 use std::fmt;
-
-/// A labelled mutation of the base protocol configuration.
-pub type Variant<'a> = (&'a str, Box<dyn Fn(&mut ProtocolConfig)>);
 
 /// One ablation variant's outcome.
 #[derive(Debug, Clone)]
@@ -85,47 +82,36 @@ impl fmt::Display for AblationRow {
     }
 }
 
-/// Run a set of labelled protocol variants on the same targets with the
-/// same adaptive policy; returns one row per variant, in input order.
-pub fn run_ablation(
-    targets: &[DesignTarget],
-    base: &ProtocolConfig,
-    policy: AdaptivePolicy,
-    variants: &[Variant<'_>],
-) -> Vec<AblationRow> {
-    variants
-        .iter()
-        .map(|(label, mutate)| {
-            let mut config = base.clone();
-            mutate(&mut config);
-            let result = run_imrp(targets, config, policy);
-            AblationRow::from_result(*label, &result)
-        })
-        .collect()
-}
-
 /// The standard ablation suite from DESIGN.md: adaptivity, retry budget,
-/// MSA mode, speculation width.
+/// MSA mode, speculation width. Each row is one IM-RP spec over `targets`
+/// with the default policy and one mutation of the base protocol config;
+/// rows come back in suite order.
 pub fn standard_suite(targets: &[DesignTarget], seed: u64) -> Vec<AblationRow> {
     use impress_proteins::msa::MsaMode;
-    let base = ProtocolConfig::imrp(seed);
-    let variants: Vec<Variant<'_>> = vec![
-        ("baseline (IM-RP defaults)", Box::new(|_| {})),
-        ("adaptive=off", Box::new(|c| c.adaptive = false)),
-        ("retry_budget=1", Box::new(|c| c.retry_budget = 1)),
-        ("retry_budget=5", Box::new(|c| c.retry_budget = 5)),
-        (
-            "msa=single-sequence",
-            Box::new(|c| c.alphafold.msa_mode = MsaMode::SingleSequence),
-        ),
-        ("speculation=1", Box::new(|c| c.speculation = 1)),
-        ("speculation=4", Box::new(|c| c.speculation = 4)),
-        (
-            "deprioritized-speculation",
-            Box::new(|c| c.deprioritize_speculation = true),
-        ),
+    type Mutation = fn(&mut ProtocolConfig);
+    let variants: [(&str, Mutation); 8] = [
+        ("baseline (IM-RP defaults)", |_| {}),
+        ("adaptive=off", |c| c.adaptive = false),
+        ("retry_budget=1", |c| c.retry_budget = 1),
+        ("retry_budget=5", |c| c.retry_budget = 5),
+        ("msa=single-sequence", |c| {
+            c.alphafold.msa_mode = MsaMode::SingleSequence
+        }),
+        ("speculation=1", |c| c.speculation = 1),
+        ("speculation=4", |c| c.speculation = 4),
+        ("deprioritized-speculation", |c| {
+            c.deprioritize_speculation = true
+        }),
     ];
-    run_ablation(targets, &base, AdaptivePolicy::default(), &variants)
+    variants
+        .into_iter()
+        .map(|(label, mutate)| {
+            let mut config = ProtocolConfig::imrp(seed);
+            mutate(&mut config);
+            let run = CampaignSpec::imrp(targets, config).run();
+            AblationRow::from_result(label, &run.expect("no resume plan to reject").result)
+        })
+        .collect()
 }
 
 #[cfg(test)]

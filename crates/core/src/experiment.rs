@@ -1,7 +1,9 @@
-//! Experiment drivers: run IM-RP and CONT-V end-to-end on the simulated
-//! Amarel node and package everything the paper's tables and figures need.
+//! What an experiment arm produces, and the pieces
+//! [`CampaignSpec::run`] drives either arm with: the shared toolkits, the
+//! IM-RP coordinator's roots and tail, CONT-V's session tail, and the
+//! packaging both arms share.
 
-use crate::adaptive::{AdaptivePolicy, ImpressDecision};
+use crate::adaptive::ImpressDecision;
 use crate::config::ProtocolConfig;
 use crate::control::run_cont_v;
 use crate::protocol::{DesignOutcome, DesignPipeline};
@@ -10,11 +12,11 @@ use crate::spec::CampaignSpec;
 use crate::toolkit::TargetToolkit;
 use impress_json::json_struct;
 use impress_pilot::backend::SimulatedBackend;
-use impress_pilot::{FaultConfig, FaultPlan, PilotConfig, RetryPolicy, RuntimeConfig, Session};
+use impress_pilot::Session;
 use impress_proteins::datasets::DesignTarget;
 use impress_proteins::MetricKind;
 use impress_workflow::journal::{Journal, JournalError, JournalStore};
-use impress_workflow::{Coordinator, RunReport};
+use impress_workflow::{Coordinator, Registry, RunReport};
 use std::sync::Arc;
 
 /// The complete result of one experiment arm.
@@ -73,22 +75,7 @@ pub fn toolkits(targets: &[DesignTarget], seed: u64) -> Vec<Arc<TargetToolkit>> 
         .collect()
 }
 
-/// Run the adaptive IM-RP arm: concurrent pipelines over the pilot
-/// coordinator with the quality-ranked sub-pipeline policy, on the paper's
-/// single Amarel node. Thin wrapper over [`CampaignSpec::run`].
-pub fn run_imrp(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    policy: AdaptivePolicy,
-) -> ExperimentResult {
-    CampaignSpec::imrp(targets, config)
-        .policy(policy)
-        .run()
-        .expect("no resume plan to reject")
-        .result
-}
-
-/// The IM-RP coordinator type the experiment drivers build.
+/// The IM-RP coordinator type [`CampaignSpec::run`] builds.
 pub(crate) type ImrpCoordinator = Coordinator<DesignOutcome, SimulatedBackend, ImpressDecision>;
 
 pub(crate) fn add_imrp_roots(
@@ -121,7 +108,7 @@ pub(crate) fn finish_imrp(mut coordinator: ImrpCoordinator) -> (ExperimentResult
 
 /// The campaign label journaled IM-RP runs stamp into the journal header;
 /// [`CampaignSpec::run`] refuses a resume plan with any other label.
-pub const IMRP_JOURNAL_LABEL: &str = "IM-RP";
+pub(crate) const IMRP_JOURNAL_LABEL: &str = "IM-RP";
 
 /// A write-ahead journal on `store` stamped with the campaign identity
 /// (label + protocol seed) that [`CampaignSpec::resume_from`] validates.
@@ -132,44 +119,31 @@ pub fn imrp_journal(
     Journal::new(store, IMRP_JOURNAL_LABEL, config.seed)
 }
 
-/// Run the sequential CONT-V arm on its own simulated node.
+/// Run the sequential CONT-V arm on its own simulated node: a one-call
+/// forward to [`CampaignSpec::cont_v`], kept under this name for the perf
+/// ledger's adapter.
 pub fn run_cont_v_experiment(targets: &[DesignTarget], config: ProtocolConfig) -> ExperimentResult {
-    let backend = SimulatedBackend::new(PilotConfig::with_seed(config.seed));
-    run_cont_v_with_backend(targets, config, backend)
+    CampaignSpec::cont_v(targets, config)
+        .run()
+        .expect("a CONT-V config with nothing else set")
+        .result
 }
 
-/// Run CONT-V under an injected fault environment. A lineage whose task
-/// exhausts the retry budget terminates early (a vanilla sequential script
-/// dies with its first unrecoverable task) and is counted as aborted.
-pub fn run_cont_v_resilient(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
-    pilot: PilotConfig,
-    faults: FaultConfig,
-    retry: RetryPolicy,
-) -> ExperimentResult {
-    let plan = FaultPlan::new(faults, pilot.seed);
-    let backend = RuntimeConfig::new(pilot).faults(plan, retry).simulated();
-    run_cont_v_with_backend(targets, config, backend)
-}
-
-fn run_cont_v_with_backend(
-    targets: &[DesignTarget],
-    config: ProtocolConfig,
+/// Run CONT-V's lineages one task at a time over `backend` and package the
+/// result — the CONT-V tail of [`CampaignSpec::run`], as [`finish_imrp`] is
+/// IM-RP's. CONT-V has no coordinator, so its report is built directly:
+/// one pipeline that submitted every task.
+pub(crate) fn finish_cont_v(
     backend: SimulatedBackend,
+    tks: &[Arc<TargetToolkit>],
+    config: &ProtocolConfig,
 ) -> ExperimentResult {
-    assert!(!config.adaptive, "CONT-V is the non-adaptive arm");
-    let tks = toolkits(targets, config.seed);
     let mut session = Session::new(backend);
-    let outcomes = run_cont_v(&mut session, &tks, &config);
-    // CONT-V has no coordinator; build the equivalent report directly.
+    let outcomes = run_cont_v(&mut session, tks, config);
     let obs = session.observe();
-    let registry = {
-        let mut r = impress_workflow::Registry::new();
-        let id = r.register("cont-v".into(), None, impress_sim::SimTime::ZERO);
-        r.note_stage_submitted(id, obs.utilization().tasks);
-        r
-    };
+    let mut registry = Registry::new();
+    let id = registry.register("cont-v".into(), None, impress_sim::SimTime::ZERO);
+    registry.note_stage_submitted(id, obs.utilization().tasks);
     let aborted = outcomes.iter().filter(|o| o.terminated_early).count();
     let run = RunReport::build(
         &registry,
@@ -182,7 +156,7 @@ fn run_cont_v_with_backend(
 }
 
 /// One arm's result, its utilization series read off the backend it ran on.
-fn package(
+pub(crate) fn package(
     label: &str,
     outcomes: Vec<DesignOutcome>,
     run: RunReport,
@@ -205,24 +179,29 @@ fn package(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptivePolicy;
+    use impress_pilot::PilotConfig;
     use impress_proteins::datasets::named_pdz_domains;
-    use impress_workflow::journal::ReplayPlan;
 
     fn small_targets() -> Vec<DesignTarget> {
         named_pdz_domains(42).into_iter().take(2).collect()
     }
 
+    fn cont_v(targets: &[DesignTarget], config: ProtocolConfig) -> ExperimentResult {
+        CampaignSpec::cont_v(targets, config).run().unwrap().result
+    }
+
     #[test]
     fn imrp_experiment_end_to_end() {
         let targets = small_targets();
-        let result = run_imrp(
-            &targets,
-            ProtocolConfig::imrp(1),
-            AdaptivePolicy {
+        let result = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(1))
+            .policy(AdaptivePolicy {
                 sub_budget: 2,
                 ..AdaptivePolicy::default()
-            },
-        );
+            })
+            .run()
+            .unwrap()
+            .result;
         assert_eq!(result.label, "IM-RP");
         assert_eq!(result.run.root_pipelines, 2);
         assert!(result.trajectories >= 4);
@@ -234,7 +213,7 @@ mod tests {
     #[test]
     fn cont_v_experiment_end_to_end() {
         let targets = small_targets();
-        let result = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(1));
+        let result = cont_v(&targets, ProtocolConfig::cont_v(1));
         assert_eq!(result.label, "CONT-V");
         assert_eq!(result.trajectories, 8); // 2 structures × 4 cycles
         assert_eq!(result.evaluations, 8);
@@ -247,8 +226,11 @@ mod tests {
         // Needs the full 4-target workload — the utilization gap comes from
         // inter-pipeline concurrency.
         let targets = named_pdz_domains(42);
-        let imrp = run_imrp(&targets, ProtocolConfig::imrp(3), AdaptivePolicy::default());
-        let cont = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(3));
+        let imrp = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(3))
+            .run()
+            .unwrap()
+            .result;
+        let cont = cont_v(&targets, ProtocolConfig::cont_v(3));
         assert!(
             imrp.run.cpu_utilization > cont.run.cpu_utilization * 1.5,
             "IM-RP CPU {} vs CONT-V {}",
@@ -303,22 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_a_foreign_campaign_journal() {
-        let targets = small_targets();
-        let config = ProtocolConfig::imrp(1);
-        let plan = ReplayPlan::new("CONT-V", config.seed);
-        let err = CampaignSpec::imrp(&targets, config)
-            .resume_from(plan)
-            .run()
-            .err()
-            .expect("foreign plan must be refused");
-        assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
-    }
-
-    #[test]
     fn series_and_deltas_are_available() {
         let targets = small_targets();
-        let result = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(5));
+        let result = cont_v(&targets, ProtocolConfig::cont_v(5));
         let series = result.series(MetricKind::Plddt);
         assert_eq!(series.iterations, vec![1, 2, 3, 4]);
         let d = result.net_deltas();

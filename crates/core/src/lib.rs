@@ -30,8 +30,11 @@
 //!   strictly sequentially, one random (unranked) candidate per cycle, no
 //!   comparison, no pruning, no runtime system.
 //!
-//! [`experiment`] drives both over the simulated Amarel node and returns
-//! everything the Table I / Fig. 2–5 harnesses need.
+//! [`spec::CampaignSpec`] is the one door to both:
+//! `CampaignSpec::imrp(..)` or `CampaignSpec::cont_v(..)`, the layers as
+//! setters, then `run()` over the simulated Amarel node, which returns the
+//! [`experiment::ExperimentResult`] every Table I / Fig. 2–5 harness
+//! reads.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -49,11 +52,10 @@ pub mod spec;
 mod stages;
 pub mod toolkit;
 
-pub use ablation::{run_ablation, standard_suite, AblationRow};
+pub use ablation::{standard_suite, AblationRow};
 pub use adaptive::ImpressDecision;
 pub use config::{CostModel, ProtocolConfig};
-pub use control::run_cont_v;
-pub use experiment::{imrp_journal, run_imrp, ExperimentResult};
+pub use experiment::{imrp_journal, ExperimentResult};
 pub use generator::{MpnnGenerator, RandomMutagenesis, SequenceGenerator};
 pub use protocol::{DesignOutcome, DesignPipeline, IterationRecord};
 pub use quality::{IterationSeries, NetDeltas};

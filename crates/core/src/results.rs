@@ -117,14 +117,14 @@ pub const TABLE1_HEADER: &str = "Approach |  #PL | #SubPL | #Structures/PL | Tra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_cont_v_experiment;
-    use crate::ProtocolConfig;
+    use crate::{CampaignSpec, ProtocolConfig};
     use impress_proteins::datasets::named_pdz_domains;
 
     #[test]
     fn row_from_cont_v_result() {
         let targets: Vec<_> = named_pdz_domains(42).into_iter().take(2).collect();
-        let result = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(1));
+        let spec = CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(1));
+        let result = spec.run().unwrap().result;
         let row = Table1Row::from_result(&result, 2);
         assert_eq!(row.approach, "CONT-V");
         assert_eq!(row.pipelines, 1);

@@ -10,8 +10,7 @@
 //! (default 20; the paper uses 70 — pass it if you have a few seconds).
 
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::run_imrp;
-use impress_core::ProtocolConfig;
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_proteins::datasets::mined_pdz_complexes;
 use impress_proteins::MetricKind;
 use impress_sim::Summary;
@@ -37,7 +36,11 @@ fn main() {
         ..AdaptivePolicy::default()
     };
     eprintln!("running adaptive campaign…");
-    let result = run_imrp(&targets, config, policy);
+    let result = CampaignSpec::imrp(&targets, config)
+        .policy(policy)
+        .run()
+        .expect("no resume plan to reject")
+        .result;
 
     println!(
         "\ncampaign: {} root pipelines, {} sub-pipelines, {} trajectories, {} AF2 evaluations",

@@ -8,9 +8,7 @@
 //!
 //! Run with: `cargo run --release --example pdz_design`
 
-use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_cont_v_experiment, run_imrp};
-use impress_core::{ProtocolConfig, Table1Row, TABLE1_HEADER};
+use impress_core::{CampaignSpec, ProtocolConfig, Table1Row, TABLE1_HEADER};
 use impress_proteins::datasets::named_pdz_domains;
 use impress_proteins::fasta::{write_fasta, FastaRecord};
 use impress_proteins::pdb::write_pdb;
@@ -26,13 +24,15 @@ fn main() {
     );
 
     eprintln!("running CONT-V (sequential, non-adaptive)…");
-    let cont = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(seed));
+    let cont = CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(seed))
+        .run()
+        .expect("a bare spec runs")
+        .result;
     eprintln!("running IM-RP (concurrent, adaptive)…");
-    let imrp = run_imrp(
-        &targets,
-        ProtocolConfig::imrp(seed),
-        AdaptivePolicy::default(),
-    );
+    let imrp = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
+        .run()
+        .expect("a bare spec runs")
+        .result;
 
     // Science: per-iteration medians.
     for metric in MetricKind::ALL {

@@ -2,11 +2,21 @@
 //! pilot → coordinator → protocol) exercised the way the paper's experiments
 //! use it, with the claims of §III asserted as invariants.
 
-use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_cont_v_experiment, run_imrp};
-use impress_core::{ProtocolConfig, Table1Row};
-use impress_proteins::datasets::named_pdz_domains;
+use impress_core::{CampaignSpec, ExperimentResult, ProtocolConfig, Table1Row};
+use impress_proteins::datasets::{named_pdz_domains, DesignTarget};
 use impress_proteins::MetricKind;
+
+/// Both arms of the paper's primary experiment on `targets`, CONT-V first.
+fn both_arms(targets: &[DesignTarget], seed: u64) -> (ExperimentResult, ExperimentResult) {
+    let cont = CampaignSpec::cont_v(targets, ProtocolConfig::cont_v(seed));
+    (cont.run().unwrap().result, imrp(targets, seed))
+}
+
+/// The IM-RP arm on `targets` with the paper's defaults.
+fn imrp(targets: &[DesignTarget], seed: u64) -> ExperimentResult {
+    let spec = CampaignSpec::imrp(targets, ProtocolConfig::imrp(seed));
+    spec.run().unwrap().result
+}
 
 /// Pinned seed for the strict paper-shape tests below. Every-iteration
 /// dominance across all four metrics is a *noisy* claim (it holds for
@@ -24,12 +34,7 @@ const PAPER_SHAPE_SEED: u64 = 2026;
 fn imrp_dominates_cont_v_at_every_iteration() {
     let seed = PAPER_SHAPE_SEED;
     let targets = named_pdz_domains(seed);
-    let cont = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(seed));
-    let imrp = run_imrp(
-        &targets,
-        ProtocolConfig::imrp(seed),
-        AdaptivePolicy::default(),
-    );
+    let (cont, imrp) = both_arms(&targets, seed);
 
     for metric in MetricKind::ALL {
         let c = cont.series(metric);
@@ -60,12 +65,7 @@ fn imrp_dominates_cont_v_at_every_iteration() {
 fn imrp_is_more_consistent_on_plddt_and_ptm() {
     let seed = PAPER_SHAPE_SEED;
     let targets = named_pdz_domains(seed);
-    let cont = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(seed));
-    let imrp = run_imrp(
-        &targets,
-        ProtocolConfig::imrp(seed),
-        AdaptivePolicy::default(),
-    );
+    let (cont, imrp) = both_arms(&targets, seed);
 
     for metric in [MetricKind::Plddt, MetricKind::Ptm] {
         let c = cont.series(metric);
@@ -88,12 +88,7 @@ fn imrp_is_more_consistent_on_plddt_and_ptm() {
 fn table1_computational_orderings_hold() {
     let seed = 2025;
     let targets = named_pdz_domains(seed);
-    let cont = run_cont_v_experiment(&targets, ProtocolConfig::cont_v(seed));
-    let imrp = run_imrp(
-        &targets,
-        ProtocolConfig::imrp(seed),
-        AdaptivePolicy::default(),
-    );
+    let (cont, imrp) = both_arms(&targets, seed);
 
     // Trajectories: CONT-V examines exactly 16; IM-RP more.
     assert_eq!(cont.trajectories, 16);
@@ -140,7 +135,7 @@ fn table1_computational_orderings_hold() {
 fn experiments_are_bit_reproducible() {
     let run = || {
         let targets = named_pdz_domains(7);
-        let r = run_imrp(&targets, ProtocolConfig::imrp(7), AdaptivePolicy::default());
+        let r = imrp(&targets, 7);
         (
             r.trajectories,
             r.evaluations,
@@ -159,8 +154,7 @@ fn experiments_are_bit_reproducible() {
 #[test]
 fn different_seeds_differ() {
     let targets = named_pdz_domains(7);
-    let a = run_imrp(&targets, ProtocolConfig::imrp(7), AdaptivePolicy::default());
-    let b = run_imrp(&targets, ProtocolConfig::imrp(8), AdaptivePolicy::default());
+    let (a, b) = (imrp(&targets, 7), imrp(&targets, 8));
     assert_ne!(
         a.outcomes[0].final_receptor, b.outcomes[0].final_receptor,
         "seeds must matter"

@@ -121,6 +121,7 @@ guards! {
     the_registry_is_the_coordinators_one_ledger => rules(COORDINATOR_RECORD),
     every_value_has_one_json_writer_and_one_trace_exporter => rules(ONE_WRITER),
     the_shard_workers_talk_over_std_channels => rules(CHANNELS),
+    both_arms_run_through_the_one_front_door => rules(FRONT_DOOR),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -446,7 +447,27 @@ const CHANNELS: &[Rule] = &[Rule {
     ..FORBIDDEN
 }];
 
-const RULES: [&[Rule]; 10] = [
+/// Both arms of the paper's comparison run through `CampaignSpec::run`;
+/// five public drivers used to, each building its own runtime.
+const FRONT_DOOR: &[Rule] = &[
+    Rule {
+        needles: &["run_imrp", "run_cont_v_resilient", "run_ablation"],
+        word: true,
+        reason: "`CampaignSpec::imrp` / `CampaignSpec::cont_v` + `run()` is the one door \
+                 to either arm",
+        ..FORBIDDEN
+    },
+    Rule {
+        needles: &["run_cont_v_experiment"],
+        word: true,
+        verdict: Verdict::OnlyIn(&["crates/core/src/experiment.rs", "perf/src/adapter.rs"]),
+        reason: "`run_cont_v_experiment` is a one-call forward to the spec kept for the \
+                 ledger's adapter alone; new callers use `CampaignSpec::cont_v`",
+        ..FORBIDDEN
+    },
+];
+
+const RULES: [&[Rule]; 11] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -457,6 +478,7 @@ const RULES: [&[Rule]; 10] = [
     COORDINATOR_RECORD,
     ONE_WRITER,
     CHANNELS,
+    FRONT_DOOR,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.

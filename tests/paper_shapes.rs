@@ -5,7 +5,6 @@
 
 use impress_bench::harness::expanded_experiment;
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::run_imrp;
 use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_pilot::PilotConfig;
 use impress_proteins::datasets::{mined_pdz_complexes, named_pdz_domains};
@@ -67,14 +66,14 @@ fn speculation_width_does_not_change_accepted_designs() {
     let run = |width: u32| {
         let mut config = ProtocolConfig::imrp(5);
         config.speculation = width;
-        run_imrp(
-            &targets,
-            config,
-            AdaptivePolicy {
+        CampaignSpec::imrp(&targets, config)
+            .policy(AdaptivePolicy {
                 sub_budget: 0,
                 ..AdaptivePolicy::default()
-            },
-        )
+            })
+            .run()
+            .unwrap()
+            .result
     };
     let narrow = run(1);
     let wide = run(4);

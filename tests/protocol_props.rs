@@ -3,10 +3,19 @@
 //! [`props!`](impress_sim::props) harness.
 
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::experiment::{run_cont_v_experiment, run_imrp};
-use impress_core::ProtocolConfig;
-use impress_proteins::datasets::named_pdz_domains;
+use impress_core::{CampaignSpec, ExperimentResult, ProtocolConfig};
+use impress_proteins::datasets::{named_pdz_domains, DesignTarget};
 use impress_sim::{props, SimRng};
+
+/// IM-RP on `targets` under `config`, with no sub-pipelines.
+fn roots_only(targets: &[DesignTarget], config: ProtocolConfig) -> ExperimentResult {
+    let policy = AdaptivePolicy {
+        sub_budget: 0,
+        ..AdaptivePolicy::default()
+    };
+    let spec = CampaignSpec::imrp(targets, config).policy(policy);
+    spec.run().unwrap().result
+}
 
 fn arb_config(rng: &mut SimRng, seed: u64) -> ProtocolConfig {
     let mut c = ProtocolConfig::imrp(seed);
@@ -27,10 +36,7 @@ props! {
         let target_idx = rng.below(4);
         let targets = named_pdz_domains(77);
         let target = &targets[target_idx..=target_idx];
-        let result = run_imrp(target, config.clone(), AdaptivePolicy {
-            sub_budget: 0,
-            ..AdaptivePolicy::default()
-        });
+        let result = roots_only(target, config.clone());
         assert_eq!(result.outcomes.len(), 1);
         let o = &result.outcomes[0];
 
@@ -82,7 +88,7 @@ props! {
         let mut config = ProtocolConfig::cont_v(7);
         config.mpnn.num_sequences = num_sequences;
         config.mpnn.temperature = temperature;
-        let result = run_cont_v_experiment(&targets, config.clone());
+        let result = CampaignSpec::cont_v(&targets, config.clone()).run().unwrap().result;
         let o = &result.outcomes[0];
         assert_eq!(o.iterations.len(), config.cycles as usize);
         assert_eq!(o.total_evaluations, config.cycles);
@@ -95,10 +101,7 @@ props! {
         let targets: Vec<_> = named_pdz_domains(31).into_iter().take(1).collect();
         let fixed = vec![0usize, 10, 20, 40];
         config.mpnn.fixed_positions = fixed.clone();
-        let result = run_imrp(&targets, config, AdaptivePolicy {
-            sub_budget: 0,
-            ..AdaptivePolicy::default()
-        });
+        let result = roots_only(&targets, config);
         let start = &targets[0].start.complex.receptor.sequence;
         let end = &result.outcomes[0].final_receptor;
         for &p in &fixed {
