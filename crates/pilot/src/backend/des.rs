@@ -928,9 +928,10 @@ impl<T: Transport> Core<T> {
         self.transport.schedule_keyed(at, key, Ev::HeartbeatRound);
     }
 
-    /// One heartbeat tick for all nodes: the lane draws every uncrashed
-    /// node's seeded delivery verdict and asks for queue events only where
-    /// an arrival or a check can be observed (see [`FailureDetector`]).
+    /// One heartbeat tick for all nodes: the lane counts the sends, draws
+    /// the seeded delivery verdicts its decisions need, and asks for queue
+    /// events only where an arrival or a check can be observed (see
+    /// [`FailureDetector`]).
     fn heartbeat_round(&mut self, now: SimTime) {
         let (Some(cp), Some(fd)) = (&self.control, &mut self.detector) else {
             return;
@@ -945,11 +946,10 @@ impl<T: Transport> Core<T> {
             base,
             &self.crashed,
             &self.suspected,
-            |node, key| cp.best_effort("hb", key, node, now),
+            |node, key, sent| cp.best_effort("hb", key, node, sent),
             &mut self.wakes,
         );
         self.cstats.heartbeats_sent += round.sent;
-        self.cstats.heartbeats_delivered += round.delivered;
         for wake in self.wakes.drain(..) {
             self.transport
                 .schedule_keyed(wake.at, wake.key, woken(wake));
@@ -988,13 +988,15 @@ impl<T: Transport> Core<T> {
     /// A timeout check: if the node has been silent for a full timeout,
     /// declare it suspect.
     fn suspect_check(&mut self, node: u32, now: SimTime) {
-        let Some(fd) = &self.detector else {
+        let (Some(cp), Some(fd)) = (&self.control, &mut self.detector) else {
             return;
         };
         if self.in_flight > 0
             && !self.suspected[node as usize]
             && self.scheduler.node_is_up(node)
-            && fd.silent(node, now)
+            && fd.silent(node, now, |node, key, sent| {
+                cp.best_effort("hb", key, node, sent)
+            })
         {
             self.suspect_node(node, now);
         }
@@ -1046,10 +1048,13 @@ impl<T: Transport> Core<T> {
     fn suspect_node(&mut self, node: u32, now: SimTime) {
         self.suspected[node as usize] = true;
         self.cstats.suspicions += 1;
-        // A heartbeat the lane folded is now a resync in waiting.
-        if let Some(wake) = self.detector.as_mut().and_then(|fd| fd.unfold(node, now)) {
-            self.transport
-                .schedule_keyed(wake.at, wake.key, woken(wake));
+        // A heartbeat still to come is now a resync in waiting.
+        if let Some(fd) = &mut self.detector {
+            fd.unfold(node, now, &mut self.wakes);
+            for wake in self.wakes.drain(..) {
+                self.transport
+                    .schedule_keyed(wake.at, wake.key, woken(wake));
+            }
         }
         let victims = self.residents(node);
         self.scheduler.drain_node(node);
@@ -2591,6 +2596,71 @@ mod tests {
         let (surfaced, live, gpu_busy) = on_every_engine(|rt| rt, &specs, &[]);
         assert_eq!(surfaced_labels(surfaced), labels(&specs));
         assert_eq!((live, gpu_busy), (0, 60));
+    }
+
+    /// A 64-node cell with a heartbeat every second, on a link that loses
+    /// nothing, on the sharded driver or the sequential one: every event
+    /// the engine ever queued, and the control counters.
+    fn heartbeat_cell(heartbeats: bool, sharded: bool) -> (u64, ControlStats) {
+        let mut fc = FaultConfig::none();
+        fc.link.delay = SimDuration::from_millis(50);
+        if heartbeats {
+            fc.link.heartbeat_interval = Some(secs(1));
+            fc.link.heartbeat_timeout = Some(secs(4));
+        }
+        let pilot = PilotConfig {
+            node: NodeSpec::new(4, 0, 64),
+            nodes: 64,
+            policy: PlacementPolicy::Backfill,
+            bootstrap: secs(100),
+            exec_setup_per_task: secs(10),
+            seed: 0,
+        };
+        let runtime = RuntimeConfig::new(pilot).faults(FaultPlan::new(fc, 7), RetryPolicy::none());
+        fn drain(b: &mut impl ExecutionBackend) -> ControlStats {
+            for i in 0..128 {
+                b.submit(task(400 + i));
+            }
+            let mut done = 0;
+            while let Some(c) = b.next_completion() {
+                assert!(c.result.is_ok());
+                done += 1;
+            }
+            assert_eq!(done, 128);
+            b.control_stats()
+        }
+        if sharded {
+            let mut b = runtime.sharded();
+            let stats = drain(&mut b);
+            (b.events_scheduled(), stats)
+        } else {
+            let mut b = runtime.simulated();
+            let stats = drain(&mut b);
+            (b.events_scheduled(), stats)
+        }
+    }
+
+    /// The point of the failure-detector lane, as a count that repeats
+    /// exactly: a tick costs the event queue one round, not three events
+    /// per node, as long as nothing observable happens — on both drivers.
+    /// (Counted from the queues' ids; the sequence numbers also move by
+    /// the numbers a round reserves and never schedules.)
+    #[test]
+    fn a_quiet_heartbeat_tick_is_one_queue_event() {
+        for sharded in [true, false] {
+            let (with, stats) = heartbeat_cell(true, sharded);
+            let (without, off) = heartbeat_cell(false, sharded);
+            assert_eq!(off.heartbeats_sent, 0);
+            // A lossless link suspects nobody, and every node sends at
+            // every tick.
+            assert_eq!((stats.suspicions, stats.resyncs), (0, 0));
+            let ticks = stats.heartbeats_sent / 64;
+            assert!(ticks >= 500, "{ticks} ticks");
+            assert_eq!(stats.heartbeats_sent, ticks * 64);
+            // The round that `start` arms and one more per tick, where the
+            // event-per-heartbeat form queues 3 × 64 per tick.
+            assert_eq!(with - without, ticks + 1, "sharded: {sharded}");
+        }
     }
 
     /// Under link faults the canceled task's lineage ends when its ack is

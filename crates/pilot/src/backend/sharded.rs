@@ -363,6 +363,13 @@ impl ShardedBackend {
         self.core.live_descriptors()
     }
 
+    /// Test support: how many events the shard queues were ever handed —
+    /// the sum of their id counters.
+    #[cfg(test)]
+    pub(crate) fn events_scheduled(&self) -> u64 {
+        self.core.transport.shards.iter().map(|m| m.next_id).sum()
+    }
+
     /// Advance to the next event instant and process *all* of it: drain
     /// every shard's events at the horizon, sort by global sequence, and
     /// apply — repeating while handlers schedule more work at the same
@@ -548,68 +555,6 @@ mod tests {
         assert!(b.next_completion().is_none(), "held task never completes");
         assert_eq!(b.held_tasks(), 1);
         assert_eq!(b.in_flight(), 1);
-    }
-
-    /// A 64-node cell with a heartbeat every second, on a link that loses
-    /// nothing, on the sharded driver or the sequential one. `scheduled`
-    /// is every event the engine ever queued.
-    fn heartbeat_cell(heartbeats: bool, sharded: bool) -> (u64, ControlStats) {
-        let mut fc = FaultConfig::none();
-        fc.link.delay = SimDuration::from_millis(50);
-        if heartbeats {
-            fc.link.heartbeat_interval = Some(SimDuration::from_secs(1));
-            fc.link.heartbeat_timeout = Some(SimDuration::from_secs(4));
-        }
-        let runtime = RuntimeConfig::new(PilotConfig {
-            nodes: 64,
-            ..config(4, 0)
-        })
-        .faults(FaultPlan::new(fc, 7), RetryPolicy::none());
-        fn drain(b: &mut impl ExecutionBackend) -> ControlStats {
-            for i in 0..128 {
-                b.submit(task("t", 1, 0, 400 + i));
-            }
-            let mut done = 0;
-            while let Some(c) = b.next_completion() {
-                assert!(c.result.is_ok());
-                done += 1;
-            }
-            assert_eq!(done, 128);
-            b.control_stats()
-        }
-        if sharded {
-            let mut b = runtime.sharded();
-            let stats = drain(&mut b);
-            (
-                b.core.transport.shards.iter().map(|m| m.next_id).sum(),
-                stats,
-            )
-        } else {
-            let mut b = runtime.simulated();
-            let stats = drain(&mut b);
-            (b.events_scheduled(), stats)
-        }
-    }
-
-    /// The point of the failure-detector lane, as a count that repeats
-    /// exactly: a tick costs the event queue one round, not three events
-    /// per node, as long as nothing observable happens — on both drivers.
-    /// (Counted from the queues' ids; the sequence numbers also move by
-    /// the numbers a round reserves and never schedules.)
-    #[test]
-    fn a_quiet_heartbeat_tick_is_one_queue_event() {
-        for sharded in [true, false] {
-            let (with, stats) = heartbeat_cell(true, sharded);
-            let (without, off) = heartbeat_cell(false, sharded);
-            assert_eq!(off.heartbeats_sent, 0);
-            let ticks = stats.heartbeats_sent / 64;
-            assert!(ticks >= 500, "{ticks} ticks");
-            assert_eq!(stats.heartbeats_sent, stats.heartbeats_delivered);
-            assert_eq!((stats.suspicions, stats.resyncs), (0, 0));
-            // The round that `start` arms and one more per tick, where the
-            // event-per-heartbeat form queues 3 × 64 per tick.
-            assert_eq!(with - without, ticks + 1, "sharded: {sharded}");
-        }
     }
 
     /// A round that shares its instant with the last report and runs

@@ -171,10 +171,20 @@ impl LinkFaults {
             && self.heartbeat_interval.is_none()
     }
 
-    /// Check the failure-detector knobs: the interval and the timeout
-    /// come as a pair, and neither may be zero (a zero interval would
-    /// tick forever inside one instant).
+    /// Check the config: each rate is a probability (a NaN rate would
+    /// silently never fire, one outside `[0, 1]` would be clamped), and
+    /// the failure-detector knobs come as a pair, neither of them zero (a
+    /// zero interval would tick forever inside one instant).
     pub fn validate(&self) -> Result<(), LinkFaultsError> {
+        for (field, rate) in [
+            ("drop_rate", self.drop_rate),
+            ("duplicate_rate", self.duplicate_rate),
+            ("reorder_rate", self.reorder_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(LinkFaultsError::RateOutOfRange(field));
+            }
+        }
         match (self.heartbeat_interval, self.heartbeat_timeout) {
             (None, None) => Ok(()),
             (Some(_), None) => Err(LinkFaultsError::HeartbeatIntervalWithoutTimeout),
@@ -198,20 +208,25 @@ pub enum LinkFaultsError {
     HeartbeatIntervalWithoutTimeout,
     /// A heartbeat timeout without an interval: nothing would ever beat.
     HeartbeatTimeoutWithoutInterval,
+    /// The named rate field is NaN or outside `[0, 1]`.
+    RateOutOfRange(&'static str),
 }
 
 impl fmt::Display for LinkFaultsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            LinkFaultsError::ZeroHeartbeatInterval => "heartbeat_interval is zero",
-            LinkFaultsError::ZeroHeartbeatTimeout => "heartbeat_timeout is zero",
+        match self {
+            LinkFaultsError::ZeroHeartbeatInterval => f.write_str("heartbeat_interval is zero"),
+            LinkFaultsError::ZeroHeartbeatTimeout => f.write_str("heartbeat_timeout is zero"),
             LinkFaultsError::HeartbeatIntervalWithoutTimeout => {
-                "heartbeat_interval is set but heartbeat_timeout is not"
+                f.write_str("heartbeat_interval is set but heartbeat_timeout is not")
             }
             LinkFaultsError::HeartbeatTimeoutWithoutInterval => {
-                "heartbeat_timeout is set but heartbeat_interval is not"
+                f.write_str("heartbeat_timeout is set but heartbeat_interval is not")
             }
-        })
+            LinkFaultsError::RateOutOfRange(field) => {
+                write!(f, "{field} is not a probability in [0, 1]")
+            }
+        }
     }
 }
 

@@ -302,6 +302,41 @@ fn unrealizable_failure_detector_is_a_typed_error() {
     assert!(backend.control_stats().heartbeats_sent > 0);
 }
 
+/// A drop, duplicate or reorder rate that is not a probability is a typed
+/// error naming the field: a NaN rate used to silently never fire and one
+/// outside `[0, 1]` to be clamped. Every row used to make a plan.
+#[test]
+fn a_rate_that_is_not_a_probability_is_a_typed_error() {
+    type Set = fn(&mut FaultConfig, f64);
+    let fields: [(&str, Set); 3] = [
+        ("drop_rate", |c, r| c.link.drop_rate = r),
+        ("duplicate_rate", |c, r| c.link.duplicate_rate = r),
+        ("reorder_rate", |c, r| c.link.reorder_rate = r),
+    ];
+    let plan = |set: Set, rate: f64| {
+        let mut config = FaultConfig::none();
+        set(&mut config, rate);
+        FaultPlan::try_new(config, 5)
+    };
+    for (field, set) in fields {
+        for rate in [f64::NAN, -0.01, 1.01, f64::INFINITY] {
+            let err = plan(set, rate).err();
+            assert_eq!(
+                err,
+                Some(LinkFaultsError::RateOutOfRange(field)),
+                "{field} = {rate}"
+            );
+            assert_eq!(
+                err.expect("refused").to_string(),
+                format!("{field} is not a probability in [0, 1]")
+            );
+        }
+        // Certainty stays a rate; a drop rate above 0.95 is still clamped.
+        assert!(plan(set, 1.0).is_ok(), "{field} = 1");
+        assert!(plan(set, 0.97).is_ok(), "{field} = 0.97");
+    }
+}
+
 /// The constructor without a `Result` fails loudly on the same input.
 #[test]
 #[should_panic(expected = "heartbeat_interval is zero")]
