@@ -38,7 +38,7 @@ use std::rc::Rc;
 
 /// Format version stamped into `partition.json`; the study table pins it
 /// so a schema change without regeneration fails `cargo test`.
-pub const PARTITION_FORMAT_VERSION: u32 = 1;
+pub(crate) const PARTITION_FORMAT_VERSION: u32 = 1;
 
 /// Loss axis: symmetric per-message drop and duplication rates.
 const LOSSES: [(&str, f64); 3] = [("lossless", 0.0), ("lossy", 0.15), ("brutal", 0.3)];

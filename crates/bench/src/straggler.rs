@@ -27,7 +27,7 @@ use impress_sim::{SimDuration, SimTime};
 
 /// Format version stamped into `straggler.json`; the study table pins it
 /// so a schema change without regeneration fails `cargo test`.
-pub const STRAGGLER_FORMAT_VERSION: u32 = 1;
+pub(crate) const STRAGGLER_FORMAT_VERSION: u32 = 1;
 
 /// Slowdown severity axis: runtime multiplier on the degraded nodes
 /// (1.0 = healthy, no windows injected).

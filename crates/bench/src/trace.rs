@@ -37,7 +37,7 @@ use impress_telemetry::{
 /// checks the checked-in artifact against this.
 /// * v2 extended the parity replay to three engines (simulated, threaded,
 ///   sharded) and records which engines were compared.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
+pub(crate) const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// Knobs for one study run.
 struct TraceParams {

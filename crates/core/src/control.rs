@@ -13,9 +13,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::protocol::{DesignOutcome, IterationRecord};
-use crate::stages::{
-    stage1_mpnn, stage2_3_select, stage4_inference, stage4_msa, stage5_6_assess, SelectOutput,
-};
+use crate::stages::{stage1_mpnn, stage2_3_select, stage4_inference, stage4_msa, stage5_6_assess};
 use crate::toolkit::TargetToolkit;
 use impress_pilot::{ExecutionBackend, Session, TaskDescription, TaskError};
 use impress_proteins::msa::Msa;
@@ -113,17 +111,16 @@ fn run_lineage<B: ExecutionBackend>(
             ),
         ));
         // Stages 2+3: random (unranked) choice, compiled to FASTA.
-        let selected: SelectOutput = try_stage!(run_blocking(
+        let ordered: Vec<ScoredSequence> = try_stage!(run_blocking(
             session,
             stage2_3_select(
-                tk,
                 proposals,
                 false,
                 &config.cost,
                 rng.fork_idx("select", cycle as u64),
             ),
         ));
-        let candidate = selected.ordered[0].sequence.clone();
+        let candidate = ordered[0].sequence.clone();
         // Stage 4: MSA then inference.
         let msa: Msa = try_stage!(run_blocking(
             session,

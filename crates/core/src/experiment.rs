@@ -58,7 +58,7 @@ impl ExperimentResult {
     }
 
     /// Net metric deltas (Table I science columns).
-    pub fn net_deltas(&self) -> NetDeltas {
+    pub(crate) fn net_deltas(&self) -> NetDeltas {
         NetDeltas::build(&self.outcomes)
     }
 }

@@ -58,7 +58,7 @@ pub use config::{CostModel, ProtocolConfig};
 pub use experiment::{imrp_journal, ExperimentResult};
 pub use generator::{MpnnGenerator, RandomMutagenesis, SequenceGenerator};
 pub use protocol::{DesignOutcome, DesignPipeline, IterationRecord};
-pub use quality::{IterationSeries, NetDeltas};
+pub use quality::IterationSeries;
 pub use results::{Table1Row, TABLE1_HEADER};
 pub use spec::{CampaignRun, CampaignSpec};
 pub use toolkit::TargetToolkit;

@@ -9,9 +9,7 @@
 //! (sub-pipeline spawning) lives in [`crate::adaptive`].
 
 use crate::config::ProtocolConfig;
-use crate::stages::{
-    stage1_mpnn, stage2_3_select, stage4_inference, stage4_msa, stage5_6_assess, SelectOutput,
-};
+use crate::stages::{stage1_mpnn, stage2_3_select, stage4_inference, stage4_msa, stage5_6_assess};
 use crate::toolkit::TargetToolkit;
 use impress_json::json_struct;
 use impress_pilot::Completion;
@@ -166,7 +164,7 @@ impl DesignPipeline {
     /// A sub-pipeline continuing `parent_outcome`'s lineage for
     /// `config.cycles` more cycles. Inherits the parent's last report so
     /// Stage 6 is adaptive from its first cycle.
-    pub fn continuation(
+    pub(crate) fn continuation(
         tk: Arc<TargetToolkit>,
         config: ProtocolConfig,
         parent: &DesignOutcome,
@@ -230,7 +228,6 @@ impl DesignPipeline {
         self.phase = Phase::Select;
         let rng = self.rng.fork_idx("select", self.iteration() as u64);
         Step::run(stage2_3_select(
-            &self.tk,
             proposals,
             self.adaptive_now(),
             &self.config.cost,
@@ -413,8 +410,7 @@ impl PipelineLogic<DesignOutcome> for DesignPipeline {
             }
             Phase::Select => {
                 assert_eq!(completions.len(), 1, "stages 2+3 are single-task");
-                let out = completions.pop().expect("one").output::<SelectOutput>();
-                self.ordered = out.ordered;
+                self.ordered = completions.pop().expect("one").output();
                 self.candidate_idx = 0;
                 self.submit_msa()
             }

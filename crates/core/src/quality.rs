@@ -63,7 +63,7 @@ impl IterationSeries {
 /// Net change per metric from the first to the last iteration (the Table I
 /// "Net Δ" columns), aggregated as the mean over targets.
 #[derive(Debug, Clone, Copy)]
-pub struct NetDeltas {
+pub(crate) struct NetDeltas {
     /// Δ pTM (positive = improvement).
     pub ptm: f64,
     /// Δ pLDDT (positive = improvement).

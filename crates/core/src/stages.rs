@@ -11,7 +11,6 @@ use crate::config::CostModel;
 use crate::toolkit::TargetToolkit;
 use impress_pilot::task::TaskKind;
 use impress_pilot::{ResourceRequest, TaskDescription};
-use impress_proteins::fasta::{write_fasta, FastaRecord};
 use impress_proteins::msa::{Msa, MsaMode};
 use impress_proteins::{
     AlphaFoldConfig, MpnnConfig, Prediction, ScoredSequence, Sequence, Structure,
@@ -19,20 +18,10 @@ use impress_proteins::{
 use impress_sim::SimRng;
 use std::sync::Arc;
 
-/// Output of the combined Stage 2+3 task: candidates in selection order and
-/// the FASTA artifact compiled for downstream tools.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectOutput {
-    /// Candidates in the order they should be evaluated.
-    pub ordered: Vec<ScoredSequence>,
-    /// The FASTA text for the top candidate's complex.
-    pub fasta: String,
-}
-
 /// Stage 1: sequence generation conditioned on `structure` (ProteinMPNN by
 /// default; whatever [`crate::generator::SequenceGenerator`] the toolkit
 /// carries).
-pub fn stage1_mpnn(
+pub(crate) fn stage1_mpnn(
     tk: &Arc<TargetToolkit>,
     structure: Structure,
     mpnn: MpnnConfig,
@@ -54,41 +43,31 @@ pub fn stage1_mpnn(
 }
 
 /// Stages 2+3: sort candidates (by log-likelihood when `ranked`, by a
-/// uniformly random shuffle otherwise — the CONT-V selection), then compile
-/// the top candidate into a FASTA record.
-pub fn stage2_3_select(
-    tk: &Arc<TargetToolkit>,
+/// uniformly random shuffle otherwise — the CONT-V selection). The task's
+/// output is the candidates in the order they should be evaluated.
+pub(crate) fn stage2_3_select(
     proposals: Vec<ScoredSequence>,
     ranked: bool,
     cost: &CostModel,
     rng: SimRng,
 ) -> TaskDescription {
-    let tk = tk.clone();
     TaskDescription::new("select-compile", ResourceRequest::cores(1), cost.small_task).with_work(
         move || {
             let mut rng = rng;
-            let ordered = if ranked {
+            if ranked {
                 impress_proteins::mpnn::rank_by_log_likelihood(proposals)
             } else {
                 let mut p = proposals;
                 rng.shuffle(&mut p);
                 p
-            };
-            let fasta = write_fasta(&[FastaRecord {
-                header: format!("{} top candidate", tk.name),
-                chains: vec![
-                    ordered[0].sequence.clone(),
-                    tk.start.complex.peptide.sequence.clone(),
-                ],
-            }]);
-            SelectOutput { ordered, fasta }
+            }
         },
     )
 }
 
 /// Stage 4a: MSA construction for a candidate receptor sequence. CPU-bound;
 /// duration comes from the database's cost model (virtual hours).
-pub fn stage4_msa(
+pub(crate) fn stage4_msa(
     tk: &Arc<TargetToolkit>,
     receptor: Sequence,
     mode: MsaMode,
@@ -105,7 +84,7 @@ pub fn stage4_msa(
 /// Stage 4b: AlphaFold inference — predict the complex, rank candidate
 /// models by pTM, return the best (Stage 5's metrics ride along in the
 /// prediction report).
-pub fn stage4_inference(
+pub(crate) fn stage4_inference(
     tk: &Arc<TargetToolkit>,
     receptor: Sequence,
     msa: Msa,
@@ -135,7 +114,7 @@ pub fn stage4_inference(
 /// comparison logic itself lives in the pipeline state machine (it needs
 /// lineage state); this task models the stage's compute cost and carries
 /// the prediction through.
-pub fn stage5_6_assess(prediction: Prediction, cost: &CostModel) -> TaskDescription {
+pub(crate) fn stage5_6_assess(prediction: Prediction, cost: &CostModel) -> TaskDescription {
     TaskDescription::new("assess", ResourceRequest::cores(1), cost.small_task)
         .with_work(move || prediction)
 }
@@ -182,18 +161,15 @@ mod tests {
             .generator
             .generate(&tk.start, &MpnnConfig::default(), &mut rng);
         let out = run_one(stage2_3_select(
-            &tk,
             proposals,
             true,
             &cost,
             SimRng::from_seed(3),
         ))
-        .output::<SelectOutput>();
-        for w in out.ordered.windows(2) {
+        .output::<Vec<ScoredSequence>>();
+        for w in out.windows(2) {
             assert!(w[0].log_likelihood >= w[1].log_likelihood);
         }
-        assert!(out.fasta.starts_with(">NHERF3"));
-        assert!(out.fasta.contains(':'), "multimer fasta");
     }
 
     #[test]
@@ -206,14 +182,13 @@ mod tests {
             .generate(&tk.start, &MpnnConfig::default(), &mut rng);
         let lls: Vec<f64> = proposals.iter().map(|p| p.log_likelihood).collect();
         let out = run_one(stage2_3_select(
-            &tk,
             proposals,
             false,
             &cost,
             SimRng::from_seed(5),
         ))
-        .output::<SelectOutput>();
-        let mut out_lls: Vec<f64> = out.ordered.iter().map(|p| p.log_likelihood).collect();
+        .output::<Vec<ScoredSequence>>();
+        let mut out_lls: Vec<f64> = out.iter().map(|p| p.log_likelihood).collect();
         let mut orig = lls.clone();
         orig.sort_by(|a, b| a.partial_cmp(b).unwrap());
         out_lls.sort_by(|a, b| a.partial_cmp(b).unwrap());

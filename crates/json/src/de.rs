@@ -151,7 +151,7 @@ impl<'a> Parser<'a> {
 
     /// The error for a token that is not an `expected`: names the type found,
     /// or the stray byte when no value starts here.
-    pub fn type_error(&self, expected: &str) -> JsonError {
+    pub(crate) fn type_error(&self, expected: &str) -> JsonError {
         let got = match self.peek() {
             Some(b'n') => "null",
             Some(b't' | b'f') => "bool",
@@ -245,7 +245,7 @@ impl<'a> Parser<'a> {
 
     /// Consume any one value, checked as [`skip_value`](Parser::skip_value)
     /// checks it, and return its text as it stands in the input.
-    pub fn raw_value(&mut self) -> Result<&'a str, JsonError> {
+    pub(crate) fn raw_value(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         self.skip_value()?;
         Ok(&self.text[start..self.pos])

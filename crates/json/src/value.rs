@@ -42,7 +42,7 @@ impl Number {
     }
 
     /// The value as an `i64`, if it fits.
-    pub fn as_i64(self) -> Option<i64> {
+    pub(crate) fn as_i64(self) -> Option<i64> {
         match self {
             Number::U64(u) => i64::try_from(u).ok(),
             Number::I64(i) => Some(i),

@@ -345,7 +345,7 @@ impl ShardedBackend {
 
     /// Start a pilot under a full [`RuntimeConfig`] — fault plan + retry
     /// policy, walltime deadline, telemetry, shard count, and drive mode.
-    pub fn from_config(runtime: RuntimeConfig) -> Self {
+    pub(crate) fn from_config(runtime: RuntimeConfig) -> Self {
         let shards = Shards::new(runtime.shards.max(1), runtime.parallel_shards);
         ShardedBackend {
             core: Core::new(runtime, shards),

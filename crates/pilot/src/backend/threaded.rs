@@ -116,7 +116,7 @@ impl ThreadedBackend {
     /// telemetry in one value. Everything but `time_scale` means what it
     /// means on [`SimulatedBackend`](super::SimulatedBackend), at any
     /// time scale.
-    pub fn from_config(runtime: RuntimeConfig) -> Self {
+    pub(crate) fn from_config(runtime: RuntimeConfig) -> Self {
         let exec = Threads {
             epoch: Instant::now(),
             time_scale: runtime.time_scale,

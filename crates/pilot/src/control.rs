@@ -77,7 +77,7 @@ pub struct ControlStats {
 
 /// A message's resolved delivery schedule under at-least-once routing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deliveries {
+pub(crate) struct Deliveries {
     /// When the first successful transmission arrives.
     pub primary: SimTime,
     /// A second arrival of the same message, if it was duplicated.
@@ -89,7 +89,7 @@ pub struct Deliveries {
 /// A seeded realization of [`LinkFaults`]: pure per-message delivery
 /// verdicts. See the module docs for the determinism contract.
 #[derive(Debug, Clone)]
-pub struct ControlPlane {
+pub(crate) struct ControlPlane {
     link: LinkFaults,
     rng: SimRng,
 }
@@ -104,7 +104,7 @@ impl ControlPlane {
     /// plan's [`LinkFaults`] section models anything. `None` is the strict
     /// no-op contract — backends route directly, schedule no control
     /// events, and stay byte-identical to the pre-control-plane engine.
-    pub fn from_plan(plan: &FaultPlan) -> Option<Self> {
+    pub(crate) fn from_plan(plan: &FaultPlan) -> Option<Self> {
         let link = plan.config().link.clone();
         if link.is_none() {
             return None;
@@ -119,7 +119,7 @@ impl ControlPlane {
 
     /// Whether a message to/from `node` at instant `t` is inside a
     /// scripted partition window.
-    pub fn partitioned(&self, node: u32, t: SimTime) -> bool {
+    pub(crate) fn partitioned(&self, node: u32, t: SimTime) -> bool {
         self.link.partitions.iter().any(|p| p.blocks(node, t))
     }
 
@@ -153,7 +153,7 @@ impl ControlPlane {
     /// but never partitions. Transmissions blocked by a partition or a
     /// drop draw retransmit after [`LinkFaults::retransmit_timeout`];
     /// the first one through fixes the arrival.
-    pub fn deliveries(
+    pub(crate) fn deliveries(
         &self,
         label: &str,
         key: u64,
@@ -196,7 +196,13 @@ impl ControlPlane {
     /// Fire-and-forget delivery (heartbeats): `Some(arrival)` if the
     /// single transmission gets through, `None` if it is partitioned away
     /// or dropped.
-    pub fn best_effort(&self, label: &str, key: u64, node: u32, sent: SimTime) -> Option<SimTime> {
+    pub(crate) fn best_effort(
+        &self,
+        label: &str,
+        key: u64,
+        node: u32,
+        sent: SimTime,
+    ) -> Option<SimTime> {
         if self.partitioned(node, sent) {
             return None;
         }

@@ -31,7 +31,7 @@ use std::fmt;
 
 /// The fault class an attempt draws from the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptFault {
+pub(crate) enum AttemptFault {
     /// No injected fault: the attempt runs normally.
     None,
     /// Transient failure: the attempt occupies its slots for the full
@@ -74,7 +74,7 @@ pub struct ScriptedSlowdown {
 /// One realized slowdown window on a node: attempts overlapping
 /// `[start, end)` make progress at `1/factor` of their nominal rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowWindow {
+pub(crate) struct SlowWindow {
     /// Window start.
     pub start: SimTime,
     /// Window end.
@@ -175,7 +175,7 @@ impl LinkFaults {
     /// silently never fire, one outside `[0, 1]` would be clamped), and
     /// the failure-detector knobs come as a pair, neither of them zero (a
     /// zero interval would tick forever inside one instant).
-    pub fn validate(&self) -> Result<(), LinkFaultsError> {
+    pub(crate) fn validate(&self) -> Result<(), LinkFaultsError> {
         for (field, rate) in [
             ("drop_rate", self.drop_rate),
             ("duplicate_rate", self.duplicate_rate),
@@ -366,13 +366,13 @@ impl FaultPlan {
     /// of the plan's own RNG, so one seed governs the whole fault
     /// environment and the link-fault stream is independent of the
     /// task/node fault streams.
-    pub fn control_rng(&self) -> SimRng {
+    pub(crate) fn control_rng(&self) -> SimRng {
         self.rng.fork("control-plane")
     }
 
     /// The fault drawn by attempt `attempt` (0-based) of task `task`.
     /// Deterministic in `(task, attempt)`; independent of call order.
-    pub fn attempt_fault(&self, task: u64, attempt: u32) -> AttemptFault {
+    pub(crate) fn attempt_fault(&self, task: u64, attempt: u32) -> AttemptFault {
         let c = &self.config;
         if c.task_failure_rate <= 0.0 && c.task_hang_rate <= 0.0 {
             return AttemptFault::None;
@@ -438,7 +438,7 @@ impl FaultPlan {
     /// randomness when no stochastic slowdowns are configured, and returns
     /// an empty schedule — a strict no-op under [`dilate_span`] — when the
     /// config has no slowdowns at all.
-    pub fn slowdown_windows(&self, node: u32) -> Vec<SlowWindow> {
+    pub(crate) fn slowdown_windows(&self, node: u32) -> Vec<SlowWindow> {
         let mut windows: Vec<SlowWindow> = self
             .config
             .scripted_slowdowns
@@ -488,7 +488,11 @@ impl FaultPlan {
 /// strict no-op, which is what keeps gray-failure-free runs byte-identical
 /// to the pre-slowdown engine. Deterministic integer-microsecond
 /// arithmetic; all three backends share this one function.
-pub fn dilate_span(windows: &[SlowWindow], start: SimTime, nominal: SimDuration) -> SimDuration {
+pub(crate) fn dilate_span(
+    windows: &[SlowWindow],
+    start: SimTime,
+    nominal: SimDuration,
+) -> SimDuration {
     if windows.is_empty() || nominal == SimDuration::ZERO {
         return nominal;
     }

@@ -64,17 +64,16 @@ pub mod task;
 
 pub use backend::{Completion, ExecutionBackend, TaskError};
 pub use cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
-pub use control::{ControlPlane, ControlStats, Deliveries};
+pub use control::ControlStats;
 pub use fault::{
-    AttemptFault, FaultConfig, FaultPlan, HedgePolicy, LinkFaults, LinkFaultsError,
-    QuarantinePolicy, RetryPolicy, ScriptedCrash, ScriptedPartition, ScriptedSlowdown, SlowWindow,
+    FaultConfig, FaultPlan, HedgePolicy, LinkFaults, LinkFaultsError, QuarantinePolicy,
+    RetryPolicy, ScriptedCrash, ScriptedPartition, ScriptedSlowdown,
 };
 pub use impress_telemetry::Label;
-pub use pilot::{PhaseBreakdown, PilotConfig, PilotPhase};
+pub use pilot::{PhaseBreakdown, PilotConfig};
 pub use profiler::{UtilizationReport, SERIES_BIN};
 pub use resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 pub use runtime::RuntimeConfig;
 pub use scheduler::{PlacementPolicy, Scheduler};
-pub use session::{Observation, Session};
-pub use states::TaskState;
-pub use task::{TaskDescription, TaskId, TaskKind, TaskWork};
+pub use session::Session;
+pub use task::{TaskDescription, TaskId, TaskKind};

@@ -9,24 +9,8 @@
 
 use crate::resources::NodeSpec;
 use crate::scheduler::PlacementPolicy;
-use impress_json::{json_enum, json_struct};
+use impress_json::json_struct;
 use impress_sim::SimDuration;
-
-/// A pilot lifecycle phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PilotPhase {
-    /// Runtime startup: agent launch, resource acquisition.
-    Bootstrap,
-    /// Per-task execution preparation (scripts, sandboxes).
-    ExecSetup,
-    /// Task execution on assigned resources.
-    Running,
-}
-json_enum!(PilotPhase {
-    Bootstrap,
-    ExecSetup,
-    Running
-});
 
 /// Pilot configuration: node shape, placement policy, phase timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,7 +90,7 @@ json_struct!(PhaseBreakdown {
 
 impl PhaseBreakdown {
     /// Record one executed task's setup and run times.
-    pub fn record_task(&mut self, setup: SimDuration, running: SimDuration) {
+    pub(crate) fn record_task(&mut self, setup: SimDuration, running: SimDuration) {
         self.exec_setup_total += setup;
         self.running_total += running;
         self.tasks_executed += 1;

@@ -77,16 +77,6 @@ impl ClusterSpec {
         assert!(count > 0, "a cluster needs at least one node");
         ClusterSpec { node, count }
     }
-
-    /// Total CPU cores across the cluster.
-    pub fn total_cores(&self) -> u32 {
-        self.node.cores * self.count
-    }
-
-    /// Total GPUs across the cluster.
-    pub fn total_gpus(&self) -> u32 {
-        self.node.gpus * self.count
-    }
 }
 
 impl fmt::Display for ClusterSpec {
@@ -117,7 +107,7 @@ impl ResourceRequest {
     }
 
     /// Whether this request can ever fit on `node`.
-    pub fn fits_node(&self, node: &NodeSpec) -> bool {
+    pub(crate) fn fits_node(&self, node: &NodeSpec) -> bool {
         self.cores <= node.cores && self.gpus <= node.gpus
     }
 }

@@ -42,7 +42,7 @@ fn take_lowest(words: &mut [u64], n: u32, out: &mut Vec<u32>) {
 /// Free device sets for one node. Grants are lowest-id-first, so placement
 /// is deterministic and device utilization traces are stable across runs.
 #[derive(Debug, Clone)]
-pub struct SlotPool {
+pub(crate) struct SlotPool {
     core_words: Vec<u64>,
     gpu_words: Vec<u64>,
     free_cores: u32,
@@ -78,7 +78,7 @@ impl SlotPool {
     }
 
     /// Grant `request` if it fits, taking the lowest-numbered free devices.
-    pub fn try_alloc(&mut self, request: &ResourceRequest) -> Option<Allocation> {
+    pub(crate) fn try_alloc(&mut self, request: &ResourceRequest) -> Option<Allocation> {
         if self.free_cores < request.cores || self.free_gpus < request.gpus {
             return None;
         }
@@ -133,12 +133,12 @@ impl SlotPool {
     }
 
     /// Free core count.
-    pub fn cores_free(&self) -> u32 {
+    pub(crate) fn cores_free(&self) -> u32 {
         self.free_cores
     }
 
     /// Free GPU count.
-    pub fn gpus_free(&self) -> u32 {
+    pub(crate) fn gpus_free(&self) -> u32 {
         self.free_gpus
     }
 }

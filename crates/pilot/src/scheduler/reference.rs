@@ -82,7 +82,7 @@ impl ReferencePool {
 /// The old scan-everything scheduler, API-compatible with the subset the
 /// differential test drives.
 #[derive(Debug)]
-pub struct ReferenceScheduler {
+pub(crate) struct ReferenceScheduler {
     pools: Vec<ReferencePool>,
     down: Vec<bool>,
     queue: VecDeque<(TaskId, ResourceRequest, i32)>,
@@ -107,7 +107,11 @@ impl ReferenceScheduler {
         self.alloc_avoiding(req, &[])
     }
 
-    pub fn alloc_avoiding(&mut self, req: &ResourceRequest, avoid: &[u32]) -> Option<Allocation> {
+    pub(crate) fn alloc_avoiding(
+        &mut self,
+        req: &ResourceRequest,
+        avoid: &[u32],
+    ) -> Option<Allocation> {
         for (idx, pool) in self.pools.iter_mut().enumerate() {
             if self.down[idx] || avoid.contains(&(idx as u32)) {
                 continue;
@@ -120,14 +124,14 @@ impl ReferenceScheduler {
         None
     }
 
-    pub fn drain_node(&mut self, node: u32) {
+    pub(crate) fn drain_node(&mut self, node: u32) {
         let idx = node as usize;
         assert!(!self.down[idx], "node {node} drained twice");
         self.down[idx] = true;
         self.pools[idx] = ReferencePool::new(&self.cluster.node);
     }
 
-    pub fn recover_node(&mut self, node: u32) {
+    pub(crate) fn recover_node(&mut self, node: u32) {
         let idx = node as usize;
         assert!(self.down[idx], "node {node} recovered while up");
         self.down[idx] = false;
@@ -186,7 +190,7 @@ impl ReferenceScheduler {
         self.pools[alloc.node as usize].release(alloc);
     }
 
-    pub fn cancel_queued(&mut self, id: TaskId) -> bool {
+    pub(crate) fn cancel_queued(&mut self, id: TaskId) -> bool {
         if let Some(pos) = self.queue.iter().position(|(qid, _, _)| *qid == id) {
             self.queue.remove(pos);
             true
@@ -195,11 +199,11 @@ impl ReferenceScheduler {
         }
     }
 
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
-    pub fn cores_free(&self) -> u32 {
+    pub(crate) fn cores_free(&self) -> u32 {
         self.pools
             .iter()
             .zip(&self.down)
@@ -208,7 +212,7 @@ impl ReferenceScheduler {
             .sum()
     }
 
-    pub fn gpus_free(&self) -> u32 {
+    pub(crate) fn gpus_free(&self) -> u32 {
         self.pools
             .iter()
             .zip(&self.down)

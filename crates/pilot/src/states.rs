@@ -12,7 +12,7 @@ use std::fmt;
 
 /// Lifecycle state of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskState {
+pub(crate) enum TaskState {
     /// Created, not yet submitted to the scheduler.
     New,
     /// Waiting for resource slots.
@@ -30,14 +30,6 @@ pub enum TaskState {
 }
 
 impl TaskState {
-    /// Whether the state is terminal.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            TaskState::Done | TaskState::Failed | TaskState::Canceled
-        )
-    }
-
     /// Whether `self → next` is a legal transition.
     fn can_transition_to(self, next: TaskState) -> bool {
         use TaskState::*;
@@ -79,7 +71,7 @@ impl fmt::Display for TaskState {
 
 /// A state cell that enforces the transition table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StateCell {
+pub(crate) struct StateCell {
     state: TaskState,
 }
 
@@ -127,7 +119,6 @@ mod tests {
     fn terminal_states_are_terminal() {
         use TaskState::*;
         for t in [Done, Failed, Canceled] {
-            assert!(t.is_terminal());
             for n in [
                 New, Scheduling, ExecSetup, Executing, Done, Failed, Canceled,
             ] {
@@ -135,7 +126,7 @@ mod tests {
             }
         }
         for t in [New, Scheduling, ExecSetup, Executing] {
-            assert!(!t.is_terminal());
+            assert!(t.can_transition_to(Canceled), "{t} is live");
         }
     }
 

@@ -55,7 +55,7 @@ json_enum!(TaskKind {
 
 impl TaskKind {
     /// Additional launch overhead beyond the generic exec setup.
-    pub fn launch_overhead(self) -> SimDuration {
+    pub(crate) fn launch_overhead(self) -> SimDuration {
         match self {
             TaskKind::Serial => SimDuration::ZERO,
             TaskKind::OpenMp => SimDuration::from_secs(5),
@@ -67,10 +67,10 @@ impl TaskKind {
 
 /// The output of a task's work closure: any sendable value, downcast by the
 /// layer that submitted the task (the workflow stages know their own types).
-pub type TaskOutput = Box<dyn Any + Send>;
+pub(crate) type TaskOutput = Box<dyn Any + Send>;
 
 /// A task's computation.
-pub type TaskWork = Box<dyn FnOnce() -> TaskOutput + Send>;
+pub(crate) type TaskWork = Box<dyn FnOnce() -> TaskOutput + Send>;
 
 /// Everything needed to schedule and execute one task.
 ///

@@ -1,15 +1,13 @@
-//! FASTA reading and writing.
+//! FASTA writing.
 //!
 //! Stage 3 of the IMPRESS pipeline "compiles the highest-ranking sequences
-//! into a fasta file for input into downstream tasks". We implement the
-//! format for real so the pipeline stages exchange the same artifact the
-//! paper's tasks do, and so examples can export designs for external tools.
+//! into a fasta file for input into downstream tasks". The writer emits that
+//! artifact so examples can export designs for external tools.
 //!
 //! Multi-chain complexes use the AlphaFold-Multimer convention of joining
 //! chains with `':'` in a single record.
 
 use crate::sequence::Sequence;
-use std::fmt;
 
 /// One FASTA record: a header and one or more chain sequences.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,36 +17,6 @@ pub struct FastaRecord {
     /// The chains, joined by `':'` on write.
     pub chains: Vec<Sequence>,
 }
-
-/// Errors from FASTA parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FastaError {
-    /// Sequence data appeared before any `>` header.
-    MissingHeader,
-    /// A record contained an unknown residue letter.
-    BadResidue {
-        /// The offending record's header.
-        header: String,
-        /// The unknown letter.
-        letter: char,
-    },
-    /// A header had no sequence lines.
-    EmptyRecord(String),
-}
-
-impl fmt::Display for FastaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FastaError::MissingHeader => write!(f, "sequence data before first '>' header"),
-            FastaError::BadResidue { header, letter } => {
-                write!(f, "unknown residue {letter:?} in record {header:?}")
-            }
-            FastaError::EmptyRecord(h) => write!(f, "record {h:?} has no sequence"),
-        }
-    }
-}
-
-impl std::error::Error for FastaError {}
 
 /// Serialize records to FASTA text (60-column wrapping, chains joined by ':').
 pub fn write_fasta(records: &[FastaRecord]) -> String {
@@ -71,113 +39,29 @@ pub fn write_fasta(records: &[FastaRecord]) -> String {
     out
 }
 
-/// Parse FASTA text into records.
-pub fn parse_fasta(text: &str) -> Result<Vec<FastaRecord>, FastaError> {
-    let mut records: Vec<FastaRecord> = Vec::new();
-    let mut current: Option<(String, String)> = None;
-
-    let finish =
-        |cur: Option<(String, String)>, records: &mut Vec<FastaRecord>| -> Result<(), FastaError> {
-            if let Some((header, body)) = cur {
-                if body.is_empty() {
-                    return Err(FastaError::EmptyRecord(header));
-                }
-                let chains = body
-                    .split(':')
-                    .map(Sequence::parse)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| FastaError::BadResidue {
-                        header: header.clone(),
-                        letter: e.0,
-                    })?;
-                records.push(FastaRecord { header, chains });
-            }
-            Ok(())
-        };
-
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(h) = line.strip_prefix('>') {
-            finish(current.take(), &mut records)?;
-            current = Some((h.trim().to_string(), String::new()));
-        } else {
-            match &mut current {
-                Some((_, body)) => body.push_str(line),
-                None => return Err(FastaError::MissingHeader),
-            }
-        }
-    }
-    finish(current, &mut records)?;
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(header: &str, chains: &[&str]) -> FastaRecord {
-        FastaRecord {
-            header: header.to_string(),
-            chains: chains.iter().map(|c| Sequence::parse(c).unwrap()).collect(),
-        }
-    }
-
     #[test]
-    fn round_trip_single_chain() {
-        let records = vec![rec("design_1 cycle=2", &["MKVLAWYQ"])];
-        let text = write_fasta(&records);
-        assert!(text.starts_with(">design_1 cycle=2\n"));
-        assert_eq!(parse_fasta(&text).unwrap(), records);
-    }
-
-    #[test]
-    fn round_trip_multimer() {
-        let records = vec![rec("complex", &["MKVLAWYQ", "EPEA"])];
-        let text = write_fasta(&records);
-        assert!(text.contains("MKVLAWYQ:EPEA"));
-        assert_eq!(parse_fasta(&text).unwrap(), records);
-    }
-
-    #[test]
-    fn long_sequences_wrap_at_60_and_reparse() {
-        let long: String = "ACDEFGHIKLMNPQRSTVWY".repeat(10); // 200 aa
-        let records = vec![rec("long", &[long.as_str()])];
-        let text = write_fasta(&records);
-        let max_line = text.lines().map(|l| l.len()).max().unwrap();
-        assert!(max_line <= 60);
-        assert_eq!(parse_fasta(&text).unwrap(), records);
-    }
-
-    #[test]
-    fn multiple_records_parse_in_order() {
-        let text = ">a\nMK\n>b\nVL\n>c\nWY\n";
-        let recs = parse_fasta(text).unwrap();
-        let headers: Vec<_> = recs.iter().map(|r| r.header.as_str()).collect();
-        assert_eq!(headers, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn errors_are_specific() {
-        assert_eq!(parse_fasta("MKV\n"), Err(FastaError::MissingHeader));
-        assert_eq!(
-            parse_fasta(">x\n"),
-            Err(FastaError::EmptyRecord("x".to_string()))
+    fn records_are_written_with_chains_joined_and_lines_wrapped_at_60() {
+        let chain = |letters: &str| Sequence::parse(letters).unwrap();
+        let long = "ACDEFGHIKLMNPQRSTVWY".repeat(4); // 80 aa
+        let records = [
+            FastaRecord {
+                header: "design_1 cycle=2".to_string(),
+                chains: vec![chain("MKVLAWYQ")],
+            },
+            FastaRecord {
+                header: "complex".to_string(),
+                chains: vec![chain(&long), chain("EPEA")],
+            },
+        ];
+        let expected = format!(
+            ">design_1 cycle=2\nMKVLAWYQ\n>complex\n{}\n{}:EPEA\n",
+            &long[..60],
+            &long[60..]
         );
-        assert!(matches!(
-            parse_fasta(">x\nMKZ\n"),
-            Err(FastaError::BadResidue { letter: 'Z', .. })
-        ));
-    }
-
-    #[test]
-    fn blank_lines_and_padding_are_tolerated() {
-        let text = "\n>  padded header  \n\nMKV\nLAW\n\n";
-        let recs = parse_fasta(text).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].header, "padded header");
-        assert_eq!(recs[0].chains[0].to_letters(), "MKVLAW");
+        assert_eq!(write_fasta(&records), expected);
     }
 }

@@ -19,7 +19,7 @@ use crate::sequence::Sequence;
 
 /// A receptor–peptide residue contact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Contact {
+pub(crate) struct Contact {
     /// Receptor position (0-based).
     pub receptor_pos: usize,
     /// Peptide position (0-based).
@@ -41,7 +41,7 @@ fn unit(h: u64) -> f64 {
 
 /// The binding-interface component for one design target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InterfaceModel {
+pub(crate) struct InterfaceModel {
     seed: u64,
     contacts: Vec<Contact>,
     receptor_len: usize,
@@ -91,7 +91,7 @@ impl InterfaceModel {
     }
 
     /// Receptor positions that belong to the binding groove.
-    pub fn groove_positions(&self) -> Vec<usize> {
+    pub(crate) fn groove_positions(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.contacts.iter().map(|c| c.receptor_pos).collect();
         v.sort_unstable();
         v.dedup();
@@ -126,7 +126,7 @@ impl InterfaceModel {
 
     /// Mean contact score of the full interface — the raw binding fitness in
     /// `[0, 1]`.
-    pub fn raw_binding(&self, receptor: &Sequence, peptide: &Sequence) -> f64 {
+    pub(crate) fn raw_binding(&self, receptor: &Sequence, peptide: &Sequence) -> f64 {
         assert_eq!(
             receptor.len(),
             self.receptor_len,
@@ -144,7 +144,7 @@ impl InterfaceModel {
     /// `candidate` — the local term the MPNN surrogate uses, a constant of
     /// the target that [`super::DesignLandscape::new`] tables once per
     /// groove position. Zero when `pos` is not in the groove.
-    pub fn local_sum(&self, pos: usize, candidate: AminoAcid, peptide: &Sequence) -> f64 {
+    pub(crate) fn local_sum(&self, pos: usize, candidate: AminoAcid, peptide: &Sequence) -> f64 {
         self.contacts
             .iter()
             .filter(|c| c.receptor_pos == pos)
@@ -153,7 +153,7 @@ impl InterfaceModel {
     }
 
     /// Number of contacts.
-    pub fn num_contacts(&self) -> usize {
+    pub(crate) fn num_contacts(&self) -> usize {
         self.contacts.len()
     }
 }

@@ -19,7 +19,7 @@
 //! # The local-scoring kernel and its contract
 //!
 //! Every caller of the local score — [`crate::mpnn::SurrogateMpnn`]'s
-//! proposals, [`DesignLandscape::hill_climb`], target fabrication — wants
+//! proposals, target fabrication, the tests' hill climb — wants
 //! all twenty candidates at one `(sequence, position)`, so that is the one
 //! operation there is: [`DesignLandscape::local_scores`]. It clones no
 //! sequence, runs each NK hash chain once up to the first link that names
@@ -35,8 +35,8 @@
 mod interface;
 mod nk;
 
-pub use interface::{Contact, InterfaceModel};
-pub use nk::NkLandscape;
+use interface::InterfaceModel;
+use nk::NkLandscape;
 
 use crate::amino::{AminoAcid, ALL};
 use crate::sequence::Sequence;
@@ -45,7 +45,7 @@ use impress_sim::SimRng;
 use std::sync::Arc;
 
 /// Weight of the fold component in total fitness (binding gets the rest).
-pub const FOLD_WEIGHT: f64 = 0.55;
+pub(crate) const FOLD_WEIGHT: f64 = 0.55;
 
 /// Raw-to-quality rescaling anchors for total fitness: [`RAW_LO`] is the
 /// random-sequence mean, [`RAW_HI`] the practical greedy-optimization
@@ -156,7 +156,7 @@ impl DesignLandscape {
     }
 
     /// Receptor length the landscape is defined over.
-    pub fn receptor_len(&self) -> usize {
+    pub(crate) fn receptor_len(&self) -> usize {
         self.nk.len()
     }
 
@@ -195,26 +195,6 @@ impl DesignLandscape {
         })
     }
 
-    /// Greedy first-improvement hill climb used to fabricate plausible
-    /// "native" starting sequences: `sweeps` passes over random positions,
-    /// accepting the best candidate whenever it improves raw total fitness.
-    pub fn hill_climb(&self, start: &Sequence, sweeps: usize, rng: &mut SimRng) -> Sequence {
-        let mut seq = start.clone();
-        let n = seq.len();
-        for _ in 0..sweeps {
-            let mut order: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut order);
-            for &pos in &order {
-                let scores = self.local_scores(&seq, pos);
-                let best = best_candidate(&scores);
-                if scores[best.index()] > scores[seq.at(pos).index()] {
-                    seq.set(pos, best);
-                }
-            }
-        }
-        seq
-    }
-
     /// A uniformly random receptor sequence of the right length.
     pub fn random_receptor(&self, rng: &mut SimRng) -> Sequence {
         Sequence::new(
@@ -237,6 +217,29 @@ pub(crate) fn best_candidate(scores: &[f64; 20]) -> AminoAcid {
                 .expect("scores are finite")
         })
         .expect("ALL is non-empty")
+}
+
+#[cfg(test)]
+impl DesignLandscape {
+    /// Greedy first-improvement hill climb, the tests' way to reach good
+    /// sequences: `sweeps` passes over random positions, accepting the best
+    /// candidate whenever it improves raw total fitness.
+    pub(crate) fn hill_climb(&self, start: &Sequence, sweeps: usize, rng: &mut SimRng) -> Sequence {
+        let mut seq = start.clone();
+        let n = seq.len();
+        for _ in 0..sweeps {
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            for &pos in &order {
+                let scores = self.local_scores(&seq, pos);
+                let best = best_candidate(&scores);
+                if scores[best.index()] > scores[seq.at(pos).index()] {
+                    seq.set(pos, best);
+                }
+            }
+        }
+        seq
+    }
 }
 
 #[cfg(test)]

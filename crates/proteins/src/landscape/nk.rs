@@ -16,7 +16,7 @@ use crate::amino::{AminoAcid, ALL};
 use crate::sequence::Sequence;
 
 /// Number of epistatic neighbours per position.
-pub const K: usize = 2;
+pub(crate) const K: usize = 2;
 
 /// splitmix64 finalizer — a well-mixed 64→64 bit hash.
 #[inline]
@@ -42,7 +42,7 @@ fn link(h: u64, residue: AminoAcid, slot: usize) -> u64 {
 
 /// The NK fold-fitness component for one design target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NkLandscape {
+pub(crate) struct NkLandscape {
     seed: u64,
     len: usize,
 }
@@ -57,11 +57,6 @@ impl NkLandscape {
     /// Sequence length this landscape is defined over.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the landscape has zero length (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Contribution of position `pos` given the residue there and the
@@ -90,7 +85,7 @@ impl NkLandscape {
 
     /// Mean per-position contribution of `seq` — the raw fold fitness in
     /// `[0, 1)`. Panics if the sequence length does not match.
-    pub fn raw_fitness(&self, seq: &Sequence) -> f64 {
+    pub(crate) fn raw_fitness(&self, seq: &Sequence) -> f64 {
         assert_eq!(seq.len(), self.len, "sequence length mismatch");
         let mut total = 0.0;
         for pos in 0..self.len {
@@ -111,7 +106,7 @@ impl NkLandscape {
     /// and 1 `mix` rounds instead of 5 each). Entry `c` carries the bits
     /// [`NkLandscape::contribution`] gives for `c` at `pos` and `seq`
     /// elsewhere, summed in the order `pos`, `pos − 1`, `pos − 2`.
-    pub fn local_sums(&self, seq: &Sequence, pos: usize) -> [f64; 20] {
+    pub(crate) fn local_sums(&self, seq: &Sequence, pos: usize) -> [f64; 20] {
         let n = self.len;
         let [next, after] = self.neighbours(seq, pos);
         let (p1, p2) = ((pos + n - 1) % n, (pos + n - 2) % n);

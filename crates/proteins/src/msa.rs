@@ -98,7 +98,7 @@ impl SyntheticMsaDatabase {
     }
 
     /// Run a search (pure function of database + query).
-    pub fn search(&self, query: &Sequence, mode: MsaMode) -> Msa {
+    pub(crate) fn search(&self, query: &Sequence, mode: MsaMode) -> Msa {
         match mode {
             MsaMode::SingleSequence => Msa::single_sequence(),
             MsaMode::Full => {
@@ -118,7 +118,7 @@ impl SyntheticMsaDatabase {
     /// Virtual wall-clock cost of the search: proportional to query length,
     /// mildly sub-linear in depth, with ±10% deterministic jitter drawn from
     /// `rng`. Single-sequence mode costs (almost) nothing.
-    pub fn search_duration(
+    pub(crate) fn search_duration(
         &self,
         query: &Sequence,
         mode: MsaMode,

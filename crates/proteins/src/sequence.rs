@@ -133,7 +133,7 @@ json_struct!(Chain {
 
 impl Chain {
     /// A designable chain.
-    pub fn designable(id: char, sequence: Sequence) -> Self {
+    pub(crate) fn designable(id: char, sequence: Sequence) -> Self {
         Chain {
             id: ChainId(id),
             sequence,

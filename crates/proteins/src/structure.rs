@@ -17,7 +17,7 @@ use impress_json::json_struct;
 
 /// A Cα position in ångströms.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CaAtom {
+pub(crate) struct CaAtom {
     /// x coordinate.
     pub x: f64,
     /// y coordinate.
@@ -129,7 +129,7 @@ impl Structure {
     /// for the receptor and an extended strand for the peptide, offset so the
     /// chains do not overlap. Purely presentational — design quality lives in
     /// the landscape, not in these coordinates.
-    pub fn ca_trace(&self) -> Vec<(ChainId, Vec<CaAtom>)> {
+    pub(crate) fn ca_trace(&self) -> Vec<(ChainId, Vec<CaAtom>)> {
         let helix = |n: usize, z_off: f64| -> Vec<CaAtom> {
             // Ideal α-helix: rise 1.5 Å per residue, 100° turn, radius 2.3 Å.
             (0..n)

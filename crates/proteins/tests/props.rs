@@ -2,12 +2,9 @@
 //! [`props!`](impress_sim::props) harness.
 
 use impress_proteins::amino::{AminoAcid, ALL};
-use impress_proteins::fasta::{parse_fasta, write_fasta, FastaRecord};
 use impress_proteins::landscape::DesignLandscape;
-use impress_proteins::pdb::{parse_pdb, write_pdb};
 use impress_proteins::profile::SequenceProfile;
-use impress_proteins::sequence::{Chain, Sequence};
-use impress_proteins::structure::{Complex, Structure};
+use impress_proteins::sequence::Sequence;
 use impress_sim::{prop_assume, props, SimRng};
 
 /// A random sequence with length in `[min_len, max_len]`.
@@ -46,43 +43,6 @@ props! {
         assert_eq!(a.hamming(&a), 0);
         assert_eq!(a.hamming(&b), b.hamming(&a));
         assert!(a.hamming(&c) <= a.hamming(&b) + b.hamming(&c));
-    }
-
-    /// FASTA round trip for arbitrary multi-record, multi-chain content.
-    fn fasta_round_trips(rng) {
-        let n_records = 1 + rng.below(4);
-        let records: Vec<FastaRecord> = (0..n_records)
-            .map(|i| {
-                let n_chains = 1 + rng.below(2);
-                let chains = (0..n_chains)
-                    .map(|_| arb_sequence(rng, 1, 79))
-                    .collect();
-                let tag = rng.below(1000);
-                FastaRecord {
-                    header: format!("design_{i} tag={tag}"),
-                    chains,
-                }
-            })
-            .collect();
-        let text = write_fasta(&records);
-        assert_eq!(parse_fasta(&text).unwrap(), records);
-    }
-
-    /// PDB round trip preserves chains, sequences and atom counts.
-    fn pdb_round_trips(rng) {
-        let receptor = arb_sequence(rng, 8, 59);
-        let peptide = arb_sequence(rng, 2, 11);
-        let complex = Complex::new(
-            "PROP",
-            Chain::designable('A', receptor.clone()),
-            Chain::fixed('B', peptide.clone()),
-        );
-        let structure = Structure::starting(complex, 0.5);
-        let parsed = parse_pdb(&write_pdb(&structure)).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(&parsed[0].sequence, &receptor);
-        assert_eq!(&parsed[1].sequence, &peptide);
-        assert_eq!(parsed[0].atoms.len(), receptor.len());
     }
 
     /// Landscape fitness is a pure function with all outputs in range.

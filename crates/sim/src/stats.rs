@@ -91,15 +91,6 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Net change of a metric between the first and last observation, expressed
-/// in the metric's own units (the paper's "Net Δ" columns).
-pub fn net_delta(series: &[f64]) -> f64 {
-    match (series.first(), series.last()) {
-        (Some(first), Some(last)) if series.len() >= 2 => last - first,
-        _ => 0.0,
-    }
-}
-
 /// Relative improvement of `ours` over `baseline`, as a percentage — e.g.
 /// Table I reports IM-RP's pTM net Δ as "+14.3%" relative to CONT-V.
 ///
@@ -165,13 +156,6 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), 40.0);
         assert!((quantile(&v, 0.5) - 25.0).abs() < 1e-12);
         assert_eq!(quantile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn net_delta_first_to_last() {
-        assert!((net_delta(&[70.0, 72.0, 75.8]) - 5.8).abs() < 1e-12);
-        assert_eq!(net_delta(&[70.0]), 0.0);
-        assert_eq!(net_delta(&[]), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `props!` harness (see `impress_sim::props`).
 
 use impress_sim::event::{EventId, EventQueue};
-use impress_sim::stats::{net_delta, quantile};
+use impress_sim::stats::quantile;
 use impress_sim::{prop_assume, props, SimDuration, SimRng, SimTime, Summary};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -220,15 +220,6 @@ props! {
         let s = Summary::of(&values);
         assert!((results[0] - s.min).abs() < 1e-9);
         assert!((results[6] - s.max).abs() < 1e-9);
-    }
-
-    /// net_delta is antisymmetric under series reversal.
-    fn net_delta_antisymmetry(rng) {
-        let values = vec_of(rng, 2, 50, |r| r.uniform_range(-1e3, 1e3));
-        let fwd = net_delta(&values);
-        let mut rev = values.clone();
-        rev.reverse();
-        assert!((fwd + net_delta(&rev)).abs() < 1e-9);
     }
 
     /// Forked RNG streams with different labels are uncorrelated (no equal

@@ -14,9 +14,8 @@
 //! * **Metrics** — named counters, gauges and histograms (reusing
 //!   [`impress_sim::Histogram`]), snapshotted deterministically into a
 //!   [`MetricsSnapshot`].
-//! * **Exporters** — Chrome trace-event JSON ([`write_chrome_trace`],
-//!   loadable in Perfetto) and Prometheus text exposition
-//!   ([`prometheus_text`]).
+//! * **Exporter** — Chrome trace-event JSON ([`write_chrome_trace`],
+//!   loadable in Perfetto).
 //!
 //! What recording costs on the enabled path: an event is a fixed-size
 //! value — its name a [`Label`] (inline up to [`LABEL_INLINE`] bytes), its
@@ -39,7 +38,6 @@
 mod chrome;
 mod event;
 mod metrics;
-mod prom;
 mod sink;
 
 pub use chrome::{write_chrome_trace, write_chrome_trace_filtered, TraceClock};
@@ -47,7 +45,6 @@ pub use event::{
     check_nesting, Args, Label, SpanCat, SpanId, Stamp, TelemetryEvent, ARGS_MAX, LABEL_INLINE,
 };
 pub use metrics::{BucketSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
-pub use prom::{prometheus_text, prometheus_text_into};
 pub use sink::{NullSink, RingSink, TelemetrySink, TraceRecorder};
 
 use metrics::Metrics;
@@ -445,46 +442,39 @@ mod tests {
         );
     }
 
-    /// Golden exposition-format test for the histogram overflow bucket:
-    /// finite buckets are cumulative, values at or above the top bound land
-    /// only in `+Inf`, values below the bottom bound land in the first
-    /// bucket (still cumulative-correct), and NaN observations vanish
-    /// entirely instead of drifting `_count` away from the buckets.
+    /// `(le, count)` of each finite bucket of `sample`.
+    fn buckets(sample: &HistogramSample) -> Vec<(f64, u64)> {
+        sample.buckets.iter().map(|b| (b.le, b.count)).collect()
+    }
+
+    /// Golden histogram sample for the overflow bucket: finite buckets are
+    /// cumulative, values at or above the top bound land only in `count`
+    /// (the implicit `+Inf` bucket), values below the bottom bound land in
+    /// the first bucket (still cumulative-correct), and NaN observations
+    /// vanish entirely instead of drifting `count` away from the buckets.
     #[test]
-    fn prometheus_histogram_overflow_lands_only_in_inf_bucket() {
+    fn histogram_overflow_lands_only_in_the_inf_count() {
         let (tele, _rec) = Telemetry::recording(4);
         for v in [0.5, 3.0, 9.5, 10.0, 25.0, -1.0, f64::NAN] {
             tele.observe("lat", 0.0, 10.0, 5, v);
         }
-        let text = prometheus_text(&tele.snapshot());
-        let expected = "\
-# TYPE impress_lat histogram
-impress_lat_bucket{le=\"2\"} 2
-impress_lat_bucket{le=\"4\"} 3
-impress_lat_bucket{le=\"6\"} 3
-impress_lat_bucket{le=\"8\"} 3
-impress_lat_bucket{le=\"10\"} 4
-impress_lat_bucket{le=\"+Inf\"} 6
-impress_lat_sum 47
-impress_lat_count 6
-";
-        assert_eq!(text, expected);
+        let snapshot = tele.snapshot();
+        let lat = snapshot.histogram("lat").expect("observed");
+        let expected = [(2.0, 2), (4.0, 3), (6.0, 3), (8.0, 3), (10.0, 4)];
+        assert_eq!(buckets(lat), expected);
+        assert_eq!((lat.count, lat.sum), (6, 47.0));
     }
 
     /// Golden one-bin histogram: the single finite bucket's bound is the
     /// cell's `hi`, not a width read from a second bin that does not exist.
     #[test]
-    fn prometheus_one_bin_histogram_bounds_at_hi() {
+    fn a_one_bin_histogram_bounds_at_hi() {
         let (tele, _rec) = Telemetry::recording(4);
         tele.observe("h", 0.0, 10.0, 1, 5.0);
-        let expected = "\
-# TYPE impress_h histogram
-impress_h_bucket{le=\"10\"} 1
-impress_h_bucket{le=\"+Inf\"} 1
-impress_h_sum 5
-impress_h_count 1
-";
-        assert_eq!(prometheus_text(&tele.snapshot()), expected);
+        let snapshot = tele.snapshot();
+        let h = snapshot.histogram("h").expect("observed");
+        assert_eq!(buckets(h), [(10.0, 1)]);
+        assert_eq!((h.count, h.sum), (1, 5.0));
     }
 
     #[test]
@@ -654,19 +644,5 @@ impress_h_count 1
         let off = Telemetry::disabled();
         off.observe_many("h", 0.0, 10.0, 4, &values);
         assert_eq!(off.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn prometheus_exposition_renders_all_metric_kinds() {
-        let (tele, _rec) = Telemetry::recording(4);
-        tele.count("tasks_submitted", 3);
-        tele.gauge("queue_depth", 2.0);
-        tele.observe("wait_seconds", 0.0, 10.0, 2, 4.0);
-        let text = prometheus_text(&tele.snapshot());
-        assert!(text.contains("# TYPE impress_tasks_submitted counter"));
-        assert!(text.contains("impress_tasks_submitted 3"));
-        assert!(text.contains("impress_queue_depth 2"));
-        assert!(text.contains("impress_wait_seconds_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("impress_wait_seconds_sum 4"));
     }
 }

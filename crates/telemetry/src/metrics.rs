@@ -94,12 +94,12 @@ impl MetricsSnapshot {
 }
 
 /// A histogram cell tracking the running sum alongside the binned counts
-/// (Prometheus exposition needs `_sum`, which [`Histogram`] alone does not
+/// (a [`HistogramSample`] carries `sum`, which [`Histogram`] alone does not
 /// retain).
 ///
 /// Overflow discipline: `Histogram` saturates out-of-range values into its
-/// edge bins, which is right for plotting but wrong for the Prometheus
-/// exposition — a value at or above the top bound must appear *only* in the
+/// edge bins, which is right for plotting but wrong for cumulative
+/// buckets — a value at or above the top bound must appear *only* in the
 /// implicit `+Inf` bucket (`count`), never under a finite `le`. The cell
 /// therefore routes such values past the binned histogram and counts them in
 /// `count`/`sum` alone. NaN observations are dropped entirely, so `count`,

@@ -194,7 +194,7 @@ enum RouteState {
 
 /// What one [`Coordinator::try_step`] call achieved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryStep {
+pub(crate) enum TryStep {
     /// Progress was made without waiting: pipelines started, a completion
     /// routed, or the decision engine spawned a new round.
     Progressed,
@@ -664,7 +664,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// to make at the current instant is stepped before anyone waits.
     ///
     /// [`Session::poll_next`]: impress_pilot::Session::poll_next
-    pub fn try_step(&mut self) -> TryStep {
+    pub(crate) fn try_step(&mut self) -> TryStep {
         let started = !self.to_start.is_empty();
         self.start_pending();
         if let Some(c) = self.session.poll_next() {
@@ -687,7 +687,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// Whether pipelines are queued to begin on the next step (roots added
     /// since the last one, or decision-engine spawns not yet started) —
     /// i.e. [`Coordinator::try_step`] is guaranteed to make progress.
-    pub fn has_pending_starts(&self) -> bool {
+    pub(crate) fn has_pending_starts(&self) -> bool {
         !self.to_start.is_empty()
     }
 
@@ -761,7 +761,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// the next campaign or drain it on its own schedule. Callers that
     /// need the registry must read it (or clone what they need) *before*
     /// consuming the coordinator.
-    pub fn into_parts(self) -> CoordinatorParts<O, B> {
+    pub(crate) fn into_parts(self) -> CoordinatorParts<O, B> {
         CoordinatorParts {
             outcomes: self.outcomes,
             aborts: self.aborts,
@@ -843,7 +843,7 @@ impl<O: FromJsonBuf + 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordi
 
 /// What [`Coordinator::into_parts`] returns — see that method's rustdoc
 /// for the ownership handoff contract.
-pub struct CoordinatorParts<O, B: ExecutionBackend> {
+pub(crate) struct CoordinatorParts<O, B: ExecutionBackend> {
     /// Completed pipeline outcomes, in completion order.
     pub outcomes: Vec<(PipelineId, O)>,
     /// Aborted pipelines and their reasons.

@@ -155,7 +155,7 @@ impl TaskMeta {
     }
 
     /// Rebuild a (work-free) description for ghost replay.
-    pub fn to_description(&self) -> TaskDescription {
+    pub(crate) fn to_description(&self) -> TaskDescription {
         let mut d = TaskDescription::new(self.name.clone(), self.request, self.duration)
             .with_gpu_busy_fraction(self.gpu_busy_fraction)
             .with_priority(self.priority)
@@ -275,7 +275,7 @@ impl ReplayPlan {
     /// Whether every journaled stage names only defined shapes — what a
     /// snapshot must satisfy before it is trusted, and a plan before it is
     /// replayed.
-    pub fn shapes_resolve(&self) -> bool {
+    pub(crate) fn shapes_resolve(&self) -> bool {
         let defined = self.shapes.len();
         self.pipelines
             .iter()

@@ -49,7 +49,7 @@ pub mod report;
 pub mod service;
 pub mod stage;
 
-pub use coordinator::{Coordinator, CoordinatorParts, CoordinatorView, TryStep};
+pub use coordinator::{Coordinator, CoordinatorView};
 pub use decision::{DecisionEngine, NoDecisions};
 pub use journal::{
     load_plan, FileJournal, Journal, JournalError, JournalRecord, JournalStore, LoadedJournal,

@@ -40,10 +40,10 @@ use impress_pilot::{Completion, TaskDescription};
 
 /// Builds a stage's tasks from the previous stage's completions (empty for
 /// the first stage).
-pub type StageFn = Box<dyn FnMut(&[Completion]) -> Vec<TaskDescription>>;
+pub(crate) type StageFn = Box<dyn FnMut(&[Completion]) -> Vec<TaskDescription>>;
 
 /// Builds the outcome from the final stage's completions.
-pub type FinishFn<O> = Box<dyn FnMut(&[Completion]) -> O>;
+pub(crate) type FinishFn<O> = Box<dyn FnMut(&[Completion]) -> O>;
 
 /// A pipeline that runs a fixed chain of stages.
 pub struct LinearPipeline<O> {

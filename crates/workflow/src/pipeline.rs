@@ -44,7 +44,7 @@ json_enum!(PipelineState {
 
 impl PipelineState {
     /// Whether the state is terminal.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, PipelineState::Completed | PipelineState::Aborted)
     }
 }

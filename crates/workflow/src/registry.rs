@@ -60,7 +60,7 @@ impl Registry {
     /// The id the next [`register`](Self::register) call will assign.
     /// The journal writes its `Registered` record *before* registration, so
     /// it needs the id ahead of time.
-    pub fn peek_next_id(&self) -> u64 {
+    pub(crate) fn peek_next_id(&self) -> u64 {
         self.entries.len() as u64
     }
 
@@ -113,7 +113,7 @@ impl Registry {
     }
 
     /// Record a completed stage.
-    pub fn note_stage_completed(&mut self, id: PipelineId) {
+    pub(crate) fn note_stage_completed(&mut self, id: PipelineId) {
         self.get_mut(id).stages_completed += 1;
     }
 

@@ -653,11 +653,6 @@ where
         self.campaigns[handle.id as usize].result.take()
     }
 
-    /// Campaigns admitted so far (any status).
-    pub fn campaigns_admitted(&self) -> usize {
-        self.campaigns.len()
-    }
-
     /// Campaigns that have reached a terminal status.
     pub fn campaigns_finished(&self) -> usize {
         self.finished
@@ -1139,7 +1134,7 @@ mod tests {
         // (Indirect check: rebalance ran, and all campaigns completed with
         // correct outcomes — a nonzero boost would still complete, so the
         // real guarantee is the rank rule itself, unit-tested via ratios.)
-        for cid in 0..s.campaigns_admitted() {
+        for cid in 0..s.campaigns.len() {
             let h = CampaignHandle {
                 id: cid as u64,
                 tenant: t.clone(),

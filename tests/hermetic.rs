@@ -12,7 +12,8 @@
 //!   and on a fresh smoke run;
 //! * structural checks that are not text patterns: the manifests (one TOML
 //!   section walker), integer-keyed hash tables on the hot path, `pub mod`
-//!   reachability and the DESIGN.md inventory.
+//!   reachability, the public surface (every `pub` item of the libraries,
+//!   listed in `tests/surface.txt`) and the DESIGN.md inventory.
 //!
 //! [`guards!`] makes each guard a test of its own, so a failure names the
 //! decision that broke. The fixture tests at the end pin the scanners on
@@ -28,8 +29,8 @@ type Sources = [(String, String)];
 
 /// Every `.rs` file and `Cargo.toml` under the workspace's source
 /// directories and `perf/src`, plus the JSON, Markdown and TOML files and
-/// the `.gitignore` at the repository root. This file is left out: a guard
-/// has to spell what it searches for.
+/// the `.gitignore` at the repository root, and the surface list. This file
+/// is left out: a guard has to spell what it searches for.
 fn workspace_sources() -> Vec<(String, String)> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).into_iter().flatten() {
@@ -54,6 +55,7 @@ fn workspace_sources() -> Vec<(String, String)> {
             files.push(path);
         }
     }
+    files.push(root.join(SURFACE));
     assert!(files.len() > 20, "expected to load the whole workspace");
     files
         .into_iter()
@@ -136,6 +138,8 @@ guards! {
     every_pub_mod_is_reached_from_outside_its_own_crate =>
         reachability_violations(sources(), UNREACHED_BUT_ALLOWED),
     the_design_inventory_names_only_what_exists => design_inventory(sources()),
+    every_pub_item_is_listed_and_reached_or_explained =>
+        surface_violations(sources(), source(sources(), SURFACE)),
 }
 
 // ---------------------------------------------------------------- rules
@@ -904,25 +908,31 @@ fn statement(rest: &str) -> &str {
     &rest[..rest.find(';').unwrap_or(rest.len())]
 }
 
+/// The crate of a library file of `crates/*/src` (not `src/bin/`) and the
+/// module it defines, as a path prefix: `lib.rs` is the root (``), `a.rs`
+/// and `a/mod.rs` are `a::`, `a/b.rs` is `a::b::`.
+fn library_module(rel: &str) -> Option<(&str, String)> {
+    let (krate, file) = rel.strip_prefix("crates/")?.split_once("/src/")?;
+    if file.starts_with("bin/") || !file.ends_with(".rs") {
+        return None;
+    }
+    let module = match file.trim_end_matches(".rs").trim_end_matches("/mod") {
+        "lib" => String::new(),
+        path => format!("{}::", path.replace('/', "::")),
+    };
+    Some((krate, module))
+}
+
 /// Whether a file outside the library of `crates/<krate>` names its
 /// `module` (`a` or `a::b`): as the path `impress_<krate>::a::b`, inside a
 /// `use impress_<krate>::{..};` or `use impress_<krate>::a::{..};` group,
 /// or — most callers go through the crate root — as any item the root
 /// re-exports from it (`pub use a::b::{A, f as G};` gives `A` and `G`), a
-/// whole word in a file that also names the crate. Another crate, a
-/// `src/bin/` or `benches/` target, an example, a root test and `perf/src`
-/// are outside; the crate's own `src/` (minus `src/bin/`) and its own
-/// `tests/` are not.
+/// whole word in a file that also names the crate.
 fn module_is_reached(krate: &str, module: &str, sources: &Sources) -> bool {
-    let home = format!("crates/{krate}/");
-    let (src, bins, tests) = (
-        format!("{home}src/"),
-        format!("{home}src/bin/"),
-        format!("{home}tests/"),
-    );
     let lib = sources
         .iter()
-        .find(|(rel, _)| *rel == format!("{src}lib.rs"));
+        .find(|(rel, _)| *rel == format!("crates/{krate}/src/lib.rs"));
     let ident = format!("impress_{krate}");
     let segments: Vec<&str> = module.split("::").collect();
     let by_path = |text: &str| {
@@ -942,15 +952,29 @@ fn module_is_reached(krate: &str, module: &str, sources: &Sources) -> bool {
         .flat_map(|rest| statement(rest).trim_matches(['{', '}']).split(','))
         .filter_map(|item| item.split_whitespace().last())
         .collect();
+    outside_library(krate, sources).any(|text| {
+        names(text, &ident) && (by_path(text) || items.iter().any(|item| names(text, item)))
+    })
+}
+
+/// The `.rs` files outside the library of `crates/<krate>`: another crate,
+/// a `src/bin/` or `benches/` target, an example, a root test and
+/// `perf/src`, but not the crate's own `src/` (minus `src/bin/`) or its own
+/// `tests/`.
+fn outside_library<'a>(krate: &str, sources: &'a Sources) -> impl Iterator<Item = &'a str> {
+    let home = format!("crates/{krate}/");
+    let (src, bins, tests) = (
+        format!("{home}src/"),
+        format!("{home}src/bin/"),
+        format!("{home}tests/"),
+    );
     sources
         .iter()
-        .filter(|(rel, _)| {
+        .filter(move |(rel, _)| {
             let library = rel.starts_with(&src) && !rel.starts_with(&bins);
             rel.ends_with(".rs") && !library && !rel.starts_with(&tests)
         })
-        .any(|(_, text)| {
-            names(text, &ident) && (by_path(text) || items.iter().any(|item| names(text, item)))
-        })
+        .map(|(_, text)| text.as_str())
 }
 
 /// What is wrong with the `pub mod`s of `crates/*/src` in `sources` — at a
@@ -960,20 +984,8 @@ fn module_is_reached(krate: &str, module: &str, sources: &Sources) -> bool {
 fn reachability_violations(sources: &Sources, allowed: &[(&str, &str)]) -> Vec<String> {
     let mut unreached = Vec::new();
     for (rel, text) in sources {
-        let Some((krate, file)) = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split_once("/src/"))
-        else {
+        let Some((krate, parent)) = library_module(rel) else {
             continue;
-        };
-        if file.starts_with("bin/") {
-            continue;
-        }
-        // The module the file defines: `lib.rs` the root, `a.rs` and
-        // `a/mod.rs` are `a`, `a/b.rs` is `a::b`.
-        let parent = match file.trim_end_matches(".rs").trim_end_matches("/mod") {
-            "lib" => String::new(),
-            path => format!("{}::", path.replace('/', "::")),
         };
         for module in text
             .lines()
@@ -1000,6 +1012,163 @@ fn reachability_violations(sources: &Sources, allowed: &[(&str, &str)]) -> Vec<S
 /// Five such modules (1.2k lines, 28 tests) were once compiled, documented
 /// and tested while nothing called them.
 const UNREACHED_BUT_ALLOWED: &[(&str, &str)] = &[];
+
+// -------------------------------------------------------------- surface
+
+/// The list of every `pub` item of the crate libraries.
+const SURFACE: &str = "tests/surface.txt";
+
+/// The name `decl` (what follows `pub ` on a line) declares, if it
+/// declares an item: a `fn`, `struct`, `enum`, `trait`, `type`, `const`,
+/// `static` or `union`. A `pub use`, a `pub mod` and a restricted
+/// `pub(..)` declare none.
+fn declared(decl: &str) -> Option<&str> {
+    let mut words = decl.split_whitespace().peekable();
+    while let Some(word) = words.next() {
+        match word {
+            "const" if words.peek() == Some(&"fn") => {}
+            "unsafe" | "async" => {}
+            "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "union" => {
+                let name = words.next()?;
+                return name
+                    .split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next();
+            }
+            _ => return None,
+        }
+    }
+    None
+}
+
+/// The `pub` items of one library file's code (the part before its first
+/// `#[cfg(test)]`), each as `(path under the crate, identifier, method)`:
+/// module-level items, the items of an inline `pub mod`, the `pub` methods
+/// and constants of inherent impls of the file's own `pub` types
+/// (`Type::method`), and exported macros (at the crate root). `module` is
+/// the file's module as a path prefix.
+fn pub_items(module: &str, text: &str) -> Vec<(String, String, bool)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut found: Vec<(String, String, Option<String>)> = Vec::new();
+    // The block the scan is in: an inherent impl (its type's path), an
+    // inline `pub mod` (its path and `None`), or neither.
+    let mut inside: Option<(String, Option<String>)> = None;
+    let mut header = String::new();
+    let mut exported = false;
+    for line in part(text, Part::Code).lines() {
+        if !header.is_empty() || line.starts_with("impl ") || line.starts_with("impl<") {
+            // An impl header may run over several lines, to its `{`.
+            header.push_str(line);
+            header.push(' ');
+            if line.trim_end().ends_with('{') {
+                let rest = header.trim_start_matches("impl");
+                // Skip the impl's own generics: `impl<T: A<B>> S<T>`.
+                let mut depth = 0;
+                let start = rest.find(|c: char| {
+                    match c {
+                        '<' => depth += 1,
+                        '>' => depth -= 1,
+                        _ => return depth == 0 && ident(c),
+                    }
+                    false
+                });
+                let ty = &rest[start.unwrap_or(rest.len())..];
+                let trait_impl = names(ty, "for");
+                let name: String = ty.chars().take_while(|&c| ident(c)).collect();
+                let path = format!("{module}{name}");
+                inside = (!trait_impl).then(|| (format!("{path}::"), Some(path)));
+                header.clear();
+            }
+        } else if let Some(name) = line.strip_prefix("pub mod ") {
+            if let Some(name) = name.strip_suffix(" {") {
+                inside = Some((format!("{module}{name}::"), None));
+            }
+        } else if line.starts_with('}') {
+            inside = None;
+        } else if let Some(decl) = line.strip_prefix("pub ") {
+            if let Some(name) = declared(decl) {
+                found.push((format!("{module}{name}"), name.to_string(), None));
+            }
+        } else if let Some(decl) = line.strip_prefix("    pub ") {
+            if let (Some((prefix, owner)), Some(name)) = (&inside, declared(decl)) {
+                found.push((format!("{prefix}{name}"), name.to_string(), owner.clone()));
+            }
+        } else if let Some(name) = line.strip_prefix("macro_rules! ") {
+            if exported {
+                let name: String = name.chars().take_while(|&c| ident(c)).collect();
+                found.push((name.clone(), name, None));
+            }
+        }
+        exported = line == "#[macro_export]";
+    }
+    // A method is public surface only if its type is.
+    let items: Vec<String> = found.iter().map(|(path, ..)| path.clone()).collect();
+    found
+        .into_iter()
+        .filter(|(.., owner)| owner.as_ref().is_none_or(|owner| items.contains(owner)))
+        .map(|(path, ident, owner)| (path, ident, owner.is_some()))
+        .collect()
+}
+
+/// Every `pub` item of `crates/*/src` (minus `src/bin/`) in `sources` as
+/// `(crate::path, reached)`, sorted: an item is reached when a file
+/// outside its crate's library names it — a module-level item as a whole
+/// word in a file that also names the crate, a method as a whole word
+/// anywhere (a call on a value need not name the crate).
+fn surface(sources: &Sources) -> Vec<(String, bool)> {
+    let mut items = Vec::new();
+    for (rel, text) in sources {
+        let Some((krate, module)) = library_module(rel) else {
+            continue;
+        };
+        let crate_ident = format!("impress_{krate}");
+        for (path, ident, method) in pub_items(&module, text) {
+            let reached = outside_library(krate, sources)
+                .any(|text| names(text, &ident) && (method || names(text, &crate_ident)));
+            items.push((format!("{krate}::{path}"), reached));
+        }
+    }
+    items.sort();
+    items.dedup();
+    items
+}
+
+/// What is wrong with `listed` (the text of [`SURFACE`]) against the
+/// `pub` items of `sources`. Each line is an item's path, sorted; an item
+/// nothing outside its crate names carries ` # ` and the reason it stays
+/// public, and an item that is reached carries none.
+fn surface_violations(sources: &Sources, listed: &str) -> Vec<String> {
+    let scan = surface(sources);
+    let lines: Vec<(&str, Option<&str>)> = listed
+        .lines()
+        .map(|line| match line.split_once(" # ") {
+            Some((item, reason)) => (item, Some(reason)),
+            None => (line, None),
+        })
+        .collect();
+    let mut found = Vec::new();
+    if let Some(pair) = lines.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+        found.push(format!("{SURFACE} is not sorted at `{}`", pair[1].0));
+    }
+    for (item, reached) in &scan {
+        match lines.iter().find(|(line, _)| line == item) {
+            None => found.push(format!("missing from {SURFACE}: {item}")),
+            Some((_, None)) if !reached => found.push(format!(
+                "{item}: nothing outside its crate names it; make it `pub(crate)`, delete it, \
+                 or give its line a `# reason`"
+            )),
+            Some((_, Some(_))) if *reached => found.push(format!(
+                "{item}: reached from outside its crate; its reason is stale"
+            )),
+            Some(_) => {}
+        }
+    }
+    for (line, _) in &lines {
+        if !scan.iter().any(|(item, _)| item == line) {
+            found.push(format!("extra in {SURFACE}: {line}"));
+        }
+    }
+    found
+}
 
 /// Every backticked name in the "Key modules" cell of a `crates/<c>` row of
 /// DESIGN.md is `crates/<c>/src/<m>.rs`, `crates/<c>/src/<m>/` (`a/{b,c}`
@@ -1210,4 +1379,97 @@ fn the_reachability_scan_is_pinned_on_fixtures() {
     assert!(stale.len() == 1 && stale[0].contains("a::n is stale"));
     let gone = reachability_violations(&both, &[("a::old", "was here once")]);
     assert!(gone.len() == 1 && gone[0].contains("a::old is stale"));
+}
+
+/// The item scan and the surface list, on in-memory trees: which
+/// declarations are items, what counts as reach, and that each kind of
+/// drift between the tree and the list is reported.
+#[test]
+fn the_surface_scan_is_pinned_on_fixtures() {
+    const LIB: &str = "pub mod m;\npub use m::LIMIT;\npub fn used() {}\n\
+        pub(crate) fn inner() {}\npub struct Widget;\nimpl Widget {\n    \
+        pub const fn spin(&self) {}\n    fn private(&self) {}\n}\n\
+        impl Clone for Widget {\n    pub fn clone(&self) -> Self { Widget }\n}\n\
+        struct Hidden;\nimpl Hidden {\n    pub fn open(&self) {}\n}\n\
+        #[macro_export]\nmacro_rules! make {\n    () => {};\n}\n\
+        #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+    const M: &str = "pub const LIMIT: u32 = 3;\npub mod inline {\n    pub unsafe fn deep() {}\n}\n\
+        impl<T: Into<u32>>\n    Gadget<T>\n{\n    pub fn turn(&self) {}\n}\npub struct Gadget<T>(T);\n";
+    const LISTED: &str = "a::Widget\na::Widget::spin\na::m::Gadget # crates/a/tests/t.rs\n\
+        a::m::Gadget::turn # crates/a/tests/t.rs\na::m::LIMIT # crates/a/tests/t.rs\n\
+        a::m::inline::deep # crates/a/tests/t.rs\na::make\na::used\n";
+    let tree = |lib: &str| -> Vec<(String, String)> {
+        [
+            ("crates/a/src/lib.rs", lib),
+            ("crates/a/src/m.rs", M),
+            (
+                "crates/a/tests/t.rs",
+                "use impress_a::{m::{inline::deep, Gadget}, LIMIT};\nturn();",
+            ),
+            (
+                "examples/e.rs",
+                "use impress_a::{make, used, Widget};\nfn f(w: Widget) { w.spin() }",
+            ),
+            ("tests/surface.txt", "a::m::LIMIT"),
+        ]
+        .iter()
+        .map(|(f, t)| (f.to_string(), t.to_string()))
+        .collect()
+    };
+    let reached = |item: &str| (item.to_string(), true);
+    let unreached = |item: &str| (item.to_string(), false);
+    assert_eq!(
+        surface(&tree(LIB)),
+        [
+            reached("a::Widget"),
+            reached("a::Widget::spin"),
+            unreached("a::m::Gadget"),
+            unreached("a::m::Gadget::turn"),
+            unreached("a::m::LIMIT"),
+            unreached("a::m::inline::deep"),
+            reached("a::make"),
+            reached("a::used"),
+        ]
+    );
+    assert_eq!(surface_violations(&tree(LIB), LISTED), Vec::<String>::new());
+
+    // Each planting is reported, and only it.
+    let planted_lib = LIB.replacen(
+        "pub fn used() {}\n",
+        "pub fn used() {}\npub fn spare() {}\n",
+        1,
+    );
+    for (lib, listed, finding) in [
+        (
+            planted_lib.as_str(),
+            LISTED.replace("a::make\n", "a::make\na::spare\n"),
+            "a::spare: nothing outside its crate names it",
+        ),
+        (
+            LIB,
+            LISTED.replace("a::used", "a::used # examples"),
+            "a::used: reached",
+        ),
+        (
+            LIB,
+            LISTED.replace("a::Widget::spin\n", ""),
+            "missing from tests/surface.txt: a::Widget::spin",
+        ),
+        (
+            LIB,
+            format!("{LISTED}a::zzz\n"),
+            "extra in tests/surface.txt: a::zzz",
+        ),
+        (
+            LIB,
+            LISTED.replace("a::make\na::used", "a::used\na::make"),
+            "not sorted at `a::make`",
+        ),
+    ] {
+        let found = surface_violations(&tree(lib), &listed);
+        assert!(
+            found.len() == 1 && found[0].contains(finding),
+            "{finding}: {found:?}"
+        );
+    }
 }
