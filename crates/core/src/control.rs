@@ -211,7 +211,7 @@ mod tests {
         let config = ProtocolConfig::cont_v(2);
         let mut session = Session::new(SimulatedBackend::new(PilotConfig::with_seed(2)));
         let _ = run_cont_v(&mut session, &toolkits(1), &config);
-        let r = session.observe().utilization().clone();
+        let r = *session.observe().utilization();
         assert!(
             r.cpu < 0.25,
             "sequential execution must leave CPUs idle, got {}",

@@ -86,6 +86,9 @@ pub enum SpecError {
     AdaptiveContV,
     /// A CONT-V spec was given this IM-RP-only setter.
     NotForContV(&'static str),
+    /// Stage 1 cannot sample with this `MpnnConfig` field: it needs at
+    /// least one sequence, at a finite and positive temperature.
+    Mpnn(&'static str),
     /// The journal failed, or its plan does not replay.
     Journal(JournalError),
 }
@@ -104,6 +107,11 @@ impl fmt::Display for SpecError {
             SpecError::NotForContV(setter) => {
                 write!(f, "CONT-V has no `{setter}`: it is an IM-RP setting")
             }
+            SpecError::Mpnn(field) => write!(
+                f,
+                "invalid MpnnConfig::{field}: Stage 1 samples at least one sequence \
+                 at a finite, positive temperature"
+            ),
             SpecError::Journal(e) => e.fmt(f),
         }
     }
@@ -271,6 +279,13 @@ impl CampaignSpec {
 
     /// Why this spec cannot run at all, before anything is built.
     fn refusal(&self) -> Option<SpecError> {
+        let mpnn = &self.config.mpnn;
+        if mpnn.num_sequences == 0 {
+            return Some(SpecError::Mpnn("num_sequences"));
+        }
+        if !(mpnn.temperature.is_finite() && mpnn.temperature > 0.0) {
+            return Some(SpecError::Mpnn("temperature"));
+        }
         match self.arm {
             Arm::Imrp => {
                 let plan = self.resume.as_ref()?;
@@ -441,6 +456,42 @@ mod tests {
         }
         let adaptive = CampaignSpec::cont_v(&targets, ProtocolConfig::imrp(1)).run();
         assert!(matches!(adaptive, Err(SpecError::AdaptiveContV)));
+    }
+
+    /// A spec of each arm over one target, its protocol config edited.
+    fn both_arms(edit: impl Fn(&mut ProtocolConfig)) -> [CampaignSpec; 2] {
+        let (mut imrp, mut cont_v) = (ProtocolConfig::imrp(1), ProtocolConfig::cont_v(1));
+        edit(&mut imrp);
+        edit(&mut cont_v);
+        let targets = targets(1);
+        [
+            CampaignSpec::imrp(&targets, imrp),
+            CampaignSpec::cont_v(&targets, cont_v),
+        ]
+    }
+
+    /// A Stage 1 that samples no sequence is refused by name at the front
+    /// door of either arm, not by an assert inside the first MPNN task.
+    #[test]
+    fn zero_mpnn_sequences_are_refused_on_both_arms() {
+        for spec in both_arms(|c| c.mpnn.num_sequences = 0) {
+            assert!(matches!(spec.run(), Err(SpecError::Mpnn("num_sequences"))));
+        }
+    }
+
+    /// A NaN, infinite, zero or negative sampling temperature is refused
+    /// by name at the front door of either arm.
+    #[test]
+    fn a_temperature_that_is_not_finite_and_positive_is_refused_on_both_arms() {
+        for temperature in [f64::NAN, f64::INFINITY, 0.0, -0.5] {
+            for spec in both_arms(|c| c.mpnn.temperature = temperature) {
+                let run = spec.run();
+                assert!(
+                    matches!(run, Err(SpecError::Mpnn("temperature"))),
+                    "{temperature}"
+                );
+            }
+        }
     }
 
     /// A link section that cannot be realized is an error from either

@@ -238,7 +238,7 @@ impl Shards {
         match &mut self.store {
             ShardStore::Serial(queues) => {
                 for (meta, q) in self.shards.iter_mut().zip(queues.iter_mut()) {
-                    if !meta.dirty && !(drain.is_some() && meta.peek == drain) {
+                    if !(meta.dirty || (drain.is_some() && meta.peek == drain)) {
                         continue;
                     }
                     meta.peek = sync_queue(
@@ -254,7 +254,7 @@ impl Shards {
             ShardStore::Parallel(pool) => {
                 let mut sent: Vec<usize> = Vec::new();
                 for (i, meta) in self.shards.iter_mut().enumerate() {
-                    if !meta.dirty && !(drain.is_some() && meta.peek == drain) {
+                    if !(meta.dirty || (drain.is_some() && meta.peek == drain)) {
                         continue;
                     }
                     pool.txs[i]
@@ -745,7 +745,7 @@ mod tests {
             settle: impl Fn(&mut B),
         ) -> Outcome {
             let (telemetry, recorder) = Telemetry::recording(1 << 16);
-            let mut rt = RuntimeConfig::new(c.config.clone())
+            let mut rt = RuntimeConfig::new(c.config)
                 .faults(c.faults.clone(), c.retry)
                 .telemetry(telemetry.clone());
             if let Some(d) = c.deadline {

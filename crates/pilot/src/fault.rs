@@ -409,7 +409,7 @@ impl FaultPlan {
             for _ in 0..self.config.max_crashes_per_node {
                 // Inverse-CDF exponential draw; uniform() < 1 keeps ln finite.
                 let gap = mtbf.mul_f64(-(1.0 - rng.uniform()).ln());
-                t = t + gap;
+                t += gap;
                 let end = t + self.config.node_outage;
                 windows.push((t, end));
                 t = end;
@@ -455,7 +455,7 @@ impl FaultPlan {
             let mut t = SimTime::ZERO;
             for _ in 0..self.config.max_slowdowns_per_node {
                 let gap = mtbf.mul_f64(-(1.0 - rng.uniform()).ln());
-                t = t + gap;
+                t += gap;
                 let end = t + self.config.slowdown_duration;
                 windows.push(SlowWindow {
                     start: t,
@@ -509,7 +509,7 @@ pub(crate) fn dilate_span(
             // Full-speed segment before the window opens.
             let free = w.start.since(t).as_micros();
             if remaining <= free {
-                t = t + SimDuration::from_micros(remaining);
+                t += SimDuration::from_micros(remaining);
                 return t.since(start);
             }
             remaining -= free;
@@ -519,7 +519,7 @@ pub(crate) fn dilate_span(
         let span_us = w.end.since(t).as_micros();
         let need = (remaining as f64 * w.factor).round();
         if need <= span_us as f64 {
-            t = t + SimDuration::from_micros(need as u64);
+            t += SimDuration::from_micros(need as u64);
             return t.since(start);
         }
         let done = (span_us as f64 / w.factor).floor() as u64;

@@ -13,7 +13,7 @@ use crate::resources::{Allocation, NodeSpec, ResourceRequest};
 fn full_words(total: u32) -> Vec<u64> {
     let n = total.div_ceil(64) as usize;
     let mut words = vec![u64::MAX; n];
-    if total % 64 != 0 {
+    if !total.is_multiple_of(64) {
         if let Some(last) = words.last_mut() {
             *last = (1u64 << (total % 64)) - 1;
         }

@@ -322,6 +322,10 @@ struct TenantState {
     queued: bool,
 }
 
+/// A campaign's coordinator: its pipelines on its lease, driven by its
+/// decision engine.
+type LeaseCoordinator<O, B> = Coordinator<O, ClusterLease<B>, Box<dyn DecisionEngine<O>>>;
+
 /// One campaign's slot in the service.
 struct CampaignState<O, B: ExecutionBackend> {
     tenant: usize,
@@ -331,7 +335,7 @@ struct CampaignState<O, B: ExecutionBackend> {
     lease: u32,
     /// Whether this campaign sits in its tenant's ready queue.
     ready: bool,
-    coordinator: Option<Coordinator<O, ClusterLease<B>, Box<dyn DecisionEngine<O>>>>,
+    coordinator: Option<LeaseCoordinator<O, B>>,
     result: Option<CampaignResult<O>>,
     submitted_at: SimTime,
     span: SpanId,
@@ -758,7 +762,7 @@ where
         loop {
             if let Some((tenant, cid)) = self.pop_ready() {
                 self.steps += 1;
-                if self.steps % REBALANCE_EVERY == 0 {
+                if self.steps.is_multiple_of(REBALANCE_EVERY) {
                     self.rebalance_boosts();
                 }
                 // Weighted deficit: the tenant pays a full quantum scaled

@@ -125,7 +125,7 @@ impl DecisionEngine<u64> for SpawnOnMultiples {
             depth += 1;
             cur = parent;
         }
-        if depth >= self.max_depth || outcome % 3 != 0 {
+        if depth >= self.max_depth || !outcome.is_multiple_of(3) {
             return Vec::new();
         }
         vec![Spawn::sub_of(id, Chain::boxed(outcome / 3 + 1))]

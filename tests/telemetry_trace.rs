@@ -153,7 +153,7 @@ props! {
     /// task, queue, attempt, and pilot span must agree to the
     /// microsecond).
     fn virtual_traces_agree_across_backends(rng, cases = 8) {
-        let tasks = 2 + rng.below(6) as usize;
+        let tasks = 2 + rng.below(6);
         let seed = rng.next_u64();
         let sim = parity_trace(false, seed, tasks);
         let thr = parity_trace(true, seed, tasks);
