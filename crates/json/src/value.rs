@@ -220,7 +220,7 @@ impl From<ObjBuilder> for Json {
 
 /// A value's compact JSON text, held as text rather than as a tree: what
 /// [`ToJsonBuf`](crate::ToJsonBuf) wrote, written back verbatim, and on
-/// read the parser's slice of the value ([`Parser::raw_value`]). Decode it
+/// read the parser's slice of the value. Decode it
 /// with [`read_json`](crate::read_json).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawJson(String);

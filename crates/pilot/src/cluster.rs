@@ -1,7 +1,7 @@
 //! Multiplexing one backend across many independent consumers.
 //!
 //! The session/coordinator stack assumes it *owns* its
-//! [`ExecutionBackend`]: it submits, pumps [`next_completion`], and treats
+//! [`ExecutionBackend`]: it submits, pumps [`next_completion`](ExecutionBackend::next_completion), and treats
 //! every completion as its own. A multi-tenant campaign service breaks that
 //! assumption — many coordinators share one cluster — so this module
 //! supplies the adapter: a [`SharedCluster`] wraps a single backend and

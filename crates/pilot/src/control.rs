@@ -6,7 +6,7 @@
 //! submission, cancellation, completion reports, retry verdicts,
 //! heartbeats — can be dropped, duplicated, delayed or reordered, and a
 //! partition can sever the coordinator from a whole node group for
-//! minutes. [`ControlPlane`] realizes a [`LinkFaults`] config as *pure,
+//! minutes. `ControlPlane` realizes a [`LinkFaults`] config as *pure,
 //! seeded per-message verdicts*: given a stable message identity (a label
 //! plus a numeric key), it answers "when does this message arrive, and
 //! does it arrive twice?" deterministically, independent of call order.
@@ -15,13 +15,13 @@
 //!
 //! Two delivery disciplines:
 //!
-//! * [`ControlPlane::deliveries`] — at-least-once: a dropped or
+//! * `ControlPlane::deliveries` — at-least-once: a dropped or
 //!   partitioned transmission retransmits every
 //!   [`LinkFaults::retransmit_timeout`] until one gets through (messages
 //!   are never lost, only late — the dedup layer above makes the *effects*
 //!   exactly-once). Used for submits, completion reports, cancels and
 //!   retry verdicts.
-//! * [`ControlPlane::best_effort`] — fire-and-forget: a dropped or
+//! * `ControlPlane::best_effort` — fire-and-forget: a dropped or
 //!   partitioned heartbeat is simply gone. That silence is the signal the
 //!   failure detector thrives on.
 //!
@@ -30,7 +30,7 @@
 //! three backends draw identical verdicts for identical traffic.
 //!
 //! The heartbeat failure detector built on `best_effort` is
-//! [`FailureDetector`]: a lane driven by one engine event per tick that
+//! `FailureDetector`: a lane driven by one engine event per tick that
 //! puts on the queue only what can be observed and draws a heartbeat's
 //! verdict only when a decision needs it. It is the one heartbeat
 //! clock, ticked by the shared core (`backend::des`) on every driver; what

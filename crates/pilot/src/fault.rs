@@ -9,8 +9,8 @@
 //! layer.
 //!
 //! Beyond the binary crash model, the plan also expresses *gray* failures:
-//! per-node slowdown windows ([`FaultPlan::slowdown_windows`]) during which
-//! every attempt hosted by the node runs [`SlowWindow::factor`] × slower —
+//! per-node slowdown windows (`FaultPlan::slowdown_windows`) during which
+//! every attempt hosted by the node runs `SlowWindow::factor` × slower —
 //! the degraded-NIC/thermal-throttle/shared-filesystem-contention class of
 //! fault that never shows up as a crash. Backends counter them with two
 //! policies configured on the runtime: [`HedgePolicy`] (speculative
@@ -115,7 +115,7 @@ impl ScriptedPartition {
 /// duplication, delay and reorder probabilities, scripted partition
 /// windows, and the heartbeat failure-detector knobs. All control traffic
 /// (submit, cancel, completion reports, retry verdicts, heartbeats) is
-/// routed through a seeded [`crate::control::ControlPlane`] realizing this
+/// routed through a seeded `crate::control::ControlPlane` realizing this
 /// config; [`LinkFaults::none`] routes nothing, draws no randomness, and
 /// leaves every backend byte-identical to the pre-control-plane engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -324,7 +324,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Realize `config` under `seed`, or say why its link section cannot
     /// be realized. A plan only ever holds a config that passed
-    /// [`LinkFaults::validate`], which is what lets the backends build
+    /// `LinkFaults::validate`, which is what lets the backends build
     /// their failure detector without checking again.
     pub fn try_new(config: FaultConfig, seed: u64) -> Result<Self, LinkFaultsError> {
         config.link.validate()?;
@@ -338,7 +338,7 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// If `config.link` fails [`LinkFaults::validate`]. Use
+    /// If `config.link` fails `LinkFaults::validate`. Use
     /// [`FaultPlan::try_new`] for a config that was not written by hand.
     pub fn new(config: FaultConfig, seed: u64) -> Self {
         match Self::try_new(config, seed) {

@@ -75,5 +75,5 @@ pub use profiler::{UtilizationReport, SERIES_BIN};
 pub use resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 pub use runtime::RuntimeConfig;
 pub use scheduler::{PlacementPolicy, Scheduler};
-pub use session::Session;
+pub use session::{Observation, Session};
 pub use task::{TaskDescription, TaskId, TaskKind};

@@ -99,7 +99,7 @@ pub struct TaskDescription {
     /// keep submission order. The protocol uses this to keep speculative
     /// prefetch work from delaying the critical path.
     pub priority: i32,
-    /// Executable kind; adds [`TaskKind::launch_overhead`] to exec setup.
+    /// Executable kind; adds its launch overhead to exec setup.
     pub kind: TaskKind,
     /// Walltime limit: an attempt still running this long after its slots
     /// were granted is killed with [`crate::backend::TaskError::TimedOut`]

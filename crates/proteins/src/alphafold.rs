@@ -164,7 +164,7 @@ impl SurrogateAlphaFold {
     }
 
     /// Run the MSA phase for a receptor sequence. CPU-bound; its virtual
-    /// cost comes from [`SyntheticMsaDatabase::search_duration`].
+    /// cost comes from `SyntheticMsaDatabase::search_duration`.
     pub fn build_msa(&self, receptor: &Sequence, mode: MsaMode) -> Msa {
         self.database.search(receptor, mode)
     }

@@ -224,7 +224,7 @@ impl AminoAcid {
     }
 
     /// Side-chain volume in cubic ångströms (Zamyatnin 1972, rounded).
-    pub fn volume(self) -> f64 {
+    pub(crate) fn volume(self) -> f64 {
         match self {
             AminoAcid::Gly => 60.1,
             AminoAcid::Ala => 88.6,

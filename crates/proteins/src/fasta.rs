@@ -43,25 +43,37 @@ pub fn write_fasta(records: &[FastaRecord]) -> String {
 mod tests {
     use super::*;
 
+    fn rec(header: &str, chains: &[&str]) -> FastaRecord {
+        FastaRecord {
+            header: header.to_string(),
+            chains: chains.iter().map(|c| Sequence::parse(c).unwrap()).collect(),
+        }
+    }
+
+    /// The sequence lines of a one-record text, joined back.
+    fn body(text: &str) -> String {
+        text.lines().skip(1).collect()
+    }
+
     #[test]
-    fn records_are_written_with_chains_joined_and_lines_wrapped_at_60() {
-        let chain = |letters: &str| Sequence::parse(letters).unwrap();
-        let long = "ACDEFGHIKLMNPQRSTVWY".repeat(4); // 80 aa
-        let records = [
-            FastaRecord {
-                header: "design_1 cycle=2".to_string(),
-                chains: vec![chain("MKVLAWYQ")],
-            },
-            FastaRecord {
-                header: "complex".to_string(),
-                chains: vec![chain(&long), chain("EPEA")],
-            },
-        ];
-        let expected = format!(
-            ">design_1 cycle=2\nMKVLAWYQ\n>complex\n{}\n{}:EPEA\n",
-            &long[..60],
-            &long[60..]
-        );
-        assert_eq!(write_fasta(&records), expected);
+    fn round_trip_single_chain() {
+        let text = write_fasta(&[rec("design_1 cycle=2", &["MKVLAWYQ"])]);
+        assert!(text.starts_with(">design_1 cycle=2\n"));
+        assert_eq!(body(&text), "MKVLAWYQ");
+    }
+
+    #[test]
+    fn round_trip_multimer() {
+        let text = write_fasta(&[rec("complex", &["MKVLAWYQ", "EPEA"])]);
+        assert_eq!(body(&text), "MKVLAWYQ:EPEA");
+    }
+
+    #[test]
+    fn long_sequences_wrap_at_60_and_reparse() {
+        let long: String = "ACDEFGHIKLMNPQRSTVWY".repeat(10); // 200 aa
+        let text = write_fasta(&[rec("long", &[long.as_str()])]);
+        let widths: Vec<usize> = text.lines().skip(1).map(str::len).collect();
+        assert_eq!(widths, [60, 60, 60, 20]);
+        assert_eq!(body(&text), long);
     }
 }

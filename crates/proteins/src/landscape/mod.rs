@@ -1,7 +1,7 @@
 //! The hidden design-fitness landscape.
 //!
-//! Combines the NK fold component ([`NkLandscape`]) and the binding-interface
-//! component ([`InterfaceModel`]) into one [`DesignLandscape`] per design target.
+//! Combines the NK fold component (`NkLandscape`) and the binding-interface
+//! component (`InterfaceModel`) into one [`DesignLandscape`] per design target.
 //! The landscape plays the role of ground truth ("how good is this design
 //! really?") that the real paper gets from physical reality; the AlphaFold
 //! surrogate observes it noisily, the ProteinMPNN surrogate climbs it
@@ -23,7 +23,7 @@
 //! all twenty candidates at one `(sequence, position)`, so that is the one
 //! operation there is: [`DesignLandscape::local_scores`]. It clones no
 //! sequence, runs each NK hash chain once up to the first link that names
-//! the candidate ([`NkLandscape::local_sums`]), and reads the binding term,
+//! the candidate (`NkLandscape::local_sums`), and reads the binding term,
 //! a constant of the target, from a table built in
 //! [`DesignLandscape::new`] and shared by the landscape's clones. The contract is that every `f64` is produced
 //! by the same operations in the same order as scoring one candidate at a

@@ -37,7 +37,7 @@ pub struct Msa {
     /// Number of homologs found (0 in single-sequence mode).
     pub depth: usize,
     /// Multiplier applied to AlphaFold's observation noise: < 1 for deep
-    /// alignments, 1.0 at the reference depth, and [`Msa::SINGLE_SEQ_NOISE`]
+    /// alignments, 1.0 at the reference depth, and `Msa::SINGLE_SEQ_NOISE`
     /// with no alignment at all.
     pub noise_factor: f64,
 }

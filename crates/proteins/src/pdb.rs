@@ -59,21 +59,55 @@ mod tests {
 
     #[test]
     fn write_emits_valid_fixed_columns() {
-        let s = structure();
-        let text = write_pdb(&s);
+        let text = write_pdb(&structure());
         let atom_lines: Vec<_> = text.lines().filter(|l| l.starts_with("ATOM")).collect();
         assert_eq!(atom_lines.len(), 14); // 10 + 4 residues
-        let atoms = s.ca_trace().into_iter().flat_map(|(_, atoms)| atoms);
-        for (l, atom) in atom_lines.iter().zip(atoms) {
+        for l in &atom_lines {
             assert!(l.len() >= 54, "line too short: {l}");
             assert_eq!(&l[12..16].trim(), &"CA");
+        }
+        assert!(text.contains("TER"));
+        assert!(text.trim_end().ends_with("END"));
+    }
+
+    /// The residue-name and chain-id columns, read back in file order,
+    /// spell the structure's chains.
+    #[test]
+    fn round_trip_preserves_sequences_and_chains() {
+        let s = structure();
+        let text = write_pdb(&s);
+        let read: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("ATOM"))
+            .map(|l| &l[17..22])
+            .collect();
+        let written: Vec<String> = s
+            .complex
+            .chains()
+            .iter()
+            .flat_map(|c| {
+                let id = c.id.0;
+                c.sequence
+                    .residues()
+                    .iter()
+                    .map(move |aa| format!("{} {id}", aa.three_letter()))
+            })
+            .collect();
+        assert_eq!(read, written);
+    }
+
+    /// The coordinate columns, read back, are the Cα trace to 3 dp.
+    #[test]
+    fn round_trip_coordinates_survive_to_3dp() {
+        let s = structure();
+        let text = write_pdb(&s);
+        let atoms = s.ca_trace().into_iter().flat_map(|(_, atoms)| atoms);
+        let lines = text.lines().filter(|l| l.starts_with("ATOM"));
+        for (l, atom) in lines.zip(atoms) {
             let column = |at: usize| l[at..at + 8].trim().parse::<f64>().unwrap();
             assert!((column(30) - atom.x).abs() < 5e-4);
             assert!((column(38) - atom.y).abs() < 5e-4);
             assert!((column(46) - atom.z).abs() < 5e-4);
         }
-        assert_eq!(&atom_lines[13][17..22], "ALA B");
-        assert!(text.contains("TER"));
-        assert!(text.trim_end().ends_with("END"));
     }
 }

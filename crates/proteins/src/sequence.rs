@@ -133,7 +133,7 @@ json_struct!(Chain {
 
 impl Chain {
     /// A designable chain.
-    pub(crate) fn designable(id: char, sequence: Sequence) -> Self {
+    pub fn designable(id: char, sequence: Sequence) -> Self {
         Chain {
             id: ChainId(id),
             sequence,

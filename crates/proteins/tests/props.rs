@@ -2,9 +2,12 @@
 //! [`props!`](impress_sim::props) harness.
 
 use impress_proteins::amino::{AminoAcid, ALL};
+use impress_proteins::fasta::{write_fasta, FastaRecord};
 use impress_proteins::landscape::DesignLandscape;
+use impress_proteins::pdb::write_pdb;
 use impress_proteins::profile::SequenceProfile;
-use impress_proteins::sequence::Sequence;
+use impress_proteins::sequence::{Chain, Sequence};
+use impress_proteins::structure::{Complex, Structure};
 use impress_sim::{prop_assume, props, SimRng};
 
 /// A random sequence with length in `[min_len, max_len]`.
@@ -43,6 +46,68 @@ props! {
         assert_eq!(a.hamming(&a), 0);
         assert_eq!(a.hamming(&b), b.hamming(&a));
         assert!(a.hamming(&c) <= a.hamming(&b) + b.hamming(&c));
+    }
+
+    /// FASTA round trip for arbitrary multi-record, multi-chain content:
+    /// each record's header and chains read back from the text.
+    fn fasta_round_trips(rng) {
+        let n_records = 1 + rng.below(4);
+        let records: Vec<FastaRecord> = (0..n_records)
+            .map(|i| {
+                let n_chains = 1 + rng.below(2);
+                let chains = (0..n_chains)
+                    .map(|_| arb_sequence(rng, 1, 79))
+                    .collect();
+                let tag = rng.below(1000);
+                FastaRecord {
+                    header: format!("design_{i} tag={tag}"),
+                    chains,
+                }
+            })
+            .collect();
+        let text = write_fasta(&records);
+        let read: Vec<(&str, String)> = text
+            .split('>')
+            .skip(1)
+            .map(|record| {
+                let (header, body) = record.split_once('\n').expect("a header line");
+                (header, body.lines().collect())
+            })
+            .collect();
+        let written: Vec<(&str, String)> = records
+            .iter()
+            .map(|r| {
+                let letters: Vec<String> = r.chains.iter().map(Sequence::to_letters).collect();
+                (r.header.as_str(), letters.join(":"))
+            })
+            .collect();
+        assert_eq!(read, written);
+    }
+
+    /// PDB round trip preserves chains, sequences and atom counts: the
+    /// residue-name and chain-id columns spell the complex.
+    fn pdb_round_trips(rng) {
+        let receptor = arb_sequence(rng, 8, 59);
+        let peptide = arb_sequence(rng, 2, 11);
+        let complex = Complex::new(
+            "PROP",
+            Chain::designable('A', receptor.clone()),
+            Chain::fixed('B', peptide.clone()),
+        );
+        let text = write_pdb(&Structure::starting(complex, 0.5));
+        let read: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("ATOM"))
+            .map(|l| &l[17..22])
+            .collect();
+        let written: Vec<String> = [('A', &receptor), ('B', &peptide)]
+            .into_iter()
+            .flat_map(|(id, seq)| {
+                let names = seq.residues().iter().map(|aa| aa.three_letter());
+                names.map(move |name| format!("{name} {id}"))
+            })
+            .collect();
+        assert_eq!(read, written);
     }
 
     /// Landscape fitness is a pure function with all outputs in range.

@@ -81,7 +81,7 @@ fn parse_var<T: std::str::FromStr>(name: &str, var: Option<&str>, default: T) ->
     }
 }
 
-/// Run `body` for `cases` randomized cases. Called by the [`props!`]
+/// Run `body` for `cases` randomized cases. Called by the [`props!`](macro@crate::props)
 /// (crate::props) macro expansion; not usually invoked directly.
 ///
 /// Discarded cases (via [`prop_assume!`](crate::prop_assume)) do not count
@@ -143,7 +143,7 @@ macro_rules! props {
 }
 
 /// Discard the current property case unless `cond` holds (the `proptest`
-/// `prop_assume!` analog). Must be used inside a [`props!`](crate::props)
+/// `prop_assume!` analog). Must be used inside a [`props!`](macro@crate::props)
 /// body.
 #[macro_export]
 macro_rules! prop_assume {

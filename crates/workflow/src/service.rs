@@ -25,7 +25,7 @@
 //!
 //! **Clock discipline.** The service never lets one campaign's wait
 //! serialize the fleet: a campaign is stepped only while it can make
-//! progress at the current instant ([`Coordinator::try_step`] — pending
+//! progress at the current instant (`Coordinator::try_step` — pending
 //! pipeline starts, an inboxed completion, or its idle/terminal
 //! transition), and only when *no* campaign is ready does the service
 //! advance the shared clock, by pumping exactly one completion out of the

@@ -1056,10 +1056,13 @@ fn pub_items(module: &str, text: &str) -> Vec<(String, String, bool)> {
     let mut exported = false;
     for line in part(text, Part::Code).lines() {
         if !header.is_empty() || line.starts_with("impl ") || line.starts_with("impl<") {
-            // An impl header may run over several lines, to its `{`.
+            // An impl header may run over several lines, to its `{`; an
+            // empty impl (`impl Error for E {}`) opens no block.
             header.push_str(line);
             header.push(' ');
-            if line.trim_end().ends_with('{') {
+            if line.trim_end().ends_with("{}") {
+                header.clear();
+            } else if line.trim_end().ends_with('{') {
                 let rest = header.trim_start_matches("impl");
                 // Skip the impl's own generics: `impl<T: A<B>> S<T>`.
                 let mut depth = 0;
@@ -1386,10 +1389,11 @@ fn the_reachability_scan_is_pinned_on_fixtures() {
 /// drift between the tree and the list is reported.
 #[test]
 fn the_surface_scan_is_pinned_on_fixtures() {
-    const LIB: &str = "pub mod m;\npub use m::LIMIT;\npub fn used() {}\n\
+    const LIB: &str = "pub mod m;\npub use m::LIMIT;\n\
         pub(crate) fn inner() {}\npub struct Widget;\nimpl Widget {\n    \
         pub const fn spin(&self) {}\n    fn private(&self) {}\n}\n\
         impl Clone for Widget {\n    pub fn clone(&self) -> Self { Widget }\n}\n\
+        impl Eq for Widget {}\npub fn used() {}\n\
         struct Hidden;\nimpl Hidden {\n    pub fn open(&self) {}\n}\n\
         #[macro_export]\nmacro_rules! make {\n    () => {};\n}\n\
         #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
