@@ -88,11 +88,6 @@ impl ImpressDecision {
         }
     }
 
-    /// Sub-pipelines spawned so far.
-    pub fn spawned(&self) -> usize {
-        self.spawned
-    }
-
     fn spawn_for(
         &mut self,
         outcome: &DesignOutcome,

@@ -110,7 +110,7 @@ fn run_lineage<B: ExecutionBackend>(
                 rng.fork_idx("mpnn", cycle as u64),
             ),
         ));
-        // Stages 2+3: random (unranked) choice, compiled to FASTA.
+        // Stages 2+3: random (unranked) choice.
         let ordered: Vec<ScoredSequence> = try_stage!(run_blocking(
             session,
             stage2_3_select(

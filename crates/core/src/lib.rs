@@ -9,7 +9,8 @@
 //! 1. **Stage 1** — ProteinMPNN generates 10 sequences conditioned on the
 //!    current structure.
 //! 2. **Stage 2** — sequences are sorted by log-likelihood.
-//! 3. **Stage 3** — the selected sequence is compiled into a FASTA record.
+//! 3. **Stage 3** — the selected sequence is compiled into a FASTA record
+//!    (here the select task's cost: nothing downstream reads the text).
 //! 4. **Stage 4** — AlphaFold predicts the structure: an MSA-construction
 //!    task (CPU-bound, hours) followed by an inference task (GPU), ranking
 //!    candidate models by pTM.

@@ -90,7 +90,7 @@ impl DesignOutcome {
 
     /// Number of accepted design points (the paper's "trajectories"
     /// accounting: CONT-V's 16 = 4 structures × 4 cycles).
-    pub fn trajectories(&self) -> u32 {
+    pub(crate) fn trajectories(&self) -> u32 {
         self.iterations.len() as u32
     }
 }
@@ -155,7 +155,7 @@ impl DesignPipeline {
     /// A fresh restart of a target's design (used by the decision engine
     /// after a lineage crashes): identical to a root pipeline but with a
     /// distinguishable label and its own RNG stream.
-    pub fn restart(tk: Arc<TargetToolkit>, config: ProtocolConfig, attempt: u64) -> Self {
+    pub(crate) fn restart(tk: Arc<TargetToolkit>, config: ProtocolConfig, attempt: u64) -> Self {
         let mut p = Self::root(tk, config, 1000 + attempt);
         p.label = format!("{}/restart{attempt}", p.label);
         p

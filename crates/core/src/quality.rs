@@ -53,11 +53,6 @@ impl IterationSeries {
     pub fn medians(&self) -> Vec<f64> {
         self.summaries.iter().map(|s| s.median).collect()
     }
-
-    /// Half-σ error bars per iteration.
-    pub fn half_stds(&self) -> Vec<f64> {
-        self.summaries.iter().map(|s| s.half_std()).collect()
-    }
 }
 
 /// Net change per metric from the first to the last iteration (the Table I
@@ -224,6 +219,6 @@ mod tests {
             outcome("B", "b", vec![(1, 64.0, 0.5, 18.0)]),
         ];
         let s = IterationSeries::build(&outcomes, MetricKind::Plddt);
-        assert!((s.half_stds()[0] - 1.0).abs() < 1e-9); // σ=2 → σ/2=1
+        assert!((s.summaries[0].half_std() - 1.0).abs() < 1e-9); // σ=2 → σ/2=1
     }
 }

@@ -62,7 +62,7 @@ impl TargetToolkit {
     /// structures whose AlphaFold metrics were known from preparation, so
     /// this is input metadata, not a pipeline task; it is identical for both
     /// arms and independent of the arm's AlphaFold configuration.
-    pub fn baseline_report(&self) -> ConfidenceReport {
+    pub(crate) fn baseline_report(&self) -> ConfidenceReport {
         let mut rng =
             SimRng::from_seed(self.start.complex.receptor.sequence.content_hash()).fork("baseline");
         let msa = self

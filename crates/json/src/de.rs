@@ -174,12 +174,12 @@ impl<'a> Parser<'a> {
     }
 
     /// Consume `null`.
-    pub fn null(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn null(&mut self) -> Result<(), JsonError> {
         self.literal("null")
     }
 
     /// Consume `true` or `false`.
-    pub fn bool(&mut self) -> Result<bool, JsonError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, JsonError> {
         match self.peek() {
             Some(b't') => self.literal("true").map(|()| true),
             Some(b'f') => self.literal("false").map(|()| false),
@@ -252,7 +252,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Consume a string into an owned `String`.
-    pub fn string(&mut self) -> Result<String, JsonError> {
+    pub(crate) fn string(&mut self) -> Result<String, JsonError> {
         self.str_token().map(Cow::into_owned)
     }
 
@@ -367,7 +367,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Consume a number, keeping integers exact.
-    pub fn number(&mut self) -> Result<Number, JsonError> {
+    pub(crate) fn number(&mut self) -> Result<Number, JsonError> {
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(self.type_error("number"));
         }

@@ -352,11 +352,6 @@ impl ShardedBackend {
         }
     }
 
-    /// The pilot configuration this backend runs.
-    pub fn config(&self) -> &PilotConfig {
-        self.core.config()
-    }
-
     /// Test support: [`Core::live_descriptors`].
     #[cfg(test)]
     pub(crate) fn live_descriptors(&self) -> usize {

@@ -46,7 +46,6 @@
 
 use super::simulated::{drive_sequential, Exec, Sequential};
 use crate::pilot::PilotConfig;
-use crate::resources::NodeSpec;
 use crate::runtime::RuntimeConfig;
 use crate::task::TaskWork;
 use impress_sim::SimTime;
@@ -123,11 +122,6 @@ impl ThreadedBackend {
             launched: HashSet::new(),
         };
         ThreadedBackend(Sequential::new(runtime, exec))
-    }
-
-    /// The node this backend schedules over.
-    pub fn node(&self) -> &NodeSpec {
-        &self.0.config().node
     }
 
     /// Test support: [`Sequential::finish_instant`].

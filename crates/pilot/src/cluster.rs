@@ -406,11 +406,6 @@ impl<B: ExecutionBackend> ClusterLease<B> {
         self.id
     }
 
-    /// Delivered occupancy so far.
-    pub fn usage(&self) -> LeaseUsage {
-        self.core.borrow().leases[self.id as usize].meter.read()
-    }
-
     /// Retire the lease: drop its queued inbox and the inbox's storage,
     /// drop any late completions, refuse further submissions (they panic —
     /// submitting into a retired lease is a service-layer bug, not a
@@ -684,7 +679,8 @@ mod tests {
         b.retire();
         while a.next_completion().is_some() {}
         while c.next_completion().is_some() {}
-        let (ua, ub) = (a.usage(), cluster.usage_of(b.id()).unwrap());
+        let usage = |id| cluster.usage_of(id).expect("metered");
+        let (ua, ub) = (usage(a.id()), usage(b.id()));
         let account = cluster.account_usage(shared);
         assert_eq!(account.core_seconds, ua.core_seconds + ub.core_seconds);
         assert_eq!(account.core_seconds, 12.0);

@@ -1858,8 +1858,7 @@ mod tests {
         /// The same shape with 100 nodes crashed for 20 rounds each: a
         /// crashed node is silent until its recovery, which covers every
         /// check armed before it, so no round schedules a check for a
-        /// crashed node (every such check used to be a queue event that
-        /// found the node down or covered), and the trace is the model's.
+        /// crashed node, and the trace is the model's.
         #[test]
         fn a_des_faulty_shaped_lane_schedules_no_check_at_a_crashed_node() {
             let link = LinkFaults {

@@ -103,7 +103,7 @@ pub struct ScriptedPartition {
 
 impl ScriptedPartition {
     /// Whether a message to/from `node` sent at `t` falls inside the window.
-    pub fn blocks(&self, node: u32, t: SimTime) -> bool {
+    pub(crate) fn blocks(&self, node: u32, t: SimTime) -> bool {
         node >= self.first_node
             && node <= self.last_node
             && t >= self.at
@@ -161,7 +161,7 @@ impl LinkFaults {
     }
 
     /// Whether this link config models nothing at all.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.drop_rate <= 0.0
             && self.duplicate_rate <= 0.0
             && self.delay == SimDuration::ZERO
@@ -291,21 +291,6 @@ impl FaultConfig {
             link: LinkFaults::none(),
         }
     }
-
-    /// Whether this configuration injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.task_failure_rate <= 0.0
-            && self.task_hang_rate <= 0.0
-            && self.node_mtbf.is_none()
-            && self.scripted_crashes.is_empty()
-            && !self.has_slowdowns()
-            && self.link.is_none()
-    }
-
-    /// Whether any gray (slowdown) injection is configured.
-    fn has_slowdowns(&self) -> bool {
-        self.node_slowdown_mtbf.is_some() || !self.scripted_slowdowns.is_empty()
-    }
 }
 
 impl Default for FaultConfig {
@@ -352,13 +337,8 @@ impl FaultPlan {
         Self::new(FaultConfig::none(), 0)
     }
 
-    /// Whether this plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.config.is_none()
-    }
-
     /// The configuration this plan realizes.
-    pub fn config(&self) -> &FaultConfig {
+    pub(crate) fn config(&self) -> &FaultConfig {
         &self.config
     }
 
@@ -639,7 +619,7 @@ impl RetryPolicy {
     /// The delay before resubmitting attempt `attempt` (1-based: the first
     /// retry is attempt 1). Draws jitter from `rng` only when both the base
     /// delay and the jitter are non-zero.
-    pub fn backoff(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn backoff(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
         if self.backoff_base == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
@@ -690,7 +670,6 @@ mod tests {
     #[test]
     fn none_plan_is_inert() {
         let plan = FaultPlan::none();
-        assert!(plan.is_none());
         for t in 0..100u64 {
             assert_eq!(plan.attempt_fault(t, 0), AttemptFault::None);
         }
@@ -951,7 +930,6 @@ mod tests {
         assert_eq!(w[1].start, SimTime::from_micros(11_000_000), "clipped");
         assert_eq!(w[1].end, SimTime::from_micros(15_000_000));
         assert!(plan.slowdown_windows(1).is_empty());
-        assert!(!plan.is_none(), "slowdowns make the config non-trivial");
     }
 
     #[test]

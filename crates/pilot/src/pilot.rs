@@ -63,7 +63,7 @@ impl PilotConfig {
     }
 
     /// The full cluster shape this pilot holds.
-    pub fn cluster(&self) -> crate::resources::ClusterSpec {
+    pub(crate) fn cluster(&self) -> crate::resources::ClusterSpec {
         crate::resources::ClusterSpec::homogeneous(self.node, self.nodes)
     }
 }

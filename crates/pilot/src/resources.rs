@@ -68,7 +68,7 @@ json_struct!(ClusterSpec { node, count });
 
 impl ClusterSpec {
     /// A single-node cluster (the paper's testbed).
-    pub fn single(node: NodeSpec) -> ClusterSpec {
+    pub(crate) fn single(node: NodeSpec) -> ClusterSpec {
         ClusterSpec { node, count: 1 }
     }
 

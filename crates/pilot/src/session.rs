@@ -11,24 +11,18 @@ use crate::profiler::UtilizationReport;
 use crate::resources::ResourceRequest;
 use crate::task::{TaskDescription, TaskId};
 use impress_sim::{SimDuration, SimTime};
-use impress_telemetry::{MetricsSnapshot, Stamp, Telemetry};
+use impress_telemetry::{Stamp, Telemetry};
 use std::collections::HashMap;
 
-/// A consistent point-in-time view of a running session.
-///
-/// One [`Session::observe`] call replaces the old quintet of ad-hoc
-/// probes (`utilization`, `phase_breakdown`, `held_tasks`, `in_flight`,
-/// plus fishing metrics out of the backend): every field is read at the
-/// same backend instant, so the numbers are mutually consistent, and the
-/// live telemetry [`MetricsSnapshot`] rides along.
+/// A consistent point-in-time view of a running session: time,
+/// utilization, phase breakdown and held tasks, every field read at the
+/// same backend instant.
 #[derive(Debug, Clone)]
 pub struct Observation {
     at: SimTime,
     utilization: UtilizationReport,
     phases: PhaseBreakdown,
-    in_flight: usize,
     held: usize,
-    metrics: MetricsSnapshot,
 }
 
 impl Observation {
@@ -51,17 +45,6 @@ impl Observation {
     /// launch; a graceful drain is in progress).
     pub fn held_tasks(&self) -> usize {
         self.held
-    }
-
-    /// Tasks submitted but not yet completed.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Live telemetry metrics at observation time. Empty when the session's
-    /// backend runs with telemetry disabled.
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
     }
 }
 
@@ -164,16 +147,14 @@ impl<B: ExecutionBackend> Session<B> {
     }
 
     /// A consistent point-in-time snapshot of the session: time,
-    /// utilization, phase breakdown, queue/hold counts, and live
-    /// telemetry metrics, all read at the same backend instant.
+    /// utilization, phase breakdown and held tasks, all read at the same
+    /// backend instant.
     pub fn observe(&self) -> Observation {
         Observation {
             at: self.backend.now(),
             utilization: self.backend.utilization(),
             phases: self.backend.phase_breakdown(),
-            in_flight: self.backend.in_flight(),
             held: self.backend.held_tasks(),
-            metrics: self.backend.telemetry().snapshot(),
         }
     }
 
@@ -255,7 +236,7 @@ mod tests {
         }
         let out = s.drain();
         assert_eq!(out.len(), 5);
-        assert_eq!(s.observe().in_flight(), 0);
+        assert_eq!(s.backend().in_flight(), 0);
         assert!(s.wait_next().is_none());
     }
 
@@ -275,8 +256,7 @@ mod tests {
         assert!(obs.utilization().cpu > 0.0);
         assert_eq!(obs.phase_breakdown().tasks_executed, 1);
         assert_eq!(obs.held_tasks(), 0);
-        // Telemetry is off by default: the metrics snapshot is empty.
-        assert!(obs.metrics().counters.is_empty());
+        // Telemetry is off by default.
         assert!(!s.telemetry().enabled());
     }
 }

@@ -158,11 +158,6 @@ impl SurrogateAlphaFold {
         &self.landscape
     }
 
-    /// The MSA database backing this predictor.
-    pub fn database(&self) -> &SyntheticMsaDatabase {
-        &self.database
-    }
-
     /// Run the MSA phase for a receptor sequence. CPU-bound; its virtual
     /// cost comes from `SyntheticMsaDatabase::search_duration`.
     pub fn build_msa(&self, receptor: &Sequence, mode: MsaMode) -> Msa {

@@ -98,7 +98,7 @@ impl AminoAcid {
     /// Index of this residue in [`ALL`], stable across versions; used as a
     /// key into landscape lookup tables.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -214,7 +214,7 @@ impl AminoAcid {
     }
 
     /// Net side-chain charge at physiological pH.
-    pub fn charge(self) -> f64 {
+    pub(crate) fn charge(self) -> f64 {
         match self {
             AminoAcid::Arg | AminoAcid::Lys => 1.0,
             AminoAcid::His => 0.1,

@@ -44,7 +44,7 @@ pub struct DesignTarget {
 impl DesignTarget {
     /// Fabricate a target: build the landscape from `seed`, then fabricate a
     /// partially optimized native receptor of `receptor_len` residues.
-    pub fn fabricate(
+    pub(crate) fn fabricate(
         name: impl Into<String>,
         seed: u64,
         receptor_len: usize,

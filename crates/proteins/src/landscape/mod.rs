@@ -150,11 +150,6 @@ impl DesignLandscape {
         }
     }
 
-    /// The fixed target peptide.
-    pub fn peptide(&self) -> &Sequence {
-        &self.peptide
-    }
-
     /// Receptor length the landscape is defined over.
     pub(crate) fn receptor_len(&self) -> usize {
         self.nk.len()

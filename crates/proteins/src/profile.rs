@@ -49,11 +49,6 @@ impl SequenceProfile {
         self.counts.is_empty()
     }
 
-    /// Number of sequences profiled.
-    pub fn num_sequences(&self) -> u32 {
-        self.n
-    }
-
     /// Frequency of `aa` at `pos`, in `[0, 1]`.
     pub fn frequency(&self, pos: usize, aa: AminoAcid) -> f64 {
         self.counts[pos][aa.index()] as f64 / self.n as f64
@@ -111,7 +106,7 @@ mod tests {
     fn profile_of_identical_sequences_is_fully_conserved() {
         let seqs = vec![seq("MKVLA"), seq("MKVLA"), seq("MKVLA")];
         let p = SequenceProfile::from_sequences(&seqs);
-        assert_eq!(p.num_sequences(), 3);
+        assert_eq!(p.n, 3);
         assert_eq!(p.conserved_positions(), vec![0, 1, 2, 3, 4]);
         for pos in 0..5 {
             assert_eq!(p.entropy(pos), 0.0);

@@ -79,12 +79,12 @@ impl Complex {
     }
 
     /// The chains in PDB order (receptor first).
-    pub fn chains(&self) -> [&Chain; 2] {
+    pub(crate) fn chains(&self) -> [&Chain; 2] {
         [&self.receptor, &self.peptide]
     }
 
     /// Find a chain by id.
-    pub fn chain(&self, id: ChainId) -> Option<&Chain> {
+    pub(crate) fn chain(&self, id: ChainId) -> Option<&Chain> {
         self.chains().into_iter().find(|c| c.id == id)
     }
 }

@@ -49,24 +49,9 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Total recorded observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// `(bin_lower_edge, count)` pairs.
-    pub fn bins(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + w * i as f64, c))
-            .collect()
     }
 
     /// Render as horizontal ASCII bars, `width` characters for the modal bin.
@@ -97,7 +82,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        assert_eq!(h.total(), 5);
+        assert_eq!(h.total, 5);
     }
 
     #[test]
@@ -112,7 +97,7 @@ mod tests {
     fn nan_is_ignored() {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.record(f64::NAN);
-        assert_eq!(h.total(), 0);
+        assert_eq!(h.total, 0);
     }
 
     #[test]

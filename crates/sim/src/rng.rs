@@ -237,7 +237,7 @@ impl SimRng {
     }
 
     /// Standard normal draw (Box–Muller; one value per call for simplicity).
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         let u1: f64 = self.uniform().max(f64::MIN_POSITIVE);
         let u2: f64 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

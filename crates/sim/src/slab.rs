@@ -50,15 +50,6 @@ impl<T> Slab<T> {
         }
     }
 
-    /// An empty slab with room for `cap` records before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            entries: Vec::with_capacity(cap),
-            free_head: FREE_END,
-            len: 0,
-        }
-    }
-
     /// Insert a record, reusing a vacated slot when one exists.
     pub fn insert(&mut self, value: T) -> SlotId {
         self.len += 1;

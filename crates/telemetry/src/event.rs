@@ -21,7 +21,7 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// Whether this is the [`SpanId::NONE`] sentinel.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 }
@@ -285,7 +285,7 @@ impl Args {
     }
 
     /// The pairs, in the order they were given.
-    pub fn as_slice(&self) -> &[(&'static str, i64)] {
+    pub(crate) fn as_slice(&self) -> &[(&'static str, i64)] {
         &self.pairs[..self.len as usize]
     }
 }

@@ -311,7 +311,7 @@ impl ReplayPlan {
     /// Takes the record by value: both callers own it (the writer just
     /// framed it, the loader just parsed it), so names, task vectors and
     /// outcomes move into the plan instead of being cloned per record.
-    pub fn apply(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
+    pub(crate) fn apply(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
         match rec {
             JournalRecord::Begin { .. } | JournalRecord::Snapshot { .. } => Err(
                 JournalError::Corrupt("Begin/Snapshot records cannot appear mid-stream".into()),
@@ -667,11 +667,6 @@ impl FileJournal {
             path: path.into(),
             handle: Mutex::new(None),
         }
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
     }
 
     /// Write + flush through the persistent append handle, opening it on

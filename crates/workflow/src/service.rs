@@ -218,11 +218,6 @@ impl CampaignHandle {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// The owning tenant.
-    pub fn tenant(&self) -> &TenantId {
-        &self.tenant
-    }
 }
 
 /// Where a campaign is in its lifecycle.
@@ -306,7 +301,6 @@ pub struct CampaignResult<O> {
 
 /// Per-tenant bookkeeping.
 struct TenantState {
-    id: TenantId,
     quota: TenantQuota,
     /// The cluster account every campaign of this tenant leases from: it
     /// meters the tenant's delivered usage and carries its boost.
@@ -329,7 +323,6 @@ type LeaseCoordinator<O, B> = Coordinator<O, ClusterLease<B>, Box<dyn DecisionEn
 /// One campaign's slot in the service.
 struct CampaignState<O, B: ExecutionBackend> {
     tenant: usize,
-    name: String,
     status: CampaignStatus,
     priority: i32,
     lease: u32,
@@ -439,7 +432,6 @@ where
         // until it "caught up" with everyone's accumulated clock.
         let vclock = self.heap.peek().map(|e| e.vclock).unwrap_or(0);
         self.tenants.push(TenantState {
-            id: id.clone(),
             quota,
             account: self.cluster.open_account(),
             running: 0,
@@ -538,7 +530,6 @@ where
         self.telemetry.count("campaigns_admitted", 1);
         self.campaigns.push(CampaignState {
             tenant: at,
-            name: spec.name,
             status: CampaignStatus::Running,
             priority: spec.priority,
             lease: lease_id,
@@ -616,16 +607,6 @@ where
     /// service (handles are dense indices).
     pub fn status(&self, handle: &CampaignHandle) -> CampaignStatus {
         self.campaigns[handle.id as usize].status
-    }
-
-    /// A campaign's submitted name.
-    pub fn name(&self, handle: &CampaignHandle) -> &str {
-        &self.campaigns[handle.id as usize].name
-    }
-
-    /// Registered tenants, in registration order.
-    pub fn tenants(&self) -> impl Iterator<Item = &TenantId> {
-        self.tenants.iter().map(|t| &t.id)
     }
 
     /// Cancel a running campaign: queued tasks are canceled, running tasks

@@ -104,11 +104,6 @@ impl StageBuffer {
                 .collect(),
         )
     }
-
-    /// Tasks still outstanding.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
 }
 
 #[cfg(test)]
@@ -144,12 +139,12 @@ mod tests {
     fn batch_released_only_when_full_in_submission_order() {
         let mut b = stage(&[1, 2, 3]);
         assert!(b.record(2, completion(3)).is_none());
-        assert_eq!(b.outstanding(), 2);
+        assert_eq!(b.outstanding, 2);
         assert!(b.record(0, completion(1)).is_none());
         let batch = b.record(1, completion(2)).expect("complete");
         let ids: Vec<u64> = batch.iter().map(|c| c.task.0).collect();
         assert_eq!(ids, vec![1, 2, 3], "submission order, not completion order");
-        assert_eq!(b.outstanding(), 0);
+        assert_eq!(b.outstanding, 0);
     }
 
     #[test]
