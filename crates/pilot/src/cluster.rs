@@ -493,7 +493,7 @@ impl<B: ExecutionBackend> ExecutionBackend for ClusterLease<B> {
     }
 
     /// Cluster-wide utilization: occupancy has no per-lease meaning on
-    /// shared hardware (see [`ClusterLease::usage`] for this lease's own
+    /// shared hardware (see [`SharedCluster::usage_of`] for this lease's own
     /// delivered occupancy).
     fn utilization(&self) -> UtilizationReport {
         self.core.borrow().backend.utilization()

@@ -175,8 +175,8 @@ impl DesignLandscape {
     }
 
     /// Change to the *raw total* fitness if `pos` mutated to each of the
-    /// twenty residues, indexed by [`AminoAcid::index`] (the order of
-    /// [`ALL`]), relative to an arbitrary per-position baseline. Only
+    /// twenty residues, in the order of [`ALL`], relative to an arbitrary
+    /// per-position baseline. Only
     /// differences between candidates at the same position are meaningful.
     /// This is the local score the MPNN surrogate ranks residues with — it
     /// sees local structure chemistry, not the global landscape. Allocates
