@@ -531,10 +531,6 @@ impl<T: Transport> Core<T> {
         core
     }
 
-    pub(super) fn config(&self) -> &PilotConfig {
-        &self.config
-    }
-
     pub(super) fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

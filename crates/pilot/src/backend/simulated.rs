@@ -178,10 +178,6 @@ impl<X: Exec> Sequential<X> {
         }
     }
 
-    pub(super) fn config(&self) -> &PilotConfig {
-        self.core.config()
-    }
-
     /// Dispatch the next event, if any, once it is due. Returns `false`
     /// when the queue is exhausted.
     fn step(&mut self) -> bool {
@@ -333,13 +329,8 @@ impl SimulatedBackend {
     /// [`SimulatedBackend::new`]: no extra events, no extra randomness.
     /// (`time_scale` paces the threaded backend's clock and is ignored
     /// here — this backend never waits for one.)
-    pub fn from_config(runtime: RuntimeConfig) -> Self {
+    pub(crate) fn from_config(runtime: RuntimeConfig) -> Self {
         SimulatedBackend(Sequential::new(runtime, Inline))
-    }
-
-    /// The pilot configuration this backend runs.
-    pub fn config(&self) -> &PilotConfig {
-        self.0.config()
     }
 
     /// Test support: [`Sequential::finish_instant`].

@@ -40,7 +40,7 @@
 //!   failed or carried over, and every shape dominating the blocked shape
 //!   among them (needing ≥ cores *and* ≥ gpus), fits no up node. Only a
 //!   node whose free capacity grew (release / recover) can break that;
-//!   placements, drains and [`Scheduler::alloc_avoiding`] only shrink it.
+//!   placements, drains and `Scheduler::alloc_avoiding` only shrink it.
 //!   So the scheduler records the **grown** nodes, and the next round
 //!   skips every proven shape that exceeds the largest free `(cores,
 //!   gpus)` among them without touching the pools, and tests one that fits
@@ -282,13 +282,8 @@ impl Scheduler {
     }
 
     /// The per-node shape this scheduler manages.
-    pub fn node(&self) -> &NodeSpec {
+    pub(crate) fn node(&self) -> &NodeSpec {
         &self.cluster.node
-    }
-
-    /// The full cluster shape.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
     }
 
     /// First-fit placement across the cluster's *up* nodes. The fit index
@@ -339,7 +334,11 @@ impl Scheduler {
     /// single query and restored untouched afterwards; the queue, epochs
     /// and proof are unaffected (an allocation only shrinks the free
     /// frontier, which the proof already tolerates).
-    pub fn alloc_avoiding(&mut self, req: &ResourceRequest, avoid: &[u32]) -> Option<Allocation> {
+    pub(crate) fn alloc_avoiding(
+        &mut self,
+        req: &ResourceRequest,
+        avoid: &[u32],
+    ) -> Option<Allocation> {
         let mut saved = Vec::with_capacity(avoid.len());
         for &n in avoid {
             let idx = n as usize;
@@ -372,7 +371,7 @@ impl Scheduler {
     ///
     /// A drain only shrinks the placeable frontier, so the proof and round
     /// epochs stay valid.
-    pub fn drain_node(&mut self, node: u32) {
+    pub(crate) fn drain_node(&mut self, node: u32) {
         let idx = node as usize;
         assert!(!self.down[idx], "node {node} drained twice");
         self.down[idx] = true;
@@ -381,7 +380,7 @@ impl Scheduler {
     }
 
     /// Re-admit a recovered node to placement with all slots free.
-    pub fn recover_node(&mut self, node: u32) {
+    pub(crate) fn recover_node(&mut self, node: u32) {
         let idx = node as usize;
         assert!(self.down[idx], "node {node} recovered while up");
         self.down[idx] = false;
@@ -396,13 +395,8 @@ impl Scheduler {
     }
 
     /// Whether `node` is currently accepting placements.
-    pub fn node_is_up(&self, node: u32) -> bool {
+    pub(crate) fn node_is_up(&self, node: u32) -> bool {
         !self.down[node as usize]
-    }
-
-    /// The active placement policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
     }
 
     /// Enqueue a task at default priority. Panics if the request can never
@@ -416,7 +410,7 @@ impl Scheduler {
     /// considered first at every placement round; equal priorities keep
     /// submission (FIFO) order.
     ///
-    /// Returns the entry's queue ticket, which [`Scheduler::cancel_queued`]
+    /// Returns the entry's queue ticket, which `Scheduler::cancel_queued`
     /// takes back together with the id. The scheduler keeps no index from
     /// task ids to entries: a caller that may cancel holds the ticket, and
     /// it is the caller's business not to enqueue an id that is already
@@ -741,7 +735,7 @@ impl Scheduler {
     /// ticket whose entry was placed or cancelled since — its slot free, or
     /// reused by a later enqueue of another id — finds nothing and changes
     /// nothing.
-    pub fn cancel_queued(&mut self, id: TaskId, ticket: u32) -> bool {
+    pub(crate) fn cancel_queued(&mut self, id: TaskId, ticket: u32) -> bool {
         let Some(entry) = self
             .slab
             .get_mut(ticket as usize)

@@ -1040,8 +1040,33 @@ fn declared(decl: &str) -> Option<&str> {
     None
 }
 
-/// The `pub` items of one library file's code (the part before its first
-/// `#[cfg(test)]`), each as `(path under the crate, identifier, method)`:
+/// The lines of `text` outside its `#[cfg(test)]` items: the attribute,
+/// and the item under it up to its `;`, or to the `}` that closes it at
+/// the attribute's indentation.
+fn outside_tests(text: &str) -> impl Iterator<Item = &str> {
+    let mut lines = text.lines();
+    std::iter::from_fn(move || loop {
+        let line = lines.next()?;
+        if line.trim() != "#[cfg(test)]" {
+            return Some(line);
+        }
+        let close = format!("{}}}", &line[..line.len() - line.trim_start().len()]);
+        let mut first = true;
+        for item in lines.by_ref() {
+            let item = item.trim_end();
+            if item.trim_start().starts_with("#[") {
+                continue;
+            }
+            if item == close || first && (item.ends_with(';') || item.ends_with('}')) {
+                break;
+            }
+            first = false;
+        }
+    })
+}
+
+/// The `pub` items of one library file's code outside its `#[cfg(test)]`
+/// items, each as `(path under the crate, identifier, method)`:
 /// module-level items, the items of an inline `pub mod`, the `pub` methods
 /// and constants of inherent impls of the file's own `pub` types
 /// (`Type::method`), and exported macros (at the crate root). `module` is
@@ -1054,7 +1079,7 @@ fn pub_items(module: &str, text: &str) -> Vec<(String, String, bool)> {
     let mut inside: Option<(String, Option<String>)> = None;
     let mut header = String::new();
     let mut exported = false;
-    for line in part(text, Part::Code).lines() {
+    for line in outside_tests(text) {
         if !header.is_empty() || line.starts_with("impl ") || line.starts_with("impl<") {
             // An impl header may run over several lines, to its `{`; an
             // empty impl (`impl Error for E {}`) opens no block.
@@ -1389,12 +1414,13 @@ fn the_reachability_scan_is_pinned_on_fixtures() {
 /// drift between the tree and the list is reported.
 #[test]
 fn the_surface_scan_is_pinned_on_fixtures() {
-    const LIB: &str = "pub mod m;\npub use m::LIMIT;\n\
+    const LIB: &str = "pub mod m;\npub use m::LIMIT;\n#[cfg(test)]\nmod oracle;\n\
         pub(crate) fn inner() {}\npub struct Widget;\nimpl Widget {\n    \
         pub const fn spin(&self) {}\n    fn private(&self) {}\n}\n\
         impl Clone for Widget {\n    pub fn clone(&self) -> Self { Widget }\n}\n\
         impl Eq for Widget {}\npub fn used() {}\n\
         struct Hidden;\nimpl Hidden {\n    pub fn open(&self) {}\n}\n\
+        #[cfg(test)]\nimpl Widget {\n    pub fn probe(&self) {}\n}\n\
         #[macro_export]\nmacro_rules! make {\n    () => {};\n}\n\
         #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
     const M: &str = "pub const LIMIT: u32 = 3;\npub mod inline {\n    pub unsafe fn deep() {}\n}\n\
