@@ -909,7 +909,7 @@ fn statement(rest: &str) -> &str {
 }
 
 /// The crate of a library file of `crates/*/src` (not `src/bin/`) and the
-/// module it defines, as a path prefix: `lib.rs` is the root (``), `a.rs`
+/// module it defines, as a path prefix: `lib.rs` is the root (empty), `a.rs`
 /// and `a/mod.rs` are `a::`, `a/b.rs` is `a::b::`.
 fn library_module(rel: &str) -> Option<(&str, String)> {
     let (krate, file) = rel.strip_prefix("crates/")?.split_once("/src/")?;
