@@ -130,14 +130,14 @@ impl StudyParams {
         }
     }
 
-    /// Link config shared by every cell: small base delay, 1 s sender
-    /// retransmission, loss and detector knobs per the cell's axes.
+    /// Link config shared by every cell: small base delay (senders
+    /// retransmit every second), loss and detector knobs per the cell's
+    /// axes.
     fn link(&self, drop: f64, duration_secs: u64, hb: Option<(f64, f64)>) -> FaultConfig {
         let mut fc = FaultConfig::none();
         fc.link.drop_rate = drop;
         fc.link.duplicate_rate = drop;
         fc.link.delay = SimDuration::from_micros(100_000);
-        fc.link.retransmit_timeout = SimDuration::from_secs(1);
         if duration_secs > 0 {
             fc.link.partitions = vec![ScriptedPartition {
                 first_node: self.partition_first_node,
@@ -159,7 +159,6 @@ impl StudyParams {
         RetryPolicy {
             max_retries: 4,
             backoff_base: SimDuration::ZERO,
-            backoff_multiplier: 2.0,
             backoff_cap: SimDuration::ZERO,
             jitter: 0.0,
         }

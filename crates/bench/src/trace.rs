@@ -13,7 +13,7 @@
 //! 3. **Backend parity** — a serialized workload replayed on the
 //!    simulated, sharded and threaded backends exports byte-identical
 //!    virtual-clock traces (scheduler mechanics filtered out; see
-//!    [`parity_trace`]).
+//!    [`parity_trace_on`]).
 //!
 //! Every number in the summary document is deterministic (event counts,
 //! span counts, metric counters — no wall-clock readings), so
@@ -67,28 +67,6 @@ impl TraceParams {
     }
 }
 
-/// Record a serialized workload on one backend and export its
-/// virtual-clock Chrome trace as a canonical string.
-///
-/// The workload is the parity shape: full-node tasks (execution
-/// serializes, so placement order is the scheduler's decision order)
-/// behind a max-priority first task, all submitted at virtual time zero —
-/// no backend makes progress before its first `next_completion`.
-/// Scheduler placement-round spans are filtered out of the export: how
-/// many rounds a driver runs per instant is backend mechanics, not
-/// workload causality.
-pub fn parity_trace(threaded: bool, seed: u64, tasks: usize) -> String {
-    parity_trace_on(
-        if threaded {
-            ParityBackend::Threaded
-        } else {
-            ParityBackend::Simulated
-        },
-        seed,
-        tasks,
-    )
-}
-
 /// Which engine [`parity_trace_on`] replays the serialized workload on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParityBackend {
@@ -102,7 +80,7 @@ pub enum ParityBackend {
 
 impl ParityBackend {
     /// Stable label for JSON documents.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ParityBackend::Simulated => "simulated",
             ParityBackend::Sharded => "sharded",
@@ -111,8 +89,16 @@ impl ParityBackend {
     }
 }
 
-/// [`parity_trace`] generalized to any engine — see there for the
-/// workload's construction.
+/// Record a serialized workload on `which` engine and export its
+/// virtual-clock Chrome trace as a canonical string.
+///
+/// The workload is the parity shape: full-node tasks (execution
+/// serializes, so placement order is the scheduler's decision order)
+/// behind a max-priority first task, all submitted at virtual time zero —
+/// no backend makes progress before its first `next_completion`.
+/// Scheduler placement-round spans are filtered out of the export: how
+/// many rounds a driver runs per instant is backend mechanics, not
+/// workload causality.
 pub fn parity_trace_on(which: ParityBackend, seed: u64, tasks: usize) -> String {
     let config = PilotConfig {
         bootstrap: SimDuration::from_secs(1),

@@ -44,7 +44,10 @@ json_struct!(AblationRow {
 
 impl AblationRow {
     /// Summarize one experiment result under a label.
-    pub fn from_result(variant: impl Into<String>, result: &ExperimentResult) -> AblationRow {
+    pub(crate) fn from_result(
+        variant: impl Into<String>,
+        result: &ExperimentResult,
+    ) -> AblationRow {
         let scores: Vec<f64> = result
             .outcomes
             .iter()

@@ -46,7 +46,7 @@ json_struct!(CostModel {
 
 impl CostModel {
     /// The IM-RP cost model: MPNN on GPU, everything pilot-scheduled.
-    pub fn imrp() -> CostModel {
+    pub(crate) fn imrp() -> CostModel {
         CostModel {
             mpnn_cores: 2,
             mpnn_gpus: 1,
@@ -61,7 +61,7 @@ impl CostModel {
     }
 
     /// The CONT-V cost model: vanilla scripts, MPNN on CPU.
-    pub fn cont_v() -> CostModel {
+    pub(crate) fn cont_v() -> CostModel {
         CostModel {
             mpnn_gpus: 0,
             mpnn_gpu_busy: 0.0,

@@ -28,7 +28,7 @@ impl IterationSeries {
     /// Build the series for `metric` from outcomes. Iterations are grouped
     /// by their global number, so sub-pipeline records extend their
     /// parents' series rather than restarting at 1.
-    pub fn build(outcomes: &[DesignOutcome], metric: MetricKind) -> IterationSeries {
+    pub(crate) fn build(outcomes: &[DesignOutcome], metric: MetricKind) -> IterationSeries {
         let mut by_iter: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
         for o in outcomes {
             for rec in &o.iterations {

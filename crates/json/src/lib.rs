@@ -27,7 +27,7 @@
 //! `#[derive(Serialize, Deserialize)]`.
 //!
 //! Enum representation matches serde's externally-tagged default:
-//! unit variants are strings (`"Fifo"`), newtype variants are
+//! unit variants are strings (`"Fast"`), newtype variants are
 //! `{"Variant": value}`, tuple variants are `{"Variant": [..]}` and struct
 //! variants are `{"Variant": {..}}` — so JSON written by earlier builds of
 //! this workspace parses unchanged.

@@ -12,8 +12,8 @@
 //! pub struct Micros(u64);
 //! json_struct!(Micros(u64));
 //!
-//! pub enum Policy { Fifo, Backfill }
-//! json_enum!(Policy { Fifo, Backfill });
+//! pub enum Mode { Fast, Exact }
+//! json_enum!(Mode { Fast, Exact });
 //! ```
 //!
 //! Each invocation generates one writer, `ToJsonBuf`, and two readers,

@@ -30,7 +30,7 @@ impl Number {
     }
 
     /// The value as a `u64`, if it is a non-negative integer.
-    pub fn as_u64(self) -> Option<u64> {
+    pub(crate) fn as_u64(self) -> Option<u64> {
         match self {
             Number::U64(u) => Some(u),
             Number::I64(i) => u64::try_from(i).ok(),

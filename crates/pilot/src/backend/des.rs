@@ -58,6 +58,7 @@ use super::{MSG_CANCEL, MSG_DONE, MSG_HEDGE, MSG_RETRY, MSG_SUBMIT};
 use crate::control::{ControlPlane, ControlStats, FailureDetector, Wake, WakeKind};
 use crate::fault::{
     dilate_span, AttemptFault, FaultPlan, HedgePolicy, QuarantinePolicy, RetryPolicy, SlowWindow,
+    HANG_FACTOR, HEDGE_MIN_SAMPLES,
 };
 use crate::pilot::{PhaseBreakdown, PilotConfig};
 use crate::profiler::{Profiler, UtilizationReport};
@@ -1128,7 +1129,7 @@ impl<T: Transport> Core<T> {
             .gpu_busy_fraction;
         self.util.finished(&alloc, started, now, busy);
         let mut warmed = None;
-        if let Some(policy) = self.hedge {
+        if self.hedge.is_some() {
             let shape = (task.request.cores, task.request.gpus);
             let e = self.estimates.entry(shape).or_insert((0, 0));
             e.0 += 1;
@@ -1136,7 +1137,7 @@ impl<T: Transport> Core<T> {
             // Exactly the completion that makes the estimate usable:
             // attempts of this shape placed while it was cold were never
             // armed for a hedge check, so arm them below.
-            if e.0 == (policy.min_samples as u64).max(1) {
+            if e.0 == HEDGE_MIN_SAMPLES as u64 {
                 warmed = Some(shape);
             }
         }
@@ -1181,7 +1182,7 @@ impl<T: Transport> Core<T> {
             return;
         };
         let threshold = self
-            .hedge_estimate(shape, SimDuration::ZERO, policy.min_samples)
+            .hedge_estimate(shape, SimDuration::ZERO)
             .mul_f64(policy.threshold);
         if threshold == SimDuration::ZERO {
             return;
@@ -1336,17 +1337,12 @@ impl<T: Transport> Core<T> {
     }
 
     /// The hedging threshold base for a shape class: the running mean of
-    /// useful completion spans once `min_samples` have been observed, the
-    /// attempt's own modeled span until then. Integer-microsecond mean, so
-    /// every driver agrees bit-for-bit.
-    fn hedge_estimate(
-        &self,
-        shape: (u32, u32),
-        fallback: SimDuration,
-        min_samples: u32,
-    ) -> SimDuration {
+    /// useful completion spans once `HEDGE_MIN_SAMPLES` have been observed,
+    /// the attempt's own modeled span until then. Integer-microsecond mean,
+    /// so every driver agrees bit-for-bit.
+    fn hedge_estimate(&self, shape: (u32, u32), fallback: SimDuration) -> SimDuration {
         match self.estimates.get(&shape) {
-            Some(&(n, total)) if n >= min_samples as u64 => {
+            Some(&(n, total)) if n >= HEDGE_MIN_SAMPLES as u64 => {
                 SimDuration::from_micros((total / n as u128) as u64)
             }
             _ => fallback,
@@ -1390,9 +1386,7 @@ impl<T: Transport> Core<T> {
         // same degraded pace loses to its head start. Skip such nodes (the
         // freed cores of an already-rescued straggler's node are the common
         // case) and keep probing the next-best allocation.
-        let threshold = self
-            .hedge_estimate(shape, clean, policy.min_samples)
-            .mul_f64(policy.threshold);
+        let threshold = self.hedge_estimate(shape, clean).mul_f64(policy.threshold);
         let mut avoid = vec![main_node];
         let (alloc, span) = loop {
             let Some(alloc) = self.scheduler.alloc_avoiding(&request, &avoid) else {
@@ -1400,9 +1394,7 @@ impl<T: Transport> Core<T> {
                 // roughly one estimated runtime instead of polling every
                 // event.
                 let tick = SimDuration::from_micros(1);
-                let delay = self
-                    .hedge_estimate(shape, tick, policy.min_samples)
-                    .max(tick);
+                let delay = self.hedge_estimate(shape, tick).max(tick);
                 self.transport
                     .schedule(now + delay, Ev::HedgeCheck { task, attempt });
                 return;
@@ -1727,14 +1719,13 @@ impl<T: Transport> Core<T> {
             let d = self.descriptors.get(desc).expect(DESCRIBED);
             let (kind, task_walltime) = (d.kind, d.walltime);
             let fault = self.faults.attempt_fault(id.0, attempts);
-            let hang_factor = self.faults.config().hang_factor;
             let setup = self
                 .config
                 .exec_setup_per_task
                 .saturating_add(kind.launch_overhead());
             let mut run = duration;
             if fault == AttemptFault::Hang {
-                run = run.mul_f64(hang_factor);
+                run = run.mul_f64(HANG_FACTOR);
             }
             let total = setup.saturating_add(run);
             // Degraded-node dilation: work overlapping one of the node's
@@ -1824,9 +1815,7 @@ impl<T: Transport> Core<T> {
             // own span (threshold = k × span ≥ span), so they never arm and
             // the hedging-off path schedules nothing at all.
             if let Some(policy) = self.hedge {
-                let threshold = self
-                    .hedge_estimate(shape, span, policy.min_samples)
-                    .mul_f64(policy.threshold);
+                let threshold = self.hedge_estimate(shape, span).mul_f64(policy.threshold);
                 if threshold < span {
                     self.transport
                         .schedule(now + threshold, Ev::HedgeCheck { task, attempt });
@@ -2684,8 +2673,9 @@ mod tests {
     /// a crash evicts a running attempt and its retry finishes.
     #[test]
     fn a_hedged_winner_and_a_retried_task_surface_their_labels() {
-        // Node 0 runs 20x slow from the start. "fast" on node 1 primes the
-        // estimate at 60 s, so "slow" is hedged onto node 1 at 220 s.
+        // Node 0 runs 20x slow from the start. Four "fast" tasks in turn on
+        // node 1 prime the estimate at 60 s by 340 s, which arms the check
+        // of "slow", past its 2 × 60 s threshold: it is hedged onto node 1.
         let plan = FaultPlan::new(
             FaultConfig {
                 scripted_slowdowns: vec![ScriptedSlowdown {
@@ -2698,18 +2688,16 @@ mod tests {
             },
             0,
         );
-        let hedge = HedgePolicy {
-            threshold: 2.0,
-            min_samples: 1,
+        let fast = ("fast", FORTY, 50, None, 1.0);
+        let specs: [Spec; 5] = [(FORTY, "slow", 50, None, 1.0), fast, fast, fast, fast];
+        let tune = |rt: RuntimeConfig| {
+            rt.faults(plan.clone(), RetryPolicy::none())
+                .hedge(HedgePolicy::k(2.0))
         };
-        let specs: [Spec; 2] = [
-            (FORTY, "slow", 50, None, 1.0),
-            ("fast", FORTY, 50, None, 1.0),
-        ];
-        let tune = |rt: RuntimeConfig| rt.faults(plan.clone(), RetryPolicy::none()).hedge(hedge);
         let (surfaced, live, _) = on_every_engine(tune, &specs, &[]);
         assert_eq!(surfaced_labels(surfaced.clone()), labels(&specs));
-        assert_eq!(surfaced[1].3, "ok after 0, hedged true");
+        let slow = surfaced.iter().find(|s| s.0 == 0).expect("task 0 surfaced");
+        assert_eq!(slow.3, "ok after 0, hedged true");
         assert_eq!(live, 0);
 
         // Node 0 crashes 20 s into its task, which retries after recovery.

@@ -205,7 +205,8 @@ impl Completion {
     /// consumers that share one completion between several dependents
     /// (e.g. DAG fan-out). Panics like [`Completion::output`] on
     /// failure/missing/mistyped output.
-    pub fn peek<T: 'static>(&self) -> &T {
+    #[cfg(test)]
+    pub(crate) fn peek<T: 'static>(&self) -> &T {
         match &self.result {
             Ok(Some(out)) => out
                 .downcast_ref::<T>()

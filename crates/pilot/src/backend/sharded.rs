@@ -799,7 +799,6 @@ mod tests {
                 if rng.below(2) == 1 {
                     fc.task_failure_rate = rng.below(30) as f64 / 100.0;
                     fc.task_hang_rate = rng.below(20) as f64 / 100.0;
-                    fc.hang_factor = 2.0 + rng.below(6) as f64;
                 }
                 if rng.below(3) == 0 {
                     for _ in 0..1 + rng.below(3) {
@@ -823,9 +822,7 @@ mod tests {
                 }
                 if rng.below(4) == 0 {
                     fc.node_slowdown_mtbf = Some(SimDuration::from_secs(600 + rng.below(3600) as u64));
-                    fc.slowdown_duration = SimDuration::from_secs(60 + rng.below(600) as u64);
                     fc.slowdown_factor = 2.0 + rng.below(10) as f64;
-                    fc.max_slowdowns_per_node = 1 + rng.below(3) as u32;
                 }
                 // Control-plane link faults on about a third of campaigns:
                 // drops, duplicates, latency/jitter/reorder, scripted
@@ -838,7 +835,6 @@ mod tests {
                     fc.link.delay = SimDuration::from_micros(1_000 + rng.below(150_000) as u64);
                     fc.link.jitter = SimDuration::from_micros(rng.below(80_000) as u64);
                     fc.link.reorder_rate = rng.below(20) as f64 / 100.0;
-                    fc.link.retransmit_timeout = SimDuration::from_secs(1 + rng.below(4) as u64);
                     if rng.below(2) == 0 {
                         fc.link.partitions.push(ScriptedPartition {
                             first_node: 0,
@@ -946,10 +942,7 @@ mod tests {
                         None
                     },
                     hedge: if rng.below(2) == 0 {
-                        Some(HedgePolicy {
-                            threshold: 1.5 + rng.below(4) as f64 * 0.5,
-                            min_samples: 1 + rng.below(4) as u32,
-                        })
+                        Some(HedgePolicy::k(1.5 + rng.below(4) as f64 * 0.5))
                     } else {
                         None
                     },

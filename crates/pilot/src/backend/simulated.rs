@@ -749,7 +749,6 @@ mod tests {
         let plan = FaultPlan::new(
             FaultConfig {
                 task_hang_rate: 1.0,
-                hang_factor: 8.0,
                 ..FaultConfig::none()
             },
             2,
@@ -933,16 +932,17 @@ mod tests {
 
     #[test]
     fn hedged_duplicate_rescues_a_straggler_and_books_waste() {
-        // Two 1-core nodes. Two warmups prime the (1,0) estimate at 60 s
-        // (setup 10 + run 50); then node 0 degrades 20× from t=200 s. The
-        // victim placed on node 0 dilates to a 440 s span, crosses the
-        // 2×60 s hedge threshold at t=280 s, and the duplicate on node 1
-        // finishes at t=340 s — rescuing 420 s of straggler tail.
+        // Two 1-core nodes. Four warmups, two at a time, prime the (1,0)
+        // estimate at 60 s (setup 10 + run 50) by t=220 s; then node 0
+        // degrades 20× from t=260 s. The victim placed on node 0 dilates to
+        // a 440 s span, crosses the 2×60 s hedge threshold at t=340 s, and
+        // the duplicate on node 1 finishes at t=400 s — rescuing 420 s of
+        // straggler tail.
         let plan = FaultPlan::new(
             FaultConfig {
                 scripted_slowdowns: vec![ScriptedSlowdown {
                     node: 0,
-                    at: SimTime::from_micros(200_000_000),
+                    at: SimTime::from_micros(260_000_000),
                     duration: SimDuration::from_secs(1_000_000),
                     factor: 20.0,
                 }],
@@ -955,13 +955,11 @@ mod tests {
             ..config(1, 0)
         })
         .faults(plan, RetryPolicy::none())
-        .hedge(HedgePolicy {
-            threshold: 2.0,
-            min_samples: 1,
-        })
+        .hedge(HedgePolicy::k(2.0))
         .simulated();
-        b.submit(task("warm-a", 1, 0, 50));
-        b.submit(task("warm-b", 1, 0, 50));
+        for name in ["warm-a", "warm-b", "warm-c", "warm-d"] {
+            b.submit(task(name, 1, 0, 50));
+        }
         while b.in_flight() > 0 {
             assert!(b.next_completion().unwrap().result.is_ok());
         }
@@ -974,12 +972,12 @@ mod tests {
         }
         assert_eq!(done.len(), 2);
         let rescued = done.iter().find(|c| c.hedged).expect("one hedged task");
-        assert_eq!(rescued.finished, SimTime::from_micros(340_000_000));
+        assert_eq!(rescued.finished, SimTime::from_micros(400_000_000));
         let unhedged = done.iter().find(|c| !c.hedged).unwrap();
-        assert_eq!(unhedged.finished, SimTime::from_micros(220_000_000));
+        assert_eq!(unhedged.finished, SimTime::from_micros(280_000_000));
         let util = b.utilization();
         assert_eq!(util.hedges, 1);
-        // The losing main attempt occupied node 0 from 160 s to the 340 s
+        // The losing main attempt occupied node 0 from 220 s to the 400 s
         // hedge win: 180 core-seconds of hedge waste, no retry waste.
         assert!((util.hedge_wasted_core_seconds - 180.0).abs() < 1e-9);
         assert_eq!(util.retries, 0);
@@ -1142,7 +1140,6 @@ mod control_tests {
     fn partition_triggers_suspicion_eviction_and_fencing() {
         let mut cfg = FaultConfig::none();
         cfg.link.delay = SimDuration::from_micros(100_000);
-        cfg.link.retransmit_timeout = secs(1);
         cfg.link.heartbeat_interval = Some(secs(2));
         cfg.link.heartbeat_timeout = Some(secs(8));
         // Sever node 1 from the coordinator for 60 s starting the moment
@@ -1221,7 +1218,6 @@ mod control_tests {
         cfg.link.delay = SimDuration::from_micros(50_000);
         cfg.link.jitter = SimDuration::from_micros(30_000);
         cfg.link.reorder_rate = 0.2;
-        cfg.link.retransmit_timeout = secs(1);
         let retry = RetryPolicy {
             max_retries: 2,
             backoff_base: secs(1),

@@ -595,13 +595,13 @@ mod tests {
     #[test]
     fn hedged_duplicate_rescues_a_straggler() {
         use crate::fault::{HedgePolicy, ScriptedSlowdown};
-        // Two nodes; node 0 degrades 20x right as the warmups finish (v=2s).
+        // Two nodes; node 0 degrades 20x right as the warmups finish (v=3s).
         // The victim placed there would run 20s virtual; with k=2 hedging
         // the duplicate lands on the healthy node and wins.
         let fc = FaultConfig {
             scripted_slowdowns: vec![ScriptedSlowdown {
                 node: 0,
-                at: SimTime::from_micros(2_000_000),
+                at: SimTime::from_micros(3_000_000),
                 duration: SimDuration::from_secs(10_000),
                 factor: 20.0,
             }],
@@ -613,17 +613,15 @@ mod tests {
         };
         let mut b = RuntimeConfig::new(cfg)
             .faults(FaultPlan::new(fc, 1), RetryPolicy::none())
-            .hedge(HedgePolicy {
-                threshold: 2.0,
-                min_samples: 1,
-            })
+            .hedge(HedgePolicy::k(2.0))
             .time_scale(0.01)
             .threaded();
-        // Warmups prime the (1 core, 0 gpu) shape estimate at ~1s.
-        for i in 0..2u64 {
+        // Four warmups, two at a time, prime the (1 core, 0 gpu) shape
+        // estimate at ~1s.
+        for i in 0..4u64 {
             b.submit(task(&format!("w{i}"), 1).with_work(move || i));
         }
-        for _ in 0..2 {
+        for _ in 0..4 {
             assert!(b.next_completion().unwrap().result.is_ok());
         }
         // Two victims, one per node: only the one on the degraded node
@@ -639,8 +637,8 @@ mod tests {
         }
         assert_eq!(hedged, 1, "exactly the straggler is rescued by its hedge");
         assert!(b.next_completion().is_none());
-        // The victim held node 0 from 2 s until its duplicate (placed at
-        // the 2 × 1 s threshold, 4 s) won at 5 s: three core-seconds of
+        // The victim held node 0 from 3 s until its duplicate (placed at
+        // the 2 × 1 s threshold, 5 s) won at 6 s: three core-seconds of
         // hedge waste, booked by the time the winner's completion is out.
         let util = b.utilization();
         assert_eq!(util.hedges, 1);
@@ -741,7 +739,7 @@ mod tests {
 
     #[test]
     fn repeated_create_drop_with_live_timers_shuts_down_cleanly() {
-        use crate::fault::HedgePolicy;
+        use crate::fault::{HedgePolicy, HEDGE_MIN_SAMPLES};
         // A backend dropped with heartbeat rounds ticking, retry backoffs
         // pending and hedge checks armed must go away promptly instead of
         // hanging or panicking. The in-flight completions are simply
@@ -763,12 +761,17 @@ mod tests {
             };
             let mut b = RuntimeConfig::new(cfg)
                 .faults(FaultPlan::new(fc, round), RetryPolicy::retries(3))
-                .hedge(HedgePolicy {
-                    threshold: 1.2,
-                    min_samples: 1,
-                })
+                .hedge(HedgePolicy::k(1.2))
                 .time_scale(1e-3)
                 .threaded();
+            // Four successes warm the shape, so later attempts arm hedge
+            // checks.
+            let (mut warm, mut i) = (0, 6u64);
+            while warm < HEDGE_MIN_SAMPLES {
+                b.submit(task(&format!("w{i}"), 1).with_work(move || i));
+                warm += b.next_completion().unwrap().result.is_ok() as u32;
+                i += 1;
+            }
             for i in 0..6u64 {
                 b.submit(task(&format!("t{i}"), 1).with_work(move || i));
             }

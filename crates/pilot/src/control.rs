@@ -17,7 +17,7 @@
 //!
 //! * `ControlPlane::deliveries` — at-least-once: a dropped or
 //!   partitioned transmission retransmits every
-//!   [`LinkFaults::retransmit_timeout`] until one gets through (messages
+//!   `RETRANSMIT_TIMEOUT` (one second) until one gets through (messages
 //!   are never lost, only late — the dedup layer above makes the *effects*
 //!   exactly-once). Used for submits, completion reports, cancels and
 //!   retry verdicts.
@@ -38,7 +38,7 @@
 //! event-per-heartbeat detector it replaced, lives on as the model in
 //! this module's tests.
 
-use crate::fault::{FaultPlan, LinkFaults};
+use crate::fault::{FaultPlan, LinkFaults, RETRANSMIT_TIMEOUT};
 use impress_sim::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -151,7 +151,7 @@ impl ControlPlane {
     /// `sent`. `node` selects the partitionable coordinator↔node link;
     /// `None` is the hub link (client↔coordinator), which drops and delays
     /// but never partitions. Transmissions blocked by a partition or a
-    /// drop draw retransmit after [`LinkFaults::retransmit_timeout`];
+    /// drop draw retransmit after [`RETRANSMIT_TIMEOUT`];
     /// the first one through fixes the arrival.
     pub(crate) fn deliveries(
         &self,
@@ -164,10 +164,6 @@ impl ControlPlane {
         // A saturated drop rate would make the retransmit loop the whole
         // story; clamp so every message still terminates quickly.
         let drop = self.link.drop_rate.clamp(0.0, 0.95);
-        let rto = self
-            .link
-            .retransmit_timeout
-            .max(SimDuration::from_micros(1));
         let mut t = sent;
         let mut transmissions = 0u32;
         let through = loop {
@@ -177,7 +173,7 @@ impl ControlPlane {
             if (!blocked && !dropped) || transmissions >= MAX_TRANSMISSIONS {
                 break t;
             }
-            t += rto;
+            t += RETRANSMIT_TIMEOUT;
         };
         let primary = through + self.latency(&mut rng);
         let duplicate =
@@ -927,7 +923,6 @@ mod tests {
                     at: SimTime::ZERO,
                     duration: SimDuration::from_micros(60_000_000),
                 }],
-                retransmit_timeout: SimDuration::from_secs(1),
                 ..LinkFaults::none()
             },
             9,

@@ -22,12 +22,29 @@
 //! node index for crash schedules — never on the order in which the backend
 //! happens to ask. Forking is position-independent, so the same plan with
 //! the same seed produces the same fault sequence on both backends and
-//! across runs. A [`FaultPlan::none`] plan draws no randomness at all and is
-//! a strict no-op: backends constructed with it behave byte-identically to
-//! backends without fault support.
+//! across runs. A plan of [`FaultConfig::none`] draws no randomness at all
+//! and is a strict no-op: backends constructed with it behave
+//! byte-identically to backends without fault support.
 
 use impress_sim::{SimDuration, SimRng, SimTime};
 use std::fmt;
+
+/// Duration multiplier applied to hung attempts.
+pub(crate) const HANG_FACTOR: f64 = 8.0;
+/// Upper bound on stochastic crashes sampled per node: it keeps the crash
+/// schedule finite and rules out requeue livelock.
+const MAX_CRASHES_PER_NODE: u32 = 8;
+/// Length of each stochastic slowdown window.
+const SLOWDOWN_DURATION: SimDuration = SimDuration::from_mins(30);
+/// Upper bound on stochastic slowdowns sampled per node.
+const MAX_SLOWDOWNS_PER_NODE: u32 = 4;
+/// Sender retransmission interval for undelivered control messages.
+pub(crate) const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+/// Exponential growth factor of the retry backoff per additional retry.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Shape-class completions a hedge waits for before the running estimate
+/// replaces an attempt's own nominal span.
+pub(crate) const HEDGE_MIN_SAMPLES: u32 = 4;
 
 /// The fault class an attempt draws from the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +55,8 @@ pub(crate) enum AttemptFault {
     /// declared duration and then fails (OOM kill at the end of a long
     /// computation — the expensive kind).
     Transient,
-    /// Hang: the attempt runs [`FaultConfig::hang_factor`] × its declared
-    /// duration. With a walltime limit set, this surfaces as
+    /// Hang: the attempt runs [`HANG_FACTOR`] × its declared duration.
+    /// With a walltime limit set, this surfaces as
     /// [`crate::backend::TaskError::TimedOut`]; without one it is a
     /// straggler that still terminates.
     Hang,
@@ -122,7 +139,7 @@ impl ScriptedPartition {
 pub struct LinkFaults {
     /// Per-transmission probability a message is dropped (clamped below 1;
     /// delivery is at-least-once — dropped transmissions retransmit after
-    /// [`LinkFaults::retransmit_timeout`]).
+    /// `RETRANSMIT_TIMEOUT`, one second).
     pub drop_rate: f64,
     /// Per-message probability the delivered message arrives twice.
     pub duplicate_rate: f64,
@@ -133,8 +150,6 @@ pub struct LinkFaults {
     /// Per-message probability of a reorder penalty: the message draws a
     /// second jitter span on top, letting later sends overtake it.
     pub reorder_rate: f64,
-    /// Sender retransmission interval for undelivered messages.
-    pub retransmit_timeout: SimDuration,
     /// Scripted coordinator↔node-group partition windows.
     pub partitions: Vec<ScriptedPartition>,
     /// Node heartbeat period (`None` disables the failure detector).
@@ -153,7 +168,6 @@ impl LinkFaults {
             delay: SimDuration::ZERO,
             jitter: SimDuration::ZERO,
             reorder_rate: 0.0,
-            retransmit_timeout: SimDuration::from_secs(1),
             partitions: Vec::new(),
             heartbeat_interval: None,
             heartbeat_timeout: None,
@@ -245,27 +259,18 @@ pub struct FaultConfig {
     pub task_failure_rate: f64,
     /// Per-attempt probability of a hang.
     pub task_hang_rate: f64,
-    /// Duration multiplier applied to hung attempts.
-    pub hang_factor: f64,
     /// Mean time between node failures (exponential inter-crash gaps).
     /// `None` disables stochastic node crashes.
     pub node_mtbf: Option<SimDuration>,
     /// Downtime of a crashed node before it recovers.
     pub node_outage: SimDuration,
-    /// Upper bound on stochastic crashes sampled per node (keeps the crash
-    /// schedule finite and rules out requeue livelock).
-    pub max_crashes_per_node: u32,
     /// Explicit outages injected in addition to the stochastic schedule.
     pub scripted_crashes: Vec<ScriptedCrash>,
     /// Mean time between node *slowdown* onsets (exponential gaps).
     /// `None` disables stochastic slowdowns.
     pub node_slowdown_mtbf: Option<SimDuration>,
-    /// Length of each stochastic slowdown window.
-    pub slowdown_duration: SimDuration,
     /// Runtime multiplier inside stochastic slowdown windows.
     pub slowdown_factor: f64,
-    /// Upper bound on stochastic slowdowns sampled per node.
-    pub max_slowdowns_per_node: u32,
     /// Explicit slowdowns injected in addition to the stochastic schedule.
     pub scripted_slowdowns: Vec<ScriptedSlowdown>,
     /// Message-layer faults on the coordinator↔node control plane.
@@ -278,15 +283,11 @@ impl FaultConfig {
         FaultConfig {
             task_failure_rate: 0.0,
             task_hang_rate: 0.0,
-            hang_factor: 8.0,
             node_mtbf: None,
             node_outage: SimDuration::from_mins(10),
-            max_crashes_per_node: 8,
             scripted_crashes: Vec::new(),
             node_slowdown_mtbf: None,
-            slowdown_duration: SimDuration::from_mins(30),
             slowdown_factor: 10.0,
-            max_slowdowns_per_node: 4,
             scripted_slowdowns: Vec::new(),
             link: LinkFaults::none(),
         }
@@ -333,7 +334,7 @@ impl FaultPlan {
     }
 
     /// The fault-free plan: injects nothing, draws no randomness.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::new(FaultConfig::none(), 0)
     }
 
@@ -372,8 +373,8 @@ impl FaultPlan {
     }
 
     /// The `(crash, recover)` windows for `node`, sorted and merged so they
-    /// never overlap: scripted outages plus up to
-    /// [`FaultConfig::max_crashes_per_node`] stochastic ones with
+    /// never overlap: scripted outages plus up to `MAX_CRASHES_PER_NODE`
+    /// (eight) stochastic ones with
     /// exponential inter-crash gaps of mean [`FaultConfig::node_mtbf`].
     pub fn crash_windows(&self, node: u32) -> Vec<(SimTime, SimTime)> {
         let mut windows: Vec<(SimTime, SimTime)> = self
@@ -386,7 +387,7 @@ impl FaultPlan {
         if let Some(mtbf) = self.config.node_mtbf {
             let mut rng = self.rng.fork_idx("node-crash", node as u64);
             let mut t = SimTime::ZERO;
-            for _ in 0..self.config.max_crashes_per_node {
+            for _ in 0..MAX_CRASHES_PER_NODE {
                 // Inverse-CDF exponential draw; uniform() < 1 keeps ln finite.
                 let gap = mtbf.mul_f64(-(1.0 - rng.uniform()).ln());
                 t += gap;
@@ -409,15 +410,15 @@ impl FaultPlan {
     }
 
     /// The slowdown windows for `node`, sorted and clipped so they never
-    /// overlap: scripted slowdowns plus up to
-    /// [`FaultConfig::max_slowdowns_per_node`] stochastic ones with
-    /// exponential inter-onset gaps of mean
-    /// [`FaultConfig::node_slowdown_mtbf`]. Unlike crash windows the
-    /// factors can differ per window, so overlapping windows are clipped
-    /// (earlier window wins the overlap) rather than merged. Draws no
-    /// randomness when no stochastic slowdowns are configured, and returns
-    /// an empty schedule — a strict no-op under [`dilate_span`] — when the
-    /// config has no slowdowns at all.
+    /// overlap: scripted slowdowns plus up to [`MAX_SLOWDOWNS_PER_NODE`]
+    /// stochastic ones of [`SLOWDOWN_DURATION`] with exponential
+    /// inter-onset gaps of mean [`FaultConfig::node_slowdown_mtbf`].
+    /// Unlike crash windows the factors can differ per window, so
+    /// overlapping windows are clipped (earlier window wins the overlap)
+    /// rather than merged. Draws no randomness when no stochastic
+    /// slowdowns are configured, and returns an empty schedule — a strict
+    /// no-op under [`dilate_span`] — when the config has no slowdowns at
+    /// all.
     pub(crate) fn slowdown_windows(&self, node: u32) -> Vec<SlowWindow> {
         let mut windows: Vec<SlowWindow> = self
             .config
@@ -433,10 +434,10 @@ impl FaultPlan {
         if let Some(mtbf) = self.config.node_slowdown_mtbf {
             let mut rng = self.rng.fork_idx("node-slow", node as u64);
             let mut t = SimTime::ZERO;
-            for _ in 0..self.config.max_slowdowns_per_node {
+            for _ in 0..MAX_SLOWDOWNS_PER_NODE {
                 let gap = mtbf.mul_f64(-(1.0 - rng.uniform()).ln());
                 t += gap;
-                let end = t + self.config.slowdown_duration;
+                let end = t + SLOWDOWN_DURATION;
                 windows.push(SlowWindow {
                     start: t,
                     end,
@@ -513,27 +514,22 @@ pub(crate) fn dilate_span(
 /// `threshold` × the running estimate of its shape-class runtime, the
 /// backend places a duplicate attempt on a *different* node; the first
 /// completion wins and the loser's occupancy is booked as hedge waste
-/// (separately from retry waste). Until `min_samples` completions of the
-/// shape class have been observed, the attempt's own nominal modeled span
-/// stands in for the estimate. Disabled (`None` on the runtime config) the
+/// (separately from retry waste). Until four completions of the shape
+/// class have been observed, the attempt's own nominal modeled span stands
+/// in for the estimate. Disabled (`None` on the runtime config) the
 /// backends schedule no hedge checks and behave byte-identically to the
 /// pre-hedging engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
     /// Straggler threshold `k`: hedge when elapsed ≥ k × estimate.
     pub threshold: f64,
-    /// Shape-class completions required before the running estimate
-    /// replaces the nominal span.
-    pub min_samples: u32,
 }
 
 impl HedgePolicy {
-    /// The conventional policy: hedge at `k` × the shape-class estimate,
-    /// trusting the estimate after 4 completions.
+    /// Hedge at `k` × the shape-class estimate (at least 1 ×).
     pub fn k(threshold: f64) -> Self {
         HedgePolicy {
             threshold: threshold.max(1.0),
-            min_samples: 4,
         }
     }
 }
@@ -583,8 +579,6 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     /// Backoff before the first retry.
     pub backoff_base: SimDuration,
-    /// Exponential growth factor per additional retry.
-    pub backoff_multiplier: f64,
     /// Backoff ceiling (`ZERO` = uncapped).
     pub backoff_cap: SimDuration,
     /// Multiplicative jitter half-width as a fraction of the delay
@@ -598,7 +592,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             backoff_base: SimDuration::ZERO,
-            backoff_multiplier: 2.0,
             backoff_cap: SimDuration::ZERO,
             jitter: 0.0,
         }
@@ -610,37 +603,30 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries: n,
             backoff_base: SimDuration::from_secs(30),
-            backoff_multiplier: 2.0,
             backoff_cap: SimDuration::from_mins(30),
             jitter: 0.25,
         }
     }
 
     /// The delay before resubmitting attempt `attempt` (1-based: the first
-    /// retry is attempt 1). Draws jitter from `rng` only when both the base
-    /// delay and the jitter are non-zero.
+    /// retry is attempt 1): the base delay doubled per additional retry, up
+    /// to the cap. Draws jitter from `rng` only when both the base delay and
+    /// the jitter are non-zero.
     pub(crate) fn backoff(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
         if self.backoff_base == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
-        let exp = self
-            .backoff_multiplier
-            .powi(attempt.saturating_sub(1).min(63) as i32);
-        // Cap *before* multiplying: multiplier^63 can exceed f64 range
-        // (`powi` → +inf), and `SimDuration::mul_f64` clamps non-finite
-        // products to ZERO — which would collapse the largest backoffs to
-        // no delay at all. Comparing the exponent against the cap/base
-        // ratio short-circuits to the ceiling without ever forming the
-        // overflowing product; the in-range path is arithmetically
-        // unchanged.
+        let exp = BACKOFF_MULTIPLIER.powi(attempt.saturating_sub(1).min(63) as i32);
+        // Cap *before* multiplying: a product at or past the cap
+        // (`u64::MAX` µs when uncapped; base × 2^63 passes it from a 2 µs
+        // base on) is the cap exactly, and only an in-range product goes
+        // through `SimDuration::mul_f64`'s float round trip.
         let cap_micros = if self.backoff_cap > SimDuration::ZERO {
             self.backoff_cap.as_micros()
         } else {
             u64::MAX
         };
-        let mut delay = if !exp.is_finite()
-            || self.backoff_base.as_micros() as f64 * exp >= cap_micros as f64
-        {
+        let mut delay = if self.backoff_base.as_micros() as f64 * exp >= cap_micros as f64 {
             SimDuration::from_micros(cap_micros)
         } else {
             let d = self.backoff_base.mul_f64(exp);
@@ -720,13 +706,12 @@ mod tests {
             FaultConfig {
                 node_mtbf: Some(SimDuration::from_hours(4)),
                 node_outage: SimDuration::from_mins(15),
-                max_crashes_per_node: 5,
                 ..FaultConfig::none()
             },
             3,
         );
         let w = plan.crash_windows(0);
-        assert!(!w.is_empty() && w.len() <= 5);
+        assert!(!w.is_empty() && w.len() <= MAX_CRASHES_PER_NODE as usize);
         for pair in w.windows(2) {
             assert!(pair[0].1 < pair[1].0, "windows must not overlap");
         }
@@ -826,13 +811,12 @@ mod tests {
     #[test]
     fn backoff_is_monotone_then_capped_for_all_small_attempts() {
         // Property: with jitter off, delay(attempt) is non-decreasing for
-        // attempts 0..64 and pinned at the cap once reached — including
-        // multipliers whose powi overflows f64 to +inf.
-        for &mult in &[1.5, 2.0, 10.0, 1e6] {
+        // attempts 0..64 and pinned at the cap once reached, whatever the
+        // base delay.
+        for base in [1, 30, 900] {
             let p = RetryPolicy {
                 max_retries: 64,
-                backoff_base: SimDuration::from_secs(30),
-                backoff_multiplier: mult,
+                backoff_base: SimDuration::from_secs(base),
                 backoff_cap: SimDuration::from_mins(30),
                 jitter: 0.0,
             };
@@ -841,10 +825,10 @@ mod tests {
             let mut capped = false;
             for attempt in 0..64u32 {
                 let d = p.backoff(attempt, &mut rng);
-                assert!(d >= prev, "mult {mult} attempt {attempt}: {d} < {prev}");
+                assert!(d >= prev, "base {base} attempt {attempt}: {d} < {prev}");
                 assert!(
                     d <= p.backoff_cap,
-                    "mult {mult} attempt {attempt}: over cap"
+                    "base {base} attempt {attempt}: over cap"
                 );
                 if capped {
                     assert_eq!(d, p.backoff_cap, "once capped, stays capped");
@@ -852,32 +836,39 @@ mod tests {
                 capped = d == p.backoff_cap;
                 prev = d;
             }
-            assert!(capped, "mult {mult}: 64 attempts must reach the cap");
+            assert!(capped, "base {base}: 64 attempts must reach the cap");
         }
     }
 
     #[test]
     fn uncapped_backoff_saturates_instead_of_collapsing_to_zero() {
-        // multiplier^62 = inf at mult 1e6; before the overflow guard this
-        // fed SimDuration::mul_f64(inf) which clamps to ZERO.
-        let p = RetryPolicy {
-            max_retries: 64,
-            backoff_base: SimDuration::from_secs(30),
-            backoff_multiplier: 1e6,
-            backoff_cap: SimDuration::ZERO,
-            jitter: 0.0,
-        };
-        let mut rng = SimRng::from_seed(0);
-        let mut prev = SimDuration::ZERO;
-        for attempt in 0..64u32 {
-            let d = p.backoff(attempt, &mut rng);
-            assert!(
-                d >= prev,
-                "attempt {attempt}: {d} < {prev} (overflow collapse)"
+        // Doubling from a 2 µs base reaches `u64::MAX` µs at attempt 64
+        // (2 × 2^63 = 2^64): the delay must saturate there and stay, never
+        // collapse to zero.
+        for base in [2, 3, 30_000_000] {
+            let p = RetryPolicy {
+                max_retries: 100,
+                backoff_base: SimDuration::from_micros(base),
+                backoff_cap: SimDuration::ZERO,
+                jitter: 0.0,
+            };
+            let mut rng = SimRng::from_seed(0);
+            let mut prev = SimDuration::ZERO;
+            for attempt in 0..100u32 {
+                let d = p.backoff(attempt, &mut rng);
+                assert!(
+                    d >= prev,
+                    "base {base} attempt {attempt}: {d} < {prev} (overflow collapse)"
+                );
+                prev = d;
+            }
+            assert_eq!(
+                p.backoff(64, &mut rng),
+                SimDuration::from_micros(u64::MAX),
+                "base {base}: saturated at attempt 64"
             );
-            prev = d;
+            assert_eq!(prev, SimDuration::from_micros(u64::MAX), "saturated");
         }
-        assert_eq!(prev, SimDuration::from_micros(u64::MAX), "saturated");
     }
 
     #[test]
@@ -885,15 +876,13 @@ mod tests {
         let plan = FaultPlan::new(
             FaultConfig {
                 node_slowdown_mtbf: Some(SimDuration::from_hours(2)),
-                slowdown_duration: SimDuration::from_mins(20),
                 slowdown_factor: 10.0,
-                max_slowdowns_per_node: 4,
                 ..FaultConfig::none()
             },
             11,
         );
         let w = plan.slowdown_windows(0);
-        assert!(!w.is_empty() && w.len() <= 4);
+        assert!(!w.is_empty() && w.len() <= MAX_SLOWDOWNS_PER_NODE as usize);
         for pair in w.windows(2) {
             assert!(pair[0].end <= pair[1].start, "windows must not overlap");
         }

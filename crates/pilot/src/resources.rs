@@ -141,7 +141,8 @@ json_struct!(Allocation {
 
 impl Allocation {
     /// Whether this allocation satisfies `request`.
-    pub fn satisfies(&self, request: &ResourceRequest) -> bool {
+    #[cfg(test)]
+    pub(crate) fn satisfies(&self, request: &ResourceRequest) -> bool {
         self.core_ids.len() == request.cores as usize && self.gpu_ids.len() == request.gpus as usize
     }
 }

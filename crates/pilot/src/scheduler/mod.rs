@@ -2,15 +2,15 @@
 //!
 //! The scheduler owns the node's free core/GPU sets and a queue of waiting
 //! tasks, and decides which waiting tasks to place whenever capacity
-//! changes. Two placement policies are provided:
-//!
-//! * [`PlacementPolicy::Fifo`] — strict arrival order; a large task at the
-//!   head blocks everything behind it (simple, fair, poor utilization).
-//! * [`PlacementPolicy::Backfill`] — RP-style continuous scheduling: any
-//!   queued task that fits the current free slots may start, even if an
-//!   earlier, larger task is still waiting. This is what lets IMPRESS
-//!   "offload newly created pipelines … to the idle resources when
-//!   possible" (§III-B) and is the default.
+//! changes. It has one placement policy, RP-style continuous scheduling
+//! ([`PlacementPolicy::Backfill`]): any queued task that fits the current
+//! free slots may start, even if an earlier, larger task is still waiting,
+//! and among the tasks that fit, higher priority and then earlier arrival
+//! go first. This is what lets IMPRESS "offload newly created pipelines …
+//! to the idle resources when possible" (§III-B), and it is the paper's
+//! source of utilisation. It is the only policy: a strict-arrival one
+//! idles every slot behind a blocked head, and no study, example or
+//! workload asks for that.
 //!
 //! Placement is deterministic: free devices are bitmask sets granted
 //! lowest-id-first, so identical submission sequences produce identical
@@ -32,10 +32,11 @@
 //! backfill round costs O(distinct shapes), not O(queue length).
 //! Placement rounds carry two things from one round to the next:
 //!
-//! * a **capacity/queue epoch** pair — if neither the queue nor free
-//!   capacity changed since the last round, the round is provably a no-op
-//!   and returns immediately. A release bumps the capacity epoch, so this
-//!   never fires on the round that follows a completion;
+//! * a **capacity/queue epoch** pair — if nothing was enqueued and no
+//!   free capacity grew since the last round, the round is provably a
+//!   no-op and returns immediately (a cancel frees no capacity). A release
+//!   bumps the capacity epoch, so this never fires on the round that
+//!   follows a completion;
 //! * a **proof** — each backfill round ends knowing that every shape it
 //!   failed or carried over, and every shape dominating the blocked shape
 //!   among them (needing ≥ cores *and* ≥ gpus), fits no up node. Only a
@@ -67,15 +68,14 @@ use impress_json::json_enum;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Which waiting task may start when slots are free.
+/// Which waiting task may start when slots are free. Backfill is the one
+/// policy; the type stays so configurations that name it keep building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
-    /// Strict arrival order; the queue head blocks.
-    Fifo,
-    /// Continuous scheduling: any fitting task may start (default).
+    /// Continuous scheduling: any fitting task may start.
     Backfill,
 }
-json_enum!(PlacementPolicy { Fifo, Backfill });
+json_enum!(PlacementPolicy { Backfill });
 
 /// A queued task in the slab. `live` is cleared on cancellation; the
 /// tombstone stays in its class deque until pruned or compacted so no
@@ -220,9 +220,8 @@ pub struct Scheduler {
     live: usize,
     /// Tombstones still threaded through buckets.
     dead: usize,
-    policy: PlacementPolicy,
     cluster: ClusterSpec,
-    /// Bumped on every queue mutation (enqueue/cancel).
+    /// Bumped on every enqueue.
     queue_epoch: u64,
     /// Bumped whenever free capacity can grow (release/recover).
     capacity_epoch: u64,
@@ -235,7 +234,7 @@ pub struct Scheduler {
     proof: Vec<(u32, u32)>,
     blocked_shape: Option<(u32, u32)>,
     /// Nodes whose free capacity grew since the last backfill round,
-    /// sorted and deduplicated; always empty under FIFO.
+    /// sorted and deduplicated.
     grown: Vec<u32>,
     /// Scratch of one backfill scan: the shapes known to fit nowhere. It
     /// becomes the next proof, and the old proof its storage.
@@ -248,14 +247,15 @@ fn dominates(shape: (u32, u32), blocked: Option<(u32, u32)>) -> bool {
 }
 
 impl Scheduler {
-    /// A scheduler over a single `node` with the given policy.
-    pub fn new(node: NodeSpec, policy: PlacementPolicy) -> Self {
-        Self::new_cluster(ClusterSpec::single(node), policy)
+    /// A scheduler over a single `node`.
+    pub fn new(node: NodeSpec) -> Self {
+        Self::new_cluster(ClusterSpec::single(node), PlacementPolicy::Backfill)
     }
 
     /// A scheduler over a homogeneous multi-node cluster. Tasks are placed
-    /// first-fit across nodes and never span nodes.
-    pub fn new_cluster(cluster: ClusterSpec, policy: PlacementPolicy) -> Self {
+    /// first-fit across nodes and never span nodes. The policy names the
+    /// one there is and chooses nothing.
+    pub fn new_cluster(cluster: ClusterSpec, _policy: PlacementPolicy) -> Self {
         Scheduler {
             pools: (0..cluster.count)
                 .map(|_| SlotPool::new(&cluster.node))
@@ -268,7 +268,6 @@ impl Scheduler {
             free_slots: Vec::new(),
             live: 0,
             dead: 0,
-            policy,
             cluster,
             queue_epoch: 0,
             capacity_epoch: 0,
@@ -315,13 +314,11 @@ impl Scheduler {
     }
 
     /// Record that node `idx`'s free capacity grew: the next round may no
-    /// longer skip it. FIFO rounds read no proof, so they keep no record.
+    /// longer skip it.
     fn grew(&mut self, idx: usize) {
         self.capacity_epoch += 1;
-        if self.policy == PlacementPolicy::Backfill {
-            if let Err(at) = self.grown.binary_search(&(idx as u32)) {
-                self.grown.insert(at, idx as u32);
-            }
+        if let Err(at) = self.grown.binary_search(&(idx as u32)) {
+            self.grown.insert(at, idx as u32);
         }
     }
 
@@ -453,7 +450,7 @@ impl Scheduler {
         idx
     }
 
-    /// Place every task the policy allows right now. Returns the granted
+    /// Place every waiting task that fits right now. Returns the granted
     /// `(task, allocation)` pairs in placement order.
     pub fn place_ready(&mut self) -> Vec<(TaskId, Allocation)> {
         let mut placed = Vec::new();
@@ -472,10 +469,7 @@ impl Scheduler {
         {
             return;
         }
-        match self.policy {
-            PlacementPolicy::Fifo => self.place_fifo(placed),
-            PlacementPolicy::Backfill => self.place_backfill(placed),
-        }
+        self.place_backfill(placed);
         self.scanned_queue_epoch = self.queue_epoch;
         self.scanned_capacity_epoch = self.capacity_epoch;
         if self.dead > 64 && self.dead >= self.live {
@@ -535,42 +529,6 @@ impl Scheduler {
         free_slots.push(idx);
         *live -= 1;
         entry.id
-    }
-
-    /// Strict-arrival placement: pop the overall earliest entry of the
-    /// highest-priority bucket while it fits; the head blocks everything.
-    fn place_fifo(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
-        loop {
-            let Some((&key, bucket)) = self.buckets.iter_mut().next() else {
-                return;
-            };
-            let head = Self::min_seq_head(
-                &self.slab,
-                &mut self.free_slots,
-                &mut self.dead,
-                bucket,
-                |_| false,
-            );
-            let Some(class) = head else {
-                self.buckets.remove(&key);
-                continue;
-            };
-            let shape = bucket.classes[class].0;
-            let req = ResourceRequest::with_gpus(shape.0, shape.1);
-            match Self::alloc_in(&mut self.pools, &mut self.fit, &req) {
-                Some(alloc) => {
-                    let id = Self::take_head(
-                        &mut self.slab,
-                        &mut self.free_slots,
-                        &mut self.live,
-                        bucket,
-                        class,
-                    );
-                    placed.push((id, alloc));
-                }
-                None => return, // FIFO: the head blocks everything behind it
-            }
-        }
     }
 
     /// Continuous scheduling: within each priority bucket (highest first),
@@ -751,9 +709,8 @@ impl Scheduler {
             .get_mut(&Reverse(priority))
             .expect("queued task's bucket exists")
             .live -= 1;
-        // Removing a blocked FIFO head can unblock the next entry,
-        // so the next round must not early-exit.
-        self.queue_epoch += 1;
+        // A cancel frees no capacity, so it makes no waiting task
+        // placeable: the round epochs stay valid.
         if self.dead > 64 && self.dead >= self.live {
             self.compact();
         }
@@ -834,20 +791,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_blocks_behind_large_head() {
-        let mut s = Scheduler::new(NodeSpec::new(8, 0, 1), PlacementPolicy::Fifo);
-        s.enqueue(TaskId(0), req(6, 0));
-        s.enqueue(TaskId(1), req(6, 0)); // won't fit after task 0
-        s.enqueue(TaskId(2), req(2, 0)); // would fit, but FIFO blocks
-        let placed = s.place_ready();
-        assert_eq!(ids(&placed), vec![0]);
-        assert_eq!(s.queue_len(), 2);
-        assert_eq!(s.cores_free(), 2);
-    }
-
-    #[test]
     fn backfill_places_fitting_tasks_past_blocked_head() {
-        let mut s = Scheduler::new(NodeSpec::new(8, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(8, 0, 1));
         s.enqueue(TaskId(0), req(6, 0));
         s.enqueue(TaskId(1), req(6, 0));
         s.enqueue(TaskId(2), req(2, 0));
@@ -859,7 +804,7 @@ mod tests {
 
     #[test]
     fn release_makes_blocked_task_placeable() {
-        let mut s = Scheduler::new(NodeSpec::new(8, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(8, 0, 1));
         s.enqueue(TaskId(0), req(8, 0));
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![0]);
@@ -872,7 +817,7 @@ mod tests {
 
     #[test]
     fn gpus_are_scheduled_independently_of_cores() {
-        let mut s = Scheduler::new(NodeSpec::new(28, 4, 128), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(28, 4, 128));
         s.enqueue(TaskId(0), req(2, 4)); // all GPUs
         s.enqueue(TaskId(1), req(2, 1)); // blocked on GPUs
         s.enqueue(TaskId(2), req(24, 0)); // CPU-only fits
@@ -884,7 +829,7 @@ mod tests {
 
     #[test]
     fn allocations_satisfy_requests_and_do_not_overlap() {
-        let mut s = Scheduler::new(NodeSpec::new(10, 2, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(10, 2, 1));
         s.enqueue(TaskId(0), req(4, 1));
         s.enqueue(TaskId(1), req(4, 1));
         let placed = s.place_ready();
@@ -904,7 +849,7 @@ mod tests {
 
     #[test]
     fn release_returns_exactly_the_granted_devices() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 2, 1), PlacementPolicy::Fifo);
+        let mut s = Scheduler::new(NodeSpec::new(4, 2, 1));
         s.enqueue(TaskId(0), req(4, 2));
         let placed = s.place_ready();
         assert_eq!(s.cores_free(), 0);
@@ -916,8 +861,8 @@ mod tests {
 
     #[test]
     fn cancel_queued_removes_waiting_task() {
-        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1), PlacementPolicy::Fifo);
-        s.enqueue(TaskId(0), req(2, 0));
+        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1));
+        let placed = s.enqueue(TaskId(0), req(2, 0));
         let ticket = s.enqueue(TaskId(1), req(2, 0));
         let _ = s.place_ready();
         assert!(
@@ -927,12 +872,11 @@ mod tests {
         assert!(s.cancel_queued(TaskId(1), ticket));
         assert!(!s.cancel_queued(TaskId(1), ticket));
         assert_eq!(s.queue_len(), 0);
-        // A later task takes over the freed slot: task 1's ticket is stale,
-        // and must not cancel the newcomer.
-        let _ = s.place_ready(); // prunes the tombstone, freeing its slot
+        // A later task takes over the slot task 0's placement freed: task
+        // 0's ticket is stale, and must not cancel the newcomer.
         let reused = s.enqueue(TaskId(7), req(2, 0));
-        assert_eq!(reused, ticket, "the slab recycles slots");
-        assert!(!s.cancel_queued(TaskId(1), ticket), "stale ticket");
+        assert_eq!(reused, placed, "the slab recycles slots");
+        assert!(!s.cancel_queued(TaskId(0), placed), "stale ticket");
         assert_eq!(s.queue_len(), 1);
         assert!(s.cancel_queued(TaskId(7), reused));
     }
@@ -940,13 +884,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "can never fit")]
     fn impossible_request_is_rejected_at_enqueue() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Fifo);
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1));
         s.enqueue(TaskId(0), req(5, 0));
     }
 
     #[test]
     fn higher_priority_tasks_jump_the_queue() {
-        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1));
         s.enqueue(TaskId(0), req(2, 0)); // occupies everything
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![0]);
@@ -965,7 +909,7 @@ mod tests {
 
     #[test]
     fn backfill_still_fills_around_high_priority_blockers() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1));
         s.enqueue(TaskId(0), req(3, 0));
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![0]);
@@ -1032,7 +976,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "release of an allocation on drained node")]
     fn releasing_onto_a_drained_node_panics() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1));
         s.enqueue(TaskId(0), req(2, 0));
         let placed = s.place_ready();
         s.drain_node(0);
@@ -1042,7 +986,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "drained twice")]
     fn double_drain_panics() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1));
         s.drain_node(0);
         s.drain_node(0);
     }
@@ -1057,7 +1001,7 @@ mod tests {
 
     #[test]
     fn deterministic_lowest_id_first_grants() {
-        let mut s = Scheduler::new(NodeSpec::new(6, 2, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(6, 2, 1));
         s.enqueue(TaskId(0), req(2, 1));
         let placed = s.place_ready();
         assert_eq!(placed[0].1.core_ids, vec![0, 1]);
@@ -1066,7 +1010,7 @@ mod tests {
 
     #[test]
     fn repeated_noop_rounds_early_exit_without_a_scan() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1));
         s.enqueue(TaskId(0), req(4, 0));
         s.enqueue(TaskId(1), req(4, 0));
         assert_eq!(ids(&s.place_ready()), vec![0]);
@@ -1083,22 +1027,8 @@ mod tests {
     }
 
     #[test]
-    fn canceling_a_blocked_head_is_not_masked_by_the_epoch_cache() {
-        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1), PlacementPolicy::Fifo);
-        s.enqueue(TaskId(0), req(2, 0));
-        assert_eq!(ids(&s.place_ready()), vec![0]); // 2 cores stay free
-        let head = s.enqueue(TaskId(1), req(4, 0)); // blocked (only 2 free)
-        s.enqueue(TaskId(2), req(2, 0)); // would fit, FIFO-blocked behind it
-        assert!(s.place_ready().is_empty());
-        // Capacity never changed, so only the cancel's queue-epoch bump can
-        // re-arm the round; if it didn't, task 2 would be lost here.
-        assert!(s.cancel_queued(TaskId(1), head));
-        assert_eq!(ids(&s.place_ready()), vec![2]);
-    }
-
-    #[test]
     fn tombstone_floods_are_compacted() {
-        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1), PlacementPolicy::Backfill);
+        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1));
         s.enqueue(TaskId(10_000), req(2, 0));
         let placed = s.place_ready();
         let tickets: Vec<u32> = (0..500u64)
@@ -1201,31 +1131,10 @@ mod tests {
         assert_eq!(placed[0].1.node, 1, "first fit, not the first release");
     }
 
-    #[test]
-    fn a_fifo_scheduler_keeps_no_growth_record() {
-        let cluster = ClusterSpec::homogeneous(NodeSpec::new(2, 0, 1), 2);
-        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Fifo);
-        for id in 0..1_000 {
-            s.enqueue(TaskId(id), req(2, 0));
-            s.enqueue(TaskId(id + 1_000), req(2, 0));
-            for (_, alloc) in s.place_ready() {
-                s.release_owned(alloc);
-            }
-        }
-        s.drain_node(1);
-        s.recover_node(1);
-        assert_eq!(s.queue_len(), 0);
-        assert!(s.grown.is_empty(), "FIFO rounds never read the proof");
-        assert!(s.proof.is_empty() && s.blocked_shape.is_none());
-    }
-
     /// The carried proof holds: no up node outside `grown` has the free
     /// cores and GPUs of a proven shape (or of the blocked shape, which
-    /// every shape dominating it needs at least), and FIFO keeps no record.
+    /// every shape dominating it needs at least).
     fn assert_proof_holds(s: &Scheduler) {
-        if s.policy == PlacementPolicy::Fifo {
-            assert!(s.grown.is_empty() && s.proof.is_empty());
-        }
         for &(c, g) in s.proof.iter().chain(&s.blocked_shape) {
             for (n, pool) in s.pools.iter().enumerate() {
                 if !s.down[n] && !s.grown.contains(&(n as u32)) {
@@ -1243,10 +1152,10 @@ mod tests {
         /// through the optimized scheduler and the naive pre-optimization
         /// reference must produce *identical* placement sequences (ids,
         /// device grants, node assignments), queue lengths, and free
-        /// counters — under both policies, priorities, cancels, both
-        /// release paths, direct `alloc_avoiding` grants, drains and
-        /// recoveries. This is the property that guarantees every pinned
-        /// artifact regenerates byte-for-byte. In half the cases every
+        /// counters — under priorities, cancels, both release paths,
+        /// direct `alloc_avoiding` grants, drains and recoveries. This is
+        /// the property that guarantees every pinned artifact regenerates
+        /// byte-for-byte. In half the cases every
         /// request comes from a three-shape palette, so backlogs of proven
         /// shapes persist across rounds and releases reopen them.
         fn optimized_scheduler_matches_reference_oracle(rng, cases = 256) {
@@ -1254,11 +1163,6 @@ mod tests {
             let gpus = rng.below(5) as u32;
             let nodes = 1 + rng.below(12) as u32;
             let cluster = ClusterSpec::homogeneous(NodeSpec::new(cores, gpus, 64), nodes);
-            let policy = if rng.below(2) == 0 {
-                PlacementPolicy::Fifo
-            } else {
-                PlacementPolicy::Backfill
-            };
             let draw = |rng: &mut SimRng| {
                 ResourceRequest::with_gpus(
                     1 + rng.below(cores as usize) as u32,
@@ -1274,8 +1178,8 @@ mod tests {
                     draw(rng)
                 }
             };
-            let mut opt = Scheduler::new_cluster(cluster, policy);
-            let mut oracle = ReferenceScheduler::new_cluster(cluster, policy);
+            let mut opt = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+            let mut oracle = ReferenceScheduler::new_cluster(cluster);
             let mut outstanding: Vec<Allocation> = Vec::new();
             let mut queued: Vec<TaskId> = Vec::new();
             // Every ticket ever issued, by task id: those of placed and

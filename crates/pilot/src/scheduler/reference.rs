@@ -86,19 +86,17 @@ pub(crate) struct ReferenceScheduler {
     pools: Vec<ReferencePool>,
     down: Vec<bool>,
     queue: VecDeque<(TaskId, ResourceRequest, i32)>,
-    policy: super::PlacementPolicy,
     cluster: ClusterSpec,
 }
 
 impl ReferenceScheduler {
-    pub fn new_cluster(cluster: ClusterSpec, policy: super::PlacementPolicy) -> Self {
+    pub fn new_cluster(cluster: ClusterSpec) -> Self {
         ReferenceScheduler {
             pools: (0..cluster.count)
                 .map(|_| ReferencePool::new(&cluster.node))
                 .collect(),
             down: vec![false; cluster.count as usize],
             queue: VecDeque::new(),
-            policy,
             cluster,
         }
     }
@@ -150,32 +148,16 @@ impl ReferenceScheduler {
 
     pub fn place_ready(&mut self) -> Vec<(TaskId, Allocation)> {
         let mut placed = Vec::new();
-        match self.policy {
-            super::PlacementPolicy::Fifo => {
-                while let Some((_, req, _)) = self.queue.front() {
-                    let req = *req;
-                    match self.try_alloc(&req) {
-                        Some(alloc) => {
-                            let (id, _, _) = self.queue.pop_front().expect("front exists");
-                            placed.push((id, alloc));
-                        }
-                        None => break,
-                    }
+        let mut i = 0;
+        while i < self.queue.len() {
+            let req = self.queue[i].1;
+            match self.try_alloc(&req) {
+                Some(alloc) => {
+                    let (id, _, _) = self.queue.remove(i).expect("index in bounds");
+                    placed.push((id, alloc));
+                    // do not advance i: the next entry shifted into i
                 }
-            }
-            super::PlacementPolicy::Backfill => {
-                let mut i = 0;
-                while i < self.queue.len() {
-                    let req = self.queue[i].1;
-                    match self.try_alloc(&req) {
-                        Some(alloc) => {
-                            let (id, _, _) = self.queue.remove(i).expect("index in bounds");
-                            placed.push((id, alloc));
-                            // do not advance i: the next entry shifted into i
-                        }
-                        None => i += 1,
-                    }
-                }
+                None => i += 1,
             }
         }
         placed

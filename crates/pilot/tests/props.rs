@@ -4,8 +4,8 @@
 
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{
-    ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, PlacementPolicy,
-    ResourceRequest, RetryPolicy, RuntimeConfig, Scheduler, ScriptedCrash, TaskDescription, TaskId,
+    ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, ResourceRequest, RetryPolicy,
+    RuntimeConfig, Scheduler, ScriptedCrash, TaskDescription, TaskId,
 };
 use impress_sim::{props, SimDuration, SimRng, SimTime};
 
@@ -32,13 +32,7 @@ props! {
     /// same device twice concurrently, and eventually places every task.
     fn scheduler_conserves_devices(rng, cases = 64) {
         let tasks = arb_tasks(rng, 8, 2);
-        let policy = if rng.chance(0.5) {
-            PlacementPolicy::Fifo
-        } else {
-            PlacementPolicy::Backfill
-        };
-        let node = NodeSpec::new(8, 2, 64);
-        let mut s = Scheduler::new(node, policy);
+        let mut s = Scheduler::new(NodeSpec::new(8, 2, 64));
         for (i, t) in tasks.iter().enumerate() {
             s.enqueue(TaskId(i as u64), ResourceRequest::with_gpus(t.cores, t.gpus));
         }
@@ -175,7 +169,7 @@ props! {
                 SimDuration::from_secs(t.secs),
             );
             // A third of the tasks get a walltime tight enough that a hang
-            // (×hang_factor dilation) blows it, exercising the timeout path.
+            // (×8 dilation) blows it, exercising the timeout path.
             if i % 3 == 0 {
                 desc = desc.with_walltime(SimDuration::from_secs(t.secs * 2 + 10));
             }

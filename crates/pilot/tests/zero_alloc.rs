@@ -14,7 +14,7 @@
 //! counters are process-global, so a second concurrent test would bleed
 //! allocations into the measurement.
 
-use impress_pilot::{NodeSpec, PlacementPolicy, ResourceRequest, Scheduler, TaskId};
+use impress_pilot::{NodeSpec, ResourceRequest, Scheduler, TaskId};
 use impress_sim::alloc_probe::CountingAlloc;
 use impress_sim::{EventQueue, SimDuration, SimTime};
 
@@ -54,7 +54,7 @@ fn warm_event_and_scheduler_queue_cycles_allocate_nothing_of_their_own() {
     assert_eq!(allocs, 0, "a warm schedule + pop cycle must not allocate");
 
     // --- Pin 2: the scheduler queue on a saturated node ---------------
-    let mut scheduler = Scheduler::new(NodeSpec::new(4, 0, 64), PlacementPolicy::Backfill);
+    let mut scheduler = Scheduler::new(NodeSpec::new(4, 0, 64));
     scheduler.enqueue(TaskId(0), ResourceRequest::cores(1));
     let held = scheduler.place_ready(); // one core gone for good
     assert_eq!(held.len(), 1);

@@ -48,14 +48,11 @@ pub struct MpnnConfig {
     /// Receptor positions that must not be mutated (e.g. catalytic residues
     /// in the paper's protease future-work protocol).
     pub fixed_positions: Vec<usize>,
-    /// Per-position mutation probability at temperature 1.0.
-    pub mutation_rate: f64,
 }
 json_struct!(MpnnConfig {
     num_sequences,
     temperature,
-    fixed_positions,
-    mutation_rate
+    fixed_positions
 });
 
 impl Default for MpnnConfig {
@@ -64,7 +61,6 @@ impl Default for MpnnConfig {
             num_sequences: 10,
             temperature: 1.0,
             fixed_positions: Vec::new(),
-            mutation_rate: 0.20,
         }
     }
 }
@@ -106,6 +102,9 @@ pub struct SurrogateMpnn {
 }
 
 impl SurrogateMpnn {
+    /// Per-position mutation probability at temperature 1.0.
+    const MUTATION_RATE: f64 = 0.20;
+
     /// Std-dev of the noise added to local residue scores at backbone
     /// quality 0 (shrinks linearly as quality rises).
     const LOCAL_NOISE: f64 = 0.22;
@@ -173,7 +172,7 @@ impl SurrogateMpnn {
     }
 
     /// Score an existing sequence (ProteinMPNN's scoring mode).
-    pub fn score(&self, sequence: &Sequence, rng: &mut SimRng) -> f64 {
+    pub(crate) fn score(&self, sequence: &Sequence, rng: &mut SimRng) -> f64 {
         let f = self.landscape.fitness(sequence);
         let raw = crate::landscape::FOLD_WEIGHT * f.raw_fold
             + (1.0 - crate::landscape::FOLD_WEIGHT) * f.raw_bind;
@@ -197,7 +196,7 @@ impl SurrogateMpnn {
         let q = structure.backbone_quality;
         // Better backbones sharpen the local signal the network "sees".
         let noise = Self::LOCAL_NOISE * (1.2 - 0.8 * q);
-        let mutate_p = (config.mutation_rate * temperature).clamp(0.0, 1.0);
+        let mutate_p = (Self::MUTATION_RATE * temperature).clamp(0.0, 1.0);
         // Inverse temperature for residue choice at a mutated position.
         // Local score differences between candidates are ~0.005–0.03, so a
         // large β is needed for the softmax to prefer good residues (real

@@ -43,12 +43,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Hours since simulation start, as a float (for reporting only).
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3.6e9
-    }
-
     /// Duration elapsed since `earlier`. Saturates at zero rather than
     /// panicking so that trace post-processing never underflows.
     #[inline]

@@ -270,7 +270,7 @@ pub struct Args {
 
 impl Args {
     /// Copy `pairs` in. Panics, naming the limit, past [`ARGS_MAX`].
-    pub fn new(pairs: &[(&'static str, i64)]) -> Args {
+    pub(crate) fn new(pairs: &[(&'static str, i64)]) -> Args {
         assert!(
             pairs.len() <= ARGS_MAX,
             "a telemetry event carries at most ARGS_MAX = {ARGS_MAX} args, got {}",

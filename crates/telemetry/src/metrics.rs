@@ -83,7 +83,8 @@ impl MetricsSnapshot {
     }
 
     /// Gauge value by name, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 

@@ -57,7 +57,7 @@ impl RingSink {
     }
 
     /// Snapshot of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<TelemetryEvent> {
+    pub(crate) fn events(&self) -> Vec<TelemetryEvent> {
         self.buffer
             .lock()
             .expect("ring lock")
@@ -67,13 +67,8 @@ impl RingSink {
     }
 
     /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buffer.lock().expect("ring lock").len()
-    }
-
-    /// Whether nothing has been recorded (or everything was dropped).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// How many events were evicted because the ring was full.
@@ -115,7 +110,7 @@ impl TraceRecorder {
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.len() == 0
     }
 
     /// How many events were evicted because the ring was full.

@@ -19,7 +19,6 @@ use crate::report::RunReport;
 use crate::stage::{StageBuffer, Step};
 use impress_json::{read_json, FromJsonBuf, RawJson, ToJsonBuf};
 use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescription};
-use impress_sim::SimTime;
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -28,48 +27,17 @@ use std::sync::Arc;
 ///
 /// Fields are private by design: the view is the decision engine's *only*
 /// window into coordinator state, so its surface is the exact contract of
-/// what adaptive policies may observe — time, the pipeline ledger, and
-/// utilization. Anything not exposed here (journals, routing tables, the
-/// session) is deliberately out of reach of decision callbacks.
+/// what adaptive policies may observe — the pipeline ledger. Anything not
+/// exposed here (journals, routing tables, the session) is deliberately
+/// out of reach of decision callbacks.
 pub struct CoordinatorView<'a> {
-    now: SimTime,
     registry: &'a Registry,
-    util: &'a dyn UtilSource,
-    cached_util: std::cell::OnceCell<impress_pilot::UtilizationReport>,
-}
-
-/// Object-safe utilization access, so the type-erased view can read it
-/// lazily without growing a backend type parameter.
-trait UtilSource {
-    fn utilization(&self) -> impress_pilot::UtilizationReport;
-}
-
-impl<B: ExecutionBackend> UtilSource for Session<B> {
-    fn utilization(&self) -> impress_pilot::UtilizationReport {
-        self.backend().utilization()
-    }
 }
 
 impl<'a> CoordinatorView<'a> {
-    /// Current backend time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// The pipeline ledger.
     pub fn registry(&self) -> &'a Registry {
         self.registry
-    }
-
-    /// Utilization so far.
-    ///
-    /// Computed on first read and cached for the view's lifetime. The
-    /// report walks every device's busy intervals, so engines that never
-    /// look at utilization pay nothing — at service scale (thousands of
-    /// campaigns sharing one big cluster, one view per terminal event)
-    /// an eager report here dominated the whole run's wall time.
-    pub fn utilization(&self) -> &impress_pilot::UtilizationReport {
-        self.cached_util.get_or_init(|| self.util.utilization())
     }
 }
 
@@ -490,10 +458,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             &[],
         );
         let view = CoordinatorView {
-            now: self.session.now(),
             registry: &self.registry,
-            util: &self.session,
-            cached_util: std::cell::OnceCell::new(),
         };
         let spawns = call(&mut self.decision, &view);
         self.telemetry.end(span, self.session.stamp());
@@ -859,7 +824,7 @@ mod tests {
     use crate::pipeline::PipelineLogic;
     use impress_pilot::backend::SimulatedBackend;
     use impress_pilot::{PilotConfig, ResourceRequest, RuntimeConfig, TaskDescription, TaskId};
-    use impress_sim::SimDuration;
+    use impress_sim::{SimDuration, SimTime};
 
     fn pilot_config() -> PilotConfig {
         PilotConfig {

@@ -142,7 +142,7 @@ json_struct!(TaskMeta {
 
 impl TaskMeta {
     /// Capture a description's scheduling metadata.
-    pub fn of(desc: &TaskDescription) -> Self {
+    pub(crate) fn of(desc: &TaskDescription) -> Self {
         TaskMeta {
             name: desc.name.clone(),
             request: desc.request,

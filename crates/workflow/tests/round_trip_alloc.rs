@@ -122,7 +122,7 @@ fn a_warm_round_trip_allocates_only_what_the_api_hands_over() {
 
     // --- Pin 2: placement into a reused buffer ---------------------------
     const CYCLES: u64 = 20_000;
-    let mut scheduler = Scheduler::new(NodeSpec::new(4, 0, 64), PlacementPolicy::Backfill);
+    let mut scheduler = Scheduler::new(NodeSpec::new(4, 0, 64));
     let mut placed = Vec::new();
     scheduler.enqueue(TaskId(0), ResourceRequest::cores(1));
     scheduler.place_ready_into(&mut placed); // one core gone for good

@@ -124,6 +124,7 @@ guards! {
     every_value_has_one_json_writer_and_one_trace_exporter => rules(ONE_WRITER),
     the_shard_workers_talk_over_std_channels => rules(CHANNELS),
     both_arms_run_through_the_one_front_door => rules(FRONT_DOOR),
+    a_setting_with_one_value_in_use_is_a_constant => rules(ONE_VALUE),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -471,7 +472,30 @@ const FRONT_DOOR: &[Rule] = &[
     },
 ];
 
-const RULES: [&[Rule]; 11] = [
+/// Backfill is the one placement policy, and eight fault-model, retry,
+/// hedge and surrogate values are constants: a strict-arrival policy and
+/// eight config fields were settings only tests ever moved off their
+/// defaults.
+const ONE_VALUE: &[Rule] = &[Rule {
+    needles: &[
+        "Fifo",
+        "place_fifo",
+        "hang_factor:",
+        "max_crashes_per_node:",
+        "slowdown_duration:",
+        "max_slowdowns_per_node:",
+        "retransmit_timeout:",
+        "backoff_multiplier:",
+        "min_samples:",
+        "mutation_rate:",
+    ],
+    word: true,
+    reason: "a setting stays only where two callers pick different values; \
+             with one value in use it is a constant",
+    ..FORBIDDEN
+}];
+
+const RULES: [&[Rule]; 12] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -483,6 +507,7 @@ const RULES: [&[Rule]; 11] = [
     ONE_WRITER,
     CHANNELS,
     FRONT_DOOR,
+    ONE_VALUE,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.

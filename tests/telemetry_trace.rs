@@ -8,7 +8,7 @@
 //!   virtual-clock traces for serialized workloads — one virtual clock
 //!   under both, across random workload shapes and priorities.
 
-use impress_bench::trace::parity_trace;
+use impress_bench::trace::{parity_trace_on, ParityBackend};
 use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_json::Json;
 use impress_proteins::datasets::named_pdz_domains;
@@ -155,8 +155,8 @@ props! {
     fn virtual_traces_agree_across_backends(rng, cases = 8) {
         let tasks = 2 + rng.below(6);
         let seed = rng.next_u64();
-        let sim = parity_trace(false, seed, tasks);
-        let thr = parity_trace(true, seed, tasks);
+        let sim = parity_trace_on(ParityBackend::Simulated, seed, tasks);
+        let thr = parity_trace_on(ParityBackend::Threaded, seed, tasks);
         assert_eq!(
             sim, thr,
             "virtual traces diverged for {tasks} tasks, seed {seed}"
