@@ -2751,6 +2751,11 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Task>>(), 56);
         assert_eq!(std::mem::size_of::<TaskSpans>(), 32);
         assert_eq!(std::mem::size_of::<Completion>(), 104);
+        // A grant is a node and two counts: a placed attempt, a hedge and
+        // a placement-buffer entry hold no heap.
+        assert_eq!(std::mem::size_of::<Allocation>(), 12);
+        assert_eq!(std::mem::size_of::<Running>(), 72);
+        assert_eq!(std::mem::size_of::<HedgeRun>(), 48);
     }
 
     /// The model of the exactly-once record: every identity, in a set.

@@ -14,8 +14,8 @@
 //!   with a validated transition table.
 //! * [`task`] — task descriptions: resource request, virtual cost, optional
 //!   real work closure, bookkeeping tags.
-//! * [`scheduler`] — slot pool plus placement policies (strict FIFO vs
-//!   backfill).
+//! * [`scheduler`] — per-node free core and GPU counters and backfill
+//!   placement.
 //! * [`backend`] — execution backends behind one trait:
 //!   [`backend::SimulatedBackend`] replays runs in deterministic virtual
 //!   time, one event at a time (used for every paper figure),

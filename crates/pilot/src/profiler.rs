@@ -182,8 +182,8 @@ impl Profiler {
     pub(crate) fn started(&mut self, alloc: &Allocation, at: SimTime) {
         self.tick(at);
         for (meter, n) in [
-            (&mut self.cpu, alloc.core_ids.len()),
-            (&mut self.gpu_slot, alloc.gpu_ids.len()),
+            (&mut self.cpu, alloc.cores),
+            (&mut self.gpu_slot, alloc.gpus),
         ] {
             meter.busy += n as u64;
             assert!(
@@ -197,8 +197,8 @@ impl Profiler {
     fn vacate(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) -> f64 {
         self.tick(at);
         for (meter, n) in [
-            (&mut self.cpu, alloc.core_ids.len()),
-            (&mut self.gpu_slot, alloc.gpu_ids.len()),
+            (&mut self.cpu, alloc.cores),
+            (&mut self.gpu_slot, alloc.gpus),
         ] {
             meter.busy = meter
                 .busy
@@ -224,7 +224,7 @@ impl Profiler {
             .mul_f64(gpu_busy_fraction.clamp(0.0, 1.0));
         let end = finished.as_micros();
         self.gpu_hw
-            .book(alloc.gpu_ids.len() as u64, end - busy.as_micros(), end);
+            .book(alloc.gpus as u64, end - busy.as_micros(), end);
         self.tasks += 1;
     }
 
@@ -234,8 +234,8 @@ impl Profiler {
     /// its inference kernels.
     pub(crate) fn wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
         let secs = self.vacate(alloc, started, at);
-        self.wasted_core_seconds += secs * alloc.core_ids.len() as f64;
-        self.wasted_gpu_seconds += secs * alloc.gpu_ids.len() as f64;
+        self.wasted_core_seconds += secs * alloc.cores as f64;
+        self.wasted_gpu_seconds += secs * alloc.gpus as f64;
     }
 
     /// A hedge *loser* released its slots: its span is booked as hedge
@@ -243,8 +243,8 @@ impl Profiler {
     /// from fault/retry waste.
     pub(crate) fn hedge_wasted(&mut self, alloc: &Allocation, started: SimTime, at: SimTime) {
         let secs = self.vacate(alloc, started, at);
-        self.hedge_wasted_core_seconds += secs * alloc.core_ids.len() as f64;
-        self.hedge_wasted_gpu_seconds += secs * alloc.gpu_ids.len() as f64;
+        self.hedge_wasted_core_seconds += secs * alloc.cores as f64;
+        self.hedge_wasted_gpu_seconds += secs * alloc.gpus as f64;
     }
 
     /// Note a transparent resubmission.
@@ -321,18 +321,18 @@ mod tests {
         t(mins * 60)
     }
 
-    fn alloc(cores: &[u32], gpus: &[u32]) -> Allocation {
+    fn alloc(cores: u32, gpus: u32) -> Allocation {
         Allocation {
             node: 0,
-            core_ids: cores.to_vec(),
-            gpu_ids: gpus.to_vec(),
+            cores,
+            gpus,
         }
     }
 
     #[test]
     fn slot_occupancy_covers_full_window() {
         let mut p = Profiler::new(4, 2);
-        let a = alloc(&[0, 1], &[0]);
+        let a = alloc(2, 1);
         p.started(&a, t(10));
         p.finished(&a, t(10), t(20), 1.0);
         let r = p.report(t(20));
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn hardware_busy_respects_fraction() {
         let mut p = Profiler::new(1, 1);
-        let a = alloc(&[0], &[0]);
+        let a = alloc(1, 1);
         p.started(&a, t(0));
         p.finished(&a, t(0), t(100), 0.25);
         let r = p.report(t(100));
@@ -360,7 +360,7 @@ mod tests {
         // 20 minutes of slot occupancy, the last quarter on the kernels:
         // minutes 15-20, all in the second bin.
         let mut p = Profiler::new(1, 1);
-        let a = alloc(&[0], &[0]);
+        let a = alloc(1, 1);
         p.started(&a, m(0));
         p.finished(&a, m(0), m(20), 0.25);
         assert_eq!(p.gpu_slot_series(m(20)), [1.0, 1.0]);
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn sequential_tasks_on_same_device_accumulate() {
         let mut p = Profiler::new(1, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, t(0));
         p.finished(&a, t(0), t(4), 1.0);
         p.started(&a, t(6));
@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn series_show_the_load_shape() {
         let mut p = Profiler::new(2, 0);
-        let a = alloc(&[0, 1], &[]);
+        let a = alloc(2, 0);
         p.started(&a, m(0));
         p.finished(&a, m(0), m(10), 1.0);
         assert_eq!(p.cpu_series(m(20)), [1.0, 0.0]);
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn a_single_busy_window_reads_as_its_share_of_the_run() {
         let mut p = Profiler::new(1, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, m(2));
         p.finished(&a, m(2), m(6), 1.0);
         assert_eq!(p.report(m(8)).cpu, 0.5);
@@ -403,7 +403,7 @@ mod tests {
     fn busy_time_is_averaged_over_every_device() {
         // Core 0 busy for the whole run, core 1 idle.
         let mut p = Profiler::new(2, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, t(0));
         p.finished(&a, t(0), t(10), 1.0);
         assert_eq!(p.report(t(10)).cpu, 0.5);
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn each_bin_reads_its_own_busy_share() {
         let mut p = Profiler::new(1, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, m(0));
         p.finished(&a, m(0), m(15), 1.0);
         let s = p.cpu_series(m(30));
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn no_devices_read_as_idle() {
         let mut p = Profiler::new(2, 0);
-        p.started(&alloc(&[0], &[]), m(0));
+        p.started(&alloc(1, 0), m(0));
         let r = p.report(m(20));
         assert_eq!((r.gpu_slot, r.gpu_hardware), (0.0, 0.0));
         assert_eq!(p.gpu_slot_series(m(20)), [0.0, 0.0]);
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn an_interval_is_split_across_the_bins_it_spans() {
         let mut p = Profiler::new(1, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, m(5));
         p.finished(&a, m(5), m(25), 1.0);
         assert_eq!(p.cpu_series(m(30)), [0.5, 1.0, 0.5]);
@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn a_partial_last_bin_is_measured_over_its_own_width() {
         let mut p = Profiler::new(2, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, m(10));
         p.finished(&a, m(10), m(13), 1.0);
         // The run ends 4 minutes into the second bin: 1 of 2 cores for
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn an_open_interval_counts_at_read_time() {
         let mut p = Profiler::new(2, 1);
-        p.started(&alloc(&[0], &[0]), m(5));
+        p.started(&alloc(1, 1), m(5));
         let r = p.report(m(20));
         assert_eq!(r.cpu, 0.375, "1 of 2 cores for 15 of 20 minutes");
         assert_eq!(r.gpu_slot, 0.75);
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn a_zero_length_attempt_books_nothing() {
         let mut p = Profiler::new(1, 1);
-        let a = alloc(&[0], &[0]);
+        let a = alloc(1, 1);
         p.started(&a, t(3));
         p.finished(&a, t(3), t(3), 1.0);
         let r = p.report(t(10));
@@ -484,10 +484,7 @@ mod tests {
         for _ in 0..200 {
             let cores = 1 + rng.below(8) as u32;
             let gpus = rng.below(5) as u32;
-            let a = alloc(
-                &(0..cores).collect::<Vec<_>>(),
-                &(0..gpus).collect::<Vec<_>>(),
-            );
+            let a = alloc(cores, gpus);
             let start = now + rng.below(90_000_000) as u64;
             let end = start + rng.below(3_000_000_000) as u64;
             let (start, end) = (SimTime::from_micros(start), SimTime::from_micros(end));
@@ -510,7 +507,7 @@ mod tests {
     #[should_panic(expected = "more devices busy than exist")]
     fn busy_counts_never_exceed_the_device_totals() {
         let mut p = Profiler::new(2, 0);
-        let a = alloc(&[0, 1], &[]);
+        let a = alloc(2, 0);
         p.started(&a, t(0));
         p.started(&a, t(1));
     }
@@ -519,7 +516,7 @@ mod tests {
     #[should_panic(expected = "released twice")]
     fn busy_counts_never_underflow() {
         let mut p = Profiler::new(2, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, t(0));
         p.finished(&a, t(0), t(1), 1.0);
         p.wasted(&a, t(0), t(2));
@@ -528,7 +525,7 @@ mod tests {
     #[test]
     fn wasted_attempts_book_lost_seconds_without_records() {
         let mut p = Profiler::new(4, 2);
-        let a = alloc(&[0, 1], &[0]);
+        let a = alloc(2, 1);
         p.started(&a, t(0));
         p.wasted(&a, t(0), t(10));
         p.note_retry();
@@ -549,8 +546,8 @@ mod tests {
     #[test]
     fn hedge_waste_is_booked_apart_from_retry_waste() {
         let mut p = Profiler::new(4, 0);
-        let main = alloc(&[0, 1], &[]);
-        let dup = alloc(&[2, 3], &[]);
+        let main = alloc(2, 0);
+        let dup = alloc(2, 0);
         p.started(&main, t(0));
         // A hedge duplicate launches at t=10 and the original wins at t=15.
         p.note_hedge();
@@ -571,7 +568,7 @@ mod tests {
     #[test]
     fn fault_free_reports_have_zero_waste() {
         let mut p = Profiler::new(1, 0);
-        let a = alloc(&[0], &[]);
+        let a = alloc(1, 0);
         p.started(&a, t(0));
         p.finished(&a, t(0), t(4), 1.0);
         let r = p.report(t(4));
@@ -583,7 +580,7 @@ mod tests {
     #[test]
     fn zero_gpu_fraction_records_no_hw_time() {
         let mut p = Profiler::new(1, 1);
-        let a = alloc(&[0], &[0]);
+        let a = alloc(1, 1);
         p.started(&a, t(0));
         p.finished(&a, t(0), t(10), 0.0);
         let r = p.report(t(10));

@@ -122,28 +122,26 @@ impl fmt::Display for ResourceRequest {
     }
 }
 
-/// Concrete slots granted to a task: a node plus which of its cores and
-/// GPUs. Device identity is what the slot pool checks exclusivity on.
+/// Slots granted to a task: a node and how many of its cores and GPUs.
+/// Placement needs only whether a shape fits a node, so a grant names no
+/// device; the node's free counters are the only record of what it holds.
+/// Not `Copy`: releasing a grant consumes it, so a double release does not
+/// compile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Node index within the pilot's cluster (0 on a single-node pilot).
     pub node: u32,
-    /// Core ids granted (indices into the node's cores).
-    pub core_ids: Vec<u32>,
-    /// GPU ids granted (indices into the node's GPUs).
-    pub gpu_ids: Vec<u32>,
+    /// Cores granted.
+    pub cores: u32,
+    /// GPUs granted.
+    pub gpus: u32,
 }
-json_struct!(Allocation {
-    node,
-    core_ids,
-    gpu_ids
-});
 
 impl Allocation {
     /// Whether this allocation satisfies `request`.
     #[cfg(test)]
     pub(crate) fn satisfies(&self, request: &ResourceRequest) -> bool {
-        self.core_ids.len() == request.cores as usize && self.gpu_ids.len() == request.gpus as usize
+        self.cores == request.cores && self.gpus == request.gpus
     }
 }
 
@@ -173,8 +171,8 @@ mod tests {
     fn allocation_satisfaction() {
         let alloc = Allocation {
             node: 0,
-            core_ids: vec![0, 1],
-            gpu_ids: vec![3],
+            cores: 2,
+            gpus: 1,
         };
         assert!(alloc.satisfies(&ResourceRequest::with_gpus(2, 1)));
         assert!(!alloc.satisfies(&ResourceRequest::with_gpus(2, 0)));

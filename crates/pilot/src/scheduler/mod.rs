@@ -1,7 +1,7 @@
 //! Slot scheduling: the pilot agent's core decision loop.
 //!
-//! The scheduler owns the node's free core/GPU sets and a queue of waiting
-//! tasks, and decides which waiting tasks to place whenever capacity
+//! The scheduler owns each node's free core and GPU counts and a queue of
+//! waiting tasks, and decides which waiting tasks to place whenever capacity
 //! changes. It has one placement policy, RP-style continuous scheduling
 //! ([`PlacementPolicy::Backfill`]): any queued task that fits the current
 //! free slots may start, even if an earlier, larger task is still waiting,
@@ -12,9 +12,10 @@
 //! idles every slot behind a blocked head, and no study, example or
 //! workload asks for that.
 //!
-//! Placement is deterministic: free devices are bitmask sets granted
-//! lowest-id-first, so identical submission sequences produce identical
-//! allocations in both backends.
+//! Placement is deterministic: a grant is a node and a count of its cores
+//! and GPUs, never a device, and the node is the leftmost up one whose free
+//! counters admit the shape, so identical submission sequences produce
+//! identical allocations on every backend.
 //!
 //! # Performance shape
 //!
@@ -44,10 +45,10 @@
 //!   placements, drains and `Scheduler::alloc_avoiding` only shrink it.
 //!   So the scheduler records the **grown** nodes, and the next round
 //!   skips every proven shape that exceeds the largest free `(cores,
-//!   gpus)` among them without touching the pools, and tests one that fits
+//!   gpus)` among them without a fit-index query, and tests one that fits
 //!   against the grown nodes alone: the leftmost that admits it is the
 //!   node the full first-fit would return. The fit index answers only for
-//!   shapes the proof does not cover. After a completion that is O(1) pool
+//!   shapes the proof does not cover. After a completion that is O(1) leaf
 //!   checks on the released node instead of a tree descent per shape.
 //!
 //! All three mechanisms are pure bypasses of work whose outcome is
@@ -56,11 +57,8 @@
 //! [`reference`] oracle that the differential property test replays
 //! random workloads against.
 
-mod pool;
 #[cfg(test)]
 mod reference;
-
-use pool::SlotPool;
 
 use crate::resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 use crate::task::TaskId;
@@ -93,14 +91,15 @@ struct QueueEntry {
 /// A flat segment tree over the cluster's nodes, keyed by each node's free
 /// counters, answering *leftmost node whose free cores/GPUs admit a shape*
 /// in O(log nodes) instead of the naive O(nodes) scan. Leaves store
-/// `(cores_free, gpus_free, up)` per node (down nodes are stored as
-/// never-admitting); internal nodes store the component-wise maxima and an
-/// any-up flag. The internal condition is necessary but not sufficient —
-/// the max cores and max gpus of a subtree can live on different leaves —
-/// so the descent backtracks; the leaf condition is exact because
-/// [`SlotPool::try_alloc`] admits precisely on its free counters. The
-/// result is therefore always the same node the linear first-fit scan
-/// would pick, which the reference-oracle property test replays.
+/// `(cores_free, gpus_free, up)` per node and are the only record of a
+/// node's free capacity and of its being drained (a down leaf is `(0, 0,
+/// false)`); internal nodes store the component-wise maxima and an any-up
+/// flag. The internal condition is necessary but not sufficient — the max
+/// cores and max gpus of a subtree can live on different leaves — so the
+/// descent backtracks; the leaf condition is exact because the leaf *is*
+/// the node's free capacity. The result is therefore always the same node
+/// the linear first-fit scan would pick, which the reference-oracle
+/// property test replays.
 #[derive(Debug)]
 struct FitIndex {
     /// Leaf count rounded up to a power of two; node `i`'s leaf is `size + i`.
@@ -156,20 +155,38 @@ impl FitIndex {
         self.up[i] && self.cores[i] >= cores && self.gpus[i] >= gpus
     }
 
-    /// Leftmost up node whose free counters admit `(cores, gpus)`.
-    fn first_fit(&self, cores: u32, gpus: u32) -> Option<usize> {
-        self.descend(1, cores, gpus)
+    /// Leftmost up node not named in `avoid` whose free counters admit
+    /// `(cores, gpus)`. An avoided leaf is rejected where the descent
+    /// reaches it, and the search backtracks past it.
+    fn first_fit(&self, cores: u32, gpus: u32, avoid: &[u32]) -> Option<usize> {
+        self.descend(1, cores, gpus, avoid)
     }
 
-    fn descend(&self, i: usize, cores: u32, gpus: u32) -> Option<usize> {
+    fn descend(&self, i: usize, cores: u32, gpus: u32, avoid: &[u32]) -> Option<usize> {
         if !self.admits(i, cores, gpus) {
             return None;
         }
         if i >= self.size {
-            return Some(i - self.size);
+            let node = i - self.size;
+            return (!avoid.contains(&(node as u32))).then_some(node);
         }
-        self.descend(2 * i, cores, gpus)
-            .or_else(|| self.descend(2 * i + 1, cores, gpus))
+        self.descend(2 * i, cores, gpus, avoid)
+            .or_else(|| self.descend(2 * i + 1, cores, gpus, avoid))
+    }
+
+    /// Grant `(cores, gpus)` on `node`, taking them off its leaf.
+    fn grant(&mut self, node: usize, cores: u32, gpus: u32) -> Allocation {
+        let leaf = self.size + node;
+        assert!(
+            self.admits(leaf, cores, gpus),
+            "node {node} cannot hold ({cores}, {gpus})"
+        );
+        self.set(node, self.cores[leaf] - cores, self.gpus[leaf] - gpus, true);
+        Allocation {
+            node: node as u32,
+            cores,
+            gpus,
+        }
     }
 }
 
@@ -204,11 +221,8 @@ impl Bucket {
 /// The pilot agent's scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
-    pools: Vec<SlotPool>,
-    /// `down[i]` — node `i` is drained (crashed) and takes no placements.
-    down: Vec<bool>,
-    /// Segment tree over per-node free counters; kept in lockstep with
-    /// `pools`/`down` so placement is O(log nodes).
+    /// Segment tree over per-node free counters: each node's free cores,
+    /// free GPUs and up flag live in its leaf and nowhere else.
     fit: FitIndex,
     /// Priority buckets, highest first.
     buckets: BTreeMap<Reverse<i32>, Bucket>,
@@ -257,10 +271,6 @@ impl Scheduler {
     /// one there is and chooses nothing.
     pub fn new_cluster(cluster: ClusterSpec, _policy: PlacementPolicy) -> Self {
         Scheduler {
-            pools: (0..cluster.count)
-                .map(|_| SlotPool::new(&cluster.node))
-                .collect(),
-            down: vec![false; cluster.count as usize],
             fit: FitIndex::new(cluster.count as usize, &cluster.node),
             buckets: BTreeMap::new(),
             slab: Vec::new(),
@@ -285,34 +295,6 @@ impl Scheduler {
         &self.cluster.node
     }
 
-    /// First-fit placement across the cluster's *up* nodes. The fit index
-    /// answers the node query in O(log nodes); down nodes are excluded by
-    /// their never-admitting leaves, so no explicit `down` check is needed.
-    fn alloc_in(
-        pools: &mut [SlotPool],
-        fit: &mut FitIndex,
-        req: &ResourceRequest,
-    ) -> Option<Allocation> {
-        let idx = fit.first_fit(req.cores, req.gpus)?;
-        Some(Self::alloc_on(pools, fit, idx, req))
-    }
-
-    /// Grant `req` on node `idx`, whose fit-index leaf admits it.
-    fn alloc_on(
-        pools: &mut [SlotPool],
-        fit: &mut FitIndex,
-        idx: usize,
-        req: &ResourceRequest,
-    ) -> Allocation {
-        let pool = &mut pools[idx];
-        let mut alloc = pool
-            .try_alloc(req)
-            .expect("fit index admitted a node its pool rejects");
-        alloc.node = idx as u32;
-        fit.set(idx, pool.cores_free(), pool.gpus_free(), true);
-        alloc
-    }
-
     /// Record that node `idx`'s free capacity grew: the next round may no
     /// longer skip it.
     fn grew(&mut self, idx: usize) {
@@ -327,73 +309,51 @@ impl Scheduler {
     /// `avoid` whose free slots admit `req`, or nowhere. Used by hedged
     /// duplicates (which must not share the straggler's node) and by
     /// quarantine retry steering (away from nodes a task already failed
-    /// on). The avoided nodes are masked out of the fit index for the
-    /// single query and restored untouched afterwards; the queue, epochs
-    /// and proof are unaffected (an allocation only shrinks the free
-    /// frontier, which the proof already tolerates).
+    /// on). The descent rejects avoided nodes at their leaves and writes
+    /// nothing but the grant; the queue, epochs and proof are unaffected
+    /// (an allocation only shrinks the free frontier, which the proof
+    /// already tolerates).
     pub(crate) fn alloc_avoiding(
         &mut self,
         req: &ResourceRequest,
         avoid: &[u32],
     ) -> Option<Allocation> {
-        let mut saved = Vec::with_capacity(avoid.len());
-        for &n in avoid {
-            let idx = n as usize;
-            if idx >= self.pools.len() {
-                continue;
-            }
-            let leaf = self.fit.size + idx;
-            saved.push((
-                idx,
-                self.fit.cores[leaf],
-                self.fit.gpus[leaf],
-                self.fit.up[leaf],
-            ));
-            self.fit.set(idx, 0, 0, false);
-        }
-        let alloc = Self::alloc_in(&mut self.pools, &mut self.fit, req);
-        // Restore in reverse so a node named twice gets its original leaf
-        // back last. The granted node (if any) is never in `avoid`, so no
-        // restore clobbers the allocation's counter update.
-        for (idx, cores, gpus, up) in saved.into_iter().rev() {
-            self.fit.set(idx, cores, gpus, up);
-        }
-        alloc
+        let node = self.fit.first_fit(req.cores, req.gpus, avoid)?;
+        Some(self.fit.grant(node, req.cores, req.gpus))
     }
 
-    /// Drain a crashed node: its pool is rebuilt empty-of-grants and it takes
-    /// no placements until [`Scheduler::recover_node`]. The caller is
-    /// responsible for requeueing tasks that were resident on it (their
+    /// The fit-index leaf of `node`.
+    fn leaf(&self, node: u32) -> usize {
+        assert!(
+            node < self.cluster.count,
+            "node {node} is not in the cluster"
+        );
+        self.fit.size + node as usize
+    }
+
+    /// Drain a crashed node: its leaf reads nothing free and down, and it
+    /// takes no placements until [`Scheduler::recover_node`]. The caller
+    /// is responsible for requeueing tasks that were resident on it (their
     /// allocations are implicitly forfeited — do *not* release them).
     ///
     /// A drain only shrinks the placeable frontier, so the proof and round
     /// epochs stay valid.
     pub(crate) fn drain_node(&mut self, node: u32) {
-        let idx = node as usize;
-        assert!(!self.down[idx], "node {node} drained twice");
-        self.down[idx] = true;
-        self.pools[idx] = SlotPool::new(&self.cluster.node);
-        self.fit.set(idx, 0, 0, false);
+        assert!(self.node_is_up(node), "node {node} drained twice");
+        self.fit.set(node as usize, 0, 0, false);
     }
 
     /// Re-admit a recovered node to placement with all slots free.
     pub(crate) fn recover_node(&mut self, node: u32) {
-        let idx = node as usize;
-        assert!(self.down[idx], "node {node} recovered while up");
-        self.down[idx] = false;
-        // The pool was rebuilt fully free at drain time.
-        self.fit.set(
-            idx,
-            self.pools[idx].cores_free(),
-            self.pools[idx].gpus_free(),
-            true,
-        );
-        self.grew(idx);
+        assert!(!self.node_is_up(node), "node {node} recovered while up");
+        let NodeSpec { cores, gpus, .. } = self.cluster.node;
+        self.fit.set(node as usize, cores, gpus, true);
+        self.grew(node as usize);
     }
 
     /// Whether `node` is currently accepting placements.
     pub(crate) fn node_is_up(&self, node: u32) -> bool {
-        !self.down[node as usize]
+        self.fit.up[self.leaf(node)]
     }
 
     /// Enqueue a task at default priority. Panics if the request can never
@@ -581,8 +541,7 @@ impl Scheduler {
                 );
                 let Some(class) = head else { break };
                 let shape = bucket.classes[class].0;
-                let req = ResourceRequest::with_gpus(shape.0, shape.1);
-                let alloc = if proof.contains(&shape) || dominates(shape, proven_blocked) {
+                let node = if proof.contains(&shape) || dominates(shape, proven_blocked) {
                     // Only a grown node can hold a proven shape, so the
                     // leftmost grown node that admits it is the first fit.
                     let fit = &self.fit;
@@ -590,12 +549,12 @@ impl Scheduler {
                         .iter()
                         .map(|&n| n as usize)
                         .find(|&n| fit.admits(fit.size + n, shape.0, shape.1))
-                        .map(|n| Self::alloc_on(&mut self.pools, &mut self.fit, n, &req))
                 } else {
-                    Self::alloc_in(&mut self.pools, &mut self.fit, &req)
+                    self.fit.first_fit(shape.0, shape.1, &[])
                 };
-                match alloc {
-                    Some(alloc) => {
+                match node {
+                    Some(node) => {
+                        let alloc = self.fit.grant(node, shape.0, shape.1);
                         let id = Self::take_head(
                             &mut self.slab,
                             &mut self.free_slots,
@@ -647,44 +606,28 @@ impl Scheduler {
         self.dead = 0;
     }
 
-    /// Return an allocation's slots to its node's pool. The caller should
-    /// follow with [`Scheduler::place_ready`]. Panics if the node is
-    /// drained: allocations on a crashed node are forfeited, and releasing
-    /// one is a backend bookkeeping bug.
-    pub fn release(&mut self, alloc: &Allocation) {
-        assert!(
-            !self.down[alloc.node as usize],
-            "release of an allocation on drained node {}",
-            alloc.node
-        );
-        let idx = alloc.node as usize;
-        self.pools[idx].release(alloc);
-        self.fit.set(
-            idx,
-            self.pools[idx].cores_free(),
-            self.pools[idx].gpus_free(),
-            true,
-        );
-        self.grew(idx);
-    }
-
-    /// [`Scheduler::release`], additionally recycling the allocation's id
-    /// buffers into the node's pool for reuse by future grants — the
-    /// steady-state place/release cycle then allocates nothing.
+    /// Return an allocation's slots to its node. The caller should follow
+    /// with [`Scheduler::place_ready`]. Releasing consumes the grant, so a
+    /// caller cannot release one twice. Panics if the node is drained
+    /// (allocations on a crashed node are forfeited, and releasing one is a
+    /// backend bookkeeping bug) or if the release would leave the node more
+    /// free than it has.
     pub fn release_owned(&mut self, alloc: Allocation) {
         assert!(
-            !self.down[alloc.node as usize],
+            self.node_is_up(alloc.node),
             "release of an allocation on drained node {}",
             alloc.node
         );
-        let idx = alloc.node as usize;
-        self.pools[idx].release_owned(alloc);
-        self.fit.set(
-            idx,
-            self.pools[idx].cores_free(),
-            self.pools[idx].gpus_free(),
-            true,
+        let leaf = self.leaf(alloc.node);
+        let cores = self.fit.cores[leaf] + alloc.cores;
+        let gpus = self.fit.gpus[leaf] + alloc.gpus;
+        assert!(
+            cores <= self.cluster.node.cores && gpus <= self.cluster.node.gpus,
+            "release past capacity on node {}",
+            alloc.node
         );
+        let idx = alloc.node as usize;
+        self.fit.set(idx, cores, gpus, true);
         self.grew(idx);
     }
 
@@ -722,24 +665,20 @@ impl Scheduler {
         self.live
     }
 
-    /// Free cores right now, across all *up* nodes.
+    /// The leaves of the cluster's nodes in `column`.
+    fn leaves<'a>(&self, column: &'a [u32]) -> &'a [u32] {
+        &column[self.fit.size..][..self.cluster.count as usize]
+    }
+
+    /// Free cores right now, across all *up* nodes (a down node's leaf
+    /// holds none).
     pub fn cores_free(&self) -> u32 {
-        self.pools
-            .iter()
-            .zip(&self.down)
-            .filter(|(_, d)| !**d)
-            .map(|(p, _)| p.cores_free())
-            .sum()
+        self.leaves(&self.fit.cores).iter().sum()
     }
 
     /// Free GPUs right now, across all *up* nodes.
     pub fn gpus_free(&self) -> u32 {
-        self.pools
-            .iter()
-            .zip(&self.down)
-            .filter(|(_, d)| !**d)
-            .map(|(p, _)| p.gpus_free())
-            .sum()
+        self.leaves(&self.fit.gpus).iter().sum()
     }
 }
 
@@ -763,18 +702,18 @@ mod tests {
         let mut fit = FitIndex::new(10, &node);
         // Fully free: everything lands leftmost, padding leaves (10..16)
         // never admit.
-        assert_eq!(fit.first_fit(4, 2), Some(0));
-        assert_eq!(fit.first_fit(0, 0), Some(0));
-        assert_eq!(fit.first_fit(5, 0), None, "no node has five cores");
+        assert_eq!(fit.first_fit(4, 2, &[]), Some(0));
+        assert_eq!(fit.first_fit(0, 0, &[]), Some(0));
+        assert_eq!(fit.first_fit(5, 0, &[]), None, "no node has five cores");
         // Fill node 0, kill node 1: a full-node request must skip to 2.
         fit.set(0, 0, 0, true);
         fit.set(1, 0, 0, false);
-        assert_eq!(fit.first_fit(4, 2), Some(2));
+        assert_eq!(fit.first_fit(4, 2, &[]), Some(2));
         // A zero request fits the exhausted-but-up node 0, not the down
         // node 1 — the up flag, not the counters, excludes dead nodes.
-        assert_eq!(fit.first_fit(0, 0), Some(0));
+        assert_eq!(fit.first_fit(0, 0, &[]), Some(0));
         fit.set(0, 0, 0, false);
-        assert_eq!(fit.first_fit(0, 0), Some(2));
+        assert_eq!(fit.first_fit(0, 0, &[]), Some(2));
         // Cores on node 3, gpus on node 2 only: the descent must backtrack
         // past subtrees whose maxima come from different leaves.
         for i in 2..10 {
@@ -782,12 +721,15 @@ mod tests {
         }
         fit.set(2, 1, 2, true);
         fit.set(3, 4, 0, true);
-        assert_eq!(fit.first_fit(4, 2), None);
-        assert_eq!(fit.first_fit(1, 2), Some(2));
-        assert_eq!(fit.first_fit(4, 0), Some(3));
+        assert_eq!(fit.first_fit(4, 2, &[]), None);
+        assert_eq!(fit.first_fit(1, 2, &[]), Some(2));
+        assert_eq!(fit.first_fit(4, 0, &[]), Some(3));
         // Recovery readmits at full capacity.
         fit.set(1, 4, 2, true);
-        assert_eq!(fit.first_fit(4, 2), Some(1));
+        assert_eq!(fit.first_fit(4, 2, &[]), Some(1));
+        // An avoided node is passed over for the next that admits.
+        assert_eq!(fit.first_fit(4, 2, &[1]), None, "only node 1 holds (4, 2)");
+        assert_eq!(fit.first_fit(1, 0, &[1, 0, 2]), Some(3));
     }
 
     #[test]
@@ -810,7 +752,7 @@ mod tests {
         assert_eq!(ids(&placed), vec![0]);
         s.enqueue(TaskId(1), req(4, 0));
         assert!(s.place_ready().is_empty());
-        s.release(&placed[0].1);
+        s.release_owned(placed[0].1.clone());
         let placed2 = s.place_ready();
         assert_eq!(ids(&placed2), vec![1]);
     }
@@ -829,34 +771,58 @@ mod tests {
 
     #[test]
     fn allocations_satisfy_requests_and_do_not_overlap() {
-        let mut s = Scheduler::new(NodeSpec::new(10, 2, 1));
-        s.enqueue(TaskId(0), req(4, 1));
-        s.enqueue(TaskId(1), req(4, 1));
-        let placed = s.place_ready();
-        assert_eq!(placed.len(), 2);
-        for (i, (_, a)) in placed.iter().enumerate() {
-            assert!(a.satisfies(&req(4, 1)), "alloc {i}");
+        // Each grant is its request's shape on the leftmost node whose free
+        // counters admit it, and a node never gives out more than it has.
+        let cluster = ClusterSpec::homogeneous(NodeSpec::new(10, 2, 1), 2);
+        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+        let shapes = [req(4, 1), req(4, 1), req(4, 0), req(2, 0)];
+        for (id, shape) in shapes.iter().enumerate() {
+            s.enqueue(TaskId(id as u64), *shape);
         }
-        let mut all_cores: Vec<u32> = placed
-            .iter()
-            .flat_map(|(_, a)| a.core_ids.iter().copied())
-            .collect();
-        all_cores.sort_unstable();
-        all_cores.dedup();
-        assert_eq!(all_cores.len(), 8, "core grants must not overlap");
-        assert_ne!(placed[0].1.gpu_ids, placed[1].1.gpu_ids);
+        let placed = s.place_ready();
+        for ((_, a), shape) in placed.iter().zip(&shapes) {
+            assert!(a.satisfies(shape), "{a:?} for {shape}");
+        }
+        let nodes: Vec<u32> = placed.iter().map(|(_, a)| a.node).collect();
+        assert_eq!(
+            nodes,
+            vec![0, 0, 1, 0],
+            "(4, 0) overflows node 0's two cores left; (2, 0) fills them"
+        );
+        assert_eq!((s.cores_free(), s.gpus_free()), (6, 2));
+        assert!(
+            s.alloc_avoiding(&req(1, 0), &[1]).is_none(),
+            "node 0 is full"
+        );
     }
 
     #[test]
     fn release_returns_exactly_the_granted_devices() {
         let mut s = Scheduler::new(NodeSpec::new(4, 2, 1));
-        s.enqueue(TaskId(0), req(4, 2));
-        let placed = s.place_ready();
-        assert_eq!(s.cores_free(), 0);
-        assert_eq!(s.gpus_free(), 0);
-        s.release(&placed[0].1);
-        assert_eq!(s.cores_free(), 4);
-        assert_eq!(s.gpus_free(), 2);
+        s.enqueue(TaskId(0), req(3, 2));
+        let (_, alloc) = s.place_ready().pop().expect("a grant");
+        assert_eq!((s.cores_free(), s.gpus_free()), (1, 0));
+        s.release_owned(alloc);
+        assert_eq!((s.cores_free(), s.gpus_free()), (4, 2));
+    }
+
+    #[test]
+    fn insufficient_capacity_returns_none_without_partial_grant() {
+        let mut s = Scheduler::new(NodeSpec::new(4, 1, 1));
+        s.enqueue(TaskId(0), req(1, 1));
+        assert_eq!(ids(&s.place_ready()), vec![0]);
+        assert!(s.alloc_avoiding(&req(2, 1), &[]).is_none());
+        // Nothing was taken.
+        assert_eq!((s.cores_free(), s.gpus_free()), (3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "release past capacity")]
+    fn double_release_panics() {
+        let mut s = Scheduler::new(NodeSpec::new(2, 0, 1));
+        let alloc = s.alloc_avoiding(&req(2, 0), &[]).expect("a grant");
+        s.release_owned(alloc.clone());
+        s.release_owned(alloc);
     }
 
     #[test]
@@ -897,13 +863,13 @@ mod tests {
         s.enqueue_with_priority(TaskId(1), req(2, 0), 0);
         s.enqueue_with_priority(TaskId(2), req(2, 0), 5); // urgent
         s.enqueue_with_priority(TaskId(3), req(2, 0), 5); // urgent, later
-        s.release(&placed[0].1);
+        s.release_owned(placed[0].1.clone());
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![2], "highest priority first");
-        s.release(&placed[0].1);
+        s.release_owned(placed[0].1.clone());
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![3], "FIFO within a priority class");
-        s.release(&placed[0].1);
+        s.release_owned(placed[0].1.clone());
         assert_eq!(ids(&s.place_ready()), vec![1]);
     }
 
@@ -935,7 +901,7 @@ mod tests {
         assert_eq!(s.cores_free(), 0);
         assert_eq!(s.queue_len(), 1);
         // Releasing node 1's allocation frees only node 1.
-        s.release(&placed[1].1);
+        s.release_owned(placed[1].1.clone());
         assert_eq!(s.cores_free(), 4);
         let placed2 = s.place_ready();
         assert_eq!(placed2[0].1.node, 1);
@@ -980,7 +946,7 @@ mod tests {
         s.enqueue(TaskId(0), req(2, 0));
         let placed = s.place_ready();
         s.drain_node(0);
-        s.release(&placed[0].1);
+        s.release_owned(placed[0].1.clone());
     }
 
     #[test]
@@ -997,15 +963,6 @@ mod tests {
         let s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
         assert_eq!(s.cores_free(), 112);
         assert_eq!(s.gpus_free(), 16);
-    }
-
-    #[test]
-    fn deterministic_lowest_id_first_grants() {
-        let mut s = Scheduler::new(NodeSpec::new(6, 2, 1));
-        s.enqueue(TaskId(0), req(2, 1));
-        let placed = s.place_ready();
-        assert_eq!(placed[0].1.core_ids, vec![0, 1]);
-        assert_eq!(placed[0].1.gpu_ids, vec![0]);
     }
 
     #[test]
@@ -1039,7 +996,7 @@ mod tests {
         }
         assert_eq!(s.queue_len(), 0);
         assert!(s.dead <= 64, "mass cancellation must compact: {}", s.dead);
-        s.release(&placed[0].1);
+        s.release_owned(placed[0].1.clone());
         assert!(s.place_ready().is_empty());
         // The slab slots are reusable.
         s.enqueue(TaskId(600), req(1, 0));
@@ -1055,8 +1012,8 @@ mod tests {
         assert_eq!(a.node, 1);
         // Avoiding every node with capacity yields nothing.
         assert!(s.alloc_avoiding(&req(4, 0), &[0, 2]).is_none());
-        // The masks were restored: a queued placement still sees node 0
-        // first, exactly as if alloc_avoiding had never run.
+        // The index was left as it was: a queued placement still sees node
+        // 0 first, exactly as if alloc_avoiding had never run.
         s.enqueue(TaskId(0), req(4, 0));
         let placed = s.place_ready();
         assert_eq!(placed[0].1.node, 0);
@@ -1089,11 +1046,11 @@ mod tests {
             (s.proof.clone(), s.blocked_shape),
             (vec![(8, 0), (2, 0)], Some((2, 0)))
         );
-        s.release(&placed[2].1);
+        s.release_owned(placed[2].1.clone());
         assert_eq!(s.grown, vec![2]);
         assert_eq!(s.blocked_shape, Some((2, 0)), "a release keeps the proof");
-        // Make node 0's leaf claim eight free cores its pool does not have:
-        // any fit-index query now lands on node 0 and its pool panics.
+        // Make node 0's leaf claim eight free cores: any fit-index query
+        // for (8, 0) or (2, 0) now lands on node 0 and places there.
         s.fit.set(0, 8, 0, true);
         let placed = s.place_ready();
         assert_eq!(
@@ -1123,8 +1080,8 @@ mod tests {
             vec![0, 1, 2],
             "task 3 waits, proven to fit nowhere"
         );
-        s.release(&placed[2].1);
-        s.release(&placed[1].1);
+        s.release_owned(placed[2].1.clone());
+        s.release_owned(placed[1].1.clone());
         assert_eq!(s.grown, vec![1, 2], "sorted, whatever the release order");
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![3]);
@@ -1136,10 +1093,10 @@ mod tests {
     /// every shape dominating it needs at least).
     fn assert_proof_holds(s: &Scheduler) {
         for &(c, g) in s.proof.iter().chain(&s.blocked_shape) {
-            for (n, pool) in s.pools.iter().enumerate() {
-                if !s.down[n] && !s.grown.contains(&(n as u32)) {
+            for n in 0..s.cluster.count {
+                if s.node_is_up(n) && !s.grown.contains(&n) {
                     assert!(
-                        pool.cores_free() < c || pool.gpus_free() < g,
+                        !s.fit.admits(s.leaf(n), c, g),
                         "node {n} holds proven shape ({c}, {g})"
                     );
                 }
@@ -1151,9 +1108,9 @@ mod tests {
         /// Differential determinism oracle: random workloads replayed
         /// through the optimized scheduler and the naive pre-optimization
         /// reference must produce *identical* placement sequences (ids,
-        /// device grants, node assignments), queue lengths, and free
-        /// counters — under priorities, cancels, both release paths,
-        /// direct `alloc_avoiding` grants, drains and recoveries. This is
+        /// grant shapes, node assignments), queue lengths, and free
+        /// counters — under priorities, cancels, releases, direct
+        /// `alloc_avoiding` grants, drains and recoveries. This is
         /// the property that guarantees every pinned artifact regenerates
         /// byte-for-byte. In half the cases every
         /// request comes from a three-shape palette, so backlogs of proven
@@ -1214,11 +1171,7 @@ mod tests {
                         }
                         let alloc = outstanding.swap_remove(rng.below(outstanding.len()));
                         oracle.release(&alloc);
-                        if rng.below(2) == 0 {
-                            opt.release(&alloc);
-                        } else {
-                            opt.release_owned(alloc);
-                        }
+                        opt.release_owned(alloc);
                     }
                     80..=89 => {
                         // Cancel by ticket: a queued task, a task placed or
@@ -1295,8 +1248,8 @@ mod tests {
                 }
             }
             for alloc in outstanding.drain(..) {
-                opt.release(&alloc);
                 oracle.release(&alloc);
+                opt.release_owned(alloc);
             }
             loop {
                 let a = opt.place_ready();

@@ -1,7 +1,8 @@
-//! The pre-optimization scheduler, kept verbatim as a test-only oracle.
+//! The naive scheduler, kept as a test-only oracle.
 //!
-//! This is the naive implementation the optimized [`super::Scheduler`]
-//! replaced: `BTreeSet` free sets granted lowest-id-first, a single
+//! This is the scan-everything implementation the optimized
+//! [`super::Scheduler`] replaced: a pair of free counters per node and a
+//! `down` flag, granted first-fit by a linear scan over the nodes, a single
 //! `VecDeque` queue with linear-scan priority insertion, `Vec::remove`
 //! shifting on backfill placement, and a full rescan of everything on every
 //! placement round. It is deliberately simple enough to be obviously
@@ -15,67 +16,34 @@
 
 use crate::resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 use crate::task::TaskId;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-/// Naive free-device sets for one node (the old `SlotPool`).
+/// Naive free counters for one node.
 #[derive(Debug, Clone)]
 struct ReferencePool {
-    free_cores: BTreeSet<u32>,
-    free_gpus: BTreeSet<u32>,
+    free_cores: u32,
+    free_gpus: u32,
 }
 
 impl ReferencePool {
     fn new(node: &NodeSpec) -> Self {
         ReferencePool {
-            free_cores: (0..node.cores).collect(),
-            free_gpus: (0..node.gpus).collect(),
+            free_cores: node.cores,
+            free_gpus: node.gpus,
         }
     }
 
     fn try_alloc(&mut self, request: &ResourceRequest) -> Option<Allocation> {
-        if (self.free_cores.len() as u32) < request.cores
-            || (self.free_gpus.len() as u32) < request.gpus
-        {
+        if self.free_cores < request.cores || self.free_gpus < request.gpus {
             return None;
         }
-        let core_ids: Vec<u32> = self
-            .free_cores
-            .iter()
-            .copied()
-            .take(request.cores as usize)
-            .collect();
-        let gpu_ids: Vec<u32> = self
-            .free_gpus
-            .iter()
-            .copied()
-            .take(request.gpus as usize)
-            .collect();
-        for c in &core_ids {
-            self.free_cores.remove(c);
-        }
-        for g in &gpu_ids {
-            self.free_gpus.remove(g);
-        }
+        self.free_cores -= request.cores;
+        self.free_gpus -= request.gpus;
         Some(Allocation {
             node: 0,
-            core_ids,
-            gpu_ids,
+            cores: request.cores,
+            gpus: request.gpus,
         })
-    }
-
-    fn release(&mut self, alloc: &Allocation) {
-        for &c in &alloc.core_ids {
-            assert!(
-                self.free_cores.insert(c),
-                "oracle: double release of core {c}"
-            );
-        }
-        for &g in &alloc.gpu_ids {
-            assert!(
-                self.free_gpus.insert(g),
-                "oracle: double release of gpu {g}"
-            );
-        }
     }
 }
 
@@ -169,7 +137,15 @@ impl ReferenceScheduler {
             "oracle: release of an allocation on drained node {}",
             alloc.node
         );
-        self.pools[alloc.node as usize].release(alloc);
+        let node = &self.cluster.node;
+        let pool = &mut self.pools[alloc.node as usize];
+        pool.free_cores += alloc.cores;
+        pool.free_gpus += alloc.gpus;
+        assert!(
+            pool.free_cores <= node.cores && pool.free_gpus <= node.gpus,
+            "oracle: release past capacity on node {}",
+            alloc.node
+        );
     }
 
     pub(crate) fn cancel_queued(&mut self, id: TaskId) -> bool {
@@ -190,7 +166,7 @@ impl ReferenceScheduler {
             .iter()
             .zip(&self.down)
             .filter(|(_, d)| !**d)
-            .map(|(p, _)| p.free_cores.len() as u32)
+            .map(|(p, _)| p.free_cores)
             .sum()
     }
 
@@ -199,7 +175,7 @@ impl ReferenceScheduler {
             .iter()
             .zip(&self.down)
             .filter(|(_, d)| !**d)
-            .map(|(p, _)| p.free_gpus.len() as u32)
+            .map(|(p, _)| p.free_gpus)
             .sum()
     }
 }

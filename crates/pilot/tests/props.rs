@@ -4,8 +4,9 @@
 
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{
-    ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, ResourceRequest, RetryPolicy,
-    RuntimeConfig, Scheduler, ScriptedCrash, TaskDescription, TaskId,
+    Allocation, ClusterSpec, ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig,
+    PlacementPolicy, ResourceRequest, RetryPolicy, RuntimeConfig, Scheduler, ScriptedCrash,
+    TaskDescription, TaskId,
 };
 use impress_sim::{props, SimDuration, SimRng, SimTime};
 
@@ -28,46 +29,44 @@ fn arb_tasks(rng: &mut SimRng, max_cores: u32, max_gpus: u32) -> Vec<TaskSpec> {
 }
 
 props! {
-    /// The scheduler never grants more devices than exist, never grants the
-    /// same device twice concurrently, and eventually places every task.
+    /// Every grant is its request's shape, no node ever has more cores or
+    /// GPUs granted than it holds, every task eventually places, and the
+    /// cluster is whole again once everything is released.
     fn scheduler_conserves_devices(rng, cases = 64) {
-        let tasks = arb_tasks(rng, 8, 2);
-        let mut s = Scheduler::new(NodeSpec::new(8, 2, 64));
+        const NODES: u32 = 3;
+        let node = NodeSpec::new(8, 2, 64);
+        let tasks = arb_tasks(rng, node.cores, node.gpus);
+        let cluster = ClusterSpec::homogeneous(node, NODES);
+        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
         for (i, t) in tasks.iter().enumerate() {
             s.enqueue(TaskId(i as u64), ResourceRequest::with_gpus(t.cores, t.gpus));
         }
-        let mut running: Vec<(TaskId, impress_pilot::Allocation)> = Vec::new();
+        let mut running: Vec<Allocation> = Vec::new();
         let mut placed_total = 0usize;
         // Alternate placing and releasing the oldest running task until done.
         loop {
             let placed = s.place_ready();
             placed_total += placed.len();
-            for (id, alloc) in &placed {
-                // Device conservation: no overlap with running allocations.
-                for (_, other) in &running {
-                    for c in &alloc.core_ids {
-                        assert!(!other.core_ids.contains(c), "core {c} double-granted");
-                    }
-                    for g in &alloc.gpu_ids {
-                        assert!(!other.gpu_ids.contains(g), "gpu {g} double-granted");
-                    }
-                }
-                running.push((*id, alloc.clone()));
+            for (id, alloc) in placed {
+                let t = &tasks[id.0 as usize];
+                assert_eq!((alloc.cores, alloc.gpus), (t.cores, t.gpus), "{id}'s grant");
+                running.push(alloc);
             }
-            let used_cores: usize = running.iter().map(|(_, a)| a.core_ids.len()).sum();
-            let used_gpus: usize = running.iter().map(|(_, a)| a.gpu_ids.len()).sum();
-            assert!(used_cores <= 8, "cores oversubscribed: {used_cores}");
-            assert!(used_gpus <= 2, "gpus oversubscribed: {used_gpus}");
+            for n in 0..NODES {
+                let on = running.iter().filter(|a| a.node == n);
+                let (cores, gpus) = on.fold((0, 0), |(c, g), a| (c + a.cores, g + a.gpus));
+                assert!(cores <= node.cores, "node {n}: {cores} cores granted");
+                assert!(gpus <= node.gpus, "node {n}: {gpus} gpus granted");
+            }
             if running.is_empty() {
                 break;
             }
-            let (_, alloc) = running.remove(0);
-            s.release(&alloc);
+            s.release_owned(running.remove(0));
         }
         assert_eq!(placed_total, tasks.len(), "every task must eventually place");
         assert_eq!(s.queue_len(), 0);
-        assert_eq!(s.cores_free(), 8);
-        assert_eq!(s.gpus_free(), 2);
+        assert_eq!(s.cores_free(), NODES * node.cores);
+        assert_eq!(s.gpus_free(), NODES * node.gpus);
     }
 
     /// Every submitted task completes exactly once on the simulated backend,

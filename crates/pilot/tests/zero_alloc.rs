@@ -7,8 +7,10 @@
 //! 2. **A warm `enqueue` → `place_ready` → `release_owned` cycle allocates
 //!    the returned `Vec` and nothing else** — on a saturated cluster with
 //!    a standing request that fails every round, so the proof's shape
-//!    list and the grown-node list are in use: slab slots, class deques,
-//!    id buffers and both lists are all reused.
+//!    list and the grown-node list are in use: slab slots, class deques
+//!    and both lists are all reused, and a grant is three counts on no
+//!    heap. The same cycle through `place_ready_into` and one reused
+//!    buffer allocates nothing at all.
 //!
 //! This is a dedicated test binary with a single `#[test]`: the probe's
 //! counters are process-global, so a second concurrent test would bleed
@@ -76,5 +78,24 @@ fn warm_event_and_scheduler_queue_cycles_allocate_nothing_of_their_own() {
     assert_eq!(
         allocs, CYCLES,
         "a warm placement cycle allocates the returned Vec and nothing else"
+    );
+
+    let mut placed = Vec::new();
+    let mut cycle = |scheduler: &mut Scheduler| {
+        for _ in 0..CYCLES {
+            scheduler.enqueue_with_priority(TaskId(next), ResourceRequest::cores(1), 0);
+            next += 1;
+            scheduler.place_ready_into(&mut placed);
+            let (_, allocation) = placed.pop().expect("three cores are free");
+            assert!(placed.is_empty(), "the four-core request failed again");
+            scheduler.release_owned(allocation);
+        }
+    };
+    cycle(&mut scheduler);
+    let allocs = allocations_of(|| cycle(&mut scheduler));
+    assert_eq!(scheduler.queue_len(), 1);
+    assert_eq!(
+        allocs, 0,
+        "a warm placement cycle into a reused buffer must not allocate"
     );
 }

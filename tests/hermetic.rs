@@ -125,6 +125,7 @@ guards! {
     the_shard_workers_talk_over_std_channels => rules(CHANNELS),
     both_arms_run_through_the_one_front_door => rules(FRONT_DOOR),
     a_setting_with_one_value_in_use_is_a_constant => rules(ONE_VALUE),
+    a_grant_is_a_node_and_two_counts => rules(DEVICE_IDS),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -495,7 +496,18 @@ const ONE_VALUE: &[Rule] = &[Rule {
     ..FORBIDDEN
 }];
 
-const RULES: [&[Rule]; 12] = [
+/// Backfill asks only whether a shape fits a node, so a grant is a node and
+/// two counts, and a node's free capacity is its fit-index leaf. Per-device
+/// id vectors and the bitmask pool that handed them out are deleted.
+const DEVICE_IDS: &[Rule] = &[Rule {
+    needles: &["core_ids", "gpu_ids", "SlotPool", "take_lowest", "id_buf"],
+    word: true,
+    reason: "a grant names no device: a node's free capacity is two counters \
+             in the scheduler's fit index",
+    ..FORBIDDEN
+}];
+
+const RULES: [&[Rule]; 13] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -508,6 +520,7 @@ const RULES: [&[Rule]; 12] = [
     CHANNELS,
     FRONT_DOOR,
     ONE_VALUE,
+    DEVICE_IDS,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.
