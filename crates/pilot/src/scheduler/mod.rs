@@ -57,12 +57,14 @@
 //! [`reference`] oracle that the differential property test replays
 //! random workloads against.
 
+mod pool;
 #[cfg(test)]
 mod reference;
 
 use crate::resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 use crate::task::TaskId;
 use impress_json::json_enum;
+use pool::FitIndex;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -86,108 +88,6 @@ struct QueueEntry {
     seq: u64,
     priority: i32,
     live: bool,
-}
-
-/// A flat segment tree over the cluster's nodes, keyed by each node's free
-/// counters, answering *leftmost node whose free cores/GPUs admit a shape*
-/// in O(log nodes) instead of the naive O(nodes) scan. Leaves store
-/// `(cores_free, gpus_free, up)` per node and are the only record of a
-/// node's free capacity and of its being drained (a down leaf is `(0, 0,
-/// false)`); internal nodes store the component-wise maxima and an any-up
-/// flag. The internal condition is necessary but not sufficient — the max
-/// cores and max gpus of a subtree can live on different leaves — so the
-/// descent backtracks; the leaf condition is exact because the leaf *is*
-/// the node's free capacity. The result is therefore always the same node
-/// the linear first-fit scan would pick, which the reference-oracle
-/// property test replays.
-#[derive(Debug)]
-struct FitIndex {
-    /// Leaf count rounded up to a power of two; node `i`'s leaf is `size + i`.
-    size: usize,
-    /// Per-subtree max free cores over up nodes.
-    cores: Vec<u32>,
-    /// Per-subtree max free GPUs over up nodes.
-    gpus: Vec<u32>,
-    /// Whether any node in the subtree is up.
-    up: Vec<bool>,
-}
-
-impl FitIndex {
-    /// An index over `nodes` identical fully-free up nodes.
-    fn new(nodes: usize, node: &NodeSpec) -> Self {
-        let size = nodes.next_power_of_two().max(1);
-        let mut fit = FitIndex {
-            size,
-            cores: vec![0; 2 * size],
-            gpus: vec![0; 2 * size],
-            up: vec![false; 2 * size],
-        };
-        for i in 0..nodes {
-            fit.cores[size + i] = node.cores;
-            fit.gpus[size + i] = node.gpus;
-            fit.up[size + i] = true;
-        }
-        for i in (1..size).rev() {
-            fit.pull(i);
-        }
-        fit
-    }
-
-    fn pull(&mut self, i: usize) {
-        self.cores[i] = self.cores[2 * i].max(self.cores[2 * i + 1]);
-        self.gpus[i] = self.gpus[2 * i].max(self.gpus[2 * i + 1]);
-        self.up[i] = self.up[2 * i] || self.up[2 * i + 1];
-    }
-
-    /// Record `node`'s new free counters (or its death), updating ancestors.
-    fn set(&mut self, node: usize, cores: u32, gpus: u32, up: bool) {
-        let mut i = self.size + node;
-        self.cores[i] = cores;
-        self.gpus[i] = gpus;
-        self.up[i] = up;
-        while i > 1 {
-            i /= 2;
-            self.pull(i);
-        }
-    }
-
-    fn admits(&self, i: usize, cores: u32, gpus: u32) -> bool {
-        self.up[i] && self.cores[i] >= cores && self.gpus[i] >= gpus
-    }
-
-    /// Leftmost up node not named in `avoid` whose free counters admit
-    /// `(cores, gpus)`. An avoided leaf is rejected where the descent
-    /// reaches it, and the search backtracks past it.
-    fn first_fit(&self, cores: u32, gpus: u32, avoid: &[u32]) -> Option<usize> {
-        self.descend(1, cores, gpus, avoid)
-    }
-
-    fn descend(&self, i: usize, cores: u32, gpus: u32, avoid: &[u32]) -> Option<usize> {
-        if !self.admits(i, cores, gpus) {
-            return None;
-        }
-        if i >= self.size {
-            let node = i - self.size;
-            return (!avoid.contains(&(node as u32))).then_some(node);
-        }
-        self.descend(2 * i, cores, gpus, avoid)
-            .or_else(|| self.descend(2 * i + 1, cores, gpus, avoid))
-    }
-
-    /// Grant `(cores, gpus)` on `node`, taking them off its leaf.
-    fn grant(&mut self, node: usize, cores: u32, gpus: u32) -> Allocation {
-        let leaf = self.size + node;
-        assert!(
-            self.admits(leaf, cores, gpus),
-            "node {node} cannot hold ({cores}, {gpus})"
-        );
-        self.set(node, self.cores[leaf] - cores, self.gpus[leaf] - gpus, true);
-        Allocation {
-            node: node as u32,
-            cores,
-            gpus,
-        }
-    }
 }
 
 /// One priority class: waiting entries grouped by request shape. Each
@@ -618,17 +518,8 @@ impl Scheduler {
             "release of an allocation on drained node {}",
             alloc.node
         );
-        let leaf = self.leaf(alloc.node);
-        let cores = self.fit.cores[leaf] + alloc.cores;
-        let gpus = self.fit.gpus[leaf] + alloc.gpus;
-        assert!(
-            cores <= self.cluster.node.cores && gpus <= self.cluster.node.gpus,
-            "release past capacity on node {}",
-            alloc.node
-        );
-        let idx = alloc.node as usize;
-        self.fit.set(idx, cores, gpus, true);
-        self.grew(idx);
+        self.fit.release(&alloc, &self.cluster.node);
+        self.grew(alloc.node as usize);
     }
 
     /// Remove a queued (not yet placed) task, named by its id and the
@@ -794,6 +685,24 @@ mod tests {
             s.alloc_avoiding(&req(1, 0), &[1]).is_none(),
             "node 0 is full"
         );
+    }
+
+    #[test]
+    fn deterministic_lowest_id_first_grants() {
+        // A grant names no device, so the lowest id it picks is the node's:
+        // the same submissions land on the same nodes every time.
+        let run = || {
+            let cluster = ClusterSpec::homogeneous(NodeSpec::new(6, 2, 1), 3);
+            let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+            s.enqueue(TaskId(0), req(2, 1));
+            s.enqueue(TaskId(1), req(6, 0));
+            s.place_ready()
+        };
+        let placed = run();
+        let grant = |node, cores, gpus| Allocation { node, cores, gpus };
+        assert_eq!(placed[0].1, grant(0, 2, 1));
+        assert_eq!(placed[1].1, grant(1, 6, 0));
+        assert_eq!(run(), placed);
     }
 
     #[test]

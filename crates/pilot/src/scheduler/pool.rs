@@ -1,145 +1,125 @@
-//! The free-slot pool: which cores and GPUs are unallocated right now.
-//!
-//! Free sets are fixed word-array bitmasks (bit `i` set ⇔ device `i` free).
-//! Grants take the lowest set bit first (`trailing_zeros`), preserving the
-//! lowest-id-first determinism contract the `BTreeSet` implementation
-//! established, while capacity checks are popcount-maintained counters and
-//! a whole 64-device word is scanned per instruction rather than per
-//! tree node.
+//! The cluster's slot pool: each node's free core and GPU counters and
+//! whether it is up, held as the leaves of the segment tree that answers
+//! the scheduler's first-fit queries, so a node's capacity is stored once.
+//! A grant is a node and two counts; taking one and giving it back are
+//! leaf writes plus an ancestor walk.
 
-use crate::resources::{Allocation, NodeSpec, ResourceRequest};
+use crate::resources::{Allocation, NodeSpec};
 
-/// Bitmask words with every bit in `0..total` set.
-fn full_words(total: u32) -> Vec<u64> {
-    let n = total.div_ceil(64) as usize;
-    let mut words = vec![u64::MAX; n];
-    if !total.is_multiple_of(64) {
-        if let Some(last) = words.last_mut() {
-            *last = (1u64 << (total % 64)) - 1;
-        }
-    }
-    words
+/// A flat segment tree over the cluster's nodes, keyed by each node's free
+/// counters, answering *leftmost node whose free cores/GPUs admit a shape*
+/// in O(log nodes) instead of the naive O(nodes) scan. Leaves store
+/// `(cores_free, gpus_free, up)` per node and are the only record of a
+/// node's free capacity and of its being drained (a down leaf is `(0, 0,
+/// false)`); internal nodes store the component-wise maxima and an any-up
+/// flag. The internal condition is necessary but not sufficient — the max
+/// cores and max gpus of a subtree can live on different leaves — so the
+/// descent backtracks; the leaf condition is exact because the leaf *is*
+/// the node's free capacity. The result is therefore always the same node
+/// the linear first-fit scan would pick, which the reference-oracle
+/// property test replays.
+#[derive(Debug)]
+pub(super) struct FitIndex {
+    /// Leaf count rounded up to a power of two; node `i`'s leaf is `size + i`.
+    pub(super) size: usize,
+    /// Per-subtree max free cores over up nodes.
+    pub(super) cores: Vec<u32>,
+    /// Per-subtree max free GPUs over up nodes.
+    pub(super) gpus: Vec<u32>,
+    /// Whether any node in the subtree is up.
+    pub(super) up: Vec<bool>,
 }
 
-/// Clear the `n` lowest set bits of `words`, appending their indices (in
-/// ascending order) to `out`. The caller guarantees at least `n` set bits.
-fn take_lowest(words: &mut [u64], n: u32, out: &mut Vec<u32>) {
-    let mut remaining = n;
-    for (w, word) in words.iter_mut().enumerate() {
-        while *word != 0 && remaining > 0 {
-            let bit = word.trailing_zeros();
-            *word &= *word - 1; // clear the lowest set bit
-            out.push((w as u32) * 64 + bit);
-            remaining -= 1;
+impl FitIndex {
+    /// An index over `nodes` identical fully-free up nodes.
+    pub(super) fn new(nodes: usize, node: &NodeSpec) -> Self {
+        let size = nodes.next_power_of_two().max(1);
+        let mut fit = FitIndex {
+            size,
+            cores: vec![0; 2 * size],
+            gpus: vec![0; 2 * size],
+            up: vec![false; 2 * size],
+        };
+        for i in 0..nodes {
+            fit.cores[size + i] = node.cores;
+            fit.gpus[size + i] = node.gpus;
+            fit.up[size + i] = true;
         }
-        if remaining == 0 {
-            break;
+        for i in (1..size).rev() {
+            fit.pull(i);
         }
+        fit
     }
-    debug_assert_eq!(remaining, 0, "capacity counter out of sync with bitmask");
-}
 
-/// Free device sets for one node. Grants are lowest-id-first, so placement
-/// is deterministic and device utilization traces are stable across runs.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotPool {
-    core_words: Vec<u64>,
-    gpu_words: Vec<u64>,
-    free_cores: u32,
-    free_gpus: u32,
-    total_cores: u32,
-    total_gpus: u32,
-    /// Reclaimed `Allocation` id buffers ([`SlotPool::release_owned`]),
-    /// reused by [`SlotPool::try_alloc`] to keep the placement hot path
-    /// allocation-free in steady state.
-    spare: Vec<Vec<u32>>,
-}
+    fn pull(&mut self, i: usize) {
+        self.cores[i] = self.cores[2 * i].max(self.cores[2 * i + 1]);
+        self.gpus[i] = self.gpus[2 * i].max(self.gpus[2 * i + 1]);
+        self.up[i] = self.up[2 * i] || self.up[2 * i + 1];
+    }
 
-impl SlotPool {
-    /// A pool with every device of `node` free.
-    pub fn new(node: &NodeSpec) -> Self {
-        SlotPool {
-            core_words: full_words(node.cores),
-            gpu_words: full_words(node.gpus),
-            free_cores: node.cores,
-            free_gpus: node.gpus,
-            total_cores: node.cores,
-            total_gpus: node.gpus,
-            spare: Vec::new(),
+    /// Record `node`'s new free counters (or its death), updating ancestors.
+    pub(super) fn set(&mut self, node: usize, cores: u32, gpus: u32, up: bool) {
+        let mut i = self.size + node;
+        self.cores[i] = cores;
+        self.gpus[i] = gpus;
+        self.up[i] = up;
+        while i > 1 {
+            i /= 2;
+            self.pull(i);
         }
     }
 
-    /// An empty, cleared id buffer — recycled if one is spare.
-    fn id_buf(&mut self, capacity: u32) -> Vec<u32> {
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.clear();
-        buf.reserve(capacity as usize);
-        buf
+    pub(super) fn admits(&self, i: usize, cores: u32, gpus: u32) -> bool {
+        self.up[i] && self.cores[i] >= cores && self.gpus[i] >= gpus
     }
 
-    /// Grant `request` if it fits, taking the lowest-numbered free devices.
-    pub(crate) fn try_alloc(&mut self, request: &ResourceRequest) -> Option<Allocation> {
-        if self.free_cores < request.cores || self.free_gpus < request.gpus {
+    /// Leftmost up node not named in `avoid` whose free counters admit
+    /// `(cores, gpus)`. An avoided leaf is rejected where the descent
+    /// reaches it, and the search backtracks past it.
+    pub(super) fn first_fit(&self, cores: u32, gpus: u32, avoid: &[u32]) -> Option<usize> {
+        self.descend(1, cores, gpus, avoid)
+    }
+
+    fn descend(&self, i: usize, cores: u32, gpus: u32, avoid: &[u32]) -> Option<usize> {
+        if !self.admits(i, cores, gpus) {
             return None;
         }
-        let mut core_ids = self.id_buf(request.cores);
-        let mut gpu_ids = self.id_buf(request.gpus);
-        take_lowest(&mut self.core_words, request.cores, &mut core_ids);
-        take_lowest(&mut self.gpu_words, request.gpus, &mut gpu_ids);
-        self.free_cores -= request.cores;
-        self.free_gpus -= request.gpus;
-        Some(Allocation {
-            node: 0,
-            core_ids,
-            gpu_ids,
-        })
+        if i >= self.size {
+            let node = i - self.size;
+            return (!avoid.contains(&(node as u32))).then_some(node);
+        }
+        self.descend(2 * i, cores, gpus, avoid)
+            .or_else(|| self.descend(2 * i + 1, cores, gpus, avoid))
     }
 
-    /// Return an allocation's devices. Panics on double-release — returning
-    /// a device that is already free means the accounting is corrupt.
-    pub fn release(&mut self, alloc: &Allocation) {
-        for &c in &alloc.core_ids {
-            assert!(c < self.total_cores, "core id {c} out of range");
-            let mask = 1u64 << (c % 64);
-            let word = &mut self.core_words[(c / 64) as usize];
-            assert!(*word & mask == 0, "double release of core {c}");
-            *word |= mask;
-        }
-        for &g in &alloc.gpu_ids {
-            assert!(g < self.total_gpus, "gpu id {g} out of range");
-            let mask = 1u64 << (g % 64);
-            let word = &mut self.gpu_words[(g / 64) as usize];
-            assert!(*word & mask == 0, "double release of gpu {g}");
-            *word |= mask;
-        }
-        self.free_cores += alloc.core_ids.len() as u32;
-        self.free_gpus += alloc.gpu_ids.len() as u32;
-    }
-
-    /// [`SlotPool::release`], additionally reclaiming the allocation's id
-    /// buffers for reuse by future grants.
-    pub fn release_owned(&mut self, alloc: Allocation) {
-        self.release(&alloc);
-        let Allocation {
-            core_ids, gpu_ids, ..
-        } = alloc;
-        // A small cap keeps a burst of releases from hoarding memory.
-        if self.spare.len() < 8 {
-            self.spare.push(core_ids);
-        }
-        if self.spare.len() < 8 {
-            self.spare.push(gpu_ids);
+    /// Grant `(cores, gpus)` on `node`, taking them off its leaf.
+    pub(super) fn grant(&mut self, node: usize, cores: u32, gpus: u32) -> Allocation {
+        let leaf = self.size + node;
+        assert!(
+            self.admits(leaf, cores, gpus),
+            "node {node} cannot hold ({cores}, {gpus})"
+        );
+        self.set(node, self.cores[leaf] - cores, self.gpus[leaf] - gpus, true);
+        Allocation {
+            node: node as u32,
+            cores,
+            gpus,
         }
     }
 
-    /// Free core count.
-    pub(crate) fn cores_free(&self) -> u32 {
-        self.free_cores
-    }
-
-    /// Free GPU count.
-    pub(crate) fn gpus_free(&self) -> u32 {
-        self.free_gpus
+    /// Give `alloc`'s cores and GPUs back to its node's leaf. Panics if
+    /// that would leave the node more free than `node`, the shape every
+    /// node has (the grant was already released).
+    pub(super) fn release(&mut self, alloc: &Allocation, node: &NodeSpec) {
+        let leaf = self.size + alloc.node as usize;
+        let cores = self.cores[leaf] + alloc.cores;
+        let gpus = self.gpus[leaf] + alloc.gpus;
+        assert!(
+            cores <= node.cores && gpus <= node.gpus,
+            "release past capacity on node {}",
+            alloc.node
+        );
+        self.set(alloc.node as usize, cores, gpus, true);
     }
 }
 
@@ -149,88 +129,22 @@ mod tests {
 
     #[test]
     fn alloc_release_round_trip() {
-        let mut p = SlotPool::new(&NodeSpec::new(4, 2, 1));
-        let a = p.try_alloc(&ResourceRequest::with_gpus(3, 1)).unwrap();
-        assert_eq!(a.core_ids, vec![0, 1, 2]);
-        assert_eq!(a.gpu_ids, vec![0]);
-        assert_eq!(p.cores_free(), 1);
-        p.release(&a);
-        assert_eq!(p.cores_free(), 4);
-        assert_eq!(p.gpus_free(), 2);
-    }
-
-    #[test]
-    fn insufficient_capacity_returns_none_without_partial_grant() {
-        let mut p = SlotPool::new(&NodeSpec::new(4, 1, 1));
-        assert!(p.try_alloc(&ResourceRequest::with_gpus(2, 2)).is_none());
-        // Nothing was taken.
-        assert_eq!(p.cores_free(), 4);
-        assert_eq!(p.gpus_free(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "double release")]
-    fn double_release_panics() {
-        let mut p = SlotPool::new(&NodeSpec::new(2, 0, 1));
-        let a = p.try_alloc(&ResourceRequest::cores(1)).unwrap();
-        p.release(&a);
-        p.release(&a);
-    }
-
-    #[test]
-    fn grants_reuse_lowest_ids_after_release() {
-        let mut p = SlotPool::new(&NodeSpec::new(4, 0, 1));
-        let a = p.try_alloc(&ResourceRequest::cores(2)).unwrap(); // 0,1
-        let _b = p.try_alloc(&ResourceRequest::cores(2)).unwrap(); // 2,3
-        p.release(&a);
-        let c = p.try_alloc(&ResourceRequest::cores(1)).unwrap();
-        assert_eq!(c.core_ids, vec![0]);
-    }
-
-    #[test]
-    fn grants_cross_word_boundaries_in_order() {
-        // 100 cores spans two mask words; a 70-core grant must walk both.
-        let mut p = SlotPool::new(&NodeSpec::new(100, 0, 1));
-        let a = p.try_alloc(&ResourceRequest::cores(70)).unwrap();
-        assert_eq!(a.core_ids, (0..70).collect::<Vec<u32>>());
-        assert_eq!(p.cores_free(), 30);
-        let b = p.try_alloc(&ResourceRequest::cores(30)).unwrap();
-        assert_eq!(b.core_ids, (70..100).collect::<Vec<u32>>());
-        p.release(&a);
-        p.release(&b);
-        assert_eq!(p.cores_free(), 100);
-    }
-
-    #[test]
-    fn exact_64_device_node_has_no_phantom_bit() {
-        let mut p = SlotPool::new(&NodeSpec::new(64, 0, 1));
-        assert_eq!(p.cores_free(), 64);
-        let a = p.try_alloc(&ResourceRequest::cores(64)).unwrap();
-        assert_eq!(a.core_ids.len(), 64);
-        assert!(p.try_alloc(&ResourceRequest::cores(1)).is_none());
-    }
-
-    #[test]
-    fn release_owned_recycles_buffers() {
-        let mut p = SlotPool::new(&NodeSpec::new(8, 0, 1));
-        let a = p.try_alloc(&ResourceRequest::cores(4)).unwrap();
-        p.release_owned(a);
-        assert_eq!(p.spare.len(), 2, "both id buffers reclaimed");
-        // The recycled grant is identical to a fresh one.
-        let b = p.try_alloc(&ResourceRequest::cores(4)).unwrap();
-        assert_eq!(b.core_ids, vec![0, 1, 2, 3]);
-        assert!(b.gpu_ids.is_empty());
-        assert_eq!(p.spare.len(), 0, "buffers handed back out");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_release_panics() {
-        let mut p = SlotPool::new(&NodeSpec::new(4, 0, 1));
-        p.release(&Allocation {
-            node: 0,
-            core_ids: vec![9],
-            gpu_ids: vec![],
-        });
+        let node = NodeSpec::new(4, 2, 1);
+        let mut p = FitIndex::new(2, &node);
+        let a = p.grant(0, 3, 1);
+        assert_eq!(
+            a,
+            Allocation {
+                node: 0,
+                cores: 3,
+                gpus: 1
+            }
+        );
+        let leaf = p.size;
+        assert_eq!((p.cores[leaf], p.gpus[leaf]), (1, 1));
+        assert_eq!(p.first_fit(2, 0, &[]), Some(1), "node 0 keeps one core");
+        p.release(&a, &node);
+        assert_eq!((p.cores[leaf], p.gpus[leaf]), (4, 2));
+        assert_eq!(p.first_fit(4, 2, &[]), Some(0));
     }
 }
