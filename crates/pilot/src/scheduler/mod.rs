@@ -26,45 +26,27 @@
 //! a tombstone that is compacted away amortized), and no operation shifts
 //! a `Vec` or hashes an id. Within a bucket, entries are grouped into
 //! **shape classes** — one FIFO deque per distinct `(cores, gpus)`
-//! request shape, merged by global arrival `seq` during a scan. Because
-//! free capacity only shrinks within a scan, the first member of a shape
-//! that fails to fit proves every later member of that shape fails too,
-//! so the whole class is retired for the rest of the scan: a no-progress
-//! backfill round costs O(distinct shapes), not O(queue length).
-//! Placement rounds carry two things from one round to the next:
+//! request shape, merged by global arrival `seq` during a scan.
 //!
-//! * a **capacity/queue epoch** pair — if nothing was enqueued and no
-//!   free capacity grew since the last round, the round is provably a
-//!   no-op and returns immediately (a cancel frees no capacity). A release
-//!   bumps the capacity epoch, so this never fires on the round that
-//!   follows a completion;
-//! * a **proof** — each backfill round ends knowing that every shape it
-//!   failed or carried over, and every shape dominating the blocked shape
-//!   among them (needing ≥ cores *and* ≥ gpus), fits no up node. Only a
-//!   node whose free capacity grew (release / recover) can break that;
-//!   placements, drains and `Scheduler::alloc_avoiding` only shrink it.
-//!   So the scheduler records the **grown** nodes, and the next round
-//!   skips every proven shape that exceeds the largest free `(cores,
-//!   gpus)` among them without a fit-index query, and tests one that fits
-//!   against the grown nodes alone: the leftmost that admits it is the
-//!   node the full first-fit would return. The fit index answers only for
-//!   shapes the proof does not cover. After a completion that is O(1) leaf
-//!   checks on the released node instead of a tree descent per shape.
+//! * **Fit sets.** Each class's shape has an always-exact bitset of the up
+//!   nodes it fits (see `pool.rs`). A scan grants the earliest-arrived
+//!   head among the classes whose set is non-empty on the set's lowest
+//!   node, and passes an empty set over in O(1), so a no-progress round
+//!   costs O(distinct shapes), not O(queue length).
+//! * **Round epochs.** If nothing was enqueued and no free capacity grew
+//!   since the last round, the round is a no-op and returns at once (a
+//!   cancel frees no capacity; a release bumps the capacity epoch).
 //!
-//! All three mechanisms are pure bypasses of work whose outcome is
-//! already known: the placement *sequence* is bit-identical to the naive
-//! scan-everything scheduler, which survives as the `#[cfg(test)]`
-//! [`reference`] oracle that the differential property test replays
-//! random workloads against.
+//! The placement *sequence* is bit-identical to the naive scan-everything
+//! scheduler, which survives as the test-only [`reference`] oracle that
+//! the differential property test replays random workloads against.
 
 mod pool;
-#[cfg(test)]
-mod reference;
 
 use crate::resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 use crate::task::TaskId;
 use impress_json::json_enum;
-use pool::FitIndex;
+use pool::Pool;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -90,40 +72,29 @@ struct QueueEntry {
     live: bool,
 }
 
-/// One priority class: waiting entries grouped by request shape. Each
-/// `(cores, gpus)` shape keeps its own FIFO deque of slab indices; a scan
-/// merges the class heads by arrival `seq`. The grouping is what lets a
-/// scan retire an entire shape in O(1) after its first member fails —
-/// identical shapes against a frontier that only shrinks must all fail.
+/// A shape class: the id of its shape's fit set and the FIFO deque of its
+/// entries' slab indices.
+type Class = (u32, VecDeque<u32>);
+
+/// One priority class: waiting entries grouped by request shape. A scan
+/// merges the class heads by arrival `seq`, skipping every class whose
+/// shape fits no node.
 #[derive(Debug, Default)]
 struct Bucket {
     /// Shape classes in first-seen order. A bucket holds a handful of
     /// shapes and every scan visits all of them anyway, so lookup is a
     /// linear find and iteration order is the same on every run.
-    classes: Vec<((u32, u32), VecDeque<u32>)>,
+    classes: Vec<Class>,
     /// Live entries across all classes (tombstones excluded).
     live: usize,
-}
-
-impl Bucket {
-    fn class_mut(&mut self, shape: (u32, u32)) -> &mut VecDeque<u32> {
-        let at = match self.classes.iter().position(|(s, _)| *s == shape) {
-            Some(at) => at,
-            None => {
-                self.classes.push((shape, VecDeque::new()));
-                self.classes.len() - 1
-            }
-        };
-        &mut self.classes[at].1
-    }
 }
 
 /// The pilot agent's scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
-    /// Segment tree over per-node free counters: each node's free cores,
-    /// free GPUs and up flag live in its leaf and nowhere else.
-    fit: FitIndex,
+    /// Each node's free cores, free GPUs and up flag, and the fit set of
+    /// every shape a class names.
+    fit: Pool,
     /// Priority buckets, highest first.
     buckets: BTreeMap<Reverse<i32>, Bucket>,
     slab: Vec<QueueEntry>,
@@ -143,21 +114,6 @@ pub struct Scheduler {
     /// still match, the next round is a provable no-op.
     scanned_queue_epoch: u64,
     scanned_capacity_epoch: u64,
-    /// The last backfill round's proof: shapes that fit no up node outside
-    /// `grown`, as do all shapes dominating `blocked_shape`.
-    proof: Vec<(u32, u32)>,
-    blocked_shape: Option<(u32, u32)>,
-    /// Nodes whose free capacity grew since the last backfill round,
-    /// sorted and deduplicated.
-    grown: Vec<u32>,
-    /// Scratch of one backfill scan: the shapes known to fit nowhere. It
-    /// becomes the next proof, and the old proof its storage.
-    failed_shapes: Vec<(u32, u32)>,
-}
-
-/// Whether `shape` needs at least as many cores *and* GPUs as `blocked`.
-fn dominates(shape: (u32, u32), blocked: Option<(u32, u32)>) -> bool {
-    blocked.is_some_and(|(bc, bg)| shape.0 >= bc && shape.1 >= bg)
 }
 
 impl Scheduler {
@@ -171,7 +127,7 @@ impl Scheduler {
     /// one there is and chooses nothing.
     pub fn new_cluster(cluster: ClusterSpec, _policy: PlacementPolicy) -> Self {
         Scheduler {
-            fit: FitIndex::new(cluster.count as usize, &cluster.node),
+            fit: Pool::new(cluster.count as usize, &cluster.node),
             buckets: BTreeMap::new(),
             slab: Vec::new(),
             next_seq: 0,
@@ -183,10 +139,6 @@ impl Scheduler {
             capacity_epoch: 0,
             scanned_queue_epoch: u64::MAX,
             scanned_capacity_epoch: u64::MAX,
-            proof: Vec::new(),
-            blocked_shape: None,
-            grown: Vec::new(),
-            failed_shapes: Vec::new(),
         }
     }
 
@@ -195,65 +147,47 @@ impl Scheduler {
         &self.cluster.node
     }
 
-    /// Record that node `idx`'s free capacity grew: the next round may no
-    /// longer skip it.
-    fn grew(&mut self, idx: usize) {
-        self.capacity_epoch += 1;
-        if let Err(at) = self.grown.binary_search(&(idx as u32)) {
-            self.grown.insert(at, idx as u32);
-        }
-    }
-
     /// Direct first-fit allocation that bypasses the queue and skips the
     /// `avoid`ed nodes: the grant lands on the leftmost *up* node not in
     /// `avoid` whose free slots admit `req`, or nowhere. Used by hedged
     /// duplicates (which must not share the straggler's node) and by
     /// quarantine retry steering (away from nodes a task already failed
-    /// on). The descent rejects avoided nodes at their leaves and writes
-    /// nothing but the grant; the queue, epochs and proof are unaffected
-    /// (an allocation only shrinks the free frontier, which the proof
-    /// already tolerates).
+    /// on). It walks the shape's fit set past the avoided nodes, interning
+    /// the shape if no class names it; the queue and epochs are unaffected
+    /// (an allocation only shrinks the free frontier).
     pub(crate) fn alloc_avoiding(
         &mut self,
         req: &ResourceRequest,
         avoid: &[u32],
     ) -> Option<Allocation> {
-        let node = self.fit.first_fit(req.cores, req.gpus, avoid)?;
-        Some(self.fit.grant(node, req.cores, req.gpus))
+        let shape = (req.cores, req.gpus);
+        let node = self.fit.first_fit(shape, avoid)?;
+        Some(self.fit.grant(node, shape))
     }
 
-    /// The fit-index leaf of `node`.
-    fn leaf(&self, node: u32) -> usize {
-        assert!(
-            node < self.cluster.count,
-            "node {node} is not in the cluster"
-        );
-        self.fit.size + node as usize
-    }
-
-    /// Drain a crashed node: its leaf reads nothing free and down, and it
-    /// takes no placements until [`Scheduler::recover_node`]. The caller
-    /// is responsible for requeueing tasks that were resident on it (their
+    /// Drain a crashed node: it reads nothing free and down, and it takes
+    /// no placements until [`Scheduler::recover_node`]. The caller is
+    /// responsible for requeueing tasks that were resident on it (their
     /// allocations are implicitly forfeited — do *not* release them).
     ///
-    /// A drain only shrinks the placeable frontier, so the proof and round
-    /// epochs stay valid.
+    /// A drain only shrinks the placeable frontier, so the round epochs
+    /// stay valid.
     pub(crate) fn drain_node(&mut self, node: u32) {
         assert!(self.node_is_up(node), "node {node} drained twice");
-        self.fit.set(node as usize, 0, 0, false);
+        self.fit.update(node as usize, 0, 0, false);
     }
 
     /// Re-admit a recovered node to placement with all slots free.
     pub(crate) fn recover_node(&mut self, node: u32) {
         assert!(!self.node_is_up(node), "node {node} recovered while up");
         let NodeSpec { cores, gpus, .. } = self.cluster.node;
-        self.fit.set(node as usize, cores, gpus, true);
-        self.grew(node as usize);
+        self.fit.update(node as usize, cores, gpus, true);
+        self.capacity_epoch += 1;
     }
 
     /// Whether `node` is currently accepting placements.
     pub(crate) fn node_is_up(&self, node: u32) -> bool {
-        self.fit.up[self.leaf(node)]
+        self.fit.up[node as usize]
     }
 
     /// Enqueue a task at default priority. Panics if the request can never
@@ -300,10 +234,16 @@ impl Scheduler {
                 (self.slab.len() - 1) as u32
             }
         };
+        let set = self.fit.intern((request.cores, request.gpus));
         let bucket = self.buckets.entry(Reverse(priority)).or_default();
-        bucket
-            .class_mut((request.cores, request.gpus))
-            .push_back(idx);
+        let class = match bucket.classes.iter().position(|&(s, _)| s == set) {
+            Some(at) => at,
+            None => {
+                bucket.classes.push((set, VecDeque::new()));
+                bucket.classes.len() - 1
+            }
+        };
+        bucket.classes[class].1.push_back(idx);
         bucket.live += 1;
         self.live += 1;
         self.queue_epoch += 1;
@@ -337,155 +277,58 @@ impl Scheduler {
         }
     }
 
-    /// The earliest-arrived live head across a bucket's shape classes not
-    /// `skip`ped, pruning front tombstones along the way. Returns the
-    /// head's class as an index into `bucket.classes`.
-    fn min_seq_head(
-        slab: &[QueueEntry],
-        free_slots: &mut Vec<u32>,
-        dead: &mut usize,
-        bucket: &mut Bucket,
-        skip: impl Fn((u32, u32)) -> bool,
-    ) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (at, (shape, dq)) in bucket.classes.iter_mut().enumerate() {
-            if skip(*shape) {
-                continue;
-            }
-            while let Some(&idx) = dq.front() {
-                if slab[idx as usize].live {
-                    break;
-                }
-                dq.pop_front();
-                free_slots.push(idx);
-                *dead -= 1;
-            }
-            if let Some(&idx) = dq.front() {
-                let seq = slab[idx as usize].seq;
-                if best.is_none_or(|(s, _)| seq < s) {
-                    best = Some((seq, at));
-                }
-            }
-        }
-        best.map(|(_, at)| at)
-    }
-
-    /// Pop the front of `bucket.classes[class]` as a placed entry.
-    fn take_head(
-        slab: &mut [QueueEntry],
-        free_slots: &mut Vec<u32>,
-        live: &mut usize,
-        bucket: &mut Bucket,
-        class: usize,
-    ) -> TaskId {
-        let idx = bucket.classes[class]
-            .1
-            .pop_front()
-            .expect("class head exists");
-        bucket.live -= 1;
-        let entry = &mut slab[idx as usize];
-        debug_assert!(entry.live, "placed a tombstone");
-        entry.live = false;
-        free_slots.push(idx);
-        *live -= 1;
-        entry.id
-    }
-
     /// Continuous scheduling: within each priority bucket (highest first),
-    /// visit live entries in arrival order by merging the shape-class heads,
-    /// placing whatever fits. Two prunes keep a no-progress scan at
-    /// O(distinct shapes) instead of O(queue):
-    ///
-    /// * once a shape fails, its entire class is retired for the rest of
-    ///   the scan — identical requests against a frontier that only
-    ///   shrinks must fail identically;
-    /// * classes dominating the smallest failed shape are skipped outright.
-    ///
-    /// The scan starts from the last round's proof: a proven shape the
-    /// grown nodes cannot hold is retired before the scan begins, and one
-    /// they might hold is tested against them alone. Every prune only
-    /// skips fit tests whose outcome is already known, so the placement
-    /// sequence equals the naive full scan's.
+    /// take the earliest-arrived live head among the classes whose shape
+    /// fits some node, and grant it on the lowest such node, until no
+    /// class fits. Front tombstones are pruned on the way. A class that
+    /// fits nowhere is skipped in O(1): free capacity only shrinks within
+    /// a scan, so every later identical request would fail too, in this
+    /// bucket and in every lower one. The placement sequence is therefore
+    /// the naive full scan's.
     fn place_backfill(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
-        // The largest free (cores, gpus) among the up grown nodes: a proven
-        // shape beyond it still fits nowhere.
-        let fit = &self.fit;
-        let reach = self
-            .grown
-            .iter()
-            .map(|&n| fit.size + n as usize)
-            .filter(|&leaf| fit.up[leaf])
-            .map(|leaf| (fit.cores[leaf], fit.gpus[leaf]))
-            .reduce(|a, b| (a.0.max(b.0), a.1.max(b.1)));
-        let beyond_reach =
-            |shape: (u32, u32)| !reach.is_some_and(|r| shape.0 <= r.0 && shape.1 <= r.1);
-        let proof = &self.proof;
-        let proven_blocked = self.blocked_shape;
-        let mut blocked = proven_blocked.filter(|&b| beyond_reach(b));
-        let failed = &mut self.failed_shapes;
-        failed.clear();
-        failed.extend(proof.iter().copied().filter(|&s| beyond_reach(s)));
         for bucket in self.buckets.values_mut() {
             while bucket.live > 0 {
-                // Earliest live head among classes not yet known to fail,
-                // nor dominating a shape that fits nowhere. Failures carry
-                // across buckets too: the frontier never grows during a
-                // scan, so a shape that failed at high priority still fails
-                // at low priority.
-                let head = Self::min_seq_head(
-                    &self.slab,
-                    &mut self.free_slots,
-                    &mut self.dead,
-                    bucket,
-                    |shape| failed.contains(&shape) || dominates(shape, blocked),
-                );
-                let Some(class) = head else { break };
-                let shape = bucket.classes[class].0;
-                let node = if proof.contains(&shape) || dominates(shape, proven_blocked) {
-                    // Only a grown node can hold a proven shape, so the
-                    // leftmost grown node that admits it is the first fit.
-                    let fit = &self.fit;
-                    self.grown
-                        .iter()
-                        .map(|&n| n as usize)
-                        .find(|&n| fit.admits(fit.size + n, shape.0, shape.1))
-                } else {
-                    self.fit.first_fit(shape.0, shape.1, &[])
-                };
-                match node {
-                    Some(node) => {
-                        let alloc = self.fit.grant(node, shape.0, shape.1);
-                        let id = Self::take_head(
-                            &mut self.slab,
-                            &mut self.free_slots,
-                            &mut self.live,
-                            bucket,
-                            class,
-                        );
-                        placed.push((id, alloc));
+                let mut best: Option<(u64, usize)> = None;
+                for (at, (set, dq)) in bucket.classes.iter_mut().enumerate() {
+                    if self.fit.sets[*set as usize].is_empty() {
+                        continue;
                     }
-                    None => {
-                        failed.push(shape);
-                        // Keep the smaller failed shape; an incomparable new
-                        // failure keeps the existing one (either is sound).
-                        blocked = Some(match blocked {
-                            Some((bc, bg)) if !(shape.0 <= bc && shape.1 <= bg) => (bc, bg),
-                            _ => shape,
-                        });
+                    while let Some(&idx) = dq.front() {
+                        if self.slab[idx as usize].live {
+                            break;
+                        }
+                        dq.pop_front();
+                        self.free_slots.push(idx);
+                        self.dead -= 1;
+                    }
+                    if let Some(&idx) = dq.front() {
+                        let seq = self.slab[idx as usize].seq;
+                        if best.is_none_or(|(s, _)| seq < s) {
+                            best = Some((seq, at));
+                        }
                     }
                 }
+                let Some((_, class)) = best else { break };
+                let (set, dq) = &mut bucket.classes[class];
+                let set = &self.fit.sets[*set as usize];
+                let shape = set.shape;
+                let node = set.first_from(0).expect("a non-empty fit set");
+                let idx = dq.pop_front().expect("class head exists");
+                bucket.live -= 1;
+                let entry = &mut self.slab[idx as usize];
+                debug_assert!(entry.live, "placed a tombstone");
+                entry.live = false;
+                self.free_slots.push(idx);
+                self.live -= 1;
+                placed.push((entry.id, self.fit.grant(node, shape)));
             }
         }
-        // Every queued shape now fits nowhere or dominates `blocked`: that
-        // is the next round's proof, valid until a node grows.
-        std::mem::swap(&mut self.proof, &mut self.failed_shapes);
-        self.blocked_shape = blocked;
-        self.grown.clear();
     }
 
-    /// Rebuild the buckets without tombstones, reclaiming their slab slots.
-    /// Runs when tombstones outnumber live entries, so the O(queue) sweep
-    /// amortizes to O(1) per removal.
+    /// Rebuild the buckets without tombstones, reclaiming their slab slots,
+    /// and drop the fit sets no class names any more. Runs when tombstones
+    /// outnumber live entries, so the O(queue) sweep amortizes to O(1) per
+    /// removal.
     fn compact(&mut self) {
         let slab = &self.slab;
         let free_slots = &mut self.free_slots;
@@ -504,6 +347,19 @@ impl Scheduler {
             bucket.live > 0
         });
         self.dead = 0;
+        // Keep the sets the classes name, renumbered in class order.
+        let mut old: Vec<_> = std::mem::take(&mut self.fit.sets)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut ids = vec![0; old.len()];
+        for (set, _) in self.buckets.values_mut().flat_map(|b| &mut b.classes) {
+            if let Some(kept) = old[*set as usize].take() {
+                ids[*set as usize] = self.fit.sets.len() as u32;
+                self.fit.sets.push(kept);
+            }
+            *set = ids[*set as usize];
+        }
     }
 
     /// Return an allocation's slots to its node. The caller should follow
@@ -519,7 +375,7 @@ impl Scheduler {
             alloc.node
         );
         self.fit.release(&alloc, &self.cluster.node);
-        self.grew(alloc.node as usize);
+        self.capacity_epoch += 1;
     }
 
     /// Remove a queued (not yet placed) task, named by its id and the
@@ -556,22 +412,19 @@ impl Scheduler {
         self.live
     }
 
-    /// The leaves of the cluster's nodes in `column`.
-    fn leaves<'a>(&self, column: &'a [u32]) -> &'a [u32] {
-        &column[self.fit.size..][..self.cluster.count as usize]
-    }
-
-    /// Free cores right now, across all *up* nodes (a down node's leaf
-    /// holds none).
+    /// Free cores right now, across all *up* nodes (a down node has none).
     pub fn cores_free(&self) -> u32 {
-        self.leaves(&self.fit.cores).iter().sum()
+        self.fit.free.iter().map(|&(cores, _)| cores).sum()
     }
 
     /// Free GPUs right now, across all *up* nodes.
     pub fn gpus_free(&self) -> u32 {
-        self.leaves(&self.fit.gpus).iter().sum()
+        self.fit.free.iter().map(|&(_, gpus)| gpus).sum()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -590,37 +443,40 @@ mod tests {
     #[test]
     fn fit_index_tracks_counters_and_skips_down_nodes() {
         let node = NodeSpec::new(4, 2, 1);
-        let mut fit = FitIndex::new(10, &node);
-        // Fully free: everything lands leftmost, padding leaves (10..16)
-        // never admit.
-        assert_eq!(fit.first_fit(4, 2, &[]), Some(0));
-        assert_eq!(fit.first_fit(0, 0, &[]), Some(0));
-        assert_eq!(fit.first_fit(5, 0, &[]), None, "no node has five cores");
+        let mut fit = Pool::new(10, &node);
+        // Fully free: everything lands leftmost.
+        assert_eq!(fit.first_fit((4, 2), &[]), Some(0));
+        assert_eq!(fit.first_fit((0, 0), &[]), Some(0));
+        assert_eq!(fit.first_fit((5, 0), &[]), None, "no node has five cores");
         // Fill node 0, kill node 1: a full-node request must skip to 2.
-        fit.set(0, 0, 0, true);
-        fit.set(1, 0, 0, false);
-        assert_eq!(fit.first_fit(4, 2, &[]), Some(2));
+        fit.update(0, 0, 0, true);
+        fit.update(1, 0, 0, false);
+        assert_eq!(fit.first_fit((4, 2), &[]), Some(2));
         // A zero request fits the exhausted-but-up node 0, not the down
         // node 1 — the up flag, not the counters, excludes dead nodes.
-        assert_eq!(fit.first_fit(0, 0, &[]), Some(0));
-        fit.set(0, 0, 0, false);
-        assert_eq!(fit.first_fit(0, 0, &[]), Some(2));
-        // Cores on node 3, gpus on node 2 only: the descent must backtrack
-        // past subtrees whose maxima come from different leaves.
+        assert_eq!(fit.first_fit((0, 0), &[]), Some(0));
+        fit.update(0, 0, 0, false);
+        assert_eq!(fit.first_fit((0, 0), &[]), Some(2));
+        // Cores on node 3, gpus on node 2 only: no node holds both.
         for i in 2..10 {
-            fit.set(i, 1, 0, true);
+            fit.update(i, 1, 0, true);
         }
-        fit.set(2, 1, 2, true);
-        fit.set(3, 4, 0, true);
-        assert_eq!(fit.first_fit(4, 2, &[]), None);
-        assert_eq!(fit.first_fit(1, 2, &[]), Some(2));
-        assert_eq!(fit.first_fit(4, 0, &[]), Some(3));
+        fit.update(2, 1, 2, true);
+        fit.update(3, 4, 0, true);
+        assert_eq!(fit.first_fit((4, 2), &[]), None);
+        assert_eq!(fit.first_fit((1, 2), &[]), Some(2));
+        assert_eq!(fit.first_fit((4, 0), &[]), Some(3));
         // Recovery readmits at full capacity.
-        fit.set(1, 4, 2, true);
-        assert_eq!(fit.first_fit(4, 2, &[]), Some(1));
+        fit.update(1, 4, 2, true);
+        assert_eq!(fit.first_fit((4, 2), &[]), Some(1));
         // An avoided node is passed over for the next that admits.
-        assert_eq!(fit.first_fit(4, 2, &[1]), None, "only node 1 holds (4, 2)");
-        assert_eq!(fit.first_fit(1, 0, &[1, 0, 2]), Some(3));
+        assert_eq!(
+            fit.first_fit((4, 2), &[1]),
+            None,
+            "only node 1 holds (4, 2)"
+        );
+        assert_eq!(fit.first_fit((1, 0), &[1, 0, 2]), Some(3));
+        assert_sets_match_counters(&fit);
     }
 
     #[test]
@@ -900,13 +756,23 @@ mod tests {
         let tickets: Vec<u32> = (0..500u64)
             .map(|i| s.enqueue(TaskId(i), req(1, 0)))
             .collect();
+        s.enqueue_with_priority(TaskId(10_001), req(1, 0), 1);
         for (i, ticket) in tickets.into_iter().enumerate() {
             assert!(s.cancel_queued(TaskId(i as u64), ticket));
         }
-        assert_eq!(s.queue_len(), 0);
+        assert_eq!(s.queue_len(), 1);
         assert!(s.dead <= 64, "mass cancellation must compact: {}", s.dead);
+        // The flood's class goes with its last tombstones, and so do the
+        // emptied (2, 0) class and its set; the waiting task's class keeps
+        // the (1, 0) set, renumbered from 1 to 0.
+        s.compact();
+        let shapes: Vec<_> = s.fit.sets.iter().map(|set| set.shape).collect();
+        assert_eq!((shapes, s.buckets.len()), (vec![(1, 0)], 1));
+        assert_eq!(s.buckets[&Reverse(1)].classes[0].0, 0);
         s.release_owned(placed[0].1.clone());
-        assert!(s.place_ready().is_empty());
+        let placed = s.place_ready();
+        assert_eq!(ids(&placed), vec![10_001]);
+        s.release_owned(placed[0].1.clone());
         // The slab slots are reusable.
         s.enqueue(TaskId(600), req(1, 0));
         assert_eq!(ids(&s.place_ready()), vec![600]);
@@ -940,43 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn a_release_reopens_only_the_shapes_the_grown_node_can_hold() {
-        let cluster = ClusterSpec::homogeneous(NodeSpec::new(8, 0, 1), 3);
-        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
-        for (id, cores) in [(0, 8), (1, 8), (2, 4), (3, 4)] {
-            s.enqueue(TaskId(id), req(cores, 0));
-        }
-        let placed = s.place_ready();
-        assert_eq!(placed[2].1.node, 2);
-        s.enqueue(TaskId(4), req(8, 0));
-        s.enqueue(TaskId(5), req(2, 0));
-        assert!(s.place_ready().is_empty(), "every node is full");
-        assert_eq!(
-            (s.proof.clone(), s.blocked_shape),
-            (vec![(8, 0), (2, 0)], Some((2, 0)))
-        );
-        s.release_owned(placed[2].1.clone());
-        assert_eq!(s.grown, vec![2]);
-        assert_eq!(s.blocked_shape, Some((2, 0)), "a release keeps the proof");
-        // Make node 0's leaf claim eight free cores: any fit-index query
-        // for (8, 0) or (2, 0) now lands on node 0 and places there.
-        s.fit.set(0, 8, 0, true);
-        let placed = s.place_ready();
-        assert_eq!(
-            ids(&placed),
-            vec![5],
-            "(8, 0) exceeds node 2's four free cores"
-        );
-        assert_eq!(
-            placed[0].1.node, 2,
-            "(2, 0) is tested on the grown node alone"
-        );
-        s.fit.set(0, 0, 0, true);
-        assert_eq!((s.proof.clone(), s.blocked_shape), (vec![(8, 0)], None));
-        assert!(s.grown.is_empty(), "the round consumed the growth record");
-    }
-
-    #[test]
     fn the_leftmost_grown_node_wins_whatever_the_release_order() {
         let cluster = ClusterSpec::homogeneous(NodeSpec::new(4, 0, 1), 3);
         let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
@@ -987,30 +816,129 @@ mod tests {
         assert_eq!(
             ids(&placed),
             vec![0, 1, 2],
-            "task 3 waits, proven to fit nowhere"
+            "task 3 waits: (4, 0) fits nowhere"
         );
         s.release_owned(placed[2].1.clone());
         s.release_owned(placed[1].1.clone());
-        assert_eq!(s.grown, vec![1, 2], "sorted, whatever the release order");
         let placed = s.place_ready();
         assert_eq!(ids(&placed), vec![3]);
         assert_eq!(placed[0].1.node, 1, "first fit, not the first release");
     }
 
-    /// The carried proof holds: no up node outside `grown` has the free
-    /// cores and GPUs of a proven shape (or of the blocked shape, which
-    /// every shape dominating it needs at least).
-    fn assert_proof_holds(s: &Scheduler) {
-        for &(c, g) in s.proof.iter().chain(&s.blocked_shape) {
-            for n in 0..s.cluster.count {
-                if s.node_is_up(n) && !s.grown.contains(&n) {
-                    assert!(
-                        !s.fit.admits(s.leaf(n), c, g),
-                        "node {n} holds proven shape ({c}, {g})"
-                    );
+    /// Each fit set is the linear test of its shape over the node
+    /// counters: walking it from its lowest bit visits exactly the up nodes
+    /// whose free cores and GPUs admit the shape, and its count is theirs.
+    fn assert_sets_match_counters(fit: &Pool) {
+        for set in &fit.sets {
+            let (cores, gpus) = set.shape;
+            let mut next = set.first_from(0);
+            let mut count = 0;
+            for (n, &(c, g)) in fit.free.iter().enumerate() {
+                let fits = fit.up[n] && c >= cores && g >= gpus;
+                assert_eq!(set.contains(n), fits, "node {n}, shape {:?}", set.shape);
+                if fits {
+                    assert_eq!(next, Some(n), "walk of {:?}", set.shape);
+                    next = set.first_from(n + 1);
+                    count += 1;
                 }
             }
+            assert_eq!(next, None, "walk of {:?} past the last node", set.shape);
+            assert_eq!(set.len, count);
         }
+    }
+
+    #[test]
+    fn queue_entries_and_classes_keep_their_size() {
+        // A queued task holds its slab entry and one `u32` slot in its
+        // class deque; a class costs one entry per shape and bucket.
+        assert_eq!(std::mem::size_of::<QueueEntry>(), 24);
+        assert_eq!(std::mem::size_of::<Class>(), 40);
+    }
+
+    #[test]
+    fn fit_sets_cross_the_second_summary_word() {
+        // 4,200 nodes are 66 words, so words 64 and 65 sit in the second
+        // summary word.
+        const NODES: u32 = 4_200;
+        let cluster = ClusterSpec::homogeneous(NodeSpec::new(2, 1, 1), NODES);
+        let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+        for id in 0..NODES - 1 {
+            s.enqueue(TaskId(id as u64), req(2, 1));
+        }
+        let mut placed = s.place_ready();
+        assert_eq!(placed.len(), NODES as usize - 1);
+        assert!(placed
+            .iter()
+            .enumerate()
+            .all(|(n, (_, a))| a.node == n as u32));
+        assert_sets_match_counters(&s.fit);
+        // Only the last node, in word 65, is free: first fit is past both
+        // the first summary word and the start of the second.
+        s.enqueue(TaskId(10_000), req(2, 0));
+        let last = s.place_ready();
+        assert_eq!(last[0].1.node, NODES - 1);
+        s.enqueue(TaskId(10_001), req(2, 1));
+        assert!(s.place_ready().is_empty(), "no node holds (2, 1)");
+        // A release in the first summary word wins over the last node.
+        let (_, a) = placed.swap_remove(70);
+        assert_eq!(a.node, 70);
+        s.release_owned(a);
+        assert_eq!(s.place_ready()[0].1.node, 70);
+        // Free node 4,100 (word 64, bit 4 of the second summary word) and
+        // drain it again: the (1, 0) set walks there and back.
+        let (_, a) = placed.swap_remove(4_100);
+        assert_eq!(a.node, 4_100);
+        s.release_owned(a);
+        assert_eq!(s.alloc_avoiding(&req(1, 0), &[4_100]), None);
+        s.drain_node(4_100);
+        assert_sets_match_counters(&s.fit);
+        assert_eq!(s.alloc_avoiding(&req(1, 0), &[]), None);
+        s.recover_node(4_100);
+        assert_eq!(
+            s.alloc_avoiding(&req(1, 0), &[]).map(|a| a.node),
+            Some(4_100)
+        );
+        assert_sets_match_counters(&s.fit);
+    }
+
+    #[test]
+    fn an_update_writes_at_most_one_bit_per_shape() {
+        // 64 interned shapes over three (16, 3) nodes: 1..=16 cores by
+        // 0..=3 GPUs, in that order.
+        let node = NodeSpec::new(16, 3, 1);
+        let mut fit = Pool::new(3, &node);
+        let shapes: Vec<(u32, u32)> = (1..=16)
+            .flat_map(|c| (0..=3).map(move |g| (c, g)))
+            .collect();
+        for &shape in &shapes {
+            fit.intern(shape);
+        }
+        assert_eq!(fit.sets.len(), 64);
+        // Each set holds exactly the nodes `holds` names for its shape.
+        let check = |fit: &Pool, holds: &dyn Fn(usize, (u32, u32)) -> bool| {
+            for (set, &shape) in fit.sets.iter().zip(&shapes) {
+                let walk = std::iter::successors(set.first_from(0), |&n| set.first_from(n + 1));
+                let fits: Vec<usize> = (0..3).filter(|&n| holds(n, shape)).collect();
+                assert_eq!(walk.collect::<Vec<_>>(), fits, "{shape:?}");
+            }
+        };
+        check(&fit, &|_, _| true);
+        // A grant of (15, 2) leaves node 1 with (1, 1): 62 sets lose it.
+        let a = fit.grant(1, (15, 2));
+        check(&fit, &|n, (c, g)| n != 1 || (c == 1 && g <= 1));
+        assert_eq!(fit.update(1, 1, 1, true), 0, "the same counters again");
+        fit.release(&a, &node);
+        check(&fit, &|_, _| true);
+        assert_eq!(fit.update(1, 1, 1, true), 62, "that grant's writes");
+        assert_eq!(fit.update(1, 16, 3, true), 62, "its release's");
+        // A drain takes a node out of all 64 sets; a recovery puts it back.
+        assert_eq!(fit.update(2, 0, 0, false), 64);
+        check(&fit, &|n, _| n != 2);
+        assert_eq!(fit.update(2, 16, 3, true), 64);
+        check(&fit, &|_, _| true);
+        // One core taken costs only the four 16-core shapes.
+        assert_eq!(fit.update(0, 15, 3, true), 4);
+        check(&fit, &|n, (c, _)| n != 0 || c < 16);
     }
 
     props! {
@@ -1022,12 +950,20 @@ mod tests {
         /// `alloc_avoiding` grants, drains and recoveries. This is
         /// the property that guarantees every pinned artifact regenerates
         /// byte-for-byte. In half the cases every
-        /// request comes from a three-shape palette, so backlogs of proven
-        /// shapes persist across rounds and releases reopen them.
+        /// request comes from a three-shape palette, so backlogs of shapes
+        /// that fit nowhere persist across rounds and releases reopen them;
+        /// in a quarter the cluster has 60–200 nodes, so fit sets span
+        /// several words. Every fit set is checked against the counters
+        /// after every step.
         fn optimized_scheduler_matches_reference_oracle(rng, cases = 256) {
             let cores = 1 + rng.below(32) as u32;
             let gpus = rng.below(5) as u32;
-            let nodes = 1 + rng.below(12) as u32;
+            let big = rng.below(4) == 0;
+            let nodes = if big {
+                60 + rng.below(141) as u32
+            } else {
+                1 + rng.below(12) as u32
+            };
             let cluster = ClusterSpec::homogeneous(NodeSpec::new(cores, gpus, 64), nodes);
             let draw = |rng: &mut SimRng| {
                 ResourceRequest::with_gpus(
@@ -1057,13 +993,17 @@ mod tests {
             for _ in 0..ops {
                 match rng.below(105) {
                     0..=39 => {
-                        let r = request(rng);
-                        let prio = rng.below(7) as i32 - 3;
-                        let id = TaskId(next_id);
-                        next_id += 1;
-                        tickets.push(opt.enqueue_with_priority(id, r, prio));
-                        oracle.enqueue_with_priority(id, r, prio);
-                        queued.push(id);
+                        // A big cluster takes bursts, so whole words of
+                        // nodes fill and empty.
+                        for _ in 0..if big { 1 + rng.below(8) } else { 1 } {
+                            let r = request(rng);
+                            let prio = rng.below(7) as i32 - 3;
+                            let id = TaskId(next_id);
+                            next_id += 1;
+                            tickets.push(opt.enqueue_with_priority(id, r, prio));
+                            oracle.enqueue_with_priority(id, r, prio);
+                            queued.push(id);
+                        }
                     }
                     40..=64 => {
                         let a = opt.place_ready();
@@ -1107,6 +1047,10 @@ mod tests {
                             assert_eq!((opt.queue_len(), opt.free_slots.len()), (len, free));
                         }
                         queued.retain(|q| *q != id);
+                        if rng.below(4) == 0 {
+                            // Compact early: the classes' set ids renumber.
+                            opt.compact();
+                        }
                     }
                     90..=94 => {
                         let up: Vec<u32> =
@@ -1141,7 +1085,7 @@ mod tests {
                         outstanding.extend(a);
                     }
                 }
-                assert_proof_holds(&opt);
+                assert_sets_match_counters(&opt.fit);
                 assert_eq!(opt.queue_len(), oracle.queue_len());
                 assert_eq!(opt.cores_free(), oracle.cores_free());
                 assert_eq!(opt.gpus_free(), oracle.gpus_free());
@@ -1171,7 +1115,7 @@ mod tests {
                     oracle.release(&alloc);
                     opt.release_owned(alloc);
                 }
-                assert_proof_holds(&opt);
+                assert_sets_match_counters(&opt.fit);
             }
             assert_eq!(opt.queue_len(), oracle.queue_len());
         }

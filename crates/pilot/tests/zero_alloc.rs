@@ -6,11 +6,11 @@
 //!    the window's front retires as fast as its back grows.
 //! 2. **A warm `enqueue` → `place_ready` → `release_owned` cycle allocates
 //!    the returned `Vec` and nothing else** — on a saturated cluster with
-//!    a standing request that fails every round, so the proof's shape
-//!    list and the grown-node list are in use: slab slots, class deques
-//!    and both lists are all reused, and a grant is three counts on no
-//!    heap. The same cycle through `place_ready_into` and one reused
-//!    buffer allocates nothing at all.
+//!    a standing request that fails every round, so an empty fit set is
+//!    read every round: slab slots and class deques are reused, both
+//!    shapes' fit sets were built when they were first enqueued, and a
+//!    grant is three counts on no heap. The same cycle through
+//!    `place_ready_into` and one reused buffer allocates nothing at all.
 //!
 //! This is a dedicated test binary with a single `#[test]`: the probe's
 //! counters are process-global, so a second concurrent test would bleed

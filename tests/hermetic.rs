@@ -126,6 +126,7 @@ guards! {
     both_arms_run_through_the_one_front_door => rules(FRONT_DOOR),
     a_setting_with_one_value_in_use_is_a_constant => rules(ONE_VALUE),
     a_grant_is_a_node_and_two_counts => rules(DEVICE_IDS),
+    placement_asks_one_fit_set_per_shape => rules(FIT_SETS),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -497,17 +498,31 @@ const ONE_VALUE: &[Rule] = &[Rule {
 }];
 
 /// Backfill asks only whether a shape fits a node, so a grant is a node and
-/// two counts, and a node's free capacity is its fit-index leaf. Per-device
-/// id vectors and the bitmask pool that handed them out are deleted.
+/// two counts, and a node's free capacity is two counters in the
+/// scheduler's pool. Per-device id vectors and the bitmask pool that handed
+/// them out are deleted.
 const DEVICE_IDS: &[Rule] = &[Rule {
     needles: &["core_ids", "gpu_ids", "SlotPool", "take_lowest", "id_buf"],
     word: true,
     reason: "a grant names no device: a node's free capacity is two counters \
-             in the scheduler's fit index",
+             in the scheduler's pool",
     ..FORBIDDEN
 }];
 
-const RULES: [&[Rule]; 13] = [
+/// Placement asks each shape's fit set, which is always exact; a max tree
+/// over the nodes, and a proof carried between rounds of which shapes fit
+/// nowhere, used to answer the same question.
+const FIT_SETS: &[Rule] = &[Rule {
+    scope: "crates/pilot/src/scheduler/",
+    part: Part::Code,
+    needles: &["FitIndex", "blocked_shape", "failed_shapes", "dominates"],
+    word: true,
+    reason: "one fit set per interned shape answers every fit question: an empty set \
+             is \"fits nowhere\", its lowest bit is the first fit",
+    ..FORBIDDEN
+}];
+
+const RULES: [&[Rule]; 14] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -521,6 +536,7 @@ const RULES: [&[Rule]; 13] = [
     FRONT_DOOR,
     ONE_VALUE,
     DEVICE_IDS,
+    FIT_SETS,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.
