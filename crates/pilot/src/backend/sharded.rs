@@ -358,6 +358,12 @@ impl ShardedBackend {
         self.core.live_descriptors()
     }
 
+    /// Test support: [`Core::prefetched`].
+    #[cfg(test)]
+    pub(crate) fn prefetched(&self) -> (u64, u64) {
+        self.core.prefetched()
+    }
+
     /// Test support: how many events the shard queues were ever handed —
     /// the sum of their id counters.
     #[cfg(test)]
@@ -386,6 +392,7 @@ impl ShardedBackend {
                 return true;
             }
             batch.sort_unstable_by_key(|&(seq, _)| seq);
+            self.core.prefetch_instant(batch.iter().map(|&(_, ev)| ev));
             for &(_, ev) in &batch {
                 bootstrapped |= matches!(ev, Ev::Bootstrap);
                 self.core.apply(ev);

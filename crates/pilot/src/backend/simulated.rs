@@ -94,17 +94,26 @@ struct SingleQueue<X> {
 }
 
 impl<X> SingleQueue<X> {
-    /// The next event to fire: the lowest key of the earliest instant.
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        if self.instant.is_empty() {
-            let t = self.queue.peek_time()?;
-            while self.queue.peek_time() == Some(t) {
-                let next = self.queue.pop().expect("peeked event pops");
-                self.instant.push(next);
-            }
-            self.instant
-                .sort_unstable_by_key(|ev| Reverse(ev.payload.0));
+    /// Once the current instant has fired, take the earliest one off the
+    /// queue and sort it by key; whether it did.
+    fn refill(&mut self) -> bool {
+        if !self.instant.is_empty() {
+            return false;
         }
+        let Some(t) = self.queue.peek_time() else {
+            return false;
+        };
+        while self.queue.peek_time() == Some(t) {
+            let next = self.queue.pop().expect("peeked event pops");
+            self.instant.push(next);
+        }
+        self.instant
+            .sort_unstable_by_key(|ev| Reverse(ev.payload.0));
+        true
+    }
+
+    /// The next event of the current instant to fire: its lowest key.
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
         let next = self.instant.pop()?;
         Some((next.at, next.payload.1))
     }
@@ -181,6 +190,10 @@ impl<X: Exec> Sequential<X> {
     /// Dispatch the next event, if any, once it is due. Returns `false`
     /// when the queue is exhausted.
     fn step(&mut self) -> bool {
+        if self.core.transport.refill() {
+            let instant = self.core.transport.instant.iter();
+            self.core.prefetch_instant(instant.map(|ev| ev.payload.1));
+        }
         let Some((at, ev)) = self.core.transport.pop() else {
             return false;
         };
@@ -207,6 +220,12 @@ impl<X: Exec> Sequential<X> {
     #[cfg(test)]
     pub(super) fn live_descriptors(&self) -> usize {
         self.core.live_descriptors()
+    }
+
+    /// Test support: [`Core::prefetched`].
+    #[cfg(test)]
+    pub(super) fn prefetched(&self) -> (u64, u64) {
+        self.core.prefetched()
     }
 }
 
@@ -343,6 +362,12 @@ impl SimulatedBackend {
     #[cfg(test)]
     pub(crate) fn live_descriptors(&self) -> usize {
         self.0.live_descriptors()
+    }
+
+    /// Test support: [`Sequential::prefetched`].
+    #[cfg(test)]
+    pub(crate) fn prefetched(&self) -> (u64, u64) {
+        self.0.prefetched()
     }
 
     /// Test support: how many events the queue was ever handed — the id

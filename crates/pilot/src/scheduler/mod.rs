@@ -277,6 +277,25 @@ impl Scheduler {
         }
     }
 
+    /// The tasks the next placement round is likeliest to take first:
+    /// in the highest bucket with live entries, the live ones among the
+    /// first `depth` entries of each shape class, class by class in
+    /// first-seen order. Reads only; what a round places depends on the
+    /// fit sets at the time, which this does not ask.
+    pub(crate) fn upcoming(&self, depth: usize, mut f: impl FnMut(TaskId)) {
+        let Some(bucket) = self.buckets.values().find(|b| b.live > 0) else {
+            return;
+        };
+        for (_, dq) in &bucket.classes {
+            for &idx in dq.iter().take(depth) {
+                let entry = &self.slab[idx as usize];
+                if entry.live {
+                    f(entry.id);
+                }
+            }
+        }
+    }
+
     /// Continuous scheduling: within each priority bucket (highest first),
     /// take the earliest-arrived live head among the classes whose shape
     /// fits some node, and grant it on the lowest such node, until no
@@ -853,6 +872,37 @@ mod tests {
         // class deque; a class costs one entry per shape and bucket.
         assert_eq!(std::mem::size_of::<QueueEntry>(), 24);
         assert_eq!(std::mem::size_of::<Class>(), 40);
+    }
+
+    #[test]
+    fn upcoming_reads_the_class_heads_of_the_highest_live_bucket() {
+        let upcoming = |s: &Scheduler, depth: usize| {
+            let mut seen = Vec::new();
+            s.upcoming(depth, |id| seen.push(id.0));
+            seen
+        };
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 1));
+        assert!(upcoming(&s, 8).is_empty(), "an empty queue");
+        let mut tickets = Vec::new();
+        for (id, cores) in [(0, 1), (1, 2), (2, 1), (3, 1), (4, 2)] {
+            tickets.push(s.enqueue(TaskId(id), req(cores, 0)));
+        }
+        // Class by class in first-seen order, (1, 0) then (2, 0), each
+        // cut at the depth.
+        assert_eq!(upcoming(&s, 8), [0, 2, 3, 1, 4]);
+        assert_eq!(upcoming(&s, 2), [0, 2, 1, 4]);
+        assert!(upcoming(&s, 0).is_empty());
+        // Only the highest bucket with a live entry is read.
+        let urgent = s.enqueue_with_priority(TaskId(5), req(4, 0), 5);
+        assert_eq!(upcoming(&s, 8), [5]);
+        assert!(s.cancel_queued(TaskId(5), urgent));
+        assert_eq!(upcoming(&s, 8), [0, 2, 3, 1, 4], "the emptied bucket");
+        // A tombstone takes its place in the depth and is not yielded.
+        assert!(s.cancel_queued(TaskId(2), tickets[2]));
+        assert_eq!(upcoming(&s, 2), [0, 1, 4]);
+        // A round places 0, 1 and 3 on the four cores; the heads move.
+        assert_eq!(ids(&s.place_ready()), [0, 1, 3]);
+        assert_eq!(upcoming(&s, 8), [4]);
     }
 
     #[test]

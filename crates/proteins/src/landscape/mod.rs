@@ -255,7 +255,7 @@ mod tests {
         pos: usize,
         candidate: AminoAcid,
     ) -> f64 {
-        let fold = nk::naive_local_sum(&l.nk, receptor, pos, candidate) / l.nk.len() as f64;
+        let fold = nk::tests::naive_local_sum(&l.nk, receptor, pos, candidate) / l.nk.len() as f64;
         FOLD_WEIGHT * fold + naive_binding_term(l, pos, candidate)
     }
 

@@ -122,28 +122,8 @@ impl NkLandscape {
     }
 }
 
-/// The clone-and-rescore definition [`NkLandscape::local_sums`] must match
-/// bit for bit, one candidate at a time.
 #[cfg(test)]
-pub(super) fn naive_local_sum(
-    nk: &NkLandscape,
-    seq: &Sequence,
-    pos: usize,
-    candidate: AminoAcid,
-) -> f64 {
-    let n = nk.len;
-    let mut probe = seq.clone();
-    probe.set(pos, candidate);
-    let mut total = nk.contribution(pos, candidate, nk.neighbours(&probe, pos));
-    for back in 1..=K {
-        let p = (pos + n - back) % n;
-        total += nk.contribution(p, probe.at(p), nk.neighbours(&probe, p));
-    }
-    total
-}
-
-#[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use impress_sim_test_util::seq_of;
 
@@ -231,5 +211,24 @@ mod tests {
         let l = NkLandscape::new(1, 10);
         let s = seq_of("ACD");
         let _ = l.raw_fitness(&s);
+    }
+
+    /// The clone-and-rescore definition [`NkLandscape::local_sums`] must match
+    /// bit for bit, one candidate at a time.
+    pub(in crate::landscape) fn naive_local_sum(
+        nk: &NkLandscape,
+        seq: &Sequence,
+        pos: usize,
+        candidate: AminoAcid,
+    ) -> f64 {
+        let n = nk.len;
+        let mut probe = seq.clone();
+        probe.set(pos, candidate);
+        let mut total = nk.contribution(pos, candidate, nk.neighbours(&probe, pos));
+        for back in 1..=K {
+            let p = (pos + n - back) % n;
+            total += nk.contribution(p, probe.at(p), nk.neighbours(&probe, p));
+        }
+        total
     }
 }

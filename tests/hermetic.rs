@@ -148,7 +148,8 @@ guards! {
 // ---------------------------------------------------------------- rules
 
 /// Which part of a file a rule reads: all of it, or the part before or
-/// after its first `#[cfg(test)]`.
+/// from its test module, the first top-level `#[cfg(test)]` item that is
+/// a `mod`. A test-only helper above the code is part of the code.
 #[derive(Clone, Copy)]
 enum Part {
     Whole,
@@ -157,12 +158,32 @@ enum Part {
 }
 
 fn part(text: &str, part: Part) -> &str {
-    let (code, tests) = text.split_once("#[cfg(test)]").unwrap_or((text, ""));
+    let (code, tests) = text.split_at(test_module(text).unwrap_or(text.len()));
     match part {
         Part::Whole => text,
         Part::Code => code,
         Part::Tests => tests,
     }
+}
+
+/// Where `text`'s test module starts: a line that is `#[cfg(test)]`,
+/// unindented, whose item, past any further attributes and its
+/// visibility, is a `mod`.
+fn test_module(text: &str) -> Option<usize> {
+    let mut at = 0;
+    let mut lines = text.split_inclusive('\n');
+    while let Some(line) = lines.next() {
+        let start = at;
+        at += line.len();
+        if line.trim_end() != "#[cfg(test)]" {
+            continue;
+        }
+        let item = lines.clone().find(|l| !l.starts_with("#["))?;
+        if item.split_whitespace().find(|w| !w.starts_with("pub")) == Some("mod") {
+            return Some(start);
+        }
+    }
+    None
 }
 
 enum Verdict {
@@ -1296,14 +1317,19 @@ fn design_inventory(sources: &Sources) -> Vec<String> {
 
 // ------------------------------------------------------------- fixtures
 
+/// A test-only item above a fixture's code: it does not end the code.
+const TEST_HELPER: &str = "#[cfg(test)]\nfn helper() {}\n";
+
 /// Every rule row, on a tree made to break it and on one made to keep it:
 /// the clean tree keeps the needles where the row does not read (the other
-/// side of `#[cfg(test)]`), and an allow-listed file whose exemption is no
-/// longer needed is reported stale.
+/// side of the test module), and an allow-listed file whose exemption is no
+/// longer needed is reported stale. Each fixture's code starts with a
+/// test-only helper, so a row that reads code reads past it.
 #[test]
 fn every_rule_row_is_pinned_on_fixtures() {
-    let file =
-        |code: &str, tests: &str| format!("{code}\n#[cfg(test)]\nmod tests {{\n{tests}\n}}\n");
+    let file = |code: &str, tests: &str| {
+        format!("{TEST_HELPER}{code}\n#[cfg(test)]\nmod tests {{\n{tests}\n}}\n")
+    };
     for rule in RULES.iter().flat_map(|rows| rows.iter()) {
         let path = |name: &str| match rule.scope {
             file if file.ends_with(".rs") => file.to_string(),
@@ -1337,7 +1363,8 @@ fn every_rule_row_is_pinned_on_fixtures() {
                 (one(&doubled), one(&with))
             }
             Verdict::MaxLines(max) => {
-                let lines = |n: usize| file(&vec!["x"; n].join("\n"), "x\nx");
+                let code = |n: usize| n - TEST_HELPER.lines().count();
+                let lines = |n: usize| file(&vec!["x"; code(n)].join("\n"), "x\nx");
                 (one(&lines(max + 1)), one(&lines(max)))
             }
             Verdict::Absent => (one(""), vec![]),
@@ -1364,6 +1391,34 @@ fn every_rule_row_is_pinned_on_fixtures() {
             );
         }
     }
+}
+
+/// Where a file splits: at its test module, not at a test-only item above
+/// the code, an indented one, or one whose item is not a module.
+#[test]
+fn a_file_splits_at_its_test_module() {
+    let text = "//! Docs that spell #[cfg(test)] in prose.\nfn early() {}\n\
+        #[cfg(test)]\nfn helper() {}\n#[cfg(test)]\nimpl Early {}\n\
+        impl Later {\n    #[cfg(test)]\n    mod inner {}\n}\nfn later() { needle() }\n\
+        #[cfg(test)]\n#[allow(dead_code)]\npub(super) mod tests {\n    fn probe() {}\n}\n";
+    let (code, tests) = (part(text, Part::Code), part(text, Part::Tests));
+    assert!(code.starts_with("//! Docs") && code.ends_with("needle() }\n"));
+    assert!(tests.starts_with("#[cfg(test)]\n#[allow") && tests.contains("probe"));
+    assert_eq!(code.len() + tests.len(), text.len());
+    let none = "fn a() {}\n#[cfg(test)]\nfn b() {}\n";
+    assert_eq!(
+        (part(none, Part::Code), part(none, Part::Tests)),
+        (none, "")
+    );
+    // A code row finds a needle below the helper.
+    let rule = Rule {
+        part: Part::Code,
+        needles: &["needle()"],
+        reason: "fixture",
+        ..FORBIDDEN
+    };
+    let tree = [("crates/a/src/lib.rs".to_string(), text.to_string())];
+    assert_eq!(rule_violations(&rule, &tree).len(), 1);
 }
 
 /// The scan itself, on in-memory text: which declarations it reports.
