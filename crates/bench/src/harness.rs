@@ -115,7 +115,6 @@ pub fn expanded_experiment(seed: u64, n: usize) -> ExperimentResult {
             // The paper's expanded run spawned 96 sub-pipelines over 70
             // complexes; scale the budget with the target count.
             sub_budget: n * 96 / 70,
-            ..AdaptivePolicy::default()
         })
         .run()
         .expect("no resume plan to reject")

@@ -122,10 +122,7 @@ pub(crate) fn scaling(size: Size, seed: u64) -> Json {
             ..PilotConfig::with_seed(seed)
         };
         let result = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
-            .policy(AdaptivePolicy {
-                sub_budget: n / 3,
-                ..AdaptivePolicy::default()
-            })
+            .policy(AdaptivePolicy { sub_budget: n / 3 })
             .pilot(pilot)
             .run()
             .expect("no resume plan to reject")

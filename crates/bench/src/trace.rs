@@ -154,7 +154,6 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
     let config = ProtocolConfig::imrp(seed);
     let policy = AdaptivePolicy {
         sub_budget: params.complexes / 3,
-        ..AdaptivePolicy::default()
     };
     let pilot = PilotConfig::with_seed(seed);
 

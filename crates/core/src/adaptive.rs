@@ -22,34 +22,28 @@ use impress_workflow::{CoordinatorView, DecisionEngine, PipelineId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Cycles each refinement sub-pipeline runs.
+const SUB_CYCLES: u32 = 1;
+/// Score margin below the best-seen score that triggers re-processing.
+const MARGIN: f64 = 0.003;
+/// Temperature multiplier for exploration respawns of terminated lineages.
+const EXPLORATION_TEMPERATURE: f64 = 1.5;
+/// Speculation width for sub-pipelines ("explore alternative
+/// conformations", §II-D): refinement runs evaluate more ranked candidates
+/// concurrently than root pipelines, soaking up the resources that free as
+/// roots drain.
+const SUB_SPECULATION: u32 = 4;
+
 /// Configuration of the sub-pipeline policy.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptivePolicy {
     /// Maximum sub-pipelines to spawn across the run.
     pub sub_budget: usize,
-    /// Cycles each refinement sub-pipeline runs.
-    pub sub_cycles: u32,
-    /// Score margin below the best-seen score that triggers re-processing.
-    pub margin: f64,
-    /// Temperature multiplier for exploration respawns of terminated
-    /// lineages.
-    pub exploration_temperature: f64,
-    /// Speculation width for sub-pipelines ("explore alternative
-    /// conformations", §II-D): refinement runs evaluate more ranked
-    /// candidates concurrently than root pipelines, soaking up the
-    /// resources that free as roots drain.
-    pub sub_speculation: u32,
 }
 
 impl Default for AdaptivePolicy {
     fn default() -> Self {
-        AdaptivePolicy {
-            sub_budget: 7,
-            sub_cycles: 1,
-            margin: 0.003,
-            exploration_temperature: 1.5,
-            sub_speculation: 4,
-        }
+        AdaptivePolicy { sub_budget: 7 }
     }
 }
 
@@ -98,10 +92,10 @@ impl ImpressDecision {
         }
         let tk = self.toolkits.get(&outcome.target)?.clone();
         let mut config = self.base.clone();
-        config.cycles = self.policy.sub_cycles;
-        config.speculation = self.policy.sub_speculation;
+        config.cycles = SUB_CYCLES;
+        config.speculation = SUB_SPECULATION;
         if explore {
-            config.mpnn.temperature *= self.policy.exploration_temperature;
+            config.mpnn.temperature *= EXPLORATION_TEMPERATURE;
         }
         let structure = Structure::refined(
             tk.start
@@ -134,7 +128,7 @@ impl DecisionEngine<DesignOutcome> for ImpressDecision {
         // Eagerly re-process lineages that trail the best seen so far
         // (refinement) and lineages that terminated early (exploration);
         // anything missed here is swept up by `on_all_idle`.
-        let trails_best = score < prev_best - self.policy.margin;
+        let trails_best = score < prev_best - MARGIN;
         if !trails_best && !explore {
             return Vec::new();
         }
@@ -165,7 +159,7 @@ impl DecisionEngine<DesignOutcome> for ImpressDecision {
             return Vec::new();
         };
         let mut config = self.base.clone();
-        config.mpnn.temperature *= self.policy.exploration_temperature;
+        config.mpnn.temperature *= EXPLORATION_TEMPERATURE;
         let sub = DesignPipeline::restart(tk, config, self.spawned as u64);
         self.spawned += 1;
         vec![Spawn::sub_of(id, Box::new(sub))]
@@ -182,7 +176,7 @@ impl DecisionEngine<DesignOutcome> for ImpressDecision {
             .filter(|(_, o)| !self.processed.contains(&o.label))
             .filter(|(_, o)| {
                 o.final_report()
-                    .map(|r| r.score() < self.best_score - self.policy.margin)
+                    .map(|r| r.score() < self.best_score - MARGIN)
                     .unwrap_or(true)
             })
             .map(|(id, o)| (*id, o.clone()))
@@ -292,10 +286,7 @@ mod tests {
         let tks = toolkits();
         let decision = ImpressDecision::new(
             config.clone(),
-            AdaptivePolicy {
-                sub_budget: 0,
-                ..AdaptivePolicy::default()
-            },
+            AdaptivePolicy { sub_budget: 0 },
             tks.clone(),
         );
         let backend = SimulatedBackend::new(PilotConfig::with_seed(7));

@@ -1,74 +1,7 @@
-//! Protocol and cost-model configuration.
+//! Protocol configuration.
 
-use impress_json::json_struct;
 use impress_proteins::msa::MsaMode;
 use impress_proteins::{AlphaFoldConfig, MpnnConfig};
-use impress_sim::SimDuration;
-
-/// Resource shapes and durations of the pipeline's tasks on the simulated
-/// node. Calibrated against the paper's testbed observations: MSA
-/// construction is the CPU-hours elephant; inference holds a GPU slot for
-/// ~12 min per candidate model of which roughly a third is actual kernel
-/// time; everything else is small.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Cores per ProteinMPNN task.
-    pub mpnn_cores: u32,
-    /// GPUs per ProteinMPNN task (IM-RP runs it on GPU; CONT-V on CPU).
-    pub mpnn_gpus: u32,
-    /// ProteinMPNN wall time.
-    pub mpnn_duration: SimDuration,
-    /// Fraction of the MPNN window the GPU is actually busy.
-    pub mpnn_gpu_busy: f64,
-    /// Cores per MSA-construction task.
-    pub msa_cores: u32,
-    /// Cores per inference task.
-    pub inference_cores: u32,
-    /// GPUs per inference task.
-    pub inference_gpus: u32,
-    /// Fraction of the inference window the GPU is actually busy
-    /// (`nvidia-smi` semantics; see `impress_proteins::alphafold`).
-    pub inference_gpu_busy: f64,
-    /// Duration of each small bookkeeping task (select / fasta / compare).
-    pub small_task: SimDuration,
-}
-json_struct!(CostModel {
-    mpnn_cores,
-    mpnn_gpus,
-    mpnn_duration,
-    mpnn_gpu_busy,
-    msa_cores,
-    inference_cores,
-    inference_gpus,
-    inference_gpu_busy,
-    small_task
-});
-
-impl CostModel {
-    /// The IM-RP cost model: MPNN on GPU, everything pilot-scheduled.
-    pub(crate) fn imrp() -> CostModel {
-        CostModel {
-            mpnn_cores: 2,
-            mpnn_gpus: 1,
-            mpnn_duration: SimDuration::from_mins(6),
-            mpnn_gpu_busy: 0.9,
-            msa_cores: 6,
-            inference_cores: 2,
-            inference_gpus: 1,
-            inference_gpu_busy: impress_proteins::alphafold::calibration::GPU_BUSY_FRACTION,
-            small_task: SimDuration::from_secs(15),
-        }
-    }
-
-    /// The CONT-V cost model: vanilla scripts, MPNN on CPU.
-    pub(crate) fn cont_v() -> CostModel {
-        CostModel {
-            mpnn_gpus: 0,
-            mpnn_gpu_busy: 0.0,
-            ..Self::imrp()
-        }
-    }
-}
 
 /// Full protocol configuration for one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,23 +36,13 @@ pub struct ProtocolConfig {
     /// prioritization serializes the retry rounds and *lowers* utilization;
     /// it pays off on larger clusters (see the `ablations` bench).
     pub deprioritize_speculation: bool,
-    /// Task cost model.
-    pub cost: CostModel,
+    /// GPUs per ProteinMPNN task: IM-RP runs it on one (1), CONT-V on
+    /// CPU (0). The task shapes are otherwise the same in both arms (see
+    /// the constants in `stages.rs`).
+    pub mpnn_gpus: u32,
     /// Master seed; every stochastic choice forks deterministically from it.
     pub seed: u64,
 }
-json_struct!(ProtocolConfig {
-    cycles,
-    retry_budget,
-    mpnn,
-    alphafold,
-    adaptive,
-    adaptive_final_cycle,
-    speculation,
-    deprioritize_speculation,
-    cost,
-    seed
-});
 
 impl ProtocolConfig {
     /// The paper's IM-RP configuration.
@@ -133,7 +56,7 @@ impl ProtocolConfig {
             adaptive_final_cycle: true,
             speculation: 3,
             deprioritize_speculation: false,
-            cost: CostModel::imrp(),
+            mpnn_gpus: 1,
             seed,
         }
     }
@@ -151,7 +74,7 @@ impl ProtocolConfig {
                 msa_mode: MsaMode::Full,
                 mode: impress_proteins::alphafold::PredictionMode::Multimer,
             },
-            cost: CostModel::cont_v(),
+            mpnn_gpus: 0,
             ..Self::imrp(seed)
         }
     }
@@ -170,7 +93,7 @@ mod tests {
         assert_eq!(c.alphafold.num_models, 5);
         assert!(c.adaptive);
         assert!(c.adaptive_final_cycle);
-        assert_eq!(c.cost.mpnn_gpus, 1);
+        assert_eq!(c.mpnn_gpus, 1);
     }
 
     #[test]
@@ -178,16 +101,8 @@ mod tests {
         let c = ProtocolConfig::cont_v(1);
         assert!(!c.adaptive);
         assert_eq!(c.alphafold.num_models, 1);
-        assert_eq!(c.cost.mpnn_gpus, 0);
+        assert_eq!(c.mpnn_gpus, 0);
         assert_eq!(c.cycles, 4, "same cycle count as IM-RP");
         assert_eq!(c.mpnn.num_sequences, 10, "same generation budget");
-    }
-
-    #[test]
-    fn cost_models_are_cpu_heavy_on_msa() {
-        for cm in [CostModel::imrp(), CostModel::cont_v()] {
-            assert!(cm.msa_cores > cm.inference_cores);
-            assert!(cm.small_task < SimDuration::from_mins(1));
-        }
     }
 }

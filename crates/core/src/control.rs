@@ -106,19 +106,14 @@ fn run_lineage<B: ExecutionBackend>(
                 tk,
                 current.clone(),
                 config.mpnn.clone(),
-                &config.cost,
+                config.mpnn_gpus,
                 rng.fork_idx("mpnn", cycle as u64),
             ),
         ));
         // Stages 2+3: random (unranked) choice.
         let ordered: Vec<ScoredSequence> = try_stage!(run_blocking(
             session,
-            stage2_3_select(
-                proposals,
-                false,
-                &config.cost,
-                rng.fork_idx("select", cycle as u64),
-            ),
+            stage2_3_select(proposals, false, rng.fork_idx("select", cycle as u64),),
         ));
         let candidate = ordered[0].sequence.clone();
         // Stage 4: MSA then inference.
@@ -128,7 +123,6 @@ fn run_lineage<B: ExecutionBackend>(
                 tk,
                 candidate.clone(),
                 config.alphafold.msa_mode,
-                &config.cost,
                 rng.fork_idx("msa", cycle as u64),
             ),
         ));
@@ -140,15 +134,11 @@ fn run_lineage<B: ExecutionBackend>(
                 msa,
                 config.alphafold,
                 cycle,
-                &config.cost,
                 rng.fork_idx("fold", cycle as u64),
             ),
         ));
         // Stages 5+6: metrics gathered; no comparison, no pruning.
-        let prediction: Prediction = try_stage!(run_blocking(
-            session,
-            stage5_6_assess(prediction, &config.cost)
-        ));
+        let prediction: Prediction = try_stage!(run_blocking(session, stage5_6_assess(prediction)));
         let truth = tk
             .landscape
             .fitness(&prediction.structure.complex.receptor.sequence);

@@ -195,10 +195,7 @@ mod tests {
     fn imrp_experiment_end_to_end() {
         let targets = small_targets();
         let result = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(1))
-            .policy(AdaptivePolicy {
-                sub_budget: 2,
-                ..AdaptivePolicy::default()
-            })
+            .policy(AdaptivePolicy { sub_budget: 2 })
             .run()
             .unwrap()
             .result;
@@ -250,10 +247,7 @@ mod tests {
         use impress_workflow::journal::{load_plan, MemoryJournal};
         let targets = small_targets();
         let config = ProtocolConfig::imrp(1);
-        let policy = AdaptivePolicy {
-            sub_budget: 2,
-            ..AdaptivePolicy::default()
-        };
+        let policy = AdaptivePolicy { sub_budget: 2 };
         let pilot = PilotConfig::with_seed(config.seed);
         let spec = || {
             CampaignSpec::imrp(&targets, config.clone())

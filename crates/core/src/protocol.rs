@@ -219,7 +219,7 @@ impl DesignPipeline {
             &self.tk,
             self.current.clone(),
             self.config.mpnn.clone(),
-            &self.config.cost,
+            self.config.mpnn_gpus,
             rng,
         ))
     }
@@ -227,12 +227,7 @@ impl DesignPipeline {
     fn submit_select(&mut self, proposals: Vec<ScoredSequence>) -> Step<DesignOutcome> {
         self.phase = Phase::Select;
         let rng = self.rng.fork_idx("select", self.iteration() as u64);
-        Step::run(stage2_3_select(
-            proposals,
-            self.adaptive_now(),
-            &self.config.cost,
-            rng,
-        ))
+        Step::run(stage2_3_select(proposals, self.adaptive_now(), rng))
     }
 
     /// Number of ranked candidates evaluated concurrently this round:
@@ -264,14 +259,8 @@ impl DesignPipeline {
                 } else {
                     -1
                 };
-                stage4_msa(
-                    &self.tk,
-                    candidate,
-                    self.config.alphafold.msa_mode,
-                    &self.config.cost,
-                    rng,
-                )
-                .with_priority(priority)
+                stage4_msa(&self.tk, candidate, self.config.alphafold.msa_mode, rng)
+                    .with_priority(priority)
             })
             .collect();
         Step::Submit(tasks)
@@ -297,7 +286,6 @@ impl DesignPipeline {
                     msa,
                     self.config.alphafold,
                     self.iteration(),
-                    &self.config.cost,
                     rng,
                 )
                 .with_priority(priority)
@@ -308,12 +296,7 @@ impl DesignPipeline {
 
     fn submit_assess(&mut self, predictions: Vec<Prediction>) -> Step<DesignOutcome> {
         self.phase = Phase::Assess;
-        Step::Submit(
-            predictions
-                .into_iter()
-                .map(|p| stage5_6_assess(p, &self.config.cost))
-                .collect(),
-        )
+        Step::Submit(predictions.into_iter().map(stage5_6_assess).collect())
     }
 
     fn outcome(&self, terminated_early: bool) -> DesignOutcome {

@@ -66,7 +66,6 @@ pub(crate) struct NetDeltas {
     /// Δ inter-chain pAE (negative = improvement).
     pub pae: f64,
 }
-json_struct!(NetDeltas { ptm, plddt, pae });
 
 impl NetDeltas {
     /// Compute the deltas from outcomes, grouping lineages by target so a

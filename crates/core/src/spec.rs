@@ -332,10 +332,7 @@ mod tests {
     fn spec_path_is_byte_identical_to_a_hand_assembled_run() {
         let targets = targets(2);
         let config = ProtocolConfig::imrp(1);
-        let policy = AdaptivePolicy {
-            sub_budget: 2,
-            ..AdaptivePolicy::default()
-        };
+        let policy = AdaptivePolicy { sub_budget: 2 };
 
         // Hand-assembled, the way `CampaignSpec::run` does it.
         let pilot = PilotConfig::with_seed(config.seed);

@@ -2,21 +2,47 @@
 //!
 //! Each builder produces a [`TaskDescription`] whose work closure performs
 //! the stage's computation against the target's toolkit and whose resource
-//! request / duration follow the [`CostModel`]. The same builders serve the
+//! request / duration are the constants below. The same builders serve the
 //! adaptive pipeline (IM-RP) and the sequential control (CONT-V), so the two
 //! protocols differ *only* in orchestration and selection policy — exactly
-//! the comparison the paper makes.
+//! the comparison the paper makes — and in whether ProteinMPNN holds a GPU
+//! ([`crate::ProtocolConfig::mpnn_gpus`]).
+//!
+//! The task shapes are calibrated against the paper's testbed
+//! observations: MSA construction is the CPU-hours elephant; inference
+//! holds a GPU slot for ~12 min per candidate model of which roughly a
+//! third is actual kernel time; everything else is small.
 
-use crate::config::CostModel;
 use crate::toolkit::TargetToolkit;
 use impress_pilot::task::TaskKind;
 use impress_pilot::{ResourceRequest, TaskDescription};
+use impress_proteins::alphafold::calibration::GPU_BUSY_FRACTION;
 use impress_proteins::msa::{Msa, MsaMode};
 use impress_proteins::{
     AlphaFoldConfig, MpnnConfig, Prediction, ScoredSequence, Sequence, Structure,
 };
-use impress_sim::SimRng;
+use impress_sim::{SimDuration, SimRng};
 use std::sync::Arc;
+
+/// Cores per ProteinMPNN task.
+const MPNN_CORES: u32 = 2;
+/// ProteinMPNN wall time.
+const MPNN_DURATION: SimDuration = SimDuration::from_mins(6);
+/// Fraction of the MPNN window its GPU is busy, when it runs on one.
+const MPNN_GPU_BUSY: f64 = 0.9;
+/// Cores per MSA-construction task.
+const MSA_CORES: u32 = 6;
+/// Cores per inference task.
+const INFERENCE_CORES: u32 = 2;
+/// GPUs per inference task; the GPU is busy for [`GPU_BUSY_FRACTION`] of
+/// the window (`nvidia-smi` semantics; see `impress_proteins::alphafold`).
+const INFERENCE_GPUS: u32 = 1;
+/// Duration of each small bookkeeping task (select / fasta / compare).
+const SMALL_TASK: SimDuration = SimDuration::from_secs(15);
+
+// MSA construction is the CPU-heavy stage, and bookkeeping is small.
+const _: () = assert!(MSA_CORES > INFERENCE_CORES);
+const _: () = assert!(SMALL_TASK.as_micros() < SimDuration::from_mins(1).as_micros());
 
 /// Stage 1: sequence generation conditioned on `structure` (ProteinMPNN by
 /// default; whatever [`crate::generator::SequenceGenerator`] the toolkit
@@ -25,16 +51,17 @@ pub(crate) fn stage1_mpnn(
     tk: &Arc<TargetToolkit>,
     structure: Structure,
     mpnn: MpnnConfig,
-    cost: &CostModel,
+    gpus: u32,
     rng: SimRng,
 ) -> TaskDescription {
     let tk = tk.clone();
+    let gpu_busy = if gpus > 0 { MPNN_GPU_BUSY } else { 0.0 };
     TaskDescription::new(
         "mpnn-generate",
-        ResourceRequest::with_gpus(cost.mpnn_cores, cost.mpnn_gpus),
-        cost.mpnn_duration,
+        ResourceRequest::with_gpus(MPNN_CORES, gpus),
+        MPNN_DURATION,
     )
-    .with_gpu_busy_fraction(cost.mpnn_gpu_busy)
+    .with_gpu_busy_fraction(gpu_busy)
     .with_kind(TaskKind::Ml)
     .with_work(move || {
         let mut rng = rng;
@@ -48,10 +75,9 @@ pub(crate) fn stage1_mpnn(
 pub(crate) fn stage2_3_select(
     proposals: Vec<ScoredSequence>,
     ranked: bool,
-    cost: &CostModel,
     rng: SimRng,
 ) -> TaskDescription {
-    TaskDescription::new("select-compile", ResourceRequest::cores(1), cost.small_task).with_work(
+    TaskDescription::new("select-compile", ResourceRequest::cores(1), SMALL_TASK).with_work(
         move || {
             let mut rng = rng;
             if ranked {
@@ -71,12 +97,11 @@ pub(crate) fn stage4_msa(
     tk: &Arc<TargetToolkit>,
     receptor: Sequence,
     mode: MsaMode,
-    cost: &CostModel,
     mut rng: SimRng,
 ) -> TaskDescription {
     let duration = tk.alphafold.msa_duration(&receptor, mode, &mut rng);
     let tk = tk.clone();
-    TaskDescription::new("af2-msa", ResourceRequest::cores(cost.msa_cores), duration)
+    TaskDescription::new("af2-msa", ResourceRequest::cores(MSA_CORES), duration)
         .with_kind(TaskKind::OpenMp)
         .with_work(move || tk.alphafold.build_msa(&receptor, mode))
 }
@@ -90,17 +115,16 @@ pub(crate) fn stage4_inference(
     msa: Msa,
     config: AlphaFoldConfig,
     iteration: u32,
-    cost: &CostModel,
     mut rng: SimRng,
 ) -> TaskDescription {
     let duration = tk.alphafold.inference_duration(&config, &mut rng);
     let tk = tk.clone();
     TaskDescription::new(
         "af2-inference",
-        ResourceRequest::with_gpus(cost.inference_cores, cost.inference_gpus),
+        ResourceRequest::with_gpus(INFERENCE_CORES, INFERENCE_GPUS),
         duration,
     )
-    .with_gpu_busy_fraction(cost.inference_gpu_busy)
+    .with_gpu_busy_fraction(GPU_BUSY_FRACTION)
     .with_kind(TaskKind::Ml)
     .with_work(move || {
         let mut rng = rng;
@@ -114,8 +138,8 @@ pub(crate) fn stage4_inference(
 /// comparison logic itself lives in the pipeline state machine (it needs
 /// lineage state); this task models the stage's compute cost and carries
 /// the prediction through.
-pub(crate) fn stage5_6_assess(prediction: Prediction, cost: &CostModel) -> TaskDescription {
-    TaskDescription::new("assess", ResourceRequest::cores(1), cost.small_task)
+pub(crate) fn stage5_6_assess(prediction: Prediction) -> TaskDescription {
+    TaskDescription::new("assess", ResourceRequest::cores(1), SMALL_TASK)
         .with_work(move || prediction)
 }
 
@@ -139,12 +163,11 @@ mod tests {
     #[test]
     fn stage1_produces_ten_scored_sequences() {
         let tk = toolkit();
-        let cost = CostModel::imrp();
         let desc = stage1_mpnn(
             &tk,
             tk.start.clone(),
             MpnnConfig::default(),
-            &cost,
+            1,
             SimRng::from_seed(1),
         );
         assert_eq!(desc.request.gpus, 1);
@@ -155,18 +178,12 @@ mod tests {
     #[test]
     fn stage2_3_ranked_orders_by_log_likelihood() {
         let tk = toolkit();
-        let cost = CostModel::imrp();
         let mut rng = SimRng::from_seed(2);
         let proposals = tk
             .generator
             .generate(&tk.start, &MpnnConfig::default(), &mut rng);
-        let out = run_one(stage2_3_select(
-            proposals,
-            true,
-            &cost,
-            SimRng::from_seed(3),
-        ))
-        .output::<Vec<ScoredSequence>>();
+        let out = run_one(stage2_3_select(proposals, true, SimRng::from_seed(3)))
+            .output::<Vec<ScoredSequence>>();
         for w in out.windows(2) {
             assert!(w[0].log_likelihood >= w[1].log_likelihood);
         }
@@ -175,19 +192,13 @@ mod tests {
     #[test]
     fn stage2_3_unranked_is_a_permutation_not_a_sort() {
         let tk = toolkit();
-        let cost = CostModel::cont_v();
         let mut rng = SimRng::from_seed(4);
         let proposals = tk
             .generator
             .generate(&tk.start, &MpnnConfig::default(), &mut rng);
         let lls: Vec<f64> = proposals.iter().map(|p| p.log_likelihood).collect();
-        let out = run_one(stage2_3_select(
-            proposals,
-            false,
-            &cost,
-            SimRng::from_seed(5),
-        ))
-        .output::<Vec<ScoredSequence>>();
+        let out = run_one(stage2_3_select(proposals, false, SimRng::from_seed(5)))
+            .output::<Vec<ScoredSequence>>();
         let mut out_lls: Vec<f64> = out.iter().map(|p| p.log_likelihood).collect();
         let mut orig = lls.clone();
         orig.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -198,15 +209,8 @@ mod tests {
     #[test]
     fn stage4_pair_runs_msa_then_inference() {
         let tk = toolkit();
-        let cost = CostModel::imrp();
         let receptor = tk.start.complex.receptor.sequence.clone();
-        let msa_task = stage4_msa(
-            &tk,
-            receptor.clone(),
-            MsaMode::Full,
-            &cost,
-            SimRng::from_seed(6),
-        );
+        let msa_task = stage4_msa(&tk, receptor.clone(), MsaMode::Full, SimRng::from_seed(6));
         assert!(msa_task.duration.as_hours_f64() > 0.3, "MSA takes hours");
         assert_eq!(msa_task.request.cores, 6);
         let msa = run_one(msa_task).output::<Msa>();
@@ -217,7 +221,6 @@ mod tests {
             msa,
             AlphaFoldConfig::default(),
             1,
-            &cost,
             SimRng::from_seed(7),
         );
         assert_eq!(inf.request.gpus, 1);
@@ -229,7 +232,6 @@ mod tests {
     #[test]
     fn assess_carries_the_prediction_through() {
         let tk = toolkit();
-        let cost = CostModel::imrp();
         let mut rng = SimRng::from_seed(8);
         let msa = tk
             .alphafold
@@ -241,7 +243,7 @@ mod tests {
             0,
             &mut rng,
         );
-        let out = run_one(stage5_6_assess(pred.clone(), &cost)).output::<Prediction>();
+        let out = run_one(stage5_6_assess(pred.clone())).output::<Prediction>();
         assert_eq!(out, pred);
     }
 }

@@ -449,7 +449,8 @@ pub(super) struct Core<T> {
     hedge: Option<HedgePolicy>,
     /// Poison-task quarantine policy (`None` = off, a strict no-op).
     quarantine: Option<QuarantinePolicy>,
-    /// Per-node slowdown windows; empty when no slowdowns are configured.
+    /// Per-node slowdown windows; no entry at all when the plan configures
+    /// no slowdown (see [`Core::slow_windows`]).
     slow: Vec<Vec<SlowWindow>>,
     /// Shape-class runtime estimates from useful completions:
     /// `(cores, gpus) → (completions, total span micros)`. Only maintained
@@ -506,12 +507,19 @@ impl<T: Transport> Core<T> {
             quarantine,
             ..
         } = runtime;
-        // Per-node slowdown schedules, realized once. Without configured
-        // slowdowns every schedule is empty and `dilate_span` is an exact
+        // Per-node slowdown schedules, realized once, and only when the
+        // plan configures slowdowns. Without them the table stays empty,
+        // every node reads an empty schedule and `dilate_span` is an exact
         // identity — no events, no randomness, no arithmetic change.
-        let slow = (0..config.nodes)
-            .map(|n| faults.slowdown_windows(n))
-            .collect();
+        let planned = faults.config();
+        let slow = if planned.scripted_slowdowns.is_empty() && planned.node_slowdown_mtbf.is_none()
+        {
+            Vec::new()
+        } else {
+            (0..config.nodes)
+                .map(|n| faults.slowdown_windows(n))
+                .collect()
+        };
         let control = ControlPlane::from_plan(&faults);
         let nodes = config.nodes as usize;
         let detector = control
@@ -1433,6 +1441,11 @@ impl<T: Transport> Core<T> {
         self.surface(id, task, Err(err), started, now);
     }
 
+    /// `node`'s slowdown windows: empty when the plan configures none.
+    fn slow_windows(&self, node: u32) -> &[SlowWindow] {
+        self.slow.get(node as usize).map_or(&[], Vec::as_slice)
+    }
+
     /// The hedging threshold base for a shape class: the running mean of
     /// useful completion spans once `HEDGE_MIN_SAMPLES` have been observed,
     /// the attempt's own modeled span until then. Integer-microsecond mean,
@@ -1496,7 +1509,7 @@ impl<T: Transport> Core<T> {
                     .schedule(now + delay, Ev::HedgeCheck { task, attempt });
                 return;
             };
-            let span = dilate_span(&self.slow[alloc.node as usize], now, clean);
+            let span = dilate_span(self.slow_windows(alloc.node), now, clean);
             if span > threshold {
                 avoid.push(alloc.node);
                 self.scheduler.release_owned(alloc);
@@ -1829,7 +1842,7 @@ impl<T: Transport> Core<T> {
             // slowdown windows takes `factor`× longer while inside it.
             // Without configured slowdowns every schedule is empty and
             // this is an exact identity.
-            let total = dilate_span(&self.slow[alloc.node as usize], now, total);
+            let total = dilate_span(self.slow_windows(alloc.node), now, total);
             // Walltime counts from slot grant and wins over other faults.
             let (outcome, span) = match task_walltime {
                 Some(limit) if limit < total => (Planned::TimedOut(limit), limit),

@@ -29,14 +29,6 @@ pub struct PilotConfig {
     /// Master seed for any stochastic timing jitter in the backends.
     pub seed: u64,
 }
-json_struct!(PilotConfig {
-    node,
-    nodes,
-    policy,
-    bootstrap,
-    exec_setup_per_task,
-    seed
-});
 
 impl Default for PilotConfig {
     fn default() -> Self {

@@ -22,7 +22,6 @@
 //! CPU phases are genuinely compute/I/O bound), so only one CPU view exists.
 
 use crate::resources::Allocation;
-use impress_json::json_struct;
 use impress_sim::{SimDuration, SimTime};
 
 /// Width of one utilization-series bin: Figs. 4 and 5 plot ten virtual
@@ -67,19 +66,6 @@ pub struct UtilizationReport {
     /// GPU-slot-seconds burnt by hedge losers.
     pub hedge_wasted_gpu_seconds: f64,
 }
-json_struct!(UtilizationReport {
-    cpu,
-    gpu_slot,
-    gpu_hardware,
-    makespan,
-    tasks,
-    retries,
-    wasted_core_seconds,
-    wasted_gpu_seconds,
-    hedges,
-    hedge_wasted_core_seconds,
-    hedge_wasted_gpu_seconds
-});
 
 /// Busy device-microseconds of one device class.
 #[derive(Debug)]

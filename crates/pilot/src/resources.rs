@@ -17,11 +17,6 @@ pub struct NodeSpec {
     /// RAM in gigabytes (bookkeeping only; tasks do not reserve memory).
     pub ram_gb: u32,
 }
-json_struct!(NodeSpec {
-    cores,
-    gpus,
-    ram_gb
-});
 
 impl NodeSpec {
     /// The paper's Rutgers Amarel node: 28 cores, 4 × Quadro M6000, 128 GB.
@@ -64,7 +59,6 @@ pub struct ClusterSpec {
     /// Number of identical nodes.
     pub count: u32,
 }
-json_struct!(ClusterSpec { node, count });
 
 impl ClusterSpec {
     /// A single-node cluster (the paper's testbed).

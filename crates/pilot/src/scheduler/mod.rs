@@ -45,7 +45,6 @@ mod pool;
 
 use crate::resources::{Allocation, ClusterSpec, NodeSpec, ResourceRequest};
 use crate::task::TaskId;
-use impress_json::json_enum;
 use pool::Pool;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
@@ -57,7 +56,6 @@ pub enum PlacementPolicy {
     /// Continuous scheduling: any fitting task may start.
     Backfill,
 }
-json_enum!(PlacementPolicy { Backfill });
 
 /// A queued task in the slab. `live` is cleared on cancellation; the
 /// tombstone stays in its class deque until pruned or compacted so no

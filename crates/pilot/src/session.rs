@@ -1,18 +1,16 @@
 //! The user-facing session API.
 //!
 //! A [`Session`] owns an execution backend and offers the ergonomic
-//! operations the workflow layer and the examples use: submit, wait,
-//! drain-all, and typed batch execution. It corresponds to RP's
-//! `Session`/`TaskManager` pair at the granularity IMPRESS needs.
+//! operations the workflow layer and the examples use: submit, wait and
+//! drain-all. It corresponds to RP's `Session`/`TaskManager` pair at the
+//! granularity IMPRESS needs.
 
 use crate::backend::{Completion, ExecutionBackend};
 use crate::pilot::PhaseBreakdown;
 use crate::profiler::UtilizationReport;
-use crate::resources::ResourceRequest;
 use crate::task::{TaskDescription, TaskId};
-use impress_sim::{SimDuration, SimTime};
+use impress_sim::SimTime;
 use impress_telemetry::{Stamp, Telemetry};
-use std::collections::HashMap;
 
 /// A consistent point-in-time view of a running session: time,
 /// utilization, phase breakdown and held tasks, every field read at the
@@ -92,55 +90,6 @@ impl<B: ExecutionBackend> Session<B> {
         out
     }
 
-    /// Execute a batch of homogeneous work closures concurrently and return
-    /// their typed outputs **in submission order**.
-    pub fn execute_batch<T, F>(
-        &mut self,
-        name: &str,
-        request: ResourceRequest,
-        duration: SimDuration,
-        works: Vec<F>,
-    ) -> Vec<T>
-    where
-        T: 'static + Send,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let ids: Vec<TaskId> = works
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                self.submit(
-                    TaskDescription::new(format!("{name}[{i}]"), request, duration).with_work(w),
-                )
-            })
-            .collect();
-        let mut by_id: HashMap<TaskId, T> = HashMap::new();
-        while by_id.len() < ids.len() {
-            let Some(c) = self.backend.next_completion() else {
-                // Reachable when a walltime deadline holds part of the
-                // batch: the backend drains what it can and then reports
-                // no further completions. The blocking batch API cannot
-                // return partial results, so name the cause instead of
-                // claiming an impossibility.
-                panic!(
-                    "batch stalled with {} of {} tasks unfinished ({} held by the \
-                     walltime deadline); execute_batch cannot run under a draining \
-                     allocation — drive the coordinator instead",
-                    ids.len() - by_id.len(),
-                    ids.len(),
-                    self.backend.held_tasks()
-                );
-            };
-            if ids.contains(&c.task) {
-                let id = c.task;
-                by_id.insert(id, c.output::<T>());
-            }
-        }
-        ids.into_iter()
-            .map(|id| by_id.remove(&id).expect("completed"))
-            .collect()
-    }
-
     /// Current backend time.
     pub fn now(&self) -> SimTime {
         self.backend.now()
@@ -194,8 +143,9 @@ mod tests {
     use super::*;
     use crate::backend::SimulatedBackend;
     use crate::pilot::PilotConfig;
-    use crate::resources::NodeSpec;
+    use crate::resources::{NodeSpec, ResourceRequest};
     use crate::scheduler::PlacementPolicy;
+    use impress_sim::SimDuration;
 
     fn session(cores: u32) -> Session<SimulatedBackend> {
         Session::new(SimulatedBackend::new(PilotConfig {
@@ -206,19 +156,6 @@ mod tests {
             exec_setup_per_task: SimDuration::from_secs(1),
             seed: 0,
         }))
-    }
-
-    #[test]
-    fn batch_outputs_preserve_submission_order() {
-        let mut s = session(4);
-        let works: Vec<_> = (0..10u64).map(|i| move || i * i).collect();
-        let outs = s.execute_batch(
-            "sq",
-            ResourceRequest::cores(1),
-            SimDuration::from_secs(5),
-            works,
-        );
-        assert_eq!(outs, (0..10).map(|i| i * i).collect::<Vec<u64>>());
     }
 
     #[test]

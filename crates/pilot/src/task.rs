@@ -12,7 +12,7 @@
 //! attempt holds its slots and joins it there.
 
 use crate::resources::ResourceRequest;
-use impress_json::{json_enum, json_struct};
+use impress_json::json_enum;
 use impress_sim::SimDuration;
 use impress_telemetry::Label;
 use std::any::Any;
@@ -21,7 +21,6 @@ use std::fmt;
 /// Unique task identifier within a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
-json_struct!(TaskId(u64));
 
 impl fmt::Display for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -23,7 +23,6 @@ use crate::metrics::ConfidenceReport;
 use crate::msa::{Msa, MsaMode, SyntheticMsaDatabase};
 use crate::sequence::Sequence;
 use crate::structure::{Complex, Structure};
-use impress_json::{json_enum, json_struct};
 use impress_sim::{SimDuration, SimRng};
 
 /// Metric calibration constants: observed metric = intercept + slope × q.
@@ -79,7 +78,6 @@ pub enum PredictionMode {
     /// [`calibration::MONOMER_PAE`] sentinel.
     Monomer,
 }
-json_enum!(PredictionMode { Multimer, Monomer });
 
 /// Prediction configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,11 +90,6 @@ pub struct AlphaFoldConfig {
     /// Complex or monomer folding.
     pub mode: PredictionMode,
 }
-json_struct!(AlphaFoldConfig {
-    num_models,
-    msa_mode,
-    mode
-});
 
 impl Default for AlphaFoldConfig {
     fn default() -> Self {
@@ -116,7 +109,6 @@ pub struct CandidateModel {
     /// Confidence metrics for this model.
     pub report: ConfidenceReport,
 }
-json_struct!(CandidateModel { model_id, report });
 
 /// The output of one AlphaFold prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,12 +122,6 @@ pub struct Prediction {
     /// MSA depth the prediction used (0 in single-sequence mode).
     pub msa_depth: usize,
 }
-json_struct!(Prediction {
-    structure,
-    report,
-    candidates,
-    msa_depth
-});
 
 /// The AlphaFold surrogate for one design target.
 #[derive(Debug, Clone)]

@@ -102,12 +102,6 @@ impl AminoAcid {
         self as usize
     }
 
-    /// Residue at position `idx` of [`ALL`]. Panics if `idx >= 20`.
-    #[inline]
-    pub fn from_index(idx: usize) -> AminoAcid {
-        ALL[idx]
-    }
-
     /// One-letter IUPAC code.
     pub fn letter(self) -> char {
         match self {
@@ -275,7 +269,6 @@ mod tests {
     fn indices_round_trip_and_are_dense() {
         for (i, &aa) in ALL.iter().enumerate() {
             assert_eq!(aa.index(), i);
-            assert_eq!(AminoAcid::from_index(i), aa);
         }
     }
 

@@ -40,7 +40,6 @@ use nk::NkLandscape;
 
 use crate::amino::{AminoAcid, ALL};
 use crate::sequence::Sequence;
-use impress_json::json_struct;
 use impress_sim::SimRng;
 use std::sync::Arc;
 
@@ -81,13 +80,6 @@ pub struct Fitness {
     /// prediction observes).
     pub fold_quality: f64,
 }
-json_struct!(Fitness {
-    raw_fold,
-    raw_bind,
-    quality,
-    bind_quality,
-    fold_quality
-});
 
 /// The complete hidden landscape for one design target.
 #[derive(Debug, Clone)]

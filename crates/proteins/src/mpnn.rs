@@ -34,7 +34,6 @@ use crate::amino::ALL;
 use crate::landscape::DesignLandscape;
 use crate::sequence::Sequence;
 use crate::structure::Structure;
-use impress_json::json_struct;
 use impress_sim::SimRng;
 
 /// Sampling configuration (mirrors the user-definable settings the paper
@@ -49,11 +48,6 @@ pub struct MpnnConfig {
     /// in the paper's protease future-work protocol).
     pub fixed_positions: Vec<usize>,
 }
-json_struct!(MpnnConfig {
-    num_sequences,
-    temperature,
-    fixed_positions
-});
 
 impl Default for MpnnConfig {
     fn default() -> Self {
@@ -74,10 +68,6 @@ pub struct ScoredSequence {
     /// typical range ≈ −2.5 … −0.5).
     pub log_likelihood: f64,
 }
-json_struct!(ScoredSequence {
-    sequence,
-    log_likelihood
-});
 
 /// Sort scored sequences by descending log-likelihood (Stage 2's selection
 /// order), stably so equal scores keep generation order.

@@ -14,7 +14,6 @@
 //!    the search entirely but pays with much noisier confidence estimates.
 
 use crate::sequence::Sequence;
-use impress_json::{json_enum, json_struct};
 use impress_sim::{SimDuration, SimRng};
 
 /// How AlphaFold sources evolutionary information for a prediction.
@@ -26,10 +25,6 @@ pub enum MsaMode {
     /// (EvoPro's speed/accuracy trade-off discussed in Related Work).
     SingleSequence,
 }
-json_enum!(MsaMode {
-    Full,
-    SingleSequence
-});
 
 /// Result of an MSA database search.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,10 +36,6 @@ pub struct Msa {
     /// with no alignment at all.
     pub noise_factor: f64,
 }
-json_struct!(Msa {
-    depth,
-    noise_factor
-});
 
 impl Msa {
     /// Noise multiplier when no evolutionary information is available.

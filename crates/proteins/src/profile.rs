@@ -6,9 +6,7 @@
 //! (low entropy), what is the consensus design, and how strongly is each
 //! residue preferred — the analysis behind sequence-logo figures.
 
-use crate::amino::AminoAcid;
 use crate::sequence::Sequence;
-use impress_json::json_struct;
 
 /// A position frequency matrix over aligned, equal-length sequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +16,6 @@ pub struct SequenceProfile {
     /// Number of sequences profiled.
     n: u32,
 }
-json_struct!(SequenceProfile { counts, n });
 
 impl SequenceProfile {
     /// Build a profile from equal-length sequences. Panics on empty input
@@ -47,23 +44,6 @@ impl SequenceProfile {
     /// Whether the profile has zero positions (never true by construction).
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
-    }
-
-    /// Frequency of `aa` at `pos`, in `[0, 1]`.
-    pub fn frequency(&self, pos: usize, aa: AminoAcid) -> f64 {
-        self.counts[pos][aa.index()] as f64 / self.n as f64
-    }
-
-    /// The most frequent residue at `pos` (lowest index wins ties, for
-    /// determinism).
-    pub fn consensus_at(&self, pos: usize) -> AminoAcid {
-        let idx = self.counts[pos]
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .expect("20 entries")
-            .0;
-        AminoAcid::from_index(idx)
     }
 
     /// Shannon entropy (bits) of the residue distribution at `pos`:
@@ -114,15 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn consensus_picks_majority() {
-        let seqs = vec![seq("MKV"), seq("MKV"), seq("MRV")];
-        let p = SequenceProfile::from_sequences(&seqs);
-        assert_eq!(p.consensus_at(1), AminoAcid::Lys);
-        assert!((p.frequency(1, AminoAcid::Lys) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((p.frequency(1, AminoAcid::Arg) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn entropy_matches_hand_computation() {
         // 50/50 split at a position → 1 bit.
         let seqs = vec![seq("A"), seq("W")];
@@ -152,13 +123,5 @@ mod tests {
     fn empty_input_panics() {
         let seqs: Vec<Sequence> = vec![];
         let _ = SequenceProfile::from_sequences(&seqs);
-    }
-
-    #[test]
-    fn deterministic_tie_breaking() {
-        let seqs = vec![seq("A"), seq("W")];
-        let p = SequenceProfile::from_sequences(&seqs);
-        // Ala (index 0) wins the 1–1 tie against Trp (index 17).
-        assert_eq!(p.consensus_at(0), AminoAcid::Ala);
     }
 }

@@ -13,7 +13,6 @@ use std::fmt;
 /// Identifier of a chain within a complex (e.g. `'A'`, `'B'`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChainId(pub char);
-json_struct!(ChainId(char));
 
 impl fmt::Display for ChainId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -65,7 +64,8 @@ impl Sequence {
     }
 
     /// Return a copy with `pos` substituted by `aa`.
-    pub fn with_substitution(&self, pos: usize, aa: AminoAcid) -> Sequence {
+    #[cfg(test)]
+    pub(crate) fn with_substitution(&self, pos: usize, aa: AminoAcid) -> Sequence {
         let mut r = self.residues.clone();
         r[pos] = aa;
         Sequence { residues: r }
@@ -125,11 +125,6 @@ pub struct Chain {
     /// fixed; the receptor is designable).
     pub designable: bool,
 }
-json_struct!(Chain {
-    id,
-    sequence,
-    designable
-});
 
 impl Chain {
     /// A designable chain.

@@ -13,7 +13,6 @@
 //! refinement climb).
 
 use crate::sequence::{Chain, ChainId, Sequence};
-use impress_json::json_struct;
 
 /// A Cα position in ångströms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +24,6 @@ pub(crate) struct CaAtom {
     /// z coordinate.
     pub z: f64,
 }
-json_struct!(CaAtom { x, y, z });
 
 /// The designable system: receptor + fixed peptide.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,11 +35,6 @@ pub struct Complex {
     /// The fixed target peptide chain.
     pub peptide: Chain,
 }
-json_struct!(Complex {
-    name,
-    receptor,
-    peptide
-});
 
 impl Complex {
     /// Build a complex from a designable receptor and fixed peptide.
@@ -99,11 +92,6 @@ pub struct Structure {
     /// Design cycle that produced this model (0 = starting structure).
     pub iteration: u32,
 }
-json_struct!(Structure {
-    complex,
-    backbone_quality,
-    iteration
-});
 
 impl Structure {
     /// A starting structure for a complex, with the given initial backbone

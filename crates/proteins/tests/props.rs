@@ -13,11 +13,7 @@ use impress_sim::{prop_assume, props, SimRng};
 /// A random sequence with length in `[min_len, max_len]`.
 fn arb_sequence(rng: &mut SimRng, min_len: usize, max_len: usize) -> Sequence {
     let len = min_len + rng.below(max_len - min_len + 1);
-    Sequence::new(
-        (0..len)
-            .map(|_| AminoAcid::from_index(rng.below(20)))
-            .collect(),
-    )
+    Sequence::new((0..len).map(|_| ALL[rng.below(20)]).collect())
 }
 
 /// Up to `max_subs` random (position, residue) substitutions applied to `a`.
@@ -25,7 +21,7 @@ fn substituted(rng: &mut SimRng, a: &Sequence, max_subs: usize) -> Sequence {
     let mut b = a.clone();
     for _ in 0..rng.below(max_subs + 1) {
         let pos = rng.below(a.len());
-        b.set(pos, AminoAcid::from_index(rng.below(20)));
+        b.set(pos, ALL[rng.below(20)]);
     }
     b
 }
@@ -135,12 +131,12 @@ props! {
         let seq = l.random_receptor(&mut seq_rng);
         let groove = l.groove_positions();
         prop_assume!(!groove.contains(&pos));
-        let mutated = seq.with_substitution(pos, AminoAcid::from_index(aa));
+        let mut mutated = seq.clone();
+        mutated.set(pos, ALL[aa]);
         assert_eq!(l.fitness(&seq).raw_bind, l.fitness(&mutated).raw_bind);
     }
 
-    /// Profile invariants: frequencies sum to 1 per position, consensus
-    /// frequency is maximal, entropy within [0, log2 20].
+    /// Profile invariant: entropy within [0, log2 20] at every position.
     fn profile_invariants(rng) {
         let n_seqs = 1 + rng.below(11);
         let seqs: Vec<Sequence> = (0..n_seqs)
@@ -148,12 +144,6 @@ props! {
             .collect();
         let p = SequenceProfile::from_sequences(&seqs);
         for pos in 0..p.len() {
-            let total: f64 = ALL.iter().map(|&aa| p.frequency(pos, aa)).sum();
-            assert!((total - 1.0).abs() < 1e-9);
-            let cons = p.consensus_at(pos);
-            for &aa in &ALL {
-                assert!(p.frequency(pos, cons) >= p.frequency(pos, aa) - 1e-12);
-            }
             let e = p.entropy(pos);
             assert!((0.0..=20.0f64.log2() + 1e-9).contains(&e));
         }

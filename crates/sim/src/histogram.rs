@@ -1,8 +1,6 @@
 //! Fixed-bin histograms for run statistics (task waits, turnarounds,
 //! per-iteration metric distributions).
 
-use impress_json::json_struct;
-
 /// A histogram over `[lo, hi)` with uniform bins; values outside the range
 /// land in saturating edge bins so nothing is silently dropped.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,12 +10,6 @@ pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
 }
-json_struct!(Histogram {
-    lo,
-    hi,
-    counts,
-    total
-});
 
 impl Histogram {
     /// A histogram over `[lo, hi)` with `bins` uniform bins.

@@ -71,26 +71,6 @@ impl Summary {
     }
 }
 
-/// Linear interpolation quantile (`q` in `[0, 1]`) of a sample.
-/// Returns 0 for empty input.
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let w = pos - lo as f64;
-        v[lo] * (1.0 - w) + v[hi] * w
-    }
-}
-
 /// Relative improvement of `ours` over `baseline`, as a percentage — e.g.
 /// Table I reports IM-RP's pTM net Δ as "+14.3%" relative to CONT-V.
 ///
@@ -147,15 +127,6 @@ mod tests {
         let s = Summary::of(&[0.0, 2.0]);
         assert!((s.std_dev - 1.0).abs() < 1e-12);
         assert!((s.half_std() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_endpoints_and_interpolation() {
-        let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(quantile(&v, 0.0), 10.0);
-        assert_eq!(quantile(&v, 1.0), 40.0);
-        assert!((quantile(&v, 0.5) - 25.0).abs() < 1e-12);
-        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! `props!` harness (see `impress_sim::props`).
 
 use impress_sim::event::{EventId, EventQueue};
-use impress_sim::stats::quantile;
 use impress_sim::{prop_assume, props, SimDuration, SimRng, SimTime, Summary};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -207,19 +206,6 @@ props! {
             assert!(s.mean <= s.max + 1e-9);
             assert!(s.std_dev >= 0.0);
         }
-    }
-
-    /// Quantiles are monotone in q and bounded by the extremes.
-    fn quantiles_are_monotone(rng) {
-        let values = vec_of(rng, 1, 100, |r| r.uniform_range(-1e3, 1e3));
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
-        let results: Vec<f64> = qs.iter().map(|&q| quantile(&values, q)).collect();
-        for w in results.windows(2) {
-            assert!(w[0] <= w[1] + 1e-9);
-        }
-        let s = Summary::of(&values);
-        assert!((results[0] - s.min).abs() < 1e-9);
-        assert!((results[6] - s.max).abs() < 1e-9);
     }
 
     /// Forked RNG streams with different labels are uncorrelated (no equal

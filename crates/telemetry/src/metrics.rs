@@ -1,7 +1,6 @@
 //! Live metrics: named counters, gauges and histograms, snapshotted into a
-//! deterministic, JSON-serializable [`MetricsSnapshot`].
+//! deterministic [`MetricsSnapshot`].
 
-use impress_json::json_struct;
 use impress_sim::Histogram;
 use std::sync::Mutex;
 
@@ -13,7 +12,6 @@ pub struct CounterSample {
     /// Monotonic total.
     pub value: u64,
 }
-json_struct!(CounterSample { name, value });
 
 /// One gauge at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +21,6 @@ pub struct GaugeSample {
     /// Last set value.
     pub value: f64,
 }
-json_struct!(GaugeSample { name, value });
 
 /// One cumulative histogram bucket: observations `<= le`.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +31,6 @@ pub struct BucketSample {
     /// Cumulative count of observations at or below `le`.
     pub count: u64,
 }
-json_struct!(BucketSample { le, count });
 
 /// One histogram at snapshot time, in Prometheus cumulative-bucket form.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,16 +44,9 @@ pub struct HistogramSample {
     /// Cumulative finite buckets, ascending `le`.
     pub buckets: Vec<BucketSample>,
 }
-json_struct!(HistogramSample {
-    name,
-    count,
-    sum,
-    buckets
-});
 
 /// Point-in-time copy of every live metric, sorted by name — the same
-/// run always snapshots in the same order, so serialized snapshots are
-/// byte-stable.
+/// run always snapshots in the same order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// All counters, name-ascending.
@@ -67,11 +56,6 @@ pub struct MetricsSnapshot {
     /// All histograms, name-ascending.
     pub histograms: Vec<HistogramSample>,
 }
-json_struct!(MetricsSnapshot {
-    counters,
-    gauges,
-    histograms
-});
 
 impl MetricsSnapshot {
     /// Counter value by name, if present.

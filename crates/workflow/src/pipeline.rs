@@ -8,14 +8,12 @@
 //! cycle) is expressed by simply emitting earlier-stage task groups again.
 
 use crate::stage::Step;
-use impress_json::{json_enum, json_struct};
 use impress_pilot::Completion;
 use std::fmt;
 
 /// Unique pipeline identifier within a coordinator run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PipelineId(pub u64);
-json_struct!(PipelineId(u64));
 
 impl fmt::Display for PipelineId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -35,12 +33,6 @@ pub enum PipelineState {
     /// Aborted with a reason.
     Aborted,
 }
-json_enum!(PipelineState {
-    Created,
-    Running,
-    Completed,
-    Aborted
-});
 
 impl PipelineState {
     /// Whether the state is terminal.

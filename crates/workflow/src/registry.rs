@@ -6,7 +6,6 @@
 //! distinction behind Table I's `# PL` and `# Sub-PL` columns.
 
 use crate::pipeline::{PipelineId, PipelineState};
-use impress_json::json_struct;
 use impress_sim::SimTime;
 
 /// One pipeline's ledger entry.
@@ -29,16 +28,6 @@ pub struct PipelineEntry {
     /// When it reached a terminal state (if it has).
     pub finished_at: Option<SimTime>,
 }
-json_struct!(PipelineEntry {
-    id,
-    name,
-    parent,
-    state,
-    tasks_submitted,
-    stages_completed,
-    created_at,
-    finished_at
-});
 
 /// The coordinator's pipeline ledger.
 ///
@@ -132,17 +121,17 @@ impl Registry {
     }
 
     /// Number of root pipelines (Table I `# PL`).
-    pub fn root_count(&self) -> usize {
+    pub(crate) fn root_count(&self) -> usize {
         self.entries.iter().filter(|e| e.parent.is_none()).count()
     }
 
     /// Number of spawned sub-pipelines (Table I `# Sub-PL`).
-    pub fn sub_count(&self) -> usize {
+    pub(crate) fn sub_count(&self) -> usize {
         self.entries.iter().filter(|e| e.parent.is_some()).count()
     }
 
     /// Pipelines not yet in a terminal state.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.entries
             .iter()
             .filter(|e| !e.state.is_terminal())
@@ -158,6 +147,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_sim::props;
 
     #[test]
     fn registration_assigns_sequential_ids() {
@@ -228,5 +218,56 @@ mod tests {
         let mut r = Registry::new();
         let a = r.register("a".into(), None, SimTime::ZERO);
         r.finish(a, PipelineState::Running, SimTime::ZERO);
+    }
+
+    props! {
+        /// Registry counters are consistent under arbitrary interleavings of
+        /// registrations, stages and finishes.
+        fn registry_accounting_is_consistent(rng) {
+            let script: Vec<(u8, usize)> = {
+                let len = 1 + rng.below(59);
+                (0..len)
+                    .map(|_| (rng.below(3) as u8, rng.below(8)))
+                    .collect()
+            };
+            let mut reg = Registry::new();
+            let mut live: Vec<PipelineId> = Vec::new();
+            let mut total_tasks = 0usize;
+            let mut roots = 0usize;
+            let mut subs = 0usize;
+            for (op, arg) in script {
+                match op {
+                    0 => {
+                        // register (sub of a live pipeline when one exists and
+                        // arg is odd)
+                        let parent = if arg % 2 == 1 && !live.is_empty() {
+                            Some(live[arg % live.len()])
+                        } else {
+                            None
+                        };
+                        if parent.is_some() { subs += 1 } else { roots += 1 }
+                        let id = reg.register(format!("p{arg}"), parent, SimTime::ZERO);
+                        live.push(id);
+                    }
+                    1 => {
+                        if let Some(&id) = live.get(arg % live.len().max(1)) {
+                            let n = arg + 1;
+                            reg.note_stage_submitted(id, n);
+                            total_tasks += n;
+                        }
+                    }
+                    _ => {
+                        if !live.is_empty() {
+                            let id = live.remove(arg % live.len());
+                            reg.finish(id, PipelineState::Completed, SimTime::ZERO);
+                        }
+                    }
+                }
+            }
+            assert_eq!(reg.root_count(), roots);
+            assert_eq!(reg.sub_count(), subs);
+            assert_eq!(reg.total_tasks(), total_tasks);
+            assert_eq!(reg.live_count(), live.len());
+        }
     }
 }

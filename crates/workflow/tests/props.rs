@@ -1,12 +1,12 @@
 //! Property tests for the workflow layer: stage buffers under arbitrary
-//! completion orders, registry accounting, and coordinator runs over
-//! arbitrary pipeline shapes. Runs on the in-repo `props!` harness.
+//! completion orders and coordinator runs over arbitrary pipeline shapes.
+//! Runs on the in-repo `props!` harness.
 
 use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{Completion, Label, PilotConfig, ResourceRequest, TaskDescription, TaskId};
 use impress_sim::{props, SimDuration, SimTime};
 use impress_workflow::stage::StageBuffer;
-use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Registry, Step};
+use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Step};
 
 fn completion(id: u64) -> Completion {
     Completion {
@@ -45,55 +45,6 @@ props! {
         let batch = released.expect("released at the last completion");
         let got: Vec<u64> = batch.iter().map(|c| c.task.0).collect();
         assert_eq!(got, (0..n as u64).collect::<Vec<_>>());
-    }
-
-    /// Registry counters are consistent under arbitrary interleavings of
-    /// registrations, stages and finishes.
-    fn registry_accounting_is_consistent(rng) {
-        let script: Vec<(u8, usize)> = {
-            let len = 1 + rng.below(59);
-            (0..len)
-                .map(|_| (rng.below(3) as u8, rng.below(8)))
-                .collect()
-        };
-        let mut reg = Registry::new();
-        let mut live: Vec<impress_workflow::PipelineId> = Vec::new();
-        let mut total_tasks = 0usize;
-        let mut roots = 0usize;
-        let mut subs = 0usize;
-        for (op, arg) in script {
-            match op {
-                0 => {
-                    // register (sub of a live pipeline when one exists and
-                    // arg is odd)
-                    let parent = if arg % 2 == 1 && !live.is_empty() {
-                        Some(live[arg % live.len()])
-                    } else {
-                        None
-                    };
-                    if parent.is_some() { subs += 1 } else { roots += 1 }
-                    let id = reg.register(format!("p{arg}"), parent, SimTime::ZERO);
-                    live.push(id);
-                }
-                1 => {
-                    if let Some(&id) = live.get(arg % live.len().max(1)) {
-                        let n = arg + 1;
-                        reg.note_stage_submitted(id, n);
-                        total_tasks += n;
-                    }
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let id = live.remove(arg % live.len());
-                        reg.finish(id, impress_workflow::PipelineState::Completed, SimTime::ZERO);
-                    }
-                }
-            }
-        }
-        assert_eq!(reg.root_count(), roots);
-        assert_eq!(reg.sub_count(), subs);
-        assert_eq!(reg.total_tasks(), total_tasks);
-        assert_eq!(reg.live_count(), live.len());
     }
 
     /// A coordinator over arbitrary pipeline shapes (stage counts, fan-outs)

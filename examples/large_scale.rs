@@ -33,7 +33,6 @@ fn main() {
     config.adaptive_final_cycle = false;
     let policy = AdaptivePolicy {
         sub_budget: n * 96 / 70,
-        ..AdaptivePolicy::default()
     };
     eprintln!("running adaptive campaign…");
     let result = CampaignSpec::imrp(&targets, config)

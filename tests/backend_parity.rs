@@ -21,36 +21,40 @@ fn pilot_config(seed: u64) -> PilotConfig {
     }
 }
 
+/// A batch of work closures, one task each.
+type Works = Vec<Box<dyn FnOnce() -> u64 + Send>>;
+
+/// Submit `works` as one-core tasks of `duration`, drain the session, and
+/// return their outputs in submission order (ids are handed out in it).
+fn run_batch<B: ExecutionBackend>(
+    session: &mut Session<B>,
+    duration: SimDuration,
+    works: Works,
+) -> Vec<u64> {
+    for (i, w) in works.into_iter().enumerate() {
+        let desc = TaskDescription::new(format!("w[{i}]"), ResourceRequest::cores(1), duration);
+        session.submit(desc.with_work(w));
+    }
+    let mut done = session.drain();
+    done.sort_by_key(|c| c.task);
+    done.into_iter().map(|c| c.output::<u64>()).collect()
+}
+
 /// The same work batch produces the same outputs on both backends,
 /// in submission order.
 #[test]
 fn batch_outputs_agree_across_backends() {
-    let works = || -> Vec<Box<dyn FnOnce() -> u64 + Send>> {
+    let works = || -> Works {
         (0..12u64)
             .map(|i| Box::new(move || i * i + 1) as Box<dyn FnOnce() -> u64 + Send>)
             .collect()
     };
     let mut sim = Session::new(SimulatedBackend::new(pilot_config(1)));
-    let sim_out = sim.execute_batch(
-        "w",
-        ResourceRequest::cores(1),
-        SimDuration::from_secs(3),
-        works(),
-    );
+    let sim_out = run_batch(&mut sim, SimDuration::from_secs(3), works());
     let mut threaded = Session::new(ThreadedBackend::new(pilot_config(1)));
-    let thr_out = threaded.execute_batch(
-        "w",
-        ResourceRequest::cores(1),
-        SimDuration::from_secs(3),
-        works(),
-    );
+    let thr_out = run_batch(&mut threaded, SimDuration::from_secs(3), works());
     let mut sharded = Session::new(ShardedBackend::new(pilot_config(1)));
-    let sha_out = sharded.execute_batch(
-        "w",
-        ResourceRequest::cores(1),
-        SimDuration::from_secs(3),
-        works(),
-    );
+    let sha_out = run_batch(&mut sharded, SimDuration::from_secs(3), works());
     assert_eq!(sim_out, thr_out);
     assert_eq!(sim_out, sha_out);
     assert_eq!(sim_out, (0..12).map(|i| i * i + 1).collect::<Vec<u64>>());
@@ -204,7 +208,7 @@ fn design_pipeline_science_is_backend_independent() {
 fn forked_rng_streams_agree_across_backends() {
     use impress_sim::SimRng;
 
-    let works = || -> Vec<Box<dyn FnOnce() -> u64 + Send>> {
+    let works = || -> Works {
         (0..16u64)
             .map(|i| {
                 Box::new(move || {
@@ -215,19 +219,9 @@ fn forked_rng_streams_agree_across_backends() {
             .collect()
     };
     let mut sim = Session::new(SimulatedBackend::new(pilot_config(4)));
-    let sim_out = sim.execute_batch(
-        "rng",
-        ResourceRequest::cores(1),
-        SimDuration::from_secs(2),
-        works(),
-    );
+    let sim_out = run_batch(&mut sim, SimDuration::from_secs(2), works());
     let mut threaded = Session::new(ThreadedBackend::new(pilot_config(4)));
-    let thr_out = threaded.execute_batch(
-        "rng",
-        ResourceRequest::cores(1),
-        SimDuration::from_secs(2),
-        works(),
-    );
+    let thr_out = run_batch(&mut threaded, SimDuration::from_secs(2), works());
     assert_eq!(sim_out, thr_out);
     // And against a plain sequential evaluation, proving independence from
     // any backend at all.

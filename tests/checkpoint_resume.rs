@@ -23,10 +23,7 @@ fn targets() -> Vec<impress_proteins::datasets::DesignTarget> {
 }
 
 fn policy() -> AdaptivePolicy {
-    AdaptivePolicy {
-        sub_budget: 2,
-        ..AdaptivePolicy::default()
-    }
+    AdaptivePolicy { sub_budget: 2 }
 }
 
 /// The campaign under test, before any journal, deadline or resume plan.

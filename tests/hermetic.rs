@@ -498,7 +498,9 @@ const FRONT_DOOR: &[Rule] = &[
 /// Backfill is the one placement policy, and eight fault-model, retry,
 /// hedge and surrogate values are constants: a strict-arrival policy and
 /// eight config fields were settings only tests ever moved off their
-/// defaults.
+/// defaults. So are the sub-pipeline policy's cycles, margin, exploration
+/// temperature and speculation width, and the task shapes of a cost model
+/// both arms shared: no caller set them.
 const ONE_VALUE: &[Rule] = &[Rule {
     needles: &[
         "Fifo",
@@ -511,6 +513,19 @@ const ONE_VALUE: &[Rule] = &[Rule {
         "backoff_multiplier:",
         "min_samples:",
         "mutation_rate:",
+        "CostModel",
+        "sub_cycles:",
+        "margin:",
+        "exploration_temperature:",
+        "sub_speculation:",
+        "mpnn_cores:",
+        "mpnn_duration:",
+        "mpnn_gpu_busy:",
+        "msa_cores:",
+        "inference_cores:",
+        "inference_gpus:",
+        "inference_gpu_busy:",
+        "small_task:",
     ],
     word: true,
     reason: "a setting stays only where two callers pick different values; \

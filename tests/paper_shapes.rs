@@ -67,10 +67,7 @@ fn speculation_width_does_not_change_accepted_designs() {
         let mut config = ProtocolConfig::imrp(5);
         config.speculation = width;
         CampaignSpec::imrp(&targets, config)
-            .policy(AdaptivePolicy {
-                sub_budget: 0,
-                ..AdaptivePolicy::default()
-            })
+            .policy(AdaptivePolicy { sub_budget: 0 })
             .run()
             .unwrap()
             .result
@@ -96,10 +93,7 @@ fn multi_node_scaling_shortens_makespan() {
     let targets = mined_pdz_complexes(3, 10);
     let run = |nodes: u32| {
         CampaignSpec::imrp(&targets, ProtocolConfig::imrp(3))
-            .policy(AdaptivePolicy {
-                sub_budget: 4,
-                ..AdaptivePolicy::default()
-            })
+            .policy(AdaptivePolicy { sub_budget: 4 })
             .pilot(PilotConfig {
                 nodes,
                 ..PilotConfig::with_seed(3)

@@ -9,10 +9,7 @@ use impress_sim::{props, SimRng};
 
 /// IM-RP on `targets` under `config`, with no sub-pipelines.
 fn roots_only(targets: &[DesignTarget], config: ProtocolConfig) -> ExperimentResult {
-    let policy = AdaptivePolicy {
-        sub_budget: 0,
-        ..AdaptivePolicy::default()
-    };
+    let policy = AdaptivePolicy { sub_budget: 0 };
     let spec = CampaignSpec::imrp(targets, config).policy(policy);
     spec.run().unwrap().result
 }
