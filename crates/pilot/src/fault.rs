@@ -376,7 +376,7 @@ impl FaultPlan {
     /// never overlap: scripted outages plus up to `MAX_CRASHES_PER_NODE`
     /// (eight) stochastic ones with
     /// exponential inter-crash gaps of mean [`FaultConfig::node_mtbf`].
-    pub fn crash_windows(&self, node: u32) -> Vec<(SimTime, SimTime)> {
+    pub(crate) fn crash_windows(&self, node: u32) -> Vec<(SimTime, SimTime)> {
         let mut windows: Vec<(SimTime, SimTime)> = self
             .config
             .scripted_crashes
@@ -652,6 +652,7 @@ impl Default for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_sim::props;
 
     #[test]
     fn none_plan_is_inert() {
@@ -1015,6 +1016,36 @@ mod tests {
         for _ in 0..100 {
             let d = p.backoff(1, &mut rng).as_secs_f64();
             assert!((30.0 * 0.875..=30.0 * 1.125).contains(&d), "{d}");
+        }
+    }
+
+    props! {
+        /// Whatever scripted crashes a run carries, each node's merged
+        /// windows are positive-length, ordered and disjoint.
+        fn scripted_crash_windows_are_ordered_and_disjoint(rng, cases = 48) {
+            let nodes = 2 + rng.below(2) as u32;
+            let seed = rng.next_u64();
+            // 1–3 scripted crashes per run, anywhere in the first simulated hour.
+            let scripted = (0..1 + rng.below(3))
+                .map(|_| ScriptedCrash {
+                    node: rng.below(nodes as usize) as u32,
+                    at: SimTime::ZERO + SimDuration::from_secs(10 + rng.below(3600) as u64),
+                    outage: SimDuration::from_secs(20 + rng.below(600) as u64),
+                })
+                .collect();
+            let faults = FaultConfig {
+                scripted_crashes: scripted,
+                ..FaultConfig::none()
+            };
+            let plan = FaultPlan::new(faults, seed);
+            for node in 0..nodes {
+                let mut last_end = SimTime::ZERO;
+                for (start, end) in plan.crash_windows(node) {
+                    assert!(start < end, "empty crash window");
+                    assert!(start >= last_end, "crash windows overlap after merging");
+                    last_end = end;
+                }
+            }
         }
     }
 }

@@ -430,12 +430,14 @@ impl Scheduler {
     }
 
     /// Free cores right now, across all *up* nodes (a down node has none).
-    pub fn cores_free(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn cores_free(&self) -> u32 {
         self.fit.free.iter().map(|&(cores, _)| cores).sum()
     }
 
     /// Free GPUs right now, across all *up* nodes.
-    pub fn gpus_free(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn gpus_free(&self) -> u32 {
         self.fit.free.iter().map(|&(_, gpus)| gpus).sum()
     }
 }
@@ -1166,6 +1168,53 @@ mod tests {
                 assert_sets_match_counters(&opt.fit);
             }
             assert_eq!(opt.queue_len(), oracle.queue_len());
+        }
+    }
+
+    props! {
+        /// Every grant is its request's shape, no node ever has more cores
+        /// or GPUs granted than it holds, every task eventually places, and
+        /// the cluster is whole again once everything is released.
+        fn scheduler_conserves_devices(rng, cases = 64) {
+            const NODES: u32 = 3;
+            let node = NodeSpec::new(8, 2, 64);
+            let tasks: Vec<(u32, u32)> = (0..1 + rng.below(59))
+                .map(|_| {
+                    let cores = 1 + rng.below(node.cores as usize) as u32;
+                    (cores, rng.below(node.gpus as usize + 1) as u32)
+                })
+                .collect();
+            let cluster = ClusterSpec::homogeneous(node, NODES);
+            let mut s = Scheduler::new_cluster(cluster, PlacementPolicy::Backfill);
+            for (i, &(cores, gpus)) in tasks.iter().enumerate() {
+                s.enqueue(TaskId(i as u64), ResourceRequest::with_gpus(cores, gpus));
+            }
+            let mut running: Vec<Allocation> = Vec::new();
+            let mut placed_total = 0usize;
+            // Alternate placing and releasing the oldest running task until done.
+            loop {
+                let placed = s.place_ready();
+                placed_total += placed.len();
+                for (id, alloc) in placed {
+                    let shape = tasks[id.0 as usize];
+                    assert_eq!((alloc.cores, alloc.gpus), shape, "{id}'s grant");
+                    running.push(alloc);
+                }
+                for n in 0..NODES {
+                    let on = running.iter().filter(|a| a.node == n);
+                    let (cores, gpus) = on.fold((0, 0), |(c, g), a| (c + a.cores, g + a.gpus));
+                    assert!(cores <= node.cores, "node {n}: {cores} cores granted");
+                    assert!(gpus <= node.gpus, "node {n}: {gpus} gpus granted");
+                }
+                if running.is_empty() {
+                    break;
+                }
+                s.release_owned(running.remove(0));
+            }
+            assert_eq!(placed_total, tasks.len(), "every task must eventually place");
+            assert_eq!(s.queue_len(), 0);
+            assert_eq!(s.cores_free(), NODES * node.cores);
+            assert_eq!(s.gpus_free(), NODES * node.gpus);
         }
     }
 }

@@ -129,7 +129,7 @@ impl AminoAcid {
     }
 
     /// Three-letter code (PDB residue name).
-    pub fn three_letter(self) -> &'static str {
+    pub(crate) fn three_letter(self) -> &'static str {
         match self {
             AminoAcid::Ala => "ALA",
             AminoAcid::Arg => "ARG",
@@ -155,7 +155,7 @@ impl AminoAcid {
     }
 
     /// Parse a one-letter code (case-insensitive).
-    pub fn from_letter(c: char) -> Result<AminoAcid, UnknownResidue> {
+    pub(crate) fn from_letter(c: char) -> Result<AminoAcid, UnknownResidue> {
         match c.to_ascii_uppercase() {
             'A' => Ok(AminoAcid::Ala),
             'R' => Ok(AminoAcid::Arg),
@@ -253,6 +253,7 @@ impl fmt::Display for AminoAcid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_sim::props;
 
     #[test]
     fn letters_round_trip() {
@@ -319,6 +320,18 @@ mod tests {
         for &aa in &ALL {
             assert!(aa.volume() >= AminoAcid::Gly.volume());
             assert!(aa.volume() <= AminoAcid::Trp.volume());
+        }
+    }
+
+    props! {
+        /// All 20 amino acids parse from both their own letter and lowercase.
+        fn amino_parse_total(rng) {
+            let aa = ALL[rng.below(20)];
+            assert_eq!(AminoAcid::from_letter(aa.letter()).unwrap(), aa);
+            assert_eq!(
+                AminoAcid::from_letter(aa.letter().to_ascii_lowercase()).unwrap(),
+                aa
+            );
         }
     }
 }

@@ -148,7 +148,7 @@ impl DesignLandscape {
     }
 
     /// Receptor positions forming the binding groove.
-    pub fn groove_positions(&self) -> Vec<usize> {
+    pub(crate) fn groove_positions(&self) -> Vec<usize> {
         self.interface.groove_positions()
     }
 
@@ -183,7 +183,7 @@ impl DesignLandscape {
     }
 
     /// A uniformly random receptor sequence of the right length.
-    pub fn random_receptor(&self, rng: &mut SimRng) -> Sequence {
+    pub(crate) fn random_receptor(&self, rng: &mut SimRng) -> Sequence {
         Sequence::new(
             (0..self.receptor_len())
                 .map(|_| *rng.choose(&ALL))
@@ -232,7 +232,7 @@ impl DesignLandscape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impress_sim::props;
+    use impress_sim::{prop_assume, props};
 
     fn landscape() -> DesignLandscape {
         DesignLandscape::new(99, 80, Sequence::parse("EGYQDYEPEA").unwrap())
@@ -400,5 +400,22 @@ mod tests {
         let qa = a.fitness(&best_a).quality;
         let qb = b.fitness(&best_a).quality;
         assert!(qa > qb + 0.2, "specificity: qa={qa} qb={qb}");
+    }
+
+    props! {
+        /// Mutating outside the groove never changes binding fitness.
+        fn non_groove_mutations_preserve_binding(rng) {
+            let seed = rng.next_u64();
+            let pos = rng.below(40);
+            let aa = rng.below(20);
+            let l = DesignLandscape::new(seed, 40, Sequence::parse("EPEA").unwrap());
+            let mut seq_rng = SimRng::from_seed(seed ^ 1);
+            let seq = l.random_receptor(&mut seq_rng);
+            let groove = l.groove_positions();
+            prop_assume!(!groove.contains(&pos));
+            let mut mutated = seq.clone();
+            mutated.set(pos, ALL[aa]);
+            assert_eq!(l.fitness(&seq).raw_bind, l.fitness(&mutated).raw_bind);
+        }
     }
 }

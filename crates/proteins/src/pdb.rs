@@ -43,8 +43,10 @@ pub fn write_pdb(structure: &Structure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amino::ALL;
     use crate::sequence::{Chain, Sequence};
     use crate::structure::Complex;
+    use impress_sim::{props, SimRng};
 
     fn structure() -> Structure {
         Structure::starting(
@@ -108,6 +110,40 @@ mod tests {
             assert!((column(30) - atom.x).abs() < 5e-4);
             assert!((column(38) - atom.y).abs() < 5e-4);
             assert!((column(46) - atom.z).abs() < 5e-4);
+        }
+    }
+
+    /// A random sequence with length in `[min_len, max_len]`.
+    fn arb_sequence(rng: &mut SimRng, min_len: usize, max_len: usize) -> Sequence {
+        let len = min_len + rng.below(max_len - min_len + 1);
+        Sequence::new((0..len).map(|_| ALL[rng.below(20)]).collect())
+    }
+
+    props! {
+        /// PDB round trip preserves chains, sequences and atom counts: the
+        /// residue-name and chain-id columns spell the complex.
+        fn pdb_round_trips(rng) {
+            let receptor = arb_sequence(rng, 8, 59);
+            let peptide = arb_sequence(rng, 2, 11);
+            let complex = Complex::new(
+                "PROP",
+                Chain::designable('A', receptor.clone()),
+                Chain::fixed('B', peptide.clone()),
+            );
+            let text = write_pdb(&Structure::starting(complex, 0.5));
+            let read: Vec<&str> = text
+                .lines()
+                .filter(|l| l.starts_with("ATOM"))
+                .map(|l| &l[17..22])
+                .collect();
+            let written: Vec<String> = [('A', &receptor), ('B', &peptide)]
+                .into_iter()
+                .flat_map(|(id, seq)| {
+                    let names = seq.residues().iter().map(|aa| aa.three_letter());
+                    names.map(move |name| format!("{name} {id}"))
+                })
+                .collect();
+            assert_eq!(read, written);
         }
     }
 }

@@ -128,7 +128,7 @@ pub struct Chain {
 
 impl Chain {
     /// A designable chain.
-    pub fn designable(id: char, sequence: Sequence) -> Self {
+    pub(crate) fn designable(id: char, sequence: Sequence) -> Self {
         Chain {
             id: ChainId(id),
             sequence,
@@ -137,7 +137,7 @@ impl Chain {
     }
 
     /// A fixed (non-designable) chain, e.g. the target peptide.
-    pub fn fixed(id: char, sequence: Sequence) -> Self {
+    pub(crate) fn fixed(id: char, sequence: Sequence) -> Self {
         Chain {
             id: ChainId(id),
             sequence,

@@ -38,7 +38,7 @@ pub struct Complex {
 
 impl Complex {
     /// Build a complex from a designable receptor and fixed peptide.
-    pub fn new(name: impl Into<String>, receptor: Chain, peptide: Chain) -> Self {
+    pub(crate) fn new(name: impl Into<String>, receptor: Chain, peptide: Chain) -> Self {
         let receptor_designable = receptor.designable;
         let c = Complex {
             name: name.into(),
@@ -96,7 +96,7 @@ pub struct Structure {
 impl Structure {
     /// A starting structure for a complex, with the given initial backbone
     /// quality (clamped to `[0, 1]`).
-    pub fn starting(complex: Complex, backbone_quality: f64) -> Self {
+    pub(crate) fn starting(complex: Complex, backbone_quality: f64) -> Self {
         Structure {
             complex,
             backbone_quality: backbone_quality.clamp(0.0, 1.0),

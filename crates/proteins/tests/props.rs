@@ -1,14 +1,12 @@
 //! Property-based tests for the protein substrate, on the in-repo
 //! [`props!`](impress_sim::props) harness.
 
-use impress_proteins::amino::{AminoAcid, ALL};
+use impress_proteins::amino::ALL;
 use impress_proteins::fasta::{write_fasta, FastaRecord};
 use impress_proteins::landscape::DesignLandscape;
-use impress_proteins::pdb::write_pdb;
 use impress_proteins::profile::SequenceProfile;
-use impress_proteins::sequence::{Chain, Sequence};
-use impress_proteins::structure::{Complex, Structure};
-use impress_sim::{prop_assume, props, SimRng};
+use impress_proteins::sequence::Sequence;
+use impress_sim::{props, SimRng};
 
 /// A random sequence with length in `[min_len, max_len]`.
 fn arb_sequence(rng: &mut SimRng, min_len: usize, max_len: usize) -> Sequence {
@@ -80,32 +78,6 @@ props! {
         assert_eq!(read, written);
     }
 
-    /// PDB round trip preserves chains, sequences and atom counts: the
-    /// residue-name and chain-id columns spell the complex.
-    fn pdb_round_trips(rng) {
-        let receptor = arb_sequence(rng, 8, 59);
-        let peptide = arb_sequence(rng, 2, 11);
-        let complex = Complex::new(
-            "PROP",
-            Chain::designable('A', receptor.clone()),
-            Chain::fixed('B', peptide.clone()),
-        );
-        let text = write_pdb(&Structure::starting(complex, 0.5));
-        let read: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("ATOM"))
-            .map(|l| &l[17..22])
-            .collect();
-        let written: Vec<String> = [('A', &receptor), ('B', &peptide)]
-            .into_iter()
-            .flat_map(|(id, seq)| {
-                let names = seq.residues().iter().map(|aa| aa.three_letter());
-                names.map(move |name| format!("{name} {id}"))
-            })
-            .collect();
-        assert_eq!(read, written);
-    }
-
     /// Landscape fitness is a pure function with all outputs in range.
     fn landscape_fitness_pure_and_bounded(rng) {
         let seed = rng.next_u64();
@@ -121,21 +93,6 @@ props! {
         assert!((0.0..=1.0).contains(&f1.fold_quality));
     }
 
-    /// Mutating outside the groove never changes binding fitness.
-    fn non_groove_mutations_preserve_binding(rng) {
-        let seed = rng.next_u64();
-        let pos = rng.below(40);
-        let aa = rng.below(20);
-        let l = DesignLandscape::new(seed, 40, Sequence::parse("EPEA").unwrap());
-        let mut seq_rng = SimRng::from_seed(seed ^ 1);
-        let seq = l.random_receptor(&mut seq_rng);
-        let groove = l.groove_positions();
-        prop_assume!(!groove.contains(&pos));
-        let mut mutated = seq.clone();
-        mutated.set(pos, ALL[aa]);
-        assert_eq!(l.fitness(&seq).raw_bind, l.fitness(&mutated).raw_bind);
-    }
-
     /// Profile invariant: entropy within [0, log2 20] at every position.
     fn profile_invariants(rng) {
         let n_seqs = 1 + rng.below(11);
@@ -147,15 +104,5 @@ props! {
             let e = p.entropy(pos);
             assert!((0.0..=20.0f64.log2() + 1e-9).contains(&e));
         }
-    }
-
-    /// All 20 amino acids parse from both their own letter and lowercase.
-    fn amino_parse_total(rng) {
-        let aa = ALL[rng.below(20)];
-        assert_eq!(AminoAcid::from_letter(aa.letter()).unwrap(), aa);
-        assert_eq!(
-            AminoAcid::from_letter(aa.letter().to_ascii_lowercase()).unwrap(),
-            aa
-        );
     }
 }

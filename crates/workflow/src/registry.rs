@@ -107,7 +107,7 @@ impl Registry {
     }
 
     /// Move a pipeline to a terminal state.
-    pub fn finish(&mut self, id: PipelineId, state: PipelineState, at: SimTime) {
+    pub(crate) fn finish(&mut self, id: PipelineId, state: PipelineState, at: SimTime) {
         assert!(state.is_terminal(), "finish() needs a terminal state");
         let e = self.get_mut(id);
         assert!(!e.state.is_terminal(), "{id} already finished");
@@ -139,7 +139,7 @@ impl Registry {
     }
 
     /// Total tasks submitted across all pipelines.
-    pub fn total_tasks(&self) -> usize {
+    pub(crate) fn total_tasks(&self) -> usize {
         self.entries.iter().map(|e| e.tasks_submitted).sum()
     }
 }

@@ -48,7 +48,7 @@ impl<O> std::fmt::Debug for Step<O> {
 /// brings back, and a count of the tasks still out says when the stage is
 /// done: no completion scans the stage.
 #[derive(Default)]
-pub struct StageBuffer {
+pub(crate) struct StageBuffer {
     /// The in-flight stage's tasks in submission order, each with its
     /// completion once it has arrived; empty between stages.
     slots: Vec<(TaskId, Option<Completion>)>,
@@ -58,14 +58,14 @@ pub struct StageBuffer {
 
 impl StageBuffer {
     /// An empty buffer: no stage in flight.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Open a stage of `tasks` tasks, then [`push`](Self::push) each in
     /// submission order. Panics on an empty stage, or while the previous
     /// stage is still in flight.
-    pub fn open(&mut self, tasks: usize) {
+    pub(crate) fn open(&mut self, tasks: usize) {
         assert!(tasks > 0, "a stage needs at least one task");
         assert_eq!(self.outstanding, 0, "a stage is already in flight");
         // Exactly: a pipeline holds its buffer for life, and `reserve`
@@ -75,7 +75,7 @@ impl StageBuffer {
 
     /// Add the open stage's next task. Returns its position, which
     /// [`record`](Self::record) takes back with its completion.
-    pub fn push(&mut self, id: TaskId) -> usize {
+    pub(crate) fn push(&mut self, id: TaskId) -> usize {
         self.slots.push((id, None));
         self.outstanding += 1;
         self.slots.len() - 1
@@ -86,7 +86,7 @@ impl StageBuffer {
     /// reports; `None` while tasks are still outstanding. Panics on a
     /// completion for a task the stage does not hold there, or on a
     /// duplicate.
-    pub fn record(&mut self, at: usize, c: Completion) -> Option<Vec<Completion>> {
+    pub(crate) fn record(&mut self, at: usize, c: Completion) -> Option<Vec<Completion>> {
         let slot = match self.slots.get_mut(at) {
             Some((id, slot)) if *id == c.task => slot,
             _ => panic!("{}: completion does not belong to this stage", c.task),
@@ -110,7 +110,7 @@ impl StageBuffer {
 mod tests {
     use super::*;
     use impress_pilot::Label;
-    use impress_sim::SimTime;
+    use impress_sim::{props, SimTime};
 
     fn completion(id: u64) -> Completion {
         Completion {
@@ -174,5 +174,28 @@ mod tests {
         let mut b = stage(&[1, 2]);
         let _ = b.record(0, completion(1));
         b.open(1);
+    }
+
+    props! {
+        /// Whatever order completions arrive in, the buffer releases exactly
+        /// once, with the batch in submission order.
+        fn stage_buffer_orders_any_arrival(rng) {
+            let n = 1 + rng.below(39);
+            let mut buffer = stage(&(0..n as u64).collect::<Vec<_>>());
+            let mut order: Vec<u64> = (0..n as u64).collect();
+            rng.shuffle(&mut order);
+            let mut released = None;
+            for (i, id) in order.iter().enumerate() {
+                let out = buffer.record(*id as usize, completion(*id));
+                if i + 1 < n {
+                    assert!(out.is_none(), "released early");
+                } else {
+                    released = out;
+                }
+            }
+            let batch = released.expect("released at the last completion");
+            let got: Vec<u64> = batch.iter().map(|c| c.task.0).collect();
+            assert_eq!(got, (0..n as u64).collect::<Vec<_>>());
+        }
     }
 }

@@ -1,52 +1,13 @@
-//! Property tests for the workflow layer: stage buffers under arbitrary
-//! completion orders and coordinator runs over arbitrary pipeline shapes.
-//! Runs on the in-repo `props!` harness.
+//! Property tests for the workflow layer: coordinator runs over arbitrary
+//! pipeline shapes. Runs on the in-repo `props!` harness; the stage buffer's
+//! ordering property is a unit test of `stage.rs`.
 
 use impress_pilot::backend::SimulatedBackend;
-use impress_pilot::{Completion, Label, PilotConfig, ResourceRequest, TaskDescription, TaskId};
-use impress_sim::{props, SimDuration, SimTime};
-use impress_workflow::stage::StageBuffer;
+use impress_pilot::{Completion, PilotConfig, ResourceRequest, TaskDescription};
+use impress_sim::{props, SimDuration};
 use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Step};
 
-fn completion(id: u64) -> Completion {
-    Completion {
-        task: TaskId(id),
-        name: format!("t{id}").into(),
-        tag: Label::default(),
-        result: Ok(None),
-        started: SimTime::ZERO,
-        finished: SimTime::ZERO,
-        attempts: 0,
-        hedged: false,
-    }
-}
-
 props! {
-    /// Whatever order completions arrive in, the buffer releases exactly
-    /// once, with the batch in submission order.
-    fn stage_buffer_orders_any_arrival(rng) {
-        let n = 1 + rng.below(39);
-        let mut buffer = StageBuffer::new();
-        buffer.open(n);
-        for id in 0..n as u64 {
-            assert_eq!(buffer.push(TaskId(id)), id as usize);
-        }
-        let mut order: Vec<u64> = (0..n as u64).collect();
-        rng.shuffle(&mut order);
-        let mut released = None;
-        for (i, id) in order.iter().enumerate() {
-            let out = buffer.record(*id as usize, completion(*id));
-            if i + 1 < n {
-                assert!(out.is_none(), "released early");
-            } else {
-                released = out;
-            }
-        }
-        let batch = released.expect("released at the last completion");
-        let got: Vec<u64> = batch.iter().map(|c| c.task.0).collect();
-        assert_eq!(got, (0..n as u64).collect::<Vec<_>>());
-    }
-
     /// A coordinator over arbitrary pipeline shapes (stage counts, fan-outs)
     /// always terminates with every pipeline completed and the task ledger
     /// matching the shapes.

@@ -141,6 +141,9 @@ guards! {
     every_pub_mod_is_reached_from_outside_its_own_crate =>
         reachability_violations(sources(), UNREACHED_BUT_ALLOWED),
     the_design_inventory_names_only_what_exists => design_inventory(sources()),
+    every_name_design_md_cites_is_in_the_tree =>
+        design_references(&[sources(), &[this_file()]].concat(), &on_disk),
+    experiments_table_one_reads_the_checked_in_artifact => table_one(sources()),
     every_pub_item_is_listed_and_reached_or_explained =>
         surface_violations(sources(), source(sources(), SURFACE)),
 }
@@ -1330,6 +1333,278 @@ fn design_inventory(sources: &Sources) -> Vec<String> {
     found
 }
 
+/// Every name DESIGN.md cites holds in the tree, and every pointer into it
+/// lands on a heading: each backticked `crates/…` path is a file or a
+/// directory (`exists`), each backticked `impress_<crate>::…` path (or
+/// `impress-<crate>::…`; a bare crate name is no path) [`resolves`], and
+/// each heading pointer of README.md, EXPERIMENTS.md and the comments under
+/// `crates/` and `tests/` ([`heading_pointers`]) names a heading of
+/// DESIGN.md. A `{a, b}` group in a path names each of its members.
+fn design_references(sources: &Sources, exists: &dyn Fn(&str) -> bool) -> Vec<String> {
+    let design = source(sources, "DESIGN.md");
+    let mut found = Vec::new();
+    for span in code_spans(design) {
+        if span.starts_with("crates/") {
+            for path in expand(path_token(span)) {
+                if !exists(&path) {
+                    found.push(format!("DESIGN.md cites `{path}`, not in the tree"));
+                }
+            }
+        }
+        let starts = span
+            .match_indices("impress_")
+            .chain(span.match_indices("impress-"));
+        for (at, _) in starts {
+            if span[..at].ends_with(|c: char| c.is_alphanumeric() || "_-/".contains(c)) {
+                continue;
+            }
+            let path = path_token(&span[at..]);
+            if !path.contains("::") {
+                continue;
+            }
+            for path in expand(path) {
+                if let Err(why) = resolves(&path, sources) {
+                    found.push(format!("DESIGN.md cites `{path}`: {why}"));
+                }
+            }
+        }
+    }
+    let headings: Vec<&str> = design
+        .lines()
+        .filter(|line| line.starts_with('#'))
+        .map(|line| line.trim_start_matches('#').trim())
+        .collect();
+    let pointing = sources.iter().filter(|(rel, _)| {
+        matches!(rel.as_str(), "README.md" | "EXPERIMENTS.md")
+            || (rel.starts_with("crates/") || rel.starts_with("tests/")) && rel.ends_with(".rs")
+    });
+    for (rel, text) in pointing {
+        for heading in heading_pointers(text, rel.ends_with(".rs")) {
+            if !headings.contains(&heading.as_str()) {
+                found.push(format!(
+                    "{rel} points at \"{heading}\" in DESIGN.md, which has no such heading"
+                ));
+            }
+        }
+    }
+    found
+}
+
+/// The backticked spans of a Markdown text, fenced code blocks left out:
+/// a span may cross a line break but never a fence.
+fn code_spans(text: &str) -> impl Iterator<Item = &str> {
+    let prose = text.split("```").step_by(2);
+    prose.flat_map(|run| run.split('`').skip(1).step_by(2))
+}
+
+/// The path `text` starts with: identifier characters, `/`, `.`, `:` and
+/// `-`, and `{…}` groups that may also hold `,` and white space; a
+/// trailing `::` or `.` is not part of it.
+fn path_token(text: &str) -> &str {
+    let mut depth = 0;
+    let end = text.find(|c: char| {
+        match c {
+            '{' => depth += 1,
+            '}' if depth > 0 => depth -= 1,
+            c if depth > 0 && (c == ',' || c.is_whitespace()) => {}
+            c => return !(c.is_alphanumeric() || "_/.:-".contains(c)),
+        }
+        false
+    });
+    text[..end.unwrap_or(text.len())].trim_end_matches([':', '.'])
+}
+
+/// `text` with its first `{a, b}` group expanded, recursively: `x/{a,b}.rs`
+/// is `x/a.rs` and `x/b.rs`.
+fn expand(text: &str) -> Vec<String> {
+    match (text.find('{'), text.find('}')) {
+        (Some(open), Some(close)) if open < close => text[open + 1..close]
+            .split(',')
+            .flat_map(|member| {
+                let (head, tail) = (&text[..open], &text[close + 1..]);
+                expand(&format!("{head}{}{tail}", member.trim()))
+            })
+            .collect(),
+        _ => vec![text.to_string()],
+    }
+}
+
+/// Whether `impress_<crate>::a::…::z` names a public item of the crate
+/// library in `sources`: every segment but the last is a `pub mod` of the
+/// module before it (a file `a.rs` or a directory `a/mod.rs`), and the last
+/// is declared `pub`, `pub use`d or a `pub mod` there. `Err` says where the
+/// path stops resolving.
+fn resolves(path: &str, sources: &Sources) -> Result<(), String> {
+    let segments: Vec<&str> = path.split("::").collect();
+    let dir = format!("crates/{}/src/", &segments[0]["impress_".len()..]);
+    let file = |module: &[&str]| {
+        let candidates = match module {
+            [] => vec![format!("{dir}lib.rs")],
+            _ => {
+                let module = module.join("/");
+                vec![format!("{dir}{module}.rs"), format!("{dir}{module}/mod.rs")]
+            }
+        };
+        let found = sources.iter().find(|(rel, _)| candidates.contains(rel));
+        found.map(|(_, text)| text.as_str())
+    };
+    let pub_mod = |text: &str, name: &str| {
+        text.lines().any(|line| {
+            line.strip_prefix("pub mod ")
+                .is_some_and(|rest| rest.trim_end_matches([';', '{', ' ']) == name)
+        })
+    };
+    let inner = &segments[1..];
+    for (depth, name) in inner.iter().enumerate() {
+        let within = segments[..=depth].join("::");
+        let text = file(&inner[..depth]).ok_or(format!("no file for `{within}`"))?;
+        if depth + 1 < inner.len() {
+            if !pub_mod(text, name) {
+                return Err(format!("`{name}` is not a `pub mod` of `{within}`"));
+            }
+            continue;
+        }
+        let declared_pub = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("pub "))
+            .any(|decl| declared(decl) == Some(*name));
+        let exported_macro = text.contains(&format!("#[macro_export]\nmacro_rules! {name} "));
+        let public = declared_pub || exported_macro || pub_mod(text, name);
+        if !public && !re_exports(text).contains(name) {
+            return Err(format!(
+                "`{name}` is not declared `pub` or `pub use`d in `{within}`"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The names the `pub use` statements of a module file bring in: the last
+/// segment of each item, or its `as` name.
+fn re_exports(text: &str) -> Vec<&str> {
+    let starts = text
+        .match_indices("\npub use ")
+        .map(|(at, _)| at + 1)
+        .chain(text.starts_with("pub use ").then_some(0));
+    starts
+        .flat_map(|at| statement(&text[at + "pub use ".len()..]).split(','))
+        .filter_map(|item| {
+            let item = item.split_whitespace().last()?;
+            let name = item.rsplit("::").next()?;
+            Some(name.trim_matches(['{', '}']))
+        })
+        .collect()
+}
+
+/// The DESIGN.md headings `text` points at: a heading in `"…"` or `*…*`
+/// just before ` in DESIGN.md`, or just after `DESIGN.md, ` or
+/// `DESIGN.md's ` (backticks around the file name or not, line breaks read
+/// as spaces). In a `.rs` file only comment lines count.
+fn heading_pointers(text: &str, rust: bool) -> Vec<String> {
+    let lines = text.lines().map(str::trim).filter_map(|line| {
+        if rust {
+            line.starts_with("//")
+                .then(|| line.trim_start_matches(['/', '!']).trim())
+        } else {
+            Some(line)
+        }
+    });
+    let prose = lines.collect::<Vec<_>>().join(" ").replace('`', "");
+    let quoted_before = |before: &str| {
+        let before = before.strip_suffix(" in ")?;
+        let quote = before.chars().last().filter(|c| matches!(c, '"' | '*'))?;
+        let inner = &before[..before.len() - 1];
+        Some(inner[inner.rfind(quote)? + 1..].to_string())
+    };
+    let quoted_after = |after: &str| {
+        let after = after
+            .strip_prefix(", ")
+            .or_else(|| after.strip_prefix("'s "))?;
+        let quote = after.chars().next().filter(|c| matches!(c, '"' | '*'))?;
+        let inner = &after[1..];
+        Some(inner[..inner.find(quote)?].to_string())
+    };
+    prose
+        .match_indices("DESIGN.md")
+        .filter_map(|(at, name)| {
+            quoted_before(&prose[..at]).or_else(|| quoted_after(&prose[at + name.len()..]))
+        })
+        .collect()
+}
+
+/// The "Measured" cells of EXPERIMENTS.md's Table I that `table1.json`
+/// holds, as the table prints them (percentages and hours to one decimal),
+/// against the artifact: a cell edited by hand, or an artifact
+/// re-recorded without its table, is caught here.
+fn table_one(sources: &Sources) -> Vec<String> {
+    let doc = match impress_json::parse(source(sources, "table1.json")) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("table1.json: {e}")],
+    };
+    let value = |arm: &str, field: &str| doc.get(arm).and_then(|a| a.get(field));
+    let count = |arm: &str, field: &str| {
+        value(arm, field)
+            .and_then(impress_json::Json::as_u64)
+            .map_or(format!("no {arm}.{field}"), |n| n.to_string())
+    };
+    let tenth = |arm: &str, field: &str| {
+        value(arm, field)
+            .and_then(impress_json::Json::as_f64)
+            .map_or(format!("no {arm}.{field}"), |x| format!("{x:.1}"))
+    };
+    let mut cells = Vec::new();
+    for (arm, label) in [("cont_v", "CONT-V"), ("imrp", "IM-RP")] {
+        cells.push((format!("{label} trajectories"), count(arm, "trajectories")));
+        cells.push((format!("{label} CPU %"), tenth(arm, "cpu_pct")));
+        cells.push((format!("{label} GPU %"), tenth(arm, "gpu_pct")));
+        cells.push((format!("{label} time (h)"), tenth(arm, "time_h")));
+    }
+    cells.push(("CONT-V #PL".into(), count("cont_v", "pipelines")));
+    cells.push((
+        "CONT-V #Structures/PL".into(),
+        count("cont_v", "structures_per_pipeline"),
+    ));
+    let pipelines = [count("imrp", "pipelines"), count("imrp", "sub_pipelines")];
+    cells.push(("IM-RP #PL / #Sub-PL".into(), pipelines.join(" / ")));
+
+    let experiments = source(sources, "EXPERIMENTS.md");
+    let table = experiments
+        .split("\n## ")
+        .find(|section| section.starts_with("Table I "))
+        .unwrap_or_default();
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .map(|line| line.split('|').map(str::trim).collect())
+        .collect();
+    let mut found = Vec::new();
+    for (cell, want) in cells {
+        match rows.iter().find(|row| row.get(1) == Some(&cell.as_str())) {
+            None => found.push(format!("EXPERIMENTS.md Table I has no `{cell}` row")),
+            Some(row) if row.get(3) != Some(&want.as_str()) => found.push(format!(
+                "EXPERIMENTS.md Table I: `{cell}` measures {:?}, table1.json gives {want}",
+                row.get(3).unwrap_or(&"")
+            )),
+            Some(_) => {}
+        }
+    }
+    found
+}
+
+/// This file, which [`sources`] leaves out, for the comments that point
+/// into DESIGN.md.
+fn this_file() -> (String, String) {
+    (
+        "tests/hermetic.rs".into(),
+        include_str!("hermetic.rs").into(),
+    )
+}
+
+/// Whether `rel` is a file or a directory of the checkout.
+fn on_disk(rel: &str) -> bool {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(rel).exists()
+}
+
 // ------------------------------------------------------------- fixtures
 
 /// A test-only item above a fixture's code: it does not end the code.
@@ -1621,6 +1896,135 @@ fn the_surface_scan_is_pinned_on_fixtures() {
         ),
     ] {
         let found = surface_violations(&tree(lib), &listed);
+        assert!(
+            found.len() == 1 && found[0].contains(finding),
+            "{finding}: {found:?}"
+        );
+    }
+}
+
+/// The doc check on an in-memory tree: brace groups, paths through
+/// `pub mod`s and `pub use`s, heading pointers in prose and in comments
+/// (not in code), fenced blocks left alone; and each kind of stale name is
+/// reported, alone.
+#[test]
+fn the_doc_check_is_pinned_on_fixtures() {
+    const LIB: &str =
+        "pub mod m;\nmod hidden;\npub use m::{\n    Thing,\n    helper as assist,\n};\n\
+        #[macro_export]\nmacro_rules! make {\n    () => {};\n}\n";
+    const M: &str =
+        "pub mod deep;\npub struct Thing;\npub(crate) fn inner() {}\npub fn helper() {}\n";
+    const DESIGN: &str =
+        "# Top\n\n## One section\n\nSee `crates/a/src/{lib,m/mod}.rs`, `crates/a/src/m/`\n\
+        and `impress_a::{Thing, assist,\nmake}`, `impress_a::m::deep::Gadget`, `impress-a::m`.\n\n\
+        ```text\n`crates/a/src/fenced.rs` `impress_a::Fenced`\n```\n";
+    const README: &str = "Read \"One section\" in `DESIGN.md`, and DESIGN.md's *Top*.\n";
+    const TEST: &str = "/// As the\n/// `DESIGN.md`, \"Top\" says.\nconst S: &str = \"\\\"Gone\\\" in DESIGN.md\";\n";
+    let tree = |plant: (&str, &str)| -> Vec<(String, String)> {
+        let mut files = vec![
+            ("crates/a/src/lib.rs", LIB.to_string()),
+            ("crates/a/src/m/mod.rs", M.to_string()),
+            ("crates/a/src/m/deep.rs", "pub struct Gadget;\n".to_string()),
+            ("crates/a/src/hidden.rs", "pub struct Secret;\n".to_string()),
+            ("DESIGN.md", DESIGN.to_string()),
+            ("README.md", README.to_string()),
+            ("tests/t.rs", TEST.to_string()),
+        ];
+        for (rel, text) in files.iter_mut() {
+            if *rel == plant.0 {
+                text.push_str(plant.1);
+            }
+        }
+        files
+            .into_iter()
+            .map(|(rel, text)| (rel.to_string(), text))
+            .collect()
+    };
+    let check = |sources: &Sources| {
+        let exists = |rel: &str| {
+            let dir = rel.ends_with('/');
+            sources
+                .iter()
+                .any(|(path, _)| path == rel || dir && path.starts_with(rel))
+        };
+        design_references(sources, &exists)
+    };
+    assert_eq!(check(&tree(("", ""))), Vec::<String>::new());
+    assert_eq!(
+        heading_pointers(README, false),
+        ["One section", "Top"],
+        "before and after the file name"
+    );
+    assert_eq!(heading_pointers(TEST, true), ["Top"], "comments only");
+    for (plant, finding) in [
+        (
+            ("DESIGN.md", "`crates/a/src/nope.rs`"),
+            "cites `crates/a/src/nope.rs`, not in the tree",
+        ),
+        (
+            ("DESIGN.md", "`crates/a/src/{lib,gone}.rs`"),
+            "cites `crates/a/src/gone.rs`",
+        ),
+        (
+            ("DESIGN.md", "`impress_a::NoSuchItem`"),
+            "`NoSuchItem` is not declared `pub` or `pub use`d in `impress_a`",
+        ),
+        (
+            ("DESIGN.md", "`impress_a::hidden::Secret`"),
+            "`hidden` is not a `pub mod` of `impress_a`",
+        ),
+        (
+            ("DESIGN.md", "`impress_a::m::inner`"),
+            "`inner` is not declared `pub` or `pub use`d in `impress_a::m`",
+        ),
+        (
+            ("README.md", "see \"No Such Heading\" in `DESIGN.md`"),
+            "README.md points at \"No Such Heading\"",
+        ),
+        (
+            ("tests/t.rs", "// (DESIGN.md, \"Old\n// heading\")\n"),
+            "tests/t.rs points at \"Old heading\"",
+        ),
+    ] {
+        let found = check(&tree(plant));
+        assert!(
+            found.len() == 1 && found[0].contains(finding),
+            "{finding}: {found:?}"
+        );
+    }
+}
+
+/// The Table I check on the checked-in files, one cell edited at a time:
+/// each edit is reported, and only it.
+#[test]
+fn the_table_one_check_is_pinned_on_the_checked_in_table() {
+    let edited = |from: &str, to: &str| -> Vec<(String, String)> {
+        let mut tree: Vec<(String, String)> = ["EXPERIMENTS.md", "table1.json"]
+            .iter()
+            .map(|rel| (rel.to_string(), source(sources(), rel).to_string()))
+            .collect();
+        assert_eq!(tree[0].1.matches(from).count(), 1, "{from}");
+        tree[0].1 = tree[0].1.replace(from, to);
+        tree
+    };
+    for (from, to, finding) in [
+        (
+            "| CONT-V GPU % | 1 | 1.1 |",
+            "| CONT-V GPU % | 1 | 1.0 |",
+            "`CONT-V GPU %` measures \"1.0\", table1.json gives 1.1",
+        ),
+        (
+            "| IM-RP #PL / #Sub-PL | 2 / 7 | 4 / 7 |",
+            "| IM-RP #PL / #Sub-PL | 2 / 7 | 4 / 8 |",
+            "gives 4 / 7",
+        ),
+        (
+            "| IM-RP time (h) | 38.3 | 38.3 |",
+            "| IM-RP hours | 38.3 | 38.3 |",
+            "no `IM-RP time (h)` row",
+        ),
+    ] {
+        let found = table_one(&edited(from, to));
         assert!(
             found.len() == 1 && found[0].contains(finding),
             "{finding}: {found:?}"
