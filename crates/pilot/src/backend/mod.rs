@@ -323,6 +323,18 @@ pub trait ExecutionBackend {
         None
     }
 
+    /// Hand `each` the tasks whose attempts end in what is left of the
+    /// instant the backend is firing, next to end first: the completions
+    /// the next [`next_completion`](Self::next_completion) calls will most
+    /// likely deliver without advancing time. A read-only hint, for a
+    /// caller that wants to read its own state for those tasks ahead of
+    /// time: it changes nothing the backend does. The default hands over
+    /// nothing; the sequential driver ([`SimulatedBackend`],
+    /// [`ThreadedBackend`]) hands over every completion event left in the
+    /// instant it has taken off its queue. The sharded driver, which hands
+    /// completions back only between instants, keeps the default.
+    fn upcoming_completions(&self, _each: &mut dyn FnMut(TaskId)) {}
+
     /// The backend's telemetry handle (disabled by default). Layers above
     /// the backend — session, coordinator — record their spans through
     /// this, so one [`crate::RuntimeConfig::telemetry`] hookup instruments
@@ -383,6 +395,9 @@ impl ExecutionBackend for Box<dyn ExecutionBackend> {
     }
     fn poll_completion(&mut self) -> Option<Completion> {
         (**self).poll_completion()
+    }
+    fn upcoming_completions(&self, each: &mut dyn FnMut(TaskId)) {
+        (**self).upcoming_completions(each)
     }
     fn telemetry(&self) -> &impress_telemetry::Telemetry {
         (**self).telemetry()

@@ -281,6 +281,16 @@ impl<X: Exec> ExecutionBackend for Sequential<X> {
         self.core.transport.stamp(self.core.now)
     }
 
+    /// The completion events left in the current instant, in firing
+    /// order (the instant is sorted next-to-fire last).
+    fn upcoming_completions(&self, each: &mut dyn FnMut(TaskId)) {
+        for ev in self.core.transport.instant.iter().rev() {
+            if let Ev::Complete { task, .. } = ev.payload.1 {
+                each(TaskId(task));
+            }
+        }
+    }
+
     fn control_stats(&self) -> ControlStats {
         self.core.cstats
     }
@@ -323,6 +333,9 @@ macro_rules! drive_sequential {
             }
             fn stamp(&self) -> impress_telemetry::Stamp {
                 self.0.stamp()
+            }
+            fn upcoming_completions(&self, each: &mut dyn FnMut($crate::task::TaskId)) {
+                self.0.upcoming_completions(each)
             }
             fn control_stats(&self) -> $crate::control::ControlStats {
                 self.0.control_stats()

@@ -367,6 +367,22 @@ impl<B: ExecutionBackend> SharedCluster<B> {
             .collect()
     }
 
+    /// Hand `each` the owner — lease id and lease-local task id — of every
+    /// completion the backend says is left in its current instant
+    /// ([`ExecutionBackend::upcoming_completions`]), next to be pumped
+    /// first, for a multiplexing driver to read its consumers' state for
+    /// them ahead of time. Read-only; tasks submitted around the lease
+    /// layer are skipped. Hands over nothing on backends that keep the
+    /// trait's default.
+    pub fn upcoming_owners(&self, mut each: impl FnMut(u32, TaskId)) {
+        let core = self.core.borrow();
+        core.backend.upcoming_completions(&mut |global| {
+            if let Some(route) = core.route(global) {
+                each(route.owner, TaskId(route.local));
+            }
+        });
+    }
+
     /// Current backend time.
     pub fn now(&self) -> SimTime {
         self.core.borrow().backend.now()
@@ -780,6 +796,43 @@ mod tests {
         }
         assert!(!cluster.lease_ready(a.id()), "a waits on its task");
         assert_eq!(cluster.tasks_of(a.id()), vec![at]);
+    }
+
+    #[test]
+    fn the_owners_left_in_an_instant_are_the_next_ones_pumped() {
+        let cluster = SharedCluster::new(backend(4));
+        let mut a = cluster.lease(cluster.open_account());
+        let mut b = cluster.lease(cluster.open_account());
+        let mut raw = Vec::new();
+        cluster.upcoming_owners(|lease, task| raw.push((lease, task)));
+        assert!(raw.is_empty(), "nothing submitted, nothing upcoming");
+        // Three tasks end at one instant, a fourth later.
+        a.submit(task("a0", 5));
+        b.submit(task("b0", 5));
+        a.submit(task("a1", 5));
+        b.submit(task("b1", 9));
+        let first = cluster.pump_one().expect("a completion");
+        let mut upcoming = Vec::new();
+        cluster.upcoming_owners(|lease, task| upcoming.push((lease, task)));
+        assert_eq!(upcoming.len(), 2, "the rest of the instant: {upcoming:?}");
+        let mut pumped = Vec::new();
+        while let Some(owner) = cluster.pump_one() {
+            pumped.push(owner);
+        }
+        let owners: Vec<u32> = upcoming.iter().map(|&(lease, _)| lease).collect();
+        assert_eq!(owners, pumped[..2], "firing order");
+        assert_eq!(pumped.len(), 3);
+        let mut seen = vec![first];
+        seen.extend(&owners);
+        seen.sort_unstable();
+        assert_eq!(seen, vec![a.id(), a.id(), b.id()]);
+        // Lease-local ids: `a` submitted tasks 0 and 1, `b` task 0 first.
+        for &(lease, local) in &upcoming {
+            assert!(
+                local.0 < 2 && (lease == a.id() || local.0 == 0),
+                "{upcoming:?}"
+            );
+        }
     }
 
     #[test]

@@ -154,6 +154,59 @@ impl From<&str> for Label {
     }
 }
 
+impl Label {
+    /// The text `args` formats to, written straight into the inline bytes
+    /// when it fits: a short formatted name costs no intermediate
+    /// `String`, and no allocation at all.
+    pub fn from_fmt(args: std::fmt::Arguments<'_>) -> Label {
+        /// Fills the inline bytes, and moves to a `String` once the text
+        /// outgrows them.
+        struct Writer {
+            len: usize,
+            bytes: [u8; LABEL_INLINE],
+            spill: Option<String>,
+        }
+
+        impl std::fmt::Write for Writer {
+            fn write_str(&mut self, text: &str) -> std::fmt::Result {
+                if let Some(spill) = &mut self.spill {
+                    spill.push_str(text);
+                    return Ok(());
+                }
+                let end = self.len + text.len();
+                if end <= LABEL_INLINE {
+                    self.bytes[self.len..end].copy_from_slice(text.as_bytes());
+                    self.len = end;
+                } else {
+                    let mut spill = String::with_capacity(end);
+                    spill.push_str(
+                        std::str::from_utf8(&self.bytes[..self.len])
+                            .expect("whole &strs were written"),
+                    );
+                    spill.push_str(text);
+                    self.spill = Some(spill);
+                }
+                Ok(())
+            }
+        }
+
+        let mut out = Writer {
+            len: 0,
+            bytes: [0; LABEL_INLINE],
+            spill: None,
+        };
+        std::fmt::Write::write_fmt(&mut out, args).expect("a Display impl returned an error");
+        match out.spill {
+            Some(text) => Label(Repr::Heap(text.into())),
+            // Unwritten bytes are still zero: the canonical inline form.
+            None => Label(Repr::Inline {
+                len: out.len as u8,
+                bytes: out.bytes,
+            }),
+        }
+    }
+}
+
 impl From<&String> for Label {
     fn from(text: &String) -> Label {
         Label::from(text.as_str())

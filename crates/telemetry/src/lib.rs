@@ -577,6 +577,15 @@ mod tests {
         assert_eq!(Label::from(String::from("queue")), short);
         assert_eq!(Label::default(), "");
         assert_ne!(Label::default(), Label::from("\0"));
+        // Formatted in place, inline or not, it is the label of its text.
+        for n in [0, 1, LABEL_INLINE - 1, LABEL_INLINE, LABEL_INLINE + 1, 40] {
+            let (wide, narrow) = ("é".repeat(n / 4), "x".repeat(n - n / 4 * 2));
+            let text = format!("{wide}{narrow}");
+            let formatted = Label::from_fmt(format_args!("{wide}{narrow}"));
+            assert_eq!(formatted, Label::from(&text), "{n}");
+            assert_eq!(&*formatted, text);
+        }
+        assert_eq!(Label::from_fmt(format_args!("pl.{:04}", 7)), "pl.0007");
         assert_eq!(std::mem::size_of::<Label>(), 24);
         assert_eq!(
             format!("{short}/{long:?}"),

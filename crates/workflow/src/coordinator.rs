@@ -18,7 +18,7 @@ use crate::registry::Registry;
 use crate::report::RunReport;
 use crate::stage::{StageBuffer, Step};
 use impress_json::{read_json, FromJsonBuf, RawJson, ToJsonBuf};
-use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescription};
+use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescription, TaskId};
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -144,8 +144,9 @@ struct PipelineSlot<O> {
     buffer: StageBuffer,
     /// Open telemetry spans; taken when the pipeline span closes.
     spans: Option<PipelineSpans>,
-    /// The pipeline's task tag, formatted once at registration — each
-    /// submission clones it, which copies a `Label` and never allocates.
+    /// The pipeline's task tag, formatted once at registration straight
+    /// into the label — each submission clones it, which copies a `Label`
+    /// and never allocates.
     tag: Label,
 }
 
@@ -189,7 +190,9 @@ pub struct Coordinator<O, B: ExecutionBackend, D: DecisionEngine<O>> {
     to_start: Vec<PipelineId>,
     outcomes: Vec<(PipelineId, O)>,
     aborts: Vec<(PipelineId, String)>,
-    journal: Option<JournalWriter<O>>,
+    /// Boxed: the writer is most of a coordinator's bytes, and most
+    /// coordinators run unjournaled.
+    journal: Option<Box<JournalWriter<O>>>,
     /// Resume state: a ready ghost for every journaled pipeline that
     /// reached a terminal state before the kill, its outcome already
     /// decoded. A pipeline registered during a resumed run is swapped for
@@ -281,7 +284,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 pipeline: span,
                 stage: SpanId::NONE,
             }),
-            tag: id.to_string().into(),
+            tag: Label::from_fmt(format_args!("{id}")),
         });
         self.telemetry.count("pipelines_registered", 1);
         self.to_start.push(id);
@@ -649,6 +652,26 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         }
     }
 
+    /// Read what routing the completion of `task` will read first — its
+    /// route, its stage slot and its pipeline's ledger entry — for a
+    /// read-ahead pass: a word of what was read, and nothing changed.
+    pub(crate) fn read_ahead(&self, task: TaskId) -> u64 {
+        let Some(&RouteState::Routed { pipeline, at }) = self.routes.get(task.0 as usize) else {
+            return 0;
+        };
+        let id = pipeline.0 as usize;
+        let slot = self
+            .slots
+            .get(id)
+            .map_or(0, |s| s.buffer.read_ahead(at as usize));
+        let entry = self
+            .registry
+            .entries()
+            .get(id)
+            .map_or(0, |e| e.stages_completed as u64);
+        slot.wrapping_add(entry)
+    }
+
     /// Whether pipelines are queued to begin on the next step (roots added
     /// since the last one, or decision-engine spawns not yet started) —
     /// i.e. [`Coordinator::try_step`] is guaranteed to make progress.
@@ -745,10 +768,10 @@ impl<O: ToJsonBuf, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, 
     /// not weaken crash consistency while collapsing per-record flushes to
     /// one per cycle.
     pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(JournalWriter {
+        self.journal = Some(Box::new(JournalWriter {
             journal,
             encode: |outcome| RawJson::new(outcome),
-        });
+        }));
         self
     }
 }

@@ -1,5 +1,22 @@
 //! The step protocol between a pipeline and the coordinator, and the buffer
 //! that collects a stage's in-flight task completions.
+//!
+//! **The hand-over.** A `StageBuffer` allocates a stage's batch when the
+//! stage opens — one empty `Option<Completion>` slot per task — and, when
+//! the last task reports, hands that same storage to `stage_done` as the
+//! `Vec<Completion>`: an `Option<Completion>` is the size of a
+//! `Completion` (104 B, asserted below), so the `collect` that unwraps the
+//! slots runs in place. A stage allocates once, at `open`, and a pipeline
+//! nothing more.
+//!
+//! **The `first + at` check.** A slot holds no task id. A stage's tasks
+//! are submitted back to back on one backend, whose ids are dense
+//! ([`ExecutionBackend::submit`]), so the buffer keeps the stage's first
+//! id, `push` checks that each later one follows it, and slot `at`
+//! belongs to task `first + at`. A completion recorded at a position its
+//! task does not hold is refused exactly as if every slot had kept its id.
+//!
+//! [`ExecutionBackend::submit`]: impress_pilot::ExecutionBackend::submit
 
 use impress_pilot::{Completion, TaskDescription, TaskId};
 
@@ -40,21 +57,29 @@ impl<O> std::fmt::Debug for Step<O> {
 /// completion order (stages must see deterministic inputs even on the
 /// threaded backend).
 ///
-/// One buffer serves stage after stage: [`open`](Self::open) reuses the
-/// storage the last stage left behind — one slot per task, holding its id
-/// and, once it reports, its completion — so once warm the only allocation
-/// a stage costs is the batch [`record`](Self::record) hands over.
-/// [`push`](Self::push) gives each task its position, which its completion
-/// brings back, and a count of the tasks still out says when the stage is
-/// done: no completion scans the stage.
+/// [`open`](Self::open) allocates the stage's batch, [`push`](Self::push)
+/// gives each task its position, which its completion brings back, and a
+/// count of the tasks still out says when the stage is done: no completion
+/// scans the stage. [`record`](Self::record) hands the storage over as the
+/// batch (see the module docs).
 #[derive(Default)]
 pub(crate) struct StageBuffer {
-    /// The in-flight stage's tasks in submission order, each with its
-    /// completion once it has arrived; empty between stages.
-    slots: Vec<(TaskId, Option<Completion>)>,
+    /// The in-flight stage's completions in submission order, each `None`
+    /// until its task reports; empty between stages.
+    slots: Vec<Option<Completion>>,
+    /// The id of the stage's first task: slot `at` is task `first + at`.
+    first: u64,
     /// Tasks that have not reported yet.
     outstanding: usize,
 }
+
+// The in-place hand-over needs the slot and the completion to share a
+// layout: `None` lives in a niche of `Completion`, so both are 104 B.
+const _: () = {
+    use std::mem::{align_of, size_of};
+    assert!(size_of::<Option<Completion>>() == 104 && size_of::<Completion>() == 104);
+    assert!(align_of::<Option<Completion>>() == align_of::<Completion>());
+};
 
 impl StageBuffer {
     /// An empty buffer: no stage in flight.
@@ -62,23 +87,34 @@ impl StageBuffer {
         Self::default()
     }
 
-    /// Open a stage of `tasks` tasks, then [`push`](Self::push) each in
-    /// submission order. Panics on an empty stage, or while the previous
-    /// stage is still in flight.
+    /// Open a stage of `tasks` tasks, allocating its batch, then
+    /// [`push`](Self::push) each in submission order. Panics on an empty
+    /// stage, or while the previous stage is still in flight.
     pub(crate) fn open(&mut self, tasks: usize) {
         assert!(tasks > 0, "a stage needs at least one task");
         assert_eq!(self.outstanding, 0, "a stage is already in flight");
-        // Exactly: a pipeline holds its buffer for life, and `reserve`
-        // would round a one-task stage up to four slots.
-        self.slots.reserve_exact(tasks);
+        // Exactly: the storage becomes the batch, and `reserve` would
+        // round a one-task stage up to four slots.
+        self.slots = Vec::with_capacity(tasks);
     }
 
     /// Add the open stage's next task. Returns its position, which
-    /// [`record`](Self::record) takes back with its completion.
+    /// [`record`](Self::record) takes back with its completion. Panics
+    /// unless `id` follows the stage's previous task's id.
     pub(crate) fn push(&mut self, id: TaskId) -> usize {
-        self.slots.push((id, None));
+        let at = self.slots.len();
+        if at == 0 {
+            self.first = id.0;
+        } else {
+            assert_eq!(
+                id.0,
+                self.first + at as u64,
+                "{id}: a stage's tasks take consecutive ids"
+            );
+        }
+        self.slots.push(None);
         self.outstanding += 1;
-        self.slots.len() - 1
+        at
     }
 
     /// Record the completion of the task [`push`](Self::push) placed at
@@ -88,7 +124,7 @@ impl StageBuffer {
     /// duplicate.
     pub(crate) fn record(&mut self, at: usize, c: Completion) -> Option<Vec<Completion>> {
         let slot = match self.slots.get_mut(at) {
-            Some((id, slot)) if *id == c.task => slot,
+            Some(slot) if c.task.0 == self.first + at as u64 => slot,
             _ => panic!("{}: completion does not belong to this stage", c.task),
         };
         assert!(slot.is_none(), "{}: duplicate completion", c.task);
@@ -98,11 +134,19 @@ impl StageBuffer {
             return None;
         }
         Some(
-            self.slots
-                .drain(..)
-                .map(|(_, c)| c.expect("every task reported"))
+            std::mem::take(&mut self.slots)
+                .into_iter()
+                .map(|c| c.expect("every task reported"))
                 .collect(),
         )
+    }
+
+    /// Read the slot a completion recorded at `at` will write, for a
+    /// read-ahead pass: a word of what was read, and nothing changed.
+    pub(crate) fn read_ahead(&self, at: usize) -> u64 {
+        self.slots
+            .get(at)
+            .map_or(0, |slot| u64::from(slot.is_some()))
     }
 }
 
@@ -152,6 +196,31 @@ mod tests {
     fn foreign_completion_panics() {
         let mut b = stage(&[1]);
         let _ = b.record(0, completion(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn a_completion_at_another_tasks_position_panics() {
+        let mut b = stage(&[4, 5, 6]);
+        let _ = b.record(1, completion(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "consecutive ids")]
+    fn a_stage_with_a_gap_in_its_ids_is_refused() {
+        stage(&[4, 6]);
+    }
+
+    #[test]
+    fn the_batch_is_the_storage_open_allocated() {
+        let mut b = stage(&[7, 8, 9]);
+        let storage = b.slots.as_ptr() as usize;
+        assert!(b.record(1, completion(8)).is_none());
+        assert!(b.record(0, completion(7)).is_none());
+        let batch = b.record(2, completion(9)).expect("complete");
+        assert_eq!(batch.as_ptr() as usize, storage, "handed over in place");
+        assert_eq!(batch.capacity(), 3);
+        assert_eq!(b.slots.capacity(), 0, "the buffer keeps nothing");
     }
 
     #[test]
