@@ -7,163 +7,117 @@
 //! structure was fed into ProteinMPNN for the next cycle. Performance was
 //! not compared between iterations, and trajectories were not pruned."
 //!
-//! CONT-V does not use the pilot's concurrency: it submits exactly one task
-//! at a time and waits for it — a vanilla sequential script. That is what
-//! produces Fig. 4's idle-resource profile.
+//! CONT-V does not use the pilot's concurrency: `ContV` is one pipeline
+//! that carries each target's non-adaptive [`DesignPipeline`] through its
+//! cycles, one target after another. A non-adaptive cycle evaluates one
+//! candidate, so one task is in flight at a time — a vanilla sequential
+//! script. That is what produces Fig. 4's idle-resource profile.
 
 use crate::config::ProtocolConfig;
-use crate::protocol::{DesignOutcome, IterationRecord};
-use crate::stages::{stage1_mpnn, stage2_3_select, stage4_inference, stage4_msa, stage5_6_assess};
+use crate::protocol::{DesignOutcome, DesignPipeline};
 use crate::toolkit::TargetToolkit;
-use impress_pilot::{ExecutionBackend, Session, TaskDescription, TaskError};
-use impress_proteins::msa::Msa;
-use impress_proteins::{Prediction, ScoredSequence};
-use impress_sim::SimRng;
+use impress_pilot::{Completion, ExecutionBackend, Session, TaskError};
+use impress_workflow::{Coordinator, NoDecisions, PipelineLogic, Step};
 use std::sync::Arc;
 
-/// Run one task and wait for it — the sequential execution model. A task
-/// that fails terminally (retry budget exhausted under fault injection)
-/// surfaces as `Err` instead of panicking, so the lineage can abort cleanly.
-fn run_blocking<B: ExecutionBackend, T: 'static>(
-    session: &mut Session<B>,
-    desc: TaskDescription,
-) -> Result<T, TaskError> {
-    let id = session.submit(desc);
-    loop {
-        let c = session.wait_next().expect("submitted task must complete");
-        if c.task == id {
-            return c.try_output::<T>();
+/// The CONT-V arm as one pipeline: each target's lineage in turn, then one
+/// completion carrying every lineage's outcome, in target order.
+pub(crate) struct ContV {
+    lineages: Vec<DesignPipeline>,
+    /// The finished lineages' outcomes: `lineages[outcomes.len()]` runs.
+    outcomes: Vec<DesignOutcome>,
+}
+
+impl ContV {
+    /// The chain over `toolkits`. `config` must be non-adaptive.
+    pub(crate) fn new(toolkits: &[Arc<TargetToolkit>], config: &ProtocolConfig) -> Self {
+        assert!(
+            !config.adaptive,
+            "CONT-V is the non-adaptive control; use ProtocolConfig::cont_v"
+        );
+        let lineages = toolkits
+            .iter()
+            .map(|tk| DesignPipeline::cont_v(tk.clone(), config.clone()))
+            .collect();
+        ContV {
+            lineages,
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Forward the running lineage's step; a finished lineage hands over to
+    /// the next.
+    fn chain(&mut self, step: Step<DesignOutcome>) -> Step<Vec<DesignOutcome>> {
+        match step {
+            Step::Submit(tasks) => Step::Submit(tasks),
+            Step::Complete(outcome) => {
+                self.outcomes.push(outcome);
+                self.begin()
+            }
+            Step::Abort(reason) => unreachable!("a CONT-V lineage aborted: {reason}"),
         }
     }
 }
 
-/// Run the CONT-V protocol for `toolkits` over `session`, strictly
-/// sequentially. Returns one outcome per structure.
+impl PipelineLogic<Vec<DesignOutcome>> for ContV {
+    fn name(&self) -> String {
+        "cont-v".into()
+    }
+
+    fn begin(&mut self) -> Step<Vec<DesignOutcome>> {
+        match self.lineages.get_mut(self.outcomes.len()) {
+            Some(lineage) => {
+                let step = lineage.begin();
+                self.chain(step)
+            }
+            None => Step::Complete(std::mem::take(&mut self.outcomes)),
+        }
+    }
+
+    fn stage_done(&mut self, completions: Vec<Completion>) -> Step<Vec<DesignOutcome>> {
+        let lineage = &mut self.lineages[self.outcomes.len()];
+        let step = match completions.iter().find_map(Completion::failure) {
+            None => lineage.stage_done(completions),
+            // A vanilla sequential script dies with its first
+            // unrecoverable task: the lineage keeps the cycles it finished
+            // and is recorded as terminated early. Fault outcomes
+            // (budget-exhausted retries, quarantine verdicts) are legal
+            // terminations; a work panic or a cancellation nobody issued
+            // is a bug in the protocol itself. Exhaustive on purpose: a
+            // new error variant must pick a side here.
+            Some(
+                TaskError::TimedOut { .. }
+                | TaskError::Injected
+                | TaskError::NodeCrashed { .. }
+                | TaskError::LeaseExpired { .. }
+                | TaskError::Poisoned { .. }
+                | TaskError::ShapeCircuitOpen { .. },
+            ) => Step::Complete(lineage.outcome(true)),
+            Some(e @ (TaskError::Canceled | TaskError::WorkPanicked(_))) => {
+                panic!("CONT-V stage died on a non-fault error: {e}")
+            }
+        };
+        self.chain(step)
+    }
+}
+
+/// Run the CONT-V protocol for `toolkits` over `session`: `ContV` on a
+/// coordinator over the session's backend, one outcome per structure. A
+/// forward kept under this name for the perf ledger's adapter; new callers
+/// use [`CampaignSpec::cont_v`](crate::spec::CampaignSpec::cont_v).
 pub fn run_cont_v<B: ExecutionBackend>(
     session: &mut Session<B>,
     toolkits: &[Arc<TargetToolkit>],
     config: &ProtocolConfig,
 ) -> Vec<DesignOutcome> {
-    assert!(
-        !config.adaptive,
-        "CONT-V is the non-adaptive control; use ProtocolConfig::cont_v"
-    );
-    let root_rng = SimRng::from_seed(config.seed).fork("cont-v");
-    toolkits
+    let mut coordinator = Coordinator::new(session.backend_mut(), NoDecisions);
+    coordinator.add_pipeline(Box::new(ContV::new(toolkits, config)));
+    coordinator.run();
+    coordinator
+        .outcomes()
         .iter()
-        .map(|tk| {
-            let rng = root_rng.fork(&tk.name);
-            run_lineage(session, tk, config, rng)
-        })
+        .flat_map(|(_, o)| o.clone())
         .collect()
-}
-
-fn run_lineage<B: ExecutionBackend>(
-    session: &mut Session<B>,
-    tk: &Arc<TargetToolkit>,
-    config: &ProtocolConfig,
-    rng: SimRng,
-) -> DesignOutcome {
-    let mut current = tk.start.clone();
-    let baseline_report = tk.baseline_report();
-    let mut records = Vec::new();
-    let mut aborted = false;
-    'cycles: for cycle in 1..=config.cycles {
-        // A vanilla sequential script dies with its first unrecoverable
-        // task: record the lineage as terminated early and keep whatever
-        // cycles already finished.
-        macro_rules! try_stage {
-            ($expr:expr) => {
-                match $expr {
-                    Ok(v) => v,
-                    // Fault outcomes (budget-exhausted retries, quarantine
-                    // verdicts) are legal lineage terminations. A work
-                    // panic or a cancellation nobody issued is a bug in
-                    // the protocol itself — surface it instead of filing
-                    // it under "aborted". Exhaustive on purpose: a new
-                    // error variant must pick a side here.
-                    Err(
-                        TaskError::TimedOut { .. }
-                        | TaskError::Injected
-                        | TaskError::NodeCrashed { .. }
-                        | TaskError::LeaseExpired { .. }
-                        | TaskError::Poisoned { .. }
-                        | TaskError::ShapeCircuitOpen { .. },
-                    ) => {
-                        aborted = true;
-                        break 'cycles;
-                    }
-                    Err(e @ (TaskError::Canceled | TaskError::WorkPanicked(_))) => {
-                        panic!("CONT-V stage died on a non-fault error: {e}")
-                    }
-                }
-            };
-        }
-        // Stage 1: generate.
-        let proposals: Vec<ScoredSequence> = try_stage!(run_blocking(
-            session,
-            stage1_mpnn(
-                tk,
-                current.clone(),
-                config.mpnn.clone(),
-                config.mpnn_gpus,
-                rng.fork_idx("mpnn", cycle as u64),
-            ),
-        ));
-        // Stages 2+3: random (unranked) choice.
-        let ordered: Vec<ScoredSequence> = try_stage!(run_blocking(
-            session,
-            stage2_3_select(proposals, false, rng.fork_idx("select", cycle as u64),),
-        ));
-        let candidate = ordered[0].sequence.clone();
-        // Stage 4: MSA then inference.
-        let msa: Msa = try_stage!(run_blocking(
-            session,
-            stage4_msa(
-                tk,
-                candidate.clone(),
-                config.alphafold.msa_mode,
-                rng.fork_idx("msa", cycle as u64),
-            ),
-        ));
-        let prediction: Prediction = try_stage!(run_blocking(
-            session,
-            stage4_inference(
-                tk,
-                candidate,
-                msa,
-                config.alphafold,
-                cycle,
-                rng.fork_idx("fold", cycle as u64),
-            ),
-        ));
-        // Stages 5+6: metrics gathered; no comparison, no pruning.
-        let prediction: Prediction = try_stage!(run_blocking(session, stage5_6_assess(prediction)));
-        let truth = tk
-            .landscape
-            .fitness(&prediction.structure.complex.receptor.sequence);
-        records.push(IterationRecord {
-            iteration: cycle,
-            report: prediction.report,
-            true_quality: truth.quality,
-            bind_quality: truth.bind_quality,
-            evaluations: 1,
-            accepted_rank: 0,
-        });
-        current = prediction.structure;
-    }
-    let completed = records.len() as u32;
-    DesignOutcome {
-        target: tk.name.clone(),
-        label: format!("{}/cont-v", tk.name),
-        iterations: records,
-        final_receptor: current.complex.receptor.sequence.clone(),
-        final_backbone_quality: current.backbone_quality,
-        total_evaluations: completed,
-        terminated_early: aborted,
-        baseline_report,
-        start_iteration: 1,
-    }
 }
 
 #[cfg(test)]

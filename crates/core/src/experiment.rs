@@ -1,22 +1,18 @@
 //! What an experiment arm produces, and the pieces
 //! [`CampaignSpec::run`] drives either arm with: the shared toolkits, the
-//! IM-RP coordinator's roots and tail, CONT-V's session tail, and the
-//! packaging both arms share.
+//! journal constructor, and the coordinator tail both arms share.
 
-use crate::adaptive::ImpressDecision;
 use crate::config::ProtocolConfig;
-use crate::control::run_cont_v;
-use crate::protocol::{DesignOutcome, DesignPipeline};
+use crate::protocol::DesignOutcome;
 use crate::quality::{IterationSeries, NetDeltas};
-use crate::spec::CampaignSpec;
+use crate::spec::{Arm, CampaignSpec};
 use crate::toolkit::TargetToolkit;
 use impress_json::json_struct;
 use impress_pilot::backend::SimulatedBackend;
-use impress_pilot::Session;
 use impress_proteins::datasets::DesignTarget;
 use impress_proteins::MetricKind;
 use impress_workflow::journal::{Journal, JournalError, JournalStore};
-use impress_workflow::{Coordinator, Registry, RunReport};
+use impress_workflow::{Coordinator, DecisionEngine, RunReport};
 use std::sync::Arc;
 
 /// The complete result of one experiment arm.
@@ -75,48 +71,21 @@ pub fn toolkits(targets: &[DesignTarget], seed: u64) -> Vec<Arc<TargetToolkit>> 
         .collect()
 }
 
-/// The IM-RP coordinator type [`CampaignSpec::run`] builds.
-pub(crate) type ImrpCoordinator = Coordinator<DesignOutcome, SimulatedBackend, ImpressDecision>;
-
-pub(crate) fn add_imrp_roots(
-    coordinator: &mut ImrpCoordinator,
-    tks: &[Arc<TargetToolkit>],
-    config: &ProtocolConfig,
-) {
-    for (i, tk) in tks.iter().enumerate() {
-        coordinator.add_pipeline(Box::new(DesignPipeline::root(
-            tk.clone(),
-            config.clone(),
-            i as u64,
-        )));
-    }
-}
-
-/// Drive the coordinator to completion and package the result — the one
-/// tail of plain, journaled and resumed IM-RP runs, so all three produce
-/// byte-identical artifacts by construction.
-pub(crate) fn finish_imrp(mut coordinator: ImrpCoordinator) -> (ExperimentResult, ImrpCoordinator) {
-    let run = coordinator.run();
-    let outcomes: Vec<DesignOutcome> = coordinator
-        .outcomes()
-        .iter()
-        .map(|(_, o)| o.clone())
-        .collect();
-    let result = package("IM-RP", outcomes, run, coordinator.session().backend());
-    (result, coordinator)
-}
-
-/// The campaign label journaled IM-RP runs stamp into the journal header;
-/// [`CampaignSpec::run`] refuses a resume plan with any other label.
-pub(crate) const IMRP_JOURNAL_LABEL: &str = "IM-RP";
-
 /// A write-ahead journal on `store` stamped with the campaign identity
-/// (label + protocol seed) that [`CampaignSpec::resume_from`] validates.
+/// that [`CampaignSpec::resume_from`] validates: the arm `config` runs
+/// (`"IM-RP"` when adaptive, `"CONT-V"` when not) and its seed. A
+/// non-adaptive config under [`CampaignSpec::imrp`] (the ablation) is
+/// stamped `"CONT-V"` too, so that spec refuses the plan.
 pub fn imrp_journal(
     store: Box<dyn JournalStore>,
     config: &ProtocolConfig,
 ) -> Result<Journal, JournalError> {
-    Journal::new(store, IMRP_JOURNAL_LABEL, config.seed)
+    let arm = if config.adaptive {
+        Arm::Imrp
+    } else {
+        Arm::ContV
+    };
+    Journal::new(store, arm.label(), config.seed)
 }
 
 /// Run the sequential CONT-V arm on its own simulated node: a one-call
@@ -129,47 +98,32 @@ pub fn run_cont_v_experiment(targets: &[DesignTarget], config: ProtocolConfig) -
         .result
 }
 
-/// Run CONT-V's lineages one task at a time over `backend` and package the
-/// result — the CONT-V tail of [`CampaignSpec::run`], as [`finish_imrp`] is
-/// IM-RP's. CONT-V has no coordinator, so its report is built directly:
-/// one pipeline that submitted every task.
-pub(crate) fn finish_cont_v(
-    backend: SimulatedBackend,
-    tks: &[Arc<TargetToolkit>],
-    config: &ProtocolConfig,
+/// Drive `coordinator` to its end and package what its pipelines'
+/// outcomes hold (`lineages` reads them off one outcome): the one tail of
+/// both arms, plain, journaled or resumed, so all of them produce
+/// byte-identical artifacts by construction.
+pub(crate) fn finish<O: 'static, D: DecisionEngine<O>>(
+    coordinator: &mut Coordinator<O, SimulatedBackend, D>,
+    arm: Arm,
+    lineages: fn(&O) -> &[DesignOutcome],
 ) -> ExperimentResult {
-    let mut session = Session::new(backend);
-    let outcomes = run_cont_v(&mut session, tks, config);
-    let obs = session.observe();
-    let mut registry = Registry::new();
-    let id = registry.register("cont-v".into(), None, impress_sim::SimTime::ZERO);
-    registry.note_stage_submitted(id, obs.utilization().tasks);
-    let aborted = outcomes.iter().filter(|o| o.terminated_early).count();
-    let run = RunReport::build(
-        &registry,
-        *obs.utilization(),
-        *obs.phase_breakdown(),
-        obs.at(),
-        aborted,
-    );
-    package("CONT-V", outcomes, run, session.backend())
-}
-
-/// One arm's result, its utilization series read off the backend it ran on.
-pub(crate) fn package(
-    label: &str,
-    outcomes: Vec<DesignOutcome>,
-    run: RunReport,
-    backend: &SimulatedBackend,
-) -> ExperimentResult {
-    let trajectories = outcomes.iter().map(|o| o.trajectories()).sum();
-    let evaluations = outcomes.iter().map(|o| o.total_evaluations).sum();
+    let mut run = coordinator.run();
+    let outcomes: Vec<DesignOutcome> = (coordinator.outcomes().iter())
+        .flat_map(|(_, o)| lineages(o))
+        .cloned()
+        .collect();
+    if let Arm::ContV = arm {
+        // CONT-V's one pipeline never aborts: a lineage that died with a
+        // task is its aborted pipeline.
+        run.aborted_pipelines = outcomes.iter().filter(|o| o.terminated_early).count();
+    }
+    let backend = coordinator.session().backend();
     ExperimentResult {
-        label: label.to_string(),
+        label: arm.label().to_string(),
+        trajectories: outcomes.iter().map(|o| o.trajectories()).sum(),
+        evaluations: outcomes.iter().map(|o| o.total_evaluations).sum(),
         outcomes,
         run,
-        trajectories,
-        evaluations,
         cpu_series: backend.cpu_series(),
         gpu_slot_series: backend.gpu_slot_series(),
         gpu_hw_series: backend.gpu_hw_series(),

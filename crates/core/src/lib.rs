@@ -27,9 +27,11 @@
 //! * [`protocol::DesignPipeline`] + [`adaptive::ImpressDecision`] implement
 //!   **IM-RP**: concurrent single-structure pipelines, adaptive selection,
 //!   pruning, and quality-ranked sub-pipeline spawning.
-//! * [`control::run_cont_v`] implements **CONT-V**: the same stages run
-//!   strictly sequentially, one random (unranked) candidate per cycle, no
-//!   comparison, no pruning, no runtime system.
+//! * The same [`protocol::DesignPipeline`], non-adaptive, implements
+//!   **CONT-V**: the same stages run strictly sequentially, one target's
+//!   lineage after another as one pipeline on the coordinator
+//!   ([`control`]), one random (unranked) candidate per cycle, no
+//!   comparison, no pruning, no decision engine.
 //!
 //! [`spec::CampaignSpec`] is the one door to both:
 //! `CampaignSpec::imrp(..)` or `CampaignSpec::cont_v(..)`, the layers as

@@ -123,6 +123,10 @@ pub struct DesignPipeline {
     total_evaluations: u32,
     baseline_report: ConfidenceReport,
     phase: Phase,
+    /// Stage 4 draws one stream per cycle (`fork_idx("msa"|"fold", cycle)`)
+    /// rather than one per candidate: CONT-V's lineages keep the streams of
+    /// the sequential script they replaced, so its artifacts hold.
+    per_cycle_streams: bool,
 }
 
 impl DesignPipeline {
@@ -149,6 +153,20 @@ impl DesignPipeline {
             total_evaluations: 0,
             baseline_report,
             phase: Phase::Mpnn,
+            per_cycle_streams: false,
+        }
+    }
+
+    /// A CONT-V lineage for `tk`: a root on the stream
+    /// `seed → "cont-v" → target`, with one Stage 4 stream per cycle.
+    pub(crate) fn cont_v(tk: Arc<TargetToolkit>, config: ProtocolConfig) -> Self {
+        let label = format!("{}/cont-v", tk.name);
+        let rng = SimRng::from_seed(config.seed).fork("cont-v").fork(&tk.name);
+        DesignPipeline {
+            label,
+            rng,
+            per_cycle_streams: true,
+            ..Self::root(tk, config, 0)
         }
     }
 
@@ -195,6 +213,7 @@ impl DesignPipeline {
             total_evaluations: 0,
             baseline_report: parent.baseline_report,
             phase: Phase::Mpnn,
+            per_cycle_streams: false,
         }
     }
 
@@ -243,6 +262,15 @@ impl DesignPipeline {
         remaining.min(self.config.speculation.max(1) as usize)
     }
 
+    /// Stage 4's `stage` stream for ranked candidate `k` of this cycle.
+    fn stage4_rng(&self, stage: &str, k: usize) -> SimRng {
+        if self.per_cycle_streams {
+            return self.rng.fork_idx(stage, self.iteration() as u64);
+        }
+        self.rng
+            .fork(&format!("{stage}/i{}/k{k}", self.iteration()))
+    }
+
     fn submit_msa(&mut self) -> Step<DesignOutcome> {
         self.phase = Phase::Msa;
         let width = self.batch_width();
@@ -251,7 +279,7 @@ impl DesignPipeline {
             .map(|i| {
                 let k = self.candidate_idx + i;
                 let candidate = self.ordered[k].sequence.clone();
-                let rng = self.rng.fork(&format!("msa/i{}/k{k}", self.iteration()));
+                let rng = self.stage4_rng("msa", k);
                 // Optionally keep speculative alternates off the critical
                 // path (see ProtocolConfig::deprioritize_speculation).
                 let priority = if i == 0 || !self.config.deprioritize_speculation {
@@ -274,7 +302,7 @@ impl DesignPipeline {
             .map(|(i, msa)| {
                 let k = self.candidate_idx + i;
                 let candidate = self.ordered[k].sequence.clone();
-                let rng = self.rng.fork(&format!("fold/i{}/k{k}", self.iteration()));
+                let rng = self.stage4_rng("fold", k);
                 let priority = if i == 0 || !self.config.deprioritize_speculation {
                     0
                 } else {
@@ -299,7 +327,8 @@ impl DesignPipeline {
         Step::Submit(predictions.into_iter().map(stage5_6_assess).collect())
     }
 
-    fn outcome(&self, terminated_early: bool) -> DesignOutcome {
+    /// What the lineage has so far, as its outcome.
+    pub(crate) fn outcome(&self, terminated_early: bool) -> DesignOutcome {
         DesignOutcome {
             target: self.tk.name.clone(),
             label: self.label.clone(),

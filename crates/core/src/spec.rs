@@ -1,16 +1,14 @@
 //! The one front door for both arms of the paper's comparison.
 //!
 //! [`CampaignSpec`] is one typed description of a campaign — targets,
-//! protocol, pilot, and the optional fault and telemetry layers, plus the
-//! IM-RP-only policy, journal, deadline and resume layers — with a single
-//! entry point, [`CampaignSpec::run`]. The constructor picks the arm:
-//! [`CampaignSpec::imrp`] runs the adaptive pipelines on the coordinator,
-//! [`CampaignSpec::cont_v`] runs the sequential control over a bare
-//! session. Both arms get their runtime from the same builder, so every
-//! configured run in the workspace shares one code path and byte-identical
-//! artifact regeneration is a structural property rather than parallel
-//! promises. A setter the chosen arm cannot honour is refused with a
-//! [`SpecError`], never ignored.
+//! protocol, pilot, and the optional fault, telemetry, journal, deadline
+//! and resume layers, plus the IM-RP-only policy — with a single entry
+//! point, [`CampaignSpec::run`]. The constructor picks the arm, adaptive
+//! pipelines ([`CampaignSpec::imrp`]) or the sequential control as one
+//! pipeline ([`CampaignSpec::cont_v`]); both run on one coordinator and
+//! share its tail, so byte-identical artifact regeneration is a structural
+//! property rather than parallel promises. A setter the chosen arm cannot
+//! honour is refused with a [`SpecError`], never ignored.
 //!
 //! `impress_workflow::CampaignSpec` is a different, lower-level type: the
 //! multi-tenant service's submission of one coordinator campaign. It keeps
@@ -18,9 +16,11 @@
 
 use crate::adaptive::{AdaptivePolicy, ImpressDecision};
 use crate::config::ProtocolConfig;
-use crate::experiment::{
-    add_imrp_roots, finish_cont_v, finish_imrp, toolkits, ExperimentResult, IMRP_JOURNAL_LABEL,
-};
+use crate::control::ContV;
+use crate::experiment::{finish, toolkits, ExperimentResult};
+use crate::protocol::{DesignOutcome, DesignPipeline};
+use impress_json::{FromJsonBuf, ToJsonBuf};
+use impress_pilot::backend::SimulatedBackend;
 use impress_pilot::{
     FaultConfig, FaultPlan, LinkFaultsError, PilotConfig, RetryPolicy, RuntimeConfig,
 };
@@ -28,19 +28,30 @@ use impress_proteins::datasets::DesignTarget;
 use impress_sim::SimTime;
 use impress_telemetry::Telemetry;
 use impress_workflow::journal::{Journal, JournalError, ReplayPlan};
-use impress_workflow::Coordinator;
+use impress_workflow::{BoxedPipeline, Coordinator, DecisionEngine, NoDecisions};
 use std::fmt;
 
 /// Which protocol a spec runs; chosen by its constructor.
-enum Arm {
+#[derive(Clone, Copy)]
+pub(crate) enum Arm {
     Imrp,
     ContV,
 }
 
+impl Arm {
+    /// The arm's label: its result's, and its journal's campaign label.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Arm::Imrp => "IM-RP",
+            Arm::ContV => "CONT-V",
+        }
+    }
+}
+
 /// A complete typed description of one campaign: targets, protocol,
-/// pilot, and the optional cross-cutting layers (faults, telemetry, and
-/// for IM-RP the adaptive policy, journal, walltime deadline and resume
-/// plan). Build with [`CampaignSpec::imrp`] or [`CampaignSpec::cont_v`]
+/// pilot, and the optional cross-cutting layers (faults, telemetry,
+/// journal, walltime deadline, resume plan, and for IM-RP the adaptive
+/// policy). Build with [`CampaignSpec::imrp`] or [`CampaignSpec::cont_v`]
 /// and the chainable setters, run with [`CampaignSpec::run`].
 pub struct CampaignSpec {
     arm: Arm,
@@ -75,7 +86,8 @@ pub struct CampaignRun {
 pub enum SpecError {
     /// The fault config's link section cannot be realized.
     LinkFaults(LinkFaultsError),
-    /// The resume plan was journaled by another campaign.
+    /// The resume plan was journaled by another campaign: another arm, or
+    /// another seed.
     ForeignPlan {
         /// Campaign label the plan's journal was stamped with.
         label: String,
@@ -84,7 +96,7 @@ pub enum SpecError {
     },
     /// A CONT-V spec was given an adaptive protocol config.
     AdaptiveContV,
-    /// A CONT-V spec was given this IM-RP-only setter.
+    /// A CONT-V spec was given this IM-RP-only setter (`policy`).
     NotForContV(&'static str),
     /// Stage 1 cannot sample with this `MpnnConfig` field: it needs at
     /// least one sequence, at a finite and positive temperature.
@@ -99,7 +111,7 @@ impl fmt::Display for SpecError {
             SpecError::LinkFaults(e) => write!(f, "invalid link faults: {e}"),
             SpecError::ForeignPlan { label, seed } => write!(
                 f,
-                "journal is for campaign {label:?} (seed {seed}), not this {IMRP_JOURNAL_LABEL:?} one"
+                "journal is for campaign {label:?} (seed {seed}), not this one"
             ),
             SpecError::AdaptiveContV => {
                 f.write_str("CONT-V is the non-adaptive control; use ProtocolConfig::cont_v")
@@ -146,12 +158,12 @@ impl CampaignSpec {
     }
 
     /// A CONT-V campaign over `targets`: the same stages run strictly
-    /// sequentially, one task at a time, on the paper's single simulated
-    /// Amarel node seeded from the protocol config. `config` must be
-    /// non-adaptive ([`ProtocolConfig::cont_v`]). A lineage whose task
-    /// exhausts the retry budget of injected faults terminates early (a
-    /// vanilla sequential script dies with its first unrecoverable task)
-    /// and is counted as aborted.
+    /// sequentially, one task at a time, as one pipeline on the paper's
+    /// single simulated Amarel node seeded from the protocol config.
+    /// `config` must be non-adaptive ([`ProtocolConfig::cont_v`]). A
+    /// lineage whose task exhausts the retry budget of injected faults
+    /// terminates early (a vanilla sequential script dies with its first
+    /// unrecoverable task) and is counted as aborted.
     pub fn cont_v(targets: &[DesignTarget], config: ProtocolConfig) -> Self {
         Self::new(Arm::ContV, targets, config)
     }
@@ -200,24 +212,30 @@ impl CampaignSpec {
         self
     }
 
-    /// Install a write-ahead journal (IM-RP only; see
-    /// [`imrp_journal`](crate::experiment::imrp_journal)).
+    /// Install a write-ahead journal (see
+    /// [`imrp_journal`](crate::experiment::imrp_journal), which stamps it
+    /// with the arm a config runs).
     pub fn journal(mut self, journal: Journal) -> Self {
         self.journal = Some(journal);
         self
     }
 
-    /// Set an allocation walltime deadline (IM-RP only): the pilot stops
-    /// launching tasks that cannot finish by `deadline`, drains in-flight
-    /// work, and leaves the journal (if any) as the checkpoint.
+    /// Set an allocation walltime deadline: the pilot stops launching
+    /// tasks that cannot finish by `deadline`, drains in-flight work, and
+    /// leaves the journal (if any) as the checkpoint. Only finished
+    /// pipelines report outcomes, so a drained CONT-V, whose one pipeline
+    /// finishes with the last lineage, reports none.
     pub fn deadline(mut self, deadline: SimTime) -> Self {
         self.deadline = Some(deadline);
         self
     }
 
-    /// Resume from a replayed journal instead of starting fresh (IM-RP
-    /// only). The plan's campaign identity (label + seed) must match the
-    /// protocol config; [`CampaignSpec::run`] refuses a foreign plan.
+    /// Resume from a replayed journal instead of starting fresh. The plan's
+    /// campaign identity (label + seed) must be this spec's arm and
+    /// protocol seed; [`CampaignSpec::run`] refuses a foreign plan. A
+    /// pipeline live at the kill re-runs for real, and CONT-V's one
+    /// pipeline is live until its last lineage ends, so a resumed CONT-V
+    /// re-runs it whole.
     pub fn resume_from(mut self, plan: ReplayPlan) -> Self {
         self.resume = Some(plan);
         self
@@ -226,19 +244,18 @@ impl CampaignSpec {
     /// Run the campaign to completion (or to a drained deadline). This is
     /// the single code path every run of either arm takes: refuse what the
     /// arm cannot honour, build the backend from one runtime config, then
-    /// drive the arm. IM-RP builds the decision engine, builds or resumes
-    /// the coordinator, attaches the journal and adds one root pipeline
-    /// per target; CONT-V runs its lineages one task at a time over a
-    /// session.
-    pub fn run(self) -> Result<CampaignRun, SpecError> {
+    /// drive the arm's root pipelines on one coordinator. IM-RP adds one
+    /// root per target under its decision engine; CONT-V adds its one
+    /// chain of lineages under none.
+    pub fn run(mut self) -> Result<CampaignRun, SpecError> {
         if let Some(refused) = self.refusal() {
             return Err(refused);
         }
         let mut runtime = RuntimeConfig::new(self.pilot);
-        if let Some((faults, retry)) = self.faults {
+        if let Some((faults, retry)) = self.faults.take() {
             runtime = runtime.faults(FaultPlan::try_new(faults, self.pilot.seed)?, retry);
         }
-        if let Some(telemetry) = self.telemetry {
+        if let Some(telemetry) = self.telemetry.take() {
             runtime = runtime.telemetry(telemetry);
         }
         if let Some(deadline) = self.deadline {
@@ -246,16 +263,33 @@ impl CampaignSpec {
         }
         let backend = runtime.simulated();
         let tks = toolkits(&self.targets, self.config.seed);
-        if let Arm::ContV = self.arm {
-            return Ok(CampaignRun {
-                result: finish_cont_v(backend, &tks, &self.config),
-                drained: false,
-                records: 0,
-                snapshots: 0,
-            });
+        match self.arm {
+            Arm::Imrp => {
+                let policy = self.policy.unwrap_or_default();
+                let decision = ImpressDecision::new(self.config.clone(), policy, tks.clone());
+                let roots = (tks.iter().enumerate()).map(|(i, tk)| {
+                    let root = DesignPipeline::root(tk.clone(), self.config.clone(), i as u64);
+                    Box::new(root) as BoxedPipeline<_>
+                });
+                let roots = roots.collect();
+                self.drive(backend, decision, roots, std::slice::from_ref)
+            }
+            Arm::ContV => {
+                let chain = Box::new(ContV::new(&tks, &self.config));
+                self.drive(backend, NoDecisions, vec![chain], Vec::as_slice)
+            }
         }
-        let policy = self.policy.unwrap_or_default();
-        let decision = ImpressDecision::new(self.config.clone(), policy, tks.clone());
+    }
+
+    /// Run `roots` on a coordinator over `backend`, resumed and journaled
+    /// as set, through the arms' one tail.
+    fn drive<O: ToJsonBuf + FromJsonBuf + 'static, D: DecisionEngine<O>>(
+        self,
+        backend: SimulatedBackend,
+        decision: D,
+        roots: Vec<BoxedPipeline<O>>,
+        lineages: fn(&O) -> &[DesignOutcome],
+    ) -> Result<CampaignRun, SpecError> {
         let mut coordinator = match &self.resume {
             Some(plan) => Coordinator::resume(backend, decision, plan)?,
             None => Coordinator::new(backend, decision),
@@ -263,17 +297,16 @@ impl CampaignSpec {
         if let Some(journal) = self.journal {
             coordinator = coordinator.with_journal(journal);
         }
-        add_imrp_roots(&mut coordinator, &tks, &self.config);
-        let (result, coordinator) = finish_imrp(coordinator);
-        let (records, snapshots) = coordinator
-            .journal()
-            .map(|j| (j.records_written(), j.snapshots_taken()))
-            .unwrap_or((0, 0));
+        for root in roots {
+            coordinator.add_pipeline(root);
+        }
+        let result = finish(&mut coordinator, self.arm, lineages);
+        let journal = coordinator.journal();
         Ok(CampaignRun {
             result,
             drained: coordinator.drained(),
-            records,
-            snapshots,
+            records: journal.map_or(0, Journal::records_written),
+            snapshots: journal.map_or(0, Journal::snapshots_taken),
         })
     }
 
@@ -286,39 +319,31 @@ impl CampaignSpec {
         if !(mpnn.temperature.is_finite() && mpnn.temperature > 0.0) {
             return Some(SpecError::Mpnn("temperature"));
         }
-        match self.arm {
-            Arm::Imrp => {
-                let plan = self.resume.as_ref()?;
-                let ours = plan.label == IMRP_JOURNAL_LABEL && plan.seed == self.config.seed;
-                (!ours).then(|| SpecError::ForeignPlan {
-                    label: plan.label.clone(),
-                    seed: plan.seed,
-                })
+        if let Arm::ContV = self.arm {
+            if self.config.adaptive {
+                return Some(SpecError::AdaptiveContV);
             }
-            Arm::ContV if self.config.adaptive => Some(SpecError::AdaptiveContV),
-            Arm::ContV => [
-                ("policy", self.policy.is_some()),
-                ("journal", self.journal.is_some()),
-                ("deadline", self.deadline.is_some()),
-                ("resume_from", self.resume.is_some()),
-            ]
-            .into_iter()
-            .find_map(|(setter, set)| set.then_some(SpecError::NotForContV(setter))),
+            if self.policy.is_some() {
+                return Some(SpecError::NotForContV("policy"));
+            }
         }
+        let plan = self.resume.as_ref()?;
+        let ours = plan.label == self.arm.label() && plan.seed == self.config.seed;
+        (!ours).then(|| SpecError::ForeignPlan {
+            label: plan.label.clone(),
+            seed: plan.seed,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::run_cont_v;
-    use crate::experiment::{imrp_journal, package};
-    use impress_pilot::backend::SimulatedBackend;
-    use impress_pilot::{LinkFaults, Session};
+    use crate::experiment::imrp_journal;
+    use impress_pilot::LinkFaults;
     use impress_proteins::datasets::named_pdz_domains;
     use impress_sim::SimDuration;
     use impress_workflow::journal::MemoryJournal;
-    use impress_workflow::{Registry, RunReport};
 
     fn targets(n: usize) -> Vec<DesignTarget> {
         named_pdz_domains(42).into_iter().take(n).collect()
@@ -339,8 +364,11 @@ mod tests {
         let tks = toolkits(&targets, config.seed);
         let decision = ImpressDecision::new(config.clone(), policy, tks.clone());
         let mut coordinator = Coordinator::new(SimulatedBackend::new(pilot), decision);
-        add_imrp_roots(&mut coordinator, &tks, &config);
-        let (manual, _) = finish_imrp(coordinator);
+        for (i, tk) in tks.iter().enumerate() {
+            let root = DesignPipeline::root(tk.clone(), config.clone(), i as u64);
+            coordinator.add_pipeline(Box::new(root));
+        }
+        let manual = finish(&mut coordinator, Arm::Imrp, std::slice::from_ref);
 
         let spec_run = CampaignSpec::imrp(&targets, config)
             .policy(policy)
@@ -357,102 +385,55 @@ mod tests {
         assert!(spec_run.result.trajectories >= 4);
     }
 
-    /// CONT-V's golden test: the spec's CONT-V path is `run_cont_v` over a
-    /// session, its report built by hand as one pipeline that submitted
-    /// every task — fault-free, and under the resilience study's 8 h MTBF,
-    /// retry-3 cell.
-    #[test]
-    fn cont_v_spec_path_is_byte_identical_to_a_hand_assembled_run() {
-        let targets = targets(2);
-        let config = ProtocolConfig::cont_v(1);
-        let pilot = PilotConfig::with_seed(config.seed);
-        let by_hand = |backend: SimulatedBackend| {
-            let mut session = Session::new(backend);
-            let outcomes = run_cont_v(&mut session, &toolkits(&targets, config.seed), &config);
-            let obs = session.observe();
-            let mut registry = Registry::new();
-            let id = registry.register("cont-v".into(), None, SimTime::ZERO);
-            registry.note_stage_submitted(id, obs.utilization().tasks);
-            let aborted = outcomes.iter().filter(|o| o.terminated_early).count();
-            let run = RunReport::build(
-                &registry,
-                *obs.utilization(),
-                *obs.phase_breakdown(),
-                obs.at(),
-                aborted,
-            );
-            package("CONT-V", outcomes, run, session.backend())
-        };
-        let spec = || CampaignSpec::cont_v(&targets, config.clone());
-
-        let manual = by_hand(SimulatedBackend::new(pilot));
-        let spec_run = spec().run().unwrap();
-        assert_eq!(
-            impress_json::to_string(&manual),
-            impress_json::to_string(&spec_run.result)
-        );
-        assert_eq!((spec_run.records, spec_run.drained), (0, false));
-
-        let faults = FaultConfig {
-            task_failure_rate: 0.02,
-            node_mtbf: Some(SimDuration::from_hours(8)),
-            node_outage: SimDuration::from_mins(30),
-            ..FaultConfig::none()
-        };
-        let retry = RetryPolicy::retries(3);
-        let plan = FaultPlan::try_new(faults.clone(), pilot.seed).unwrap();
-        let manual = by_hand(RuntimeConfig::new(pilot).faults(plan, retry).simulated());
-        let faulty = spec().faults(faults, retry).run().unwrap().result;
-        assert_eq!(
-            impress_json::to_string(&manual),
-            impress_json::to_string(&faulty)
-        );
-        assert!(faulty.run.task_retries > 0, "the cell injects faults");
-    }
-
+    /// A plan journaled by one arm is foreign to the other, and to its
+    /// own arm at another seed: `imrp_journal` stamps the arm a config
+    /// runs.
     #[test]
     fn spec_refuses_a_foreign_resume_plan() {
-        let Err(err) = CampaignSpec::imrp(&targets(1), ProtocolConfig::imrp(1))
-            .resume_from(ReplayPlan::new("CONT-V", 1))
-            .run()
-        else {
-            panic!("foreign plan must be refused");
+        let plan_of = |config: ProtocolConfig| {
+            let store = Box::new(MemoryJournal::new());
+            imrp_journal(store, &config).unwrap().plan().clone()
         };
-        assert!(
-            matches!(&err, SpecError::ForeignPlan { label, seed: 1 } if label == "CONT-V"),
-            "{err}"
-        );
-    }
-
-    /// A CONT-V spec refuses, by name, every setting only IM-RP reads,
-    /// and an adaptive config; nothing is silently ignored.
-    #[test]
-    fn cont_v_refuses_what_only_imrp_reads() {
-        type Case = (&'static str, fn(CampaignSpec) -> CampaignSpec);
-        let cases: [Case; 4] = [
-            ("policy", |s| s.policy(AdaptivePolicy::default())),
-            ("journal", |s| {
-                let store = Box::new(MemoryJournal::new());
-                s.journal(imrp_journal(store, &ProtocolConfig::cont_v(1)).unwrap())
-            }),
-            ("deadline", |s| {
-                s.deadline(SimTime::ZERO + SimDuration::from_hours(1))
-            }),
-            ("resume_from", |s| {
-                s.resume_from(ReplayPlan::new(IMRP_JOURNAL_LABEL, 1))
-            }),
-        ];
         let targets = targets(1);
-        for (setter, set) in cases {
-            let spec = set(CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(1)));
-            match spec.run() {
-                Err(SpecError::NotForContV(named)) => assert_eq!(named, setter),
-                Err(e) => panic!("`{setter}`: refused for the wrong reason: {e}"),
-                Ok(_) => panic!("`{setter}` was ignored"),
+        let imrp = || CampaignSpec::imrp(&targets, ProtocolConfig::imrp(1));
+        let cont_v = CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(1));
+        let cases = [
+            (imrp(), plan_of(ProtocolConfig::cont_v(1))),
+            (cont_v, plan_of(ProtocolConfig::imrp(1))),
+            (imrp(), plan_of(ProtocolConfig::imrp(2))),
+        ];
+        for (spec, plan) in cases {
+            let (label, seed) = (plan.label.clone(), plan.seed);
+            match spec.resume_from(plan).run() {
+                Err(SpecError::ForeignPlan { label: l, seed: s }) => {
+                    assert_eq!((l, s), (label, seed))
+                }
+                Err(e) => panic!("{label:?} at seed {seed} refused for the wrong reason: {e}"),
+                Ok(_) => panic!("{label:?} at seed {seed} was taken"),
             }
         }
+    }
+
+    /// A CONT-V spec refuses, by name, the one setting only IM-RP reads
+    /// (the adaptive policy), and an adaptive config; nothing is silently
+    /// ignored. Journal, deadline and resume plan it takes.
+    #[test]
+    fn cont_v_refuses_what_only_imrp_reads() {
+        let targets = targets(1);
+        let spec = || CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(1));
+        let policy = spec().policy(AdaptivePolicy::default()).run();
+        assert!(matches!(policy, Err(SpecError::NotForContV("policy"))));
         let adaptive = CampaignSpec::cont_v(&targets, ProtocolConfig::imrp(1)).run();
         assert!(matches!(adaptive, Err(SpecError::AdaptiveContV)));
+
+        let store = Box::new(MemoryJournal::new());
+        let journal = imrp_journal(store, &ProtocolConfig::cont_v(1)).unwrap();
+        assert!(spec().journal(journal).run().unwrap().records > 0);
+        let deadline = SimTime::ZERO + SimDuration::from_hours(1);
+        assert!(spec().deadline(deadline).run().unwrap().drained);
+        let plan = ReplayPlan::new("CONT-V", 1);
+        let resumed = spec().resume_from(plan).run().unwrap().result;
+        assert_eq!(resumed.trajectories, 4, "an empty plan re-runs everything");
     }
 
     /// A spec of each arm over one target, its protocol config edited.

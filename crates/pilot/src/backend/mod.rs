@@ -216,20 +216,6 @@ impl Completion {
         }
     }
 
-    /// Downcast the work output, surfacing task failure as an `Err` instead
-    /// of a panic — the accessor for layers with retry/abort logic of their
-    /// own. A *successful* completion with missing or mistyped output still
-    /// panics: that is a stage-plumbing bug, not a runtime fault.
-    pub fn try_output<T: 'static>(self) -> Result<T, TaskError> {
-        match self.result {
-            Ok(Some(out)) => Ok(*out
-                .downcast::<T>()
-                .unwrap_or_else(|_| panic!("{}: output has unexpected type", self.task))),
-            Ok(None) => panic!("{}: task had no work output", self.task),
-            Err(e) => Err(e),
-        }
-    }
-
     /// The failure reason, if the task failed.
     pub fn failure(&self) -> Option<&TaskError> {
         self.result.as_ref().err()
@@ -365,7 +351,14 @@ pub trait ExecutionBackend {
     }
 }
 
-impl ExecutionBackend for Box<dyn ExecutionBackend> {
+/// Anything that hands out a backend mutably is one: a boxed backend (an
+/// engine picked at run time as `Box<dyn ExecutionBackend>`) or a borrowed
+/// one (a coordinator over [`Session::backend_mut`](crate::Session::backend_mut)).
+impl<P> ExecutionBackend for P
+where
+    P: std::ops::DerefMut,
+    P::Target: ExecutionBackend,
+{
     fn submit(&mut self, desc: TaskDescription) -> TaskId {
         (**self).submit(desc)
     }
@@ -495,50 +488,5 @@ mod tests {
             TaskError::ShapeCircuitOpen { cores: 4, gpus: 1 }.to_string(),
             "shape class 4c/1g shed by an open quarantine circuit breaker"
         );
-    }
-
-    #[test]
-    fn try_output_surfaces_failure_without_panicking() {
-        let ok = Completion {
-            task: TaskId(1),
-            name: "t".into(),
-            tag: Label::default(),
-            result: Ok(Some(Box::new(11u32))),
-            started: SimTime::ZERO,
-            finished: SimTime::ZERO,
-            attempts: 2,
-            hedged: false,
-        };
-        assert!(ok.failure().is_none());
-        assert_eq!(ok.try_output::<u32>(), Ok(11));
-
-        let failed = Completion {
-            task: TaskId(2),
-            name: "t".into(),
-            tag: Label::default(),
-            result: Err(TaskError::Injected),
-            started: SimTime::ZERO,
-            finished: SimTime::ZERO,
-            attempts: 0,
-            hedged: false,
-        };
-        assert_eq!(failed.failure(), Some(&TaskError::Injected));
-        assert_eq!(failed.try_output::<u32>(), Err(TaskError::Injected));
-    }
-
-    #[test]
-    #[should_panic(expected = "unexpected type")]
-    fn try_output_still_panics_on_plumbing_bugs() {
-        let c = Completion {
-            task: TaskId(1),
-            name: "t".into(),
-            tag: Label::default(),
-            result: Ok(Some(Box::new(7u32))),
-            started: SimTime::ZERO,
-            finished: SimTime::ZERO,
-            attempts: 0,
-            hedged: false,
-        };
-        let _ = c.try_output::<String>();
     }
 }

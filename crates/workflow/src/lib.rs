@@ -22,7 +22,7 @@
 //! * [`decision`] — the [`decision::DecisionEngine`] trait: the adaptive
 //!   brain. `impress-core` implements the paper's quality-ranked re-process
 //!   policy; [`decision::NoDecisions`] gives the non-adaptive behaviour.
-//! * [`registry`] — pipeline bookkeeping: states, parentage (root pipeline
+//! * [`Registry`] — pipeline bookkeeping: states, parentage (root pipeline
 //!   vs spawned sub-pipeline), per-pipeline task counts.
 //! * [`report`] — the run report the Table I harness consumes.
 //! * [`linear`] — a ready-made stage chain for users who don't need a
@@ -44,7 +44,7 @@ pub mod decision;
 pub mod journal;
 pub mod linear;
 pub mod pipeline;
-pub mod registry;
+mod registry;
 pub mod report;
 pub mod service;
 pub mod stage;

@@ -54,7 +54,7 @@ impl Registry {
     }
 
     /// Register a new pipeline, returning its id.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         name: String,
         parent: Option<PipelineId>,
@@ -94,7 +94,7 @@ impl Registry {
     }
 
     /// Mark a pipeline running and charge `n_tasks` submitted tasks to it.
-    pub fn note_stage_submitted(&mut self, id: PipelineId, n_tasks: usize) {
+    pub(crate) fn note_stage_submitted(&mut self, id: PipelineId, n_tasks: usize) {
         let e = self.get_mut(id);
         assert!(!e.state.is_terminal(), "{id} is already terminal");
         e.state = PipelineState::Running;

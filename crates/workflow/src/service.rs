@@ -432,10 +432,13 @@ where
             return;
         }
         let at = self.tenants.len();
-        // Late joiners start at the current minimum virtual clock, not 0 —
-        // otherwise a tenant registered late would monopolize stepping
-        // until it "caught up" with everyone's accumulated clock.
-        let vclock = self.lowest_ready_vclock().unwrap_or(0);
+        // Late joiners start at the lowest clock among tenants with a
+        // running campaign, not 0 — otherwise a tenant registered late
+        // would monopolize stepping until it "caught up" with everyone's
+        // accumulated clock. Running, not ready: between two pumps no
+        // campaign is ready, and that is when tenants usually arrive.
+        let running = self.tenants.iter().filter(|t| t.running > 0);
+        let vclock = running.map(|t| t.vclock).min().unwrap_or(0);
         self.tenants.push(TenantState {
             quota,
             account: self.cluster.open_account(),
@@ -666,26 +669,6 @@ where
                 tenant,
             });
         }
-    }
-
-    /// The virtual clock of the lowest tenant with a ready campaign.
-    /// Entries that went stale under a cancel are dropped on the way, as
-    /// [`pop_ready`](Self::pop_ready) would drop them, so the answer does
-    /// not depend on whether any are left.
-    fn lowest_ready_vclock(&mut self) -> Option<u64> {
-        while let Some(&HeapEntry { vclock, tenant }) = self.heap.peek() {
-            let t = &mut self.tenants[tenant];
-            while let Some(&cid) = t.ready.front() {
-                let c = &self.campaigns[cid];
-                if c.ready && c.status == CampaignStatus::Running {
-                    return Some(vclock);
-                }
-                t.ready.pop_front();
-            }
-            t.queued = false;
-            self.heap.pop();
-        }
-        None
     }
 
     /// Mark a campaign ready to step (no-op if it already is, or is not

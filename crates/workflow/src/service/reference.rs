@@ -87,8 +87,8 @@ impl ReferenceService {
     }
 
     /// Register `name`, or replace its quota. A tenant new to the service
-    /// starts at the lowest clock among tenants with a ready campaign, or
-    /// at 0 when none has one.
+    /// starts at the lowest clock among tenants with a running campaign,
+    /// or at 0 when none has one.
     pub(super) fn register(&mut self, name: &str, quota: TenantQuota) {
         if let Some(at) = self.tenant(name) {
             self.tenants[at].quota = quota;
@@ -97,7 +97,7 @@ impl ReferenceService {
         let vclock = self
             .campaigns
             .iter()
-            .filter(|c| c.ready_since.is_some())
+            .filter(|c| c.running)
             .map(|c| self.tenants[c.tenant].vclock)
             .min()
             .unwrap_or(0);

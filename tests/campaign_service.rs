@@ -28,6 +28,8 @@ use impress_workflow::service::{
 use impress_workflow::{
     BoxedPipeline, Coordinator, CoordinatorView, DecisionEngine, PipelineId, PipelineLogic, Step,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn pilot(cores: u32, nodes: u32) -> PilotConfig {
     PilotConfig {
@@ -467,6 +469,62 @@ fn long_spec(name: &str, roots: usize, stages: u64, secs: u64) -> CampaignSpec<u
     (0..roots).fold(CampaignSpec::new(name), |spec, _| {
         spec.root(Long::boxed(stages, secs))
     })
+}
+
+/// A pipeline that logs its tenant when it begins and completes at once.
+struct Logged {
+    tenant: &'static str,
+    log: Rc<RefCell<Vec<&'static str>>>,
+}
+
+impl PipelineLogic<u64> for Logged {
+    fn name(&self) -> String {
+        self.tenant.into()
+    }
+    fn begin(&mut self) -> Step<u64> {
+        self.log.borrow_mut().push(self.tenant);
+        Step::Complete(0)
+    }
+    fn stage_done(&mut self, _: Vec<Completion>) -> Step<u64> {
+        unreachable!("a logged pipeline submits nothing")
+    }
+}
+
+/// Regression: a tenant registered between two pumps, when no campaign is
+/// ready, started at virtual clock 0 rather than level with the tenants
+/// already running, and so won every stepping tie until it had caught up
+/// with their accumulated clocks. It starts at the lowest running clock:
+/// three campaigns each, ready at once, alternate from the earlier
+/// registration on.
+#[test]
+fn a_tenant_registered_between_pumps_starts_level_with_the_running_ones() {
+    let mut service: CampaignService<u64, _> =
+        CampaignService::new(SimulatedBackend::new(pilot(4, 1)));
+    let (early, late) = (TenantId::new("early"), TenantId::new("late"));
+    service.register_tenant(early.clone(), TenantQuota::unmetered(8));
+    service
+        .submit(&early, long_spec("long", 2, 20, 30))
+        .expect("admitted");
+    for _ in 0..40 {
+        assert!(service.step());
+    }
+    service.register_tenant(late.clone(), TenantQuota::unmetered(8));
+    let log = Rc::new(RefCell::new(Vec::new()));
+    for c in 0..3 {
+        for (id, tenant) in [(&early, "early"), (&late, "late")] {
+            let root = Box::new(Logged {
+                tenant,
+                log: Rc::clone(&log),
+            });
+            let spec = CampaignSpec::new(format!("{tenant}-{c}")).root(root);
+            service.submit(id, spec).expect("admitted");
+        }
+    }
+    service.run();
+    assert_eq!(
+        *log.borrow(),
+        ["early", "late", "early", "late", "early", "late"]
+    );
 }
 
 /// Regression: `cancel` used to snapshot the lease's meter into the

@@ -1,7 +1,8 @@
 //! Crash-consistency end to end: a journaled IM-RP campaign killed at
 //! adversarial points — including mid-snapshot torn writes — must resume
 //! from the surviving journal and regenerate the uninterrupted run's
-//! artifacts byte for byte; a walltime-drained campaign must do the same.
+//! artifacts byte for byte; a walltime-drained campaign must do the same,
+//! and so must the CONT-V arm.
 //! The simulated backend gets full byte parity; the threaded backend
 //! gets drain-checkpoint-resume with outcome-cohort parity on real
 //! threads under a paced clock.
@@ -336,6 +337,69 @@ fn kill_mid_retry_backoff_resumes_onto_an_identical_timeline() {
         resumed.report().task_retries >= 1,
         "the mid-backoff retry must fire after resume"
     );
+}
+
+/// The CONT-V campaign over the same targets and pilot.
+fn cont_v_spec() -> CampaignSpec {
+    CampaignSpec::cont_v(&targets(), ProtocolConfig::cont_v(SEED))
+        .pilot(PilotConfig::with_seed(SEED))
+}
+
+/// A CONT-V journal on `store`.
+fn cont_v_journal(store: &MemoryJournal) -> Journal {
+    imrp_journal(Box::new(store.clone()), &ProtocolConfig::cont_v(SEED)).expect("journal")
+}
+
+/// The CONT-V campaign resumed from what `store` holds, as JSON.
+fn cont_v_resumed(store: &MemoryJournal) -> String {
+    let plan = load_plan(store).expect("surviving journal must load").plan;
+    let run = cont_v_spec().resume_from(plan).run().expect("resume");
+    impress_json::to_string(&run.result)
+}
+
+/// The control arm journals like IM-RP: a CONT-V campaign killed early,
+/// halfway, or after its last record resumes to the uninterrupted run's
+/// bytes.
+#[test]
+fn a_killed_cont_v_journal_resumes_byte_identically() {
+    let baseline = impress_json::to_string(&cont_v_spec().run().expect("plain run").result);
+    let store = MemoryJournal::new();
+    let journaled = cont_v_spec().journal(cont_v_journal(&store)).run();
+    let journaled = journaled.expect("journaled run");
+    assert_eq!(baseline, impress_json::to_string(&journaled.result));
+    let total = journaled.records;
+    assert!(total > 20, "campaign too small to kill mid-run: {total}");
+    for kill_after in [3, total / 2, total] {
+        let store = MemoryJournal::new();
+        let journal = cont_v_journal(&store).with_kill_after(kill_after);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cont_v_spec().journal(journal).run()
+        }));
+        assert!(crashed.is_err(), "kill switch must fire");
+        assert_eq!(
+            baseline,
+            cont_v_resumed(&store),
+            "kill at record {kill_after}"
+        );
+    }
+}
+
+/// A deadline halfway through CONT-V drains it without a panic and with no
+/// outcome (its one pipeline was live), and the checkpoint resumes to the
+/// uninterrupted run's bytes.
+#[test]
+fn a_drained_cont_v_resumes_byte_identically() {
+    let full = cont_v_spec().run().expect("plain run").result;
+    let store = MemoryJournal::new();
+    let deadline = SimTime::from_micros(full.run.makespan.as_micros() / 2);
+    let drained = cont_v_spec()
+        .journal(cont_v_journal(&store))
+        .deadline(deadline)
+        .run()
+        .expect("a deadline drains, it does not fail");
+    assert!(drained.drained, "a mid-campaign deadline drains");
+    assert!(drained.result.outcomes.is_empty());
+    assert_eq!(impress_json::to_string(&full), cont_v_resumed(&store));
 }
 
 fn journal_fixture() -> &'static (Vec<String>, String) {

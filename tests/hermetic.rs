@@ -479,7 +479,8 @@ const CHANNELS: &[Rule] = &[Rule {
 }];
 
 /// Both arms of the paper's comparison run through `CampaignSpec::run`;
-/// five public drivers used to, each building its own runtime.
+/// five public drivers used to, each building its own runtime, and CONT-V
+/// ran on a session driver of its own beside the coordinator.
 const FRONT_DOOR: &[Rule] = &[
     Rule {
         needles: &["run_imrp", "run_cont_v_resilient", "run_ablation"],
@@ -494,6 +495,22 @@ const FRONT_DOOR: &[Rule] = &[
         verdict: Verdict::OnlyIn(&["crates/core/src/experiment.rs", "perf/src/adapter.rs"]),
         reason: "`run_cont_v_experiment` is a one-call forward to the spec kept for the \
                  ledger's adapter alone; new callers use `CampaignSpec::cont_v`",
+        ..FORBIDDEN
+    },
+    Rule {
+        needles: &["run_cont_v"],
+        word: true,
+        verdict: Verdict::OnlyIn(&["crates/core/src/control.rs", "perf/src/adapter.rs"]),
+        reason: "`run_cont_v` is a one-call forward to the coordinator kept for the \
+                 ledger's adapter alone; new callers use `CampaignSpec::cont_v`",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/",
+        needles: &["finish_cont_v", "run_lineage", "run_blocking"],
+        word: true,
+        reason: "CONT-V is one pipeline on the coordinator: its stage sequence is \
+                 `DesignPipeline`'s, and both arms share the coordinator's tail",
         ..FORBIDDEN
     },
 ];
