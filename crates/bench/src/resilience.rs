@@ -20,7 +20,7 @@ use crate::harness::named_domains;
 use crate::study::Size;
 use impress_core::adaptive::AdaptivePolicy;
 use impress_core::experiment::ExperimentResult;
-use impress_core::{imrp_journal, CampaignSpec, ProtocolConfig};
+use impress_core::{CampaignSpec, ProtocolConfig};
 use impress_json::Json;
 use impress_pilot::{FaultConfig, PilotConfig, RetryPolicy};
 use impress_sim::SimDuration;
@@ -95,8 +95,12 @@ pub(crate) fn recovery(size: Size, seed: u64) -> Json {
             .pilot(PilotConfig::with_seed(seed))
     };
     let base_store = MemoryJournal::new();
-    let baseline = spec()
-        .journal(imrp_journal(Box::new(base_store.clone()), &config).expect("baseline journal"))
+    let base = spec();
+    let journal = base
+        .journal_on(Box::new(base_store.clone()))
+        .expect("baseline journal");
+    let baseline = base
+        .journal(journal)
         .run()
         .expect("no resume plan to reject");
     let baseline_json = impress_json::to_string(&baseline.result);
@@ -113,13 +117,15 @@ pub(crate) fn recovery(size: Size, seed: u64) -> Json {
         for kill_frac in [0.25f64, 0.5, 0.9] {
             let kill_after = ((total_records as f64) * kill_frac).round().max(1.0) as u64;
             let store = MemoryJournal::new();
-            let mut journal = imrp_journal(Box::new(store.clone()), &config)
+            let doomed = spec();
+            let mut journal = doomed
+                .journal_on(Box::new(store.clone()))
                 .expect("sweep journal")
                 .with_kill_after(kill_after);
             if let Some(i) = snapshot_interval {
                 journal = journal.with_snapshot_interval(i);
             }
-            let doomed = spec().journal(journal);
+            let doomed = doomed.journal(journal);
             let crashed =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || doomed.run()));
             assert!(crashed.is_err(), "kill switch must fire mid-campaign");

@@ -11,7 +11,6 @@ use impress_json::json_struct;
 use impress_pilot::backend::SimulatedBackend;
 use impress_proteins::datasets::DesignTarget;
 use impress_proteins::MetricKind;
-use impress_workflow::journal::{Journal, JournalError, JournalStore};
 use impress_workflow::{Coordinator, DecisionEngine, RunReport};
 use std::sync::Arc;
 
@@ -69,23 +68,6 @@ pub fn toolkits(targets: &[DesignTarget], seed: u64) -> Vec<Arc<TargetToolkit>> 
         .iter()
         .map(|t| TargetToolkit::for_target(t, seed ^ 0xdb))
         .collect()
-}
-
-/// A write-ahead journal on `store` stamped with the campaign identity
-/// that [`CampaignSpec::resume_from`] validates: the arm `config` runs
-/// (`"IM-RP"` when adaptive, `"CONT-V"` when not) and its seed. A
-/// non-adaptive config under [`CampaignSpec::imrp`] (the ablation) is
-/// stamped `"CONT-V"` too, so that spec refuses the plan.
-pub fn imrp_journal(
-    store: Box<dyn JournalStore>,
-    config: &ProtocolConfig,
-) -> Result<Journal, JournalError> {
-    let arm = if config.adaptive {
-        Arm::Imrp
-    } else {
-        Arm::ContV
-    };
-    Journal::new(store, arm.label(), config.seed)
 }
 
 /// Run the sequential CONT-V arm on its own simulated node: a one-call
@@ -210,10 +192,9 @@ mod tests {
         };
         let plain = spec().run().unwrap().result;
         let store = MemoryJournal::new();
-        let journaled = spec()
-            .journal(imrp_journal(Box::new(store.clone()), &config).unwrap())
-            .run()
-            .unwrap();
+        let base = spec();
+        let journal = base.journal_on(Box::new(store.clone())).unwrap();
+        let journaled = base.journal(journal).run().unwrap();
         assert!(!journaled.drained);
         assert!(journaled.records > 0);
         assert_eq!(

@@ -58,7 +58,7 @@ pub mod toolkit;
 pub use ablation::{standard_suite, AblationRow};
 pub use adaptive::ImpressDecision;
 pub use config::ProtocolConfig;
-pub use experiment::{imrp_journal, ExperimentResult};
+pub use experiment::ExperimentResult;
 pub use generator::{MpnnGenerator, RandomMutagenesis, SequenceGenerator};
 pub use protocol::{DesignOutcome, DesignPipeline, IterationRecord};
 pub use quality::IterationSeries;

@@ -27,7 +27,7 @@ use impress_pilot::{
 use impress_proteins::datasets::DesignTarget;
 use impress_sim::SimTime;
 use impress_telemetry::Telemetry;
-use impress_workflow::journal::{Journal, JournalError, ReplayPlan};
+use impress_workflow::journal::{Journal, JournalError, JournalStore, ReplayPlan};
 use impress_workflow::{BoxedPipeline, Coordinator, DecisionEngine, NoDecisions};
 use std::fmt;
 
@@ -212,9 +212,16 @@ impl CampaignSpec {
         self
     }
 
-    /// Install a write-ahead journal (see
-    /// [`imrp_journal`](crate::experiment::imrp_journal), which stamps it
-    /// with the arm a config runs).
+    /// A write-ahead journal on `store` stamped with this spec's campaign
+    /// identity, its arm's label and its protocol seed: the identity
+    /// [`CampaignSpec::resume_from`] checks. Install it with
+    /// [`CampaignSpec::journal`].
+    pub fn journal_on(&self, store: Box<dyn JournalStore>) -> Result<Journal, JournalError> {
+        Journal::new(store, self.arm.label(), self.config.seed)
+    }
+
+    /// Install a write-ahead journal, stamped by
+    /// [`CampaignSpec::journal_on`].
     pub fn journal(mut self, journal: Journal) -> Self {
         self.journal = Some(journal);
         self
@@ -339,7 +346,6 @@ impl CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::imrp_journal;
     use impress_pilot::LinkFaults;
     use impress_proteins::datasets::named_pdz_domains;
     use impress_sim::SimDuration;
@@ -386,21 +392,20 @@ mod tests {
     }
 
     /// A plan journaled by one arm is foreign to the other, and to its
-    /// own arm at another seed: `imrp_journal` stamps the arm a config
-    /// runs.
+    /// own arm at another seed: `journal_on` stamps the spec's own arm.
     #[test]
     fn spec_refuses_a_foreign_resume_plan() {
-        let plan_of = |config: ProtocolConfig| {
+        let plan_of = |spec: CampaignSpec| {
             let store = Box::new(MemoryJournal::new());
-            imrp_journal(store, &config).unwrap().plan().clone()
+            spec.journal_on(store).unwrap().plan().clone()
         };
         let targets = targets(1);
-        let imrp = || CampaignSpec::imrp(&targets, ProtocolConfig::imrp(1));
-        let cont_v = CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(1));
+        let imrp = |seed| CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed));
+        let cont_v = || CampaignSpec::cont_v(&targets, ProtocolConfig::cont_v(1));
         let cases = [
-            (imrp(), plan_of(ProtocolConfig::cont_v(1))),
-            (cont_v, plan_of(ProtocolConfig::imrp(1))),
-            (imrp(), plan_of(ProtocolConfig::imrp(2))),
+            (imrp(1), plan_of(cont_v())),
+            (cont_v(), plan_of(imrp(1))),
+            (imrp(1), plan_of(imrp(2))),
         ];
         for (spec, plan) in cases {
             let (label, seed) = (plan.label.clone(), plan.seed);
@@ -426,8 +431,7 @@ mod tests {
         let adaptive = CampaignSpec::cont_v(&targets, ProtocolConfig::imrp(1)).run();
         assert!(matches!(adaptive, Err(SpecError::AdaptiveContV)));
 
-        let store = Box::new(MemoryJournal::new());
-        let journal = imrp_journal(store, &ProtocolConfig::cont_v(1)).unwrap();
+        let journal = spec().journal_on(Box::new(MemoryJournal::new())).unwrap();
         assert!(spec().journal(journal).run().unwrap().records > 0);
         let deadline = SimTime::ZERO + SimDuration::from_hours(1);
         assert!(spec().deadline(deadline).run().unwrap().drained);

@@ -2868,6 +2868,36 @@ mod tests {
         assert_eq!(std::mem::size_of::<HedgeRun>(), 48);
     }
 
+    /// A queued task holds at most 100 heap bytes: 65,536 tasks named
+    /// `"t"`, submitted to the sharded engine before its bootstrap, are all
+    /// still queued, and the live heap they add is a 56-byte record, a
+    /// scheduler queue entry and its class slot, and a share of the one
+    /// descriptor they all use.
+    #[test]
+    fn a_queued_task_holds_at_most_100_heap_bytes() {
+        const TASKS: u64 = 65_536;
+        let pilot = PilotConfig {
+            node: NodeSpec::new(64, 0, 256),
+            nodes: 16,
+            policy: PlacementPolicy::Backfill,
+            bootstrap: SimDuration::from_secs(60),
+            exec_setup_per_task: SimDuration::ZERO,
+            seed: 0,
+        };
+        let mut backend = RuntimeConfig::new(pilot).sharded();
+        let before = crate::ALLOC.live_bytes();
+        for _ in 0..TASKS {
+            let run = SimDuration::from_secs(600);
+            backend.submit(TaskDescription::new("t", ResourceRequest::cores(1), run));
+        }
+        let per_task = (crate::ALLOC.live_bytes() - before) / TASKS;
+        assert_eq!(backend.in_flight() as u64, TASKS, "nothing has run");
+        assert!(
+            per_task <= 100,
+            "a queued task holds {per_task} heap bytes, more than 100"
+        );
+    }
+
     /// What the prefetch pass reads ahead for, event by event: a settle by
     /// its completion event and nothing else.
     #[test]

@@ -858,4 +858,29 @@ mod tests {
         };
         assert_eq!(run(false), run(true));
     }
+
+    /// Completions queued for a lease leave with their storage when the
+    /// lease retires.
+    #[test]
+    fn retiring_a_lease_frees_its_inbox() {
+        const QUEUED: u64 = 256;
+        let cluster = SharedCluster::new(backend(64));
+        let mut long = cluster.lease(cluster.open_account());
+        let mut short = cluster.lease(cluster.open_account());
+        long.submit(task("long", 60));
+        for _ in 0..QUEUED {
+            short.submit(task("short", 1));
+        }
+        // Waiting on the long task pumps every short one into its inbox.
+        assert!(long.next_completion().is_some());
+        assert_eq!(short.in_flight() as u64, QUEUED, "all queued, none taken");
+        let before = crate::ALLOC.live_bytes();
+        short.retire();
+        let freed = before.saturating_sub(crate::ALLOC.live_bytes());
+        let inbox = QUEUED * std::mem::size_of::<Completion>() as u64;
+        assert!(
+            freed >= inbox,
+            "retiring freed {freed} bytes; its {QUEUED} queued completions alone held {inbox}"
+        );
+    }
 }

@@ -77,3 +77,7 @@ pub use runtime::RuntimeConfig;
 pub use scheduler::{PlacementPolicy, Scheduler};
 pub use session::{Observation, Session};
 pub use task::{TaskDescription, TaskId, TaskKind};
+
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: impress_sim::alloc_probe::CountingAlloc = impress_sim::alloc_probe::CountingAlloc;

@@ -61,11 +61,6 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A single-node cluster (the paper's testbed).
-    pub(crate) fn single(node: NodeSpec) -> ClusterSpec {
-        ClusterSpec { node, count: 1 }
-    }
-
     /// `count` identical nodes.
     pub fn homogeneous(node: NodeSpec, count: u32) -> ClusterSpec {
         assert!(count > 0, "a cluster needs at least one node");

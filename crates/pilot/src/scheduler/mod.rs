@@ -116,8 +116,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// A scheduler over a single `node`.
-    pub fn new(node: NodeSpec) -> Self {
-        Self::new_cluster(ClusterSpec::single(node), PlacementPolicy::Backfill)
+    #[cfg(test)]
+    fn new(node: NodeSpec) -> Self {
+        Self::new_cluster(ClusterSpec::homogeneous(node, 1), PlacementPolicy::Backfill)
     }
 
     /// A scheduler over a homogeneous multi-node cluster. Tasks are placed
@@ -191,7 +192,8 @@ impl Scheduler {
     /// Enqueue a task at default priority. Panics if the request can never
     /// fit the node — accepting it would deadlock the queue. Returns the
     /// queue ticket, as [`Scheduler::enqueue_with_priority`] does.
-    pub fn enqueue(&mut self, id: TaskId, request: ResourceRequest) -> u32 {
+    #[cfg(test)]
+    fn enqueue(&mut self, id: TaskId, request: ResourceRequest) -> u32 {
         self.enqueue_with_priority(id, request, 0)
     }
 
@@ -259,7 +261,7 @@ impl Scheduler {
     /// [`Scheduler::place_ready`], appending the granted pairs to `placed`
     /// instead: a caller that drains and reuses one buffer places without
     /// allocating once it is warm.
-    pub fn place_ready_into(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
+    pub(crate) fn place_ready_into(&mut self, placed: &mut Vec<(TaskId, Allocation)>) {
         // Nothing enqueued and no capacity growth since the last round ⇒
         // every outcome is already known to be "no placement".
         if self.scanned_queue_epoch == self.queue_epoch
@@ -425,7 +427,7 @@ impl Scheduler {
     }
 
     /// Number of tasks waiting for slots.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.live
     }
 
@@ -1216,5 +1218,59 @@ mod tests {
             assert_eq!(s.cores_free(), NODES * node.cores);
             assert_eq!(s.gpus_free(), NODES * node.gpus);
         }
+    }
+
+    /// A warm `enqueue` → `place_ready` → `release_owned` cycle allocates
+    /// the returned `Vec` and nothing else, on a saturated node with a
+    /// standing request that fails every round, so an empty fit set is
+    /// read every round: slab slots and class deques are reused, both
+    /// shapes' fit sets were built when first enqueued, and a grant is
+    /// three counts on no heap. Through `place_ready_into` and one reused
+    /// buffer the same cycle allocates nothing at all.
+    #[test]
+    fn a_warm_placement_cycle_allocates_only_the_vec_it_returns() {
+        const CYCLES: u64 = 20_000;
+        let mut s = Scheduler::new(NodeSpec::new(4, 0, 64));
+        s.enqueue(TaskId(0), ResourceRequest::cores(1));
+        let held = s.place_ready(); // one core gone for good
+        assert_eq!(held.len(), 1);
+        s.enqueue(TaskId(1), ResourceRequest::cores(4)); // never fits
+        let mut next = 2u64;
+        let mut cycle = |s: &mut Scheduler| {
+            for _ in 0..CYCLES {
+                s.enqueue_with_priority(TaskId(next), ResourceRequest::cores(1), 0);
+                next += 1;
+                let mut placed = s.place_ready();
+                let (_, allocation) = placed.pop().expect("three cores are free");
+                assert!(placed.is_empty(), "the four-core request failed again");
+                s.release_owned(allocation);
+            }
+        };
+        cycle(&mut s);
+        let (allocs, ()) = crate::ALLOC.measure(|| cycle(&mut s));
+        assert_eq!(s.queue_len(), 1);
+        assert_eq!(
+            allocs, CYCLES,
+            "a warm placement cycle allocates the returned Vec and nothing else"
+        );
+
+        let mut placed = Vec::new();
+        let mut cycle = |s: &mut Scheduler| {
+            for _ in 0..CYCLES {
+                s.enqueue_with_priority(TaskId(next), ResourceRequest::cores(1), 0);
+                next += 1;
+                s.place_ready_into(&mut placed);
+                let (_, allocation) = placed.pop().expect("three cores are free");
+                assert!(placed.is_empty(), "the four-core request failed again");
+                s.release_owned(allocation);
+            }
+        };
+        cycle(&mut s);
+        let (allocs, ()) = crate::ALLOC.measure(|| cycle(&mut s));
+        assert_eq!(s.queue_len(), 1);
+        assert_eq!(
+            allocs, 0,
+            "a warm placement cycle into a reused buffer must not allocate"
+        );
     }
 }

@@ -190,6 +190,7 @@ impl TaskDescription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impress_telemetry::LABEL_INLINE;
 
     #[test]
     fn builder_sets_fields() {
@@ -255,5 +256,19 @@ mod tests {
             .with_work(|| ());
         let dbg = format!("{d:?}");
         assert!(dbg.contains("has_work: true"));
+    }
+
+    #[test]
+    fn an_inline_name_and_tag_allocate_nothing() {
+        let name = "a-task-name-of-22-byte";
+        let tag = "pipeline.0001/stage.04";
+        assert_eq!((name.len(), tag.len()), (LABEL_INLINE, LABEL_INLINE));
+        let (allocs, desc) = crate::ALLOC.measure(|| {
+            TaskDescription::new(name, ResourceRequest::cores(1), SimDuration::from_secs(1))
+                .with_tag(tag)
+        });
+        assert_eq!(allocs, 0, "an inline name and tag allocate nothing");
+        assert_eq!(desc.name, name);
+        assert_eq!(desc.tag, tag);
     }
 }

@@ -173,7 +173,7 @@ impl DesignLandscape {
     /// This is the local score the MPNN surrogate ranks residues with — it
     /// sees local structure chemistry, not the global landscape. Allocates
     /// nothing; see the module docs for the bit-for-bit contract.
-    pub fn local_scores(&self, receptor: &Sequence, pos: usize) -> [f64; 20] {
+    pub(crate) fn local_scores(&self, receptor: &Sequence, pos: usize) -> [f64; 20] {
         let sums = self.nk.local_sums(receptor, pos);
         let bind = self.binding.row(pos);
         std::array::from_fn(|c| {
@@ -417,5 +417,20 @@ mod tests {
             mutated.set(pos, ALL[aa]);
             assert_eq!(l.fitness(&seq).raw_bind, l.fitness(&mutated).raw_bind);
         }
+    }
+
+    /// The twenty-candidate kernel allocates nothing: the probe is
+    /// "candidate at `pos`, the sequence elsewhere", never a copy.
+    #[test]
+    fn local_scores_allocate_nothing() {
+        let target = crate::datasets::named_pdz_domains(2025).remove(0);
+        let receptor = &target.start.complex.receptor.sequence;
+        let (allocs, scores) = crate::ALLOC.measure(|| {
+            (0..receptor.len())
+                .map(|pos| target.landscape.local_scores(receptor, pos)[pos % 20])
+                .sum::<f64>()
+        });
+        assert!(scores.is_finite());
+        assert_eq!(allocs, 0, "local_scores must not allocate");
     }
 }

@@ -51,3 +51,7 @@ pub use mpnn::{MpnnConfig, ScoredSequence, SurrogateMpnn};
 pub use profile::SequenceProfile;
 pub use sequence::{Chain, ChainId, Sequence};
 pub use structure::{Complex, Structure};
+
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: impress_sim::alloc_probe::CountingAlloc = impress_sim::alloc_probe::CountingAlloc;

@@ -531,4 +531,35 @@ mod tests {
         let out2 = mpnn.sample(&s, &MpnnConfig::default(), &mut SimRng::from_seed(14));
         assert_eq!(out1, out2);
     }
+
+    /// One `sample()` of `n` proposals allocates exactly `n + 1` times: one
+    /// `Sequence` per proposal and the output `Vec`. Scores and Boltzmann
+    /// weights live on the stack and the configuration is borrowed, not
+    /// cloned per proposal.
+    #[test]
+    fn sampling_allocates_one_sequence_per_proposal_and_the_vec() {
+        let target = crate::datasets::named_pdz_domains(2025).remove(0);
+        let receptor = target.start.complex.receptor.sequence.clone();
+        let mpnn = SurrogateMpnn::new(target.landscape.clone());
+        let mut rng = SimRng::from_seed(7);
+        for n in [1usize, 10, 60] {
+            let config = MpnnConfig {
+                num_sequences: n,
+                fixed_positions: vec![3, 40],
+                ..MpnnConfig::default()
+            };
+            let (allocs, out) =
+                crate::ALLOC.measure(|| mpnn.sample(&target.start, &config, &mut rng));
+            assert_eq!(out.len(), n);
+            assert!(
+                out.iter().any(|ss| ss.sequence != receptor),
+                "the window must cover real mutation work"
+            );
+            assert_eq!(
+                allocs,
+                n as u64 + 1,
+                "sample() of {n} proposals: one Sequence each plus the output Vec"
+            );
+        }
+    }
 }

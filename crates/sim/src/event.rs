@@ -686,4 +686,35 @@ mod tests {
             "a drained queue keeps {kept} of its peak {peak} bucket entries"
         );
     }
+
+    /// A warm `schedule` + `pop` cycle at steady depth allocates nothing:
+    /// the id-state window is at capacity, and its front retires as fast
+    /// as its back grows. A bucket grows the first time the clock crosses
+    /// its bit, and then holds the whole stored set; so "warm" means the
+    /// clock has crossed every bit the measured window crosses, and the
+    /// window lies between two powers of two.
+    #[test]
+    fn a_warm_cycle_at_steady_depth_allocates_nothing() {
+        const DEPTH: u64 = 1_024;
+        const CYCLES: u64 = 20_000;
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        for i in 0..DEPTH {
+            queue.schedule(SimTime::from_micros(i * 7 % DEPTH), i);
+        }
+        let cycle = |queue: &mut EventQueue<u64>| {
+            for _ in 0..CYCLES {
+                let ev = queue.pop().expect("held at depth");
+                let jitter = SimDuration::from_micros(DEPTH + ev.payload * 31 % 97);
+                queue.schedule(ev.at + jitter, ev.payload);
+            }
+        };
+        cycle(&mut queue);
+        cycle(&mut queue);
+        let clock = |queue: &mut EventQueue<u64>| queue.peek_time().expect("held").as_micros();
+        assert!(clock(&mut queue) > 1 << 15, "the warm-up crossed bit 15");
+        let (allocs, ()) = crate::ALLOC.measure(|| cycle(&mut queue));
+        assert!(clock(&mut queue) < 1 << 16, "the window stays below bit 16");
+        assert_eq!(queue.len() as u64, DEPTH);
+        assert_eq!(allocs, 0, "a warm schedule + pop cycle must not allocate");
+    }
 }

@@ -41,3 +41,7 @@ pub use rng::SimRng;
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
+
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;

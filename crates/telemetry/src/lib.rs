@@ -51,6 +51,10 @@ use metrics::Metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: impress_sim::alloc_probe::CountingAlloc = impress_sim::alloc_probe::CountingAlloc;
+
 /// Deterministic export-track (Chrome `tid`) numbering shared by every
 /// instrumentation site. Tracks are a pure function of the entity — never
 /// of recording order — so traces from different backends line up.
@@ -355,7 +359,7 @@ mod tests {
                 &[],
             );
         }
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.events().len(), 2);
         assert_eq!(rec.dropped(), 3);
     }
 
@@ -599,6 +603,15 @@ mod tests {
     }
 
     #[test]
+    fn cloning_a_long_label_shares_its_text() {
+        let long = Label::from("a-pipeline-name-of-forty-bytes-for-a-tag");
+        assert_eq!(long.len(), 40);
+        let (allocs, copy) = crate::ALLOC.measure(|| long.clone());
+        assert_eq!(allocs, 0, "cloning a long label shares its text");
+        assert_eq!(copy, long);
+    }
+
+    #[test]
     #[should_panic(expected = "at most ARGS_MAX = 3 args, got 4")]
     fn more_args_than_the_inline_capacity_fail_naming_the_limit() {
         let (tele, _rec) = Telemetry::recording(4);
@@ -653,5 +666,113 @@ mod tests {
         let off = Telemetry::disabled();
         off.observe_many("h", 0.0, 10.0, 4, &values);
         assert_eq!(off.snapshot(), MetricsSnapshot::default());
+    }
+
+    const TASK_NAME: &str = "a-task-name-of-22-byte";
+
+    /// One task's worth of events at the widest shapes the pins cover.
+    fn record_task(tele: &Telemetry, i: u64) {
+        let stamp = |s: u64| Stamp::virt(SimTime::from_micros(s));
+        let task = tele.span(
+            SpanCat::Task,
+            TASK_NAME,
+            SpanId::NONE,
+            track::task(i),
+            stamp(i),
+            &[("task", i as i64), ("priority", 1), ("node", 7)],
+        );
+        let attempt = tele.span(
+            SpanCat::Attempt,
+            "attempt",
+            task,
+            track::task(i),
+            stamp(i),
+            &[("attempt", 0), ("node", 7)],
+        );
+        tele.instant(
+            SpanCat::Control,
+            "lease-expired",
+            attempt,
+            track::task(i),
+            stamp(i + 1),
+            &[("node", 7)],
+        );
+        tele.end(attempt, stamp(i + 1));
+        tele.instant(
+            SpanCat::Task,
+            "held",
+            task,
+            track::task(i),
+            stamp(i + 1),
+            &[],
+        );
+        tele.end(task, stamp(i + 2));
+    }
+
+    /// Recording is zero-alloc: on a warm, full ring, `span`, `instant` and
+    /// `end` with names of up to `LABEL_INLINE` bytes and up to `ARGS_MAX`
+    /// args allocate nothing; building the event, and evicting the oldest
+    /// one, never touches the allocator. The event's size is what a ring
+    /// slot costs.
+    #[test]
+    fn recording_into_a_warm_full_ring_allocates_nothing() {
+        const RING: usize = 64;
+        const WINDOW: u64 = 256;
+        // Two span ids, a category, an inline label, a track, a dual-clock
+        // stamp and an inline list of `ARGS_MAX` pairs.
+        assert_eq!(std::mem::size_of::<TelemetryEvent>(), 160);
+        assert_eq!(TASK_NAME.len(), LABEL_INLINE);
+        assert_eq!(ARGS_MAX, 3);
+        let (tele, rec) = Telemetry::recording(RING);
+        for i in 0..RING as u64 {
+            record_task(&tele, i);
+        }
+        assert_eq!(rec.events().len(), RING);
+        let dropped = rec.dropped();
+        assert!(dropped > 0, "the ring must be full before the window opens");
+        let (allocs, ()) = crate::ALLOC.measure(|| {
+            for i in 0..WINDOW {
+                record_task(&tele, RING as u64 + i);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "recording {WINDOW} tasks' events into a full ring must not allocate"
+        );
+        assert_eq!(
+            rec.dropped(),
+            dropped + 6 * WINDOW,
+            "every event evicted one"
+        );
+    }
+
+    /// `count`, `gauge`, `observe` and `observe_many` on names already in
+    /// the registry allocate nothing.
+    #[test]
+    fn warm_metric_updates_allocate_nothing() {
+        const WINDOW: u64 = 256;
+        let waits = [12.0, 300.5, 9_000.0, 20_000.0];
+        let update = |tele: &Telemetry, i: u64| {
+            tele.count("tasks_submitted", 1);
+            tele.count("placements", i);
+            tele.gauge("queue_depth", i as f64);
+            tele.gauge("in_flight", 3.0);
+            tele.observe("task_run_seconds", 0.0, 14_400.0, 48, i as f64);
+            tele.observe_many("queue_wait_seconds", 0.0, 14_400.0, 48, &waits);
+        };
+        let (tele, _rec) = Telemetry::recording(4);
+        update(&tele, 0); // first use registers each series
+        let (allocs, ()) = crate::ALLOC.measure(|| {
+            for i in 1..=WINDOW {
+                update(&tele, i);
+            }
+        });
+        assert_eq!(allocs, 0, "warm metric updates must not allocate");
+        let snap = tele.snapshot();
+        assert_eq!(snap.counter("tasks_submitted"), Some(WINDOW + 1));
+        assert_eq!(
+            snap.histogram("queue_wait_seconds").map(|h| h.count),
+            Some(4 * (WINDOW + 1))
+        );
     }
 }

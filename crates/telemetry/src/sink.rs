@@ -103,11 +103,6 @@ impl TraceRecorder {
         self.ring.events()
     }
 
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.ring.len() == 0

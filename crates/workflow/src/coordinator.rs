@@ -891,9 +891,11 @@ mod tests {
                 return Step::Complete(self.acc);
             }
             self.stages -= 1;
+            // Formatted inline: a stage allocates only what the API hands
+            // over, which the allocation pin below counts on.
             Step::run(
                 TaskDescription::new(
-                    format!("{}-stage", self.label),
+                    Label::from_fmt(format_args!("{}-stage", self.label)),
                     ResourceRequest::cores(1),
                     SimDuration::from_secs(5),
                 )
@@ -1441,5 +1443,77 @@ mod tests {
             impress_json::to_string(&reference.report()),
             impress_json::to_string(&resumed.report())
         );
+    }
+
+    /// A store that keeps nothing, so a window counts the journal's own
+    /// allocations and not a medium's.
+    struct Discard;
+
+    impl crate::journal::JournalStore for Discard {
+        fn append(&self, _: &str) -> Result<(), JournalError> {
+            Ok(())
+        }
+        fn lines(&self) -> Result<Vec<String>, JournalError> {
+            Ok(Vec::new())
+        }
+        fn rewrite(&self, _: &[String]) -> Result<(), JournalError> {
+            Ok(())
+        }
+    }
+
+    /// A warm single-task stage costs at most 3 allocations a task: what
+    /// the API hands over, namely the `Vec` of `Step::run`, the work
+    /// output box and the batch given to `stage_done` (which the stage
+    /// buffer allocates when the stage opens and hands over in place).
+    /// The amortized growth of the run's logs rounds to nothing, and the
+    /// placement list and the profiler's task record allocate nothing of
+    /// their own. Journaling adds at most one a task: with a write-ahead
+    /// journal that compacts every 64 records, a stage whose task shape is
+    /// already in the journal's table costs its record one list of ids,
+    /// which the replay plan keeps; the framing buffers and the two
+    /// compaction lines are reused.
+    #[test]
+    fn a_warm_stage_allocates_only_what_the_api_hands_over() {
+        const WARM: u32 = 2_000;
+        const MEASURED: u32 = 2_000;
+        let per_task = |journal: Option<Journal>| {
+            let mut c = Coordinator::new(backend(), NoDecisions);
+            if let Some(journal) = journal {
+                c = c.with_journal(journal);
+            }
+            c.add_pipeline(Box::new(Counter {
+                label: "chain".into(),
+                stages: WARM + MEASURED,
+                acc: 0,
+            }));
+            // Each step routes one completion: one task, one stage.
+            for _ in 0..WARM {
+                assert!(c.step());
+            }
+            let (allocs, ()) = crate::ALLOC.measure(|| {
+                for _ in 0..MEASURED {
+                    assert!(c.step());
+                }
+            });
+            assert!(!c.step(), "the chain ends after its last stage");
+            assert_eq!(c.outcomes().len(), 1);
+            let snapshots = c.journal().map_or(0, Journal::snapshots_taken);
+            (allocs as f64 / f64::from(MEASURED), snapshots)
+        };
+        let (bare, _) = per_task(None);
+        assert!(
+            bare < 3.005,
+            "a warm single-task stage allocates {bare:.3} times a task, more than 3.00"
+        );
+        let journal = Journal::new(Box::new(Discard), "chain", 0)
+            .unwrap()
+            .with_snapshot_interval(64);
+        let (journaled, snapshots) = per_task(Some(journal));
+        assert!(
+            journaled <= bare + 1.05,
+            "journaling a known shape costs {:.2} allocations a task, more than 1",
+            journaled - bare
+        );
+        assert!(snapshots >= 60);
     }
 }

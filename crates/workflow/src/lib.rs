@@ -64,3 +64,7 @@ pub use service::{
     TenantId, TenantQuota,
 };
 pub use stage::Step;
+
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: impress_sim::alloc_probe::CountingAlloc = impress_sim::alloc_probe::CountingAlloc;

@@ -970,9 +970,11 @@ mod tests {
                 return Step::Complete(self.acc);
             }
             self.stages -= 1;
+            // Formatted inline: a stage allocates only what the API hands
+            // over, which the allocation pin below counts on.
             Step::run(
                 TaskDescription::new(
-                    format!("{}-stage", self.label),
+                    impress_pilot::Label::from_fmt(format_args!("{}-stage", self.label)),
                     ResourceRequest::cores(1),
                     SimDuration::from_secs(self.secs),
                 )
@@ -1169,5 +1171,48 @@ mod tests {
     fn a_campaign_row_stays_small() {
         let row = std::mem::size_of::<CampaignState<u64, SimulatedBackend>>();
         assert!(row <= 160, "a campaign row is {row} B, more than 160");
+    }
+
+    /// A service campaign allocates at most 12 times of its own: 2,000
+    /// campaigns of two three-stage chains, submitted to one service and
+    /// run dry. Beside what the API hands over (each pipeline's name, and
+    /// a stage's `Step::run` list, its task's output box and its batch), a
+    /// campaign costs its boxed coordinator, that coordinator's tables (its
+    /// ledger, pipeline slots, routes and the lists it stages submissions
+    /// and starts in), its outcome list and its lease's id map and inbox.
+    #[test]
+    fn a_service_campaign_allocates_at_most_12_times_of_its_own() {
+        const CAMPAIGNS: usize = 2_000;
+        const PIPELINES: u32 = 2;
+        const STAGES: u32 = 3;
+        let mut s: CampaignService<u64, _> = CampaignService::new(backend(64));
+        let tenant = TenantId::new("t");
+        s.register_tenant(tenant.clone(), TenantQuota::unmetered(CAMPAIGNS));
+        let chain = || Counter {
+            label: "c".into(),
+            stages: STAGES,
+            secs: 5,
+            acc: 0,
+        };
+        let specs: Vec<CampaignSpec<u64>> = (0..CAMPAIGNS)
+            .map(|_| {
+                (0..PIPELINES).fold(CampaignSpec::new("c"), |spec, _| {
+                    spec.root(Box::new(chain()))
+                })
+            })
+            .collect();
+        let (allocs, ()) = crate::ALLOC.measure(|| {
+            for spec in specs {
+                s.submit(&tenant, spec).expect("unmetered");
+            }
+            s.run();
+        });
+        assert_eq!(s.campaigns_finished(), CAMPAIGNS);
+        let handed_over = PIPELINES * (1 + 3 * STAGES);
+        let own = allocs as f64 / CAMPAIGNS as f64 - f64::from(handed_over);
+        assert!(
+            own <= 12.0,
+            "a service campaign allocates {own:.2} times of its own, more than 12"
+        );
     }
 }

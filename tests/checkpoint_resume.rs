@@ -8,9 +8,7 @@
 //! threads under a paced clock.
 
 use impress_core::adaptive::AdaptivePolicy;
-use impress_core::{
-    imrp_journal, CampaignRun, CampaignSpec, DesignPipeline, ProtocolConfig, TargetToolkit,
-};
+use impress_core::{CampaignRun, CampaignSpec, DesignPipeline, ProtocolConfig, TargetToolkit};
 use impress_pilot::{PilotConfig, RuntimeConfig};
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::{props, SimDuration, SimTime};
@@ -34,20 +32,27 @@ fn spec() -> CampaignSpec {
         .pilot(PilotConfig::with_seed(SEED))
 }
 
+/// `spec` with a journal on `store`, stamped with its own identity.
+fn journaled(spec: CampaignSpec, store: &MemoryJournal) -> CampaignSpec {
+    let journal = spec.journal_on(Box::new(store.clone())).expect("journal");
+    spec.journal(journal)
+}
+
 /// A journaled run killed after `kill_after` records; returns the
 /// surviving store. The kill switch panics from inside the coordinator,
 /// which is exactly how a preempted allocation looks to the journal.
 fn killed_run(kill_after: u64, snapshot_interval: Option<usize>) -> MemoryJournal {
-    let config = ProtocolConfig::imrp(SEED);
     let store = MemoryJournal::new();
-    let mut journal = imrp_journal(Box::new(store.clone()), &config)
+    let doomed = spec();
+    let mut journal = doomed
+        .journal_on(Box::new(store.clone()))
         .expect("journal")
         .with_kill_after(kill_after);
     if let Some(i) = snapshot_interval {
         journal = journal.with_snapshot_interval(i);
     }
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        spec().journal(journal).run()
+        doomed.journal(journal).run()
     }));
     assert!(crashed.is_err(), "kill switch must fire");
     store
@@ -72,9 +77,7 @@ fn kill_and_resume_is_byte_identical_at_adversarial_kill_points() {
     let baseline = baseline_json();
     // Record the campaign's natural journal length first.
     let store = MemoryJournal::new();
-    let config = ProtocolConfig::imrp(SEED);
-    let full = spec()
-        .journal(imrp_journal(Box::new(store.clone()), &config).expect("journal"))
+    let full = journaled(spec(), &store)
         .run()
         .expect("no resume plan to reject");
     assert_eq!(baseline, impress_json::to_string(&full.result));
@@ -151,15 +154,13 @@ fn corrupt_journal_head_is_a_typed_error() {
 #[test]
 fn simulated_drain_then_resume_matches_uninterrupted_run() {
     let baseline = baseline_json();
-    let config = ProtocolConfig::imrp(SEED);
     let store = MemoryJournal::new();
     // Deadline at roughly half the campaign: guaranteed to strand work.
     let full = spec().run().expect("no resume plan to reject").result;
     let deadline = SimTime::from_micros(full.run.makespan.as_micros() / 2);
     let CampaignRun {
         result, drained, ..
-    } = spec()
-        .journal(imrp_journal(Box::new(store.clone()), &config).expect("journal"))
+    } = journaled(spec(), &store)
         .deadline(deadline)
         .run()
         .expect("no resume plan to reject");
@@ -345,11 +346,6 @@ fn cont_v_spec() -> CampaignSpec {
         .pilot(PilotConfig::with_seed(SEED))
 }
 
-/// A CONT-V journal on `store`.
-fn cont_v_journal(store: &MemoryJournal) -> Journal {
-    imrp_journal(Box::new(store.clone()), &ProtocolConfig::cont_v(SEED)).expect("journal")
-}
-
 /// The CONT-V campaign resumed from what `store` holds, as JSON.
 fn cont_v_resumed(store: &MemoryJournal) -> String {
     let plan = load_plan(store).expect("surviving journal must load").plan;
@@ -357,31 +353,51 @@ fn cont_v_resumed(store: &MemoryJournal) -> String {
     impress_json::to_string(&run.result)
 }
 
-/// The control arm journals like IM-RP: a CONT-V campaign killed early,
-/// halfway, or after its last record resumes to the uninterrupted run's
-/// bytes.
-#[test]
-fn a_killed_cont_v_journal_resumes_byte_identically() {
-    let baseline = impress_json::to_string(&cont_v_spec().run().expect("plain run").result);
+/// A campaign of `spec` killed early, halfway, or after its last record
+/// resumes under `spec` to the uninterrupted run's bytes.
+fn kills_resume_byte_identically(spec: impl Fn() -> CampaignSpec) {
+    let baseline = impress_json::to_string(&spec().run().expect("plain run").result);
     let store = MemoryJournal::new();
-    let journaled = cont_v_spec().journal(cont_v_journal(&store)).run();
-    let journaled = journaled.expect("journaled run");
-    assert_eq!(baseline, impress_json::to_string(&journaled.result));
-    let total = journaled.records;
+    let full = journaled(spec(), &store).run().expect("journaled run");
+    assert_eq!(baseline, impress_json::to_string(&full.result));
+    let total = full.records;
     assert!(total > 20, "campaign too small to kill mid-run: {total}");
     for kill_after in [3, total / 2, total] {
         let store = MemoryJournal::new();
-        let journal = cont_v_journal(&store).with_kill_after(kill_after);
+        let doomed = spec();
+        let journal = doomed.journal_on(Box::new(store.clone())).expect("journal");
+        let journal = journal.with_kill_after(kill_after);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cont_v_spec().journal(journal).run()
+            doomed.journal(journal).run()
         }));
         assert!(crashed.is_err(), "kill switch must fire");
+        let plan = load_plan(&store).expect("surviving journal must load").plan;
+        let resumed = spec().resume_from(plan).run().expect("resume");
         assert_eq!(
             baseline,
-            cont_v_resumed(&store),
+            impress_json::to_string(&resumed.result),
             "kill at record {kill_after}"
         );
     }
+}
+
+/// The control arm journals like IM-RP.
+#[test]
+fn a_killed_cont_v_journal_resumes_byte_identically() {
+    kills_resume_byte_identically(cont_v_spec);
+}
+
+/// The IM-RP ablation (`adaptive: false`) journals under its own arm, so
+/// its own spec takes the plan back.
+#[test]
+fn a_killed_imrp_ablation_journal_resumes_byte_identically() {
+    kills_resume_byte_identically(|| {
+        let config = ProtocolConfig {
+            adaptive: false,
+            ..ProtocolConfig::imrp(SEED)
+        };
+        CampaignSpec::imrp(&targets(), config).pilot(PilotConfig::with_seed(SEED))
+    });
 }
 
 /// A deadline halfway through CONT-V drains it without a panic and with no
@@ -392,8 +408,7 @@ fn a_drained_cont_v_resumes_byte_identically() {
     let full = cont_v_spec().run().expect("plain run").result;
     let store = MemoryJournal::new();
     let deadline = SimTime::from_micros(full.run.makespan.as_micros() / 2);
-    let drained = cont_v_spec()
-        .journal(cont_v_journal(&store))
+    let drained = journaled(cont_v_spec(), &store)
         .deadline(deadline)
         .run()
         .expect("a deadline drains, it does not fail");
@@ -406,10 +421,8 @@ fn journal_fixture() -> &'static (Vec<String>, String) {
     use std::sync::OnceLock;
     static FIXTURE: OnceLock<(Vec<String>, String)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let config = ProtocolConfig::imrp(SEED);
         let store = MemoryJournal::new();
-        let full = spec()
-            .journal(imrp_journal(Box::new(store.clone()), &config).expect("journal"))
+        let full = journaled(spec(), &store)
             .run()
             .expect("no resume plan to reject");
         let mut lines = Vec::new();

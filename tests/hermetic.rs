@@ -127,6 +127,7 @@ guards! {
     a_setting_with_one_value_in_use_is_a_constant => rules(ONE_VALUE),
     a_grant_is_a_node_and_two_counts => rules(DEVICE_IDS),
     placement_asks_one_fit_set_per_shape => rules(FIT_SETS),
+    an_allocation_pin_is_a_unit_test_beside_its_code => rules(ALLOC_PINS),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -194,7 +195,8 @@ enum Verdict {
     Forbidden,
     /// Every file in scope has every needle.
     Required,
-    /// The files in scope with a needle are exactly these, for each needle.
+    /// The files in scope with a needle are exactly these, for each needle
+    /// (listed in byte order).
     OnlyIn(&'static [&'static str]),
     /// Each needle is in exactly one file in scope.
     ExactlyOneHome,
@@ -578,7 +580,27 @@ const FIT_SETS: &[Rule] = &[Rule {
     ..FORBIDDEN
 }];
 
-const RULES: [&[Rule]; 14] = [
+/// An allocation pin is a unit test beside the code it bounds: the probe
+/// counts per thread, so each crate installs it for its own unit tests and
+/// `perf` for its ledger. A test binary per pin, with the probe installed
+/// process-wide, is what this replaced.
+const ALLOC_PINS: &[Rule] = &[Rule {
+    needles: &["global_allocator"],
+    verdict: Verdict::OnlyIn(&[
+        "crates/pilot/src/lib.rs",
+        "crates/proteins/src/lib.rs",
+        "crates/sim/src/alloc_probe.rs",
+        "crates/sim/src/lib.rs",
+        "crates/telemetry/src/lib.rs",
+        "crates/workflow/src/lib.rs",
+        "perf/src/main.rs",
+    ]),
+    reason: "a pin is a unit test in the module it bounds, under its crate's own \
+             `#[cfg(test)]` probe; no test binary installs an allocator",
+    ..FORBIDDEN
+}];
+
+const RULES: [&[Rule]; 15] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -593,6 +615,7 @@ const RULES: [&[Rule]; 14] = [
     ONE_VALUE,
     DEVICE_IDS,
     FIT_SETS,
+    ALLOC_PINS,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.
@@ -627,11 +650,12 @@ fn findings(rule: &Rule, files: &[&(String, String)]) -> Vec<String> {
         }
         Verdict::Forbidden | Verdict::OnlyIn(_) | Verdict::ExactlyOneHome => {
             for needle in rule.needles {
-                let homes: Vec<&str> = files
+                let mut homes: Vec<&str> = files
                     .iter()
                     .filter(|(_, text)| has(text, needle))
                     .map(|(rel, _)| rel.as_str())
                     .collect();
+                homes.sort_unstable();
                 let holds = match rule.verdict {
                     Verdict::OnlyIn(only) => homes == only,
                     Verdict::ExactlyOneHome => homes.len() == 1,
