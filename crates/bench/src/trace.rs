@@ -16,7 +16,7 @@
 //!    [`parity_trace_on`]).
 //!
 //! Every number in the summary document is deterministic (event counts,
-//! span counts, metric counters — no wall-clock readings), so
+//! span counts — no wall-clock readings), so
 //! regenerating the artifact on any machine reproduces it byte-for-byte.
 
 use crate::study::Size;
@@ -37,7 +37,9 @@ use impress_telemetry::{
 /// checks the checked-in artifact against this.
 /// * v2 extended the parity replay to three engines (simulated, threaded,
 ///   sharded) and records which engines were compared.
-pub(crate) const TRACE_FORMAT_VERSION: u32 = 2;
+/// * v3 dropped the campaign's `counters` block: its totals were span
+///   counts (`spans` carries them) or layer totals the typed reports own.
+pub(crate) const TRACE_FORMAT_VERSION: u32 = 3;
 
 /// Knobs for one study run.
 struct TraceParams {
@@ -169,7 +171,7 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
     let baseline = spec().run().expect("no resume plan to reject").result;
     let (telemetry, recorder) = Telemetry::recording(params.ring_capacity);
     let traced = spec()
-        .telemetry(telemetry.clone())
+        .telemetry(telemetry)
         .run()
         .expect("no resume plan to reject")
         .result;
@@ -185,7 +187,6 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
     let round_trip_ok = impress_json::from_str::<Json>(&chrome_text)
         .map(|parsed| impress_json::to_string(&parsed) == chrome_text)
         .unwrap_or(false);
-    let snapshot = telemetry.snapshot();
     eprintln!(
         "  {} events recorded ({} dropped), chrome export {} bytes",
         events.len(),
@@ -215,11 +216,6 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
         sim_trace.len()
     );
 
-    let mut counters = Json::object();
-    for c in &snapshot.counters {
-        counters = counters.field(&c.name, c.value);
-    }
-
     Json::object()
         .field("format_version", TRACE_FORMAT_VERSION)
         .field("suite", "trace_study")
@@ -233,7 +229,6 @@ pub(crate) fn run(size: Size, seed: u64) -> Json {
                 .field("events_dropped", dropped)
                 .field("chrome_trace_bytes", chrome_text.len() as u64)
                 .field("spans", span_counts(&events))
-                .field("counters", counters.build())
                 .build(),
         )
         .field("perturbation_free", perturbation_free)

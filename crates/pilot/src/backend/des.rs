@@ -249,8 +249,6 @@ struct TaskSpans {
     queue: SpanId,
     /// Current attempt span (placement → completion/failure).
     attempt: SpanId,
-    /// When the current queue wait began.
-    queued_at: SimTime,
 }
 
 /// Where a live task sits. The two places exclude each other — a task is
@@ -440,9 +438,6 @@ pub(super) struct Core<T> {
     place_event_pending: bool,
     telemetry: Telemetry,
     config: PilotConfig,
-    /// Scratch: queue-wait samples for one placement round, flushed via
-    /// a single batched histogram observation.
-    queue_waits: Vec<f64>,
     /// Scratch: one placement round's grants, drained by the round.
     placements: Vec<(TaskId, Allocation)>,
     /// Hedged speculative execution policy (`None` = off, a strict no-op).
@@ -560,7 +555,6 @@ impl<T: Transport> Core<T> {
             held: Vec::new(),
             place_event_pending: false,
             telemetry,
-            queue_waits: Vec::new(),
             placements: Vec::new(),
             hedge,
             quarantine,
@@ -892,7 +886,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(at),
                 &[("attempt", attempt as i64), ("kind", kind as i64)],
             );
-            self.telemetry.count("dedup_hits", 1);
         }
         true
     }
@@ -912,7 +905,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(at),
                 &[("attempt", attempt as i64)],
             );
-            self.telemetry.count("fenced_completions", 1);
         }
     }
 
@@ -961,10 +953,6 @@ impl<T: Transport> Core<T> {
             return;
         }
         self.enqueue(task);
-        if self.telemetry.enabled() {
-            self.telemetry
-                .gauge("queue_depth", self.scheduler.queue_len() as f64);
-        }
         self.place_ready(now);
     }
 
@@ -985,8 +973,6 @@ impl<T: Transport> Core<T> {
                 at,
                 &[("attempt", attempt as i64)],
             );
-            spans.queued_at = now;
-            tele.gauge("queue_depth", self.scheduler.queue_len() as f64);
         }
         self.place_ready(now);
     }
@@ -1002,9 +988,6 @@ impl<T: Transport> Core<T> {
             .remove(&task)
             .expect("ack delivery has a stashed cancel");
         self.in_flight -= 1;
-        if self.telemetry.enabled() {
-            self.telemetry.gauge("in_flight", self.in_flight as f64);
-        }
         self.completions.push_back(Completion {
             task: TaskId(task),
             name,
@@ -1081,7 +1064,6 @@ impl<T: Transport> Core<T> {
                     self.transport.stamp(now),
                     &[("node", node as i64)],
                 );
-                self.telemetry.count("resyncs", 1);
             }
             self.place_ready(now);
         }
@@ -1169,7 +1151,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(now),
                 &[("node", node as i64)],
             );
-            self.telemetry.count("suspicions", 1);
         }
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
@@ -1187,7 +1168,6 @@ impl<T: Transport> Core<T> {
                     self.transport.stamp(now),
                     &[("node", node as i64), ("attempt", run.attempt as i64)],
                 );
-                self.telemetry.count("lease_expiries", 1);
             }
             let err = TaskError::LeaseExpired { node };
             self.fail_attempt(TaskId(task), err, run.started, now, node);
@@ -1259,15 +1239,6 @@ impl<T: Transport> Core<T> {
             let spans = self.spans[id.0 as usize];
             tele.end(spans.attempt, at);
             tele.end(spans.task, at);
-            let outcome = if result.is_ok() {
-                "tasks_completed"
-            } else {
-                "tasks_failed"
-            };
-            tele.count(outcome, 1);
-            tele.gauge("in_flight", self.in_flight as f64);
-            let ran = now.since(started).as_secs_f64();
-            tele.observe("task_run_seconds", 0.0, 14_400.0, 48, ran);
         }
         self.surface(id, task, result, started, now);
         if let Some(shape) = warmed {
@@ -1367,7 +1338,6 @@ impl<T: Transport> Core<T> {
             task.state.advance(TaskState::Scheduling);
             let n = task.attempts;
             self.util.note_retry();
-            self.telemetry.count("retries", 1);
             let due = now + retry.backoff(n, &mut self.backoff_rng);
             // The retry verdict is a hub message sent once the backoff
             // elapses; under the control plane the requeue happens at its
@@ -1424,7 +1394,6 @@ impl<T: Transport> Core<T> {
                         &[("cores", shape.0 as i64), ("gpus", shape.1 as i64)],
                     );
                 }
-                tele.count("tasks_poisoned", 1);
             }
             TaskError::Poisoned {
                 distinct_nodes: distinct,
@@ -1435,8 +1404,6 @@ impl<T: Transport> Core<T> {
         if self.telemetry.enabled() {
             let span = self.spans[id.0 as usize].task;
             self.telemetry.end(span, self.transport.stamp(now));
-            self.telemetry.count("tasks_failed", 1);
-            self.telemetry.gauge("in_flight", self.in_flight as f64);
         }
         self.surface(id, task, Err(err), started, now);
     }
@@ -1535,7 +1502,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(now),
                 &[("attempt", attempt as i64), ("node", alloc.node as i64)],
             );
-            self.telemetry.count("hedges", 1);
         }
         // The hedge's completion report routes exactly like the main
         // attempt's (same link, same fence/dedup discipline).
@@ -1618,7 +1584,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(now),
                 &[("node", hedge.alloc.node as i64)],
             );
-            self.telemetry.count("hedge_wins", 1);
         }
         self.finish_task(TaskId(task), hedge.alloc, hedge.started, now, hedge.setup);
         self.place_ready(now);
@@ -1653,7 +1618,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(now),
                 &[("node", node as i64)],
             );
-            self.telemetry.count("hedge_losses", 1);
         }
     }
 
@@ -1677,7 +1641,6 @@ impl<T: Transport> Core<T> {
                 self.transport.stamp(now),
                 &[("node", node as i64)],
             );
-            self.telemetry.count("node_crashes", 1);
         }
         self.forfeit_hedges_on(node, now);
         for (task, slot) in victims {
@@ -1744,11 +1707,7 @@ impl<T: Transport> Core<T> {
                 ],
             );
             tele.end(round, at);
-            tele.count("placement_rounds", 1);
-            tele.gauge("queue_depth", self.scheduler.queue_len() as f64);
         }
-        let mut launched = 0u64;
-        debug_assert!(self.queue_waits.is_empty());
         // Placements that hand their slots straight back mid-round (deadline
         // holds, shape sheds) can strand later queue entries: the freed
         // frontier is never re-scanned. Without the control plane that gap
@@ -1797,8 +1756,6 @@ impl<T: Transport> Core<T> {
                         ],
                     );
                     tele.end(spans.task, at);
-                    tele.count("tasks_shed", 1);
-                    tele.gauge("in_flight", self.in_flight as f64);
                 }
                 let err = TaskError::ShapeCircuitOpen {
                     cores: request.cores,
@@ -1872,19 +1829,16 @@ impl<T: Transport> Core<T> {
                         at,
                         &[],
                     );
-                    tele.count("tasks_held", 1);
                 }
                 continue;
             }
             self.record(id.0).state.advance(TaskState::ExecSetup);
             self.util.started(&alloc, now);
-            launched += 1;
             if self.telemetry.enabled() {
                 let tele = &self.telemetry;
                 let at = self.transport.stamp(now);
                 let spans = &mut self.spans[id.0 as usize];
                 tele.end(spans.queue, at);
-                let waited = now.since(spans.queued_at).as_secs_f64();
                 spans.attempt = tele.span(
                     SpanCat::Attempt,
                     "attempt",
@@ -1893,7 +1847,6 @@ impl<T: Transport> Core<T> {
                     at,
                     &[("attempt", attempts as i64), ("node", alloc.node as i64)],
                 );
-                self.queue_waits.push(waited);
             }
             let (task, attempt) = (id.0, attempts);
             let (report, done) = (
@@ -1933,12 +1886,6 @@ impl<T: Transport> Core<T> {
             }
         }
         self.placements = placements;
-        if launched > 0 {
-            self.telemetry.count("placements", launched);
-        }
-        self.telemetry
-            .observe_many("queue_wait_seconds", 0.0, 14_400.0, 48, &self.queue_waits);
-        self.queue_waits.clear();
         // See `stranded` above: each recursion either holds, sheds or
         // places at least one queued task, so the depth is bounded by the
         // queue length.
@@ -1969,13 +1916,11 @@ impl<T: Transport> Core<T> {
                 &[("task", id.0 as i64), ("priority", desc.priority as i64)],
             );
             let queue = tele.span(SpanCat::Queue, "queue", task, tr, at, &[("attempt", 0)]);
-            tele.count("tasks_submitted", 1);
             debug_assert_eq!(self.spans.len(), id.0 as usize);
             self.spans.push(TaskSpans {
                 task,
                 queue,
                 attempt: SpanId::NONE,
-                queued_at: now,
             });
         }
         let mut state = StateCell::new();
@@ -2020,13 +1965,6 @@ impl<T: Transport> Core<T> {
             .is_some();
         if !routed {
             self.enqueue(id.0);
-        }
-        if self.telemetry.enabled() {
-            if !routed {
-                let depth = self.scheduler.queue_len() as f64;
-                self.telemetry.gauge("queue_depth", depth);
-            }
-            self.telemetry.gauge("in_flight", self.in_flight as f64);
         }
         // Placement goes through the queue so ordering with same-instant
         // events stays deterministic — one coalesced scan per burst.
@@ -2073,8 +2011,6 @@ impl<T: Transport> Core<T> {
             tele.end(spans.queue, at);
             tele.instant(SpanCat::Task, "canceled", spans.task, tr, at, &[]);
             tele.end(spans.task, at);
-            tele.count("tasks_canceled", 1);
-            tele.gauge("in_flight", self.in_flight as f64);
         }
         // Under the control plane the cancel takes effect at the
         // (coordinator-local) queue immediately, but its acknowledgment —
@@ -2139,7 +2075,6 @@ impl<T: Transport> Core<T> {
                 &[("node", node as i64), ("attempt", attempt as i64)],
             );
             self.telemetry.end(evicted, at);
-            self.telemetry.count("preemptions", 1);
         }
         // The freed slots can admit queued (higher-priority) work at this
         // very instant: requeueing scans.
@@ -2859,7 +2794,7 @@ mod tests {
         assert!(std::mem::size_of::<Ev>() <= 16);
         assert_eq!(std::mem::size_of::<Task>(), 56);
         assert_eq!(std::mem::size_of::<Option<Task>>(), 56);
-        assert_eq!(std::mem::size_of::<TaskSpans>(), 32);
+        assert_eq!(std::mem::size_of::<TaskSpans>(), 24);
         assert_eq!(std::mem::size_of::<Completion>(), 104);
         // A grant is a node and two counts: a placed attempt, a hedge and
         // a placement-buffer entry hold no heap.

@@ -16,8 +16,8 @@
 //!   [`SimulatedBackend`](crate::backend::SimulatedBackend)'s single queue
 //!   fires each instant in. Sorting each instant's batch by sequence
 //!   therefore replays the sequential driver's event order *exactly*:
-//!   completions, virtual clocks, metrics, utilization and the full
-//!   telemetry trace are bit-identical, which the 256-case differential
+//!   completions, virtual clocks, utilization and the full telemetry
+//!   trace are bit-identical, which the 256-case differential
 //!   test below checks on random campaigns.
 //! * **Staged cancellation.** A cancel joins its shard's next sync. One
 //!   that targets an event already drained into the current instant's
@@ -599,17 +599,15 @@ mod tests {
     /// of it — the sharded driver replays the sequential one
     /// *bit-for-bit*: completion streams (names and tags included, drawn
     /// so that some runs of submissions share a descriptor and some names
-    /// are too long to inline), virtual clocks, the full metrics
-    /// snapshot, and the byte-exact Chrome trace. The handlers and the
+    /// are too long to inline), virtual clocks, utilization, the phase
+    /// breakdown, the control stats and the byte-exact Chrome trace. The handlers and the
     /// heartbeat clock are one program now, so what this checks is the
     /// two transports. The parallel drive mode must match its own serial
     /// drive the same way, and so must the threaded backend — the oracle's
     /// own driver with every work closure on an OS thread.
     mod differential {
         use super::*;
-        use impress_telemetry::{
-            write_chrome_trace, Label, MetricsSnapshot, Telemetry, TraceClock,
-        };
+        use impress_telemetry::{write_chrome_trace, Label, Telemetry, TraceClock};
 
         struct Campaign {
             config: PilotConfig,
@@ -668,7 +666,6 @@ mod tests {
             completions: Vec<Line>,
             end: u64,
             held: usize,
-            snapshot: MetricsSnapshot,
             trace: String,
             breakdown: PhaseBreakdown,
             util: UtilizationReport,
@@ -749,7 +746,7 @@ mod tests {
             let (telemetry, recorder) = Telemetry::recording(1 << 16);
             let mut rt = RuntimeConfig::new(c.config)
                 .faults(c.faults.clone(), c.retry)
-                .telemetry(telemetry.clone());
+                .telemetry(telemetry);
             if let Some(d) = c.deadline {
                 rt = rt.deadline(d);
             }
@@ -768,7 +765,6 @@ mod tests {
                 cstats: backend.control_stats(),
                 end: backend.now().as_micros(),
                 held: backend.held_tasks(),
-                snapshot: telemetry.snapshot(),
                 trace,
                 breakdown: backend.phase_breakdown(),
                 util: backend.utilization(),
@@ -982,7 +978,6 @@ mod tests {
                 assert_eq!(oracle.completions, serial.completions, "completion stream diverged");
                 assert_eq!(oracle.end, serial.end, "final virtual clock diverged");
                 assert_eq!(oracle.held, serial.held, "held-task count diverged");
-                assert_eq!(oracle.snapshot, serial.snapshot, "metrics snapshot diverged");
                 assert_eq!(oracle.trace, serial.trace, "chrome trace diverged");
                 assert_eq!(oracle.breakdown, serial.breakdown, "phase breakdown diverged");
                 assert_eq!(oracle.cstats, serial.cstats, "control-plane stats diverged");
@@ -994,7 +989,6 @@ mod tests {
                 assert_eq!(serial.completions, parallel.completions, "parallel drive diverged");
                 assert_eq!(serial.end, parallel.end);
                 assert_eq!(serial.held, parallel.held);
-                assert_eq!(serial.snapshot, parallel.snapshot);
                 assert_eq!(serial.trace, parallel.trace);
                 assert_eq!(serial.cstats, parallel.cstats);
                 assert_eq!(serial.util, parallel.util);
@@ -1005,7 +999,6 @@ mod tests {
                 assert_eq!(oracle.completions, threaded.completions, "threaded stream diverged");
                 assert_eq!(oracle.end, threaded.end);
                 assert_eq!(oracle.held, threaded.held);
-                assert_eq!(oracle.snapshot, threaded.snapshot);
                 assert_eq!(oracle.trace, threaded.trace);
                 assert_eq!(oracle.breakdown, threaded.breakdown);
                 assert_eq!(oracle.cstats, threaded.cstats);

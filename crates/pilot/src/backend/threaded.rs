@@ -530,7 +530,7 @@ mod tests {
 
     #[test]
     fn telemetry_records_spans_and_models_the_virtual_clock() {
-        use impress_telemetry::{check_nesting, Telemetry};
+        use impress_telemetry::{check_nesting, SpanCat, Telemetry, TelemetryEvent};
         let (tele, rec) = Telemetry::recording(4096);
         let cfg = PilotConfig {
             exec_setup_per_task: SimDuration::from_secs(2),
@@ -561,13 +561,38 @@ mod tests {
             events.iter().all(|e| e.stamp().wall.is_some()),
             "every threaded event is dual-stamped"
         );
-        let snap = b.telemetry().snapshot();
-        assert_eq!(snap.counter("tasks_submitted"), Some(2));
-        assert_eq!(snap.counter("tasks_completed"), Some(2));
-        assert_eq!(snap.counter("placements"), Some(2));
-        let hist = snap.histogram("task_run_seconds").expect("recorded");
-        assert_eq!(hist.count, 2);
-        assert_eq!(hist.sum, 14.0, "two modeled 7s (setup+run) attempts");
+        let begins = |cat: SpanCat| {
+            events
+                .iter()
+                .filter(|e| matches!(e, TelemetryEvent::Begin { cat: c, .. } if *c == cat))
+                .count()
+        };
+        assert_eq!(begins(SpanCat::Task), 2);
+        assert_eq!(begins(SpanCat::Attempt), 2);
+        // Each attempt span is as wide as its modeled attempt on the
+        // virtual clock.
+        let widths: Vec<SimDuration> = events
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::Begin {
+                    id,
+                    cat: SpanCat::Attempt,
+                    at,
+                    ..
+                } => events.iter().find_map(|end| match end {
+                    TelemetryEvent::End { id: closed, at: to } if closed == id => {
+                        Some(to.virt.since(at.virt))
+                    }
+                    _ => None,
+                }),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            widths,
+            [SimDuration::from_secs(7); 2],
+            "two modeled 7s (setup+run) attempts"
+        );
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Record spans and metrics through `telemetry`.
+    /// Record spans through `telemetry`.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self

@@ -41,11 +41,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Render as horizontal ASCII bars, `width` characters for the modal bin.
     pub fn render(&self, width: usize) -> String {
         let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
@@ -73,7 +68,7 @@ mod tests {
         for v in [0.0, 1.9, 2.0, 5.5, 9.99] {
             h.record(v);
         }
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
+        assert_eq!(h.counts, [2, 1, 1, 0, 1]);
         assert_eq!(h.total, 5);
     }
 
@@ -82,7 +77,7 @@ mod tests {
         let mut h = Histogram::new(0.0, 10.0, 2);
         h.record(-5.0);
         h.record(99.0);
-        assert_eq!(h.counts(), &[1, 1]);
+        assert_eq!(h.counts, [1, 1]);
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Span tracing, live metrics and trace export for the IMPRESS stack.
+//! Span tracing and trace export for the IMPRESS stack.
 //!
 //! This crate is the observability layer the execution backends, session,
-//! scheduler and coordinator are instrumented with:
+//! scheduler and coordinator are instrumented with. What it records is one
+//! event stream; counts and widths are read off the events, and totals a
+//! layer owns live in its typed reports (`RunReport`, `UtilizationReport`,
+//! `ControlStats`):
 //!
 //! * **Spans** ([`SpanId`], [`SpanCat`], [`TelemetryEvent`]) — begin/end
 //!   pairs with dual-clock [`Stamp`]s: every event carries virtual
@@ -11,20 +14,16 @@
 //!   fixed-capacity [`RingSink`] ring buffer; the disabled path is a
 //!   cached boolean check on the [`Telemetry`] handle, cheap enough to
 //!   leave in release hot paths.
-//! * **Metrics** — named counters, gauges and histograms (reusing
-//!   [`impress_sim::Histogram`]), snapshotted deterministically into a
-//!   [`MetricsSnapshot`].
 //! * **Exporter** — Chrome trace-event JSON ([`write_chrome_trace`],
 //!   loadable in Perfetto).
 //!
 //! What recording costs on the enabled path: an event is a fixed-size
 //! value — its name a [`Label`] (inline up to [`LABEL_INLINE`] bytes), its
 //! args an inline [`Args`] of at most [`ARGS_MAX`] pairs — so building one,
-//! and evicting one from a full ring, touches no allocator. A metric
-//! update takes one lock and scans a short vector for the name literal's
-//! address. Strings, vectors and name order appear only at export
-//! ([`write_chrome_trace`], [`Telemetry::snapshot`]).
-//! `tests/zero_alloc.rs` pins both at zero allocations.
+//! and evicting one from a full ring, touches no allocator. Strings,
+//! vectors and name order appear only at export ([`write_chrome_trace`]).
+//! `recording_into_a_warm_full_ring_allocates_nothing` pins it at zero
+//! allocations.
 //!
 //! The export contract that makes cross-backend testing possible: the
 //! Chrome exporter emits structurally canonical documents (no span ids,
@@ -37,17 +36,14 @@
 
 mod chrome;
 mod event;
-mod metrics;
 mod sink;
 
 pub use chrome::{write_chrome_trace, write_chrome_trace_filtered, TraceClock};
 pub use event::{
     check_nesting, Args, Label, SpanCat, SpanId, Stamp, TelemetryEvent, ARGS_MAX, LABEL_INLINE,
 };
-pub use metrics::{BucketSample, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
-pub use sink::{NullSink, RingSink, TelemetrySink, TraceRecorder};
+pub use sink::{NullSink, RingSink, TelemetrySink};
 
-use metrics::Metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -88,12 +84,11 @@ pub mod track {
 struct Inner {
     sink: Arc<dyn TelemetrySink>,
     next_span: AtomicU64,
-    metrics: Metrics,
 }
 
 /// The instrumentation handle threaded through backends, sessions and the
 /// coordinator. Cloning is cheap (an `Arc` bump) and all clones share one
-/// sink, span-id allocator and metric registry.
+/// sink and span-id allocator.
 ///
 /// A disabled handle (the default everywhere) carries no allocation at
 /// all: every recording method first checks a cached boolean and returns
@@ -145,17 +140,15 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 sink,
                 next_span: AtomicU64::new(1),
-                metrics: Metrics::default(),
             })),
         }
     }
 
     /// A handle recording into a fresh [`RingSink`] of `capacity` events,
-    /// plus the [`TraceRecorder`] that drains and exports it.
-    pub fn recording(capacity: usize) -> (Telemetry, TraceRecorder) {
+    /// plus the ring itself, to read the recorded events back from.
+    pub fn recording(capacity: usize) -> (Telemetry, Arc<RingSink>) {
         let ring = Arc::new(RingSink::new(capacity));
-        let recorder = TraceRecorder { ring: ring.clone() };
-        (Telemetry::with_sink(ring), recorder)
+        (Telemetry::with_sink(ring.clone()), ring)
     }
 
     /// Whether events will actually be recorded. Instrumentation sites may
@@ -227,49 +220,6 @@ impl Telemetry {
         }
     }
 
-    /// Add `delta` to a monotonic counter.
-    pub fn count(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = self.active() {
-            inner.metrics.count(name, delta);
-        }
-    }
-
-    /// Set a gauge to its current value.
-    pub fn gauge(&self, name: &'static str, value: f64) {
-        if let Some(inner) = self.active() {
-            inner.metrics.gauge(name, value);
-        }
-    }
-
-    /// Record one observation into a histogram over `[lo, hi)` with
-    /// `bins` uniform bins (the bounds apply on first use of `name`).
-    pub fn observe(&self, name: &'static str, lo: f64, hi: f64, bins: usize, value: f64) {
-        if let Some(inner) = self.active() {
-            inner.metrics.observe(name, lo, hi, bins, value);
-        }
-    }
-
-    /// Record a batch of observations into one histogram in a single
-    /// stamp: one enabled-check and one registry lock for the whole slice,
-    /// instead of one per value. Because bucket totals are
-    /// order-independent, the resulting snapshot is identical to calling
-    /// [`Telemetry::observe`] once per value — hot loops (the sharded
-    /// simulation backend buffers a placement round's queue-wait samples)
-    /// batch their stamps without changing what is measured.
-    pub fn observe_many(&self, name: &'static str, lo: f64, hi: f64, bins: usize, values: &[f64]) {
-        if let Some(inner) = self.active() {
-            inner.metrics.observe_many(name, lo, hi, bins, values);
-        }
-    }
-
-    /// Point-in-time copy of every live metric (empty when disabled).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        match self.active() {
-            Some(inner) => inner.metrics.snapshot(),
-            None => MetricsSnapshot::default(),
-        }
-    }
-
     #[inline]
     fn active(&self) -> Option<&Inner> {
         if !self.on {
@@ -301,9 +251,6 @@ mod tests {
         let id = tele.span(SpanCat::Task, "t", SpanId::NONE, 1, t(0), &[]);
         assert!(id.is_none());
         tele.end(id, t(1));
-        tele.count("x", 1);
-        tele.observe("h", 0.0, 1.0, 4, 0.5);
-        assert_eq!(tele.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
@@ -316,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn recording_captures_spans_instants_and_metrics() {
+    fn recording_captures_spans_and_instants() {
         let (tele, rec) = Telemetry::recording(16);
         assert!(tele.enabled());
         let a = tele.span(SpanCat::Task, "a", SpanId::NONE, 1, t(0), &[("k", 7)]);
@@ -324,26 +271,10 @@ mod tests {
         tele.instant(SpanCat::Fault, "boom", b, 1, t(1), &[]);
         tele.end(b, t(2));
         tele.end(a, t(3));
-        tele.count("n", 2);
-        tele.count("n", 3);
-        tele.gauge("g", 1.5);
-        tele.observe("h", 0.0, 10.0, 5, 3.0);
-        tele.observe("h", 0.0, 10.0, 5, 30.0);
 
         let events = rec.events();
         assert_eq!(events.len(), 5);
         check_nesting(&events).expect("well-nested");
-        let snap = tele.snapshot();
-        assert_eq!(snap.counter("n"), Some(5));
-        assert_eq!(snap.gauge("g"), Some(1.5));
-        let h = snap.histogram("h").expect("histogram");
-        assert_eq!(h.count, 2, "the +Inf bucket counts every observation");
-        assert_eq!(h.sum, 33.0);
-        assert_eq!(
-            h.buckets.last().map(|b| b.count),
-            Some(1),
-            "30.0 is above the top bound: +Inf only, never a finite bucket"
-        );
     }
 
     #[test]
@@ -444,85 +375,6 @@ mod tests {
                 .and_then(|v| v.as_f64()),
             Some(100.0)
         );
-    }
-
-    /// `(le, count)` of each finite bucket of `sample`.
-    fn buckets(sample: &HistogramSample) -> Vec<(f64, u64)> {
-        sample.buckets.iter().map(|b| (b.le, b.count)).collect()
-    }
-
-    /// Golden histogram sample for the overflow bucket: finite buckets are
-    /// cumulative, values at or above the top bound land only in `count`
-    /// (the implicit `+Inf` bucket), values below the bottom bound land in
-    /// the first bucket (still cumulative-correct), and NaN observations
-    /// vanish entirely instead of drifting `count` away from the buckets.
-    #[test]
-    fn histogram_overflow_lands_only_in_the_inf_count() {
-        let (tele, _rec) = Telemetry::recording(4);
-        for v in [0.5, 3.0, 9.5, 10.0, 25.0, -1.0, f64::NAN] {
-            tele.observe("lat", 0.0, 10.0, 5, v);
-        }
-        let snapshot = tele.snapshot();
-        let lat = snapshot.histogram("lat").expect("observed");
-        let expected = [(2.0, 2), (4.0, 3), (6.0, 3), (8.0, 3), (10.0, 4)];
-        assert_eq!(buckets(lat), expected);
-        assert_eq!((lat.count, lat.sum), (6, 47.0));
-    }
-
-    /// Golden one-bin histogram: the single finite bucket's bound is the
-    /// cell's `hi`, not a width read from a second bin that does not exist.
-    #[test]
-    fn a_one_bin_histogram_bounds_at_hi() {
-        let (tele, _rec) = Telemetry::recording(4);
-        tele.observe("h", 0.0, 10.0, 1, 5.0);
-        let snapshot = tele.snapshot();
-        let h = snapshot.histogram("h").expect("observed");
-        assert_eq!(buckets(h), [(10.0, 1)]);
-        assert_eq!((h.count, h.sum), (1, 5.0));
-    }
-
-    #[test]
-    fn a_name_literal_at_another_address_merges_into_one_series() {
-        let (tele, _rec) = Telemetry::recording(4);
-        let copy: &'static str = Box::leak(String::from("merged").into_boxed_str());
-        assert!(!std::ptr::eq(copy, "merged"));
-        tele.count("merged", 2);
-        tele.count(copy, 3);
-        tele.gauge(copy, 1.0);
-        tele.gauge("merged", 4.0);
-        tele.observe("merged", 0.0, 10.0, 2, 1.0);
-        tele.observe_many(copy, 0.0, 10.0, 2, &[7.0, 8.0]);
-        let snap = tele.snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.counter("merged"), Some(5));
-        assert_eq!(snap.gauges.len(), 1);
-        assert_eq!(snap.gauge("merged"), Some(4.0));
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histogram("merged").map(|h| h.count), Some(3));
-    }
-
-    #[test]
-    fn snapshot_order_does_not_depend_on_first_use_order() {
-        let names = ["zeta", "alpha", "mid", "beta"];
-        let render = |order: &[&'static str]| {
-            let (tele, _rec) = Telemetry::recording(4);
-            for &name in order {
-                tele.count(name, name.len() as u64);
-                tele.gauge(name, name.len() as f64);
-                tele.observe(name, 0.0, 8.0, 4, name.len() as f64);
-            }
-            tele.snapshot()
-        };
-        let forward = render(&names);
-        let mut reversed = names;
-        reversed.reverse();
-        assert_eq!(forward, render(&reversed));
-        let counters: Vec<&str> = forward.counters.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(counters, ["alpha", "beta", "mid", "zeta"]);
-        let gauges: Vec<&str> = forward.gauges.iter().map(|g| g.name.as_str()).collect();
-        assert_eq!(gauges, counters);
-        let hists: Vec<&str> = forward.histograms.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(hists, counters);
     }
 
     /// Names at and across the inline limit, multi-byte text and the empty
@@ -651,23 +503,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn observe_many_matches_individual_observes_exactly() {
-        let values = [0.25, 7.5, 10.0, 99.0, -3.0, 5.0];
-        let (batched, _r1) = Telemetry::recording(4);
-        batched.observe_many("h", 0.0, 10.0, 4, &values);
-        batched.observe_many("h", 0.0, 10.0, 4, &[]);
-        let (single, _r2) = Telemetry::recording(4);
-        for v in values {
-            single.observe("h", 0.0, 10.0, 4, v);
-        }
-        assert_eq!(batched.snapshot(), single.snapshot());
-        // Disabled handles ignore batches just like single observations.
-        let off = Telemetry::disabled();
-        off.observe_many("h", 0.0, 10.0, 4, &values);
-        assert_eq!(off.snapshot(), MetricsSnapshot::default());
-    }
-
     const TASK_NAME: &str = "a-task-name-of-22-byte";
 
     /// One task's worth of events at the widest shapes the pins cover.
@@ -743,36 +578,6 @@ mod tests {
             rec.dropped(),
             dropped + 6 * WINDOW,
             "every event evicted one"
-        );
-    }
-
-    /// `count`, `gauge`, `observe` and `observe_many` on names already in
-    /// the registry allocate nothing.
-    #[test]
-    fn warm_metric_updates_allocate_nothing() {
-        const WINDOW: u64 = 256;
-        let waits = [12.0, 300.5, 9_000.0, 20_000.0];
-        let update = |tele: &Telemetry, i: u64| {
-            tele.count("tasks_submitted", 1);
-            tele.count("placements", i);
-            tele.gauge("queue_depth", i as f64);
-            tele.gauge("in_flight", 3.0);
-            tele.observe("task_run_seconds", 0.0, 14_400.0, 48, i as f64);
-            tele.observe_many("queue_wait_seconds", 0.0, 14_400.0, 48, &waits);
-        };
-        let (tele, _rec) = Telemetry::recording(4);
-        update(&tele, 0); // first use registers each series
-        let (allocs, ()) = crate::ALLOC.measure(|| {
-            for i in 1..=WINDOW {
-                update(&tele, i);
-            }
-        });
-        assert_eq!(allocs, 0, "warm metric updates must not allocate");
-        let snap = tele.snapshot();
-        assert_eq!(snap.counter("tasks_submitted"), Some(WINDOW + 1));
-        assert_eq!(
-            snap.histogram("queue_wait_seconds").map(|h| h.count),
-            Some(4 * (WINDOW + 1))
         );
     }
 }

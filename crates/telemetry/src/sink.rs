@@ -1,11 +1,10 @@
 //! Event collection: the [`TelemetrySink`] trait, the no-op [`NullSink`]
-//! and the fixed-capacity [`RingSink`] with its [`TraceRecorder`] drain
-//! handle.
+//! and the fixed-capacity [`RingSink`].
 
 use crate::event::TelemetryEvent;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Where recorded events go. Implementations must be cheap enough to sit
 /// on the backend hot path; the disabled path never reaches a sink at all
@@ -57,18 +56,13 @@ impl RingSink {
     }
 
     /// Snapshot of the buffered events, oldest first.
-    pub(crate) fn events(&self) -> Vec<TelemetryEvent> {
+    pub fn events(&self) -> Vec<TelemetryEvent> {
         self.buffer
             .lock()
             .expect("ring lock")
             .iter()
             .cloned()
             .collect()
-    }
-
-    /// Number of events currently buffered.
-    pub(crate) fn len(&self) -> usize {
-        self.buffer.lock().expect("ring lock").len()
     }
 
     /// How many events were evicted because the ring was full.
@@ -85,31 +79,5 @@ impl TelemetrySink for RingSink {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         buf.push_back(event);
-    }
-}
-
-/// Drain-side handle to a recording ring, returned by
-/// [`Telemetry::recording`](crate::Telemetry::recording). Clone of the same
-/// `Arc` the telemetry handle writes into, so it observes everything the
-/// instrumented run recorded.
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    pub(crate) ring: Arc<RingSink>,
-}
-
-impl TraceRecorder {
-    /// Snapshot of the recorded events, oldest first.
-    pub fn events(&self) -> Vec<TelemetryEvent> {
-        self.ring.events()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.len() == 0
-    }
-
-    /// How many events were evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
     }
 }

@@ -286,7 +286,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             }),
             tag: Label::from_fmt(format_args!("{id}")),
         });
-        self.telemetry.count("pipelines_registered", 1);
         self.to_start.push(id);
         id
     }
@@ -313,13 +312,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         if let Some(writer) = &mut self.journal {
             let batch = writer.commit();
             if batch > 0 {
-                // One instant per *commit* (the old code stamped one per
-                // record); counters keep per-record visibility and the
-                // histogram shows how well the cycle batches.
-                self.telemetry.count("journal_batches", 1);
-                self.telemetry.count("journal_records", batch as u64);
-                self.telemetry
-                    .observe("journal_batch_records", 0.0, 64.0, 16, batch as f64);
+                // One instant per *commit*, not one per record.
                 self.telemetry.instant(
                     SpanCat::Session,
                     "journal-commit",
@@ -382,7 +375,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                         &[("stage", stage as i64), ("tasks", tasks.len() as i64)],
                     );
                 }
-                self.telemetry.count("stages_submitted", 1);
                 // Effect deferred: the backend submission happens at the
                 // cycle's flush barrier, after the StageSubmitted record
                 // above is durable.
@@ -399,7 +391,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 self.registry
                     .finish(id, PipelineState::Completed, self.session.now());
                 self.end_pipeline(id);
-                self.telemetry.count("pipelines_completed", 1);
                 // Decision point: the adaptive engine may spawn sub-pipelines.
                 let spawns = self.decide("on-pipeline-complete", |d, view| {
                     d.on_pipeline_complete(id, &outcome, view)
@@ -415,7 +406,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 self.registry
                     .finish(id, PipelineState::Aborted, self.session.now());
                 self.end_pipeline(id);
-                self.telemetry.count("pipelines_aborted", 1);
                 let spawns = self.decide("on-pipeline-aborted", |d, view| {
                     d.on_pipeline_aborted(id, &reason, view)
                 });
@@ -485,7 +475,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             // routed at all is still a routing bug.
             RouteState::Consumed => {
                 self.dedup_hits += 1;
-                self.telemetry.count("coordinator_dedup_hits", 1);
                 self.telemetry.instant(
                     SpanCat::Fault,
                     "completion-deduped",
@@ -561,7 +550,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 let done = std::mem::replace(&mut spans.stage, SpanId::NONE);
                 self.telemetry.end(done, self.session.stamp());
             }
-            self.telemetry.count("stages_completed", 1);
             let step = self.slots[id.0 as usize]
                 .live
                 .as_mut()

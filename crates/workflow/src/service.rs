@@ -115,8 +115,10 @@ pub struct TenantQuota {
     pub core_seconds: f64,
     /// Delivered GPU-second budget, same semantics.
     pub gpu_seconds: f64,
-    /// Fair-share weight (≥ 1): a weight-2 tenant is entitled to twice the
-    /// service attention and slot share of a weight-1 tenant.
+    /// Fair-share weight, in `1..=10_080`: a weight-2 tenant is entitled to
+    /// twice the service attention and slot share of a weight-1 tenant. A
+    /// step costs a tenant `10_080 / weight` on its stepping clock, so a
+    /// heavier weight would step for free.
     pub weight: u32,
 }
 
@@ -131,9 +133,9 @@ impl TenantQuota {
         }
     }
 
-    /// Set the fair-share weight.
+    /// Set the fair-share weight; panics outside `1..=10_080`.
     pub fn with_weight(mut self, weight: u32) -> Self {
-        assert!(weight >= 1, "fair-share weight must be >= 1");
+        assert_weight(weight);
         self.weight = weight;
         self
     }
@@ -365,6 +367,15 @@ impl PartialOrd for HeapEntry {
 /// when both have ready campaigns.
 const QUANTUM: u64 = 10_080;
 
+/// Refuse a weight outside `1..=QUANTUM`: above it a step costs
+/// `QUANTUM / weight` = 0, and the tenant would always step first.
+fn assert_weight(weight: u32) {
+    assert!(
+        (1..=QUANTUM).contains(&u64::from(weight)),
+        "fair-share weight must be in 1..={QUANTUM}, got {weight}"
+    );
+}
+
 /// Recompute fair-share boosts every this many service steps. A
 /// rebalance reads and ranks one account per tenant, whatever the number
 /// of campaigns; a service step is roughly one routed completion, so
@@ -426,7 +437,7 @@ where
     /// Register a tenant. Re-registering replaces the quota (existing
     /// campaigns are unaffected).
     pub fn register_tenant(&mut self, id: TenantId, quota: TenantQuota) {
-        assert!(quota.weight >= 1, "fair-share weight must be >= 1");
+        assert_weight(quota.weight);
         if let Some(&at) = self.tenant_index.get(&id) {
             self.tenants[at].quota = quota;
             return;
@@ -535,7 +546,6 @@ where
                 ("priority", spec.priority as i64),
             ],
         );
-        self.telemetry.count("campaigns_admitted", 1);
         self.campaigns.push(CampaignState {
             tenant: at,
             status: CampaignStatus::Running,
@@ -562,7 +572,6 @@ where
 
     fn deny_instant(&self, tenant: &TenantId, why: &str) {
         if self.telemetry.enabled() {
-            self.telemetry.count("campaigns_denied", 1);
             self.telemetry.instant(
                 SpanCat::Service,
                 &format!("admission-denied:{why}"),
@@ -596,7 +605,6 @@ where
             }
         }
         if evicted > 0 {
-            self.telemetry.count("service_preemptions", evicted);
             self.telemetry.instant(
                 SpanCat::Service,
                 "preemption-sweep",
@@ -632,7 +640,6 @@ where
             parts.session.cancel(task);
         }
         parts.session.backend_mut().retire();
-        self.telemetry.count("campaigns_canceled", 1);
         self.finish_campaign(cid, CampaignStatus::Canceled, parts.outcomes, parts.aborts);
         true
     }
@@ -735,7 +742,6 @@ where
         } else {
             CampaignStatus::Completed
         };
-        self.telemetry.count("campaigns_completed", 1);
         self.finish_campaign(cid, status, parts.outcomes, parts.aborts);
     }
 
@@ -911,7 +917,6 @@ where
             }
             self.cluster.set_account_boost(account, boost);
         }
-        self.telemetry.count("fair_share_rebalances", 1);
     }
 }
 
@@ -1112,6 +1117,30 @@ mod tests {
             heavy_mean < light_mean,
             "weight-3 tenant should finish sooner on average: heavy {heavy_mean} vs light {light_mean}"
         );
+    }
+
+    /// A weight above the quantum would pay nothing per step and always
+    /// step first; the quantum itself still pays one unit.
+    #[test]
+    #[should_panic(expected = "fair-share weight must be in 1..=10080, got 10081")]
+    fn a_weight_above_the_quantum_is_refused() {
+        assert_eq!(
+            QUANTUM / u64::from(TenantQuota::unmetered(1).with_weight(10_080).weight),
+            1
+        );
+        let _ = TenantQuota::unmetered(1).with_weight(10_081);
+    }
+
+    /// The same bound holds for a quota built without `with_weight`.
+    #[test]
+    #[should_panic(expected = "fair-share weight must be in 1..=10080, got 10081")]
+    fn registering_a_weight_above_the_quantum_is_refused() {
+        let mut s: CampaignService<u64, _> = CampaignService::new(backend(2));
+        let quota = TenantQuota {
+            weight: 10_081,
+            ..TenantQuota::unmetered(1)
+        };
+        s.register_tenant(TenantId::new("t"), quota);
     }
 
     #[test]

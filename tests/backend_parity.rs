@@ -312,7 +312,7 @@ mod slowdown_parity {
     fn run_traced(
         mut backend: Box<dyn ExecutionBackend>,
         durations: &[u64],
-        recorder: impress_telemetry::TraceRecorder,
+        recorder: std::sync::Arc<impress_telemetry::RingSink>,
     ) -> (String, u64) {
         let node = PilotConfig::with_seed(0).node;
         let full = ResourceRequest::with_gpus(node.cores, node.gpus);

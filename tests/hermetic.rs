@@ -1175,8 +1175,9 @@ fn declared(decl: &str) -> Option<&str> {
 }
 
 /// The lines of `text` outside its `#[cfg(test)]` items: the attribute,
-/// and the item under it up to its `;`, or to the `}` that closes it at
-/// the attribute's indentation.
+/// and the item under it to the line where it ends — at a `;` outside any
+/// bracket, or at the `}` that closes its body. Brackets are counted
+/// across lines, outside strings, character literals and `//` comments.
 fn outside_tests(text: &str) -> impl Iterator<Item = &str> {
     let mut lines = text.lines();
     std::iter::from_fn(move || loop {
@@ -1184,17 +1185,41 @@ fn outside_tests(text: &str) -> impl Iterator<Item = &str> {
         if line.trim() != "#[cfg(test)]" {
             return Some(line);
         }
-        let close = format!("{}}}", &line[..line.len() - line.trim_start().len()]);
-        let mut first = true;
+        let (mut depth, mut in_str) = (0i32, false);
         for item in lines.by_ref() {
-            let item = item.trim_end();
-            if item.trim_start().starts_with("#[") {
-                continue;
+            let mut ended = false;
+            let mut chars = item.chars().peekable();
+            while let Some(c) = chars.next() {
+                match c {
+                    '\\' if in_str => {
+                        chars.next();
+                    }
+                    '"' => in_str = !in_str,
+                    _ if in_str => {}
+                    '/' if chars.peek() == Some(&'/') => break,
+                    '\'' => {
+                        // A character literal (`'{'`, `'\''`), not a lifetime.
+                        let mut ahead = chars.clone();
+                        if ahead.next() == Some('\\') {
+                            ahead.next();
+                        }
+                        if ahead.next() == Some('\'') {
+                            chars = ahead;
+                        }
+                    }
+                    '(' | '[' | '{' => depth += 1,
+                    ')' | ']' => depth -= 1,
+                    '}' => {
+                        depth -= 1;
+                        ended |= depth == 0;
+                    }
+                    ';' => ended |= depth == 0,
+                    _ => {}
+                }
             }
-            if item == close || first && (item.ends_with(';') || item.ends_with('}')) {
+            if ended && depth == 0 {
                 break;
             }
-            first = false;
         }
     })
 }
@@ -1902,6 +1927,15 @@ fn the_surface_scan_is_pinned_on_fixtures() {
         ]
     );
     assert_eq!(surface_violations(&tree(LIB), LISTED), Vec::<String>::new());
+
+    // A test-only item ends where it ends — a static over two lines at its
+    // `;`, a body at its closing `}` whatever its literals hold — so the
+    // items below each are scanned.
+    let split = "#[cfg(test)]\nstatic PROBE: [u8; 2] =\n    [1, 2];\npub fn f() {}\n\
+        #[cfg(test)]\nfn probe() {\n    let _ = ('{', \"{\", '\\'', \"\\\"{\"); // {\n}\n\
+        pub fn g() {}\nmod m {\n}\n";
+    let fn_item = |name: &str| (name.to_string(), name.to_string(), false);
+    assert_eq!(pub_items("", split), [fn_item("f"), fn_item("g")]);
 
     // Each planting is reported, and only it.
     let planted_lib = LIB.replacen(

@@ -16,32 +16,33 @@ use impress_sim::props;
 use impress_telemetry::{
     check_nesting, write_chrome_trace, SpanCat, Telemetry, TelemetryEvent, TraceClock, LABEL_INLINE,
 };
+use impress_workflow::RunReport;
 
 /// A target name whose pipeline names (`<target>/root`, `<target>/sub0`,
 /// ...) run past the telemetry label's inline capacity, so the recorded
 /// campaign carries names stored both ways.
 const LONG_TARGET: &str = "a-pdz-target-named-past-the-inline-label";
 
-fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, Telemetry, String) {
+fn record_campaign(seed: u64) -> (Vec<TelemetryEvent>, RunReport, String) {
     let mut targets = named_pdz_domains(seed);
     targets[0].name = LONG_TARGET.to_string();
     let (telemetry, recorder) = Telemetry::recording(1 << 18);
-    CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
-        .telemetry(telemetry.clone())
+    let run = CampaignSpec::imrp(&targets, ProtocolConfig::imrp(seed))
+        .telemetry(telemetry)
         .run()
         .expect("no resume plan to reject");
     let events = recorder.events();
     let mut chrome = String::new();
     write_chrome_trace(&mut chrome, &events, TraceClock::Virtual);
-    (events, telemetry, chrome)
+    (events, run.result.run, chrome)
 }
 
 /// A real multi-pipeline campaign records a structurally valid span
 /// stream: every category of the unified model shows up, nesting holds,
-/// and the live counters agree with the span stream.
+/// and the span counts agree with the run report.
 #[test]
 fn campaign_trace_is_well_formed_and_complete() {
-    let (events, telemetry, _) = record_campaign(11);
+    let (events, report, _) = record_campaign(11);
     assert!(!events.is_empty(), "campaign recorded no events");
     check_nesting(&events).expect("campaign trace nesting");
     let begins = |cat: SpanCat| {
@@ -73,21 +74,15 @@ fn campaign_trace_is_well_formed_and_complete() {
         )),
         "no pipeline span named {long_root:?}"
     );
-    let snapshot = telemetry.snapshot();
-    let submitted = snapshot.counter("tasks_submitted").expect("counter");
-    assert_eq!(begins(SpanCat::Task), submitted, "task spans vs counter");
     assert_eq!(
-        snapshot.counter("tasks_completed"),
-        Some(submitted),
-        "fault-free campaign completes everything it submits"
+        begins(SpanCat::Task),
+        report.total_tasks as u64,
+        "task spans vs the run report"
     );
-    assert!(
-        snapshot.counter("pipelines_completed").unwrap_or(0) > 0,
-        "coordinator counters recorded"
-    );
-    assert!(
-        snapshot.histogram("task_run_seconds").is_some(),
-        "run-time histogram recorded"
+    assert_eq!(
+        begins(SpanCat::Pipeline),
+        (report.root_pipelines + report.sub_pipelines) as u64,
+        "pipeline spans vs the run report"
     );
 }
 
