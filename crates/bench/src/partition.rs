@@ -316,7 +316,7 @@ fn run_delivery(p: &StudyParams, loss: (&'static str, f64), seed: u64) -> Delive
         c.add_pipeline(Box::new(builder.finish(|prev| prev.len() as u64)));
     }
     c.run();
-    let st = c.session().control_stats();
+    let st = c.backend().control_stats();
     let coordinator_dedup_hits = c.dedup_hits();
     let pipelines_completed = c.outcomes().len();
     let loaded = load_plan(&store).expect("journal replays");

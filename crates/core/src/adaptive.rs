@@ -153,8 +153,8 @@ impl DecisionEngine<DesignOutcome> for ImpressDecision {
         if self.spawned >= self.policy.sub_budget {
             return Vec::new();
         }
-        let name = view.registry().get(id).name.clone();
-        let target = name.split('/').next().unwrap_or(&name);
+        let name = view.name(id);
+        let target = name.split('/').next().unwrap_or(name);
         let Some(tk) = self.toolkits.get(target).cloned() else {
             return Vec::new();
         };
@@ -252,7 +252,7 @@ mod tests {
         );
         // Every sub outcome continues its parent's iteration numbering.
         for (id, outcome) in c.outcomes() {
-            if c.registry().get(*id).parent.is_some() {
+            if c.view().parent(*id).is_some() {
                 assert!(outcome.start_iteration > 1, "{}", outcome.label);
             }
         }

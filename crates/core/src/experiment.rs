@@ -99,7 +99,7 @@ pub(crate) fn finish<O: 'static, D: DecisionEngine<O>>(
         // task is its aborted pipeline.
         run.aborted_pipelines = outcomes.iter().filter(|o| o.terminated_early).count();
     }
-    let backend = coordinator.session().backend();
+    let backend = coordinator.backend();
     ExperimentResult {
         label: arm.label().to_string(),
         trajectories: outcomes.iter().map(|o| o.trajectories()).sum(),

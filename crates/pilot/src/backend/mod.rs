@@ -322,9 +322,9 @@ pub trait ExecutionBackend {
     fn upcoming_completions(&self, _each: &mut dyn FnMut(TaskId)) {}
 
     /// The backend's telemetry handle (disabled by default). Layers above
-    /// the backend — session, coordinator — record their spans through
-    /// this, so one [`crate::RuntimeConfig::telemetry`] hookup instruments
-    /// the whole stack.
+    /// the backend (the coordinator) record their spans through this, so
+    /// one [`crate::RuntimeConfig::telemetry`] hookup instruments the whole
+    /// stack.
     fn telemetry(&self) -> &impress_telemetry::Telemetry {
         impress_telemetry::disabled_ref()
     }

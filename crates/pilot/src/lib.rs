@@ -38,7 +38,7 @@
 //!   *slot occupancy* (what RP's profiler sees) from *hardware busy* time
 //!   (what `nvidia-smi` sees) — the distinction behind the paper's 61% vs
 //!   1% GPU utilization gap.
-//! * [`session`] — the user-facing API tying the above together.
+//! * [`session`] — a consistent point-in-time observation of a backend.
 //! * [`cluster`] — one backend shared between many consumers:
 //!   [`SharedCluster`] hands out [`ClusterLease`]s (each an
 //!   [`ExecutionBackend`] scoped to its own tasks, with a usage meter),

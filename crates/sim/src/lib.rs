@@ -28,7 +28,6 @@
 
 pub mod alloc_probe;
 pub mod event;
-pub mod histogram;
 pub mod props;
 pub mod rng;
 pub mod slab;
@@ -36,7 +35,6 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventId, EventQueue, ScheduledEvent};
-pub use histogram::Histogram;
 pub use rng::SimRng;
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;

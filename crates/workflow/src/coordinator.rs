@@ -13,31 +13,52 @@
 
 use crate::decision::{DecisionEngine, Spawn};
 use crate::journal::{Journal, JournalError, JournalRecord, ReplayPlan, TaskMeta, TerminalRecord};
-use crate::pipeline::{BoxedPipeline, PipelineId, PipelineLogic, PipelineState};
-use crate::registry::Registry;
+use crate::pipeline::{BoxedPipeline, PipelineId, PipelineLogic};
 use crate::report::RunReport;
 use crate::stage::{StageBuffer, Step};
 use impress_json::{read_json, FromJsonBuf, RawJson, ToJsonBuf};
-use impress_pilot::{Completion, ExecutionBackend, Label, Session, TaskDescription, TaskId};
+use impress_pilot::{Completion, ExecutionBackend, Label, TaskDescription, TaskId};
 use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// One pipeline's line in the coordinator's ledger: what a decision may
+/// read of it. Parentage tells *root* pipelines (submitted by the
+/// experiment) from *sub-pipelines* (spawned by the decision engine), the
+/// distinction behind Table I's `# PL` and `# Sub-PL` columns.
+#[derive(Debug, PartialEq)]
+struct Entry {
+    name: String,
+    parent: Option<PipelineId>,
+    stages_completed: usize,
+}
 
 /// A read-only snapshot handed to the decision engine.
 ///
 /// Fields are private by design: the view is the decision engine's *only*
 /// window into coordinator state, so its surface is the exact contract of
-/// what adaptive policies may observe — the pipeline ledger. Anything not
-/// exposed here (journals, routing tables, the session) is deliberately
-/// out of reach of decision callbacks.
+/// what adaptive policies may observe — each pipeline's name, parent and
+/// stages completed. Anything not exposed here (journals, routing tables,
+/// the backend) is deliberately out of reach of decision callbacks.
 pub struct CoordinatorView<'a> {
-    registry: &'a Registry,
+    ledger: &'a [Entry],
 }
 
 impl<'a> CoordinatorView<'a> {
-    /// The pipeline ledger.
-    pub fn registry(&self) -> &'a Registry {
-        self.registry
+    /// The pipeline's display name.
+    pub fn name(&self, id: PipelineId) -> &'a str {
+        &self.ledger[id.0 as usize].name
+    }
+
+    /// `None` for a root pipeline; `Some(parent)` for a spawned
+    /// sub-pipeline.
+    pub fn parent(&self, id: PipelineId) -> Option<PipelineId> {
+        self.ledger[id.0 as usize].parent
+    }
+
+    /// Stages the pipeline has completed so far.
+    pub fn stages_completed(&self, id: PipelineId) -> usize {
+        self.ledger[id.0 as usize].stages_completed
     }
 }
 
@@ -177,9 +198,18 @@ pub(crate) enum TryStep {
 
 /// The pipelines coordinator. `O` is the pipeline outcome type.
 pub struct Coordinator<O, B: ExecutionBackend, D: DecisionEngine<O>> {
-    session: Session<B>,
+    backend: B,
     decision: D,
-    registry: Registry,
+    /// The pipeline ledger, `ledger[id]`: ids are assigned densely from 0
+    /// and entries are never removed, so the vector is registration order.
+    ledger: Vec<Entry>,
+    /// Sub-pipelines registered (Table I `# Sub-PL`); the rest of the
+    /// ledger is root pipelines.
+    subs: usize,
+    /// Tasks submitted across all pipelines.
+    tasks_submitted: usize,
+    /// Pipelines registered and not yet terminal.
+    live: usize,
     slots: Vec<PipelineSlot<O>>,
     routes: Vec<RouteState>,
     /// Stage submissions produced during the current drain cycle, deferred
@@ -203,15 +233,16 @@ pub struct Coordinator<O, B: ExecutionBackend, D: DecisionEngine<O>> {
 }
 
 impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D> {
-    /// A coordinator over a fresh session on `backend`, advised by
-    /// `decision`.
+    /// A coordinator driving `backend`, advised by `decision`.
     pub fn new(backend: B, decision: D) -> Self {
-        let session = Session::new(backend);
-        let telemetry = session.telemetry().clone();
+        let telemetry = backend.telemetry().clone();
         Coordinator {
-            session,
+            backend,
             decision,
-            registry: Registry::new(),
+            ledger: Vec::new(),
+            subs: 0,
+            tasks_submitted: 0,
+            live: 0,
             slots: Vec::new(),
             routes: Vec::new(),
             pending_submits: Vec::new(),
@@ -233,9 +264,9 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     }
 
     fn add(&mut self, parent: Option<PipelineId>, pipeline: BoxedPipeline<O>) -> PipelineId {
-        // Write-ahead: the id the registry will assign is known in advance,
-        // so the Registered record lands before the registration applies.
-        let id = PipelineId(self.registry.peek_next_id());
+        // Write-ahead: the id is the ledger's length, known in advance, so
+        // the Registered record lands before the registration applies.
+        let id = PipelineId(self.ledger.len() as u64);
         let name = pipeline.name();
         self.journal_append(|| JournalRecord::Registered {
             pipeline: id.0,
@@ -259,8 +290,10 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             }
             None => pipeline,
         };
-        let assigned = self.registry.register(name, parent, self.session.now());
-        debug_assert_eq!(assigned, id, "peeked id diverged from assigned id");
+        if let Some(p) = parent {
+            assert!(p.0 < id.0, "parent {p} is not registered");
+            self.subs += 1;
+        }
         // Pipeline span: lives from registration to the terminal step,
         // parented under the spawning pipeline's span (if any) so adaptive
         // sub-pipeline trees nest in the trace.
@@ -270,12 +303,18 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             .unwrap_or(SpanId::NONE);
         let span = self.telemetry.span(
             SpanCat::Pipeline,
-            &self.registry.get(id).name,
+            &name,
             parent_span,
             track::pipeline(id.0),
-            self.session.stamp(),
+            self.backend.stamp(),
             &[("pipeline", id.0 as i64)],
         );
+        self.ledger.push(Entry {
+            name,
+            parent,
+            stages_completed: 0,
+        });
+        self.live += 1;
         debug_assert_eq!(self.slots.len() as u64, id.0, "slot slab diverged from ids");
         self.slots.push(PipelineSlot {
             live: Some(pipeline),
@@ -306,8 +345,8 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// happens before its record is durable — while the per-record flush
     /// collapses to one flush per cycle. Deferring the submissions is
     /// observationally neutral: the simulated backend schedules at
-    /// `wait_next`, not at `submit`, and submission order (hence task id
-    /// assignment) is preserved.
+    /// `next_completion`, not at `submit`, and submission order (hence
+    /// task id assignment) is preserved.
     fn flush_effects(&mut self) {
         if let Some(writer) = &mut self.journal {
             let batch = writer.commit();
@@ -318,7 +357,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     "journal-commit",
                     SpanId::NONE,
                     track::SESSION,
-                    self.session.stamp(),
+                    self.backend.stamp(),
                     &[("records", batch as i64)],
                 );
             }
@@ -331,7 +370,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             let slot = &mut self.slots[id.0 as usize];
             slot.buffer.open(tasks.len());
             for task in tasks {
-                let tid = self.session.submit(task.with_tag(slot.tag.clone()));
+                let tid = self.backend.submit(task.with_tag(slot.tag.clone()));
                 let at = slot.buffer.push(tid) as u32;
                 let route = tid.0 as usize;
                 if self.routes.len() <= route {
@@ -360,18 +399,18 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         match step {
             Step::Submit(tasks) => {
                 assert!(!tasks.is_empty(), "{id}: empty stage submission");
-                let stage = self.registry.get(id).stages_completed;
+                let stage = self.ledger[id.0 as usize].stages_completed;
                 if let Some(writer) = &mut self.journal {
                     writer.record_stage(id.0, stage, &tasks);
                 }
-                self.registry.note_stage_submitted(id, tasks.len());
+                self.tasks_submitted += tasks.len();
                 if let Some(spans) = self.slots[id.0 as usize].spans.as_mut() {
                     spans.stage = self.telemetry.span(
                         SpanCat::Stage,
                         "stage",
                         spans.pipeline,
                         track::pipeline(id.0),
-                        self.session.stamp(),
+                        self.backend.stamp(),
                         &[("stage", stage as i64), ("tasks", tasks.len() as i64)],
                     );
                 }
@@ -388,8 +427,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     };
                     writer.record(rec);
                 }
-                self.registry
-                    .finish(id, PipelineState::Completed, self.session.now());
                 self.end_pipeline(id);
                 // Decision point: the adaptive engine may spawn sub-pipelines.
                 let spawns = self.decide("on-pipeline-complete", |d, view| {
@@ -403,8 +440,6 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     pipeline: id.0,
                     reason: reason.clone(),
                 });
-                self.registry
-                    .finish(id, PipelineState::Aborted, self.session.now());
                 self.end_pipeline(id);
                 let spawns = self.decide("on-pipeline-aborted", |d, view| {
                     d.on_pipeline_aborted(id, &reason, view)
@@ -425,10 +460,12 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// storage, and close its whole-lifetime span.
     fn end_pipeline(&mut self, id: PipelineId) {
         let slot = &mut self.slots[id.0 as usize];
-        slot.live = None;
+        let was_live = slot.live.take().is_some();
+        debug_assert!(was_live, "{id} already finished");
+        self.live -= 1;
         slot.buffer = StageBuffer::new();
         if let Some(spans) = slot.spans.take() {
-            self.telemetry.end(spans.pipeline, self.session.stamp());
+            self.telemetry.end(spans.pipeline, self.backend.stamp());
         }
     }
 
@@ -447,14 +484,14 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             name,
             SpanId::NONE,
             track::SESSION,
-            self.session.stamp(),
+            self.backend.stamp(),
             &[],
         );
         let view = CoordinatorView {
-            registry: &self.registry,
+            ledger: &self.ledger,
         };
         let spawns = call(&mut self.decision, &view);
-        self.telemetry.end(span, self.session.stamp());
+        self.telemetry.end(span, self.backend.stamp());
         spawns
     }
 
@@ -480,7 +517,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                     "completion-deduped",
                     SpanId::NONE,
                     track::SESSION,
-                    self.session.stamp(),
+                    self.backend.stamp(),
                     &[("task", completion.task.0 as i64)],
                 );
                 return;
@@ -499,7 +536,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 "task-retried",
                 span,
                 track::pipeline(id.0),
-                self.session.stamp(),
+                self.backend.stamp(),
                 &[
                     ("task", completion.task.0 as i64),
                     ("attempts", completion.attempts as i64),
@@ -527,7 +564,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
                 "task-poisoned",
                 span,
                 track::pipeline(id.0),
-                self.session.stamp(),
+                self.backend.stamp(),
                 &[
                     ("task", completion.task.0 as i64),
                     ("distinct_nodes", distinct as i64),
@@ -540,15 +577,16 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         }
         let batch = self.slots[id.0 as usize].buffer.record(at, completion);
         if let Some(batch) = batch {
-            let stage = self.registry.get(id).stages_completed;
+            let entry = &mut self.ledger[id.0 as usize];
+            let stage = entry.stages_completed;
+            entry.stages_completed += 1;
             self.journal_append(|| JournalRecord::StageCompleted {
                 pipeline: id.0,
                 stage,
             });
-            self.registry.note_stage_completed(id);
             if let Some(spans) = self.slots[id.0 as usize].spans.as_mut() {
                 let done = std::mem::replace(&mut spans.stage, SpanId::NONE);
-                self.telemetry.end(done, self.session.stamp());
+                self.telemetry.end(done, self.backend.stamp());
             }
             let step = self.slots[id.0 as usize]
                 .live
@@ -575,7 +613,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// `tests/campaign_service.rs`).
     pub fn step(&mut self) -> bool {
         self.start_pending();
-        match self.session.wait_next() {
+        match self.backend.next_completion() {
             Some(c) => {
                 self.route(c);
                 true
@@ -589,10 +627,10 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
     /// still alive.
     fn idle_transition(&mut self) -> bool {
         // A walltime deadline made the backend hold tasks it could not
-        // finish in time: the session has drained its in-flight work and
+        // finish in time: the backend has drained its in-flight work and
         // will launch nothing further. Stop here — the journal holds
         // everything a resume needs.
-        if self.session.backend().held_tasks() > 0 {
+        if self.backend.held_tasks() > 0 {
             self.drained = true;
             return false;
         }
@@ -601,8 +639,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         let spawns = self.decide("on-all-idle", |d, view| d.on_all_idle(view));
         if spawns.is_empty() && self.to_start.is_empty() {
             assert_eq!(
-                self.registry.live_count(),
-                0,
+                self.live, 0,
                 "drained backend but pipelines still live (stuck stage?)"
             );
             return false;
@@ -613,24 +650,22 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
 
     /// Advance the campaign as far as it can go *without waiting*: start
     /// pending pipelines, then route one completion the backend already
-    /// has available ([`Session::poll_next`]). Unlike
+    /// has available ([`ExecutionBackend::poll_completion`]). Unlike
     /// [`Coordinator::step`], this never advances the backend clock — the
     /// primitive a multiplexing driver needs to keep many campaigns on one
     /// shared cluster maximally concurrent: every campaign with progress
     /// to make at the current instant is stepped before anyone waits.
-    ///
-    /// [`Session::poll_next`]: impress_pilot::Session::poll_next
     pub(crate) fn try_step(&mut self) -> TryStep {
         let started = !self.to_start.is_empty();
         self.start_pending();
-        if let Some(c) = self.session.poll_next() {
+        if let Some(c) = self.backend.poll_completion() {
             self.route(c);
             return TryStep::Progressed;
         }
         if started {
             return TryStep::Progressed;
         }
-        if self.session.backend().in_flight() > 0 {
+        if self.backend.in_flight() > 0 {
             return TryStep::Blocked;
         }
         if self.idle_transition() {
@@ -652,11 +687,7 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
             .slots
             .get(id)
             .map_or(0, |s| s.buffer.read_ahead(at as usize));
-        let entry = self
-            .registry
-            .entries()
-            .get(id)
-            .map_or(0, |e| e.stages_completed as u64);
+        let entry = self.ledger.get(id).map_or(0, |e| e.stages_completed as u64);
         slot.wrapping_add(entry)
     }
 
@@ -676,13 +707,14 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
 
     /// Build the run report for everything finished so far.
     pub fn report(&self) -> RunReport {
-        let obs = self.session.observe();
         RunReport::build(
-            &self.registry,
-            *obs.utilization(),
-            *obs.phase_breakdown(),
-            obs.at(),
+            self.ledger.len() - self.subs,
+            self.subs,
             self.aborts.len(),
+            self.tasks_submitted,
+            self.backend.utilization(),
+            self.backend.phase_breakdown(),
+            self.backend.now(),
         )
     }
 
@@ -696,9 +728,11 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         &self.aborts
     }
 
-    /// The pipeline ledger.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// The pipeline ledger, as the decision engine sees it.
+    pub fn view(&self) -> CoordinatorView<'_> {
+        CoordinatorView {
+            ledger: &self.ledger,
+        }
     }
 
     /// Whether [`run`](Self::run) stopped because the backend's walltime
@@ -719,29 +753,30 @@ impl<O: 'static, B: ExecutionBackend, D: DecisionEngine<O>> Coordinator<O, B, D>
         self.journal.as_ref().map(|w| &w.journal)
     }
 
-    /// The underlying session (for backend-specific inspection).
-    pub fn session(&self) -> &Session<B> {
-        &self.session
+    /// The backend the coordinator drives (for backend-specific
+    /// inspection).
+    pub fn backend(&self) -> &B {
+        &self.backend
     }
 
     /// Consume the coordinator, handing ownership of its results and its
-    /// session back to the caller.
+    /// backend back to the caller.
     ///
     /// Ownership handoff contract: after this call the coordinator is gone
-    /// — its registry, journal handle, and routing state are dropped. What survives is exactly what a *caller that owns the
-    /// campaign's aftermath* needs: the terminal outcomes, the aborts, and
-    /// the live [`Session`] (whose backend keeps its full utilization and
-    /// phase history, so post-run accounting still works). The session is
-    /// returned *hot*: any tasks the campaign left in flight are still in
-    /// flight, which is what lets a service layer recycle the backend for
-    /// the next campaign or drain it on its own schedule. Callers that
-    /// need the registry must read it (or clone what they need) *before*
-    /// consuming the coordinator.
+    /// — its ledger, journal handle, and routing state are dropped. What
+    /// survives is exactly what a *caller that owns the campaign's
+    /// aftermath* needs: the terminal outcomes, the aborts, and the live
+    /// backend (which keeps its full utilization and phase history, so
+    /// post-run accounting still works). The backend is returned *hot*:
+    /// any tasks the campaign left in flight are still in flight, which is
+    /// what lets a service layer recycle it for the next campaign or drain
+    /// it on its own schedule. Callers that need the ledger must read it
+    /// *before* consuming the coordinator.
     pub(crate) fn into_parts(self) -> CoordinatorParts<O, B> {
         CoordinatorParts {
             outcomes: self.outcomes,
             aborts: self.aborts,
-            session: self.session,
+            backend: self.backend,
         }
     }
 }
@@ -824,8 +859,8 @@ pub(crate) struct CoordinatorParts<O, B: ExecutionBackend> {
     pub outcomes: Vec<(PipelineId, O)>,
     /// Aborted pipelines and their reasons.
     pub aborts: Vec<(PipelineId, String)>,
-    /// The session, still owning the backend (and any in-flight work).
-    pub session: Session<B>,
+    /// The backend, with any in-flight work.
+    pub backend: B,
 }
 
 #[cfg(test)]
@@ -905,7 +940,7 @@ mod tests {
         assert_eq!(c.outcomes()[0], (id, 3));
         assert_eq!(report.root_pipelines, 1);
         assert_eq!(report.total_tasks, 3);
-        assert_eq!(c.registry().get(id).stages_completed, 3);
+        assert_eq!(c.view().stages_completed(id), 3);
     }
 
     #[test]
@@ -994,7 +1029,7 @@ mod tests {
             _outcome: &u64,
             view: &CoordinatorView<'_>,
         ) -> Vec<Spawn<u64>> {
-            if view.registry().get(id).parent.is_some() || self.spawned >= 2 {
+            if view.parent(id).is_some() || self.spawned >= 2 {
                 return Vec::new();
             }
             self.spawned += 1;
@@ -1026,7 +1061,7 @@ mod tests {
         let sub_outcomes: Vec<u64> = c
             .outcomes()
             .iter()
-            .filter(|(id, _)| c.registry().get(*id).parent.is_some())
+            .filter(|(id, _)| c.view().parent(*id).is_some())
             .map(|(_, v)| *v)
             .collect();
         assert_eq!(sub_outcomes, vec![101, 101]);
@@ -1059,6 +1094,13 @@ mod tests {
         assert!(c.aborts()[0].1.contains("quality floor"));
         assert_eq!(report.aborted_pipelines, 1);
         assert!(c.outcomes().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "parent pl.0099 is not registered")]
+    fn a_sub_pipeline_of_an_unregistered_parent_is_refused() {
+        let mut c: Coordinator<u64, _, _> = Coordinator::new(backend(), NoDecisions);
+        c.add(Some(PipelineId(99)), Box::new(Immediate));
     }
 
     /// Completes without ever submitting a task.
@@ -1113,20 +1155,117 @@ mod tests {
     }
 
     #[test]
-    fn the_registry_records_the_full_lifecycle() {
+    fn the_ledger_records_the_full_lifecycle() {
         let mut c = Coordinator::new(backend(), NoDecisions);
         let id = c.add_pipeline(Box::new(Counter {
             label: "p".into(),
             stages: 2,
             acc: 0,
         }));
-        c.run();
-        let entry = c.registry().get(id);
-        assert_eq!(entry.parent, None);
-        assert_eq!(entry.state, PipelineState::Completed);
-        assert_eq!(entry.stages_completed, 2);
-        assert_eq!(entry.tasks_submitted, 2);
-        assert!(entry.created_at < entry.finished_at.unwrap());
+        assert_eq!(c.live, 1);
+        let report = c.run();
+        let view = c.view();
+        assert_eq!((view.name(id), view.parent(id)), ("p", None));
+        assert_eq!(view.stages_completed(id), 2);
+        assert_eq!(report.total_tasks, 2);
+        assert_eq!(c.live, 0, "a finished pipeline leaves the live count");
+    }
+
+    /// Spawns a sub-pipeline off each finished pipeline its script says
+    /// to, and records what the view showed of that pipeline at decision
+    /// time.
+    struct Scripted {
+        spawn: std::vec::IntoIter<u8>,
+        seen: Vec<(PipelineId, Option<PipelineId>, String)>,
+    }
+
+    impl Scripted {
+        fn finished(&mut self, id: PipelineId, view: &CoordinatorView<'_>) -> Vec<Spawn<u64>> {
+            self.seen
+                .push((id, view.parent(id), view.name(id).to_string()));
+            match self.spawn.next() {
+                Some(stages @ 1..) => vec![Spawn::sub_of(
+                    id,
+                    Box::new(Counter {
+                        label: format!("sub-of-{id}"),
+                        stages: u32::from(stages - 1),
+                        acc: 0,
+                    }),
+                )],
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    impl DecisionEngine<u64> for Scripted {
+        fn on_pipeline_complete(
+            &mut self,
+            id: PipelineId,
+            _outcome: &u64,
+            view: &CoordinatorView<'_>,
+        ) -> Vec<Spawn<u64>> {
+            self.finished(id, view)
+        }
+        fn on_pipeline_aborted(
+            &mut self,
+            id: PipelineId,
+            _reason: &str,
+            view: &CoordinatorView<'_>,
+        ) -> Vec<Spawn<u64>> {
+            self.finished(id, view)
+        }
+    }
+
+    impress_sim::props! {
+        /// Under random roots (chains and aborters) and random spawns, the
+        /// run report's counts are what the view shows, and every
+        /// sub-pipeline's parent and name read back at decision time as
+        /// they were spawned.
+        fn the_report_counts_what_the_view_shows(rng, cases = 64) {
+            let roots = 1 + rng.below(5);
+            let script: Vec<u8> = (0..24).map(|_| rng.below(4) as u8).collect();
+            let engine = Scripted {
+                spawn: script.into_iter(),
+                seen: Vec::new(),
+            };
+            let mut c = Coordinator::new(backend(), engine);
+            for i in 0..roots {
+                if rng.below(3) == 0 {
+                    c.add_pipeline(Box::new(Aborter));
+                } else {
+                    c.add_pipeline(Box::new(Counter {
+                        label: format!("root{i}"),
+                        stages: rng.below(3) as u32,
+                        acc: 0,
+                    }));
+                }
+            }
+            let report = c.run();
+            let seen = &c.decision.seen;
+            let pipelines = c.outcomes().len() + c.aborts().len();
+            assert_eq!(seen.len(), pipelines, "one decision per finished pipeline");
+            let subs = seen.iter().filter(|s| s.1.is_some()).count();
+            assert_eq!(report.root_pipelines, roots);
+            assert_eq!(report.root_pipelines + report.sub_pipelines, pipelines);
+            assert_eq!(report.sub_pipelines, subs);
+            assert_eq!(report.aborted_pipelines, c.aborts().len());
+            // Every stage is one task, and every stage completes.
+            let view = c.view();
+            let stages: usize = (0..pipelines as u64)
+                .map(|id| view.stages_completed(PipelineId(id)))
+                .sum();
+            assert_eq!(report.total_tasks, stages);
+            for (id, parent, name) in seen {
+                match parent {
+                    Some(p) => {
+                        assert!(p < id, "{id}: parent {p} registered later");
+                        assert_eq!(*name, format!("sub-of-{p}"));
+                    }
+                    None => assert!(name.starts_with("root") || name == "aborter", "{name}"),
+                }
+            }
+            assert_eq!(c.live, 0);
+        }
     }
 
     #[test]
@@ -1153,7 +1292,7 @@ mod tests {
         // Drive the first stage by hand so its completion can be replayed
         // (at-least-once delivery) after the coordinator consumed it.
         c.start_pending();
-        let first = c.session.wait_next().unwrap();
+        let first = c.backend.next_completion().unwrap();
         let replay = Completion {
             task: first.task,
             name: first.name.clone(),
@@ -1249,7 +1388,7 @@ mod tests {
         let resumed = run_campaign(None, Some(&plan));
         assert_eq!(live.outcomes(), resumed.outcomes());
         assert_eq!(live.aborts(), resumed.aborts());
-        assert_eq!(live.registry().entries(), resumed.registry().entries());
+        assert_eq!(live.ledger, resumed.ledger);
         assert_eq!(
             impress_json::to_string(&live.report()),
             impress_json::to_string(&resumed.report()),
@@ -1421,7 +1560,7 @@ mod tests {
             c
         };
         assert!(drained.drained(), "deadline must force a drain");
-        assert!(drained.session().observe().held_tasks() > 0);
+        assert!(drained.backend().held_tasks() > 0);
         assert!(drained.outcomes().len() < reference.outcomes().len());
         // Resume on a fresh, deadline-free backend.
         let plan = load_plan(&store).unwrap().plan;

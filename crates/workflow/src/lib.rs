@@ -15,15 +15,15 @@
 //! * [`stage`] — the [`stage::Step`] protocol between a pipeline and the
 //!   coordinator, plus the in-flight stage buffer.
 //! * [`coordinator`] — [`coordinator::Coordinator`]: submits pipelines
-//!   concurrently over one pilot session, routes task completions back to
-//!   their pipelines (the paper's "completed tasks" channel), and forwards
-//!   finished pipelines to a decision engine that may spawn sub-pipelines
-//!   (the paper's "new pipeline instances" channel).
+//!   concurrently to the one execution backend it drives, routes task
+//!   completions back to their pipelines (the paper's "completed tasks"
+//!   channel), and forwards finished pipelines to a decision engine that
+//!   may spawn sub-pipelines (the paper's "new pipeline instances"
+//!   channel). Its pipeline ledger (name, parentage, stages completed)
+//!   is what a decision reads, through [`CoordinatorView`].
 //! * [`decision`] — the [`decision::DecisionEngine`] trait: the adaptive
 //!   brain. `impress-core` implements the paper's quality-ranked re-process
 //!   policy; [`decision::NoDecisions`] gives the non-adaptive behaviour.
-//! * [`Registry`] — pipeline bookkeeping: states, parentage (root pipeline
-//!   vs spawned sub-pipeline), per-pipeline task counts.
 //! * [`report`] — the run report the Table I harness consumes.
 //! * [`linear`] — a ready-made stage chain for users who don't need a
 //!   custom state machine.
@@ -44,7 +44,6 @@ pub mod decision;
 pub mod journal;
 pub mod linear;
 pub mod pipeline;
-mod registry;
 pub mod report;
 pub mod service;
 pub mod stage;
@@ -56,8 +55,7 @@ pub use journal::{
     MemoryJournal, ReplayPlan, TaskMeta, JOURNAL_FORMAT_VERSION,
 };
 pub use linear::LinearPipeline;
-pub use pipeline::{BoxedPipeline, PipelineId, PipelineLogic, PipelineState};
-pub use registry::Registry;
+pub use pipeline::{BoxedPipeline, PipelineId, PipelineLogic};
 pub use report::RunReport;
 pub use service::{
     AdmissionError, CampaignHandle, CampaignResult, CampaignService, CampaignSpec, CampaignStatus,

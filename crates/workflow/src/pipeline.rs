@@ -21,26 +21,6 @@ impl fmt::Display for PipelineId {
     }
 }
 
-/// Lifecycle state of a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelineState {
-    /// Registered but not yet begun.
-    Created,
-    /// At least one stage submitted; not yet terminal.
-    Running,
-    /// Completed with an outcome.
-    Completed,
-    /// Aborted with a reason.
-    Aborted,
-}
-
-impl PipelineState {
-    /// Whether the state is terminal.
-    pub(crate) fn is_terminal(self) -> bool {
-        matches!(self, PipelineState::Completed | PipelineState::Aborted)
-    }
-}
-
 /// A pipeline's behaviour. `O` is the outcome type delivered to the decision
 /// engine on completion.
 pub trait PipelineLogic<O> {
@@ -123,14 +103,6 @@ mod tests {
             Step::Complete(v) => assert_eq!(v, 42),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn terminal_states() {
-        assert!(PipelineState::Completed.is_terminal());
-        assert!(PipelineState::Aborted.is_terminal());
-        assert!(!PipelineState::Running.is_terminal());
-        assert!(!PipelineState::Created.is_terminal());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The run report: the computational half of Table I.
 
-use crate::registry::Registry;
 use impress_json::json_struct;
 use impress_pilot::{PhaseBreakdown, UtilizationReport};
 use impress_sim::{SimDuration, SimTime};
@@ -60,19 +59,22 @@ json_struct!(RunReport {
 });
 
 impl RunReport {
-    /// Assemble a report from the coordinator's ledgers.
-    pub fn build(
-        registry: &Registry,
+    /// Assemble a report from the coordinator's counts and the backend's
+    /// accounting at `now`.
+    pub(crate) fn build(
+        root_pipelines: usize,
+        sub_pipelines: usize,
+        aborted_pipelines: usize,
+        total_tasks: usize,
         utilization: UtilizationReport,
         phases: PhaseBreakdown,
         now: SimTime,
-        aborted: usize,
     ) -> RunReport {
         RunReport {
-            root_pipelines: registry.root_count(),
-            sub_pipelines: registry.sub_count(),
-            aborted_pipelines: aborted,
-            total_tasks: registry.total_tasks(),
+            root_pipelines,
+            sub_pipelines,
+            aborted_pipelines,
+            total_tasks,
             makespan: now.since(SimTime::ZERO),
             cpu_utilization: utilization.cpu,
             gpu_slot_utilization: utilization.gpu_slot,
@@ -134,43 +136,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_pulls_registry_counts() {
-        let mut reg = Registry::new();
-        let root = reg.register("r".into(), None, SimTime::ZERO);
-        reg.register("s".into(), Some(root), SimTime::ZERO);
-        reg.note_stage_submitted(root, 5);
-        let report = RunReport::build(
-            &reg,
-            UtilizationReport {
-                cpu: 0.5,
-                gpu_slot: 0.25,
-                gpu_hardware: 0.1,
-                makespan: SimDuration::from_secs(10),
-                tasks: 5,
-                retries: 0,
-                wasted_core_seconds: 0.0,
-                wasted_gpu_seconds: 0.0,
-                hedges: 0,
-                hedge_wasted_core_seconds: 0.0,
-                hedge_wasted_gpu_seconds: 0.0,
-            },
-            PhaseBreakdown::default(),
-            SimTime::from_micros(10_000_000),
-            1,
-        );
-        assert_eq!(report.root_pipelines, 1);
-        assert_eq!(report.sub_pipelines, 1);
-        assert_eq!(report.total_tasks, 5);
-        assert_eq!(report.aborted_pipelines, 1);
-        assert_eq!(report.makespan, SimDuration::from_secs(10));
-        assert_eq!(report.task_retries, 0);
-    }
-
-    #[test]
     fn display_is_compact_and_percentaged() {
-        let reg = Registry::new();
         let report = RunReport::build(
-            &reg,
+            0,
+            0,
+            0,
+            0,
             UtilizationReport {
                 cpu: 0.883,
                 gpu_slot: 0.61,
@@ -186,7 +157,6 @@ mod tests {
             },
             PhaseBreakdown::default(),
             SimTime::ZERO + SimDuration::from_hours(38),
-            0,
         );
         let s = report.to_string();
         assert!(s.contains("CPU 88.3%"), "{s}");
@@ -200,9 +170,11 @@ mod tests {
 
     #[test]
     fn faulted_runs_add_a_resilience_line() {
-        let reg = Registry::new();
         let report = RunReport::build(
-            &reg,
+            0,
+            0,
+            0,
+            0,
             UtilizationReport {
                 cpu: 0.5,
                 gpu_slot: 0.5,
@@ -218,7 +190,6 @@ mod tests {
             },
             PhaseBreakdown::default(),
             SimTime::ZERO + SimDuration::from_hours(1),
-            0,
         );
         let s = report.to_string();
         assert!(s.contains("faults: 3 retries"), "{s}");

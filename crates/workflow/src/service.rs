@@ -1,14 +1,13 @@
 //! The multi-tenant campaign service.
 //!
 //! Everything below the workflow layer assumes one owner: a
-//! [`Coordinator`] owns a session, the session owns the backend, and a
-//! campaign has the cluster to itself. The ROADMAP north star is a
-//! *service* shape — many tenants, thousands of concurrent campaigns, one
-//! shared cluster — and this module is that promotion. A
-//! [`CampaignService`] multiplexes many independent campaigns (each its
-//! own coordinator + decision engine + optional write-ahead journal) over
-//! one shared backend through [`SharedCluster`] leases, behind a typed
-//! submission API:
+//! [`Coordinator`] owns its backend, and a campaign has the cluster to
+//! itself. The ROADMAP north star is a *service* shape — many tenants,
+//! thousands of concurrent campaigns, one shared cluster — and this
+//! module is that promotion. A [`CampaignService`] multiplexes many
+//! independent campaigns (each its own coordinator + decision engine +
+//! optional write-ahead journal) over one shared backend through
+//! [`SharedCluster`] leases, behind a typed submission API:
 //!
 //! * [`TenantId`] / [`TenantQuota`] — who may submit, and how much: max
 //!   concurrently running campaigns, core/GPU-second budgets, and a
@@ -36,21 +35,23 @@
 //! sequentially by each other's blocking waits.
 //!
 //! **Fair share** has two cooperating layers. When several tenants have
-//! ready campaigns at the same instant, stepping order is weighted
-//! deficit round-robin over them (each tenant's virtual clock advances by
-//! `QUANTUM / weight` per step it receives, lowest clock steps next),
-//! which divides *coordinator attention* fairly under simultaneous
-//! demand. Sustained slot contention inside the shared scheduler is
-//! steered by per-tenant priority boosts. Each tenant owns one cluster
-//! *account* (`impress_pilot::cluster`): every campaign's lease is opened
-//! in it, the cluster bills every completion to it as it is pumped, and
-//! its boost is added to whatever any of its leases submits. Tenants are
-//! ranked by delivered usage per unit weight, and a tenant's boost is the
-//! number of tenants strictly ahead of it — under-served tenants enqueue
-//! future tasks at higher priority, including the first tasks of a
-//! campaign admitted between two rebalances. With a single tenant the
-//! boost is exactly 0, so a one-campaign service is behaviorally identical
-//! to a bare coordinator on the same backend.
+//! ready campaigns at the same instant, stepping order is weighted deficit
+//! round-robin over them (each tenant's virtual clock advances by
+//! `QUANTUM / weight` per step it receives, lowest clock steps next), which
+//! divides *coordinator attention* fairly under simultaneous demand. A
+//! weight must divide `QUANTUM` (10,080 = 2⁵·3²·5·7, so every weight from 1
+//! to 10 does), which keeps the charge exact: twice the weight buys exactly
+//! twice the attention. Sustained slot contention inside the shared
+//! scheduler is steered by per-tenant priority boosts. Each tenant owns one
+//! cluster *account* (`impress_pilot::cluster`): every campaign's lease is
+//! opened in it, the cluster bills every completion to it as it is pumped,
+//! and its boost is added to whatever any of its leases submits. Tenants
+//! are ranked by delivered usage per unit weight, and a tenant's boost is
+//! the number of tenants strictly ahead of it — under-served tenants
+//! enqueue future tasks at higher priority, including the first tasks of a
+//! campaign admitted between two rebalances. With a single tenant the boost
+//! is exactly 0, so a one-campaign service is behaviorally identical to a
+//! bare coordinator on the same backend.
 //!
 //! **Priority preemption**: campaigns carry a priority class; admitting a
 //! campaign of a higher class sweeps the running tasks of every
@@ -115,10 +116,11 @@ pub struct TenantQuota {
     pub core_seconds: f64,
     /// Delivered GPU-second budget, same semantics.
     pub gpu_seconds: f64,
-    /// Fair-share weight, in `1..=10_080`: a weight-2 tenant is entitled to
-    /// twice the service attention and slot share of a weight-1 tenant. A
-    /// step costs a tenant `10_080 / weight` on its stepping clock, so a
-    /// heavier weight would step for free.
+    /// Fair-share weight, a divisor of 10,080: a weight-2 tenant is
+    /// entitled to twice the service attention and slot share of a
+    /// weight-1 tenant. A step costs a tenant `10_080 / weight` on its
+    /// stepping clock, so a heavier weight would step for free, and one
+    /// that does not divide it would be charged a truncated share.
     pub weight: u32,
 }
 
@@ -133,7 +135,9 @@ impl TenantQuota {
         }
     }
 
-    /// Set the fair-share weight; panics outside `1..=10_080`.
+    /// Set the fair-share weight; panics unless it divides 10,080 (every
+    /// weight from 1 to 10 does), so that stepping attention is exactly
+    /// proportional to weight.
     pub fn with_weight(mut self, weight: u32) -> Self {
         assert_weight(weight);
         self.weight = weight;
@@ -367,12 +371,19 @@ impl PartialOrd for HeapEntry {
 /// when both have ready campaigns.
 const QUANTUM: u64 = 10_080;
 
-/// Refuse a weight outside `1..=QUANTUM`: above it a step costs
-/// `QUANTUM / weight` = 0, and the tenant would always step first.
+/// Refuse a weight that does not divide `QUANTUM`: above it a step costs
+/// `QUANTUM / weight` = 0, and the tenant would always step first; inside
+/// the range a non-divisor's charge truncates, so 5,041 would pay what
+/// 10,080 pays.
 fn assert_weight(weight: u32) {
+    let weight = u64::from(weight);
     assert!(
-        (1..=QUANTUM).contains(&u64::from(weight)),
+        (1..=QUANTUM).contains(&weight),
         "fair-share weight must be in 1..={QUANTUM}, got {weight}"
+    );
+    assert!(
+        QUANTUM.is_multiple_of(weight),
+        "fair-share weight must divide {QUANTUM}, got {weight}"
     );
 }
 
@@ -637,9 +648,9 @@ where
             .expect("running campaign has a coordinator");
         let mut parts = coordinator.into_parts();
         for task in self.cluster.tasks_of(self.campaigns[cid].lease) {
-            parts.session.cancel(task);
+            parts.backend.cancel(task);
         }
-        parts.session.backend_mut().retire();
+        parts.backend.retire();
         self.finish_campaign(cid, CampaignStatus::Canceled, parts.outcomes, parts.aborts);
         true
     }
@@ -736,7 +747,7 @@ where
             .expect("running campaign has a coordinator");
         let drained = coordinator.drained();
         let mut parts = coordinator.into_parts();
-        parts.session.backend_mut().retire();
+        parts.backend.retire();
         let status = if drained {
             CampaignStatus::Drained
         } else {
@@ -1129,6 +1140,26 @@ mod tests {
             1
         );
         let _ = TenantQuota::unmetered(1).with_weight(10_081);
+    }
+
+    /// A weight must divide the quantum, so every charge is exact: 7 and
+    /// the quantum itself pass, and 11 and 5,041 (whose charge would
+    /// truncate to 916 and 1) are refused.
+    #[test]
+    fn a_weight_that_does_not_divide_the_quantum_is_refused() {
+        for weight in [7, 10_080] {
+            let quota = TenantQuota::unmetered(1).with_weight(weight);
+            assert_eq!(QUANTUM % u64::from(quota.weight), 0);
+        }
+        for weight in [11, 5_041] {
+            let refused =
+                std::panic::catch_unwind(|| TenantQuota::unmetered(1).with_weight(weight));
+            let message = refused.expect_err("a non-divisor is refused");
+            assert_eq!(
+                message.downcast_ref::<String>().map(String::as_str),
+                Some(format!("fair-share weight must divide 10080, got {weight}").as_str())
+            );
+        }
     }
 
     /// The same bound holds for a quota built without `with_weight`.

@@ -13,7 +13,7 @@
 use impress_core::{DesignPipeline, ProtocolConfig, TargetToolkit};
 use impress_pilot::{PilotConfig, RuntimeConfig};
 use impress_proteins::datasets::named_pdz_domains;
-use impress_sim::{Histogram, SimDuration};
+use impress_sim::SimDuration;
 use impress_workflow::{Coordinator, NoDecisions};
 use std::time::Instant;
 
@@ -64,17 +64,14 @@ fn main() {
         );
     }
 
-    let registry = coordinator.registry();
-    let stages: usize = registry.entries().iter().map(|e| e.stages_completed).sum();
+    // Every pipeline ends completed or aborted; the view counts the
+    // stages each one finished.
+    let view = coordinator.view();
+    let finished = coordinator.outcomes().iter().map(|(id, _)| *id);
+    let aborted = coordinator.aborts().iter().map(|(id, _)| *id);
+    let stages: usize = finished
+        .chain(aborted)
+        .map(|id| view.stages_completed(id))
+        .sum();
     println!("\nstages completed: {stages}");
-    // The registry is on the virtual clock: hours per pipeline, each of
-    // which took `time_scale` times as long in real time.
-    let mut hist = Histogram::new(0.0, 16.0, 8);
-    for (id, _) in coordinator.outcomes() {
-        let entry = registry.get(*id);
-        if let Some(end) = entry.finished_at {
-            hist.record(end.since(entry.created_at).as_hours_f64());
-        }
-    }
-    println!("pipeline makespans (virtual hours):\n{}", hist.render(30));
 }

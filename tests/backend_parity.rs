@@ -6,8 +6,8 @@
 use impress_core::{DesignPipeline, ProtocolConfig, TargetToolkit};
 use impress_pilot::backend::{ShardedBackend, SimulatedBackend, ThreadedBackend};
 use impress_pilot::{
-    ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, ResourceRequest, RetryPolicy,
-    RuntimeConfig, ScriptedCrash, ScriptedPartition, Session, TaskDescription,
+    Completion, ExecutionBackend, FaultConfig, FaultPlan, NodeSpec, PilotConfig, ResourceRequest,
+    RetryPolicy, RuntimeConfig, ScriptedCrash, ScriptedPartition, TaskDescription,
 };
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::{SimDuration, SimTime};
@@ -24,18 +24,20 @@ fn pilot_config(seed: u64) -> PilotConfig {
 /// A batch of work closures, one task each.
 type Works = Vec<Box<dyn FnOnce() -> u64 + Send>>;
 
-/// Submit `works` as one-core tasks of `duration`, drain the session, and
+/// Run every submitted task to completion, returning completions in
+/// completion order.
+fn drain(backend: &mut impl ExecutionBackend) -> Vec<Completion> {
+    std::iter::from_fn(|| backend.next_completion()).collect()
+}
+
+/// Submit `works` as one-core tasks of `duration`, drain the backend, and
 /// return their outputs in submission order (ids are handed out in it).
-fn run_batch<B: ExecutionBackend>(
-    session: &mut Session<B>,
-    duration: SimDuration,
-    works: Works,
-) -> Vec<u64> {
+fn run_batch(mut backend: impl ExecutionBackend, duration: SimDuration, works: Works) -> Vec<u64> {
     for (i, w) in works.into_iter().enumerate() {
         let desc = TaskDescription::new(format!("w[{i}]"), ResourceRequest::cores(1), duration);
-        session.submit(desc.with_work(w));
+        backend.submit(desc.with_work(w));
     }
-    let mut done = session.drain();
+    let mut done = drain(&mut backend);
     done.sort_by_key(|c| c.task);
     done.into_iter().map(|c| c.output::<u64>()).collect()
 }
@@ -49,12 +51,12 @@ fn batch_outputs_agree_across_backends() {
             .map(|i| Box::new(move || i * i + 1) as Box<dyn FnOnce() -> u64 + Send>)
             .collect()
     };
-    let mut sim = Session::new(SimulatedBackend::new(pilot_config(1)));
-    let sim_out = run_batch(&mut sim, SimDuration::from_secs(3), works());
-    let mut threaded = Session::new(ThreadedBackend::new(pilot_config(1)));
-    let thr_out = run_batch(&mut threaded, SimDuration::from_secs(3), works());
-    let mut sharded = Session::new(ShardedBackend::new(pilot_config(1)));
-    let sha_out = run_batch(&mut sharded, SimDuration::from_secs(3), works());
+    let sim = SimulatedBackend::new(pilot_config(1));
+    let sim_out = run_batch(sim, SimDuration::from_secs(3), works());
+    let threaded = ThreadedBackend::new(pilot_config(1));
+    let thr_out = run_batch(threaded, SimDuration::from_secs(3), works());
+    let sharded = ShardedBackend::new(pilot_config(1));
+    let sha_out = run_batch(sharded, SimDuration::from_secs(3), works());
     assert_eq!(sim_out, thr_out);
     assert_eq!(sim_out, sha_out);
     assert_eq!(sim_out, (0..12).map(|i| i * i + 1).collect::<Vec<u64>>());
@@ -218,10 +220,10 @@ fn forked_rng_streams_agree_across_backends() {
             })
             .collect()
     };
-    let mut sim = Session::new(SimulatedBackend::new(pilot_config(4)));
-    let sim_out = run_batch(&mut sim, SimDuration::from_secs(2), works());
-    let mut threaded = Session::new(ThreadedBackend::new(pilot_config(4)));
-    let thr_out = run_batch(&mut threaded, SimDuration::from_secs(2), works());
+    let sim = SimulatedBackend::new(pilot_config(4));
+    let sim_out = run_batch(sim, SimDuration::from_secs(2), works());
+    let threaded = ThreadedBackend::new(pilot_config(4));
+    let thr_out = run_batch(threaded, SimDuration::from_secs(2), works());
     assert_eq!(sim_out, thr_out);
     // And against a plain sequential evaluation, proving independence from
     // any backend at all.
@@ -386,11 +388,11 @@ fn threaded_backend_enforces_gpu_slots() {
     let peak = Arc::new(AtomicI32::new(0));
     let mut cfg = pilot_config(3);
     cfg.node = impress_pilot::NodeSpec::new(16, 2, 64);
-    let mut session = Session::new(ThreadedBackend::new(cfg));
+    let mut backend = ThreadedBackend::new(cfg);
     for i in 0..8 {
         let active = active.clone();
         let peak = peak.clone();
-        session.submit(
+        backend.submit(
             TaskDescription::new(
                 format!("gpu{i}"),
                 ResourceRequest::with_gpus(1, 1),
@@ -404,7 +406,7 @@ fn threaded_backend_enforces_gpu_slots() {
             }),
         );
     }
-    let completions = session.drain();
+    let completions = drain(&mut backend);
     assert_eq!(completions.len(), 8);
     let peak = peak.load(Ordering::SeqCst);
     assert!(peak <= 2, "GPU oversubscription: peak {peak} > 2 slots");
@@ -418,22 +420,22 @@ fn threaded_backend_enforces_gpu_slots() {
 /// backend: one accountant books occupancy for all three drivers.
 #[test]
 fn utilization_reports_are_sane_on_both_backends() {
-    let run = |mut session: Session<Box<dyn ExecutionBackend>>| {
+    let run = |mut backend: Box<dyn ExecutionBackend>| {
         for _ in 0..4 {
-            session.submit(
+            backend.submit(
                 TaskDescription::new("t", ResourceRequest::cores(2), SimDuration::from_secs(10))
                     .with_work(|| std::thread::sleep(std::time::Duration::from_millis(20))),
             );
         }
-        session.drain();
-        *session.observe().utilization()
+        drain(&mut backend);
+        backend.utilization()
     };
     // Box the backends behind the trait to prove object safety, too.
     let sim: Box<dyn ExecutionBackend> = Box::new(SimulatedBackend::new(pilot_config(2)));
     let thr: Box<dyn ExecutionBackend> = Box::new(ThreadedBackend::new(pilot_config(2)));
     let sha: Box<dyn ExecutionBackend> = Box::new(ShardedBackend::new(pilot_config(2)));
     let reports = [("sim", sim), ("threaded", thr), ("sharded", sha)].map(|(label, backend)| {
-        let report = run(Session::new(backend));
+        let report = run(backend);
         assert_eq!(report.tasks, 4, "{label}");
         assert!(
             report.cpu > 0.0 && report.cpu <= 1.0,

@@ -123,7 +123,7 @@ impl DecisionEngine<u64> for SpawnOnMultiples {
     ) -> Vec<Spawn<u64>> {
         let mut depth = 0;
         let mut cur = id;
-        while let Some(parent) = view.registry().get(cur).parent {
+        while let Some(parent) = view.parent(cur) {
             depth += 1;
             cur = parent;
         }
@@ -255,7 +255,7 @@ fn single_campaign_service_matches_a_bare_coordinator_exactly() {
         bare.add_pipeline(Chain::boxed(seed));
     }
     bare.run();
-    let bare_now = bare.session().now();
+    let bare_now = bare.backend().now();
     let bare_fp = fingerprint(
         bare.outcomes().iter().map(|(_, o)| *o).collect(),
         Vec::new(),

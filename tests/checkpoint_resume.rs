@@ -13,7 +13,7 @@ use impress_pilot::{PilotConfig, RuntimeConfig};
 use impress_proteins::datasets::named_pdz_domains;
 use impress_sim::{props, SimDuration, SimTime};
 use impress_workflow::journal::{load_plan, Journal, JournalError, MemoryJournal};
-use impress_workflow::{Coordinator, NoDecisions};
+use impress_workflow::{Coordinator, NoDecisions, PipelineId};
 
 const SEED: u64 = 11;
 
@@ -228,11 +228,10 @@ fn threaded_drain_checkpoint_resume_preserves_outcome_cohort() {
     add_roots(&mut drained);
     drained.run();
     assert!(drained.drained(), "the deadline must strand work");
-    let stages_done: usize = drained
-        .registry()
-        .entries()
-        .iter()
-        .map(|e| e.stages_completed)
+    // No decisions: the roots are every pipeline, ids 0.. in order.
+    let view = drained.view();
+    let stages_done: usize = (0..targets.len() as u64)
+        .map(|id| view.stages_completed(PipelineId(id)))
         .sum();
     assert!(stages_done > 0, "but not all of it: the first half ran");
 

@@ -120,7 +120,7 @@ guards! {
     one_accountant_books_occupancy_for_every_driver => rules(UTILIZATION),
     the_landscape_has_one_local_scoring_kernel => rules(LANDSCAPE),
     the_journal_loader_builds_no_json_tree => rules(JOURNAL_LOADER),
-    the_registry_is_the_coordinators_one_ledger => rules(COORDINATOR_RECORD),
+    the_pipeline_ledger_is_the_coordinators_one_record => rules(COORDINATOR_RECORD),
     every_value_has_one_json_writer_and_one_trace_exporter => rules(ONE_WRITER),
     the_shard_workers_talk_over_std_channels => rules(CHANNELS),
     both_arms_run_through_the_one_front_door => rules(FRONT_DOOR),
@@ -435,18 +435,29 @@ const JOURNAL_LOADER: &[Rule] = &[
 ];
 
 /// The coordinator used to append every pipeline transition to an
-/// unbounded event log that no production code read; the registry holds
-/// the same states, counts and timestamps.
+/// unbounded event log that no production code read, and then kept a
+/// public registry of per-pipeline states, task counts and timestamps
+/// that only tests and one example printout read. Its ledger is what a
+/// decision reads (name, parent, stages completed) plus three running
+/// counts for the run report.
 const COORDINATOR_RECORD: &[Rule] = &[
     Rule {
         scope: "crates/workflow/src/events.rs",
         verdict: Verdict::Absent,
-        reason: "the registry and the span stream are the coordinator's record",
+        reason: "the coordinator's pipeline ledger and the span stream are its record",
         ..FORBIDDEN
     },
     Rule {
         needles: &["EventLog", "EventKind"],
-        reason: "the registry and the span stream are the coordinator's record",
+        reason: "the coordinator's pipeline ledger and the span stream are its record",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/",
+        needles: &["struct Registry", "PipelineEntry", "PipelineState"],
+        word: true,
+        reason: "the coordinator's pipeline ledger is one private slab beside its slots; \
+                 a terminal pipeline is a slot with no logic, not a state",
         ..FORBIDDEN
     },
 ];
