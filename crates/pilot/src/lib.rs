@@ -39,18 +39,11 @@
 //!   (what `nvidia-smi` sees) — the distinction behind the paper's 61% vs
 //!   1% GPU utilization gap.
 //! * [`session`] — a consistent point-in-time observation of a backend.
-//! * [`cluster`] — one backend shared between many consumers:
-//!   [`SharedCluster`] hands out [`ClusterLease`]s (each an
-//!   [`ExecutionBackend`] scoped to its own tasks, with a usage meter),
-//!   opened in accounts that carry a tenant's priority boost and total
-//!   usage — the substrate under the multi-tenant campaign service in
-//!   `impress-workflow`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod backend;
-pub mod cluster;
 pub mod control;
 pub mod fault;
 pub mod pilot;
@@ -63,7 +56,6 @@ mod states;
 pub mod task;
 
 pub use backend::{Completion, ExecutionBackend, TaskError};
-pub use cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
 pub use control::ControlStats;
 pub use fault::{
     FaultConfig, FaultPlan, HedgePolicy, LinkFaults, LinkFaultsError, QuarantinePolicy,

@@ -6,8 +6,8 @@
 //! thousands of concurrent campaigns, one shared cluster — and this
 //! module is that promotion. A [`CampaignService`] multiplexes many
 //! independent campaigns (each its own coordinator + decision engine +
-//! optional write-ahead journal) over one shared backend through
-//! [`SharedCluster`] leases, behind a typed submission API:
+//! optional write-ahead journal) over one shared backend, behind a typed
+//! submission API:
 //!
 //! * [`TenantId`] / [`TenantQuota`] — who may submit, and how much: max
 //!   concurrently running campaigns, core/GPU-second budgets, and a
@@ -17,6 +17,21 @@
 //!   class.
 //! * [`CampaignHandle`] — the typed token [`CampaignService::submit`]
 //!   returns, accepted by `status`/`cancel`/`take_result`.
+//!
+//! **One pool.** The service keeps the backend in a pool with one *lane*
+//! per campaign (indexed by campaign id) and one *bill* per tenant
+//! (indexed by registration order). Each coordinator drives a lease on
+//! its campaign's lane, an [`ExecutionBackend`] scoped to the tasks
+//! submitted through it: task ids on a lease are lease-local (dense from
+//! 0, translated to the backend's ids at the submit/pump boundary), so a
+//! coordinator's task-indexed tables grow with its own campaign only and
+//! a tenant cannot observe the global submission counter. The pump routes
+//! each completion to its lane's inbox and books its occupancy to the
+//! lane's meter and its tenant's bill in the same place, in whole
+//! device-microseconds, so a tenant's usage is the sum of its campaigns'
+//! by construction. A retired lane drops its inbox and its late
+//! completions (their occupancy is still booked); a task submitted around
+//! the pool has no route and is dropped.
 //!
 //! **Admission control** is enforced at submit time: unknown tenants,
 //! tenants at their in-flight cap, and tenants over their delivered
@@ -28,11 +43,13 @@
 //! pipeline starts, an inboxed completion, or its idle/terminal
 //! transition), and only when *no* campaign is ready does the service
 //! advance the shared clock, by pumping exactly one completion out of the
-//! backend ([`SharedCluster::pump_one`]) and handing it to its owner.
-//! Every task submittable at time `T` is therefore on the shared
-//! scheduler's queue before the clock moves past `T` — thousands of
-//! campaigns run genuinely concurrently instead of being time-sliced
-//! sequentially by each other's blocking waits.
+//! backend into its owner's inbox. A lease's own `next_completion` pumps
+//! until its campaign is served — the blocking step the deadline drain
+//! uses — and its `poll_completion` never pumps. Every task submittable at
+//! time `T` is therefore on the shared scheduler's queue before the clock
+//! moves past `T` — thousands of campaigns run genuinely concurrently
+//! instead of being time-sliced sequentially by each other's blocking
+//! waits.
 //!
 //! **Fair share** has two cooperating layers. When several tenants have
 //! ready campaigns at the same instant, stepping order is weighted deficit
@@ -42,31 +59,30 @@
 //! weight must divide `QUANTUM` (10,080 = 2⁵·3²·5·7, so every weight from 1
 //! to 10 does), which keeps the charge exact: twice the weight buys exactly
 //! twice the attention. Sustained slot contention inside the shared
-//! scheduler is steered by per-tenant priority boosts. Each tenant owns one
-//! cluster *account* (`impress_pilot::cluster`): every campaign's lease is
-//! opened in it, the cluster bills every completion to it as it is pumped,
-//! and its boost is added to whatever any of its leases submits. Tenants
-//! are ranked by delivered usage per unit weight, and a tenant's boost is
-//! the number of tenants strictly ahead of it — under-served tenants
-//! enqueue future tasks at higher priority, including the first tasks of a
-//! campaign admitted between two rebalances. With a single tenant the boost
-//! is exactly 0, so a one-campaign service is behaviorally identical to a
-//! bare coordinator on the same backend.
+//! scheduler is steered by per-tenant priority boosts, kept on the
+//! tenant's bill and added to whatever any of its campaigns submits (read
+//! at submit). Tenants are ranked by delivered usage per unit weight, and
+//! a tenant's boost is the number of tenants strictly ahead of it —
+//! under-served tenants enqueue future tasks at higher priority, including
+//! the first tasks of a campaign admitted between two rebalances. With a
+//! single tenant the boost is exactly 0, so a one-campaign service is
+//! behaviorally identical to a bare coordinator on the same backend.
 //!
 //! **Priority preemption**: campaigns carry a priority class; admitting a
 //! campaign of a higher class sweeps the running tasks of every
-//! lower-class campaign through [`SharedCluster::preempt`], which reuses
-//! the crash/requeue eviction path — evicted attempts are incarnation-
-//! fenced, requeued without consuming retry budget, and their partial
-//! occupancy is booked as waste. Preemption can therefore never produce a
-//! terminal error in the victim campaign, only delay.
+//! lower-class campaign through the backend's
+//! [`preempt`](ExecutionBackend::preempt), which reuses the crash/requeue
+//! eviction path — evicted attempts are incarnation-fenced, requeued
+//! without consuming retry budget, and their partial occupancy is booked
+//! as waste. Preemption can therefore never produce a terminal error in
+//! the victim campaign, only delay.
 //!
 //! **Isolation invariants**: a campaign observes exactly its own
-//! completions, in shared pump order (see [`crate::coordinator`] and
-//! `impress_pilot::cluster`); cancel/preempt through a lease refuse
-//! foreign tasks; a canceled campaign's late completions are dropped, not
-//! delivered. The contents of every completion — and each stage's batch —
-//! are thus a function of the campaign's own pipelines and seeds alone.
+//! completions, in shared pump order (see [`crate::coordinator`]), whoever
+//! did the pumping; a lease cannot name another campaign's tasks; a
+//! canceled campaign's late completions are dropped, not delivered. The
+//! contents of every completion — and each stage's batch — are thus a
+//! function of the campaign's own pipelines and seeds alone.
 //! One caveat is inherent to real resource sharing: the *arrival order*
 //! among a campaign's own concurrent pipelines tracks actual finish times
 //! on the shared cluster, exactly as it would shift between cluster
@@ -81,12 +97,15 @@ use crate::decision::DecisionEngine;
 use crate::journal::{Journal, ReplayPlan};
 use crate::pipeline::{BoxedPipeline, PipelineId};
 use impress_json::{FromJsonBuf, ToJsonBuf};
-use impress_pilot::cluster::{AccountId, ClusterLease, LeaseUsage, SharedCluster};
-use impress_pilot::{ExecutionBackend, UtilizationReport};
+use impress_pilot::{
+    Completion, ExecutionBackend, PhaseBreakdown, TaskDescription, TaskId, UtilizationReport,
+};
 use impress_sim::SimTime;
-use impress_telemetry::{track, SpanCat, SpanId, Telemetry};
+use impress_telemetry::{track, SpanCat, SpanId, Stamp, Telemetry};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 
 /// A tenant's identity. Cheap to clone; compared by value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -285,6 +304,26 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
+/// Occupancy delivered to one campaign — or to one tenant, across all of
+/// its campaigns — so far: the sum over completed attempts of
+/// `(finished - started) × slots`. Booked when the completion is *pumped*
+/// out of the shared backend (not when the campaign pops it), so quota
+/// checks see usage as soon as the cluster knows about it.
+///
+/// The pool meters whole core-/GPU-microseconds (virtual time is whole
+/// microseconds) and converts to seconds on read, so a reading does not
+/// depend on the order completions were pumped in, and a tenant's reading
+/// is exactly that of its campaigns' meters summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LeaseUsage {
+    /// Core-seconds of delivered slot occupancy.
+    pub core_seconds: f64,
+    /// GPU-seconds of delivered slot occupancy.
+    pub gpu_seconds: f64,
+    /// Terminal completions delivered (success or failure).
+    pub completions: u64,
+}
+
 /// A finished campaign's yield.
 pub struct CampaignResult<O> {
     /// Terminal status ([`CampaignStatus::Running`] never appears here).
@@ -293,7 +332,7 @@ pub struct CampaignResult<O> {
     pub outcomes: Vec<(PipelineId, O)>,
     /// Aborted pipelines and their reasons.
     pub aborts: Vec<(PipelineId, String)>,
-    /// Occupancy the campaign's lease had been delivered at the terminal
+    /// Occupancy the campaign had been delivered at the terminal
     /// transition. Tasks of a canceled campaign that were still running
     /// finish later: that occupancy is billed to the tenant
     /// ([`CampaignService::tenant_usage`]) but not shown here.
@@ -304,12 +343,300 @@ pub struct CampaignResult<O> {
     pub finished_at: SimTime,
 }
 
-/// Per-tenant bookkeeping.
+/// Delivered occupancy in whole core-/GPU-microseconds.
+#[derive(Clone, Copy, Default)]
+struct Meter {
+    core_us: u64,
+    gpu_us: u64,
+    completions: u64,
+}
+
+impl Meter {
+    fn book(&mut self, span_us: u64, cores: u32, gpus: u32) {
+        self.core_us += span_us * u64::from(cores);
+        self.gpu_us += span_us * u64::from(gpus);
+        self.completions += 1;
+    }
+
+    fn read(&self) -> LeaseUsage {
+        LeaseUsage {
+            core_seconds: self.core_us as f64 / 1e6,
+            gpu_seconds: self.gpu_us as f64 / 1e6,
+            completions: self.completions,
+        }
+    }
+}
+
+/// One campaign's share of the pool, indexed by campaign id.
+struct Lane {
+    /// The campaign's tenant: its bill is booked beside the lane's meter.
+    tenant: usize,
+    /// Completions pumped while somebody else waited, for the campaign to
+    /// pop.
+    inbox: VecDeque<Completion>,
+    /// Tasks submitted through the lane and not yet *delivered* to it (an
+    /// inboxed completion still counts — it has not been observed).
+    in_flight: usize,
+    meter: Meter,
+    /// A retired lane takes no new submissions and drops late completions.
+    retired: bool,
+    /// Lease-local task ids, dense from 0: `to_global[local]` is the
+    /// backend's id.
+    to_global: Vec<TaskId>,
+}
+
+impl Lane {
+    fn new(tenant: usize) -> Self {
+        Lane {
+            tenant,
+            inbox: VecDeque::new(),
+            in_flight: 0,
+            meter: Meter::default(),
+            retired: false,
+            to_global: Vec::new(),
+        }
+    }
+
+    /// Whether stepping the campaign can make progress without the clock
+    /// moving: a completion is inboxed, or nothing is in flight (its
+    /// idle/terminal transition).
+    fn ready(&self) -> bool {
+        !self.inbox.is_empty() || self.in_flight == 0
+    }
+
+    /// Pop the oldest inboxed completion.
+    fn take(&mut self) -> Option<Completion> {
+        let c = self.inbox.pop_front()?;
+        self.in_flight -= 1;
+        Some(c)
+    }
+}
+
+/// One tenant's bill, indexed by registration order.
+#[derive(Default)]
+struct Bill {
+    /// Priority added to every submission of the tenant's campaigns
+    /// (higher schedules first).
+    boost: i32,
+    /// Delivered occupancy of every campaign the tenant ever ran.
+    meter: Meter,
+}
+
+/// What the pool knows about one submitted, unfinished task.
+struct Route {
+    campaign: u32,
+    /// The campaign's lease-local id for this task.
+    local: u64,
+    cores: u32,
+    gpus: u32,
+}
+
+/// The one backend every campaign shares, and what routing and billing
+/// its completions takes.
+struct Pool<B> {
+    backend: B,
+    /// Indexed by the backend's task id (dense from 0 in submission order,
+    /// see [`ExecutionBackend::submit`]); `None` once the task's completion
+    /// was pumped, and for ids submitted around the pool.
+    routes: Vec<Option<Route>>,
+    lanes: Vec<Lane>,
+    bills: Vec<Bill>,
+}
+
+impl<B: ExecutionBackend> Pool<B> {
+    fn new(backend: B) -> Rc<RefCell<Self>> {
+        Rc::new(RefCell::new(Pool {
+            backend,
+            routes: Vec::new(),
+            lanes: Vec::new(),
+            bills: Vec::new(),
+        }))
+    }
+
+    /// Pump one completion out of the backend, booking it to its lane and
+    /// that lane's tenant. Returns it with its campaign under the
+    /// campaign's local id, or `None` when the backend has nothing left to
+    /// deliver (idle, or a graceful deadline drain).
+    fn pump(&mut self) -> Option<(usize, Completion)> {
+        loop {
+            let mut c = self.backend.next_completion()?;
+            // A task submitted around the pool has no owner: drop it.
+            let Some(route) = self
+                .routes
+                .get_mut(c.task.0 as usize)
+                .and_then(Option::take)
+            else {
+                continue;
+            };
+            let span_us = (c.finished - c.started).as_micros();
+            let lane = &mut self.lanes[route.campaign as usize];
+            lane.meter.book(span_us, route.cores, route.gpus);
+            self.bills[lane.tenant]
+                .meter
+                .book(span_us, route.cores, route.gpus);
+            if lane.retired {
+                continue;
+            }
+            c.task = TaskId(route.local);
+            return Some((route.campaign as usize, c));
+        }
+    }
+
+    /// Pump one completion into its campaign's inbox and name the campaign.
+    fn pump_one(&mut self) -> Option<usize> {
+        let (campaign, c) = self.pump()?;
+        self.lanes[campaign].inbox.push_back(c);
+        Some(campaign)
+    }
+
+    /// Hand `act` the backend id of every unfinished task of `campaign`, in
+    /// submission order, and count the `true`s it returns: one route
+    /// lookup per task the campaign ever submitted.
+    fn sweep(&mut self, campaign: usize, mut act: impl FnMut(&mut B, TaskId) -> bool) -> u64 {
+        let Pool {
+            backend,
+            routes,
+            lanes,
+            ..
+        } = self;
+        let live = lanes[campaign].to_global.iter();
+        let live = live.filter(|global| routes[global.0 as usize].is_some());
+        live.filter(|&&global| act(backend, global)).count() as u64
+    }
+
+    /// Hand `each` the campaign and local id of every completion the
+    /// backend says is left in its current instant
+    /// ([`ExecutionBackend::upcoming_completions`]), next to be pumped
+    /// first. Read-only; tasks submitted around the pool are skipped.
+    fn upcoming(&self, mut each: impl FnMut(usize, TaskId)) {
+        self.backend.upcoming_completions(&mut |global| {
+            if let Some(Some(route)) = self.routes.get(global.0 as usize) {
+                each(route.campaign as usize, TaskId(route.local));
+            }
+        });
+    }
+}
+
+/// A campaign's view of the pool: the [`ExecutionBackend`] its
+/// coordinator drives, scoped to the tasks submitted through it. It
+/// cancels and preempts nothing (the trait's default): the service sweeps
+/// a campaign's tasks through the pool.
+struct Lease<B> {
+    pool: Rc<RefCell<Pool<B>>>,
+    telemetry: Telemetry,
+    campaign: u32,
+}
+
+impl<B: ExecutionBackend> Lease<B> {
+    /// Retire the campaign's lane: drop its inbox and the inbox's storage
+    /// and any late completions, and refuse further submissions (they
+    /// panic). Its meter keeps booking what finishes after.
+    fn retire(&self) {
+        let lane = &mut self.pool.borrow_mut().lanes[self.campaign as usize];
+        lane.retired = true;
+        lane.inbox = VecDeque::new();
+        lane.in_flight = 0;
+    }
+}
+
+impl<B: ExecutionBackend> ExecutionBackend for Lease<B> {
+    /// Submit at the tenant's current boost; the returned id is
+    /// lease-local (dense from 0 per campaign).
+    fn submit(&mut self, desc: TaskDescription) -> TaskId {
+        let mut pool = self.pool.borrow_mut();
+        let pool = &mut *pool;
+        let lane = &mut pool.lanes[self.campaign as usize];
+        assert!(!lane.retired, "submit on a retired lane");
+        let boost = pool.bills[lane.tenant].boost;
+        lane.in_flight += 1;
+        let local = lane.to_global.len() as u64;
+        let (cores, gpus) = (desc.request.cores, desc.request.gpus);
+        let priority = desc.priority;
+        let global = pool.backend.submit(desc.with_priority(priority + boost));
+        lane.to_global.push(global);
+        let slot = global.0 as usize;
+        debug_assert!(
+            slot >= pool.routes.len(),
+            "ExecutionBackend::submit hands out ids dense from 0 in submission order: \
+             got {global} with every id below {} already routed",
+            pool.routes.len()
+        );
+        if pool.routes.len() <= slot {
+            pool.routes.resize_with(slot + 1, || None);
+        }
+        pool.routes[slot] = Some(Route {
+            campaign: self.campaign,
+            local,
+            cores,
+            gpus,
+        });
+        TaskId(local)
+    }
+
+    /// The campaign's next completion: its inbox first, else pump —
+    /// routing other campaigns' completions to their inboxes — until one
+    /// is its own. `None` with work in flight is the deadline drain.
+    fn next_completion(&mut self) -> Option<Completion> {
+        let mut pool = self.pool.borrow_mut();
+        let lane = &mut pool.lanes[self.campaign as usize];
+        if let Some(c) = lane.take() {
+            return Some(c);
+        }
+        if lane.in_flight == 0 {
+            return None;
+        }
+        loop {
+            let (campaign, c) = pool.pump()?;
+            let lane = &mut pool.lanes[campaign];
+            if campaign == self.campaign as usize {
+                lane.in_flight -= 1;
+                return Some(c);
+            }
+            lane.inbox.push_back(c);
+        }
+    }
+
+    fn now(&self) -> SimTime {
+        self.pool.borrow().backend.now()
+    }
+
+    /// Tasks submitted through this lease and not yet delivered to it.
+    fn in_flight(&self) -> usize {
+        self.pool.borrow().lanes[self.campaign as usize].in_flight
+    }
+
+    /// Cluster-wide: occupancy has no per-campaign meaning on shared
+    /// hardware.
+    fn utilization(&self) -> UtilizationReport {
+        self.pool.borrow().backend.utilization()
+    }
+
+    fn phase_breakdown(&self) -> PhaseBreakdown {
+        self.pool.borrow().backend.phase_breakdown()
+    }
+
+    fn held_tasks(&self) -> usize {
+        self.pool.borrow().backend.held_tasks()
+    }
+
+    /// Pop from this campaign's inbox only — never pumps, so polling
+    /// cannot advance time on behalf of other campaigns.
+    fn poll_completion(&mut self) -> Option<Completion> {
+        self.pool.borrow_mut().lanes[self.campaign as usize].take()
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn stamp(&self) -> Stamp {
+        self.pool.borrow().backend.stamp()
+    }
+}
+
+/// Per-tenant bookkeeping; the tenant's bill sits in the pool.
 struct TenantState {
     quota: TenantQuota,
-    /// The cluster account every campaign of this tenant leases from: it
-    /// meters the tenant's delivered usage and carries its boost.
-    account: AccountId,
     /// Campaigns currently running.
     running: usize,
     /// Campaigns that can make progress without waiting, in FIFO order
@@ -323,7 +650,7 @@ struct TenantState {
 
 /// A campaign's coordinator: its pipelines on its lease, driven by its
 /// decision engine.
-type LeaseCoordinator<O, B> = Coordinator<O, ClusterLease<B>, Box<dyn DecisionEngine<O>>>;
+type LeaseCoordinator<O, B> = Coordinator<O, Lease<B>, Box<dyn DecisionEngine<O>>>;
 
 /// One campaign's row in the service. The coordinator sits behind a
 /// `Box`, so the rows of ten thousand campaigns stay a few cache lines
@@ -333,7 +660,6 @@ struct CampaignState<O, B: ExecutionBackend> {
     tenant: usize,
     status: CampaignStatus,
     priority: i32,
-    lease: u32,
     /// Whether this campaign sits in its tenant's ready queue.
     ready: bool,
     coordinator: Option<Box<LeaseCoordinator<O, B>>>,
@@ -388,7 +714,7 @@ fn assert_weight(weight: u32) {
 }
 
 /// Recompute fair-share boosts every this many service steps. A
-/// rebalance reads and ranks one account per tenant, whatever the number
+/// rebalance reads and ranks one bill per tenant, whatever the number
 /// of campaigns; a service step is roughly one routed completion, so
 /// ranks move on the scale of tens of completions and recomputing them
 /// every step would buy nothing.
@@ -397,13 +723,10 @@ const REBALANCE_EVERY: u64 = 64;
 /// Thousands of concurrent campaigns behind a typed submission API, on one
 /// shared cluster. See the module docs for the full contract.
 pub struct CampaignService<O, B: ExecutionBackend> {
-    cluster: SharedCluster<B>,
+    pool: Rc<RefCell<Pool<B>>>,
     tenants: Vec<TenantState>,
     tenant_index: HashMap<TenantId, usize>,
     campaigns: Vec<CampaignState<O, B>>,
-    /// The pump's delivery routing: the running campaign on each lease,
-    /// indexed by lease id (the cluster hands them out densely from 0).
-    lease_index: Vec<Option<usize>>,
     /// Running campaigns per priority class: admission asks it whether a
     /// preemption sweep has anybody to visit.
     running_by_class: BTreeMap<i32, usize>,
@@ -427,14 +750,12 @@ where
 {
     /// A service over one shared backend.
     pub fn new(backend: B) -> Self {
-        let cluster = SharedCluster::new(backend);
-        let telemetry = cluster.telemetry().clone();
+        let telemetry = backend.telemetry().clone();
         CampaignService {
-            cluster,
+            pool: Pool::new(backend),
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             campaigns: Vec::new(),
-            lease_index: Vec::new(),
             running_by_class: BTreeMap::new(),
             first_running: 0,
             heap: BinaryHeap::new(),
@@ -461,9 +782,9 @@ where
         // campaign is ready, and that is when tenants usually arrive.
         let running = self.tenants.iter().filter(|t| t.running > 0);
         let vclock = running.map(|t| t.vclock).min().unwrap_or(0);
+        self.pool.borrow_mut().bills.push(Bill::default());
         self.tenants.push(TenantState {
             quota,
-            account: self.cluster.open_account(),
             running: 0,
             ready: VecDeque::new(),
             vclock,
@@ -472,27 +793,25 @@ where
         self.tenant_index.insert(id, at);
     }
 
-    /// A tenant's delivered usage so far, as the cluster metered it: every
+    /// A tenant's delivered usage so far, as the pool metered it: every
     /// completion of every campaign the tenant ever ran — running,
     /// completed, drained or canceled, including tasks of a canceled
     /// campaign that finished after the cancel.
     pub fn tenant_usage(&self, id: &TenantId) -> Option<LeaseUsage> {
         let &at = self.tenant_index.get(id)?;
-        Some(self.cluster.account_usage(self.tenants[at].account))
+        Some(self.pool.borrow().bills[at].meter.read())
     }
 
-    /// Occupancy metered on one campaign's lease so far. Unlike
+    /// Occupancy metered on one campaign's lane so far. Unlike
     /// [`CampaignResult::usage`] it keeps growing after a cancel, until the
     /// campaign's last running task has finished; a tenant's
     /// [`tenant_usage`](CampaignService::tenant_usage) is exactly the sum of
     /// this over every campaign it was ever admitted.
     pub fn campaign_usage(&self, handle: &CampaignHandle) -> LeaseUsage {
-        self.cluster
-            .usage_of(self.campaigns[handle.id as usize].lease)
-            .expect("every admitted campaign holds a lease")
+        self.pool.borrow().lanes[handle.id as usize].meter.read()
     }
 
-    /// Submit a campaign. On success the campaign is admitted, its lease
+    /// Submit a campaign. On success the campaign is admitted, its lane
     /// opened, and (if its priority class exceeds a running campaign's)
     /// lower-class running tasks preempted.
     pub fn submit(
@@ -511,7 +830,7 @@ where
                 limit: quota.max_in_flight,
             });
         }
-        let usage = self.cluster.account_usage(self.tenants[at].account);
+        let usage = self.pool.borrow().bills[at].meter.read();
         if usage.core_seconds >= quota.core_seconds {
             self.deny_instant(tenant, "core-seconds");
             return Err(AdmissionError::BudgetExhausted {
@@ -529,13 +848,19 @@ where
             });
         }
 
-        let lease = self.cluster.lease(self.tenants[at].account);
-        let lease_id = lease.id();
+        let cid = self.campaigns.len();
+        let lease = Lease {
+            pool: Rc::clone(&self.pool),
+            telemetry: self.telemetry.clone(),
+            campaign: u32::try_from(cid).expect("under 2^32 campaigns"),
+        };
         let mut coordinator = match &spec.plan {
             Some(plan) => Coordinator::resume(lease, spec.decision, plan)
                 .map_err(|e| AdmissionError::BadPlan(e.to_string()))?,
             None => Coordinator::new(lease, spec.decision),
         };
+        // Opened once the plan is accepted, so lane ids are campaign ids.
+        self.pool.borrow_mut().lanes.push(Lane::new(at));
         if let Some(journal) = spec.journal {
             coordinator = coordinator.with_journal(journal);
         }
@@ -543,14 +868,14 @@ where
             coordinator.add_pipeline(root);
         }
 
-        let id = self.campaigns.len() as u64;
-        let now = self.cluster.now();
+        let id = cid as u64;
+        let now = self.now();
         let span = self.telemetry.span(
             SpanCat::Service,
             &spec.name,
             SpanId::NONE,
             track::campaign(id),
-            impress_telemetry::Stamp::virt(now),
+            Stamp::virt(now),
             &[
                 ("campaign", id as i64),
                 ("tenant", at as i64),
@@ -561,19 +886,12 @@ where
             tenant: at,
             status: CampaignStatus::Running,
             priority: spec.priority,
-            lease: lease_id,
             ready: false,
             coordinator: Some(Box::new(coordinator)),
             result: None,
             submitted_at: now,
             span,
         });
-        let cid = self.campaigns.len() - 1;
-        let slot = lease_id as usize;
-        if self.lease_index.len() <= slot {
-            self.lease_index.resize(slot + 1, None);
-        }
-        self.lease_index[slot] = Some(cid);
         self.tenants[at].running += 1;
         *self.running_by_class.entry(spec.priority).or_insert(0) += 1;
         self.mark_ready(cid);
@@ -588,7 +906,7 @@ where
                 &format!("admission-denied:{why}"),
                 SpanId::NONE,
                 track::SESSION,
-                impress_telemetry::Stamp::virt(self.cluster.now()),
+                Stamp::virt(self.now()),
                 &[("tenant_name_len", tenant.0.len() as i64)],
             );
         }
@@ -601,27 +919,18 @@ where
         if !self.running_by_class.range(..class).any(|(_, &n)| n > 0) {
             return;
         }
-        let victims: Vec<u32> = self
-            .campaigns
-            .iter()
-            .filter(|c| c.status == CampaignStatus::Running && c.priority < class)
-            .map(|c| c.lease)
-            .collect();
-        let mut evicted = 0u64;
-        for lease in victims {
-            for task in self.cluster.tasks_of(lease) {
-                if self.cluster.preempt(lease, task) {
-                    evicted += 1;
-                }
-            }
-        }
+        let mut pool = self.pool.borrow_mut();
+        let victims = self.campaigns.iter().enumerate();
+        let victims =
+            victims.filter(|(_, c)| c.status == CampaignStatus::Running && c.priority < class);
+        let evicted: u64 = victims.map(|(cid, _)| pool.sweep(cid, B::preempt)).sum();
         if evicted > 0 {
             self.telemetry.instant(
                 SpanCat::Service,
                 "preemption-sweep",
                 SpanId::NONE,
                 track::SESSION,
-                impress_telemetry::Stamp::virt(self.cluster.now()),
+                Stamp::virt(pool.backend.now()),
                 &[("evicted", evicted as i64), ("class", class as i64)],
             );
         }
@@ -634,7 +943,7 @@ where
     }
 
     /// Cancel a running campaign: queued tasks are canceled, running tasks
-    /// finish as waste (their completions are dropped), the lease is
+    /// finish as waste (their completions are dropped), the lane is
     /// retired, and the tenant's slot is freed. Returns `false` if the
     /// campaign was already terminal.
     pub fn cancel(&mut self, handle: &CampaignHandle) -> bool {
@@ -646,10 +955,8 @@ where
             .coordinator
             .take()
             .expect("running campaign has a coordinator");
-        let mut parts = coordinator.into_parts();
-        for task in self.cluster.tasks_of(self.campaigns[cid].lease) {
-            parts.backend.cancel(task);
-        }
+        let parts = coordinator.into_parts();
+        self.pool.borrow_mut().sweep(cid, B::cancel);
         parts.backend.retire();
         self.finish_campaign(cid, CampaignStatus::Canceled, parts.outcomes, parts.aborts);
         true
@@ -668,12 +975,12 @@ where
 
     /// Current backend time.
     pub fn now(&self) -> SimTime {
-        self.cluster.now()
+        self.pool.borrow().backend.now()
     }
 
     /// Cluster-wide utilization.
     pub fn utilization(&self) -> UtilizationReport {
-        self.cluster.utilization()
+        self.pool.borrow().backend.utilization()
     }
 
     /// Push `tenant` into the stepping heap if it has ready campaigns and
@@ -714,7 +1021,7 @@ where
             .coordinator
             .as_ref()
             .is_some_and(|co| co.has_pending_starts());
-        if pending || self.cluster.lease_ready(c.lease) {
+        if pending || self.pool.borrow().lanes[cid].ready() {
             self.mark_ready(cid);
         }
     }
@@ -738,15 +1045,15 @@ where
         None
     }
 
-    /// Take a terminally-stepped campaign apart: retire its lease, park
-    /// its result.
+    /// Take a terminally-stepped campaign apart: retire its lane, park its
+    /// result.
     fn retire_terminal(&mut self, cid: usize) {
         let coordinator = self.campaigns[cid]
             .coordinator
             .take()
             .expect("running campaign has a coordinator");
         let drained = coordinator.drained();
-        let mut parts = coordinator.into_parts();
+        let parts = coordinator.into_parts();
         parts.backend.retire();
         let status = if drained {
             CampaignStatus::Drained
@@ -807,16 +1114,15 @@ where
             }
             // Nobody can progress without the clock moving: pump exactly
             // one completion, which makes its owner ready.
-            match self.cluster.pump_one() {
-                Some(owner) => {
-                    let now = self.cluster.now();
+            let pumped = self.pool.borrow_mut().pump_one();
+            match pumped {
+                Some(cid) => {
+                    let now = self.now();
                     if now != self.read_ahead_at {
                         self.read_ahead_at = now;
                         self.read_ahead();
                     }
-                    if let Some(&Some(cid)) = self.lease_index.get(owner as usize) {
-                        self.mark_ready(cid);
-                    }
+                    self.mark_ready(cid);
                 }
                 None => {
                     // Campaigns are blocked but nothing is deliverable:
@@ -851,10 +1157,7 @@ where
     /// to one `black_box`, so nothing it does can change a step.
     fn read_ahead(&self) {
         let mut loaded = 0u64;
-        self.cluster.upcoming_owners(|lease, task| {
-            let Some(&Some(cid)) = self.lease_index.get(lease as usize) else {
-                return;
-            };
+        self.pool.borrow().upcoming(|cid, task| {
             let c = &self.campaigns[cid];
             loaded = loaded.wrapping_add(u64::from(c.ready));
             if let Some(coordinator) = &c.coordinator {
@@ -877,12 +1180,8 @@ where
         outcomes: Vec<(PipelineId, O)>,
         aborts: Vec<(PipelineId, String)>,
     ) {
-        let usage = self
-            .cluster
-            .usage_of(self.campaigns[cid].lease)
-            .unwrap_or_default();
-        let now = self.cluster.now();
-        self.lease_index[self.campaigns[cid].lease as usize] = None;
+        let usage = self.pool.borrow().lanes[cid].meter.read();
+        let now = self.now();
         let c = &mut self.campaigns[cid];
         self.tenants[c.tenant].running -= 1;
         *self
@@ -899,34 +1198,35 @@ where
             submitted_at: c.submitted_at,
             finished_at: now,
         });
-        self.telemetry
-            .end(c.span, impress_telemetry::Stamp::virt(now));
+        self.telemetry.end(c.span, Stamp::virt(now));
         self.finished += 1;
     }
 
-    /// Map tenant usage ranks onto account priority boosts: a tenant's
-    /// boost is the number of tenants strictly ahead of it in delivered
-    /// usage per unit weight. Under-served tenants enqueue future work at
-    /// higher priority; with one tenant the boost is exactly 0
-    /// (pass-through). One account read and one write per tenant.
+    /// Map tenant usage ranks onto bill priority boosts: a tenant's boost
+    /// is the number of tenants strictly ahead of it in delivered usage per
+    /// unit weight. Under-served tenants enqueue future work at higher
+    /// priority; with one tenant the boost is exactly 0 (pass-through). One
+    /// bill read and one write per tenant.
     fn rebalance_boosts(&mut self) {
-        let mut ranked: Vec<(f64, AccountId)> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                let u = self.cluster.account_usage(t.account);
-                let ratio = (u.core_seconds + u.gpu_seconds) / f64::from(t.quota.weight);
-                (ratio, t.account)
+        let mut pool = self.pool.borrow_mut();
+        let tenants = self.tenants.iter().zip(&pool.bills).enumerate();
+        let mut ranked: Vec<(f64, usize)> = tenants
+            .map(|(at, (t, bill))| {
+                let u = bill.meter.read();
+                (
+                    (u.core_seconds + u.gpu_seconds) / f64::from(t.quota.weight),
+                    at,
+                )
             })
             .collect();
         // Most-served first: a tenant's boost is where its tie group starts.
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
         let mut boost = 0;
-        for (at, &(ratio, account)) in ranked.iter().enumerate() {
+        for (at, &(ratio, tenant)) in ranked.iter().enumerate() {
             if at > 0 && ratio < ranked[at - 1].0 {
                 boost = at as i32;
             }
-            self.cluster.set_account_boost(account, boost);
+            pool.bills[tenant].boost = boost;
         }
     }
 }
@@ -937,8 +1237,10 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{PipelineScript, TerminalRecord};
     use crate::pipeline::PipelineLogic;
     use crate::stage::Step;
+    use impress_json::RawJson;
     use impress_pilot::backend::SimulatedBackend;
     use impress_pilot::{
         Completion, NodeSpec, PilotConfig, PlacementPolicy, ResourceRequest, TaskDescription,
@@ -1230,7 +1532,7 @@ mod tests {
     #[test]
     fn a_campaign_row_stays_small() {
         let row = std::mem::size_of::<CampaignState<u64, SimulatedBackend>>();
-        assert!(row <= 160, "a campaign row is {row} B, more than 160");
+        assert!(row <= 136, "a campaign row is {row} B, more than 136");
     }
 
     /// A service campaign allocates at most 12 times of its own: 2,000
@@ -1239,7 +1541,7 @@ mod tests {
     /// a stage's `Step::run` list, its task's output box and its batch), a
     /// campaign costs its boxed coordinator, that coordinator's tables (its
     /// ledger, pipeline slots, routes and the lists it stages submissions
-    /// and starts in), its outcome list and its lease's id map and inbox.
+    /// and starts in), its outcome list and its lane's id map and inbox.
     #[test]
     fn a_service_campaign_allocates_at_most_12_times_of_its_own() {
         const CAMPAIGNS: usize = 2_000;
@@ -1273,6 +1575,362 @@ mod tests {
         assert!(
             own <= 12.0,
             "a service campaign allocates {own:.2} times of its own, more than 12"
+        );
+    }
+
+    /// A resume plan whose journaled outcome is not a `u64` is refused
+    /// before the campaign is opened: no lane, no running count, no ready
+    /// entry. The campaign admitted next gets the first dense id and lane,
+    /// completes, and its tenant has been billed exactly what it used.
+    #[test]
+    fn a_plan_that_does_not_decode_is_refused_and_leaves_nothing_behind() {
+        let mut s: CampaignService<u64, _> = CampaignService::new(backend(4));
+        let t = TenantId::new("t");
+        s.register_tenant(t.clone(), TenantQuota::unmetered(1));
+        let plan = ReplayPlan {
+            label: "x".into(),
+            seed: 0,
+            shapes: Vec::new(),
+            pipelines: vec![PipelineScript {
+                id: 0,
+                name: "bad".into(),
+                parent: None,
+                stages: Vec::new(),
+                stages_completed: 0,
+                terminal: Some(TerminalRecord::Completed(RawJson::new(&"not a u64"))),
+            }],
+        };
+        match s.submit(&t, spec("bad", 1).resume_from(plan)) {
+            Err(AdmissionError::BadPlan(e)) => assert!(e.contains("does not decode"), "{e}"),
+            other => panic!("expected BadPlan, got {:?}", other.map(|h| h.id())),
+        }
+        assert!(s.campaigns.is_empty() && s.pool.borrow().lanes.is_empty());
+        assert_eq!(s.tenants[0].running, 0, "the cap of 1 is still free");
+        assert!(s.tenants[0].ready.is_empty() && s.heap.is_empty());
+        let next = s.submit(&t, spec("next", 2)).expect("admitted");
+        assert_eq!(next.id(), 0);
+        assert_eq!(s.pool.borrow().lanes.len(), 1);
+        s.run();
+        assert_eq!(s.status(&next), CampaignStatus::Completed);
+        let usage = s.campaign_usage(&next);
+        assert_eq!(usage.completions, 2);
+        assert_eq!(Some(usage), s.tenant_usage(&t));
+    }
+
+    // The pool below the service: lanes, bills and the pump, driven
+    // through leases on a one-node backend with no setup time.
+
+    type Shared = Rc<RefCell<Pool<SimulatedBackend>>>;
+
+    /// A pool with `tenants` bills over one node of `cores` cores.
+    fn lanes(cores: u32, tenants: usize) -> Shared {
+        let pool = Pool::new(SimulatedBackend::new(PilotConfig {
+            node: NodeSpec::new(cores, 2, 64),
+            nodes: 1,
+            policy: PlacementPolicy::Backfill,
+            bootstrap: SimDuration::from_secs(1),
+            exec_setup_per_task: SimDuration::ZERO,
+            seed: 0,
+        }));
+        pool.borrow_mut().bills.resize_with(tenants, Bill::default);
+        pool
+    }
+
+    /// Open the next lane, for `tenant`, and its lease.
+    fn open(pool: &Shared, tenant: usize) -> Lease<SimulatedBackend> {
+        let mut p = pool.borrow_mut();
+        p.lanes.push(Lane::new(tenant));
+        Lease {
+            pool: Rc::clone(pool),
+            telemetry: p.backend.telemetry().clone(),
+            campaign: p.lanes.len() as u32 - 1,
+        }
+    }
+
+    fn usage(lease: &Lease<SimulatedBackend>) -> LeaseUsage {
+        lease.pool.borrow().lanes[lease.campaign as usize]
+            .meter
+            .read()
+    }
+
+    /// The backend ids a sweep over `lease`'s lane visits.
+    fn live(lease: &Lease<SimulatedBackend>) -> Vec<TaskId> {
+        let mut ids = Vec::new();
+        let campaign = lease.campaign as usize;
+        lease.pool.borrow_mut().sweep(campaign, |_, global| {
+            ids.push(global);
+            false
+        });
+        ids
+    }
+
+    fn task(name: &str, secs: u64) -> TaskDescription {
+        TaskDescription::new(
+            name,
+            ResourceRequest::cores(1),
+            SimDuration::from_secs(secs),
+        )
+    }
+
+    #[test]
+    fn leases_only_see_their_own_completions() {
+        let pool = lanes(4, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 1);
+        let a1 = a.submit(task("a1", 5));
+        let b1 = b.submit(task("b1", 1));
+        let a2 = a.submit(task("a2", 3));
+        // Pumping from lease A routes B's (earlier) completion to B's inbox.
+        let first_a = a.next_completion().expect("a has work");
+        assert!(first_a.task == a1 || first_a.task == a2);
+        assert_eq!(b.in_flight(), 1, "b's completion waits in its inbox");
+        let first_b = b.next_completion().expect("b has work");
+        assert_eq!(first_b.task, b1);
+        assert_eq!(b.in_flight(), 0);
+        assert!(b.next_completion().is_none(), "b is drained");
+        let second_a = a.next_completion().expect("a's second task");
+        assert_ne!(second_a.task, first_a.task);
+        assert!(a.next_completion().is_none());
+    }
+
+    #[test]
+    fn usage_is_booked_to_the_owning_lease() {
+        let pool = lanes(4, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 1);
+        a.submit(task("a", 10));
+        b.submit(task("b", 2));
+        while a.next_completion().is_some() {}
+        // Pumping from A booked B's usage too, before B ever popped.
+        let (ua, ub) = (usage(&a), usage(&b));
+        assert!((ua.core_seconds - 10.0).abs() < 1e-9, "{ua:?}");
+        assert!((ub.core_seconds - 2.0).abs() < 1e-9, "{ub:?}");
+        assert_eq!(ua.completions, 1);
+        assert_eq!(ub.completions, 1);
+        assert!(b.next_completion().is_some());
+    }
+
+    #[test]
+    fn boost_reorders_contended_submissions() {
+        // One core: whoever holds higher priority jumps the queue once the
+        // first occupant finishes.
+        let pool = lanes(1, 2);
+        let mut low = open(&pool, 0);
+        pool.borrow_mut().bills[1].boost = 10;
+        // The boost is the tenant's: a lane opened after it was set
+        // enqueues at it from its first submission.
+        let mut high = open(&pool, 1);
+        let _head = low.submit(task("head", 1));
+        let l = low.submit(task("low", 1));
+        high.submit(task("high", 1));
+        let low_done = std::iter::from_fn(|| low.next_completion())
+            .find(|c| c.task == l)
+            .expect("low's task")
+            .finished;
+        let high_done = high.next_completion().expect("high's task").finished;
+        assert!(
+            high_done < low_done,
+            "boosted lease runs first: {high_done} against {low_done}"
+        );
+    }
+
+    #[test]
+    fn retired_leases_drop_their_completions() {
+        let pool = lanes(4, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 1);
+        a.submit(task("a", 5));
+        b.submit(task("b", 1));
+        b.retire();
+        assert_eq!(b.in_flight(), 0);
+        // Draining A pumps B's completion; it is dropped, not queued.
+        while a.next_completion().is_some() {}
+        assert!(b.next_completion().is_none());
+        // Usage is still metered for the retired lane.
+        assert_eq!(usage(&b).completions, 1);
+    }
+
+    #[test]
+    fn a_tenants_bill_is_the_sum_of_its_lanes_retired_ones_included() {
+        let pool = lanes(4, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 0);
+        let mut c = open(&pool, 1);
+        a.submit(task("a", 10));
+        b.submit(task("b", 2));
+        c.submit(task("c", 7));
+        // b's completion arrives after its retirement: dropped, but billed.
+        b.retire();
+        while a.next_completion().is_some() {}
+        while c.next_completion().is_some() {}
+        let bill = |tenant: usize| pool.borrow().bills[tenant].meter.read();
+        let (ua, ub) = (usage(&a), usage(&b));
+        assert_eq!(bill(0).core_seconds, ua.core_seconds + ub.core_seconds);
+        assert_eq!(bill(0).core_seconds, 12.0);
+        assert_eq!(bill(0).completions, 2);
+        assert_eq!(bill(1).core_seconds, 7.0);
+    }
+
+    #[test]
+    fn lease_ids_are_local_and_a_cancel_sweep_spares_foreign_tasks() {
+        let pool = lanes(1, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 1);
+        let at = a.submit(task("a", 5));
+        let bt = b.submit(task("b", 5));
+        // Ids are namespaced per lease: both leases see a dense space
+        // starting at 0, so the global submission counter never leaks.
+        assert_eq!(at, bt);
+        assert_eq!((live(&a), live(&b)), (vec![TaskId(0)], vec![TaskId(1)]));
+        // Sweeping b's lane cancels b's task 0 (still queued behind a's on
+        // the single core) and leaves a's task 0 — a different backend
+        // task — running to completion.
+        let canceled = pool.borrow_mut().sweep(1, |backend, t| backend.cancel(t));
+        assert_eq!(canceled, 1, "own queued task cancels fine");
+        let got = a.next_completion().expect("a's task survives");
+        assert_eq!(got.task, at);
+        assert!(a.next_completion().is_none());
+        // b's canceled attempt surfaces under b's local id, then b drains.
+        let canceled = b.next_completion().expect("cancellation completion");
+        assert_eq!(canceled.task, bt);
+        assert!(canceled.result.is_err());
+        assert!(b.next_completion().is_none());
+    }
+
+    #[test]
+    fn a_preemption_sweep_visits_only_the_unfinished_tasks_of_its_lane() {
+        let pool = lanes(1, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 1);
+        a.submit(task("a", 50));
+        let bt = b.submit(task("b", 5));
+        let preempt = |lease: &Lease<SimulatedBackend>| {
+            let campaign = lease.campaign as usize;
+            pool.borrow_mut()
+                .sweep(campaign, |backend, t| backend.preempt(t))
+        };
+        // b's task is queued (a holds the core): the sweep evicts nothing.
+        assert_eq!(preempt(&b), 0, "queued task not preemptible");
+        assert!(!pool.borrow().lanes[1].ready(), "b waits on its task");
+        // More work on b, then drain a: b's tasks run behind it. Finished
+        // tasks drop out of the sweep as soon as they are pumped (popped
+        // or not); what remains is visited in submission order.
+        b.submit(task("b2", 5));
+        b.submit(task("b3", 5));
+        assert_eq!(live(&b), [1, 2, 3].map(TaskId));
+        while a.next_completion().is_some() {}
+        assert_eq!(b.next_completion().expect("b's first task").task, bt);
+        assert_eq!(live(&b), [2, 3].map(TaskId));
+        // b2 holds the core; evicting it places b3 at once, which the same
+        // sweep evicts in turn.
+        assert_eq!(preempt(&b), 2, "b2, then b3 in its place");
+        while b.next_completion().is_some() {}
+        assert!(live(&b).is_empty());
+        assert_eq!(preempt(&b), 0);
+    }
+
+    #[test]
+    fn tasks_submitted_around_the_pool_are_never_delivered() {
+        // Backend ids 0 and 2 bypass the pool; id 1 is lease a's first.
+        let pool = lanes(4, 1);
+        pool.borrow_mut().backend.submit(task("before", 1));
+        let mut a = open(&pool, 0);
+        let at = a.submit(task("a", 3));
+        pool.borrow_mut().backend.submit(task("between", 2));
+        let bt = a.submit(task("a2", 5));
+        assert_eq!(live(&a), [1, 3].map(TaskId));
+        // Both strays finish first and are dropped on the way to a's own.
+        assert_eq!(pool.borrow_mut().pump_one(), Some(0));
+        assert_eq!(a.next_completion().expect("a's own").task, at);
+        assert_eq!(a.next_completion().expect("a's second").task, bt);
+        assert!(a.next_completion().is_none());
+        let usage = usage(&a);
+        assert_eq!((usage.completions, usage.core_seconds), (2, 8.0));
+    }
+
+    #[test]
+    fn the_owners_left_in_an_instant_are_the_next_ones_pumped() {
+        let pool = lanes(4, 2);
+        let mut a = open(&pool, 0);
+        let mut b = open(&pool, 1);
+        let upcoming = || {
+            let mut owners = Vec::new();
+            pool.borrow()
+                .upcoming(|campaign, task| owners.push((campaign, task)));
+            owners
+        };
+        assert!(upcoming().is_empty(), "nothing submitted, nothing upcoming");
+        // Three tasks end at one instant, a fourth later.
+        a.submit(task("a0", 5));
+        b.submit(task("b0", 5));
+        a.submit(task("a1", 5));
+        b.submit(task("b1", 9));
+        let first = pool.borrow_mut().pump_one().expect("a completion");
+        let upcoming = upcoming();
+        assert_eq!(upcoming.len(), 2, "the rest of the instant: {upcoming:?}");
+        let mut pumped = Vec::new();
+        while let Some(owner) = pool.borrow_mut().pump_one() {
+            pumped.push(owner);
+        }
+        let owners: Vec<usize> = upcoming.iter().map(|&(lane, _)| lane).collect();
+        assert_eq!(owners, pumped[..2], "firing order");
+        assert_eq!(pumped.len(), 3);
+        let mut seen = vec![first];
+        seen.extend(&owners);
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 0, 1]);
+        // Lease-local ids: `a` submitted tasks 0 and 1, `b` task 0 first.
+        for &(lane, local) in &upcoming {
+            assert!(local.0 < 2 && (lane == 0 || local.0 == 0), "{upcoming:?}");
+        }
+    }
+
+    #[test]
+    fn completion_order_within_a_lease_is_pump_order() {
+        // Two identical pools; in one, lease B drives all the pumping.
+        // Lease A must observe its completions in the same order either way.
+        let run = |b_pumps_first: bool| -> Vec<u64> {
+            let pool = lanes(2, 2);
+            let mut a = open(&pool, 0);
+            let mut b = open(&pool, 1);
+            for i in 0..4 {
+                a.submit(task(&format!("a{i}"), 3 + i));
+                b.submit(task(&format!("b{i}"), 2 + i));
+            }
+            if b_pumps_first {
+                while b.next_completion().is_some() {}
+            }
+            let mut seen = Vec::new();
+            while let Some(c) = a.next_completion() {
+                seen.push(c.task.0);
+            }
+            seen
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// Completions queued for a lease leave with their storage when the
+    /// lease retires.
+    #[test]
+    fn retiring_a_lease_frees_its_inbox() {
+        const QUEUED: u64 = 256;
+        let pool = lanes(64, 2);
+        let mut long = open(&pool, 0);
+        let mut short = open(&pool, 1);
+        long.submit(task("long", 60));
+        for _ in 0..QUEUED {
+            short.submit(task("short", 1));
+        }
+        // Waiting on the long task pumps every short one into its inbox.
+        assert!(long.next_completion().is_some());
+        assert_eq!(short.in_flight() as u64, QUEUED, "all queued, none taken");
+        let before = crate::ALLOC.live_bytes();
+        short.retire();
+        let freed = before.saturating_sub(crate::ALLOC.live_bytes());
+        let inbox = QUEUED * std::mem::size_of::<Completion>() as u64;
+        assert!(
+            freed >= inbox,
+            "retiring freed {freed} bytes; its {QUEUED} queued completions alone held {inbox}"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! ready flag per campaign, a ready queue per tenant, a `queued` flag per
 //! tenant and a heap of tenants keyed by virtual clock. This model keeps
 //! none of it. After every operation it derives readiness afresh from what
-//! the campaigns themselves say (pipelines waiting to start, or a lease
+//! the campaigns themselves say (pipelines waiting to start, or a lane
 //! with a completion waiting or nothing in flight), and it picks the next
 //! campaign by scanning plain vectors: the lowest virtual clock among
 //! tenants with a ready campaign (ties to the earlier registration), then
@@ -109,14 +109,14 @@ impl ReferenceService {
         });
     }
 
-    /// The verdict on a submission by `name`, whose account has been
+    /// The verdict on a submission by `name`, whose bill has been
     /// delivered `spent` (core, GPU) seconds so far.
     pub(super) fn admit(&self, name: &str, spent: Option<(f64, f64)>) -> Result<usize, String> {
         let Some(at) = self.tenant(name) else {
             return Err("unknown".into());
         };
         let quota = self.tenants[at].quota;
-        let (core, gpu) = spent.expect("a registered tenant has an account");
+        let (core, gpu) = spent.expect("a registered tenant has a bill");
         if self.running_of(at) >= quota.max_in_flight {
             Err("cap".into())
         } else if core >= quota.core_seconds {
@@ -183,7 +183,7 @@ impl ReferenceService {
                     .coordinator
                     .as_ref()
                     .is_some_and(|co| co.has_pending_starts())
-                    || service.cluster.lease_ready(row.lease));
+                    || service.pool.borrow().lanes[cid].ready());
             match (ready, c.ready_since) {
                 (true, None) => {
                     self.clock += 1;

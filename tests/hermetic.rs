@@ -128,6 +128,7 @@ guards! {
     a_grant_is_a_node_and_two_counts => rules(DEVICE_IDS),
     placement_asks_one_fit_set_per_shape => rules(FIT_SETS),
     an_allocation_pin_is_a_unit_test_beside_its_code => rules(ALLOC_PINS),
+    the_campaign_service_is_one_layer => rules(ONE_LAYER),
     recovery_artifact_matches_the_journal_format_version => checked_in(sources(), study("recovery")),
     trace_artifact_matches_the_study_format_version => checked_in(sources(), study("trace")),
     trace_study_smoke_iteration_certifies_every_contract => smoke(study("trace")),
@@ -145,6 +146,7 @@ guards! {
     every_name_design_md_cites_is_in_the_tree =>
         design_references(&[sources(), &[this_file()]].concat(), &on_disk),
     experiments_table_one_reads_the_checked_in_artifact => table_one(sources()),
+    experiments_ablations_read_the_checked_in_artifact => ablations_table(sources()),
     every_pub_item_is_listed_and_reached_or_explained =>
         surface_violations(sources(), source(sources(), SURFACE)),
 }
@@ -611,7 +613,28 @@ const ALLOC_PINS: &[Rule] = &[Rule {
     ..FORBIDDEN
 }];
 
-const RULES: [&[Rule]; 15] = [
+/// The campaign service reaches its one backend through one pool of lanes
+/// and bills; a shared-cluster layer of leases and accounts under it kept
+/// a second table per campaign and per tenant, and three fields to
+/// translate between them.
+const ONE_LAYER: &[Rule] = &[
+    Rule {
+        scope: "crates/",
+        needles: &["SharedCluster", "ClusterLease", "AccountId"],
+        word: true,
+        reason: "a campaign is a lane of the service's pool and a tenant is a bill; \
+                 there is no cluster layer under the service",
+        ..FORBIDDEN
+    },
+    Rule {
+        scope: "crates/pilot/src/cluster.rs",
+        verdict: Verdict::Absent,
+        reason: "the service's pool routes and bills completions itself",
+        ..FORBIDDEN
+    },
+];
+
+const RULES: [&[Rule]; 16] = [
     ENV_WRITES,
     DEPRECATED,
     PERF_LEDGER,
@@ -627,6 +650,7 @@ const RULES: [&[Rule]; 15] = [
     DEVICE_IDS,
     FIT_SETS,
     ALLOC_PINS,
+    ONE_LAYER,
 ];
 
 /// What `rule` finds in `files`, allow-list not applied.
@@ -979,11 +1003,10 @@ fn int_keyed_hash_tables(text: &str) -> Vec<(String, String)> {
 /// The files whose tables sit on the per-event / per-task path and are
 /// keyed by ids the program hands out densely from 0 (DESIGN.md, "Id
 /// spaces"): such an id indexes an array.
-const DENSE_ID_FILES: [&str; 5] = [
+const DENSE_ID_FILES: [&str; 4] = [
     "crates/sim/src/event.rs",
     "crates/pilot/src/scheduler/mod.rs",
     "crates/pilot/src/profiler.rs",
-    "crates/pilot/src/cluster.rs",
     "crates/workflow/src/service.rs",
 ];
 
@@ -1644,16 +1667,7 @@ fn table_one(sources: &Sources) -> Vec<String> {
     let pipelines = [count("imrp", "pipelines"), count("imrp", "sub_pipelines")];
     cells.push(("IM-RP #PL / #Sub-PL".into(), pipelines.join(" / ")));
 
-    let experiments = source(sources, "EXPERIMENTS.md");
-    let table = experiments
-        .split("\n## ")
-        .find(|section| section.starts_with("Table I "))
-        .unwrap_or_default();
-    let rows: Vec<Vec<&str>> = table
-        .lines()
-        .filter(|line| line.starts_with('|'))
-        .map(|line| line.split('|').map(str::trim).collect())
-        .collect();
+    let rows = experiments_rows(sources, "Table I ");
     let mut found = Vec::new();
     for (cell, want) in cells {
         match rows.iter().find(|row| row.get(1) == Some(&cell.as_str())) {
@@ -1663,6 +1677,67 @@ fn table_one(sources: &Sources) -> Vec<String> {
                 row.get(3).unwrap_or(&"")
             )),
             Some(_) => {}
+        }
+    }
+    found
+}
+
+/// The table rows of the EXPERIMENTS.md section whose heading starts with
+/// `heading`, split at `|` and trimmed: a row's first cell is at 1.
+fn experiments_rows<'a>(sources: &'a Sources, heading: &str) -> Vec<Vec<&'a str>> {
+    let experiments = source(sources, "EXPERIMENTS.md");
+    let section = experiments
+        .split("\n## ")
+        .find(|section| section.starts_with(heading))
+        .unwrap_or_default();
+    section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .map(|line| line.split('|').map(str::trim).collect())
+        .collect()
+}
+
+/// Every variant row of EXPERIMENTS.md's Ablations table against
+/// `ablations.json`, as the table prints it: the median score to three
+/// decimals, AlphaFold evaluations whole, virtual hours to one decimal,
+/// and the CPU and GPU-slot shares in whole percent.
+fn ablations_table(sources: &Sources) -> Vec<String> {
+    use impress_json::Json;
+    let doc = match impress_json::parse(source(sources, "ablations.json")) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("ablations.json: {e}")],
+    };
+    let variants = doc.get("rows").and_then(Json::as_array).unwrap_or_default();
+    if variants.is_empty() {
+        return vec!["ablations.json has no rows".into()];
+    }
+    let rows = experiments_rows(sources, "Ablations ");
+    // Column, field, decimals printed, and the scale to print it at.
+    let columns = [
+        ("median", "median_final_score", 3, 1.0),
+        ("evals", "evaluations", 0, 1.0),
+        ("hours", "makespan_hours", 1, 1.0),
+        ("CPU %", "cpu", 0, 100.0),
+        ("GPU %", "gpu_slot", 0, 100.0),
+    ];
+    let mut found = Vec::new();
+    for variant in variants {
+        let name = variant.get("variant").and_then(Json::as_str).unwrap_or("?");
+        let Some(row) = rows.iter().find(|row| row.get(1) == Some(&name)) else {
+            found.push(format!("EXPERIMENTS.md Ablations has no `{name}` row"));
+            continue;
+        };
+        for (at, (column, field, decimals, scale)) in columns.into_iter().enumerate() {
+            let value = variant.get(field).and_then(Json::as_f64);
+            let want = value.map_or(format!("no {name}.{field}"), |x| {
+                format!("{:.*}", decimals, x * scale)
+            });
+            if row.get(2 + at) != Some(&want.as_str()) {
+                found.push(format!(
+                    "EXPERIMENTS.md Ablations: `{name}` {column} reads {:?}, ablations.json gives {want}",
+                    row.get(2 + at).unwrap_or(&"")
+                ));
+            }
         }
     }
     found
@@ -2111,6 +2186,61 @@ fn the_table_one_check_is_pinned_on_the_checked_in_table() {
         ),
     ] {
         let found = table_one(&edited(from, to));
+        assert!(
+            found.len() == 1 && found[0].contains(finding),
+            "{finding}: {found:?}"
+        );
+    }
+}
+
+/// The Ablations check on the checked-in files, one cell of each column
+/// edited at a time, and one variant renamed: each edit is reported, and
+/// only it.
+#[test]
+fn the_ablations_check_is_pinned_on_the_checked_in_table() {
+    let edited = |from: &str, to: &str| -> Vec<(String, String)> {
+        let mut tree: Vec<(String, String)> = ["EXPERIMENTS.md", "ablations.json"]
+            .iter()
+            .map(|rel| (rel.to_string(), source(sources(), rel).to_string()))
+            .collect();
+        assert_eq!(tree[0].1.matches(from).count(), 1, "{from}");
+        tree[0].1 = tree[0].1.replace(from, to);
+        tree
+    };
+    assert_eq!(ablations_table(sources()), Vec::<String>::new());
+    for (from, to, finding) in [
+        (
+            "| adaptive=off | 0.805 |",
+            "| adaptive=off | 0.806 |",
+            "`adaptive=off` median reads \"0.806\", ablations.json gives 0.805",
+        ),
+        (
+            "| speculation=1 | 0.829 | 59 |",
+            "| speculation=1 | 0.829 | 60 |",
+            "`speculation=1` evals reads \"60\"",
+        ),
+        (
+            "| 15.4 | 51 | 37 |",
+            "| 15.5 | 51 | 37 |",
+            "`retry_budget=1` hours reads \"15.5\"",
+        ),
+        (
+            "| 38.3 | 77 | 55 |",
+            "| 38.3 | 78 | 55 |",
+            "`baseline (IM-RP defaults)` CPU % reads \"78\", ablations.json gives 77",
+        ),
+        (
+            "| 25.8 | 29 | 98 |",
+            "| 25.8 | 29 | 97 |",
+            "`msa=single-sequence` GPU % reads \"97\"",
+        ),
+        (
+            "| deprioritized-speculation |",
+            "| deprioritised-speculation |",
+            "no `deprioritized-speculation` row",
+        ),
+    ] {
+        let found = ablations_table(&edited(from, to));
         assert!(
             found.len() == 1 && found[0].contains(finding),
             "{finding}: {found:?}"
